@@ -15,13 +15,13 @@
 //! come from a full run on an idle machine.
 
 use sc_attacks::{build_legacy_network, LegacyNetParams, SecureAttack};
-use sc_bench::report::Report;
+use sc_bench::report::{BenchResult, Report};
 use sc_bench::{chained, pool, warmed_memo, CHAIN_LENGTHS};
-use sc_core::SecureConfig;
+use sc_core::{Observation, SampleCache, SecureConfig, SecureDescriptor, Timestamp};
 use sc_crypto::{schnorr61, sha256, Keypair, Scheme};
 use sc_cyclon::CyclonConfig;
 use sc_testkit::{build_secure_network, SecureNetParams};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One past the highest existing `BENCH_<n>.json` index, so auto-numbered
 /// baselines stay monotonic even when earlier indices are missing.
@@ -41,6 +41,114 @@ fn next_bench_path() -> String {
         }
     }
     format!("BENCH_{next}.json")
+}
+
+/// Sample handling as one node of the `sim-honest` benchmark workload
+/// sees it (300 nodes, ℓ=20): each cycle brings 48 first sightings and 9
+/// re-sightings, then `prune` expires what was last seen a retention
+/// window ago. One steady-state loop, three timers — so each series is
+/// the cost of its step *in the company of the others* (cache occupancy,
+/// dead slots awaiting a sweep), not of a step in isolation. Re-sightings
+/// arrive as separately decoded copies, the live tier's shape and the
+/// dearer one: a copy sharing the cached block is recognised by pointer.
+fn sample_cache_series(report: &mut Report, cycles_per_sample: u64, samples: usize) {
+    const CREATORS: usize = 300;
+    const STAMPS: usize = 16;
+    const NEW_PER_CYCLE: usize = 48;
+    const SEEN_PER_CYCLE: usize = 9;
+    const PERIOD: u64 = 1000;
+    let retention = SecureConfig::default().sample_retention_cycles;
+    let keys = pool(Scheme::KeyedHash, CREATORS);
+    // Entry i is creator i % CREATORS's descriptor number i / CREATORS:
+    // a cycle's 48 consecutive entries come from 48 creators, and an id
+    // returns only after 100 cycles, long expired.
+    let fresh: Vec<SecureDescriptor> = (0..CREATORS * STAMPS)
+        .map(|i| {
+            let (c, k) = (i % CREATORS, (i / CREATORS) as u64);
+            SecureDescriptor::create(&keys[c], c as u32, Timestamp(k * PERIOD))
+                .transfer(&keys[c], keys[(c + 1) % CREATORS].public())
+                .unwrap()
+        })
+        .collect();
+    let decoded: Vec<SecureDescriptor> = fresh
+        .iter()
+        .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec()))
+        .collect();
+
+    let mut cache = SampleCache::new(retention);
+    let mut cycle = 0u64;
+    let mut misjudged = 0u64;
+    // One simulated cycle; returns (first sightings, re-sightings, prune).
+    let mut step = |cache: &mut SampleCache| -> [Duration; 3] {
+        let at = |i: u64| (i as usize) % fresh.len();
+        let base = cycle * NEW_PER_CYCLE as u64;
+        let t0 = Instant::now();
+        for i in 0..NEW_PER_CYCLE as u64 {
+            let obs = cache.observe(&fresh[at(base + i)], cycle, PERIOD);
+            misjudged += (obs != Observation::New) as u64;
+        }
+        let t1 = Instant::now();
+        for i in 0..SEEN_PER_CYCLE as u64 {
+            // From last cycle's arrivals (this cycle's, in cycle 0).
+            let obs = cache.observe(
+                &decoded[at(base.saturating_sub(NEW_PER_CYCLE as u64) + i)],
+                cycle,
+                PERIOD,
+            );
+            misjudged += (obs != Observation::AlreadyKnown) as u64;
+        }
+        let t2 = Instant::now();
+        cycle += 1;
+        cache.prune(cycle);
+        let t3 = Instant::now();
+        [t1 - t0, t2 - t1, t3 - t2]
+    };
+    // Fill to steady state: two windows, so sweeps and expiry are running.
+    for _ in 0..2 * retention + 1 {
+        step(&mut cache);
+    }
+    let mut per_sample: [Vec<f64>; 3] = Default::default();
+    for _ in 0..samples.max(3) {
+        let mut total = [Duration::ZERO; 3];
+        for _ in 0..cycles_per_sample {
+            let spent = step(&mut cache);
+            for (t, s) in total.iter_mut().zip(spent) {
+                *t += s;
+            }
+        }
+        // In steady state a cycle expires what a cycle brings in.
+        let items = [NEW_PER_CYCLE, SEEN_PER_CYCLE, NEW_PER_CYCLE];
+        for ((series, t), n) in per_sample.iter_mut().zip(total).zip(items) {
+            series.push(t.as_nanos() as f64 / (cycles_per_sample * n as u64) as f64);
+        }
+    }
+    assert_eq!(misjudged, 0, "the loop must feed each timer what it names");
+    assert_eq!(
+        cache.len(),
+        retention as usize * NEW_PER_CYCLE + SEEN_PER_CYCLE,
+        "steady state: one window of first sightings, plus the re-sighted \
+         few of the cycle just behind it"
+    );
+    let names = ["first_sighting", "resighting", "expiry"];
+    for (name, mut series) in names.into_iter().zip(per_sample) {
+        series.sort_by(|a, b| a.total_cmp(b));
+        let ns_per_iter = series[series.len() / 2];
+        println!(
+            "{:<44} {ns_per_iter:>9.1} ns",
+            format!("sample_cache/{name}")
+        );
+        report.results.push(BenchResult {
+            name: format!("sample_cache/{name}"),
+            ns_per_iter,
+            iters: cycles_per_sample,
+            samples: series.len(),
+        });
+        report.derive_per_item(
+            &format!("sample_cache_{name}_ns_per_sample"),
+            &format!("sample_cache/{name}"),
+            1,
+        );
+    }
 }
 
 fn main() {
@@ -199,6 +307,15 @@ fn main() {
             },
         );
     }
+
+    // -- descriptor copies and the sample cache -----------------------
+    // The paper's average descriptor has seen 2s = 6 transfers.
+    let held = chained(&keys, 6);
+    report.bench("descriptor/clone", budget, samples, || {
+        std::hint::black_box(std::hint::black_box(&held).clone());
+    });
+    report.derive_per_item("descriptor_clone_ns_per_clone", "descriptor/clone", 1);
+    sample_cache_series(&mut report, if quick { 40 } else { 400 }, samples);
 
     // -- end-to-end simulation cycles, scaled by population -----------
     // Two series: the crypto-free Cyclon layer carries the engine to

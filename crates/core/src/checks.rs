@@ -31,9 +31,7 @@ use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
 use crate::memo::VerifyMemo;
 use crate::proof::ViolationProof;
-use crate::time::Timestamp;
 use sc_crypto::{FxHashMap, NodeId};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Result of observing one descriptor against the cache.
@@ -57,40 +55,112 @@ pub enum Observation {
     Violation(Box<ViolationProof>),
 }
 
-struct Cached {
-    desc: SecureDescriptor,
+/// One cached sample. Three words: most observations are first sightings,
+/// so the bytes written per sighting are what a node-cycle costs.
+struct Slot {
+    /// Creation timestamp in ticks; with the map key it is the sample's
+    /// [`DescriptorId`].
+    ts: u64,
     last_seen: u64,
+    desc: SecureDescriptor,
 }
 
-/// Cache of descriptor samples with the secondary index needed by the
-/// frequency check.
+/// Cache of descriptor samples behind a single index.
+///
+/// One hash lookup by creator serves the ownership check (binary search
+/// for the timestamp), the frequency check (range scan around it) and the
+/// insert.
+///
+/// Expiry is **logical**: [`SampleCache::prune`] only advances a horizon,
+/// and a slot last seen before the horizon is invisible to every read
+/// from then on. The horizon moves nowhere else — a node that serves a
+/// request before its own turn in a cycle must still see what it saw
+/// before. Expired slots are physically dropped when their creator next
+/// gains a sample, and by a full sweep every half retention window, so
+/// dead storage is bounded by half a window's worth of sightings.
 pub struct SampleCache {
-    by_id: FxHashMap<DescriptorId, Cached>,
-    /// creator → sorted creation timestamps, for the frequency check's
-    /// range query. The `DescriptorId` is reconstructible as `(creator,
-    /// timestamp)`. A sorted `Vec` beats a tree here: per-creator entry
-    /// counts are bounded by the retention window, so the O(n) insert /
-    /// remove memmoves stay a few cache lines while lookups avoid
-    /// pointer-chasing and per-node allocation entirely.
-    by_creator: FxHashMap<NodeId, Vec<u64>>,
-    /// Expiry wheel: `touched[i]` holds the ids sighted at cycle
-    /// `touched_base + i`. An id re-sighted later simply appears in a
-    /// later bucket too, so pruning a bucket checks the entry's actual
-    /// `last_seen` before removing. This keeps [`SampleCache::prune`]
-    /// amortized O(sightings) instead of a full-cache scan per cycle.
-    touched: VecDeque<Vec<DescriptorId>>,
-    /// Cycle the front bucket of `touched` corresponds to.
-    touched_base: u64,
+    /// creator → that creator's samples, sorted by creation timestamp
+    /// (unique among a creator's visible slots). A sorted `Vec` beats a
+    /// tree here: per-creator counts are bounded by the retention window,
+    /// so the O(n) insert memmoves stay a few cache lines while lookups
+    /// avoid pointer-chasing and per-node allocation entirely.
+    by_creator: FxHashMap<NodeId, Vec<Slot>>,
+    /// Slots with `last_seen < horizon` are expired.
+    horizon: u64,
+    live: Live,
+    /// Cycle of the next full sweep of expired slots.
+    next_sweep: u64,
     retention_cycles: u64,
 }
 
 impl core::fmt::Debug for SampleCache {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SampleCache")
-            .field("samples", &self.by_id.len())
+            .field("samples", &self.live.len)
             .field("creators", &self.by_creator.len())
             .field("retention_cycles", &self.retention_cycles)
             .finish()
+    }
+}
+
+/// How many slots are visible, in total and by the cycle they were last
+/// seen in — so advancing the horizon settles the total without touching
+/// a slot.
+#[derive(Default)]
+struct Live {
+    /// Number of visible slots.
+    len: usize,
+    /// `counts[i]` of them were last seen at cycle `base + i`.
+    counts: VecDeque<u32>,
+    /// Meaningless while `counts` is empty.
+    base: u64,
+}
+
+impl Live {
+    /// The cycle a sighting at `now_cycle` is recorded under. With the
+    /// protocol's monotonic clock that is `now_cycle` itself; if a caller
+    /// rewinds anyway the sighting counts for the earliest cycle still
+    /// tracked, which at worst retains the slot past its window (never
+    /// expires it early).
+    fn clock(&mut self, now_cycle: u64, horizon: u64) -> u64 {
+        if self.counts.is_empty() {
+            self.base = now_cycle.max(horizon);
+        }
+        now_cycle.max(self.base)
+    }
+
+    fn count(&mut self, cycle: u64) -> &mut u32 {
+        let idx = (cycle - self.base) as usize;
+        if self.counts.len() <= idx {
+            self.counts.resize(idx + 1, 0);
+        }
+        &mut self.counts[idx]
+    }
+
+    fn added(&mut self, cycle: u64) {
+        *self.count(cycle) += 1;
+        self.len += 1;
+    }
+
+    fn removed(&mut self, cycle: u64) {
+        *self.count(cycle) -= 1;
+        self.len -= 1;
+    }
+
+    fn moved(&mut self, from: u64, to: u64) {
+        *self.count(from) -= 1;
+        *self.count(to) += 1;
+    }
+
+    /// Forgets the slots last seen before `horizon`.
+    fn expire_before(&mut self, horizon: u64) {
+        while self.base < horizon {
+            let Some(expired) = self.counts.pop_front() else {
+                break;
+            };
+            self.len -= expired as usize;
+            self.base += 1;
+        }
     }
 }
 
@@ -99,61 +169,42 @@ impl SampleCache {
     /// cycles after their last sighting.
     pub fn new(retention_cycles: u64) -> Self {
         SampleCache {
-            by_id: FxHashMap::default(),
             by_creator: FxHashMap::default(),
-            touched: VecDeque::new(),
-            touched_base: 0,
+            horizon: 0,
+            live: Live::default(),
+            next_sweep: 0,
             retention_cycles,
         }
     }
 
-    /// Records a sighting of `id` at `now_cycle` in the expiry wheel.
-    /// With the protocol's monotonic clock `now_cycle` never precedes
-    /// `touched_base`; if a caller rewinds anyway the sighting lands in
-    /// the earliest bucket, which at worst retains the entry past its
-    /// window (never evicts it early).
-    fn note_sighting(&mut self, id: DescriptorId, now_cycle: u64) {
-        Self::note_sighting_in(&mut self.touched, &mut self.touched_base, id, now_cycle);
-    }
-
-    /// Field-level form of [`SampleCache::note_sighting`], for call sites
-    /// that hold a mutable borrow into another field of the cache.
-    fn note_sighting_in(
-        touched: &mut VecDeque<Vec<DescriptorId>>,
-        touched_base: &mut u64,
-        id: DescriptorId,
-        now_cycle: u64,
-    ) {
-        if touched.is_empty() {
-            *touched_base = now_cycle;
-        }
-        let idx = now_cycle.saturating_sub(*touched_base) as usize;
-        while touched.len() <= idx {
-            touched.push_back(Vec::new());
-        }
-        touched[idx].push(id);
-    }
-
     /// Number of cached samples.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.live.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.live.len == 0
     }
 
     /// Returns the cached copy of `id`, if any.
     pub fn get(&self, id: &DescriptorId) -> Option<&SecureDescriptor> {
-        self.by_id.get(id).map(|c| &c.desc)
+        let slots = self.by_creator.get(&id.creator)?;
+        let ts = id.created_at.ticks();
+        let slot = slots.get(slots.partition_point(|s| s.ts < ts))?;
+        (slot.ts == ts && slot.last_seen >= self.horizon).then_some(&slot.desc)
     }
 
-    /// Iterates over the cached descriptors. Used by the §V-A rejoin
-    /// trigger: a starved node mines its sample cache for the creator
-    /// addresses it most recently heard from.
+    /// Iterates over the cached descriptors, in no particular order. Used
+    /// by the §V-A rejoin trigger: a starved node mines its sample cache
+    /// for the creator addresses it most recently heard from.
     pub fn descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
-        self.by_id.values().map(|c| &c.desc)
+        let horizon = self.horizon;
+        self.by_creator
+            .values()
+            .flatten()
+            .filter(move |s| s.last_seen >= horizon)
+            .map(|s| &s.desc)
     }
 
     /// Runs both §IV-B checks on `desc` and caches it if it passes.
@@ -192,32 +243,31 @@ impl SampleCache {
         memo: &mut Option<&mut VerifyMemo>,
     ) -> Observation {
         let id = desc.id();
+        let ts = id.created_at.ticks();
+        let horizon = self.horizon;
+        let live = &mut self.live;
+        let now = live.clock(now_cycle, horizon);
+        // The one lookup. A creator's entry is never left empty: every
+        // path below that does not insert found a conflicting slot.
+        let slots = self.by_creator.entry(id.creator).or_default();
+        let mut pos = slots.partition_point(|s| s.ts < ts);
 
-        // Ownership check against a cached copy of the same token. The
-        // fields are destructured so the wheel can record the sighting
-        // while the cached entry stays mutably borrowed — one hash lookup
-        // per observation instead of a lookup for the wheel and another
-        // for the entry.
-        let Self {
-            by_id,
-            touched,
-            touched_base,
-            ..
-        } = self;
-        if let Some(cached) = by_id.get_mut(&id) {
-            // One wheel entry per (id, cycle) sighting; re-sightings
-            // within a cycle are deduplicated by the `last_seen` compare.
-            if cached.last_seen != now_cycle {
-                Self::note_sighting_in(touched, touched_base, id, now_cycle);
+        // Ownership check against a cached copy of the same token.
+        if let Some(cached) = slots
+            .get_mut(pos)
+            .filter(|s| s.ts == ts && s.last_seen >= horizon)
+        {
+            if cached.last_seen != now {
+                live.moved(cached.last_seen, now);
+                cached.last_seen = now;
             }
-            cached.last_seen = now_cycle;
-            match compare_chains(&cached.desc, desc) {
+            return match compare_chains(&cached.desc, desc) {
                 Ok(ChainRelation::Identical) | Ok(ChainRelation::LeftExtendsRight) => {
-                    return Observation::AlreadyKnown;
+                    Observation::AlreadyKnown
                 }
                 Ok(ChainRelation::RightExtendsLeft) => {
                     cached.desc = desc.clone();
-                    return Observation::Extended;
+                    Observation::Extended
                 }
                 Ok(ChainRelation::Divergent {
                     index,
@@ -234,32 +284,25 @@ impl SampleCache {
                     if cached_is_ns {
                         cached.desc = desc.clone();
                     }
-                    return Observation::NsException;
+                    Observation::NsException
                 }
                 Ok(ChainRelation::Divergent {
                     ns_exception: false,
                     ..
-                }) => {
-                    return match build_cloning(cached.desc.clone(), desc.clone(), memo) {
-                        Ok(proof) => Observation::Violation(Box::new(proof)),
-                        Err(_) => {
-                            // One side is forged: keep whichever verifies.
-                            if !verify_ok(&cached.desc, memo) && verify_ok(desc, memo) {
-                                cached.desc = desc.clone();
-                            }
-                            Observation::Forged
+                }) => match build_cloning(cached.desc.clone(), desc.clone(), memo) {
+                    Ok(proof) => Observation::Violation(Box::new(proof)),
+                    Err(_) => {
+                        // One side is forged: keep whichever verifies.
+                        if !verify_ok(&cached.desc, memo) && verify_ok(desc, memo) {
+                            cached.desc = desc.clone();
                         }
-                    };
-                }
+                        Observation::Forged
+                    }
+                },
+                // Two distinct creations with the same timestamp: a
+                // frequency violation with Δt = 0.
                 Err(CompareError::GenesisMismatch) => {
-                    // Two distinct creations with the same timestamp:
-                    // a frequency violation with Δt = 0.
-                    return match build_frequency(
-                        cached.desc.clone(),
-                        desc.clone(),
-                        period_ticks,
-                        memo,
-                    ) {
+                    match build_frequency(cached.desc.clone(), desc.clone(), period_ticks, memo) {
                         Ok(proof) => Observation::Violation(Box::new(proof)),
                         Err(_) => {
                             if !verify_ok(&cached.desc, memo) && verify_ok(desc, memo) {
@@ -267,37 +310,37 @@ impl SampleCache {
                             }
                             Observation::Forged
                         }
-                    };
+                    }
                 }
                 Err(CompareError::DifferentIds) => unreachable!("looked up by id"),
-            }
+            };
         }
 
-        // First sighting of this id: record it in the wheel. A sighting
-        // recorded for an observation that ends up not caching (violation,
-        // forgery) leaves a stale id in the wheel, which `prune` skips.
-        self.note_sighting(id, now_cycle);
+        // First sighting of this id. The creator's slots are about to be
+        // shifted anyway: drop the expired ones (possibly one with this
+        // very timestamp) while they are in cache.
+        if slots.iter().any(|s| s.last_seen < horizon) {
+            slots.retain(|s| s.last_seen >= horizon);
+            pos = slots.partition_point(|s| s.ts < ts);
+        }
 
-        // Frequency check against other creations by the same creator.
-        if let Some(conflict) = self.frequency_conflict(&id, period_ticks) {
-            let other = self
-                .by_id
-                .get(&conflict)
-                .expect("index entries always have samples")
-                .desc
-                .clone();
+        // Frequency check: another creation by the same creator strictly
+        // closer than one period. No slot carries `ts` itself here, and
+        // the scan runs upwards, so the lowest-timestamp conflict wins.
+        let lo = ts.saturating_sub(period_ticks - 1);
+        let hi = ts.saturating_add(period_ticks - 1);
+        let start = slots.partition_point(|s| s.ts < lo);
+        if let Some(conflict) = slots.get(start).filter(|s| s.ts <= hi) {
+            let other = conflict.desc.clone();
             return match build_frequency(other, desc.clone(), period_ticks, memo) {
                 Ok(proof) => Observation::Violation(Box::new(proof)),
                 Err(_) => {
                     // One of the two creations is forged; evict it if it
                     // is the cached one and the incoming verifies.
-                    if verify_ok(desc, memo) {
-                        let cached_forged = self
-                            .by_id
-                            .get(&conflict)
-                            .is_some_and(|c| !verify_ok(&c.desc, memo));
-                        if cached_forged {
-                            self.remove_entry(&conflict);
+                    if verify_ok(desc, memo) && !verify_ok(&slots[start].desc, memo) {
+                        live.removed(slots.remove(start).last_seen);
+                        if slots.is_empty() {
+                            self.by_creator.remove(&id.creator);
                         }
                     }
                     Observation::Forged
@@ -305,96 +348,46 @@ impl SampleCache {
             };
         }
 
-        let index = self.by_creator.entry(id.creator).or_default();
-        let ts = id.created_at.ticks();
-        let pos = index.partition_point(|&t| t < ts);
-        if index.get(pos) != Some(&ts) {
-            index.insert(pos, ts);
-        }
-        self.by_id.insert(
-            id,
-            Cached {
+        slots.insert(
+            pos,
+            Slot {
+                ts,
+                last_seen: now,
                 desc: desc.clone(),
-                last_seen: now_cycle,
             },
         );
+        live.added(now);
         Observation::New
     }
 
-    /// Finds a cached creation by the same creator strictly closer than
-    /// one period to `id.created_at` (excluding `id` itself).
-    fn frequency_conflict(&self, id: &DescriptorId, period_ticks: u64) -> Option<DescriptorId> {
-        let index = self.by_creator.get(&id.creator)?;
-        let ts = id.created_at.ticks();
-        let lo = ts.saturating_sub(period_ticks - 1);
-        let hi = ts.saturating_add(period_ticks - 1);
-        let start = index.partition_point(|&t| t < lo);
-        index[start..]
-            .iter()
-            .take_while(|&&t| t <= hi)
-            .find(|&&t| t != ts)
-            .map(|&t| DescriptorId {
-                creator: id.creator,
-                created_at: Timestamp(t),
-            })
-    }
-
-    /// Removes a single entry and its index record.
-    fn remove_entry(&mut self, id: &DescriptorId) {
-        if self.by_id.remove(id).is_some() {
-            Self::unindex(&mut self.by_creator, id);
-        }
-    }
-
-    /// Drops `id`'s record from the creator index.
-    fn unindex(by_creator: &mut FxHashMap<NodeId, Vec<u64>>, id: &DescriptorId) {
-        if let Some(index) = by_creator.get_mut(&id.creator) {
-            if let Ok(pos) = index.binary_search(&id.created_at.ticks()) {
-                index.remove(pos);
-            }
-            if index.is_empty() {
-                by_creator.remove(&id.creator);
-            }
-        }
-    }
-
-    /// Drops samples not seen for longer than the retention window.
+    /// Expires samples not seen for longer than the retention window.
     ///
-    /// Amortized O(sightings that just expired): only the expiry-wheel
-    /// buckets older than the horizon are walked, never the whole cache.
-    /// An id re-sighted after a walked bucket's cycle has a later wheel
-    /// entry, so its `last_seen` check here keeps it alive.
+    /// O(cycles the horizon advances): the per-cycle counters settle
+    /// [`SampleCache::len`]; no slot is visited. Every half window the
+    /// expired slots nobody has displaced since are swept out.
     pub fn prune(&mut self, now_cycle: u64) {
         let horizon = now_cycle.saturating_sub(self.retention_cycles);
-        while self.touched_base < horizon {
-            let Some(bucket) = self.touched.pop_front() else {
-                break;
-            };
-            self.touched_base += 1;
-            for id in bucket {
-                // Entry API: one hash lookup covers both the expiry check
-                // and the removal (most wheel entries this old do expire).
-                if let Entry::Occupied(e) = self.by_id.entry(id) {
-                    if e.get().last_seen < horizon {
-                        e.remove();
-                        Self::unindex(&mut self.by_creator, &id);
-                    }
-                }
-            }
+        if horizon > self.horizon {
+            self.horizon = horizon;
+            self.live.expire_before(horizon);
+        }
+        if now_cycle >= self.next_sweep {
+            self.next_sweep = now_cycle + (self.retention_cycles / 2).max(1);
+            let horizon = self.horizon;
+            self.by_creator.retain(|_, slots| {
+                slots.retain(|s| s.last_seen >= horizon);
+                !slots.is_empty()
+            });
         }
     }
 
     /// Removes every sample created by `creator` (post-blacklist purge).
-    /// The creator index names exactly the ids to drop (`remove_entry`
-    /// keeps the two maps in lockstep), so this never scans the cache.
     pub fn purge_creator(&mut self, creator: &NodeId) {
-        if let Some(index) = self.by_creator.remove(creator) {
-            for ts in index {
-                self.by_id.remove(&DescriptorId {
-                    creator: *creator,
-                    created_at: Timestamp(ts),
-                });
-            }
+        let Some(slots) = self.by_creator.remove(creator) else {
+            return;
+        };
+        for slot in slots.iter().filter(|s| s.last_seen >= self.horizon) {
+            self.live.removed(slot.last_seen);
         }
     }
 }
@@ -434,6 +427,7 @@ fn build_frequency(
 mod tests {
     use super::*;
     use crate::proof::ProofKind;
+    use crate::time::Timestamp;
     use sc_crypto::{Keypair, Scheme};
 
     const PERIOD: u64 = 1000;
@@ -577,6 +571,69 @@ mod tests {
         assert_eq!(cache.len(), 0, "expired");
         // After pruning, re-observing is New again (index cleaned too).
         assert_eq!(cache.observe(&d, 12, PERIOD), Observation::New);
+    }
+
+    #[test]
+    fn expired_slot_is_invisible_before_it_is_dropped() {
+        let (a, b) = (kp(1), kp(2));
+        let mut cache = SampleCache::new(10);
+        let da = SecureDescriptor::create(&a, 0, Timestamp(5000));
+        let db = SecureDescriptor::create(&b, 0, Timestamp(5000));
+        assert_eq!(cache.observe(&da, 1, PERIOD), Observation::New);
+        assert_eq!(cache.observe(&db, 1, PERIOD), Observation::New);
+        // Sweeps fall on cycles 0, 5 and 10; the prune at 12 expires both
+        // samples (horizon 2) without sweeping them.
+        for cycle in [0, 5, 10, 12] {
+            cache.prune(cycle);
+        }
+        let stored = |c: &SampleCache, k: &Keypair| c.by_creator.get(&k.public()).map(Vec::len);
+        assert_eq!(stored(&cache, &a), Some(1), "still in memory");
+        assert_eq!(stored(&cache, &b), Some(1), "still in memory");
+        assert_eq!(cache.len(), 0);
+        assert!(cache.is_empty());
+        assert!(cache.get(&da.id()).is_none());
+        assert_eq!(cache.descriptors().count(), 0);
+        // Neither check sees an expired slot: a creation half a period
+        // from `da` is a first sighting, not a frequency violation, and
+        // the expired copy of `db` does not make `db` known.
+        let da_close = SecureDescriptor::create(&a, 0, Timestamp(5500));
+        assert_eq!(cache.observe(&da_close, 12, PERIOD), Observation::New);
+        assert_eq!(cache.observe(&db, 12, PERIOD), Observation::New);
+        assert_eq!(
+            stored(&cache, &a),
+            Some(1),
+            "touching the creator dropped it"
+        );
+        assert_eq!(stored(&cache, &b), Some(1));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&da.id()).is_none());
+        assert_eq!(cache.get(&da_close.id()), Some(&da_close));
+        // A creator nobody touches again is swept out (sweeps at 15, 20
+        // and 25; both samples expire at 23).
+        for cycle in [15, 20, 23] {
+            cache.prune(cycle);
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(stored(&cache, &a), Some(1), "expired, sweep not due");
+        cache.prune(25);
+        assert!(cache.by_creator.is_empty(), "swept");
+    }
+
+    #[test]
+    fn horizon_moves_only_in_prune() {
+        // A node serving a request before its own turn in a cycle has not
+        // pruned for that cycle yet: it must still see what it saw before.
+        let a = kp(1);
+        let mut cache = SampleCache::new(10);
+        let d = SecureDescriptor::create(&a, 0, Timestamp(0));
+        cache.observe(&d, 0, PERIOD);
+        cache.prune(10);
+        assert_eq!(cache.observe(&d, 50, PERIOD), Observation::AlreadyKnown);
+        assert_eq!(cache.len(), 1);
+        cache.prune(50);
+        assert_eq!(cache.len(), 1, "re-sighted at 50");
+        cache.prune(61);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

@@ -138,32 +138,56 @@ impl std::error::Error for DescriptorError {}
 /// A SecureCyclon node descriptor: a signed genesis record plus the chain
 /// of ownership accumulated over its life.
 ///
-/// The chain is stored behind an [`Arc`]: descriptors are cloned heavily
-/// on the gossip hot path (every view entry and redemption-cache entry is
-/// copied into every outgoing sample set), and sharing the link storage
-/// makes those clones O(1) instead of O(chain length). Appending a link
-/// copies the links once (copy-on-write), which is no worse than the
-/// descriptor clone the append used to require.
-#[derive(Clone, Debug)]
-pub struct SecureDescriptor {
+/// The value is **one pointer** to an immutable, reference-counted block
+/// holding the genesis, the links and the prefix digests. Descriptors are
+/// copied far more often than they are made — every view entry and
+/// redemption-cache entry goes into every outgoing sample set, and every
+/// sample lands in the receiver's cache — so a copy is one refcount
+/// increment and occupies one word in every view slot, message vector,
+/// checkpoint and cache slot. Appending a link builds a new block; the
+/// old one is usually still referenced by caches.
+#[derive(Clone)]
+pub struct SecureDescriptor(Arc<Block>);
+
+/// The shared, immutable body of a descriptor.
+struct Block {
     genesis: Genesis,
-    chain: Arc<Vec<ChainLink>>,
-    /// Memoized running digests over genesis + chain at **every** prefix
-    /// length: `states[i]` commits to the genesis plus the first `i`
-    /// links, and `states[chain.len()]` is the descriptor's state digest.
-    /// A pure function of the other fields, maintained incrementally so
-    /// that signing, transferring, *and incremental verification* are
-    /// O(1) in chain length instead of O(chain) hashing per call. Shares
-    /// storage across clones exactly like `chain`.
-    states: Arc<Vec<Digest>>,
+    chain: Box<[ChainLink]>,
+    /// Running digests over genesis + chain at **every** prefix length:
+    /// `states[i]` commits to the genesis plus the first `i` links, and
+    /// `states[chain.len()]` is the descriptor's state digest. A pure
+    /// function of the other fields, computed once when the block is
+    /// built (creation, append — which extends the parent's digests by
+    /// one — or wire decode), so signing, transferring *and incremental
+    /// verification* are O(1) in chain length instead of O(chain) hashing
+    /// per call.
+    states: Box<[Digest]>,
 }
 
 impl PartialEq for SecureDescriptor {
     fn eq(&self, other: &Self) -> bool {
-        // `state` is derived; equality is over the authoritative fields.
-        // Shared chain storage gives clones a pointer-equality fast path.
-        self.genesis == other.genesis
-            && (Arc::ptr_eq(&self.chain, &other.chain) || self.chain == other.chain)
+        // `states` is derived; equality is over the authoritative fields.
+        // Copies of one descriptor share their block: pointer equality is
+        // the fast path.
+        self.same_block(other)
+            || (self.0.genesis == other.0.genesis && self.0.chain == other.0.chain)
+    }
+}
+
+/// Compact by hand: the derived form would print every signature byte of
+/// every link, and would tie anything that renders a descriptor to the
+/// storage layout.
+impl core::fmt::Debug for SecureDescriptor {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "SecureDescriptor({}@{} links={} owner={} state={})",
+            self.creator(),
+            self.created_at().ticks(),
+            self.chain().len(),
+            self.owner(),
+            sc_crypto::hex::to_hex(&self.state_digest()[..8]),
+        )
     }
 }
 
@@ -215,11 +239,16 @@ impl SecureDescriptor {
             sig,
         };
         let state = genesis_state(&genesis);
-        SecureDescriptor {
+        Self::from_block(genesis, Vec::new(), vec![state])
+    }
+
+    fn from_block(genesis: Genesis, chain: Vec<ChainLink>, states: Vec<Digest>) -> Self {
+        debug_assert_eq!(states.len(), chain.len() + 1, "prefix digests out of sync");
+        SecureDescriptor(Arc::new(Block {
             genesis,
-            chain: Arc::new(Vec::new()),
-            states: Arc::new(vec![state]),
-        }
+            chain: chain.into_boxed_slice(),
+            states: states.into_boxed_slice(),
+        }))
     }
 
     /// Reassembles a descriptor from decoded parts **without validation**.
@@ -237,60 +266,64 @@ impl SecureDescriptor {
             state = next_state(&state, link);
             states.push(state);
         }
-        SecureDescriptor {
-            genesis,
-            chain: Arc::new(chain),
-            states: Arc::new(states),
-        }
+        Self::from_block(genesis, chain, states)
+    }
+
+    /// Whether `self` and `other` are copies sharing one block (and hence
+    /// byte-identical). `false` says nothing: equal descriptors decoded
+    /// separately live in separate blocks.
+    pub(crate) fn same_block(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The descriptor's unique identity.
     pub fn id(&self) -> DescriptorId {
         DescriptorId {
-            creator: self.genesis.creator,
-            created_at: self.genesis.created_at,
+            creator: self.0.genesis.creator,
+            created_at: self.0.genesis.created_at,
         }
     }
 
     /// The signed genesis record.
     pub fn genesis(&self) -> &Genesis {
-        &self.genesis
+        &self.0.genesis
     }
 
     /// The node this descriptor points at (its creator).
     pub fn creator(&self) -> NodeId {
-        self.genesis.creator
+        self.0.genesis.creator
     }
 
     /// The creator's network address.
     pub fn addr(&self) -> Addr {
-        self.genesis.addr
+        self.0.genesis.addr
     }
 
     /// Creation timestamp.
     pub fn created_at(&self) -> Timestamp {
-        self.genesis.created_at
+        self.0.genesis.created_at
     }
 
     /// The chain of ownership.
     pub fn chain(&self) -> &[ChainLink] {
-        &self.chain
+        &self.0.chain
     }
 
     /// Number of ownership transfers the descriptor has undergone
     /// (the `t` of the paper's size model, §VI-A; includes redemption).
     pub fn transfer_count(&self) -> usize {
-        self.chain.len()
+        self.0.chain.len()
     }
 
     /// The current owner: the target of the last link, or the creator for
     /// a freshly created descriptor. For a redeemed descriptor this is the
     /// creator (redemption hands the token back).
     pub fn owner(&self) -> NodeId {
-        self.chain
+        self.0
+            .chain
             .last()
             .map(|l| l.to)
-            .unwrap_or(self.genesis.creator)
+            .unwrap_or(self.0.genesis.creator)
     }
 
     /// The owner who performed the redemption (the signer of the terminal
@@ -299,17 +332,18 @@ impl SecureDescriptor {
         if !self.is_redeemed() {
             return None;
         }
-        Some(self.owner_at(self.chain.len() - 1))
+        Some(self.owner_at(self.0.chain.len() - 1))
     }
 
     /// Whether the descriptor has been redeemed (spent).
     pub fn is_redeemed(&self) -> bool {
-        self.chain.last().is_some_and(|l| l.kind.is_redemption())
+        self.0.chain.last().is_some_and(|l| l.kind.is_redemption())
     }
 
     /// The kind of the terminal redemption link, if any.
     pub fn redemption_kind(&self) -> Option<LinkKind> {
-        self.chain
+        self.0
+            .chain
             .last()
             .filter(|l| l.kind.is_redemption())
             .map(|l| l.kind)
@@ -319,26 +353,26 @@ impl SecureDescriptor {
     /// `chain[index]`.
     pub fn owner_at(&self, index: usize) -> NodeId {
         if index == 0 {
-            self.genesis.creator
+            self.0.genesis.creator
         } else {
-            self.chain[index - 1].to
+            self.0.chain[index - 1].to
         }
     }
 
     /// Iterates over all owners in order: creator, then each link target.
     pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(self.genesis.creator).chain(self.chain.iter().map(|l| l.to))
+        std::iter::once(self.0.genesis.creator).chain(self.0.chain.iter().map(|l| l.to))
     }
 
     /// Age in whole cycles at time `now`.
     pub fn age_cycles(&self, now: Timestamp, ticks_per_cycle: u64) -> u64 {
-        self.genesis.created_at.age_cycles(now, ticks_per_cycle)
+        self.0.genesis.created_at.age_cycles(now, ticks_per_cycle)
     }
 
     /// Running digest over genesis and the full chain (identifies the exact
     /// byte content of this copy, unlike [`SecureDescriptor::id`]).
     pub fn state_digest(&self) -> Digest {
-        self.states[self.chain.len()]
+        self.0.states[self.0.chain.len()]
     }
 
     /// Running digest after the first `len` links (`len == 0` is the
@@ -346,7 +380,7 @@ impl SecureDescriptor {
     /// up to `len`, so two copies with equal prefix digests have
     /// byte-identical prefixes.
     pub(crate) fn prefix_state(&self, len: usize) -> &Digest {
-        &self.states[len]
+        &self.0.states[len]
     }
 
     /// Appends a signed ownership transfer to `to`, returning the extended
@@ -371,7 +405,7 @@ impl SecureDescriptor {
     /// never gossips with itself).
     pub fn redeem(&self, owner: &Keypair, kind: LinkKind) -> Result<Self, DescriptorError> {
         debug_assert!(kind.is_redemption(), "redeem called with {kind:?}");
-        self.append(owner, self.genesis.creator, kind)
+        self.append(owner, self.0.genesis.creator, kind)
     }
 
     fn append(&self, owner: &Keypair, to: NodeId, kind: LinkKind) -> Result<Self, DescriptorError> {
@@ -388,22 +422,15 @@ impl SecureDescriptor {
         let msg = link_message(&state, &to, kind);
         let sig = owner.sign(&msg);
         let link = ChainLink { to, kind, sig };
-        // Build the extended vectors directly at their final capacity:
-        // the shared `Arc` storage is almost always aliased by view and
-        // cache copies, so `Arc::make_mut` + `push` would copy at exact
-        // capacity and then immediately reallocate to grow — two
-        // copies per append instead of one.
-        let mut states = Vec::with_capacity(self.states.len() + 1);
-        states.extend_from_slice(&self.states);
+        // Build the extended vectors directly at their final capacity,
+        // so boxing them into the new block never reallocates.
+        let mut states = Vec::with_capacity(self.0.states.len() + 1);
+        states.extend_from_slice(&self.0.states);
         states.push(next_state(&state, &link));
-        let mut chain = Vec::with_capacity(self.chain.len() + 1);
-        chain.extend_from_slice(&self.chain);
+        let mut chain = Vec::with_capacity(self.0.chain.len() + 1);
+        chain.extend_from_slice(&self.0.chain);
         chain.push(link);
-        Ok(SecureDescriptor {
-            genesis: self.genesis,
-            chain: Arc::new(chain),
-            states: Arc::new(states),
-        })
+        Ok(Self::from_block(self.0.genesis, chain, states))
     }
 
     /// Fully verifies the descriptor: genesis signature, every link
@@ -416,21 +443,21 @@ impl SecureDescriptor {
     /// Returns the first failure encountered, in chain order.
     pub fn verify(&self) -> Result<(), DescriptorError> {
         let msg = genesis_message(
-            &self.genesis.creator,
-            self.genesis.addr,
-            self.genesis.created_at,
+            &self.0.genesis.creator,
+            self.0.genesis.addr,
+            self.0.genesis.created_at,
         );
-        if !self.genesis.creator.verify(&msg, &self.genesis.sig) {
+        if !self.0.genesis.creator.verify(&msg, &self.0.genesis.sig) {
             return Err(DescriptorError::BadGenesisSignature);
         }
-        let mut state = genesis_state(&self.genesis);
-        let mut owner: PublicKey = self.genesis.creator;
-        for (i, link) in self.chain.iter().enumerate() {
+        let mut state = genesis_state(&self.0.genesis);
+        let mut owner: PublicKey = self.0.genesis.creator;
+        for (i, link) in self.0.chain.iter().enumerate() {
             if link.kind.is_redemption() {
-                if i != self.chain.len() - 1 {
+                if i != self.0.chain.len() - 1 {
                     return Err(DescriptorError::RedemptionNotTerminal);
                 }
-                if link.to != self.genesis.creator {
+                if link.to != self.0.genesis.creator {
                     return Err(DescriptorError::RedemptionNotToCreator);
                 }
             } else if link.to == owner {
@@ -469,8 +496,8 @@ impl SecureDescriptor {
     ///
     /// Identical to [`SecureDescriptor::verify`].
     pub fn verify_with(&self, memo: &mut VerifyMemo) -> Result<(), DescriptorError> {
-        let n = self.chain.len();
-        let states: &[Digest] = &self.states;
+        let n = self.0.chain.len();
+        let states: &[Digest] = &self.0.states;
         debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
         // Exact match: this byte content already passed full verification.
         if memo.contains(&states[n]) {
@@ -482,17 +509,17 @@ impl SecureDescriptor {
         let verified_prefix = (0..n).rev().find(|&i| memo.contains(&states[i]));
         if verified_prefix.is_none() {
             let msg = genesis_message(
-                &self.genesis.creator,
-                self.genesis.addr,
-                self.genesis.created_at,
+                &self.0.genesis.creator,
+                self.0.genesis.addr,
+                self.0.genesis.created_at,
             );
-            if !self.genesis.creator.verify(&msg, &self.genesis.sig) {
+            if !self.0.genesis.creator.verify(&msg, &self.0.genesis.sig) {
                 return Err(DescriptorError::BadGenesisSignature);
             }
         }
         let skip = verified_prefix.unwrap_or(0);
-        let mut owner: PublicKey = self.genesis.creator;
-        for (i, link) in self.chain.iter().enumerate() {
+        let mut owner: PublicKey = self.0.genesis.creator;
+        for (i, link) in self.0.chain.iter().enumerate() {
             // Structural rules run over the whole chain, memoized or not:
             // they are hash-free, and re-checking them keeps a memoized
             // redeemed prefix from hiding a post-redemption extension.
@@ -500,7 +527,7 @@ impl SecureDescriptor {
                 if i != n - 1 {
                     return Err(DescriptorError::RedemptionNotTerminal);
                 }
-                if link.to != self.genesis.creator {
+                if link.to != self.0.genesis.creator {
                     return Err(DescriptorError::RedemptionNotToCreator);
                 }
             } else if link.to == owner {
@@ -594,8 +621,8 @@ impl SecureDescriptor {
         let mut check_err: Vec<DescriptorError> = Vec::new();
 
         for (di, d) in descs.iter().enumerate() {
-            let n = d.chain.len();
-            let states: &[Digest] = &d.states;
+            let n = d.0.chain.len();
+            let states: &[Digest] = &d.0.states;
             debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
             if memo.contains(&states[n]) {
                 plans.push(Plan::Done);
@@ -609,25 +636,25 @@ impl SecureDescriptor {
             let verified_prefix = (0..n).rev().find(|&i| memo.contains(&states[i]));
             let start = check_pk.len();
             if verified_prefix.is_none() {
-                check_pk.push(d.genesis.creator);
+                check_pk.push(d.0.genesis.creator);
                 check_msg.push(genesis_message(
-                    &d.genesis.creator,
-                    d.genesis.addr,
-                    d.genesis.created_at,
+                    &d.0.genesis.creator,
+                    d.0.genesis.addr,
+                    d.0.genesis.created_at,
                 ));
-                check_sig.push(d.genesis.sig);
+                check_sig.push(d.0.genesis.sig);
                 check_err.push(DescriptorError::BadGenesisSignature);
             }
             let skip = verified_prefix.unwrap_or(0);
             let mut structural = None;
-            let mut owner: PublicKey = d.genesis.creator;
-            for (i, link) in d.chain.iter().enumerate() {
+            let mut owner: PublicKey = d.0.genesis.creator;
+            for (i, link) in d.0.chain.iter().enumerate() {
                 if link.kind.is_redemption() {
                     if i != n - 1 {
                         structural = Some(DescriptorError::RedemptionNotTerminal);
                         break;
                     }
-                    if link.to != d.genesis.creator {
+                    if link.to != d.0.genesis.creator {
                         structural = Some(DescriptorError::RedemptionNotToCreator);
                         break;
                     }
@@ -682,7 +709,7 @@ impl SecureDescriptor {
                     None => match structural {
                         Some(e) => Err(*e),
                         None => {
-                            for s in &descs[di].states[*first_new..] {
+                            for s in &descs[di].0.states[*first_new..] {
                                 memo.insert(*s);
                             }
                             Ok(())
@@ -703,6 +730,15 @@ mod tests {
 
     pub(crate) fn kp(tag: u8) -> Keypair {
         Keypair::from_seed(Scheme::Schnorr61, [tag; 32])
+    }
+
+    /// `d` with `link` spliced onto its chain, reassembled the way a wire
+    /// decode would (descriptors are immutable; tampering goes through
+    /// `from_parts`).
+    fn with_link(d: &SecureDescriptor, link: ChainLink) -> SecureDescriptor {
+        let mut links = d.chain().to_vec();
+        links.push(link);
+        SecureDescriptor::from_parts(*d.genesis(), links)
     }
 
     #[test]
@@ -776,10 +812,12 @@ mod tests {
     #[test]
     fn tampered_genesis_fails() {
         let a = kp(1);
-        let mut d = SecureDescriptor::create(&a, 0, Timestamp(0));
-        d.genesis.addr = 99;
+        let d = SecureDescriptor::create(&a, 0, Timestamp(0));
+        let mut genesis = *d.genesis();
+        genesis.addr = 99;
+        let tampered = SecureDescriptor::from_parts(genesis, Vec::new());
         assert_eq!(
-            d.verify().unwrap_err(),
+            tampered.verify().unwrap_err(),
             DescriptorError::BadGenesisSignature
         );
     }
@@ -787,12 +825,14 @@ mod tests {
     #[test]
     fn tampered_link_target_fails() {
         let (a, b, c) = (kp(1), kp(2), kp(3));
-        let mut d = SecureDescriptor::create(&a, 0, Timestamp(0))
+        let d = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
-        Arc::make_mut(&mut d.chain)[0].to = c.public();
+        let mut links = d.chain().to_vec();
+        links[0].to = c.public();
+        let tampered = SecureDescriptor::from_parts(*d.genesis(), links);
         assert_eq!(
-            d.verify().unwrap_err(),
+            tampered.verify().unwrap_err(),
             DescriptorError::BadLinkSignature { index: 0 }
         );
     }
@@ -805,14 +845,16 @@ mod tests {
             .unwrap();
         // c forges a link claiming b handed it the descriptor, but signs
         // with its own key.
-        let mut forged = d.clone();
         let state = d.state_digest();
         let msg = link_message(&state, &c.public(), LinkKind::Transfer);
-        Arc::make_mut(&mut forged.chain).push(ChainLink {
-            to: c.public(),
-            kind: LinkKind::Transfer,
-            sig: c.sign(&msg),
-        });
+        let forged = with_link(
+            &d,
+            ChainLink {
+                to: c.public(),
+                kind: LinkKind::Transfer,
+                sig: c.sign(&msg),
+            },
+        );
         assert_eq!(
             forged.verify().unwrap_err(),
             DescriptorError::BadLinkSignature { index: 1 }
@@ -830,8 +872,7 @@ mod tests {
         assert_ne!(via_b.state_digest(), via_c.state_digest());
         // Splice b's onward link onto the c-branch: must not verify.
         let onward = via_b.transfer(&b, d.public()).unwrap();
-        let mut spliced = via_c.clone();
-        Arc::make_mut(&mut spliced.chain).push(*onward.chain.last().unwrap());
+        let spliced = with_link(&via_c, *onward.chain().last().unwrap());
         assert!(spliced.verify().is_err());
     }
 
@@ -843,14 +884,16 @@ mod tests {
             .unwrap();
         let redeemed = d.redeem(&b, LinkKind::Redeem).unwrap();
         // Manually splice a transfer after the redemption.
-        let mut bad = redeemed.clone();
         let state = redeemed.state_digest();
         let msg = link_message(&state, &c.public(), LinkKind::Transfer);
-        Arc::make_mut(&mut bad.chain).push(ChainLink {
-            to: c.public(),
-            kind: LinkKind::Transfer,
-            sig: a.sign(&msg),
-        });
+        let bad = with_link(
+            &redeemed,
+            ChainLink {
+                to: c.public(),
+                kind: LinkKind::Transfer,
+                sig: a.sign(&msg),
+            },
+        );
         assert_eq!(
             bad.verify().unwrap_err(),
             DescriptorError::RedemptionNotTerminal
@@ -864,14 +907,16 @@ mod tests {
             .transfer(&a, b.public())
             .unwrap();
         // Forge a "redemption" pointing at a third party.
-        let mut bad = d.clone();
         let state = d.state_digest();
         let msg = link_message(&state, &c.public(), LinkKind::Redeem);
-        Arc::make_mut(&mut bad.chain).push(ChainLink {
-            to: c.public(),
-            kind: LinkKind::Redeem,
-            sig: b.sign(&msg),
-        });
+        let bad = with_link(
+            &d,
+            ChainLink {
+                to: c.public(),
+                kind: LinkKind::Redeem,
+                sig: b.sign(&msg),
+            },
+        );
         assert_eq!(
             bad.verify().unwrap_err(),
             DescriptorError::RedemptionNotToCreator
@@ -1033,24 +1078,56 @@ mod tests {
             .redeem(&c, LinkKind::Redeem)
             .unwrap();
         let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec());
-        assert_eq!(*d.states, *decoded.states);
-        assert_eq!(d.states.len(), d.chain().len() + 1);
+        for len in 0..=d.chain().len() {
+            assert_eq!(d.prefix_state(len), decoded.prefix_state(len));
+        }
         assert_eq!(d.state_digest(), decoded.state_digest());
     }
 
     #[test]
-    fn clones_share_chain_storage() {
+    fn descriptor_is_one_pointer() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<SecureDescriptor>(), size_of::<usize>());
+        assert_eq!(size_of::<Option<SecureDescriptor>>(), size_of::<usize>());
+    }
+
+    #[test]
+    fn clones_share_storage_and_transfer_leaves_the_source_untouched() {
         let (a, b) = (kp(1), kp(2));
         let d = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
         let copy = d.clone();
-        assert!(Arc::ptr_eq(&d.chain, &copy.chain));
+        assert!(copy.same_block(&d));
+        assert!(core::ptr::eq(d.chain(), copy.chain()));
         assert_eq!(d, copy);
-        // Appending leaves the original untouched (copy-on-write).
+        // A separately decoded equal descriptor is equal, in its own block.
+        let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec());
+        assert!(!decoded.same_block(&d));
+        assert_eq!(decoded, d);
+        // Appending builds a new block; the source and its copies keep
+        // their links and digest.
+        let before = d.state_digest();
         let extended = copy.transfer(&b, kp(3).public()).unwrap();
+        assert!(!extended.same_block(&d));
         assert_eq!(d.chain().len(), 1);
+        assert_eq!(copy.chain().len(), 1);
+        assert_eq!(d.state_digest(), before);
         assert_eq!(extended.chain().len(), 2);
+        assert_eq!(extended.chain()[0], d.chain()[0]);
+    }
+
+    #[test]
+    fn debug_is_compact_and_layout_free() {
+        let (a, b) = (kp(1), kp(2));
+        let d = SecureDescriptor::create(&a, 0, Timestamp(7))
+            .transfer(&a, b.public())
+            .unwrap();
+        let s = format!("{d:?}");
+        assert!(s.starts_with("SecureDescriptor("), "{s}");
+        assert!(s.contains("links=1"), "{s}");
+        assert!(s.len() < 120, "no signature dumps: {s}");
+        assert_eq!(s, format!("{:?}", d.clone()));
     }
 
     /// Oracle: batched verification must equal one-by-one sequential
@@ -1071,8 +1148,8 @@ mod tests {
         for d in descs {
             for i in 0..=d.chain().len() {
                 assert_eq!(
-                    batch_memo.contains(&d.states[i]),
-                    seq_memo.contains(&d.states[i]),
+                    batch_memo.contains(d.prefix_state(i)),
+                    seq_memo.contains(d.prefix_state(i)),
                     "memo contents diverge at prefix {i}"
                 );
             }

@@ -38,6 +38,7 @@ use rand::SeedableRng;
 use sc_crypto::{FxHashMap, FxHashSet};
 use sc_crypto::{Keypair, NodeId};
 use sc_sim::{Addr, CycleCtx, NodeCtx, RpcOutcome, SimNode};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Per-node protocol counters, exposed for experiments and tests.
@@ -112,6 +113,30 @@ struct Session {
     cycle: u64,
 }
 
+/// Removes from `map` the entries recorded before `horizon`, visiting
+/// only the schedule records that old — O(expired), not O(map). A record
+/// does not by itself condemn its entry: the entry may have been
+/// re-recorded since (its newer record comes up later) or already
+/// removed, so the cycle stored in the map decides.
+fn expire<K: Copy + Eq + std::hash::Hash, V>(
+    schedule: &mut VecDeque<(u64, K)>,
+    map: &mut FxHashMap<K, V>,
+    horizon: u64,
+    recorded: impl Fn(&V) -> u64,
+) {
+    while let Some(&(cycle, key)) = schedule.front() {
+        if cycle >= horizon {
+            break;
+        }
+        schedule.pop_front();
+        if let Entry::Occupied(entry) = map.entry(key) {
+            if recorded(entry.get()) < horizon {
+                entry.remove();
+            }
+        }
+    }
+}
+
 /// A correct SecureCyclon node.
 pub struct SecureCyclonNode {
     keypair: Keypair,
@@ -160,6 +185,13 @@ pub struct SecureCyclonNode {
     ns_accepted: (u64, u32),
     /// Open tit-for-tat exchanges, keyed by initiator address.
     sessions: FxHashMap<Addr, Session>,
+    /// Expiry schedules of `redeemed_regular`, `spent_states` and
+    /// `sessions`: one `(cycle, key)` record per insert, in cycle order, so
+    /// housekeeping walks the records that just fell behind the horizon
+    /// instead of every entry of every map, every cycle.
+    redeemed_expiry: VecDeque<(u64, DescriptorId)>,
+    spent_expiry: VecDeque<(u64, sc_crypto::Digest)>,
+    session_expiry: VecDeque<(u64, Addr)>,
     /// Cycle in which the last NS back-fill was performed (creation of NS
     /// copies is rate-limited to one per cycle, mirroring §V-A rule 2 on
     /// the acceptance side).
@@ -245,6 +277,9 @@ impl SecureCyclonNode {
             ns_redeemed_ids: FxHashSet::default(),
             ns_accepted: (0, 0),
             sessions: FxHashMap::default(),
+            redeemed_expiry: VecDeque::new(),
+            spent_expiry: VecDeque::new(),
+            session_expiry: VecDeque::new(),
             last_ns_backfill: None,
             emitted_cycle: None,
             backend: None,
@@ -297,18 +332,26 @@ impl SecureCyclonNode {
     }
 
     /// Rebuilds protocol state from a recovered checkpoint fold.
-    fn restore(&mut self, state: PersistentState) {
+    fn restore(&mut self, mut state: PersistentState) {
         self.emitted_cycle = state.emitted_cycle;
         for (learned, proof) in state.proofs {
             if proof.validate(self.cfg.ticks_per_cycle).is_ok() {
                 self.blacklist.register(proof, learned);
             }
         }
+        // Recovered records arrive in no particular order; the expiry
+        // schedules must be in cycle order.
+        state.spent.sort_unstable_by_key(|&(_, cycle)| cycle);
         for (digest, cycle) in state.spent {
             self.spent_states.insert(digest, cycle);
+            self.spent_expiry.push_back((cycle, digest));
         }
+        state
+            .redeemed_regular
+            .sort_unstable_by_key(|&(_, cycle)| cycle);
         for (id, cycle) in state.redeemed_regular {
             self.redeemed_regular.insert(id, cycle);
+            self.redeemed_expiry.push_back((cycle, id));
         }
         for id in state.ns_redeemed {
             self.ns_redeemed_ids.insert(id);
@@ -391,6 +434,7 @@ impl SecureCyclonNode {
     /// (re-signing a restored copy would be cloning evidence).
     fn note_spent(&mut self, digest: sc_crypto::Digest, cycle: u64) {
         self.spent_states.insert(digest, cycle);
+        self.spent_expiry.push_back((cycle, digest));
         if let Some(b) = self.backend.as_mut() {
             let _ = b.record_spent(&digest, cycle);
         }
@@ -909,10 +953,26 @@ impl SecureCyclonNode {
     fn housekeeping(&mut self, cycle: u64) {
         self.samples.prune(cycle);
         self.redemptions.prune(cycle);
-        self.sessions.retain(|_, s| s.cycle + 1 >= cycle);
+        // A session lives through the cycle after the one it opened in.
+        expire(
+            &mut self.session_expiry,
+            &mut self.sessions,
+            cycle.saturating_sub(1),
+            |s| s.cycle,
+        );
         let horizon = cycle.saturating_sub(self.cfg.sample_retention_cycles);
-        self.redeemed_regular.retain(|_, c| *c >= horizon);
-        self.spent_states.retain(|_, c| *c >= horizon);
+        expire(
+            &mut self.redeemed_expiry,
+            &mut self.redeemed_regular,
+            horizon,
+            |c| *c,
+        );
+        expire(
+            &mut self.spent_expiry,
+            &mut self.spent_states,
+            horizon,
+            |c| *c,
+        );
     }
 
     /// Total ownership transfers each side performs in one exchange,
@@ -1062,6 +1122,7 @@ impl SecureCyclonNode {
             self.stats.ns_redemptions_accepted += 1;
         } else {
             self.redeemed_regular.insert(id, cycle);
+            self.redeemed_expiry.push_back((cycle, id));
         }
 
         // -- select outgoing transfers ----------------------------------
@@ -1107,6 +1168,7 @@ impl SecureCyclonNode {
                     cycle,
                 },
             );
+            self.session_expiry.push_back((cycle, from));
         }
 
         self.stats.answered += 1;
@@ -1577,6 +1639,41 @@ mod tests {
 
     fn small_cfg() -> SecureConfig {
         SecureConfig::default().with_view_len(8).with_swap_len(3)
+    }
+
+    #[test]
+    fn housekeeping_expires_exactly_what_a_full_scan_would() {
+        // The scheduled expiry must agree with `retain` over the whole
+        // map at every cycle, including entries re-recorded at a later
+        // cycle (`note_spent` refreshes) and entries recovered out of
+        // order after a restart.
+        let cfg = small_cfg().validated();
+        let retention = cfg.sample_retention_cycles;
+        let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
+        let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
+        node.restore(PersistentState {
+            spent: vec![(digest(900), 3), (digest(901), 0), (digest(902), 2)],
+            ..Default::default()
+        });
+        let mut expected: HashMap<sc_crypto::Digest, u64> =
+            [(digest(900), 3), (digest(901), 0), (digest(902), 2)].into();
+        for cycle in 4..4 + 3 * retention {
+            // Two new states a cycle, and the one from five cycles ago
+            // is spent again.
+            for i in [2 * cycle, 2 * cycle + 1, 2 * cycle.saturating_sub(5)] {
+                node.note_spent(digest(i), cycle);
+                expected.insert(digest(i), cycle);
+            }
+            node.housekeeping(cycle);
+            let horizon = cycle.saturating_sub(retention);
+            expected.retain(|_, c| *c >= horizon);
+            let got: HashMap<_, _> = node.spent_states.iter().map(|(d, c)| (*d, *c)).collect();
+            assert_eq!(got, expected, "cycle {cycle}");
+            assert!(
+                node.spent_expiry.len() <= 3 * (retention as usize + 1),
+                "the schedule is bounded by the window"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::oracles::{OracleSuite, Violation};
 use crate::scenario::{Event, Scenario};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use sc_crypto::hex::to_hex;
 use sc_sim::{Addr, NetworkModel, Partition};
 
 /// What a completed (violation-free) run looked like.
@@ -175,20 +176,37 @@ pub fn run_scenario_with_net(
 }
 
 /// Canonical rendering of every honest node's protocol-visible end state:
-/// its view in order (descriptors plus non-swappable flags) and its
-/// blacklist with culprits sorted. Two runs are state-identical iff these
-/// renderings match byte for byte.
+/// its view in order — `id`, state digest and non-swappable flag per
+/// entry — and its blacklist with culprits sorted. Two runs are
+/// state-identical iff these renderings match byte for byte. The
+/// rendering names protocol values only, never a type's `Debug` layout,
+/// so it does not move when storage does.
 pub fn state_fingerprint(net: &SecureNetwork) -> Vec<String> {
+    use std::fmt::Write;
     net.engine
         .nodes()
         .filter_map(|(addr, node)| {
             let h = node.honest()?;
+            let mut line = format!("node {addr}: view=[");
+            for e in h.view().iter() {
+                let id = e.desc.id();
+                let _ = write!(
+                    line,
+                    "({}@{} {} ns={}) ",
+                    to_hex(id.creator.as_bytes()),
+                    id.created_at.ticks(),
+                    to_hex(&e.desc.state_digest()),
+                    e.non_swappable,
+                );
+            }
+            line.push_str("] blacklist=[");
             let mut culprits: Vec<_> = h.blacklist().culprits().collect();
             culprits.sort_unstable();
-            Some(format!(
-                "node {addr}: view={:?} blacklist={culprits:?}",
-                h.view()
-            ))
+            for c in culprits {
+                let _ = write!(line, "{} ", to_hex(c.as_bytes()));
+            }
+            line.push(']');
+            Some(line)
         })
         .collect()
 }

@@ -5,6 +5,7 @@
 
 use securecyclon::attacks::SecureAttack;
 use securecyclon::core::ViewEntry;
+use securecyclon::crypto::hex::to_hex;
 use securecyclon::sim::{Execution, TrafficStats};
 use securecyclon::testkit::{build_secure_network, SecureNetParams, SecureNetwork};
 
@@ -15,7 +16,8 @@ fn params(seed: u64) -> SecureNetParams {
     p
 }
 
-/// Per-node view contents: rendered descriptor + swappability, slot order.
+/// Per-node view contents: each descriptor's state digest (which commits
+/// to its genesis and every link) + swappability, slot order.
 type ViewSnapshot = Vec<(u32, Vec<(String, bool)>)>;
 
 /// Everything observable about a run: engine counters plus every view.
@@ -26,7 +28,7 @@ fn snapshot(net: &SecureNetwork) -> (TrafficStats, ViewSnapshot) {
             Some(honest) => honest
                 .view()
                 .iter()
-                .map(|e: &ViewEntry| (format!("{:?}", e.desc), e.non_swappable))
+                .map(|e: &ViewEntry| (to_hex(&e.desc.state_digest()), e.non_swappable))
                 .collect(),
             None => Vec::new(),
         };

@@ -1,0 +1,136 @@
+//! Committed golden end-state hashes for the quick scenario matrix.
+//!
+//! Every quick-tier scenario × matrix seed is run to completion and the
+//! protocol-visible end state of every honest node is hashed: its view
+//! (state digest + non-swappable flag per entry, in view order), its
+//! blacklist (culprits sorted), every `SecureStats` counter, and the
+//! sizes of its sample and redemption caches. The hashes below were
+//! recorded on the commit *before* the one-pointer-descriptor /
+//! one-index-sample-cache refactor (PR 12) and must never move under a
+//! change that claims to keep protocol behaviour: a refactor of
+//! descriptor storage, cache indexing, expiry or housekeeping that alters
+//! any verdict, any eviction or any counter shows up here as a mismatch
+//! naming the scenario and seed.
+//!
+//! A change that *intends* to alter behaviour re-records the table: on a
+//! mismatch the test prints every row of its seed in source form.
+
+use securecyclon::crypto::hex::to_hex;
+use securecyclon::crypto::Sha256;
+use securecyclon::testkit::{
+    run_scenario_with_net, standard_matrix, MatrixSize, SecureNetwork, MATRIX_SEEDS,
+};
+
+/// `(scenario, seed, sha256 of the end state)`, one row per line — the
+/// shape the test prints on a mismatch.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, &str)] = &[
+    ("honest-reliable", 1, "261093f24e018cccc221060fbd4752a02be111c461711d36059c363fa1312dab"),
+    ("honest-lossy-10", 1, "7b2d0b557037f0c6dacf3eb35728056b078027ba42b35fe59f109676d509ef57"),
+    ("honest-asymmetric-loss", 1, "d650af481833cfe91b9c4b275309213fe0856aae4b13950e53b6d7d9259a725e"),
+    ("honest-partition-heal", 1, "85eb13a12d59d76af67757324a7a8c4140b7929b26e63fec06267debf696db46"),
+    ("honest-island-rejoin", 1, "d9589d6980e35e389bf9a163a18c5956100ae83488fe7fab243dbc68e4005481"),
+    ("honest-crash-restart", 1, "99d49458a4e1cfaf52b94c2005d1461f37f64437742350f9e39bf6fe8840ece6"),
+    ("honest-churn", 1, "80c43743dec2e1840e007d0a39252b0e410c55b22b8da8fb77ebe5f8869bda6a"),
+    ("honest-mass-failure", 1, "ef12a525a900c8352852200da7083e86bfbc27817b65244733922ffd4231edc3"),
+    ("hub-attack", 1, "573b904266e58d9a2c31151a3824b3b10b0caac85f3eb8ef351aff2ce8ab848d"),
+    ("cloning-attack", 1, "dfdd8767cf5c9f4c25ce8569ca7a71870b802cabe49da97128b39e20d3984675"),
+    ("frequency-attack", 1, "58e5f9190fdf0929dcf5639d109fceb8ad4d4d591fe00bef00293a59624cda27"),
+    ("depletion-attack", 1, "39ff774b2a1da4096ba05489b43ac887fa27d6a348d5176c6985b267a263ed4a"),
+    ("partition-cloning", 1, "3509445d17343e843153113da289f3361857023ba7483e7be1a98249dc915d35"),
+    ("lossy-churn-hub", 1, "9d7c3d4a373bb3363915771f7349b68c30974b7f334fa3abbb926b4ac7fd5c93"),
+    ("honest-reliable", 2, "03ed64129c3f34328ac3e256d3c7c4438d8ae4047a145ac97b1fa1c0d9795d0b"),
+    ("honest-lossy-10", 2, "6f171c594803a2565bea473dba3e441cd1e49bc11962ebb4c76a36b4ca1d09f9"),
+    ("honest-asymmetric-loss", 2, "ef013222dd86c86e56c5b1e3b4099883396fc990ed82135a33ecccc59d32e760"),
+    ("honest-partition-heal", 2, "febbc7884b37e88e8a2b779ef126d623ae2dc66b098cefd5a905111612b61088"),
+    ("honest-island-rejoin", 2, "f453c82e14b9bfff7101bc899bf48b07464ea1790dd9df5a922c7cd3b34d4da0"),
+    ("honest-crash-restart", 2, "b71d3db9ad3a2928ef8679d3e0671dd364cab662f5e3d14181a2b45e85594641"),
+    ("honest-churn", 2, "3e41981eac9026d85c6104263f8d0681865ffb17fcb1be062984cd19bd42c102"),
+    ("honest-mass-failure", 2, "ee3633a7fa3685a50413eec3a691c6a377ef82be9f52e74417f976966d38ee52"),
+    ("hub-attack", 2, "fcee2968a80c453a65616a4399f6d4fbea4a87e8e4f098599711f34692a96ccf"),
+    ("cloning-attack", 2, "595dcea7e23ea01cfd6ebbd4a514939ca567cfd8b032563e8ceb46337b217594"),
+    ("frequency-attack", 2, "366a8dddc681389173a66bb522910aa86ce4c5a7b9ff03689e92a4a72bb65eb3"),
+    ("depletion-attack", 2, "0a871d789c6f02f79c8d93b9ddb0e383969ca1ed01054eccf73c55e8d4953ace"),
+    ("partition-cloning", 2, "806c9aa9a942526130fdb89c24038b0e090a210da017b1b9f57ec59fd15acede"),
+    ("lossy-churn-hub", 2, "1578a3b4b8127c6249e62286a7934bf67fe6988012ca3b86d9c1a939b8f1f171"),
+    ("honest-reliable", 3, "f63e048eab5395e53c0265eadad24b78ac34f210d94b99ea03c5c16f11c56e17"),
+    ("honest-lossy-10", 3, "883674d86cbdabf8a7edf82cda803ea383f481b43817d48689a085cf575adc01"),
+    ("honest-asymmetric-loss", 3, "3f99b28d125b0dbb5045a97a39736abd35af263b2d4bd898c1afa99f52c9d16f"),
+    ("honest-partition-heal", 3, "e4c846301c5452d41a552b49aff93b8bd31007d85c10d6d15437b0372b53640d"),
+    ("honest-island-rejoin", 3, "62fe62e7f1d93fdc77ad972dc7a897446695c8071b850c05bbfef926e24fdf70"),
+    ("honest-crash-restart", 3, "d2838eadba55351ad00ca56b6485f9713244688135ac4487ee157f126dd77363"),
+    ("honest-churn", 3, "7c2305728f08b3271742431cf9ed1bd9123ae05663fe8d001a98cd342237db19"),
+    ("honest-mass-failure", 3, "4f681b5d3dc085ff0a14fe6ed54815b1e541eafd0068693f110b8cbe733983e0"),
+    ("hub-attack", 3, "32c051b27d73c24783d85a21d731e15cfb4bf26e889284978b615b441375e51d"),
+    ("cloning-attack", 3, "c0b5e58e0de66cd0db717c76e7195e30ede917669efd6d8d0ada25ee65ed8dbf"),
+    ("frequency-attack", 3, "db8c5de876e48acb306a7e70c3841620bbee966f9a3725c627536ba622a49e14"),
+    ("depletion-attack", 3, "cdd412ceee413df2874cb5ef54d404883776ac048dc8203ccb99192d01ce35f3"),
+    ("partition-cloning", 3, "ad7f2553faa3164c805ef921ed13ef9267aea3e595f64333105e873c3f4c551a"),
+    ("lossy-churn-hub", 3, "505483339df4bd7ddb42971d5fb21a484291e39b0e45e284239ce4f25eb1e9a9"),
+];
+
+fn end_state_hash(net: &SecureNetwork) -> String {
+    let mut h = Sha256::new();
+    for (addr, node) in net.engine.nodes() {
+        let Some(n) = node.honest() else { continue };
+        h.update(&addr.to_be_bytes());
+        h.update(&(n.view().len() as u64).to_be_bytes());
+        for e in n.view().iter() {
+            h.update(&e.desc.state_digest());
+            h.update(&[e.non_swappable as u8]);
+        }
+        let mut culprits: Vec<_> = n.blacklist().culprits().copied().collect();
+        culprits.sort_unstable();
+        h.update(&(culprits.len() as u64).to_be_bytes());
+        for c in &culprits {
+            h.update(c.as_bytes());
+        }
+        h.update(format!("{:?}", n.stats()).as_bytes());
+        h.update(&(n.sample_count() as u64).to_be_bytes());
+        h.update(&(n.redemption_count() as u64).to_be_bytes());
+    }
+    to_hex(&h.finalize())
+}
+
+fn check_seed(seed: u64) {
+    assert!(MATRIX_SEEDS.contains(&seed));
+    let mut rows = Vec::new();
+    let mut mismatches = Vec::new();
+    for scenario in standard_matrix(MatrixSize::quick()) {
+        let (_, net) = run_scenario_with_net(&scenario, seed)
+            .unwrap_or_else(|v| panic!("oracle violation: {v}"));
+        let got = end_state_hash(&net);
+        let want = GOLDEN
+            .iter()
+            .find(|(name, s, _)| *name == scenario.name && *s == seed)
+            .map(|(_, _, hash)| *hash);
+        if want != Some(got.as_str()) {
+            mismatches.push(format!(
+                "{} seed {seed}: recorded {want:?}, got {got}",
+                scenario.name
+            ));
+        }
+        rows.push(format!("    (\"{}\", {seed}, \"{got}\"),", scenario.name));
+    }
+    assert!(
+        mismatches.is_empty(),
+        "end state moved:\n{}\n\nrows for seed {seed}:\n{}",
+        mismatches.join("\n"),
+        rows.join("\n")
+    );
+}
+
+#[test]
+fn golden_end_state_seed_1() {
+    check_seed(1);
+}
+
+#[test]
+fn golden_end_state_seed_2() {
+    check_seed(2);
+}
+
+#[test]
+fn golden_end_state_seed_3() {
+    check_seed(3);
+}
