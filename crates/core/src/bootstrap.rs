@@ -15,8 +15,8 @@
 
 use crate::descriptor::SecureDescriptor;
 use crate::time::Timestamp;
+use crate::Addr;
 use sc_crypto::Keypair;
-use sc_sim::Addr;
 
 /// Deterministic per-node timestamp phase used across the workspace.
 ///

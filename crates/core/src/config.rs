@@ -46,13 +46,6 @@ pub struct SecureConfig {
     /// verification (digests retained; 32 bytes each). Zero disables
     /// memoization and falls back to full from-genesis verification.
     pub verify_memo_capacity: usize,
-    /// Whether message intake pools the signature checks of every
-    /// descriptor it is about to rely on into one batched verification
-    /// (`SecureDescriptor::verify_batch_with`) instead of verifying them
-    /// one by one. Verdict-identical to the sequential path (asserted by
-    /// the testkit scenario matrix); exists as a switch so equivalence
-    /// oracles can run both pipelines side by side.
-    pub batched_intake: bool,
 }
 
 impl Default for SecureConfig {
@@ -73,7 +66,6 @@ impl Default for SecureConfig {
             transfer_history_len: 8,
             proof_piggyback_cycles: 10,
             verify_memo_capacity: 4096,
-            batched_intake: true,
         }
     }
 }
@@ -122,12 +114,6 @@ impl SecureConfig {
     /// Builder-style toggle of the tit-for-tat mechanism.
     pub fn with_tit_for_tat(mut self, enabled: bool) -> Self {
         self.tit_for_tat = enabled;
-        self
-    }
-
-    /// Builder-style toggle of batched intake verification.
-    pub fn with_batched_intake(mut self, enabled: bool) -> Self {
-        self.batched_intake = enabled;
         self
     }
 }

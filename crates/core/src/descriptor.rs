@@ -22,8 +22,8 @@
 
 use crate::memo::VerifyMemo;
 use crate::time::Timestamp;
+use crate::Addr;
 use sc_crypto::{sha256_concat, Digest, Keypair, NodeId, PublicKey, Signature};
-use sc_sim::Addr;
 use std::sync::Arc;
 
 /// The globally unique identity of a descriptor: who created it and when.

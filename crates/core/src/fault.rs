@@ -37,8 +37,8 @@
 //! * `bw` — outbound bandwidth throttle in bytes/second (0 = unlimited)
 //! * `sever` — `+`-separated peer addresses cut off entirely (partition)
 
-use crate::wire::WireError;
-use sc_sim::Addr;
+use crate::wire::{Reader, WireError};
+use crate::Addr;
 
 /// Default reorder window when `delay=p` omits the `:w` suffix.
 pub const DEFAULT_DELAY_WINDOW: u32 = 4;
@@ -291,43 +291,22 @@ impl FaultSpec {
     /// [`WireError::ListTooLong`] on an oversized severed set. Field
     /// values are sanitized rather than rejected.
     pub fn decode(buf: &[u8]) -> Result<(FaultSpec, usize), WireError> {
-        struct Cur<'a> {
-            buf: &'a [u8],
-            pos: usize,
-        }
-        impl Cur<'_> {
-            fn bytes<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-                let b = self
-                    .buf
-                    .get(self.pos..self.pos + N)
-                    .ok_or(WireError::UnexpectedEnd)?
-                    .try_into()
-                    .unwrap();
-                self.pos += N;
-                Ok(b)
-            }
-            fn u64(&mut self) -> Result<u64, WireError> {
-                Ok(u64::from_be_bytes(self.bytes()?))
-            }
-        }
-        let mut c = Cur { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let seed = c.u64()?;
         let drop_in = f64::from_bits(c.u64()?);
         let drop_out = f64::from_bits(c.u64()?);
         let delay_prob = f64::from_bits(c.u64()?);
         let dup_prob = f64::from_bits(c.u64()?);
         let reset_prob = f64::from_bits(c.u64()?);
-        let delay_max_polls = u32::from_be_bytes(c.bytes()?);
+        let delay_max_polls = c.u32()?;
         let bandwidth_bytes_per_sec = c.u64()?;
-        let n = u16::from_be_bytes(c.bytes()?) as usize;
-        if n > 4096 {
-            return Err(WireError::ListTooLong(n as u16));
-        }
+        let n = c.u16()? as usize;
+        c.list_count(n, 4096, 4)?;
         let mut severed = Vec::with_capacity(n);
         for _ in 0..n {
-            severed.push(u32::from_be_bytes(c.bytes()?));
+            severed.push(c.u32()?);
         }
-        let pos = c.pos;
+        let pos = c.position();
         let spec = FaultSpec {
             seed,
             drop_in,

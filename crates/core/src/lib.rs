@@ -23,7 +23,9 @@
 //! * [`blacklist`] — proof-backed eviction (§IV-C)
 //! * [`view`] — the secure partial view with non-swappable slots (§V-A)
 //! * [`redemption`] — the redemption cache (§V-C)
-//! * [`node`] — the full protocol node with tit-for-tat exchanges (§V-B)
+//! * [`node`] — the full protocol node with tit-for-tat exchanges (§V-B),
+//!   a sans-IO state machine: [`SecureCyclonNode::step`] maps an [`Input`]
+//!   to [`Effects`]
 //! * [`bootstrap`] — violation-free initial overlays
 //! * [`wire`] — wire encoding and the §VI-A message-size model
 //! * [`storage`] — durable state backends and crash-restart recovery
@@ -47,6 +49,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// A network address ("IP and port" in the paper's model): what a
+/// descriptor points at and what effects are routed by. The simulator
+/// indexes its node arena with it; the daemon listens on it as a TCP port.
+pub type Addr = u32;
 
 pub mod blacklist;
 pub mod bootstrap;
@@ -78,7 +85,7 @@ pub use memo::VerifyMemo;
 pub use msg::{
     AcceptBody, JoinGrantBody, JoinPingBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg,
 };
-pub use node::{ProofRecord, SecureCyclonNode, SecureStats};
+pub use node::{Effects, Input, ProofRecord, SecureCyclonNode, SecureStats};
 pub use proof::{ProofError, ProofKind, ViolationProof};
 pub use redemption::RedemptionCache;
 pub use storage::{FileBackend, MemoryBackend, PersistentState, StateBackend};

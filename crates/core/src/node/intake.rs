@@ -1,0 +1,460 @@
+//! Everything the node takes in: descriptor verification and the §IV-B
+//! checks, ownership transfers, and the passive side of an exchange
+//! (§IV-A redemption validation, the §V-A non-swappable restrictions,
+//! tit-for-tat rounds, rejoin pings).
+
+use super::{SecureCyclonNode, Session};
+use crate::checks::Observation;
+use crate::descriptor::{LinkKind, SecureDescriptor};
+use crate::msg::{AcceptBody, JoinGrantBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg};
+use crate::time::Timestamp;
+use crate::Addr;
+use sc_crypto::{FxHashSet, NodeId};
+
+/// Minimum cycles between sponsorships granted to pings — a ping flood
+/// must not permanently consume a node's per-cycle descriptor budget.
+const JOIN_GRANT_GAP_CYCLES: u64 = 4;
+
+impl SecureCyclonNode {
+    /// Installs a bootstrap descriptor (ownership must already point at
+    /// this node). Returns whether it was stored.
+    pub fn accept_bootstrap(&mut self, desc: SecureDescriptor) -> bool {
+        debug_assert!(desc.verify().is_ok(), "bootstrap descriptors must verify");
+        self.view.insert(desc, false)
+    }
+
+    /// Accepts a sponsorship descriptor mid-run (§V-A bootstrap applied to
+    /// *rejoin*): after a long disconnection — e.g. a partition outlasting
+    /// the descriptor lifetime, which consumes every cross-side link — an
+    /// isolated node is reintroduced by redeeming a fresh descriptor some
+    /// reachable node sponsored for it (see
+    /// [`SecureCyclonNode::sponsor_join`]). Unlike
+    /// [`SecureCyclonNode::accept_bootstrap`], the descriptor goes through
+    /// the full §IV-B intake checks and is parked in the reserve when the
+    /// view is full, so an established node never discards the lifeline.
+    /// Returns whether the descriptor was kept.
+    pub fn accept_sponsorship(&mut self, desc: SecureDescriptor, cycle: u64) -> bool {
+        if desc.owner() != self.id || desc.creator() == self.id || desc.is_redeemed() {
+            return false;
+        }
+        if !self.absorb_descriptor(&desc, cycle) {
+            return false;
+        }
+        if let Some(desc) = self.view.try_insert(desc, false) {
+            if let Some(desc) = self.view.try_replace_ns_with(desc) {
+                self.push_reserve(desc);
+            }
+        }
+        true
+    }
+
+    /// Verifies a descriptor, then runs the §IV-B checks. Used for
+    /// everything whose validity the node is about to rely on: incoming
+    /// ownership transfers, fresh descriptors, redemption certificates.
+    ///
+    /// Verification is incremental against the verified-prefix memo:
+    /// a byte-identical re-intake is an O(1) memo hit, an extended or
+    /// forked chain pays only for the links past the last verified
+    /// prefix, and a first sighting falls back to full verification.
+    /// Unlike the byte-identical *sample* shortcut this replaces, the
+    /// memo holds only locally verified prefixes, so an attacker cannot
+    /// pre-seed the cache with a forged sample and then replay the same
+    /// bytes as a transfer to dodge verification.
+    fn absorb_descriptor(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
+        if self.blacklist.contains(&desc.creator()) {
+            return false;
+        }
+        if desc.verify_with(&mut self.verify_memo).is_err() {
+            self.stats.invalid_descriptors += 1;
+            return false;
+        }
+        self.check_only(desc, cycle)
+    }
+
+    /// Runs the §IV-B checks without up-front signature verification —
+    /// the lazy-verification path for samples (see `sc_core::checks`
+    /// module docs: proofs re-verify, so forgeries cannot frame anyone).
+    pub(super) fn absorb_sample(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
+        if self.blacklist.contains(&desc.creator()) {
+            return false;
+        }
+        self.check_only(desc, cycle)
+    }
+
+    /// Pools the signature checks of every descriptor a received message
+    /// asks this node to rely on into **one** batched verification
+    /// ([`SecureDescriptor::verify_batch_with`]), warming the
+    /// verified-prefix memo so the per-descriptor intake gates that follow
+    /// are O(1) exact hits. Samples deliberately contribute nothing here —
+    /// they are verified lazily, only on §IV-B conflict (see
+    /// `sc_core::checks`), so they carry no intake-time checks to pool.
+    ///
+    /// Verdict-neutral by construction: `verify_batch_with` returns
+    /// per-descriptor results identical to sequential `verify_with`, and
+    /// only genuinely verified prefixes enter the memo, so the gates that
+    /// re-run afterwards decide exactly as the sequential pipeline does —
+    /// this call just front-loads their crypto into one combined pass.
+    pub(super) fn prewarm_verify(&mut self, descs: &[&SecureDescriptor]) {
+        if descs.is_empty() {
+            return;
+        }
+        let _ = SecureDescriptor::verify_batch_with(descs, &mut self.verify_memo);
+    }
+
+    fn check_only(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
+        self.stats.samples_processed += 1;
+        match self.samples.observe_with(
+            desc,
+            cycle,
+            self.cfg.ticks_per_cycle,
+            &mut self.verify_memo,
+        ) {
+            Observation::Violation(proof) => {
+                self.discover_violation(*proof, cycle);
+                false
+            }
+            Observation::Forged => {
+                self.stats.invalid_descriptors += 1;
+                false
+            }
+            _ => true,
+        }
+    }
+
+    /// Validates an incoming ownership transfer handed over by `from`.
+    fn validate_transfer(&self, d: &SecureDescriptor, from: NodeId) -> bool {
+        if d.is_redeemed() || d.owner() != self.id || d.creator() == self.id {
+            return false;
+        }
+        // Replay guard: a state this node already continued must never be
+        // accepted again — re-spending it would make this node the
+        // provable culprit of a cloning violation. A legitimate return of
+        // the same descriptor carries the extra links and hashes
+        // differently.
+        if self.spent_states.contains_key(&d.state_digest()) {
+            return false;
+        }
+        let last = d.chain().len() - 1; // owner()==id ≠ creator ⇒ non-empty
+        d.owner_at(last) == from
+    }
+
+    /// Full intake of an owned transfer: validate, check, insert.
+    pub(super) fn accept_transfer(&mut self, d: SecureDescriptor, from: NodeId, cycle: u64) {
+        if !self.validate_transfer(&d, from) {
+            self.stats.transfers_rejected += 1;
+            return;
+        }
+        if !self.absorb_descriptor(&d, cycle) {
+            return;
+        }
+        self.stats.transfers_received += 1;
+        if let Some(d) = self.view.try_insert(d, false) {
+            if let Some(d) = self.view.try_replace_ns_with(d) {
+                self.push_reserve(d);
+            }
+        }
+    }
+
+    /// Parks an owned descriptor that currently has no view slot. The
+    /// reserve is bounded; overflowing descriptors are dropped (they die
+    /// early, exactly as a discarded duplicate would in legacy Cyclon).
+    fn push_reserve(&mut self, d: SecureDescriptor) {
+        self.stats.dup_drops += 1;
+        if self.reserve.len() >= self.cfg.swap_len * 2 {
+            self.reserve.pop_front();
+        }
+        self.reserve.push_back(d);
+    }
+
+    // ------------------------------------------------------------------
+    // Passive side
+    // ------------------------------------------------------------------
+
+    pub(super) fn handle_request(
+        &mut self,
+        from: Addr,
+        body: RequestBody,
+        cycle: u64,
+        now: u64,
+    ) -> Option<SecureMsg> {
+        let RequestBody {
+            redeemed,
+            fresh,
+            offered,
+            samples,
+            proofs,
+        } = body;
+
+        // -- one batched crypto bill for the whole request --------------
+        // Certificate, fresh descriptor, and any eagerly offered
+        // transfers verify in one combined pass; the gates below then hit
+        // the memo instead of paying per-signature. (Samples are lazily
+        // verified and add no checks.)
+        let mut to_verify: Vec<&SecureDescriptor> = Vec::with_capacity(2 + offered.len());
+        to_verify.push(&redeemed);
+        to_verify.push(&fresh);
+        to_verify.extend(offered.iter());
+        self.prewarm_verify(&to_verify);
+
+        // -- validate the redemption certificate -----------------------
+        // Incremental: the certificate's chain prefix is usually already
+        // memoized from the sample stream, so only recent links pay.
+        if redeemed.verify_with(&mut self.verify_memo).is_err() || redeemed.creator() != self.id {
+            self.stats.refused += 1;
+            return None;
+        }
+        let Some(kind) = redeemed.redemption_kind() else {
+            self.stats.refused += 1;
+            return None;
+        };
+        let Some(redeemer) = redeemed.redeemer() else {
+            self.stats.refused += 1;
+            return None;
+        };
+
+        // -- validate the initiator's fresh descriptor -----------------
+        let fresh_ok = fresh.verify_with(&mut self.verify_memo).is_ok()
+            && fresh.creator() == redeemer
+            && fresh.owner() == self.id
+            && fresh.chain().len() == 1
+            && !fresh.is_redeemed()
+            && fresh.created_at().distance(Timestamp(now))
+                <= self.cfg.max_skew_ticks + self.cfg.ticks_per_cycle;
+        if !fresh_ok {
+            self.stats.refused += 1;
+            return None;
+        }
+
+        // -- learn from piggybacked proofs before trusting the peer ----
+        self.process_proofs(proofs, cycle);
+        if self.blacklist.contains(&redeemer) {
+            self.stats.refused += 1;
+            return None;
+        }
+
+        // -- replay and §V-A non-swappable restrictions -----------------
+        // A descriptor may legally be spent twice in total: once by its
+        // final owner (regular redemption) and once by a past owner that
+        // kept a non-swappable copy (§V-A). Each kind at most once.
+        let id = redeemed.id();
+        match kind {
+            LinkKind::Redeem => {
+                if self.redeemed_regular.contains_key(&id) {
+                    self.stats.refused += 1;
+                    return None;
+                }
+            }
+            LinkKind::RedeemNonSwappable => {
+                // Rule 1: at most one NS redemption per descriptor, ever.
+                if self.ns_redeemed_ids.contains(&id) {
+                    self.stats.refused += 1;
+                    return None;
+                }
+                // Rule 2: at most a configured number of NS redemptions
+                // accepted per cycle.
+                if self.ns_accepted.0 == cycle
+                    && self.ns_accepted.1 >= self.cfg.max_ns_redemptions_per_cycle
+                {
+                    self.stats.refused += 1;
+                    return None;
+                }
+            }
+            LinkKind::Transfer => unreachable!("redemption_kind is terminal"),
+        }
+
+        // -- §IV-B checks on everything received ------------------------
+        // Observe each distinct descriptor exactly once: the honest
+        // initiator's sample set legitimately repeats the redeemed
+        // certificate (it enters the redemption cache before samples are
+        // collected), and attackers pad their sample lists with arbitrary
+        // byte-identical repeats. A repeat carries no new §IV-B
+        // information, so skipping it changes no verdict — it only keeps
+        // `samples_processed` honest and saves redundant cache walks.
+        #[cfg(debug_assertions)]
+        let samples_processed_before = self.stats.samples_processed;
+        let mut observed: FxHashSet<sc_crypto::Digest> =
+            FxHashSet::with_capacity_and_hasher(samples.len() + 2, Default::default());
+        observed.insert(redeemed.state_digest());
+        observed.insert(fresh.state_digest());
+        let red_ok = self.absorb_descriptor(&redeemed, cycle);
+        let fresh_clean = self.absorb_descriptor(&fresh, cycle);
+        for s in &samples {
+            if !observed.insert(s.state_digest()) {
+                continue;
+            }
+            self.absorb_sample(s, cycle);
+        }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.stats.samples_processed - samples_processed_before <= observed.len() as u64,
+            "samples_processed must increment at most once per observed descriptor"
+        );
+        if !red_ok || !fresh_clean || self.blacklist.contains(&redeemer) {
+            self.stats.refused += 1;
+            return None;
+        }
+
+        // -- commit the redemption --------------------------------------
+        if kind == LinkKind::RedeemNonSwappable {
+            if self.ns_accepted.0 != cycle {
+                self.ns_accepted = (cycle, 0);
+            }
+            self.ns_accepted.1 += 1;
+            self.ns_redeemed_ids.insert(id);
+            self.stats.ns_redemptions_accepted += 1;
+        } else {
+            self.redeemed_regular.insert(id, cycle);
+            self.redeemed_expiry.push_back((cycle, id));
+        }
+
+        // -- select outgoing transfers ----------------------------------
+        let quota = self.exchange_quota(kind);
+        let immediate = if self.cfg.tit_for_tat { 1 } else { quota };
+        let picked = self
+            .view
+            .remove_random_swappable_filtered(immediate, &mut self.rng, |d| {
+                d.creator() != redeemer
+            });
+        let mut transfers = Vec::with_capacity(picked.len());
+        for pre in picked {
+            if let Ok(t) = pre.transfer(&self.keypair, redeemer) {
+                self.stats.transfers_sent += 1;
+                transfers.push(t);
+                self.remember_transfer(pre, cycle);
+            }
+        }
+
+        // -- store what we received -------------------------------------
+        self.stats.transfers_received += 1;
+        if let Some(fresh) = self.view.try_insert(fresh, false) {
+            if let Some(fresh) = self.view.try_replace_ns_with(fresh) {
+                // Usually an older descriptor of the initiator still
+                // occupies the slot; park the fresh one until that one is
+                // redeemed.
+                self.push_reserve(fresh);
+            }
+        }
+        if !self.cfg.tit_for_tat {
+            for d in offered.into_iter().take(quota.saturating_sub(1)) {
+                self.accept_transfer(d, redeemer, cycle);
+            }
+        }
+
+        // -- open the tit-for-tat session -------------------------------
+        if self.cfg.tit_for_tat && quota > 1 && !transfers.is_empty() {
+            self.sessions.insert(
+                from,
+                Session {
+                    partner: redeemer,
+                    remaining: quota - 1,
+                    cycle,
+                },
+            );
+            self.session_expiry.push_back((cycle, from));
+        }
+
+        self.stats.answered += 1;
+        Some(SecureMsg::Accept(Box::new(AcceptBody {
+            transfers,
+            samples: self.collect_samples(),
+            proofs: self.recent_proofs(cycle),
+        })))
+    }
+
+    pub(super) fn handle_round(
+        &mut self,
+        from: Addr,
+        body: RoundBody,
+        cycle: u64,
+    ) -> Option<SecureMsg> {
+        let session = *self.sessions.get(&from)?;
+        if session.remaining == 0 {
+            self.sessions.remove(&from);
+            return None;
+        }
+        // Free our slot before storing the incoming transfer, so it can
+        // take the slot directly instead of bouncing through the reserve.
+        let partner = session.partner;
+        let reply = self
+            .view
+            .remove_random_swappable_filtered(1, &mut self.rng, |d| d.creator() != partner)
+            .into_iter()
+            .next()
+            .and_then(|pre| {
+                let out = pre.transfer(&self.keypair, partner).ok();
+                if out.is_some() {
+                    self.remember_transfer(pre, cycle);
+                }
+                out
+            });
+        self.accept_transfer(body.transfer, partner, cycle);
+        if self.blacklist.contains(&partner) {
+            self.sessions.remove(&from);
+            return None;
+        }
+        if reply.is_some() {
+            self.stats.transfers_sent += 1;
+        }
+        let remaining = session.remaining - 1;
+        if remaining == 0 || reply.is_none() {
+            self.sessions.remove(&from);
+        } else if let Some(s) = self.sessions.get_mut(&from) {
+            s.remaining = remaining;
+        }
+        Some(SecureMsg::RoundReply(Box::new(RoundReplyBody {
+            transfer: reply,
+        })))
+    }
+
+    /// [`super::Input::Oneway`]: a flooded proof, a starved peer's rejoin
+    /// ping, or the grant answering this node's own ping.
+    pub(super) fn handle_oneway(
+        &mut self,
+        from: Addr,
+        msg: SecureMsg,
+        cycle: u64,
+        now: u64,
+        sends: &mut Vec<(Addr, SecureMsg)>,
+    ) {
+        match msg {
+            SecureMsg::Proof(proof) => {
+                self.accept_remote_proof(*proof, cycle);
+            }
+            SecureMsg::JoinPing(body) => {
+                if let Some(grant) = self.answer_join_ping(body.joiner, cycle, now) {
+                    sends.push((from, grant));
+                }
+            }
+            SecureMsg::JoinGrant(body) => {
+                let JoinGrantBody { descriptor, proofs } = *body;
+                self.process_proofs(proofs, cycle);
+                if self.accept_sponsorship(descriptor, cycle) {
+                    self.was_connected = true;
+                }
+            }
+            _ => return,
+        }
+        self.drain_floods(sends);
+    }
+
+    /// Answers a starved peer's rejoin ping with a sponsorship, throttled
+    /// and frequency-legal (the grant spends this cycle's budget through
+    /// [`SecureCyclonNode::sponsor_join`]).
+    fn answer_join_ping(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<SecureMsg> {
+        if joiner == self.id || self.blacklist.contains(&joiner) {
+            return None;
+        }
+        if let Some(last) = self.last_join_grant {
+            if cycle < last.saturating_add(JOIN_GRANT_GAP_CYCLES) {
+                return None;
+            }
+        }
+        let descriptor = self.sponsor_join(joiner, cycle, now)?;
+        self.last_join_grant = Some(cycle);
+        self.stats.rejoin_grants += 1;
+        Some(SecureMsg::JoinGrant(Box::new(JoinGrantBody {
+            descriptor,
+            proofs: self.recent_proofs(cycle),
+        })))
+    }
+}

@@ -1,0 +1,581 @@
+//! The SecureCyclon protocol node (§IV–§V of the paper), as a sans-IO
+//! state machine.
+//!
+//! The node does no I/O and reads no clock. A driver — the simulator's
+//! `SecureNet` or the `sc-node` event loop — feeds it one [`Input`] at a
+//! time through [`SecureCyclonNode::step`] and routes the [`Effects`] it
+//! returns. Once per cycle ([`Input::Tick`]) a correct node:
+//!
+//! 1. prunes its caches and back-fills empty view slots with non-swappable
+//!    copies of recently transferred descriptors (§V-A);
+//! 2. removes the oldest descriptor from its view and **redeems** it —
+//!    sends it back to its creator as the certificate permitting a gossip
+//!    exchange (§IV-A);
+//! 3. runs the exchange: its fresh self-descriptor goes first, then, in
+//!    tit-for-tat mode, one ownership transfer per round trip (§V-B). Each
+//!    round trip is one `rpc` effect answered by one [`Input::Reply`] or
+//!    [`Input::Timeout`]; the exchange in between is explicit state;
+//! 4. runs the frequency and ownership checks (§IV-B) on **every**
+//!    descriptor it sees — owned transfers and samples alike; a conflict
+//!    yields a [`ViolationProof`], the culprit is blacklisted, its
+//!    descriptors purged, and the proof flooded one hop per cycle (§IV-C).
+//!
+//! As the passive party ([`Input::Request`]) it validates redemption
+//! certificates (including the §V-A non-swappable restrictions), mirrors
+//! the exchange, and ships samples of its view plus its redemption cache
+//! (§V-C) — also while an exchange of its own is in flight: whatever that
+//! exchange offered has already left the view.
+//!
+//! The node is split along its four concerns: `exchange` (the active
+//! turn), `intake` (verification, transfers, the passive side),
+//! `proofs` (violations and floods) and `persistence` (the durable
+//! backend).
+
+mod exchange;
+mod intake;
+mod persistence;
+mod proofs;
+#[cfg(test)]
+mod tests;
+
+use crate::blacklist::Blacklist;
+use crate::checks::SampleCache;
+use crate::config::SecureConfig;
+use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
+use crate::memo::VerifyMemo;
+use crate::msg::SecureMsg;
+use crate::proof::{ProofKind, ViolationProof};
+use crate::redemption::RedemptionCache;
+use crate::storage::StateBackend;
+use crate::view::SecureView;
+use crate::wire;
+use crate::Addr;
+use exchange::Exchange;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use sc_crypto::{FxHashMap, FxHashSet};
+use sc_crypto::{Keypair, NodeId};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
+
+/// One thing that happens to a node. Cycle numbers and ticks come from
+/// the driver's clock (the engine's, or the daemon's shared wall clock).
+#[derive(Debug)]
+pub enum Input {
+    /// The node's gossip period came round: run the active turn.
+    Tick {
+        /// The cycle whose turn this is.
+        cycle: u64,
+        /// The tick that cycle starts at.
+        now: u64,
+    },
+    /// A peer's RPC arrived (the server side): the effects carry the
+    /// `reply`, if the node gives one.
+    Request {
+        /// The caller's address.
+        from: Addr,
+        /// The request.
+        msg: SecureMsg,
+        /// The current cycle.
+        cycle: u64,
+        /// The tick the current cycle starts at.
+        now: u64,
+    },
+    /// A one-way message arrived (a proof flood, a rejoin ping or grant).
+    Oneway {
+        /// The sender's address.
+        from: Addr,
+        /// The message.
+        msg: SecureMsg,
+        /// The current cycle.
+        cycle: u64,
+        /// The tick the current cycle starts at.
+        now: u64,
+    },
+    /// The answer to the node's outstanding `rpc` effect.
+    Reply(SecureMsg),
+    /// The outstanding `rpc` effect will never be answered. Dead peer,
+    /// lost request, lost reply and refusal all look the same (§V-A).
+    Timeout,
+}
+
+impl Input {
+    fn msg(&self) -> Option<&SecureMsg> {
+        match self {
+            Input::Request { msg, .. } | Input::Oneway { msg, .. } | Input::Reply(msg) => Some(msg),
+            Input::Tick { .. } | Input::Timeout => None,
+        }
+    }
+}
+
+/// What a [`SecureCyclonNode::step`] asks its driver to do.
+#[derive(Debug, Default)]
+pub struct Effects {
+    /// Perform this RPC and feed the outcome back as [`Input::Reply`] or
+    /// [`Input::Timeout`]. A node has at most one RPC outstanding.
+    pub rpc: Option<(Addr, SecureMsg)>,
+    /// The answer to the [`Input::Request`] just stepped (`None`: the
+    /// caller sees a timeout).
+    pub reply: Option<SecureMsg>,
+    /// One-way messages, in sending order.
+    pub sends: Vec<(Addr, SecureMsg)>,
+}
+
+/// Per-node protocol counters, exposed for experiments and tests.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SecureStats {
+    /// Exchanges initiated.
+    pub initiated: u64,
+    /// Initiated exchanges that received an acceptance.
+    pub completed: u64,
+    /// Initiated exchanges that timed out or were refused.
+    pub timeouts: u64,
+    /// Exchanges answered as the passive party.
+    pub answered: u64,
+    /// Requests refused (invalid certificate, replay, NS limits, …).
+    pub refused: u64,
+    /// Cycles skipped because the view was empty.
+    pub idle_cycles: u64,
+    /// Ownership transfers sent (including fresh self-descriptors).
+    pub transfers_sent: u64,
+    /// Ownership transfers accepted into the view pipeline.
+    pub transfers_received: u64,
+    /// Transfers rejected by validation.
+    pub transfers_rejected: u64,
+    /// Owned descriptors dropped because their creator was already in the
+    /// view or the view was full.
+    pub dup_drops: u64,
+    /// Samples processed through the §IV-B checks.
+    pub samples_processed: u64,
+    /// Descriptors that failed signature/structure verification.
+    pub invalid_descriptors: u64,
+    /// Cloning proofs generated locally.
+    pub proofs_generated_cloning: u64,
+    /// Frequency proofs generated locally.
+    pub proofs_generated_frequency: u64,
+    /// Valid, novel proofs learned from peers.
+    pub proofs_received: u64,
+    /// Proofs discarded as duplicates (culprit already blacklisted).
+    pub proofs_duplicate: u64,
+    /// Proofs that failed validation.
+    pub proofs_invalid: u64,
+    /// Empty view slots repaired with non-swappable copies.
+    pub ns_backfills: u64,
+    /// Non-swappable redemptions accepted as creator.
+    pub ns_redemptions_accepted: u64,
+    /// Estimated bytes sent (paper's §VI-A size model).
+    pub bytes_sent: u64,
+    /// Estimated bytes received (paper's §VI-A size model).
+    pub bytes_received: u64,
+    /// §V-A rejoin pings sent while starved.
+    pub rejoin_pings: u64,
+    /// §V-A rejoin sponsorships granted to starved peers.
+    pub rejoin_grants: u64,
+}
+
+/// A locally *generated* (not merely received) violation proof.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProofRecord {
+    /// Cycle of discovery.
+    pub cycle: u64,
+    /// Violation class.
+    pub kind: ProofKind,
+    /// The node proven guilty.
+    pub culprit: NodeId,
+    /// For cloning proofs, the identity of the cloned descriptor.
+    pub descriptor: Option<DescriptorId>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Session {
+    partner: NodeId,
+    remaining: usize,
+    cycle: u64,
+}
+
+/// Removes from `map` the entries recorded before `horizon`, visiting
+/// only the schedule records that old — O(expired), not O(map). A record
+/// does not by itself condemn its entry: the entry may have been
+/// re-recorded since (its newer record comes up later) or already
+/// removed, so the cycle stored in the map decides. A record queued
+/// behind a younger one is reached only once that one expires too.
+fn expire<K: Copy + Eq + std::hash::Hash, V>(
+    schedule: &mut VecDeque<(u64, K)>,
+    map: &mut FxHashMap<K, V>,
+    horizon: u64,
+    recorded: impl Fn(&V) -> u64,
+) {
+    while let Some(&(cycle, key)) = schedule.front() {
+        if cycle >= horizon {
+            break;
+        }
+        schedule.pop_front();
+        if let Entry::Occupied(entry) = map.entry(key) {
+            if recorded(entry.get()) < horizon {
+                entry.remove();
+            }
+        }
+    }
+}
+/// A correct SecureCyclon node.
+pub struct SecureCyclonNode {
+    keypair: Keypair,
+    id: NodeId,
+    addr: Addr,
+    cfg: SecureConfig,
+    /// Stable per-node tick offset used in descriptor timestamps.
+    phase: u64,
+    view: SecureView,
+    samples: SampleCache,
+    /// Bounded memo of verified chain prefixes: every descriptor the node
+    /// relies on is verified incrementally against it, so intake costs
+    /// amortized O(links appended since last sighting) instead of
+    /// O(chain) signature checks per message.
+    verify_memo: VerifyMemo,
+    redemptions: RedemptionCache,
+    /// Pre-transfer copies of descriptors lost in failed exchanges — the
+    /// first-priority candidates for non-swappable back-fill (§V-A). In a
+    /// healthy network this stays empty, matching the paper's Figure 6
+    /// baseline of ≈0% non-swappable links before the attack begins.
+    pending_ns: VecDeque<SecureDescriptor>,
+    /// Pre-transfer copies of descriptors transferred away in successful
+    /// exchanges: the last-resort NS back-fill pool, for gaps whose own
+    /// exchange shipped nothing reusable (e.g. an unreachable partner,
+    /// §V-A case 1). Dormant while no gaps exist.
+    transfer_history: VecDeque<SecureDescriptor>,
+    blacklist: Blacklist,
+    /// Owned descriptors waiting for a view slot (their creator was already
+    /// in the view, or the view was full, when they arrived). Kept so that
+    /// links are not destroyed by local placement conflicts.
+    reserve: VecDeque<SecureDescriptor>,
+    /// Our descriptors redeemed with a *regular* redemption (replay
+    /// refusal), with the cycle the redemption was accepted.
+    redeemed_regular: FxHashMap<DescriptorId, u64>,
+    /// State digests this node has already signed a continuation for
+    /// (transfer or redemption), with the signing cycle. Intake refuses a
+    /// byte-identical copy of a spent state: with deterministic signatures
+    /// an adversary can re-deliver the exact state a victim already
+    /// continued, and a second innocent continuation would hand observers
+    /// a valid §IV-B cloning proof *against the honest victim*. Pruned on
+    /// the sample-retention horizon, like the caches the proofs feed on.
+    spent_states: FxHashMap<sc_crypto::Digest, u64>,
+    /// Descriptors of ours ever redeemed non-swappably (§V-A rule 1).
+    ns_redeemed_ids: FxHashSet<DescriptorId>,
+    /// (cycle, count) of NS redemptions accepted this cycle (§V-A rule 2).
+    ns_accepted: (u64, u32),
+    /// Open tit-for-tat exchanges, keyed by initiator address.
+    sessions: FxHashMap<Addr, Session>,
+    /// Expiry schedules of `redeemed_regular`, `spent_states` and
+    /// `sessions`: one `(cycle, key)` record per insert, so housekeeping
+    /// walks the records that just fell behind the horizon instead of
+    /// every entry of every map, every cycle. Records are in cycle order
+    /// except that an exchange resolving late (its `Reply` arrives after a
+    /// `Request` of the next cycle was served) appends records stamped
+    /// with its own, older cycle; such a record waits behind the newer
+    /// one ahead of it, so its entry expires late by the cycles the
+    /// exchange overran — never early, and never not at all.
+    redeemed_expiry: VecDeque<(u64, DescriptorId)>,
+    spent_expiry: VecDeque<(u64, sc_crypto::Digest)>,
+    session_expiry: VecDeque<(u64, Addr)>,
+    /// Cycle in which the last NS back-fill was performed (creation of NS
+    /// copies is rate-limited to one per cycle, mirroring §V-A rule 2 on
+    /// the acceptance side).
+    last_ns_backfill: Option<u64>,
+    /// Latest cycle whose fresh-descriptor budget was spent — by
+    /// initiating an exchange *or* by sponsoring a joiner. Creating
+    /// another descriptor inside that cycle would hand observers a valid
+    /// §IV-B frequency proof, so every creation site checks this marker,
+    /// and a durable backend records it *before* the descriptor leaves
+    /// (the crash-restart bugfix: an amnesiac restart must not re-mint).
+    emitted_cycle: Option<u64>,
+    /// Durable home for the incriminating-if-lost state. `None` (the
+    /// default) keeps the node memory-only and cost-free for simulation.
+    backend: Option<Box<dyn StateBackend>>,
+    /// Whether this node has ever held a view entry — distinguishes a
+    /// *starved* node (was connected, drained to empty; §V-A rejoin fires)
+    /// from one still awaiting its initial bootstrap.
+    was_connected: bool,
+    /// Cycle of the last rejoin ping volley (retry throttle).
+    last_rejoin_ping: Option<u64>,
+    /// Cycle of the last sponsorship granted to a starved peer's ping —
+    /// grants are throttled so ping floods cannot starve this node's own
+    /// exchange budget.
+    last_join_grant: Option<u64>,
+    /// Proofs awaiting flood dispatch.
+    outbox: Vec<ViolationProof>,
+    rng: SmallRng,
+    stats: SecureStats,
+    proof_log: Vec<ProofRecord>,
+    /// The exchange this node initiated and still awaits an answer to.
+    exchange: Option<Exchange>,
+}
+
+impl core::fmt::Debug for SecureCyclonNode {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("SecureCyclonNode")
+            .field("id", &self.id)
+            .field("addr", &self.addr)
+            .field("view_len", &self.view.len())
+            .field("blacklisted", &self.blacklist.len())
+            .finish()
+    }
+}
+
+impl SecureCyclonNode {
+    /// Creates a node with an empty view.
+    ///
+    /// `phase` is the node's stable timestamp offset within a cycle and
+    /// must be < `cfg.ticks_per_cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or `phase` out of range.
+    pub fn new(
+        keypair: Keypair,
+        addr: Addr,
+        cfg: SecureConfig,
+        rng_seed: [u8; 32],
+        phase: u64,
+    ) -> Self {
+        let cfg = cfg.validated();
+        assert!(
+            phase < cfg.ticks_per_cycle,
+            "phase must be < ticks_per_cycle"
+        );
+        let id = keypair.public();
+        SecureCyclonNode {
+            keypair,
+            id,
+            addr,
+            phase,
+            view: SecureView::new(id, cfg.view_len),
+            samples: SampleCache::new(cfg.sample_retention_cycles),
+            verify_memo: VerifyMemo::new(cfg.verify_memo_capacity),
+            redemptions: RedemptionCache::bounded(
+                cfg.redemption_cache_cycles,
+                cfg.redemption_cache_max_entries,
+            ),
+            pending_ns: VecDeque::with_capacity(cfg.transfer_history_len),
+            transfer_history: VecDeque::with_capacity(cfg.transfer_history_len),
+            blacklist: Blacklist::new(),
+            reserve: VecDeque::new(),
+            redeemed_regular: FxHashMap::default(),
+            spent_states: FxHashMap::default(),
+            ns_redeemed_ids: FxHashSet::default(),
+            ns_accepted: (0, 0),
+            sessions: FxHashMap::default(),
+            redeemed_expiry: VecDeque::new(),
+            spent_expiry: VecDeque::new(),
+            session_expiry: VecDeque::new(),
+            last_ns_backfill: None,
+            emitted_cycle: None,
+            backend: None,
+            was_connected: false,
+            last_rejoin_ping: None,
+            last_join_grant: None,
+            outbox: Vec::new(),
+            rng: SmallRng::from_seed(rng_seed),
+            stats: SecureStats::default(),
+            proof_log: Vec::new(),
+            exchange: None,
+            cfg,
+        }
+    }
+
+    /// The node's ID (public key).
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The node's network address.
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+
+    /// The node's timestamp phase.
+    pub fn phase(&self) -> u64 {
+        self.phase
+    }
+
+    /// The protocol configuration.
+    pub fn config(&self) -> &SecureConfig {
+        &self.cfg
+    }
+
+    /// The current view.
+    pub fn view(&self) -> &SecureView {
+        &self.view
+    }
+
+    /// The node's blacklist.
+    pub fn blacklist(&self) -> &Blacklist {
+        &self.blacklist
+    }
+
+    /// Number of cached samples.
+    pub fn sample_count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Number of owned descriptors parked in the reserve.
+    pub fn reserve_len(&self) -> usize {
+        self.reserve.len()
+    }
+
+    /// Read-only view of the reserve: owned descriptors waiting for a view
+    /// slot. Exposed so external invariant oracles can account for every
+    /// live token the node holds.
+    pub fn reserve(&self) -> impl Iterator<Item = &SecureDescriptor> {
+        self.reserve.iter()
+    }
+
+    /// Number of pre-transfer copies retained from failed exchanges (the
+    /// first-priority non-swappable back-fill pool, §V-A).
+    pub fn pending_ns_len(&self) -> usize {
+        self.pending_ns.len()
+    }
+
+    /// Number of pre-transfer copies remembered from successful exchanges
+    /// (the last-resort non-swappable back-fill pool).
+    pub fn transfer_history_len(&self) -> usize {
+        self.transfer_history.len()
+    }
+
+    /// Number of redeemed copies circulating in the redemption cache
+    /// (§V-C).
+    pub fn redemption_count(&self) -> usize {
+        self.redemptions.len()
+    }
+
+    /// Number of tit-for-tat sessions currently open on the passive side.
+    pub fn open_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Protocol counters.
+    pub fn stats(&self) -> SecureStats {
+        self.stats
+    }
+
+    /// Locally generated violation proofs, in discovery order.
+    pub fn proof_log(&self) -> &[ProofRecord] {
+        &self.proof_log
+    }
+
+    /// Whether an exchange this node initiated is still awaiting its
+    /// answer (a [`Input::Tick`] is a no-op until it resolves).
+    pub fn exchange_in_flight(&self) -> bool {
+        self.exchange.is_some()
+    }
+
+    /// Advances the state machine by one input and returns what the
+    /// driver must do about it. Performs no I/O and reads no clock.
+    ///
+    /// * [`Input::Tick`] runs the active turn up to its first round trip:
+    ///   the effects carry an `rpc`, or — when the node has nothing to
+    ///   exchange — the end-of-turn `sends`. A tick while an exchange is
+    ///   in flight does nothing.
+    /// * [`Input::Reply`] / [`Input::Timeout`] resolve the outstanding
+    ///   `rpc`, under the cycle its tick carried; the effects carry the
+    ///   next round's `rpc` or the end-of-turn `sends`. With no exchange
+    ///   in flight they are dropped; a reply of the wrong type counts as
+    ///   a timeout.
+    /// * [`Input::Request`] yields the `reply`; [`Input::Oneway`] at most
+    ///   `sends`.
+    ///
+    /// §VI-A byte accounting happens here and nowhere else: the input's
+    /// message is metered on the way in, every effect on the way out.
+    pub fn step(&mut self, input: Input) -> Effects {
+        if let Some(msg) = input.msg() {
+            self.stats.bytes_received += wire::message_paper_bytes(msg) as u64;
+        }
+        let mut fx = Effects::default();
+        match input {
+            Input::Tick { cycle, now } => self.on_tick(cycle, now, &mut fx),
+            Input::Reply(msg) => self.on_outcome(Some(msg), &mut fx),
+            Input::Timeout => self.on_outcome(None, &mut fx),
+            Input::Request {
+                from,
+                msg,
+                cycle,
+                now,
+            } => {
+                fx.reply = match msg {
+                    SecureMsg::Request(body) => self.handle_request(from, *body, cycle, now),
+                    SecureMsg::Round(body) => self.handle_round(from, *body, cycle),
+                    _ => None,
+                };
+                self.drain_floods(&mut fx.sends);
+            }
+            Input::Oneway {
+                from,
+                msg,
+                cycle,
+                now,
+            } => self.handle_oneway(from, msg, cycle, now, &mut fx.sends),
+        }
+        let out = fx.rpc.iter().chain(&fx.sends).map(|(_, msg)| msg);
+        self.stats.bytes_sent += out
+            .chain(&fx.reply)
+            .map(|msg| wire::message_paper_bytes(msg) as u64)
+            .sum::<u64>();
+        fx
+    }
+
+    // ------------------------------------------------------------------
+    // Shared by both sides of an exchange
+    // ------------------------------------------------------------------
+
+    /// Copies of the current view plus the redemption cache (§IV-B, §V-C).
+    fn collect_samples(&self) -> Vec<SecureDescriptor> {
+        self.view
+            .iter()
+            .map(|e| e.desc.clone())
+            .chain(self.redemptions.iter().cloned())
+            .collect()
+    }
+
+    /// Remembers the pre-transfer copy of a successfully transferred
+    /// descriptor as a last-resort NS back-fill candidate.
+    fn remember_transfer(&mut self, pre: SecureDescriptor, cycle: u64) {
+        self.note_spent(pre.state_digest(), cycle);
+        if self.transfer_history.len() == self.cfg.transfer_history_len {
+            self.transfer_history.pop_front();
+        }
+        self.transfer_history.push_back(pre);
+    }
+
+    fn housekeeping(&mut self, cycle: u64) {
+        self.samples.prune(cycle);
+        self.redemptions.prune(cycle);
+        // A session lives through the cycle after the one it opened in.
+        expire(
+            &mut self.session_expiry,
+            &mut self.sessions,
+            cycle.saturating_sub(1),
+            |s| s.cycle,
+        );
+        let horizon = cycle.saturating_sub(self.cfg.sample_retention_cycles);
+        expire(
+            &mut self.redeemed_expiry,
+            &mut self.redeemed_regular,
+            horizon,
+            |c| *c,
+        );
+        expire(
+            &mut self.spent_expiry,
+            &mut self.spent_states,
+            horizon,
+            |c| *c,
+        );
+    }
+
+    /// Total ownership transfers each side performs in one exchange,
+    /// honoring the NS swap cap (§V-A rule 3).
+    fn exchange_quota(&self, redemption: LinkKind) -> usize {
+        match (redemption, self.cfg.ns_swap_cap) {
+            (LinkKind::RedeemNonSwappable, Some(cap)) => self.cfg.swap_len.min(cap),
+            _ => self.cfg.swap_len,
+        }
+    }
+}

@@ -1,0 +1,112 @@
+//! Violation handling (§IV-C): local discovery, remote proofs,
+//! blacklisting with its purge, and the flood queue.
+
+use super::{ProofRecord, SecureCyclonNode};
+use crate::msg::SecureMsg;
+use crate::proof::{ProofKind, ViolationProof};
+use crate::Addr;
+
+impl SecureCyclonNode {
+    /// Exports every stored violation proof (for bootstrap synchronization
+    /// of a joining node, §IV-C: proofs are exchanged so newcomers learn
+    /// about already-discovered violators).
+    pub fn export_proofs(&self) -> Vec<ViolationProof> {
+        self.blacklist
+            .proofs()
+            .iter()
+            .map(|p| p.proof.clone())
+            .collect()
+    }
+
+    /// Validates and absorbs a batch of proofs (bootstrap synchronization).
+    pub fn import_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
+        self.process_proofs(proofs, cycle);
+    }
+
+    /// Handles a locally discovered violation: log it, and (when eviction
+    /// is enabled) blacklist, purge, and queue the proof for flooding.
+    pub(super) fn discover_violation(&mut self, proof: ViolationProof, cycle: u64) {
+        match proof.kind() {
+            ProofKind::Cloning => self.stats.proofs_generated_cloning += 1,
+            ProofKind::Frequency => self.stats.proofs_generated_frequency += 1,
+        }
+        let descriptor = match proof.kind() {
+            ProofKind::Cloning => Some(proof.evidence().0.id()),
+            ProofKind::Frequency => None,
+        };
+        self.proof_log.push(ProofRecord {
+            cycle,
+            kind: proof.kind(),
+            culprit: proof.culprit(),
+            descriptor,
+        });
+        self.apply_proof(proof, cycle);
+    }
+
+    /// Validates and absorbs a proof learned from a peer. Returns whether
+    /// it was novel (and should be re-flooded).
+    pub(super) fn accept_remote_proof(&mut self, proof: ViolationProof, cycle: u64) -> bool {
+        if self.blacklist.contains(&proof.culprit()) {
+            self.stats.proofs_duplicate += 1;
+            return false;
+        }
+        if proof.validate(self.cfg.ticks_per_cycle).is_err() {
+            self.stats.proofs_invalid += 1;
+            return false;
+        }
+        self.stats.proofs_received += 1;
+        self.apply_proof(proof, cycle)
+    }
+
+    /// Registers a validated proof: blacklist, purge every trace of the
+    /// culprit, and queue the proof for flooding. No-op in detection-only
+    /// mode (Figure 7) or when the culprit is already listed.
+    fn apply_proof(&mut self, proof: ViolationProof, cycle: u64) -> bool {
+        if !self.cfg.eviction_enabled {
+            return false;
+        }
+        let culprit = proof.culprit();
+        if !self.blacklist.register(proof.clone(), cycle) {
+            return false;
+        }
+        if let Some(b) = self.backend.as_mut() {
+            let _ = b.record_proof(&proof, cycle);
+        }
+        self.view.purge_creator(&culprit);
+        self.samples.purge_creator(&culprit);
+        self.redemptions.purge_creator(&culprit);
+        self.pending_ns.retain(|d| d.creator() != culprit);
+        self.transfer_history.retain(|d| d.creator() != culprit);
+        self.reserve.retain(|d| d.creator() != culprit);
+        self.outbox.push(proof);
+        true
+    }
+
+    /// Queues every pending proof for every current neighbor (§IV-C
+    /// flooding).
+    pub(super) fn drain_floods(&mut self, sends: &mut Vec<(Addr, SecureMsg)>) {
+        if self.outbox.is_empty() {
+            return;
+        }
+        let targets: Vec<Addr> = self.view.iter().map(|e| e.desc.addr()).collect();
+        for proof in self.outbox.drain(..) {
+            for &t in &targets {
+                sends.push((t, SecureMsg::Proof(Box::new(proof.clone()))));
+            }
+        }
+    }
+
+    pub(super) fn process_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
+        for p in proofs {
+            self.accept_remote_proof(p, cycle);
+        }
+    }
+
+    pub(super) fn recent_proofs(&self, cycle: u64) -> Vec<ViolationProof> {
+        if !self.cfg.eviction_enabled {
+            return Vec::new();
+        }
+        let since = cycle.saturating_sub(self.cfg.proof_piggyback_cycles);
+        self.blacklist.proofs_since(since).cloned().collect()
+    }
+}

@@ -1,0 +1,288 @@
+//! Unit tests of the node's private mechanics. Whole-network behaviour
+//! lives with the simulator driver (`crates/testkit/tests/honest_network.rs`);
+//! the step machine's reachable states in `crates/core/tests/step_machine.rs`.
+
+use super::*;
+use crate::msg::RequestBody;
+use crate::storage::PersistentState;
+use crate::time::Timestamp;
+use sc_crypto::Scheme;
+use std::collections::HashMap;
+
+fn keypairs(n: usize) -> Vec<Keypair> {
+    (0..n)
+        .map(|i| {
+            let mut seed = [0u8; 32];
+            seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            Keypair::from_seed(Scheme::KeyedHash, seed)
+        })
+        .collect()
+}
+
+fn small_cfg() -> SecureConfig {
+    SecureConfig::default().with_view_len(8).with_swap_len(3)
+}
+
+#[test]
+fn housekeeping_expires_exactly_what_a_full_scan_would() {
+    // The scheduled expiry must agree with `retain` over the whole
+    // map at every cycle, including entries re-recorded at a later
+    // cycle (`note_spent` refreshes) and entries recovered out of
+    // order after a restart.
+    let cfg = small_cfg().validated();
+    let retention = cfg.sample_retention_cycles;
+    let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
+    let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
+    node.restore(PersistentState {
+        spent: vec![(digest(900), 3), (digest(901), 0), (digest(902), 2)],
+        ..Default::default()
+    });
+    let mut expected: HashMap<sc_crypto::Digest, u64> =
+        [(digest(900), 3), (digest(901), 0), (digest(902), 2)].into();
+    for cycle in 4..4 + 3 * retention {
+        // Two new states a cycle, and the one from five cycles ago
+        // is spent again.
+        for i in [2 * cycle, 2 * cycle + 1, 2 * cycle.saturating_sub(5)] {
+            node.note_spent(digest(i), cycle);
+            expected.insert(digest(i), cycle);
+        }
+        node.housekeeping(cycle);
+        let horizon = cycle.saturating_sub(retention);
+        expected.retain(|_, c| *c >= horizon);
+        let got: HashMap<_, _> = node.spent_states.iter().map(|(d, c)| (*d, *c)).collect();
+        assert_eq!(got, expected, "cycle {cycle}");
+        assert!(
+            node.spent_expiry.len() <= 3 * (retention as usize + 1),
+            "the schedule is bounded by the window"
+        );
+    }
+}
+
+#[test]
+fn late_resolving_exchange_only_delays_expiry() {
+    // On the socket driver an exchange begun at cycle c may resolve after
+    // a `Request` of cycle c+1 was served, so a record stamped c lands
+    // behind one stamped c+1. Its entry must outlive its horizon by
+    // exactly that overrun: dropped with the younger record, not before
+    // its own horizon and not never.
+    let cfg = small_cfg().validated();
+    let retention = cfg.sample_retention_cycles;
+    let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
+    let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
+    let (served, late) = (digest(1), digest(2));
+    node.note_spent(served, 11);
+    node.note_spent(late, 10);
+
+    node.housekeeping(10 + retention);
+    assert!(
+        node.spent_states.contains_key(&late),
+        "not before its horizon"
+    );
+    node.housekeeping(11 + retention);
+    assert!(
+        node.spent_states.contains_key(&late),
+        "one cycle late: it waits behind the record of cycle 11"
+    );
+    node.housekeeping(12 + retention);
+    assert!(node.spent_states.is_empty() && node.spent_expiry.is_empty());
+}
+
+#[test]
+fn respent_state_is_refused_but_legitimate_return_is_not() {
+    // With deterministic signatures an adversary can re-deliver the
+    // byte-identical state a victim already continued; a second
+    // innocent signature over it would be a valid cloning proof
+    // *against the victim*. Intake must drop the replay — while still
+    // accepting the same descriptor when it legitimately returns via
+    // a longer chain.
+    let kps = keypairs(3);
+    let (creator, holder, next) = (&kps[0], &kps[1], &kps[2]);
+    let mut node = SecureCyclonNode::new(holder.clone(), 1, small_cfg(), [7u8; 32], 0);
+
+    let handed = SecureDescriptor::create(creator, 0, Timestamp(0))
+        .transfer(creator, holder.public())
+        .unwrap();
+    node.accept_transfer(handed.clone(), creator.public(), 0);
+    assert_eq!(node.view.len(), 1, "first intake accepted");
+
+    // Spend it: sign a transfer onward, as an exchange would.
+    let pre = node.view.remove_oldest().unwrap().desc;
+    let onward = pre.transfer(holder, next.public()).unwrap();
+    node.remember_transfer(pre, 0);
+
+    // A byte-identical replay of the spent state is refused.
+    let rejected_before = node.stats.transfers_rejected;
+    node.accept_transfer(handed, creator.public(), 1);
+    assert_eq!(node.stats.transfers_rejected, rejected_before + 1);
+    assert_eq!(node.view.len(), 0, "replay must not re-enter the view");
+
+    // The descriptor returning home through the next owner is legal:
+    // its extra links hash to a different state.
+    let returned = onward.transfer(next, holder.public()).unwrap();
+    node.accept_transfer(returned, next.public(), 2);
+    assert_eq!(node.view.len(), 1, "legitimate return accepted");
+}
+
+#[test]
+fn samples_processed_counts_each_descriptor_once() {
+    let kps = keypairs(3);
+    let (a, b, c) = (kps[0].clone(), kps[1].clone(), kps[2].clone());
+    let cfg = small_cfg().validated();
+    let mut node = SecureCyclonNode::new(a.clone(), 0, cfg, [9u8; 32], 0);
+    // B holds a descriptor created by A and redeems it back to A.
+    let redeemed = SecureDescriptor::create(&a, 0, Timestamp(0))
+        .transfer(&a, b.public())
+        .unwrap()
+        .redeem(&b, LinkKind::Redeem)
+        .unwrap();
+    let now = cfg.ticks_per_cycle;
+    let fresh = SecureDescriptor::create(&b, 1, Timestamp(now))
+        .transfer(&b, a.public())
+        .unwrap();
+    let sample = SecureDescriptor::create(&c, 2, Timestamp(500));
+    let body = RequestBody {
+        redeemed: redeemed.clone(),
+        fresh,
+        offered: Vec::new(),
+        // The initiator's sample set repeats the redemption
+        // certificate, exactly as the real initiator's
+        // `collect_samples` does (the redeemed copy enters its
+        // redemption cache before samples are collected).
+        samples: vec![redeemed, sample],
+        proofs: Vec::new(),
+    };
+    let reply = node.handle_request(7, body, 1, now);
+    assert!(reply.is_some(), "exchange accepted");
+    assert_eq!(
+        node.stats().samples_processed,
+        3,
+        "redeemed + fresh + one distinct sample; the duplicate must not double-count"
+    );
+}
+
+#[test]
+fn forged_sample_cannot_preverify_a_transfer() {
+    use crate::descriptor::{ChainLink, Genesis};
+    use sc_crypto::Signature;
+    let kps = keypairs(3);
+    let (a, c) = (kps[0].clone(), kps[2].clone());
+    let mut node = SecureCyclonNode::new(a.clone(), 0, small_cfg(), [9u8; 32], 0);
+    // A forged descriptor "created by" c and "owned by" a, with
+    // garbage signatures throughout.
+    let genesis = Genesis {
+        creator: c.public(),
+        addr: 2,
+        created_at: Timestamp(0),
+        sig: Signature::from_bytes([0u8; 64]),
+    };
+    let link = ChainLink {
+        to: a.public(),
+        kind: LinkKind::Transfer,
+        sig: Signature::from_bytes([0u8; 64]),
+    };
+    let forged = SecureDescriptor::from_parts(genesis, vec![link]);
+    // First shown as a sample: cached lazily, without verification.
+    assert!(node.absorb_sample(&forged, 0));
+    // Then replayed byte-identically as an ownership transfer: the
+    // intake gate must still verify — and reject — it. (The old
+    // byte-identical-sample shortcut skipped verification here.)
+    node.accept_transfer(forged, c.public(), 0);
+    assert_eq!(node.stats().invalid_descriptors, 1);
+    assert_eq!(node.stats().transfers_received, 0);
+    assert_eq!(node.view().len(), 0, "forgery never reaches the view");
+}
+
+#[test]
+fn restart_cannot_reopen_a_spent_emission_budget() {
+    // THE crash-restart frequency bugfix: an honest node killed after
+    // its descriptor left but before the cycle ended must not re-mint
+    // on restart — two mints in one period are a valid §IV-B
+    // frequency proof *against itself*.
+    use crate::storage::MemoryBackend;
+    let kps = keypairs(3);
+    let cfg = small_cfg().validated();
+    let mut node = SecureCyclonNode::with_backend(
+        kps[0].clone(),
+        0,
+        cfg,
+        [1u8; 32],
+        0,
+        Box::new(MemoryBackend::new()),
+    )
+    .unwrap();
+    let grant = node.sponsor_join(kps[1].public(), 5, 5_000);
+    assert!(grant.is_some(), "budget available before the crash");
+    assert!(!node.may_emit(5));
+
+    // kill -9: the node object dies, only the "disk" survives.
+    let disk = node.take_backend().unwrap();
+    let mut revived =
+        SecureCyclonNode::with_backend(kps[0].clone(), 0, cfg, [2u8; 32], 0, disk).unwrap();
+    assert_eq!(revived.last_emission(), Some(5), "marker recovered");
+    assert!(!revived.may_emit(5), "budget stays spent across restart");
+    assert!(
+        revived.sponsor_join(kps[2].public(), 5, 5_100).is_none(),
+        "a second emission in cycle 5 would be self-incriminating"
+    );
+    assert!(revived.may_emit(6), "next cycle's budget is untouched");
+
+    // An amnesiac restart (no backend) is exactly the old bug: it
+    // would have emitted again.
+    let amnesiac = SecureCyclonNode::new(kps[0].clone(), 0, cfg, [3u8; 32], 0);
+    assert!(
+        amnesiac.may_emit(5),
+        "without durable state the bug is live"
+    );
+}
+
+#[test]
+fn restart_restores_view_blacklist_and_spent_guard() {
+    use crate::storage::MemoryBackend;
+    let kps = keypairs(4);
+    let (me, peer, next) = (&kps[0], &kps[1], &kps[2]);
+    let cfg = small_cfg().validated();
+    let mut node = SecureCyclonNode::with_backend(
+        me.clone(),
+        0,
+        cfg,
+        [1u8; 32],
+        0,
+        Box::new(MemoryBackend::new()),
+    )
+    .unwrap();
+
+    // A held descriptor, a blacklisted culprit, and a spent state.
+    let held = SecureDescriptor::create(peer, 1, Timestamp(0))
+        .transfer(peer, me.public())
+        .unwrap();
+    node.accept_transfer(held, peer.public(), 0);
+    assert_eq!(node.view().len(), 1);
+
+    let culprit_kp = &kps[3];
+    let d1 = SecureDescriptor::create(culprit_kp, 3, Timestamp(0));
+    let d2 = SecureDescriptor::create(culprit_kp, 3, Timestamp(cfg.ticks_per_cycle / 2));
+    let proof = ViolationProof::frequency(d1, d2, cfg.ticks_per_cycle).unwrap();
+    let culprit = proof.culprit();
+    assert!(node.accept_remote_proof(proof, 2));
+
+    let spent = SecureDescriptor::create(next, 2, Timestamp(10))
+        .transfer(next, me.public())
+        .unwrap();
+    node.remember_transfer(spent.clone(), 2);
+    node.checkpoint(2);
+
+    let disk = node.take_backend().unwrap();
+    let mut revived =
+        SecureCyclonNode::with_backend(me.clone(), 0, cfg, [2u8; 32], 0, disk).unwrap();
+    assert_eq!(revived.view().len(), 1, "held descriptor recovered");
+    assert!(revived.blacklist().contains(&culprit), "blacklist survived");
+    // Re-delivery of the already-signed-away state is refused: signing
+    // it a second time would be self-made §IV-B cloning evidence.
+    let rejected_before = revived.stats().transfers_rejected;
+    revived.accept_transfer(spent, next.public(), 3);
+    assert_eq!(
+        revived.stats().transfers_rejected,
+        rejected_before + 1,
+        "spent-state guard survived the restart"
+    );
+}

@@ -53,9 +53,8 @@
 use crate::descriptor::{DescriptorId, SecureDescriptor};
 use crate::proof::ViolationProof;
 use crate::time::Timestamp;
-use crate::wire::{decode_descriptor_with, decode_proof_with, encode_descriptor, encode_proof};
-use crate::wire::{WireError, WireLimits};
-use sc_crypto::{sha256, Digest, NodeId, PUBLIC_KEY_LEN};
+use crate::wire::{encode_descriptor, encode_proof, Reader, WireError, WireLimits};
+use sc_crypto::{sha256, Digest, PUBLIC_KEY_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -186,11 +185,23 @@ pub struct MemoryBackend {
     tail: Vec<TailRecord>,
 }
 
+/// One incremental record between checkpoints — what [`MemoryBackend`]
+/// keeps in its tail and what [`FileBackend`]'s log decodes to.
 #[derive(Debug)]
 enum TailRecord {
     Emit(u64),
     Proof(Box<ViolationProof>, u64),
     Spent(Digest, u64),
+}
+
+impl TailRecord {
+    fn merge_into(&self, state: &mut PersistentState) {
+        match self {
+            TailRecord::Emit(c) => state.merge_emission(*c),
+            TailRecord::Proof(p, c) => state.merge_proof((**p).clone(), *c),
+            TailRecord::Spent(d, c) => state.merge_spent(*d, *c),
+        }
+    }
 }
 
 impl MemoryBackend {
@@ -234,11 +245,7 @@ impl StateBackend for MemoryBackend {
         }
         let mut state = self.checkpoint.clone().unwrap_or_default();
         for rec in &self.tail {
-            match rec {
-                TailRecord::Emit(c) => state.merge_emission(*c),
-                TailRecord::Proof(p, c) => state.merge_proof((**p).clone(), *c),
-                TailRecord::Spent(d, c) => state.merge_spent(*d, *c),
-            }
+            rec.merge_into(&mut state);
         }
         Ok(Some(state))
     }
@@ -405,69 +412,50 @@ fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
 /// it is trusted. Returns `None` when not even one record survived.
 fn fold_log(bytes: &[u8], period_ticks: u64, limits: &WireLimits) -> Option<PersistentState> {
     let mut state: Option<PersistentState> = None;
-    let mut pos = 0usize;
-    while bytes.len() - pos >= RECORD_HEADER_BYTES {
-        let len = u32::from_be_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let kind = bytes[pos + 4];
-        let sum = &bytes[pos + 5..pos + 9];
-        let Some(end) = (pos + RECORD_HEADER_BYTES).checked_add(len) else {
-            break;
-        };
-        if end > bytes.len() {
-            break; // torn tail
-        }
-        let payload = &bytes[pos + RECORD_HEADER_BYTES..end];
-        if record_checksum(kind, payload) != sum[..] {
-            break; // bit rot / mid-record corruption
-        }
-        match kind {
-            REC_CHECKPOINT => match decode_state(payload, period_ticks, limits) {
-                Ok(s) => state = Some(s),
-                Err(_) => break,
-            },
-            REC_EMIT => {
-                if payload.len() != 8 {
-                    break;
-                }
-                let mut c = [0u8; 8];
-                c.copy_from_slice(payload);
-                state
-                    .get_or_insert_with(PersistentState::default)
-                    .merge_emission(u64::from_be_bytes(c));
-            }
-            REC_PROOF => {
-                if payload.len() < 8 {
-                    break;
-                }
-                let mut c = [0u8; 8];
-                c.copy_from_slice(&payload[..8]);
-                match decode_proof_with(&payload[8..], period_ticks, limits) {
-                    Ok((proof, used)) if used == payload.len() - 8 => {
-                        state
-                            .get_or_insert_with(PersistentState::default)
-                            .merge_proof(proof, u64::from_be_bytes(c));
-                    }
-                    _ => break,
-                }
-            }
-            REC_SPENT => {
-                if payload.len() != 40 {
-                    break;
-                }
-                let mut d = [0u8; 32];
-                d.copy_from_slice(&payload[..32]);
-                let mut c = [0u8; 8];
-                c.copy_from_slice(&payload[32..]);
-                state
-                    .get_or_insert_with(PersistentState::default)
-                    .merge_spent(d, u64::from_be_bytes(c));
-            }
-            _ => break, // unknown kind: future format or corruption
-        }
-        pos = end;
-    }
+    let mut log = Reader::new(bytes);
+    while fold_record(&mut log, &mut state, period_ticks, limits).is_ok() {}
     state
+}
+
+/// Folds the next record of `log` into `state`; any error ends the scan
+/// with `state` as the records before it left it.
+fn fold_record(
+    log: &mut Reader<'_>,
+    state: &mut Option<PersistentState>,
+    period_ticks: u64,
+    limits: &WireLimits,
+) -> Result<(), WireError> {
+    let len = log.u32()? as usize;
+    let kind = log.u8()?;
+    let sum = log.take(4)?;
+    let payload = log.take(len)?; // a torn tail ends here
+    if record_checksum(kind, payload) != sum {
+        // Bit rot / mid-record corruption: the trusted log ends here.
+        return Err(WireError::UnexpectedEnd);
+    }
+    if kind == REC_CHECKPOINT {
+        *state = Some(decode_state(payload, period_ticks, limits)?);
+        return Ok(());
+    }
+    let mut r = Reader::new(payload);
+    let record = match kind {
+        REC_EMIT => TailRecord::Emit(r.u64()?),
+        REC_PROOF => {
+            let cycle = r.u64()?;
+            TailRecord::Proof(Box::new(r.proof(period_ticks, limits)?), cycle)
+        }
+        REC_SPENT => {
+            let digest = r.digest()?;
+            TailRecord::Spent(digest, r.u64()?)
+        }
+        // Unknown kind: future format or corruption.
+        t => return Err(WireError::BadMessageTag(t)),
+    };
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes);
+    }
+    record.merge_into(state.get_or_insert_with(PersistentState::default));
+    Ok(())
 }
 
 // ---- PersistentState (de)serialization -------------------------------
@@ -540,96 +528,12 @@ fn encode_state(state: &PersistentState) -> Vec<u8> {
     out
 }
 
-/// A minimal bounds-checked cursor (the wire module's `Reader` is
-/// private by design; this mirrors its discipline).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_be_bytes(a))
-    }
-
-    fn key(&mut self) -> Result<NodeId, WireError> {
-        let b = self.take(PUBLIC_KEY_LEN)?;
-        let mut a = [0u8; PUBLIC_KEY_LEN];
-        a.copy_from_slice(b);
-        NodeId::from_bytes(a).ok_or(WireError::BadPublicKey)
-    }
-
-    fn digest(&mut self) -> Result<Digest, WireError> {
-        let b = self.take(32)?;
-        let mut a = [0u8; 32];
-        a.copy_from_slice(b);
-        Ok(a)
-    }
-
-    fn descriptor(&mut self, limits: &WireLimits) -> Result<SecureDescriptor, WireError> {
-        let (desc, used) = decode_descriptor_with(&self.buf[self.pos..], limits)?;
-        self.pos += used;
-        Ok(desc)
-    }
-
-    fn proof(
-        &mut self,
-        period_ticks: u64,
-        limits: &WireLimits,
-    ) -> Result<ViolationProof, WireError> {
-        let (proof, used) = decode_proof_with(&self.buf[self.pos..], period_ticks, limits)?;
-        self.pos += used;
-        Ok(proof)
-    }
-
-    /// Rejects a count whose minimal encoding cannot fit in the input.
-    fn check_count(&self, n: usize, max: usize, min_elem: usize) -> Result<(), WireError> {
-        if n > max {
-            return Err(WireError::ListTooLong(n.min(u16::MAX as usize) as u16));
-        }
-        if n.saturating_mul(min_elem) > self.remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(())
-    }
-}
-
 fn decode_state(
     buf: &[u8],
     period_ticks: u64,
     limits: &WireLimits,
 ) -> Result<PersistentState, WireError> {
-    let mut c = Cursor { buf, pos: 0 };
+    let mut c = Reader::new(buf);
     if c.u8()? != STATE_VERSION {
         return Err(WireError::BadMessageTag(buf[0]));
     }
@@ -642,41 +546,41 @@ fn decode_state(
     }
 
     let n = c.u16()? as usize;
-    c.check_count(n, limits.max_list_len, 1)?;
+    c.list_count(n, limits.max_list_len, 1)?;
     for _ in 0..n {
         let ns = c.u8()? != 0;
         state.view.push((c.descriptor(limits)?, ns));
     }
 
     let n = c.u16()? as usize;
-    c.check_count(n, limits.max_list_len, 1)?;
+    c.list_count(n, limits.max_list_len, 1)?;
     for _ in 0..n {
         state.reserve.push(c.descriptor(limits)?);
     }
 
     let n = c.u16()? as usize;
-    c.check_count(n, limits.max_list_len, 8)?;
+    c.list_count(n, limits.max_list_len, 8)?;
     for _ in 0..n {
         let cycle = c.u64()?;
         state.redemptions.push((cycle, c.descriptor(limits)?));
     }
 
     let n = c.u16()? as usize;
-    c.check_count(n, limits.max_proofs, 8)?;
+    c.list_count(n, limits.max_proofs, 8)?;
     for _ in 0..n {
         let cycle = c.u64()?;
         state.proofs.push((cycle, c.proof(period_ticks, limits)?));
     }
 
     let n = c.u32()? as usize;
-    c.check_count(n, limits.max_list_len, 40)?;
+    c.list_count(n, limits.max_list_len, 40)?;
     for _ in 0..n {
         let digest = c.digest()?;
         state.spent.push((digest, c.u64()?));
     }
 
     let n = c.u32()? as usize;
-    c.check_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 16)?;
+    c.list_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 16)?;
     for _ in 0..n {
         let creator = c.key()?;
         let created_at = Timestamp(c.u64()?);
@@ -691,7 +595,7 @@ fn decode_state(
     }
 
     let n = c.u32()? as usize;
-    c.check_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 8)?;
+    c.list_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 8)?;
     for _ in 0..n {
         let creator = c.key()?;
         let created_at = Timestamp(c.u64()?);

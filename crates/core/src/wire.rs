@@ -122,32 +122,40 @@ const DESCRIPTOR_MIN_BYTES: usize = PUBLIC_KEY_LEN + 4 + 8 + SIGNATURE_LEN + 2;
 /// Minimum encoded size of one proof (kind + two minimal descriptors).
 const PROOF_MIN_BYTES: usize = 1 + 2 * DESCRIPTOR_MIN_BYTES;
 
-/// Rejects a count whose elements cannot possibly fit in the remaining
-/// input, so `Vec::with_capacity` never outruns the bytes backing it.
-fn check_count(
-    n: usize,
-    max: usize,
-    remaining: usize,
-    min_elem: usize,
-    over: WireError,
-) -> Result<(), WireError> {
-    if n > max {
-        return Err(over);
-    }
-    if n.saturating_mul(min_elem) > remaining {
-        return Err(WireError::UnexpectedEnd);
-    }
-    Ok(())
-}
-
-struct Reader<'a> {
+/// The one bounds-checked big-endian cursor that gossip messages, the
+/// durable state log, control reports and join grants are all decoded
+/// through. Every read checks the bytes remaining first (`len − pos < n`,
+/// which cannot overflow), and a failed read consumes nothing.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes consumed so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEnd`] (here and in every fixed-width read
+    /// below) when fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.remaining() < n {
             return Err(WireError::UnexpectedEnd);
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -155,39 +163,175 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
+    /// A big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_be_bytes)
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    /// A big-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_be_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_be_bytes(a))
+    /// A big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_be_bytes)
     }
 
-    fn key(&mut self) -> Result<PublicKey, WireError> {
-        let b = self.take(PUBLIC_KEY_LEN)?;
-        let mut a = [0u8; PUBLIC_KEY_LEN];
-        a.copy_from_slice(b);
-        PublicKey::from_bytes(a).ok_or(WireError::BadPublicKey)
+    /// A 32-byte digest.
+    pub fn digest(&mut self) -> Result<[u8; 32], WireError> {
+        self.array()
+    }
+
+    /// A public key.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadPublicKey`] on an unknown scheme tag.
+    pub fn key(&mut self) -> Result<PublicKey, WireError> {
+        PublicKey::from_bytes(self.array()?).ok_or(WireError::BadPublicKey)
     }
 
     fn sig(&mut self) -> Result<Signature, WireError> {
-        let b = self.take(SIGNATURE_LEN)?;
-        let mut a = [0u8; SIGNATURE_LEN];
-        a.copy_from_slice(b);
-        Ok(Signature::from_bytes(a))
+        self.array().map(Signature::from_bytes)
+    }
+
+    /// Rejects a count `n` over its cap `max` (with `over`), or whose
+    /// elements — at least `min_elem` bytes each — cannot fit in the
+    /// remaining input, so `Vec::with_capacity(n)` never outruns the
+    /// bytes backing it.
+    ///
+    /// # Errors
+    ///
+    /// `over`, or [`WireError::UnexpectedEnd`].
+    fn check_count(
+        &self,
+        n: usize,
+        max: usize,
+        min_elem: usize,
+        over: WireError,
+    ) -> Result<(), WireError> {
+        if n > max {
+            return Err(over);
+        }
+        if n.saturating_mul(min_elem) > self.remaining() {
+            return Err(WireError::UnexpectedEnd);
+        }
+        Ok(())
+    }
+
+    /// [`Reader::check_count`] for a plain list: over the cap is
+    /// [`WireError::ListTooLong`] (its payload saturates at `u16::MAX`).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::ListTooLong`] or [`WireError::UnexpectedEnd`].
+    pub fn list_count(&self, n: usize, max: usize, min_elem: usize) -> Result<(), WireError> {
+        let over = WireError::ListTooLong(n.min(u16::MAX as usize) as u16);
+        self.check_count(n, max, min_elem, over)
+    }
+
+    /// One descriptor: structurally well-formed, **not**
+    /// signature-verified.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`], including [`WireError::ChainTooLong`] past
+    /// `limits.max_chain_links`.
+    pub fn descriptor(&mut self, limits: &WireLimits) -> Result<SecureDescriptor, WireError> {
+        let creator = self.key()?;
+        let addr = self.u32()?;
+        let created_at = Timestamp(self.u64()?);
+        let sig = self.sig()?;
+        let n = self.u16()? as usize;
+        self.check_count(
+            n,
+            limits.max_chain_links,
+            LINK_MIN_BYTES,
+            WireError::ChainTooLong(n as u16),
+        )?;
+        let mut chain = Vec::with_capacity(n);
+        for _ in 0..n {
+            let to = self.key()?;
+            let kind = kind_from_tag(self.u8()?)?;
+            let sig = self.sig()?;
+            chain.push(ChainLink { to, kind, sig });
+        }
+        let genesis = Genesis {
+            creator,
+            addr,
+            created_at,
+            sig,
+        };
+        Ok(SecureDescriptor::from_parts(genesis, chain))
+    }
+
+    /// A `u16`-counted descriptor list.
+    fn descriptors(&mut self, limits: &WireLimits) -> Result<Vec<SecureDescriptor>, WireError> {
+        let n = self.u16()? as usize;
+        self.list_count(n, limits.max_list_len, DESCRIPTOR_MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.descriptor(limits)?);
+        }
+        Ok(out)
+    }
+
+    /// One violation proof, **re-validated** under `period_ticks`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadProof`] if the evidence fails to prove the
+    /// claimed violation — forged proofs never survive decoding.
+    pub fn proof(
+        &mut self,
+        period_ticks: u64,
+        limits: &WireLimits,
+    ) -> Result<ViolationProof, WireError> {
+        let kind = self.u8()?;
+        let l = self.descriptor(limits)?;
+        let r = self.descriptor(limits)?;
+        match kind {
+            0 => ViolationProof::cloning(l, r).map_err(|_| WireError::BadProof),
+            1 => ViolationProof::frequency(l, r, period_ticks).map_err(|_| WireError::BadProof),
+            t => Err(WireError::BadProofKind(t)),
+        }
+    }
+
+    /// A `u16`-counted proof list.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::proof`], plus [`WireError::TooManyProofs`] past
+    /// `limits.max_proofs`.
+    pub fn proofs(
+        &mut self,
+        period_ticks: u64,
+        limits: &WireLimits,
+    ) -> Result<Vec<ViolationProof>, WireError> {
+        let n = self.u16()? as usize;
+        self.check_count(
+            n,
+            limits.max_proofs,
+            PROOF_MIN_BYTES,
+            WireError::TooManyProofs(n as u16),
+        )?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.proof(period_ticks, limits)?);
+        }
+        Ok(out)
     }
 }
 
@@ -245,37 +389,9 @@ pub fn decode_descriptor_with(
     buf: &[u8],
     limits: &WireLimits,
 ) -> Result<(SecureDescriptor, usize), WireError> {
-    let mut r = Reader { buf, pos: 0 };
-    let creator = r.key()?;
-    let addr = r.u32()?;
-    let created_at = Timestamp(r.u64()?);
-    let sig = r.sig()?;
-    let n = r.u16()? as usize;
-    check_count(
-        n,
-        limits.max_chain_links,
-        buf.len() - r.pos,
-        LINK_MIN_BYTES,
-        WireError::ChainTooLong(n as u16),
-    )?;
-    let mut chain = Vec::with_capacity(n);
-    for _ in 0..n {
-        let to = r.key()?;
-        let kind = kind_from_tag(r.u8()?)?;
-        let lsig = r.sig()?;
-        chain.push(ChainLink {
-            to,
-            kind,
-            sig: lsig,
-        });
-    }
-    let genesis = Genesis {
-        creator,
-        addr,
-        created_at,
-        sig,
-    };
-    Ok((SecureDescriptor::from_parts(genesis, chain), r.pos))
+    let mut r = Reader::new(buf);
+    let desc = r.descriptor(limits)?;
+    Ok((desc, r.position()))
 }
 
 /// Encoded size of a descriptor under this crate's codec, in bytes.
@@ -480,31 +596,6 @@ fn encode_vec(descs: &[SecureDescriptor], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_vec(
-    buf: &[u8],
-    limits: &WireLimits,
-) -> Result<(Vec<SecureDescriptor>, usize), WireError> {
-    if buf.len() < 2 {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let n = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-    let mut pos = 2;
-    check_count(
-        n,
-        limits.max_list_len,
-        buf.len() - pos,
-        DESCRIPTOR_MIN_BYTES,
-        WireError::ListTooLong(n as u16),
-    )?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (d, used) = decode_descriptor_with(&buf[pos..], limits)?;
-        pos += used;
-        out.push(d);
-    }
-    Ok((out, pos))
-}
-
 /// Serializes a violation proof (kind tag + the two evidence descriptors;
 /// the culprit is recomputed on decode — proofs stay self-certifying on
 /// the wire).
@@ -539,21 +630,9 @@ pub fn decode_proof_with(
     period_ticks: u64,
     limits: &WireLimits,
 ) -> Result<(ViolationProof, usize), WireError> {
-    if buf.is_empty() {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let kind = buf[0];
-    let mut pos = 1;
-    let (l, used) = decode_descriptor_with(&buf[pos..], limits)?;
-    pos += used;
-    let (r, used) = decode_descriptor_with(&buf[pos..], limits)?;
-    pos += used;
-    let proof = match kind {
-        0 => ViolationProof::cloning(l, r).map_err(|_| WireError::BadProof)?,
-        1 => ViolationProof::frequency(l, r, period_ticks).map_err(|_| WireError::BadProof)?,
-        t => return Err(WireError::BadProofKind(t)),
-    };
-    Ok((proof, pos))
+    let mut r = Reader::new(buf);
+    let proof = r.proof(period_ticks, limits)?;
+    Ok((proof, r.position()))
 }
 
 fn encode_proofs(proofs: &[ViolationProof], out: &mut Vec<u8>) {
@@ -561,32 +640,6 @@ fn encode_proofs(proofs: &[ViolationProof], out: &mut Vec<u8>) {
     for p in proofs {
         encode_proof(p, out);
     }
-}
-
-fn decode_proofs(
-    buf: &[u8],
-    period_ticks: u64,
-    limits: &WireLimits,
-) -> Result<(Vec<ViolationProof>, usize), WireError> {
-    if buf.len() < 2 {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let n = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-    let mut pos = 2;
-    check_count(
-        n,
-        limits.max_proofs,
-        buf.len() - pos,
-        PROOF_MIN_BYTES,
-        WireError::TooManyProofs(n as u16),
-    )?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (p, used) = decode_proof_with(&buf[pos..], period_ticks, limits)?;
-        pos += used;
-        out.push(p);
-    }
-    Ok((out, pos))
 }
 
 const MSG_REQUEST: u8 = 1;
@@ -678,93 +731,40 @@ pub fn decode_message_with(
             max: limits.max_frame_bytes,
         });
     }
-    if buf.is_empty() {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let tag = buf[0];
-    let mut pos = 1;
-    let msg = match tag {
-        MSG_REQUEST => {
-            let (redeemed, used) = decode_descriptor_with(&buf[pos..], limits)?;
-            pos += used;
-            let (fresh, used) = decode_descriptor_with(&buf[pos..], limits)?;
-            pos += used;
-            let (offered, used) = decode_vec(&buf[pos..], limits)?;
-            pos += used;
-            let (samples, used) = decode_vec(&buf[pos..], limits)?;
-            pos += used;
-            let (proofs, used) = decode_proofs(&buf[pos..], period_ticks, limits)?;
-            pos += used;
-            SecureMsg::Request(Box::new(RequestBody {
-                redeemed,
-                fresh,
-                offered,
-                samples,
-                proofs,
-            }))
-        }
-        MSG_ACCEPT => {
-            let (transfers, used) = decode_vec(&buf[pos..], limits)?;
-            pos += used;
-            let (samples, used) = decode_vec(&buf[pos..], limits)?;
-            pos += used;
-            let (proofs, used) = decode_proofs(&buf[pos..], period_ticks, limits)?;
-            pos += used;
-            SecureMsg::Accept(Box::new(AcceptBody {
-                transfers,
-                samples,
-                proofs,
-            }))
-        }
-        MSG_ROUND => {
-            let (transfer, used) = decode_descriptor_with(&buf[pos..], limits)?;
-            pos += used;
-            SecureMsg::Round(Box::new(RoundBody { transfer }))
-        }
+    let mut r = Reader::new(buf);
+    let msg = match r.u8()? {
+        MSG_REQUEST => SecureMsg::Request(Box::new(RequestBody {
+            redeemed: r.descriptor(limits)?,
+            fresh: r.descriptor(limits)?,
+            offered: r.descriptors(limits)?,
+            samples: r.descriptors(limits)?,
+            proofs: r.proofs(period_ticks, limits)?,
+        })),
+        MSG_ACCEPT => SecureMsg::Accept(Box::new(AcceptBody {
+            transfers: r.descriptors(limits)?,
+            samples: r.descriptors(limits)?,
+            proofs: r.proofs(period_ticks, limits)?,
+        })),
+        MSG_ROUND => SecureMsg::Round(Box::new(RoundBody {
+            transfer: r.descriptor(limits)?,
+        })),
         MSG_ROUND_REPLY => {
-            if buf.len() < 2 {
-                return Err(WireError::UnexpectedEnd);
-            }
-            let transfer = match buf[1] {
-                1 => {
-                    pos = 2;
-                    let (d, used) = decode_descriptor_with(&buf[pos..], limits)?;
-                    pos += used;
-                    Some(d)
-                }
-                0 => {
-                    pos = 2;
-                    None
-                }
+            let transfer = match r.u8()? {
+                1 => Some(r.descriptor(limits)?),
+                0 => None,
                 t => return Err(WireError::BadMessageTag(t)),
             };
             SecureMsg::RoundReply(Box::new(RoundReplyBody { transfer }))
         }
-        MSG_PROOF => {
-            let (p, used) = decode_proof_with(&buf[pos..], period_ticks, limits)?;
-            pos += used;
-            SecureMsg::Proof(Box::new(p))
-        }
-        MSG_JOIN_PING => {
-            if buf.len() - pos < PUBLIC_KEY_LEN {
-                return Err(WireError::UnexpectedEnd);
-            }
-            let mut key = [0u8; PUBLIC_KEY_LEN];
-            key.copy_from_slice(&buf[pos..pos + PUBLIC_KEY_LEN]);
-            pos += PUBLIC_KEY_LEN;
-            let joiner = PublicKey::from_bytes(key).ok_or(WireError::BadPublicKey)?;
-            SecureMsg::JoinPing(Box::new(JoinPingBody { joiner }))
-        }
-        MSG_JOIN_GRANT => {
-            let (descriptor, used) = decode_descriptor_with(&buf[pos..], limits)?;
-            pos += used;
-            let (proofs, used) = decode_proofs(&buf[pos..], period_ticks, limits)?;
-            pos += used;
-            SecureMsg::JoinGrant(Box::new(JoinGrantBody { descriptor, proofs }))
-        }
+        MSG_PROOF => SecureMsg::Proof(Box::new(r.proof(period_ticks, limits)?)),
+        MSG_JOIN_PING => SecureMsg::JoinPing(Box::new(JoinPingBody { joiner: r.key()? })),
+        MSG_JOIN_GRANT => SecureMsg::JoinGrant(Box::new(JoinGrantBody {
+            descriptor: r.descriptor(limits)?,
+            proofs: r.proofs(period_ticks, limits)?,
+        })),
         t => return Err(WireError::BadMessageTag(t)),
     };
-    if pos != buf.len() {
+    if r.remaining() != 0 {
         return Err(WireError::TrailingBytes);
     }
     Ok(msg)

@@ -1,14 +1,13 @@
-//! Protocol-level security tests: crafted requests fed directly into the
-//! passive-side handler, asserting each acceptance and refusal rule of
-//! §IV-A (redemption certificates) and §V-A (non-swappable restrictions).
+//! Protocol-level security tests: crafted requests stepped directly into
+//! the node as `Input::Request`, asserting each acceptance and refusal
+//! rule of §IV-A (redemption certificates) and §V-A (non-swappable
+//! restrictions).
 
 use sc_core::{
-    LinkKind, RequestBody, SecureConfig, SecureCyclonNode, SecureDescriptor, SecureMsg, Timestamp,
-    ViolationProof,
+    Addr, Input, LinkKind, RequestBody, SecureConfig, SecureCyclonNode, SecureDescriptor,
+    SecureMsg, Timestamp, ViolationProof,
 };
 use sc_crypto::{Keypair, Scheme};
-use sc_sim::testkit::with_node_ctx;
-use sc_sim::{Addr, NodeCtx, SimNode};
 
 const TPC: u64 = 1000;
 
@@ -79,17 +78,29 @@ impl Harness {
 
     /// Delivers a request to Carol; returns her reply, if any.
     fn deliver(&mut self, from: Addr, body: RequestBody) -> Option<SecureMsg> {
-        let cycle = self.cycle;
-        let carol = &mut self.carol;
-        let (reply, _sends) = with_node_ctx(cycle, TPC, 1, |ctx: &mut NodeCtx<'_, SecureMsg>| {
-            carol.on_rpc(from, SecureMsg::Request(Box::new(body)), ctx)
-        });
-        reply
+        serve(
+            &mut self.carol,
+            from,
+            SecureMsg::Request(Box::new(body)),
+            self.cycle,
+        )
     }
 
     fn next_cycle(&mut self) {
         self.cycle += 1;
     }
+}
+
+/// Steps one RPC into `node` as its server side; returns the reply.
+fn serve(node: &mut SecureCyclonNode, from: Addr, msg: SecureMsg, cycle: u64) -> Option<SecureMsg> {
+    let fx = node.step(Input::Request {
+        from,
+        msg,
+        cycle,
+        now: cycle * TPC,
+    });
+    assert!(fx.rpc.is_none(), "serving a request never starts an RPC");
+    fx.reply
 }
 
 fn accepted(reply: &Option<SecureMsg>) -> bool {
@@ -271,9 +282,7 @@ fn ns_rule_3_swap_cap_limits_ns_exchanges() {
         samples: vec![],
         proofs: vec![],
     };
-    let (reply, _) = with_node_ctx(50, TPC, 1, |ctx: &mut NodeCtx<'_, SecureMsg>| {
-        carol.on_rpc(2, SecureMsg::Request(Box::new(body)), ctx)
-    });
+    let reply = serve(&mut carol, 2, SecureMsg::Request(Box::new(body)), 50);
     assert!(accepted(&reply));
 
     // A follow-up round must be rejected: the cap closed the session.
@@ -282,13 +291,8 @@ fn ns_rule_3_swap_cap_limits_ns_exchanges() {
         .unwrap()
         .transfer(&bob, carol_kp.public())
         .unwrap();
-    let (round_reply, _) = with_node_ctx(50, TPC, 1, |ctx: &mut NodeCtx<'_, SecureMsg>| {
-        carol.on_rpc(
-            2,
-            SecureMsg::Round(Box::new(sc_core::RoundBody { transfer: next })),
-            ctx,
-        )
-    });
+    let round = SecureMsg::Round(Box::new(sc_core::RoundBody { transfer: next }));
+    let round_reply = serve(&mut carol, 2, round, 50);
     assert!(round_reply.is_none(), "no session beyond the NS cap");
 }
 
@@ -349,14 +353,8 @@ fn round_without_session_is_ignored() {
     let d = h.carol_token(&bob, 1000);
     let transfer = d; // owned by bob, handed to carol? craft a transfer to carol
     let to_carol = transfer.transfer(&bob, h.carol_kp.public()).unwrap();
-    let carol = &mut h.carol;
-    let (reply, _) = with_node_ctx(50, TPC, 1, |ctx: &mut NodeCtx<'_, SecureMsg>| {
-        carol.on_rpc(
-            2,
-            SecureMsg::Round(Box::new(sc_core::RoundBody { transfer: to_carol })),
-            ctx,
-        )
-    });
+    let round = SecureMsg::Round(Box::new(sc_core::RoundBody { transfer: to_carol }));
+    let reply = serve(&mut h.carol, 2, round, 50);
     assert!(reply.is_none(), "rounds require an open exchange");
 }
 

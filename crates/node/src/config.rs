@@ -1,14 +1,14 @@
 //! Daemon configuration and the `sc-node` flag parser.
 //!
 //! Addresses are protocol [`Addr`]s *and* TCP ports: a node at protocol
-//! address `a` listens on `127.0.0.1:a`. That keeps the engine-targeted
-//! protocol code (which routes by `Addr`) and the socket layer in exact
-//! correspondence for loopback clusters.
+//! address `a` listens on `127.0.0.1:a`. That keeps the protocol
+//! core (whose effects are routed by `Addr`) and the socket layer in
+//! exact correspondence for loopback clusters.
 
 use sc_core::wire::WireLimits;
+use sc_core::Addr;
 use sc_core::{FaultSpec, SecureConfig};
 use sc_crypto::{Keypair, Scheme};
-use sc_sim::Addr;
 use std::path::PathBuf;
 use std::time::Duration;
 

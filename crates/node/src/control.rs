@@ -9,10 +9,10 @@
 
 use crate::frame::{Frame, FrameKind, FrameReader, FRAME_HEADER_BYTES};
 use crate::transport::TransportStats;
-use sc_core::wire::{self, WireError, WireLimits};
+use sc_core::wire::{self, Reader, WireError, WireLimits};
+use sc_core::Addr;
 use sc_core::{SecureDescriptor, SecureStats};
-use sc_crypto::{PublicKey, PUBLIC_KEY_LEN};
-use sc_sim::Addr;
+use sc_crypto::PublicKey;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpStream};
 use std::time::{Duration, Instant};
@@ -57,48 +57,6 @@ fn put_u16(out: &mut Vec<u8>, v: usize) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<usize, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]) as usize)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes(b.try_into().unwrap()))
-    }
-
-    fn key(&mut self) -> Result<PublicKey, WireError> {
-        let b = self.take(PUBLIC_KEY_LEN)?;
-        let mut a = [0u8; PUBLIC_KEY_LEN];
-        a.copy_from_slice(b);
-        PublicKey::from_bytes(a).ok_or(WireError::BadPublicKey)
-    }
 }
 
 /// The [`SecureStats`] counters in wire order. New counters append at
@@ -200,6 +158,20 @@ fn stats_from_array(a: &[u64]) -> SecureStats {
     }
 }
 
+/// A `u16` list count: at most `max`, and of elements (one byte each at
+/// the very least) that the remaining input can still hold.
+fn count(c: &mut Reader<'_>, max: usize) -> Result<usize, WireError> {
+    let n = c.u16()? as usize;
+    c.list_count(n, max, 1)?;
+    Ok(n)
+}
+
+/// A counted array of `u64` counters (at most 64 of them).
+fn counters(c: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+    let n = count(c, 64)?;
+    (0..n).map(|_| c.u64()).collect()
+}
+
 impl StatusReport {
     /// Serializes the report for a `CtrlStatusReply` payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -246,61 +218,32 @@ impl StatusReport {
     ///
     /// Any [`WireError`] on malformed payloads.
     pub fn decode(buf: &[u8], limits: &WireLimits) -> Result<StatusReport, WireError> {
-        let mut c = Cursor { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let addr = c.u32()?;
         let id = c.key()?;
         let cycle = c.u64()?;
         let joined = c.u8()? != 0;
         let cycles_run = c.u64()?;
-        let n_stats = c.u16()?;
-        if n_stats > 64 {
-            return Err(WireError::ListTooLong(n_stats as u16));
-        }
-        let mut raw = Vec::with_capacity(n_stats);
-        for _ in 0..n_stats {
-            raw.push(c.u64()?);
-        }
-        let stats = stats_from_array(&raw);
-        let n_transport = c.u16()?;
-        if n_transport > 64 {
-            return Err(WireError::ListTooLong(n_transport as u16));
-        }
-        let mut raw_t = Vec::with_capacity(n_transport);
-        for _ in 0..n_transport {
-            raw_t.push(c.u64()?);
-        }
-        let transport = transport_from_array(&raw_t);
-        let n_view = c.u16()?;
-        if n_view > limits.max_list_len {
-            return Err(WireError::ListTooLong(n_view as u16));
-        }
+        let stats = stats_from_array(&counters(&mut c)?);
+        let transport = transport_from_array(&counters(&mut c)?);
+        let n_view = count(&mut c, limits.max_list_len)?;
         let mut view = Vec::with_capacity(n_view.min(1024));
         for _ in 0..n_view {
             let ns = c.u8()? != 0;
-            let (desc, used) = wire::decode_descriptor_with(&buf[c.pos..], limits)?;
-            c.pos += used;
-            view.push((desc, ns));
+            view.push((c.descriptor(limits)?, ns));
         }
-        let n_res = c.u16()?;
-        if n_res > limits.max_list_len {
-            return Err(WireError::ListTooLong(n_res as u16));
-        }
+        let n_res = count(&mut c, limits.max_list_len)?;
         let mut reserve = Vec::with_capacity(n_res.min(1024));
         for _ in 0..n_res {
-            let (desc, used) = wire::decode_descriptor_with(&buf[c.pos..], limits)?;
-            c.pos += used;
-            reserve.push(desc);
+            reserve.push(c.descriptor(limits)?);
         }
-        let n_bl = c.u16()?;
-        if n_bl > limits.max_list_len {
-            return Err(WireError::ListTooLong(n_bl as u16));
-        }
+        let n_bl = count(&mut c, limits.max_list_len)?;
         let mut blacklist = Vec::with_capacity(n_bl.min(1024));
         for _ in 0..n_bl {
             blacklist.push(c.key()?);
         }
         // Optional trailing extensions from newer daemons.
-        let redemptions = c.u16().unwrap_or(0);
+        let redemptions = c.u16().unwrap_or(0) as usize;
         let retransmits = c.u64().unwrap_or(0);
         let turns_skipped = c.u64().unwrap_or(0);
         Ok(StatusReport {

@@ -1,20 +1,24 @@
 //! The event loop: a `SecureCyclonNode` on a real socket.
 //!
-//! Single-threaded by construction — the paper's node alternates between
-//! one active gossip turn per cycle and passive request handling, so one
-//! loop suffices:
+//! The protocol is the sans-IO state machine of `sc_core::node`; this
+//! module is its socket driver. Single-threaded by construction — the
+//! paper's node alternates between one active gossip turn per cycle and
+//! passive request handling, so one loop suffices:
 //!
 //! 1. A wall-clock shared across the cluster (`--epoch-millis`) maps
-//!    real time to cycle numbers; each new cycle fires one active turn.
-//! 2. The turn runs the *engine-targeted* `on_cycle_any` unchanged,
-//!    behind a [`TurnDriver`] that carries its synchronous RPCs over TCP
-//!    frames. Frames that arrive while the turn blocks on a reply are
-//!    deferred and handled right after the turn — the same
-//!    mid-turn-busy semantics the simulator enforces, with the same
-//!    consequence: a busy peer looks like a timeout, which §V-A already
-//!    tolerates (discard, never clone).
-//! 3. Between turns the loop serves passive RPCs, proof floods, §V-A
-//!    join handshakes, and control-socket scrapes.
+//!    real time to cycle numbers; each new cycle steps one
+//!    [`Input::Tick`] into the node.
+//! 2. An `rpc` effect becomes a `Request` frame and one `PendingRpc`:
+//!    the loop keeps running while the answer is outstanding. The `Reply`
+//!    frame with the awaited `req_id` steps [`Input::Reply`] (an empty or
+//!    undecodable payload steps [`Input::Timeout`]), the deadline steps
+//!    [`Input::Timeout`], and **every other frame is handled at once** —
+//!    a daemon waiting for its partner is not deaf to its own callers.
+//!    What its exchange offered has already left the view, so serving a
+//!    request mid-exchange cannot spend a descriptor twice.
+//! 3. `sends` effects become one-way frames; passive RPCs, proof floods,
+//!    §V-A join handshakes and control-socket scrapes are served as they
+//!    arrive.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
 //! cluster seed — a zero-message legal bootstrap. Late joiners and
@@ -26,10 +30,9 @@ use crate::control::StatusReport;
 use crate::fault::FaultTransport;
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, TcpTransport, Transport};
-use sc_core::wire::{self, WireError};
-use sc_core::{ring_bootstrap, FaultSpec, SecureCyclonNode, SecureMsg};
-use sc_crypto::{PublicKey, PUBLIC_KEY_LEN};
-use sc_sim::{testkit::with_node_ctx, Addr, CycleCtx, RpcOutcome, TurnDriver};
+use sc_core::wire::{self, Reader, WireError};
+use sc_core::{ring_bootstrap, Addr, Effects, FaultSpec, Input, SecureCyclonNode, SecureMsg};
+use sc_crypto::PublicKey;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -49,6 +52,24 @@ pub struct RunSummary {
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
 
+/// Longest the loop blocks in one `recv`.
+const POLL: Duration = Duration::from_millis(2);
+
+/// The node's one outstanding RPC: the request frame already on the
+/// wire, awaiting its `Reply`.
+struct PendingRpc {
+    to: Addr,
+    /// Its `req_id` is what the awaited `Reply` must carry. Resent
+    /// byte-identically (same `req_id`, same descriptor) at each
+    /// retransmit-slice boundary. Never a re-emission — the §IV-B
+    /// frequency rule forbids a second descriptor per period — and the
+    /// responder's reply cache keeps duplicates idempotent.
+    frame: Frame,
+    deadline: Instant,
+    next_resend: Instant,
+    resends_left: u32,
+}
+
 /// A running SecureCyclon daemon.
 pub struct Daemon {
     cfg: NodeConfig,
@@ -59,14 +80,14 @@ pub struct Daemon {
     epoch_ms: u64,
     last_fired: Option<u64>,
     last_join_attempt: Option<u64>,
-    /// Join requests awaiting the next turn boundary. Granting is
-    /// deferred so `sponsor_join` spends a cycle's fresh-descriptor
+    /// Join requests awaiting the next turn boundary. Granting waits
+    /// until then so `sponsor_join` spends a cycle's fresh-descriptor
     /// budget *before* that cycle's turn runs — a grant after the turn
     /// would be a second creation within one period, i.e. the sponsor
     /// would hand out a provable frequency violation against itself.
     pending_joins: VecDeque<(ConnId, PublicKey)>,
     next_req_id: u32,
-    deferred: VecDeque<Inbound>,
+    pending: Option<PendingRpc>,
     cycles_run: u64,
     shutdown: bool,
     /// A `CtrlFault` spec awaiting its cycle boundary, with the cycle it
@@ -148,7 +169,7 @@ impl Daemon {
             last_join_attempt: None,
             pending_joins: VecDeque::new(),
             next_req_id: 1,
-            deferred: VecDeque::new(),
+            pending: None,
             cycles_run: 0,
             shutdown: false,
             pending_fault: None,
@@ -235,7 +256,8 @@ impl Daemon {
         let started = Instant::now();
         let mut stopped_at: Option<Instant> = None;
         while !self.shutdown {
-            if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles {
+            let in_flight = self.pending.is_some();
+            if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles && !in_flight {
                 break;
             }
             self.apply_pending_fault();
@@ -247,25 +269,26 @@ impl Daemon {
                 }
             } else if !self.joined {
                 self.try_join(self.current_cycle());
-            } else if let Some(due) = self.due_turn_cycle() {
+            } else if let Some(due) = self.due_turn_cycle().filter(|_| !in_flight) {
                 if self.last_fired.is_none_or(|c| due > c) {
                     if let Some(last) = self.last_fired {
                         // §IV-B allows one emission per period — a node
-                        // that fell behind the shared clock (or was cut
-                        // off by a partition) never back-fills missed
-                        // turns, it just counts them.
+                        // that fell behind the shared clock, was cut off
+                        // by a partition, or was still mid-exchange when
+                        // its turn came never back-fills missed turns,
+                        // it just counts them.
                         self.turns_skipped += due - last - 1;
                     }
                     self.grant_pending_join(due);
-                    self.fire_turn(due);
+                    let now = self.now_ticks(due);
+                    let fx = self.node.step(Input::Tick { cycle: due, now });
+                    self.apply(fx);
                     self.last_fired = Some(due);
                     self.cycles_run += 1;
-                    while let Some(ib) = self.deferred.pop_front() {
-                        self.handle(ib);
-                    }
                 }
             }
-            if let Some(ib) = self.transport.recv(Duration::from_millis(2)) {
+            let wait = self.poll_pending();
+            if let Some(ib) = self.transport.recv(wait) {
                 self.handle(ib);
             }
         }
@@ -277,6 +300,65 @@ impl Daemon {
         }
     }
 
+    /// Routes one step's effects: one-way sends go out as frames, an
+    /// `rpc` becomes the pending request. A request that cannot even be
+    /// handed to the transport times out on the spot.
+    fn apply(&mut self, mut fx: Effects) {
+        loop {
+            for (to, msg) in fx.sends {
+                let f = Frame::new(FrameKind::Oneway, self.cfg.addr, encode(&msg));
+                self.transport.send_to(to, &f);
+            }
+            let Some((to, msg)) = fx.rpc else { return };
+            let mut frame = Frame::new(FrameKind::Request, self.cfg.addr, encode(&msg));
+            frame.req_id = self.next_req_id;
+            self.next_req_id = self.next_req_id.wrapping_add(1).max(1);
+            if self.transport.send_to(to, &frame) {
+                let now = Instant::now();
+                self.pending = Some(PendingRpc {
+                    to,
+                    frame,
+                    deadline: now + self.cfg.rpc_timeout,
+                    next_resend: now + self.resend_slice(),
+                    resends_left: self.cfg.rpc_retransmits,
+                });
+                return;
+            }
+            fx = self.node.step(Input::Timeout);
+        }
+    }
+
+    /// One retransmit slice: the RPC deadline split evenly over the first
+    /// send and every resend.
+    fn resend_slice(&self) -> Duration {
+        self.cfg.rpc_timeout / (self.cfg.rpc_retransmits + 1)
+    }
+
+    /// Retransmits or times out the pending RPC as its clock demands;
+    /// returns how long the loop may block before it must look again.
+    fn poll_pending(&mut self) -> Duration {
+        let slice = self.resend_slice();
+        let Some(p) = self.pending.as_mut() else {
+            return POLL;
+        };
+        let now = Instant::now();
+        let left = p.deadline.saturating_duration_since(now);
+        if left.is_zero() {
+            self.pending = None;
+            let fx = self.node.step(Input::Timeout);
+            self.apply(fx);
+            return Duration::ZERO;
+        }
+        if p.resends_left > 0 && now >= p.next_resend {
+            p.resends_left -= 1;
+            p.next_resend = now + slice;
+            if self.transport.send_to(p.to, &p.frame) {
+                self.retransmits += 1;
+            }
+        }
+        left.min(POLL)
+    }
+
     /// Installs a pending `CtrlFault` spec once the clock leaves the
     /// cycle it arrived in, so no cycle straddles two specs.
     fn apply_pending_fault(&mut self) {
@@ -286,25 +368,6 @@ impl Daemon {
                 self.transport.set_spec(spec);
             }
         }
-    }
-
-    /// One active gossip turn through the engine-targeted protocol code.
-    fn fire_turn(&mut self, cycle: u64) {
-        let mut io = TurnIo {
-            transport: &mut self.transport,
-            deferred: &mut self.deferred,
-            next_req_id: &mut self.next_req_id,
-            retransmits: &mut self.retransmits,
-            self_addr: self.cfg.addr,
-            cycle,
-            now: cycle * self.cfg.secure.ticks_per_cycle,
-            tpc: self.cfg.secure.ticks_per_cycle,
-            rpc_timeout: self.cfg.rpc_timeout,
-            rpc_retransmits: self.cfg.rpc_retransmits,
-            cfg: &self.cfg,
-        };
-        let mut ctx = CycleCtx::<SecureCyclonNode>::driven(self.cfg.addr, &mut io);
-        self.node.on_cycle_any(&mut ctx);
     }
 
     /// Sends (at most once per cycle) a join request to the sponsor.
@@ -345,9 +408,10 @@ impl Daemon {
         self.transport.respond(conn, &f);
     }
 
-    /// Dispatches one inbound frame outside a turn.
+    /// Dispatches one inbound frame, whether or not an RPC is pending.
     fn handle(&mut self, ib: Inbound) {
         let cycle = self.current_cycle();
+        let now = self.now_ticks(cycle);
         let period = self.cfg.secure.ticks_per_cycle;
         match ib.frame.kind {
             FrameKind::Request => {
@@ -371,21 +435,21 @@ impl Daemon {
                     return;
                 };
                 let reply = if self.joined {
-                    let (reply, floods) = with_node_ctx(cycle, period, self.cfg.addr, |ctx| {
-                        self.node.on_rpc_any(from, msg, ctx)
+                    let mut fx = self.node.step(Input::Request {
+                        from,
+                        msg,
+                        cycle,
+                        now,
                     });
-                    self.flood(floods);
+                    let reply = fx.reply.take();
+                    self.apply(fx);
                     reply
                 } else {
                     None
                 };
                 // An explicit empty reply lets the initiator observe
                 // "no answer" without waiting out its RPC timeout.
-                let payload = reply.map_or_else(Vec::new, |m| {
-                    let mut out = Vec::new();
-                    wire::encode_message(&m, &mut out);
-                    out
-                });
+                let payload = reply.as_ref().map_or_else(Vec::new, encode);
                 if ib.frame.req_id != 0 {
                     if self.reply_cache.len() >= REPLY_CACHE_CAP {
                         self.reply_cache.pop_front();
@@ -407,21 +471,20 @@ impl Daemon {
                 else {
                     return;
                 };
-                let ((), floods) = with_node_ctx(cycle, period, self.cfg.addr, |ctx| {
-                    self.node.on_oneway_any(ib.frame.from, msg, ctx)
+                let fx = self.node.step(Input::Oneway {
+                    from: ib.frame.from,
+                    msg,
+                    cycle,
+                    now,
                 });
-                self.flood(floods);
+                self.apply(fx);
             }
             FrameKind::JoinRequest => {
-                if ib.frame.payload.len() != PUBLIC_KEY_LEN {
-                    return;
-                }
-                let mut key = [0u8; PUBLIC_KEY_LEN];
-                key.copy_from_slice(&ib.frame.payload);
-                let Some(joiner) = PublicKey::from_bytes(key) else {
+                let mut r = Reader::new(&ib.frame.payload);
+                let Ok(joiner) = r.key() else {
                     return;
                 };
-                if !self.joined {
+                if r.remaining() != 0 || !self.joined {
                     return;
                 }
                 // Queue for the next turn boundary; the joiner retries
@@ -464,20 +527,23 @@ impl Daemon {
                 f.req_id = ib.frame.req_id;
                 self.transport.respond(ib.conn, &f);
             }
-            FrameKind::Reply | FrameKind::CtrlStatusReply | FrameKind::CtrlFaultReply => {
-                // Stale RPC replies (their turn already timed out) and
-                // misdirected control traffic are dropped.
+            FrameKind::Reply => {
+                // A reply nobody awaits (its RPC already timed out) is
+                // dropped; an explicit empty or undecodable one is the
+                // partner saying "no answer".
+                if self.pending.as_ref().map(|p| p.frame.req_id) != Some(ib.frame.req_id) {
+                    return;
+                }
+                self.pending = None;
+                let outcome =
+                    wire::decode_message_with(&ib.frame.payload, period, &self.cfg.wire_limits)
+                        .map_or(Input::Timeout, Input::Reply);
+                let fx = self.node.step(outcome);
+                self.apply(fx);
             }
-        }
-    }
-
-    /// Sends queued proof floods as one-way frames.
-    fn flood(&mut self, msgs: Vec<(Addr, SecureMsg)>) {
-        for (to, msg) in msgs {
-            let mut payload = Vec::new();
-            wire::encode_message(&msg, &mut payload);
-            let f = Frame::new(FrameKind::Oneway, self.cfg.addr, payload);
-            self.transport.send_to(to, &f);
+            FrameKind::CtrlStatusReply | FrameKind::CtrlFaultReply => {
+                // Misdirected control traffic is dropped.
+            }
         }
     }
 
@@ -513,124 +579,20 @@ impl Daemon {
     }
 }
 
+/// A message's wire encoding.
+fn encode(msg: &SecureMsg) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::encode_message(msg, &mut out);
+    out
+}
+
 /// Parses a join grant: `cycle (8) | descriptor | n (2) | proofs`.
 fn decode_join_grant(
     buf: &[u8],
     period: u64,
     limits: &wire::WireLimits,
 ) -> Result<(sc_core::SecureDescriptor, Vec<sc_core::ViolationProof>), WireError> {
-    if buf.len() < 8 {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let mut pos = 8; // sponsor cycle: informational; the clock is shared
-    let (desc, used) = wire::decode_descriptor_with(&buf[pos..], limits)?;
-    pos += used;
-    if buf.len() < pos + 2 {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let n = u16::from_be_bytes([buf[pos], buf[pos + 1]]) as usize;
-    pos += 2;
-    if n > limits.max_proofs {
-        return Err(WireError::TooManyProofs(n as u16));
-    }
-    let mut proofs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let (p, used) = wire::decode_proof_with(&buf[pos..], period, limits)?;
-        pos += used;
-        proofs.push(p);
-    }
-    Ok((desc, proofs))
-}
-
-/// Carries one turn's RPCs and sends over the transport; frames that are
-/// not the awaited reply are deferred to after the turn.
-struct TurnIo<'a> {
-    transport: &'a mut FaultTransport<TcpTransport>,
-    deferred: &'a mut VecDeque<Inbound>,
-    next_req_id: &'a mut u32,
-    retransmits: &'a mut u64,
-    self_addr: Addr,
-    cycle: u64,
-    now: u64,
-    tpc: u64,
-    rpc_timeout: Duration,
-    rpc_retransmits: u32,
-    cfg: &'a NodeConfig,
-}
-
-impl TurnDriver<SecureMsg> for TurnIo<'_> {
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn ticks_per_cycle(&self) -> u64 {
-        self.tpc
-    }
-
-    fn rpc(&mut self, to: Addr, msg: SecureMsg) -> RpcOutcome<SecureMsg> {
-        let req_id = *self.next_req_id;
-        *self.next_req_id = self.next_req_id.wrapping_add(1).max(1);
-        let mut payload = Vec::new();
-        wire::encode_message(&msg, &mut payload);
-        let mut f = Frame::new(FrameKind::Request, self.self_addr, payload);
-        f.req_id = req_id;
-        if !self.transport.send_to(to, &f) {
-            return RpcOutcome::Timeout;
-        }
-        // The deadline splits into retransmit slices: an unanswered
-        // request is resent byte-identically (same req_id, same
-        // descriptor) at each slice boundary. Never a re-emission — the
-        // §IV-B frequency rule forbids a second descriptor per period —
-        // and the responder's reply cache keeps duplicates idempotent.
-        let start = Instant::now();
-        let deadline = start + self.rpc_timeout;
-        let slice = self.rpc_timeout / (self.rpc_retransmits + 1);
-        let mut resends_left = self.rpc_retransmits;
-        let mut next_resend = start + slice;
-        loop {
-            let now = Instant::now();
-            let left = deadline.saturating_duration_since(now);
-            if left.is_zero() {
-                return RpcOutcome::Timeout;
-            }
-            if resends_left > 0 && now >= next_resend {
-                resends_left -= 1;
-                next_resend = now + slice;
-                if self.transport.send_to(to, &f) {
-                    *self.retransmits += 1;
-                }
-            }
-            let Some(ib) = self.transport.recv(left.min(Duration::from_millis(2))) else {
-                continue;
-            };
-            if ib.frame.kind == FrameKind::Reply {
-                if ib.frame.req_id != req_id {
-                    continue; // stale reply from a timed-out earlier RPC
-                }
-                if ib.frame.payload.is_empty() {
-                    return RpcOutcome::Timeout; // explicit no-answer
-                }
-                return match wire::decode_message_with(
-                    &ib.frame.payload,
-                    self.tpc,
-                    &self.cfg.wire_limits,
-                ) {
-                    Ok(m) => RpcOutcome::Reply(m),
-                    Err(_) => RpcOutcome::Timeout,
-                };
-            }
-            self.deferred.push_back(ib);
-        }
-    }
-
-    fn send(&mut self, to: Addr, msg: SecureMsg) {
-        let mut payload = Vec::new();
-        wire::encode_message(&msg, &mut payload);
-        let f = Frame::new(FrameKind::Oneway, self.self_addr, payload);
-        self.transport.send_to(to, &f);
-    }
+    let mut r = Reader::new(buf);
+    r.u64()?; // sponsor cycle: informational; the clock is shared
+    Ok((r.descriptor(limits)?, r.proofs(period, limits)?))
 }

@@ -20,8 +20,8 @@
 
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, Transport, TransportStats};
+use sc_core::Addr;
 use sc_core::{FaultDir, FaultSpec};
-use sc_sim::Addr;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 

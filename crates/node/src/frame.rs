@@ -11,7 +11,7 @@
 //! so a 4-byte length prefix can never force a large allocation — the
 //! same discipline [`sc_core::wire::WireLimits`] applies one layer down.
 
-use sc_sim::Addr;
+use sc_core::Addr;
 
 /// Frame magic: `"SCn1"`.
 pub const FRAME_MAGIC: u32 = 0x5343_6e31;

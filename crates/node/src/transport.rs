@@ -11,7 +11,7 @@
 //! backoff for unreachable peers.
 
 use crate::frame::{Frame, FrameReader};
-use sc_sim::Addr;
+use sc_core::Addr;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};

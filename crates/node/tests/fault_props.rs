@@ -18,9 +18,9 @@
 //! always a valid replay input.
 
 use proptest::prelude::*;
+use sc_core::Addr;
 use sc_core::{FaultDir, FaultSpec};
 use sc_node::{FaultTransport, Frame, FrameKind, TcpTransport, Transport};
-use sc_sim::Addr;
 use std::net::TcpListener;
 use std::time::Duration;
 

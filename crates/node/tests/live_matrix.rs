@@ -22,8 +22,8 @@
 //! injected-fault counters proving the faults actually fired — never
 //! exact trajectories.
 
+use sc_core::Addr;
 use sc_core::FaultSpec;
-use sc_sim::Addr;
 use sc_testkit::live::{check_final, drive, env_seed};
 use sc_testkit::{ClusterConfig, ProcessCluster};
 use std::time::Duration;

@@ -21,15 +21,15 @@
 //! protocol invariants, never exact trajectories.
 
 use sc_core::wire;
-use sc_core::{RequestBody, SecureDescriptor, SecureMsg, Timestamp};
+use sc_core::{Addr, LinkKind, RequestBody, SecureDescriptor, SecureMsg, Timestamp};
 use sc_crypto::{Keypair, Scheme};
-use sc_node::{Frame, FrameKind, StatusReport};
-use sc_sim::Addr;
+use sc_node::frame::FrameReader;
+use sc_node::{ControlClient, Frame, FrameKind, NodeConfig, StatusReport};
 use sc_testkit::live::{check_final, drive, env_seed};
 use sc_testkit::{ClusterConfig, ProcessCluster};
-use std::io::Write;
-use std::net::{Ipv4Addr, SocketAddrV4, TcpStream};
-use std::time::{Duration, Instant};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 fn replay_line(seed: u64, extra: &str) -> String {
     sc_testkit::live::replay_line("loopback", seed, extra)
@@ -207,6 +207,162 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
         out.scrapes,
         sc_testkit::largest_component(snap).0,
         snap.nodes.len(),
+    );
+}
+
+/// Kills the wrapped daemon when the test ends, pass or fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn unix_ms() -> u64 {
+    let since = SystemTime::now().duration_since(UNIX_EPOCH);
+    since.map_or(0, |d| d.as_millis() as u64)
+}
+
+#[test]
+fn daemon_serves_requests_while_its_own_exchange_is_in_flight() {
+    // One real daemon — founding member 0 of a five-member ring — whose
+    // four peers are black holes: they accept its connection and never
+    // answer, so each of its turns waits out the whole RPC deadline
+    // (raised to 400 ms). In the middle of such a wait the test, posing
+    // as ring member 1 on a raw TCP connection, redeems a descriptor the
+    // daemon created. The daemon must run that exchange at once — well
+    // inside its own deadline — instead of leaving the caller unanswered
+    // until its turn is over (by when a real caller has timed out and
+    // spent both descriptors for nothing, §V-A).
+    const N: usize = 5;
+    const VIEW_LEN: usize = 4;
+    const CYCLE_MS: u64 = 1000;
+    const RPC_TIMEOUT_MS: u64 = 400;
+    let seed = env_seed();
+
+    // A free block of N loopback ports. The test holds 1..N as black
+    // holes: listeners it never accepts from. The kernel completes the
+    // daemon's connect and buffers its request; nobody ever answers.
+    let (base, _holes) = (0..64u32)
+        .find_map(|attempt| {
+            let base = 23_000 + (std::process::id() % 30_000) + attempt * 131;
+            let bind = |i: u32| {
+                TcpListener::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, (base + i) as u16))
+            };
+            bind(0).ok()?;
+            let holes: Vec<TcpListener> = (1..N as u32).map(bind).collect::<Result<_, _>>().ok()?;
+            Some((base as Addr, holes))
+        })
+        .expect("no free loopback port block");
+
+    let epoch_ms = unix_ms() + 700;
+    let child = std::process::Command::new(bin())
+        .args([
+            "--addr",
+            &base.to_string(),
+            "--base-addr",
+            &base.to_string(),
+        ])
+        .args(["--index", "0", "--cluster-size", &N.to_string()])
+        .args(["--seed", &seed.to_string(), "--scheme", "keyed"])
+        .args(["--view-len", &VIEW_LEN.to_string(), "--swap-len", "2"])
+        .args(["--cycle-ms", &CYCLE_MS.to_string()])
+        .args(["--epoch-millis", &epoch_ms.to_string()])
+        .args(["--rpc-timeout-ms", &RPC_TIMEOUT_MS.to_string()])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn sc-node");
+    let _daemon = KillOnDrop(child);
+
+    // The ring plan every founding member computes: member 1 owns one
+    // descriptor created by member 0.
+    let mut cfg = NodeConfig::new(base, 0);
+    cfg.seed = seed;
+    cfg.scheme = Scheme::KeyedHash;
+    let tpc = cfg.secure.ticks_per_cycle;
+    let kps: Vec<Keypair> = (0..N).map(|i| cfg.keypair_for(i)).collect();
+    let addrs: Vec<Addr> = (0..N as Addr).map(|i| base + i).collect();
+    let phases: Vec<u64> = (0..N).map(|i| sc_core::default_phase(i, tpc)).collect();
+    let plan = sc_core::ring_bootstrap(&kps, &addrs, &phases, VIEW_LEN, tpc);
+    let (daemon_kp, me) = (&kps[0], &kps[1]);
+    let token = plan.per_node[1]
+        .iter()
+        .find(|d| d.creator() == daemon_kp.public())
+        .expect("member 1 holds a descriptor of member 0");
+    let redeemed = token.redeem(me, LinkKind::Redeem).unwrap();
+
+    // The daemon's second turn fires at epoch + one cycle and then waits
+    // on a black hole for RPC_TIMEOUT_MS; call 100 ms into that wait.
+    let call_at = epoch_ms + CYCLE_MS + 100;
+    let mut stream = loop {
+        let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, base as u16);
+        match TcpStream::connect_timeout(&sock.into(), Duration::from_millis(200)) {
+            Ok(s) => break s,
+            Err(_) if unix_ms() < call_at - 50 => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => panic!("daemon never listened: {e}"),
+        }
+    };
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(call_at.saturating_sub(unix_ms())));
+
+    let cycle = plan.start_cycle + (unix_ms() - epoch_ms) / CYCLE_MS;
+    let fresh = SecureDescriptor::create(me, base + 1, Timestamp(cycle * tpc + phases[1]))
+        .transfer(me, daemon_kp.public())
+        .unwrap();
+    let msg = SecureMsg::Request(Box::new(RequestBody {
+        redeemed,
+        fresh,
+        offered: Vec::new(),
+        samples: Vec::new(),
+        proofs: Vec::new(),
+    }));
+    let mut payload = Vec::new();
+    wire::encode_message(&msg, &mut payload);
+    let mut request = Frame::new(FrameKind::Request, base + 1, payload);
+    request.req_id = 77;
+
+    let sent = Instant::now();
+    stream.write_all(&request.encode()).unwrap();
+    let mut reader = FrameReader::new(1 << 20);
+    let mut chunk = [0u8; 4096];
+    let reply = loop {
+        if let Some(f) = reader.next_frame().expect("well-framed reply") {
+            break f;
+        }
+        let n = stream.read(&mut chunk).expect("no reply within 3 s");
+        assert!(n > 0, "daemon closed the connection");
+        reader.feed(&chunk[..n]);
+    };
+    let latency = sent.elapsed();
+    println!("answered mid-exchange after {latency:?}");
+
+    // Scraped straight after: the daemon's own exchange is still out.
+    let status = ControlClient::connect(base, Duration::from_millis(500))
+        .and_then(|mut c| c.status(Duration::from_secs(2)))
+        .expect("status scrape");
+
+    assert_eq!((reply.kind, reply.req_id), (FrameKind::Reply, 77));
+    let answer = wire::decode_message(&reply.payload, tpc).expect("a decodable answer");
+    let SecureMsg::Accept(accept) = answer else {
+        panic!("the exchange was refused: {answer:?}");
+    };
+    assert_eq!(accept.transfers.len(), 1, "tit-for-tat: one transfer first");
+    assert!(
+        latency < Duration::from_millis(150),
+        "answered after {latency:?}: deaf while waiting on its own {RPC_TIMEOUT_MS} ms RPC"
+    );
+    assert_eq!(status.stats.answered, 1);
+    assert_eq!(status.stats.completed, 0, "black holes never answer");
+    assert_eq!(
+        status.stats.initiated,
+        status.stats.timeouts + 1,
+        "the call was served while the daemon's own exchange was in flight"
     );
 }
 

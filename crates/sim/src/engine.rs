@@ -668,24 +668,6 @@ impl<N: SimNode> RpcPath<'_, N> {
     }
 }
 
-/// Supplies a node's turn with a clock and message paths from outside the
-/// engine — the hook a real transport (e.g. a socket daemon) implements to
-/// reuse engine-targeted protocol code unchanged. See
-/// [`CycleCtx::driven`].
-pub trait TurnDriver<M> {
-    /// The current cycle number.
-    fn cycle(&self) -> u64;
-    /// The tick at which the current cycle starts.
-    fn now(&self) -> u64;
-    /// Tick resolution of one cycle.
-    fn ticks_per_cycle(&self) -> u64;
-    /// Performs a synchronous RPC; all failure modes collapse into
-    /// [`RpcOutcome::Timeout`], exactly as in the engine.
-    fn rpc(&mut self, to: Addr, msg: M) -> RpcOutcome<M>;
-    /// Queues a one-way message for asynchronous delivery.
-    fn send(&mut self, to: Addr, msg: M);
-}
-
 /// Context handed to a node during its cycle turn. Supports synchronous
 /// RPCs and one-way sends.
 pub struct CycleCtx<'e, N: SimNode> {
@@ -698,8 +680,6 @@ enum CtxInner<'e, N: SimNode> {
     Seq(&'e mut Engine<N>),
     /// Striped mode: gated access to the shared stripe state.
     Striped(StripedCtx<'e, N>),
-    /// Driven mode: clock and transport supplied by an external driver.
-    Driven(&'e mut dyn TurnDriver<N::Msg>),
 }
 
 struct StripedCtx<'e, N: SimNode> {
@@ -712,18 +692,6 @@ struct StripedCtx<'e, N: SimNode> {
     buf: &'e mut Vec<Envelope<N::Msg>>,
 }
 
-impl<'e, N: SimNode> CycleCtx<'e, N> {
-    /// Builds a context backed by an external [`TurnDriver`] instead of an
-    /// engine, so daemon code can run `SimNode`-targeted protocol logic
-    /// over a real transport.
-    pub fn driven(self_addr: Addr, driver: &'e mut dyn TurnDriver<N::Msg>) -> Self {
-        CycleCtx {
-            self_addr,
-            inner: CtxInner::Driven(driver),
-        }
-    }
-}
-
 impl<N: SimNode> CycleCtx<'_, N> {
     /// The address of the node taking its turn.
     pub fn self_addr(&self) -> Addr {
@@ -732,33 +700,23 @@ impl<N: SimNode> CycleCtx<'_, N> {
 
     /// The current cycle number.
     pub fn cycle(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.cycle(),
-            _ => self.clock_ref().cycle(),
-        }
+        self.clock_ref().cycle()
     }
 
     /// The tick at which the current cycle starts.
     pub fn now(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.now(),
-            _ => self.clock_ref().now(),
-        }
+        self.clock_ref().now()
     }
 
     /// Tick resolution of one cycle (the gossip period, in ticks).
     pub fn ticks_per_cycle(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.ticks_per_cycle(),
-            _ => self.clock_ref().ticks_per_cycle(),
-        }
+        self.clock_ref().ticks_per_cycle()
     }
 
     fn clock_ref(&self) -> &Clock {
         match &self.inner {
             CtxInner::Seq(engine) => &engine.clock,
             CtxInner::Striped(sc) => &sc.clock,
-            CtxInner::Driven(_) => unreachable!("driven contexts bypass the engine clock"),
         }
     }
 
@@ -802,26 +760,19 @@ impl<N: SimNode> CycleCtx<'_, N> {
                 }
                 .execute(from, to, msg)
             }
-            CtxInner::Driven(d) => d.rpc(to, msg),
         }
     }
 
     /// Queues a one-way message for delivery at the start of the next cycle.
     pub fn send(&mut self, to: Addr, msg: N::Msg) {
+        let env = Envelope {
+            from: self.self_addr,
+            to,
+            msg,
+        };
         match &mut self.inner {
-            CtxInner::Driven(d) => d.send(to, msg),
-            inner => {
-                let env = Envelope {
-                    from: self.self_addr,
-                    to,
-                    msg,
-                };
-                match inner {
-                    CtxInner::Seq(engine) => engine.pending.push(env),
-                    CtxInner::Striped(sc) => sc.buf.push(env),
-                    CtxInner::Driven(_) => unreachable!(),
-                }
-            }
+            CtxInner::Seq(engine) => engine.pending.push(env),
+            CtxInner::Striped(sc) => sc.buf.push(env),
         }
     }
 }
@@ -1329,34 +1280,5 @@ mod tests {
         eng.run_cycles(2);
         assert_eq!(eng.alive_count(), 13);
         assert!(eng.stats().rpcs_sent > 0);
-    }
-}
-
-/// Test support: drive protocol handlers without an engine.
-pub mod testkit {
-    use super::{Addr, Clock, Envelope, NodeCtx};
-
-    /// Runs `f` with a detached [`NodeCtx`] as a node at `self_addr` would
-    /// see it at the given `cycle`, and returns `f`'s result together with
-    /// any one-way messages the handler emitted as `(to, msg)` pairs.
-    ///
-    /// This exists for protocol-level unit tests (e.g. feeding crafted
-    /// requests straight into an RPC handler); simulations should use
-    /// [`super::Engine`].
-    pub fn with_node_ctx<M, R>(
-        cycle: u64,
-        ticks_per_cycle: u64,
-        self_addr: Addr,
-        f: impl FnOnce(&mut NodeCtx<'_, M>) -> R,
-    ) -> (R, Vec<(Addr, M)>) {
-        let clock = Clock::new(ticks_per_cycle).starting_at(cycle);
-        let mut pending: Vec<Envelope<M>> = Vec::new();
-        let mut ctx = NodeCtx {
-            pending: &mut pending,
-            clock: &clock,
-            self_addr,
-        };
-        let out = f(&mut ctx);
-        (out, pending.into_iter().map(|e| (e.to, e.msg)).collect())
     }
 }

@@ -59,8 +59,6 @@ pub mod stats;
 pub use arena::Arena;
 pub use churn::{Churn, ChurnConfig, ChurnReport};
 pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
-pub use engine::{
-    testkit, Addr, CycleCtx, Engine, Execution, NodeCtx, RpcOutcome, SimConfig, SimNode, TurnDriver,
-};
+pub use engine::{Addr, CycleCtx, Engine, Execution, NodeCtx, RpcOutcome, SimConfig, SimNode};
 pub use net::{NetworkModel, Partition};
 pub use stats::TrafficStats;

@@ -70,9 +70,6 @@ pub use net::{
     ns_link_fraction, proofs_generated, SecureNet, SecureNetParams, SecureNetwork,
 };
 pub use oracles::{largest_component, largest_honest_component, OracleSuite, Violation};
-pub use runner::{
-    check_batched_intake_equivalence, run_scenario, run_scenario_with_net, state_fingerprint,
-    RunSummary,
-};
+pub use runner::{run_scenario, run_scenario_with_net, state_fingerprint, RunSummary};
 pub use scenario::{AdversaryKind, ChurnWindow, Event, OracleConfig, Scenario};
 pub use snapshot::{NetSnapshot, NodeSnapshot};

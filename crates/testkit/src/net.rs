@@ -11,10 +11,12 @@
 use rand::seq::SliceRandom;
 use sc_attacks::{MaliciousSecureNode, SecureAttack, SecureParty};
 use sc_core::{
-    default_phase, ring_bootstrap, MemoryBackend, SecureConfig, SecureCyclonNode, SecureMsg,
+    default_phase, ring_bootstrap, Input, MemoryBackend, SecureConfig, SecureCyclonNode, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
-use sc_sim::{Addr, CycleCtx, Engine, Execution, NetworkModel, NodeCtx, SimConfig, SimNode};
+use sc_sim::{
+    Addr, CycleCtx, Engine, Execution, NetworkModel, NodeCtx, RpcOutcome, SimConfig, SimNode,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -42,13 +44,32 @@ impl SecureNet {
     }
 }
 
+/// The simulator driver of the sans-IO honest node: every engine callback
+/// becomes one [`Input`], and the [`sc_core::Effects`] it yields are routed
+/// back through the engine's blocking `ctx`. Adversaries are
+/// simulator-only and talk to `ctx` directly.
 impl SimNode for SecureNet {
     type Msg = SecureMsg;
 
     fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-        match self {
-            SecureNet::Honest(n) => n.on_cycle_any(ctx),
-            SecureNet::Malicious(n) => n.on_cycle_any(ctx),
+        let node = match self {
+            SecureNet::Honest(n) => n,
+            SecureNet::Malicious(n) => return n.on_cycle_any(ctx),
+        };
+        let mut fx = node.step(Input::Tick {
+            cycle: ctx.cycle(),
+            now: ctx.now(),
+        });
+        // One round trip per `rpc` effect until the exchange resolves.
+        loop {
+            for (to, msg) in fx.sends {
+                ctx.send(to, msg);
+            }
+            let Some((to, msg)) = fx.rpc else { break };
+            fx = node.step(match ctx.rpc(to, msg) {
+                RpcOutcome::Reply(reply) => Input::Reply(reply),
+                RpcOutcome::Timeout => Input::Timeout,
+            });
         }
     }
 
@@ -58,17 +79,35 @@ impl SimNode for SecureNet {
         msg: Self::Msg,
         ctx: &mut NodeCtx<'_, Self::Msg>,
     ) -> Option<Self::Msg> {
-        match self {
-            SecureNet::Honest(n) => n.on_rpc_any(from, msg, ctx),
-            SecureNet::Malicious(n) => n.on_rpc_any(from, msg, ctx),
+        let node = match self {
+            SecureNet::Honest(n) => n,
+            SecureNet::Malicious(n) => return n.on_rpc_any(from, msg, ctx),
+        };
+        let fx = node.step(Input::Request {
+            from,
+            msg,
+            cycle: ctx.cycle(),
+            now: ctx.now(),
+        });
+        for (to, msg) in fx.sends {
+            ctx.send(to, msg);
         }
+        fx.reply
     }
 
     fn on_oneway(&mut self, from: Addr, msg: Self::Msg, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        if let SecureNet::Honest(n) = self {
-            n.on_oneway_any(from, msg, ctx);
-        }
         // Malicious nodes drop proofs.
+        if let SecureNet::Honest(node) = self {
+            let fx = node.step(Input::Oneway {
+                from,
+                msg,
+                cycle: ctx.cycle(),
+                now: ctx.now(),
+            });
+            for (to, msg) in fx.sends {
+                ctx.send(to, msg);
+            }
+        }
     }
 }
 

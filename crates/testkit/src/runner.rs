@@ -211,47 +211,6 @@ pub fn state_fingerprint(net: &SecureNetwork) -> Vec<String> {
         .collect()
 }
 
-/// Runs `scenario` twice under `seed` — once with batched intake
-/// verification, once with the sequential pipeline — and reports the
-/// first divergence in final node state, if any.
-///
-/// This is the end-to-end equivalence oracle for
-/// `SecureDescriptor::verify_batch_with`: the batched pipeline is
-/// verdict-identical to sequential verification by construction, so the
-/// gossip dynamics — and with them every final view and blacklist — must
-/// come out byte for byte the same.
-pub fn check_batched_intake_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
-    let run = |batched: bool| -> Result<Vec<String>, String> {
-        let mut sc = scenario.clone();
-        sc.cfg = sc.cfg.with_batched_intake(batched);
-        let (_, net) = run_scenario_with_net(&sc, seed).map_err(|v| {
-            format!("oracle violation during batched={batched} equivalence run: {v}")
-        })?;
-        Ok(state_fingerprint(&net))
-    };
-    let batched = run(true)?;
-    let sequential = run(false)?;
-    if batched == sequential {
-        return Ok(());
-    }
-    if batched.len() != sequential.len() {
-        return Err(format!(
-            "node-count divergence: {} honest nodes batched vs {} sequential",
-            batched.len(),
-            sequential.len()
-        ));
-    }
-    let (i, (b, s)) = batched
-        .iter()
-        .zip(sequential.iter())
-        .enumerate()
-        .find(|(_, (b, s))| b != s)
-        .expect("unequal vectors of equal length differ somewhere");
-    Err(format!(
-        "state divergence at honest node #{i}:\n  batched:    {b}\n  sequential: {s}"
-    ))
-}
-
 /// Minimum population a fault event leaves alive, so a scenario cannot
 /// accidentally annihilate the network it is supposed to observe.
 const MIN_ALIVE: usize = 8;

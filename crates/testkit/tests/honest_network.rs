@@ -1,0 +1,211 @@
+//! All-honest SecureCyclon networks on the simulator driver: the
+//! qualitative health claims of §VI (full swappable views, balanced
+//! in-degree, bounded descriptor lifetime, healing under loss and mass
+//! failure), at reduced scale.
+
+use sc_attacks::SecureAttack;
+use sc_core::{SecureConfig, Timestamp};
+use sc_crypto::NodeId;
+use sc_sim::NetworkModel;
+use sc_testkit::{build_secure_network, SecureNetParams, SecureNetwork};
+use std::collections::HashMap;
+
+fn small_cfg() -> SecureConfig {
+    SecureConfig::default().with_view_len(8).with_swap_len(3)
+}
+
+fn build_net(n: usize, seed: u64, net: NetworkModel) -> SecureNetwork {
+    let mut params = SecureNetParams::new(n, 0, SecureAttack::None);
+    params.cfg = small_cfg();
+    params.seed = seed;
+    params.net = net;
+    build_secure_network(params)
+}
+
+fn build(n: usize, seed: u64) -> SecureNetwork {
+    build_net(n, seed, NetworkModel::reliable())
+}
+
+/// The honest nodes of `net`, in address order.
+fn honest(net: &SecureNetwork) -> impl Iterator<Item = &sc_core::SecureCyclonNode> {
+    net.engine.nodes().filter_map(|(_, n)| n.honest())
+}
+
+#[test]
+fn honest_network_runs_violation_free() {
+    let mut net = build(48, 1);
+    net.engine.run_cycles(60);
+    for node in honest(&net) {
+        assert_eq!(node.blacklist().len(), 0, "no false accusations");
+        assert!(node.proof_log().is_empty(), "no proofs generated");
+        assert_eq!(node.stats().invalid_descriptors, 0);
+    }
+}
+
+#[test]
+fn honest_views_stay_full_and_swappable() {
+    let cfg = small_cfg();
+    let mut net = build(128, 2);
+    net.engine.run_cycles(80);
+    let mut total_ns = 0usize;
+    let mut total_len = 0usize;
+    for node in honest(&net) {
+        assert!(
+            node.view().len() >= cfg.view_len / 2,
+            "view at least half full: {}",
+            node.view().len()
+        );
+        total_len += node.view().len();
+        total_ns += node.view().ns_count();
+    }
+    let avg = total_len as f64 / 128.0;
+    assert!(
+        avg >= cfg.view_len as f64 * 0.7,
+        "views near capacity on average: {avg}"
+    );
+    let ns_frac = total_ns as f64 / (128.0 * cfg.view_len as f64);
+    assert!(ns_frac < 0.05, "non-swappable fraction {ns_frac}");
+}
+
+#[test]
+fn exchanges_actually_complete() {
+    let mut net = build(32, 3);
+    net.engine.run_cycles(40);
+    let completed: u64 = honest(&net).map(|n| n.stats().completed).sum();
+    let initiated: u64 = honest(&net).map(|n| n.stats().initiated).sum();
+    assert!(initiated >= 32 * 39, "nodes initiate nearly every cycle");
+    assert!(
+        completed as f64 / initiated as f64 > 0.95,
+        "exchanges succeed: {completed}/{initiated}"
+    );
+}
+
+#[test]
+fn indegree_concentrates_like_figure_2() {
+    let cfg = small_cfg();
+    let mut net = build(96, 4);
+    net.engine.run_cycles(100);
+    let mut indeg: HashMap<NodeId, usize> = HashMap::new();
+    for node in honest(&net) {
+        for e in node.view().iter() {
+            *indeg.entry(e.desc.creator()).or_default() += 1;
+        }
+    }
+    assert_eq!(indeg.len(), 96, "every node has inbound links");
+    let min = *indeg.values().min().unwrap();
+    let max = *indeg.values().max().unwrap();
+    assert!(min >= 2, "no starved nodes (min {min})");
+    assert!(max <= cfg.view_len * 3, "no hubs (max {max})");
+}
+
+#[test]
+fn views_never_hold_self_dups_or_foreign_descriptors() {
+    let mut net = build(32, 5);
+    for _ in 0..30 {
+        net.engine.run_cycle();
+        for node in honest(&net) {
+            let mut ids = Vec::new();
+            for e in node.view().iter() {
+                assert_ne!(e.desc.creator(), node.id(), "no self-links");
+                assert_eq!(e.desc.owner(), node.id(), "owns all view entries");
+                assert!(!e.desc.is_redeemed());
+                ids.push(e.desc.id());
+            }
+            let mut dedup = ids.clone();
+            dedup.sort();
+            dedup.dedup();
+            assert_eq!(dedup.len(), ids.len(), "no duplicate descriptor ids");
+        }
+    }
+}
+
+#[test]
+fn descriptor_ages_bounded_in_equilibrium() {
+    let cfg = small_cfg();
+    let mut net = build(48, 6);
+    net.engine.run_cycles(120);
+    let tpc = cfg.ticks_per_cycle;
+    let now = Timestamp(net.engine.clock().now());
+    let max_age = honest(&net)
+        .flat_map(|n| n.view().iter().map(|e| e.desc.age_cycles(now, tpc)))
+        .max()
+        .unwrap();
+    assert!(
+        max_age < cfg.view_len as u64 * 8,
+        "descriptor lifetime bounded (max {max_age})"
+    );
+}
+
+#[test]
+fn lossy_network_heals_with_ns_descriptors() {
+    let cfg = small_cfg();
+    let mut net = build_net(48, 7, NetworkModel::lossy(0.10));
+    net.engine.run_cycles(80);
+    // Despite 10% loss in every direction, no false proofs and views
+    // recover through NS back-fill.
+    let mut lens = Vec::new();
+    for node in honest(&net) {
+        assert!(node.proof_log().is_empty(), "loss is not a violation");
+        lens.push(node.view().len());
+    }
+    let avg = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
+    assert!(avg > cfg.view_len as f64 * 0.7, "avg view {avg}");
+    let backfills: u64 = honest(&net).map(|n| n.stats().ns_backfills).sum();
+    assert!(backfills > 0, "NS repair actually used");
+}
+
+#[test]
+fn mass_failure_purges_dead_links() {
+    let mut net = build(80, 8);
+    net.engine.run_cycles(40);
+    for a in 0..32u32 {
+        net.engine.kill(a);
+    }
+    net.engine.run_cycles(60);
+    let mut dead = 0usize;
+    let mut total = 0usize;
+    for node in honest(&net) {
+        for e in node.view().iter() {
+            total += 1;
+            if e.desc.addr() < 32 {
+                dead += 1;
+            }
+        }
+    }
+    assert!(
+        (dead as f64 / total as f64) < 0.05,
+        "dead links purged ({dead}/{total})"
+    );
+}
+
+#[test]
+fn deterministic_under_seed() {
+    let digest = |seed: u64| {
+        let mut net = build(24, seed);
+        net.engine.run_cycles(30);
+        honest(&net)
+            .map(|n| {
+                (
+                    n.stats().completed,
+                    n.view().len(),
+                    n.view()
+                        .iter()
+                        .map(|e| e.desc.created_at().ticks())
+                        .sum::<u64>(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(digest(42), digest(42));
+}
+
+#[test]
+fn samples_accumulate_and_prune() {
+    let mut net = build(32, 9);
+    net.engine.run_cycles(30);
+    let counts: Vec<usize> = honest(&net).map(|n| n.sample_count()).collect();
+    assert!(counts.iter().all(|&c| c > 0), "caches in use");
+    // Retention bounds memory: far fewer samples than total descriptors
+    // ever created (32 nodes × 30 cycles plus bootstrap).
+    assert!(counts.iter().all(|&c| c < 32 * 38));
+}

@@ -29,9 +29,7 @@
 //!     cargo test --test scenario_matrix -- --nocapture
 //! ```
 
-use securecyclon::testkit::{
-    check_batched_intake_equivalence, run_scenario, standard_matrix, MatrixSize, MATRIX_SEEDS,
-};
+use securecyclon::testkit::{run_scenario, standard_matrix, MatrixSize, MATRIX_SEEDS};
 
 fn env_filter(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
@@ -113,26 +111,6 @@ fn scenario_matrix_holds_all_oracles() {
         failures.len(),
         failures.join("\n")
     );
-}
-
-#[test]
-fn batched_intake_state_matches_sequential() {
-    // The batched-verification equivalence oracle: every quick-tier
-    // scenario, run once with pooled intake verification and once with
-    // the sequential pipeline, must leave every honest node with
-    // byte-identical final views and blacklists. Any verdict divergence
-    // in `verify_batch_with` would alter gossip dynamics and show up
-    // here as a state mismatch naming the first differing node.
-    let scenarios = standard_matrix(MatrixSize::quick());
-    assert_eq!(
-        scenarios.len(),
-        14,
-        "the equivalence sweep covers the full matrix"
-    );
-    for scenario in &scenarios {
-        check_batched_intake_equivalence(scenario, MATRIX_SEEDS[0])
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
-    }
 }
 
 #[test]
