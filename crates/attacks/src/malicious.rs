@@ -175,11 +175,6 @@ impl MaliciousSecureNode {
         self.addr
     }
 
-    /// Number of descriptors currently owned.
-    pub fn owned_len(&self) -> usize {
-        self.owned.len()
-    }
-
     /// Installs a bootstrap descriptor.
     pub fn accept_bootstrap(&mut self, desc: SecureDescriptor) {
         self.owned.push(desc);

@@ -105,12 +105,6 @@ impl SecureConfig {
         self
     }
 
-    /// Builder-style override of the redemption-cache entry cap.
-    pub fn with_redemption_cache_cap(mut self, max_entries: usize) -> Self {
-        self.redemption_cache_max_entries = max_entries;
-        self
-    }
-
     /// Builder-style toggle of the tit-for-tat mechanism.
     pub fn with_tit_for_tat(mut self, enabled: bool) -> Self {
         self.tit_for_tat = enabled;

@@ -37,7 +37,7 @@
 //! * `bw` — outbound bandwidth throttle in bytes/second (0 = unlimited)
 //! * `sever` — `+`-separated peer addresses cut off entirely (partition)
 
-use crate::wire::{Reader, WireError};
+use crate::wire::{Reader, WireError, Writer};
 use crate::Addr;
 
 /// Default reorder window when `delay=p` omits the `:w` suffix.
@@ -265,7 +265,8 @@ impl FaultSpec {
 
     /// Appends the binary encoding (for `CtrlFault` frame payloads).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seed.to_be_bytes());
+        let mut w = Writer::new(out);
+        w.u64(self.seed);
         for p in [
             self.drop_in,
             self.drop_out,
@@ -273,14 +274,11 @@ impl FaultSpec {
             self.dup_prob,
             self.reset_prob,
         ] {
-            out.extend_from_slice(&p.to_bits().to_be_bytes());
+            w.u64(p.to_bits());
         }
-        out.extend_from_slice(&self.delay_max_polls.to_be_bytes());
-        out.extend_from_slice(&self.bandwidth_bytes_per_sec.to_be_bytes());
-        out.extend_from_slice(&(self.severed.len() as u16).to_be_bytes());
-        for a in &self.severed {
-            out.extend_from_slice(&a.to_be_bytes());
-        }
+        w.u32(self.delay_max_polls);
+        w.u64(self.bandwidth_bytes_per_sec);
+        w.list(2, &self.severed, |w, a| w.u32(*a));
     }
 
     /// Decodes a binary spec, returning it with the bytes consumed.

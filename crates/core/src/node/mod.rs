@@ -417,22 +417,11 @@ impl SecureCyclonNode {
         self.samples.len()
     }
 
-    /// Number of owned descriptors parked in the reserve.
-    pub fn reserve_len(&self) -> usize {
-        self.reserve.len()
-    }
-
     /// Read-only view of the reserve: owned descriptors waiting for a view
     /// slot. Exposed so external invariant oracles can account for every
     /// live token the node holds.
     pub fn reserve(&self) -> impl Iterator<Item = &SecureDescriptor> {
         self.reserve.iter()
-    }
-
-    /// Number of pre-transfer copies retained from failed exchanges (the
-    /// first-priority non-swappable back-fill pool, §V-A).
-    pub fn pending_ns_len(&self) -> usize {
-        self.pending_ns.len()
     }
 
     /// Number of pre-transfer copies remembered from successful exchanges
@@ -445,11 +434,6 @@ impl SecureCyclonNode {
     /// (§V-C).
     pub fn redemption_count(&self) -> usize {
         self.redemptions.len()
-    }
-
-    /// Number of tit-for-tat sessions currently open on the passive side.
-    pub fn open_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Protocol counters.

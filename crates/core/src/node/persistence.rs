@@ -122,11 +122,6 @@ impl SecureCyclonNode {
         self.backend.take()
     }
 
-    /// Whether a durable backend is attached.
-    pub fn has_backend(&self) -> bool {
-        self.backend.is_some()
-    }
-
     /// Latest cycle whose fresh-descriptor budget is spent (recovered
     /// across restarts when a backend is attached).
     pub fn last_emission(&self) -> Option<u64> {

@@ -53,7 +53,7 @@
 use crate::descriptor::{DescriptorId, SecureDescriptor};
 use crate::proof::ViolationProof;
 use crate::time::Timestamp;
-use crate::wire::{encode_descriptor, encode_proof, Reader, WireError, WireLimits};
+use crate::wire::{Reader, WireError, WireLimits, Writer};
 use sc_crypto::{sha256, Digest, PUBLIC_KEY_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -308,11 +308,7 @@ impl FileBackend {
     }
 
     fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.push(kind);
-        frame.extend_from_slice(&record_checksum(kind, payload));
-        frame.extend_from_slice(payload);
+        let frame = record_frame(kind, payload);
         let file = match self.file.as_mut() {
             Some(f) => f,
             None => {
@@ -332,12 +328,7 @@ impl FileBackend {
 
     /// Rewrites the log as a single checkpoint record (temp + rename).
     fn compact(&mut self, state: &PersistentState) -> io::Result<()> {
-        let payload = encode_state(state);
-        let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.push(REC_CHECKPOINT);
-        frame.extend_from_slice(&record_checksum(REC_CHECKPOINT, &payload));
-        frame.extend_from_slice(&payload);
+        let frame = record_frame(REC_CHECKPOINT, &encode_state(state));
         let tmp = self.path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -363,15 +354,17 @@ impl StateBackend for FileBackend {
 
     fn record_proof(&mut self, proof: &ViolationProof, learned_cycle: u64) -> io::Result<()> {
         let mut payload = Vec::new();
-        payload.extend_from_slice(&learned_cycle.to_be_bytes());
-        encode_proof(proof, &mut payload);
+        let mut w = Writer::new(&mut payload);
+        w.u64(learned_cycle);
+        w.proof(proof);
         self.append(REC_PROOF, &payload)
     }
 
     fn record_spent(&mut self, digest: &Digest, cycle: u64) -> io::Result<()> {
         let mut payload = Vec::with_capacity(40);
-        payload.extend_from_slice(digest);
-        payload.extend_from_slice(&cycle.to_be_bytes());
+        let mut w = Writer::new(&mut payload);
+        w.bytes(digest);
+        w.u64(cycle);
         self.append(REC_SPENT, &payload)
     }
 
@@ -394,6 +387,17 @@ impl StateBackend for FileBackend {
         };
         Ok(fold_log(&bytes, period_ticks, limits))
     }
+}
+
+/// One log record: `len (4) | kind (1) | checksum (4) | payload`.
+fn record_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+    let mut w = Writer::new(&mut frame);
+    w.u32(payload.len() as u32);
+    w.u8(kind);
+    w.bytes(&record_checksum(kind, payload));
+    w.bytes(payload);
+    frame
 }
 
 fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
@@ -465,66 +469,46 @@ fn fold_record(
 // has. Counts are `u16`/`u32` big-endian; every length is re-checked
 // against the remaining input before any buffer is reserved.
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
 fn encode_state(state: &PersistentState) -> Vec<u8> {
     let mut out = Vec::with_capacity(512);
-    out.push(STATE_VERSION);
-    put_u64(&mut out, state.cycle);
+    let mut w = Writer::new(&mut out);
+    w.u8(STATE_VERSION);
+    w.u64(state.cycle);
     match state.emitted_cycle {
         Some(c) => {
-            out.push(1);
-            put_u64(&mut out, c);
+            w.u8(1);
+            w.u64(c);
         }
-        None => out.push(0),
+        None => w.u8(0),
     }
-    put_u16(&mut out, state.view.len() as u16);
-    for (desc, ns) in &state.view {
-        out.push(u8::from(*ns));
-        encode_descriptor(desc, &mut out);
-    }
-    put_u16(&mut out, state.reserve.len() as u16);
-    for desc in &state.reserve {
-        encode_descriptor(desc, &mut out);
-    }
-    put_u16(&mut out, state.redemptions.len() as u16);
-    for (cycle, desc) in &state.redemptions {
-        put_u64(&mut out, *cycle);
-        encode_descriptor(desc, &mut out);
-    }
-    put_u16(&mut out, state.proofs.len() as u16);
-    for (cycle, proof) in &state.proofs {
-        put_u64(&mut out, *cycle);
-        encode_proof(proof, &mut out);
-    }
-    put_u32(&mut out, state.spent.len() as u32);
-    for (digest, cycle) in &state.spent {
-        out.extend_from_slice(digest);
-        put_u64(&mut out, *cycle);
-    }
-    put_u32(&mut out, state.redeemed_regular.len() as u32);
-    for (id, cycle) in &state.redeemed_regular {
-        out.extend_from_slice(id.creator.as_bytes());
-        put_u64(&mut out, id.created_at.0);
-        put_u64(&mut out, *cycle);
-    }
-    put_u32(&mut out, state.ns_redeemed.len() as u32);
-    for id in &state.ns_redeemed {
-        out.extend_from_slice(id.creator.as_bytes());
-        put_u64(&mut out, id.created_at.0);
-    }
-    put_u64(&mut out, state.ns_accepted.0);
-    put_u32(&mut out, state.ns_accepted.1);
+    w.list(2, &state.view, |w, (desc, ns)| {
+        w.u8(u8::from(*ns));
+        w.descriptor(desc);
+    });
+    w.list(2, &state.reserve, Writer::descriptor);
+    w.list(2, &state.redemptions, |w, (cycle, desc)| {
+        w.u64(*cycle);
+        w.descriptor(desc);
+    });
+    w.list(2, &state.proofs, |w, (cycle, proof)| {
+        w.u64(*cycle);
+        w.proof(proof);
+    });
+    w.list(4, &state.spent, |w, (digest, cycle)| {
+        w.bytes(digest);
+        w.u64(*cycle);
+    });
+    w.list(4, &state.redeemed_regular, |w, (id, cycle)| {
+        w.bytes(id.creator.as_bytes());
+        w.u64(id.created_at.0);
+        w.u64(*cycle);
+    });
+    w.list(4, &state.ns_redeemed, |w, id| {
+        w.bytes(id.creator.as_bytes());
+        w.u64(id.created_at.0);
+    });
+    w.u64(state.ns_accepted.0);
+    w.u32(state.ns_accepted.1);
     out
 }
 

@@ -335,6 +335,93 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The big-endian encoder behind every format [`Reader`] decodes —
+/// gossip messages, the durable state log, control reports, fault specs
+/// and frame headers. It appends to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer { out }
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.out.push(v);
+    }
+
+    /// A big-endian `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_be_bytes());
+    }
+
+    /// A big-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_be_bytes());
+    }
+
+    /// A big-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_be_bytes());
+    }
+
+    /// Raw bytes (keys, signatures, digests, payloads).
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(b);
+    }
+
+    /// A counted list: a big-endian count of `prefix_bytes` bytes (2 or
+    /// 4 in every format here), then `each` for every counted item. A
+    /// list longer than the prefix can express is cut to the largest
+    /// count that fits, so the count always matches the body written: the
+    /// decoder sees [`WireError::ListTooLong`] or a true prefix of the
+    /// list, never a wrapped count in front of a full body.
+    pub fn list<T>(
+        &mut self,
+        prefix_bytes: usize,
+        items: &[T],
+        mut each: impl FnMut(&mut Self, &T),
+    ) {
+        let max = u64::MAX >> (64 - 8 * prefix_bytes);
+        let n = (items.len() as u64).min(max);
+        self.bytes(&n.to_be_bytes()[8 - prefix_bytes..]);
+        for item in &items[..n as usize] {
+            each(self, item);
+        }
+    }
+
+    /// One descriptor (see [`Reader::descriptor`]).
+    pub fn descriptor(&mut self, desc: &SecureDescriptor) {
+        let g = desc.genesis();
+        self.bytes(g.creator.as_bytes());
+        self.u32(g.addr);
+        self.u64(g.created_at.ticks());
+        self.bytes(g.sig.as_bytes());
+        self.list(2, desc.chain(), |w, link| {
+            w.bytes(link.to.as_bytes());
+            w.u8(kind_tag(link.kind));
+            w.bytes(link.sig.as_bytes());
+        });
+    }
+
+    /// One violation proof: kind tag + the two evidence descriptors (the
+    /// culprit is recomputed on decode — proofs stay self-certifying on
+    /// the wire).
+    pub fn proof(&mut self, proof: &ViolationProof) {
+        self.u8(match proof.kind() {
+            ProofKind::Cloning => 0,
+            ProofKind::Frequency => 1,
+        });
+        let (l, r) = proof.evidence();
+        self.descriptor(l);
+        self.descriptor(r);
+    }
+}
+
 fn kind_tag(kind: LinkKind) -> u8 {
     match kind {
         LinkKind::Transfer => 0,
@@ -354,17 +441,7 @@ fn kind_from_tag(tag: u8) -> Result<LinkKind, WireError> {
 
 /// Serializes a descriptor into `out`.
 pub fn encode_descriptor(desc: &SecureDescriptor, out: &mut Vec<u8>) {
-    let g = desc.genesis();
-    out.extend_from_slice(g.creator.as_bytes());
-    out.extend_from_slice(&g.addr.to_be_bytes());
-    out.extend_from_slice(&g.created_at.ticks().to_be_bytes());
-    out.extend_from_slice(g.sig.as_bytes());
-    out.extend_from_slice(&(desc.chain().len() as u16).to_be_bytes());
-    for link in desc.chain() {
-        out.extend_from_slice(link.to.as_bytes());
-        out.push(kind_tag(link.kind));
-        out.extend_from_slice(link.sig.as_bytes());
-    }
+    Writer::new(out).descriptor(desc);
 }
 
 /// Deserializes one descriptor from the front of `buf`, returning it and
@@ -589,59 +666,6 @@ mod tests {
 // Full message codec
 // ----------------------------------------------------------------------
 
-fn encode_vec(descs: &[SecureDescriptor], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(descs.len() as u16).to_be_bytes());
-    for d in descs {
-        encode_descriptor(d, out);
-    }
-}
-
-/// Serializes a violation proof (kind tag + the two evidence descriptors;
-/// the culprit is recomputed on decode — proofs stay self-certifying on
-/// the wire).
-pub fn encode_proof(proof: &ViolationProof, out: &mut Vec<u8>) {
-    out.push(match proof.kind() {
-        ProofKind::Cloning => 0,
-        ProofKind::Frequency => 1,
-    });
-    let (l, r) = proof.evidence();
-    encode_descriptor(l, out);
-    encode_descriptor(r, out);
-}
-
-/// Deserializes and **re-validates** a violation proof.
-///
-/// # Errors
-///
-/// [`WireError::BadProof`] if the evidence fails to prove the claimed
-/// violation under `period_ticks` — forged proofs never survive decoding.
-pub fn decode_proof(buf: &[u8], period_ticks: u64) -> Result<(ViolationProof, usize), WireError> {
-    decode_proof_with(buf, period_ticks, &WireLimits::DEFAULT)
-}
-
-/// [`decode_proof`] with caller-supplied [`WireLimits`].
-///
-/// # Errors
-///
-/// As [`decode_proof`], plus the limit errors of
-/// [`decode_descriptor_with`].
-pub fn decode_proof_with(
-    buf: &[u8],
-    period_ticks: u64,
-    limits: &WireLimits,
-) -> Result<(ViolationProof, usize), WireError> {
-    let mut r = Reader::new(buf);
-    let proof = r.proof(period_ticks, limits)?;
-    Ok((proof, r.position()))
-}
-
-fn encode_proofs(proofs: &[ViolationProof], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(proofs.len() as u16).to_be_bytes());
-    for p in proofs {
-        encode_proof(p, out);
-    }
-}
-
 const MSG_REQUEST: u8 = 1;
 const MSG_ACCEPT: u8 = 2;
 const MSG_ROUND: u8 = 3;
@@ -652,47 +676,48 @@ const MSG_JOIN_GRANT: u8 = 7;
 
 /// Serializes a full SecureCyclon message.
 pub fn encode_message(msg: &SecureMsg, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
     match msg {
         SecureMsg::Request(b) => {
-            out.push(MSG_REQUEST);
-            encode_descriptor(&b.redeemed, out);
-            encode_descriptor(&b.fresh, out);
-            encode_vec(&b.offered, out);
-            encode_vec(&b.samples, out);
-            encode_proofs(&b.proofs, out);
+            w.u8(MSG_REQUEST);
+            w.descriptor(&b.redeemed);
+            w.descriptor(&b.fresh);
+            w.list(2, &b.offered, Writer::descriptor);
+            w.list(2, &b.samples, Writer::descriptor);
+            w.list(2, &b.proofs, Writer::proof);
         }
         SecureMsg::Accept(b) => {
-            out.push(MSG_ACCEPT);
-            encode_vec(&b.transfers, out);
-            encode_vec(&b.samples, out);
-            encode_proofs(&b.proofs, out);
+            w.u8(MSG_ACCEPT);
+            w.list(2, &b.transfers, Writer::descriptor);
+            w.list(2, &b.samples, Writer::descriptor);
+            w.list(2, &b.proofs, Writer::proof);
         }
         SecureMsg::Round(b) => {
-            out.push(MSG_ROUND);
-            encode_descriptor(&b.transfer, out);
+            w.u8(MSG_ROUND);
+            w.descriptor(&b.transfer);
         }
         SecureMsg::RoundReply(b) => {
-            out.push(MSG_ROUND_REPLY);
+            w.u8(MSG_ROUND_REPLY);
             match &b.transfer {
                 Some(d) => {
-                    out.push(1);
-                    encode_descriptor(d, out);
+                    w.u8(1);
+                    w.descriptor(d);
                 }
-                None => out.push(0),
+                None => w.u8(0),
             }
         }
         SecureMsg::Proof(p) => {
-            out.push(MSG_PROOF);
-            encode_proof(p, out);
+            w.u8(MSG_PROOF);
+            w.proof(p);
         }
         SecureMsg::JoinPing(b) => {
-            out.push(MSG_JOIN_PING);
-            out.extend_from_slice(b.joiner.as_bytes());
+            w.u8(MSG_JOIN_PING);
+            w.bytes(b.joiner.as_bytes());
         }
         SecureMsg::JoinGrant(b) => {
-            out.push(MSG_JOIN_GRANT);
-            encode_descriptor(&b.descriptor, out);
-            encode_proofs(&b.proofs, out);
+            w.u8(MSG_JOIN_GRANT);
+            w.descriptor(&b.descriptor);
+            w.list(2, &b.proofs, Writer::proof);
         }
     }
 }
@@ -700,7 +725,7 @@ pub fn encode_message(msg: &SecureMsg, out: &mut Vec<u8>) {
 /// Deserializes a full message, consuming the entire buffer.
 ///
 /// Proof payloads are re-validated against `period_ticks` during decoding
-/// (see [`decode_proof`]); descriptors are structurally checked but their
+/// (see [`Reader::proof`]); descriptors are structurally checked but their
 /// signatures are verified by the protocol layer, not the codec.
 ///
 /// # Errors

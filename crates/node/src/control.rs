@@ -9,7 +9,7 @@
 
 use crate::frame::{Frame, FrameKind, FrameReader, FRAME_HEADER_BYTES};
 use crate::transport::TransportStats;
-use sc_core::wire::{self, Reader, WireError, WireLimits};
+use sc_core::wire::{Reader, WireError, WireLimits, Writer};
 use sc_core::Addr;
 use sc_core::{SecureDescriptor, SecureStats};
 use sc_crypto::PublicKey;
@@ -49,14 +49,6 @@ pub struct StatusReport {
     /// Turn deadlines that passed without firing (daemon fell behind the
     /// shared clock or was partitioned off it).
     pub turns_skipped: u64,
-}
-
-fn put_u16(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u16).to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
 }
 
 /// The [`SecureStats`] counters in wire order. New counters append at
@@ -176,39 +168,25 @@ impl StatusReport {
     /// Serializes the report for a `CtrlStatusReply` payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&self.addr.to_be_bytes());
-        out.extend_from_slice(self.id.as_bytes());
-        put_u64(&mut out, self.cycle);
-        out.push(self.joined as u8);
-        put_u64(&mut out, self.cycles_run);
-        let stats = stats_to_array(&self.stats);
-        put_u16(&mut out, stats.len());
-        for v in stats {
-            put_u64(&mut out, v);
-        }
-        let transport = transport_to_array(&self.transport);
-        put_u16(&mut out, transport.len());
-        for v in transport {
-            put_u64(&mut out, v);
-        }
-        put_u16(&mut out, self.view.len());
-        for (desc, ns) in &self.view {
-            out.push(*ns as u8);
-            wire::encode_descriptor(desc, &mut out);
-        }
-        put_u16(&mut out, self.reserve.len());
-        for desc in &self.reserve {
-            wire::encode_descriptor(desc, &mut out);
-        }
-        put_u16(&mut out, self.blacklist.len());
-        for id in &self.blacklist {
-            out.extend_from_slice(id.as_bytes());
-        }
+        let mut w = Writer::new(&mut out);
+        w.u32(self.addr);
+        w.bytes(self.id.as_bytes());
+        w.u64(self.cycle);
+        w.u8(self.joined as u8);
+        w.u64(self.cycles_run);
+        w.list(2, &stats_to_array(&self.stats), |w, v| w.u64(*v));
+        w.list(2, &transport_to_array(&self.transport), |w, v| w.u64(*v));
+        w.list(2, &self.view, |w, (desc, ns)| {
+            w.u8(*ns as u8);
+            w.descriptor(desc);
+        });
+        w.list(2, &self.reserve, Writer::descriptor);
+        w.list(2, &self.blacklist, |w, id| w.bytes(id.as_bytes()));
         // Trailing extensions (older decoders treat them as optional,
         // and everything after a tear decodes as zero).
-        put_u16(&mut out, self.redemptions);
-        put_u64(&mut out, self.retransmits);
-        put_u64(&mut out, self.turns_skipped);
+        w.u16(u16::try_from(self.redemptions).unwrap_or(u16::MAX));
+        w.u64(self.retransmits);
+        w.u64(self.turns_skipped);
         out
     }
 
@@ -457,12 +435,10 @@ mod tests {
         assert_eq!(back.turns_skipped, 3);
     }
 
-    #[test]
-    fn truncated_reports_error_cleanly() {
-        let kp = Keypair::from_seed(Scheme::KeyedHash, [9; 32]);
-        let report = StatusReport {
+    fn small_report() -> StatusReport {
+        StatusReport {
             addr: 1,
-            id: kp.public(),
+            id: Keypair::from_seed(Scheme::KeyedHash, [9; 32]).public(),
             cycle: 0,
             joined: false,
             cycles_run: 0,
@@ -474,8 +450,41 @@ mod tests {
             transport: TransportStats::default(),
             retransmits: 9,
             turns_skipped: 9,
+        }
+    }
+
+    #[test]
+    fn oversized_list_never_decodes_to_wrong_fields() {
+        // 65 537 entries do not fit the u16 count. A wrapped count (1)
+        // in front of the full body would decode `Ok`, with the trailing
+        // fields read out of key bytes; the encoder must cut the list to
+        // what the count can say instead.
+        let peer = Keypair::from_seed(Scheme::KeyedHash, [8; 32]).public();
+        let report = StatusReport {
+            blacklist: vec![peer; 65_537],
+            redemptions: 5,
+            ..small_report()
         };
         let bytes = report.encode();
+        assert_eq!(
+            StatusReport::decode(&bytes, &WireLimits::DEFAULT).unwrap_err(),
+            WireError::ListTooLong(u16::MAX)
+        );
+        let wide = WireLimits {
+            max_list_len: usize::MAX,
+            ..WireLimits::DEFAULT
+        };
+        let back = StatusReport::decode(&bytes, &wide).unwrap();
+        assert_eq!(back.blacklist, report.blacklist[..usize::from(u16::MAX)]);
+        assert_eq!(
+            (back.redemptions, back.retransmits, back.turns_skipped),
+            (5, 9, 9)
+        );
+    }
+
+    #[test]
+    fn truncated_reports_error_cleanly() {
+        let bytes = small_report().encode();
         // The last 18 bytes are the optional extensions (redemptions u16,
         // retransmits u64, turns_skipped u64); cuts inside the required
         // prefix must error.

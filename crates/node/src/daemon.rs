@@ -30,7 +30,7 @@ use crate::control::StatusReport;
 use crate::fault::FaultTransport;
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, TcpTransport, Transport};
-use sc_core::wire::{self, Reader, WireError};
+use sc_core::wire::{self, Reader, WireError, Writer};
 use sc_core::{ring_bootstrap, Addr, Effects, FaultSpec, Input, SecureCyclonNode, SecureMsg};
 use sc_crypto::PublicKey;
 use std::collections::VecDeque;
@@ -398,12 +398,10 @@ impl Daemon {
         };
         let proofs = self.node.export_proofs();
         let mut payload = Vec::new();
-        payload.extend_from_slice(&cycle.to_be_bytes());
-        wire::encode_descriptor(&desc, &mut payload);
-        payload.extend_from_slice(&(proofs.len() as u16).to_be_bytes());
-        for p in &proofs {
-            wire::encode_proof(p, &mut payload);
-        }
+        let mut w = Writer::new(&mut payload);
+        w.u64(cycle);
+        w.descriptor(&desc);
+        w.list(2, &proofs, Writer::proof);
         let f = Frame::new(FrameKind::JoinGrant, self.cfg.addr, payload);
         self.transport.respond(conn, &f);
     }

@@ -11,6 +11,7 @@
 //! so a 4-byte length prefix can never force a large allocation — the
 //! same discipline [`sc_core::wire::WireLimits`] applies one layer down.
 
+use sc_core::wire::{Reader, Writer};
 use sc_core::Addr;
 
 /// Frame magic: `"SCn1"`.
@@ -109,12 +110,13 @@ impl Frame {
     /// Serializes the frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
-        out.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
-        out.push(self.kind.tag());
-        out.extend_from_slice(&self.req_id.to_be_bytes());
-        out.extend_from_slice(&self.from.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut w = Writer::new(&mut out);
+        w.u32(FRAME_MAGIC);
+        w.u8(self.kind.tag());
+        w.u32(self.req_id);
+        w.u32(self.from);
+        w.u32(self.payload.len() as u32);
+        w.bytes(&self.payload);
         out
     }
 }
@@ -198,21 +200,22 @@ impl FrameReader {
         if self.poisoned {
             return Ok(None);
         }
-        if self.buf.len() < FRAME_HEADER_BYTES {
+        // Nothing is judged until the whole header is buffered.
+        let mut r = Reader::new(&self.buf);
+        let (Ok(magic), Ok(tag), Ok(req_id), Ok(from), Ok(len)) =
+            (r.u32(), r.u8(), r.u32(), r.u32(), r.u32())
+        else {
             return Ok(None);
-        }
-        let magic = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
+        };
         if magic != FRAME_MAGIC {
             self.poisoned = true;
             return Err(FrameError::BadMagic(magic));
         }
-        let Some(kind) = FrameKind::from_tag(self.buf[4]) else {
+        let Some(kind) = FrameKind::from_tag(tag) else {
             self.poisoned = true;
-            return Err(FrameError::BadKind(self.buf[4]));
+            return Err(FrameError::BadKind(tag));
         };
-        let req_id = u32::from_be_bytes(self.buf[5..9].try_into().unwrap());
-        let from = u32::from_be_bytes(self.buf[9..13].try_into().unwrap());
-        let len = u32::from_be_bytes(self.buf[13..17].try_into().unwrap()) as usize;
+        let len = len as usize;
         if len > self.max_frame_bytes {
             self.poisoned = true;
             return Err(FrameError::TooLarge {

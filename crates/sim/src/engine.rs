@@ -27,40 +27,15 @@
 //! reused — a descriptor pointing at a departed node dangles, as in a
 //! real overlay.
 //!
-//! # Execution modes and determinism
+//! # Schedule and determinism
 //!
-//! The engine runs in one of two [`Execution`] modes:
-//!
-//! * [`Execution::Sequential`] (the default): one turn at a time, fully
-//!   deterministic per seed — the mode every test and experiment replays
-//!   under.
-//! * [`Execution::Striped`]: the shuffled turn order is cut into
-//!   consecutive *stripes*; the turns of a stripe run concurrently on a
-//!   vendored rayon worker pool. Striped runs are **also deterministic**,
-//!   by construction rather than by luck:
-//!
-//!   1. Every RPC passes a *position-ordered admission gate*: the RPC of
-//!      the turn at stripe position `p` executes only after the turns at
-//!      positions `< p` have completed. RPCs therefore execute — and
-//!      consume network loss rolls from the engine RNG — in exactly the
-//!      order the sequential engine would, while the pre- and post-RPC
-//!      compute of different turns (peer selection, signature checks)
-//!      overlaps across workers.
-//!   2. An RPC whose target is co-scheduled in the caller's stripe is
-//!      deterministically unreachable (a "busy" timeout, counted under
-//!      `rpcs_unreachable`, consuming no randomness). This generalizes the
-//!      sequential rule that a node cannot serve an RPC while mid-turn.
-//!   3. One-way sends are buffered per turn and appended to the next
-//!      cycle's queue in stripe-position order — the exact order the
-//!      sequential engine produces.
-//!
-//!   The resulting contract: a striped run is bit-for-bit reproducible
-//!   for a given `(seed, stripe_len)`, independent of worker count and
-//!   OS scheduling; and with `stripe_len = 1` (where rule 2 never fires)
-//!   it is bit-identical to the sequential engine on any network model.
-//!   Striped execution requires node state to be engine-contained
-//!   (`N: Send`, no mutable state shared outside the engine), since
-//!   non-RPC sections of different turns overlap in wall time.
+//! There is one schedule: each cycle delivers the queued one-way
+//! messages, shuffles the live addresses with the engine RNG, and runs
+//! one turn at a time in that order — the paper's cycle-driven model. A
+//! node that is mid-turn is checked out of the arena, so an RPC aimed at
+//! it (or at the caller itself) times out as unreachable. Shuffles and
+//! loss rolls are the only consumers of the engine RNG, in program
+//! order, so a run is bit-for-bit reproducible per seed.
 
 use crate::arena::Arena;
 use crate::clock::Clock;
@@ -69,9 +44,6 @@ use crate::stats::TrafficStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// A simulated network address ("IP and port" in the paper's model).
 ///
@@ -122,44 +94,12 @@ pub enum RpcOutcome<M> {
     Timeout,
 }
 
-impl<M> RpcOutcome<M> {
-    /// Converts into an `Option`, mapping `Timeout` to `None`.
-    pub fn into_reply(self) -> Option<M> {
-        match self {
-            RpcOutcome::Reply(m) => Some(m),
-            RpcOutcome::Timeout => None,
-        }
-    }
-}
-
 /// An in-flight one-way message.
 #[derive(Debug, Clone)]
 struct Envelope<M> {
     from: Addr,
     to: Addr,
     msg: M,
-}
-
-/// How [`Engine::run_cycle`] schedules the turns of a cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// One turn at a time, in shuffled order. The default, and the mode
-    /// of record for every determinism test.
-    #[default]
-    Sequential,
-    /// Turns run `stripe_len` at a time on `workers` pooled threads, with
-    /// RPC admission serialized in stripe-position order. Deterministic
-    /// for a given `(seed, stripe_len)` — see the module docs for the
-    /// exact contract — and bit-identical to [`Execution::Sequential`]
-    /// when `stripe_len == 1`.
-    Striped {
-        /// Worker threads per stripe (clamped to at least 1).
-        workers: usize,
-        /// Consecutive turns scheduled together (clamped to at least 1).
-        /// Part of the seed-stream contract: changing it changes which
-        /// RPCs hit the same-stripe busy rule.
-        stripe_len: usize,
-    },
 }
 
 /// Engine construction parameters.
@@ -173,8 +113,6 @@ pub struct SimConfig {
     pub ticks_per_cycle: u64,
     /// Cycle number the clock starts at (see [`crate::clock::Clock::starting_at`]).
     pub start_cycle: u64,
-    /// Turn scheduling mode (see [`Execution`]).
-    pub execution: Execution,
 }
 
 impl Default for SimConfig {
@@ -184,7 +122,6 @@ impl Default for SimConfig {
             net: NetworkModel::reliable(),
             ticks_per_cycle: crate::clock::DEFAULT_TICKS_PER_CYCLE,
             start_cycle: 0,
-            execution: Execution::Sequential,
         }
     }
 }
@@ -208,26 +145,19 @@ pub struct Engine<N: SimNode> {
     /// One-way messages to deliver at the start of the next cycle.
     pending: Vec<Envelope<N::Msg>>,
     stats: TrafficStats,
-    execution: Execution,
-    /// Worker pool for striped execution (None while sequential).
-    pool: Option<rayon::ThreadPool>,
 }
 
 impl<N: SimNode> Engine<N> {
     /// Creates an empty engine.
     pub fn new(cfg: SimConfig) -> Self {
-        let mut engine = Engine {
+        Engine {
             arena: Arena::new(),
             clock: Clock::new(cfg.ticks_per_cycle).starting_at(cfg.start_cycle),
             net: cfg.net,
             rng: StdRng::seed_from_u64(cfg.seed),
             pending: Vec::new(),
             stats: TrafficStats::default(),
-            execution: Execution::Sequential,
-            pool: None,
-        };
-        engine.set_execution(cfg.execution);
-        engine
+        }
     }
 
     /// Adds a node constructed by `make`, which receives the address the
@@ -299,53 +229,10 @@ impl<N: SimNode> Engine<N> {
         self.net = net;
     }
 
-    /// The active turn-scheduling mode.
-    pub fn execution(&self) -> Execution {
-        self.execution
-    }
-
-    /// Switches turn scheduling (takes effect from the next cycle).
-    /// Switching modes changes the seed stream only as documented on
-    /// [`Execution::Striped`].
-    pub fn set_execution(&mut self, execution: Execution) {
-        self.execution = execution;
-        self.pool = match execution {
-            Execution::Sequential => None,
-            Execution::Striped { workers, .. } => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers.max(1))
-                    .build()
-                    .expect("vendored thread pool construction is infallible"),
-            ),
-        };
-    }
-
     /// Runs one full cycle: delivers queued one-way messages in address
-    /// order, then gives every alive node its turn in shuffled order under
-    /// the configured [`Execution`] mode.
-    pub fn run_cycle(&mut self)
-    where
-        N: Send,
-        N::Msg: Send,
-    {
-        self.deliver_pending();
-
-        let mut order: Vec<Addr> = self.arena.live_addrs().to_vec();
-        order.shuffle(&mut self.rng);
-
-        match self.execution {
-            Execution::Sequential => self.run_turns_sequential(&order),
-            Execution::Striped {
-                workers,
-                stripe_len,
-            } => {
-                for stripe in order.chunks(stripe_len.max(1)) {
-                    self.run_stripe(stripe, workers.max(1));
-                }
-            }
-        }
-
-        self.clock.advance();
+    /// order, then gives every alive node its turn in shuffled order.
+    pub fn run_cycle(&mut self) {
+        self.run_cycle_interrupted(usize::MAX, |_| {});
     }
 
     /// Runs one cycle with an interruption: the first `after_turns`
@@ -356,12 +243,9 @@ impl<N: SimNode> Engine<N> {
     /// already answered some exchanges but before its checkpoint — which
     /// boundary-aligned fault hooks structurally cannot express.
     ///
-    /// Turns always run sequentially here regardless of the configured
-    /// [`Execution`] mode: an interruption point inside a striped cycle
-    /// has no deterministic position. The shuffled order and message
-    /// delivery match [`Engine::run_cycle`] exactly, so a run that
-    /// interrupts after `order.len()` turns is bit-identical to an
-    /// uninterrupted sequential cycle plus a boundary hook.
+    /// Where the cut falls consumes no randomness, so with a `mid` that
+    /// does nothing the cycle is bit-identical to [`Engine::run_cycle`]
+    /// for every `after_turns`.
     pub fn run_cycle_interrupted<F>(&mut self, after_turns: usize, mid: F)
     where
         F: FnOnce(&mut Self),
@@ -372,27 +256,22 @@ impl<N: SimNode> Engine<N> {
         order.shuffle(&mut self.rng);
 
         let cut = after_turns.min(order.len());
-        self.run_turns_sequential(&order[..cut]);
+        self.run_turns(&order[..cut]);
         mid(self);
-        self.run_turns_sequential(&order[cut..]);
+        self.run_turns(&order[cut..]);
 
         self.clock.advance();
     }
 
     /// Runs `n` cycles back to back.
-    pub fn run_cycles(&mut self, n: u64)
-    where
-        N: Send,
-        N::Msg: Send,
-    {
+    pub fn run_cycles(&mut self, n: u64) {
         for _ in 0..n {
             self.run_cycle();
         }
     }
 
-    /// The sequential turn loop: take each node out, run its turn, put it
-    /// back.
-    fn run_turns_sequential(&mut self, order: &[Addr]) {
+    /// The turn loop: take each node out, run its turn, put it back.
+    fn run_turns(&mut self, order: &[Addr]) {
         for &addr in order {
             // The node may have been killed mid-cycle; `take` then fails.
             let Some(mut node) = self.arena.take(addr) else {
@@ -400,106 +279,10 @@ impl<N: SimNode> Engine<N> {
             };
             let mut ctx = CycleCtx {
                 self_addr: addr,
-                inner: CtxInner::Seq(self),
+                engine: self,
             };
             node.on_cycle(&mut ctx);
             self.arena.put_back(addr, node);
-        }
-    }
-
-    /// Runs one stripe of turns on the worker pool. See the module docs
-    /// for the determinism argument.
-    fn run_stripe(&mut self, stripe: &[Addr], workers: usize)
-    where
-        N: Send,
-        N::Msg: Send,
-    {
-        // Check the stripe's nodes out sequentially. Addresses that died
-        // mid-cycle yield no node and their positions complete instantly.
-        let taken: Vec<Option<Box<N>>> = stripe.iter().map(|&a| self.arena.take(a)).collect();
-        let busy: HashSet<Addr> = stripe
-            .iter()
-            .zip(&taken)
-            .filter(|(_, n)| n.is_some())
-            .map(|(&a, _)| a)
-            .collect();
-        let n_turns = busy.len();
-        if n_turns == 0 {
-            return;
-        }
-
-        let gate = Gate::new(stripe.len());
-        for (pos, node) in taken.iter().enumerate() {
-            if node.is_none() {
-                gate.complete(pos);
-            }
-        }
-
-        // Everything the gated RPC path mutates moves under one lock for
-        // the stripe's duration; the lock is only ever contended by the
-        // single gate-admitted RPC at a time plus O(1) turn bookkeeping.
-        let shared = Mutex::new(StripeShared {
-            arena: std::mem::take(&mut self.arena),
-            rng: std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0)),
-            stats: self.stats,
-        });
-        let turn_nodes = Mutex::new(taken);
-        let buffers: Mutex<Vec<Vec<Envelope<N::Msg>>>> =
-            Mutex::new(stripe.iter().map(|_| Vec::new()).collect());
-        let claim = AtomicUsize::new(0);
-        let net = &self.net;
-        let clock = self.clock;
-        let pool = self
-            .pool
-            .as_ref()
-            .expect("striped execution always has a pool");
-
-        pool.scope(|s| {
-            for _ in 0..workers.min(n_turns) {
-                s.spawn(|_| loop {
-                    let pos = claim.fetch_add(1, Ordering::SeqCst);
-                    if pos >= stripe.len() {
-                        break;
-                    }
-                    let Some(mut node) = turn_nodes.lock().unwrap()[pos].take() else {
-                        continue; // dead position, pre-completed
-                    };
-                    let mut buf: Vec<Envelope<N::Msg>> = Vec::new();
-                    {
-                        let mut ctx = CycleCtx {
-                            self_addr: stripe[pos],
-                            inner: CtxInner::Striped(StripedCtx {
-                                shared: &shared,
-                                gate: &gate,
-                                net,
-                                clock,
-                                pos,
-                                busy: &busy,
-                                buf: &mut buf,
-                            }),
-                        };
-                        node.on_cycle(&mut ctx);
-                    }
-                    turn_nodes.lock().unwrap()[pos] = Some(node);
-                    buffers.lock().unwrap()[pos] = buf;
-                    gate.complete(pos);
-                });
-            }
-        });
-
-        // Move the engine state back and merge per-turn sends in stripe
-        // position order — exactly the sequence the sequential loop emits.
-        let core = shared.into_inner().unwrap();
-        self.arena = core.arena;
-        self.rng = core.rng;
-        self.stats = core.stats;
-        for (pos, slot) in turn_nodes.into_inner().unwrap().into_iter().enumerate() {
-            if let Some(node) = slot {
-                self.arena.put_back(stripe[pos], node);
-            }
-        }
-        for buf in buffers.into_inner().unwrap() {
-            self.pending.extend(buf);
         }
     }
 
@@ -538,92 +321,13 @@ impl<N: SimNode> Engine<N> {
             self.stats.oneways_delivered += 1;
         }
     }
-}
 
-/// The engine state an admitted RPC needs, shared under one mutex during
-/// a stripe (and borrowed field-by-field in sequential mode).
-struct StripeShared<N: SimNode> {
-    arena: Arena<N>,
-    rng: StdRng,
-    stats: TrafficStats,
-}
-
-/// The position-ordered admission gate of striped execution.
-///
-/// `watermark` is the lowest stripe position whose turn has not completed;
-/// an RPC at position `p` may execute once `watermark >= p`. The worker
-/// holding the lowest incomplete position never waits, so the gate cannot
-/// deadlock.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-struct GateState {
-    done: Vec<bool>,
-    watermark: usize,
-}
-
-impl Gate {
-    fn new(len: usize) -> Self {
-        Gate {
-            state: Mutex::new(GateState {
-                done: vec![false; len],
-                watermark: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every position below `pos` has completed.
-    fn wait_for(&self, pos: usize) {
-        let mut st = self.state.lock().unwrap();
-        while st.watermark < pos {
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Marks `pos` complete and advances the watermark past any
-    /// contiguous run of completed positions.
-    fn complete(&self, pos: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.done[pos] = true;
-        while st.watermark < st.done.len() && st.done[st.watermark] {
-            st.watermark += 1;
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-/// Borrowed engine pieces an RPC admission runs against — one struct so
-/// sequential and striped mode share the exact same code path (and thus
-/// the exact same stats/RNG consumption order).
-struct RpcPath<'a, N: SimNode> {
-    arena: &'a mut Arena<N>,
-    rng: &'a mut StdRng,
-    stats: &'a mut TrafficStats,
-    net: &'a NetworkModel,
-    clock: &'a Clock,
-    /// Where the target handler's one-way sends accumulate: the engine
-    /// queue (sequential) or the initiator's turn buffer (striped).
-    out: &'a mut Vec<Envelope<N::Msg>>,
-    /// Addresses co-scheduled in the caller's stripe (empty when
-    /// sequential): deterministically unreachable this turn.
-    busy: Option<&'a HashSet<Addr>>,
-}
-
-impl<N: SimNode> RpcPath<'_, N> {
-    fn execute(self, from: Addr, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
+    /// One synchronous round trip from `from` to `to`, as the initiator
+    /// observes it.
+    fn rpc(&mut self, from: Addr, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
         self.stats.rpcs_sent += 1;
         if to == from {
             // A node never gossips with itself; treat as unreachable.
-            self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
-        }
-        if self.busy.is_some_and(|b| b.contains(&to)) {
-            // Target is co-scheduled in the caller's stripe: mid-turn for
-            // scheduling purposes, deterministically unreachable.
             self.stats.rpcs_unreachable += 1;
             return RpcOutcome::Timeout;
         }
@@ -639,13 +343,13 @@ impl<N: SimNode> RpcPath<'_, N> {
             return RpcOutcome::Timeout;
         }
         let Some(mut node) = self.arena.take(to) else {
-            // Dead, never allocated, or mid-turn: unreachable.
+            // Dead or never allocated: unreachable.
             self.stats.rpcs_unreachable += 1;
             return RpcOutcome::Timeout;
         };
         let mut ctx = NodeCtx {
-            pending: self.out,
-            clock: self.clock,
+            pending: &mut self.pending,
+            clock: &self.clock,
             self_addr: to,
         };
         let reply = node.on_rpc(from, msg, &mut ctx);
@@ -672,24 +376,7 @@ impl<N: SimNode> RpcPath<'_, N> {
 /// RPCs and one-way sends.
 pub struct CycleCtx<'e, N: SimNode> {
     self_addr: Addr,
-    inner: CtxInner<'e, N>,
-}
-
-enum CtxInner<'e, N: SimNode> {
-    /// Sequential mode: exclusive access to the whole engine.
-    Seq(&'e mut Engine<N>),
-    /// Striped mode: gated access to the shared stripe state.
-    Striped(StripedCtx<'e, N>),
-}
-
-struct StripedCtx<'e, N: SimNode> {
-    shared: &'e Mutex<StripeShared<N>>,
-    gate: &'e Gate,
-    net: &'e NetworkModel,
-    clock: Clock,
-    pos: usize,
-    busy: &'e HashSet<Addr>,
-    buf: &'e mut Vec<Envelope<N::Msg>>,
+    engine: &'e mut Engine<N>,
 }
 
 impl<N: SimNode> CycleCtx<'_, N> {
@@ -700,80 +387,35 @@ impl<N: SimNode> CycleCtx<'_, N> {
 
     /// The current cycle number.
     pub fn cycle(&self) -> u64 {
-        self.clock_ref().cycle()
+        self.engine.clock.cycle()
     }
 
     /// The tick at which the current cycle starts.
     pub fn now(&self) -> u64 {
-        self.clock_ref().now()
+        self.engine.clock.now()
     }
 
     /// Tick resolution of one cycle (the gossip period, in ticks).
     pub fn ticks_per_cycle(&self) -> u64 {
-        self.clock_ref().ticks_per_cycle()
-    }
-
-    fn clock_ref(&self) -> &Clock {
-        match &self.inner {
-            CtxInner::Seq(engine) => &engine.clock,
-            CtxInner::Striped(sc) => &sc.clock,
-        }
+        self.engine.clock.ticks_per_cycle()
     }
 
     /// Performs a synchronous RPC to `to`.
     ///
     /// All failure modes (dead target, lost request, lost response,
-    /// uncooperative peer, target co-scheduled in the caller's stripe)
-    /// surface uniformly as [`RpcOutcome::Timeout`]; see the type docs
-    /// for why.
+    /// uncooperative peer) surface uniformly as [`RpcOutcome::Timeout`];
+    /// see the type docs for why.
     pub fn rpc(&mut self, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
-        let from = self.self_addr;
-        match &mut self.inner {
-            CtxInner::Seq(engine) => {
-                let engine = &mut **engine;
-                RpcPath {
-                    arena: &mut engine.arena,
-                    rng: &mut engine.rng,
-                    stats: &mut engine.stats,
-                    net: &engine.net,
-                    clock: &engine.clock,
-                    out: &mut engine.pending,
-                    busy: None,
-                }
-                .execute(from, to, msg)
-            }
-            CtxInner::Striped(sc) => {
-                // Admission: wait until every earlier turn in the stripe
-                // has fully completed, then run as the unique in-flight
-                // RPC — sequential order, parallel surroundings.
-                sc.gate.wait_for(sc.pos);
-                let mut guard = sc.shared.lock().unwrap();
-                let core = &mut *guard;
-                RpcPath {
-                    arena: &mut core.arena,
-                    rng: &mut core.rng,
-                    stats: &mut core.stats,
-                    net: sc.net,
-                    clock: &sc.clock,
-                    out: sc.buf,
-                    busy: Some(sc.busy),
-                }
-                .execute(from, to, msg)
-            }
-        }
+        self.engine.rpc(self.self_addr, to, msg)
     }
 
     /// Queues a one-way message for delivery at the start of the next cycle.
     pub fn send(&mut self, to: Addr, msg: N::Msg) {
-        let env = Envelope {
+        self.engine.pending.push(Envelope {
             from: self.self_addr,
             to,
             msg,
-        };
-        match &mut self.inner {
-            CtxInner::Seq(engine) => engine.pending.push(env),
-            CtxInner::Striped(sc) => sc.buf.push(env),
-        }
+        });
     }
 }
 
@@ -1183,102 +825,5 @@ mod tests {
         eng.run_cycle(); // queue 6 notices to node 0
         eng.run_cycle(); // deliver them
         assert_eq!(eng.node(0).unwrap().oneways_got, 6);
-    }
-
-    #[test]
-    fn striped_stripe1_is_bit_identical_to_sequential() {
-        // The anchor of the striped seed-stream contract: stripe_len = 1
-        // must reproduce the sequential engine exactly — same stats, same
-        // node states — even under loss and partitions.
-        use crate::net::Partition;
-        let cfg = |execution| SimConfig {
-            seed: 17,
-            net: NetworkModel::lossy(0.25).with_partition(Partition::isolate([2, 3])),
-            execution,
-            ..Default::default()
-        };
-        let mut seq = build_with(12, cfg(Execution::Sequential));
-        let mut striped = build_with(
-            12,
-            cfg(Execution::Striped {
-                workers: 3,
-                stripe_len: 1,
-            }),
-        );
-        for _ in 0..20 {
-            seq.run_cycle();
-            striped.run_cycle();
-            assert_eq!(seq.stats(), striped.stats());
-        }
-        assert_eq!(toy_state(&seq), toy_state(&striped));
-    }
-
-    #[test]
-    fn striped_runs_are_deterministic() {
-        // Same seed + same stripe_len ⇒ bit-identical runs, regardless of
-        // how the OS schedules the workers (and of the worker count).
-        let run = |workers: usize| {
-            let mut eng = build_with(
-                24,
-                SimConfig {
-                    seed: 23,
-                    net: NetworkModel::lossy(0.2),
-                    execution: Execution::Striped {
-                        workers,
-                        stripe_len: 4,
-                    },
-                    ..Default::default()
-                },
-            );
-            eng.run_cycles(15);
-            (*eng.stats(), toy_state(&eng))
-        };
-        assert_eq!(run(4), run(4));
-        assert_eq!(run(4), run(2), "worker count is not part of the stream");
-    }
-
-    #[test]
-    fn same_stripe_targets_are_deterministically_busy() {
-        // With one stripe covering everyone, every RPC targets a
-        // co-scheduled node and must time out as unreachable — the
-        // striped generalization of the mid-turn rule.
-        let mut eng = build_with(
-            8,
-            SimConfig {
-                seed: 29,
-                execution: Execution::Striped {
-                    workers: 4,
-                    stripe_len: 8,
-                },
-                ..Default::default()
-            },
-        );
-        eng.run_cycles(3);
-        assert_eq!(eng.stats().rpcs_completed, 0);
-        assert_eq!(eng.stats().rpcs_unreachable, 8 * 3);
-    }
-
-    #[test]
-    fn striped_survives_churn() {
-        // Kills between cycles leave holes in the stripe schedule; the
-        // gate must pre-complete them and keep delivering turns.
-        let mut eng = build_with(
-            16,
-            SimConfig {
-                seed: 31,
-                execution: Execution::Striped {
-                    workers: 3,
-                    stripe_len: 5,
-                },
-                ..Default::default()
-            },
-        );
-        for killed in [3u32, 7, 11] {
-            eng.run_cycle();
-            eng.kill(killed);
-        }
-        eng.run_cycles(2);
-        assert_eq!(eng.alive_count(), 13);
-        assert!(eng.stats().rpcs_sent > 0);
     }
 }

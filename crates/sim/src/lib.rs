@@ -9,20 +9,16 @@
 //! Key pieces:
 //!
 //! * [`Engine`] — the simulator: arena-backed node storage, randomized
-//!   turn order, synchronous multi-round RPC (for tit-for-tat gossip
-//!   exchanges), and batched one-way delivery (for proof flooding) at one
-//!   hop per cycle, drained in address order.
-//! * [`Execution`] — turn scheduling: deterministic sequential (default)
-//!   or striped parallel execution with a position-ordered RPC admission
-//!   gate (deterministic per `(seed, stripe_len)`; see
-//!   [`engine`](crate::engine) docs).
+//!   turn order (one turn at a time — the only schedule), synchronous
+//!   multi-round RPC (for tit-for-tat gossip exchanges), and batched
+//!   one-way delivery (for proof flooding) at one hop per cycle, drained
+//!   in address order.
 //! * [`Arena`] — index-based node storage: pointer-sized node moves,
 //!   O(alive) cycle setup, addresses never reused.
 //! * [`SimNode`] — the trait protocol nodes implement (active thread, RPC
 //!   server, datagram handler).
 //! * [`NetworkModel`] — per-direction message-loss probabilities, plus
 //!   deterministic [`Partition`]s with heal support.
-//! * [`Churn`] — rate-based join/leave/fail driver.
 //! * [`rng`] — deterministic seed derivation so whole experiments replay
 //!   from one `u64`.
 //!
@@ -49,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod churn;
 pub mod clock;
 pub mod engine;
 pub mod net;
@@ -57,8 +52,7 @@ pub mod rng;
 pub mod stats;
 
 pub use arena::Arena;
-pub use churn::{Churn, ChurnConfig, ChurnReport};
 pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
-pub use engine::{Addr, CycleCtx, Engine, Execution, NodeCtx, RpcOutcome, SimConfig, SimNode};
+pub use engine::{Addr, CycleCtx, Engine, NodeCtx, RpcOutcome, SimConfig, SimNode};
 pub use net::{NetworkModel, Partition};
 pub use stats::TrafficStats;

@@ -10,7 +10,8 @@ pub struct TrafficStats {
     pub rpcs_sent: u64,
     /// RPCs that returned a reply to the initiator.
     pub rpcs_completed: u64,
-    /// RPCs whose target was dead, mid-turn, or the caller itself.
+    /// RPCs whose target was dead, never allocated, or the caller itself
+    /// (the only node that is mid-turn when an RPC runs).
     pub rpcs_unreachable: u64,
     /// RPC requests lost by the network.
     pub rpcs_request_dropped: u64,

@@ -6,10 +6,13 @@
 //! * RPCs to departed addresses are dropped (the caller times out);
 //! * batched one-way delivery is exactly "next cycle, one hop": a
 //!   datagram sent in cycle `c` arrives in cycle `c + 1` iff its target
-//!   is alive then, and never arrives twice.
+//!   is alive then, and never arrives twice;
+//! * where a cycle is interrupted changes nothing by itself.
 
 use proptest::prelude::*;
-use sc_sim::{Addr, Arena, CycleCtx, Engine, NodeCtx, RpcOutcome, SimConfig, SimNode};
+use sc_sim::{
+    Addr, Arena, CycleCtx, Engine, NetworkModel, NodeCtx, Partition, RpcOutcome, SimConfig, SimNode,
+};
 use std::collections::HashSet;
 
 // ---------------------------------------------------------------------
@@ -259,5 +262,33 @@ proptest! {
         expected.sort_unstable();
         received.sort_unstable();
         prop_assert_eq!(received, expected);
+    }
+
+    /// An interruption that does nothing is no interruption: wherever
+    /// the cut falls, the cycle matches `run_cycle` bit for bit — every
+    /// traffic counter and every node's log — under loss rolls and a
+    /// partition.
+    #[test]
+    fn idle_interruption_is_bit_identical_to_run_cycle(
+        n in 4u64..16,
+        seed in 0u64..1_000,
+        salts in proptest::collection::vec(0u64..1_000_000, 1..6),
+        cuts in proptest::collection::vec(0usize..20, 8),
+    ) {
+        let net = NetworkModel::lossy(0.3).with_partition(Partition::isolate([0, 1]));
+        let mut plain = build_couriers(n, seed, salts.clone());
+        let mut cut = build_couriers(n, seed, salts);
+        plain.set_net(net.clone());
+        cut.set_net(net);
+        for &k in &cuts {
+            plain.run_cycle();
+            cut.run_cycle_interrupted(k, |_| {});
+            prop_assert_eq!(plain.stats(), cut.stats());
+        }
+        for ((_, a), (_, b)) in plain.nodes().zip(cut.nodes()) {
+            prop_assert_eq!(&a.rpc_timeouts, &b.rpc_timeouts);
+            prop_assert_eq!(&a.rpc_replies, &b.rpc_replies);
+            prop_assert_eq!(&a.got, &b.got);
+        }
     }
 }

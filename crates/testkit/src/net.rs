@@ -14,9 +14,7 @@ use sc_core::{
     default_phase, ring_bootstrap, Input, MemoryBackend, SecureConfig, SecureCyclonNode, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
-use sc_sim::{
-    Addr, CycleCtx, Engine, Execution, NetworkModel, NodeCtx, RpcOutcome, SimConfig, SimNode,
-};
+use sc_sim::{Addr, CycleCtx, Engine, NetworkModel, NodeCtx, RpcOutcome, SimConfig, SimNode};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -131,12 +129,6 @@ pub struct SecureNetParams {
     pub scheme: Scheme,
     /// Message-loss model.
     pub net: NetworkModel,
-    /// Turn-scheduling mode of the engine. Striped execution is only
-    /// deterministic for nodes whose mutable state is engine-contained,
-    /// so keep the default ([`Execution::Sequential`]) whenever the
-    /// network hosts malicious nodes — they mutate the shared party
-    /// ledger outside the engine's striping contract.
-    pub execution: Execution,
     /// Attach an in-memory durable [`sc_core::StateBackend`] to every
     /// honest node, enabling [`SecureNetwork::crash_restart`].
     pub durable: bool,
@@ -154,7 +146,6 @@ impl SecureNetParams {
             seed: 0,
             scheme: Scheme::KeyedHash,
             net: NetworkModel::reliable(),
-            execution: Execution::Sequential,
             durable: false,
         }
     }
@@ -383,7 +374,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
         seed,
         scheme,
         net,
-        execution,
         durable,
     } = params;
     let cfg = cfg.validated();
@@ -423,7 +413,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
         net,
         ticks_per_cycle: cfg.ticks_per_cycle,
         start_cycle: plan.start_cycle,
-        execution,
     });
 
     let mut malicious_ids = HashSet::new();

@@ -78,7 +78,6 @@ pub fn run_scenario_with_net(
         seed,
         scheme: sc_crypto::Scheme::KeyedHash,
         net: NetworkModel::asymmetric(scenario.loss.0, scenario.loss.1, scenario.loss.2),
-        execution: scenario.execution,
         durable: scenario.durable,
     };
     let mut net = build_secure_network(params);

@@ -11,7 +11,6 @@
 
 use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
-use sc_sim::Execution;
 use std::sync::{Arc, Mutex};
 
 /// Which adversary the Byzantine fraction runs.
@@ -109,9 +108,7 @@ pub enum Event {
     /// cycle: the victims die after a seeded `turn_frac` fraction of
     /// the cycle's shuffled turns already ran, so some victims have
     /// already emitted this cycle and their durable logs sit mid-cycle
-    /// rather than at a checkpoint. Forces the cycle to run
-    /// sequentially (an interruption point inside a striped cycle has
-    /// no deterministic position).
+    /// rather than at a checkpoint.
     RestartMidCycle {
         /// Step whose cycle is interrupted.
         step: u64,
@@ -254,12 +251,6 @@ pub struct Scenario {
     /// enough to keep gossiping internally (never starving, never
     /// pinging).
     pub runner_heal_fallback: bool,
-    /// Turn scheduling for the underlying engine. Keep
-    /// [`Execution::Sequential`] (the default) for scenarios with a
-    /// Byzantine fraction: malicious nodes mutate a shared party ledger
-    /// outside the engine's striping contract, so only honest-only
-    /// scenarios are deterministic under striped execution.
-    pub execution: Execution,
 }
 
 impl Scenario {
@@ -280,7 +271,6 @@ impl Scenario {
             oracles: OracleConfig::default(),
             durable: false,
             runner_heal_fallback: false,
-            execution: Execution::Sequential,
         }
     }
 
@@ -393,19 +383,6 @@ impl Scenario {
     /// Replaces the oracle configuration.
     pub fn oracles(mut self, oracles: OracleConfig) -> Self {
         self.oracles = oracles;
-        self
-    }
-
-    /// Overrides the engine turn scheduling. Striped execution is only
-    /// deterministic for honest-only scenarios (see
-    /// [`Scenario::execution`]); this builder panics if the scenario
-    /// already has a Byzantine fraction.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        assert!(
-            self.n_malicious == 0 || execution == Execution::Sequential,
-            "striped execution is unsupported for adversarial scenarios"
-        );
-        self.execution = execution;
         self
     }
 

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Populations this size are why the engine stores nodes in an index
-//! arena (no per-node heap graph), batches one-way traffic, and offers
-//! striped execution: the same run replays bit-for-bit from one seed.
+//! arena (no per-node heap graph) and batches one-way traffic; the same
+//! run replays bit-for-bit from one seed.
 
 use securecyclon::attacks::SecureAttack;
 use securecyclon::testkit::{build_secure_network, SecureNetParams};

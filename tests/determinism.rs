@@ -6,7 +6,7 @@
 use securecyclon::attacks::SecureAttack;
 use securecyclon::core::ViewEntry;
 use securecyclon::crypto::hex::to_hex;
-use securecyclon::sim::{Execution, TrafficStats};
+use securecyclon::sim::TrafficStats;
 use securecyclon::testkit::{build_secure_network, SecureNetParams, SecureNetwork};
 
 fn params(seed: u64) -> SecureNetParams {
@@ -62,73 +62,25 @@ fn different_seeds_diverge() {
     assert_ne!(a.1, c.1, "distinct seeds should yield distinct views");
 }
 
-/// Replays an honest-only network at population `n` under the given
-/// scheduling mode.
-fn run_large(
-    n: usize,
-    seed: u64,
-    cycles: u64,
-    execution: Execution,
-) -> (TrafficStats, ViewSnapshot) {
+/// Replays an honest-only network at population `n`.
+fn run_large(n: usize, seed: u64, cycles: u64) -> (TrafficStats, ViewSnapshot) {
     let mut p = SecureNetParams::new(n, 0, SecureAttack::Hub); // 0 malicious
     p.seed = seed;
-    p.execution = execution;
     let mut net = build_secure_network(p);
     net.engine.run_cycles(cycles);
     snapshot(&net)
 }
 
-/// The scale-tier contract: a large run replays bit-for-bit, and the
-/// striped scheduler honors its documented seed-stream contract —
-/// `stripe_len == 1` is bit-identical to sequential, while any fixed
-/// `(seed, stripe_len)` replays identically under any worker count
-/// (worker count is explicitly *not* part of the stream).
+/// The scale-tier contract: a large run replays bit-for-bit.
 #[test]
 fn large_n_seed_replay() {
     // Debug builds pay ~5× per node-cycle; keep the same shape, smaller.
     let n = if cfg!(debug_assertions) { 400 } else { 10_000 };
     let cycles = 8;
 
-    let seq_a = run_large(n, 11, cycles, Execution::Sequential);
-    let seq_b = run_large(n, 11, cycles, Execution::Sequential);
-    assert_eq!(seq_a, seq_b, "sequential replay must be bit-identical");
-
-    let striped_unit = run_large(
-        n,
-        11,
-        cycles,
-        Execution::Striped {
-            workers: 4,
-            stripe_len: 1,
-        },
-    );
-    assert_eq!(
-        seq_a, striped_unit,
-        "stripe_len == 1 must match sequential bit-for-bit"
-    );
-
-    let striped_w2 = run_large(
-        n,
-        11,
-        cycles,
-        Execution::Striped {
-            workers: 2,
-            stripe_len: 8,
-        },
-    );
-    let striped_w4 = run_large(
-        n,
-        11,
-        cycles,
-        Execution::Striped {
-            workers: 4,
-            stripe_len: 8,
-        },
-    );
-    assert_eq!(
-        striped_w2, striped_w4,
-        "the striped stream depends on (seed, stripe_len), not worker count"
-    );
+    let a = run_large(n, 11, cycles);
+    let b = run_large(n, 11, cycles);
+    assert_eq!(a, b, "replay must be bit-identical");
 }
 
 #[test]
