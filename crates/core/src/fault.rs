@@ -31,7 +31,7 @@
 //! * `drop_in` / `drop_out` / `drop` — per-direction (or both) frame
 //!   drop probability
 //! * `delay=p:w` — with probability `p`, hold an inbound frame for
-//!   1..=`w` receive poll passes (bounded reorder)
+//!   1..=`w` polls of 500 µs each (bounded reorder)
 //! * `dup` — outbound duplication probability
 //! * `reset` — outbound forced-connection-reset probability
 //! * `bw` — outbound bandwidth throttle in bytes/second (0 = unlimited)
@@ -59,7 +59,8 @@ pub struct FaultDecision {
     pub drop: bool,
     /// Send the frame twice (outbound only; ignored inbound).
     pub duplicate: bool,
-    /// Hold the frame for this many receive poll passes before release
+    /// Hold the frame for this many polls — 500 µs each, the period of
+    /// the receive loop that first implemented it — before release
     /// (inbound only; 0 = deliver immediately).
     pub delay_polls: u32,
     /// Tear down the cached connection to the peer before sending
@@ -78,7 +79,7 @@ pub struct FaultSpec {
     pub drop_out: f64,
     /// Probability an inbound frame is delayed.
     pub delay_prob: f64,
-    /// Maximum delay in receive poll passes (the reorder bound).
+    /// Maximum delay in polls of 500 µs (the reorder bound).
     pub delay_max_polls: u32,
     /// Probability an outbound frame is duplicated.
     pub dup_prob: f64,

@@ -291,9 +291,10 @@ pub struct SecureCyclonNode {
     /// Durable home for the incriminating-if-lost state. `None` (the
     /// default) keeps the node memory-only and cost-free for simulation.
     backend: Option<Box<dyn StateBackend>>,
-    /// Whether this node has ever held a view entry — distinguishes a
-    /// *starved* node (was connected, drained to empty; §V-A rejoin fires)
-    /// from one still awaiting its initial bootstrap.
+    /// Whether this node has ever held a view entry, in this life or in
+    /// one it recovered a log from — distinguishes a *starved* node (was
+    /// connected, drained to empty; §V-A rejoin fires) from one still
+    /// awaiting its initial bootstrap.
     was_connected: bool,
     /// Cycle of the last rejoin ping volley (retry throttle).
     last_rejoin_ping: Option<u64>,

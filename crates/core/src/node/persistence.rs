@@ -100,9 +100,12 @@ impl SecureCyclonNode {
                 self.redemptions.push(desc, cycle);
             }
         }
-        if !self.view.is_empty() {
-            self.was_connected = true;
-        }
+        // A log that holds anything was written by a node that had
+        // joined — even when every checkpointed descriptor has been spent
+        // since (passive exchanges after the last checkpoint) and the
+        // view comes back empty. Then the §V-A rejoin ping to the
+        // creators in the restored redemption cache is the only way back.
+        self.was_connected = true;
     }
 
     /// Whether a persisted owned descriptor may safely re-enter the view

@@ -286,3 +286,98 @@ fn restart_restores_view_blacklist_and_spent_guard() {
         "spent-state guard survived the restart"
     );
 }
+
+#[test]
+fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
+    // A checkpoint is as old as the node's last turn. Every passive
+    // exchange after it signs a checkpointed descriptor away (a spent
+    // record in the log) and takes in one the log never hears of, so a
+    // `kill -9` late in the cycle can recover an identity, an emission
+    // marker and a redemption cache — and no view at all. Such a node
+    // *was* connected: §V-A's rejoin ping is its only way back in.
+    use crate::storage::MemoryBackend;
+    let kps = keypairs(3);
+    let (me, partner, other) = (&kps[0], &kps[1], &kps[2]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::with_backend(
+        me.clone(),
+        10,
+        cfg,
+        [1u8; 32],
+        0,
+        Box::new(MemoryBackend::new()),
+    )
+    .unwrap();
+    for (kp, addr) in [(partner, 11), (other, 12)] {
+        let d = SecureDescriptor::create(kp, addr, Timestamp(addr as u64))
+            .transfer(kp, me.public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+
+    // The turn: redeems the older descriptor at its creator (which never
+    // answers) and checkpoints a view of one.
+    let fx = node.step(Input::Tick { cycle: 1, now: tpc });
+    let Some((11, SecureMsg::Request(sent))) = fx.rpc else {
+        panic!("the turn did not open an exchange with the partner");
+    };
+    node.step(Input::Timeout);
+    assert_eq!(node.view().len(), 1);
+    assert_eq!(node.redemption_count(), 1);
+
+    // A passive exchange later in the cycle: the partner redeems the
+    // descriptor that request handed it and is paid with the node's last
+    // checkpointed descriptor.
+    let redeemed = sent.fresh.redeem(partner, LinkKind::Redeem).unwrap();
+    let fresh = SecureDescriptor::create(partner, 11, Timestamp(tpc + tpc / 2))
+        .transfer(partner, me.public())
+        .unwrap();
+    let mut fx = node.step(Input::Request {
+        from: 11,
+        msg: SecureMsg::Request(Box::new(RequestBody {
+            redeemed,
+            fresh,
+            offered: Vec::new(),
+            samples: Vec::new(),
+            proofs: Vec::new(),
+        })),
+        cycle: 1,
+        now: tpc + tpc / 2,
+    });
+    let Some(SecureMsg::Accept(accept)) = fx.reply.take() else {
+        panic!("the passive exchange was refused");
+    };
+    assert_eq!(accept.transfers.len(), 1);
+    assert_eq!(accept.transfers[0].creator(), other.public());
+    assert_eq!(node.view().len(), 1, "alive, it holds what it was paid");
+
+    // kill -9.
+    let disk = node.take_backend().unwrap();
+    let mut revived =
+        SecureCyclonNode::with_backend(me.clone(), 10, cfg, [2u8; 32], 0, disk).unwrap();
+    assert!(
+        revived.view().is_empty(),
+        "every checkpointed entry is spent"
+    );
+    assert_eq!(revived.last_emission(), Some(1));
+    assert_eq!(revived.redemption_count(), 1);
+
+    let fx = revived.step(Input::Tick {
+        cycle: 2,
+        now: 2 * tpc,
+    });
+    assert!(fx.rpc.is_none(), "nothing to redeem");
+    let pinged: Vec<Addr> = fx
+        .sends
+        .iter()
+        .filter(|(_, m)| matches!(m, SecureMsg::JoinPing(_)))
+        .map(|(to, _)| *to)
+        .collect();
+    assert_eq!(
+        pinged,
+        vec![11],
+        "pings the creator in its redemption cache"
+    );
+    assert_eq!(revived.stats().rejoin_pings, 1);
+}

@@ -290,7 +290,9 @@ fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
 
 /// Hardware SHA-256 via the x86 SHA extensions (SHA-NI).
 ///
-/// The only `unsafe` in the workspace lives here: calling the
+/// The workspace has two `unsafe` sites: this one, and the `poll(2)`
+/// call in `sc-node`'s `wait` module (every other crate forbids
+/// `unsafe_code`; CI fails on a third). Here, calling the
 /// `#[target_feature]` function is sound because every entry point first
 /// checks `is_x86_feature_detected!` (the result is cached by `std`), and
 /// the intrinsics themselves only read/write the slices passed in. The path

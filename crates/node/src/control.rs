@@ -242,7 +242,10 @@ impl StatusReport {
     }
 }
 
-/// A blocking client for the daemon's control channel.
+/// A blocking client for the daemon's control channel. It owns exactly
+/// one socket, so it needs no readiness machinery: the socket stays in
+/// blocking mode and the kernel's own send/receive timeouts bound every
+/// call.
 pub struct ControlClient {
     stream: TcpStream,
     reader: FrameReader,
@@ -259,7 +262,6 @@ impl ControlClient {
         let sock = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, addr as u16));
         let stream = TcpStream::connect_timeout(&sock, timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
         Ok(ControlClient {
             stream,
             reader: FrameReader::new(64 << 20),
@@ -267,25 +269,12 @@ impl ControlClient {
         })
     }
 
-    /// Sends one frame and waits for a reply of `want` kind.
+    /// Sends one frame and waits for a reply of `want` kind; `timeout`
+    /// bounds the whole round.
     fn round(&mut self, send: Frame, want: FrameKind, timeout: Duration) -> std::io::Result<Frame> {
-        let bytes = send.encode();
         let deadline = Instant::now() + timeout;
-        let mut off = 0;
-        while off < bytes.len() {
-            match self.stream.write(&bytes[off..]) {
-                Ok(n) => off += n,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::Interrupted =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(ErrorKind::TimedOut.into());
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.stream.set_write_timeout(Some(timeout))?;
+        self.stream.write_all(&send.encode())?;
         let mut chunk = [0u8; 4096];
         loop {
             match self.reader.next_frame() {
@@ -294,16 +283,18 @@ impl ControlClient {
                 Ok(None) => {}
                 Err(_) => return Err(ErrorKind::InvalidData.into()),
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(ErrorKind::TimedOut.into());
             }
+            self.stream.set_read_timeout(Some(left))?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => self.reader.feed(&chunk[..n]),
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::Interrupted =>
-                {
-                    std::thread::sleep(Duration::from_micros(500));
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // A receive timeout surfaces as either, by platform.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(ErrorKind::TimedOut.into());
                 }
                 Err(e) => return Err(e),
             }
@@ -347,24 +338,10 @@ impl ControlClient {
     ///
     /// IO failures while writing the frame.
     pub fn shutdown(&mut self) -> std::io::Result<()> {
-        let bytes = Frame::new(FrameKind::CtrlShutdown, 0, Vec::new()).encode();
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let mut off = 0;
-        while off < bytes.len() {
-            match self.stream.write(&bytes[off..]) {
-                Ok(n) => off += n,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::Interrupted =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(ErrorKind::TimedOut.into());
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        self.stream
+            .set_write_timeout(Some(Duration::from_millis(500)))?;
+        self.stream
+            .write_all(&Frame::new(FrameKind::CtrlShutdown, 0, Vec::new()).encode())
     }
 
     /// The daemon address this client targets.

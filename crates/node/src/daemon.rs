@@ -3,7 +3,13 @@
 //! The protocol is the sans-IO state machine of `sc_core::node`; this
 //! module is its socket driver. Single-threaded by construction — the
 //! paper's node alternates between one active gossip turn per cycle and
-//! passive request handling, so one loop suffices:
+//! passive request handling, so one loop suffices. The loop is
+//! event-driven: each iteration works out its next wall-clock event (the
+//! next turn point, a cycle boundary something is waiting for, the
+//! pending RPC's resend or deadline, the end of the linger) and blocks in
+//! the transport — in `poll(2)`, see [`crate::wait`] — until a frame
+//! arrives or that moment comes. Between exchanges the process is asleep
+//! in the kernel.
 //!
 //! 1. A wall-clock shared across the cluster (`--epoch-millis`) maps
 //!    real time to cycle numbers; each new cycle steps one
@@ -51,9 +57,6 @@ pub struct RunSummary {
 
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
-
-/// Longest the loop blocks in one `recv`.
-const POLL: Duration = Duration::from_millis(2);
 
 /// The node's one outstanding RPC: the request frame already on the
 /// wire, awaiting its `Reply`.
@@ -179,7 +182,13 @@ impl Daemon {
             cfg,
         };
         if recovered {
-            daemon.joined = !daemon.node.view().is_empty();
+            // A log that gave back an identity was written by a member.
+            // Its view can still come back empty — every checkpointed
+            // descriptor signed away in passive exchanges after the last
+            // checkpoint — and a founder has no sponsor to ask again: it
+            // runs its turns, and the core's §V-A rejoin ping to the
+            // creators in the restored redemption cache brings it back.
+            daemon.joined = !daemon.node.view().is_empty() || daemon.cfg.sponsor.is_none();
             // Founding members recompute start_cycle the same way the
             // ring plan does, so cycle numbers stay stable across lives.
             daemon.last_fired = daemon.node.last_emission();
@@ -210,23 +219,31 @@ impl Daemon {
         self.joined = true;
     }
 
-    /// The cycle number the shared wall clock currently maps to.
-    fn current_cycle(&self) -> u64 {
-        let elapsed = unix_ms().saturating_sub(self.epoch_ms);
+    /// The cycle number the shared wall clock maps `now_ms` to.
+    fn cycle_at(&self, now_ms: u64) -> u64 {
+        let elapsed = now_ms.saturating_sub(self.epoch_ms);
         self.start_cycle + elapsed / self.cfg.cycle_ms
     }
 
-    /// The latest cycle whose *turn point* has passed. Turns fire at
-    /// `boundary + phase·cycle_ms/tpc` — the wall-clock image of the
-    /// engine's per-node phase stagger — so initiations spread across the
-    /// cycle instead of colliding at every boundary.
-    fn due_turn_cycle(&self) -> Option<u64> {
-        let elapsed = unix_ms().saturating_sub(self.epoch_ms);
-        let phase_ms = self.cfg.phase() * self.cfg.cycle_ms / self.cfg.secure.ticks_per_cycle;
-        if elapsed < phase_ms {
-            return None;
-        }
-        Some(self.start_cycle + (elapsed - phase_ms) / self.cfg.cycle_ms)
+    /// The cycle number the shared wall clock currently maps to.
+    fn current_cycle(&self) -> u64 {
+        self.cycle_at(unix_ms())
+    }
+
+    /// How far into each cycle this node's turn fires:
+    /// `phase·cycle_ms/tpc` — the wall-clock image of the engine's
+    /// per-node phase stagger — so initiations spread across the cycle
+    /// instead of colliding at every boundary.
+    fn phase_ms(&self) -> u64 {
+        self.cfg.phase() * self.cfg.cycle_ms / self.cfg.secure.ticks_per_cycle
+    }
+
+    /// The latest cycle whose *turn point* (`boundary + phase_ms`) has
+    /// passed at `now_ms`.
+    fn due_turn_cycle(&self, now_ms: u64) -> Option<u64> {
+        let elapsed = now_ms.saturating_sub(self.epoch_ms);
+        let since_first = elapsed.checked_sub(self.phase_ms())?;
+        Some(self.start_cycle + since_first / self.cfg.cycle_ms)
     }
 
     /// Engine-convention tick for a cycle (the tick the cycle starts at).
@@ -260,16 +277,23 @@ impl Daemon {
             if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles && !in_flight {
                 break;
             }
-            self.apply_pending_fault();
-            let stopping = self.cfg.stop_cycle > 0 && self.current_cycle() >= self.cfg.stop_cycle;
-            if stopping {
-                let since = *stopped_at.get_or_insert_with(Instant::now);
+            // One reading of the wall clock decides what is due in this
+            // iteration *and* anchors the wait that follows: a turn point
+            // or boundary that passes while the iteration works is then
+            // either acted on here or still ahead of `next_wait` — never
+            // between the two, which would cost a whole cycle.
+            let now_ms = unix_ms();
+            let cycle = self.cycle_at(now_ms);
+            self.apply_pending_fault(cycle);
+            let stopping = self.cfg.stop_cycle > 0 && cycle >= self.cfg.stop_cycle;
+            let lingering = stopping.then(|| *stopped_at.get_or_insert_with(Instant::now));
+            if let Some(since) = lingering {
                 if since.elapsed() >= Duration::from_millis(self.cfg.linger_ms) {
                     break;
                 }
             } else if !self.joined {
-                self.try_join(self.current_cycle());
-            } else if let Some(due) = self.due_turn_cycle().filter(|_| !in_flight) {
+                self.try_join(cycle);
+            } else if let Some(due) = self.due_turn_cycle(now_ms).filter(|_| !in_flight) {
                 if self.last_fired.is_none_or(|c| due > c) {
                     if let Some(last) = self.last_fired {
                         // §IV-B allows one emission per period — a node
@@ -287,7 +311,7 @@ impl Daemon {
                     self.cycles_run += 1;
                 }
             }
-            let wait = self.poll_pending();
+            let wait = self.next_wait(now_ms, lingering);
             if let Some(ib) = self.transport.recv(wait) {
                 self.handle(ib);
             }
@@ -335,19 +359,17 @@ impl Daemon {
     }
 
     /// Retransmits or times out the pending RPC as its clock demands;
-    /// returns how long the loop may block before it must look again.
-    fn poll_pending(&mut self) -> Duration {
+    /// returns how long until it next needs attention (its next resend,
+    /// else its deadline), or `None` when no RPC is pending.
+    fn poll_pending(&mut self) -> Option<Duration> {
         let slice = self.resend_slice();
-        let Some(p) = self.pending.as_mut() else {
-            return POLL;
-        };
+        let p = self.pending.as_mut()?;
         let now = Instant::now();
-        let left = p.deadline.saturating_duration_since(now);
-        if left.is_zero() {
+        if now >= p.deadline {
             self.pending = None;
             let fx = self.node.step(Input::Timeout);
             self.apply(fx);
-            return Duration::ZERO;
+            return Some(Duration::ZERO);
         }
         if p.resends_left > 0 && now >= p.next_resend {
             p.resends_left -= 1;
@@ -356,17 +378,62 @@ impl Daemon {
                 self.retransmits += 1;
             }
         }
-        left.min(POLL)
+        let next = if p.resends_left > 0 {
+            p.next_resend.min(p.deadline)
+        } else {
+            p.deadline
+        };
+        Some(next.saturating_duration_since(now))
+    }
+
+    /// The first moment after `now_ms` at which the shared clock reaches
+    /// `origin_ms` plus a whole number of cycles.
+    fn next_point_after(&self, origin_ms: u64, now_ms: u64) -> u64 {
+        match now_ms.checked_sub(origin_ms) {
+            Some(past) => now_ms + self.cfg.cycle_ms - past % self.cfg.cycle_ms,
+            None => origin_ms,
+        }
+    }
+
+    /// How long the loop may block: until the earliest event after
+    /// `now_ms` (the clock reading this iteration acted on) that its next
+    /// iteration would act on, and never longer than one cycle — the
+    /// schedule is on `SystemTime` while the wait is monotonic, so a
+    /// stepped wall clock must not buy an unbounded sleep. `lingering` is
+    /// when the `--stop-cycle` linger began, if it has.
+    fn next_wait(&mut self, now_ms: u64, lingering: Option<Instant>) -> Duration {
+        let cycle_ms = self.cfg.cycle_ms;
+        let mut wake_ms = now_ms + cycle_ms;
+        if self.joined && lingering.is_none() && self.pending.is_none() {
+            let first_turn = self.epoch_ms + self.phase_ms();
+            wake_ms = wake_ms.min(self.next_point_after(first_turn, now_ms));
+        }
+        // Three things happen at cycle boundaries: a `CtrlFault` spec is
+        // installed, the stop cycle arrives, an unjoined node asks its
+        // sponsor again.
+        let awaits_stop = self.cfg.stop_cycle > 0 && lingering.is_none();
+        if self.pending_fault.is_some() || awaits_stop || !self.joined {
+            wake_ms = wake_ms.min(self.next_point_after(self.epoch_ms, now_ms));
+        }
+        let mut wait = Duration::from_millis(wake_ms.saturating_sub(unix_ms()).min(cycle_ms));
+        if let Some(since) = lingering {
+            let linger = Duration::from_millis(self.cfg.linger_ms);
+            wait = wait.min(linger.saturating_sub(since.elapsed()));
+        }
+        if let Some(rpc) = self.poll_pending() {
+            wait = wait.min(rpc);
+        }
+        wait
     }
 
     /// Installs a pending `CtrlFault` spec once the clock leaves the
     /// cycle it arrived in, so no cycle straddles two specs.
-    fn apply_pending_fault(&mut self) {
-        if let Some((_, rx_cycle)) = &self.pending_fault {
-            if self.current_cycle() > *rx_cycle {
-                let (spec, _) = self.pending_fault.take().unwrap();
-                self.transport.set_spec(spec);
-            }
+    fn apply_pending_fault(&mut self, cycle: u64) {
+        if let Some((spec, _)) = self
+            .pending_fault
+            .take_if(|(_, rx_cycle)| cycle > *rx_cycle)
+        {
+            self.transport.set_spec(spec);
         }
     }
 

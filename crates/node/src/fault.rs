@@ -2,10 +2,13 @@
 //!
 //! [`FaultTransport`] wraps an inner transport and applies a
 //! [`FaultSpec`] to every *gossip* frame crossing it: seeded per-frame
-//! drop (each direction), bounded delay/reorder via a release queue
-//! drained in the receive poll loop, outbound duplication, partition
-//! severing by peer address, forced connection resets, and a wall-clock
-//! bandwidth throttle. Control frames (`Ctrl*`) are exempt in both
+//! drop (each direction), bounded delay/reorder via a release queue,
+//! outbound duplication, partition severing by peer address, forced
+//! connection resets, and a wall-clock bandwidth throttle. It has no
+//! wait loop of its own: a delayed frame is held until an [`Instant`],
+//! and `recv` hands the inner transport a wait of `min(caller's timeout,
+//! earliest release)` — the process sleeps in the inner transport's
+//! `poll(2)` either way. Control frames (`Ctrl*`) are exempt in both
 //! directions so a harness can always scrape, reconfigure, and shut
 //! down a daemon no matter how hostile the injected network is.
 //!
@@ -14,9 +17,9 @@
 //! frame index counted per peer per direction. The same spec applied to
 //! the same frame sequence therefore makes byte-identical decisions —
 //! the whole point: a failing live-cluster run replays exactly from the
-//! printed seed. The one deliberate exception is the bandwidth
-//! throttle, which meters real elapsed time and so only shapes pacing,
-//! never which frames survive.
+//! printed seed. Two things meter real elapsed time and so only shape
+//! pacing, never which frames survive: the bandwidth throttle, and how
+//! long a delayed frame is held (500 µs per decided poll).
 
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, Transport, TransportStats};
@@ -25,8 +28,11 @@ use sc_core::{FaultDir, FaultSpec};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Sleep granularity of the receive poll loop.
-const POLL_SLEEP: Duration = Duration::from_micros(500);
+/// What one unit of [`sc_core::FaultDecision::delay_polls`] holds a
+/// frame for. The unit is a *poll* because the receive path used to be a
+/// 500 µs sleep-poll loop that released held frames by counting its own
+/// passes; `delay=<p>:<w>` specs keep meaning what they meant then.
+const DELAY_UNIT: Duration = Duration::from_micros(500);
 /// Upper bound on one throttle stall, so a tiny `bw=` cannot wedge the
 /// daemon's event loop.
 const MAX_THROTTLE_STALL: Duration = Duration::from_millis(100);
@@ -49,10 +55,8 @@ pub struct FaultTransport<T: Transport> {
     out_index: HashMap<Addr, u64>,
     /// Inbound faultable-frame counters, per source.
     in_index: HashMap<Addr, u64>,
-    /// Delayed frames awaiting release: `(release_tick, frame)`.
-    held: VecDeque<(u64, Inbound)>,
-    /// Receive poll-pass counter; delayed frames mature against it.
-    tick: u64,
+    /// Delayed frames in arrival order, each with its release time.
+    held: VecDeque<(Instant, Inbound)>,
     injected: Injected,
     /// Token bucket for the bandwidth throttle.
     bucket: f64,
@@ -79,7 +83,6 @@ impl<T: Transport> FaultTransport<T> {
             out_index: HashMap::new(),
             in_index: HashMap::new(),
             held: VecDeque::new(),
-            tick: 0,
             injected: Injected::default(),
             bucket: 0.0,
             bucket_at: Instant::now(),
@@ -152,16 +155,17 @@ impl<T: Transport> FaultTransport<T> {
         }
         if d.delay_polls > 0 {
             self.injected.delayed += 1;
-            self.held.push_back((self.tick + d.delay_polls as u64, ib));
+            self.held
+                .push_back((Instant::now() + DELAY_UNIT * d.delay_polls, ib));
             return None;
         }
         Some(ib)
     }
 
-    /// Removes and returns the first held frame whose release tick has
-    /// matured.
-    fn pop_ready(&mut self) -> Option<Inbound> {
-        let pos = self.held.iter().position(|(t, _)| *t <= self.tick)?;
+    /// Removes and returns the first held frame whose release time has
+    /// come.
+    fn pop_ready(&mut self, now: Instant) -> Option<Inbound> {
+        let pos = self.held.iter().position(|(at, _)| *at <= now)?;
         self.held.remove(pos).map(|(_, ib)| ib)
     }
 }
@@ -219,22 +223,25 @@ impl<T: Transport> Transport for FaultTransport<T> {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            // One poll pass: matured held frames first (they are older
-            // than anything still in the socket), then drain the inner
-            // transport, admitting each frame through the fault filter.
-            self.tick += 1;
-            if let Some(ib) = self.pop_ready() {
+            // Matured held frames first (they are older than anything
+            // still in the socket), then the inner transport — woken no
+            // later than the next release — admitting each frame through
+            // the fault filter.
+            let now = Instant::now();
+            if let Some(ib) = self.pop_ready(now) {
                 return Some(ib);
             }
-            while let Some(ib) = self.inner.recv(Duration::ZERO) {
-                if let Some(ib) = self.admit(ib) {
-                    return Some(ib);
+            let release = self.held.iter().map(|(at, _)| *at).min();
+            let until = release.map_or(deadline, |at| at.min(deadline));
+            match self.inner.recv(until.saturating_duration_since(now)) {
+                Some(ib) => {
+                    if let Some(ib) = self.admit(ib) {
+                        return Some(ib);
+                    }
                 }
+                None if Instant::now() >= deadline => return None,
+                None => {}
             }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(POLL_SLEEP);
         }
     }
 
@@ -372,5 +379,136 @@ mod tests {
         // Each send re-dialed from scratch.
         assert!(a.stats().peak_conns >= 1);
         assert!(b.stats().peak_conns >= 2);
+    }
+
+    /// An in-memory inner transport at a fixed address, so that
+    /// [`FaultSpec::decide`] — keyed by `(src, dst)` — decides the same
+    /// on every run: `recv` plays back a script, `send_to` and `reset`
+    /// are logged.
+    struct Script {
+        addr: Addr,
+        inbound: VecDeque<Frame>,
+        /// `Some(payload[0])` per frame sent, `None` per reset, in order.
+        log: Vec<Option<u8>>,
+    }
+
+    impl Transport for Script {
+        fn local_addr(&self) -> Addr {
+            self.addr
+        }
+        fn send_to(&mut self, _to: Addr, frame: &Frame) -> bool {
+            self.log.push(Some(frame.payload[0]));
+            true
+        }
+        fn respond(&mut self, _conn: ConnId, _frame: &Frame) -> bool {
+            true
+        }
+        fn recv(&mut self, timeout: Duration) -> Option<Inbound> {
+            let frame = self.inbound.pop_front();
+            if frame.is_none() {
+                std::thread::sleep(timeout);
+            }
+            frame.map(|frame| Inbound { conn: 1, frame })
+        }
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+        fn reset(&mut self, _peer: Addr) {
+            self.log.push(None);
+        }
+    }
+
+    const ME: Addr = 41_007;
+    const PEER: Addr = 41_009;
+
+    fn scripted(spec: &str, inbound: impl IntoIterator<Item = u8>) -> FaultTransport<Script> {
+        let inner = Script {
+            addr: ME,
+            inbound: inbound.into_iter().map(|i| oneway(PEER, &[i])).collect(),
+            log: Vec::new(),
+        };
+        FaultTransport::new(inner, FaultSpec::parse(spec).unwrap())
+    }
+
+    #[test]
+    fn decisions_over_a_fixed_frame_sequence_match_the_recorded_ones() {
+        // Recorded on the commit before the receive path stopped being a
+        // sleep-poll loop: what is dropped, duplicated, reset and held is
+        // a function of the spec and the frame sequence alone, and the
+        // wait mechanism must not show in it.
+        const SPEC: &str = "seed=11,drop=0.25,delay=0.3:6,dup=0.2,reset=0.15";
+        // Outbound: which frames reach the wire, which go twice, and
+        // before which the connection is reset (`R`).
+        let mut tx = scripted(SPEC, []);
+        for i in 0..48u8 {
+            assert!(tx.send_to(PEER, &oneway(ME, &[i])));
+        }
+        let log: Vec<String> = tx
+            .inner()
+            .log
+            .iter()
+            .map(|e| e.map_or("R".into(), |i| i.to_string()))
+            .collect();
+        assert_eq!(
+            log.join(" "),
+            "1 2 3 4 6 8 9 R 10 10 R 11 11 13 14 16 17 18 19 20 21 R 29 31 32 33 34 35 37 \
+             38 39 40 R 41 41 42 R 45 46 47"
+        );
+        let s = tx.stats();
+        assert_eq!(
+            (
+                s.frames_dropped_injected,
+                s.frames_duplicated,
+                s.resets_injected
+            ),
+            (16, 3, 5)
+        );
+
+        // Inbound: which frames survive, and how many of them were held.
+        let mut rx = scripted(SPEC, 0..48u8);
+        let mut got = Vec::new();
+        while let Some(ib) = rx.recv(Duration::from_millis(50)) {
+            got.push(ib.frame.payload[0]);
+        }
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            [
+                0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 13, 15, 17, 22, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+                33, 34, 35, 36, 37, 38, 39, 40, 41, 43, 46, 47
+            ]
+        );
+        let s = rx.stats();
+        assert_eq!((s.frames_dropped_injected, s.frames_delayed), (13, 12));
+    }
+
+    #[test]
+    fn a_delayed_frame_is_held_for_its_polls_and_released_before_the_deadline() {
+        // Every frame delayed, by 1..=200 polls of 500 µs as decided.
+        let spec = "seed=5,delay=1.0:200";
+        let polls = FaultSpec::parse(spec)
+            .unwrap()
+            .decide(FaultDir::Inbound, PEER, ME, 0)
+            .delay_polls;
+        assert!(polls >= 20, "a hold long enough to time: {polls} polls");
+        let hold = DELAY_UNIT * polls;
+        let mut rx = scripted(spec, [7]);
+        let started = Instant::now();
+        // The caller's deadline is far beyond the release: the wait
+        // handed down must be cut to the release time, not slept out.
+        let got = rx.recv(Duration::from_secs(5)).expect("released");
+        let took = started.elapsed();
+        assert_eq!(got.frame.payload, [7]);
+        assert!(
+            took >= hold && took < hold + Duration::from_millis(100),
+            "{polls} polls ({hold:?}) released after {took:?}"
+        );
+        assert_eq!(rx.stats().frames_delayed, 1);
+
+        // A deadline before the release wins: nothing yet, the frame
+        // stays held and comes out of a later call.
+        let mut rx = scripted(spec, [7]);
+        assert!(rx.recv(hold / 4).is_none());
+        assert!(rx.recv(Duration::from_secs(5)).is_some());
     }
 }

@@ -1,10 +1,11 @@
 //! # sc-node — a runnable SecureCyclon daemon
 //!
 //! Graduates the protocol from in-memory simulation to real sockets: a
-//! single-threaded event-loop daemon over non-blocking `std::net`
-//! (poll-style readiness; the build environment has no registry access,
-//! so no tokio), running [`sc_core::SecureCyclonNode`] behind a small
-//! [`Transport`](transport::Transport) trait.
+//! single-threaded, event-driven daemon over non-blocking `std::net`,
+//! running [`sc_core::SecureCyclonNode`] behind a small
+//! [`Transport`](transport::Transport) trait. Between events the process
+//! blocks in `poll(2)` ([`wait`]) until a frame arrives or its next
+//! deadline comes; nothing in the crate sleeps and retries. Unix only.
 //!
 //! * [`frame`] — length-prefixed framing over `wire::encode_message` /
 //!   `wire::decode_message`, with per-connection read budgets.
@@ -18,9 +19,16 @@
 //!   RPC turns, the §V-A bootstrap/sponsorship join handshake.
 //! * [`config`] — daemon configuration and the flag parser the `sc-node`
 //!   binary uses.
+//! * [`wait`] — the one wait primitive everything above blocks in.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `wait::wait` opts its one `poll(2)` call
+// back in with a function-scoped `#[allow(unsafe_code)]` — the policy
+// `sc-crypto` applies to SHA-NI. Everything else in the crate stays safe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("sc-node blocks in poll(2) (see `wait`): unix targets only");
 
 pub mod config;
 pub mod control;
@@ -28,6 +36,7 @@ pub mod daemon;
 pub mod fault;
 pub mod frame;
 pub mod transport;
+pub mod wait;
 
 pub use config::NodeConfig;
 pub use control::{ControlClient, StatusReport};

@@ -4,13 +4,17 @@
 //! [`Transport`] is deliberately small: the daemon's protocol logic only
 //! needs "send a frame to the peer at address `a`", "answer on the
 //! connection a frame arrived on", and "wait for the next inbound frame".
-//! [`TcpTransport`] implements it over non-blocking `std::net` with
-//! poll-style readiness (`WouldBlock` loops with short sleeps — the build
-//! environment has no registry access, so no mio/tokio), per-connection
-//! read budgets, connect/write timeouts, and deterministic exponential
-//! backoff for unreachable peers.
+//! [`TcpTransport`] implements it over non-blocking `std::net`: `recv`
+//! blocks in [`crate::wait`] (one `poll(2)`) on the listener and every
+//! connection until one of them is readable or the caller's timeout
+//! passes, then reads only the sockets the kernel reported — an idle
+//! transport sits in that one system call. A full send buffer waits for
+//! writability the same way. Around that: per-connection read budgets,
+//! connect/write timeouts, and deterministic exponential backoff for
+//! unreachable peers.
 
 use crate::frame::{Frame, FrameReader};
+use crate::wait::{wait, PollFd};
 use sc_core::Addr;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -110,10 +114,18 @@ pub struct TcpTransport {
     next_conn: ConnId,
     connect_timeout: Duration,
     write_timeout: Duration,
-    /// Max bytes pulled from one connection per poll pass.
+    /// Max bytes pulled from one connection per pass.
     read_budget: usize,
     max_frame_bytes: usize,
     stats: TransportStats,
+    /// The wait set of the current pass (the listener first) and the
+    /// connection behind each of its entries after the first; kept to
+    /// reuse their allocations.
+    fds: Vec<PollFd>,
+    fd_conns: Vec<ConnId>,
+    /// Passes made, for the test that an idle `recv` does not spin.
+    #[cfg(test)]
+    passes: u64,
 }
 
 const BACKOFF_BASE: Duration = Duration::from_millis(50);
@@ -121,7 +133,6 @@ const BACKOFF_MAX_SHIFT: u32 = 5;
 /// Cap on tracked backoff entries: under heavy churn dead peers would
 /// otherwise accumulate one entry each for the life of the transport.
 const BACKOFF_MAX_ENTRIES: usize = 128;
-const POLL_SLEEP: Duration = Duration::from_micros(500);
 
 impl TcpTransport {
     /// Binds `127.0.0.1:addr`.
@@ -149,6 +160,10 @@ impl TcpTransport {
             read_budget: 64 << 10,
             max_frame_bytes,
             stats: TransportStats::default(),
+            fds: Vec::new(),
+            fd_conns: Vec::new(),
+            #[cfg(test)]
+            passes: 0,
         })
     }
 
@@ -175,8 +190,9 @@ impl TcpTransport {
         self.stats.active_conns = self.conns.len() as u64;
     }
 
-    /// Writes all of `bytes`, looping on `WouldBlock` until the write
-    /// timeout. Returns false (and drops the connection) on failure.
+    /// Writes all of `bytes`, waiting for writability whenever the send
+    /// buffer is full, until the write timeout. Returns false (and drops
+    /// the connection) on failure.
     fn write_all(&mut self, id: ConnId, bytes: &[u8]) -> bool {
         let deadline = Instant::now() + self.write_timeout;
         let mut off = 0;
@@ -190,14 +206,14 @@ impl TcpTransport {
                     return false;
                 }
                 Ok(n) => off += n,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::Interrupted =>
-                {
-                    if Instant::now() >= deadline {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let mut fd = [PollFd::writable(&conn.stream)];
+                    if left.is_zero() || wait(&mut fd, left).is_err() {
                         self.drop_conn(id);
                         return false;
                     }
-                    std::thread::sleep(POLL_SLEEP);
                 }
                 Err(_) => {
                     self.drop_conn(id);
@@ -278,61 +294,78 @@ impl TcpTransport {
         self.backoff.len()
     }
 
-    /// One non-blocking pass: accept pending dials, then read up to the
-    /// budget from every connection, queueing completed frames.
-    fn poll_once(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.register(stream);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+    /// One pass: blocks up to `timeout` until the listener or a
+    /// connection is readable, then accepts pending dials and reads up to
+    /// the budget from each connection the kernel reported, queueing
+    /// completed frames. A connection that still holds bytes past its
+    /// budget is reported again by the next pass.
+    fn pass(&mut self, timeout: Duration) {
+        #[cfg(test)]
+        {
+            self.passes += 1;
+        }
+        self.fds.clear();
+        self.fd_conns.clear();
+        self.fds.push(PollFd::readable(&self.listener));
+        for (&id, conn) in &self.conns {
+            self.fds.push(PollFd::readable(&conn.stream));
+            self.fd_conns.push(id);
+        }
+        // A failed wait (kernel out of memory) reads as "nothing ready":
+        // the caller's deadline logic decides what happens next.
+        if wait(&mut self.fds, timeout).unwrap_or(0) == 0 {
+            return;
+        }
+        if self.fds[0].ready() {
+            while let Ok((stream, _)) = self.listener.accept() {
+                self.register(stream);
             }
         }
-        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
+        for i in 0..self.fd_conns.len() {
+            if self.fds[i + 1].ready() {
+                self.read_conn(self.fd_conns[i]);
+            }
+        }
+    }
+
+    /// Reads connection `id` until it would block or its budget is spent.
+    fn read_conn(&mut self, id: ConnId) {
         let mut chunk = [0u8; 4096];
-        for id in ids {
-            let mut budget = self.read_budget;
-            while let Some(conn) = self.conns.get_mut(&id) {
-                let want = chunk.len().min(budget);
-                if want == 0 {
+        let mut budget = self.read_budget;
+        while let Some(conn) = self.conns.get_mut(&id) {
+            let want = chunk.len().min(budget);
+            if want == 0 {
+                break;
+            }
+            match conn.stream.read(&mut chunk[..want]) {
+                Ok(0) => {
+                    self.drop_conn(id);
                     break;
                 }
-                match conn.stream.read(&mut chunk[..want]) {
-                    Ok(0) => {
-                        self.drop_conn(id);
-                        break;
-                    }
-                    Ok(n) => {
-                        budget -= n;
-                        self.stats.bytes_in += n as u64;
-                        conn.reader.feed(&chunk[..n]);
-                        loop {
-                            match conn.reader.next_frame() {
-                                Ok(Some(frame)) => {
-                                    self.stats.frames_in += 1;
-                                    self.inbox.push_back(Inbound { conn: id, frame });
-                                }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    self.stats.poisoned_conns += 1;
-                                    self.drop_conn(id);
-                                    break;
-                                }
+                Ok(n) => {
+                    budget -= n;
+                    self.stats.bytes_in += n as u64;
+                    conn.reader.feed(&chunk[..n]);
+                    loop {
+                        match conn.reader.next_frame() {
+                            Ok(Some(frame)) => {
+                                self.stats.frames_in += 1;
+                                self.inbox.push_back(Inbound { conn: id, frame });
+                            }
+                            Ok(None) => break,
+                            Err(_) => {
+                                self.stats.poisoned_conns += 1;
+                                self.drop_conn(id);
+                                break;
                             }
                         }
                     }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock
-                            || e.kind() == ErrorKind::Interrupted =>
-                    {
-                        break;
-                    }
-                    Err(_) => {
-                        self.drop_conn(id);
-                        break;
-                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    self.drop_conn(id);
+                    break;
                 }
             }
         }
@@ -371,14 +404,11 @@ impl Transport for TcpTransport {
             if let Some(i) = self.inbox.pop_front() {
                 return Some(i);
             }
-            self.poll_once();
-            if let Some(i) = self.inbox.pop_front() {
-                return Some(i);
-            }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.pass(left);
+            if self.inbox.is_empty() && Instant::now() >= deadline {
                 return None;
             }
-            std::thread::sleep(POLL_SLEEP);
         }
     }
 
@@ -502,6 +532,100 @@ mod tests {
         raw.flush().unwrap();
         assert!(a.recv(Duration::from_millis(200)).is_none());
         assert_eq!(a.stats().poisoned_conns, 1);
+        assert_eq!(a.stats().active_conns, 0);
+    }
+
+    #[test]
+    fn an_idle_recv_blocks_once_instead_of_polling() {
+        let mut a = bind_any(Duration::from_millis(200));
+        let mut b = bind_any(Duration::from_millis(200));
+        // One live but silent connection in the wait set.
+        let f = Frame::new(FrameKind::Oneway, b.local_addr(), b"x".to_vec());
+        assert!(b.send_to(a.local_addr(), &f));
+        assert!(a.recv(Duration::from_millis(500)).is_some());
+
+        let before = a.passes;
+        let started = Instant::now();
+        assert!(a.recv(Duration::from_millis(200)).is_none());
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(200),
+            "returned after {took:?}"
+        );
+        // One blocking pass (a sleep-poll loop made ≈ 400); a second is
+        // tolerated for a wake-up a hair before the deadline.
+        assert!(
+            a.passes - before <= 2,
+            "an idle 200 ms recv made {} passes",
+            a.passes - before
+        );
+
+        // A zero timeout is exactly one non-blocking pass.
+        let before = a.passes;
+        let started = Instant::now();
+        assert!(a.recv(Duration::ZERO).is_none());
+        assert_eq!(a.passes - before, 1);
+        assert!(started.elapsed() < Duration::from_millis(20));
+    }
+
+    #[test]
+    fn recv_wakes_for_a_frame_long_before_its_timeout() {
+        let mut a = bind_any(Duration::from_millis(200));
+        let mut b = bind_any(Duration::from_millis(200));
+        let to = a.local_addr();
+        let f = Frame::new(FrameKind::Oneway, b.local_addr(), b"late".to_vec());
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(b.send_to(to, &f));
+            b
+        });
+        let started = Instant::now();
+        let got = a.recv(Duration::from_secs(5)).expect("delivered");
+        let took = started.elapsed();
+        let _b = sender.join().unwrap();
+        assert_eq!(got.frame.payload, b"late");
+        assert!(took < Duration::from_secs(1), "woke after {took:?}");
+    }
+
+    #[test]
+    fn a_full_send_buffer_waits_for_the_reader() {
+        // 16 MiB through one connection is far more than loopback socket
+        // buffers hold: the writer must block on writability while the
+        // reader drains, and every frame must arrive intact and in order.
+        const FRAMES: usize = 256;
+        let mut a = bind_any(Duration::from_millis(200));
+        let mut b = bind_any(Duration::from_millis(200));
+        let to = b.local_addr();
+        let from = a.local_addr();
+        let reader = std::thread::spawn(move || {
+            for i in 0..FRAMES {
+                let got = b.recv(Duration::from_secs(5)).expect("frame lost");
+                assert_eq!(got.frame.payload.len(), 64 << 10);
+                assert_eq!(got.frame.payload[0], i as u8);
+            }
+        });
+        for i in 0..FRAMES {
+            let f = Frame::new(FrameKind::Oneway, from, vec![i as u8; 64 << 10]);
+            assert!(a.send_to(to, &f), "frame {i} timed out");
+        }
+        reader.join().unwrap();
+        assert_eq!(a.stats().frames_out, FRAMES as u64);
+    }
+
+    #[test]
+    fn a_reader_that_never_drains_times_the_write_out() {
+        let mut a = bind_any(Duration::from_millis(200));
+        a.write_timeout = Duration::from_millis(100);
+        // A listener that accepts (in the kernel) and never reads.
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        let to = sink.local_addr().unwrap().port() as Addr;
+        // Far more than the socket buffers of one connection hold.
+        let f = Frame::new(FrameKind::Oneway, a.local_addr(), vec![0; 32 << 20]);
+        let started = Instant::now();
+        // The write times out, `send_to` redials once, and that write
+        // times out too: failure, with no connection left behind.
+        assert!(!a.send_to(to, &f));
+        assert!(started.elapsed() >= Duration::from_millis(100));
         assert_eq!(a.stats().active_conns, 0);
     }
 }

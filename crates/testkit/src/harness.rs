@@ -21,6 +21,7 @@ use std::io::Read;
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Sizing and timing for a loopback cluster.
@@ -113,14 +114,20 @@ fn port_free(port: Addr) -> bool {
 impl ProcessCluster {
     /// Spawns `cfg.n` founding members of a fresh cluster.
     ///
-    /// The base port is searched deterministically from the seed (with the
-    /// PID folded in so concurrent test processes diverge), probing until
-    /// a contiguous block of `n + 32` loopback ports binds cleanly.
+    /// The base port is searched deterministically from the seed, probing
+    /// until a contiguous block of `n + 32` loopback ports binds cleanly.
+    /// The PID is folded in so concurrent test processes diverge, and a
+    /// process-wide launch counter so concurrent launches *within* one
+    /// process do: tests of one binary run on parallel threads with the
+    /// same default seed, and two of them probing the same block at the
+    /// same moment both find it free, then race their children's `bind`.
     ///
     /// # Errors
     ///
     /// No free port block, or a spawn failure.
     pub fn launch(bin: impl Into<PathBuf>, cfg: ClusterConfig) -> std::io::Result<ProcessCluster> {
+        static LAUNCHES: AtomicU64 = AtomicU64::new(0);
+        let launch = LAUNCHES.fetch_add(1, Ordering::Relaxed);
         let bin = bin.into();
         let want = cfg.n + 32;
         let mut base = 0;
@@ -129,6 +136,7 @@ impl ProcessCluster {
                 .seed
                 .wrapping_mul(0x9e37_79b9)
                 .wrapping_add(std::process::id() as u64)
+                .wrapping_add(launch.wrapping_mul(7919))
                 .wrapping_add(attempt.wrapping_mul(977));
             let candidate = 21_000 + (h % 40_000) as Addr;
             if (candidate..candidate + want as Addr).all(port_free) {
@@ -195,6 +203,11 @@ impl ProcessCluster {
     /// Addresses of members the harness has not killed.
     pub fn addrs(&self) -> Vec<Addr> {
         self.members.keys().copied().collect()
+    }
+
+    /// The OS process behind a live member (for `/proc/<pid>` readings).
+    pub fn pid_of(&self, addr: Addr) -> Option<u32> {
+        self.members.get(&addr).map(Child::id)
     }
 
     /// The cluster seed (for replay lines).
