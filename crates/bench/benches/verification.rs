@@ -1,7 +1,7 @@
 //! Verification benchmarks parameterized by chain length: cold
 //! full-chain verification, memoized re-verification (exact copy), and
 //! incremental verification of a one-link extension — the §VI-A cost
-//! story that the verified-prefix memo is built to win.
+//! story that the verified-chain memo is built to win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sc_bench::{chained, pool, warmed_memo, CHAIN_LENGTHS};

@@ -222,9 +222,9 @@ impl SampleCache {
     }
 
     /// Like [`SampleCache::observe`], but routes the verification that
-    /// conflict handling triggers through a verified-prefix memo, so
+    /// conflict handling triggers through a verified-chain memo, so
     /// proof construction only pays for links past the last verified
-    /// prefix. This is the variant the protocol node uses.
+    /// tip. This is the variant the protocol node uses.
     pub fn observe_with(
         &mut self,
         desc: &SecureDescriptor,
@@ -678,6 +678,13 @@ mod tests {
             let got = memoized.observe_with(desc, i as u64, PERIOD, &mut memo);
             assert_eq!(got, expect, "observation {i}");
         }
-        assert!(memo.hits() > 0, "conflict handling exercised the memo");
+        // Conflict handling verified its evidence through the memo: both
+        // forks are verified tips now, one lookup each from here on. (The
+        // fork point lies *below* `left`'s tip, so building the proof hit
+        // nothing — `right` was verified in full, like `verify()` would.)
+        assert_eq!((memo.len(), memo.hits()), (2, 0));
+        let lookups = memo.lookups();
+        assert!(left.verify_with(&mut memo).is_ok() && right.verify_with(&mut memo).is_ok());
+        assert_eq!((memo.lookups() - lookups, memo.hits()), (2, 2));
     }
 }

@@ -42,10 +42,6 @@ pub struct SecureConfig {
     /// Proofs learned within this many cycles are piggybacked on gossip
     /// messages (§IV-C, catching up absent/new nodes).
     pub proof_piggyback_cycles: u64,
-    /// Capacity of the verified-prefix memo driving incremental descriptor
-    /// verification (digests retained; 32 bytes each). Zero disables
-    /// memoization and falls back to full from-genesis verification.
-    pub verify_memo_capacity: usize,
 }
 
 impl Default for SecureConfig {
@@ -65,7 +61,6 @@ impl Default for SecureConfig {
             max_ns_redemptions_per_cycle: 1,
             transfer_history_len: 8,
             proof_piggyback_cycles: 10,
-            verify_memo_capacity: 4096,
         }
     }
 }
@@ -85,6 +80,14 @@ impl SecureConfig {
         );
         assert!(self.ticks_per_cycle > 0, "ticks_per_cycle must be positive");
         self
+    }
+
+    /// Entries of the node's verified-chain memo (one tip digest per
+    /// verified descriptor version): `16·ℓ`, at least 64. A node verifies
+    /// 2s + 1 = 7 new tips a cycle, so at ℓ = 20 the memo spans 45 cycles
+    /// — longer than the ≈ ℓ cycles a descriptor, and so its tip, lives.
+    pub fn memo_capacity(&self) -> usize {
+        (16 * self.view_len).max(64)
     }
 
     /// Builder-style override of the view length.
@@ -138,6 +141,16 @@ mod tests {
         assert_eq!(cfg.swap_len, 8);
         assert_eq!(cfg.redemption_cache_cycles, 10);
         assert!(!cfg.tit_for_tat);
+    }
+
+    #[test]
+    fn memo_capacity_follows_the_view_length() {
+        assert_eq!(SecureConfig::default().memo_capacity(), 320);
+        assert_eq!(SecureConfig::default().with_view_len(4).memo_capacity(), 64);
+        assert_eq!(
+            SecureConfig::default().with_view_len(50).memo_capacity(),
+            800
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!
 //! Signatures cover a running digest of everything before them, so a link
 //! signature commits to the full history up to that point while signing
-//! and verifying stay O(chain length).
+//! and verifying stay O(chain length). [`SecureDescriptor::verify`] is the
+//! plain walk; `verify_with` / `verify_batch_with` are one memo-aware
+//! walker that skips what a [`VerifyMemo`] of verified tips covers and
+//! settles the rest in one batched signature check, verdict-identical.
 
 use crate::memo::VerifyMemo;
 use crate::time::Timestamp;
@@ -473,182 +476,119 @@ impl SecureDescriptor {
         Ok(())
     }
 
-    /// Incremental verification against a memo of previously verified
-    /// prefixes: signature checks are skipped for the longest chain prefix
-    /// whose running digest the memo recognizes, so re-verifying a known
-    /// copy is O(1) and verifying an extended or forked copy costs only
-    /// the links appended after the shared prefix. Prefix digests come
-    /// straight from the descriptor's incrementally maintained cache
-    /// (populated at creation, append, or wire decode), so there is **no**
-    /// O(chain) hash walk here — extending a memoized chain by one link
-    /// verifies with O(1) hashing and a single signature check.
+    /// Verification against a memo of chains this node already verified.
+    /// The memo holds the **tip** digest of every chain that passed, so
+    /// re-verifying a known copy is one lookup, and a copy that has moved
+    /// on since — the tip verified then is one of its prefix digests now —
+    /// pays only for the links appended after it. Prefix digests come from
+    /// the descriptor's own cache (built at creation, append or wire
+    /// decode), so there is **no** O(chain) hash walk: extending a
+    /// memoized chain by one link costs two lookups and one signature
+    /// check. A fork below a memoized tip, or a shorter copy of one, finds
+    /// nothing and is verified in full.
     ///
-    /// Returns **exactly** the same result as [`SecureDescriptor::verify`]
-    /// for every input: memo entries are digests of byte-exact prefixes
-    /// that passed full verification, so skipping their signatures can
-    /// never change the verdict, and structural rules are re-checked over
-    /// the whole chain unconditionally (they are hash-free comparisons; in
-    /// particular a memoized redeemed prefix can never hide an illegal
-    /// post-redemption extension). On success, every prefix digest past
-    /// the memoized one is memoized for future calls.
+    /// Returns **exactly** what [`SecureDescriptor::verify`] returns:
+    /// memo entries are digests of byte-exact chains that passed full
+    /// verification, so skipping their signatures cannot change the
+    /// verdict, and the structural rules (hash-free) are re-checked over
+    /// the whole chain, so a memoized redeemed chain cannot hide an
+    /// illegal extension. On success the tip digest is memoized.
     ///
     /// # Errors
     ///
     /// Identical to [`SecureDescriptor::verify`].
     pub fn verify_with(&self, memo: &mut VerifyMemo) -> Result<(), DescriptorError> {
-        let n = self.0.chain.len();
-        let states: &[Digest] = &self.0.states;
-        debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
-        // Exact match: this byte content already passed full verification.
-        if memo.contains(&states[n]) {
+        // The hot path of re-intake: one lookup, no walker.
+        if memo.contains(&self.state_digest()) {
             return Ok(());
         }
-        // Longest memoized prefix (in links), scanning from the tip so the
-        // extend-by-few hot path hits after a couple of lookups. `None`
-        // means not even the genesis is known good.
-        let verified_prefix = (0..n).rev().find(|&i| memo.contains(&states[i]));
-        if verified_prefix.is_none() {
-            let msg = genesis_message(
-                &self.0.genesis.creator,
-                self.0.genesis.addr,
-                self.0.genesis.created_at,
-            );
-            if !self.0.genesis.creator.verify(&msg, &self.0.genesis.sig) {
-                return Err(DescriptorError::BadGenesisSignature);
-            }
-        }
-        let skip = verified_prefix.unwrap_or(0);
-        let mut owner: PublicKey = self.0.genesis.creator;
-        for (i, link) in self.0.chain.iter().enumerate() {
-            // Structural rules run over the whole chain, memoized or not:
-            // they are hash-free, and re-checking them keeps a memoized
-            // redeemed prefix from hiding a post-redemption extension.
-            if link.kind.is_redemption() {
-                if i != n - 1 {
-                    return Err(DescriptorError::RedemptionNotTerminal);
-                }
-                if link.to != self.0.genesis.creator {
-                    return Err(DescriptorError::RedemptionNotToCreator);
-                }
-            } else if link.to == owner {
-                return Err(DescriptorError::TransferToSelf);
-            }
-            if i >= skip {
-                let msg = link_message(&states[i], &link.to, link.kind);
-                if !owner.verify(&msg, &link.sig) {
-                    return Err(DescriptorError::BadLinkSignature { index: i });
-                }
-            }
-            owner = link.to;
-        }
-        // Every prefix of a valid chain is itself a valid chain; memoize
-        // the newly verified ones so extensions *and* forks hit the memo
-        // later. Prefixes up to the memoized one are already represented
-        // by its digest (re-inserting them would make the memoized
-        // re-verify path O(chain) again).
-        let first_new = verified_prefix.map_or(0, |i| i + 1);
-        for s in &states[first_new..] {
-            memo.insert(*s);
-        }
-        Ok(())
+        Self::walk(&[self], memo, true);
+        memo.scratch.verdicts[0]
     }
 
-    /// Verifies several descriptors at once against one memo, collecting
-    /// every non-memoized signature check across the whole batch into a
-    /// single [`sc_crypto::verify_batch`] call — one batched crypto bill
-    /// for the entire received message instead of a signature-by-signature
-    /// drip. Returns one verdict per descriptor, in input order.
+    /// Verifies several descriptors against one memo, pooling every
+    /// non-memoized signature check of the batch into a single
+    /// [`sc_crypto::verify_batch_by`] call — one crypto bill for a whole
+    /// received message. Returns one verdict per descriptor, in input
+    /// order.
     ///
-    /// **Result-identical to the sequential path**: each verdict equals
-    /// what `descs[i].verify_with(memo)` would return when the descriptors
-    /// are processed one by one in input order, including *which* check a
-    /// failing descriptor is blamed for. The argument:
+    /// **Result-identical to `verify_with` on each, in input order**,
+    /// including *which* check a failing descriptor is blamed for:
     ///
-    /// * Per descriptor, checks are collected in exactly the order
-    ///   [`SecureDescriptor::verify_with`] would perform them (genesis
-    ///   first when no prefix is memoized, then links past the memoized
-    ///   prefix), and collection stops at the first structural error just
-    ///   as the sequential walk would. The verdict is the positionally
-    ///   first failing collected check, else the structural error, else
-    ///   `Ok` — the same precedence the inline walk applies.
+    /// * Per descriptor, checks are collected in chain order and
+    ///   collection stops at the first structural error; the verdict is
+    ///   the first failing collected check, else the structural error,
+    ///   else `Ok` — the precedence of [`SecureDescriptor::verify`].
     /// * Signature validity is a pure function of `(key, message,
-    ///   signature)`, and [`sc_crypto::verify_batch`] attributes failures
-    ///   exactly (bisection confirmed by per-signature checks), so pooling
-    ///   checks across descriptors cannot change any individual verdict.
-    /// * Sequential interleaving — descriptor `k+1` seeing prefixes that
-    ///   descriptor `k` just memoized — only ever lets the sequential path
-    ///   *skip* checks that the batched path re-collects; those checks
-    ///   belong to byte-identical prefixes already proven valid, so the
-    ///   extra evaluations all pass and verdicts agree. Duplicate
-    ///   descriptors (equal state digests) short-circuit to the first
-    ///   copy's verdict, mirroring the sequential exact-hit.
-    /// * The memo ends up with the same contents: successes memoize their
-    ///   prefix digests in input order, failures memoize nothing, and
-    ///   re-inserting an already-present digest is a no-op (so the FIFO
-    ///   eviction order matches the sequential schedule too).
+    ///   signature)` and the batch attributes failures exactly, so pooling
+    ///   checks across descriptors changes no verdict.
+    /// * One by one, descriptor `k+1` would see the tip descriptor `k`
+    ///   just memoized and skip checks the batch re-collects; those belong
+    ///   to byte-identical prefixes already proven valid, so they pass.
+    ///   Duplicates (equal tips) take the first copy's verdict.
+    /// * The memo ends up with the same contents, whatever its capacity:
+    ///   tips that passed are memoized in input order, and re-inserting a
+    ///   present digest is a no-op.
     pub fn verify_batch_with(
         descs: &[&Self],
         memo: &mut VerifyMemo,
     ) -> Vec<Result<(), DescriptorError>> {
-        /// How one descriptor's verdict is determined after the pooled
-        /// signature checks come back.
-        enum Plan {
-            /// Decided without any signature checks (exact memo hit).
-            Done,
-            /// Same state digest as an earlier descriptor in this batch:
-            /// copy its verdict (the sequential path's exact-hit, or an
-            /// identical re-walk after an identical failure).
-            DupOf(usize),
-            /// Pending signature checks `checks` (a range into the flat
-            /// check arrays, in walk order), a structural error positioned
-            /// after all of them (collection stopped there), and the index
-            /// of the first prefix digest to memoize on success.
-            Pending {
-                checks: std::ops::Range<usize>,
-                structural: Option<DescriptorError>,
-                first_new: usize,
-            },
-        }
+        Self::walk(descs, memo, false);
+        memo.scratch.verdicts.clone()
+    }
 
-        let mut plans: Vec<Plan> = Vec::with_capacity(descs.len());
-        let mut seen_tips: sc_crypto::FxHashMap<Digest, usize> =
-            sc_crypto::FxHashMap::with_capacity_and_hasher(descs.len(), Default::default());
-        // Flat parallel arrays of collected checks; contiguous per
-        // descriptor because collection is descriptor-major.
-        let mut check_pk: Vec<PublicKey> = Vec::new();
-        let mut check_msg: Vec<Digest> = Vec::new();
-        let mut check_sig: Vec<Signature> = Vec::new();
-        let mut check_err: Vec<DescriptorError> = Vec::new();
+    /// The one memo-aware walker: leaves a verdict per descriptor in
+    /// `memo.scratch.verdicts`. `tips_missed`: the caller already looked
+    /// every tip up, in vain.
+    fn walk(descs: &[&Self], memo: &mut VerifyMemo, tips_missed: bool) {
+        let mut scratch = std::mem::take(&mut memo.scratch);
+        let WalkScratch {
+            plans,
+            checks,
+            seen_tips,
+            bad,
+            verdicts,
+        } = &mut scratch;
+        plans.clear();
+        checks.clear();
+        seen_tips.clear();
+        bad.clear();
+        verdicts.clear();
 
         for (di, d) in descs.iter().enumerate() {
             let n = d.0.chain.len();
             let states: &[Digest] = &d.0.states;
             debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
-            if memo.contains(&states[n]) {
-                plans.push(Plan::Done);
+            let start = checks.len();
+            // Exact match: this byte content already passed verification.
+            if !tips_missed && memo.contains(&states[n]) {
+                plans.push(Plan::Walked(start..start, None));
                 continue;
             }
-            if let Some(&first) = seen_tips.get(&states[n]) {
-                plans.push(Plan::DupOf(first));
-                continue;
+            if descs.len() > 1 {
+                if let Some(&first) = seen_tips.get(&states[n]) {
+                    plans.push(Plan::DupOf(first));
+                    continue;
+                }
+                seen_tips.insert(states[n], di);
             }
-            seen_tips.insert(states[n], di);
+            // Longest memoized prefix (in links), scanning from the tip so
+            // the extend-by-few hot path hits after a couple of lookups.
+            // `None` means not even the genesis is known good.
             let verified_prefix = (0..n).rev().find(|&i| memo.contains(&states[i]));
-            let start = check_pk.len();
             if verified_prefix.is_none() {
-                check_pk.push(d.0.genesis.creator);
-                check_msg.push(genesis_message(
-                    &d.0.genesis.creator,
-                    d.0.genesis.addr,
-                    d.0.genesis.created_at,
-                ));
-                check_sig.push(d.0.genesis.sig);
-                check_err.push(DescriptorError::BadGenesisSignature);
+                let g = &d.0.genesis;
+                let msg = genesis_message(&g.creator, g.addr, g.created_at);
+                checks.push((g.creator, msg, g.sig, DescriptorError::BadGenesisSignature));
             }
             let skip = verified_prefix.unwrap_or(0);
             let mut structural = None;
             let mut owner: PublicKey = d.0.genesis.creator;
             for (i, link) in d.0.chain.iter().enumerate() {
+                // Structural rules run over the whole chain, memoized or
+                // not: they are hash-free, and re-checking them keeps a
+                // memoized redeemed chain from hiding a post-redemption
+                // extension.
                 if link.kind.is_redemption() {
                     if i != n - 1 {
                         structural = Some(DescriptorError::RedemptionNotTerminal);
@@ -663,64 +603,75 @@ impl SecureDescriptor {
                     break;
                 }
                 if i >= skip {
-                    check_pk.push(owner);
-                    check_msg.push(link_message(&states[i], &link.to, link.kind));
-                    check_sig.push(link.sig);
-                    check_err.push(DescriptorError::BadLinkSignature { index: i });
+                    let msg = link_message(&states[i], &link.to, link.kind);
+                    let err = DescriptorError::BadLinkSignature { index: i };
+                    checks.push((owner, msg, link.sig, err));
                 }
                 owner = link.to;
             }
-            plans.push(Plan::Pending {
-                checks: start..check_pk.len(),
-                structural,
-                first_new: verified_prefix.map_or(0, |i| i + 1),
-            });
+            plans.push(Plan::Walked(start..checks.len(), structural));
         }
 
-        // One combined pass over every collected check. `verify_batch`
-        // reports only the first invalid index, so confirmed-bad checks
-        // are struck out and the remainder re-batched until the rest pass
-        // — one extra round per forged signature, none in the honest case.
-        let total = check_pk.len();
-        let mut bad = vec![false; total];
-        loop {
-            let live: Vec<usize> = (0..total).filter(|&i| !bad[i]).collect();
-            let view: Vec<(&PublicKey, &[u8], &Signature)> = live
-                .iter()
-                .map(|&i| (&check_pk[i], check_msg[i].as_slice(), &check_sig[i]))
-                .collect();
-            match sc_crypto::verify_batch(&view) {
-                Ok(()) => break,
-                Err(k) => bad[live[k]] = true,
-            }
+        // One combined pass over every collected check. The batch reports
+        // only the first invalid index — everything before it is good — so
+        // the pass resumes right after each confirmed-bad check: one extra
+        // round per forged signature, none in the honest case.
+        let mut from = 0;
+        while let Err(k) = sc_crypto::verify_batch_by(checks.len() - from, |i| {
+            let (pk, msg, sig, _) = &checks[from + i];
+            (pk, msg.as_slice(), sig)
+        }) {
+            bad.push(from + k);
+            from += k + 1;
         }
 
-        let mut results: Vec<Result<(), DescriptorError>> = Vec::with_capacity(descs.len());
-        for (di, plan) in plans.iter().enumerate() {
-            let res = match plan {
-                Plan::Done => Ok(()),
-                Plan::DupOf(first) => results[*first],
-                Plan::Pending {
-                    checks,
-                    structural,
-                    first_new,
-                } => match checks.clone().find(|&i| bad[i]) {
-                    Some(i) => Err(check_err[i]),
-                    None => match structural {
-                        Some(e) => Err(*e),
-                        None => {
-                            for s in &descs[di].0.states[*first_new..] {
-                                memo.insert(*s);
-                            }
-                            Ok(())
-                        }
-                    },
+        // Memoize the tips that passed, in input order — the schedule
+        // one-by-one verification follows (a no-op for a tip still there).
+        for (plan, d) in plans.iter().zip(descs) {
+            let verdict = match plan {
+                Plan::DupOf(first) => verdicts[*first],
+                Plan::Walked(mine, structural) => match bad.iter().find(|&&i| mine.contains(&i)) {
+                    Some(&i) => Err(checks[i].3),
+                    None => structural.map_or(Ok(()), Err),
                 },
             };
-            results.push(res);
+            if verdict.is_ok() {
+                memo.insert(d.state_digest());
+            }
+            verdicts.push(verdict);
         }
-        results
+        #[cfg(test)]
+        tests::SIGNATURE_CHECKS.with(|n| n.set(n.get() + checks.len()));
+        memo.scratch = scratch;
     }
+}
+
+/// How one descriptor's verdict follows from the pooled signature checks.
+#[derive(Clone, Debug)]
+enum Plan {
+    /// Same tip as an earlier descriptor of the batch: its verdict.
+    DupOf(usize),
+    /// Its checks (a range into the flat list, in walk order; empty for an
+    /// exact memo hit) and a structural error positioned after all of
+    /// them (collection stopped there).
+    Walked(std::ops::Range<usize>, Option<DescriptorError>),
+}
+
+/// Working storage of the memo-aware walker, owned by the [`VerifyMemo`]
+/// it walks against and reused from call to call, so that a walk
+/// allocates nothing once the vectors have grown to a message's size.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkScratch {
+    plans: Vec<Plan>,
+    /// Collected checks and the error a failure means; contiguous per
+    /// descriptor because collection is descriptor-major.
+    checks: Vec<(PublicKey, Digest, Signature, DescriptorError)>,
+    /// Tip digest → first index in the batch carrying it.
+    seen_tips: sc_crypto::FxHashMap<Digest, usize>,
+    /// Indices into `checks` of the signatures that failed, ascending.
+    bad: Vec<usize>,
+    /// The last walk's verdicts, in input order.
+    verdicts: Vec<Result<(), DescriptorError>>,
 }
 
 #[cfg(test)]
@@ -730,6 +681,28 @@ mod tests {
 
     pub(crate) fn kp(tag: u8) -> Keypair {
         Keypair::from_seed(Scheme::Schnorr61, [tag; 32])
+    }
+
+    thread_local! {
+        /// Signature checks the memo-aware walker has collected on this
+        /// thread (each test runs on its own).
+        pub(super) static SIGNATURE_CHECKS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// What one `verify_with` call cost: its verdict, the memo lookups it
+    /// made, the signatures it checked.
+    fn cost(
+        d: &SecureDescriptor,
+        memo: &mut VerifyMemo,
+    ) -> (Result<(), DescriptorError>, u64, usize) {
+        let (lookups, checks) = (memo.lookups(), SIGNATURE_CHECKS.get());
+        let verdict = d.verify_with(memo);
+        (
+            verdict,
+            memo.lookups() - lookups,
+            SIGNATURE_CHECKS.get() - checks,
+        )
     }
 
     /// `d` with `link` spliced onto its chain, reassembled the way a wire
@@ -954,29 +927,35 @@ mod tests {
     }
 
     #[test]
-    fn verify_with_memoizes_and_reuses_prefixes() {
+    fn verify_with_memoizes_tips_and_nothing_else() {
         let (a, b, c, d) = (kp(1), kp(2), kp(3), kp(4));
         let mut memo = VerifyMemo::new(64);
-        let desc = SecureDescriptor::create(&a, 0, Timestamp(0))
+        let base = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
-            .unwrap()
-            .transfer(&b, c.public())
             .unwrap();
-        desc.verify_with(&mut memo).unwrap();
-        // Exact re-verification is a single memo hit.
-        let hits_before = memo.hits();
-        desc.verify_with(&mut memo).unwrap();
-        assert_eq!(memo.hits(), hits_before + 1);
-        // Extension: the shared prefix is found memoized.
+        let desc = base.transfer(&b, c.public()).unwrap();
+        // First sighting: tip and both prefixes miss, genesis and both
+        // links are checked, one digest — the tip — is memoized.
+        assert_eq!(cost(&desc, &mut memo), (Ok(()), 3, 3));
+        assert_eq!(memo.len(), 1);
+        // Re-verifying a verified tip: one lookup, no signature check.
+        assert_eq!(cost(&desc, &mut memo), (Ok(()), 1, 0));
+        assert_eq!((memo.len(), memo.hits()), (1, 1));
+        // Extension: tip miss, parent hit, the one new link checked.
         let extended = desc.transfer(&c, d.public()).unwrap();
-        let hits_before = memo.hits();
-        extended.verify_with(&mut memo).unwrap();
-        assert!(memo.hits() > hits_before, "prefix served from the memo");
-        // A fork off the same prefix also hits.
-        let fork = desc.transfer(&c, kp(5).public()).unwrap();
-        let hits_before = memo.hits();
-        fork.verify_with(&mut memo).unwrap();
-        assert!(memo.hits() > hits_before);
+        assert_eq!(cost(&extended, &mut memo), (Ok(()), 2, 1));
+        // A fork *at* a verified tip is an extension of it just the same.
+        let fork_at_tip = desc.transfer(&c, kp(5).public()).unwrap();
+        assert_eq!(cost(&fork_at_tip, &mut memo), (Ok(()), 2, 1));
+        assert_eq!(memo.len(), 3);
+        // A fork *below* every verified tip finds nothing — `base` was
+        // never a tip here — and is verified in full, like `verify()`.
+        let fork_below = base.transfer(&b, kp(5).public()).unwrap();
+        assert_eq!(cost(&fork_below, &mut memo), (fork_below.verify(), 3, 3));
+        // So is a shorter copy of a verified chain.
+        let shorter = SecureDescriptor::from_parts(*base.genesis(), base.chain().to_vec());
+        assert_eq!(cost(&shorter, &mut memo), (shorter.verify(), 2, 2));
+        assert_eq!(memo.len(), 5, "one entry per verified version");
     }
 
     #[test]
@@ -989,8 +968,9 @@ mod tests {
             .unwrap();
         let mut memo = VerifyMemo::new(64);
         good.verify_with(&mut memo).unwrap();
-        // Tamper with a memoized prefix link; rebuild via `from_parts` so
-        // the state digest is consistent, exactly as a wire decode would.
+        // Tamper with a link of the memoized chain; rebuild via
+        // `from_parts` so the state digest is consistent, exactly as a
+        // wire decode would.
         let mut links = good.chain().to_vec();
         let mut sig = *links[0].sig.as_bytes();
         sig[8] ^= 0x40;
@@ -1004,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_redeemed_prefix_rejects_post_redemption_extension() {
+    fn memoized_redeemed_tip_rejects_post_redemption_extension() {
         let (a, b, c) = (kp(1), kp(2), kp(3));
         let redeemed = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
@@ -1013,8 +993,9 @@ mod tests {
             .unwrap();
         let mut memo = VerifyMemo::new(64);
         redeemed.verify_with(&mut memo).unwrap();
-        // Splice a transfer after the terminal redemption: every prefix of
-        // this chain is memoized, but structure must still reject it.
+        // Splice a transfer after the terminal redemption: everything but
+        // the new link is a memoized tip — no signature is even looked at
+        // — but structure must still reject it.
         let mut links = redeemed.chain().to_vec();
         let msg = link_message(&redeemed.state_digest(), &c.public(), LinkKind::Transfer);
         links.push(ChainLink {
@@ -1024,18 +1005,18 @@ mod tests {
         });
         let bad = SecureDescriptor::from_parts(*redeemed.genesis(), links);
         assert_eq!(
-            bad.verify_with(&mut memo).unwrap_err(),
-            DescriptorError::RedemptionNotTerminal
+            cost(&bad, &mut memo),
+            (Err(DescriptorError::RedemptionNotTerminal), 2, 0)
         );
         assert_eq!(bad.verify_with(&mut memo), bad.verify());
     }
 
     #[test]
-    fn extend_by_one_verifies_in_constant_lookups() {
+    fn extend_by_one_costs_two_lookups_and_one_signature_at_any_length() {
         // The extend-by-one hot path must not walk the chain: against a
-        // warmed memo it costs exactly two memo lookups (miss on the tip,
-        // hit on the immediate prefix) regardless of chain length, and
-        // memoizes only the new tip.
+        // memo holding the parent's tip it costs exactly two memo lookups
+        // (miss on the tip, hit on the parent) and one signature check,
+        // regardless of chain length, and memoizes the new tip.
         let keys: Vec<Keypair> = (0..8).map(kp).collect();
         for len in [1usize, 4, 16, 64] {
             let mut d = SecureDescriptor::create(&keys[0], 0, Timestamp(0));
@@ -1045,23 +1026,17 @@ mod tests {
                     .unwrap();
             }
             let mut memo = VerifyMemo::new(1024);
-            d.verify_with(&mut memo).unwrap();
+            assert_eq!(cost(&d, &mut memo), (Ok(()), len as u64 + 1, len + 1));
+            assert_eq!(memo.len(), 1, "chain length {len}: the tip alone");
             let extended = d
                 .transfer(&keys[len % 8], keys[(len + 1) % 8].public())
                 .unwrap();
-            let lookups_before = memo.lookups();
-            let entries_before = memo.len();
-            extended.verify_with(&mut memo).unwrap();
             assert_eq!(
-                memo.lookups() - lookups_before,
-                2,
-                "chain length {len}: tip miss + prefix hit, nothing else"
+                cost(&extended, &mut memo),
+                (Ok(()), 2, 1),
+                "chain length {len}: tip miss + parent hit, one new link"
             );
-            assert_eq!(
-                memo.len() - entries_before,
-                1,
-                "chain length {len}: only the new tip is memoized"
-            );
+            assert_eq!(memo.len(), 2, "chain length {len}: the new tip");
         }
     }
 
@@ -1130,14 +1105,18 @@ mod tests {
         assert_eq!(s, format!("{:?}", d.clone()));
     }
 
-    /// Oracle: batched verification must equal one-by-one sequential
-    /// `verify_with` — same verdicts in order, same final memo contents.
+    /// Oracle: batched verification must equal one-by-one `verify_with`
+    /// (and both, plain `verify`) — same verdicts in order, same final
+    /// memo contents.
     fn assert_batch_matches_sequential(descs: &[&SecureDescriptor], capacity: usize) {
         let mut seq_memo = VerifyMemo::new(capacity);
         let expected: Vec<_> = descs.iter().map(|d| d.verify_with(&mut seq_memo)).collect();
         let mut batch_memo = VerifyMemo::new(capacity);
         let got = SecureDescriptor::verify_batch_with(descs, &mut batch_memo);
         assert_eq!(got, expected, "verdicts diverge from sequential");
+        let plain: Vec<_> = descs.iter().map(|d| d.verify()).collect();
+        assert_eq!(got, plain, "verdicts diverge from memo-less verify");
+        assert!(batch_memo.len() <= capacity);
         assert_eq!(
             batch_memo.len(),
             seq_memo.len(),
@@ -1264,6 +1243,12 @@ mod tests {
         // descriptors skip checks the batch re-collects.
         let refs: Vec<&SecureDescriptor> = vec![&extended, &base, &extended, &fork, &base];
         assert_batch_matches_sequential(&refs, 64);
+        // A memo too small for the batch evicts mid-way; a duplicate whose
+        // first copy is gone again by then is memoized again, as it would
+        // be one by one.
+        for capacity in [0, 1, 2, 3] {
+            assert_batch_matches_sequential(&refs, capacity);
+        }
         // Same batch but with the shared prefix carrying a forged link:
         // every chain built on it must be blamed identically.
         let mut links = extended.chain().to_vec();
@@ -1276,7 +1261,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_against_warm_memo_skips_memoized_prefixes() {
+    fn batch_against_warm_memo_skips_what_the_tips_cover() {
         let keys: Vec<Keypair> = (0..8).map(kp).collect();
         let mut d = SecureDescriptor::create(&keys[0], 0, Timestamp(0));
         for i in 0..16 {
@@ -1287,16 +1272,18 @@ mod tests {
         let mut memo = VerifyMemo::new(1024);
         d.verify_with(&mut memo).unwrap();
         let extended = d.transfer(&keys[16 % 8], keys[17 % 8].public()).unwrap();
-        // Exact hit plus extend-by-one: two lookups for the exact copy,
-        // tip-miss + prefix-hit for the extension — no chain walk.
-        let lookups_before = memo.lookups();
+        // Exact hit plus extend-by-one: one lookup for the exact copy,
+        // tip-miss + parent-hit for the extension — no chain walk, and
+        // one signature in the pooled pass.
+        let (lookups_before, checks_before) = (memo.lookups(), SIGNATURE_CHECKS.get());
         let results = SecureDescriptor::verify_batch_with(&[&d, &extended], &mut memo);
         assert_eq!(results, vec![Ok(()), Ok(())]);
         assert_eq!(
             memo.lookups() - lookups_before,
             3,
-            "exact hit (1) + tip miss and prefix hit (2)"
+            "exact hit (1) + tip miss and parent hit (2)"
         );
+        assert_eq!(SIGNATURE_CHECKS.get() - checks_before, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`descriptor`] — secure descriptors and ownership chains (§IV-A)
 //! * [`chain`] — chain compatibility algebra (§IV-B)
 //! * [`checks`] — sample cache, frequency + ownership checks (§IV-B)
-//! * [`memo`] — bounded verified-prefix memo for incremental verification
+//! * [`memo`] — bounded memo of verified chains (their tip digests)
 //! * [`proof`] — transferable violation proofs (§IV-B)
 //! * [`blacklist`] — proof-backed eviction (§IV-C)
 //! * [`view`] — the secure partial view with non-swappable slots (§V-A)

@@ -1,39 +1,46 @@
-//! Bounded memo of *verified* chain prefixes — the incremental
-//! verification cache behind `SecureDescriptor::verify_with`.
+//! Bounded memo of *verified* chains — the cache behind
+//! `SecureDescriptor::verify_with`.
 //!
 //! Every descriptor carries a running state digest that commits to its
 //! genesis record and every chain link (including signatures). Once a
-//! node has fully verified a descriptor, the digest of each of its
-//! prefixes identifies a byte-exact chain whose genesis signature, link
-//! signatures, and structural rules are all known good. Re-encountering
-//! any of those digests later — the same descriptor arriving again, an
-//! extended snapshot of it, or a fork sharing the prefix — lets the
-//! verifier skip straight to the links appended after the memoized
-//! prefix, making intake verification amortized O(new links) instead of
-//! O(chain length).
+//! node has fully verified a descriptor, its **tip** digest — the state
+//! digest of the whole chain — identifies a byte-exact chain whose
+//! signatures and structure are known good, and that one digest is what
+//! the memo keeps. The same descriptor arriving again is one lookup; a
+//! descriptor that has moved on since carries the old tip among its prefix
+//! digests, so only the links appended after it are checked — intake
+//! verification is amortized O(new links), not O(chain length).
+//!
+//! What deliberately does **not** hit: a fork branching off *below* a
+//! memoized tip, and a shorter copy of a memoized chain. They are verified
+//! in full — same verdict, more signature checks. Memoizing every prefix
+//! would catch them, at L entries per descriptor instead of one; but on
+//! the honest path no such copy arrives (a descriptor only grows, and a
+//! fork is a §IV-B violation), and the all-prefix memo measured the same
+//! 36.46 signature checks per node-cycle while holding a third of every
+//! node's memory.
 //!
 //! # Safety argument
 //!
-//! The memo is sound because entries are inserted **only** after a full
-//! local verification succeeds, and are keyed by a SHA-256 digest of the
-//! entire prefix content. A tampered copy (flipped signature, spliced
-//! prefix, forged genesis) necessarily hashes to different prefix
-//! digests, misses the memo, and falls back to full verification — there
-//! is no way to "poison" the memo with unverified material. Structural
-//! rules are still enforced over the whole chain on every call (they are
-//! hash-cheap), so a memoized redeemed prefix cannot hide an illegal
-//! post-redemption extension. Third-party proof validation
-//! (`ViolationProof::validate`) deliberately bypasses the memo and stays
-//! fully self-certifying.
+//! Entries are inserted **only** after a full local verification
+//! succeeds, and are keyed by a SHA-256 digest of the entire chain
+//! content. A tampered copy (flipped signature, spliced prefix, forged
+//! genesis) hashes to different digests, misses, and falls back to full
+//! verification — the memo cannot be "poisoned" with unverified material.
+//! Structural rules are still enforced over the whole chain on every call,
+//! so a memoized redeemed chain cannot hide an illegal post-redemption
+//! extension. Third-party proof validation (`ViolationProof::validate`)
+//! deliberately bypasses the memo and stays fully self-certifying.
 //!
 //! The memo is bounded FIFO: beyond `capacity` digests the oldest entry
-//! is dropped, degrading gracefully to full verification. A capacity of
-//! zero disables memoization entirely.
+//! is dropped, degrading gracefully to full verification; zero disables
+//! it. The protocol node sizes it from ℓ (`SecureConfig::memo_capacity`).
 
+use crate::descriptor::WalkScratch;
 use sc_crypto::{Digest, FxHashSet};
 use std::collections::VecDeque;
 
-/// Bounded FIFO set of state digests of verified chain prefixes.
+/// Bounded FIFO set of state digests of verified chains.
 ///
 /// Keys are SHA-256 digests, so the non-flooding-resistant
 /// [`sc_crypto::fxhash`] hasher is safe here: biasing its 64-bit folds
@@ -45,22 +52,26 @@ pub struct VerifyMemo {
     capacity: usize,
     lookups: u64,
     hits: u64,
+    /// The verification walker's working vectors, reused call to call.
+    pub(crate) scratch: WalkScratch,
 }
 
 impl VerifyMemo {
-    /// Creates a memo retaining at most `capacity` prefix digests.
+    /// Creates a memo retaining at most `capacity` tip digests.
     /// `capacity == 0` disables memoization (every lookup misses).
+    /// Nothing is allocated up front: the tables grow with the entries.
     pub fn new(capacity: usize) -> Self {
         VerifyMemo {
-            set: FxHashSet::with_capacity_and_hasher(capacity.min(4096), Default::default()),
-            fifo: VecDeque::with_capacity(capacity.min(4096)),
+            set: FxHashSet::default(),
+            fifo: VecDeque::new(),
             capacity,
             lookups: 0,
             hits: 0,
+            scratch: WalkScratch::default(),
         }
     }
 
-    /// Whether `digest` identifies a verified prefix. Records hit/miss
+    /// Whether `digest` is the tip of a verified chain. Records hit/miss
     /// statistics, hence `&mut self`.
     pub fn contains(&mut self, digest: &Digest) -> bool {
         self.lookups += 1;
@@ -71,10 +82,11 @@ impl VerifyMemo {
         hit
     }
 
-    /// Records a verified prefix digest, evicting the oldest entry when
-    /// full. Crate-private on purpose: only `SecureDescriptor::verify_with`
-    /// may call this, and only after a successful verification — exposing
-    /// it would let external code poison the memo with unverified digests.
+    /// Records the tip digest of a verified chain, evicting the oldest
+    /// entry when full. Crate-private on purpose: only the descriptor
+    /// walker may call this, and only after a successful verification —
+    /// exposing it would let external code poison the memo with
+    /// unverified digests.
     pub(crate) fn insert(&mut self, digest: Digest) {
         if self.capacity == 0 || self.set.contains(&digest) {
             return;
@@ -88,7 +100,7 @@ impl VerifyMemo {
         self.fifo.push_back(digest);
     }
 
-    /// Number of memoized prefix digests.
+    /// Number of memoized digests.
     pub fn len(&self) -> usize {
         self.set.len()
     }
@@ -108,7 +120,7 @@ impl VerifyMemo {
         self.lookups
     }
 
-    /// Lookups that found a verified prefix.
+    /// Lookups that found a verified chain.
     pub fn hits(&self) -> u64 {
         self.hits
     }

@@ -230,10 +230,11 @@ impl SecureCyclonNode {
         }
         let expect = if self.cfg.tit_for_tat { 1 } else { quota };
         let got_any = !transfers.is_empty();
+        // One verification pass over every transfer about to be relied on.
         let incoming: Vec<&SecureDescriptor> = transfers.iter().take(expect).collect();
-        self.prewarm_verify(&incoming);
-        for t in transfers.into_iter().take(expect) {
-            self.accept_transfer(t, partner_id, cycle);
+        let verdicts = SecureDescriptor::verify_batch_with(&incoming, &mut self.verify_memo);
+        for (t, verdict) in transfers.into_iter().zip(verdicts) {
+            self.accept_verified_transfer(t, verdict.is_ok(), partner_id, cycle);
         }
         self.cfg.tit_for_tat && got_any
     }

@@ -37,7 +37,8 @@ impl SecureCyclonNode {
         if desc.owner() != self.id || desc.creator() == self.id || desc.is_redeemed() {
             return false;
         }
-        if !self.absorb_descriptor(&desc, cycle) {
+        let verified = desc.verify_with(&mut self.verify_memo).is_ok();
+        if !self.absorb_descriptor(&desc, verified, cycle) {
             return false;
         }
         if let Some(desc) = self.view.try_insert(desc, false) {
@@ -48,23 +49,23 @@ impl SecureCyclonNode {
         true
     }
 
-    /// Verifies a descriptor, then runs the §IV-B checks. Used for
-    /// everything whose validity the node is about to rely on: incoming
-    /// ownership transfers, fresh descriptors, redemption certificates.
+    /// Takes in a descriptor whose validity the node is about to rely on
+    /// — an incoming ownership transfer, a fresh descriptor, a redemption
+    /// certificate: counts a forgery, else runs the §IV-B checks.
     ///
-    /// Verification is incremental against the verified-prefix memo:
-    /// a byte-identical re-intake is an O(1) memo hit, an extended or
-    /// forked chain pays only for the links past the last verified
-    /// prefix, and a first sighting falls back to full verification.
-    /// Unlike the byte-identical *sample* shortcut this replaces, the
-    /// memo holds only locally verified prefixes, so an attacker cannot
-    /// pre-seed the cache with a forged sample and then replay the same
-    /// bytes as a transfer to dodge verification.
-    fn absorb_descriptor(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
+    /// `verified` is the verdict of this step's **one** verification pass
+    /// against the verified-chain memo (`verify_with` for a lone
+    /// transfer, `verify_batch_with` where a message carries several): a
+    /// byte-identical re-intake is one lookup, a chain that grew pays for
+    /// the links past the tip verified last time, a first sighting is
+    /// verified in full. The memo holds only locally verified chains, so
+    /// a forged sample cannot pre-clear the same bytes as a transfer.
+    /// Samples are not verified at intake, only on §IV-B conflict.
+    fn absorb_descriptor(&mut self, desc: &SecureDescriptor, verified: bool, cycle: u64) -> bool {
         if self.blacklist.contains(&desc.creator()) {
             return false;
         }
-        if desc.verify_with(&mut self.verify_memo).is_err() {
+        if !verified {
             self.stats.invalid_descriptors += 1;
             return false;
         }
@@ -79,26 +80,6 @@ impl SecureCyclonNode {
             return false;
         }
         self.check_only(desc, cycle)
-    }
-
-    /// Pools the signature checks of every descriptor a received message
-    /// asks this node to rely on into **one** batched verification
-    /// ([`SecureDescriptor::verify_batch_with`]), warming the
-    /// verified-prefix memo so the per-descriptor intake gates that follow
-    /// are O(1) exact hits. Samples deliberately contribute nothing here —
-    /// they are verified lazily, only on §IV-B conflict (see
-    /// `sc_core::checks`), so they carry no intake-time checks to pool.
-    ///
-    /// Verdict-neutral by construction: `verify_batch_with` returns
-    /// per-descriptor results identical to sequential `verify_with`, and
-    /// only genuinely verified prefixes enter the memo, so the gates that
-    /// re-run afterwards decide exactly as the sequential pipeline does —
-    /// this call just front-loads their crypto into one combined pass.
-    pub(super) fn prewarm_verify(&mut self, descs: &[&SecureDescriptor]) {
-        if descs.is_empty() {
-            return;
-        }
-        let _ = SecureDescriptor::verify_batch_with(descs, &mut self.verify_memo);
     }
 
     fn check_only(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
@@ -138,13 +119,27 @@ impl SecureCyclonNode {
         d.owner_at(last) == from
     }
 
-    /// Full intake of an owned transfer: validate, check, insert.
+    /// Full intake of a lone owned transfer: verify, validate, check,
+    /// insert.
     pub(super) fn accept_transfer(&mut self, d: SecureDescriptor, from: NodeId, cycle: u64) {
+        let verified = d.verify_with(&mut self.verify_memo).is_ok();
+        self.accept_verified_transfer(d, verified, from, cycle);
+    }
+
+    /// [`SecureCyclonNode::accept_transfer`] for a transfer this step's
+    /// verification pass already covered.
+    pub(super) fn accept_verified_transfer(
+        &mut self,
+        d: SecureDescriptor,
+        verified: bool,
+        from: NodeId,
+        cycle: u64,
+    ) {
         if !self.validate_transfer(&d, from) {
             self.stats.transfers_rejected += 1;
             return;
         }
-        if !self.absorb_descriptor(&d, cycle) {
+        if !self.absorb_descriptor(&d, verified, cycle) {
             return;
         }
         self.stats.transfers_received += 1;
@@ -186,20 +181,23 @@ impl SecureCyclonNode {
         } = body;
 
         // -- one batched crypto bill for the whole request --------------
-        // Certificate, fresh descriptor, and any eagerly offered
-        // transfers verify in one combined pass; the gates below then hit
-        // the memo instead of paying per-signature. (Samples are lazily
-        // verified and add no checks.)
-        let mut to_verify: Vec<&SecureDescriptor> = Vec::with_capacity(2 + offered.len());
+        // Certificate, fresh descriptor and the acceptable eager offers
+        // verify in this step's one combined pass; the gates below go by
+        // its verdicts. (Samples are lazily verified and add no checks.)
+        let eager = if self.cfg.tit_for_tat {
+            0
+        } else {
+            self.cfg.swap_len - 1
+        };
+        let mut to_verify: Vec<&SecureDescriptor> = Vec::with_capacity(2 + eager);
         to_verify.push(&redeemed);
         to_verify.push(&fresh);
-        to_verify.extend(offered.iter());
-        self.prewarm_verify(&to_verify);
+        to_verify.extend(offered.iter().take(eager));
+        let verdicts = SecureDescriptor::verify_batch_with(&to_verify, &mut self.verify_memo);
+        let (red_verified, fresh_verified) = (verdicts[0].is_ok(), verdicts[1].is_ok());
 
         // -- validate the redemption certificate -----------------------
-        // Incremental: the certificate's chain prefix is usually already
-        // memoized from the sample stream, so only recent links pay.
-        if redeemed.verify_with(&mut self.verify_memo).is_err() || redeemed.creator() != self.id {
+        if !red_verified || redeemed.creator() != self.id {
             self.stats.refused += 1;
             return None;
         }
@@ -213,7 +211,7 @@ impl SecureCyclonNode {
         };
 
         // -- validate the initiator's fresh descriptor -----------------
-        let fresh_ok = fresh.verify_with(&mut self.verify_memo).is_ok()
+        let fresh_ok = fresh_verified
             && fresh.creator() == redeemer
             && fresh.owner() == self.id
             && fresh.chain().len() == 1
@@ -276,8 +274,8 @@ impl SecureCyclonNode {
             FxHashSet::with_capacity_and_hasher(samples.len() + 2, Default::default());
         observed.insert(redeemed.state_digest());
         observed.insert(fresh.state_digest());
-        let red_ok = self.absorb_descriptor(&redeemed, cycle);
-        let fresh_clean = self.absorb_descriptor(&fresh, cycle);
+        let red_ok = self.absorb_descriptor(&redeemed, red_verified, cycle);
+        let fresh_clean = self.absorb_descriptor(&fresh, fresh_verified, cycle);
         for s in &samples {
             if !observed.insert(s.state_digest()) {
                 continue;
@@ -335,8 +333,9 @@ impl SecureCyclonNode {
             }
         }
         if !self.cfg.tit_for_tat {
-            for d in offered.into_iter().take(quota.saturating_sub(1)) {
-                self.accept_transfer(d, redeemer, cycle);
+            let offered = offered.into_iter().zip(&verdicts[2..]);
+            for (d, verdict) in offered.take(quota.saturating_sub(1)) {
+                self.accept_verified_transfer(d, verdict.is_ok(), redeemer, cycle);
             }
         }
 

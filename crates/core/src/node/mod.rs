@@ -227,10 +227,10 @@ pub struct SecureCyclonNode {
     phase: u64,
     view: SecureView,
     samples: SampleCache,
-    /// Bounded memo of verified chain prefixes: every descriptor the node
-    /// relies on is verified incrementally against it, so intake costs
-    /// amortized O(links appended since last sighting) instead of
-    /// O(chain) signature checks per message.
+    /// Bounded memo of verified chains (their tip digests), sized from ℓ:
+    /// every descriptor the node relies on is verified against it, so
+    /// intake costs amortized O(links appended since last sighting)
+    /// instead of O(chain) signature checks per message.
     verify_memo: VerifyMemo,
     redemptions: RedemptionCache,
     /// Pre-transfer copies of descriptors lost in failed exchanges — the
@@ -351,7 +351,7 @@ impl SecureCyclonNode {
             phase,
             view: SecureView::new(id, cfg.view_len),
             samples: SampleCache::new(cfg.sample_retention_cycles),
-            verify_memo: VerifyMemo::new(cfg.verify_memo_capacity),
+            verify_memo: VerifyMemo::new(cfg.memo_capacity()),
             redemptions: RedemptionCache::bounded(
                 cfg.redemption_cache_cycles,
                 cfg.redemption_cache_max_entries,
@@ -435,6 +435,11 @@ impl SecureCyclonNode {
     /// (§V-C).
     pub fn redemption_count(&self) -> usize {
         self.redemptions.len()
+    }
+
+    /// Number of verified chains the memo currently remembers.
+    pub fn verify_memo_len(&self) -> usize {
+        self.verify_memo.len()
     }
 
     /// Protocol counters.

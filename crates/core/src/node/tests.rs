@@ -381,3 +381,130 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
     );
     assert_eq!(revived.stats().rejoin_pings, 1);
 }
+
+#[test]
+fn forged_inputs_move_exactly_these_counters() {
+    // One node, one stream of inputs, the four intake counters after
+    // each: where verification sits relative to the structural gates
+    // decides *which* counter a forgery lands in, so a reordered early
+    // return shows here directly.
+    use crate::msg::RoundBody;
+    use sc_crypto::Signature;
+    let kps = keypairs(6);
+    let (me, peer) = (&kps[0], &kps[1]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [5u8; 32], 0);
+    // Something to trade away: three descriptors of third parties.
+    for (i, kp) in kps[2..5].iter().enumerate() {
+        let d = SecureDescriptor::create(kp, 2 + i as Addr, Timestamp(i as u64))
+            .transfer(kp, me.public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    // `d` with the signature of its last link (or of its genesis, for an
+    // unlinked one) flipped, reassembled as a wire decode would.
+    let forge = |d: &SecureDescriptor, genesis: bool| {
+        let flip = |sig: &Signature| {
+            let mut bytes = *sig.as_bytes();
+            bytes[8] ^= 0x40;
+            Signature::from_bytes(bytes)
+        };
+        let (mut g, mut links) = (*d.genesis(), d.chain().to_vec());
+        if genesis {
+            g.sig = flip(&g.sig);
+        } else {
+            let last = links.last_mut().unwrap();
+            last.sig = flip(&last.sig);
+        }
+        SecureDescriptor::from_parts(g, links)
+    };
+    let certificate = SecureDescriptor::create(me, 0, Timestamp(0))
+        .transfer(me, peer.public())
+        .unwrap()
+        .redeem(peer, LinkKind::Redeem)
+        .unwrap();
+    let fresh = SecureDescriptor::create(peer, 1, Timestamp(tpc))
+        .transfer(peer, me.public())
+        .unwrap();
+    let request = |redeemed: &SecureDescriptor, fresh: &SecureDescriptor| Input::Request {
+        from: 1,
+        msg: SecureMsg::Request(Box::new(RequestBody {
+            redeemed: redeemed.clone(),
+            fresh: fresh.clone(),
+            offered: Vec::new(),
+            samples: Vec::new(),
+            proofs: Vec::new(),
+        })),
+        cycle: 1,
+        now: tpc,
+    };
+    let round = |transfer: SecureDescriptor| Input::Request {
+        from: 1,
+        msg: SecureMsg::Round(Box::new(RoundBody { transfer })),
+        cycle: 1,
+        now: tpc,
+    };
+    // What the peer hands over in tit-for-tat rounds: a third party's
+    // descriptor it owns, signed on to this node.
+    let owned_by_peer = SecureDescriptor::create(&kps[5], 5, Timestamp(7))
+        .transfer(&kps[5], peer.public())
+        .unwrap();
+    let handed = owned_by_peer.transfer(peer, me.public()).unwrap();
+    let to_a_stranger = owned_by_peer.transfer(peer, kps[4].public()).unwrap();
+
+    // (input, answered?, [refused, invalid_descriptors,
+    // transfers_rejected, transfers_received]) — recorded on the commit
+    // before the single verification pass, identical after it.
+    let table = [
+        (
+            "forged certificate",
+            request(&forge(&certificate, false), &fresh),
+            false,
+            [1, 0, 0, 0],
+        ),
+        (
+            "forged fresh descriptor",
+            request(&certificate, &forge(&fresh, true)),
+            false,
+            [2, 0, 0, 0],
+        ),
+        (
+            "valid request",
+            request(&certificate, &fresh),
+            true,
+            [2, 0, 0, 1],
+        ),
+        (
+            "forged round transfer",
+            round(forge(&handed, false)),
+            true,
+            [2, 1, 0, 1],
+        ),
+        (
+            "round transfer owned by somebody else",
+            round(to_a_stranger),
+            true,
+            [2, 1, 1, 1],
+        ),
+    ];
+    for (what, input, answered, expect) in table {
+        let fx = node.step(input);
+        let s = node.stats();
+        assert_eq!(fx.reply.is_some(), answered, "{what}");
+        assert_eq!(
+            [
+                s.refused,
+                s.invalid_descriptors,
+                s.transfers_rejected,
+                s.transfers_received
+            ],
+            expect,
+            "{what}"
+        );
+    }
+    // The session's quota (s = 3: two rounds) is used up; a valid
+    // transfer after it is not even looked at.
+    assert!(node.step(round(handed)).reply.is_none());
+    assert_eq!(node.stats().transfers_received, 1);
+}

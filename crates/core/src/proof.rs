@@ -86,9 +86,9 @@ impl ViolationProof {
     }
 
     /// Like [`ViolationProof::cloning`], but verifies the two descriptors
-    /// through a local verified-prefix memo: the chains of a cloning pair
-    /// share everything up to the fork, so with a warm memo only the
-    /// divergent suffixes pay signature checks. Sound for local proof
+    /// through a local verified-chain memo: whatever part of either chain
+    /// this node verified before (as a tip) is not checked again, and both
+    /// are memoized for the next conflict. Sound for local proof
     /// *construction* only — third parties re-validate from scratch via
     /// [`ViolationProof::validate`], which never consults a memo.
     pub fn cloning_with(
@@ -160,7 +160,7 @@ impl ViolationProof {
     /// Re-validates the proof from scratch, as a third party receiving it
     /// over the network must (§IV-C: "legitimate nodes should check that
     /// each received proof has valid content"). Deliberately bypasses any
-    /// verified-prefix memo so proofs remain self-certifying.
+    /// verified-chain memo so proofs remain self-certifying.
     ///
     /// # Errors
     ///

@@ -121,39 +121,55 @@ impl PublicKey {
 /// Returns `Ok(())` when every check passes, or `Err(i)` with the lowest
 /// index whose check fails — exactly the index a sequential loop over
 /// [`PublicKey::verify`] would report first. Schnorr signatures are
-/// collected into one [`schnorr61::batch_verify`] call (shared squarings,
+/// collected into [`schnorr61::batch_verify`] calls (shared squarings,
 /// one fixed-base exponentiation); keyed-hash signatures are recomputed
 /// individually since each is a single hash with nothing to amortize.
 pub fn verify_batch(checks: &[(&PublicKey, &[u8], &Signature)]) -> Result<(), usize> {
-    let mut items: Vec<schnorr61::BatchItem<'_>> = Vec::with_capacity(checks.len());
-    let mut item_indices: Vec<usize> = Vec::with_capacity(checks.len());
-    // First failing non-batched check (keyed hash, malformed tag, …).
-    let mut first_other: Option<usize> = None;
-    for (i, (pk, msg, sig)) in checks.iter().enumerate() {
-        match pk.scheme() {
-            Scheme::Schnorr61 if sig.0[0] == TAG_SCHNORR => {
-                items.push(schnorr61::BatchItem {
-                    pk: u64::from_be_bytes(pk.0[1..9].try_into().expect("slice len 8")),
-                    msg,
-                    r: u64::from_be_bytes(sig.0[1..9].try_into().expect("slice len 8")),
-                    s: u64::from_be_bytes(sig.0[9..17].try_into().expect("slice len 8")),
-                });
-                item_indices.push(i);
-            }
-            _ => {
-                if first_other.is_none() && !pk.verify(msg, sig) {
-                    first_other = Some(i);
+    verify_batch_by(checks.len(), |i| checks[i])
+}
+
+/// [`verify_batch`] over checks `check(0) .. check(n - 1)` made on demand,
+/// for callers whose keys, messages and signatures do not sit in a slice
+/// of references. Allocation-free: the checks are verified in order,
+/// [`schnorr61::BATCH_CHUNK`] at a time, out of stack arrays.
+pub fn verify_batch_by<'a>(
+    n: usize,
+    check: impl Fn(usize) -> (&'a PublicKey, &'a [u8], &'a Signature),
+) -> Result<(), usize> {
+    const CHUNK: usize = schnorr61::BATCH_CHUNK;
+    for start in (0..n).step_by(CHUNK) {
+        let mut items = [schnorr61::BatchItem::default(); CHUNK];
+        let mut item_indices = [0usize; CHUNK];
+        let mut schnorr = 0;
+        // First failing non-batched check (keyed hash, malformed tag, …).
+        let mut first_other: Option<usize> = None;
+        for i in start..n.min(start + CHUNK) {
+            let (pk, msg, sig) = check(i);
+            match pk.scheme() {
+                Scheme::Schnorr61 if sig.0[0] == TAG_SCHNORR => {
+                    items[schnorr] = schnorr61::BatchItem {
+                        pk: u64::from_be_bytes(pk.0[1..9].try_into().expect("slice len 8")),
+                        msg,
+                        r: u64::from_be_bytes(sig.0[1..9].try_into().expect("slice len 8")),
+                        s: u64::from_be_bytes(sig.0[9..17].try_into().expect("slice len 8")),
+                    };
+                    item_indices[schnorr] = i;
+                    schnorr += 1;
                 }
+                _ if first_other.is_none() && !pk.verify(msg, sig) => first_other = Some(i),
+                _ => {}
             }
         }
+        let first_schnorr = schnorr61::batch_verify(&items[..schnorr])
+            .err()
+            .map(|j| item_indices[j]);
+        // Every earlier chunk passed: this chunk's first failure is the
+        // batch's.
+        if let Some(i) = first_other.into_iter().chain(first_schnorr).min() {
+            return Err(i);
+        }
     }
-    let first_schnorr = schnorr61::batch_verify(&items)
-        .err()
-        .map(|j| item_indices[j]);
-    match (first_other, first_schnorr) {
-        (None, None) => Ok(()),
-        (a, b) => Err(a.unwrap_or(usize::MAX).min(b.unwrap_or(usize::MAX))),
-    }
+    Ok(())
 }
 
 impl core::fmt::Debug for PublicKey {
@@ -378,6 +394,48 @@ mod tests {
         assert!(!format!("{:?}", kp.public()).is_empty());
         assert!(!format!("{:?}", kp.sign(b"x")).is_empty());
         assert!(!format!("{kp:?}").contains("seed"));
+    }
+
+    #[test]
+    fn verify_batch_reports_the_first_failure_across_schemes_and_chunks() {
+        // 150 checks, alternating schemes, so both kinds straddle the
+        // 64-check chunks; every verdict must be the sequential loop's.
+        let keys: Vec<Keypair> = (0..150u8)
+            .map(|i| Keypair::from_seed(both_schemes()[i as usize % 2], [i; 32]))
+            .collect();
+        let pks: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
+        let msgs: Vec<[u8; 32]> = (0..150u8).map(|i| [i ^ 0x5a; 32]).collect();
+        let good: Vec<Signature> = keys.iter().zip(&msgs).map(|(k, m)| k.sign(m)).collect();
+        let run = |sigs: &[Signature]| {
+            let checks: Vec<_> = pks
+                .iter()
+                .zip(&msgs)
+                .zip(sigs)
+                .map(|((pk, m), sig)| (pk, &m[..], sig))
+                .collect();
+            let sequential = checks.iter().position(|(pk, m, sig)| !pk.verify(m, sig));
+            let got = verify_batch(&checks);
+            assert_eq!(got, sequential.map_or(Ok(()), Err));
+            assert_eq!(got, verify_batch_by(checks.len(), |i| checks[i]));
+            got
+        };
+        assert_eq!(run(&good), Ok(()));
+        for bad in [
+            vec![0],
+            vec![63, 64],
+            vec![64],
+            vec![129, 70],
+            vec![149, 148],
+        ] {
+            let mut sigs = good.clone();
+            for &i in &bad {
+                let mut bytes = *sigs[i].as_bytes();
+                bytes[12] ^= 1;
+                sigs[i] = Signature::from_bytes(bytes);
+            }
+            assert_eq!(run(&sigs), Err(*bad.iter().min().unwrap()));
+        }
+        assert_eq!(verify_batch(&[]), Ok(()));
     }
 
     #[test]

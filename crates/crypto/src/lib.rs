@@ -39,6 +39,7 @@ pub mod sha256;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use keys::{
-    verify_batch, Keypair, NodeId, PublicKey, Scheme, Signature, PUBLIC_KEY_LEN, SIGNATURE_LEN,
+    verify_batch, verify_batch_by, Keypair, NodeId, PublicKey, Scheme, Signature, PUBLIC_KEY_LEN,
+    SIGNATURE_LEN,
 };
 pub use sha256::{sha256, sha256_concat, Digest, Sha256, DIGEST_LEN};

@@ -246,8 +246,11 @@ pub fn verify_fast(pk: u64, msg: &[u8], r: u64, s: u64) -> bool {
     shamir_powmod(G, s, pk, P_MINUS_1 - e) == r
 }
 
+/// Most items one combined check takes (the size of its stack arrays).
+pub const BATCH_CHUNK: usize = 64;
+
 /// One signature in a [`batch_verify`] call.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BatchItem<'a> {
     /// Public element the signature is checked against.
     pub pk: u64,
@@ -300,7 +303,17 @@ pub struct BatchItem<'a> {
 /// leaf with [`verify_fast`], so attribution is exact: an honest signature
 /// is never blamed and a forged one is never admitted. A batch of one
 /// degenerates to plain [`verify_fast`].
+///
+/// Allocation-free: the combined check works in stack arrays of
+/// [`BATCH_CHUNK`] entries; a longer batch is verified chunk by chunk, in
+/// order (same first invalid index; the shared squarings are amortized to
+/// noise at 64 items anyway).
 pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), usize> {
+    if items.len() > BATCH_CHUNK {
+        let (head, tail) = items.split_at(BATCH_CHUNK);
+        batch_verify(head)?;
+        return batch_verify(tail).map_err(|i| BATCH_CHUNK + i);
+    }
     // Below ~4 items the combined check's fixed costs (blinding commit,
     // scalar expansion, final fixed-base exponentiation) outweigh the
     // shared-squaring savings; a sequential scan is both faster and
@@ -313,14 +326,15 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), usize> {
     }
     // Challenges are needed by both the combined check and any fallback
     // verification; compute them once up front.
-    let challenges: Vec<u64> = items
-        .iter()
-        .map(|it| challenge(it.r, it.pk, it.msg))
-        .collect();
-    if batch_holds(items, &challenges) {
+    let mut challenges = [0u64; BATCH_CHUNK];
+    let challenges = &mut challenges[..items.len()];
+    for (e, it) in challenges.iter_mut().zip(items) {
+        *e = challenge(it.r, it.pk, it.msg);
+    }
+    if batch_holds(items, challenges) {
         return Ok(());
     }
-    match first_invalid(items, &challenges, 0) {
+    match first_invalid(items, challenges, 0) {
         Some(i) => Err(i),
         // The combined check failed but bisection found nothing — only
         // reachable through a blinding-scalar collision masking a forgery
@@ -379,27 +393,25 @@ fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
     // the remaining fields. The input is assembled contiguously so the
     // hasher compresses straight from the slice. `z_0 = 1` is sound — only
     // the *relative* blinding between items matters.
-    let mut commit = Vec::with_capacity(16 + items.len() * 16);
-    commit.extend_from_slice(b"sc/batch-blind");
-    for (it, &e) in items.iter().zip(challenges) {
-        commit.extend_from_slice(&it.s.to_be_bytes());
-        commit.extend_from_slice(&e.to_be_bytes());
+    const TAG: &[u8] = b"sc/batch-blind";
+    let n = items.len();
+    let mut commit = [0u8; TAG.len() + 16 * BATCH_CHUNK];
+    commit[..TAG.len()].copy_from_slice(TAG);
+    let pairs = commit[TAG.len()..].chunks_exact_mut(16);
+    for ((it, &e), pair) in items.iter().zip(challenges).zip(pairs) {
+        pair[..8].copy_from_slice(&it.s.to_be_bytes());
+        pair[8..].copy_from_slice(&e.to_be_bytes());
     }
-    let digest = crate::sha256::sha256(&commit);
-    let mut z = Vec::with_capacity(items.len());
-    z.push(1u64);
-    let mut block = 0u64;
-    while z.len() < items.len() {
+    let digest = crate::sha256::sha256(&commit[..TAG.len() + 16 * n]);
+    let mut z = [1u64; BATCH_CHUNK];
+    // Four scalars per digest; `z[0]` stays 1.
+    for (block, quad) in z[1..n].chunks_mut(4).enumerate() {
         // Tag kept short so the 47-byte input fits one compression block.
-        let h = sha256_concat(&[b"sc/bb/z", &digest, &block.to_be_bytes()]);
-        block += 1;
-        for chunk in h.chunks_exact(8) {
-            if z.len() == items.len() {
-                break;
-            }
+        let h = sha256_concat(&[b"sc/bb/z", &digest, &(block as u64).to_be_bytes()]);
+        for (zi, chunk) in quad.iter_mut().zip(h.chunks_exact(8)) {
             let w = u64::from_be_bytes(chunk.try_into().expect("chunk len 8"));
             // Bias from the single reduction is ≤ 2^-58: immaterial here.
-            z.push(coprime_pm1(1 + w % (P_MINUS_1 - 1)));
+            *zi = coprime_pm1(1 + w % (P_MINUS_1 - 1));
         }
     }
 
@@ -409,14 +421,15 @@ fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
     // multiply per window keeps the inner loop free of data-dependent
     // branches and halves the multiply count versus bit-at-a-time.
     let mut s_sum: u64 = 0;
-    let mut tables: Vec<[u64; 16]> = Vec::with_capacity(items.len());
-    let mut exps: Vec<(u64, u64)> = Vec::with_capacity(items.len());
-    for ((it, &e), &zi) in items.iter().zip(challenges).zip(&z) {
+    let mut tables = [[0u64; 16]; BATCH_CHUNK];
+    let mut exps = [(0u64, 0u64); BATCH_CHUNK];
+    for (i, ((it, &e), &zi)) in items.iter().zip(challenges).zip(&z).enumerate() {
         s_sum = ((s_sum as u128 + zi as u128 * it.s as u128) % P_MINUS_1 as u128) as u64;
         let y = ((zi as u128 * e as u128) % P_MINUS_1 as u128) as u64;
-        tables.push(pair_table(it.r, it.pk));
-        exps.push((zi, y));
+        tables[i] = pair_table(it.r, it.pk);
+        exps[i] = (zi, y);
     }
+    let (tables, exps) = (&tables[..n], &exps[..n]);
 
     // Interleaved multi-exponentiation over eight independent
     // accumulators: each walks the 31 two-bit windows once (squarings
@@ -430,7 +443,7 @@ fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
             *a = mulmod(sq, sq);
         }
         let shift = 2 * w;
-        for (i, (&(x, y), table)) in exps.iter().zip(&tables).enumerate() {
+        for (i, (&(x, y), table)) in exps.iter().zip(tables).enumerate() {
             let d = (((x >> shift) & 3) | (((y >> shift) & 3) << 2)) as usize;
             let lane = &mut accs[i & 7];
             *lane = mulmod(*lane, table[d]);
@@ -789,6 +802,27 @@ mod tests {
                     );
                     assert_eq!(sequential, forged_at);
                 }
+            }
+        }
+    }
+
+    /// Past `BATCH_CHUNK` items the batch is verified chunk by chunk: still
+    /// `Ok` when all-valid, still the first failing index — on a chunk
+    /// boundary, inside a later chunk, in a short tail.
+    #[test]
+    fn batches_longer_than_a_chunk_are_attributed_exactly() {
+        for n in [BATCH_CHUNK + 1, 2 * BATCH_CHUNK, 2 * BATCH_CHUNK + 3] {
+            let (msgs, base) = signed_batch(n, 0x55);
+            assert_eq!(batch_verify(&items(&msgs, &base)), Ok(()), "size {n}");
+            for forged_at in [0, BATCH_CHUNK - 1, BATCH_CHUNK, n - 2, n - 1] {
+                let mut sigs = base.clone();
+                sigs[forged_at].2 ^= 0x4;
+                sigs[n - 1].1 ^= 0x2;
+                assert_eq!(
+                    batch_verify(&items(&msgs, &sigs)),
+                    Err(forged_at),
+                    "n={n} forged_at={forged_at}"
+                );
             }
         }
     }

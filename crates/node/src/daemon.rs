@@ -24,7 +24,9 @@
 //!    request mid-exchange cannot spend a descriptor twice.
 //! 3. `sends` effects become one-way frames; passive RPCs, proof floods,
 //!    §V-A join handshakes and control-socket scrapes are served as they
-//!    arrive.
+//!    arrive — except what needs a cycle's fresh-descriptor budget (a
+//!    join request, or a rejoin ping once this cycle's budget is spent):
+//!    that is held and served right before the next turn fires.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
 //! cluster seed — a zero-message legal bootstrap. Late joiners and
@@ -37,7 +39,9 @@ use crate::fault::FaultTransport;
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, TcpTransport, Transport};
 use sc_core::wire::{self, Reader, WireError, Writer};
-use sc_core::{ring_bootstrap, Addr, Effects, FaultSpec, Input, SecureCyclonNode, SecureMsg};
+use sc_core::{
+    ring_bootstrap, Addr, Effects, FaultSpec, Input, JoinPingBody, SecureCyclonNode, SecureMsg,
+};
 use sc_crypto::PublicKey;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -57,6 +61,9 @@ pub struct RunSummary {
 
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
+
+/// Cap on §V-A rejoin pings held for the next turn.
+const HELD_PING_CAP: usize = 8;
 
 /// The node's one outstanding RPC: the request frame already on the
 /// wire, awaiting its `Reply`.
@@ -89,6 +96,12 @@ pub struct Daemon {
     /// would be a second creation within one period, i.e. the sponsor
     /// would hand out a provable frequency violation against itself.
     pending_joins: VecDeque<(ConnId, PublicKey)>,
+    /// §V-A rejoin pings `(from, joiner)` that arrived after this cycle's
+    /// budget was spent, one per joiner key: answering needs a budget
+    /// (`sponsor_join`), so they are stepped into the node right before
+    /// the next turn — otherwise only members whose turn is still ahead
+    /// in the cycle would ever sponsor anyone back in.
+    held_pings: VecDeque<(Addr, PublicKey)>,
     next_req_id: u32,
     pending: Option<PendingRpc>,
     cycles_run: u64,
@@ -171,6 +184,7 @@ impl Daemon {
             last_fired: None,
             last_join_attempt: None,
             pending_joins: VecDeque::new(),
+            held_pings: VecDeque::new(),
             next_req_id: 1,
             pending: None,
             cycles_run: 0,
@@ -304,6 +318,7 @@ impl Daemon {
                         self.turns_skipped += due - last - 1;
                     }
                     self.grant_pending_join(due);
+                    self.answer_held_pings(due);
                     let now = self.now_ticks(due);
                     let fx = self.node.step(Input::Tick { cycle: due, now });
                     self.apply(fx);
@@ -473,6 +488,24 @@ impl Daemon {
         self.transport.respond(conn, &f);
     }
 
+    /// Steps the held rejoin pings into the node, called right before
+    /// the turn for `cycle` fires. The core grants at most one (and none
+    /// if a queued join request just took the budget); the others go
+    /// unanswered, as a ping always may — a starved node pings again.
+    fn answer_held_pings(&mut self, cycle: u64) {
+        let now = self.now_ticks(cycle);
+        for (from, joiner) in std::mem::take(&mut self.held_pings) {
+            let msg = SecureMsg::JoinPing(Box::new(JoinPingBody { joiner }));
+            let fx = self.node.step(Input::Oneway {
+                from,
+                msg,
+                cycle,
+                now,
+            });
+            self.apply(fx);
+        }
+    }
+
     /// Dispatches one inbound frame, whether or not an RPC is pending.
     fn handle(&mut self, ib: Inbound) {
         let cycle = self.current_cycle();
@@ -536,6 +569,17 @@ impl Daemon {
                 else {
                     return;
                 };
+                if let SecureMsg::JoinPing(body) = &msg {
+                    // This cycle's budget is gone: hold the ping for the
+                    // next turn instead of answering it with nothing.
+                    if self.node.last_emission().is_some_and(|c| c >= cycle) {
+                        let known = self.held_pings.iter().any(|(_, k)| *k == body.joiner);
+                        if !known && self.held_pings.len() < HELD_PING_CAP {
+                            self.held_pings.push_back((ib.frame.from, body.joiner));
+                        }
+                        return;
+                    }
+                }
                 let fx = self.node.step(Input::Oneway {
                     from: ib.frame.from,
                     msg,

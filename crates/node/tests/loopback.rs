@@ -382,6 +382,101 @@ fn daemon_serves_requests_while_its_own_exchange_is_in_flight() {
 }
 
 #[test]
+fn join_ping_after_the_turn_is_granted_at_the_next_turn() {
+    // §V-A rejoin: a starved node pings members for a sponsorship, and a
+    // grant costs the sponsor its cycle's fresh-descriptor budget. A ping
+    // that arrives after the sponsor's turn for the cycle finds that
+    // budget spent. The daemon used to answer such a ping with nothing —
+    // so only members whose turn was still ahead ever answered. It must
+    // hold the ping and grant it right before its next turn.
+    //
+    // One real daemon, founding member 0 of a five-ring whose other
+    // members are black holes; the test, a stranger at `base + 5`, pings
+    // it 100 ms after its second turn and listens for the grant.
+    const N: usize = 5;
+    const CYCLE_MS: u64 = 400;
+    let seed = env_seed();
+    let (base, mut held) = port_block(2, N as u32);
+    let me_sock = held.pop().expect("the pinger's own listener");
+    let me_addr = base + N as Addr;
+    let me = Keypair::from_seed(Scheme::KeyedHash, [0xA7; 32]);
+
+    let epoch_ms = unix_ms() + 500;
+    let child = std::process::Command::new(bin())
+        .args([
+            "--addr",
+            &base.to_string(),
+            "--base-addr",
+            &base.to_string(),
+        ])
+        .args(["--index", "0", "--cluster-size", &N.to_string()])
+        .args(["--seed", &seed.to_string(), "--scheme", "keyed"])
+        .args(["--view-len", "4", "--swap-len", "2"])
+        .args(["--cycle-ms", &CYCLE_MS.to_string()])
+        .args(["--epoch-millis", &epoch_ms.to_string()])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn sc-node");
+    let _daemon = KillOnDrop(child);
+
+    // Member 0's phase is 0: its turns fire on the cycle boundaries.
+    let ping_at = epoch_ms + CYCLE_MS + 100;
+    let mut stream = loop {
+        let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, base as u16);
+        match TcpStream::connect_timeout(&sock.into(), Duration::from_millis(200)) {
+            Ok(s) => break s,
+            Err(_) if unix_ms() < ping_at - 50 => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => panic!("daemon never listened: {e}"),
+        }
+    };
+    stream.set_nodelay(true).unwrap();
+    std::thread::sleep(Duration::from_millis(ping_at.saturating_sub(unix_ms())));
+    let ping = SecureMsg::JoinPing(Box::new(sc_core::JoinPingBody {
+        joiner: me.public(),
+    }));
+    let mut payload = Vec::new();
+    wire::encode_message(&ping, &mut payload);
+    stream
+        .write_all(&Frame::new(FrameKind::Oneway, me_addr, payload).encode())
+        .unwrap();
+    let pinged = Instant::now();
+
+    // The grant is a one-way of the daemon's own: it dials the pinger.
+    me_sock.set_nonblocking(true).unwrap();
+    let deadline = pinged + Duration::from_millis(2 * CYCLE_MS);
+    let mut answer = loop {
+        match me_sock.accept() {
+            Ok((s, _)) => break s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => panic!("a ping after the turn got no answer within two cycles"),
+        }
+    };
+    answer.set_nonblocking(false).unwrap();
+    answer
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let frame = read_frame(&mut answer, &mut FrameReader::new(1 << 20));
+    println!("granted {:?} after the ping", pinged.elapsed());
+    assert_eq!((frame.kind, frame.from), (FrameKind::Oneway, base));
+    let tpc = NodeConfig::new(base, 0).secure.ticks_per_cycle;
+    let msg = wire::decode_message(&frame.payload, tpc).expect("a decodable one-way");
+    let SecureMsg::JoinGrant(grant) = msg else {
+        panic!("expected a sponsorship, got {msg:?}");
+    };
+    assert_eq!(grant.descriptor.owner(), me.public());
+    assert_eq!(grant.descriptor.chain().len(), 1, "fresh, handed over once");
+    grant.descriptor.verify().expect("a valid sponsorship");
+
+    // The grant spent the next cycle's budget instead of an exchange:
+    // still one creation per period.
+    let status = ControlClient::connect(base, Duration::from_millis(500))
+        .and_then(|mut c| c.status(Duration::from_secs(2)))
+        .expect("status scrape");
+    assert_eq!(status.stats.rejoin_grants, 1);
+}
+
+#[test]
 fn loopback_crash_restart_recovers_from_state_dir() {
     let seed = env_seed();
     let replay = replay_line(seed, "");

@@ -209,3 +209,42 @@ fn samples_accumulate_and_prune() {
     // ever created (32 nodes × 30 cycles plus bootstrap).
     assert!(counts.iter().all(|&c| c < 32 * 38));
 }
+
+#[test]
+fn per_node_caches_stay_within_their_caps() {
+    // The first slice of a memory-bound oracle: on the paper's
+    // configuration every per-node cache stays inside a bound that
+    // follows from the configuration alone, at every cycle.
+    let cfg = SecureConfig::default();
+    let mut params = SecureNetParams::new(60, 0, SecureAttack::None);
+    params.cfg = cfg;
+    params.seed = 10;
+    let mut net = build_secure_network(params);
+    // A sample stays visible for the retention window plus the current
+    // cycle. In that time a node takes part in about two exchanges a
+    // cycle — its own and, on average, one it answers — and an exchange
+    // shows it at most a view of samples, a redemption cache, the
+    // certificate, the fresh descriptor and s transfers.
+    let per_exchange = cfg.view_len + cfg.redemption_cache_max_entries + 2 + cfg.swap_len;
+    let sample_bound = (cfg.sample_retention_cycles as usize + 1) * 2 * per_exchange;
+    for cycle in 0..150 {
+        net.engine.run_cycle();
+        for node in honest(&net) {
+            assert!(
+                node.verify_memo_len() <= 16 * cfg.view_len,
+                "cycle {cycle}: memo {}",
+                node.verify_memo_len()
+            );
+            assert!(node.redemption_count() <= cfg.redemption_cache_max_entries);
+            assert!(node.reserve().count() <= 2 * cfg.swap_len);
+            assert!(
+                node.sample_count() <= sample_bound,
+                "cycle {cycle}: {} samples",
+                node.sample_count()
+            );
+        }
+    }
+    // The memo's cap is the binding one: ≈ 9 verified tips a cycle fill
+    // 16ℓ entries within ≈ 35 cycles.
+    assert!(honest(&net).all(|n| n.verify_memo_len() == 16 * cfg.view_len));
+}

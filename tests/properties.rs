@@ -283,6 +283,83 @@ proptest! {
         }
     }
 
+    #[test]
+    fn memo_walkers_agree_on_random_streams_at_any_capacity(
+        path in proptest::collection::vec(0u8..20, 1..10),
+        // (what, which snapshot, a second choice) per stream element.
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64), 1..16),
+    ) {
+        // A stream like a node's intake: valid snapshots of one history,
+        // extensions of its tip, forks off earlier snapshots (below the
+        // tip), shortened re-decodes, tampered copies, and repeats of
+        // whatever came before. One by one, in one batch, or without a
+        // memo at all, every element gets the same verdict; the memo never
+        // outgrows its capacity; and batch and one-by-one leave the same
+        // tips memoized.
+        let snaps = chain_snapshots(1, 7000, &path);
+        let signer = |d: &SecureDescriptor| (0u8..30).map(kp).find(|k| k.public() == d.owner()).unwrap();
+        let mut stream: Vec<SecureDescriptor> = Vec::new();
+        for &(what, i, j) in &ops {
+            let snap = &snaps[i % snaps.len()];
+            let to = kp(20 + (j % 8) as u8).public();
+            stream.push(match what {
+                0 => snap.clone(),
+                1 => {
+                    let tip = snaps.last().unwrap();
+                    tip.transfer(&signer(tip), to).unwrap()
+                }
+                2 => snap.transfer(&signer(snap), to).unwrap(),
+                3 => {
+                    let links = snap.chain()[..j % (snap.chain().len() + 1)].to_vec();
+                    SecureDescriptor::from_parts(*snap.genesis(), links)
+                }
+                4 => {
+                    let (mut genesis, mut links) = (*snap.genesis(), snap.chain().to_vec());
+                    match links.len() {
+                        0 => genesis.addr ^= 1,
+                        n => {
+                            let mut sig = *links[j % n].sig.as_bytes();
+                            sig[1 + j % 32] ^= 0x10;
+                            links[j % n].sig = Signature::from_bytes(sig);
+                        }
+                    }
+                    SecureDescriptor::from_parts(genesis, links)
+                }
+                _ => match stream.len() {
+                    0 => snap.clone(),
+                    n => stream[j % n].clone(),
+                },
+            });
+        }
+        let plain: Vec<_> = stream.iter().map(|d| d.verify()).collect();
+        let refs: Vec<&SecureDescriptor> = stream.iter().collect();
+        for capacity in [0usize, 1, 3, 64] {
+            let mut one_by_one = VerifyMemo::new(capacity);
+            for (d, expect) in stream.iter().zip(&plain) {
+                prop_assert_eq!(d.verify_with(&mut one_by_one), *expect);
+                prop_assert!(one_by_one.len() <= capacity);
+            }
+            let mut batched = VerifyMemo::new(capacity);
+            let got = SecureDescriptor::verify_batch_with(&refs, &mut batched);
+            prop_assert_eq!(&got, &plain);
+            prop_assert_eq!(batched.len(), one_by_one.len());
+            // Only tips of stream members are ever memoized.
+            for d in &stream {
+                let tip = d.state_digest();
+                prop_assert_eq!(batched.contains(&tip), one_by_one.contains(&tip));
+            }
+            // The survivors are memoized for good: a second pass over a
+            // big-enough memo is all exact hits.
+            if capacity == 64 {
+                let hits = batched.hits();
+                let again = SecureDescriptor::verify_batch_with(&refs, &mut batched);
+                prop_assert_eq!(&again, &plain);
+                let valid = plain.iter().filter(|v| v.is_ok()).count() as u64;
+                prop_assert!(batched.hits() - hits >= valid);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Wire codec
     // ------------------------------------------------------------------
