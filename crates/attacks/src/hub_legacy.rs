@@ -1,11 +1,14 @@
 //! The hub attack against **legacy** Cyclon (paper §II-B, Figure 3).
 //!
 //! **Legacy harness.** This module bundles its own tiny network builder
-//! ([`build_legacy_network`]) instead of the `sc-testkit` scenario
-//! machinery: the unprotected baseline exists only to reproduce the
-//! Figure 3 takeover and shares no protocol state with the SecureCyclon
-//! stack. New adversarial scenarios should target SecureCyclon through
-//! `sc_testkit` rather than extending this builder.
+//! ([`build_legacy_network`]) and metric instead of the `sc-testkit`
+//! scenario machinery: the unprotected baseline exists only to reproduce
+//! the Figure 3 takeover, speaks `CyclonMsg` rather than `SecureMsg`, and
+//! shares no protocol state with the SecureCyclon stack. The interface is
+//! shared, though: attacker and victim are sans-IO [`Machine`]s driven by
+//! the same engine loop as everything else. New adversarial scenarios
+//! should target SecureCyclon through `sc_testkit` rather than extending
+//! this builder.
 //!
 //! Malicious nodes behave perfectly until an agreed start cycle, then keep
 //! gossiping at the correct rate but present views consisting exclusively
@@ -18,9 +21,9 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
+use sc_core::{Addr, Effects, Input, Machine};
 use sc_crypto::{NodeId, PublicKey};
 use sc_cyclon::{CyclonMsg, CyclonNode, LegacyDescriptor};
-use sc_sim::{Addr, CycleCtx, NodeCtx, SimNode};
 use std::sync::Arc;
 
 /// Shared roster of the colluding party (paper §II-C: members "collude
@@ -43,6 +46,8 @@ pub struct LegacyHubAttacker {
     attack_start: u64,
     swap_len: usize,
     rng: SmallRng,
+    /// Whether an attack-mode shuffle is still awaiting its answer.
+    awaiting: bool,
 }
 
 impl LegacyHubAttacker {
@@ -63,6 +68,7 @@ impl LegacyHubAttacker {
             attack_start,
             swap_len,
             rng: SmallRng::from_seed(rng_seed),
+            awaiting: false,
         }
     }
 
@@ -101,67 +107,46 @@ impl LegacyHubAttacker {
         out
     }
 
-    /// Active side, generic for wrapper enums.
-    pub fn on_cycle_any<N: SimNode<Msg = CyclonMsg>>(&mut self, ctx: &mut CycleCtx<'_, N>) {
-        if !self.attacking(ctx.cycle()) {
-            return self.inner.on_cycle_any(ctx);
+    /// The attack-mode turn: correct rate, correct-looking exchange — but
+    /// the payload points exclusively at the malicious party, and the
+    /// victim is chosen uniformly at random (§II-C).
+    fn attack_tick(&mut self) -> Option<(Addr, CyclonMsg)> {
+        if self.awaiting || self.inner.exchange_in_flight() {
+            return None;
         }
-        // Correct rate, correct-looking exchange — but the payload points
-        // exclusively at the malicious party, and the victim is chosen
-        // uniformly at random (§II-C).
         let victim = self.party.all_addrs[self.rng.gen_range(0..self.party.all_addrs.len())];
-        let payload = self.fabricate(self.swap_len);
-        // Whatever the victim returns is discarded: the attacker destroys
-        // legitimate descriptors to starve the overlay.
-        let _ = ctx.rpc(
-            victim,
-            CyclonMsg::Shuffle {
-                descriptors: payload,
-            },
-        );
-    }
-
-    /// Passive side, reusable by wrapper enums.
-    pub fn on_rpc_any(
-        &mut self,
-        from: Addr,
-        msg: CyclonMsg,
-        ctx: &mut NodeCtx<'_, CyclonMsg>,
-    ) -> Option<CyclonMsg> {
-        if !self.attacking(ctx.cycle()) {
-            return self.inner.on_rpc_any(from, msg, ctx);
-        }
-        match msg {
-            CyclonMsg::Shuffle { descriptors } => {
-                // Swallow the victim's descriptors, answer with malicious
-                // ones.
-                drop(descriptors);
-                Some(CyclonMsg::ShuffleResponse {
-                    descriptors: self.fabricate(self.swap_len),
-                })
-            }
-            CyclonMsg::ShuffleResponse { .. } => None,
-        }
+        let descriptors = self.fabricate(self.swap_len);
+        self.awaiting = true;
+        Some((victim, CyclonMsg::Shuffle { descriptors }))
     }
 }
 
-impl SimNode for LegacyHubAttacker {
+impl Machine for LegacyHubAttacker {
     type Msg = CyclonMsg;
 
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-        self.on_cycle_any(ctx);
+    /// Until the attack starts every input goes to the correct node inside.
+    fn step(&mut self, input: Input<CyclonMsg>) -> Effects<CyclonMsg> {
+        let mut fx = Effects::default();
+        match input {
+            Input::Tick { cycle, .. } if self.attacking(cycle) => fx.rpc = self.attack_tick(),
+            // Swallow the victim's descriptors, answer with malicious ones.
+            Input::Request {
+                msg: CyclonMsg::Shuffle { .. },
+                cycle,
+                ..
+            } if self.attacking(cycle) => {
+                fx.reply = Some(CyclonMsg::ShuffleResponse {
+                    descriptors: self.fabricate(self.swap_len),
+                });
+            }
+            Input::Request { cycle, .. } if self.attacking(cycle) => {}
+            // Whatever the victim returns is discarded: the attacker
+            // destroys legitimate descriptors to starve the overlay.
+            Input::Reply(_) | Input::Timeout if self.awaiting => self.awaiting = false,
+            input => return self.inner.step(input),
+        }
+        fx
     }
-
-    fn on_rpc(
-        &mut self,
-        from: Addr,
-        msg: Self::Msg,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg> {
-        self.on_rpc_any(from, msg, ctx)
-    }
-
-    fn on_oneway(&mut self, _from: Addr, _msg: Self::Msg, _ctx: &mut NodeCtx<'_, Self::Msg>) {}
 }
 
 /// A node in a mixed legacy network: honest or hub attacker.
@@ -188,29 +173,15 @@ impl LegacyNet {
     }
 }
 
-impl SimNode for LegacyNet {
+impl Machine for LegacyNet {
     type Msg = CyclonMsg;
 
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
+    fn step(&mut self, input: Input<CyclonMsg>) -> Effects<CyclonMsg> {
         match self {
-            LegacyNet::Honest(n) => n.on_cycle_any(ctx),
-            LegacyNet::Malicious(n) => n.on_cycle_any(ctx),
+            LegacyNet::Honest(n) => n.step(input),
+            LegacyNet::Malicious(n) => n.step(input),
         }
     }
-
-    fn on_rpc(
-        &mut self,
-        from: Addr,
-        msg: Self::Msg,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg> {
-        match self {
-            LegacyNet::Honest(n) => n.on_rpc_any(from, msg, ctx),
-            LegacyNet::Malicious(n) => n.on_rpc_any(from, msg, ctx),
-        }
-    }
-
-    fn on_oneway(&mut self, _from: Addr, _msg: Self::Msg, _ctx: &mut NodeCtx<'_, Self::Msg>) {}
 }
 
 /// Parameters for a mixed legacy-Cyclon network.

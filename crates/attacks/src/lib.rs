@@ -5,16 +5,24 @@
 //!
 //! * [`hub_legacy`] — **legacy harness**: the hub attack on unprotected
 //!   Cyclon (Figure 3), where a handful of colluding nodes take over 100%
-//!   of the overlay's links. This module keeps its own self-contained
-//!   network builder because the unprotected baseline shares no state
-//!   with the SecureCyclon stack; everything SecureCyclon-related runs
-//!   through `sc-testkit` instead.
+//!   of the overlay's links. This module keeps its own network builder
+//!   and metric because the unprotected baseline speaks a different
+//!   message type and shares no state with the SecureCyclon stack;
+//!   everything SecureCyclon-related runs through `sc-testkit` instead.
 //! * [`party`] — the colluding party's shared state: member keypairs
 //!   (forge-on-demand), the descriptor pool, and harvested victim tokens.
 //! * [`malicious`] — the malicious SecureCyclon participant with the
 //!   paper's attack strategies: hub (Figure 5), link-depletion
 //!   (Figure 6), age-targeted cloning (Figure 7), and frequency
 //!   violations.
+//!
+//! Every adversary is a sans-IO [`sc_core::Machine`], like the honest
+//! node: `step` maps an input to effects, the exchange an adversary
+//! initiates is explicit state between its round trips, and requests are
+//! served in any state. Nothing here calls into a simulator, so whatever
+//! drives an honest node — `sc-sim`'s engine today — can host its
+//! attackers too (`tests/step_machines.rs` steps them by hand, with no
+//! engine at all).
 //!
 //! The mixed honest/malicious network builder and the figure metrics
 //! formerly in this crate's `net` module now live in `sc_testkit::net`,

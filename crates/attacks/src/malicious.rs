@@ -17,16 +17,20 @@
 //! * [`SecureAttack::Frequency`] — mints extra fresh descriptors inside a
 //!   single cycle (the frequency violation of §III).
 //! * [`SecureAttack::None`] — a permanently correct-ish control node.
+//!
+//! Like the honest node it is a sans-IO [`Machine`]: each round trip of
+//! the exchange it initiates is one `rpc` effect, the exchange in between
+//! is explicit state, and requests are served in any state — so the same
+//! adversary runs in the simulator's engine and behind a socket.
 
 use crate::party::SecureParty;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_core::{
-    AcceptBody, DescriptorId, LinkKind, RequestBody, RoundBody, RoundReplyBody, SecureDescriptor,
-    SecureMsg, Timestamp,
+    AcceptBody, Addr, DescriptorId, Effects, Input, LinkKind, Machine, RequestBody, RoundBody,
+    RoundReplyBody, SecureConfig, SecureDescriptor, SecureMsg, Timestamp,
 };
 use sc_crypto::{Keypair, NodeId};
-use sc_sim::{Addr, CycleCtx, NodeCtx, RpcOutcome, SimNode};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -93,6 +97,18 @@ struct MalSession {
     remaining: usize,
 }
 
+/// An exchange this node initiated, between two of its round trips.
+struct Exchange {
+    partner_id: NodeId,
+    partner_addr: Addr,
+    /// The cycle and tick of the turn; the whole exchange runs under them.
+    cycle: u64,
+    now: u64,
+    /// The round trip outstanding: 0 is the request, `1..s` the
+    /// tit-for-tat rounds.
+    round: usize,
+}
+
 /// A malicious SecureCyclon node.
 pub struct MaliciousSecureNode {
     keypair: Keypair,
@@ -115,6 +131,8 @@ pub struct MaliciousSecureNode {
     /// double-spent once).
     cloned_ids: std::collections::HashSet<DescriptorId>,
     rng: SmallRng,
+    /// The exchange this node initiated and still awaits an answer to.
+    exchange: Option<Exchange>,
 }
 
 impl core::fmt::Debug for MaliciousSecureNode {
@@ -129,17 +147,12 @@ impl core::fmt::Debug for MaliciousSecureNode {
 }
 
 impl MaliciousSecureNode {
-    /// Creates a malicious node.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a member of `party` that never deviates; ℓ, s, the tick
+    /// resolution and the tit-for-tat flag are the honest nodes'.
     pub fn new(
         keypair: Keypair,
         addr: Addr,
-        view_len: usize,
-        swap_len: usize,
-        ticks_per_cycle: u64,
-        tit_for_tat: bool,
-        attack: SecureAttack,
-        attack_start: u64,
+        cfg: &SecureConfig,
         party: Arc<Mutex<SecureParty>>,
         rng_seed: [u8; 32],
         phase: u64,
@@ -150,19 +163,27 @@ impl MaliciousSecureNode {
             id,
             addr,
             phase,
-            view_len,
-            swap_len,
-            ticks_per_cycle,
-            tit_for_tat,
-            attack,
-            attack_start,
+            view_len: cfg.view_len,
+            swap_len: cfg.swap_len,
+            ticks_per_cycle: cfg.ticks_per_cycle,
+            tit_for_tat: cfg.tit_for_tat,
+            attack: SecureAttack::None,
+            attack_start: 0,
             owned: Vec::new(),
             party,
             sessions: HashMap::new(),
             pending_clone: None,
             cloned_ids: std::collections::HashSet::new(),
             rng: SmallRng::from_seed(rng_seed),
+            exchange: None,
         }
+    }
+
+    /// Sets the strategy the node switches to at cycle `attack_start`.
+    pub fn with_attack(mut self, attack: SecureAttack, attack_start: u64) -> Self {
+        self.attack = attack;
+        self.attack_start = attack_start;
+        self
     }
 
     /// The node's id.
@@ -180,8 +201,18 @@ impl MaliciousSecureNode {
         self.owned.push(desc);
     }
 
+    /// Whether an exchange this node initiated is still awaiting its
+    /// answer (an [`Input::Tick`] is a no-op until it resolves).
+    pub fn exchange_in_flight(&self) -> bool {
+        self.exchange.is_some()
+    }
+
     fn attacking(&self, cycle: u64) -> bool {
         cycle >= self.attack_start && !matches!(self.attack, SecureAttack::None)
+    }
+
+    fn hub_attacking(&self, cycle: u64) -> bool {
+        matches!(self.attack, SecureAttack::Hub) && self.attacking(cycle)
     }
 
     fn store_owned(&mut self, d: SecureDescriptor) {
@@ -280,10 +311,8 @@ impl MaliciousSecureNode {
     /// consistent snapshots of the malicious pool (hub attack — "a fake
     /// view consisting exclusively of descriptors to other malicious
     /// nodes", §VI-B).
-    fn samples(&mut self, cycle: u64) -> Vec<SecureDescriptor> {
-        if matches!(self.attack, SecureAttack::Hub) && self.attacking(cycle) {
-            let party = self.party.lock().unwrap();
-            let _ = &party;
+    fn samples(&self, cycle: u64) -> Vec<SecureDescriptor> {
+        if self.hub_attacking(cycle) {
             // Identical pool snapshots everywhere: samples alone never
             // conflict, maximizing the attack's stealth. The *transfers*
             // are where cloning is unavoidable.
@@ -296,175 +325,113 @@ impl MaliciousSecureNode {
     // Active side
     // ------------------------------------------------------------------
 
-    /// The active-thread logic, generic for wrapper enums.
-    pub fn on_cycle_any<N: SimNode<Msg = SecureMsg>>(&mut self, ctx: &mut CycleCtx<'_, N>) {
-        let cycle = ctx.cycle();
-        let now = ctx.now();
+    /// [`Input::Tick`]: the turn up to its first round trip. Pre-attack
+    /// and outside hub mode this is a protocol-conformant exchange; in hub
+    /// mode the node redeems a harvested victim token and floods the
+    /// victim with clones. The two differ in where the certificate, the
+    /// transfers ([`Self::transfer_to`]) and the samples come from.
+    fn on_tick(&mut self, cycle: u64, now: u64) -> Option<(Addr, SecureMsg)> {
+        if self.exchange.is_some() {
+            return None;
+        }
         self.sessions.clear();
         self.party.lock().unwrap().prune_pool(Timestamp(now));
 
-        if matches!(self.attack, SecureAttack::Hub) && self.attacking(cycle) {
-            self.hub_initiate(ctx, cycle, now);
+        // `None`: no certificate toward any (honest) node this cycle.
+        let certificate = if self.hub_attacking(cycle) {
+            self.take_victim_token()?
         } else {
-            self.correct_initiate(ctx, cycle, now);
-        }
-    }
-
-    /// Pre-attack / non-hub initiation: a protocol-conformant exchange.
-    fn correct_initiate<N: SimNode<Msg = SecureMsg>>(
-        &mut self,
-        ctx: &mut CycleCtx<'_, N>,
-        cycle: u64,
-        now: u64,
-    ) {
-        let Some(oldest) = self.remove_oldest_owned() else {
-            return;
+            self.remove_oldest_owned()?
         };
-        let partner_id = oldest.creator();
-        let partner_addr = oldest.addr();
-        let Ok(redeemed) = oldest.redeem(&self.keypair, LinkKind::Redeem) else {
-            return;
-        };
-        let fresh = self.mint_fresh(now);
-        let Ok(fresh_out) = fresh.transfer(&self.keypair, partner_id) else {
-            return;
-        };
+        let partner_id = certificate.creator();
+        let partner_addr = certificate.addr();
+        let redeemed = certificate.redeem(&self.keypair, LinkKind::Redeem).ok()?;
+        let fresh = self
+            .mint_fresh(now)
+            .transfer(&self.keypair, partner_id)
+            .ok()?;
 
         let mut offered = Vec::new();
         if !self.tit_for_tat {
             for _ in 1..self.swap_len {
-                if let Some(t) = self.next_transfer(partner_id, cycle, now) {
-                    offered.push(t);
-                }
+                offered.extend(self.transfer_to(partner_id, cycle, now));
             }
         }
-        let extra = if let SecureAttack::Frequency { extra } = self.attack {
-            if self.attacking(cycle) {
-                extra
-            } else {
-                0
-            }
-        } else {
-            0
-        };
         let mut samples = self.samples(cycle);
-        for j in 0..extra {
+        if let (SecureAttack::Frequency { extra }, true) = (&self.attack, self.attacking(cycle)) {
             // Deliberate frequency violation: several creations within one
             // period, shipped as samples for victims to cross-check.
-            let ts = Timestamp(now + self.phase + 1 + j as u64);
-            samples.push(SecureDescriptor::create(&self.keypair, self.addr, ts));
+            for j in 0..*extra {
+                let ts = Timestamp(now + self.phase + 1 + j as u64);
+                samples.push(SecureDescriptor::create(&self.keypair, self.addr, ts));
+            }
         }
 
+        self.exchange = Some(Exchange {
+            partner_id,
+            partner_addr,
+            cycle,
+            now,
+            round: 0,
+        });
         let request = SecureMsg::Request(Box::new(RequestBody {
             redeemed,
-            fresh: fresh_out,
+            fresh,
             offered,
             samples,
             proofs: Vec::new(),
         }));
-        if let RpcOutcome::Reply(SecureMsg::Accept(body)) = ctx.rpc(partner_addr, request) {
-            let got_any = !body.transfers.is_empty();
-            for t in body.transfers {
-                self.harvest_or_store(t, cycle);
-            }
-            if self.tit_for_tat && got_any {
-                for _ in 1..self.swap_len {
-                    let Some(out) = self.next_transfer(partner_id, cycle, now) else {
-                        break;
-                    };
-                    match ctx.rpc(
-                        partner_addr,
-                        SecureMsg::Round(Box::new(RoundBody { transfer: out })),
-                    ) {
-                        RpcOutcome::Reply(SecureMsg::RoundReply(r)) => match r.transfer {
-                            Some(d) => self.harvest_or_store(d, cycle),
-                            None => break,
-                        },
-                        _ => break,
-                    }
-                }
-            }
-        }
+        Some((partner_addr, request))
     }
 
-    /// Hub-mode initiation: redeem a harvested victim token and flood the
-    /// victim with clones.
-    fn hub_initiate<N: SimNode<Msg = SecureMsg>>(
-        &mut self,
-        ctx: &mut CycleCtx<'_, N>,
-        cycle: u64,
-        now: u64,
-    ) {
-        // Prefer a harvested token; fall back to a legitimately owned
-        // honest descriptor.
-        let token = {
-            let mut party = self.party.lock().unwrap();
-            party.take_token_for(&self.id, &mut self.rng)
-        }
-        .or_else(|| {
-            let party = self.party.lock().unwrap();
+    /// Hub mode's certificate: prefer a harvested token; fall back to a
+    /// legitimately owned honest descriptor.
+    fn take_victim_token(&mut self) -> Option<SecureDescriptor> {
+        let mut party = self.party.lock().unwrap();
+        party.take_token_for(&self.id, &mut self.rng).or_else(|| {
             let pos = self
                 .owned
                 .iter()
-                .position(|d| !party.is_member(&d.creator()));
-            drop(party);
-            pos.map(|p| self.owned.swap_remove(p))
-        });
-        let Some(token) = token else {
-            return; // no certificate toward any honest node this cycle
-        };
-        let victim_id = token.creator();
-        let victim_addr = token.addr();
-        let Ok(redeemed) = token.redeem(&self.keypair, LinkKind::Redeem) else {
-            return;
-        };
-        let fresh = self.mint_fresh(now);
-        let Ok(fresh_out) = fresh.transfer(&self.keypair, victim_id) else {
-            return;
-        };
+                .position(|d| !party.is_member(&d.creator()))?;
+            Some(self.owned.swap_remove(pos))
+        })
+    }
 
-        let mut offered = Vec::new();
-        if !self.tit_for_tat {
+    /// The next descriptor to hand `partner`, on either side of an
+    /// exchange: in hub mode a clone out of the party pool, otherwise one
+    /// of the node's own.
+    fn transfer_to(&mut self, partner: NodeId, cycle: u64, now: u64) -> Option<SecureDescriptor> {
+        if self.hub_attacking(cycle) {
             let mut party = self.party.lock().unwrap();
-            for _ in 1..self.swap_len {
-                if let Some(c) = party.clone_for_victim(&self.id, &victim_id, &mut self.rng) {
-                    offered.push(c);
-                }
-            }
+            party.clone_for_victim(&self.id, &partner, &mut self.rng)
+        } else {
+            self.next_transfer(partner, cycle, now)
         }
+    }
 
-        let request = SecureMsg::Request(Box::new(RequestBody {
-            redeemed,
-            fresh: fresh_out,
-            offered,
-            samples: Vec::new(),
-            proofs: Vec::new(),
-        }));
-        if let RpcOutcome::Reply(SecureMsg::Accept(body)) = ctx.rpc(victim_addr, request) {
-            let got_any = !body.transfers.is_empty();
-            for t in body.transfers {
-                self.harvest_or_store(t, cycle);
-            }
-            if self.tit_for_tat && got_any {
-                for _ in 1..self.swap_len {
-                    let clone = {
-                        let mut party = self.party.lock().unwrap();
-                        party.clone_for_victim(&self.id, &victim_id, &mut self.rng)
-                    };
-                    let Some(out) = clone else { break };
-                    match ctx.rpc(
-                        victim_addr,
-                        SecureMsg::Round(Box::new(RoundBody { transfer: out })),
-                    ) {
-                        RpcOutcome::Reply(SecureMsg::RoundReply(r)) => match r.transfer {
-                            Some(d) => self.harvest_or_store(d, cycle),
-                            None => break,
-                        },
-                        _ => break,
-                    }
-                }
-            }
+    /// [`Input::Reply`] / [`Input::Timeout`]: resolves the outstanding
+    /// round trip and, in tit-for-tat mode, opens the next round while
+    /// the partner keeps answering in kind.
+    fn on_outcome(&mut self, reply: Option<SecureMsg>) -> Option<(Addr, SecureMsg)> {
+        let mut exchange = self.exchange.take()?;
+        let received = match (exchange.round, reply?) {
+            (0, SecureMsg::Accept(body)) => body.transfers,
+            (1.., SecureMsg::RoundReply(body)) => body.transfer.into_iter().collect(),
+            _ => return None,
+        };
+        let got_any = !received.is_empty();
+        for d in received {
+            self.harvest_or_store(d, exchange.cycle);
         }
+        exchange.round += 1;
+        if !(self.tit_for_tat && got_any) || exchange.round >= self.swap_len {
+            return None;
+        }
+        let transfer = self.transfer_to(exchange.partner_id, exchange.cycle, exchange.now)?;
+        let round = SecureMsg::Round(Box::new(RoundBody { transfer }));
+        let rpc = (exchange.partner_addr, round);
+        self.exchange = Some(exchange);
+        Some(rpc)
     }
 
     /// Post-attack, received descriptors become party property: honest
@@ -473,7 +440,7 @@ impl MaliciousSecureNode {
         if d.owner() != self.id || d.is_redeemed() {
             return;
         }
-        if self.attacking(cycle) && matches!(self.attack, SecureAttack::Hub) {
+        if self.hub_attacking(cycle) {
             self.party.lock().unwrap().harvest_token(d);
         } else {
             self.store_owned(d);
@@ -483,22 +450,6 @@ impl MaliciousSecureNode {
     // ------------------------------------------------------------------
     // Passive side
     // ------------------------------------------------------------------
-
-    /// The RPC-server logic, reusable by wrapper enums.
-    pub fn on_rpc_any(
-        &mut self,
-        from: Addr,
-        msg: SecureMsg,
-        ctx: &mut NodeCtx<'_, SecureMsg>,
-    ) -> Option<SecureMsg> {
-        let cycle = ctx.cycle();
-        let now = ctx.now();
-        match msg {
-            SecureMsg::Request(body) => self.answer_request(from, *body, cycle, now),
-            SecureMsg::Round(body) => self.answer_round(from, *body, cycle, now),
-            _ => None,
-        }
-    }
 
     fn answer_request(
         &mut self,
@@ -514,63 +465,26 @@ impl MaliciousSecureNode {
             self.harvest_or_store(d, cycle);
         }
 
-        if self.attacking(cycle) {
-            match &self.attack {
-                SecureAttack::Depletion => {
-                    // "Transmitting an empty view in response" (§VI-C).
-                    return Some(SecureMsg::Accept(Box::new(AcceptBody {
-                        transfers: Vec::new(),
-                        samples: Vec::new(),
-                        proofs: Vec::new(),
-                    })));
-                }
-                SecureAttack::Hub => {
-                    let clone = {
-                        let mut party = self.party.lock().unwrap();
-                        party.clone_for_victim(&self.id, &requester, &mut self.rng)
-                    };
-                    let transfers: Vec<_> = if self.tit_for_tat {
-                        clone.into_iter().collect()
-                    } else {
-                        let mut party = self.party.lock().unwrap();
-                        let mut v: Vec<_> = clone.into_iter().collect();
-                        for _ in 1..self.swap_len {
-                            if let Some(c) =
-                                party.clone_for_victim(&self.id, &requester, &mut self.rng)
-                            {
-                                v.push(c);
-                            }
-                        }
-                        v
-                    };
-                    if self.tit_for_tat && self.swap_len > 1 {
-                        self.sessions.insert(
-                            from,
-                            MalSession {
-                                partner: requester,
-                                remaining: self.swap_len - 1,
-                            },
-                        );
-                    }
-                    return Some(SecureMsg::Accept(Box::new(AcceptBody {
-                        transfers,
-                        samples: Vec::new(),
-                        proofs: Vec::new(),
-                    })));
-                }
-                _ => {}
-            }
+        if matches!(self.attack, SecureAttack::Depletion) && self.attacking(cycle) {
+            // "Transmitting an empty view in response" (§VI-C).
+            return Some(SecureMsg::Accept(Box::new(AcceptBody {
+                transfers: Vec::new(),
+                samples: Vec::new(),
+                proofs: Vec::new(),
+            })));
         }
 
-        // Correct-looking response.
+        // A correct-looking response — made of pool clones in hub mode,
+        // where a round session opens even if the pool had nothing to give.
         let immediate = if self.tit_for_tat { 1 } else { self.swap_len };
         let mut transfers = Vec::new();
         for _ in 0..immediate {
-            if let Some(t) = self.next_transfer(requester, cycle, now) {
-                transfers.push(t);
-            }
+            transfers.extend(self.transfer_to(requester, cycle, now));
         }
-        if self.tit_for_tat && self.swap_len > 1 && !transfers.is_empty() {
+        if self.tit_for_tat
+            && self.swap_len > 1
+            && (self.hub_attacking(cycle) || !transfers.is_empty())
+        {
             self.sessions.insert(
                 from,
                 MalSession {
@@ -602,33 +516,35 @@ impl MaliciousSecureNode {
             s.partner
         };
         self.harvest_or_store(body.transfer, cycle);
-        let transfer = if self.attacking(cycle) && matches!(self.attack, SecureAttack::Hub) {
-            let mut party = self.party.lock().unwrap();
-            party.clone_for_victim(&self.id, &partner, &mut self.rng)
-        } else {
-            self.next_transfer(partner, cycle, now)
-        };
+        let transfer = self.transfer_to(partner, cycle, now);
         Some(SecureMsg::RoundReply(Box::new(RoundReplyBody { transfer })))
     }
 }
 
-impl SimNode for MaliciousSecureNode {
+impl Machine for MaliciousSecureNode {
     type Msg = SecureMsg;
 
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-        self.on_cycle_any(ctx);
-    }
-
-    fn on_rpc(
-        &mut self,
-        from: Addr,
-        msg: Self::Msg,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg> {
-        self.on_rpc_any(from, msg, ctx)
-    }
-
-    fn on_oneway(&mut self, _from: Addr, _msg: Self::Msg, _ctx: &mut NodeCtx<'_, Self::Msg>) {
-        // Malicious nodes ignore and never relay proofs.
+    fn step(&mut self, input: Input) -> Effects {
+        let mut fx = Effects::default();
+        match input {
+            Input::Tick { cycle, now } => fx.rpc = self.on_tick(cycle, now),
+            Input::Reply(msg) => fx.rpc = self.on_outcome(Some(msg)),
+            Input::Timeout => fx.rpc = self.on_outcome(None),
+            Input::Request {
+                from,
+                msg,
+                cycle,
+                now,
+            } => {
+                fx.reply = match msg {
+                    SecureMsg::Request(body) => self.answer_request(from, *body, cycle, now),
+                    SecureMsg::Round(body) => self.answer_round(from, *body, cycle, now),
+                    _ => None,
+                }
+            }
+            // Malicious nodes ignore and never relay proofs.
+            Input::Oneway { .. } => {}
+        }
+        fx
     }
 }

@@ -15,9 +15,9 @@
 //!   members initiate gossip with chosen victims.
 
 use rand::Rng;
+use sc_core::Addr;
 use sc_core::{DescriptorId, SecureDescriptor, Timestamp};
 use sc_crypto::{Keypair, NodeId};
-use sc_sim::Addr;
 use std::collections::{HashMap, HashSet};
 
 /// Colluding-party state shared by all malicious nodes of a simulation.

@@ -1,7 +1,8 @@
 //! Chain-of-ownership comparison: the ownership check of §IV-B.
 //!
-//! Two copies of the same descriptor (same [`DescriptorId`], identical
-//! genesis) must report *compatible* histories: either their chains are
+//! Two copies of the same descriptor (same
+//! [`DescriptorId`](crate::DescriptorId), identical genesis) must report
+//! *compatible* histories: either their chains are
 //! identical, or one is a prefix of the other (the longer copy is simply a
 //! later snapshot of the same token). Any divergence means the owner at
 //! the divergence point signed two different continuations — indisputable

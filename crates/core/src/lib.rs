@@ -23,9 +23,10 @@
 //! * [`blacklist`] — proof-backed eviction (§IV-C)
 //! * [`view`] — the secure partial view with non-swappable slots (§V-A)
 //! * [`redemption`] — the redemption cache (§V-C)
+//! * [`machine`] — the sans-IO interface every participant takes its turn
+//!   through: [`Machine::step`] maps an [`Input`] to [`Effects`]
 //! * [`node`] — the full protocol node with tit-for-tat exchanges (§V-B),
-//!   a sans-IO state machine: [`SecureCyclonNode::step`] maps an [`Input`]
-//!   to [`Effects`]
+//!   the honest [`Machine`]
 //! * [`bootstrap`] — violation-free initial overlays
 //! * [`wire`] — wire encoding and the §VI-A message-size model
 //! * [`storage`] — durable state backends and crash-restart recovery
@@ -62,6 +63,7 @@ pub mod checks;
 pub mod config;
 pub mod descriptor;
 pub mod fault;
+pub mod machine;
 pub mod memo;
 pub mod msg;
 pub mod node;
@@ -81,11 +83,12 @@ pub use descriptor::{
     ChainLink, DescriptorError, DescriptorId, Genesis, LinkKind, SecureDescriptor,
 };
 pub use fault::{FaultDecision, FaultDir, FaultSpec};
+pub use machine::{Effects, Input, Machine};
 pub use memo::VerifyMemo;
 pub use msg::{
     AcceptBody, JoinGrantBody, JoinPingBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg,
 };
-pub use node::{Effects, Input, ProofRecord, SecureCyclonNode, SecureStats};
+pub use node::{ProofRecord, SecureCyclonNode, SecureStats};
 pub use proof::{ProofError, ProofKind, ViolationProof};
 pub use redemption::RedemptionCache;
 pub use storage::{FileBackend, MemoryBackend, PersistentState, StateBackend};

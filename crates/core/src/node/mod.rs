@@ -2,9 +2,10 @@
 //! state machine.
 //!
 //! The node does no I/O and reads no clock. A driver — the simulator's
-//! `SecureNet` or the `sc-node` event loop — feeds it one [`Input`] at a
-//! time through [`SecureCyclonNode::step`] and routes the [`Effects`] it
-//! returns. Once per cycle ([`Input::Tick`]) a correct node:
+//! engine or the `sc-node` event loop — feeds it one [`Input`] at a time
+//! through [`SecureCyclonNode::step`] and routes the [`Effects`] it
+//! returns (the [`Machine`] contract). Once per cycle ([`Input::Tick`]) a
+//! correct node:
 //!
 //! 1. prunes its caches and back-fills empty view slots with non-swappable
 //!    copies of recently transferred descriptors (§V-A);
@@ -42,6 +43,7 @@ use crate::blacklist::Blacklist;
 use crate::checks::SampleCache;
 use crate::config::SecureConfig;
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
+use crate::machine::{Effects, Input, Machine};
 use crate::memo::VerifyMemo;
 use crate::msg::SecureMsg;
 use crate::proof::{ProofKind, ViolationProof};
@@ -57,69 +59,6 @@ use sc_crypto::{FxHashMap, FxHashSet};
 use sc_crypto::{Keypair, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-
-/// One thing that happens to a node. Cycle numbers and ticks come from
-/// the driver's clock (the engine's, or the daemon's shared wall clock).
-#[derive(Debug)]
-pub enum Input {
-    /// The node's gossip period came round: run the active turn.
-    Tick {
-        /// The cycle whose turn this is.
-        cycle: u64,
-        /// The tick that cycle starts at.
-        now: u64,
-    },
-    /// A peer's RPC arrived (the server side): the effects carry the
-    /// `reply`, if the node gives one.
-    Request {
-        /// The caller's address.
-        from: Addr,
-        /// The request.
-        msg: SecureMsg,
-        /// The current cycle.
-        cycle: u64,
-        /// The tick the current cycle starts at.
-        now: u64,
-    },
-    /// A one-way message arrived (a proof flood, a rejoin ping or grant).
-    Oneway {
-        /// The sender's address.
-        from: Addr,
-        /// The message.
-        msg: SecureMsg,
-        /// The current cycle.
-        cycle: u64,
-        /// The tick the current cycle starts at.
-        now: u64,
-    },
-    /// The answer to the node's outstanding `rpc` effect.
-    Reply(SecureMsg),
-    /// The outstanding `rpc` effect will never be answered. Dead peer,
-    /// lost request, lost reply and refusal all look the same (§V-A).
-    Timeout,
-}
-
-impl Input {
-    fn msg(&self) -> Option<&SecureMsg> {
-        match self {
-            Input::Request { msg, .. } | Input::Oneway { msg, .. } | Input::Reply(msg) => Some(msg),
-            Input::Tick { .. } | Input::Timeout => None,
-        }
-    }
-}
-
-/// What a [`SecureCyclonNode::step`] asks its driver to do.
-#[derive(Debug, Default)]
-pub struct Effects {
-    /// Perform this RPC and feed the outcome back as [`Input::Reply`] or
-    /// [`Input::Timeout`]. A node has at most one RPC outstanding.
-    pub rpc: Option<(Addr, SecureMsg)>,
-    /// The answer to the [`Input::Request`] just stepped (`None`: the
-    /// caller sees a timeout).
-    pub reply: Option<SecureMsg>,
-    /// One-way messages, in sending order.
-    pub sends: Vec<(Addr, SecureMsg)>,
-}
 
 /// Per-node protocol counters, exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -567,5 +506,15 @@ impl SecureCyclonNode {
             (LinkKind::RedeemNonSwappable, Some(cap)) => self.cfg.swap_len.min(cap),
             _ => self.cfg.swap_len,
         }
+    }
+}
+
+/// The honest node behind the interface every participant shares; the
+/// inherent [`SecureCyclonNode::step`] is the implementation.
+impl Machine for SecureCyclonNode {
+    type Msg = SecureMsg;
+
+    fn step(&mut self, input: Input) -> Effects {
+        SecureCyclonNode::step(self, input)
     }
 }

@@ -231,7 +231,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// [`Reader::check_count`] for a plain list: over the cap is
+    /// `Reader::check_count` for a plain list: over the cap is
     /// [`WireError::ListTooLong`] (its payload saturates at `u16::MAX`).
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 //! descriptors into signed, chain-of-ownership tokens. This crate provides
 //! everything the protocol layer needs, implemented from scratch:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (NIST-vector tested), used for
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (NIST-vector tested), used for
 //!   descriptor digests and signature messages.
 //! * [`keys`] — node identities ([`PublicKey`] = [`NodeId`]), keypairs and
 //!   64-byte [`Signature`]s under two schemes: a real Schnorr construction

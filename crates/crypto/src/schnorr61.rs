@@ -225,8 +225,8 @@ pub mod reference {
     }
 }
 
-/// Fast verification path: same predicate as [`verify`], restated as
-/// `g^s · pk^{(p-1)-e} == r` and evaluated with a single Shamir
+/// Fast verification path: same predicate as [`reference::verify`],
+/// restated as `g^s · pk^{(p-1)-e} == r` and evaluated with a single Shamir
 /// simultaneous exponentiation (with the fixed-base table covering the
 /// `e = 0` degenerate case).
 ///
@@ -234,7 +234,7 @@ pub mod reference {
 /// is invertible and `pk^(p-1) = 1` by Fermat, so multiplying both sides
 /// of `g^s == r · pk^e` by `pk^{(p-1)-e}` is a bijection. Out-of-range
 /// inputs are rejected by the identical up-front checks. Exhaustive
-/// agreement with [`verify`] is asserted by this module's tests.
+/// agreement with [`reference::verify`] is asserted by this module's tests.
 pub fn verify_fast(pk: u64, msg: &[u8], r: u64, s: u64) -> bool {
     if r == 0 || r >= P || s >= P_MINUS_1 || pk == 0 || pk >= P {
         return false;
@@ -293,7 +293,7 @@ pub struct BatchItem<'a> {
 /// verification discrepancy of order 2, which any *even* `z_i` annihilates
 /// — a ½ pass probability, not a negligible one. Each drawn scalar is
 /// therefore nudged forward to the nearest value **coprime to `p − 1`**
-/// ([`coprime_pm1`]); then `d^{z_i} = 1` forces `d = 1`, so a batch with a
+/// (`coprime_pm1`); then `d^{z_i} = 1` forces `d = 1`, so a batch with a
 /// single invalid signature can never pass, whatever the discrepancy's
 /// order.
 ///

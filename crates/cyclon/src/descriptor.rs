@@ -6,8 +6,8 @@
 //! weakness SecureCyclon addresses. This type is the baseline against which
 //! the paper's Figure 3 attack is demonstrated.
 
+use sc_core::Addr;
 use sc_crypto::NodeId;
-use sc_sim::Addr;
 
 /// A legacy (unsecured) Cyclon descriptor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

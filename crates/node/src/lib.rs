@@ -3,7 +3,7 @@
 //! Graduates the protocol from in-memory simulation to real sockets: a
 //! single-threaded, event-driven daemon over non-blocking `std::net`,
 //! running [`sc_core::SecureCyclonNode`] behind a small
-//! [`Transport`](transport::Transport) trait. Between events the process
+//! [`transport::Transport`] trait. Between events the process
 //! blocks in `poll(2)` ([`wait`]) until a frame arrives or its next
 //! deadline comes; nothing in the crate sleeps and retries. Unix only.
 //!

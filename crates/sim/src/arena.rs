@@ -22,7 +22,7 @@
 //!   nodes dangle — exactly as in a real overlay (and as the protocol's
 //!   aliveness rules assume).
 
-use crate::engine::Addr;
+use sc_core::Addr;
 
 /// Index-based node storage: monotonically allocated addresses, O(1)
 /// liveness checks, pointer-sized node moves. See the module docs for the

@@ -1,21 +1,29 @@
 //! The cycle-driven simulation engine.
 //!
 //! This module replaces the role PeerNet/PeerSim plays in the paper's
-//! evaluation (§VI). The engine owns an arena of protocol nodes (see
+//! evaluation (§VI). The engine owns an arena of sans-IO [`Machine`]s (see
 //! [`crate::arena`]) and drives them in randomized order, once per cycle,
-//! exactly like PeerSim's cycle-based mode:
+//! exactly like PeerSim's cycle-based mode. It is the only thing that
+//! routes a simulated node's [`Effects`](sc_core::Effects):
 //!
-//! * During its turn a node may perform **synchronous RPCs** — the
-//!   request/response round trips of a Cyclon gossip exchange, including the
-//!   `s` tit-for-tat rounds of SecureCyclon (§V-B), complete within the
-//!   initiator's turn.
-//! * Nodes may also emit **one-way messages** (proof floods, §IV-C) at any
-//!   point; these are queued per cycle and delivered at the start of the
-//!   *next* cycle, giving flooding a realistic one-hop-per-cycle propagation
-//!   speed. The queue is drained in ascending destination-address order
-//!   (stable within a destination), so delivery cost is a single pass over
-//!   a sorted batch and the loss-roll stream is a deterministic function of
-//!   the batch alone.
+//! * A turn is one [`Input::Tick`], then one **round trip** per `rpc`
+//!   effect — the target is stepped with [`Input::Request`] and the
+//!   initiator with the resulting [`Input::Reply`] or [`Input::Timeout`] —
+//!   until a step returns no `rpc`. The request/response round trips of a
+//!   Cyclon gossip exchange, including the `s` tit-for-tat rounds of
+//!   SecureCyclon (§V-B), thus complete within the initiator's turn.
+//! * `sends` effects are **one-way messages** (proof floods, §IV-C); they
+//!   are queued per cycle and delivered ([`Input::Oneway`]) at the start of
+//!   the *next* cycle, giving flooding a realistic one-hop-per-cycle
+//!   propagation speed. The queue is drained in ascending
+//!   destination-address order (stable within a destination), so delivery
+//!   cost is a single pass over a sorted batch and the loss-roll stream is
+//!   a deterministic function of the batch alone.
+//! * `rpc` effects are honoured from `Tick` / `Reply` / `Timeout` steps
+//!   only: a server handler never blocks on another node in the paper's
+//!   protocol, so a machine that returns one from a `Request` or `Oneway`
+//!   step has broken the [`Machine`] contract — a `debug_assert` fires,
+//!   and a release build drops the effect.
 //!
 //! # Storage: the arena
 //!
@@ -44,55 +52,7 @@ use crate::stats::TrafficStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-/// A simulated network address ("IP and port" in the paper's model).
-///
-/// Addresses index the engine's node arena and are never reused, so a
-/// descriptor pointing at a departed node dangles — as in a real overlay.
-pub type Addr = u32;
-
-/// A protocol endpoint hosted by the [`Engine`].
-///
-/// Implementors provide three entry points mirroring a real networked node:
-/// the periodic active thread ([`on_cycle`](SimNode::on_cycle)), the RPC
-/// server ([`on_rpc`](SimNode::on_rpc)), and the datagram handler
-/// ([`on_oneway`](SimNode::on_oneway)).
-pub trait SimNode: Sized {
-    /// The protocol's wire message type.
-    type Msg;
-
-    /// Called once per cycle: the node's active gossip thread.
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>);
-
-    /// Handles an incoming RPC and optionally returns a response.
-    ///
-    /// Returning `None` models a node that received the request but chose
-    /// not to (or failed to) answer — the initiator observes a timeout.
-    fn on_rpc(
-        &mut self,
-        from: Addr,
-        msg: Self::Msg,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg>;
-
-    /// Handles an incoming one-way message (e.g. a flooded violation proof).
-    fn on_oneway(&mut self, from: Addr, msg: Self::Msg, ctx: &mut NodeCtx<'_, Self::Msg>);
-}
-
-/// Outcome of a synchronous RPC, as observed by the initiator.
-///
-/// A real node cannot distinguish *why* no response arrived (dead target,
-/// lost request, lost response, or an uncooperative peer), so all of those
-/// collapse into [`RpcOutcome::Timeout`]. Protocol code must handle the
-/// uncertainty — in SecureCyclon, by discarding sent descriptors rather
-/// than risking a cloning accusation (§V-A, case 2).
-#[derive(Debug)]
-pub enum RpcOutcome<M> {
-    /// The response from the target.
-    Reply(M),
-    /// No response arrived.
-    Timeout,
-}
+use sc_core::{Addr, Input, Machine};
 
 /// An in-flight one-way message.
 #[derive(Debug, Clone)]
@@ -137,7 +97,7 @@ impl SimConfig {
 }
 
 /// The cycle-driven simulator.
-pub struct Engine<N: SimNode> {
+pub struct Engine<N: Machine> {
     arena: Arena<N>,
     clock: Clock,
     net: NetworkModel,
@@ -147,7 +107,7 @@ pub struct Engine<N: SimNode> {
     stats: TrafficStats,
 }
 
-impl<N: SimNode> Engine<N> {
+impl<N: Machine> Engine<N> {
     /// Creates an empty engine.
     pub fn new(cfg: SimConfig) -> Self {
         Engine {
@@ -270,20 +230,49 @@ impl<N: SimNode> Engine<N> {
         }
     }
 
-    /// The turn loop: take each node out, run its turn, put it back.
+    /// The turn loop: take each node out, run its turn, put it back. A
+    /// turn is a tick, then one round trip per `rpc` effect until the
+    /// exchange resolves.
     fn run_turns(&mut self, order: &[Addr]) {
         for &addr in order {
             // The node may have been killed mid-cycle; `take` then fails.
             let Some(mut node) = self.arena.take(addr) else {
                 continue;
             };
-            let mut ctx = CycleCtx {
-                self_addr: addr,
-                engine: self,
-            };
-            node.on_cycle(&mut ctx);
+            let mut fx = node.step(Input::Tick {
+                cycle: self.clock.cycle(),
+                now: self.clock.now(),
+            });
+            loop {
+                self.queue(addr, fx.sends);
+                let Some((to, msg)) = fx.rpc else { break };
+                fx = node.step(match self.rpc(addr, to, msg) {
+                    Some(reply) => Input::Reply(reply),
+                    None => Input::Timeout,
+                });
+            }
             self.arena.put_back(addr, node);
         }
+    }
+
+    /// Queues `from`'s one-way messages for delivery at the start of the
+    /// next cycle.
+    fn queue(&mut self, from: Addr, sends: Vec<(Addr, N::Msg)>) {
+        for (to, msg) in sends {
+            self.pending.push(Envelope { from, to, msg });
+        }
+    }
+
+    /// Steps a checked-out node as the server side of a `Request` or
+    /// `Oneway` input: queues what it sends and returns its reply.
+    fn serve(&mut self, addr: Addr, node: &mut N, input: Input<N::Msg>) -> Option<N::Msg> {
+        let fx = node.step(input);
+        debug_assert!(
+            fx.rpc.is_none(),
+            "node {addr} returned an rpc effect from a Request/Oneway step"
+        );
+        self.queue(addr, fx.sends);
+        fx.reply
     }
 
     /// Delivers all one-way messages queued during the previous cycle,
@@ -311,157 +300,70 @@ impl<N: SimNode> Engine<N> {
                 self.stats.oneways_to_dead += 1;
                 continue;
             };
-            let mut ctx = NodeCtx {
-                pending: &mut self.pending,
-                clock: &self.clock,
-                self_addr: env.to,
+            let input = Input::Oneway {
+                from: env.from,
+                msg: env.msg,
+                cycle: self.clock.cycle(),
+                now: self.clock.now(),
             };
-            node.on_oneway(env.from, env.msg, &mut ctx);
+            self.serve(env.to, &mut node, input);
             self.arena.put_back(env.to, node);
             self.stats.oneways_delivered += 1;
         }
     }
 
-    /// One synchronous round trip from `from` to `to`, as the initiator
-    /// observes it.
-    fn rpc(&mut self, from: Addr, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
+    /// One round trip from `from` to `to`, as the initiator observes it.
+    /// A real node cannot distinguish *why* no response arrived (dead
+    /// target, lost request, lost response, or an uncooperative peer), so
+    /// all of those collapse into `None` — the initiator's
+    /// [`Input::Timeout`].
+    fn rpc(&mut self, from: Addr, to: Addr, msg: N::Msg) -> Option<N::Msg> {
         self.stats.rpcs_sent += 1;
         if to == from {
             // A node never gossips with itself; treat as unreachable.
             self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         // A partition severs the round trip outright: the request never
         // reaches the target (symmetric, so the response could not return
         // either). Checked before any loss roll — see `deliver_pending`.
         if self.net.severs(from, to) {
             self.stats.rpcs_severed += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         if self.net.drop_request > 0.0 && self.rng.gen::<f64>() < self.net.drop_request {
             self.stats.rpcs_request_dropped += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         let Some(mut node) = self.arena.take(to) else {
             // Dead or never allocated: unreachable.
             self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
+            return None;
         };
-        let mut ctx = NodeCtx {
-            pending: &mut self.pending,
-            clock: &self.clock,
-            self_addr: to,
+        let input = Input::Request {
+            from,
+            msg,
+            cycle: self.clock.cycle(),
+            now: self.clock.now(),
         };
-        let reply = node.on_rpc(from, msg, &mut ctx);
+        let reply = self.serve(to, &mut node, input);
         self.arena.put_back(to, node);
-        match reply {
-            None => {
-                self.stats.rpcs_refused += 1;
-                RpcOutcome::Timeout
-            }
-            Some(resp) => {
-                if self.net.drop_response > 0.0 && self.rng.gen::<f64>() < self.net.drop_response {
-                    self.stats.rpcs_response_dropped += 1;
-                    RpcOutcome::Timeout
-                } else {
-                    self.stats.rpcs_completed += 1;
-                    RpcOutcome::Reply(resp)
-                }
-            }
+        if reply.is_none() {
+            self.stats.rpcs_refused += 1;
+        } else if self.net.drop_response > 0.0 && self.rng.gen::<f64>() < self.net.drop_response {
+            self.stats.rpcs_response_dropped += 1;
+            return None;
+        } else {
+            self.stats.rpcs_completed += 1;
         }
-    }
-}
-
-/// Context handed to a node during its cycle turn. Supports synchronous
-/// RPCs and one-way sends.
-pub struct CycleCtx<'e, N: SimNode> {
-    self_addr: Addr,
-    engine: &'e mut Engine<N>,
-}
-
-impl<N: SimNode> CycleCtx<'_, N> {
-    /// The address of the node taking its turn.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
-    }
-
-    /// The current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.engine.clock.cycle()
-    }
-
-    /// The tick at which the current cycle starts.
-    pub fn now(&self) -> u64 {
-        self.engine.clock.now()
-    }
-
-    /// Tick resolution of one cycle (the gossip period, in ticks).
-    pub fn ticks_per_cycle(&self) -> u64 {
-        self.engine.clock.ticks_per_cycle()
-    }
-
-    /// Performs a synchronous RPC to `to`.
-    ///
-    /// All failure modes (dead target, lost request, lost response,
-    /// uncooperative peer) surface uniformly as [`RpcOutcome::Timeout`];
-    /// see the type docs for why.
-    pub fn rpc(&mut self, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
-        self.engine.rpc(self.self_addr, to, msg)
-    }
-
-    /// Queues a one-way message for delivery at the start of the next cycle.
-    pub fn send(&mut self, to: Addr, msg: N::Msg) {
-        self.engine.pending.push(Envelope {
-            from: self.self_addr,
-            to,
-            msg,
-        });
-    }
-}
-
-/// Restricted context available to RPC and one-way handlers: they can learn
-/// the time and emit one-way messages, but cannot issue nested RPCs (a
-/// server handler never blocks on another node in the paper's protocol).
-pub struct NodeCtx<'e, M> {
-    pending: &'e mut Vec<Envelope<M>>,
-    clock: &'e Clock,
-    self_addr: Addr,
-}
-
-impl<M> NodeCtx<'_, M> {
-    /// The address of the handling node.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
-    }
-
-    /// The current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.clock.cycle()
-    }
-
-    /// The tick at which the current cycle starts.
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// Tick resolution of one cycle.
-    pub fn ticks_per_cycle(&self) -> u64 {
-        self.clock.ticks_per_cycle()
-    }
-
-    /// Queues a one-way message for delivery at the start of the next cycle.
-    pub fn send(&mut self, to: Addr, msg: M) {
-        self.pending.push(Envelope {
-            from: self.self_addr,
-            to,
-            msg,
-        });
+        reply
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_core::Effects;
 
     /// A toy protocol: every cycle, ping the next node; it replies with a
     /// counter and floods a one-way "seen" notice to node 0.
@@ -479,37 +381,31 @@ mod tests {
         Notice,
     }
 
-    impl SimNode for Toy {
+    impl Machine for Toy {
         type Msg = ToyMsg;
 
-        fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-            let target = (self.addr + 1) % self.n;
-            if let RpcOutcome::Reply(ToyMsg::Pong(answered)) = ctx.rpc(target, ToyMsg::Ping) {
-                assert!(answered >= 1, "responder counts its own answer first");
-                self.replies_got += 1;
-            }
-        }
-
-        fn on_rpc(
-            &mut self,
-            _from: Addr,
-            msg: Self::Msg,
-            ctx: &mut NodeCtx<'_, Self::Msg>,
-        ) -> Option<Self::Msg> {
-            match msg {
-                ToyMsg::Ping => {
-                    self.pings_answered += 1;
-                    ctx.send(0, ToyMsg::Notice);
-                    Some(ToyMsg::Pong(self.pings_answered))
+        fn step(&mut self, input: Input<ToyMsg>) -> Effects<ToyMsg> {
+            let mut fx = Effects::default();
+            match input {
+                Input::Tick { .. } => fx.rpc = Some(((self.addr + 1) % self.n, ToyMsg::Ping)),
+                Input::Reply(ToyMsg::Pong(answered)) => {
+                    assert!(answered >= 1, "responder counts its own answer first");
+                    self.replies_got += 1;
                 }
-                _ => None,
+                Input::Request {
+                    msg: ToyMsg::Ping, ..
+                } => {
+                    self.pings_answered += 1;
+                    fx.sends.push((0, ToyMsg::Notice));
+                    fx.reply = Some(ToyMsg::Pong(self.pings_answered));
+                }
+                Input::Oneway {
+                    msg: ToyMsg::Notice,
+                    ..
+                } => self.oneways_got += 1,
+                _ => {}
             }
-        }
-
-        fn on_oneway(&mut self, _from: Addr, msg: Self::Msg, _ctx: &mut NodeCtx<'_, Self::Msg>) {
-            if let ToyMsg::Notice = msg {
-                self.oneways_got += 1;
-            }
+            fx
         }
     }
 
@@ -739,23 +635,26 @@ mod tests {
         oneways_got: u32,
     }
 
-    impl SimNode for Probe {
+    impl Machine for Probe {
         type Msg = u8;
 
-        fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-            match ctx.rpc(self.rpc_to, 1) {
-                RpcOutcome::Reply(_) => self.rpc_replies += 1,
-                RpcOutcome::Timeout => self.rpc_timeouts += 1,
+        fn step(&mut self, input: Input<u8>) -> Effects<u8> {
+            let mut fx = Effects::default();
+            match input {
+                Input::Tick { .. } => fx.rpc = Some((self.rpc_to, 1)),
+                // The one-way goes out once the round trip has resolved.
+                Input::Reply(_) => {
+                    self.rpc_replies += 1;
+                    fx.sends.push((self.oneway_to, 2));
+                }
+                Input::Timeout => {
+                    self.rpc_timeouts += 1;
+                    fx.sends.push((self.oneway_to, 2));
+                }
+                Input::Request { .. } => fx.reply = Some(0),
+                Input::Oneway { .. } => self.oneways_got += 1,
             }
-            ctx.send(self.oneway_to, 2);
-        }
-
-        fn on_rpc(&mut self, _f: Addr, _m: u8, _c: &mut NodeCtx<'_, u8>) -> Option<u8> {
-            Some(0)
-        }
-
-        fn on_oneway(&mut self, _f: Addr, _m: u8, _c: &mut NodeCtx<'_, u8>) {
-            self.oneways_got += 1;
+            fx
         }
     }
 
@@ -825,5 +724,59 @@ mod tests {
         eng.run_cycle(); // queue 6 notices to node 0
         eng.run_cycle(); // deliver them
         assert_eq!(eng.node(0).unwrap().oneways_got, 6);
+    }
+
+    /// Breaks the [`Machine`] contract: whatever it is served, it answers
+    /// with an `rpc` effect of its own — the nested RPC the old handler
+    /// context could not express.
+    struct Nester {
+        via_oneway: bool,
+    }
+
+    impl Machine for Nester {
+        type Msg = ();
+
+        fn step(&mut self, input: Input<()>) -> Effects<()> {
+            let mut fx = Effects::default();
+            match input {
+                Input::Tick { .. } if self.via_oneway => fx.sends.push((1, ())),
+                Input::Tick { .. } => fx.rpc = Some((1, ())),
+                Input::Request { .. } | Input::Oneway { .. } => fx.rpc = Some((0, ())),
+                Input::Reply(()) | Input::Timeout => {}
+            }
+            fx
+        }
+    }
+
+    fn nesters(via_oneway: bool) -> Engine<Nester> {
+        let mut eng = Engine::new(SimConfig::seeded(1));
+        eng.spawn_with(|_| Nester { via_oneway });
+        eng.spawn_with(|_| Nester { via_oneway });
+        eng
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rpc effect from a Request/Oneway step")]
+    fn rpc_effect_from_a_request_step_trips_the_contract_assert() {
+        nesters(false).run_cycle();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rpc effect from a Request/Oneway step")]
+    fn rpc_effect_from_a_oneway_step_trips_the_contract_assert() {
+        nesters(true).run_cycles(2);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn release_builds_drop_a_nested_rpc_effect() {
+        let mut eng = nesters(false);
+        eng.run_cycles(3);
+        // Three ticks each: node 0's reach node 1 and are refused (no
+        // reply); node 1's are self-addressed. Nothing nested was sent.
+        assert_eq!(eng.stats().rpcs_sent, 6);
+        assert_eq!(eng.stats().rpcs_refused, 3);
     }
 }

@@ -9,14 +9,16 @@
 //! Key pieces:
 //!
 //! * [`Engine`] — the simulator: arena-backed node storage, randomized
-//!   turn order (one turn at a time — the only schedule), synchronous
-//!   multi-round RPC (for tit-for-tat gossip exchanges), and batched
-//!   one-way delivery (for proof flooding) at one hop per cycle, drained
-//!   in address order.
+//!   turn order (one turn at a time — the only schedule), one round trip
+//!   per `rpc` effect within the initiator's turn (for tit-for-tat gossip
+//!   exchanges), and batched one-way delivery (for proof flooding) at one
+//!   hop per cycle, drained in address order.
 //! * [`Arena`] — index-based node storage: pointer-sized node moves,
 //!   O(alive) cycle setup, addresses never reused.
-//! * [`SimNode`] — the trait protocol nodes implement (active thread, RPC
-//!   server, datagram handler).
+//! * [`Machine`] — the trait protocol nodes implement, re-exported from
+//!   `sc-core` with its [`Input`] and [`Effects`]: a sans-IO `step`. The
+//!   engine is the driver that routes the effects; the same machine runs
+//!   unchanged behind a socket.
 //! * [`NetworkModel`] — per-direction message-loss probabilities, plus
 //!   deterministic [`Partition`]s with heal support.
 //! * [`rng`] — deterministic seed derivation so whole experiments replay
@@ -25,14 +27,17 @@
 //! # Example
 //!
 //! ```
-//! use sc_sim::{Engine, SimConfig, SimNode, CycleCtx, NodeCtx, Addr};
+//! use sc_sim::{Effects, Engine, Input, Machine, SimConfig};
 //!
 //! struct Counter(u64);
-//! impl SimNode for Counter {
+//! impl Machine for Counter {
 //!     type Msg = ();
-//!     fn on_cycle(&mut self, _ctx: &mut CycleCtx<'_, Self>) { self.0 += 1; }
-//!     fn on_rpc(&mut self, _f: Addr, _m: (), _c: &mut NodeCtx<'_, ()>) -> Option<()> { None }
-//!     fn on_oneway(&mut self, _f: Addr, _m: (), _c: &mut NodeCtx<'_, ()>) {}
+//!     fn step(&mut self, input: Input<()>) -> Effects<()> {
+//!         if let Input::Tick { .. } = input {
+//!             self.0 += 1;
+//!         }
+//!         Effects::default()
+//!     }
 //! }
 //!
 //! let mut engine = Engine::new(SimConfig::seeded(1));
@@ -53,6 +58,7 @@ pub mod stats;
 
 pub use arena::Arena;
 pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
-pub use engine::{Addr, CycleCtx, Engine, NodeCtx, RpcOutcome, SimConfig, SimNode};
+pub use engine::{Engine, SimConfig};
 pub use net::{NetworkModel, Partition};
+pub use sc_core::{Addr, Effects, Input, Machine};
 pub use stats::TrafficStats;

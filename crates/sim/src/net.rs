@@ -17,7 +17,7 @@
 //! nothing from the engine's random stream, so runs stay bit-identical
 //! per seed no matter how partitions come and go mid-run.
 
-use crate::engine::Addr;
+use sc_core::Addr;
 use std::collections::HashMap;
 
 /// A deterministic split of the address space into sides.

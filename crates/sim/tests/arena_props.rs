@@ -10,9 +10,7 @@
 //! * where a cycle is interrupted changes nothing by itself.
 
 use proptest::prelude::*;
-use sc_sim::{
-    Addr, Arena, CycleCtx, Engine, NetworkModel, NodeCtx, Partition, RpcOutcome, SimConfig, SimNode,
-};
+use sc_sim::{Addr, Arena, Effects, Engine, Input, Machine, NetworkModel, Partition, SimConfig};
 use std::collections::HashSet;
 
 // ---------------------------------------------------------------------
@@ -80,6 +78,8 @@ struct Courier {
     rpc_replies: Vec<(Addr, u64)>,
     /// (from, sent_cycle, arrived_cycle) for every datagram received.
     got: Vec<(Addr, u64, u64)>,
+    /// The outstanding RPC: (target, cycle of the turn it belongs to).
+    rpc_out: Option<(Addr, u64)>,
 }
 
 #[derive(Clone)]
@@ -102,37 +102,44 @@ impl Courier {
     }
 }
 
-impl SimNode for Courier {
+impl Machine for Courier {
     type Msg = CourierMsg;
 
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-        let cycle = ctx.cycle();
-        let rpc_to = self.rpc_target(cycle);
-        match ctx.rpc(rpc_to, CourierMsg::Ping) {
-            RpcOutcome::Reply(_) => self.rpc_replies.push((rpc_to, cycle)),
-            RpcOutcome::Timeout => self.rpc_timeouts.push((rpc_to, cycle)),
+    fn step(&mut self, input: Input<CourierMsg>) -> Effects<CourierMsg> {
+        let mut fx = Effects::default();
+        match input {
+            Input::Tick { cycle, .. } => {
+                self.rpc_out = Some((self.rpc_target(cycle), cycle));
+                fx.rpc = Some((self.rpc_target(cycle), CourierMsg::Ping));
+            }
+            // The datagram goes out once the round trip has resolved.
+            Input::Reply(_) | Input::Timeout => {
+                let Some((rpc_to, cycle)) = self.rpc_out.take() else {
+                    return fx;
+                };
+                match input {
+                    Input::Reply(_) => self.rpc_replies.push((rpc_to, cycle)),
+                    _ => self.rpc_timeouts.push((rpc_to, cycle)),
+                }
+                let post = CourierMsg::Post(self.addr, cycle);
+                fx.sends.push((self.post_target(cycle), post));
+            }
+            Input::Request {
+                msg: CourierMsg::Ping,
+                ..
+            } => fx.reply = Some(CourierMsg::Pong),
+            Input::Oneway {
+                from,
+                msg: CourierMsg::Post(sender, sent),
+                cycle,
+                ..
+            } => {
+                assert_eq!(sender, from);
+                self.got.push((from, sent, cycle));
+            }
+            Input::Request { .. } | Input::Oneway { .. } => {}
         }
-        let post_to = self.post_target(cycle);
-        ctx.send(post_to, CourierMsg::Post(self.addr, cycle));
-    }
-
-    fn on_rpc(
-        &mut self,
-        _from: Addr,
-        msg: Self::Msg,
-        _ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg> {
-        match msg {
-            CourierMsg::Ping => Some(CourierMsg::Pong),
-            _ => None,
-        }
-    }
-
-    fn on_oneway(&mut self, from: Addr, msg: Self::Msg, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        if let CourierMsg::Post(sender, sent) = msg {
-            assert_eq!(sender, from);
-            self.got.push((from, sent, ctx.cycle()));
-        }
+        fx
     }
 }
 
@@ -147,6 +154,7 @@ fn build_couriers(n: u64, seed: u64, salts: Vec<u64>) -> Engine<Courier> {
             rpc_timeouts: Vec::new(),
             rpc_replies: Vec::new(),
             got: Vec::new(),
+            rpc_out: None,
         });
     }
     eng

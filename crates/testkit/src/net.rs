@@ -6,15 +6,18 @@
 //! confused with `sc-sim`'s fault model of the same name). It moved here
 //! so that attack strategies, fault scenarios, and invariant oracles all
 //! drive one engine path — `sc-attacks` now contains only the adversary
-//! implementations themselves.
+//! implementations themselves. Honest and malicious nodes alike are
+//! sans-IO machines; the engine routes their effects, and [`SecureNet`]
+//! only says which of the two a slot holds.
 
 use rand::seq::SliceRandom;
 use sc_attacks::{MaliciousSecureNode, SecureAttack, SecureParty};
 use sc_core::{
-    default_phase, ring_bootstrap, Input, MemoryBackend, SecureConfig, SecureCyclonNode, SecureMsg,
+    default_phase, ring_bootstrap, Effects, Input, Machine, MemoryBackend, SecureConfig,
+    SecureCyclonNode, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
-use sc_sim::{Addr, CycleCtx, Engine, NetworkModel, NodeCtx, RpcOutcome, SimConfig, SimNode};
+use sc_sim::{Addr, Engine, NetworkModel, SimConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -42,69 +45,14 @@ impl SecureNet {
     }
 }
 
-/// The simulator driver of the sans-IO honest node: every engine callback
-/// becomes one [`Input`], and the [`sc_core::Effects`] it yields are routed
-/// back through the engine's blocking `ctx`. Adversaries are
-/// simulator-only and talk to `ctx` directly.
-impl SimNode for SecureNet {
+/// Both kinds are sans-IO machines; the engine routes their effects.
+impl Machine for SecureNet {
     type Msg = SecureMsg;
 
-    fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
-        let node = match self {
-            SecureNet::Honest(n) => n,
-            SecureNet::Malicious(n) => return n.on_cycle_any(ctx),
-        };
-        let mut fx = node.step(Input::Tick {
-            cycle: ctx.cycle(),
-            now: ctx.now(),
-        });
-        // One round trip per `rpc` effect until the exchange resolves.
-        loop {
-            for (to, msg) in fx.sends {
-                ctx.send(to, msg);
-            }
-            let Some((to, msg)) = fx.rpc else { break };
-            fx = node.step(match ctx.rpc(to, msg) {
-                RpcOutcome::Reply(reply) => Input::Reply(reply),
-                RpcOutcome::Timeout => Input::Timeout,
-            });
-        }
-    }
-
-    fn on_rpc(
-        &mut self,
-        from: Addr,
-        msg: Self::Msg,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-    ) -> Option<Self::Msg> {
-        let node = match self {
-            SecureNet::Honest(n) => n,
-            SecureNet::Malicious(n) => return n.on_rpc_any(from, msg, ctx),
-        };
-        let fx = node.step(Input::Request {
-            from,
-            msg,
-            cycle: ctx.cycle(),
-            now: ctx.now(),
-        });
-        for (to, msg) in fx.sends {
-            ctx.send(to, msg);
-        }
-        fx.reply
-    }
-
-    fn on_oneway(&mut self, from: Addr, msg: Self::Msg, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        // Malicious nodes drop proofs.
-        if let SecureNet::Honest(node) = self {
-            let fx = node.step(Input::Oneway {
-                from,
-                msg,
-                cycle: ctx.cycle(),
-                now: ctx.now(),
-            });
-            for (to, msg) in fx.sends {
-                ctx.send(to, msg);
-            }
+    fn step(&mut self, input: Input) -> Effects {
+        match self {
+            SecureNet::Honest(n) => n.step(input),
+            SecureNet::Malicious(n) => n.step(input),
         }
     }
 }
@@ -426,16 +374,12 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
             let mut node = MaliciousSecureNode::new(
                 keypairs[i].clone(),
                 i as Addr,
-                cfg.view_len,
-                cfg.swap_len,
-                cfg.ticks_per_cycle,
-                cfg.tit_for_tat,
-                attack.clone(),
-                attack_start,
+                &cfg,
                 Arc::clone(&party),
                 rng_seed,
                 phases[i],
-            );
+            )
+            .with_attack(attack.clone(), attack_start);
             for d in descs {
                 node.accept_bootstrap(d);
             }

@@ -95,7 +95,7 @@ pub enum Event {
     },
     /// `kill -9` + same-cycle restart for a random batch of honest
     /// durable nodes: each victim's in-memory state is discarded and a
-    /// replacement node recovers from the survived [`StateBackend`].
+    /// replacement node recovers from the survived [`sc_core::StateBackend`].
     /// Requires [`Scenario::durable`]; nodes without a backend are
     /// skipped (there is nothing to restart from).
     Restart {
