@@ -1,10 +1,8 @@
-//! Verification benchmarks parameterized by chain length: cold
-//! full-chain verification, memoized re-verification (exact copy), and
-//! incremental verification of a one-link extension — the §VI-A cost
-//! story that the verified-chain memo is built to win.
+//! Verification benchmarks: full-chain verification parameterized by
+//! chain length, and the Schnorr paths under it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sc_bench::{chained, pool, warmed_memo, CHAIN_LENGTHS};
+use sc_bench::{chained, pool, CHAIN_LENGTHS};
 use sc_crypto::{schnorr61, Keypair, Scheme};
 
 fn bench_cold_verify(c: &mut Criterion) {
@@ -14,41 +12,6 @@ fn bench_cold_verify(c: &mut Criterion) {
         let d = chained(&keys, t);
         group.bench_with_input(BenchmarkId::from_parameter(t), &d, |b, d| {
             b.iter(|| d.verify().unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn bench_memoized_reverify(c: &mut Criterion) {
-    let keys = pool(Scheme::Schnorr61, 16);
-    let mut group = c.benchmark_group("verify/memoized");
-    for t in CHAIN_LENGTHS {
-        let d = chained(&keys, t);
-        let mut memo = warmed_memo(&d, 1024);
-        group.bench_with_input(BenchmarkId::from_parameter(t), &d, |b, d| {
-            b.iter(|| d.verify_with(&mut memo).unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn bench_incremental_extend(c: &mut Criterion) {
-    // Chain of length t+1 verified against a memo holding the t-link
-    // prefix: only the appended link pays signature checks. The memo is
-    // cloned per iteration so the extension never becomes an exact hit.
-    let keys = pool(Scheme::Schnorr61, 16);
-    let mut group = c.benchmark_group("verify/extend_by_1");
-    for t in CHAIN_LENGTHS {
-        let prefix = chained(&keys, t);
-        let owner = &keys[t % keys.len()];
-        let next = keys[(t + 1) % keys.len()].public();
-        let extended = prefix.transfer(owner, next).unwrap();
-        let memo = warmed_memo(&prefix, 1024);
-        group.bench_with_input(BenchmarkId::from_parameter(t), &extended, |b, d| {
-            b.iter(|| {
-                let mut m = memo.clone();
-                d.verify_with(&mut m).unwrap()
-            })
         });
     }
     group.finish();
@@ -91,11 +54,5 @@ fn bench_schnorr_paths(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_cold_verify,
-    bench_memoized_reverify,
-    bench_incremental_extend,
-    bench_schnorr_paths
-);
+criterion_group!(benches, bench_cold_verify, bench_schnorr_paths);
 criterion_main!(benches);

@@ -161,8 +161,7 @@ mod tests {
     fn direction_inference() {
         assert!(lower_is_better("secure_ns_per_node_cycle_200"));
         assert!(lower_is_better("batch_vs_fast_per_sig_64"));
-        assert!(lower_is_better("extend_64_vs_16"));
-        assert!(!lower_is_better("memoized_speedup_16"));
+        assert!(!lower_is_better("verify_fast_speedup"));
         assert!(!lower_is_better("cyclon_nodes_per_sec_1000"));
     }
 

@@ -16,7 +16,7 @@
 
 use sc_attacks::{build_legacy_network, LegacyNetParams, SecureAttack};
 use sc_bench::report::{BenchResult, Report};
-use sc_bench::{chained, pool, warmed_memo, CHAIN_LENGTHS};
+use sc_bench::{chained, pool, CHAIN_LENGTHS};
 use sc_core::{Observation, SampleCache, SecureConfig, SecureDescriptor, Timestamp};
 use sc_crypto::{schnorr61, sha256, Keypair, Scheme};
 use sc_cyclon::CyclonConfig;
@@ -57,7 +57,7 @@ fn sample_cache_series(report: &mut Report, cycles_per_sample: u64, samples: usi
     const NEW_PER_CYCLE: usize = 48;
     const SEEN_PER_CYCLE: usize = 9;
     const PERIOD: u64 = 1000;
-    let retention = SecureConfig::default().sample_retention_cycles;
+    let retention = sc_core::node::SAMPLE_RETENTION_CYCLES;
     let keys = pool(Scheme::KeyedHash, CREATORS);
     // Entry i is creator i % CREATORS's descriptor number i / CREATORS:
     // a cycle's 48 consecutive entries come from 48 creators, and an id
@@ -275,37 +275,6 @@ fn main() {
                 d.verify().unwrap();
             },
         );
-        let mut memo = warmed_memo(&d, 1024);
-        report.bench(
-            &format!("descriptor/verify_memoized/{t}"),
-            budget,
-            samples,
-            || {
-                d.verify_with(&mut memo).unwrap();
-            },
-        );
-    }
-    // Incremental: one appended link over a memoized prefix (the memo is
-    // cloned per iteration so the result never becomes an exact hit; the
-    // clone itself is a few hundred nanoseconds of overhead). Measured at
-    // two prefix lengths — since descriptors carry their prefix digests,
-    // the cost must be flat in chain length (no O(chain) hash walk).
-    for t in [16usize, 64] {
-        let prefix = chained(&keys, t);
-        let owner = &keys[t % keys.len()];
-        let extended = prefix
-            .transfer(owner, keys[(t + 1) % keys.len()].public())
-            .unwrap();
-        let memo = warmed_memo(&prefix, 1024);
-        report.bench(
-            &format!("descriptor/verify_extend_by_1/{t}"),
-            budget,
-            samples,
-            || {
-                let mut m = memo.clone();
-                extended.verify_with(&mut m).unwrap();
-            },
-        );
     }
 
     // -- descriptor copies and the sample cache -----------------------
@@ -364,22 +333,6 @@ fn main() {
 
     // -- derived ratios ------------------------------------------------
     report.derive_ratio(
-        "memoized_speedup_16",
-        "descriptor/verify_cold/16",
-        "descriptor/verify_memoized/16",
-    );
-    report.derive_ratio(
-        "memoized_speedup_64",
-        "descriptor/verify_cold/64",
-        "descriptor/verify_memoized/64",
-    );
-    // ≈1.0 when extend-by-one is chain-length independent.
-    report.derive_ratio(
-        "extend_64_vs_16",
-        "descriptor/verify_extend_by_1/64",
-        "descriptor/verify_extend_by_1/16",
-    );
-    report.derive_ratio(
         "verify_fast_speedup",
         "schnorr61/verify_legacy",
         "schnorr61/verify_fast",
@@ -433,19 +386,6 @@ fn main() {
             &format!("simulation/secure_cycle_{n}"),
             n as u64,
         );
-    }
-
-    if let Some((_, ratio)) = report
-        .derived
-        .iter()
-        .find(|(k, _)| k == "memoized_speedup_16")
-    {
-        if *ratio < 5.0 {
-            eprintln!(
-                "WARNING: memoized re-verify of a 16-link chain is only {ratio:.2}x \
-                 faster than cold verify (target: >=5x)"
-            );
-        }
     }
 
     let path = out.unwrap_or_else(next_bench_path);

@@ -6,7 +6,7 @@
 
 pub mod report;
 
-use sc_core::{SecureDescriptor, Timestamp, VerifyMemo};
+use sc_core::{SecureDescriptor, Timestamp};
 use sc_crypto::{Keypair, Scheme};
 
 /// A deterministic pool of keypairs under `scheme`.
@@ -30,13 +30,6 @@ pub fn chained(keys: &[Keypair], transfers: usize) -> SecureDescriptor {
         d = d.transfer(owner, next.public()).unwrap();
     }
     d
-}
-
-/// A memo pre-warmed with `desc` fully verified into it.
-pub fn warmed_memo(desc: &SecureDescriptor, capacity: usize) -> VerifyMemo {
-    let mut memo = VerifyMemo::new(capacity);
-    desc.verify_with(&mut memo).expect("bench chains are valid");
-    memo
 }
 
 /// Chain lengths the verification benches and the bench-report runner

@@ -29,7 +29,6 @@
 
 use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
-use crate::memo::VerifyMemo;
 use crate::proof::ViolationProof;
 use sc_crypto::{FxHashMap, NodeId};
 use std::collections::VecDeque;
@@ -218,30 +217,6 @@ impl SampleCache {
         now_cycle: u64,
         period_ticks: u64,
     ) -> Observation {
-        self.observe_impl(desc, now_cycle, period_ticks, &mut None)
-    }
-
-    /// Like [`SampleCache::observe`], but routes the verification that
-    /// conflict handling triggers through a verified-chain memo, so
-    /// proof construction only pays for links past the last verified
-    /// tip. This is the variant the protocol node uses.
-    pub fn observe_with(
-        &mut self,
-        desc: &SecureDescriptor,
-        now_cycle: u64,
-        period_ticks: u64,
-        memo: &mut VerifyMemo,
-    ) -> Observation {
-        self.observe_impl(desc, now_cycle, period_ticks, &mut Some(memo))
-    }
-
-    fn observe_impl(
-        &mut self,
-        desc: &SecureDescriptor,
-        now_cycle: u64,
-        period_ticks: u64,
-        memo: &mut Option<&mut VerifyMemo>,
-    ) -> Observation {
         let id = desc.id();
         let ts = id.created_at.ticks();
         let horizon = self.horizon;
@@ -289,11 +264,11 @@ impl SampleCache {
                 Ok(ChainRelation::Divergent {
                     ns_exception: false,
                     ..
-                }) => match build_cloning(cached.desc.clone(), desc.clone(), memo) {
+                }) => match ViolationProof::cloning(cached.desc.clone(), desc.clone()) {
                     Ok(proof) => Observation::Violation(Box::new(proof)),
                     Err(_) => {
                         // One side is forged: keep whichever verifies.
-                        if !verify_ok(&cached.desc, memo) && verify_ok(desc, memo) {
+                        if cached.desc.verify().is_err() && desc.verify().is_ok() {
                             cached.desc = desc.clone();
                         }
                         Observation::Forged
@@ -302,10 +277,11 @@ impl SampleCache {
                 // Two distinct creations with the same timestamp: a
                 // frequency violation with Δt = 0.
                 Err(CompareError::GenesisMismatch) => {
-                    match build_frequency(cached.desc.clone(), desc.clone(), period_ticks, memo) {
+                    match ViolationProof::frequency(cached.desc.clone(), desc.clone(), period_ticks)
+                    {
                         Ok(proof) => Observation::Violation(Box::new(proof)),
                         Err(_) => {
-                            if !verify_ok(&cached.desc, memo) && verify_ok(desc, memo) {
+                            if cached.desc.verify().is_err() && desc.verify().is_ok() {
                                 cached.desc = desc.clone();
                             }
                             Observation::Forged
@@ -332,12 +308,12 @@ impl SampleCache {
         let start = slots.partition_point(|s| s.ts < lo);
         if let Some(conflict) = slots.get(start).filter(|s| s.ts <= hi) {
             let other = conflict.desc.clone();
-            return match build_frequency(other, desc.clone(), period_ticks, memo) {
+            return match ViolationProof::frequency(other, desc.clone(), period_ticks) {
                 Ok(proof) => Observation::Violation(Box::new(proof)),
                 Err(_) => {
                     // One of the two creations is forged; evict it if it
                     // is the cached one and the incoming verifies.
-                    if verify_ok(desc, memo) && !verify_ok(&slots[start].desc, memo) {
+                    if desc.verify().is_ok() && slots[start].desc.verify().is_err() {
                         live.removed(slots.remove(start).last_seen);
                         if slots.is_empty() {
                             self.by_creator.remove(&id.creator);
@@ -389,37 +365,6 @@ impl SampleCache {
         for slot in slots.iter().filter(|s| s.last_seen >= self.horizon) {
             self.live.removed(slot.last_seen);
         }
-    }
-}
-
-/// Verification routed through the memo when one is supplied.
-fn verify_ok(desc: &SecureDescriptor, memo: &mut Option<&mut VerifyMemo>) -> bool {
-    match memo {
-        Some(m) => desc.verify_with(m).is_ok(),
-        None => desc.verify().is_ok(),
-    }
-}
-
-fn build_cloning(
-    left: SecureDescriptor,
-    right: SecureDescriptor,
-    memo: &mut Option<&mut VerifyMemo>,
-) -> Result<ViolationProof, crate::proof::ProofError> {
-    match memo {
-        Some(m) => ViolationProof::cloning_with(left, right, m),
-        None => ViolationProof::cloning(left, right),
-    }
-}
-
-fn build_frequency(
-    left: SecureDescriptor,
-    right: SecureDescriptor,
-    period_ticks: u64,
-    memo: &mut Option<&mut VerifyMemo>,
-) -> Result<ViolationProof, crate::proof::ProofError> {
-    match memo {
-        Some(m) => ViolationProof::frequency_with(left, right, period_ticks, m),
-        None => ViolationProof::frequency(left, right, period_ticks),
     }
 }
 
@@ -655,36 +600,5 @@ mod tests {
     #[test]
     fn debug_nonempty() {
         assert!(!format!("{:?}", SampleCache::new(3)).is_empty());
-    }
-
-    #[test]
-    fn observe_with_memo_matches_plain_observe() {
-        use crate::memo::VerifyMemo;
-        let (a, b, c, d) = (kp(1), kp(2), kp(3), kp(4));
-        let base = SecureDescriptor::create(&a, 0, Timestamp(0))
-            .transfer(&a, b.public())
-            .unwrap();
-        let left = base.transfer(&b, c.public()).unwrap();
-        let right = base.transfer(&b, d.public()).unwrap();
-        let ns = base.redeem(&b, LinkKind::RedeemNonSwappable).unwrap();
-        // New, Extended, AlreadyKnown, NsException, then a genuine
-        // cloning violation — every observation class in one stream.
-        let stream = [&base, &left, &base, &ns, &right];
-        let mut plain = SampleCache::new(60);
-        let mut memoized = SampleCache::new(60);
-        let mut memo = VerifyMemo::new(256);
-        for (i, desc) in stream.iter().enumerate() {
-            let expect = plain.observe(desc, i as u64, PERIOD);
-            let got = memoized.observe_with(desc, i as u64, PERIOD, &mut memo);
-            assert_eq!(got, expect, "observation {i}");
-        }
-        // Conflict handling verified its evidence through the memo: both
-        // forks are verified tips now, one lookup each from here on. (The
-        // fork point lies *below* `left`'s tip, so building the proof hit
-        // nothing — `right` was verified in full, like `verify()` would.)
-        assert_eq!((memo.len(), memo.hits()), (2, 0));
-        let lookups = memo.lookups();
-        assert!(left.verify_with(&mut memo).is_ok() && right.verify_with(&mut memo).is_ok());
-        assert_eq!((memo.lookups() - lookups, memo.hits()), (2, 2));
     }
 }

@@ -19,9 +19,11 @@
 //! Signatures cover a running digest of everything before them, so a link
 //! signature commits to the full history up to that point while signing
 //! and verifying stay O(chain length). [`SecureDescriptor::verify`] is the
-//! plain walk; `verify_with` / `verify_batch_with` are one memo-aware
-//! walker that skips what a [`VerifyMemo`] of verified tips covers and
-//! settles the rest in one batched signature check, verdict-identical.
+//! plain walk. One batch walker serves everything else, verdict-identical:
+//! `verify_batch` — what the protocol node calls — pools every signature
+//! check of several descriptors into one batched pass and consults no
+//! cache; `verify_with` / `verify_batch_with` are the same walk skipping
+//! what a [`VerifyMemo`] of verified tips covers.
 
 use crate::memo::VerifyMemo;
 use crate::time::Timestamp;
@@ -502,7 +504,7 @@ impl SecureDescriptor {
         if memo.contains(&self.state_digest()) {
             return Ok(());
         }
-        Self::walk(&[self], memo, true);
+        Self::walk_with(&[self], memo, true);
         memo.scratch.verdicts[0]
     }
 
@@ -533,22 +535,52 @@ impl SecureDescriptor {
         descs: &[&Self],
         memo: &mut VerifyMemo,
     ) -> Vec<Result<(), DescriptorError>> {
-        Self::walk(descs, memo, false);
+        Self::walk_with(descs, memo, false);
         memo.scratch.verdicts.clone()
     }
 
-    /// The one memo-aware walker: leaves a verdict per descriptor in
-    /// `memo.scratch.verdicts`. `tips_missed`: the caller already looked
-    /// every tip up, in vain.
-    fn walk(descs: &[&Self], memo: &mut VerifyMemo, tips_missed: bool) {
+    /// Verifies several descriptors from scratch, every time: each
+    /// signature of each chain is checked and no verdict is remembered.
+    /// The checks of the whole batch are pooled into a single
+    /// [`sc_crypto::verify_batch_by`] call — one crypto bill for a whole
+    /// received message — and a failing descriptor is blamed for exactly
+    /// the check [`SecureDescriptor::verify`] blames it for. Returns one
+    /// verdict per descriptor, in input order, borrowed from `scratch`
+    /// (the walk's working vectors, which the caller keeps so that a walk
+    /// allocates nothing once they have grown to a message's size).
+    pub(crate) fn verify_batch<'s>(
+        descs: &[&Self],
+        scratch: &'s mut WalkScratch,
+    ) -> &'s [Result<(), DescriptorError>] {
+        Self::walk(descs, None, false, scratch);
+        &scratch.verdicts
+    }
+
+    /// The walk against `memo`, on the scratch vectors `memo` owns.
+    fn walk_with(descs: &[&Self], memo: &mut VerifyMemo, tips_missed: bool) {
         let mut scratch = std::mem::take(&mut memo.scratch);
+        Self::walk(descs, Some(memo), tips_missed, &mut scratch);
+        memo.scratch = scratch;
+    }
+
+    /// The one walker: leaves a verdict per descriptor in
+    /// `scratch.verdicts`. Given a memo it skips the checks a memoized tip
+    /// covers and memoizes the tips that pass (`tips_missed`: the caller
+    /// already looked every tip up, in vain); given none it collects every
+    /// check.
+    fn walk(
+        descs: &[&Self],
+        mut memo: Option<&mut VerifyMemo>,
+        tips_missed: bool,
+        scratch: &mut WalkScratch,
+    ) {
         let WalkScratch {
             plans,
             checks,
             seen_tips,
             bad,
             verdicts,
-        } = &mut scratch;
+        } = scratch;
         plans.clear();
         checks.clear();
         seen_tips.clear();
@@ -561,7 +593,7 @@ impl SecureDescriptor {
             debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
             let start = checks.len();
             // Exact match: this byte content already passed verification.
-            if !tips_missed && memo.contains(&states[n]) {
+            if !tips_missed && memo.as_mut().is_some_and(|m| m.contains(&states[n])) {
                 plans.push(Plan::Walked(start..start, None));
                 continue;
             }
@@ -575,7 +607,9 @@ impl SecureDescriptor {
             // Longest memoized prefix (in links), scanning from the tip so
             // the extend-by-few hot path hits after a couple of lookups.
             // `None` means not even the genesis is known good.
-            let verified_prefix = (0..n).rev().find(|&i| memo.contains(&states[i]));
+            let verified_prefix = memo
+                .as_mut()
+                .and_then(|m| (0..n).rev().find(|&i| m.contains(&states[i])));
             if verified_prefix.is_none() {
                 let g = &d.0.genesis;
                 let msg = genesis_message(&g.creator, g.addr, g.created_at);
@@ -625,8 +659,9 @@ impl SecureDescriptor {
             from += k + 1;
         }
 
-        // Memoize the tips that passed, in input order — the schedule
-        // one-by-one verification follows (a no-op for a tip still there).
+        // Verdicts in input order; with a memo, the tips that passed are
+        // memoized on the schedule one-by-one verification follows (a
+        // no-op for a tip still there).
         for (plan, d) in plans.iter().zip(descs) {
             let verdict = match plan {
                 Plan::DupOf(first) => verdicts[*first],
@@ -635,14 +670,13 @@ impl SecureDescriptor {
                     None => structural.map_or(Ok(()), Err),
                 },
             };
-            if verdict.is_ok() {
-                memo.insert(d.state_digest());
+            if let (Ok(()), Some(m)) = (verdict, memo.as_mut()) {
+                m.insert(d.state_digest());
             }
             verdicts.push(verdict);
         }
         #[cfg(test)]
         tests::SIGNATURE_CHECKS.with(|n| n.set(n.get() + checks.len()));
-        memo.scratch = scratch;
     }
 }
 
@@ -657,9 +691,10 @@ enum Plan {
     Walked(std::ops::Range<usize>, Option<DescriptorError>),
 }
 
-/// Working storage of the memo-aware walker, owned by the [`VerifyMemo`]
-/// it walks against and reused from call to call, so that a walk
-/// allocates nothing once the vectors have grown to a message's size.
+/// Working storage of the walker, owned by whoever verifies — the
+/// protocol node, or the [`VerifyMemo`] a walk goes against — and reused
+/// from call to call, so that a walk allocates nothing once the vectors
+/// have grown to a message's size.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkScratch {
     plans: Vec<Plan>,
@@ -684,7 +719,7 @@ mod tests {
     }
 
     thread_local! {
-        /// Signature checks the memo-aware walker has collected on this
+        /// Signature checks the walker has collected on this
         /// thread (each test runs on its own).
         pub(super) static SIGNATURE_CHECKS: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
@@ -1107,7 +1142,7 @@ mod tests {
 
     /// Oracle: batched verification must equal one-by-one `verify_with`
     /// (and both, plain `verify`) — same verdicts in order, same final
-    /// memo contents.
+    /// memo contents — and so must the memo-less batch the node uses.
     fn assert_batch_matches_sequential(descs: &[&SecureDescriptor], capacity: usize) {
         let mut seq_memo = VerifyMemo::new(capacity);
         let expected: Vec<_> = descs.iter().map(|d| d.verify_with(&mut seq_memo)).collect();
@@ -1116,6 +1151,12 @@ mod tests {
         assert_eq!(got, expected, "verdicts diverge from sequential");
         let plain: Vec<_> = descs.iter().map(|d| d.verify()).collect();
         assert_eq!(got, plain, "verdicts diverge from memo-less verify");
+        let mut scratch = WalkScratch::default();
+        assert_eq!(
+            SecureDescriptor::verify_batch(descs, &mut scratch),
+            plain,
+            "memo-less batch diverges from verify"
+        );
         assert!(batch_memo.len() <= capacity);
         assert_eq!(
             batch_memo.len(),
@@ -1154,6 +1195,16 @@ mod tests {
         assert_batch_matches_sequential(&refs, 3);
         // And with memoization disabled entirely.
         assert_batch_matches_sequential(&refs, 0);
+        // The memo-less batch remembers no verdict: every signature of
+        // every chain is checked, the second time as the first.
+        let mut scratch = WalkScratch::default();
+        for _ in 0..2 {
+            let before = SIGNATURE_CHECKS.get();
+            let verdicts = SecureDescriptor::verify_batch(&refs, &mut scratch);
+            assert!(verdicts.iter().all(Result::is_ok));
+            let all: usize = descs.iter().map(|d| d.chain().len() + 1).sum();
+            assert_eq!(SIGNATURE_CHECKS.get() - before, all);
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultSpec`] describes everything a fault-injecting transport may
 //! do to gossip frames — per-direction drop, bounded delay/reorder,
-//! duplication, partition severing, forced connection resets, and a
-//! bandwidth throttle — plus the seed every decision derives from. The
-//! spec itself makes the decisions: [`FaultSpec::decide`] is a pure
+//! duplication, partition severing and forced connection resets — plus
+//! the seed every decision derives from. The spec itself makes the
+//! decisions: [`FaultSpec::decide`] is a pure
 //! counter-mode PRNG keyed by `(seed, direction, src, dst, frame_index)`,
 //! the same replay discipline as the simulator's `NetworkModel`, so a
 //! failing live run reproduces exactly from the printed seed and two
@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:4,dup=0.02,reset=0.01,
-//! bw=65536,sever=41007+41008
+//! sever=41007+41008
 //! ```
 //!
 //! * `seed` — decision seed (default 0)
@@ -34,7 +34,6 @@
 //!   1..=`w` polls of 500 µs each (bounded reorder)
 //! * `dup` — outbound duplication probability
 //! * `reset` — outbound forced-connection-reset probability
-//! * `bw` — outbound bandwidth throttle in bytes/second (0 = unlimited)
 //! * `sever` — `+`-separated peer addresses cut off entirely (partition)
 
 use crate::wire::{Reader, WireError, Writer};
@@ -86,10 +85,6 @@ pub struct FaultSpec {
     /// Probability the cached connection is reset before an outbound
     /// frame.
     pub reset_prob: f64,
-    /// Outbound bandwidth throttle in bytes/second (0 = unlimited).
-    /// Wall-clock based, so excluded from the deterministic-decision
-    /// contract; everything else replays exactly.
-    pub bandwidth_bytes_per_sec: u64,
     /// Peer addresses severed entirely (both directions), kept sorted.
     pub severed: Vec<Addr>,
 }
@@ -104,7 +99,6 @@ impl Default for FaultSpec {
             delay_max_polls: DEFAULT_DELAY_WINDOW,
             dup_prob: 0.0,
             reset_prob: 0.0,
-            bandwidth_bytes_per_sec: 0,
             severed: Vec::new(),
         }
     }
@@ -140,7 +134,6 @@ impl FaultSpec {
             && self.delay_prob == 0.0
             && self.dup_prob == 0.0
             && self.reset_prob == 0.0
-            && self.bandwidth_bytes_per_sec == 0
             && self.severed.is_empty()
     }
 
@@ -245,11 +238,6 @@ impl FaultSpec {
                 }
                 "dup" => spec.dup_prob = prob(val)?,
                 "reset" => spec.reset_prob = prob(val)?,
-                "bw" => {
-                    spec.bandwidth_bytes_per_sec = val
-                        .parse()
-                        .map_err(|_| format!("fault-spec bw: '{val}' is not a u64"))?;
-                }
                 "sever" => {
                     for a in val.split('+').filter(|a| !a.is_empty()) {
                         let addr: Addr = a
@@ -278,7 +266,6 @@ impl FaultSpec {
             w.u64(p.to_bits());
         }
         w.u32(self.delay_max_polls);
-        w.u64(self.bandwidth_bytes_per_sec);
         w.list(2, &self.severed, |w, a| w.u32(*a));
     }
 
@@ -298,7 +285,6 @@ impl FaultSpec {
         let dup_prob = f64::from_bits(c.u64()?);
         let reset_prob = f64::from_bits(c.u64()?);
         let delay_max_polls = c.u32()?;
-        let bandwidth_bytes_per_sec = c.u64()?;
         let n = c.u16()? as usize;
         c.list_count(n, 4096, 4)?;
         let mut severed = Vec::with_capacity(n);
@@ -314,7 +300,6 @@ impl FaultSpec {
             delay_max_polls,
             dup_prob,
             reset_prob,
-            bandwidth_bytes_per_sec,
             severed,
         }
         .sanitized();
@@ -351,9 +336,6 @@ impl core::fmt::Display for FaultSpec {
         if self.reset_prob > 0.0 {
             parts.push(format!("reset={}", self.reset_prob));
         }
-        if self.bandwidth_bytes_per_sec > 0 {
-            parts.push(format!("bw={}", self.bandwidth_bytes_per_sec));
-        }
         if !self.severed.is_empty() {
             let addrs: Vec<String> = self.severed.iter().map(|a| a.to_string()).collect();
             parts.push(format!("sever={}", addrs.join("+")));
@@ -370,7 +352,7 @@ mod tests {
     fn parse_grammar_roundtrips_through_display() {
         let spec = FaultSpec::parse(
             "seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:3,dup=0.02,reset=0.01,\
-             bw=65536,sever=41008+41007",
+             sever=41008+41007",
         )
         .unwrap();
         assert_eq!(spec.seed, 7);
@@ -395,6 +377,11 @@ mod tests {
         assert!(FaultSpec::parse("drop=nan").is_err());
         assert!(FaultSpec::parse("nonsense").is_err());
         assert!(FaultSpec::parse("unknown=1").is_err());
+        assert_eq!(
+            FaultSpec::parse("bw=65536").unwrap_err(),
+            "unknown fault-spec key 'bw'",
+            "the bandwidth throttle is gone"
+        );
         assert!(FaultSpec::parse("delay=0.5:0").is_err());
         assert!(FaultSpec::parse("sever=abc").is_err());
     }

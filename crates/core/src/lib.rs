@@ -18,7 +18,8 @@
 //! * [`descriptor`] — secure descriptors and ownership chains (§IV-A)
 //! * [`chain`] — chain compatibility algebra (§IV-B)
 //! * [`checks`] — sample cache, frequency + ownership checks (§IV-B)
-//! * [`memo`] — bounded memo of verified chains (their tip digests)
+//! * [`memo`] — bounded memo of verified chains; a library type no node
+//!   uses (an honest node verifies what it relies on, every time)
 //! * [`proof`] — transferable violation proofs (§IV-B)
 //! * [`blacklist`] — proof-backed eviction (§IV-C)
 //! * [`view`] — the secure partial view with non-swappable slots (§V-A)

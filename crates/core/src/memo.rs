@@ -1,6 +1,15 @@
 //! Bounded memo of *verified* chains — the cache behind
 //! `SecureDescriptor::verify_with`.
 //!
+//! **The protocol node does not use it.** An honest node checks every
+//! signature of every descriptor it relies on, every time
+//! (`SecureDescriptor::verify_batch`); measured on the benchmark's honest
+//! workload the memo saved 2.8 % of those checks for as many hash-set
+//! lookups as there are checks and ≈ 40 kB per node, and left the node.
+//! The type stays
+//! exported, with its tests, for the two layer probes of `perfbench/`
+//! that still time it, and goes when they do (ROADMAP item 1).
+//!
 //! Every descriptor carries a running state digest that commits to its
 //! genesis record and every chain link (including signatures). Once a
 //! node has fully verified a descriptor, its **tip** digest — the state
@@ -34,7 +43,7 @@
 //!
 //! The memo is bounded FIFO: beyond `capacity` digests the oldest entry
 //! is dropped, degrading gracefully to full verification; zero disables
-//! it. The protocol node sizes it from ℓ (`SecureConfig::memo_capacity`).
+//! it.
 
 use crate::descriptor::WalkScratch;
 use sc_crypto::{Digest, FxHashSet};

@@ -232,9 +232,13 @@ impl SecureCyclonNode {
         let got_any = !transfers.is_empty();
         // One verification pass over every transfer about to be relied on.
         let incoming: Vec<&SecureDescriptor> = transfers.iter().take(expect).collect();
-        let verdicts = SecureDescriptor::verify_batch_with(&incoming, &mut self.verify_memo);
-        for (t, verdict) in transfers.into_iter().zip(verdicts) {
-            self.accept_verified_transfer(t, verdict.is_ok(), partner_id, cycle);
+        let verdicts: Vec<bool> =
+            SecureDescriptor::verify_batch(&incoming, &mut self.verify_scratch)
+                .iter()
+                .map(Result::is_ok)
+                .collect();
+        for (t, verified) in transfers.into_iter().zip(verdicts) {
+            self.accept_verified_transfer(t, verified, partner_id, cycle);
         }
         self.cfg.tit_for_tat && got_any
     }
@@ -300,7 +304,7 @@ impl SecureCyclonNode {
     /// to some other peer, marking it as non-swappable" (§V-A).
     fn lose_to_ns(&mut self, pre: SecureDescriptor, cycle: u64) {
         self.note_spent(pre.state_digest(), cycle);
-        if self.pending_ns.len() == self.cfg.transfer_history_len {
+        if self.pending_ns.len() == super::TRANSFER_HISTORY_LEN {
             self.pending_ns.pop_front();
         }
         self.pending_ns.push_back(pre);

@@ -15,6 +15,15 @@ use sc_crypto::{FxHashSet, NodeId};
 /// must not permanently consume a node's per-cycle descriptor budget.
 const JOIN_GRANT_GAP_CYCLES: u64 = 4;
 
+/// Maximum accepted deviation between a *fresh* descriptor's timestamp and
+/// the receiver's clock, in ticks, on top of one gossip period (§IV-A
+/// clock-skew review).
+const MAX_SKEW_TICKS: u64 = 1000;
+
+/// Maximum non-swappable redemptions a creator accepts per cycle (§V-A,
+/// restriction 2).
+const MAX_NS_REDEMPTIONS_PER_CYCLE: u32 = 1;
+
 impl SecureCyclonNode {
     /// Installs a bootstrap descriptor (ownership must already point at
     /// this node). Returns whether it was stored.
@@ -37,7 +46,7 @@ impl SecureCyclonNode {
         if desc.owner() != self.id || desc.creator() == self.id || desc.is_redeemed() {
             return false;
         }
-        let verified = desc.verify_with(&mut self.verify_memo).is_ok();
+        let verified = self.verifies(&desc);
         if !self.absorb_descriptor(&desc, verified, cycle) {
             return false;
         }
@@ -54,12 +63,10 @@ impl SecureCyclonNode {
     /// certificate: counts a forgery, else runs the §IV-B checks.
     ///
     /// `verified` is the verdict of this step's **one** verification pass
-    /// against the verified-chain memo (`verify_with` for a lone
-    /// transfer, `verify_batch_with` where a message carries several): a
-    /// byte-identical re-intake is one lookup, a chain that grew pays for
-    /// the links past the tip verified last time, a first sighting is
-    /// verified in full. The memo holds only locally verified chains, so
-    /// a forged sample cannot pre-clear the same bytes as a transfer.
+    /// (`SecureDescriptor::verify_batch` over everything the message makes
+    /// the node rely on): every signature of the chain, checked now. No
+    /// verdict outlives the step, so nothing seen earlier — a forged
+    /// sample with the same bytes, say — can pre-clear a transfer.
     /// Samples are not verified at intake, only on §IV-B conflict.
     fn absorb_descriptor(&mut self, desc: &SecureDescriptor, verified: bool, cycle: u64) -> bool {
         if self.blacklist.contains(&desc.creator()) {
@@ -84,12 +91,7 @@ impl SecureCyclonNode {
 
     fn check_only(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
         self.stats.samples_processed += 1;
-        match self.samples.observe_with(
-            desc,
-            cycle,
-            self.cfg.ticks_per_cycle,
-            &mut self.verify_memo,
-        ) {
+        match self.samples.observe(desc, cycle, self.cfg.ticks_per_cycle) {
             Observation::Violation(proof) => {
                 self.discover_violation(*proof, cycle);
                 false
@@ -119,10 +121,15 @@ impl SecureCyclonNode {
         d.owner_at(last) == from
     }
 
+    /// Whether a lone descriptor the node is about to rely on verifies.
+    fn verifies(&mut self, d: &SecureDescriptor) -> bool {
+        SecureDescriptor::verify_batch(&[d], &mut self.verify_scratch)[0].is_ok()
+    }
+
     /// Full intake of a lone owned transfer: verify, validate, check,
     /// insert.
     pub(super) fn accept_transfer(&mut self, d: SecureDescriptor, from: NodeId, cycle: u64) {
-        let verified = d.verify_with(&mut self.verify_memo).is_ok();
+        let verified = self.verifies(&d);
         self.accept_verified_transfer(d, verified, from, cycle);
     }
 
@@ -193,8 +200,9 @@ impl SecureCyclonNode {
         to_verify.push(&redeemed);
         to_verify.push(&fresh);
         to_verify.extend(offered.iter().take(eager));
-        let verdicts = SecureDescriptor::verify_batch_with(&to_verify, &mut self.verify_memo);
+        let verdicts = SecureDescriptor::verify_batch(&to_verify, &mut self.verify_scratch);
         let (red_verified, fresh_verified) = (verdicts[0].is_ok(), verdicts[1].is_ok());
+        let offered_verified: Vec<bool> = verdicts[2..].iter().map(Result::is_ok).collect();
 
         // -- validate the redemption certificate -----------------------
         if !red_verified || redeemed.creator() != self.id {
@@ -217,7 +225,7 @@ impl SecureCyclonNode {
             && fresh.chain().len() == 1
             && !fresh.is_redeemed()
             && fresh.created_at().distance(Timestamp(now))
-                <= self.cfg.max_skew_ticks + self.cfg.ticks_per_cycle;
+                <= MAX_SKEW_TICKS + self.cfg.ticks_per_cycle;
         if !fresh_ok {
             self.stats.refused += 1;
             return None;
@@ -248,10 +256,8 @@ impl SecureCyclonNode {
                     self.stats.refused += 1;
                     return None;
                 }
-                // Rule 2: at most a configured number of NS redemptions
-                // accepted per cycle.
-                if self.ns_accepted.0 == cycle
-                    && self.ns_accepted.1 >= self.cfg.max_ns_redemptions_per_cycle
+                // Rule 2: at most one NS redemption accepted per cycle.
+                if self.ns_accepted.0 == cycle && self.ns_accepted.1 >= MAX_NS_REDEMPTIONS_PER_CYCLE
                 {
                     self.stats.refused += 1;
                     return None;
@@ -333,9 +339,9 @@ impl SecureCyclonNode {
             }
         }
         if !self.cfg.tit_for_tat {
-            let offered = offered.into_iter().zip(&verdicts[2..]);
-            for (d, verdict) in offered.take(quota.saturating_sub(1)) {
-                self.accept_verified_transfer(d, verdict.is_ok(), redeemer, cycle);
+            let offered = offered.into_iter().zip(offered_verified);
+            for (d, verified) in offered.take(quota.saturating_sub(1)) {
+                self.accept_verified_transfer(d, verified, redeemer, cycle);
             }
         }
 

@@ -42,9 +42,8 @@ mod tests;
 use crate::blacklist::Blacklist;
 use crate::checks::SampleCache;
 use crate::config::SecureConfig;
-use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
+use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor, WalkScratch};
 use crate::machine::{Effects, Input, Machine};
-use crate::memo::VerifyMemo;
 use crate::msg::SecureMsg;
 use crate::proof::{ProofKind, ViolationProof};
 use crate::redemption::RedemptionCache;
@@ -59,6 +58,22 @@ use sc_crypto::{FxHashMap, FxHashSet};
 use sc_crypto::{Keypair, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+
+/// Hard cap on redemption-cache entries, independent of age. Under heavy
+/// churn a single retention window (`redemption_cache_cycles`) can
+/// accumulate arbitrarily many redeemed descriptors; the cap evicts the
+/// oldest first so the cache degrades to the paper's steady-state
+/// behaviour instead of growing without bound.
+pub const REDEMPTION_CACHE_MAX_ENTRIES: usize = 64;
+
+/// Sample-cache retention, in cycles (§IV-B "cache all descriptors seen",
+/// bounded in practice by descriptor lifetime ≈ ℓ). Replay refusals and
+/// spent-state markers expire on the same horizon.
+pub const SAMPLE_RETENTION_CYCLES: u64 = 60;
+
+/// How many recently transferred descriptors each back-fill pool
+/// remembers as candidates for non-swappable repair (§V-A).
+const TRANSFER_HISTORY_LEN: usize = 8;
 
 /// Per-node protocol counters, exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -166,11 +181,11 @@ pub struct SecureCyclonNode {
     phase: u64,
     view: SecureView,
     samples: SampleCache,
-    /// Bounded memo of verified chains (their tip digests), sized from ℓ:
-    /// every descriptor the node relies on is verified against it, so
-    /// intake costs amortized O(links appended since last sighting)
-    /// instead of O(chain) signature checks per message.
-    verify_memo: VerifyMemo,
+    /// Working vectors of the verification walk, kept so that verifying
+    /// a message allocates nothing. They carry no verdict from one call
+    /// to the next: every descriptor the node relies on has all its
+    /// signatures checked, every time.
+    verify_scratch: WalkScratch,
     redemptions: RedemptionCache,
     /// Pre-transfer copies of descriptors lost in failed exchanges — the
     /// first-priority candidates for non-swappable back-fill (§V-A). In a
@@ -289,14 +304,14 @@ impl SecureCyclonNode {
             addr,
             phase,
             view: SecureView::new(id, cfg.view_len),
-            samples: SampleCache::new(cfg.sample_retention_cycles),
-            verify_memo: VerifyMemo::new(cfg.memo_capacity()),
+            samples: SampleCache::new(SAMPLE_RETENTION_CYCLES),
+            verify_scratch: WalkScratch::default(),
             redemptions: RedemptionCache::bounded(
                 cfg.redemption_cache_cycles,
-                cfg.redemption_cache_max_entries,
+                REDEMPTION_CACHE_MAX_ENTRIES,
             ),
-            pending_ns: VecDeque::with_capacity(cfg.transfer_history_len),
-            transfer_history: VecDeque::with_capacity(cfg.transfer_history_len),
+            pending_ns: VecDeque::with_capacity(TRANSFER_HISTORY_LEN),
+            transfer_history: VecDeque::with_capacity(TRANSFER_HISTORY_LEN),
             blacklist: Blacklist::new(),
             reserve: VecDeque::new(),
             redeemed_regular: FxHashMap::default(),
@@ -374,11 +389,6 @@ impl SecureCyclonNode {
     /// (§V-C).
     pub fn redemption_count(&self) -> usize {
         self.redemptions.len()
-    }
-
-    /// Number of verified chains the memo currently remembers.
-    pub fn verify_memo_len(&self) -> usize {
-        self.verify_memo.len()
     }
 
     /// Protocol counters.
@@ -468,7 +478,7 @@ impl SecureCyclonNode {
     /// descriptor as a last-resort NS back-fill candidate.
     fn remember_transfer(&mut self, pre: SecureDescriptor, cycle: u64) {
         self.note_spent(pre.state_digest(), cycle);
-        if self.transfer_history.len() == self.cfg.transfer_history_len {
+        if self.transfer_history.len() == TRANSFER_HISTORY_LEN {
             self.transfer_history.pop_front();
         }
         self.transfer_history.push_back(pre);
@@ -484,7 +494,7 @@ impl SecureCyclonNode {
             cycle.saturating_sub(1),
             |s| s.cycle,
         );
-        let horizon = cycle.saturating_sub(self.cfg.sample_retention_cycles);
+        let horizon = cycle.saturating_sub(SAMPLE_RETENTION_CYCLES);
         expire(
             &mut self.redeemed_expiry,
             &mut self.redeemed_regular,

@@ -30,7 +30,7 @@ fn housekeeping_expires_exactly_what_a_full_scan_would() {
     // cycle (`note_spent` refreshes) and entries recovered out of
     // order after a restart.
     let cfg = small_cfg().validated();
-    let retention = cfg.sample_retention_cycles;
+    let retention = SAMPLE_RETENTION_CYCLES;
     let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
     let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
     node.restore(PersistentState {
@@ -66,7 +66,7 @@ fn late_resolving_exchange_only_delays_expiry() {
     // exactly that overrun: dropped with the younger record, not before
     // its own horizon and not never.
     let cfg = small_cfg().validated();
-    let retention = cfg.sample_retention_cycles;
+    let retention = SAMPLE_RETENTION_CYCLES;
     let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
     let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
     let (served, late) = (digest(1), digest(2));

@@ -9,7 +9,6 @@
 
 use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorError, SecureDescriptor};
-use crate::memo::VerifyMemo;
 use sc_crypto::{sha256_concat, Digest, NodeId};
 
 /// The two classes of provable violation.
@@ -76,27 +75,7 @@ impl ViolationProof {
     /// (wrong ids, compatible chains, bad signatures, or the sanctioned
     /// non-swappable exception).
     pub fn cloning(left: SecureDescriptor, right: SecureDescriptor) -> Result<Self, ProofError> {
-        let culprit = validate_cloning(&left, &right, &mut None)?;
-        Ok(ViolationProof {
-            kind: ProofKind::Cloning,
-            culprit,
-            left,
-            right,
-        })
-    }
-
-    /// Like [`ViolationProof::cloning`], but verifies the two descriptors
-    /// through a local verified-chain memo: whatever part of either chain
-    /// this node verified before (as a tip) is not checked again, and both
-    /// are memoized for the next conflict. Sound for local proof
-    /// *construction* only — third parties re-validate from scratch via
-    /// [`ViolationProof::validate`], which never consults a memo.
-    pub fn cloning_with(
-        left: SecureDescriptor,
-        right: SecureDescriptor,
-        memo: &mut VerifyMemo,
-    ) -> Result<Self, ProofError> {
-        let culprit = validate_cloning(&left, &right, &mut Some(memo))?;
+        let culprit = validate_cloning(&left, &right)?;
         Ok(ViolationProof {
             kind: ProofKind::Cloning,
             culprit,
@@ -116,24 +95,7 @@ impl ViolationProof {
         right: SecureDescriptor,
         period_ticks: u64,
     ) -> Result<Self, ProofError> {
-        let culprit = validate_frequency(&left, &right, period_ticks, &mut None)?;
-        Ok(ViolationProof {
-            kind: ProofKind::Frequency,
-            culprit,
-            left,
-            right,
-        })
-    }
-
-    /// Memo-assisted variant of [`ViolationProof::frequency`] for local
-    /// proof construction (see [`ViolationProof::cloning_with`]).
-    pub fn frequency_with(
-        left: SecureDescriptor,
-        right: SecureDescriptor,
-        period_ticks: u64,
-        memo: &mut VerifyMemo,
-    ) -> Result<Self, ProofError> {
-        let culprit = validate_frequency(&left, &right, period_ticks, &mut Some(memo))?;
+        let culprit = validate_frequency(&left, &right, period_ticks)?;
         Ok(ViolationProof {
             kind: ProofKind::Frequency,
             culprit,
@@ -159,8 +121,8 @@ impl ViolationProof {
 
     /// Re-validates the proof from scratch, as a third party receiving it
     /// over the network must (§IV-C: "legitimate nodes should check that
-    /// each received proof has valid content"). Deliberately bypasses any
-    /// verified-chain memo so proofs remain self-certifying.
+    /// each received proof has valid content"): every signature of both
+    /// descriptors is checked, so proofs remain self-certifying.
     ///
     /// # Errors
     ///
@@ -168,10 +130,8 @@ impl ViolationProof {
     /// violation.
     pub fn validate(&self, period_ticks: u64) -> Result<NodeId, ProofError> {
         let culprit = match self.kind {
-            ProofKind::Cloning => validate_cloning(&self.left, &self.right, &mut None)?,
-            ProofKind::Frequency => {
-                validate_frequency(&self.left, &self.right, period_ticks, &mut None)?
-            }
+            ProofKind::Cloning => validate_cloning(&self.left, &self.right)?,
+            ProofKind::Frequency => validate_frequency(&self.left, &self.right, period_ticks)?,
         };
         if culprit != self.culprit {
             return Err(ProofError::NoConflict);
@@ -194,26 +154,12 @@ impl ViolationProof {
     }
 }
 
-/// Verifies one evidence descriptor, through the memo when one is
-/// supplied (local construction) and fully otherwise (third-party
-/// re-validation).
-fn verify_evidence(
-    d: &SecureDescriptor,
-    memo: &mut Option<&mut VerifyMemo>,
-) -> Result<(), DescriptorError> {
-    match memo {
-        Some(m) => d.verify_with(m),
-        None => d.verify(),
-    }
-}
-
 fn validate_cloning(
     left: &SecureDescriptor,
     right: &SecureDescriptor,
-    memo: &mut Option<&mut VerifyMemo>,
 ) -> Result<NodeId, ProofError> {
-    verify_evidence(left, memo)?;
-    verify_evidence(right, memo)?;
+    left.verify()?;
+    right.verify()?;
     match compare_chains(left, right) {
         Ok(ChainRelation::Divergent {
             signer,
@@ -235,10 +181,9 @@ fn validate_frequency(
     left: &SecureDescriptor,
     right: &SecureDescriptor,
     period_ticks: u64,
-    memo: &mut Option<&mut VerifyMemo>,
 ) -> Result<NodeId, ProofError> {
-    verify_evidence(left, memo)?;
-    verify_evidence(right, memo)?;
+    left.verify()?;
+    right.verify()?;
     if left.creator() != right.creator() {
         return Err(ProofError::DifferentCreators);
     }
@@ -380,45 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn memoized_construction_matches_full_construction() {
-        use crate::memo::VerifyMemo;
-        let (left, right, culprit) = cloning_pair();
-        let mut memo = VerifyMemo::new(64);
-        // Warm the memo with one side; the other shares its prefix.
-        left.verify_with(&mut memo).unwrap();
-        let hits_before = memo.hits();
-        let fast = ViolationProof::cloning_with(left.clone(), right.clone(), &mut memo).unwrap();
-        assert!(memo.hits() > hits_before, "shared prefix served from memo");
-        let full = ViolationProof::cloning(left, right).unwrap();
-        assert_eq!(fast, full);
-        assert_eq!(fast.validate(PERIOD).unwrap(), culprit);
-
-        let a = kp(1);
-        let d1 = SecureDescriptor::create(&a, 0, Timestamp(5000));
-        let d2 = SecureDescriptor::create(&a, 0, Timestamp(5400));
-        let fast = ViolationProof::frequency_with(d1.clone(), d2.clone(), PERIOD, &mut memo);
-        let full = ViolationProof::frequency(d1, d2, PERIOD);
-        assert_eq!(fast, full);
-    }
-
-    #[test]
-    fn memoized_construction_rejects_forged_evidence() {
-        use crate::descriptor::ChainLink;
-        use crate::memo::VerifyMemo;
-        use sc_crypto::Signature;
+    fn cloning_rejects_forged_evidence() {
         let (left, right, _) = cloning_pair();
-        let mut memo = VerifyMemo::new(64);
-        left.verify_with(&mut memo).unwrap();
-        // Corrupt the non-memoized side's last link signature.
-        let mut links: Vec<ChainLink> = right.chain().to_vec();
-        let mut sig = *links.last().unwrap().sig.as_bytes();
+        let mut links = right.chain().to_vec();
+        let mut sig = *links[1].sig.as_bytes();
         sig[9] ^= 0x01;
-        links.last_mut().unwrap().sig = Signature::from_bytes(sig);
+        links[1].sig = sc_crypto::Signature::from_bytes(sig);
         let forged = SecureDescriptor::from_parts(*right.genesis(), links);
-        assert!(matches!(
-            ViolationProof::cloning_with(left, forged, &mut memo).unwrap_err(),
-            ProofError::BadDescriptor(_)
-        ));
+        assert_eq!(
+            ViolationProof::cloning(left, forged).unwrap_err(),
+            ProofError::BadDescriptor(DescriptorError::BadLinkSignature { index: 1 })
+        );
     }
 
     #[test]

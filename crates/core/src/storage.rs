@@ -26,8 +26,8 @@
 //! the spent-state digests (re-signing an already-continued state is
 //! self-made *cloning* evidence), the regular/NS redemption replay
 //! guards, and the per-cycle emission marker (the frequency bugfix).
-//! Purely ephemeral machinery — open sessions, the sample cache, the
-//! verify memo, pending floods — is deliberately rebuilt from gossip.
+//! Purely ephemeral machinery — open sessions, the sample cache,
+//! pending floods — is deliberately rebuilt from gossip.
 //!
 //! # Log format
 //!

@@ -48,10 +48,10 @@ pub struct NodeConfig {
     pub scheme: Scheme,
     /// Protocol sizing.
     pub secure: SecureConfig,
-    /// Decode-side wire limits.
+    /// Decode-side wire limits. Their `max_frame_bytes`
+    /// (`--max-frame-bytes`) is also the cap the transport frames at, so
+    /// a frame the transport admits is one the decoder accepts.
     pub wire_limits: WireLimits,
-    /// Cap on one frame's payload (also bounds decode allocation).
-    pub max_frame_bytes: usize,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
     /// How long an in-turn RPC waits for its reply.
@@ -90,8 +90,10 @@ impl NodeConfig {
             linger_ms: 30_000,
             scheme: Scheme::Schnorr61,
             secure: SecureConfig::default(),
-            wire_limits: WireLimits::DEFAULT,
-            max_frame_bytes: super::frame::DEFAULT_MAX_FRAME_BYTES,
+            wire_limits: WireLimits {
+                max_frame_bytes: super::frame::DEFAULT_MAX_FRAME_BYTES,
+                ..WireLimits::DEFAULT
+            },
             connect_timeout: Duration::from_millis(250),
             rpc_timeout: Duration::from_millis(40),
             rpc_retransmits: 1,
@@ -174,7 +176,7 @@ impl NodeConfig {
                     };
                 }
                 "--max-frame-bytes" => {
-                    cfg.max_frame_bytes =
+                    cfg.wire_limits.max_frame_bytes =
                         parse_num(val("--max-frame-bytes")?, "--max-frame-bytes")?;
                 }
                 "--rpc-timeout-ms" => {
@@ -203,10 +205,6 @@ impl NodeConfig {
         if let Some(s) = swap_len {
             cfg.secure = cfg.secure.with_swap_len(s);
         }
-        cfg.wire_limits = WireLimits {
-            max_frame_bytes: cfg.max_frame_bytes,
-            ..WireLimits::DEFAULT
-        };
         if cfg.cycle_ms == 0 {
             return Err("--cycle-ms must be positive".into());
         }
@@ -244,6 +242,23 @@ mod tests {
         assert_eq!(cfg.scheme, Scheme::KeyedHash);
         assert!(cfg.sponsor.is_none());
         assert!(cfg.state_dir.is_none());
+    }
+
+    #[test]
+    fn new_and_parse_agree_on_the_frame_cap() {
+        let parsed = NodeConfig::parse(&args("--addr 41000")).unwrap();
+        let built = NodeConfig::new(41000, 0);
+        assert_eq!(built.wire_limits, parsed.wire_limits);
+        assert_eq!(
+            built.wire_limits.max_frame_bytes,
+            crate::frame::DEFAULT_MAX_FRAME_BYTES
+        );
+        let small = NodeConfig::parse(&args("--addr 41000 --max-frame-bytes 65536")).unwrap();
+        assert_eq!(small.wire_limits.max_frame_bytes, 65536);
+        assert_eq!(
+            small.wire_limits.max_chain_links,
+            WireLimits::DEFAULT.max_chain_links
+        );
     }
 
     #[test]

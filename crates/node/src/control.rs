@@ -84,7 +84,7 @@ fn stats_to_array(s: &SecureStats) -> [u64; 23] {
 
 /// The [`TransportStats`] counters in wire order — same append-only
 /// discipline as [`stats_to_array`].
-fn transport_to_array(t: &TransportStats) -> [u64; 13] {
+fn transport_to_array(t: &TransportStats) -> [u64; 12] {
     [
         t.frames_in,
         t.frames_out,
@@ -98,7 +98,6 @@ fn transport_to_array(t: &TransportStats) -> [u64; 13] {
         t.frames_delayed,
         t.frames_duplicated,
         t.resets_injected,
-        t.frames_throttled,
     ]
 }
 
@@ -117,7 +116,6 @@ fn transport_from_array(a: &[u64]) -> TransportStats {
         frames_delayed: g(9),
         frames_duplicated: g(10),
         resets_injected: g(11),
-        frames_throttled: g(12),
     }
 }
 

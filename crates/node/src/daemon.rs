@@ -167,7 +167,11 @@ impl Daemon {
         // cloning evidence. The frequency half of the same guard is the
         // recovered emission marker (`last_emission`).
         let recovered = !node.view().is_empty() || node.last_emission().is_some();
-        let tcp = TcpTransport::bind(cfg.addr, cfg.connect_timeout, cfg.max_frame_bytes)?;
+        let tcp = TcpTransport::bind(
+            cfg.addr,
+            cfg.connect_timeout,
+            cfg.wire_limits.max_frame_bytes,
+        )?;
         let transport = FaultTransport::new(tcp, cfg.fault_spec.clone());
         let start_cycle = cfg.secure.view_len as u64;
         let epoch_ms = if cfg.epoch_millis == 0 {

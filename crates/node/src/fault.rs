@@ -3,12 +3,11 @@
 //! [`FaultTransport`] wraps an inner transport and applies a
 //! [`FaultSpec`] to every *gossip* frame crossing it: seeded per-frame
 //! drop (each direction), bounded delay/reorder via a release queue,
-//! outbound duplication, partition severing by peer address, forced
-//! connection resets, and a wall-clock bandwidth throttle. It has no
-//! wait loop of its own: a delayed frame is held until an [`Instant`],
-//! and `recv` hands the inner transport a wait of `min(caller's timeout,
-//! earliest release)` — the process sleeps in the inner transport's
-//! `poll(2)` either way. Control frames (`Ctrl*`) are exempt in both
+//! outbound duplication, partition severing by peer address, and forced
+//! connection resets. It never sleeps and has no wait loop of its own: a
+//! delayed frame is held until an [`Instant`], and `recv` hands the inner
+//! transport a wait of `min(caller's timeout, earliest release)` — the
+//! process sleeps in the inner transport's `poll(2)` either way. Control frames (`Ctrl*`) are exempt in both
 //! directions so a harness can always scrape, reconfigure, and shut
 //! down a daemon no matter how hostile the injected network is.
 //!
@@ -17,9 +16,9 @@
 //! frame index counted per peer per direction. The same spec applied to
 //! the same frame sequence therefore makes byte-identical decisions —
 //! the whole point: a failing live-cluster run replays exactly from the
-//! printed seed. Two things meter real elapsed time and so only shape
-//! pacing, never which frames survive: the bandwidth throttle, and how
-//! long a delayed frame is held (500 µs per decided poll).
+//! printed seed. One thing meters real elapsed time and so only shapes
+//! pacing, never which frames survive: how long a delayed frame is held
+//! (500 µs per decided poll).
 
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, Transport, TransportStats};
@@ -33,9 +32,6 @@ use std::time::{Duration, Instant};
 /// 500 µs sleep-poll loop that released held frames by counting its own
 /// passes; `delay=<p>:<w>` specs keep meaning what they meant then.
 const DELAY_UNIT: Duration = Duration::from_micros(500);
-/// Upper bound on one throttle stall, so a tiny `bw=` cannot wedge the
-/// daemon's event loop.
-const MAX_THROTTLE_STALL: Duration = Duration::from_millis(100);
 
 /// Counters for injected faults, merged into [`TransportStats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,7 +40,6 @@ struct Injected {
     delayed: u64,
     duplicated: u64,
     resets: u64,
-    throttled: u64,
 }
 
 /// A fault-injecting [`Transport`] wrapper. See the module docs.
@@ -58,9 +53,6 @@ pub struct FaultTransport<T: Transport> {
     /// Delayed frames in arrival order, each with its release time.
     held: VecDeque<(Instant, Inbound)>,
     injected: Injected,
-    /// Token bucket for the bandwidth throttle.
-    bucket: f64,
-    bucket_at: Instant,
 }
 
 fn is_control(kind: FrameKind) -> bool {
@@ -84,8 +76,6 @@ impl<T: Transport> FaultTransport<T> {
             in_index: HashMap::new(),
             held: VecDeque::new(),
             injected: Injected::default(),
-            bucket: 0.0,
-            bucket_at: Instant::now(),
         }
     }
 
@@ -105,31 +95,6 @@ impl<T: Transport> FaultTransport<T> {
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Blocks until the token bucket covers `bytes`, metering
-    /// `bandwidth_bytes_per_sec` (stall capped so the event loop cannot
-    /// wedge).
-    fn throttle(&mut self, bytes: usize) {
-        let bw = self.spec.bandwidth_bytes_per_sec;
-        if bw == 0 {
-            return;
-        }
-        let bw = bw as f64;
-        let now = Instant::now();
-        self.bucket += now.duration_since(self.bucket_at).as_secs_f64() * bw;
-        self.bucket_at = now;
-        // Burst cap: one second of budget.
-        self.bucket = self.bucket.min(bw);
-        let need = bytes as f64;
-        if self.bucket < need {
-            let wait = Duration::from_secs_f64((need - self.bucket) / bw).min(MAX_THROTTLE_STALL);
-            std::thread::sleep(wait);
-            self.bucket += wait.as_secs_f64() * bw;
-            self.bucket_at = Instant::now();
-            self.injected.throttled += 1;
-        }
-        self.bucket -= need;
     }
 
     /// Applies inbound faults to one frame: `None` if dropped or held
@@ -199,12 +164,9 @@ impl<T: Transport> Transport for FaultTransport<T> {
             self.injected.dropped += 1;
             return true;
         }
-        let wire_len = crate::frame::FRAME_HEADER_BYTES + frame.payload.len();
-        self.throttle(wire_len);
         let sent = self.inner.send_to(to, frame);
         if sent && d.duplicate {
             self.injected.duplicated += 1;
-            self.throttle(wire_len);
             let _ = self.inner.send_to(to, frame);
         }
         sent
@@ -251,7 +213,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
         s.frames_delayed = self.injected.delayed;
         s.frames_duplicated = self.injected.duplicated;
         s.resets_injected = self.injected.resets;
-        s.frames_throttled = self.injected.throttled;
         s
     }
 

@@ -106,7 +106,6 @@ Fault injection (deterministic; every decision replays from the seed):
                                              receive polls (reorder bound)
                            dup=<p>           outbound duplication
                            reset=<p>         forced connection resets
-                           bw=<bytes/s>      outbound bandwidth throttle
                            sever=<p1>+<p2>   cut these peers off entirely
                          control frames are always exempt; harnesses can
                          replace the spec mid-run via CtrlFault frames,

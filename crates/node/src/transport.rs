@@ -62,8 +62,6 @@ pub struct TransportStats {
     pub frames_duplicated: u64,
     /// Cached connections torn down by injected resets.
     pub resets_injected: u64,
-    /// Frames stalled by the injected bandwidth throttle.
-    pub frames_throttled: u64,
 }
 
 /// What the daemon requires from a byte-moving layer.

@@ -44,7 +44,6 @@ fn spec(
         delay_max_polls,
         dup_prob,
         reset_prob,
-        bandwidth_bytes_per_sec: 0,
         severed,
     }
     .sanitized()
@@ -197,7 +196,6 @@ proptest! {
             prop_assert_eq!(stats.frames_delayed, 0);
             prop_assert_eq!(stats.frames_duplicated, 0);
             prop_assert_eq!(stats.resets_injected, 0);
-            prop_assert_eq!(stats.frames_throttled, 0);
         }
         prop_assert_eq!(faulted_rx.stats().frames_in, payloads.len() as u64);
         prop_assert_eq!(bare_rx.stats().frames_in, payloads.len() as u64);

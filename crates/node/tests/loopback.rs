@@ -1004,7 +1004,6 @@ fn loopback_soak_under_churn() {
             ("frames_delayed", r.transport.frames_delayed),
             ("frames_duplicated", r.transport.frames_duplicated),
             ("resets_injected", r.transport.resets_injected),
-            ("frames_throttled", r.transport.frames_throttled),
             ("rejoin_pings", r.stats.rejoin_pings),
         ] {
             assert_eq!(

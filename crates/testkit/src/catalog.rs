@@ -254,7 +254,7 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         // resource oracles: the §V-C redemption cache stays within its
         // configured entry cap, and per-node traffic stays within the
         // §VI-A budget.
-        sc.oracles.redemption_bound = Some(sc.cfg.redemption_cache_max_entries);
+        sc.oracles.redemption_bound = Some(sc_core::node::REDEMPTION_CACHE_MAX_ENTRIES);
         sc.oracles.byte_budget_per_cycle = Some(byte_budget(size));
         sc
     })

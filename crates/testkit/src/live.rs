@@ -53,7 +53,7 @@ pub fn per_scrape_oracles() -> OracleConfig {
         expect_detection: None,
         // The daemon runs the default redemption-cache cap; the bound is
         // cycle-independent, so it is sound on live scrapes too.
-        redemption_bound: Some(sc_core::SecureConfig::default().redemption_cache_max_entries),
+        redemption_bound: Some(sc_core::node::REDEMPTION_CACHE_MAX_ENTRIES),
         // Byte budgets are keyed to protocol cycles, which live scrape
         // steps are not — the simulated matrix covers that axis.
         byte_budget_per_cycle: None,
@@ -72,7 +72,7 @@ pub fn final_oracles(view_len: usize, connectivity: f64) -> OracleConfig {
         final_connectivity: Some(connectivity),
         final_min_fill: Some(0.5),
         expect_detection: None,
-        redemption_bound: Some(sc_core::SecureConfig::default().redemption_cache_max_entries),
+        redemption_bound: Some(sc_core::node::REDEMPTION_CACHE_MAX_ENTRIES),
         byte_budget_per_cycle: None,
     }
 }

@@ -4,6 +4,7 @@
 //! failure), at reduced scale.
 
 use sc_attacks::SecureAttack;
+use sc_core::node::{REDEMPTION_CACHE_MAX_ENTRIES, SAMPLE_RETENTION_CYCLES};
 use sc_core::{SecureConfig, Timestamp};
 use sc_crypto::NodeId;
 use sc_sim::NetworkModel;
@@ -225,17 +226,12 @@ fn per_node_caches_stay_within_their_caps() {
     // cycle — its own and, on average, one it answers — and an exchange
     // shows it at most a view of samples, a redemption cache, the
     // certificate, the fresh descriptor and s transfers.
-    let per_exchange = cfg.view_len + cfg.redemption_cache_max_entries + 2 + cfg.swap_len;
-    let sample_bound = (cfg.sample_retention_cycles as usize + 1) * 2 * per_exchange;
+    let per_exchange = cfg.view_len + REDEMPTION_CACHE_MAX_ENTRIES + 2 + cfg.swap_len;
+    let sample_bound = (SAMPLE_RETENTION_CYCLES as usize + 1) * 2 * per_exchange;
     for cycle in 0..150 {
         net.engine.run_cycle();
         for node in honest(&net) {
-            assert!(
-                node.verify_memo_len() <= 16 * cfg.view_len,
-                "cycle {cycle}: memo {}",
-                node.verify_memo_len()
-            );
-            assert!(node.redemption_count() <= cfg.redemption_cache_max_entries);
+            assert!(node.redemption_count() <= REDEMPTION_CACHE_MAX_ENTRIES);
             assert!(node.reserve().count() <= 2 * cfg.swap_len);
             assert!(
                 node.sample_count() <= sample_bound,
@@ -244,7 +240,4 @@ fn per_node_caches_stay_within_their_caps() {
             );
         }
     }
-    // The memo's cap is the binding one: ≈ 9 verified tips a cycle fill
-    // 16ℓ entries within ≈ 35 cycles.
-    assert!(honest(&net).all(|n| n.verify_memo_len() == 16 * cfg.view_len));
 }
