@@ -72,7 +72,7 @@ fn sample_cache_series(report: &mut Report, cycles_per_sample: u64, samples: usi
         .collect();
     let decoded: Vec<SecureDescriptor> = fresh
         .iter()
-        .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec()))
+        .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain()))
         .collect();
 
     let mut cache = SampleCache::new(retention);
@@ -284,6 +284,21 @@ fn main() {
         std::hint::black_box(std::hint::black_box(&held).clone());
     });
     report.derive_per_item("descriptor_clone_ns_per_clone", "descriptor/clone", 1);
+    // One more transfer on top of t: a signature, a hash and one block,
+    // whatever t is — `transfer_64_vs_1` is the gate that keeps `append`
+    // from copying the chain it extends again.
+    for t in [1usize, 16, 64] {
+        let d = chained(&keys, t);
+        let (owner, to) = (&keys[t % keys.len()], keys[(t + 1) % keys.len()].public());
+        report.bench(&format!("descriptor/transfer/{t}"), budget, samples, || {
+            std::hint::black_box(std::hint::black_box(&d).transfer(owner, to).unwrap());
+        });
+    }
+    report.derive_ratio(
+        "transfer_64_vs_1",
+        "descriptor/transfer/64",
+        "descriptor/transfer/1",
+    );
     sample_cache_series(&mut report, if quick { 40 } else { 400 }, samples);
 
     // -- end-to-end simulation cycles, scaled by population -----------

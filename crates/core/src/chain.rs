@@ -64,10 +64,6 @@ impl core::fmt::Display for CompareError {
 
 impl std::error::Error for CompareError {}
 
-fn links_equal(a: &ChainLink, b: &ChainLink) -> bool {
-    a.to == b.to && a.kind == b.kind && a.sig == b.sig
-}
-
 fn is_ns_pair(a: &ChainLink, b: &ChainLink) -> bool {
     matches!(
         (a.kind, b.kind),
@@ -89,36 +85,32 @@ pub fn compare_chains(
     right: &SecureDescriptor,
 ) -> Result<ChainRelation, CompareError> {
     // Copies of one descriptor share their block (a sample handed from
-    // cache to message to cache is the same pointer all the way): repeat
-    // sightings usually end here without reading either chain.
-    if left.same_block(right) {
+    // cache to message to cache is the same pointer all the way), and a
+    // copy decoded on its own carries the same state digest, which commits
+    // to the genesis and to every link: repeat sightings end here on the
+    // two tip blocks, reading neither genesis nor chain.
+    if left.same_block(right) || left.state_digest() == right.state_digest() {
         return Ok(ChainRelation::Identical);
     }
-    if left.id() != right.id() {
-        return Err(CompareError::DifferentIds);
-    }
-    if left.genesis() != right.genesis() {
-        return Err(CompareError::GenesisMismatch);
-    }
-    let lc = left.chain();
-    let rc = right.chain();
-    let common = lc.len().min(rc.len());
-    // Fast path: the running state digest at `common` commits to every
-    // field of every link up to that length, so equal digests mean the
-    // whole common prefix is byte-identical — the dominant case (repeat
-    // sightings of the same descriptor) is one 32-byte compare instead
-    // of a link-by-link walk.
-    if left.prefix_state(common) != right.prefix_state(common) {
-        let i = (0..common)
-            .find(|&i| !links_equal(&lc[i], &rc[i]))
-            .expect("prefix digests differ, so some link differs");
-        return Ok(ChainRelation::Divergent {
-            index: i,
-            signer: left.owner_at(i),
-            ns_exception: is_ns_pair(&lc[i], &rc[i]),
+    // Versions grown from one creation share their root, genesis and all.
+    let (lg, rg) = (left.genesis(), right.genesis());
+    if !core::ptr::eq(lg, rg) && lg != rg {
+        return Err(if left.id() != right.id() {
+            CompareError::DifferentIds
+        } else {
+            CompareError::GenesisMismatch
         });
     }
-    Ok(match lc.len().cmp(&rc.len()) {
+    // The dominant cases — a repeat sighting, a later snapshot built on
+    // the cached one — are settled without reading a link.
+    if let Some((index, signer, l, r)) = left.divergence(right) {
+        return Ok(ChainRelation::Divergent {
+            index,
+            signer,
+            ns_exception: is_ns_pair(l, r),
+        });
+    }
+    Ok(match left.transfer_count().cmp(&right.transfer_count()) {
         core::cmp::Ordering::Equal => ChainRelation::Identical,
         core::cmp::Ordering::Greater => ChainRelation::LeftExtendsRight,
         core::cmp::Ordering::Less => ChainRelation::RightExtendsLeft,

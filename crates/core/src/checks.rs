@@ -253,8 +253,7 @@ impl SampleCache {
                     // transfer side); the NS copy is terminal.
                     let cached_is_ns = cached
                         .desc
-                        .chain()
-                        .get(index)
+                        .link(index)
                         .is_some_and(|l| l.kind == LinkKind::RedeemNonSwappable);
                     if cached_is_ns {
                         cached.desc = desc.clone();

@@ -24,6 +24,21 @@
 //! check of several descriptors into one batched pass and consults no
 //! cache; `verify_with` / `verify_batch_with` are the same walk skipping
 //! what a [`VerifyMemo`] of verified tips covers.
+//!
+//! **Storage.** The chain is persistent: a descriptor is one pointer to
+//! the block of its *last* link, and every block points at the block of
+//! the link before it, down to the root block that holds the genesis. A
+//! transfer therefore allocates one block, whatever the chain's length,
+//! and the extended descriptor shares every earlier link with its source
+//! and with every copy of every earlier version still sitting in a view
+//! or a cache (§IV-B makes nodes cache every descriptor they see): `L`
+//! transfers cost `L + 1` blocks in all, not `L` growing copies. What a
+//! chain's *end* says — owner, redemption, state digest, length, the
+//! signer of the last link — is read in O(1); everything that needs the
+//! links in order walks them tip to root in a loop, never by recursion
+//! (a peer may send [`WireLimits::max_chain_links`] of them).
+//!
+//! [`WireLimits::max_chain_links`]: crate::wire::WireLimits::max_chain_links
 
 use crate::memo::VerifyMemo;
 use crate::time::Timestamp;
@@ -143,39 +158,141 @@ impl std::error::Error for DescriptorError {}
 /// A SecureCyclon node descriptor: a signed genesis record plus the chain
 /// of ownership accumulated over its life.
 ///
-/// The value is **one pointer** to an immutable, reference-counted block
-/// holding the genesis, the links and the prefix digests. Descriptors are
-/// copied far more often than they are made — every view entry and
-/// redemption-cache entry goes into every outgoing sample set, and every
-/// sample lands in the receiver's cache — so a copy is one refcount
-/// increment and occupies one word in every view slot, message vector,
-/// checkpoint and cache slot. Appending a link builds a new block; the
-/// old one is usually still referenced by caches.
+/// The value is **one pointer** to an immutable, reference-counted block:
+/// the last link of the chain, which leads to the links before it.
+/// Descriptors are copied far more often than they are made — every view
+/// entry and redemption-cache entry goes into every outgoing sample set,
+/// and every sample lands in the receiver's cache — so a copy is one
+/// refcount increment and occupies one word in every view slot, message
+/// vector, checkpoint and cache slot. Appending a link allocates the one
+/// block of that link, whose parent is the source's block: the source,
+/// usually still referenced by caches, and its extension share the whole
+/// earlier chain.
 #[derive(Clone)]
 pub struct SecureDescriptor(Arc<Block>);
 
-/// The shared, immutable body of a descriptor.
+/// One version of a descriptor: the chain up to and including one link
+/// (or, for the root, the bare genesis). Immutable once built, and shared
+/// by every copy of this version and every version extending it.
 struct Block {
-    genesis: Genesis,
-    chain: Box<[ChainLink]>,
-    /// Running digests over genesis + chain at **every** prefix length:
-    /// `states[i]` commits to the genesis plus the first `i` links, and
-    /// `states[chain.len()]` is the descriptor's state digest. A pure
-    /// function of the other fields, computed once when the block is
-    /// built (creation, append — which extends the parent's digests by
-    /// one — or wire decode), so signing, transferring *and incremental
-    /// verification* are O(1) in chain length instead of O(chain) hashing
-    /// per call.
-    states: Box<[Digest]>,
+    /// Running digest over the genesis and every link up to this block's:
+    /// the state digest of the version ending here. A pure function of
+    /// the chain, computed once when the block is built from the parent's
+    /// digest and the one new link (creation, append, wire decode), so
+    /// signing, transferring and comparing never re-hash a chain.
+    state: Digest,
+    body: Body,
+}
+
+enum Body {
+    /// The root of every version of one descriptor.
+    Root(Genesis),
+    /// A link, its 1-based position, the version it extends (`None` only
+    /// while the block is being dropped), and the root — a hop away from
+    /// any block, because a descriptor's identity is read at every
+    /// sighting.
+    Link {
+        link: ChainLink,
+        len: u32,
+        parent: Option<Arc<Block>>,
+        root: Arc<Block>,
+    },
+}
+
+impl Block {
+    fn genesis(&self) -> &Genesis {
+        let root = match &self.body {
+            Body::Root(genesis) => return genesis,
+            Body::Link { root, .. } => root,
+        };
+        match &root.body {
+            Body::Root(genesis) => genesis,
+            Body::Link { .. } => unreachable!("a block's root holds the genesis"),
+        }
+    }
+
+    /// Links in the chain ending here; 0 for the root.
+    fn len(&self) -> usize {
+        match self.body {
+            Body::Root(_) => 0,
+            Body::Link { len, .. } => len as usize,
+        }
+    }
+
+    /// The last link and the version it extends; `None` for the root.
+    fn last(&self) -> Option<(&ChainLink, &Block)> {
+        match &self.body {
+            Body::Link {
+                link,
+                parent: Some(parent),
+                ..
+            } => Some((link, parent)),
+            _ => None,
+        }
+    }
+
+    /// The owner after the last link; the creator for the root.
+    fn owner(&self) -> NodeId {
+        match &self.body {
+            Body::Root(genesis) => genesis.creator,
+            Body::Link { link, .. } => link.to,
+        }
+    }
+
+    /// The version `len` links long that this one extends (or is).
+    fn ancestor(&self, len: usize) -> &Block {
+        let hops = self
+            .len()
+            .checked_sub(len)
+            .expect("a prefix is no longer than its chain");
+        let mut block = self;
+        for _ in 0..hops {
+            (_, block) = block.last().expect("a block with links has a parent");
+        }
+        block
+    }
+
+    /// The links, **last first**, each with the version it extends.
+    fn links_rev(&self) -> impl Iterator<Item = (&ChainLink, &Block)> {
+        std::iter::successors(self.last(), |(_, parent)| parent.last())
+    }
+}
+
+/// Unlinks the ancestors this block alone keeps alive one at a time. Left
+/// to the compiler, dropping a block drops its parent from inside its own
+/// drop, and so on down the chain: one stack frame per link, on a chain
+/// whose length a peer chooses.
+impl Drop for Block {
+    fn drop(&mut self) {
+        let parent_of = |block: &mut Block| match &mut block.body {
+            Body::Root(_) => None,
+            Body::Link { parent, .. } => parent.take(),
+        };
+        let mut next = parent_of(self);
+        while let Some(mut unshared) = next.and_then(Arc::into_inner) {
+            next = parent_of(&mut unshared);
+        }
+    }
 }
 
 impl PartialEq for SecureDescriptor {
     fn eq(&self, other: &Self) -> bool {
-        // `states` is derived; equality is over the authoritative fields.
-        // Copies of one descriptor share their block: pointer equality is
-        // the fast path.
-        self.same_block(other)
-            || (self.0.genesis == other.0.genesis && self.0.chain == other.0.chain)
+        // Digests are derived, so differing ones settle it and equal ones
+        // do not: equality is over the authoritative fields, link by link
+        // down to a shared block (copies of one descriptor share their
+        // tip) or to the genesis records.
+        if self.0.state != other.0.state {
+            return false;
+        }
+        let (mut a, mut b) = (&*self.0, &*other.0);
+        while !core::ptr::eq(a, b) {
+            match (a.last(), b.last()) {
+                (Some((la, pa)), Some((lb, pb))) if la == lb => (a, b) = (pa, pb),
+                (None, None) => return a.genesis() == b.genesis(),
+                _ => return false,
+            }
+        }
+        true
     }
 }
 
@@ -189,7 +306,7 @@ impl core::fmt::Debug for SecureDescriptor {
             "SecureDescriptor({}@{} links={} owner={} state={})",
             self.creator(),
             self.created_at().ticks(),
-            self.chain().len(),
+            self.transfer_count(),
             self.owner(),
             sc_crypto::hex::to_hex(&self.state_digest()[..8]),
         )
@@ -229,6 +346,30 @@ fn next_state(state: &Digest, link: &ChainLink) -> Digest {
     ])
 }
 
+/// The structural rules on one link, hash-free: `index` is its position
+/// in a chain `len` links long, `signer` the owner before it.
+fn link_rule_broken(
+    link: &ChainLink,
+    index: usize,
+    len: usize,
+    signer: &NodeId,
+    creator: &NodeId,
+) -> Option<DescriptorError> {
+    if link.kind.is_redemption() {
+        if index != len - 1 {
+            Some(DescriptorError::RedemptionNotTerminal)
+        } else if link.to != *creator {
+            Some(DescriptorError::RedemptionNotToCreator)
+        } else {
+            None
+        }
+    } else if link.to == *signer {
+        Some(DescriptorError::TransferToSelf)
+    } else {
+        None
+    }
+}
+
 impl SecureDescriptor {
     /// Creates and self-signs a fresh descriptor.
     ///
@@ -237,41 +378,53 @@ impl SecureDescriptor {
     pub fn create(creator: &Keypair, addr: Addr, created_at: Timestamp) -> Self {
         let msg = genesis_message(&creator.public(), addr, created_at);
         let sig = creator.sign(&msg);
-        let genesis = Genesis {
+        Self::from_genesis(Genesis {
             creator: creator.public(),
             addr,
             created_at,
             sig,
-        };
-        let state = genesis_state(&genesis);
-        Self::from_block(genesis, Vec::new(), vec![state])
+        })
     }
 
-    fn from_block(genesis: Genesis, chain: Vec<ChainLink>, states: Vec<Digest>) -> Self {
-        debug_assert_eq!(states.len(), chain.len() + 1, "prefix digests out of sync");
+    /// The root version: `genesis` and no link, **without validation**.
+    pub(crate) fn from_genesis(genesis: Genesis) -> Self {
         SecureDescriptor(Arc::new(Block {
-            genesis,
-            chain: chain.into_boxed_slice(),
-            states: states.into_boxed_slice(),
+            state: genesis_state(&genesis),
+            body: Body::Root(genesis),
+        }))
+    }
+
+    /// This version extended by `link`, **without validation**: the one
+    /// place a link block is built — one allocation and one hash, on top
+    /// of the block `self` already is.
+    pub(crate) fn with_link(self, link: ChainLink) -> Self {
+        let (len, root) = match &self.0.body {
+            Body::Root(_) => (1, self.0.clone()),
+            Body::Link { len, root, .. } => {
+                let longer = len.checked_add(1).expect("2³² links outgrow any memory");
+                (longer, root.clone())
+            }
+        };
+        SecureDescriptor(Arc::new(Block {
+            state: next_state(&self.0.state, &link),
+            body: Body::Link {
+                link,
+                len,
+                parent: Some(self.0),
+                root,
+            },
         }))
     }
 
     /// Reassembles a descriptor from decoded parts **without validation**.
     ///
-    /// Used by the wire codec; the result must be checked with
-    /// [`SecureDescriptor::verify`] before any protocol use.
+    /// The result must be checked with [`SecureDescriptor::verify`]
+    /// before any protocol use. It shares no block with any other
+    /// descriptor, however equal.
     pub fn from_parts(genesis: Genesis, chain: Vec<ChainLink>) -> Self {
-        // The one place the full hash walk is paid: decoding off the wire.
-        // Everything downstream (verification, transfer, equality) reuses
-        // these prefix digests.
-        let mut states = Vec::with_capacity(chain.len() + 1);
-        let mut state = genesis_state(&genesis);
-        states.push(state);
-        for link in &chain {
-            state = next_state(&state, link);
-            states.push(state);
-        }
-        Self::from_block(genesis, chain, states)
+        chain
+            .into_iter()
+            .fold(Self::from_genesis(genesis), Self::with_link)
     }
 
     /// Whether `self` and `other` are copies sharing one block (and hence
@@ -281,111 +434,165 @@ impl SecureDescriptor {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
+    /// The addresses of the blocks this version is made of, the last
+    /// link's first and the root's last. Not protocol surface: storage
+    /// oracles count distinct addresses to tell shared blocks from copies.
+    #[doc(hidden)]
+    pub fn block_addrs(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(&*self.0), |b| b.last().map(|(_, parent)| parent))
+            .map(|b| b as *const Block as usize)
+    }
+
     /// The descriptor's unique identity.
     pub fn id(&self) -> DescriptorId {
+        let genesis = self.genesis();
         DescriptorId {
-            creator: self.0.genesis.creator,
-            created_at: self.0.genesis.created_at,
+            creator: genesis.creator,
+            created_at: genesis.created_at,
         }
     }
 
     /// The signed genesis record.
     pub fn genesis(&self) -> &Genesis {
-        &self.0.genesis
+        self.0.genesis()
     }
 
     /// The node this descriptor points at (its creator).
     pub fn creator(&self) -> NodeId {
-        self.0.genesis.creator
+        self.genesis().creator
     }
 
     /// The creator's network address.
     pub fn addr(&self) -> Addr {
-        self.0.genesis.addr
+        self.genesis().addr
     }
 
     /// Creation timestamp.
     pub fn created_at(&self) -> Timestamp {
-        self.0.genesis.created_at
+        self.genesis().created_at
     }
 
-    /// The chain of ownership.
-    pub fn chain(&self) -> &[ChainLink] {
-        &self.0.chain
+    /// The chain of ownership, first link first, **copied out** of the
+    /// blocks that hold it: for display, tests and tools. The protocol
+    /// reads a chain's end through the O(1) accessors and never calls this.
+    pub fn chain(&self) -> Vec<ChainLink> {
+        let mut links: Vec<ChainLink> = self.links_rev().copied().collect();
+        links.reverse();
+        links
+    }
+
+    /// The links, **last first**.
+    pub(crate) fn links_rev(&self) -> impl Iterator<Item = &ChainLink> {
+        self.0.links_rev().map(|(link, _)| link)
+    }
+
+    /// Link `index` of the chain, if it is that long. The last link is
+    /// one hop away, link 0 a walk over the whole chain.
+    pub(crate) fn link(&self, index: usize) -> Option<&ChainLink> {
+        if index >= self.0.len() {
+            return None;
+        }
+        self.0.ancestor(index + 1).last().map(|(link, _)| link)
     }
 
     /// Number of ownership transfers the descriptor has undergone
     /// (the `t` of the paper's size model, §VI-A; includes redemption).
     pub fn transfer_count(&self) -> usize {
-        self.0.chain.len()
+        self.0.len()
     }
 
     /// The current owner: the target of the last link, or the creator for
     /// a freshly created descriptor. For a redeemed descriptor this is the
     /// creator (redemption hands the token back).
     pub fn owner(&self) -> NodeId {
-        self.0
-            .chain
-            .last()
-            .map(|l| l.to)
-            .unwrap_or(self.0.genesis.creator)
+        self.0.owner()
+    }
+
+    /// The owner who signed the last link, if there is one: who handed
+    /// the descriptor to its current owner.
+    pub(crate) fn last_signer(&self) -> Option<NodeId> {
+        self.0.last().map(|(_, parent)| parent.owner())
     }
 
     /// The owner who performed the redemption (the signer of the terminal
     /// link), if the descriptor is redeemed.
     pub fn redeemer(&self) -> Option<NodeId> {
-        if !self.is_redeemed() {
-            return None;
-        }
-        Some(self.owner_at(self.0.chain.len() - 1))
+        self.redemption_kind()?;
+        self.last_signer()
     }
 
     /// Whether the descriptor has been redeemed (spent).
     pub fn is_redeemed(&self) -> bool {
-        self.0.chain.last().is_some_and(|l| l.kind.is_redemption())
+        self.redemption_kind().is_some()
     }
 
     /// The kind of the terminal redemption link, if any.
     pub fn redemption_kind(&self) -> Option<LinkKind> {
-        self.0
-            .chain
-            .last()
-            .filter(|l| l.kind.is_redemption())
-            .map(|l| l.kind)
+        let (link, _) = self.0.last()?;
+        link.kind.is_redemption().then_some(link.kind)
     }
 
     /// The owner *before* link `index` executes — i.e. the signer of
-    /// `chain[index]`.
+    /// `chain[index]`. Costs a walk back from the tip to that link.
     pub fn owner_at(&self, index: usize) -> NodeId {
-        if index == 0 {
-            self.0.genesis.creator
-        } else {
-            self.0.chain[index - 1].to
-        }
+        self.0.ancestor(index).owner()
     }
 
     /// Iterates over all owners in order: creator, then each link target.
     pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(self.0.genesis.creator).chain(self.0.chain.iter().map(|l| l.to))
+        let targets = self.chain().into_iter().map(|l| l.to);
+        std::iter::once(self.creator()).chain(targets)
     }
 
     /// Age in whole cycles at time `now`.
     pub fn age_cycles(&self, now: Timestamp, ticks_per_cycle: u64) -> u64 {
-        self.0.genesis.created_at.age_cycles(now, ticks_per_cycle)
+        self.created_at().age_cycles(now, ticks_per_cycle)
     }
 
     /// Running digest over genesis and the full chain (identifies the exact
     /// byte content of this copy, unlike [`SecureDescriptor::id`]).
     pub fn state_digest(&self) -> Digest {
-        self.0.states[self.0.chain.len()]
+        self.0.state
     }
 
     /// Running digest after the first `len` links (`len == 0` is the
     /// genesis digest). The digest commits to every field of every link
     /// up to `len`, so two copies with equal prefix digests have
     /// byte-identical prefixes.
+    #[cfg(test)]
     pub(crate) fn prefix_state(&self, len: usize) -> &Digest {
-        &self.0.states[len]
+        &self.0.ancestor(len).state
+    }
+
+    /// Where the chains of two copies **of one genesis** part ways: the
+    /// index of the first link they disagree on, its signer, and that
+    /// link on either side. `None` if one chain is a prefix of the other
+    /// (or they are the same).
+    ///
+    /// The longer side is stepped back to the shorter's length first. A
+    /// shared block there — the usual case: one is an extension of the
+    /// other, built on its very block — or equal digests mean the whole
+    /// common prefix is byte-identical, without reading a link. Failing
+    /// that the two walk back in step to the first pair of blocks whose
+    /// parents agree, which hold the first differing link.
+    pub(crate) fn divergence<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> Option<(usize, NodeId, &'a ChainLink, &'a ChainLink)> {
+        let same = |a: &Block, b: &Block| core::ptr::eq(a, b) || a.state == b.state;
+        let common = self.0.len().min(other.0.len());
+        let (mut a, mut b) = (self.0.ancestor(common), other.0.ancestor(common));
+        if same(a, b) {
+            return None;
+        }
+        while let (Some((la, pa)), Some((lb, pb))) = (a.last(), b.last()) {
+            if same(pa, pb) {
+                return Some((pa.len(), pa.owner(), la, lb));
+            }
+            (a, b) = (pa, pb);
+        }
+        // Two roots that differ: not copies of one genesis.
+        None
     }
 
     /// Appends a signed ownership transfer to `to`, returning the extended
@@ -410,7 +617,7 @@ impl SecureDescriptor {
     /// never gossips with itself).
     pub fn redeem(&self, owner: &Keypair, kind: LinkKind) -> Result<Self, DescriptorError> {
         debug_assert!(kind.is_redemption(), "redeem called with {kind:?}");
-        self.append(owner, self.0.genesis.creator, kind)
+        self.append(owner, self.creator(), kind)
     }
 
     fn append(&self, owner: &Keypair, to: NodeId, kind: LinkKind) -> Result<Self, DescriptorError> {
@@ -423,50 +630,34 @@ impl SecureDescriptor {
         if to == self.owner() && !kind.is_redemption() {
             return Err(DescriptorError::TransferToSelf);
         }
-        let state = self.state_digest();
-        let msg = link_message(&state, &to, kind);
+        let msg = link_message(&self.0.state, &to, kind);
         let sig = owner.sign(&msg);
-        let link = ChainLink { to, kind, sig };
-        // Build the extended vectors directly at their final capacity,
-        // so boxing them into the new block never reallocates.
-        let mut states = Vec::with_capacity(self.0.states.len() + 1);
-        states.extend_from_slice(&self.0.states);
-        states.push(next_state(&state, &link));
-        let mut chain = Vec::with_capacity(self.0.chain.len() + 1);
-        chain.extend_from_slice(&self.0.chain);
-        chain.push(link);
-        Ok(Self::from_block(self.0.genesis, chain, states))
+        Ok(self.clone().with_link(ChainLink { to, kind, sig }))
     }
 
     /// Fully verifies the descriptor: genesis signature, every link
     /// signature against the correct signer, and structural rules
     /// (redemptions are terminal and point at the creator; no transfer to
-    /// the current owner).
+    /// the current owner). Every digest is recomputed from the signed
+    /// fields; none is taken from a block.
     ///
     /// # Errors
     ///
     /// Returns the first failure encountered, in chain order.
     pub fn verify(&self) -> Result<(), DescriptorError> {
-        let msg = genesis_message(
-            &self.0.genesis.creator,
-            self.0.genesis.addr,
-            self.0.genesis.created_at,
-        );
-        if !self.0.genesis.creator.verify(&msg, &self.0.genesis.sig) {
+        let genesis = self.genesis();
+        let msg = genesis_message(&genesis.creator, genesis.addr, genesis.created_at);
+        if !genesis.creator.verify(&msg, &genesis.sig) {
             return Err(DescriptorError::BadGenesisSignature);
         }
-        let mut state = genesis_state(&self.0.genesis);
-        let mut owner: PublicKey = self.0.genesis.creator;
-        for (i, link) in self.0.chain.iter().enumerate() {
-            if link.kind.is_redemption() {
-                if i != self.0.chain.len() - 1 {
-                    return Err(DescriptorError::RedemptionNotTerminal);
-                }
-                if link.to != self.0.genesis.creator {
-                    return Err(DescriptorError::RedemptionNotToCreator);
-                }
-            } else if link.to == owner {
-                return Err(DescriptorError::TransferToSelf);
+        // Blocks lead tip to root only; chain order is that list reversed.
+        let links: Vec<&ChainLink> = self.links_rev().collect();
+        let mut state = genesis_state(genesis);
+        let mut owner: PublicKey = genesis.creator;
+        for (i, link) in links.into_iter().rev().enumerate() {
+            if let Some(broken) = link_rule_broken(link, i, self.0.len(), &owner, &genesis.creator)
+            {
+                return Err(broken);
             }
             let msg = link_message(&state, &link.to, link.kind);
             if !owner.verify(&msg, &link.sig) {
@@ -483,7 +674,7 @@ impl SecureDescriptor {
     /// re-verifying a known copy is one lookup, and a copy that has moved
     /// on since — the tip verified then is one of its prefix digests now —
     /// pays only for the links appended after it. Prefix digests come from
-    /// the descriptor's own cache (built at creation, append or wire
+    /// the descriptor's own blocks (built at creation, append or wire
     /// decode), so there is **no** O(chain) hash walk: extending a
     /// memoized chain by one link costs two lookups and one signature
     /// check. A fork below a memoized tip, or a shorter copy of one, finds
@@ -588,61 +779,58 @@ impl SecureDescriptor {
         verdicts.clear();
 
         for (di, d) in descs.iter().enumerate() {
-            let n = d.0.chain.len();
-            let states: &[Digest] = &d.0.states;
-            debug_assert_eq!(states.len(), n + 1, "prefix digests out of sync");
+            let tip: &Block = &d.0;
             let start = checks.len();
             // Exact match: this byte content already passed verification.
-            if !tips_missed && memo.as_mut().is_some_and(|m| m.contains(&states[n])) {
+            if !tips_missed && memo.as_mut().is_some_and(|m| m.contains(&tip.state)) {
                 plans.push(Plan::Walked(start..start, None));
                 continue;
             }
             if descs.len() > 1 {
-                if let Some(&first) = seen_tips.get(&states[n]) {
+                if let Some(&first) = seen_tips.get(&tip.state) {
                     plans.push(Plan::DupOf(first));
                     continue;
                 }
-                seen_tips.insert(states[n], di);
+                seen_tips.insert(tip.state, di);
             }
-            // Longest memoized prefix (in links), scanning from the tip so
-            // the extend-by-few hot path hits after a couple of lookups.
-            // `None` means not even the genesis is known good.
-            let verified_prefix = memo
-                .as_mut()
-                .and_then(|m| (0..n).rev().find(|&i| m.contains(&states[i])));
-            if verified_prefix.is_none() {
-                let g = &d.0.genesis;
-                let msg = genesis_message(&g.creator, g.addr, g.created_at);
-                checks.push((g.creator, msg, g.sig, DescriptorError::BadGenesisSignature));
-            }
-            let skip = verified_prefix.unwrap_or(0);
+            // Blocks lead tip to root, so the checks are collected last
+            // link first and turned into chain order at the end.
+            let (genesis, n) = (tip.genesis(), tip.len());
             let mut structural = None;
-            let mut owner: PublicKey = d.0.genesis.creator;
-            for (i, link) in d.0.chain.iter().enumerate() {
+            // Whether a memoized tip covers every link below the one at
+            // hand: the longest memoized prefix, looked up from the tip
+            // down so the extend-by-few path hits after a couple of
+            // lookups. Never, without a memo.
+            let mut covered = false;
+            for (link, parent) in tip.links_rev() {
                 // Structural rules run over the whole chain, memoized or
                 // not: they are hash-free, and re-checking them keeps a
                 // memoized redeemed chain from hiding a post-redemption
-                // extension.
-                if link.kind.is_redemption() {
-                    if i != n - 1 {
-                        structural = Some(DescriptorError::RedemptionNotTerminal);
-                        break;
-                    }
-                    if link.to != d.0.genesis.creator {
-                        structural = Some(DescriptorError::RedemptionNotToCreator);
-                        break;
-                    }
-                } else if link.to == owner {
-                    structural = Some(DescriptorError::TransferToSelf);
-                    break;
+                // extension. Collection stops at the first broken rule
+                // in chain order — the lowest: what was collected above
+                // it goes.
+                let (i, signer) = (parent.len(), parent.owner());
+                let broken = link_rule_broken(link, i, n, &signer, &genesis.creator);
+                if broken.is_some() {
+                    structural = broken;
+                    checks.truncate(start);
                 }
-                if i >= skip {
-                    let msg = link_message(&states[i], &link.to, link.kind);
-                    let err = DescriptorError::BadLinkSignature { index: i };
-                    checks.push((owner, msg, link.sig, err));
+                if !covered {
+                    if broken.is_none() {
+                        let msg = link_message(&parent.state, &link.to, link.kind);
+                        let err = DescriptorError::BadLinkSignature { index: i };
+                        checks.push((signer, msg, link.sig, err));
+                    }
+                    covered = memo.as_mut().is_some_and(|m| m.contains(&parent.state));
                 }
-                owner = link.to;
             }
+            // Not even the genesis is known good.
+            if !covered {
+                let msg = genesis_message(&genesis.creator, genesis.addr, genesis.created_at);
+                let err = DescriptorError::BadGenesisSignature;
+                checks.push((genesis.creator, msg, genesis.sig, err));
+            }
+            checks[start..].reverse();
             plans.push(Plan::Walked(start..checks.len(), structural));
         }
 
@@ -712,6 +900,8 @@ pub(crate) struct WalkScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::{compare_chains, ChainRelation};
+    use proptest::prelude::*;
     use sc_crypto::Scheme;
 
     pub(crate) fn kp(tag: u8) -> Keypair {
@@ -744,7 +934,7 @@ mod tests {
     /// decode would (descriptors are immutable; tampering goes through
     /// `from_parts`).
     fn with_link(d: &SecureDescriptor, link: ChainLink) -> SecureDescriptor {
-        let mut links = d.chain().to_vec();
+        let mut links = d.chain();
         links.push(link);
         SecureDescriptor::from_parts(*d.genesis(), links)
     }
@@ -836,7 +1026,7 @@ mod tests {
         let d = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
-        let mut links = d.chain().to_vec();
+        let mut links = d.chain();
         links[0].to = c.public();
         let tampered = SecureDescriptor::from_parts(*d.genesis(), links);
         assert_eq!(
@@ -988,7 +1178,7 @@ mod tests {
         let fork_below = base.transfer(&b, kp(5).public()).unwrap();
         assert_eq!(cost(&fork_below, &mut memo), (fork_below.verify(), 3, 3));
         // So is a shorter copy of a verified chain.
-        let shorter = SecureDescriptor::from_parts(*base.genesis(), base.chain().to_vec());
+        let shorter = SecureDescriptor::from_parts(*base.genesis(), base.chain());
         assert_eq!(cost(&shorter, &mut memo), (shorter.verify(), 2, 2));
         assert_eq!(memo.len(), 5, "one entry per verified version");
     }
@@ -1006,7 +1196,7 @@ mod tests {
         // Tamper with a link of the memoized chain; rebuild via
         // `from_parts` so the state digest is consistent, exactly as a
         // wire decode would.
-        let mut links = good.chain().to_vec();
+        let mut links = good.chain();
         let mut sig = *links[0].sig.as_bytes();
         sig[8] ^= 0x40;
         links[0].sig = Signature::from_bytes(sig);
@@ -1031,7 +1221,7 @@ mod tests {
         // Splice a transfer after the terminal redemption: everything but
         // the new link is a memoized tip — no signature is even looked at
         // — but structure must still reject it.
-        let mut links = redeemed.chain().to_vec();
+        let mut links = redeemed.chain();
         let msg = link_message(&redeemed.state_digest(), &c.public(), LinkKind::Transfer);
         links.push(ChainLink {
             to: c.public(),
@@ -1087,7 +1277,7 @@ mod tests {
             .unwrap()
             .redeem(&c, LinkKind::Redeem)
             .unwrap();
-        let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec());
+        let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain());
         for len in 0..=d.chain().len() {
             assert_eq!(d.prefix_state(len), decoded.prefix_state(len));
         }
@@ -1109,14 +1299,17 @@ mod tests {
             .unwrap();
         let copy = d.clone();
         assert!(copy.same_block(&d));
-        assert!(core::ptr::eq(d.chain(), copy.chain()));
         assert_eq!(d, copy);
-        // A separately decoded equal descriptor is equal, in its own block.
-        let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain().to_vec());
+        // A separately decoded equal descriptor is equal, in its own blocks.
+        let decoded = SecureDescriptor::from_parts(*d.genesis(), d.chain());
         assert!(!decoded.same_block(&d));
+        assert!(decoded
+            .block_addrs()
+            .all(|b| !d.block_addrs().any(|mine| mine == b)));
         assert_eq!(decoded, d);
-        // Appending builds a new block; the source and its copies keep
-        // their links and digest.
+        // Appending builds the one new block on top of the source's: the
+        // source and its copies keep their links and digest, and are the
+        // extension's parent.
         let before = d.state_digest();
         let extended = copy.transfer(&b, kp(3).public()).unwrap();
         assert!(!extended.same_block(&d));
@@ -1125,6 +1318,78 @@ mod tests {
         assert_eq!(d.state_digest(), before);
         assert_eq!(extended.chain().len(), 2);
         assert_eq!(extended.chain()[0], d.chain()[0]);
+        assert!(extended.block_addrs().skip(1).eq(d.block_addrs()));
+        // Every version of a descriptor kept alive: one block per link
+        // and one for the genesis, not one growing copy per version.
+        let keys: Vec<Keypair> = (0..8).map(kp).collect();
+        let mut versions = vec![SecureDescriptor::create(&keys[0], 0, Timestamp(0))];
+        for i in 0..64 {
+            let next = versions[i]
+                .transfer(&keys[i % 8], keys[(i + 1) % 8].public())
+                .unwrap();
+            versions.push(next);
+        }
+        let blocks: std::collections::HashSet<usize> =
+            versions.iter().flat_map(|v| v.block_addrs()).collect();
+        assert_eq!(blocks.len(), 65);
+    }
+
+    #[test]
+    fn block_is_one_small_allocation() {
+        // What a transfer allocates, and what every cached version costs
+        // beyond the blocks it shares. With the two reference counts in
+        // front it is 168 bytes, the most that fits the 176-byte class
+        // of the allocators this runs on; a word more costs 16.
+        assert!(core::mem::size_of::<Block>() <= 152);
+    }
+
+    /// A chain as long as the wire lets a peer make it, decoded (never
+    /// verified: its signatures are garbage).
+    fn longest_decodable() -> SecureDescriptor {
+        use crate::wire::{decode_descriptor, encode_descriptor, WireLimits};
+        let (a, b) = (kp(1), kp(2));
+        let genesis = *SecureDescriptor::create(&a, 0, Timestamp(0)).genesis();
+        let links = (0..WireLimits::DEFAULT.max_chain_links)
+            .map(|i| ChainLink {
+                to: [b.public(), a.public()][i % 2],
+                kind: LinkKind::Transfer,
+                sig: Signature::from_bytes([i as u8; 64]),
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        encode_descriptor(&SecureDescriptor::from_parts(genesis, links), &mut bytes);
+        decode_descriptor(&bytes).expect("within the limits").0
+    }
+
+    #[test]
+    fn the_longest_chain_is_handled_without_recursion() {
+        // One stack frame per link — in drop, equality, verification or
+        // encoding — would overflow this thread's stack many times over.
+        let (d, twin) = (longest_decodable(), longest_decodable());
+        let small_stack = std::thread::Builder::new().stack_size(32 * 1024);
+        let handle = small_stack
+            .spawn(move || {
+                let n = d.transfer_count();
+                assert_eq!(n, crate::wire::WireLimits::DEFAULT.max_chain_links);
+                assert!(d == twin && !d.same_block(&twin));
+                assert_eq!(
+                    d.verify(),
+                    Err(DescriptorError::BadLinkSignature { index: 0 })
+                );
+                let mut scratch = WalkScratch::default();
+                let verdicts = SecureDescriptor::verify_batch(&[&d, &twin], &mut scratch);
+                assert_eq!(verdicts, [d.verify(), d.verify()]);
+                assert_eq!(compare_chains(&d, &twin), Ok(ChainRelation::Identical));
+                let mut bytes = Vec::new();
+                crate::wire::encode_descriptor(&d, &mut bytes);
+                assert_eq!(bytes.len(), crate::wire::descriptor_wire_bytes(&d));
+                assert_eq!(d.owner_at(0), d.creator());
+                assert_eq!(d.link(0), d.chain().first());
+                drop(twin);
+                drop(d);
+            })
+            .expect("spawn");
+        handle.join().expect("no stack overflow");
     }
 
     #[test]
@@ -1229,11 +1494,10 @@ mod tests {
                     None => {
                         let mut g = *batch[victim].genesis();
                         g.addr ^= 1;
-                        batch[victim] =
-                            SecureDescriptor::from_parts(g, batch[victim].chain().to_vec());
+                        batch[victim] = SecureDescriptor::from_parts(g, batch[victim].chain());
                     }
                     Some(li) => {
-                        let mut links = batch[victim].chain().to_vec();
+                        let mut links = batch[victim].chain();
                         let mut sig = *links[li].sig.as_bytes();
                         sig[8] ^= 0x40;
                         links[li].sig = Signature::from_bytes(sig);
@@ -1256,7 +1520,7 @@ mod tests {
             .redeem(&b, LinkKind::Redeem)
             .unwrap();
         // Post-redemption extension (RedemptionNotTerminal).
-        let mut links = redeemed.chain().to_vec();
+        let mut links = redeemed.chain();
         let msg = link_message(&redeemed.state_digest(), &c.public(), LinkKind::Transfer);
         links.push(ChainLink {
             to: c.public(),
@@ -1268,7 +1532,7 @@ mod tests {
         let base = SecureDescriptor::create(&a, 1, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
-        let mut links = base.chain().to_vec();
+        let mut links = base.chain();
         let msg = link_message(&base.state_digest(), &c.public(), LinkKind::Redeem);
         links.push(ChainLink {
             to: c.public(),
@@ -1302,7 +1566,7 @@ mod tests {
         }
         // Same batch but with the shared prefix carrying a forged link:
         // every chain built on it must be blamed identically.
-        let mut links = extended.chain().to_vec();
+        let mut links = extended.chain();
         let mut sig = *links[0].sig.as_bytes();
         sig[3] ^= 2;
         links[0].sig = Signature::from_bytes(sig);
@@ -1355,6 +1619,115 @@ mod tests {
             DescriptorError::AlreadyRedeemed,
         ] {
             assert!(!e.to_string().is_empty());
+        }
+    }
+
+    /// What `compare_chains` must say, worked out link by link on the
+    /// flat copies — the definition, without digests or shared blocks.
+    fn flat_relation(a: &SecureDescriptor, b: &SecureDescriptor) -> ChainRelation {
+        let (ac, bc) = (a.chain(), b.chain());
+        match ac.iter().zip(&bc).position(|(x, y)| x != y) {
+            Some(index) => ChainRelation::Divergent {
+                index,
+                signer: a.owner_at(index),
+                ns_exception: matches!(
+                    (ac[index].kind, bc[index].kind),
+                    (LinkKind::Transfer, LinkKind::RedeemNonSwappable)
+                        | (LinkKind::RedeemNonSwappable, LinkKind::Transfer)
+                ),
+            },
+            None => match ac.len().cmp(&bc.len()) {
+                core::cmp::Ordering::Equal => ChainRelation::Identical,
+                core::cmp::Ordering::Greater => ChainRelation::LeftExtendsRight,
+                core::cmp::Ordering::Less => ChainRelation::RightExtendsLeft,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// How a chain came to be — grown link by link on shared blocks,
+        /// forked off an earlier version, decoded off the wire, or
+        /// rebuilt from its flat parts into blocks of its own — shows in
+        /// nothing a caller can observe.
+        #[test]
+        fn shared_and_rebuilt_chains_are_indistinguishable(
+            path in proptest::collection::vec(0u8..8, 0..10),
+            fork in (0usize..10, 0u8..8),
+            redeem in prop_oneof![Just(LinkKind::Redeem), Just(LinkKind::RedeemNonSwappable)],
+            tamper in (0usize..10, 0usize..64),
+        ) {
+            let keys: Vec<Keypair> = (0..8u8)
+                .map(|t| Keypair::from_seed(Scheme::KeyedHash, [t + 1; 32]))
+                .collect();
+            let key_of = |id: NodeId| keys.iter().find(|k| k.public() == id).expect("pool key");
+            // Every version of one history, each built on the last.
+            let mut set = vec![SecureDescriptor::create(&keys[0], 3, Timestamp(5000))];
+            for &to in &path {
+                let cur = set.last().unwrap();
+                if let Ok(next) = cur.transfer(key_of(cur.owner()), keys[to as usize].public()) {
+                    set.push(next);
+                }
+            }
+            let tip = set.last().unwrap().clone();
+            // A fork at a random depth, a redemption of the tip, the tip
+            // off the wire, and a tampered chain extended by `append`.
+            let base = set[fork.0 % set.len()].clone();
+            set.extend(base.transfer(key_of(base.owner()), keys[fork.1 as usize].public()));
+            set.extend(tip.redeem(key_of(tip.owner()), redeem));
+            let mut bytes = Vec::new();
+            crate::wire::encode_descriptor(&tip, &mut bytes);
+            set.push(crate::wire::decode_descriptor(&bytes).expect("own encoding").0);
+            if tip.transfer_count() > 0 {
+                let mut links = tip.chain();
+                let at = tamper.0 % links.len();
+                let mut sig = *links[at].sig.as_bytes();
+                sig[tamper.1] ^= 0x20;
+                links[at].sig = Signature::from_bytes(sig);
+                let tampered = SecureDescriptor::from_parts(*tip.genesis(), links);
+                set.extend(tampered.redeem(key_of(tampered.owner()), redeem));
+                set.push(tampered);
+            }
+
+            let rebuilt: Vec<SecureDescriptor> = set
+                .iter()
+                .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain()))
+                .collect();
+            let encoded = |d: &SecureDescriptor| {
+                let mut out = Vec::new();
+                crate::wire::encode_descriptor(d, &mut out);
+                out
+            };
+            for (d, r) in set.iter().zip(&rebuilt) {
+                prop_assert_eq!(d, r);
+                prop_assert_eq!(d.state_digest(), r.state_digest());
+                prop_assert_eq!(d.redeemer(), r.redeemer());
+                for i in 0..=d.transfer_count() {
+                    prop_assert_eq!(d.prefix_state(i), r.prefix_state(i));
+                    prop_assert_eq!(d.owner_at(i), r.owner_at(i));
+                    prop_assert_eq!(d.link(i), r.link(i));
+                }
+                prop_assert_eq!(d.verify(), r.verify());
+                prop_assert_eq!(encoded(d), encoded(r));
+            }
+            // One pooled pass over each side: same verdicts, same blame,
+            // and both what the plain walk says.
+            let plain: Vec<_> = set.iter().map(|d| d.verify()).collect();
+            let (mut grown_scratch, mut rebuilt_scratch) = Default::default();
+            let grown: Vec<&SecureDescriptor> = set.iter().collect();
+            let flat: Vec<&SecureDescriptor> = rebuilt.iter().collect();
+            prop_assert_eq!(SecureDescriptor::verify_batch(&grown, &mut grown_scratch), &plain[..]);
+            prop_assert_eq!(SecureDescriptor::verify_batch(&flat, &mut rebuilt_scratch), &plain[..]);
+            for (a, ra) in set.iter().zip(&rebuilt) {
+                for (b, rb) in set.iter().zip(&rebuilt) {
+                    let expected = Ok(flat_relation(a, b));
+                    prop_assert_eq!(compare_chains(a, b), expected);
+                    prop_assert_eq!(compare_chains(ra, rb), expected);
+                    prop_assert_eq!(compare_chains(a, rb), expected);
+                    prop_assert_eq!(compare_chains(ra, b), expected);
+                }
+            }
         }
     }
 }

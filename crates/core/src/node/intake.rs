@@ -117,8 +117,7 @@ impl SecureCyclonNode {
         if self.spent_states.contains_key(&d.state_digest()) {
             return false;
         }
-        let last = d.chain().len() - 1; // owner()==id ≠ creator ⇒ non-empty
-        d.owner_at(last) == from
+        d.last_signer() == Some(from)
     }
 
     /// Whether a lone descriptor the node is about to rely on verifies.
@@ -222,7 +221,7 @@ impl SecureCyclonNode {
         let fresh_ok = fresh_verified
             && fresh.creator() == redeemer
             && fresh.owner() == self.id
-            && fresh.chain().len() == 1
+            && fresh.transfer_count() == 1
             && !fresh.is_redeemed()
             && fresh.created_at().distance(Timestamp(now))
                 <= MAX_SKEW_TICKS + self.cfg.ticks_per_cycle;

@@ -379,6 +379,20 @@ impl SecureCyclonNode {
         self.reserve.iter()
     }
 
+    /// Every descriptor this node holds at rest: view, sample cache,
+    /// redemption cache, reserve and the two non-swappable back-fill
+    /// pools. Not protocol surface: storage oracles and sizing tools walk
+    /// it (with [`SecureDescriptor::block_addrs`]).
+    #[doc(hidden)]
+    pub fn held_descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
+        let view = self.view.iter().map(|e| &e.desc);
+        view.chain(self.samples.descriptors())
+            .chain(self.redemptions.iter())
+            .chain(&self.reserve)
+            .chain(&self.pending_ns)
+            .chain(&self.transfer_history)
+    }
+
     /// Number of pre-transfer copies remembered from successful exchanges
     /// (the last-resort non-swappable back-fill pool).
     pub fn transfer_history_len(&self) -> usize {

@@ -410,7 +410,7 @@ fn forged_inputs_move_exactly_these_counters() {
             bytes[8] ^= 0x40;
             Signature::from_bytes(bytes)
         };
-        let (mut g, mut links) = (*d.genesis(), d.chain().to_vec());
+        let (mut g, mut links) = (*d.genesis(), d.chain());
         if genesis {
             g.sig = flip(&g.sig);
         } else {

@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn cloning_rejects_forged_evidence() {
         let (left, right, _) = cloning_pair();
-        let mut links = right.chain().to_vec();
+        let mut links = right.chain();
         let mut sig = *links[1].sig.as_bytes();
         sig[9] ^= 0x01;
         links[1].sig = sc_crypto::Signature::from_bytes(sig);

@@ -115,8 +115,8 @@ impl Default for WireLimits {
     }
 }
 
-/// Minimum encoded size of one chain link.
-const LINK_MIN_BYTES: usize = PUBLIC_KEY_LEN + 1 + SIGNATURE_LEN;
+/// Encoded size of one chain link: key, kind tag, signature.
+const LINK_BYTES: usize = PUBLIC_KEY_LEN + 1 + SIGNATURE_LEN;
 /// Minimum encoded size of one descriptor (genesis + empty chain).
 const DESCRIPTOR_MIN_BYTES: usize = PUBLIC_KEY_LEN + 4 + 8 + SIGNATURE_LEN + 2;
 /// Minimum encoded size of one proof (kind + two minimal descriptors).
@@ -258,23 +258,22 @@ impl<'a> Reader<'a> {
         self.check_count(
             n,
             limits.max_chain_links,
-            LINK_MIN_BYTES,
+            LINK_BYTES,
             WireError::ChainTooLong(n as u16),
         )?;
-        let mut chain = Vec::with_capacity(n);
-        for _ in 0..n {
-            let to = self.key()?;
-            let kind = kind_from_tag(self.u8()?)?;
-            let sig = self.sig()?;
-            chain.push(ChainLink { to, kind, sig });
-        }
-        let genesis = Genesis {
+        let mut desc = SecureDescriptor::from_genesis(Genesis {
             creator,
             addr,
             created_at,
             sig,
-        };
-        Ok(SecureDescriptor::from_parts(genesis, chain))
+        });
+        for _ in 0..n {
+            let to = self.key()?;
+            let kind = kind_from_tag(self.u8()?)?;
+            let sig = self.sig()?;
+            desc = desc.with_link(ChainLink { to, kind, sig });
+        }
+        Ok(desc)
     }
 
     /// A `u16`-counted descriptor list.
@@ -401,11 +400,21 @@ impl<'a> Writer<'a> {
         self.u32(g.addr);
         self.u64(g.created_at.ticks());
         self.bytes(g.sig.as_bytes());
-        self.list(2, desc.chain(), |w, link| {
-            w.bytes(link.to.as_bytes());
-            w.u8(kind_tag(link.kind));
-            w.bytes(link.sig.as_bytes());
-        });
+        // A chain is reachable last link first only. Links are fixed-size,
+        // so each goes straight into its slot, from the back. Like
+        // `Writer::list`, a chain longer than the count can express is cut
+        // to its first `u16::MAX` links.
+        let n = desc.transfer_count().min(usize::from(u16::MAX));
+        self.u16(n as u16);
+        let start = self.out.len();
+        self.out.resize(start + n * LINK_BYTES, 0);
+        let links = desc.links_rev().skip(desc.transfer_count() - n);
+        for (slot, link) in self.out[start..].rchunks_exact_mut(LINK_BYTES).zip(links) {
+            let (to, rest) = slot.split_at_mut(PUBLIC_KEY_LEN);
+            to.copy_from_slice(link.to.as_bytes());
+            rest[0] = kind_tag(link.kind);
+            rest[1..].copy_from_slice(link.sig.as_bytes());
+        }
     }
 
     /// One violation proof: kind tag + the two evidence descriptors (the
@@ -473,16 +482,13 @@ pub fn decode_descriptor_with(
 
 /// Encoded size of a descriptor under this crate's codec, in bytes.
 pub fn descriptor_wire_bytes(desc: &SecureDescriptor) -> usize {
-    // genesis: key + addr + ts + sig, chain length prefix, then per link.
-    (PUBLIC_KEY_LEN + 4 + 8 + SIGNATURE_LEN)
-        + 2
-        + desc.chain().len() * (PUBLIC_KEY_LEN + 1 + SIGNATURE_LEN)
+    DESCRIPTOR_MIN_BYTES + desc.transfer_count() * LINK_BYTES
 }
 
 /// Descriptor size in **bits** under the paper's §VI-A model:
 /// 368 bits of node info plus 512 bits (key + signature) per transfer.
 pub fn paper_descriptor_bits(desc: &SecureDescriptor) -> usize {
-    368 + 512 * desc.chain().len()
+    368 + 512 * desc.transfer_count()
 }
 
 /// Descriptor size in bytes under the paper's model (rounded up).

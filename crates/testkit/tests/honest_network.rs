@@ -9,7 +9,7 @@ use sc_core::{SecureConfig, Timestamp};
 use sc_crypto::NodeId;
 use sc_sim::NetworkModel;
 use sc_testkit::{build_secure_network, SecureNetParams, SecureNetwork};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn small_cfg() -> SecureConfig {
     SecureConfig::default().with_view_len(8).with_swap_len(3)
@@ -239,5 +239,31 @@ fn per_node_caches_stay_within_their_caps() {
                 node.sample_count()
             );
         }
+        // What all of it costs to store. A chain is made of fixed-size
+        // blocks, one per link plus the genesis (`descriptor.rs` pins the
+        // size), and every version of a descriptor — in whichever view or
+        // cache of whichever node — is built on the blocks of the version
+        // before it: the network holds each link of each live descriptor
+        // once, not once per copy, version or holder. (No honest node
+        // forks a chain here; a sanctioned §V-A fork would add its one
+        // link.)
+        let mut blocks = HashSet::new();
+        let mut longest: HashMap<_, usize> = HashMap::new();
+        for d in honest(&net).flat_map(|node| node.held_descriptors()) {
+            let links = longest.entry(d.id()).or_default();
+            *links = d.transfer_count().max(*links);
+            for block in d.block_addrs() {
+                if !blocks.insert(block) {
+                    break; // below a block already counted, every block is
+                }
+            }
+        }
+        let bound: usize = longest.values().map(|links| links + 1).sum();
+        assert!(
+            blocks.len() <= bound,
+            "cycle {cycle}: {} blocks for {} descriptors whose chains need {bound}",
+            blocks.len(),
+            longest.len()
+        );
     }
 }
