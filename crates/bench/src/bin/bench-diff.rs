@@ -53,21 +53,60 @@ fn lower_is_better(key: &str) -> bool {
 /// The two highest-numbered `BENCH_<n>.json` files in the current
 /// directory, oldest first.
 fn latest_two() -> Option<(String, String)> {
-    let mut found: Vec<(u32, String)> = Vec::new();
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u32>().ok())
-        {
-            found.push((n, name));
-        }
-    }
-    found.sort_unstable();
+    let mut found = sc_bench::baselines();
     let newest = found.pop()?;
     let previous = found.pop()?;
     Some((previous.1, newest.1))
+}
+
+/// What [`compare`] counted.
+#[derive(Default)]
+struct Tally {
+    /// Metrics present in both baselines.
+    compared: usize,
+    /// Of those, the ones worse by more than the threshold.
+    regressions: usize,
+    /// Metrics only the older baseline has: the series was retired.
+    dropped: usize,
+}
+
+/// Prints one verdict line per derived metric and counts them. Only a
+/// metric both baselines carry can regress: one the newer baseline
+/// introduces is skipped, one it no longer measures is listed as
+/// `dropped` (`old_path` names where it was last seen).
+fn compare(
+    old: &[(String, f64)],
+    new: &[(String, f64)],
+    threshold_pct: f64,
+    old_path: &str,
+) -> Tally {
+    let mut tally = Tally::default();
+    for (key, new_v) in new {
+        let Some((_, old_v)) = old.iter().find(|(k, _)| k == key) else {
+            continue; // metric introduced by the new baseline
+        };
+        tally.compared += 1;
+        // Change in the "goodness" direction: positive = improved.
+        let change_pct = if lower_is_better(key) {
+            (old_v - new_v) / old_v * 100.0
+        } else {
+            (new_v - old_v) / old_v * 100.0
+        };
+        let verdict = if change_pct < -threshold_pct {
+            tally.regressions += 1;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        println!("{verdict:<9} {key:<36} {old_v:>12.3} -> {new_v:>12.3}  ({change_pct:+.1}%)");
+    }
+    for (key, _) in old {
+        if !new.iter().any(|(k, _)| k == key) {
+            tally.dropped += 1;
+            println!("dropped   {key:<36} (present only in {old_path})");
+        }
+    }
+    tally
 }
 
 fn main() -> ExitCode {
@@ -109,35 +148,12 @@ fn main() -> ExitCode {
     let new = parse_derived(&read(&new_path));
     println!("bench-diff: {old_path} -> {new_path} (threshold {threshold_pct}%)\n");
 
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (key, new_v) in &new {
-        let Some((_, old_v)) = old.iter().find(|(k, _)| k == key) else {
-            continue; // metric introduced by the new baseline
-        };
-        compared += 1;
-        // Change in the "goodness" direction: positive = improved.
-        let change_pct = if lower_is_better(key) {
-            (old_v - new_v) / old_v * 100.0
-        } else {
-            (new_v - old_v) / old_v * 100.0
-        };
-        let verdict = if change_pct < -threshold_pct {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("{verdict:<9} {key:<36} {old_v:>12.3} -> {new_v:>12.3}  ({change_pct:+.1}%)");
-    }
-    for (key, _) in &old {
-        if !new.iter().any(|(k, _)| k == key) {
-            println!("dropped   {key:<36} (present only in {old_path})");
-        }
-    }
-
-    println!("\n{compared} metrics compared, {regressions} regression(s)");
-    if regressions > 0 {
+    let tally = compare(&old, &new, threshold_pct, &old_path);
+    println!(
+        "\n{} metrics compared, {} regression(s), {} dropped",
+        tally.compared, tally.regressions, tally.dropped
+    );
+    if tally.regressions > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -169,5 +185,24 @@ mod tests {
     fn empty_or_absent_derived_is_harmless() {
         assert!(parse_derived("{}").is_empty());
         assert!(parse_derived("{\"derived\": {\n  }\n}").is_empty());
+    }
+
+    #[test]
+    fn a_retired_metric_is_dropped_and_a_new_one_skipped() {
+        let m = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        // `retired_speedup` would be a 100 % loss if its absence read as
+        // zero; `added_ns_per_op` has nothing to be compared with.
+        let old = m(&[("kept_ns_per_op", 100.0), ("retired_speedup", 3.0)]);
+        let new = m(&[("kept_ns_per_op", 110.0), ("added_ns_per_op", 9e9)]);
+        let tally = compare(&old, &new, 25.0, "OLD.json");
+        assert_eq!(
+            (tally.compared, tally.regressions, tally.dropped),
+            (1, 0, 1)
+        );
+        // Past the threshold, only the shared metric counts.
+        let worse = m(&[("kept_ns_per_op", 130.0), ("added_ns_per_op", 9e9)]);
+        assert_eq!(compare(&old, &worse, 25.0, "OLD.json").regressions, 1);
     }
 }

@@ -1,6 +1,11 @@
-//! `bench-report` — runs the verification-focused benchmark suite with a
-//! plain `Instant`-based harness and writes a machine-readable JSON
-//! baseline (`BENCH_<n>.json`).
+//! `bench-report` — measures, with a plain `Instant`-based harness, the
+//! series no other harness owns and writes them as a machine-readable
+//! JSON baseline (`BENCH_<n>.json`): the population sweep (Cyclon to
+//! 10⁵ nodes, SecureCyclon to 10⁴), the cost of one more transfer by
+//! chain length (`append` is O(1)), and the sample cache in steady state.
+//! Every per-layer cost — SHA-256, Schnorr, cold verification, clone,
+//! the wire codec — is a frozen probe of `perfbench/`, the gate a
+//! performance claim is resolved by.
 //!
 //! Usage:
 //!
@@ -16,32 +21,12 @@
 
 use sc_attacks::{build_legacy_network, LegacyNetParams, SecureAttack};
 use sc_bench::report::{BenchResult, Report};
-use sc_bench::{chained, pool, CHAIN_LENGTHS};
+use sc_bench::{baselines, chained, pool};
 use sc_core::{Observation, SampleCache, SecureConfig, SecureDescriptor, Timestamp};
-use sc_crypto::{schnorr61, sha256, Keypair, Scheme};
+use sc_crypto::Scheme;
 use sc_cyclon::CyclonConfig;
 use sc_testkit::{build_secure_network, SecureNetParams};
 use std::time::{Duration, Instant};
-
-/// One past the highest existing `BENCH_<n>.json` index, so auto-numbered
-/// baselines stay monotonic even when earlier indices are missing.
-fn next_bench_path() -> String {
-    let mut next = 0u32;
-    if let Ok(entries) = std::fs::read_dir(".") {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let n = name
-                .to_string_lossy()
-                .strip_prefix("BENCH_")
-                .and_then(|s| s.strip_suffix(".json"))
-                .and_then(|s| s.parse::<u32>().ok());
-            if let Some(n) = n {
-                next = next.max(n + 1);
-            }
-        }
-    }
-    format!("BENCH_{next}.json")
-}
 
 /// Sample handling as one node of the `sim-honest` benchmark workload
 /// sees it (300 nodes, ℓ=20): each cycle brings 48 first sightings and 9
@@ -180,113 +165,11 @@ fn main() {
         ..Report::default()
     };
 
-    // -- crypto substrate ---------------------------------------------
-    let data = vec![0xabu8; 1024];
-    report.bench("sha256/1024B", budget, samples, || {
-        std::hint::black_box(sha256(std::hint::black_box(&data)));
-    });
-    // Multi-block throughput at a size where per-call fixed costs vanish.
-    let big = vec![0xcdu8; 8192];
-    report.bench("sha256/8KiB", budget, samples, || {
-        std::hint::black_box(sha256(std::hint::black_box(&big)));
-    });
-
-    let kp = Keypair::from_seed(Scheme::Schnorr61, [7; 32]);
-    let msg = [0x5au8; 128];
-    let sig = kp.sign(&msg);
-    let bytes = sig.as_bytes();
-    let pk = u64::from_be_bytes(kp.public().as_bytes()[1..9].try_into().unwrap());
-    let r = u64::from_be_bytes(bytes[1..9].try_into().unwrap());
-    let s = u64::from_be_bytes(bytes[9..17].try_into().unwrap());
-    report.bench("schnorr61/verify_legacy", budget, samples, || {
-        assert!(schnorr61::reference::verify(
-            pk,
-            std::hint::black_box(&msg),
-            std::hint::black_box(r),
-            s
-        ));
-    });
-    report.bench("schnorr61/verify_fast", budget, samples, || {
-        assert!(schnorr61::verify_fast(
-            pk,
-            std::hint::black_box(&msg),
-            std::hint::black_box(r),
-            s
-        ));
-    });
-    let mut e = 1u64;
-    report.bench("schnorr61/powmod_g", budget, samples, || {
-        e = e.wrapping_mul(6364136223846793005).wrapping_add(1);
-        std::hint::black_box(schnorr61::powmod(schnorr61::G, std::hint::black_box(e)));
-    });
-    let mut e = 1u64;
-    report.bench("schnorr61/g_powmod", budget, samples, || {
-        e = e.wrapping_mul(6364136223846793005).wrapping_add(1);
-        std::hint::black_box(schnorr61::g_powmod(std::hint::black_box(e)));
-    });
-    report.bench("schnorr61/sign", budget, samples, || {
-        std::hint::black_box(kp.sign(std::hint::black_box(&msg)));
-    });
-
-    // Batched verification: one RLC multi-exponentiation pass over the
-    // whole batch. Distinct keys and messages, like an exchange's intake.
-    let batch_keys: Vec<Keypair> = (0..64)
-        .map(|i| Keypair::from_seed(Scheme::Schnorr61, [i as u8 + 1; 32]))
-        .collect();
-    let batch_msgs: Vec<[u8; 32]> = (0..64u8).map(|i| [i; 32]).collect();
-    let batch_sigs: Vec<(u64, u64, u64)> = batch_keys
-        .iter()
-        .zip(&batch_msgs)
-        .map(|(k, m)| {
-            let sig = k.sign(m);
-            let bytes = sig.as_bytes();
-            (
-                u64::from_be_bytes(k.public().as_bytes()[1..9].try_into().unwrap()),
-                u64::from_be_bytes(bytes[1..9].try_into().unwrap()),
-                u64::from_be_bytes(bytes[9..17].try_into().unwrap()),
-            )
-        })
-        .collect();
-    for n in [8usize, 64] {
-        let items: Vec<schnorr61::BatchItem<'_>> = batch_sigs[..n]
-            .iter()
-            .zip(&batch_msgs)
-            .map(|(&(pk, r, s), m)| schnorr61::BatchItem { pk, msg: m, r, s })
-            .collect();
-        report.bench(
-            &format!("schnorr61/batch_verify_{n}"),
-            budget,
-            samples,
-            || {
-                assert!(schnorr61::batch_verify(std::hint::black_box(&items)).is_ok());
-            },
-        );
-    }
-
-    // -- descriptor verification by chain length ----------------------
-    let keys = pool(Scheme::Schnorr61, 16);
-    for t in CHAIN_LENGTHS {
-        let d = chained(&keys, t);
-        report.bench(
-            &format!("descriptor/verify_cold/{t}"),
-            budget,
-            samples,
-            || {
-                d.verify().unwrap();
-            },
-        );
-    }
-
-    // -- descriptor copies and the sample cache -----------------------
-    // The paper's average descriptor has seen 2s = 6 transfers.
-    let held = chained(&keys, 6);
-    report.bench("descriptor/clone", budget, samples, || {
-        std::hint::black_box(std::hint::black_box(&held).clone());
-    });
-    report.derive_per_item("descriptor_clone_ns_per_clone", "descriptor/clone", 1);
+    // -- one more transfer, by chain length ---------------------------
     // One more transfer on top of t: a signature, a hash and one block,
     // whatever t is — `transfer_64_vs_1` is the gate that keeps `append`
     // from copying the chain it extends again.
+    let keys = pool(Scheme::Schnorr61, 16);
     for t in [1usize, 16, 64] {
         let d = chained(&keys, t);
         let (owner, to) = (&keys[t % keys.len()], keys[(t + 1) % keys.len()].public());
@@ -299,6 +182,8 @@ fn main() {
         "descriptor/transfer/64",
         "descriptor/transfer/1",
     );
+
+    // -- the sample cache in steady state -----------------------------
     sample_cache_series(&mut report, if quick { 40 } else { 400 }, samples);
 
     // -- end-to-end simulation cycles, scaled by population -----------
@@ -346,40 +231,6 @@ fn main() {
         );
     }
 
-    // -- derived ratios ------------------------------------------------
-    report.derive_ratio(
-        "verify_fast_speedup",
-        "schnorr61/verify_legacy",
-        "schnorr61/verify_fast",
-    );
-    // (`extend_speedup_16` and `g_powmod_speedup` were retired from the
-    // derived set when SHA-NI hashing landed: both are ratios against a
-    // cold path that got ~3x faster, so the ratios shrank while every
-    // absolute number improved — exactly the shape the `bench-diff` gate
-    // must not misread as a regression. The underlying benches are still
-    // measured above; the invariants they encoded are asserted by tests.)
-    // Amortized batch-verification cost per signature, absolute and
-    // relative to the sequential fast path (<1.0 means batching wins).
-    for n in [8u64, 64] {
-        report.derive_per_item(
-            &format!("batch_verify_ns_per_sig_{n}"),
-            &format!("schnorr61/batch_verify_{n}"),
-            n,
-        );
-        if let (Some(b), Some(f)) = (
-            report.get(&format!("schnorr61/batch_verify_{n}")),
-            report.get("schnorr61/verify_fast"),
-        ) {
-            let ratio = (b.ns_per_iter / n as f64) / f.ns_per_iter;
-            println!(
-                "{:<44} {ratio:>11.2}x",
-                format!("batch_vs_fast_per_sig_{n}")
-            );
-            report
-                .derived
-                .push((format!("batch_vs_fast_per_sig_{n}"), ratio));
-        }
-    }
     // Throughput of one engine cycle, in simulated nodes per second.
     for &n in cyclon_series {
         report.derive_rate(
@@ -403,7 +254,12 @@ fn main() {
         );
     }
 
-    let path = out.unwrap_or_else(next_bench_path);
+    // One past the highest existing index, so auto-numbered baselines stay
+    // monotonic even when earlier indices are missing.
+    let path = out.unwrap_or_else(|| {
+        let next = baselines().last().map_or(0, |(n, _)| n + 1);
+        format!("BENCH_{next}.json")
+    });
     std::fs::write(&path, report.to_json()).expect("write bench report");
     println!("\nwrote {path}");
 }

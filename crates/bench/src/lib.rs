@@ -1,7 +1,8 @@
-//! Shared helpers for the benchmark suite (see the `benches/` directory)
-//! and the `bench-report` runner: deterministic keypair pools, chain
-//! builders, and a tiny timing/JSON harness for machine-readable
-//! baselines.
+//! Shared helpers of the `bench-report` runner: deterministic keypair
+//! pools, chain builders, and a tiny timing/JSON harness for
+//! machine-readable baselines. `bench-report` measures only what no other
+//! harness can (the population sweep, the cost of one more transfer, the
+//! steady-state sample cache); per-layer costs are `perfbench/`'s probes.
 #![forbid(unsafe_code)]
 
 pub mod report;
@@ -32,7 +33,19 @@ pub fn chained(keys: &[Keypair], transfers: usize) -> SecureDescriptor {
     d
 }
 
-/// Chain lengths the verification benches and the bench-report runner
-/// agree on (the paper's average descriptor sees 2s = 6 transfers; 64 is
-/// the stress tail).
-pub const CHAIN_LENGTHS: [usize; 4] = [1, 4, 16, 64];
+/// The `BENCH_<n>.json` baselines in the current directory as
+/// `(n, file name)`, lowest `n` first.
+pub fn baselines() -> Vec<(u32, String)> {
+    let mut found: Vec<(u32, String)> = std::fs::read_dir(".")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+            Some((n.parse().ok()?, name))
+        })
+        .collect();
+    found.sort_unstable();
+    found
+}

@@ -1,7 +1,6 @@
 //! A minimal timing + JSON-report harness for the `bench-report` runner.
 //!
-//! Unlike the criterion benches (human-oriented, throwaway output), this
-//! module produces **machine-readable baselines**: each run emits a
+//! This module produces **machine-readable baselines**: each run emits a
 //! `BENCH_<n>.json` snapshot that is committed next to the code it
 //! measured, giving the repository a performance trajectory that reviews
 //! and future optimisation PRs can diff against.

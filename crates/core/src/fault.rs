@@ -286,7 +286,7 @@ impl FaultSpec {
         let reset_prob = f64::from_bits(c.u64()?);
         let delay_max_polls = c.u32()?;
         let n = c.u16()? as usize;
-        c.list_count(n, 4096, 4)?;
+        c.list_count(n, 4)?;
         let mut severed = Vec::with_capacity(n);
         for _ in 0..n {
             severed.push(c.u32()?);

@@ -416,7 +416,7 @@ fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
 /// it is trusted. Returns `None` when not even one record survived.
 fn fold_log(bytes: &[u8], period_ticks: u64, limits: &WireLimits) -> Option<PersistentState> {
     let mut state: Option<PersistentState> = None;
-    let mut log = Reader::new(bytes);
+    let mut log = Reader::with_limits(bytes, limits);
     while fold_record(&mut log, &mut state, period_ticks, limits).is_ok() {}
     state
 }
@@ -441,12 +441,12 @@ fn fold_record(
         *state = Some(decode_state(payload, period_ticks, limits)?);
         return Ok(());
     }
-    let mut r = Reader::new(payload);
+    let mut r = Reader::with_limits(payload, limits);
     let record = match kind {
         REC_EMIT => TailRecord::Emit(r.u64()?),
         REC_PROOF => {
             let cycle = r.u64()?;
-            TailRecord::Proof(Box::new(r.proof(period_ticks, limits)?), cycle)
+            TailRecord::Proof(Box::new(r.proof(period_ticks)?), cycle)
         }
         REC_SPENT => {
             let digest = r.digest()?;
@@ -517,7 +517,7 @@ fn decode_state(
     period_ticks: u64,
     limits: &WireLimits,
 ) -> Result<PersistentState, WireError> {
-    let mut c = Reader::new(buf);
+    let mut c = Reader::with_limits(buf, limits);
     if c.u8()? != STATE_VERSION {
         return Err(WireError::BadMessageTag(buf[0]));
     }
@@ -530,41 +530,41 @@ fn decode_state(
     }
 
     let n = c.u16()? as usize;
-    c.list_count(n, limits.max_list_len, 1)?;
+    c.list_count(n, 1)?;
     for _ in 0..n {
         let ns = c.u8()? != 0;
-        state.view.push((c.descriptor(limits)?, ns));
+        state.view.push((c.descriptor()?, ns));
     }
 
     let n = c.u16()? as usize;
-    c.list_count(n, limits.max_list_len, 1)?;
+    c.list_count(n, 1)?;
     for _ in 0..n {
-        state.reserve.push(c.descriptor(limits)?);
+        state.reserve.push(c.descriptor()?);
     }
 
     let n = c.u16()? as usize;
-    c.list_count(n, limits.max_list_len, 8)?;
-    for _ in 0..n {
-        let cycle = c.u64()?;
-        state.redemptions.push((cycle, c.descriptor(limits)?));
-    }
-
-    let n = c.u16()? as usize;
-    c.list_count(n, limits.max_proofs, 8)?;
+    c.list_count(n, 8)?;
     for _ in 0..n {
         let cycle = c.u64()?;
-        state.proofs.push((cycle, c.proof(period_ticks, limits)?));
+        state.redemptions.push((cycle, c.descriptor()?));
+    }
+
+    let n = c.u16()? as usize;
+    c.proof_count(n, 8)?;
+    for _ in 0..n {
+        let cycle = c.u64()?;
+        state.proofs.push((cycle, c.proof(period_ticks)?));
     }
 
     let n = c.u32()? as usize;
-    c.list_count(n, limits.max_list_len, 40)?;
+    c.list_count(n, 40)?;
     for _ in 0..n {
         let digest = c.digest()?;
         state.spent.push((digest, c.u64()?));
     }
 
     let n = c.u32()? as usize;
-    c.list_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 16)?;
+    c.list_count(n, PUBLIC_KEY_LEN + 16)?;
     for _ in 0..n {
         let creator = c.key()?;
         let created_at = Timestamp(c.u64()?);
@@ -579,7 +579,7 @@ fn decode_state(
     }
 
     let n = c.u32()? as usize;
-    c.list_count(n, limits.max_list_len, PUBLIC_KEY_LEN + 8)?;
+    c.list_count(n, PUBLIC_KEY_LEN + 8)?;
     for _ in 0..n {
         let creator = c.key()?;
         let created_at = Timestamp(c.u64()?);

@@ -125,17 +125,29 @@ const PROOF_MIN_BYTES: usize = 1 + 2 * DESCRIPTOR_MIN_BYTES;
 /// The one bounds-checked big-endian cursor that gossip messages, the
 /// durable state log, control reports and join grants are all decoded
 /// through. Every read checks the bytes remaining first (`len − pos < n`,
-/// which cannot overflow), and a failed read consumes nothing.
+/// which cannot overflow), and a failed read consumes nothing. It carries
+/// its [`WireLimits`], so every count it reads — in any of those formats
+/// — is checked against them before anything is allocated.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    limits: WireLimits,
 }
 
 impl<'a> Reader<'a> {
-    /// A cursor at the start of `buf`.
+    /// A cursor at the start of `buf`, under [`WireLimits::DEFAULT`].
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader::with_limits(buf, &WireLimits::DEFAULT)
+    }
+
+    /// A cursor at the start of `buf`, under `limits`.
+    pub fn with_limits(buf: &'a [u8], limits: &WireLimits) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            limits: *limits,
+        }
     }
 
     /// Bytes consumed so far.
@@ -231,15 +243,27 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// `Reader::check_count` for a plain list: over the cap is
+    /// `Reader::check_count` for a plain list, capped at
+    /// [`WireLimits::max_list_len`]: over the cap is
     /// [`WireError::ListTooLong`] (its payload saturates at `u16::MAX`).
     ///
     /// # Errors
     ///
     /// [`WireError::ListTooLong`] or [`WireError::UnexpectedEnd`].
-    pub fn list_count(&self, n: usize, max: usize, min_elem: usize) -> Result<(), WireError> {
+    pub fn list_count(&self, n: usize, min_elem: usize) -> Result<(), WireError> {
         let over = WireError::ListTooLong(n.min(u16::MAX as usize) as u16);
-        self.check_count(n, max, min_elem, over)
+        self.check_count(n, self.limits.max_list_len, min_elem, over)
+    }
+
+    /// `Reader::check_count` for a list of proofs, capped at
+    /// [`WireLimits::max_proofs`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TooManyProofs`] or [`WireError::UnexpectedEnd`].
+    pub fn proof_count(&self, n: usize, min_elem: usize) -> Result<(), WireError> {
+        let over = WireError::TooManyProofs(n.min(u16::MAX as usize) as u16);
+        self.check_count(n, self.limits.max_proofs, min_elem, over)
     }
 
     /// One descriptor: structurally well-formed, **not**
@@ -248,8 +272,8 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Any [`WireError`], including [`WireError::ChainTooLong`] past
-    /// `limits.max_chain_links`.
-    pub fn descriptor(&mut self, limits: &WireLimits) -> Result<SecureDescriptor, WireError> {
+    /// [`WireLimits::max_chain_links`].
+    pub fn descriptor(&mut self) -> Result<SecureDescriptor, WireError> {
         let creator = self.key()?;
         let addr = self.u32()?;
         let created_at = Timestamp(self.u64()?);
@@ -257,7 +281,7 @@ impl<'a> Reader<'a> {
         let n = self.u16()? as usize;
         self.check_count(
             n,
-            limits.max_chain_links,
+            self.limits.max_chain_links,
             LINK_BYTES,
             WireError::ChainTooLong(n as u16),
         )?;
@@ -277,12 +301,12 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u16`-counted descriptor list.
-    fn descriptors(&mut self, limits: &WireLimits) -> Result<Vec<SecureDescriptor>, WireError> {
+    fn descriptors(&mut self) -> Result<Vec<SecureDescriptor>, WireError> {
         let n = self.u16()? as usize;
-        self.list_count(n, limits.max_list_len, DESCRIPTOR_MIN_BYTES)?;
+        self.list_count(n, DESCRIPTOR_MIN_BYTES)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.descriptor(limits)?);
+            out.push(self.descriptor()?);
         }
         Ok(out)
     }
@@ -293,14 +317,10 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::BadProof`] if the evidence fails to prove the
     /// claimed violation — forged proofs never survive decoding.
-    pub fn proof(
-        &mut self,
-        period_ticks: u64,
-        limits: &WireLimits,
-    ) -> Result<ViolationProof, WireError> {
+    pub fn proof(&mut self, period_ticks: u64) -> Result<ViolationProof, WireError> {
         let kind = self.u8()?;
-        let l = self.descriptor(limits)?;
-        let r = self.descriptor(limits)?;
+        let l = self.descriptor()?;
+        let r = self.descriptor()?;
         match kind {
             0 => ViolationProof::cloning(l, r).map_err(|_| WireError::BadProof),
             1 => ViolationProof::frequency(l, r, period_ticks).map_err(|_| WireError::BadProof),
@@ -313,22 +333,13 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// As [`Reader::proof`], plus [`WireError::TooManyProofs`] past
-    /// `limits.max_proofs`.
-    pub fn proofs(
-        &mut self,
-        period_ticks: u64,
-        limits: &WireLimits,
-    ) -> Result<Vec<ViolationProof>, WireError> {
+    /// [`WireLimits::max_proofs`].
+    pub fn proofs(&mut self, period_ticks: u64) -> Result<Vec<ViolationProof>, WireError> {
         let n = self.u16()? as usize;
-        self.check_count(
-            n,
-            limits.max_proofs,
-            PROOF_MIN_BYTES,
-            WireError::TooManyProofs(n as u16),
-        )?;
+        self.proof_count(n, PROOF_MIN_BYTES)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.proof(period_ticks, limits)?);
+            out.push(self.proof(period_ticks)?);
         }
         Ok(out)
     }
@@ -475,8 +486,8 @@ pub fn decode_descriptor_with(
     buf: &[u8],
     limits: &WireLimits,
 ) -> Result<(SecureDescriptor, usize), WireError> {
-    let mut r = Reader::new(buf);
-    let desc = r.descriptor(limits)?;
+    let mut r = Reader::with_limits(buf, limits);
+    let desc = r.descriptor()?;
     Ok((desc, r.position()))
 }
 
@@ -762,36 +773,36 @@ pub fn decode_message_with(
             max: limits.max_frame_bytes,
         });
     }
-    let mut r = Reader::new(buf);
+    let mut r = Reader::with_limits(buf, limits);
     let msg = match r.u8()? {
         MSG_REQUEST => SecureMsg::Request(Box::new(RequestBody {
-            redeemed: r.descriptor(limits)?,
-            fresh: r.descriptor(limits)?,
-            offered: r.descriptors(limits)?,
-            samples: r.descriptors(limits)?,
-            proofs: r.proofs(period_ticks, limits)?,
+            redeemed: r.descriptor()?,
+            fresh: r.descriptor()?,
+            offered: r.descriptors()?,
+            samples: r.descriptors()?,
+            proofs: r.proofs(period_ticks)?,
         })),
         MSG_ACCEPT => SecureMsg::Accept(Box::new(AcceptBody {
-            transfers: r.descriptors(limits)?,
-            samples: r.descriptors(limits)?,
-            proofs: r.proofs(period_ticks, limits)?,
+            transfers: r.descriptors()?,
+            samples: r.descriptors()?,
+            proofs: r.proofs(period_ticks)?,
         })),
         MSG_ROUND => SecureMsg::Round(Box::new(RoundBody {
-            transfer: r.descriptor(limits)?,
+            transfer: r.descriptor()?,
         })),
         MSG_ROUND_REPLY => {
             let transfer = match r.u8()? {
-                1 => Some(r.descriptor(limits)?),
+                1 => Some(r.descriptor()?),
                 0 => None,
                 t => return Err(WireError::BadMessageTag(t)),
             };
             SecureMsg::RoundReply(Box::new(RoundReplyBody { transfer }))
         }
-        MSG_PROOF => SecureMsg::Proof(Box::new(r.proof(period_ticks, limits)?)),
+        MSG_PROOF => SecureMsg::Proof(Box::new(r.proof(period_ticks)?)),
         MSG_JOIN_PING => SecureMsg::JoinPing(Box::new(JoinPingBody { joiner: r.key()? })),
         MSG_JOIN_GRANT => SecureMsg::JoinGrant(Box::new(JoinGrantBody {
-            descriptor: r.descriptor(limits)?,
-            proofs: r.proofs(period_ticks, limits)?,
+            descriptor: r.descriptor()?,
+            proofs: r.proofs(period_ticks)?,
         })),
         t => return Err(WireError::BadMessageTag(t)),
     };

@@ -45,20 +45,6 @@ pub const fn mulmod(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Modular exponentiation `base^exp (mod p)` by square-and-multiply.
-pub const fn powmod(mut base: u64, mut exp: u64) -> u64 {
-    base %= P;
-    let mut acc: u64 = 1;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mulmod(acc, base);
-        }
-        base = mulmod(base, base);
-        exp >>= 1;
-    }
-    acc
-}
-
 /// Bits consumed per window of the fixed-base table.
 const WINDOW_BITS: u32 = 4;
 /// Windows needed to cover a full 64-bit exponent.
@@ -88,7 +74,8 @@ const fn build_g_table() -> [[u64; 16]; WINDOWS] {
 }
 
 /// Fixed-base exponentiation `G^exp (mod p)` via the precomputed window
-/// table. Bit-for-bit identical to `powmod(G, exp)` for every `exp`.
+/// table. Bit-for-bit identical to square-and-multiply for every `exp`
+/// (pinned against `reference::powmod` by this module's tests).
 pub fn g_powmod(exp: u64) -> u64 {
     let mut acc = 1u64;
     let mut e = exp;
@@ -110,7 +97,7 @@ pub fn g_powmod(exp: u64) -> u64 {
 /// two exponentiations would otherwise each pay: one squaring per bit of
 /// `max(x, y)` plus one multiplication per bit position where either
 /// exponent is set (by `a`, `b`, or the precomputed `a·b`). Roughly 1.7×
-/// cheaper than two independent [`powmod`] calls.
+/// cheaper than two independent square-and-multiply exponentiations.
 pub fn shamir_powmod(a: u64, x: u64, b: u64, y: u64) -> u64 {
     let a = a % P;
     let b = b % P;
@@ -203,14 +190,28 @@ fn challenge(r: u64, pk: u64, msg: &[u8]) -> u64 {
     reduce16_pm1(&h)
 }
 
-/// Reference implementations kept out of the hot path.
+/// Reference implementations, compiled for this module's tests only.
 ///
 /// The protocol layers call [`verify_fast`] / [`batch_verify`] exclusively;
-/// this module preserves the textbook forms so equivalence tests (and the
-/// bench baseline's `verify_legacy` series) can pin the optimized paths
-/// against them.
-pub mod reference {
+/// this module preserves the textbook forms so the equivalence tests can
+/// pin the optimized paths against them.
+#[cfg(test)]
+mod reference {
     use super::*;
+
+    /// Modular exponentiation `base^exp (mod p)` by square-and-multiply.
+    pub fn powmod(mut base: u64, mut exp: u64) -> u64 {
+        base %= P;
+        let mut acc: u64 = 1;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = mulmod(acc, base);
+            }
+            base = mulmod(base, base);
+            exp >>= 1;
+        }
+        acc
+    }
 
     /// Verifies a Schnorr signature `(r, s)` on `msg` against public
     /// element `pk` by the literal textbook predicate
@@ -225,7 +226,8 @@ pub mod reference {
     }
 }
 
-/// Fast verification path: same predicate as [`reference::verify`],
+/// Fast verification path: same predicate as the textbook
+/// `g^s == r · pk^e` (`reference::verify`, this module's test-only twin),
 /// restated as `g^s · pk^{(p-1)-e} == r` and evaluated with a single Shamir
 /// simultaneous exponentiation (with the fixed-base table covering the
 /// `e = 0` degenerate case).
@@ -234,7 +236,7 @@ pub mod reference {
 /// is invertible and `pk^(p-1) = 1` by Fermat, so multiplying both sides
 /// of `g^s == r · pk^e` by `pk^{(p-1)-e}` is a bijection. Out-of-range
 /// inputs are rejected by the identical up-front checks. Exhaustive
-/// agreement with [`reference::verify`] is asserted by this module's tests.
+/// agreement with `reference::verify` is asserted by this module's tests.
 pub fn verify_fast(pk: u64, msg: &[u8], r: u64, s: u64) -> bool {
     if r == 0 || r >= P || s >= P_MINUS_1 || pk == 0 || pk >= P {
         return false;
@@ -508,7 +510,7 @@ fn pair_table(r: u64, pk: u64) -> [u64; 16] {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::verify;
+    use super::reference::{powmod, verify};
     use super::*;
 
     fn key(tag: u8) -> (SchnorrKey, [u8; 32]) {

@@ -6,52 +6,29 @@
 //! outdegree ℓ, with no starved nodes and no hubs.
 
 use crate::common::{banner, results_dir, Scale};
-use sc_crypto::{Keypair, NodeId, Scheme};
-use sc_cyclon::{CyclonConfig, CyclonNode};
+use sc_attacks::{build_legacy_network, LegacyNetParams};
+use sc_crypto::NodeId;
+use sc_cyclon::CyclonConfig;
 use sc_metrics::{save_histogram_csv, Histogram};
-use sc_sim::{Engine, SimConfig};
 use std::collections::HashMap;
-
-fn build(n: usize, cfg: CyclonConfig, seed: u64) -> Engine<CyclonNode> {
-    let keypairs: Vec<Keypair> = (0..n)
-        .map(|i| {
-            Keypair::from_seed(
-                Scheme::KeyedHash,
-                sc_sim::rng::derive_seed(seed, "identity", i as u64),
-            )
-        })
-        .collect();
-    let mut engine = Engine::new(SimConfig::seeded(seed));
-    for (i, kp) in keypairs.iter().enumerate() {
-        let mut node = CyclonNode::new(
-            kp.public(),
-            i as u32,
-            cfg,
-            sc_sim::rng::derive_seed(seed, "node", i as u64),
-        );
-        let boots: Vec<(NodeId, u32)> = (1..=4)
-            .map(|k| {
-                let j = (i + k) % n;
-                (keypairs[j].public(), j as u32)
-            })
-            .collect();
-        node.bootstrap(boots);
-        engine.spawn_with(|_| node);
-    }
-    engine
-}
 
 /// Computes the indegree histogram of a converged overlay.
 pub fn indegree_histogram(n: usize, view_len: usize, cycles: u64, seed: u64) -> Histogram {
-    let cfg = CyclonConfig {
-        view_len,
-        swap_len: 3,
-    };
-    let mut engine = build(n, cfg, seed);
+    let (mut engine, _) = build_legacy_network(LegacyNetParams {
+        n,
+        n_malicious: 0,
+        cfg: CyclonConfig {
+            view_len,
+            swap_len: 3,
+        },
+        attack_start: u64::MAX,
+        seed,
+    });
     engine.run_cycles(cycles);
     let mut indeg: HashMap<NodeId, u64> = HashMap::new();
     for (_, node) in engine.nodes() {
-        for d in node.view().iter() {
+        let view = node.honest_view().expect("no attacker was built");
+        for d in view.iter() {
             *indeg.entry(d.id).or_default() += 1;
         }
     }

@@ -148,17 +148,21 @@ fn stats_from_array(a: &[u64]) -> SecureStats {
     }
 }
 
-/// A `u16` list count: at most `max`, and of elements (one byte each at
-/// the very least) that the remaining input can still hold.
-fn count(c: &mut Reader<'_>, max: usize) -> Result<usize, WireError> {
+/// A `u16` list count: within the reader's list cap, and of elements
+/// (one byte each at the very least) that the remaining input can still
+/// hold.
+fn count(c: &mut Reader<'_>) -> Result<usize, WireError> {
     let n = c.u16()? as usize;
-    c.list_count(n, max, 1)?;
+    c.list_count(n, 1)?;
     Ok(n)
 }
 
 /// A counted array of `u64` counters (at most 64 of them).
 fn counters(c: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = count(c, 64)?;
+    let n = count(c)?;
+    if n > 64 {
+        return Err(WireError::ListTooLong(n as u16));
+    }
     (0..n).map(|_| c.u64()).collect()
 }
 
@@ -194,7 +198,7 @@ impl StatusReport {
     ///
     /// Any [`WireError`] on malformed payloads.
     pub fn decode(buf: &[u8], limits: &WireLimits) -> Result<StatusReport, WireError> {
-        let mut c = Reader::new(buf);
+        let mut c = Reader::with_limits(buf, limits);
         let addr = c.u32()?;
         let id = c.key()?;
         let cycle = c.u64()?;
@@ -202,18 +206,18 @@ impl StatusReport {
         let cycles_run = c.u64()?;
         let stats = stats_from_array(&counters(&mut c)?);
         let transport = transport_from_array(&counters(&mut c)?);
-        let n_view = count(&mut c, limits.max_list_len)?;
+        let n_view = count(&mut c)?;
         let mut view = Vec::with_capacity(n_view.min(1024));
         for _ in 0..n_view {
             let ns = c.u8()? != 0;
-            view.push((c.descriptor(limits)?, ns));
+            view.push((c.descriptor()?, ns));
         }
-        let n_res = count(&mut c, limits.max_list_len)?;
+        let n_res = count(&mut c)?;
         let mut reserve = Vec::with_capacity(n_res.min(1024));
         for _ in 0..n_res {
-            reserve.push(c.descriptor(limits)?);
+            reserve.push(c.descriptor()?);
         }
-        let n_bl = count(&mut c, limits.max_list_len)?;
+        let n_bl = count(&mut c)?;
         let mut blacklist = Vec::with_capacity(n_bl.min(1024));
         for _ in 0..n_bl {
             blacklist.push(c.key()?);

@@ -705,7 +705,7 @@ fn decode_join_grant(
     period: u64,
     limits: &wire::WireLimits,
 ) -> Result<(sc_core::SecureDescriptor, Vec<sc_core::ViolationProof>), WireError> {
-    let mut r = Reader::new(buf);
+    let mut r = Reader::with_limits(buf, limits);
     r.u64()?; // sponsor cycle: informational; the clock is shared
-    Ok((r.descriptor(limits)?, r.proofs(period, limits)?))
+    Ok((r.descriptor()?, r.proofs(period)?))
 }

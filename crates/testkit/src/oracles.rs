@@ -58,6 +58,25 @@ pub fn matrix_replay(scenario: &str, seed: u64) -> String {
     )
 }
 
+/// Paper bytes the byte-budget oracle allows per copy of a violation
+/// proof a node sends. Measured (`message_paper_bytes`, seed 1): a proof
+/// averages 431 B under the scale tier's hub attack and at most 832 B
+/// (cloning adversary, 40 culprits), under half this — the same twofold
+/// headroom as the per-cycle ceiling, pinned by the runner's headroom
+/// tests.
+const PROOF_COPY_PAPER_BYTES: u64 = 2 * 1024;
+
+/// One-off §IV-C allowance on top of the per-cycle ceiling: convicting
+/// the scenario's adversaries costs every honest node one copy of each
+/// culprit's proof per neighbour (the flood, ℓ copies) plus one on every
+/// request and answer of the piggyback window (≈ two a cycle). That grows
+/// with the adversary's size, not with time, so no per-cycle ceiling
+/// measured at four attackers can stand in for it at four hundred.
+pub(crate) fn detection_allowance(scenario: &Scenario) -> u64 {
+    let copies = scenario.cfg.view_len as u64 + 2 * scenario.cfg.proof_piggyback_cycles;
+    scenario.n_malicious as u64 * copies * PROOF_COPY_PAPER_BYTES
+}
+
 /// Stateful oracle suite for one run.
 ///
 /// Holds the cross-cycle state some oracles need (previous blacklists for
@@ -68,6 +87,8 @@ pub struct OracleSuite {
     cfg: OracleConfig,
     view_len: usize,
     replay: String,
+    /// See [`detection_allowance`]; zero for a run with no scenario.
+    detection_allowance: u64,
     /// Previous cycle's blacklist per address (addresses are never
     /// reused, so churn cannot alias entries).
     prev_blacklists: HashMap<Addr, HashSet<NodeId>>,
@@ -81,13 +102,16 @@ impl OracleSuite {
     /// matrix.
     pub fn new(scenario: &Scenario, seed: u64) -> Self {
         let replay = matrix_replay(&scenario.name, seed);
-        OracleSuite::with_replay(
-            &scenario.name,
-            seed,
-            scenario.oracles,
-            scenario.cfg.view_len,
-            replay,
-        )
+        OracleSuite {
+            detection_allowance: detection_allowance(scenario),
+            ..OracleSuite::with_replay(
+                &scenario.name,
+                seed,
+                scenario.oracles,
+                scenario.cfg.view_len,
+                replay,
+            )
+        }
     }
 
     /// Creates a suite for any run — a live loopback cluster, say — with
@@ -105,6 +129,7 @@ impl OracleSuite {
             cfg,
             view_len,
             replay,
+            detection_allowance: 0,
             prev_blacklists: HashMap::new(),
             honest_ever: HashSet::new(),
         }
@@ -331,14 +356,16 @@ impl OracleSuite {
     /// Checked cumulatively (`ceiling × cycles elapsed`) so a burst in
     /// one cycle — proof flooding after a detection, say — must be paid
     /// back by quiet cycles, and so the check stays sound across
-    /// crash-restarts, which reset a node's counters to zero.
+    /// crash-restarts, which reset a node's counters to zero. Convicting
+    /// the adversaries is paid for once, by [`detection_allowance`].
     fn check_byte_budget(
         &self,
         snap: &NetSnapshot,
         cycle: u64,
         ceiling: u64,
     ) -> Result<(), Violation> {
-        let budget = ceiling.saturating_mul(cycle + 1);
+        let allowance = self.detection_allowance;
+        let budget = ceiling.saturating_mul(cycle + 1).saturating_add(allowance);
         for node in &snap.nodes {
             let (sent, received) = (node.stats.bytes_sent, node.stats.bytes_received);
             if sent > budget || received > budget {
@@ -347,7 +374,7 @@ impl OracleSuite {
                     "byte-budget",
                     format!(
                         "node {}: {sent} bytes sent / {received} received exceed \
-                         {ceiling} B/cycle × {} cycles = {budget}",
+                         {ceiling} B/cycle × {} cycles + {allowance} B for proofs = {budget}",
                         node.addr,
                         cycle + 1
                     ),

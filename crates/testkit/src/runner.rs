@@ -425,7 +425,22 @@ mod tests {
 mod byte_budget_headroom {
     use super::*;
     use crate::catalog::{byte_budget, standard_matrix, MatrixSize};
+    use crate::oracles::detection_allowance;
     use crate::snapshot::NetSnapshot;
+
+    /// The busiest honest node's cumulative traffic at the end of a clean
+    /// seed-1 run, and the number of cycles it accumulated over.
+    fn busiest_node(sc: &Scenario) -> (u64, u64) {
+        let (_, net) = run_scenario_with_net(sc, 1).expect("clean run");
+        let snap = NetSnapshot::from_network(&net);
+        let max = snap
+            .nodes
+            .iter()
+            .map(|n| n.stats.bytes_sent.max(n.stats.bytes_received))
+            .max()
+            .unwrap_or(0);
+        (max, snap.cycle + 1)
+    }
 
     /// Pins the measurement behind the catalog's §VI-A ceiling: the
     /// busiest node of the hottest quick-tier scenario must stay under
@@ -437,15 +452,8 @@ mod byte_budget_headroom {
         let size = MatrixSize::quick();
         let budget = byte_budget(size);
         for sc in standard_matrix(size) {
-            let (_, net) = run_scenario_with_net(&sc, 1).expect("clean run");
-            let snap = NetSnapshot::from_network(&net);
-            let denom = snap.cycle + 1;
-            let max = snap
-                .nodes
-                .iter()
-                .map(|n| n.stats.bytes_sent.max(n.stats.bytes_received) / denom)
-                .max()
-                .unwrap_or(0);
+            let (total, cycles) = busiest_node(&sc);
+            let max = total / cycles;
             assert!(
                 max <= budget / 2,
                 "{}: busiest node averages {max} B/cycle, over half the \
@@ -453,5 +461,33 @@ mod byte_budget_headroom {
                 sc.name
             );
         }
+    }
+
+    /// The same rule for the one-off proof allowance, where it binds:
+    /// with 20 cloners among 240 nodes (the quick tier has 4 among 48;
+    /// the cloner's proofs are the largest of any adversary's) the proofs
+    /// outweigh the gossip, the per-cycle ceiling alone is overrun, and
+    /// ceiling plus allowance must keep the twofold headroom.
+    #[test]
+    fn detection_allowance_keeps_twofold_headroom() {
+        let size = MatrixSize {
+            n: 240,
+            ..MatrixSize::quick()
+        };
+        let sc = standard_matrix(size)
+            .into_iter()
+            .find(|sc| sc.name == "cloning-attack")
+            .expect("catalog names are stable");
+        let (total, cycles) = busiest_node(&sc);
+        let (ceiling, allowance) = (byte_budget(size) * cycles, detection_allowance(&sc));
+        assert!(
+            total > ceiling / 2,
+            "{total} B fit half the {ceiling} B ceiling: the allowance is not exercised"
+        );
+        assert!(
+            total <= (ceiling + allowance) / 2,
+            "busiest node moved {total} B, over half of the {ceiling} B ceiling \
+             plus the {allowance} B proof allowance — re-measure it"
+        );
     }
 }

@@ -190,8 +190,10 @@ pub struct OracleConfig {
     pub redemption_bound: Option<usize>,
     /// Per-cycle: every honest node's cumulative gossip traffic (paper
     /// bytes sent, and received, §VI-A) stays within `ceiling × cycles
-    /// alive`. Checked cumulatively so it is sound across crash-restarts
-    /// (a reborn node restarts its counters at zero). `None` disables.
+    /// alive`, plus a one-off allowance for the proofs that convict the
+    /// scenario's adversaries. Checked cumulatively so it is sound across
+    /// crash-restarts (a reborn node restarts its counters at zero).
+    /// `None` disables.
     pub byte_budget_per_cycle: Option<u64>,
 }
 

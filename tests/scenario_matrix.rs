@@ -18,9 +18,6 @@
 //!   populations.
 //! * `SC_SCENARIO=<name>` — run only the named scenario.
 //! * `SC_SEED=<seed>` — run only the given seed.
-//! * `SC_CYCLES=<n>` — override every scenario's run length (CI's
-//!   scale-smoke job shortens one scale scenario this way; events
-//!   scheduled past the new horizon simply never fire).
 //!
 //! Replaying a reported violation:
 //!
@@ -47,17 +44,8 @@ fn scenario_matrix_holds_all_oracles() {
         s.parse()
             .unwrap_or_else(|_| panic!("SC_SEED must be an integer, got '{s}'"))
     });
-    let cycles_override: Option<u64> = env_filter("SC_CYCLES").map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("SC_CYCLES must be an integer, got '{s}'"))
-    });
 
-    let mut scenarios = standard_matrix(size);
-    if let Some(cycles) = cycles_override {
-        for sc in &mut scenarios {
-            sc.cycles = cycles;
-        }
-    }
+    let scenarios = standard_matrix(size);
     let combos: Vec<_> = scenarios
         .iter()
         .filter(|sc| scenario_filter.as_deref().is_none_or(|f| sc.name == f))
