@@ -74,12 +74,29 @@ struct Slot {
 /// and a slot last seen before the horizon is invisible to every read
 /// from then on. The horizon moves nowhere else — a node that serves a
 /// request before its own turn in a cycle must still see what it saw
-/// before. Expired slots are physically dropped when their creator next
-/// gains a sample, and by a full sweep every half retention window, so
-/// dead storage is bounded by half a window's worth of sightings.
+/// before.
+///
+/// What is *stored* follows what is visible closely, because at 24 bytes
+/// a slot plus the chain blocks it pins, storage is what a simulated node
+/// costs:
+///
+/// * **touch** — every `observe` drops the expired slots of the creator
+///   it looks up, whatever its verdict, so no expired slot survives a
+///   touch of its creator;
+/// * **sweep** — `prune` drops every expired slot once the stored-but-
+///   expired ones outnumber a sixteenth of the visible ones
+///   (`stored − visible > visible / 16`). Expired slots appear nowhere
+///   but in `prune`, so between two prunes their number only falls;
+/// * **growth** — a full vector grows by doubling up to
+///   [`SLACK_SLOTS`] and by [`SLACK_SLOTS`] from there (`reserve_exact`:
+///   a creator seen once costs one slot, not the four `Vec` starts at);
+/// * **shrink** — whenever slots are dropped, a vector left with more
+///   spare room than it has slots, or than [`SLACK_SLOTS`], is cut back
+///   to fit. Spare capacity is therefore at most [`SLACK_SLOTS`] slots a
+///   creator, always.
 pub struct SampleCache {
     /// creator → that creator's samples, sorted by creation timestamp
-    /// (unique among a creator's visible slots). A sorted `Vec` beats a
+    /// (unique among a creator's stored slots). A sorted `Vec` beats a
     /// tree here: per-creator counts are bounded by the retention window,
     /// so the O(n) insert memmoves stay a few cache lines while lookups
     /// avoid pointer-chasing and per-node allocation entirely.
@@ -87,9 +104,47 @@ pub struct SampleCache {
     /// Slots with `last_seen < horizon` are expired.
     horizon: u64,
     live: Live,
-    /// Cycle of the next full sweep of expired slots.
-    next_sweep: u64,
+    /// Number of slots in memory: the visible ones (`live.len`) plus the
+    /// expired ones no touch or sweep has dropped yet.
+    stored: usize,
     retention_cycles: u64,
+}
+
+/// A slot vector's spare room: the step a full one grows by once it holds
+/// that many, and the most one keeps after slots were dropped from it.
+/// One number for both, so that a vector alternating one insert with one
+/// expiry reallocates on neither.
+pub const SLACK_SLOTS: usize = 4;
+
+/// Drops the expired slots of one creator and cuts the vector back if
+/// that left it mostly empty; returns how many were dropped.
+fn drop_expired(slots: &mut Vec<Slot>, horizon: u64) -> usize {
+    let before = slots.len();
+    slots.retain(|s| s.last_seen >= horizon);
+    if slots.capacity() - slots.len() > slots.len().min(SLACK_SLOTS) {
+        slots.shrink_to_fit();
+    }
+    before - slots.len()
+}
+
+/// What a [`SampleCache`] occupies, beside what it shows. Not protocol
+/// surface: memory oracles and sizing tools read it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheFootprint {
+    /// Slots every read sees ([`SampleCache::len`]).
+    pub visible_slots: usize,
+    /// Slots in memory, expired ones included.
+    pub stored_slots: usize,
+    /// Summed capacity of the slot vectors, in slots.
+    pub slot_capacity: usize,
+    /// Creators with a slot vector.
+    pub creators: usize,
+}
+
+impl CacheFootprint {
+    /// Bytes of one slot.
+    pub const SLOT_BYTES: usize = core::mem::size_of::<Slot>();
 }
 
 impl core::fmt::Debug for SampleCache {
@@ -171,7 +226,7 @@ impl SampleCache {
             by_creator: FxHashMap::default(),
             horizon: 0,
             live: Live::default(),
-            next_sweep: 0,
+            stored: 0,
             retention_cycles,
         }
     }
@@ -206,6 +261,27 @@ impl SampleCache {
             .map(|s| &s.desc)
     }
 
+    /// Every descriptor in memory: [`SampleCache::descriptors`] plus the
+    /// expired ones not yet dropped, which pin their chain blocks just
+    /// the same.
+    #[doc(hidden)]
+    pub fn stored_descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
+        self.by_creator.values().flatten().map(|s| &s.desc)
+    }
+
+    /// What the cache occupies. O(creators).
+    #[doc(hidden)]
+    pub fn footprint(&self) -> CacheFootprint {
+        let vectors = self.by_creator.values();
+        debug_assert_eq!(vectors.clone().map(Vec::len).sum::<usize>(), self.stored);
+        CacheFootprint {
+            visible_slots: self.live.len,
+            stored_slots: self.stored,
+            slot_capacity: vectors.map(Vec::capacity).sum(),
+            creators: self.by_creator.len(),
+        }
+    }
+
     /// Runs both §IV-B checks on `desc` and caches it if it passes.
     ///
     /// Signature verification is lazy (see module docs): it runs only
@@ -225,13 +301,15 @@ impl SampleCache {
         // The one lookup. A creator's entry is never left empty: every
         // path below that does not insert found a conflicting slot.
         let slots = self.by_creator.entry(id.creator).or_default();
-        let mut pos = slots.partition_point(|s| s.ts < ts);
+        // The touch rule: the creator's expired slots (possibly one with
+        // this very timestamp) go while its vector is in cache anyway.
+        if self.stored > live.len {
+            self.stored -= drop_expired(slots, horizon);
+        }
+        let pos = slots.partition_point(|s| s.ts < ts);
 
         // Ownership check against a cached copy of the same token.
-        if let Some(cached) = slots
-            .get_mut(pos)
-            .filter(|s| s.ts == ts && s.last_seen >= horizon)
-        {
+        if let Some(cached) = slots.get_mut(pos).filter(|s| s.ts == ts) {
             if cached.last_seen != now {
                 live.moved(cached.last_seen, now);
                 cached.last_seen = now;
@@ -291,17 +369,10 @@ impl SampleCache {
             };
         }
 
-        // First sighting of this id. The creator's slots are about to be
-        // shifted anyway: drop the expired ones (possibly one with this
-        // very timestamp) while they are in cache.
-        if slots.iter().any(|s| s.last_seen < horizon) {
-            slots.retain(|s| s.last_seen >= horizon);
-            pos = slots.partition_point(|s| s.ts < ts);
-        }
-
-        // Frequency check: another creation by the same creator strictly
-        // closer than one period. No slot carries `ts` itself here, and
-        // the scan runs upwards, so the lowest-timestamp conflict wins.
+        // First sighting of this id. Frequency check: another creation by
+        // the same creator strictly closer than one period. No slot
+        // carries `ts` itself here, and the scan runs upwards, so the
+        // lowest-timestamp conflict wins.
         let lo = ts.saturating_sub(period_ticks - 1);
         let hi = ts.saturating_add(period_ticks - 1);
         let start = slots.partition_point(|s| s.ts < lo);
@@ -314,6 +385,7 @@ impl SampleCache {
                     // is the cached one and the incoming verifies.
                     if desc.verify().is_ok() && slots[start].desc.verify().is_err() {
                         live.removed(slots.remove(start).last_seen);
+                        self.stored -= 1;
                         if slots.is_empty() {
                             self.by_creator.remove(&id.creator);
                         }
@@ -323,6 +395,9 @@ impl SampleCache {
             };
         }
 
+        if slots.len() == slots.capacity() {
+            slots.reserve_exact(slots.len().clamp(1, SLACK_SLOTS));
+        }
         slots.insert(
             pos,
             Slot {
@@ -332,27 +407,30 @@ impl SampleCache {
             },
         );
         live.added(now);
+        self.stored += 1;
         Observation::New
     }
 
     /// Expires samples not seen for longer than the retention window.
     ///
     /// O(cycles the horizon advances): the per-cycle counters settle
-    /// [`SampleCache::len`]; no slot is visited. Every half window the
-    /// expired slots nobody has displaced since are swept out.
+    /// [`SampleCache::len`]; no slot is visited — unless the expired
+    /// slots no touch has dropped now outnumber a sixteenth of the
+    /// visible ones, and are swept out.
     pub fn prune(&mut self, now_cycle: u64) {
-        let horizon = now_cycle.saturating_sub(self.retention_cycles);
+        let horizon = self
+            .horizon
+            .max(now_cycle.saturating_sub(self.retention_cycles));
         if horizon > self.horizon {
             self.horizon = horizon;
             self.live.expire_before(horizon);
         }
-        if now_cycle >= self.next_sweep {
-            self.next_sweep = now_cycle + (self.retention_cycles / 2).max(1);
-            let horizon = self.horizon;
+        if self.stored - self.live.len > self.live.len / 16 {
             self.by_creator.retain(|_, slots| {
-                slots.retain(|s| s.last_seen >= horizon);
+                drop_expired(slots, horizon);
                 !slots.is_empty()
             });
+            self.stored = self.live.len;
         }
     }
 
@@ -361,6 +439,7 @@ impl SampleCache {
         let Some(slots) = self.by_creator.remove(creator) else {
             return;
         };
+        self.stored -= slots.len();
         for slot in slots.iter().filter(|s| s.last_seen >= self.horizon) {
             self.live.removed(slot.last_seen);
         }
@@ -517,6 +596,22 @@ mod tests {
         assert_eq!(cache.observe(&d, 12, PERIOD), Observation::New);
     }
 
+    fn stored(cache: &SampleCache, k: &Keypair) -> Option<(usize, usize)> {
+        let slots = cache.by_creator.get(&k.public())?;
+        Some((slots.len(), slots.capacity()))
+    }
+
+    /// Shows `cache` one descriptor each of 160 creators nobody else
+    /// uses, at `cycle`: enough visible slots that ten expired ones stay
+    /// under the sweep trigger.
+    fn fill(cache: &mut SampleCache, cycle: u64) {
+        for tag in 0..160u8 {
+            let creator = Keypair::from_seed(Scheme::KeyedHash, [tag; 32]);
+            let d = SecureDescriptor::create(&creator, 0, Timestamp(0));
+            cache.observe(&d, cycle, PERIOD);
+        }
+    }
+
     #[test]
     fn expired_slot_is_invisible_before_it_is_dropped() {
         let (a, b) = (kp(1), kp(2));
@@ -525,42 +620,93 @@ mod tests {
         let db = SecureDescriptor::create(&b, 0, Timestamp(5000));
         assert_eq!(cache.observe(&da, 1, PERIOD), Observation::New);
         assert_eq!(cache.observe(&db, 1, PERIOD), Observation::New);
-        // Sweeps fall on cycles 0, 5 and 10; the prune at 12 expires both
-        // samples (horizon 2) without sweeping them.
-        for cycle in [0, 5, 10, 12] {
-            cache.prune(cycle);
-        }
-        let stored = |c: &SampleCache, k: &Keypair| c.by_creator.get(&k.public()).map(Vec::len);
-        assert_eq!(stored(&cache, &a), Some(1), "still in memory");
-        assert_eq!(stored(&cache, &b), Some(1), "still in memory");
-        assert_eq!(cache.len(), 0);
-        assert!(cache.is_empty());
+        fill(&mut cache, 5);
+        // Horizon 2 expires both samples; 2 expired slots against 160
+        // visible ones is not more than a sixteenth: no sweep.
+        cache.prune(12);
+        assert_eq!(stored(&cache, &a), Some((1, 1)), "still in memory");
+        assert_eq!(stored(&cache, &b), Some((1, 1)), "still in memory");
+        assert_eq!(cache.len(), 160);
+        assert_eq!(cache.footprint().stored_slots, 162);
         assert!(cache.get(&da.id()).is_none());
-        assert_eq!(cache.descriptors().count(), 0);
+        assert_eq!(cache.descriptors().count(), 160);
+        assert_eq!(cache.stored_descriptors().count(), 162);
         // Neither check sees an expired slot: a creation half a period
         // from `da` is a first sighting, not a frequency violation, and
         // the expired copy of `db` does not make `db` known.
         let da_close = SecureDescriptor::create(&a, 0, Timestamp(5500));
         assert_eq!(cache.observe(&da_close, 12, PERIOD), Observation::New);
         assert_eq!(cache.observe(&db, 12, PERIOD), Observation::New);
-        assert_eq!(
-            stored(&cache, &a),
-            Some(1),
-            "touching the creator dropped it"
-        );
-        assert_eq!(stored(&cache, &b), Some(1));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(stored(&cache, &a), Some((1, 1)), "the touch dropped it");
+        assert_eq!(stored(&cache, &b), Some((1, 1)));
+        assert_eq!(cache.len(), 162);
+        assert_eq!(cache.footprint().stored_slots, 162);
         assert!(cache.get(&da.id()).is_none());
         assert_eq!(cache.get(&da_close.id()), Some(&da_close));
-        // A creator nobody touches again is swept out (sweeps at 15, 20
-        // and 25; both samples expire at 23).
-        for cycle in [15, 20, 23] {
-            cache.prune(cycle);
+        // Creators nobody touches again are swept out as soon as they
+        // are more than a sixteenth of what is visible: the 160 of cycle
+        // 5 expire at horizon 6, against 2 visible slots.
+        cache.prune(16);
+        assert_eq!(cache.len(), 2);
+        let footprint = cache.footprint();
+        assert_eq!((footprint.stored_slots, footprint.creators), (2, 2));
+    }
+
+    #[test]
+    fn any_touch_of_a_creator_drops_its_expired_slots() {
+        let a = kp(1);
+        let mut cache = SampleCache::new(10);
+        let old = SecureDescriptor::create(&a, 0, Timestamp(0));
+        let new = SecureDescriptor::create(&a, 0, Timestamp(5000));
+        cache.observe(&old, 1, PERIOD);
+        cache.observe(&new, 5, PERIOD);
+        fill(&mut cache, 5);
+        cache.prune(12);
+        assert_eq!(stored(&cache, &a), Some((2, 2)), "expired, not swept");
+        // A re-sighting inserts nothing and shifts nothing; the expired
+        // slot goes all the same.
+        assert_eq!(cache.observe(&new, 12, PERIOD), Observation::AlreadyKnown);
+        assert_eq!(stored(&cache, &a), Some((1, 2)), "half empty: kept");
+        assert_eq!(cache.footprint().stored_slots, cache.len());
+    }
+
+    #[test]
+    fn slot_vectors_fit_what_they_hold() {
+        let a = kp(1);
+        let mut cache = SampleCache::new(10);
+        let at = |i: u64| SecureDescriptor::create(&a, 0, Timestamp(i * PERIOD));
+        // Growth: 1, 2, 4, then by `SLACK_SLOTS`. The first eight are last
+        // seen at cycle 1, the last four at cycle 5.
+        let mut capacities = Vec::new();
+        for i in 0..12 {
+            cache.observe(&at(i), if i < 8 { 1 } else { 5 }, PERIOD);
+            capacities.push(stored(&cache, &a).unwrap().1);
         }
-        assert_eq!(cache.len(), 0);
-        assert_eq!(stored(&cache, &a), Some(1), "expired, sweep not due");
-        cache.prune(25);
-        assert!(cache.by_creator.is_empty(), "swept");
+        assert_eq!(capacities, [1, 2, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12]);
+        // Shrink: eight of twelve expire; the touch that drops them
+        // leaves more spare room than `SLACK_SLOTS`, so the vector is cut
+        // back to fit. (`fill` keeps the sweep out of it.)
+        fill(&mut cache, 5);
+        cache.prune(12);
+        assert_eq!(stored(&cache, &a), Some((12, 12)));
+        assert_eq!(
+            cache.observe(&at(11), 12, PERIOD),
+            Observation::AlreadyKnown
+        );
+        assert_eq!(stored(&cache, &a), Some((4, 4)));
+        // Dropping fewer than that keeps the room: the next sighting
+        // needs it.
+        for i in 12..16 {
+            cache.observe(&at(i), 13, PERIOD);
+        }
+        fill(&mut cache, 13);
+        cache.prune(16);
+        assert_eq!(stored(&cache, &a), Some((8, 8)), "three of them expired");
+        assert_eq!(
+            cache.observe(&at(15), 16, PERIOD),
+            Observation::AlreadyKnown
+        );
+        assert_eq!(stored(&cache, &a), Some((5, 8)));
     }
 
     #[test]

@@ -434,6 +434,12 @@ impl SecureDescriptor {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
+    /// Bytes of one chain block, without the two reference counts in
+    /// front of it. Not protocol surface: sizing tools multiply it by a
+    /// count of [`SecureDescriptor::block_addrs`].
+    #[doc(hidden)]
+    pub const BLOCK_BYTES: usize = core::mem::size_of::<Block>();
+
     /// The addresses of the blocks this version is made of, the last
     /// link's first and the root's last. Not protocol surface: storage
     /// oracles count distinct addresses to tell shared blocks from copies.

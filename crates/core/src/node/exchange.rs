@@ -326,7 +326,7 @@ impl SecureCyclonNode {
                 // this node double-sign that state (a provable cloning
                 // violation against *us*), so a spent state dies in the
                 // reserve.
-                if self.spent_states.contains_key(&d.state_digest()) {
+                if self.spent.contains(&d.state_digest()) {
                     continue;
                 }
                 if self.view.can_insert(&d) {

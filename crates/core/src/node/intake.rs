@@ -114,7 +114,7 @@ impl SecureCyclonNode {
         // provable culprit of a cloning violation. A legitimate return of
         // the same descriptor carries the extra links and hashes
         // differently.
-        if self.spent_states.contains_key(&d.state_digest()) {
+        if self.spent.contains(&d.state_digest()) {
             return false;
         }
         d.last_signer() == Some(from)

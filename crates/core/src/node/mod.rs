@@ -40,7 +40,7 @@ mod proofs;
 mod tests;
 
 use crate::blacklist::Blacklist;
-use crate::checks::SampleCache;
+use crate::checks::{CacheFootprint, SampleCache};
 use crate::config::SecureConfig;
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor, WalkScratch};
 use crate::machine::{Effects, Input, Machine};
@@ -54,8 +54,8 @@ use crate::Addr;
 use exchange::Exchange;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sc_crypto::{Digest, Keypair, NodeId};
 use sc_crypto::{FxHashMap, FxHashSet};
-use sc_crypto::{Keypair, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
@@ -171,6 +171,90 @@ fn expire<K: Copy + Eq + std::hash::Hash, V>(
         }
     }
 }
+
+/// The state digests this node has already signed a continuation for
+/// (transfer or redemption). Intake refuses a byte-identical copy of a
+/// spent state: with deterministic signatures an adversary can re-deliver
+/// the exact state a victim already continued, and a second innocent
+/// continuation would hand observers a valid §IV-B cloning proof *against
+/// the honest victim*. Expires on the sample-retention horizon, like the
+/// caches the proofs feed on.
+///
+/// One ring of `(signing cycle, digest)` records in signing order — the
+/// only copy of each digest — and beside it a ring of their 8-byte
+/// prefixes. Membership scans the prefixes (a few hundred
+/// records: a few kilobytes read in order, where a hash table of the same
+/// digests costs a cache miss a probe and three times the memory) and
+/// confirms a hit on the full digest. A state spent again gets a second
+/// record and lasts as long as its youngest one. Records are in cycle
+/// order except that an exchange resolving late (its `Reply` arrives
+/// after a `Request` of the next cycle was served) appends records
+/// stamped with its own, older cycle; such a record waits behind the
+/// younger one ahead of it, so it expires late by the cycles the exchange
+/// overran — never early, and never not at all.
+#[derive(Default)]
+struct SpentLedger {
+    records: VecDeque<(u64, Digest)>,
+    /// The prefix of every record's digest, in the same order.
+    prefixes: VecDeque<u64>,
+}
+
+impl SpentLedger {
+    /// Records the rings grow by when full: they hold what was spent in
+    /// one retention window, which settles, so doubling would strand up
+    /// to half of each.
+    const GROW_RECORDS: usize = 32;
+
+    fn prefix(digest: &Digest) -> u64 {
+        u64::from_le_bytes(digest[..8].try_into().expect("a digest has 32 bytes"))
+    }
+
+    fn contains(&self, digest: &Digest) -> bool {
+        let wanted = Self::prefix(digest);
+        // No early exit: a miss — every call but a replay's — reads the
+        // whole ring whatever the loop's shape, and this one vectorizes.
+        let among = |prefixes: &[u64]| prefixes.iter().fold(false, |hit, &p| hit | (p == wanted));
+        let (head, tail) = self.prefixes.as_slices();
+        (among(head) | among(tail)) && self.records.iter().any(|(_, spent)| spent == digest)
+    }
+
+    fn insert(&mut self, cycle: u64, digest: Digest) {
+        if self.records.len() == self.records.capacity() {
+            self.records.reserve_exact(Self::GROW_RECORDS);
+            self.prefixes.reserve_exact(Self::GROW_RECORDS);
+        }
+        self.records.push_back((cycle, digest));
+        self.prefixes.push_back(Self::prefix(&digest));
+    }
+
+    /// Forgets the records signed before `horizon` that no younger record
+    /// stands in front of.
+    fn expire(&mut self, horizon: u64) {
+        while self.records.front().is_some_and(|&(c, _)| c < horizon) {
+            self.records.pop_front();
+            self.prefixes.pop_front();
+        }
+    }
+
+    /// `(digest, signing cycle)` of every record, in signing order.
+    fn iter(&self) -> impl ExactSizeIterator<Item = (Digest, u64)> + '_ {
+        self.records.iter().map(|&(cycle, digest)| (digest, cycle))
+    }
+}
+
+/// What a node's bookkeeping occupies: the sample cache's
+/// [`CacheFootprint`] and the spent-state ledger. Not protocol surface:
+/// memory oracles and sizing tools read it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The sample cache.
+    pub samples: CacheFootprint,
+    /// Records in the spent-state ledger (40 bytes and an 8-byte prefix
+    /// each).
+    pub spent_records: usize,
+}
+
 /// A correct SecureCyclon node.
 pub struct SecureCyclonNode {
     keypair: Keypair,
@@ -205,22 +289,16 @@ pub struct SecureCyclonNode {
     /// Our descriptors redeemed with a *regular* redemption (replay
     /// refusal), with the cycle the redemption was accepted.
     redeemed_regular: FxHashMap<DescriptorId, u64>,
-    /// State digests this node has already signed a continuation for
-    /// (transfer or redemption), with the signing cycle. Intake refuses a
-    /// byte-identical copy of a spent state: with deterministic signatures
-    /// an adversary can re-deliver the exact state a victim already
-    /// continued, and a second innocent continuation would hand observers
-    /// a valid §IV-B cloning proof *against the honest victim*. Pruned on
-    /// the sample-retention horizon, like the caches the proofs feed on.
-    spent_states: FxHashMap<sc_crypto::Digest, u64>,
+    /// The replay guard of intake and of the reserve.
+    spent: SpentLedger,
     /// Descriptors of ours ever redeemed non-swappably (§V-A rule 1).
     ns_redeemed_ids: FxHashSet<DescriptorId>,
     /// (cycle, count) of NS redemptions accepted this cycle (§V-A rule 2).
     ns_accepted: (u64, u32),
     /// Open tit-for-tat exchanges, keyed by initiator address.
     sessions: FxHashMap<Addr, Session>,
-    /// Expiry schedules of `redeemed_regular`, `spent_states` and
-    /// `sessions`: one `(cycle, key)` record per insert, so housekeeping
+    /// Expiry schedules of `redeemed_regular` and `sessions`: one
+    /// `(cycle, key)` record per insert, so housekeeping
     /// walks the records that just fell behind the horizon instead of
     /// every entry of every map, every cycle. Records are in cycle order
     /// except that an exchange resolving late (its `Reply` arrives after a
@@ -229,7 +307,6 @@ pub struct SecureCyclonNode {
     /// one ahead of it, so its entry expires late by the cycles the
     /// exchange overran — never early, and never not at all.
     redeemed_expiry: VecDeque<(u64, DescriptorId)>,
-    spent_expiry: VecDeque<(u64, sc_crypto::Digest)>,
     session_expiry: VecDeque<(u64, Addr)>,
     /// Cycle in which the last NS back-fill was performed (creation of NS
     /// copies is rate-limited to one per cycle, mirroring §V-A rule 2 on
@@ -315,12 +392,11 @@ impl SecureCyclonNode {
             blacklist: Blacklist::new(),
             reserve: VecDeque::new(),
             redeemed_regular: FxHashMap::default(),
-            spent_states: FxHashMap::default(),
+            spent: SpentLedger::default(),
             ns_redeemed_ids: FxHashSet::default(),
             ns_accepted: (0, 0),
             sessions: FxHashMap::default(),
             redeemed_expiry: VecDeque::new(),
-            spent_expiry: VecDeque::new(),
             session_expiry: VecDeque::new(),
             last_ns_backfill: None,
             emitted_cycle: None,
@@ -379,18 +455,29 @@ impl SecureCyclonNode {
         self.reserve.iter()
     }
 
-    /// Every descriptor this node holds at rest: view, sample cache,
-    /// redemption cache, reserve and the two non-swappable back-fill
-    /// pools. Not protocol surface: storage oracles and sizing tools walk
-    /// it (with [`SecureDescriptor::block_addrs`]).
+    /// Every descriptor this node keeps in memory: view, sample cache
+    /// (its expired slots not yet dropped included — they pin their chain
+    /// blocks like any other), redemption cache, reserve and the two
+    /// non-swappable back-fill pools. Not protocol surface: storage
+    /// oracles and sizing tools walk it (with
+    /// [`SecureDescriptor::block_addrs`]).
     #[doc(hidden)]
-    pub fn held_descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
+    pub fn stored_descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
         let view = self.view.iter().map(|e| &e.desc);
-        view.chain(self.samples.descriptors())
+        view.chain(self.samples.stored_descriptors())
             .chain(self.redemptions.iter())
             .chain(&self.reserve)
             .chain(&self.pending_ns)
             .chain(&self.transfer_history)
+    }
+
+    /// What the sample cache and the spent-state ledger occupy.
+    #[doc(hidden)]
+    pub fn footprint(&self) -> Footprint {
+        Footprint {
+            samples: self.samples.footprint(),
+            spent_records: self.spent.iter().len(),
+        }
     }
 
     /// Number of pre-transfer copies remembered from successful exchanges
@@ -515,12 +602,7 @@ impl SecureCyclonNode {
             horizon,
             |c| *c,
         );
-        expire(
-            &mut self.spent_expiry,
-            &mut self.spent_states,
-            horizon,
-            |c| *c,
-        );
+        self.spent.expire(horizon);
     }
 
     /// Total ownership transfers each side performs in one exchange,

@@ -61,12 +61,11 @@ impl SecureCyclonNode {
                 self.blacklist.register(proof, learned);
             }
         }
-        // Recovered records arrive in no particular order; the expiry
-        // schedules must be in cycle order.
+        // Recovered records arrive in no particular order; the ledger
+        // and the expiry schedule must be in cycle order.
         state.spent.sort_unstable_by_key(|&(_, cycle)| cycle);
         for (digest, cycle) in state.spent {
-            self.spent_states.insert(digest, cycle);
-            self.spent_expiry.push_back((cycle, digest));
+            self.spent.insert(cycle, digest);
         }
         state
             .redeemed_regular
@@ -115,7 +114,7 @@ impl SecureCyclonNode {
             && desc.creator() != self.id
             && !desc.is_redeemed()
             && !self.blacklist.contains(&desc.creator())
-            && !self.spent_states.contains_key(&desc.state_digest())
+            && !self.spent.contains(&desc.state_digest())
             && desc.verify().is_ok()
     }
 
@@ -153,8 +152,7 @@ impl SecureCyclonNode {
     /// Records a spent state digest, durably when a backend is attached
     /// (re-signing a restored copy would be cloning evidence).
     pub(super) fn note_spent(&mut self, digest: sc_crypto::Digest, cycle: u64) {
-        self.spent_states.insert(digest, cycle);
-        self.spent_expiry.push_back((cycle, digest));
+        self.spent.insert(cycle, digest);
         if let Some(b) = self.backend.as_mut() {
             let _ = b.record_spent(&digest, cycle);
         }
@@ -182,7 +180,7 @@ impl SecureCyclonNode {
                 .iter()
                 .map(|p| (p.learned_cycle, p.proof.clone()))
                 .collect(),
-            spent: self.spent_states.iter().map(|(d, c)| (*d, *c)).collect(),
+            spent: self.spent.iter().collect(),
             redeemed_regular: self
                 .redeemed_regular
                 .iter()

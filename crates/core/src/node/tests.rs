@@ -23,37 +23,49 @@ fn small_cfg() -> SecureConfig {
     SecureConfig::default().with_view_len(8).with_swap_len(3)
 }
 
+fn digest(i: u64) -> Digest {
+    sc_crypto::sha256(&i.to_be_bytes())
+}
+
 #[test]
 fn housekeeping_expires_exactly_what_a_full_scan_would() {
-    // The scheduled expiry must agree with `retain` over the whole
-    // map at every cycle, including entries re-recorded at a later
-    // cycle (`note_spent` refreshes) and entries recovered out of
-    // order after a restart.
+    // The ledger must agree with `retain` over a digest → cycle map at
+    // every cycle, including states spent again at a later cycle (the
+    // younger record keeps them) and records recovered out of order
+    // after a restart.
     let cfg = small_cfg().validated();
     let retention = SAMPLE_RETENTION_CYCLES;
     let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
-    let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
     node.restore(PersistentState {
         spent: vec![(digest(900), 3), (digest(901), 0), (digest(902), 2)],
         ..Default::default()
     });
-    let mut expected: HashMap<sc_crypto::Digest, u64> =
+    let mut expected: HashMap<Digest, u64> =
         [(digest(900), 3), (digest(901), 0), (digest(902), 2)].into();
+    let mut ever: Vec<Digest> = expected.keys().copied().collect();
     for cycle in 4..4 + 3 * retention {
         // Two new states a cycle, and the one from five cycles ago
         // is spent again.
         for i in [2 * cycle, 2 * cycle + 1, 2 * cycle.saturating_sub(5)] {
             node.note_spent(digest(i), cycle);
             expected.insert(digest(i), cycle);
+            ever.push(digest(i));
         }
         node.housekeeping(cycle);
         let horizon = cycle.saturating_sub(retention);
         expected.retain(|_, c| *c >= horizon);
-        let got: HashMap<_, _> = node.spent_states.iter().map(|(d, c)| (*d, *c)).collect();
-        assert_eq!(got, expected, "cycle {cycle}");
+        for d in &ever {
+            assert_eq!(
+                node.spent.contains(d),
+                expected.contains_key(d),
+                "cycle {cycle}"
+            );
+        }
+        let held: HashMap<Digest, u64> = node.spent.iter().collect();
+        assert_eq!(held, expected, "cycle {cycle}: youngest record per state");
         assert!(
-            node.spent_expiry.len() <= 3 * (retention as usize + 1),
-            "the schedule is bounded by the window"
+            node.spent.iter().len() <= 3 * (retention as usize + 1),
+            "the ledger is bounded by the window"
         );
     }
 }
@@ -62,29 +74,105 @@ fn housekeeping_expires_exactly_what_a_full_scan_would() {
 fn late_resolving_exchange_only_delays_expiry() {
     // On the socket driver an exchange begun at cycle c may resolve after
     // a `Request` of cycle c+1 was served, so a record stamped c lands
-    // behind one stamped c+1. Its entry must outlive its horizon by
-    // exactly that overrun: dropped with the younger record, not before
-    // its own horizon and not never.
+    // behind one stamped c+1. It must outlive its horizon by exactly that
+    // overrun: dropped with the younger record, not before its own
+    // horizon and not never.
     let cfg = small_cfg().validated();
     let retention = SAMPLE_RETENTION_CYCLES;
     let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
-    let digest = |i: u64| sc_crypto::sha256(&i.to_be_bytes());
     let (served, late) = (digest(1), digest(2));
     node.note_spent(served, 11);
     node.note_spent(late, 10);
 
     node.housekeeping(10 + retention);
-    assert!(
-        node.spent_states.contains_key(&late),
-        "not before its horizon"
-    );
+    assert!(node.spent.contains(&late), "not before its horizon");
     node.housekeeping(11 + retention);
     assert!(
-        node.spent_states.contains_key(&late),
+        node.spent.contains(&late),
         "one cycle late: it waits behind the record of cycle 11"
     );
     node.housekeeping(12 + retention);
-    assert!(node.spent_states.is_empty() && node.spent_expiry.is_empty());
+    assert!(!node.spent.contains(&late) && !node.spent.contains(&served));
+    assert_eq!(node.spent.iter().len(), 0);
+}
+
+#[test]
+fn spent_ledger_confirms_a_prefix_hit_on_the_full_digest() {
+    // Two states whose digests share their first eight bytes — what the
+    // membership scan compares — are still two states.
+    let mut ledger = SpentLedger::default();
+    let spent = digest(1);
+    let mut lookalike = spent;
+    lookalike[31] ^= 1;
+    ledger.insert(0, spent);
+    assert!(ledger.contains(&spent));
+    assert!(!ledger.contains(&lookalike));
+    ledger.insert(0, lookalike);
+    assert!(ledger.contains(&lookalike));
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The ledger against what it replaced — a digest → cycle map, an
+    /// expiry schedule and the generic `expire` (which `redeemed_regular`
+    /// and `sessions` still run on), kept here as the reference. With
+    /// cycles in order, as the simulator produces them, `contains` agrees
+    /// for every digest ever spent, at every step. A *late* record (see
+    /// `late_resolving_exchange_only_delays_expiry`) of a state spent
+    /// *before* is the one case where they part: the map remembered only
+    /// the cycle written last, so the old pair could drop the state as
+    /// soon as an earlier record of it came up, while the ledger keeps it
+    /// until the late record itself does — later, never earlier.
+    #[test]
+    fn spent_ledger_matches_the_map_and_schedule_it_replaced(
+        ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u64>()), 1..400),
+        lateness in 0u64..2,
+    ) {
+        let cfg = small_cfg().validated();
+        let mut node = SecureCyclonNode::new(keypairs(1).remove(0), 0, cfg, [7u8; 32], 0);
+        let mut map: FxHashMap<Digest, u64> = FxHashMap::default();
+        let mut schedule: VecDeque<(u64, Digest)> = VecDeque::new();
+        let mut ever: Vec<Digest> = Vec::new();
+        let (mut cycle, mut horizon, mut any_late) = (0u64, 0u64, false);
+        for (step, (selector, arg)) in ops.into_iter().enumerate() {
+            match selector {
+                // Spend a state: a new one, or one of the last few again;
+                // now and then stamped a few cycles back.
+                0..=5 => {
+                    let d = match ever.len() {
+                        n if n > 0 && selector >= 4 => ever[n - 1 - (arg as usize % n.min(40))],
+                        n => digest(n as u64),
+                    };
+                    let late = if arg % 5 == 0 { lateness * (1 + arg % 3) } else { 0 };
+                    any_late |= late > 0 && late <= cycle;
+                    let stamped = cycle.saturating_sub(late);
+                    node.note_spent(d, stamped);
+                    map.insert(d, stamped);
+                    schedule.push_back((stamped, d));
+                    if !ever.contains(&d) {
+                        ever.push(d);
+                    }
+                }
+                // Let up to a fifth of a window pass, then housekeep.
+                _ => {
+                    cycle += arg % (SAMPLE_RETENTION_CYCLES / 5);
+                    horizon = cycle.saturating_sub(SAMPLE_RETENTION_CYCLES);
+                    node.housekeeping(cycle);
+                    expire(&mut schedule, &mut map, horizon, |c| *c);
+                }
+            }
+            for d in &ever {
+                let (new, old) = (node.spent.contains(d), map.contains_key(d));
+                if new == old {
+                    continue;
+                }
+                proptest::prop_assert!(new && any_late, "step {}: dropped early", step);
+                let waiting = node.spent.iter().any(|(held, c)| held == *d && c < horizon);
+                proptest::prop_assert!(waiting, "step {}: kept with no late record", step);
+            }
+        }
+    }
 }
 
 #[test]

@@ -96,7 +96,11 @@ pub struct PersistentState {
     pub redemptions: Vec<(u64, SecureDescriptor)>,
     /// Blacklist evidence as `(learned_cycle, proof)` (§IV-C).
     pub proofs: Vec<(u64, ViolationProof)>,
-    /// State digests already signed away, with the signing cycle.
+    /// State digests already signed away, with the signing cycle. A
+    /// checkpoint lists the node's ledger as it stands: in signing order,
+    /// and a state spent twice within the window twice. Recovery
+    /// (`SecureCyclonNode::with_backend`) keeps every record and sorts
+    /// them by cycle, so neither the order nor a repeat matters here.
     pub spent: Vec<(Digest, u64)>,
     /// Regular-redemption replay guard: redeemed own-descriptor identities
     /// with the acceptance cycle.
@@ -417,7 +421,7 @@ fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
 fn fold_log(bytes: &[u8], period_ticks: u64, limits: &WireLimits) -> Option<PersistentState> {
     let mut state: Option<PersistentState> = None;
     let mut log = Reader::with_limits(bytes, limits);
-    while fold_record(&mut log, &mut state, period_ticks, limits).is_ok() {}
+    while fold_record(&mut log, &mut state, period_ticks).is_ok() {}
     state
 }
 
@@ -427,21 +431,19 @@ fn fold_record(
     log: &mut Reader<'_>,
     state: &mut Option<PersistentState>,
     period_ticks: u64,
-    limits: &WireLimits,
 ) -> Result<(), WireError> {
     let len = log.u32()? as usize;
     let kind = log.u8()?;
     let sum = log.take(4)?;
-    let payload = log.take(len)?; // a torn tail ends here
-    if record_checksum(kind, payload) != sum {
+    let mut r = log.sub(len)?; // a torn tail ends here
+    if record_checksum(kind, r.rest()) != sum {
         // Bit rot / mid-record corruption: the trusted log ends here.
         return Err(WireError::UnexpectedEnd);
     }
     if kind == REC_CHECKPOINT {
-        *state = Some(decode_state(payload, period_ticks, limits)?);
+        *state = Some(decode_state(r, period_ticks)?);
         return Ok(());
     }
-    let mut r = Reader::with_limits(payload, limits);
     let record = match kind {
         REC_EMIT => TailRecord::Emit(r.u64()?),
         REC_PROOF => {
@@ -512,14 +514,11 @@ fn encode_state(state: &PersistentState) -> Vec<u8> {
     out
 }
 
-fn decode_state(
-    buf: &[u8],
-    period_ticks: u64,
-    limits: &WireLimits,
-) -> Result<PersistentState, WireError> {
-    let mut c = Reader::with_limits(buf, limits);
-    if c.u8()? != STATE_VERSION {
-        return Err(WireError::BadMessageTag(buf[0]));
+/// Decodes the checkpoint `c` holds, under the limits `c` carries.
+fn decode_state(mut c: Reader<'_>, period_ticks: u64) -> Result<PersistentState, WireError> {
+    let version = c.u8()?;
+    if version != STATE_VERSION {
+        return Err(WireError::BadMessageTag(version));
     }
     let mut state = PersistentState {
         cycle: c.u64()?,
@@ -673,7 +672,7 @@ mod tests {
     fn state_roundtrips_through_the_codec() {
         let state = sample_state();
         let bytes = encode_state(&state);
-        let back = decode_state(&bytes, PERIOD, &WireLimits::DEFAULT).unwrap();
+        let back = decode_state(Reader::new(&bytes), PERIOD).unwrap();
         assert_states_equal(&state, &back);
     }
 
@@ -682,7 +681,7 @@ mod tests {
         let state = PersistentState::default();
         assert!(state.is_trivial());
         let bytes = encode_state(&state);
-        let back = decode_state(&bytes, PERIOD, &WireLimits::DEFAULT).unwrap();
+        let back = decode_state(Reader::new(&bytes), PERIOD).unwrap();
         assert_states_equal(&state, &back);
     }
 

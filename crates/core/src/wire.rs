@@ -175,6 +175,22 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// The bytes not yet consumed, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// A cursor over the next `n` bytes and nothing beyond them, under
+    /// this cursor's limits: how a length-prefixed record inside a
+    /// larger input is decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEnd`] when fewer than `n` bytes remain.
+    pub fn sub(&mut self, n: usize) -> Result<Reader<'a>, WireError> {
+        Ok(Reader::with_limits(self.take(n)?, &self.limits))
+    }
+
     fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let mut a = [0u8; N];
         a.copy_from_slice(self.take(N)?);
@@ -1016,6 +1032,27 @@ mod message_tests {
         assert_eq!(
             decode_message(&buf, PERIOD).unwrap_err(),
             WireError::TooManyProofs(u16::MAX)
+        );
+    }
+
+    #[test]
+    fn sub_reader_is_bounded_and_carries_the_limits() {
+        let limits = WireLimits {
+            max_list_len: 1,
+            ..WireLimits::DEFAULT
+        };
+        let buf = [1u8, 2, 3, 4, 5];
+        let mut outer = Reader::with_limits(&buf, &limits);
+        assert_eq!(outer.sub(6).unwrap_err(), WireError::UnexpectedEnd);
+        assert_eq!(outer.remaining(), 5, "a failed read consumes nothing");
+        let mut inner = outer.sub(3).unwrap();
+        assert_eq!((inner.rest(), outer.rest()), (&buf[..3], &buf[3..]));
+        assert_eq!(inner.u16().unwrap(), 0x0102);
+        assert_eq!(inner.u16().unwrap_err(), WireError::UnexpectedEnd);
+        assert_eq!(
+            inner.list_count(2, 0).unwrap_err(),
+            WireError::ListTooLong(2),
+            "the outer cursor's cap, not the default"
         );
     }
 

@@ -10,14 +10,21 @@
 //! `prune` at arbitrary cycles and `purge_creator`, must produce the same
 //! [`Observation`] sequence, and after every step the same `len()`, the
 //! same `get()` for every id in play and the same `descriptors()` set.
+//!
+//! Beside what the cache *shows*, the same streams check what it *stores*
+//! (through the footprint accessor): no expired slot survives a touch of
+//! its creator, expired slots appear nowhere but in `prune` and never
+//! outlast the sweep trigger there, spare capacity stays within
+//! `SLACK_SLOTS` a creator, and no creator's entry is left empty.
 
 use proptest::prelude::*;
+use sc_core::checks::SLACK_SLOTS;
 use sc_core::{
     compare_chains, ChainRelation, CompareError, DescriptorId, LinkKind, Observation, SampleCache,
     SecureDescriptor, Timestamp, ViolationProof,
 };
 use sc_crypto::{Keypair, NodeId, Scheme, Signature};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const PERIOD: u64 = 1000;
 const RETENTION: u64 = 6;
@@ -192,6 +199,21 @@ fn pool() -> Vec<SecureDescriptor> {
     out
 }
 
+/// One plain descriptor each of `BALLAST` further creators, shown to the
+/// cache all at once: with that many slots visible a few expired ones
+/// stay under the sweep trigger, so the streams reach the state the
+/// verdicts must not depend on — slots expired but still stored.
+const BALLAST: u8 = 64;
+
+fn ballast() -> Vec<SecureDescriptor> {
+    (0..BALLAST)
+        .map(|tag| {
+            let creator = Keypair::from_seed(Scheme::KeyedHash, [tag; 32]);
+            SecureDescriptor::create(&creator, 0, Timestamp(0))
+        })
+        .collect()
+}
+
 // -- the streams -----------------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
@@ -204,10 +226,12 @@ enum Op {
     /// before its own turn).
     Idle(u64),
     Purge(u8),
+    /// Observe every [`ballast`] descriptor at the current cycle.
+    Ballast,
 }
 
-/// Decodes a generated `(selector, argument)` pair: half the steps are
-/// observations, a quarter prunes (short and window-sized gaps).
+/// Decodes a generated `(selector, argument)` pair: four steps in nine
+/// are observations, two prunes (short and window-sized gaps).
 fn op((selector, arg): (u8, u64)) -> Op {
     let pool_len = (CREATORS as usize * STAMPS.len() * VARIANTS) as u64;
     match selector {
@@ -215,7 +239,8 @@ fn op((selector, arg): (u8, u64)) -> Op {
         4 => Op::Prune(arg % 4),
         5 => Op::Prune(arg % (2 * RETENTION)),
         6 => Op::Idle(arg % 3),
-        _ => Op::Purge((arg % CREATORS as u64) as u8),
+        7 => Op::Purge((arg % CREATORS as u64) as u8),
+        _ => Op::Ballast,
     }
 }
 
@@ -230,17 +255,19 @@ proptest! {
 
     #[test]
     fn single_index_cache_matches_the_two_map_model(
-        raw in proptest::collection::vec((0u8..8, any::<u64>()), 1..120)
+        raw in proptest::collection::vec((0u8..9, any::<u64>()), 1..120)
     ) {
         let ops: Vec<Op> = raw.into_iter().map(op).collect();
-        let pool = pool();
-        let mut ids: Vec<DescriptorId> = pool.iter().map(|d| d.id()).collect();
+        let (pool, ballast) = (pool(), ballast());
+        let mut ids: Vec<DescriptorId> = pool.iter().chain(&ballast).map(|d| d.id()).collect();
         ids.sort_unstable();
         ids.dedup();
         let mut cache = SampleCache::new(RETENTION);
         let mut model = ModelCache::default();
         let mut cycle = 0u64;
         for (step, op) in ops.iter().enumerate() {
+            let before = cache.footprint();
+            let expired_before = before.stored_slots - before.visible_slots;
             match *op {
                 Op::Observe(i) => {
                     let got = cache.observe(&pool[i], cycle, PERIOD);
@@ -258,6 +285,12 @@ proptest! {
                     cache.purge_creator(&creator);
                     model.purge_creator(&creator);
                 }
+                Op::Ballast => {
+                    for d in &ballast {
+                        let got = cache.observe(d, cycle, PERIOD);
+                        prop_assert_eq!(got, model.observe(d, cycle), "step {}", step);
+                    }
+                }
             }
             prop_assert_eq!(cache.len(), model.by_id.len(), "len after step {}", step);
             prop_assert_eq!(cache.is_empty(), model.by_id.is_empty());
@@ -272,6 +305,40 @@ proptest! {
             let want = by_digest(model.by_id.values().map(|(d, _)| d));
             prop_assert_eq!(cache.descriptors().count(), cache.len());
             prop_assert_eq!(got, want, "descriptors() after step {}", step);
+
+            // What is stored, beside what is shown.
+            let held = cache.footprint();
+            prop_assert_eq!(held.visible_slots, cache.len());
+            prop_assert_eq!(held.stored_slots, cache.stored_descriptors().count());
+            let expired = held.stored_slots - held.visible_slots;
+            match *op {
+                Op::Prune(_) => prop_assert!(
+                    expired <= held.visible_slots / 16,
+                    "step {}: {} expired slots left beside {} visible", step, expired,
+                    held.visible_slots
+                ),
+                _ => prop_assert!(
+                    expired <= expired_before,
+                    "step {}: slots expired outside prune ({} -> {})", step, expired_before,
+                    expired
+                ),
+            }
+            if let Op::Observe(i) = *op {
+                let by = |d: &&SecureDescriptor| d.creator() == pool[i].creator();
+                prop_assert_eq!(
+                    cache.stored_descriptors().filter(by).count(),
+                    cache.descriptors().filter(by).count(),
+                    "step {}: an expired slot survived a touch of its creator", step
+                );
+            }
+            let creators: BTreeSet<NodeId> =
+                cache.stored_descriptors().map(|d| d.creator()).collect();
+            prop_assert_eq!(held.creators, creators.len(), "step {}: an empty entry", step);
+            prop_assert!(
+                held.slot_capacity - held.stored_slots <= SLACK_SLOTS * held.creators,
+                "step {}: capacity {} for {} slots of {} creators", step, held.slot_capacity,
+                held.stored_slots, held.creators
+            );
         }
     }
 }

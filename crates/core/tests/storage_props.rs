@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use sc_core::wire::WireLimits;
 use sc_core::{
-    FileBackend, PersistentState, SecureDescriptor, StateBackend, Timestamp, ViolationProof,
+    FileBackend, Input, PersistentState, SecureConfig, SecureCyclonNode, SecureDescriptor,
+    StateBackend, Timestamp, ViolationProof,
 };
 use sc_crypto::{sha256, Keypair, Scheme};
 use std::fs;
@@ -148,6 +149,45 @@ fn truncation_at_every_offset_recovers_the_longest_intact_prefix() {
         .expect("full log recovers");
     assert_eq!(full.1, Some(9), "both emission records folded in");
     assert_eq!(full.5, 1, "proof record folded in");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint lists the spent-state ledger as the node holds it: in
+/// signing order, a state spent twice listed twice. Recovery keeps both
+/// records and puts them in cycle order, whatever order they come in —
+/// the ledger expires from its front.
+#[test]
+fn a_state_spent_twice_is_restored_twice_and_in_cycle_order() {
+    let dir = scratch_dir("respent");
+    let path = dir.join("node.log");
+    let _ = fs::remove_file(&path);
+    let held = owned(1, 100);
+    let (twice, once) = (held.state_digest(), sha256(b"another state"));
+    let mut state = PersistentState {
+        cycle: 9,
+        emitted_cycle: Some(9),
+        spent: vec![(once, 9), (twice, 2), (twice, 5)],
+        ..Default::default()
+    };
+    state.view.push((held, false));
+    let mut backend = FileBackend::open(&path).expect("open");
+    backend.save_checkpoint(&state).expect("checkpoint");
+    drop(backend);
+
+    let cfg = SecureConfig::default();
+    let backend = Box::new(FileBackend::open(&path).expect("reopen"));
+    let mut node =
+        SecureCyclonNode::with_backend(kp(200), 0, cfg, [1u8; 32], 0, backend).expect("recover");
+    assert_eq!(node.footprint().spent_records, 3, "both records of `twice`");
+    assert_eq!(node.view().len(), 0, "a spent state does not come back");
+    // Horizons 3, 6 and 10 take the records of cycles 2, 5 and 9 — one
+    // each, which they only do from a ledger in cycle order.
+    let window = sc_core::node::SAMPLE_RETENTION_CYCLES;
+    for (cycle, left) in [(window + 3, 2), (window + 6, 1), (window + 10, 0)] {
+        let now = cycle * cfg.ticks_per_cycle;
+        node.step(Input::Tick { cycle, now });
+        assert_eq!(node.footprint().spent_records, left, "cycle {cycle}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

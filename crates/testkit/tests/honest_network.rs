@@ -4,6 +4,7 @@
 //! failure), at reduced scale.
 
 use sc_attacks::SecureAttack;
+use sc_core::checks::SLACK_SLOTS;
 use sc_core::node::{REDEMPTION_CACHE_MAX_ENTRIES, SAMPLE_RETENTION_CYCLES};
 use sc_core::{SecureConfig, Timestamp};
 use sc_crypto::NodeId;
@@ -215,9 +216,13 @@ fn samples_accumulate_and_prune() {
 fn per_node_caches_stay_within_their_caps() {
     // The first slice of a memory-bound oracle: on the paper's
     // configuration every per-node cache stays inside a bound that
-    // follows from the configuration alone, at every cycle.
+    // follows from the configuration alone, at every cycle. 300 nodes,
+    // because what a cache *occupies* beside what it shows only tells
+    // once creators outnumber a cycle's first sightings (≈ 50): with 60
+    // nodes every creator gains a sample every cycle or two, and an
+    // insert has always dropped its creator's expired slots.
     let cfg = SecureConfig::default();
-    let mut params = SecureNetParams::new(60, 0, SecureAttack::None);
+    let mut params = SecureNetParams::new(300, 0, SecureAttack::None);
     params.cfg = cfg;
     params.seed = 10;
     let mut net = build_secure_network(params);
@@ -228,7 +233,11 @@ fn per_node_caches_stay_within_their_caps() {
     // certificate, the fresh descriptor and s transfers.
     let per_exchange = cfg.view_len + REDEMPTION_CACHE_MAX_ENTRIES + 2 + cfg.swap_len;
     let sample_bound = (SAMPLE_RETENTION_CYCLES as usize + 1) * 2 * per_exchange;
-    for cycle in 0..150 {
+    // In each of those exchanges the node signs away at most the
+    // certificate and s transfers. A spent state is remembered for the
+    // window, plus the cycle a record can wait behind a younger one.
+    let spent_bound = (SAMPLE_RETENTION_CYCLES as usize + 2) * 2 * (1 + cfg.swap_len);
+    for cycle in 0..100 {
         net.engine.run_cycle();
         for node in honest(&net) {
             assert!(node.redemption_count() <= REDEMPTION_CACHE_MAX_ENTRIES);
@@ -238,6 +247,30 @@ fn per_node_caches_stay_within_their_caps() {
                 "cycle {cycle}: {} samples",
                 node.sample_count()
             );
+            // What the bookkeeping *occupies*, not only what it shows:
+            // expired slots wait for a touch of their creator or for the
+            // sweep, which runs once they outnumber a sixteenth of the
+            // visible ones — and nothing but the node's own prune makes
+            // a slot expire. A slot vector keeps at most `SLACK_SLOTS`
+            // spare slots.
+            let held = node.footprint();
+            let (visible, stored) = (held.samples.visible_slots, held.samples.stored_slots);
+            assert_eq!(visible, node.sample_count());
+            assert!(
+                stored <= visible + visible / 16,
+                "cycle {cycle}: {stored} slots stored for {visible} visible"
+            );
+            assert!(
+                held.samples.slot_capacity - stored <= SLACK_SLOTS * held.samples.creators,
+                "cycle {cycle}: capacity {} for {stored} slots of {} creators",
+                held.samples.slot_capacity,
+                held.samples.creators
+            );
+            assert!(
+                held.spent_records <= spent_bound,
+                "cycle {cycle}: {} spent records",
+                held.spent_records
+            );
         }
         // What all of it costs to store. A chain is made of fixed-size
         // blocks, one per link plus the genesis (`descriptor.rs` pins the
@@ -246,10 +279,15 @@ fn per_node_caches_stay_within_their_caps() {
         // before it: the network holds each link of each live descriptor
         // once, not once per copy, version or holder. (No honest node
         // forks a chain here; a sanctioned §V-A fork would add its one
-        // link.)
+        // link.) The walk covers everything *stored* — an expired slot
+        // pins its blocks until it is dropped — and is taken every tenth
+        // cycle: a block stored twice stays stored twice.
+        if cycle % 10 != 9 {
+            continue;
+        }
         let mut blocks = HashSet::new();
         let mut longest: HashMap<_, usize> = HashMap::new();
-        for d in honest(&net).flat_map(|node| node.held_descriptors()) {
+        for d in honest(&net).flat_map(|node| node.stored_descriptors()) {
             let links = longest.entry(d.id()).or_default();
             *links = d.transfer_count().max(*links);
             for block in d.block_addrs() {

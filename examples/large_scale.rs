@@ -10,7 +10,10 @@
 //! run replays bit-for-bit from one seed.
 
 use securecyclon::attacks::SecureAttack;
+use securecyclon::core::checks::CacheFootprint;
+use securecyclon::core::SecureDescriptor;
 use securecyclon::testkit::{build_secure_network, SecureNetParams};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn main() {
@@ -57,15 +60,44 @@ fn main() {
     );
     let mut fills = 0usize;
     let mut slots = 0usize;
+    // What a node's bookkeeping occupies (README, "Where a node's memory
+    // goes"): sample-cache slots shown and stored, the capacity behind
+    // them, spent-state records, and the chain blocks everything stored
+    // pins — each block once, whoever holds it.
+    let (mut visible, mut stored, mut capacity, mut spent) = (0, 0, 0, 0);
+    let mut blocks = HashSet::new();
     for (_, node) in net.engine.nodes() {
         let h = node.honest().expect("all nodes honest");
         fills += h.view().len();
         slots += h.config().view_len;
         assert!(h.blacklist().is_empty(), "honest runs accuse nobody");
+        let held = h.footprint();
+        visible += held.samples.visible_slots;
+        stored += held.samples.stored_slots;
+        capacity += held.samples.slot_capacity;
+        spent += held.spent_records;
+        for d in h.stored_descriptors() {
+            for block in d.block_addrs() {
+                if !blocks.insert(block) {
+                    break; // and every block below it
+                }
+            }
+        }
     }
     println!(
         "views: {:.1}% full across {} nodes",
         100.0 * fills as f64 / slots as f64,
         net.engine.alive_count()
+    );
+    let per_node = |total: usize| total as f64 / n as f64;
+    println!(
+        "footprint per node after {cycles} cycles: {:.0} sample slots visible, {:.0} stored, \
+         {:.1} kB of slot capacity, {:.0} spent records, {:.0} chain blocks = {:.1} kB",
+        per_node(visible),
+        per_node(stored),
+        per_node(capacity * CacheFootprint::SLOT_BYTES) / 1e3,
+        per_node(spent),
+        per_node(blocks.len()),
+        per_node(blocks.len() * SecureDescriptor::BLOCK_BYTES) / 1e3
     );
 }

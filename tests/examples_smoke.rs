@@ -10,7 +10,7 @@
 
 use std::process::Command;
 
-fn run_example(name: &str) {
+fn run_example(name: &str) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(cargo)
         .args(["run", "--release", "--example", name])
@@ -26,6 +26,7 @@ fn run_example(name: &str) {
         !output.stdout.is_empty(),
         "example {name} produced no output"
     );
+    String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
 #[test]
@@ -55,7 +56,19 @@ fn hub_attack_demo_runs() {
 #[test]
 #[ignore = "spawns a nested cargo build; run via CI or with -- --ignored"]
 fn large_scale_runs() {
-    run_example("large_scale");
+    let out = run_example("large_scale");
+    // The sizing ledger README's memory table is rebuilt from.
+    let line = out.lines().find(|l| l.starts_with("footprint per node"));
+    let line = line.unwrap_or_else(|| panic!("no footprint line in:\n{out}"));
+    for field in [
+        "visible",
+        "stored",
+        "slot capacity",
+        "spent records",
+        "chain blocks",
+    ] {
+        assert!(line.contains(field), "no {field:?} in {line:?}");
+    }
 }
 
 #[test]
