@@ -180,51 +180,46 @@ fn expire<K: Copy + Eq + std::hash::Hash, V>(
 /// the honest victim*. Expires on the sample-retention horizon, like the
 /// caches the proofs feed on.
 ///
-/// One ring of `(signing cycle, digest)` records in signing order — the
-/// only copy of each digest — and beside it a ring of their 8-byte
-/// prefixes. Membership scans the prefixes (a few hundred
-/// records: a few kilobytes read in order, where a hash table of the same
-/// digests costs a cache miss a probe and three times the memory) and
-/// confirms a hit on the full digest. A state spent again gets a second
-/// record and lasts as long as its youngest one. Records are in cycle
-/// order except that an exchange resolving late (its `Reply` arrives
-/// after a `Request` of the next cycle was served) appends records
-/// stamped with its own, older cycle; such a record waits behind the
-/// younger one ahead of it, so it expires late by the cycles the exchange
-/// overran — never early, and never not at all.
+/// One ring of `(signing cycle, digest)` records in signing order, the
+/// only copy of each digest. Membership scans it: a few hundred records,
+/// some 15 kB read in order, where a hash table of the same digests and
+/// the expiry schedule beside it cost four times the memory. A state
+/// spent again gets a second record and lasts as long as its youngest
+/// one.
+///
+/// Records are in cycle order except that an exchange resolving late (its
+/// `Reply` arrives after a `Request` of the next cycle was served) appends
+/// records stamped with its own, older cycle; such a record waits behind
+/// the younger one ahead of it, so it expires late by the cycles the
+/// exchange overran — never early, and never not at all. That holds for a
+/// state spent *again* under a late stamp too, which is where this ledger
+/// is stricter than the digest → cycle map it replaced: the map kept one
+/// cycle a state, the one written last, so the late stamp overwrote the
+/// younger one and the state was forgotten when its first record came up;
+/// here every record refuses the state for as long as it is held, so a
+/// late re-spend extends the refusal by the cycles its record waits. Only
+/// the socket driver stamps late; the simulator's cycles are in order,
+/// and there the two agree at every step.
 #[derive(Default)]
 struct SpentLedger {
     records: VecDeque<(u64, Digest)>,
-    /// The prefix of every record's digest, in the same order.
-    prefixes: VecDeque<u64>,
 }
 
 impl SpentLedger {
-    /// Records the rings grow by when full: they hold what was spent in
+    /// Records the ring grows by when full: it holds what was spent in
     /// one retention window, which settles, so doubling would strand up
-    /// to half of each.
+    /// to half of it.
     const GROW_RECORDS: usize = 32;
 
-    fn prefix(digest: &Digest) -> u64 {
-        u64::from_le_bytes(digest[..8].try_into().expect("a digest has 32 bytes"))
-    }
-
     fn contains(&self, digest: &Digest) -> bool {
-        let wanted = Self::prefix(digest);
-        // No early exit: a miss — every call but a replay's — reads the
-        // whole ring whatever the loop's shape, and this one vectorizes.
-        let among = |prefixes: &[u64]| prefixes.iter().fold(false, |hit, &p| hit | (p == wanted));
-        let (head, tail) = self.prefixes.as_slices();
-        (among(head) | among(tail)) && self.records.iter().any(|(_, spent)| spent == digest)
+        self.records.iter().any(|(_, spent)| spent == digest)
     }
 
     fn insert(&mut self, cycle: u64, digest: Digest) {
         if self.records.len() == self.records.capacity() {
             self.records.reserve_exact(Self::GROW_RECORDS);
-            self.prefixes.reserve_exact(Self::GROW_RECORDS);
         }
         self.records.push_back((cycle, digest));
-        self.prefixes.push_back(Self::prefix(&digest));
     }
 
     /// Forgets the records signed before `horizon` that no younger record
@@ -232,7 +227,6 @@ impl SpentLedger {
     fn expire(&mut self, horizon: u64) {
         while self.records.front().is_some_and(|&(c, _)| c < horizon) {
             self.records.pop_front();
-            self.prefixes.pop_front();
         }
     }
 
@@ -250,8 +244,7 @@ impl SpentLedger {
 pub struct Footprint {
     /// The sample cache.
     pub samples: CacheFootprint,
-    /// Records in the spent-state ledger (40 bytes and an 8-byte prefix
-    /// each).
+    /// Records in the spent-state ledger (40 bytes each).
     pub spent_records: usize,
 }
 

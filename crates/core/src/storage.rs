@@ -101,6 +101,10 @@ pub struct PersistentState {
     /// and a state spent twice within the window twice. Recovery
     /// (`SecureCyclonNode::with_backend`) keeps every record and sorts
     /// them by cycle, so neither the order nor a repeat matters here.
+    /// Every record refuses its state until it expires: a state spent
+    /// again under an older stamp (an exchange that resolved late) is
+    /// refused for as long as either record is held, where the map this
+    /// list used to be written from had forgotten the younger stamp.
     pub spent: Vec<(Digest, u64)>,
     /// Regular-redemption replay guard: redeemed own-descriptor identities
     /// with the acceptance cycle.
