@@ -10,12 +10,10 @@
 //! failing live run reproduces exactly from the printed seed and two
 //! transports holding the same spec agree on every frame's fate.
 //!
-//! The module lives in `sc-core` (not `sc-node`) because the spec
-//! crosses the wire: the daemon parses one from `--fault-spec`, and the
-//! testkit harness ships new specs mid-run inside `CtrlFault` control
-//! frames, both using the textual grammar of [`FaultSpec::parse`] /
-//! `Display` and the binary codec of [`FaultSpec::encode`] /
-//! [`FaultSpec::decode`].
+//! A spec has one serialization, the textual grammar of
+//! [`FaultSpec::parse`] / `Display`: the daemon parses it from
+//! `--fault-spec`, and a harness ships it mid-run as the payload of a
+//! `CtrlFault` control frame.
 //!
 //! # Grammar
 //!
@@ -36,7 +34,6 @@
 //! * `reset` — outbound forced-connection-reset probability
 //! * `sever` — `+`-separated peer addresses cut off entirely (partition)
 
-use crate::wire::{Reader, WireError, Writer};
 use crate::Addr;
 
 /// Default reorder window when `delay=p` omits the `:w` suffix.
@@ -172,7 +169,7 @@ impl FaultSpec {
     }
 
     /// Clamps probabilities into `[0, 1]` (NaN → 0) and sorts the
-    /// severed set; applied after parse/decode so hostile or sloppy
+    /// severed set; applied after parse so hostile or sloppy
     /// input cannot produce out-of-contract decisions.
     pub fn sanitized(mut self) -> FaultSpec {
         let clamp = |p: f64| {
@@ -250,60 +247,6 @@ impl FaultSpec {
             }
         }
         Ok(spec.sanitized())
-    }
-
-    /// Appends the binary encoding (for `CtrlFault` frame payloads).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut w = Writer::new(out);
-        w.u64(self.seed);
-        for p in [
-            self.drop_in,
-            self.drop_out,
-            self.delay_prob,
-            self.dup_prob,
-            self.reset_prob,
-        ] {
-            w.u64(p.to_bits());
-        }
-        w.u32(self.delay_max_polls);
-        w.list(2, &self.severed, |w, a| w.u32(*a));
-    }
-
-    /// Decodes a binary spec, returning it with the bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::UnexpectedEnd`] on truncation,
-    /// [`WireError::ListTooLong`] on an oversized severed set. Field
-    /// values are sanitized rather than rejected.
-    pub fn decode(buf: &[u8]) -> Result<(FaultSpec, usize), WireError> {
-        let mut c = Reader::new(buf);
-        let seed = c.u64()?;
-        let drop_in = f64::from_bits(c.u64()?);
-        let drop_out = f64::from_bits(c.u64()?);
-        let delay_prob = f64::from_bits(c.u64()?);
-        let dup_prob = f64::from_bits(c.u64()?);
-        let reset_prob = f64::from_bits(c.u64()?);
-        let delay_max_polls = c.u32()?;
-        let n = c.u16()? as usize;
-        c.list_count(n, 4)?;
-        let mut severed = Vec::with_capacity(n);
-        for _ in 0..n {
-            severed.push(c.u32()?);
-        }
-        let pos = c.position();
-        let spec = FaultSpec {
-            seed,
-            drop_in,
-            drop_out,
-            delay_prob,
-            delay_max_polls,
-            dup_prob,
-            reset_prob,
-            severed,
-        }
-        .sanitized();
-        Ok((spec, pos))
     }
 }
 
@@ -384,23 +327,6 @@ mod tests {
         );
         assert!(FaultSpec::parse("delay=0.5:0").is_err());
         assert!(FaultSpec::parse("sever=abc").is_err());
-    }
-
-    #[test]
-    fn wire_roundtrips_and_rejects_truncation() {
-        let spec = FaultSpec::parse("seed=9,drop=0.2,delay=0.1:8,sever=1+2+3").unwrap();
-        let mut buf = vec![0xAA; 3]; // prefix noise: decode reports offset
-        let start = buf.len();
-        spec.encode(&mut buf);
-        let (back, used) = FaultSpec::decode(&buf[start..]).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(used, buf.len() - start);
-        for cut in [0, 8, used - 1] {
-            assert_eq!(
-                FaultSpec::decode(&buf[start..start + cut]).unwrap_err(),
-                WireError::UnexpectedEnd
-            );
-        }
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub mod msg;
 pub mod node;
 pub mod proof;
 pub mod redemption;
+mod ring;
 pub mod storage;
 pub mod time;
 pub mod view;

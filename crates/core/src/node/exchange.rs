@@ -165,7 +165,7 @@ impl SecureCyclonNode {
                 &mut self.rng,
                 |d| d.creator() != partner_id,
             ) {
-                if let Ok(t) = pre.transfer(&self.keypair, partner_id) {
+                if let Some(t) = self.hand_over(&pre, partner_id, cycle) {
                     self.stats.transfers_sent += 1;
                     offered.push(t);
                     offered_pre.push(pre);
@@ -208,7 +208,7 @@ impl SecureCyclonNode {
             // owned, but non-swappable copies may be retained.
             self.stats.timeouts += 1;
             for pre in offered_pre {
-                self.lose_to_ns(pre, cycle);
+                self.lose_to_ns(pre);
             }
             return false;
         };
@@ -226,7 +226,7 @@ impl SecureCyclonNode {
             return false;
         }
         for pre in offered_pre {
-            self.remember_transfer(pre, cycle);
+            self.remember_transfer(pre);
         }
         let expect = if self.cfg.tit_for_tat { 1 } else { quota };
         let got_any = !transfers.is_empty();
@@ -261,7 +261,7 @@ impl SecureCyclonNode {
             .remove_random_swappable_filtered(1, &mut self.rng, |d| d.creator() != partner_id)
             .into_iter()
             .next()?;
-        let out = pre.transfer(&self.keypair, partner_id).ok()?;
+        let out = self.hand_over(&pre, partner_id, cycle)?;
         self.stats.transfers_sent += 1;
         self.exchange = Some(Exchange {
             partner_id,
@@ -290,10 +290,10 @@ impl SecureCyclonNode {
         let Some(d) = answer else {
             // Timeout, or the partner quit halfway: our transfer is
             // gone, keep a non-swappable copy (§V-A).
-            self.lose_to_ns(pre, cycle);
+            self.lose_to_ns(pre);
             return false;
         };
-        self.remember_transfer(pre, cycle);
+        self.remember_transfer(pre);
         self.accept_transfer(d, partner_id, cycle);
         !self.blacklist.contains(&partner_id)
     }
@@ -302,8 +302,7 @@ impl SecureCyclonNode {
     /// handed over in an exchange that then failed: the node "is allowed
     /// to keep a copy of a descriptor whose ownership it has transferred
     /// to some other peer, marking it as non-swappable" (§V-A).
-    fn lose_to_ns(&mut self, pre: SecureDescriptor, cycle: u64) {
-        self.note_spent(pre.state_digest(), cycle);
+    fn lose_to_ns(&mut self, pre: SecureDescriptor) {
         if self.pending_ns.len() == super::TRANSFER_HISTORY_LEN {
             self.pending_ns.pop_front();
         }

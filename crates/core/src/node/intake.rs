@@ -244,7 +244,7 @@ impl SecureCyclonNode {
         let id = redeemed.id();
         match kind {
             LinkKind::Redeem => {
-                if self.redeemed_regular.contains_key(&id) {
+                if self.redeemed_regular.contains(&id) {
                     self.stats.refused += 1;
                     return None;
                 }
@@ -306,8 +306,7 @@ impl SecureCyclonNode {
             self.ns_redeemed_ids.insert(id);
             self.stats.ns_redemptions_accepted += 1;
         } else {
-            self.redeemed_regular.insert(id, cycle);
-            self.redeemed_expiry.push_back((cycle, id));
+            self.redeemed_regular.push(cycle, id);
         }
 
         // -- select outgoing transfers ----------------------------------
@@ -320,10 +319,10 @@ impl SecureCyclonNode {
             });
         let mut transfers = Vec::with_capacity(picked.len());
         for pre in picked {
-            if let Ok(t) = pre.transfer(&self.keypair, redeemer) {
+            if let Some(t) = self.hand_over(&pre, redeemer, cycle) {
                 self.stats.transfers_sent += 1;
                 transfers.push(t);
-                self.remember_transfer(pre, cycle);
+                self.remember_transfer(pre);
             }
         }
 
@@ -346,15 +345,15 @@ impl SecureCyclonNode {
 
         // -- open the tit-for-tat session -------------------------------
         if self.cfg.tit_for_tat && quota > 1 && !transfers.is_empty() {
-            self.sessions.insert(
-                from,
+            self.close_session(from);
+            self.sessions.push(
+                cycle,
                 Session {
+                    from,
                     partner: redeemer,
                     remaining: quota - 1,
-                    cycle,
                 },
             );
-            self.session_expiry.push_back((cycle, from));
         }
 
         self.stats.answered += 1;
@@ -365,15 +364,20 @@ impl SecureCyclonNode {
         })))
     }
 
+    /// Forgets the tit-for-tat session `from` has open, if any.
+    fn close_session(&mut self, from: Addr) {
+        self.sessions.retain(|s| s.from != from);
+    }
+
     pub(super) fn handle_round(
         &mut self,
         from: Addr,
         body: RoundBody,
         cycle: u64,
     ) -> Option<SecureMsg> {
-        let session = *self.sessions.get(&from)?;
+        let session = *self.sessions.iter().find(|(_, s)| s.from == from)?.1;
         if session.remaining == 0 {
-            self.sessions.remove(&from);
+            self.close_session(from);
             return None;
         }
         // Free our slot before storing the incoming transfer, so it can
@@ -385,15 +389,13 @@ impl SecureCyclonNode {
             .into_iter()
             .next()
             .and_then(|pre| {
-                let out = pre.transfer(&self.keypair, partner).ok();
-                if out.is_some() {
-                    self.remember_transfer(pre, cycle);
-                }
-                out
+                let out = self.hand_over(&pre, partner, cycle)?;
+                self.remember_transfer(pre);
+                Some(out)
             });
         self.accept_transfer(body.transfer, partner, cycle);
         if self.blacklist.contains(&partner) {
-            self.sessions.remove(&from);
+            self.close_session(from);
             return None;
         }
         if reply.is_some() {
@@ -401,8 +403,8 @@ impl SecureCyclonNode {
         }
         let remaining = session.remaining - 1;
         if remaining == 0 || reply.is_none() {
-            self.sessions.remove(&from);
-        } else if let Some(s) = self.sessions.get_mut(&from) {
+            self.close_session(from);
+        } else if let Some(s) = self.sessions.iter_mut().find(|s| s.from == from) {
             s.remaining = remaining;
         }
         Some(SecureMsg::RoundReply(Box::new(RoundReplyBody {

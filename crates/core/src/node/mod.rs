@@ -47,6 +47,7 @@ use crate::machine::{Effects, Input, Machine};
 use crate::msg::SecureMsg;
 use crate::proof::{ProofKind, ViolationProof};
 use crate::redemption::RedemptionCache;
+use crate::ring::ExpiryRing;
 use crate::storage::StateBackend;
 use crate::view::SecureView;
 use crate::wire;
@@ -54,9 +55,8 @@ use crate::Addr;
 use exchange::Exchange;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sc_crypto::FxHashSet;
 use sc_crypto::{Digest, Keypair, NodeId};
-use sc_crypto::{FxHashMap, FxHashSet};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Hard cap on redemption-cache entries, independent of age. Under heavy
@@ -140,100 +140,13 @@ pub struct ProofRecord {
     pub descriptor: Option<DescriptorId>,
 }
 
+/// An open tit-for-tat exchange on the passive side.
 #[derive(Clone, Copy, Debug)]
 struct Session {
+    /// The initiator's address: one session a peer.
+    from: Addr,
     partner: NodeId,
     remaining: usize,
-    cycle: u64,
-}
-
-/// Removes from `map` the entries recorded before `horizon`, visiting
-/// only the schedule records that old — O(expired), not O(map). A record
-/// does not by itself condemn its entry: the entry may have been
-/// re-recorded since (its newer record comes up later) or already
-/// removed, so the cycle stored in the map decides. A record queued
-/// behind a younger one is reached only once that one expires too.
-fn expire<K: Copy + Eq + std::hash::Hash, V>(
-    schedule: &mut VecDeque<(u64, K)>,
-    map: &mut FxHashMap<K, V>,
-    horizon: u64,
-    recorded: impl Fn(&V) -> u64,
-) {
-    while let Some(&(cycle, key)) = schedule.front() {
-        if cycle >= horizon {
-            break;
-        }
-        schedule.pop_front();
-        if let Entry::Occupied(entry) = map.entry(key) {
-            if recorded(entry.get()) < horizon {
-                entry.remove();
-            }
-        }
-    }
-}
-
-/// The state digests this node has already signed a continuation for
-/// (transfer or redemption). Intake refuses a byte-identical copy of a
-/// spent state: with deterministic signatures an adversary can re-deliver
-/// the exact state a victim already continued, and a second innocent
-/// continuation would hand observers a valid §IV-B cloning proof *against
-/// the honest victim*. Expires on the sample-retention horizon, like the
-/// caches the proofs feed on.
-///
-/// One ring of `(signing cycle, digest)` records in signing order, the
-/// only copy of each digest. Membership scans it: a few hundred records,
-/// some 15 kB read in order, where a hash table of the same digests and
-/// the expiry schedule beside it cost four times the memory. A state
-/// spent again gets a second record and lasts as long as its youngest
-/// one.
-///
-/// Records are in cycle order except that an exchange resolving late (its
-/// `Reply` arrives after a `Request` of the next cycle was served) appends
-/// records stamped with its own, older cycle; such a record waits behind
-/// the younger one ahead of it, so it expires late by the cycles the
-/// exchange overran — never early, and never not at all. That holds for a
-/// state spent *again* under a late stamp too, which is where this ledger
-/// is stricter than the digest → cycle map it replaced: the map kept one
-/// cycle a state, the one written last, so the late stamp overwrote the
-/// younger one and the state was forgotten when its first record came up;
-/// here every record refuses the state for as long as it is held, so a
-/// late re-spend extends the refusal by the cycles its record waits. Only
-/// the socket driver stamps late; the simulator's cycles are in order,
-/// and there the two agree at every step.
-#[derive(Default)]
-struct SpentLedger {
-    records: VecDeque<(u64, Digest)>,
-}
-
-impl SpentLedger {
-    /// Records the ring grows by when full: it holds what was spent in
-    /// one retention window, which settles, so doubling would strand up
-    /// to half of it.
-    const GROW_RECORDS: usize = 32;
-
-    fn contains(&self, digest: &Digest) -> bool {
-        self.records.iter().any(|(_, spent)| spent == digest)
-    }
-
-    fn insert(&mut self, cycle: u64, digest: Digest) {
-        if self.records.len() == self.records.capacity() {
-            self.records.reserve_exact(Self::GROW_RECORDS);
-        }
-        self.records.push_back((cycle, digest));
-    }
-
-    /// Forgets the records signed before `horizon` that no younger record
-    /// stands in front of.
-    fn expire(&mut self, horizon: u64) {
-        while self.records.front().is_some_and(|&(c, _)| c < horizon) {
-            self.records.pop_front();
-        }
-    }
-
-    /// `(digest, signing cycle)` of every record, in signing order.
-    fn iter(&self) -> impl ExactSizeIterator<Item = (Digest, u64)> + '_ {
-        self.records.iter().map(|&(cycle, digest)| (digest, cycle))
-    }
 }
 
 /// What a node's bookkeeping occupies: the sample cache's
@@ -280,27 +193,26 @@ pub struct SecureCyclonNode {
     /// links are not destroyed by local placement conflicts.
     reserve: VecDeque<SecureDescriptor>,
     /// Our descriptors redeemed with a *regular* redemption (replay
-    /// refusal), with the cycle the redemption was accepted.
-    redeemed_regular: FxHashMap<DescriptorId, u64>,
-    /// The replay guard of intake and of the reserve.
-    spent: SpentLedger,
+    /// refusal), stamped with the cycle the redemption was accepted.
+    redeemed_regular: ExpiryRing<DescriptorId>,
+    /// The replay guard of intake and of the reserve: the state digests
+    /// this node has already signed a continuation for (transfer or
+    /// redemption), the only copy of each. Intake refuses a byte-identical
+    /// copy of a spent state: with deterministic signatures an adversary
+    /// can re-deliver the exact state a victim already continued, and a
+    /// second innocent continuation would hand observers a valid §IV-B
+    /// cloning proof *against the honest victim*. A state spent again gets
+    /// a second record and is refused for as long as either is held.
+    /// Expires on the sample-retention horizon, like the caches the
+    /// proofs feed on.
+    spent: ExpiryRing<Digest>,
     /// Descriptors of ours ever redeemed non-swappably (§V-A rule 1).
     ns_redeemed_ids: FxHashSet<DescriptorId>,
     /// (cycle, count) of NS redemptions accepted this cycle (§V-A rule 2).
     ns_accepted: (u64, u32),
-    /// Open tit-for-tat exchanges, keyed by initiator address.
-    sessions: FxHashMap<Addr, Session>,
-    /// Expiry schedules of `redeemed_regular` and `sessions`: one
-    /// `(cycle, key)` record per insert, so housekeeping
-    /// walks the records that just fell behind the horizon instead of
-    /// every entry of every map, every cycle. Records are in cycle order
-    /// except that an exchange resolving late (its `Reply` arrives after a
-    /// `Request` of the next cycle was served) appends records stamped
-    /// with its own, older cycle; such a record waits behind the newer
-    /// one ahead of it, so its entry expires late by the cycles the
-    /// exchange overran — never early, and never not at all.
-    redeemed_expiry: VecDeque<(u64, DescriptorId)>,
-    session_expiry: VecDeque<(u64, Addr)>,
+    /// Open tit-for-tat exchanges, at most one an initiator address,
+    /// stamped with the cycle they opened in.
+    sessions: ExpiryRing<Session>,
     /// Cycle in which the last NS back-fill was performed (creation of NS
     /// copies is rate-limited to one per cycle, mirroring §V-A rule 2 on
     /// the acceptance side).
@@ -384,13 +296,11 @@ impl SecureCyclonNode {
             transfer_history: VecDeque::with_capacity(TRANSFER_HISTORY_LEN),
             blacklist: Blacklist::new(),
             reserve: VecDeque::new(),
-            redeemed_regular: FxHashMap::default(),
-            spent: SpentLedger::default(),
+            redeemed_regular: ExpiryRing::default(),
+            spent: ExpiryRing::default(),
             ns_redeemed_ids: FxHashSet::default(),
             ns_accepted: (0, 0),
-            sessions: FxHashMap::default(),
-            redeemed_expiry: VecDeque::new(),
-            session_expiry: VecDeque::new(),
+            sessions: ExpiryRing::default(),
             last_ns_backfill: None,
             emitted_cycle: None,
             backend: None,
@@ -469,7 +379,7 @@ impl SecureCyclonNode {
     pub fn footprint(&self) -> Footprint {
         Footprint {
             samples: self.samples.footprint(),
-            spent_records: self.spent.iter().len(),
+            spent_records: self.spent.len(),
         }
     }
 
@@ -568,10 +478,26 @@ impl SecureCyclonNode {
             .collect()
     }
 
+    /// Signs `pre` over to `to`, its state recorded as spent — durably,
+    /// with a backend — before the transfer can leave: whatever becomes of
+    /// the message that carries it, or of this process while the answer is
+    /// out, a copy of `pre` restored from an older checkpoint is refused
+    /// and never signed a second time (§IV-B cloning evidence against this
+    /// node).
+    fn hand_over(
+        &mut self,
+        pre: &SecureDescriptor,
+        to: NodeId,
+        cycle: u64,
+    ) -> Option<SecureDescriptor> {
+        let handed = pre.transfer(&self.keypair, to).ok()?;
+        self.note_spent(pre.state_digest(), cycle);
+        Some(handed)
+    }
+
     /// Remembers the pre-transfer copy of a successfully transferred
     /// descriptor as a last-resort NS back-fill candidate.
-    fn remember_transfer(&mut self, pre: SecureDescriptor, cycle: u64) {
-        self.note_spent(pre.state_digest(), cycle);
+    fn remember_transfer(&mut self, pre: SecureDescriptor) {
         if self.transfer_history.len() == TRANSFER_HISTORY_LEN {
             self.transfer_history.pop_front();
         }
@@ -582,19 +508,9 @@ impl SecureCyclonNode {
         self.samples.prune(cycle);
         self.redemptions.prune(cycle);
         // A session lives through the cycle after the one it opened in.
-        expire(
-            &mut self.session_expiry,
-            &mut self.sessions,
-            cycle.saturating_sub(1),
-            |s| s.cycle,
-        );
+        self.sessions.expire(cycle.saturating_sub(1));
         let horizon = cycle.saturating_sub(SAMPLE_RETENTION_CYCLES);
-        expire(
-            &mut self.redeemed_expiry,
-            &mut self.redeemed_regular,
-            horizon,
-            |c| *c,
-        );
+        self.redeemed_regular.expire(horizon);
         self.spent.expire(horizon);
     }
 

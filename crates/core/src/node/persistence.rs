@@ -61,18 +61,17 @@ impl SecureCyclonNode {
                 self.blacklist.register(proof, learned);
             }
         }
-        // Recovered records arrive in no particular order; the ledger
-        // and the expiry schedule must be in cycle order.
+        // Recovered records arrive in no particular order; the rings
+        // must be in cycle order.
         state.spent.sort_unstable_by_key(|&(_, cycle)| cycle);
         for (digest, cycle) in state.spent {
-            self.spent.insert(cycle, digest);
+            self.spent.push(cycle, digest);
         }
         state
             .redeemed_regular
             .sort_unstable_by_key(|&(_, cycle)| cycle);
         for (id, cycle) in state.redeemed_regular {
-            self.redeemed_regular.insert(id, cycle);
-            self.redeemed_expiry.push_back((cycle, id));
+            self.redeemed_regular.push(cycle, id);
         }
         for id in state.ns_redeemed {
             self.ns_redeemed_ids.insert(id);
@@ -152,7 +151,7 @@ impl SecureCyclonNode {
     /// Records a spent state digest, durably when a backend is attached
     /// (re-signing a restored copy would be cloning evidence).
     pub(super) fn note_spent(&mut self, digest: sc_crypto::Digest, cycle: u64) {
-        self.spent.insert(cycle, digest);
+        self.spent.push(cycle, digest);
         if let Some(b) = self.backend.as_mut() {
             let _ = b.record_spent(&digest, cycle);
         }
@@ -180,11 +179,11 @@ impl SecureCyclonNode {
                 .iter()
                 .map(|p| (p.learned_cycle, p.proof.clone()))
                 .collect(),
-            spent: self.spent.iter().collect(),
+            spent: self.spent.iter().map(|(c, d)| (*d, c)).collect(),
             redeemed_regular: self
                 .redeemed_regular
                 .iter()
-                .map(|(id, c)| (*id, *c))
+                .map(|(c, id)| (*id, c))
                 .collect(),
             ns_redeemed: self.ns_redeemed_ids.iter().copied().collect(),
             ns_accepted: self.ns_accepted,

@@ -8,8 +8,8 @@
 //! still-circulating clones.
 
 use crate::descriptor::SecureDescriptor;
+use crate::ring::ExpiryRing;
 use sc_crypto::NodeId;
-use std::collections::VecDeque;
 
 /// FIFO cache of recently redeemed descriptors.
 ///
@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 /// unbounded cache inflates both memory and §VI-A traffic.
 #[derive(Debug, Default)]
 pub struct RedemptionCache {
-    entries: VecDeque<(u64, SecureDescriptor)>,
+    entries: ExpiryRing<SecureDescriptor>,
     retention_cycles: u64,
     max_entries: usize,
 }
@@ -38,7 +38,7 @@ impl RedemptionCache {
     /// `max_entries` of zero means "no cap".
     pub fn bounded(retention_cycles: u64, max_entries: usize) -> Self {
         RedemptionCache {
-            entries: VecDeque::new(),
+            entries: ExpiryRing::default(),
             retention_cycles,
             max_entries,
         }
@@ -53,7 +53,7 @@ impl RedemptionCache {
         while self.max_entries > 0 && self.entries.len() >= self.max_entries {
             self.entries.pop_front();
         }
-        self.entries.push_back((cycle, desc));
+        self.entries.push(cycle, desc);
     }
 
     /// The entry cap (0 = uncapped).
@@ -68,7 +68,7 @@ impl RedemptionCache {
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     /// Iterates over the retained descriptors (sent as gossip samples).
@@ -79,24 +79,18 @@ impl RedemptionCache {
     /// Iterates over `(redeemed_cycle, descriptor)` pairs — the shape a
     /// durable-state checkpoint persists.
     pub fn entries(&self) -> impl Iterator<Item = (u64, &SecureDescriptor)> {
-        self.entries.iter().map(|(c, d)| (*c, d))
+        self.entries.iter()
     }
 
     /// Drops entries older than the retention window.
     pub fn prune(&mut self, now_cycle: u64) {
-        let horizon = now_cycle.saturating_sub(self.retention_cycles);
-        while let Some((cycle, _)) = self.entries.front() {
-            if *cycle < horizon {
-                self.entries.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.entries
+            .expire(now_cycle.saturating_sub(self.retention_cycles));
     }
 
     /// Removes entries created by `creator` (post-blacklist purge).
     pub fn purge_creator(&mut self, creator: &NodeId) {
-        self.entries.retain(|(_, d)| d.creator() != *creator);
+        self.entries.retain(|d| d.creator() != *creator);
     }
 }
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 pub struct NodeConfig {
     /// Protocol address == loopback TCP port.
     pub addr: Addr,
-    /// Cluster seed; all key material derives from it (`SC_NODE_SEED`).
+    /// Cluster seed; all key material derives from it.
     pub seed: u64,
     /// This node's index in the deterministic key schedule.
     pub index: usize,
@@ -33,34 +33,25 @@ pub struct NodeConfig {
     pub cycle_ms: u64,
     /// Shared UNIX-epoch offset (milliseconds) cycle numbers count from.
     pub epoch_millis: u64,
-    /// Exit after this many gossip cycles (`0` = run forever).
-    pub run_cycles: u64,
     /// Stop firing turns once the shared clock reaches this cycle
-    /// (`0` = never). Unlike [`NodeConfig::run_cycles`], the daemon then
-    /// *lingers*: it keeps serving passive RPCs and control scrapes, so a
-    /// harness can read a quiescent cluster's final state without torn
-    /// cross-process snapshots, then shut everything down.
+    /// (`0` = never). The daemon then *lingers*: it keeps serving passive
+    /// RPCs and control scrapes, so a harness can read a quiescent
+    /// cluster's final state without torn cross-process snapshots, then
+    /// shut everything down.
     pub stop_cycle: u64,
-    /// How long a stopped daemon lingers awaiting a shutdown frame before
-    /// exiting on its own (safety net against leaked processes).
-    pub linger_ms: u64,
     /// Signature scheme for the whole cluster.
     pub scheme: Scheme,
     /// Protocol sizing.
     pub secure: SecureConfig,
     /// Decode-side wire limits. Their `max_frame_bytes`
-    /// (`--max-frame-bytes`) is also the cap the transport frames at, so
-    /// a frame the transport admits is one the decoder accepts.
+    /// ([`crate::frame::MAX_FRAME_BYTES`]) is also the cap the transport
+    /// frames at, so a frame the transport admits is one the decoder
+    /// accepts.
     pub wire_limits: WireLimits,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
     /// How long an in-turn RPC waits for its reply.
     pub rpc_timeout: Duration,
-    /// How many times an unanswered RPC request is retransmitted inside
-    /// [`NodeConfig::rpc_timeout`]. Always the byte-identical frame —
-    /// never a re-emission, so the §IV-B frequency rule holds; the
-    /// responder serves duplicates from a reply cache.
-    pub rpc_retransmits: u32,
     /// Fault-injection spec the transport starts under (`--fault-spec`;
     /// defaults to no faults). Reconfigurable at cycle boundaries
     /// through `CtrlFault` control frames.
@@ -85,18 +76,15 @@ impl NodeConfig {
             sponsor: None,
             cycle_ms: 100,
             epoch_millis: 0,
-            run_cycles: 0,
             stop_cycle: 0,
-            linger_ms: 30_000,
             scheme: Scheme::Schnorr61,
             secure: SecureConfig::default(),
             wire_limits: WireLimits {
-                max_frame_bytes: super::frame::DEFAULT_MAX_FRAME_BYTES,
+                max_frame_bytes: super::frame::MAX_FRAME_BYTES,
                 ..WireLimits::DEFAULT
             },
             connect_timeout: Duration::from_millis(250),
             rpc_timeout: Duration::from_millis(40),
-            rpc_retransmits: 1,
             fault_spec: FaultSpec::default(),
             state_dir: None,
         }
@@ -163,9 +151,7 @@ impl NodeConfig {
                 "--epoch-millis" => {
                     cfg.epoch_millis = parse_num(val("--epoch-millis")?, "--epoch-millis")?;
                 }
-                "--run-cycles" => cfg.run_cycles = parse_num(val("--run-cycles")?, "--run-cycles")?,
                 "--stop-cycle" => cfg.stop_cycle = parse_num(val("--stop-cycle")?, "--stop-cycle")?,
-                "--linger-ms" => cfg.linger_ms = parse_num(val("--linger-ms")?, "--linger-ms")?,
                 "--view-len" => view_len = Some(parse_num(val("--view-len")?, "--view-len")?),
                 "--swap-len" => swap_len = Some(parse_num(val("--swap-len")?, "--swap-len")?),
                 "--scheme" => {
@@ -175,19 +161,11 @@ impl NodeConfig {
                         other => return Err(format!("unknown --scheme '{other}'")),
                     };
                 }
-                "--max-frame-bytes" => {
-                    cfg.wire_limits.max_frame_bytes =
-                        parse_num(val("--max-frame-bytes")?, "--max-frame-bytes")?;
-                }
                 "--rpc-timeout-ms" => {
                     cfg.rpc_timeout = Duration::from_millis(parse_num(
                         val("--rpc-timeout-ms")?,
                         "--rpc-timeout-ms",
                     )?);
-                }
-                "--rpc-retransmits" => {
-                    cfg.rpc_retransmits =
-                        parse_num(val("--rpc-retransmits")?, "--rpc-retransmits")?;
                 }
                 "--fault-spec" => {
                     cfg.fault_spec = FaultSpec::parse(val("--fault-spec")?)?;
@@ -251,13 +229,7 @@ mod tests {
         assert_eq!(built.wire_limits, parsed.wire_limits);
         assert_eq!(
             built.wire_limits.max_frame_bytes,
-            crate::frame::DEFAULT_MAX_FRAME_BYTES
-        );
-        let small = NodeConfig::parse(&args("--addr 41000 --max-frame-bytes 65536")).unwrap();
-        assert_eq!(small.wire_limits.max_frame_bytes, 65536);
-        assert_eq!(
-            small.wire_limits.max_chain_links,
-            WireLimits::DEFAULT.max_chain_links
+            crate::frame::MAX_FRAME_BYTES
         );
     }
 
@@ -274,13 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_fault_and_retransmit_flags() {
+    fn parses_a_fault_spec() {
         let cfg = NodeConfig::parse(&args(
-            "--addr 41000 --scheme keyed --rpc-retransmits 2 \
-             --fault-spec seed=5,drop=0.1,sever=41003",
+            "--addr 41000 --scheme keyed --fault-spec seed=5,drop=0.1,sever=41003",
         ))
         .unwrap();
-        assert_eq!(cfg.rpc_retransmits, 2);
         assert_eq!(cfg.fault_spec.seed, 5);
         assert_eq!(cfg.fault_spec.drop_out, 0.1);
         assert!(cfg.fault_spec.severs(41003));
@@ -288,7 +258,6 @@ mod tests {
         // The default spec injects nothing.
         let plain = NodeConfig::parse(&args("--addr 41000")).unwrap();
         assert!(plain.fault_spec.is_noop());
-        assert_eq!(plain.rpc_retransmits, 1);
     }
 
     #[test]

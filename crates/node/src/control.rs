@@ -327,9 +327,7 @@ impl ControlClient {
         spec: &sc_core::FaultSpec,
         timeout: Duration,
     ) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(64);
-        spec.encode(&mut payload);
-        let req = Frame::new(FrameKind::CtrlFault, 0, payload);
+        let req = Frame::new(FrameKind::CtrlFault, 0, spec.to_string().into_bytes());
         self.round(req, FrameKind::CtrlFaultReply, timeout)?;
         Ok(())
     }

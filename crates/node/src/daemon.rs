@@ -62,8 +62,21 @@ pub struct RunSummary {
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
 
-/// Cap on §V-A rejoin pings held for the next turn.
+/// Cap on §V-A rejoin pings held for the next turn, and on join requests
+/// queued for it: both come from peers nobody has authenticated, and
+/// each one served costs a cycle's fresh-descriptor budget.
 const HELD_PING_CAP: usize = 8;
+
+/// How long a daemon stopped by `--stop-cycle` lingers awaiting a
+/// shutdown frame before exiting on its own (safety net against leaked
+/// processes).
+const LINGER: Duration = Duration::from_secs(30);
+
+/// How many times an unanswered RPC request is retransmitted inside
+/// `--rpc-timeout-ms`. Always the byte-identical frame — never a
+/// re-emission, so the §IV-B frequency rule holds; the responder serves
+/// duplicates from its reply cache.
+const RPC_RETRANSMITS: u32 = 1;
 
 /// The node's one outstanding RPC: the request frame already on the
 /// wire, awaiting its `Reply`.
@@ -279,11 +292,11 @@ impl Daemon {
         &self.node
     }
 
-    /// Runs until `--run-cycles` completes or a shutdown frame arrives.
+    /// Runs until a shutdown frame arrives.
     ///
     /// With `--stop-cycle n`, the daemon stops *firing* turns once the
     /// shared clock reaches cycle `n` but lingers serving passive RPCs
-    /// and control scrapes (up to `--linger-ms`): every member of a
+    /// and control scrapes (for up to 30 s): every member of a
     /// cluster stops at the same boundary, so a harness can scrape a
     /// quiescent network — no descriptor is ever in flight between two
     /// scrapes — before shutting the processes down.
@@ -292,9 +305,6 @@ impl Daemon {
         let mut stopped_at: Option<Instant> = None;
         while !self.shutdown {
             let in_flight = self.pending.is_some();
-            if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles && !in_flight {
-                break;
-            }
             // One reading of the wall clock decides what is due in this
             // iteration *and* anchors the wait that follows: a turn point
             // or boundary that passes while the iteration works is then
@@ -306,7 +316,7 @@ impl Daemon {
             let stopping = self.cfg.stop_cycle > 0 && cycle >= self.cfg.stop_cycle;
             let lingering = stopping.then(|| *stopped_at.get_or_insert_with(Instant::now));
             if let Some(since) = lingering {
-                if since.elapsed() >= Duration::from_millis(self.cfg.linger_ms) {
+                if since.elapsed() >= LINGER {
                     break;
                 }
             } else if !self.joined {
@@ -363,7 +373,7 @@ impl Daemon {
                     frame,
                     deadline: now + self.cfg.rpc_timeout,
                     next_resend: now + self.resend_slice(),
-                    resends_left: self.cfg.rpc_retransmits,
+                    resends_left: RPC_RETRANSMITS,
                 });
                 return;
             }
@@ -374,7 +384,7 @@ impl Daemon {
     /// One retransmit slice: the RPC deadline split evenly over the first
     /// send and every resend.
     fn resend_slice(&self) -> Duration {
-        self.cfg.rpc_timeout / (self.cfg.rpc_retransmits + 1)
+        self.cfg.rpc_timeout / (RPC_RETRANSMITS + 1)
     }
 
     /// Retransmits or times out the pending RPC as its clock demands;
@@ -436,8 +446,7 @@ impl Daemon {
         }
         let mut wait = Duration::from_millis(wake_ms.saturating_sub(unix_ms()).min(cycle_ms));
         if let Some(since) = lingering {
-            let linger = Duration::from_millis(self.cfg.linger_ms);
-            wait = wait.min(linger.saturating_sub(since.elapsed()));
+            wait = wait.min(LINGER.saturating_sub(since.elapsed()));
         }
         if let Some(rpc) = self.poll_pending() {
             wait = wait.min(rpc);
@@ -602,8 +611,14 @@ impl Daemon {
                 }
                 // Queue for the next turn boundary; the joiner retries
                 // each cycle, so drop duplicate keys instead of stacking
-                // grants for one joiner.
-                if !self.pending_joins.iter().any(|(_, k)| *k == joiner) {
+                // grants for one joiner — and anything past the cap, or a
+                // flood of fresh keys would grow the queue without limit
+                // and take every turn's budget for as long as it lasts.
+                let known = self.pending_joins.iter().any(|(_, k)| *k == joiner);
+                if !known
+                    && self.pending_joins.len() < HELD_PING_CAP
+                    && !self.node.blacklist().contains(&joiner)
+                {
                     self.pending_joins.push_back((ib.conn, joiner));
                 }
             }
@@ -632,7 +647,8 @@ impl Daemon {
                 self.shutdown = true;
             }
             FrameKind::CtrlFault => {
-                let Ok((spec, _)) = FaultSpec::decode(&ib.frame.payload) else {
+                let text = std::str::from_utf8(&ib.frame.payload).ok();
+                let Some(spec) = text.and_then(|s| FaultSpec::parse(s).ok()) else {
                     return; // malformed spec: no ack, client times out
                 };
                 self.pending_fault = Some((spec, cycle));

@@ -20,8 +20,8 @@ pub const FRAME_MAGIC: u32 = 0x5343_6e31;
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 17;
 
-/// Default cap on one frame's payload.
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
+/// Cap on one frame's payload.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// The role of a frame on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

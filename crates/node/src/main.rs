@@ -3,7 +3,7 @@
 //! ```text
 //! sc-node --addr 41000 --base-addr 41000 --index 0 --cluster-size 16 \
 //!         --seed 7 --cycle-ms 50 --view-len 8 --scheme keyed \
-//!         --epoch-millis 1754650000000 --run-cycles 200
+//!         --epoch-millis 1754650000000 --stop-cycle 208
 //! ```
 //!
 //! Founding members (`--index < --cluster-size`, no `--sponsor`) derive
@@ -75,20 +75,17 @@ Timing:
   --cycle-ms <n>         wall-clock gossip period in ms (default 100)
   --epoch-millis <n>     shared UNIX-ms epoch for cycle numbering
                          (default: process start; clusters must share one)
-  --run-cycles <n>       exit after n gossip cycles (default 0 = forever)
   --stop-cycle <n>       stop gossiping at shared-clock cycle n, then
-                         linger serving control scrapes (default 0 = off)
-  --linger-ms <n>        max linger before self-exit (default 30000)
-  --rpc-timeout-ms <n>   per-RPC reply deadline (default 40)
-  --rpc-retransmits <n>  byte-identical resends of an unanswered RPC
-                         request inside its deadline (default 1; never a
-                         re-emission, so §IV-B stays intact)
+                         linger serving control scrapes for up to 30 s
+                         (default 0 = off)
+  --rpc-timeout-ms <n>   per-RPC reply deadline; an unanswered request is
+                         resent once, byte-identical, halfway through it
+                         (default 40)
 
 Protocol:
   --view-len <n>         view size l (default 20)
   --swap-len <n>         gossip length g (default 3)
   --scheme keyed|schnorr signature scheme (default schnorr)
-  --max-frame-bytes <n>  frame payload cap (default 1 MiB)
 
 Durability:
   --state-dir <dir>      append durable state to <dir>/sc-node-<addr>.log

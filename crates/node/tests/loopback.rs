@@ -13,7 +13,7 @@
 //! line reruns the identical cluster:
 //!
 //! ```text
-//! SC_NODE_SEED=1 cargo test --release -p sc-node --test loopback -- --nocapture
+//! SC_SEED=1 cargo test --release -p sc-node --test loopback -- --nocapture
 //! ```
 //!
 //! Wall-clock scheduling is the one non-deterministic input left, which
@@ -89,6 +89,44 @@ fn hostile_blast(target: Addr) {
     }
 }
 
+/// A join flood: 1 000 well-formed `JoinRequest` frames, each under a
+/// key nobody has seen, down one connection. Every grant costs the
+/// sponsor a cycle's fresh-descriptor budget — the turn that grants does
+/// not initiate — so what the daemon queues, it pays for one turn at a
+/// time. Returns the connection: the grants come back on it.
+fn join_flood(target: Addr) -> TcpStream {
+    let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, target as u16);
+    let mut s = TcpStream::connect_timeout(&sock.into(), Duration::from_millis(500))
+        .expect("connect to the flood target");
+    for i in 0..1000u32 {
+        let mut seed = [0xF1; 32];
+        seed[..4].copy_from_slice(&i.to_le_bytes());
+        let key = Keypair::from_seed(Scheme::KeyedHash, seed).public();
+        let f = Frame::new(FrameKind::JoinRequest, 1, key.as_bytes().to_vec());
+        s.write_all(&f.encode()).expect("flood the target");
+    }
+    s
+}
+
+/// The frames of `kind` a daemon has written to `stream` so far.
+fn frames_of(stream: &mut TcpStream, kind: FrameKind) -> usize {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut reader = FrameReader::new(1 << 20);
+    let mut chunk = [0u8; 4096];
+    let mut seen = 0;
+    loop {
+        while let Some(f) = reader.next_frame().expect("a well-framed stream") {
+            seen += usize::from(f.kind == kind);
+        }
+        match stream.read(&mut chunk) {
+            Ok(n) if n > 0 => reader.feed(&chunk[..n]),
+            _ => return seen,
+        }
+    }
+}
+
 #[test]
 fn loopback_cluster_survives_churn_and_hostile_peer() {
     let seed = env_seed();
@@ -117,9 +155,11 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
     let kill_target = base + (n as Addr) - 1;
     let sponsor = base + 1;
     let hostile_target = base + 2;
+    let flood_target = base + 3;
     let mut killed = false;
     let mut joiner: Option<Addr> = None;
     let mut blasted = false;
+    let mut flood: Option<TcpStream> = None;
 
     let out = drive(
         &mut cluster,
@@ -135,6 +175,9 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
             if killed && joiner.is_none() {
                 joiner = Some(cluster.spawn_joiner(sponsor).expect("spawn joiner"));
             }
+            if flood.is_none() && cycle >= start + 16 {
+                flood = Some(join_flood(flood_target));
+            }
             if !blasted && cycle >= start + 20 {
                 hostile_blast(hostile_target);
                 blasted = true;
@@ -143,6 +186,7 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
     );
 
     assert!(killed && blasted, "scenario actions never fired");
+    let mut flood = flood.expect("the join flood fired");
     let joiner = joiner.expect("joiner spawned");
     assert!(out.scrapes >= 5, "too few live scrapes ({})", out.scrapes);
 
@@ -184,6 +228,28 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
         );
     }
 
+    // The join flood bought a bounded queue's worth of grants (8, and
+    // one more for a turn that fires while the flood is still arriving),
+    // not one a turn for the rest of the run — 24 turns: its target went
+    // back to initiating.
+    let granted = frames_of(&mut flood, FrameKind::JoinGrant);
+    assert!(
+        (1..=10).contains(&granted),
+        "1 000 join requests were granted {granted} sponsorships (queue cap 8)\n  replay: {replay}"
+    );
+    let flooded = out
+        .reports
+        .iter()
+        .find(|r| r.addr == flood_target)
+        .expect("flood target report");
+    assert!(
+        flooded.stats.initiated + 10 + 2 >= flooded.cycles_run,
+        "the flooded sponsor initiated {} exchanges in {} turns: the queue \
+         kept its turns\n  replay: {replay}",
+        flooded.stats.initiated,
+        flooded.cycles_run
+    );
+
     // Liveness floor: most exchanges complete (phase-staggered turns keep
     // collisions rare; the timed-out remainder is §V-A-tolerated noise).
     let (ok, initiated) = snap.nodes.iter().fold((0, 0), |(c, i), nd| {
@@ -223,6 +289,38 @@ impl Drop for KillOnDrop {
 fn unix_ms() -> u64 {
     let since = SystemTime::now().duration_since(UNIX_EPOCH);
     since.map_or(0, |d| d.as_millis() as u64)
+}
+
+/// Founding member 0 of a five-ring at `base` (ℓ = 4, s = 2, keyed
+/// hashes) — the lone real daemon of the tests that play its peers
+/// themselves — killed when the handle drops.
+fn lone_founder(base: Addr, cycle_ms: u64, epoch_ms: u64, more: &[&str]) -> KillOnDrop {
+    let child = std::process::Command::new(bin())
+        .args(["--addr", &base.to_string(), "--index", "0"])
+        .args(["--base-addr", &base.to_string(), "--cluster-size", "5"])
+        .args(["--seed", &env_seed().to_string(), "--scheme", "keyed"])
+        .args(["--view-len", "4", "--swap-len", "2"])
+        .args(["--cycle-ms", &cycle_ms.to_string()])
+        .args(["--epoch-millis", &epoch_ms.to_string()])
+        .args(more)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn sc-node");
+    KillOnDrop(child)
+}
+
+/// A raw connection to the daemon at `base`, retried until it listens or
+/// the wall clock passes `give_up_ms`.
+fn dial(base: Addr, give_up_ms: u64) -> TcpStream {
+    let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, base as u16);
+    loop {
+        match TcpStream::connect_timeout(&sock.into(), Duration::from_millis(200)) {
+            Ok(s) => return s,
+            Err(_) if unix_ms() < give_up_ms => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => panic!("daemon never listened: {e}"),
+        }
+    }
 }
 
 /// A block of free loopback ports for one hand-started daemon and the
@@ -282,24 +380,13 @@ fn daemon_serves_requests_while_its_own_exchange_is_in_flight() {
     let (base, _holes) = port_block(0, N as u32 - 1);
 
     let epoch_ms = unix_ms() + 700;
-    let child = std::process::Command::new(bin())
-        .args([
-            "--addr",
-            &base.to_string(),
-            "--base-addr",
-            &base.to_string(),
-        ])
-        .args(["--index", "0", "--cluster-size", &N.to_string()])
-        .args(["--seed", &seed.to_string(), "--scheme", "keyed"])
-        .args(["--view-len", &VIEW_LEN.to_string(), "--swap-len", "2"])
-        .args(["--cycle-ms", &CYCLE_MS.to_string()])
-        .args(["--epoch-millis", &epoch_ms.to_string()])
-        .args(["--rpc-timeout-ms", &RPC_TIMEOUT_MS.to_string()])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn sc-node");
-    let _daemon = KillOnDrop(child);
+    let rpc_timeout = RPC_TIMEOUT_MS.to_string();
+    let _daemon = lone_founder(
+        base,
+        CYCLE_MS,
+        epoch_ms,
+        &["--rpc-timeout-ms", &rpc_timeout],
+    );
 
     // The ring plan every founding member computes: member 1 owns one
     // descriptor created by member 0.
@@ -321,14 +408,7 @@ fn daemon_serves_requests_while_its_own_exchange_is_in_flight() {
     // The daemon's second turn fires at epoch + one cycle and then waits
     // on a black hole for RPC_TIMEOUT_MS; call 100 ms into that wait.
     let call_at = epoch_ms + CYCLE_MS + 100;
-    let mut stream = loop {
-        let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, base as u16);
-        match TcpStream::connect_timeout(&sock.into(), Duration::from_millis(200)) {
-            Ok(s) => break s,
-            Err(_) if unix_ms() < call_at - 50 => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => panic!("daemon never listened: {e}"),
-        }
-    };
+    let mut stream = dial(base, call_at - 50);
     stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(3)))
@@ -395,41 +475,17 @@ fn join_ping_after_the_turn_is_granted_at_the_next_turn() {
     // it 100 ms after its second turn and listens for the grant.
     const N: usize = 5;
     const CYCLE_MS: u64 = 400;
-    let seed = env_seed();
     let (base, mut held) = port_block(2, N as u32);
     let me_sock = held.pop().expect("the pinger's own listener");
     let me_addr = base + N as Addr;
     let me = Keypair::from_seed(Scheme::KeyedHash, [0xA7; 32]);
 
     let epoch_ms = unix_ms() + 500;
-    let child = std::process::Command::new(bin())
-        .args([
-            "--addr",
-            &base.to_string(),
-            "--base-addr",
-            &base.to_string(),
-        ])
-        .args(["--index", "0", "--cluster-size", &N.to_string()])
-        .args(["--seed", &seed.to_string(), "--scheme", "keyed"])
-        .args(["--view-len", "4", "--swap-len", "2"])
-        .args(["--cycle-ms", &CYCLE_MS.to_string()])
-        .args(["--epoch-millis", &epoch_ms.to_string()])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn sc-node");
-    let _daemon = KillOnDrop(child);
+    let _daemon = lone_founder(base, CYCLE_MS, epoch_ms, &[]);
 
     // Member 0's phase is 0: its turns fire on the cycle boundaries.
     let ping_at = epoch_ms + CYCLE_MS + 100;
-    let mut stream = loop {
-        let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, base as u16);
-        match TcpStream::connect_timeout(&sock.into(), Duration::from_millis(200)) {
-            Ok(s) => break s,
-            Err(_) if unix_ms() < ping_at - 50 => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => panic!("daemon never listened: {e}"),
-        }
-    };
+    let mut stream = dial(base, ping_at - 50);
     stream.set_nodelay(true).unwrap();
     std::thread::sleep(Duration::from_millis(ping_at.saturating_sub(unix_ms())));
     let ping = SecureMsg::JoinPing(Box::new(sc_core::JoinPingBody {
@@ -474,6 +530,73 @@ fn join_ping_after_the_turn_is_granted_at_the_next_turn() {
         .and_then(|mut c| c.status(Duration::from_secs(2)))
         .expect("status scrape");
     assert_eq!(status.stats.rejoin_grants, 1);
+}
+
+#[test]
+fn join_request_under_a_blacklisted_key_is_never_queued() {
+    // The join queue is fed by peers nobody has authenticated, and every
+    // grant costs a cycle's fresh descriptor: a key this node holds a
+    // proof against gets none of them — the check the in-protocol twin
+    // (a starved node's `JoinPing`) has always had.
+    //
+    // One real daemon, founding member 0 of a five-ring of black holes.
+    // The test floods it a frequency proof against a culprit, then asks
+    // to join twice on one connection: as the culprit, and as a stranger.
+    const N: usize = 5;
+    const CYCLE_MS: u64 = 200;
+    let (base, _holes) = port_block(3, N as u32 - 1);
+    let epoch_ms = unix_ms() + 500;
+    let _daemon = lone_founder(base, CYCLE_MS, epoch_ms, &[]);
+    let tpc = NodeConfig::new(base, 0).secure.ticks_per_cycle;
+
+    let culprit = Keypair::from_seed(Scheme::KeyedHash, [0xC0; 32]);
+    let stranger = Keypair::from_seed(Scheme::KeyedHash, [0x57; 32]);
+    let proof = sc_core::ViolationProof::frequency(
+        SecureDescriptor::create(&culprit, base + 9, Timestamp(0)),
+        SecureDescriptor::create(&culprit, base + 9, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .expect("two creations inside one period");
+
+    let mut stream = dial(base, epoch_ms + CYCLE_MS);
+    let mut payload = Vec::new();
+    wire::encode_message(&SecureMsg::Proof(Box::new(proof)), &mut payload);
+    stream
+        .write_all(&Frame::new(FrameKind::Oneway, base + 1, payload).encode())
+        .unwrap();
+    for joiner in [&culprit, &stranger] {
+        let key = joiner.public().as_bytes().to_vec();
+        stream
+            .write_all(&Frame::new(FrameKind::JoinRequest, base + 9, key).encode())
+            .unwrap();
+    }
+
+    // Three turns: room for both grants, had both been queued.
+    std::thread::sleep(Duration::from_millis(
+        (epoch_ms + 3 * CYCLE_MS + CYCLE_MS / 2).saturating_sub(unix_ms()),
+    ));
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let grant = read_frame(&mut stream, &mut FrameReader::new(1 << 20));
+    assert_eq!(grant.kind, FrameKind::JoinGrant);
+    let mut r = wire::Reader::new(&grant.payload);
+    r.u64().expect("the sponsor's cycle");
+    let sponsored = r.descriptor().expect("the sponsorship");
+    assert_eq!(
+        sponsored.owner(),
+        stranger.public(),
+        "the first sponsorship went to the blacklisted key"
+    );
+    assert_eq!(
+        frames_of(&mut stream, FrameKind::JoinGrant),
+        0,
+        "one joiner was queued, one grant is due"
+    );
+    let status = ControlClient::connect(base, Duration::from_millis(500))
+        .and_then(|mut c| c.status(Duration::from_secs(2)))
+        .expect("status scrape");
+    assert_eq!(status.blacklist, vec![culprit.public()]);
 }
 
 #[test]

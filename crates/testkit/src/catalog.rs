@@ -61,6 +61,24 @@ impl MatrixSize {
         }
     }
 
+    /// Socket-tier sizing: one `sc-node` process a node, at the view
+    /// length of the loopback tier's quick clusters
+    /// ([`crate::ClusterConfig::quick`]). The horizon is set by
+    /// `honest-island-rejoin`, whose island is cut off for a quarter of
+    /// it: a node has starved — view, reserve and both back-fill pools
+    /// empty, the condition of a §V-A rejoin ping — ℓ + 8 + ≈ 3 cycles
+    /// after its last exchange (14–17 measured at ℓ = 6), and 24 severed
+    /// cycles leave that a margin wall-clock scheduling does not eat.
+    pub fn live() -> Self {
+        MatrixSize {
+            n: 12,
+            cycles: 96,
+            oracle_stride: 1,
+            headline_n: 12,
+            view_len: 6,
+        }
+    }
+
     /// Scale-tier sizing: the same twelve scenarios at 5k nodes (20k for
     /// the headline honest scenario), with per-cycle oracles sampled
     /// every few cycles. Run it in release mode — debug builds are an
@@ -96,7 +114,7 @@ pub(crate) fn byte_budget(size: MatrixSize) -> u64 {
 
 /// Oracles for honest-only scenarios: everything that is unconditionally
 /// sound, including global unique ownership.
-fn honest_oracles(size: MatrixSize, min_fill: Option<f64>) -> OracleConfig {
+pub(crate) fn honest_oracles(size: MatrixSize, min_fill: Option<f64>) -> OracleConfig {
     OracleConfig {
         warmup: size.cycles / 2,
         stride: size.oracle_stride,
@@ -186,7 +204,10 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         Scenario::new("honest-churn", n)
             .cycles(cycles)
             .config(cfg)
-            .churn(mid / 2, heal, 0.02, 1.0)
+            // Joins are stated relative to the population, like the
+            // leave probability: one a cycle at the quick tier's 48
+            // nodes, and leaves and joins balance at every size.
+            .churn(mid / 2, heal, 0.02, n as f64 / 48.0)
             .oracles(honest_oracles(size, Some(0.5))),
         Scenario::new("honest-mass-failure", n)
             .cycles(cycles)
@@ -240,7 +261,7 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
             .config(cfg)
             .adversary(byz, AdversaryKind::Hub, attack_start)
             .lossy(0.05)
-            .churn(mid / 2, heal, 0.01, 0.5)
+            .churn(mid / 2, heal, 0.01, n as f64 / 96.0)
             // Loss, churn, and an active adversary composed can strand the
             // odd orphan whose every link died; tolerate a small residue.
             .oracles(OracleConfig {
@@ -292,6 +313,43 @@ mod tests {
             names.dedup();
             assert_eq!(names.len(), scenarios.len());
         }
+    }
+
+    #[test]
+    fn six_scenarios_fit_the_socket_tier_and_eight_say_why_not() {
+        const NO_ADVERSARY: &str =
+            "no adversary binary: sc-node runs the honest machine only (ROADMAP 3(a))";
+        const NO_RESPONSOR: &str = "heal_fallback: the control socket has no re-sponsor verb";
+        const NO_PER_KIND: &str =
+            "per-kind loss: a FaultSpec drops by direction, not by message kind";
+        let fits: Vec<(String, Result<(), &str>)> = standard_matrix(MatrixSize::live())
+            .iter()
+            .map(|s| (s.name.clone(), s.live_fit()))
+            .collect();
+        let expected = [
+            ("honest-reliable", Ok(())),
+            ("honest-lossy-10", Ok(())),
+            ("honest-asymmetric-loss", Err(NO_PER_KIND)),
+            ("honest-partition-heal", Err(NO_RESPONSOR)),
+            ("honest-island-rejoin", Ok(())),
+            ("honest-crash-restart", Ok(())),
+            ("honest-churn", Ok(())),
+            ("honest-mass-failure", Ok(())),
+            ("hub-attack", Err(NO_ADVERSARY)),
+            ("cloning-attack", Err(NO_ADVERSARY)),
+            ("frequency-attack", Err(NO_ADVERSARY)),
+            ("depletion-attack", Err(NO_ADVERSARY)),
+            ("partition-cloning", Err(NO_ADVERSARY)),
+            ("lossy-churn-hub", Err(NO_ADVERSARY)),
+        ];
+        assert_eq!(fits.len(), expected.len());
+        for ((name, fit), (expected_name, expected_fit)) in fits.iter().zip(expected) {
+            assert_eq!((name.as_str(), *fit), (expected_name, expected_fit));
+        }
+        // One process a node: a dozen, with the loopback tier's ℓ.
+        assert!(standard_matrix(MatrixSize::live())
+            .iter()
+            .all(|s| s.n == 12 && s.cfg.view_len == 6));
     }
 
     #[test]

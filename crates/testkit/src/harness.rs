@@ -8,10 +8,10 @@
 //! audit. The harness owns process lifecycle — members are killed on
 //! drop, so a panicking test cannot leak daemons.
 //!
-//! Everything is parameterized by one seed (`SC_NODE_SEED` convention),
-//! which fixes the key schedule, the port search, and the protocol RNG of
-//! every member — the moral equivalent of the scenario matrix's replay
-//! coordinates for a wall-clock-driven cluster.
+//! Everything is parameterized by one seed (the `SC_SEED` of the replay
+//! lines), which fixes the key schedule, the port search, and the
+//! protocol RNG of every member — the moral equivalent of the scenario
+//! matrix's replay coordinates for a wall-clock-driven cluster.
 
 use crate::snapshot::NetSnapshot;
 use sc_node::{ControlClient, StatusReport};
@@ -213,6 +213,11 @@ impl ProcessCluster {
     /// The cluster seed (for replay lines).
     pub fn seed(&self) -> u64 {
         self.cfg.seed
+    }
+
+    /// The wall-clock gossip period.
+    pub fn cycle(&self) -> Duration {
+        Duration::from_millis(self.cfg.cycle_ms)
     }
 
     /// The shared-clock cycle the cluster is currently in.

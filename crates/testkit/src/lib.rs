@@ -23,11 +23,13 @@
 //!   scrapes, so real processes are held to the same invariants.
 //! * [`harness`] — spawns, scrapes, churns, and stops fleets of real
 //!   `sc-node` processes on 127.0.0.1 for the loopback test tier.
-//! * [`live`] — shared drivers for the live test tiers (`loopback`,
-//!   `live_matrix`): the scrape-audit loop, the quiescent final checks,
-//!   and the `SC_NODE_SEED` replay-line convention.
+//! * [`live`] — the socket tier: [`run_scenario_live`] executes a
+//!   catalog scenario on real `sc-node` processes, on top of the
+//!   scrape-audit loop and quiescent final checks the loopback tier
+//!   shares.
 //! * [`runner`] — deterministic execution of a `(Scenario, seed)` pair,
-//!   including `kill -9`-style crash-restarts of durably backed nodes.
+//!   including `kill -9`-style crash-restarts of durably backed nodes;
+//!   the one schedule both tiers carry out.
 //! * [`catalog`] — the standard 42-combination scenario matrix swept by
 //!   `tests/scenario_matrix.rs`, with a `quick` sizing for CI. Every
 //!   scenario carries the redemption-cache bound and §VI-A byte-budget
@@ -64,7 +66,9 @@ pub mod snapshot;
 
 pub use catalog::{standard_matrix, MatrixSize, MATRIX_SEEDS};
 pub use harness::{ClusterConfig, ProcessCluster};
-pub use live::{check_final, drive, env_seed, replay_line, RunOutcome};
+pub use live::{
+    check_final, drive, env_seed, live_replay, replay_line, run_scenario_live, RunOutcome,
+};
 pub use net::{
     blacklist_coverage, build_secure_network, eclipsed_fraction, malicious_link_fraction,
     ns_link_fraction, proofs_generated, SecureNet, SecureNetParams, SecureNetwork,

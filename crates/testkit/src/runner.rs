@@ -6,17 +6,34 @@
 //! convergence checks. All randomness — fault targets, churn rolls,
 //! joiner identities — derives from the master seed through
 //! `sc_sim::rng`, so two runs of the same pair are bit-identical.
+//!
+//! A scenario's faults and churn are executed by one `Schedule` on
+//! whichever `Tier` the run is on: it makes every draw — island
+//! members, kill and restart victims, leave rolls, sponsor order — from
+//! the seed's `"faults"` and `"churn"` streams, and the tier only carries
+//! the verbs out. The two tiers stand side by side below: `SimTier`, a
+//! [`SecureNetwork`] inside the engine, and `LiveTier`, a
+//! [`ProcessCluster`] of `sc-node` processes
+//! ([`crate::live::run_scenario_live`] drives it against the wall
+//! clock). What the socket tier cannot express yet is named by
+//! [`Scenario::live_fit`].
 
+use crate::harness::ProcessCluster;
 use crate::net::{
     build_secure_network, malicious_link_fraction, ns_link_fraction, proofs_generated,
     SecureNetParams, SecureNetwork,
 };
 use crate::oracles::{OracleSuite, Violation};
 use crate::scenario::{Event, Scenario};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use sc_attacks::CloneLedger;
+use sc_core::FaultSpec;
 use sc_crypto::hex::to_hex;
+use sc_crypto::NodeId;
 use sc_sim::{Addr, NetworkModel, Partition};
+use std::sync::{Arc, Mutex};
 
 /// What a completed (violation-free) run looked like.
 #[derive(Clone, Debug)]
@@ -64,91 +81,24 @@ pub fn run_scenario_with_net(
     scenario: &Scenario,
     seed: u64,
 ) -> Result<(RunSummary, SecureNetwork), Violation> {
-    let (attack, ledger) = scenario.adversary.materialize();
-    // Scenario steps are relative to the end of bootstrap; the engine
-    // clock starts at ℓ (ring-bootstrap contract), so shift the attack
-    // trigger accordingly.
-    let start_cycle = scenario.cfg.view_len as u64;
-    let params = SecureNetParams {
-        n: scenario.n,
-        n_malicious: scenario.n_malicious,
-        cfg: scenario.cfg,
-        attack,
-        attack_start: start_cycle + scenario.attack_start,
-        seed,
-        scheme: sc_crypto::Scheme::KeyedHash,
-        net: NetworkModel::asymmetric(scenario.loss.0, scenario.loss.1, scenario.loss.2),
-        durable: scenario.durable,
-    };
-    let mut net = build_secure_network(params);
+    let (mut tier, ledger) = SimTier::boot(scenario, seed);
     let mut oracles = OracleSuite::new(scenario, seed);
-    let mut fault_rng = sc_sim::rng::std_rng(seed, "faults", 0);
-    let mut churn_rng = sc_sim::rng::std_rng(seed, "churn", 0);
-    let mut join_accumulator = 0.0f64;
-    let mut joined = 0u64;
-    let mut departed = 0u64;
-    let mut reintroduced = 0u64;
-    let mut restarted = 0u64;
+    let mut schedule = Schedule::new(scenario, seed);
 
     for step in 0..scenario.cycles {
-        // -- scheduled fault events ------------------------------------
-        // Mid-cycle restarts cannot be applied here (the cycle hasn't
-        // started): pick the victims now, from the same seeded stream as
-        // every other fault, and interrupt the cycle below.
-        let mut mid_restart: Option<(Vec<Addr>, f64)> = None;
-        for event in scenario.events.iter().filter(|e| e.step() == step) {
-            if let Event::RestartMidCycle {
-                frac, turn_frac, ..
-            } = *event
-            {
-                let mut honest: Vec<Addr> = net
-                    .engine
-                    .nodes()
-                    .filter(|(_, n)| !n.is_malicious())
-                    .map(|(a, _)| a)
-                    .collect();
-                honest.shuffle(&mut fault_rng);
-                let k = ((honest.len() as f64 * frac) as usize).min(honest.len());
-                honest.truncate(k);
-                mid_restart = Some((honest, turn_frac));
-                continue;
-            }
-            apply_event(
-                &mut net,
-                event,
-                scenario.runner_heal_fallback,
-                &mut fault_rng,
-                &mut departed,
-                &mut reintroduced,
-                &mut restarted,
-            );
-        }
-
-        // -- churn ------------------------------------------------------
-        if let Some(w) = scenario.churn {
-            if step >= w.from && step < w.to {
-                churn_step(
-                    &mut net,
-                    w.leave_prob,
-                    w.join_per_cycle,
-                    &mut churn_rng,
-                    &mut join_accumulator,
-                    &mut joined,
-                    &mut departed,
-                );
-            }
-        }
-
-        match mid_restart {
-            Some((victims, turn_frac)) => {
-                let after = (net.engine.alive_count() as f64 * turn_frac) as usize;
-                restarted += net.run_cycle_with_mid_restart(after, &victims) as u64;
-            }
-            None => net.engine.run_cycle(),
-        }
-        oracles.check_cycle(&net, step)?;
+        schedule.step(&mut tier, step);
+        tier.run_cycle();
+        oracles.check_cycle(&tier.net, step)?;
     }
-    oracles.check_final(&net)?;
+    oracles.check_final(&tier.net)?;
+    let SimTier {
+        net,
+        joined,
+        departed,
+        reintroduced,
+        restarted,
+        ..
+    } = tier;
 
     let final_honest = net
         .engine
@@ -214,141 +164,385 @@ pub fn state_fingerprint(net: &SecureNetwork) -> Vec<String> {
 /// accidentally annihilate the network it is supposed to observe.
 const MIN_ALIVE: usize = 8;
 
-#[allow(clippy::too_many_arguments)]
-fn apply_event(
-    net: &mut SecureNetwork,
-    event: &Event,
-    heal_fallback: bool,
-    rng: &mut rand::rngs::StdRng,
-    departed: &mut u64,
-    reintroduced: &mut u64,
-    restarted: &mut u64,
-) {
-    match *event {
-        Event::Partition { island_frac, .. } => {
-            let mut alive: Vec<Addr> = net.engine.nodes().map(|(a, _)| a).collect();
-            alive.shuffle(rng);
-            let island_len = ((alive.len() as f64 * island_frac) as usize).min(alive.len());
-            let island = alive.into_iter().take(island_len);
-            let model = net
-                .engine
-                .net()
-                .clone()
-                .with_partition(Partition::isolate(island));
-            net.engine.set_net(model);
+/// The verbs a scenario's schedule is carried out with. A tier makes no
+/// draw of its own, bar the simulated heal fallback, which takes the
+/// schedule's stream.
+pub(crate) trait Tier {
+    /// Alive members, in address order.
+    fn alive(&self) -> Vec<Addr>;
+    /// The alive members that run the honest machine, in address order.
+    fn honest(&self) -> Vec<Addr>;
+    /// Cuts `island` off from everybody else, both directions; members
+    /// that join later land on the mainland side.
+    fn sever(&mut self, island: Vec<Addr>);
+    /// Lifts the partition.
+    fn heal(&mut self, faults: &mut StdRng);
+    /// Replaces the drop probabilities `(request, response, oneway)`,
+    /// keeping any partition.
+    fn set_loss(&mut self, rates: (f64, f64, f64));
+    /// Crashes one member for good.
+    fn kill(&mut self, addr: Addr);
+    /// `kill -9`s `victims` and restarts each from its durable state —
+    /// with `Some(turn_frac)`, after that fraction of the cycle's turns.
+    fn restart(&mut self, victims: Vec<Addr>, turn_frac: Option<f64>);
+    /// A fresh node joins through the first of `sponsors` that can
+    /// sponsor it.
+    fn join(&mut self, sponsors: Vec<Addr>);
+}
+
+/// One run's faults and churn: the scenario's events and churn window,
+/// and the two seeded streams every draw comes from.
+pub(crate) struct Schedule<'a> {
+    scenario: &'a Scenario,
+    faults: StdRng,
+    churn: StdRng,
+    join_accumulator: f64,
+}
+
+impl<'a> Schedule<'a> {
+    pub(crate) fn new(scenario: &'a Scenario, seed: u64) -> Self {
+        Schedule {
+            scenario,
+            faults: sc_sim::rng::std_rng(seed, "faults", 0),
+            churn: sc_sim::rng::std_rng(seed, "churn", 0),
+            join_accumulator: 0.0,
         }
-        Event::Heal { .. } => {
-            let partition = net.engine.net().partition.clone();
-            let model = net.engine.net().clone().healed();
-            net.engine.set_net(model);
-            // A partition outlasting the descriptor lifetime consumes
-            // every cross-side link (redeeming toward an unreachable
-            // creator spends the descriptor). Fully starved nodes now
-            // re-sponsor themselves through the protocol's own rejoin
-            // pings (§V-A), but islands big enough to keep gossiping
-            // internally never starve and never ping; scenarios with
-            // such islands opt into this harness fallback, which models
-            // a bootstrap-server reconnect: a few island nodes are
-            // re-sponsored by mainland nodes, and ordinary gossip
-            // re-knits the rest.
-            if let Some(p) = partition.filter(|_| heal_fallback) {
-                let mainland_side = p.default_side();
-                let mut island: Vec<Addr> = Vec::new();
-                let mut mainland: Vec<Addr> = Vec::new();
-                for (addr, node) in net.engine.nodes() {
-                    if node.is_malicious() {
-                        continue;
-                    }
-                    if p.side(addr) == mainland_side {
-                        mainland.push(addr);
-                    } else {
-                        island.push(addr);
+    }
+
+    /// The last step at which anything is scheduled.
+    pub(crate) fn last_step(&self) -> u64 {
+        let events = self.scenario.events.iter().map(Event::step);
+        let churn = self.scenario.churn.map(|w| w.to.saturating_sub(1));
+        events.chain(churn).max().unwrap_or(0)
+    }
+
+    /// A random `frac` of `pool`, leaving at least `spare` of it alone.
+    fn fraction(&mut self, mut pool: Vec<Addr>, frac: f64, spare: usize) -> Vec<Addr> {
+        pool.shuffle(&mut self.faults);
+        let k = (pool.len() as f64 * frac) as usize;
+        pool.truncate(k.min(pool.len().saturating_sub(spare)));
+        pool
+    }
+
+    /// Carries out what the scenario schedules for `step` — its events
+    /// in order, then its churn — before that step's cycle runs.
+    pub(crate) fn step(&mut self, tier: &mut impl Tier, step: u64) {
+        let scenario = self.scenario;
+        for event in scenario.events.iter().filter(|e| e.step() == step) {
+            match *event {
+                Event::Partition { island_frac, .. } => {
+                    let island = self.fraction(tier.alive(), island_frac, 0);
+                    tier.sever(island);
+                }
+                Event::Heal { .. } => tier.heal(&mut self.faults),
+                Event::SetLoss { rates, .. } => tier.set_loss(rates),
+                Event::Kill { frac, .. } => {
+                    for addr in self.fraction(tier.alive(), frac, MIN_ALIVE) {
+                        tier.kill(addr);
                     }
                 }
-                island.sort_unstable();
-                mainland.sort_unstable();
-                island.shuffle(rng);
-                mainland.shuffle(rng);
-                let k = (island.len() / 8).max(2).min(mainland.len());
-                for (&node, &sponsor) in island.iter().zip(mainland.iter()).take(k) {
-                    if net.reintroduce(node, sponsor) {
-                        *reintroduced += 1;
-                    }
+                Event::Restart { frac, .. } => {
+                    let victims = self.fraction(tier.honest(), frac, 0);
+                    tier.restart(victims, None);
+                }
+                Event::RestartMidCycle {
+                    frac, turn_frac, ..
+                } => {
+                    let victims = self.fraction(tier.honest(), frac, 0);
+                    tier.restart(victims, Some(turn_frac));
+                }
+            }
+        }
+        let Some(w) = scenario.churn.filter(|w| step >= w.from && step < w.to) else {
+            return;
+        };
+        if w.leave_prob > 0.0 {
+            let alive = tier.alive();
+            let mut left = alive.len();
+            for addr in alive {
+                if left <= MIN_ALIVE {
+                    break;
+                }
+                if self.churn.gen::<f64>() < w.leave_prob {
+                    tier.kill(addr);
+                    left -= 1;
                 }
             }
         }
-        Event::SetLoss { rates, .. } => {
-            let mut model = NetworkModel::asymmetric(rates.0, rates.1, rates.2);
-            model.partition = net.engine.net().partition.clone();
-            net.engine.set_net(model);
-        }
-        Event::Kill { frac, .. } => {
-            let mut alive: Vec<Addr> = net.engine.nodes().map(|(a, _)| a).collect();
-            alive.shuffle(rng);
-            let budget = alive.len().saturating_sub(MIN_ALIVE);
-            let kill = ((alive.len() as f64 * frac) as usize).min(budget);
-            for addr in alive.into_iter().take(kill) {
-                net.engine.kill(addr);
-                *departed += 1;
-            }
-        }
-        // Handled in the step loop: it interrupts the cycle itself.
-        Event::RestartMidCycle { .. } => {}
-        Event::Restart { frac, .. } => {
-            let mut honest: Vec<Addr> = net
-                .engine
-                .nodes()
-                .filter(|(_, n)| !n.is_malicious())
-                .map(|(a, _)| a)
-                .collect();
-            honest.shuffle(rng);
-            let k = ((honest.len() as f64 * frac) as usize).min(honest.len());
-            for addr in honest.into_iter().take(k) {
-                if net.crash_restart(addr) {
-                    *restarted += 1;
-                }
-            }
+        self.join_accumulator += w.join_per_cycle;
+        while self.join_accumulator >= 1.0 {
+            self.join_accumulator -= 1.0;
+            // Candidate sponsors in random order: on the simulated tier
+            // the first that has not yet spent this cycle's
+            // fresh-descriptor budget takes the joiner.
+            let mut sponsors = tier.honest();
+            sponsors.shuffle(&mut self.churn);
+            tier.join(sponsors);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn churn_step(
-    net: &mut SecureNetwork,
-    leave_prob: f64,
-    join_per_cycle: f64,
-    rng: &mut rand::rngs::StdRng,
-    join_accumulator: &mut f64,
-    joined: &mut u64,
-    departed: &mut u64,
-) {
-    if leave_prob > 0.0 {
-        let alive: Vec<Addr> = net.engine.nodes().map(|(a, _)| a).collect();
-        for addr in alive {
-            if net.engine.alive_count() <= MIN_ALIVE {
-                break;
+/// The simulated tier: a [`SecureNetwork`] between two engine cycles,
+/// and the counts the [`RunSummary`] reports.
+struct SimTier {
+    net: SecureNetwork,
+    heal_fallback: bool,
+    /// Victims of a mid-cycle restart and the fraction of the cycle's
+    /// turns that run before it: the cycle has not started when the
+    /// schedule draws them, so the run loop interrupts it.
+    mid_restart: Option<(Vec<Addr>, f64)>,
+    joined: u64,
+    departed: u64,
+    reintroduced: u64,
+    restarted: u64,
+}
+
+impl SimTier {
+    /// The scenario's population after bootstrap, and the cloners' event
+    /// ledger when the adversary keeps one.
+    fn boot(scenario: &Scenario, seed: u64) -> (SimTier, Option<Arc<Mutex<CloneLedger>>>) {
+        let (attack, ledger) = scenario.adversary.materialize();
+        // Scenario steps are relative to the end of bootstrap; the engine
+        // clock starts at ℓ (ring-bootstrap contract), so shift the attack
+        // trigger accordingly.
+        let start_cycle = scenario.cfg.view_len as u64;
+        let params = SecureNetParams {
+            n: scenario.n,
+            n_malicious: scenario.n_malicious,
+            cfg: scenario.cfg,
+            attack,
+            attack_start: start_cycle + scenario.attack_start,
+            seed,
+            scheme: sc_crypto::Scheme::KeyedHash,
+            net: NetworkModel::asymmetric(scenario.loss.0, scenario.loss.1, scenario.loss.2),
+            durable: scenario.durable,
+        };
+        let tier = SimTier {
+            net: build_secure_network(params),
+            heal_fallback: scenario.runner_heal_fallback,
+            mid_restart: None,
+            joined: 0,
+            departed: 0,
+            reintroduced: 0,
+            restarted: 0,
+        };
+        (tier, ledger)
+    }
+
+    /// Runs the cycle the schedule just prepared, interrupted by the
+    /// mid-cycle restart if it drew one.
+    fn run_cycle(&mut self) {
+        match self.mid_restart.take() {
+            Some((victims, turn_frac)) => {
+                let after = (self.net.engine.alive_count() as f64 * turn_frac) as usize;
+                self.restarted += self.net.run_cycle_with_mid_restart(after, &victims) as u64;
             }
-            if rng.gen::<f64>() < leave_prob {
-                net.engine.kill(addr);
-                *departed += 1;
+            None => self.net.engine.run_cycle(),
+        }
+    }
+}
+
+impl Tier for SimTier {
+    fn alive(&self) -> Vec<Addr> {
+        self.net.engine.nodes().map(|(a, _)| a).collect()
+    }
+
+    fn honest(&self) -> Vec<Addr> {
+        let honest = self.net.engine.nodes().filter(|(_, n)| !n.is_malicious());
+        honest.map(|(a, _)| a).collect()
+    }
+
+    fn sever(&mut self, island: Vec<Addr>) {
+        let model = self.net.engine.net().clone();
+        self.net
+            .engine
+            .set_net(model.with_partition(Partition::isolate(island)));
+    }
+
+    fn heal(&mut self, faults: &mut StdRng) {
+        let net = &mut self.net;
+        let partition = net.engine.net().partition.clone();
+        let model = net.engine.net().clone().healed();
+        net.engine.set_net(model);
+        // A partition outlasting the descriptor lifetime consumes
+        // every cross-side link (redeeming toward an unreachable
+        // creator spends the descriptor). Fully starved nodes now
+        // re-sponsor themselves through the protocol's own rejoin
+        // pings (§V-A), but islands big enough to keep gossiping
+        // internally never starve and never ping; scenarios with
+        // such islands opt into this harness fallback, which models
+        // a bootstrap-server reconnect: a few island nodes are
+        // re-sponsored by mainland nodes, and ordinary gossip
+        // re-knits the rest.
+        if let Some(p) = partition.filter(|_| self.heal_fallback) {
+            let mainland_side = p.default_side();
+            let mut island: Vec<Addr> = Vec::new();
+            let mut mainland: Vec<Addr> = Vec::new();
+            for (addr, node) in net.engine.nodes() {
+                if node.is_malicious() {
+                    continue;
+                }
+                if p.side(addr) == mainland_side {
+                    mainland.push(addr);
+                } else {
+                    island.push(addr);
+                }
+            }
+            island.sort_unstable();
+            mainland.sort_unstable();
+            island.shuffle(faults);
+            mainland.shuffle(faults);
+            let k = (island.len() / 8).max(2).min(mainland.len());
+            for (&node, &sponsor) in island.iter().zip(mainland.iter()).take(k) {
+                if net.reintroduce(node, sponsor) {
+                    self.reintroduced += 1;
+                }
             }
         }
     }
-    *join_accumulator += join_per_cycle;
-    while *join_accumulator >= 1.0 {
-        *join_accumulator -= 1.0;
-        // Candidate sponsors in random order: alive honest nodes that have
-        // not yet spent this cycle's fresh-descriptor budget.
-        let mut sponsors: Vec<Addr> = net
-            .engine
-            .nodes()
-            .filter(|(_, n)| !n.is_malicious())
-            .map(|(a, _)| a)
-            .collect();
-        sponsors.shuffle(rng);
-        if net.join_via_any(sponsors).is_some() {
-            *joined += 1;
+
+    fn set_loss(&mut self, rates: (f64, f64, f64)) {
+        let mut model = NetworkModel::asymmetric(rates.0, rates.1, rates.2);
+        model.partition = self.net.engine.net().partition.clone();
+        self.net.engine.set_net(model);
+    }
+
+    fn kill(&mut self, addr: Addr) {
+        self.net.engine.kill(addr);
+        self.departed += 1;
+    }
+
+    fn restart(&mut self, victims: Vec<Addr>, turn_frac: Option<f64>) {
+        match turn_frac {
+            Some(turn_frac) => self.mid_restart = Some((victims, turn_frac)),
+            None => {
+                for addr in victims {
+                    self.restarted += u64::from(self.net.crash_restart(addr));
+                }
+            }
         }
+    }
+
+    fn join(&mut self, sponsors: Vec<Addr>) {
+        self.joined += u64::from(self.net.join_via_any(sponsors).is_some());
+    }
+}
+
+/// What the socket tier's verbs leave behind for
+/// [`crate::live::run_scenario_live`] to demand evidence about.
+#[derive(Default)]
+pub(crate) struct LiveLedger {
+    /// The uniform drop probability in force.
+    pub(crate) loss: f64,
+    /// Members currently severed from everybody else.
+    pub(crate) island: Vec<Addr>,
+    /// Members a heal let back in.
+    pub(crate) rejoiners: Vec<Addr>,
+    /// Members spawned by churn.
+    pub(crate) joiners: Vec<Addr>,
+    /// Restarted members, with the identity each had before its kill.
+    pub(crate) restarted: Vec<(Addr, NodeId)>,
+}
+
+/// The socket tier: a [`ProcessCluster`] at one instant of the wall
+/// clock. Loss is uniform (see [`Scenario::live_fit`]) and filtered on
+/// the way in: every frame crosses exactly one inbound filter, so
+/// `drop_in = p` on every member is link loss `p` in both directions. A
+/// partition is the islanders' own transports severing the other side —
+/// control frames are exempt, so the harness reaches through it.
+pub(crate) struct LiveTier<'a> {
+    pub(crate) cluster: &'a mut ProcessCluster,
+    pub(crate) ledger: &'a mut LiveLedger,
+    pub(crate) seed: u64,
+    pub(crate) replay: &'a str,
+}
+
+impl LiveTier<'_> {
+    /// Installs on each of `members` the spec it should be under now:
+    /// the loss in force, and for an islander the other side severed.
+    fn install(&self, members: &[Addr]) {
+        let alive = self.cluster.addrs();
+        let island = &self.ledger.island;
+        for &addr in members.iter().filter(|a| alive.contains(a)) {
+            let mut severed = Vec::new();
+            if island.contains(&addr) {
+                severed.extend(alive.iter().filter(|a| !island.contains(a)));
+            }
+            let spec = FaultSpec {
+                seed: self.seed,
+                drop_in: self.ledger.loss,
+                severed,
+                ..FaultSpec::default()
+            };
+            assert!(
+                self.cluster.set_fault(addr, &spec),
+                "member {addr} never acked fault spec '{spec}'\n  replay: {}",
+                self.replay
+            );
+        }
+    }
+}
+
+impl Tier for LiveTier<'_> {
+    fn alive(&self) -> Vec<Addr> {
+        self.cluster.addrs()
+    }
+
+    fn honest(&self) -> Vec<Addr> {
+        self.cluster.addrs()
+    }
+
+    fn sever(&mut self, island: Vec<Addr>) {
+        self.ledger.island = island;
+        self.install(&self.ledger.island);
+    }
+
+    fn heal(&mut self, _: &mut StdRng) {
+        let island = std::mem::take(&mut self.ledger.island);
+        self.install(&island);
+        self.ledger.rejoiners.extend(island);
+    }
+
+    fn set_loss(&mut self, rates: (f64, f64, f64)) {
+        self.ledger.loss = rates.0;
+        self.install(&self.cluster.addrs());
+    }
+
+    fn kill(&mut self, addr: Addr) {
+        self.cluster.kill(addr);
+    }
+
+    /// Wall clock cannot place the cut inside a cycle; phase-staggered
+    /// turns make any kill mid-cycle for somebody.
+    fn restart(&mut self, victims: Vec<Addr>, _turn_frac: Option<f64>) {
+        for addr in victims {
+            let before = self.cluster.status_of(addr);
+            let before = before.unwrap_or_else(|| {
+                panic!(
+                    "restart victim {addr} is not answering\n  replay: {}",
+                    self.replay
+                )
+            });
+            self.ledger.restarted.push((addr, before.id));
+            let respawned = self.cluster.restart(addr);
+            assert!(
+                matches!(respawned, Ok(true)),
+                "restarting {addr}: {respawned:?}\n  replay: {}",
+                self.replay
+            );
+        }
+    }
+
+    fn join(&mut self, sponsors: Vec<Addr>) {
+        let Some(&sponsor) = sponsors.first() else {
+            return;
+        };
+        let joiner = self.cluster.spawn_joiner(sponsor);
+        let joiner =
+            joiner.unwrap_or_else(|e| panic!("spawning a joiner: {e}\n  replay: {}", self.replay));
+        self.ledger.joiners.push(joiner);
+        // The islanders sever everybody else by address.
+        self.install(&self.ledger.island);
     }
 }
 
@@ -418,6 +612,136 @@ mod tests {
         assert_eq!(violation.oracle, "eventual-detection");
         assert_eq!(violation.seed, 5);
         assert!(violation.to_string().contains("SC_SEED=5"));
+    }
+}
+
+#[cfg(test)]
+mod one_schedule_two_tiers {
+    use super::*;
+    use crate::catalog::{standard_matrix, MatrixSize};
+
+    /// Records what the schedule asks of a tier — addresses relative to
+    /// the tier's first — and passes it on.
+    struct Logged<T> {
+        tier: T,
+        base: Addr,
+        log: Vec<String>,
+    }
+
+    impl<T> Logged<T> {
+        fn note(&mut self, verb: &str, addrs: &[Addr]) {
+            let at: Vec<Addr> = addrs.iter().map(|a| a - self.base).collect();
+            self.log.push(format!("{verb} {at:?}"));
+        }
+    }
+
+    impl<T: Tier> Tier for Logged<T> {
+        fn alive(&self) -> Vec<Addr> {
+            self.tier.alive()
+        }
+        fn honest(&self) -> Vec<Addr> {
+            self.tier.honest()
+        }
+        fn sever(&mut self, island: Vec<Addr>) {
+            self.note("sever", &island);
+            self.tier.sever(island);
+        }
+        fn heal(&mut self, faults: &mut StdRng) {
+            self.note("heal", &[]);
+            self.tier.heal(faults);
+        }
+        fn set_loss(&mut self, rates: (f64, f64, f64)) {
+            self.note("set-loss", &[]);
+            self.tier.set_loss(rates);
+        }
+        fn kill(&mut self, addr: Addr) {
+            self.note("kill", &[addr]);
+            self.tier.kill(addr);
+        }
+        fn restart(&mut self, victims: Vec<Addr>, turn_frac: Option<f64>) {
+            self.note(
+                &format!("restart mid-cycle={}", turn_frac.is_some()),
+                &victims,
+            );
+            self.tier.restart(victims, turn_frac);
+        }
+        fn join(&mut self, sponsors: Vec<Addr>) {
+            self.note("join via the first of", &sponsors);
+            self.tier.join(sponsors);
+        }
+    }
+
+    /// Membership as a [`ProcessCluster`] keeps it, without the
+    /// processes: founders on a block of ports, a kill frees one, a
+    /// restart keeps it, a joiner takes the next never used.
+    struct Ports {
+        alive: Vec<Addr>,
+        next: Addr,
+    }
+
+    impl Tier for Ports {
+        fn alive(&self) -> Vec<Addr> {
+            self.alive.clone()
+        }
+        fn honest(&self) -> Vec<Addr> {
+            self.alive.clone()
+        }
+        fn sever(&mut self, _: Vec<Addr>) {}
+        fn heal(&mut self, _: &mut StdRng) {}
+        fn set_loss(&mut self, _: (f64, f64, f64)) {}
+        fn kill(&mut self, addr: Addr) {
+            self.alive.retain(|a| *a != addr);
+        }
+        fn restart(&mut self, _: Vec<Addr>, _: Option<f64>) {}
+        fn join(&mut self, _: Vec<Addr>) {
+            self.alive.push(self.next);
+            self.next += 1;
+        }
+    }
+
+    /// Both runners step the same [`Schedule`], which sees a tier only
+    /// through its alive members in address order — so the node at engine
+    /// address `i` and the process on port `base + i` meet the same fate:
+    /// same island, same kill and restart victims, same leave rolls, same
+    /// sponsor order, for every catalog scenario the socket tier runs.
+    #[test]
+    fn the_engine_and_a_port_block_draw_the_same_fates() {
+        const BASE: Addr = 41_000;
+        let seed = 3;
+        let mut verbs = 0;
+        for sc in standard_matrix(MatrixSize::live()) {
+            if sc.live_fit().is_err() {
+                continue;
+            }
+            let mut sim = Logged {
+                tier: SimTier::boot(&sc, seed).0,
+                base: 0,
+                log: Vec::new(),
+            };
+            let mut live = Logged {
+                tier: Ports {
+                    alive: (BASE..BASE + sc.n as Addr).collect(),
+                    next: BASE + sc.n as Addr,
+                },
+                base: BASE,
+                log: Vec::new(),
+            };
+            let (mut on_sim, mut on_live) = (Schedule::new(&sc, seed), Schedule::new(&sc, seed));
+            for step in 0..sc.cycles {
+                on_sim.step(&mut sim, step);
+                sim.tier.run_cycle();
+                on_live.step(&mut live, step);
+            }
+            assert_eq!(sim.log, live.log, "{}", sc.name);
+            assert_eq!(
+                sim.tier.alive().len(),
+                live.tier.alive.len(),
+                "{}: every sponsored join found a sponsor",
+                sc.name
+            );
+            verbs += sim.log.len();
+        }
+        assert!(verbs > 20, "the fitting scenarios schedule something");
     }
 }
 

@@ -401,6 +401,38 @@ impl Scenario {
             matches!(e, Event::Restart { .. }) || matches!(e, Event::RestartMidCycle { .. })
         })
     }
+
+    /// Whether any message is ever dropped: a base rate or a scheduled
+    /// loss regime above zero.
+    pub fn has_loss(&self) -> bool {
+        self.loss_regimes().any(|(a, b, c)| a + b + c > 0.0)
+    }
+
+    /// The base loss rates and every scheduled replacement.
+    fn loss_regimes(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+        let scheduled = self.events.iter().filter_map(|e| match e {
+            Event::SetLoss { rates, .. } => Some(*rates),
+            _ => None,
+        });
+        std::iter::once(self.loss).chain(scheduled)
+    }
+
+    /// Whether the socket tier ([`crate::live::run_scenario_live`]) can
+    /// run this scenario, or the reason it cannot yet. Everything else a
+    /// scenario states maps onto `sc-node` processes, their control
+    /// socket and their `FaultSpec`s.
+    pub fn live_fit(&self) -> Result<(), &'static str> {
+        if self.n_malicious > 0 {
+            return Err("no adversary binary: sc-node runs the honest machine only (ROADMAP 3(a))");
+        }
+        if self.runner_heal_fallback {
+            return Err("heal_fallback: the control socket has no re-sponsor verb");
+        }
+        if self.loss_regimes().any(|(a, b, c)| a != b || b != c) {
+            return Err("per-kind loss: a FaultSpec drops by direction, not by message kind");
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
