@@ -2,10 +2,10 @@
 //!
 //! A [`FaultSpec`] describes everything a fault-injecting transport may
 //! do to gossip frames — per-direction drop, bounded delay/reorder,
-//! duplication, partition severing and forced connection resets — plus
-//! the seed every decision derives from. The spec itself makes the
-//! decisions: [`FaultSpec::decide`] is a pure
-//! counter-mode PRNG keyed by `(seed, direction, src, dst, frame_index)`,
+//! duplication and partition severing — plus the seed every decision
+//! derives from. The spec itself makes the decisions:
+//! [`FaultSpec::decide`] is a pure counter-mode PRNG keyed by
+//! `(seed, direction, src, dst, frame_index)`,
 //! the same replay discipline as the simulator's `NetworkModel`, so a
 //! failing live run reproduces exactly from the printed seed and two
 //! transports holding the same spec agree on every frame's fate.
@@ -21,8 +21,7 @@
 //! the no-fault spec):
 //!
 //! ```text
-//! seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:4,dup=0.02,reset=0.01,
-//! sever=41007+41008
+//! seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:4,dup=0.02,sever=41007+41008
 //! ```
 //!
 //! * `seed` — decision seed (default 0)
@@ -31,7 +30,6 @@
 //! * `delay=p:w` — with probability `p`, hold an inbound frame for
 //!   1..=`w` polls of 500 µs each (bounded reorder)
 //! * `dup` — outbound duplication probability
-//! * `reset` — outbound forced-connection-reset probability
 //! * `sever` — `+`-separated peer addresses cut off entirely (partition)
 
 use crate::Addr;
@@ -59,9 +57,6 @@ pub struct FaultDecision {
     /// the receive loop that first implemented it — before release
     /// (inbound only; 0 = deliver immediately).
     pub delay_polls: u32,
-    /// Tear down the cached connection to the peer before sending
-    /// (outbound only), forcing a redial.
-    pub reset: bool,
 }
 
 /// A deterministic fault-injection specification.
@@ -79,9 +74,6 @@ pub struct FaultSpec {
     pub delay_max_polls: u32,
     /// Probability an outbound frame is duplicated.
     pub dup_prob: f64,
-    /// Probability the cached connection is reset before an outbound
-    /// frame.
-    pub reset_prob: f64,
     /// Peer addresses severed entirely (both directions), kept sorted.
     pub severed: Vec<Addr>,
 }
@@ -95,7 +87,6 @@ impl Default for FaultSpec {
             delay_prob: 0.0,
             delay_max_polls: DEFAULT_DELAY_WINDOW,
             dup_prob: 0.0,
-            reset_prob: 0.0,
             severed: Vec::new(),
         }
     }
@@ -121,7 +112,6 @@ const SALT_DROP: u64 = 1;
 const SALT_DELAY: u64 = 2;
 const SALT_DELAY_LEN: u64 = 3;
 const SALT_DUP: u64 = 4;
-const SALT_RESET: u64 = 5;
 
 impl FaultSpec {
     /// Whether the spec injects nothing at all (exact pass-through).
@@ -130,7 +120,6 @@ impl FaultSpec {
             && self.drop_out == 0.0
             && self.delay_prob == 0.0
             && self.dup_prob == 0.0
-            && self.reset_prob == 0.0
             && self.severed.is_empty()
     }
 
@@ -164,7 +153,6 @@ impl FaultSpec {
             drop,
             duplicate: self.dup_prob > 0.0 && roll(SALT_DUP) < self.dup_prob,
             delay_polls: delay_polls.min(self.delay_max_polls.max(1)),
-            reset: self.reset_prob > 0.0 && roll(SALT_RESET) < self.reset_prob,
         }
     }
 
@@ -183,7 +171,6 @@ impl FaultSpec {
         self.drop_out = clamp(self.drop_out);
         self.delay_prob = clamp(self.delay_prob);
         self.dup_prob = clamp(self.dup_prob);
-        self.reset_prob = clamp(self.reset_prob);
         self.delay_max_polls = self.delay_max_polls.clamp(1, 1 << 16);
         self.severed.sort_unstable();
         self.severed.dedup();
@@ -234,7 +221,6 @@ impl FaultSpec {
                     spec.delay_max_polls = w;
                 }
                 "dup" => spec.dup_prob = prob(val)?,
-                "reset" => spec.reset_prob = prob(val)?,
                 "sever" => {
                     for a in val.split('+').filter(|a| !a.is_empty()) {
                         let addr: Addr = a
@@ -276,9 +262,6 @@ impl core::fmt::Display for FaultSpec {
         if self.dup_prob > 0.0 {
             parts.push(format!("dup={}", self.dup_prob));
         }
-        if self.reset_prob > 0.0 {
-            parts.push(format!("reset={}", self.reset_prob));
-        }
         if !self.severed.is_empty() {
             let addrs: Vec<String> = self.severed.iter().map(|a| a.to_string()).collect();
             parts.push(format!("sever={}", addrs.join("+")));
@@ -294,8 +277,7 @@ mod tests {
     #[test]
     fn parse_grammar_roundtrips_through_display() {
         let spec = FaultSpec::parse(
-            "seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:3,dup=0.02,reset=0.01,\
-             sever=41008+41007",
+            "seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:3,dup=0.02,sever=41008+41007",
         )
         .unwrap();
         assert_eq!(spec.seed, 7);
@@ -325,13 +307,18 @@ mod tests {
             "unknown fault-spec key 'bw'",
             "the bandwidth throttle is gone"
         );
+        assert_eq!(
+            FaultSpec::parse("reset=0.1").unwrap_err(),
+            "unknown fault-spec key 'reset'",
+            "the connection-reset knob is gone"
+        );
         assert!(FaultSpec::parse("delay=0.5:0").is_err());
         assert!(FaultSpec::parse("sever=abc").is_err());
     }
 
     #[test]
     fn decisions_are_pure_counter_mode() {
-        let spec = FaultSpec::parse("seed=3,drop=0.3,delay=0.4:6,dup=0.2,reset=0.1").unwrap();
+        let spec = FaultSpec::parse("seed=3,drop=0.3,delay=0.4:6,dup=0.2").unwrap();
         let a: Vec<FaultDecision> = (0..500)
             .map(|i| spec.decide(FaultDir::Inbound, 10, 20, i))
             .collect();

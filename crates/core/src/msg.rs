@@ -77,10 +77,10 @@ pub struct RoundReplyBody {
     pub transfer: Option<SecureDescriptor>,
 }
 
-/// A starved node's plea for re-sponsorship (§V-A applied to rejoin).
+/// A joiner's or a starved node's plea for sponsorship (§V-A).
 #[derive(Clone, Debug)]
 pub struct JoinPingBody {
-    /// The starved node's identity — the key a sponsorship descriptor
+    /// The pinging node's identity — the key a sponsorship descriptor
     /// must be transferred to.
     pub joiner: NodeId,
 }
@@ -91,8 +91,9 @@ pub struct JoinGrantBody {
     /// A fresh descriptor created by the sponsor, ownership already
     /// transferred to the joiner (the §V-A bootstrap lifeline).
     pub descriptor: SecureDescriptor,
-    /// Recently learned violation proofs, so the rejoiner catches up on
-    /// blacklist state it missed while isolated (§IV-C).
+    /// Every violation proof the sponsor holds, so the joiner learns the
+    /// culprits already proven — or, rejoining, those it missed while
+    /// isolated (§IV-C).
     pub proofs: Vec<ViolationProof>,
 }
 
@@ -109,9 +110,9 @@ pub enum SecureMsg {
     RoundReply(Box<RoundReplyBody>),
     /// Flooded violation proof (one-way, §IV-C).
     Proof(Box<ViolationProof>),
-    /// Starved-node re-sponsorship plea (one-way, §V-A rejoin).
+    /// A joiner's or a starved node's sponsorship plea (one-way, §V-A).
     JoinPing(Box<JoinPingBody>),
-    /// Sponsorship grant answering a ping (one-way, §V-A rejoin).
+    /// Sponsorship grant answering a ping (one-way, §V-A).
     JoinGrant(Box<JoinGrantBody>),
 }
 

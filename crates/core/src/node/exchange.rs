@@ -9,7 +9,7 @@
 
 use super::{Effects, SecureCyclonNode};
 use crate::descriptor::{LinkKind, SecureDescriptor};
-use crate::msg::{AcceptBody, JoinPingBody, RequestBody, RoundBody, SecureMsg};
+use crate::msg::{AcceptBody, JoinGrantBody, JoinPingBody, RequestBody, RoundBody, SecureMsg};
 use crate::time::Timestamp;
 use crate::view::ViewEntry;
 use crate::Addr;
@@ -68,6 +68,18 @@ impl SecureCyclonNode {
         let handed = fresh.transfer(&self.keypair, joiner).ok()?;
         self.stats.transfers_sent += 1;
         Some(handed)
+    }
+
+    /// Everything a sponsorship hands a joiner (§V-A, §IV-C): this
+    /// cycle's fresh descriptor, transferred to `joiner`
+    /// ([`SecureCyclonNode::sponsor_join`]), and every proof this node
+    /// holds ([`SecureCyclonNode::export_proofs`]) — a newcomer knows no
+    /// culprit yet, and a node starved through a partition missed the
+    /// floods of that time. `None` if this cycle's budget is already spent.
+    pub fn sponsor(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<JoinGrantBody> {
+        let descriptor = self.sponsor_join(joiner, cycle, now)?;
+        let proofs = self.export_proofs();
+        Some(JoinGrantBody { descriptor, proofs })
     }
 
     /// [`super::Input::Tick`]: the turn up to its first round trip.

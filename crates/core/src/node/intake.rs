@@ -1,7 +1,7 @@
 //! Everything the node takes in: descriptor verification and the §IV-B
 //! checks, ownership transfers, and the passive side of an exchange
 //! (§IV-A redemption validation, the §V-A non-swappable restrictions,
-//! tit-for-tat rounds, rejoin pings).
+//! tit-for-tat rounds, join pings).
 
 use super::{SecureCyclonNode, Session};
 use crate::checks::Observation;
@@ -412,8 +412,8 @@ impl SecureCyclonNode {
         })))
     }
 
-    /// [`super::Input::Oneway`]: a flooded proof, a starved peer's rejoin
-    /// ping, or the grant answering this node's own ping.
+    /// [`super::Input::Oneway`]: a flooded proof, a joiner's or a starved
+    /// peer's join ping, or the grant answering this node's own ping.
     pub(super) fn handle_oneway(
         &mut self,
         from: Addr,
@@ -443,9 +443,9 @@ impl SecureCyclonNode {
         self.drain_floods(sends);
     }
 
-    /// Answers a starved peer's rejoin ping with a sponsorship, throttled
-    /// and frequency-legal (the grant spends this cycle's budget through
-    /// [`SecureCyclonNode::sponsor_join`]).
+    /// Answers a joiner's or a starved peer's ping with a sponsorship,
+    /// throttled and frequency-legal (the grant spends this cycle's
+    /// budget through [`SecureCyclonNode::sponsor`]).
     fn answer_join_ping(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<SecureMsg> {
         if joiner == self.id || self.blacklist.contains(&joiner) {
             return None;
@@ -455,12 +455,9 @@ impl SecureCyclonNode {
                 return None;
             }
         }
-        let descriptor = self.sponsor_join(joiner, cycle, now)?;
+        let grant = self.sponsor(joiner, cycle, now)?;
         self.last_join_grant = Some(cycle);
         self.stats.rejoin_grants += 1;
-        Some(SecureMsg::JoinGrant(Box::new(JoinGrantBody {
-            descriptor,
-            proofs: self.recent_proofs(cycle),
-        })))
+        Some(SecureMsg::JoinGrant(Box::new(grant)))
     }
 }

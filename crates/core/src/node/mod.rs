@@ -123,7 +123,8 @@ pub struct SecureStats {
     pub bytes_received: u64,
     /// §V-A rejoin pings sent while starved.
     pub rejoin_pings: u64,
-    /// §V-A rejoin sponsorships granted to starved peers.
+    /// §V-A sponsorships granted to pings: starved peers' rejoin pings
+    /// and, on sockets, a `--sponsor` joiner's first-join ping.
     pub rejoin_grants: u64,
 }
 
@@ -403,6 +404,14 @@ impl SecureCyclonNode {
     /// Locally generated violation proofs, in discovery order.
     pub fn proof_log(&self) -> &[ProofRecord] {
         &self.proof_log
+    }
+
+    /// Whether the node has joined the overlay: it holds a view, or held
+    /// one in this life or in one it recovered a log from. A joined node
+    /// whose view drained re-enters by its own §V-A rejoin ping; one that
+    /// never joined waits for a sponsorship.
+    pub fn joined(&self) -> bool {
+        self.was_connected || !self.view.is_empty()
     }
 
     /// Whether an exchange this node initiated is still awaiting its

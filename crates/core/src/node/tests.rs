@@ -460,6 +460,43 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
 }
 
 #[test]
+fn a_join_ping_is_granted_every_proof_however_old() {
+    // §IV-C: a joiner learns the culprits already proven. The grant used
+    // to carry only the proofs of the last `proof_piggyback_cycles` — a
+    // gossip exchange's piggyback window — so a node sponsored later than
+    // that never heard of a culprit convicted before it arrived.
+    let kps = keypairs(3);
+    let (me, culprit, joiner) = (&kps[0], &kps[1], &kps[2]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [4u8; 32], 0);
+    let proof = ViolationProof::frequency(
+        SecureDescriptor::create(culprit, 1, Timestamp(0)),
+        SecureDescriptor::create(culprit, 1, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .unwrap();
+    assert!(node.accept_remote_proof(proof, 2));
+    let cycle = 2 + cfg.proof_piggyback_cycles + 1;
+    assert!(node.recent_proofs(cycle).is_empty(), "past the window");
+
+    let fx = node.step(Input::Oneway {
+        from: 2,
+        msg: SecureMsg::JoinPing(Box::new(crate::msg::JoinPingBody {
+            joiner: joiner.public(),
+        })),
+        cycle,
+        now: cycle * tpc,
+    });
+    let [(2, SecureMsg::JoinGrant(grant))] = &fx.sends[..] else {
+        panic!("the ping was not granted: {:?}", fx.sends);
+    };
+    assert_eq!(grant.descriptor.owner(), joiner.public());
+    let culprits: Vec<NodeId> = grant.proofs.iter().map(|p| p.culprit()).collect();
+    assert_eq!(culprits, vec![culprit.public()]);
+}
+
+#[test]
 fn forged_inputs_move_exactly_these_counters() {
     // One node, one stream of inputs, the four intake counters after
     // each: where verification sits relative to the structural gates

@@ -123,9 +123,9 @@ const DESCRIPTOR_MIN_BYTES: usize = PUBLIC_KEY_LEN + 4 + 8 + SIGNATURE_LEN + 2;
 const PROOF_MIN_BYTES: usize = 1 + 2 * DESCRIPTOR_MIN_BYTES;
 
 /// The one bounds-checked big-endian cursor that gossip messages, the
-/// durable state log, control reports and join grants are all decoded
-/// through. Every read checks the bytes remaining first (`len − pos < n`,
-/// which cannot overflow), and a failed read consumes nothing. It carries
+/// durable state log and control reports are all decoded through. Every
+/// read checks the bytes remaining first (`len − pos < n`, which cannot
+/// overflow), and a failed read consumes nothing. It carries
 /// its [`WireLimits`], so every count it reads — in any of those formats
 /// — is checked against them before anything is allocated.
 #[derive(Debug)]

@@ -5,7 +5,6 @@
 //! core (whose effects are routed by `Addr`) and the socket layer in
 //! exact correspondence for loopback clusters.
 
-use sc_core::wire::WireLimits;
 use sc_core::Addr;
 use sc_core::{FaultSpec, SecureConfig};
 use sc_crypto::{Keypair, Scheme};
@@ -43,13 +42,6 @@ pub struct NodeConfig {
     pub scheme: Scheme,
     /// Protocol sizing.
     pub secure: SecureConfig,
-    /// Decode-side wire limits. Their `max_frame_bytes`
-    /// ([`crate::frame::MAX_FRAME_BYTES`]) is also the cap the transport
-    /// frames at, so a frame the transport admits is one the decoder
-    /// accepts.
-    pub wire_limits: WireLimits,
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// How long an in-turn RPC waits for its reply.
     pub rpc_timeout: Duration,
     /// Fault-injection spec the transport starts under (`--fault-spec`;
@@ -79,11 +71,6 @@ impl NodeConfig {
             stop_cycle: 0,
             scheme: Scheme::Schnorr61,
             secure: SecureConfig::default(),
-            wire_limits: WireLimits {
-                max_frame_bytes: super::frame::MAX_FRAME_BYTES,
-                ..WireLimits::DEFAULT
-            },
-            connect_timeout: Duration::from_millis(250),
             rpc_timeout: Duration::from_millis(40),
             fault_spec: FaultSpec::default(),
             state_dir: None,
@@ -220,17 +207,6 @@ mod tests {
         assert_eq!(cfg.scheme, Scheme::KeyedHash);
         assert!(cfg.sponsor.is_none());
         assert!(cfg.state_dir.is_none());
-    }
-
-    #[test]
-    fn new_and_parse_agree_on_the_frame_cap() {
-        let parsed = NodeConfig::parse(&args("--addr 41000")).unwrap();
-        let built = NodeConfig::new(41000, 0);
-        assert_eq!(built.wire_limits, parsed.wire_limits);
-        assert_eq!(
-            built.wire_limits.max_frame_bytes,
-            crate::frame::MAX_FRAME_BYTES
-        );
     }
 
     #[test]

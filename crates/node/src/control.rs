@@ -7,7 +7,7 @@
 //! counters) for the invariant oracles in `sc-testkit` to run against
 //! live processes exactly as they run against simulated ones.
 
-use crate::frame::{Frame, FrameKind, FrameReader, FRAME_HEADER_BYTES};
+use crate::frame::{Frame, FrameKind, FrameReader};
 use crate::transport::TransportStats;
 use sc_core::wire::{Reader, WireError, WireLimits, Writer};
 use sc_core::Addr;
@@ -26,7 +26,8 @@ pub struct StatusReport {
     pub id: PublicKey,
     /// The daemon's current cycle number.
     pub cycle: u64,
-    /// Whether the node holds a view (bootstrap or sponsorship done).
+    /// Whether the node has joined: it holds a view, or held one in this
+    /// life or a recovered one ([`sc_core::SecureCyclonNode::joined`]).
     pub joined: bool,
     /// Gossip cycles the daemon has fired.
     pub cycles_run: u64,
@@ -51,123 +52,50 @@ pub struct StatusReport {
     pub turns_skipped: u64,
 }
 
-/// The [`SecureStats`] counters in wire order. New counters append at
-/// the end so older readers (which index with a default of 0) keep
-/// decoding newer reports.
-fn stats_to_array(s: &SecureStats) -> [u64; 23] {
-    [
-        s.initiated,
-        s.completed,
-        s.timeouts,
-        s.answered,
-        s.refused,
-        s.idle_cycles,
-        s.transfers_sent,
-        s.transfers_received,
-        s.transfers_rejected,
-        s.dup_drops,
-        s.samples_processed,
-        s.invalid_descriptors,
-        s.proofs_generated_cloning,
-        s.proofs_generated_frequency,
-        s.proofs_received,
-        s.proofs_duplicate,
-        s.proofs_invalid,
-        s.ns_backfills,
-        s.ns_redemptions_accepted,
-        s.bytes_sent,
-        s.bytes_received,
-        s.rejoin_pings,
-        s.rejoin_grants,
-    ]
+/// Writes and reads a counter struct as its `u64` fields, each named
+/// once, in the order listed.
+macro_rules! counter_codec {
+    ($ty:ident, $put:ident, $get:ident: $($field:ident),+ $(,)?) => {
+        fn $put(w: &mut Writer<'_>, c: &$ty) {
+            $(w.u64(c.$field);)+
+        }
+
+        fn $get(r: &mut Reader<'_>) -> Result<$ty, WireError> {
+            Ok($ty { $($field: r.u64()?),+ })
+        }
+    };
 }
 
-/// The [`TransportStats`] counters in wire order — same append-only
-/// discipline as [`stats_to_array`].
-fn transport_to_array(t: &TransportStats) -> [u64; 12] {
-    [
-        t.frames_in,
-        t.frames_out,
-        t.bytes_in,
-        t.bytes_out,
-        t.active_conns,
-        t.peak_conns,
-        t.connect_failures,
-        t.poisoned_conns,
-        t.frames_dropped_injected,
-        t.frames_delayed,
-        t.frames_duplicated,
-        t.resets_injected,
-    ]
-}
+counter_codec!(SecureStats, put_stats, get_stats:
+    initiated, completed, timeouts, answered, refused, idle_cycles,
+    transfers_sent, transfers_received, transfers_rejected, dup_drops,
+    samples_processed, invalid_descriptors, proofs_generated_cloning,
+    proofs_generated_frequency, proofs_received, proofs_duplicate,
+    proofs_invalid, ns_backfills, ns_redemptions_accepted, bytes_sent,
+    bytes_received, rejoin_pings, rejoin_grants,
+);
 
-fn transport_from_array(a: &[u64]) -> TransportStats {
-    let g = |i: usize| a.get(i).copied().unwrap_or(0);
-    TransportStats {
-        frames_in: g(0),
-        frames_out: g(1),
-        bytes_in: g(2),
-        bytes_out: g(3),
-        active_conns: g(4),
-        peak_conns: g(5),
-        connect_failures: g(6),
-        poisoned_conns: g(7),
-        frames_dropped_injected: g(8),
-        frames_delayed: g(9),
-        frames_duplicated: g(10),
-        resets_injected: g(11),
-    }
-}
+counter_codec!(TransportStats, put_transport, get_transport:
+    frames_in, frames_out, bytes_in, bytes_out, active_conns, peak_conns,
+    connect_failures, poisoned_conns, frames_dropped_injected,
+    frames_delayed, frames_duplicated,
+);
 
-fn stats_from_array(a: &[u64]) -> SecureStats {
-    let g = |i: usize| a.get(i).copied().unwrap_or(0);
-    SecureStats {
-        initiated: g(0),
-        completed: g(1),
-        timeouts: g(2),
-        answered: g(3),
-        refused: g(4),
-        idle_cycles: g(5),
-        transfers_sent: g(6),
-        transfers_received: g(7),
-        transfers_rejected: g(8),
-        dup_drops: g(9),
-        samples_processed: g(10),
-        invalid_descriptors: g(11),
-        proofs_generated_cloning: g(12),
-        proofs_generated_frequency: g(13),
-        proofs_received: g(14),
-        proofs_duplicate: g(15),
-        proofs_invalid: g(16),
-        ns_backfills: g(17),
-        ns_redemptions_accepted: g(18),
-        bytes_sent: g(19),
-        bytes_received: g(20),
-        rejoin_pings: g(21),
-        rejoin_grants: g(22),
-    }
-}
-
-/// A `u16` list count: within the reader's list cap, and of elements
-/// (one byte each at the very least) that the remaining input can still
-/// hold.
-fn count(c: &mut Reader<'_>) -> Result<usize, WireError> {
-    let n = c.u16()? as usize;
+/// A `u16`-counted list, each element read by `each`. The count is held
+/// to the reader's list cap, and to what the remaining input can still
+/// hold at one byte an element, before anything is allocated.
+fn list<'a, T>(
+    c: &mut Reader<'a>,
+    mut each: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = usize::from(c.u16()?);
     c.list_count(n, 1)?;
-    Ok(n)
-}
-
-/// A counted array of `u64` counters (at most 64 of them).
-fn counters(c: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = count(c)?;
-    if n > 64 {
-        return Err(WireError::ListTooLong(n as u16));
-    }
-    (0..n).map(|_| c.u64()).collect()
+    (0..n).map(|_| each(c)).collect()
 }
 
 impl StatusReport {
-    /// Serializes the report for a `CtrlStatusReply` payload.
+    /// Serializes the report for a `CtrlStatusReply` payload: every
+    /// field in declaration order.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
         let mut w = Writer::new(&mut out);
@@ -176,71 +104,51 @@ impl StatusReport {
         w.u64(self.cycle);
         w.u8(self.joined as u8);
         w.u64(self.cycles_run);
-        w.list(2, &stats_to_array(&self.stats), |w, v| w.u64(*v));
-        w.list(2, &transport_to_array(&self.transport), |w, v| w.u64(*v));
         w.list(2, &self.view, |w, (desc, ns)| {
             w.u8(*ns as u8);
             w.descriptor(desc);
         });
         w.list(2, &self.reserve, Writer::descriptor);
         w.list(2, &self.blacklist, |w, id| w.bytes(id.as_bytes()));
-        // Trailing extensions (older decoders treat them as optional,
-        // and everything after a tear decodes as zero).
         w.u16(u16::try_from(self.redemptions).unwrap_or(u16::MAX));
+        put_stats(&mut w, &self.stats);
+        put_transport(&mut w, &self.transport);
         w.u64(self.retransmits);
         w.u64(self.turns_skipped);
         out
     }
 
-    /// Deserializes a report.
+    /// Deserializes a report written by [`StatusReport::encode`].
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] on malformed payloads.
+    /// Any [`WireError`] on malformed payloads — a report cut anywhere
+    /// short is [`WireError::UnexpectedEnd`], one with bytes after its
+    /// last field [`WireError::TrailingBytes`].
     pub fn decode(buf: &[u8], limits: &WireLimits) -> Result<StatusReport, WireError> {
         let mut c = Reader::with_limits(buf, limits);
-        let addr = c.u32()?;
-        let id = c.key()?;
-        let cycle = c.u64()?;
-        let joined = c.u8()? != 0;
-        let cycles_run = c.u64()?;
-        let stats = stats_from_array(&counters(&mut c)?);
-        let transport = transport_from_array(&counters(&mut c)?);
-        let n_view = count(&mut c)?;
-        let mut view = Vec::with_capacity(n_view.min(1024));
-        for _ in 0..n_view {
-            let ns = c.u8()? != 0;
-            view.push((c.descriptor()?, ns));
+        let report = StatusReport {
+            addr: c.u32()?,
+            id: c.key()?,
+            cycle: c.u64()?,
+            joined: c.u8()? != 0,
+            cycles_run: c.u64()?,
+            view: list(&mut c, |c| {
+                let ns = c.u8()? != 0;
+                Ok((c.descriptor()?, ns))
+            })?,
+            reserve: list(&mut c, Reader::descriptor)?,
+            blacklist: list(&mut c, Reader::key)?,
+            redemptions: usize::from(c.u16()?),
+            stats: get_stats(&mut c)?,
+            transport: get_transport(&mut c)?,
+            retransmits: c.u64()?,
+            turns_skipped: c.u64()?,
+        };
+        if c.remaining() != 0 {
+            return Err(WireError::TrailingBytes);
         }
-        let n_res = count(&mut c)?;
-        let mut reserve = Vec::with_capacity(n_res.min(1024));
-        for _ in 0..n_res {
-            reserve.push(c.descriptor()?);
-        }
-        let n_bl = count(&mut c)?;
-        let mut blacklist = Vec::with_capacity(n_bl.min(1024));
-        for _ in 0..n_bl {
-            blacklist.push(c.key()?);
-        }
-        // Optional trailing extensions from newer daemons.
-        let redemptions = c.u16().unwrap_or(0) as usize;
-        let retransmits = c.u64().unwrap_or(0);
-        let turns_skipped = c.u64().unwrap_or(0);
-        Ok(StatusReport {
-            addr,
-            id,
-            cycle,
-            joined,
-            cycles_run,
-            view,
-            reserve,
-            blacklist,
-            redemptions,
-            stats,
-            transport,
-            retransmits,
-            turns_skipped,
-        })
+        Ok(report)
     }
 }
 
@@ -350,24 +258,20 @@ impl ControlClient {
     }
 }
 
-// Suppress an unused-constant lint path: header size is part of the
-// public framing contract re-exported at the crate root.
-const _: usize = FRAME_HEADER_BYTES;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sc_core::Timestamp;
     use sc_crypto::{Keypair, Scheme};
 
-    #[test]
-    fn status_report_roundtrips() {
+    /// A report with something in every field.
+    fn full_report() -> StatusReport {
         let kp = Keypair::from_seed(Scheme::KeyedHash, [9; 32]);
         let peer = Keypair::from_seed(Scheme::KeyedHash, [8; 32]);
         let owned = SecureDescriptor::create(&peer, 7, Timestamp(12))
             .transfer(&peer, kp.public())
             .unwrap();
-        let report = StatusReport {
+        StatusReport {
             addr: 41017,
             id: kp.public(),
             cycle: 230,
@@ -392,7 +296,12 @@ mod tests {
             },
             retransmits: 17,
             turns_skipped: 3,
-        };
+        }
+    }
+
+    #[test]
+    fn status_report_roundtrips() {
+        let report = full_report();
         let bytes = report.encode();
         let back = StatusReport::decode(&bytes, &WireLimits::DEFAULT).unwrap();
         assert_eq!(back.addr, report.addr);
@@ -404,7 +313,7 @@ mod tests {
         assert!(!back.view[1].1);
         assert_eq!(back.view[0].0, report.view[0].0);
         assert_eq!(back.reserve.len(), 1);
-        assert_eq!(back.blacklist, vec![peer.public()]);
+        assert_eq!(back.blacklist, report.blacklist);
         assert_eq!(back.redemptions, 5);
         assert_eq!(back.stats, report.stats);
         assert_eq!(back.transport, report.transport);
@@ -461,21 +370,20 @@ mod tests {
 
     #[test]
     fn truncated_reports_error_cleanly() {
-        let bytes = small_report().encode();
-        // The last 18 bytes are the optional extensions (redemptions u16,
-        // retransmits u64, turns_skipped u64); cuts inside the required
-        // prefix must error.
-        let tail = 2 + 8 + 8;
-        for cut in [0, 10, bytes.len() - tail - 1] {
-            assert!(StatusReport::decode(&bytes[..cut], &WireLimits::DEFAULT).is_err());
+        let bytes = full_report().encode();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                StatusReport::decode(&bytes[..cut], &WireLimits::DEFAULT).unwrap_err(),
+                WireError::UnexpectedEnd,
+                "a report cut at byte {cut} of {}",
+                bytes.len()
+            );
         }
-        // A torn optional tail still decodes (as an older daemon's
-        // report, with the torn counters zeroed).
-        let old = StatusReport::decode(&bytes[..bytes.len() - tail], &WireLimits::DEFAULT).unwrap();
-        assert_eq!(old.redemptions, 0);
-        assert_eq!(old.retransmits, 0);
-        let torn = StatusReport::decode(&bytes[..bytes.len() - 8], &WireLimits::DEFAULT).unwrap();
-        assert_eq!(torn.retransmits, 9);
-        assert_eq!(torn.turns_skipped, 0);
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(
+            StatusReport::decode(&long, &WireLimits::DEFAULT).unwrap_err(),
+            WireError::TrailingBytes
+        );
     }
 }

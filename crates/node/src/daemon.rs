@@ -23,22 +23,24 @@
 //!    What its exchange offered has already left the view, so serving a
 //!    request mid-exchange cannot spend a descriptor twice.
 //! 3. `sends` effects become one-way frames; passive RPCs, proof floods,
-//!    §V-A join handshakes and control-socket scrapes are served as they
-//!    arrive — except what needs a cycle's fresh-descriptor budget (a
-//!    join request, or a rejoin ping once this cycle's budget is spent):
-//!    that is held and served right before the next turn fires.
+//!    §V-A join pings and grants, and control-socket scrapes are served
+//!    as they arrive — except a join ping once this cycle's
+//!    fresh-descriptor budget is spent: that is held and stepped in right
+//!    before the next turn fires.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
-//! cluster seed — a zero-message legal bootstrap. Late joiners and
-//! rejoiners enter through the sponsorship handshake
-//! ([`FrameKind::JoinRequest`] / [`FrameKind::JoinGrant`]).
+//! cluster seed — a zero-message legal bootstrap. A `--sponsor` joiner
+//! enters the way a starved node re-enters: it sends its sponsor the
+//! protocol's own [`SecureMsg::JoinPing`] once a cycle until the
+//! sponsor's node answers with a [`SecureMsg::JoinGrant`]. The daemon
+//! states no handshake of its own.
 
 use crate::config::NodeConfig;
 use crate::control::StatusReport;
 use crate::fault::FaultTransport;
-use crate::frame::{Frame, FrameKind};
-use crate::transport::{ConnId, Inbound, TcpTransport, Transport};
-use sc_core::wire::{self, Reader, WireError, Writer};
+use crate::frame::{Frame, FrameKind, MAX_FRAME_BYTES};
+use crate::transport::{Inbound, TcpTransport, Transport};
+use sc_core::wire::{self, WireLimits};
 use sc_core::{
     ring_bootstrap, Addr, Effects, FaultSpec, Input, JoinPingBody, SecureCyclonNode, SecureMsg,
 };
@@ -62,10 +64,21 @@ pub struct RunSummary {
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
 
-/// Cap on §V-A rejoin pings held for the next turn, and on join requests
-/// queued for it: both come from peers nobody has authenticated, and
-/// each one served costs a cycle's fresh-descriptor budget.
+/// Cap on §V-A join pings held for the next turn: they come from peers
+/// nobody has authenticated, and each one granted costs a cycle's
+/// fresh-descriptor budget.
 const HELD_PING_CAP: usize = 8;
+
+/// Decode-side wire limits. Their `max_frame_bytes` is the cap the
+/// transport frames at, so a frame the transport admits is one the
+/// decoder accepts.
+const WIRE_LIMITS: WireLimits = WireLimits {
+    max_frame_bytes: MAX_FRAME_BYTES,
+    ..WireLimits::DEFAULT
+};
+
+/// How long dialing a peer may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// How long a daemon stopped by `--stop-cycle` lingers awaiting a
 /// shutdown frame before exiting on its own (safety net against leaked
@@ -98,22 +111,17 @@ pub struct Daemon {
     cfg: NodeConfig,
     node: SecureCyclonNode,
     transport: FaultTransport<TcpTransport>,
-    joined: bool,
     start_cycle: u64,
     epoch_ms: u64,
+    /// The latest cycle whose turn fired — or, while the node has not
+    /// joined, in which it pinged its sponsor: the first turn after the
+    /// grant is then the next cycle's.
     last_fired: Option<u64>,
-    last_join_attempt: Option<u64>,
-    /// Join requests awaiting the next turn boundary. Granting waits
-    /// until then so `sponsor_join` spends a cycle's fresh-descriptor
-    /// budget *before* that cycle's turn runs — a grant after the turn
-    /// would be a second creation within one period, i.e. the sponsor
-    /// would hand out a provable frequency violation against itself.
-    pending_joins: VecDeque<(ConnId, PublicKey)>,
-    /// §V-A rejoin pings `(from, joiner)` that arrived after this cycle's
-    /// budget was spent, one per joiner key: answering needs a budget
-    /// (`sponsor_join`), so they are stepped into the node right before
-    /// the next turn — otherwise only members whose turn is still ahead
-    /// in the cycle would ever sponsor anyone back in.
+    /// §V-A join pings `(from, joiner)` that arrived after this cycle's
+    /// budget was spent, one per joiner key, never a key the node holds a
+    /// proof against: a grant needs a budget, so they are stepped into the
+    /// node right before the next turn — otherwise only members whose turn
+    /// is still ahead in the cycle would ever sponsor anyone.
     held_pings: VecDeque<(Addr, PublicKey)>,
     next_req_id: u32,
     pending: Option<PendingRpc>,
@@ -146,8 +154,8 @@ impl Daemon {
     /// Founding members (`sponsor == None`, `index < cluster_size`)
     /// derive every ring keypair from the cluster seed and keep their
     /// slice of the §V-A-legal ring bootstrap; sponsored joiners start
-    /// with an empty view and acquire their first descriptor through the
-    /// join handshake once the loop runs.
+    /// with an empty view and acquire their first descriptor by pinging
+    /// their sponsor once the loop runs.
     ///
     /// # Errors
     ///
@@ -174,17 +182,15 @@ impl Daemon {
                 cfg.phase(),
             ),
         };
-        // Anything recovered from the durable log means a previous life
-        // already ran: re-installing the ring slice would re-insert
-        // descriptors that may have been signed away since — self-made
-        // cloning evidence. The frequency half of the same guard is the
-        // recovered emission marker (`last_emission`).
-        let recovered = !node.view().is_empty() || node.last_emission().is_some();
-        let tcp = TcpTransport::bind(
-            cfg.addr,
-            cfg.connect_timeout,
-            cfg.wire_limits.max_frame_bytes,
-        )?;
+        // A node that recovered a log joined in a previous life: the ring
+        // slice would re-insert descriptors that may have been signed away
+        // since — self-made cloning evidence. The frequency half of the
+        // same guard is the recovered emission marker (`last_emission`).
+        // It runs its turns even if its view came back empty (everything
+        // checkpointed signed away in passive exchanges after the last
+        // checkpoint): the core's §V-A rejoin ping brings it back.
+        let recovered = node.joined();
+        let tcp = TcpTransport::bind(cfg.addr, CONNECT_TIMEOUT, MAX_FRAME_BYTES)?;
         let transport = FaultTransport::new(tcp, cfg.fault_spec.clone());
         let start_cycle = cfg.secure.view_len as u64;
         let epoch_ms = if cfg.epoch_millis == 0 {
@@ -195,12 +201,9 @@ impl Daemon {
         let mut daemon = Daemon {
             node,
             transport,
-            joined: false,
             start_cycle,
             epoch_ms,
             last_fired: None,
-            last_join_attempt: None,
-            pending_joins: VecDeque::new(),
             held_pings: VecDeque::new(),
             next_req_id: 1,
             pending: None,
@@ -213,13 +216,6 @@ impl Daemon {
             cfg,
         };
         if recovered {
-            // A log that gave back an identity was written by a member.
-            // Its view can still come back empty — every checkpointed
-            // descriptor signed away in passive exchanges after the last
-            // checkpoint — and a founder has no sponsor to ask again: it
-            // runs its turns, and the core's §V-A rejoin ping to the
-            // creators in the restored redemption cache brings it back.
-            daemon.joined = !daemon.node.view().is_empty() || daemon.cfg.sponsor.is_none();
             // Founding members recompute start_cycle the same way the
             // ring plan does, so cycle numbers stay stable across lives.
             daemon.last_fired = daemon.node.last_emission();
@@ -247,7 +243,6 @@ impl Daemon {
         for desc in mine {
             self.node.accept_bootstrap(desc);
         }
-        self.joined = true;
     }
 
     /// The cycle number the shared wall clock maps `now_ms` to.
@@ -282,11 +277,6 @@ impl Daemon {
         cycle * self.cfg.secure.ticks_per_cycle
     }
 
-    /// Whether the node currently holds a usable view.
-    pub fn joined(&self) -> bool {
-        self.joined
-    }
-
     /// Read access for tests and the status report.
     pub fn node(&self) -> &SecureCyclonNode {
         &self.node
@@ -319,8 +309,8 @@ impl Daemon {
                 if since.elapsed() >= LINGER {
                     break;
                 }
-            } else if !self.joined {
-                self.try_join(cycle);
+            } else if !self.node.joined() {
+                self.ping_sponsor(cycle);
             } else if let Some(due) = self.due_turn_cycle(now_ms).filter(|_| !in_flight) {
                 if self.last_fired.is_none_or(|c| due > c) {
                     if let Some(last) = self.last_fired {
@@ -331,7 +321,6 @@ impl Daemon {
                         // it just counts them.
                         self.turns_skipped += due - last - 1;
                     }
-                    self.grant_pending_join(due);
                     self.answer_held_pings(due);
                     let now = self.now_ticks(due);
                     let fx = self.node.step(Input::Tick { cycle: due, now });
@@ -433,15 +422,16 @@ impl Daemon {
     fn next_wait(&mut self, now_ms: u64, lingering: Option<Instant>) -> Duration {
         let cycle_ms = self.cfg.cycle_ms;
         let mut wake_ms = now_ms + cycle_ms;
-        if self.joined && lingering.is_none() && self.pending.is_none() {
+        let joined = self.node.joined();
+        if joined && lingering.is_none() && self.pending.is_none() {
             let first_turn = self.epoch_ms + self.phase_ms();
             wake_ms = wake_ms.min(self.next_point_after(first_turn, now_ms));
         }
         // Three things happen at cycle boundaries: a `CtrlFault` spec is
-        // installed, the stop cycle arrives, an unjoined node asks its
+        // installed, the stop cycle arrives, an unjoined node pings its
         // sponsor again.
         let awaits_stop = self.cfg.stop_cycle > 0 && lingering.is_none();
-        if self.pending_fault.is_some() || awaits_stop || !self.joined {
+        if self.pending_fault.is_some() || awaits_stop || !joined {
             wake_ms = wake_ms.min(self.next_point_after(self.epoch_ms, now_ms));
         }
         let mut wait = Duration::from_millis(wake_ms.saturating_sub(unix_ms()).min(cycle_ms));
@@ -465,46 +455,25 @@ impl Daemon {
         }
     }
 
-    /// Sends (at most once per cycle) a join request to the sponsor.
-    fn try_join(&mut self, cycle: u64) {
+    /// Sends the sponsor a §V-A join ping, at most once a cycle; the
+    /// grant that answers it is a one-way the node takes in like any.
+    fn ping_sponsor(&mut self, cycle: u64) {
         let Some(sponsor) = self.cfg.sponsor else {
             return;
         };
-        if self.last_join_attempt == Some(cycle) {
+        if self.last_fired == Some(cycle) {
             return;
         }
-        self.last_join_attempt = Some(cycle);
-        let payload = self.node.id().as_bytes().to_vec();
-        let frame = Frame::new(FrameKind::JoinRequest, self.cfg.addr, payload);
+        self.last_fired = Some(cycle);
+        let joiner = self.node.id();
+        let ping = SecureMsg::JoinPing(Box::new(JoinPingBody { joiner }));
+        let frame = Frame::new(FrameKind::Oneway, self.cfg.addr, encode(&ping));
         self.transport.send_to(sponsor, &frame);
     }
 
-    /// Grants at most one queued sponsorship, called right before the
-    /// turn for `cycle` fires: `sponsor_join` marks the cycle's
-    /// fresh-descriptor budget spent, so the turn skips initiating and
-    /// the sponsor stays frequency-legal (one creation per period).
-    fn grant_pending_join(&mut self, cycle: u64) {
-        let Some((conn, joiner)) = self.pending_joins.pop_front() else {
-            return;
-        };
-        let now = self.now_ticks(cycle);
-        let Some(desc) = self.node.sponsor_join(joiner, cycle, now) else {
-            return; // budget already spent; joiner retries
-        };
-        let proofs = self.node.export_proofs();
-        let mut payload = Vec::new();
-        let mut w = Writer::new(&mut payload);
-        w.u64(cycle);
-        w.descriptor(&desc);
-        w.list(2, &proofs, Writer::proof);
-        let f = Frame::new(FrameKind::JoinGrant, self.cfg.addr, payload);
-        self.transport.respond(conn, &f);
-    }
-
-    /// Steps the held rejoin pings into the node, called right before
-    /// the turn for `cycle` fires. The core grants at most one (and none
-    /// if a queued join request just took the budget); the others go
-    /// unanswered, as a ping always may — a starved node pings again.
+    /// Steps the held join pings into the node, called right before the
+    /// turn for `cycle` fires. The core grants at most one; the others go
+    /// unanswered, as a ping always may — its sender pings again.
     fn answer_held_pings(&mut self, cycle: u64) {
         let now = self.now_ticks(cycle);
         for (from, joiner) in std::mem::take(&mut self.held_pings) {
@@ -540,12 +509,11 @@ impl Daemon {
                         return;
                     }
                 }
-                let Ok(msg) =
-                    wire::decode_message_with(&ib.frame.payload, period, &self.cfg.wire_limits)
+                let Ok(msg) = wire::decode_message_with(&ib.frame.payload, period, &WIRE_LIMITS)
                 else {
                     return;
                 };
-                let reply = if self.joined {
+                let reply = if self.node.joined() {
                     let mut fx = self.node.step(Input::Request {
                         from,
                         msg,
@@ -577,18 +545,22 @@ impl Daemon {
                 self.transport.respond(ib.conn, &f);
             }
             FrameKind::Oneway => {
-                let Ok(msg) =
-                    wire::decode_message_with(&ib.frame.payload, period, &self.cfg.wire_limits)
+                let Ok(msg) = wire::decode_message_with(&ib.frame.payload, period, &WIRE_LIMITS)
                 else {
                     return;
                 };
                 if let SecureMsg::JoinPing(body) = &msg {
                     // This cycle's budget is gone: hold the ping for the
-                    // next turn instead of answering it with nothing.
+                    // next turn instead of answering it with nothing —
+                    // unless the node would refuse it then anyway.
                     if self.node.last_emission().is_some_and(|c| c >= cycle) {
-                        let known = self.held_pings.iter().any(|(_, k)| *k == body.joiner);
-                        if !known && self.held_pings.len() < HELD_PING_CAP {
-                            self.held_pings.push_back((ib.frame.from, body.joiner));
+                        let joiner = body.joiner;
+                        let known = self.held_pings.iter().any(|(_, k)| *k == joiner);
+                        if !known
+                            && self.held_pings.len() < HELD_PING_CAP
+                            && !self.node.blacklist().contains(&joiner)
+                        {
+                            self.held_pings.push_back((ib.frame.from, joiner));
                         }
                         return;
                     }
@@ -600,43 +572,6 @@ impl Daemon {
                     now,
                 });
                 self.apply(fx);
-            }
-            FrameKind::JoinRequest => {
-                let mut r = Reader::new(&ib.frame.payload);
-                let Ok(joiner) = r.key() else {
-                    return;
-                };
-                if r.remaining() != 0 || !self.joined {
-                    return;
-                }
-                // Queue for the next turn boundary; the joiner retries
-                // each cycle, so drop duplicate keys instead of stacking
-                // grants for one joiner — and anything past the cap, or a
-                // flood of fresh keys would grow the queue without limit
-                // and take every turn's budget for as long as it lasts.
-                let known = self.pending_joins.iter().any(|(_, k)| *k == joiner);
-                if !known
-                    && self.pending_joins.len() < HELD_PING_CAP
-                    && !self.node.blacklist().contains(&joiner)
-                {
-                    self.pending_joins.push_back((ib.conn, joiner));
-                }
-            }
-            FrameKind::JoinGrant => {
-                if self.joined {
-                    return;
-                }
-                if let Ok((desc, proofs)) =
-                    decode_join_grant(&ib.frame.payload, period, &self.cfg.wire_limits)
-                {
-                    if self.node.accept_sponsorship(desc, cycle) {
-                        self.node.import_proofs(proofs, cycle);
-                        self.joined = true;
-                        // Gossip starts next cycle; never replay the one
-                        // the sponsor spent its budget on.
-                        self.last_fired = Some(cycle);
-                    }
-                }
             }
             FrameKind::CtrlStatus => {
                 let report = self.status_report(cycle);
@@ -664,9 +599,8 @@ impl Daemon {
                     return;
                 }
                 self.pending = None;
-                let outcome =
-                    wire::decode_message_with(&ib.frame.payload, period, &self.cfg.wire_limits)
-                        .map_or(Input::Timeout, Input::Reply);
+                let outcome = wire::decode_message_with(&ib.frame.payload, period, &WIRE_LIMITS)
+                    .map_or(Input::Timeout, Input::Reply);
                 let fx = self.node.step(outcome);
                 self.apply(fx);
             }
@@ -682,7 +616,7 @@ impl Daemon {
             addr: self.cfg.addr,
             id: self.node.id(),
             cycle,
-            joined: self.joined,
+            joined: self.node.joined(),
             cycles_run: self.cycles_run,
             view: self
                 .node
@@ -713,15 +647,4 @@ fn encode(msg: &SecureMsg) -> Vec<u8> {
     let mut out = Vec::new();
     wire::encode_message(msg, &mut out);
     out
-}
-
-/// Parses a join grant: `cycle (8) | descriptor | n (2) | proofs`.
-fn decode_join_grant(
-    buf: &[u8],
-    period: u64,
-    limits: &wire::WireLimits,
-) -> Result<(sc_core::SecureDescriptor, Vec<sc_core::ViolationProof>), WireError> {
-    let mut r = Reader::with_limits(buf, limits);
-    r.u64()?; // sponsor cycle: informational; the clock is shared
-    Ok((r.descriptor()?, r.proofs(period)?))
 }

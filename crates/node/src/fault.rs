@@ -3,13 +3,13 @@
 //! [`FaultTransport`] wraps an inner transport and applies a
 //! [`FaultSpec`] to every *gossip* frame crossing it: seeded per-frame
 //! drop (each direction), bounded delay/reorder via a release queue,
-//! outbound duplication, partition severing by peer address, and forced
-//! connection resets. It never sleeps and has no wait loop of its own: a
-//! delayed frame is held until an [`Instant`], and `recv` hands the inner
-//! transport a wait of `min(caller's timeout, earliest release)` — the
-//! process sleeps in the inner transport's `poll(2)` either way. Control frames (`Ctrl*`) are exempt in both
-//! directions so a harness can always scrape, reconfigure, and shut
-//! down a daemon no matter how hostile the injected network is.
+//! outbound duplication, and partition severing by peer address. It
+//! never sleeps and has no wait loop of its own: a delayed frame is held
+//! until an [`Instant`], and `recv` hands the inner transport a wait of
+//! `min(caller's timeout, earliest release)` — the process sleeps in the
+//! inner transport's `poll(2)` either way. Control frames (`Ctrl*`) are
+//! exempt in both directions so a harness can always scrape, reconfigure,
+//! and shut down a daemon no matter how hostile the injected network is.
 //!
 //! Every decision comes from [`FaultSpec::decide`], a pure counter-mode
 //! PRNG keyed by `(seed, direction, src, dst, frame_index)` with the
@@ -39,7 +39,6 @@ struct Injected {
     dropped: u64,
     delayed: u64,
     duplicated: u64,
-    resets: u64,
 }
 
 /// A fault-injecting [`Transport`] wrapper. See the module docs.
@@ -156,10 +155,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
         let d = self
             .spec
             .decide(FaultDir::Outbound, self.inner.local_addr(), to, i);
-        if d.reset {
-            self.injected.resets += 1;
-            self.inner.reset(to);
-        }
         if d.drop {
             self.injected.dropped += 1;
             return true;
@@ -212,12 +207,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
         s.frames_dropped_injected = self.injected.dropped;
         s.frames_delayed = self.injected.delayed;
         s.frames_duplicated = self.injected.duplicated;
-        s.resets_injected = self.injected.resets;
         s
-    }
-
-    fn reset(&mut self, peer: Addr) {
-        self.inner.reset(peer);
     }
 }
 
@@ -326,31 +316,14 @@ mod tests {
         assert_eq!(b.stats().frames_in, 2);
     }
 
-    #[test]
-    fn resets_tear_down_the_cached_dial() {
-        let spec = FaultSpec::parse("seed=4,reset=1.0").unwrap();
-        let mut a = FaultTransport::new(bind_any(), spec);
-        let mut b = FaultTransport::new(bind_any(), FaultSpec::default());
-        assert!(a.send_to(b.local_addr(), &oneway(a.local_addr(), b"x")));
-        assert!(a.send_to(b.local_addr(), &oneway(a.local_addr(), b"y")));
-        assert_eq!(a.stats().resets_injected, 2);
-        // Both frames still arrive — resets force redials, not loss.
-        assert!(b.recv(Duration::from_millis(500)).is_some());
-        assert!(b.recv(Duration::from_millis(500)).is_some());
-        // Each send re-dialed from scratch.
-        assert!(a.stats().peak_conns >= 1);
-        assert!(b.stats().peak_conns >= 2);
-    }
-
     /// An in-memory inner transport at a fixed address, so that
     /// [`FaultSpec::decide`] — keyed by `(src, dst)` — decides the same
-    /// on every run: `recv` plays back a script, `send_to` and `reset`
-    /// are logged.
+    /// on every run: `recv` plays back a script, `send_to` is logged.
     struct Script {
         addr: Addr,
         inbound: VecDeque<Frame>,
-        /// `Some(payload[0])` per frame sent, `None` per reset, in order.
-        log: Vec<Option<u8>>,
+        /// `payload[0]` of every frame sent, in order.
+        log: Vec<u8>,
     }
 
     impl Transport for Script {
@@ -358,7 +331,7 @@ mod tests {
             self.addr
         }
         fn send_to(&mut self, _to: Addr, frame: &Frame) -> bool {
-            self.log.push(Some(frame.payload[0]));
+            self.log.push(frame.payload[0]);
             true
         }
         fn respond(&mut self, _conn: ConnId, _frame: &Frame) -> bool {
@@ -373,9 +346,6 @@ mod tests {
         }
         fn stats(&self) -> TransportStats {
             TransportStats::default()
-        }
-        fn reset(&mut self, _peer: Addr) {
-            self.log.push(None);
         }
     }
 
@@ -394,36 +364,23 @@ mod tests {
     #[test]
     fn decisions_over_a_fixed_frame_sequence_match_the_recorded_ones() {
         // Recorded on the commit before the receive path stopped being a
-        // sleep-poll loop: what is dropped, duplicated, reset and held is
-        // a function of the spec and the frame sequence alone, and the
-        // wait mechanism must not show in it.
-        const SPEC: &str = "seed=11,drop=0.25,delay=0.3:6,dup=0.2,reset=0.15";
-        // Outbound: which frames reach the wire, which go twice, and
-        // before which the connection is reset (`R`).
+        // sleep-poll loop: what is dropped, duplicated and held is a
+        // function of the spec and the frame sequence alone, and the wait
+        // mechanism must not show in it.
+        const SPEC: &str = "seed=11,drop=0.25,delay=0.3:6,dup=0.2";
+        // Outbound: which frames reach the wire, and which go twice.
         let mut tx = scripted(SPEC, []);
         for i in 0..48u8 {
             assert!(tx.send_to(PEER, &oneway(ME, &[i])));
         }
-        let log: Vec<String> = tx
-            .inner()
-            .log
-            .iter()
-            .map(|e| e.map_or("R".into(), |i| i.to_string()))
-            .collect();
+        let log: Vec<String> = tx.inner().log.iter().map(u8::to_string).collect();
         assert_eq!(
             log.join(" "),
-            "1 2 3 4 6 8 9 R 10 10 R 11 11 13 14 16 17 18 19 20 21 R 29 31 32 33 34 35 37 \
-             38 39 40 R 41 41 42 R 45 46 47"
+            "1 2 3 4 6 8 9 10 10 11 11 13 14 16 17 18 19 20 21 29 31 32 33 34 35 37 \
+             38 39 40 41 41 42 45 46 47"
         );
         let s = tx.stats();
-        assert_eq!(
-            (
-                s.frames_dropped_injected,
-                s.frames_duplicated,
-                s.resets_injected
-            ),
-            (16, 3, 5)
-        );
+        assert_eq!((s.frames_dropped_injected, s.frames_duplicated), (16, 3));
 
         // Inbound: which frames survive, and how many of them were held.
         let mut rx = scripted(SPEC, 0..48u8);

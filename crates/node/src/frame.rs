@@ -1,10 +1,10 @@
 //! Length-prefixed framing for the daemon's TCP streams.
 //!
 //! Every frame is `magic (4) | kind (1) | req_id (4) | from (4) |
-//! len (4) | payload (len)`, all integers big-endian. Gossip frames carry
-//! a [`sc_core::wire::encode_message`] payload; join and control frames
-//! carry the small ad-hoc payloads defined in [`crate::control`] and
-//! [`crate::daemon`].
+//! len (4) | payload (len)`, all integers big-endian. Gossip frames —
+//! §V-A join pings and grants among them — carry a
+//! [`sc_core::wire::encode_message`] payload; control frames carry the
+//! payloads defined in [`crate::control`].
 //!
 //! Decoding is incremental and hostile-input safe: the payload length is
 //! validated against the configured cap **before** any buffer is grown,
@@ -31,12 +31,9 @@ pub enum FrameKind {
     Request,
     /// The response to a [`FrameKind::Request`].
     Reply,
-    /// A fire-and-forget gossip message (proof floods).
+    /// A fire-and-forget gossip message (proof floods, §V-A join pings
+    /// and grants).
     Oneway,
-    /// §V-A join handshake: a joiner asking to be sponsored.
-    JoinRequest,
-    /// §V-A join handshake: the sponsor's grant (descriptor + proofs).
-    JoinGrant,
     /// Control channel: status scrape request (empty payload).
     CtrlStatus,
     /// Control channel: encoded [`crate::StatusReport`].
@@ -56,8 +53,6 @@ impl FrameKind {
             FrameKind::Request => 1,
             FrameKind::Reply => 2,
             FrameKind::Oneway => 3,
-            FrameKind::JoinRequest => 4,
-            FrameKind::JoinGrant => 5,
             FrameKind::CtrlStatus => 6,
             FrameKind::CtrlStatusReply => 7,
             FrameKind::CtrlShutdown => 8,
@@ -71,8 +66,6 @@ impl FrameKind {
             1 => Some(FrameKind::Request),
             2 => Some(FrameKind::Reply),
             3 => Some(FrameKind::Oneway),
-            4 => Some(FrameKind::JoinRequest),
-            5 => Some(FrameKind::JoinGrant),
             6 => Some(FrameKind::CtrlStatus),
             7 => Some(FrameKind::CtrlStatusReply),
             8 => Some(FrameKind::CtrlShutdown),

@@ -12,11 +12,13 @@
 //! * [`transport`] — the `Transport` trait and its TCP implementation
 //!   with connect/read timeouts and deterministic retry/backoff.
 //! * [`fault`] — a deterministic fault-injecting `Transport` wrapper
-//!   (seeded drop/delay/duplication, partitions, resets, throttling).
+//!   (seeded drop/delay/duplication, partitions).
 //! * [`control`] — the control-socket status protocol test harnesses
 //!   scrape live state through.
-//! * [`daemon`] — the event loop: clock-driven gossip cycles, blocking
-//!   RPC turns, the §V-A bootstrap/sponsorship join handshake.
+//! * [`daemon`] — the event loop: clock-driven gossip cycles, RPC turns
+//!   that never stop it serving, the ring bootstrap. A `--sponsor` joiner
+//!   enters through the protocol's own §V-A join ping and grant; the
+//!   daemon states no handshake of its own.
 //! * [`config`] — daemon configuration and the flag parser the `sc-node`
 //!   binary uses.
 //! * [`wait`] — the one wait primitive everything above blocks in.

@@ -9,7 +9,8 @@
 //! Founding members (`--index < --cluster-size`, no `--sponsor`) derive
 //! the whole ring bootstrap from `--seed` locally. A fresh process joins
 //! a running cluster with `--sponsor <addr>` instead; it acquires its
-//! first descriptor through the §V-A sponsorship handshake.
+//! first descriptor the way a starved node re-enters — a §V-A join ping
+//! the sponsor's node answers with a grant.
 //!
 //! The same port serves gossip *and* the control channel: a harness
 //! scrapes live state with `ControlClient::status` and stops the daemon
@@ -69,7 +70,9 @@ Identity and bootstrap:
   --index <n>            this node's key-schedule index (default 0)
   --cluster-size <n>     ring-bootstrap member count (founding members)
   --base-addr <port>     port of ring member 0 (default: addr - index)
-  --sponsor <port>       join through this sponsor instead of the ring
+  --sponsor <port>       join through this sponsor instead of the ring:
+                         send it a join ping each cycle until its grant
+                         arrives
 
 Timing:
   --cycle-ms <n>         wall-clock gossip period in ms (default 100)
@@ -102,7 +105,6 @@ Fault injection (deterministic; every decision replays from the seed):
                            delay=<p>:<w>     delay probability : max held
                                              receive polls (reorder bound)
                            dup=<p>           outbound duplication
-                           reset=<p>         forced connection resets
                            sever=<p1>+<p2>   cut these peers off entirely
                          control frames are always exempt; harnesses can
                          replace the spec mid-run via CtrlFault frames,

@@ -60,8 +60,6 @@ pub struct TransportStats {
     pub frames_delayed: u64,
     /// Frames sent twice by injected duplication.
     pub frames_duplicated: u64,
-    /// Cached connections torn down by injected resets.
-    pub resets_injected: u64,
 }
 
 /// What the daemon requires from a byte-moving layer.
@@ -72,19 +70,12 @@ pub trait Transport {
     /// whether the frame was handed to the OS; failures engage backoff.
     fn send_to(&mut self, to: Addr, frame: &Frame) -> bool;
     /// Sends a frame back on the connection `conn` arrived on (RPC
-    /// replies, control responses, join grants).
+    /// replies, control responses).
     fn respond(&mut self, conn: ConnId, frame: &Frame) -> bool;
     /// Waits up to `timeout` for the next inbound frame.
     fn recv(&mut self, timeout: Duration) -> Option<Inbound>;
     /// Transport counters.
     fn stats(&self) -> TransportStats;
-    /// Tears down any cached outbound connection to `peer`, forcing the
-    /// next send to redial. Fault injection uses this to simulate
-    /// connection resets; transports without connection caches may
-    /// ignore it.
-    fn reset(&mut self, peer: Addr) {
-        let _ = peer;
-    }
 }
 
 /// Per-peer dial backoff: deterministic exponential schedule
@@ -415,12 +406,6 @@ impl Transport for TcpTransport {
         s.active_conns = self.conns.len() as u64;
         s
     }
-
-    fn reset(&mut self, peer: Addr) {
-        if let Some(id) = self.dialed.remove(&peer) {
-            self.drop_conn(id);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -504,21 +489,6 @@ mod tests {
         assert!(c.send_to(target, &f));
         assert_eq!(c.backoff_len(), 0, "successful dial evicts its entry");
         assert!(d.recv(Duration::from_millis(500)).is_some());
-    }
-
-    #[test]
-    fn reset_drops_the_cached_dial() {
-        let mut a = bind_any(Duration::from_millis(200));
-        let mut b = bind_any(Duration::from_millis(200));
-        let f = Frame::new(FrameKind::Oneway, a.local_addr(), b"x".to_vec());
-        assert!(a.send_to(b.local_addr(), &f));
-        assert_eq!(a.stats().active_conns, 1);
-        a.reset(b.local_addr());
-        assert_eq!(a.stats().active_conns, 0);
-        // The next send redials transparently.
-        assert!(a.send_to(b.local_addr(), &f));
-        assert!(b.recv(Duration::from_millis(500)).is_some());
-        assert!(b.recv(Duration::from_millis(500)).is_some());
     }
 
     #[test]

@@ -25,7 +25,6 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 /// A spec from raw knobs, sanitized the way parse/decode would.
-#[allow(clippy::too_many_arguments)]
 fn spec(
     seed: u64,
     drop_in: f64,
@@ -33,7 +32,6 @@ fn spec(
     delay_prob: f64,
     delay_max_polls: u32,
     dup_prob: f64,
-    reset_prob: f64,
     severed: Vec<Addr>,
 ) -> FaultSpec {
     FaultSpec {
@@ -43,7 +41,6 @@ fn spec(
         delay_prob,
         delay_max_polls,
         dup_prob,
-        reset_prob,
         severed,
     }
     .sanitized()
@@ -77,7 +74,6 @@ proptest! {
         delay_prob in 0.0f64..1.0,
         delay_max_polls in 1u32..64,
         dup_prob in 0.0f64..1.0,
-        reset_prob in 0.0f64..1.0,
         frames in proptest::collection::vec(
             (proptest::any::<bool>(), 1u32..1000, 1u32..1000, 0u64..10_000),
             1..64,
@@ -85,7 +81,7 @@ proptest! {
     ) {
         let s = spec(
             seed, drop_in, drop_out, delay_prob, delay_max_polls,
-            dup_prob, reset_prob, Vec::new(),
+            dup_prob, Vec::new(),
         );
         // Same spec, same frames → byte-identical decision sequence.
         let first = decide_all(&s, &frames);
@@ -112,12 +108,12 @@ proptest! {
             1..64,
         ),
     ) {
-        let s = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, 0.0, Vec::new());
+        let s = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, Vec::new());
         prop_assert!(s.is_noop());
         for &(inbound, src, dst, index) in &frames {
             let dir = if inbound { FaultDir::Inbound } else { FaultDir::Outbound };
             let d = s.decide(dir, src, dst, index);
-            prop_assert!(!d.drop && !d.duplicate && !d.reset && d.delay_polls == 0);
+            prop_assert!(!d.drop && !d.duplicate && d.delay_polls == 0);
         }
     }
 
@@ -129,12 +125,11 @@ proptest! {
         delay_prob in 0.0f64..1.0,
         delay_max_polls in 1u32..512,
         dup_prob in 0.0f64..1.0,
-        reset_prob in 0.0f64..1.0,
         severed in proptest::collection::vec(1u32..100_000, 0..8),
     ) {
         let s = spec(
             seed, drop_in, drop_out, delay_prob, delay_max_polls,
-            dup_prob, reset_prob, severed,
+            dup_prob, severed,
         );
         let text = s.to_string();
         let back = FaultSpec::parse(&text);
@@ -167,7 +162,7 @@ proptest! {
         // One faulted sender/receiver pair, one bare pair, fed the same
         // frame sequence: deliveries must match byte for byte and the
         // injected-fault counters must stay at zero.
-        let noop = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, 0.0, Vec::new());
+        let noop = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, Vec::new());
         let mut faulted_tx = FaultTransport::new(bind_any(), noop.clone());
         let mut faulted_rx = FaultTransport::new(bind_any(), noop);
         let mut bare_tx = bind_any();
@@ -195,7 +190,6 @@ proptest! {
             prop_assert_eq!(stats.frames_dropped_injected, 0);
             prop_assert_eq!(stats.frames_delayed, 0);
             prop_assert_eq!(stats.frames_duplicated, 0);
-            prop_assert_eq!(stats.resets_injected, 0);
         }
         prop_assert_eq!(faulted_rx.stats().frames_in, payloads.len() as u64);
         prop_assert_eq!(bare_rx.stats().frames_in, payloads.len() as u64);

@@ -21,8 +21,8 @@
 //! protocol invariants, never exact trajectories.
 
 use sc_core::wire;
-use sc_core::{Addr, LinkKind, RequestBody, SecureDescriptor, SecureMsg, Timestamp};
-use sc_crypto::{Keypair, Scheme};
+use sc_core::{Addr, JoinPingBody, LinkKind, RequestBody, SecureDescriptor, SecureMsg, Timestamp};
+use sc_crypto::{Keypair, PublicKey, Scheme};
 use sc_node::frame::FrameReader;
 use sc_node::{ControlClient, Frame, FrameKind, NodeConfig, StatusReport};
 use sc_testkit::live::{check_final, drive, env_seed};
@@ -89,12 +89,20 @@ fn hostile_blast(target: Addr) {
     }
 }
 
-/// A join flood: 1 000 well-formed `JoinRequest` frames, each under a
-/// key nobody has seen, down one connection. Every grant costs the
-/// sponsor a cycle's fresh-descriptor budget — the turn that grants does
-/// not initiate — so what the daemon queues, it pays for one turn at a
-/// time. Returns the connection: the grants come back on it.
-fn join_flood(target: Addr) -> TcpStream {
+/// The frame of a §V-A join ping under `joiner`, sent from `from`.
+fn join_ping(from: Addr, joiner: PublicKey) -> Vec<u8> {
+    let ping = SecureMsg::JoinPing(Box::new(JoinPingBody { joiner }));
+    let mut payload = Vec::new();
+    wire::encode_message(&ping, &mut payload);
+    Frame::new(FrameKind::Oneway, from, payload).encode()
+}
+
+/// A join flood: 1 000 well-formed §V-A join pings, each under a key
+/// nobody has seen, down one connection. Every grant costs the sponsor a
+/// cycle's fresh-descriptor budget — the turn that grants does not
+/// initiate — so what the flood buys is what the node's own throttle
+/// allows, and the daemon holds at most 8 for its next turn.
+fn join_flood(target: Addr) {
     let sock = SocketAddrV4::new(Ipv4Addr::LOCALHOST, target as u16);
     let mut s = TcpStream::connect_timeout(&sock.into(), Duration::from_millis(500))
         .expect("connect to the flood target");
@@ -102,10 +110,8 @@ fn join_flood(target: Addr) -> TcpStream {
         let mut seed = [0xF1; 32];
         seed[..4].copy_from_slice(&i.to_le_bytes());
         let key = Keypair::from_seed(Scheme::KeyedHash, seed).public();
-        let f = Frame::new(FrameKind::JoinRequest, 1, key.as_bytes().to_vec());
-        s.write_all(&f.encode()).expect("flood the target");
+        s.write_all(&join_ping(1, key)).expect("flood the target");
     }
-    s
 }
 
 /// The frames of `kind` a daemon has written to `stream` so far.
@@ -159,7 +165,7 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
     let mut killed = false;
     let mut joiner: Option<Addr> = None;
     let mut blasted = false;
-    let mut flood: Option<TcpStream> = None;
+    let mut flooded_at: Vec<u64> = Vec::new();
 
     let out = drive(
         &mut cluster,
@@ -175,8 +181,11 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
             if killed && joiner.is_none() {
                 joiner = Some(cluster.spawn_joiner(sponsor).expect("spawn joiner"));
             }
-            if flood.is_none() && cycle >= start + 16 {
-                flood = Some(join_flood(flood_target));
+            // The flood goes on for eight cycles, the same 1 000 keys
+            // each: a joiner pings again until it is granted.
+            if (start + 16..start + 24).contains(&cycle) && flooded_at.last() != Some(&cycle) {
+                join_flood(flood_target);
+                flooded_at.push(cycle);
             }
             if !blasted && cycle >= start + 20 {
                 hostile_blast(hostile_target);
@@ -185,8 +194,10 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
         },
     );
 
-    assert!(killed && blasted, "scenario actions never fired");
-    let mut flood = flood.expect("the join flood fired");
+    assert!(
+        killed && blasted && !flooded_at.is_empty(),
+        "scenario actions never fired"
+    );
     let joiner = joiner.expect("joiner spawned");
     assert!(out.scrapes >= 5, "too few live scrapes ({})", out.scrapes);
 
@@ -228,23 +239,30 @@ fn loopback_cluster_survives_churn_and_hostile_peer() {
         );
     }
 
-    // The join flood bought a bounded queue's worth of grants (8, and
-    // one more for a turn that fires while the flood is still arriving),
-    // not one a turn for the rest of the run — 24 turns: its target went
-    // back to initiating.
-    let granted = frames_of(&mut flood, FrameKind::JoinGrant);
-    assert!(
-        (1..=10).contains(&granted),
-        "1 000 join requests were granted {granted} sponsorships (queue cap 8)\n  replay: {replay}"
-    );
+    // The join flood bought what the node's own throttle allows — one
+    // grant per `JOIN_GRANT_GAP_CYCLES` (4) turns at most — not one a
+    // turn for as long as it lasted: its target went on initiating.
     let flooded = out
         .reports
         .iter()
         .find(|r| r.addr == flood_target)
         .expect("flood target report");
+    let granted = flooded.stats.rejoin_grants;
+    println!(
+        "join flood: {} volleys of 1 000 pings, {granted} grants in {} turns",
+        flooded_at.len(),
+        flooded.cycles_run
+    );
     assert!(
-        flooded.stats.initiated + 10 + 2 >= flooded.cycles_run,
-        "the flooded sponsor initiated {} exchanges in {} turns: the queue \
+        (1..=flooded.cycles_run / 4 + 1).contains(&granted),
+        "{} volleys of 1 000 join pings were granted {granted} sponsorships \
+         in {} turns\n  replay: {replay}",
+        flooded_at.len(),
+        flooded.cycles_run
+    );
+    assert!(
+        flooded.stats.initiated + granted + 2 >= flooded.cycles_run,
+        "the flooded sponsor initiated {} exchanges in {} turns: the flood \
          kept its turns\n  replay: {replay}",
         flooded.stats.initiated,
         flooded.cycles_run
@@ -533,70 +551,90 @@ fn join_ping_after_the_turn_is_granted_at_the_next_turn() {
 }
 
 #[test]
-fn join_request_under_a_blacklisted_key_is_never_queued() {
-    // The join queue is fed by peers nobody has authenticated, and every
-    // grant costs a cycle's fresh descriptor: a key this node holds a
-    // proof against gets none of them — the check the in-protocol twin
-    // (a starved node's `JoinPing`) has always had.
+fn join_ping_under_a_blacklisted_key_is_never_held() {
+    // A join ping that finds this cycle's budget spent is held for the
+    // next turn — eight of them at most, one a key, from peers nobody has
+    // authenticated. A key the node holds a proof against gets no grant,
+    // and must not take a slot either: eight culprits pinging after the
+    // turn would otherwise crowd out the stranger pinging beside them.
     //
     // One real daemon, founding member 0 of a five-ring of black holes.
-    // The test floods it a frequency proof against a culprit, then asks
-    // to join twice on one connection: as the culprit, and as a stranger.
+    // The test floods it frequency proofs against eight culprits, then,
+    // 100 ms after its second turn, pings under every culprit's key and
+    // a stranger's, and listens at `base + 5` for the grants.
     const N: usize = 5;
-    const CYCLE_MS: u64 = 200;
-    let (base, _holes) = port_block(3, N as u32 - 1);
+    const CYCLE_MS: u64 = 400;
+    let (base, mut held) = port_block(3, N as u32);
+    let me_sock = held.pop().expect("the pinger's own listener");
+    let me_addr = base + N as Addr;
     let epoch_ms = unix_ms() + 500;
     let _daemon = lone_founder(base, CYCLE_MS, epoch_ms, &[]);
     let tpc = NodeConfig::new(base, 0).secure.ticks_per_cycle;
 
-    let culprit = Keypair::from_seed(Scheme::KeyedHash, [0xC0; 32]);
+    let culprits: Vec<Keypair> = (0..8u8)
+        .map(|i| Keypair::from_seed(Scheme::KeyedHash, [0xC0 + i; 32]))
+        .collect();
     let stranger = Keypair::from_seed(Scheme::KeyedHash, [0x57; 32]);
-    let proof = sc_core::ViolationProof::frequency(
-        SecureDescriptor::create(&culprit, base + 9, Timestamp(0)),
-        SecureDescriptor::create(&culprit, base + 9, Timestamp(tpc / 2)),
-        tpc,
-    )
-    .expect("two creations inside one period");
-
-    let mut stream = dial(base, epoch_ms + CYCLE_MS);
-    let mut payload = Vec::new();
-    wire::encode_message(&SecureMsg::Proof(Box::new(proof)), &mut payload);
-    stream
-        .write_all(&Frame::new(FrameKind::Oneway, base + 1, payload).encode())
-        .unwrap();
-    for joiner in [&culprit, &stranger] {
-        let key = joiner.public().as_bytes().to_vec();
-        stream
-            .write_all(&Frame::new(FrameKind::JoinRequest, base + 9, key).encode())
-            .unwrap();
+    let mut frames = Vec::new();
+    for culprit in &culprits {
+        let proof = sc_core::ViolationProof::frequency(
+            SecureDescriptor::create(culprit, base + 9, Timestamp(0)),
+            SecureDescriptor::create(culprit, base + 9, Timestamp(tpc / 2)),
+            tpc,
+        )
+        .expect("two creations inside one period");
+        let mut payload = Vec::new();
+        wire::encode_message(&SecureMsg::Proof(Box::new(proof)), &mut payload);
+        frames.extend(Frame::new(FrameKind::Oneway, base + 1, payload).encode());
+    }
+    for joiner in culprits.iter().chain([&stranger]) {
+        frames.extend(join_ping(me_addr, joiner.public()));
     }
 
-    // Three turns: room for both grants, had both been queued.
-    std::thread::sleep(Duration::from_millis(
-        (epoch_ms + 3 * CYCLE_MS + CYCLE_MS / 2).saturating_sub(unix_ms()),
-    ));
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
+    // Member 0's phase is 0: its turns fire on the cycle boundaries.
+    let ping_at = epoch_ms + CYCLE_MS + 100;
+    let mut stream = dial(base, ping_at - 50);
+    std::thread::sleep(Duration::from_millis(ping_at.saturating_sub(unix_ms())));
+    stream.write_all(&frames).unwrap();
+
+    // The stranger was held, so it is granted at the next turn.
+    me_sock.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + Duration::from_millis(2 * CYCLE_MS);
+    let mut answer = loop {
+        match me_sock.accept() {
+            Ok((s, _)) => break s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => panic!("the stranger's ping was crowded out: no grant within two cycles"),
+        }
+    };
+    answer.set_nonblocking(false).unwrap();
+    answer
+        .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let grant = read_frame(&mut stream, &mut FrameReader::new(1 << 20));
-    assert_eq!(grant.kind, FrameKind::JoinGrant);
-    let mut r = wire::Reader::new(&grant.payload);
-    r.u64().expect("the sponsor's cycle");
-    let sponsored = r.descriptor().expect("the sponsorship");
+    let frame = read_frame(&mut answer, &mut FrameReader::new(1 << 20));
+    let msg = wire::decode_message(&frame.payload, tpc).expect("a decodable one-way");
+    let SecureMsg::JoinGrant(grant) = msg else {
+        panic!("expected a sponsorship, got {msg:?}");
+    };
     assert_eq!(
-        sponsored.owner(),
+        grant.descriptor.owner(),
         stranger.public(),
-        "the first sponsorship went to the blacklisted key"
+        "the sponsorship went to a blacklisted key"
     );
+    assert_eq!(grant.proofs.len(), culprits.len(), "every proof it holds");
+
+    // Three more turns: no culprit is ever granted.
+    std::thread::sleep(Duration::from_millis(3 * CYCLE_MS));
     assert_eq!(
-        frames_of(&mut stream, FrameKind::JoinGrant),
+        frames_of(&mut answer, FrameKind::Oneway),
         0,
-        "one joiner was queued, one grant is due"
+        "a blacklisted key was sponsored"
     );
     let status = ControlClient::connect(base, Duration::from_millis(500))
         .and_then(|mut c| c.status(Duration::from_secs(2)))
         .expect("status scrape");
-    assert_eq!(status.blacklist, vec![culprit.public()]);
+    assert_eq!(status.blacklist.len(), culprits.len());
+    assert_eq!(status.stats.rejoin_grants, 1);
 }
 
 #[test]
@@ -812,6 +850,48 @@ fn loopback_crash_restart_recovers_from_state_dir() {
             overlap.to_string()
         },
     );
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_joiner_restarted_before_its_first_turn_joins_again() {
+    // `ProcessCluster::restart` used to respawn every member as a
+    // founder: a joiner came back without `--sponsor` and with an index
+    // past `--cluster-size`, and — its log still empty — died at boot on
+    // the ring bootstrap's index assertion, while `restart` said `Ok`.
+    let seed = env_seed();
+    let replay = replay_line(seed, "");
+    let mut cfg = ClusterConfig::quick(8, seed);
+    cfg.cycle_ms = 100;
+    cfg.view_len = 4;
+    cfg.swap_len = 2;
+    let start = cfg.view_len as u64;
+    let state_dir =
+        std::env::temp_dir().join(format!("sc-loopback-joiner-{seed}-{}", std::process::id()));
+    std::fs::create_dir_all(&state_dir).expect("create state dir");
+    let mut cluster =
+        ProcessCluster::launch(bin(), cfg.with_state_dir(&state_dir)).expect("spawn cluster");
+    assert!(
+        cluster.wait_cycle(start + 2, Duration::from_secs(20)),
+        "cluster never started gossiping\n  replay: {replay}"
+    );
+
+    let sponsor = cluster.addrs()[1];
+    let joiner = cluster.spawn_joiner(sponsor).expect("spawn joiner");
+    assert!(cluster.restart(joiner).expect("restart the joiner"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let reborn = loop {
+        if let Some(r) = cluster.status_of(joiner).filter(|r| !r.view.is_empty()) {
+            break r;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the restarted joiner never answered with a view\n  replay: {replay}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(reborn.joined);
+    cluster.shutdown_all();
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -1079,7 +1159,7 @@ fn loopback_soak_under_churn() {
     );
 
     // Three churn waves spread across the run: kill a member, rejoin a
-    // fresh identity through the §V-A sponsorship handshake.
+    // fresh identity through a §V-A sponsorship.
     let sponsor = base + 1;
     let mut waves: Vec<u64> = (1..=3).map(|i| start + i * cycles / 4).collect();
     let mut victims: Vec<Addr> = (0..3).map(|i| base + (n as Addr) - 1 - i).collect();
@@ -1126,7 +1206,6 @@ fn loopback_soak_under_churn() {
             ),
             ("frames_delayed", r.transport.frames_delayed),
             ("frames_duplicated", r.transport.frames_duplicated),
-            ("resets_injected", r.transport.resets_injected),
             ("rejoin_pings", r.stats.rejoin_pings),
         ] {
             assert_eq!(

@@ -97,6 +97,9 @@ pub struct ProcessCluster {
     epoch_ms: u64,
     start_cycle: u64,
     members: BTreeMap<Addr, Child>,
+    /// The sponsor each joiner was spawned with: a restart respawns it
+    /// as the joiner it is, not as a founder it is not.
+    sponsors: BTreeMap<Addr, Addr>,
     next_index: usize,
 }
 
@@ -154,6 +157,7 @@ impl ProcessCluster {
             epoch_ms,
             start_cycle: cfg.view_len as u64,
             members: BTreeMap::new(),
+            sponsors: BTreeMap::new(),
             next_index: cfg.n,
             cfg,
         };
@@ -295,10 +299,12 @@ impl ProcessCluster {
     }
 
     /// `kill -9`s one member and respawns it on the same address with the
-    /// same identity index. With a [`ClusterConfig::state_dir`] the
-    /// replacement recovers its view, blacklist, and emission marker from
-    /// the survived log; without one it comes back amnesiac (which is
-    /// exactly the self-incrimination bug the durable backends fix).
+    /// same identity index — a joiner with the same sponsor, so one whose
+    /// log holds nothing yet asks to join again. With a
+    /// [`ClusterConfig::state_dir`] the replacement recovers its view,
+    /// blacklist, and emission marker from the survived log; without one
+    /// it comes back amnesiac (which is exactly the self-incrimination bug
+    /// the durable backends fix).
     ///
     /// # Errors
     ///
@@ -317,12 +323,13 @@ impl ProcessCluster {
             std::thread::sleep(Duration::from_millis(20));
         }
         let index = (addr - self.base_addr) as usize;
-        let child = self.spawn(addr, index, None)?;
+        let child = self.spawn(addr, index, self.sponsors.get(&addr).copied())?;
         self.members.insert(addr, child);
         Ok(true)
     }
 
-    /// Spawns a joiner that bootstraps through `sponsor`'s §V-A handshake.
+    /// Spawns a joiner that enters through `sponsor`: it pings the sponsor
+    /// until the sponsor's node grants it a §V-A sponsorship.
     /// The joiner gets the next fresh identity index and the next free
     /// port above the founders' block.
     ///
@@ -339,6 +346,7 @@ impl ProcessCluster {
             }
             let child = self.spawn(addr, index, Some(sponsor))?;
             self.members.insert(addr, child);
+            self.sponsors.insert(addr, sponsor);
             return Ok(addr);
         }
         Err(std::io::Error::other("no free joiner port"))

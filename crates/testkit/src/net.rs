@@ -131,10 +131,10 @@ pub struct SecureNetwork {
 
 impl SecureNetwork {
     /// Spawns a fresh honest node and bootstraps it through a legal
-    /// sponsorship (§V-A): `sponsor` — an alive honest node — spends its
-    /// current cycle's fresh-descriptor budget on a descriptor transferred
-    /// to the joiner, and hands over its stored violation proofs so the
-    /// newcomer knows the already-discovered violators. Returns the new
+    /// sponsorship (§V-A): `sponsor` — an alive honest node — hands over
+    /// what [`SecureCyclonNode::sponsor`] grants, the same as it answers a
+    /// join ping with: its current cycle's fresh descriptor, transferred to
+    /// the joiner, and its stored violation proofs. Returns the new
     /// address, or `None` if the sponsor is unavailable or already spent
     /// this cycle's budget.
     pub fn join_via(&mut self, sponsor: Addr) -> Option<Addr> {
@@ -150,8 +150,7 @@ impl SecureNetwork {
         let Some(SecureNet::Honest(sponsor_node)) = self.engine.node_mut(sponsor) else {
             return None;
         };
-        let desc = sponsor_node.sponsor_join(joiner_id, cycle, now)?;
-        let proofs = sponsor_node.export_proofs();
+        let grant = sponsor_node.sponsor(joiner_id, cycle, now)?;
 
         self.joiners += 1;
         let phase = default_phase(self.joiners as usize, self.cfg.ticks_per_cycle);
@@ -159,8 +158,8 @@ impl SecureNetwork {
         let durable = self.durable;
         let addr = self.engine.spawn_with(|addr| {
             let mut node = new_honest_node(keypair.clone(), addr, cfg, rng_seed, phase, durable);
-            node.accept_bootstrap(desc);
-            node.import_proofs(proofs, cycle);
+            node.accept_bootstrap(grant.descriptor);
+            node.import_proofs(grant.proofs, cycle);
             SecureNet::Honest(Box::new(node))
         });
         self.honest_keys.insert(addr, (keypair, phase));

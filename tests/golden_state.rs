@@ -38,7 +38,10 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("frequency-attack", 1, "58e5f9190fdf0929dcf5639d109fceb8ad4d4d591fe00bef00293a59624cda27"),
     ("depletion-attack", 1, "39ff774b2a1da4096ba05489b43ac887fa27d6a348d5176c6985b267a263ed4a"),
     ("partition-cloning", 1, "3509445d17343e843153113da289f3361857023ba7483e7be1a98249dc915d35"),
-    ("lossy-churn-hub", 1, "9d7c3d4a373bb3363915771f7349b68c30974b7f334fa3abbb926b4ac7fd5c93"),
+    // Re-recorded when a ping's grant began to carry every proof its
+    // sponsor holds: one rejoiner here receives 4 it already knew
+    // (`proofs_duplicate`, `bytes_received`); views and blacklists as before.
+    ("lossy-churn-hub", 1, "608f3f97b340366178d919378053d7198cd18413829fd403e93ae5c16bb35473"),
     ("honest-reliable", 2, "03ed64129c3f34328ac3e256d3c7c4438d8ae4047a145ac97b1fa1c0d9795d0b"),
     ("honest-lossy-10", 2, "6f171c594803a2565bea473dba3e441cd1e49bc11962ebb4c76a36b4ca1d09f9"),
     ("honest-asymmetric-loss", 2, "ef013222dd86c86e56c5b1e3b4099883396fc990ed82135a33ecccc59d32e760"),
