@@ -26,66 +26,74 @@ use sc_core::{Observation, SampleCache, SecureConfig, SecureDescriptor, Timestam
 use sc_crypto::Scheme;
 use sc_cyclon::CyclonConfig;
 use sc_testkit::{build_secure_network, SecureNetParams};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Sample handling as one node of the `sim-honest` benchmark workload
-/// sees it (300 nodes, ℓ=20): each cycle brings 48 first sightings and 9
-/// re-sightings, then `prune` expires what was last seen a retention
-/// window ago. One steady-state loop, three timers — so each series is
-/// the cost of its step *in the company of the others* (cache occupancy,
-/// dead slots awaiting a sweep), not of a step in isolation. Re-sightings
-/// arrive as separately decoded copies, the live tier's shape and the
-/// dearer one: a copy sharing the cached block is recognised by pointer.
+/// sees it (300 nodes, ℓ=20): each cycle brings 48 first sightings —
+/// descriptors created in the cycle they arrive in, as gossip delivers
+/// them — and 9 re-sightings, then `prune` expires what was created a
+/// retention window ago. One steady-state loop, three timers — so each
+/// series is the cost of its step *in the company of the others* (cache
+/// occupancy, dead slots awaiting a sweep), not of a step in isolation.
+/// Re-sightings arrive as separately decoded copies, the live tier's
+/// shape and the dearer one: a copy sharing the cached block is
+/// recognised by pointer. What a cycle observes is built before its
+/// timers start.
 fn sample_cache_series(report: &mut Report, cycles_per_sample: u64, samples: usize) {
     const CREATORS: usize = 300;
-    const STAMPS: usize = 16;
     const NEW_PER_CYCLE: usize = 48;
     const SEEN_PER_CYCLE: usize = 9;
     const PERIOD: u64 = 1000;
     let retention = sc_core::node::SAMPLE_RETENTION_CYCLES;
     let keys = pool(Scheme::KeyedHash, CREATORS);
-    // Entry i is creator i % CREATORS's descriptor number i / CREATORS:
-    // a cycle's 48 consecutive entries come from 48 creators, and an id
-    // returns only after 100 cycles, long expired.
-    let fresh: Vec<SecureDescriptor> = (0..CREATORS * STAMPS)
-        .map(|i| {
-            let (c, k) = (i % CREATORS, (i / CREATORS) as u64);
-            SecureDescriptor::create(&keys[c], c as u32, Timestamp(k * PERIOD))
-                .transfer(&keys[c], keys[(c + 1) % CREATORS].public())
-                .unwrap()
-        })
-        .collect();
-    let decoded: Vec<SecureDescriptor> = fresh
-        .iter()
-        .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain()))
-        .collect();
+    // A cycle's 48 first sightings come from 48 consecutive creators, so
+    // a creator's descriptors arrive six or seven cycles apart.
+    let arrivals = |cycle: u64| -> Vec<SecureDescriptor> {
+        (0..NEW_PER_CYCLE)
+            .map(|j| {
+                let c = (cycle as usize * NEW_PER_CYCLE + j) % CREATORS;
+                SecureDescriptor::create(&keys[c], c as u32, Timestamp(cycle * PERIOD))
+                    .transfer(&keys[c], keys[(c + 1) % CREATORS].public())
+                    .unwrap()
+            })
+            .collect()
+    };
 
-    let mut cache = SampleCache::new(retention);
+    let mut cache = SampleCache::new(retention, PERIOD);
     let mut cycle = 0u64;
     let mut misjudged = 0u64;
+    // Every arrival of the window and a few cycles more, as the network
+    // around the node holds them: a slot the cache drops releases its
+    // descriptor's blocks here, outside the timers, not inside them.
+    let mut held: VecDeque<Vec<SecureDescriptor>> = VecDeque::new();
     // One simulated cycle; returns (first sightings, re-sightings, prune).
     let mut step = |cache: &mut SampleCache| -> [Duration; 3] {
-        let at = |i: u64| (i as usize) % fresh.len();
-        let base = cycle * NEW_PER_CYCLE as u64;
+        let fresh = arrivals(cycle);
+        // From last cycle's arrivals (this cycle's, in cycle 0).
+        let decoded: Vec<SecureDescriptor> = held
+            .back()
+            .unwrap_or(&fresh)
+            .iter()
+            .take(SEEN_PER_CYCLE)
+            .map(|d| SecureDescriptor::from_parts(*d.genesis(), d.chain()))
+            .collect();
         let t0 = Instant::now();
-        for i in 0..NEW_PER_CYCLE as u64 {
-            let obs = cache.observe(&fresh[at(base + i)], cycle, PERIOD);
-            misjudged += (obs != Observation::New) as u64;
+        for d in &fresh {
+            misjudged += (cache.observe(d, cycle) != Observation::New) as u64;
         }
         let t1 = Instant::now();
-        for i in 0..SEEN_PER_CYCLE as u64 {
-            // From last cycle's arrivals (this cycle's, in cycle 0).
-            let obs = cache.observe(
-                &decoded[at(base.saturating_sub(NEW_PER_CYCLE as u64) + i)],
-                cycle,
-                PERIOD,
-            );
-            misjudged += (obs != Observation::AlreadyKnown) as u64;
+        for d in &decoded {
+            misjudged += (cache.observe(d, cycle) != Observation::AlreadyKnown) as u64;
         }
         let t2 = Instant::now();
         cycle += 1;
         cache.prune(cycle);
         let t3 = Instant::now();
+        held.push_back(fresh);
+        if held.len() > retention as usize + 4 {
+            held.pop_front();
+        }
         [t1 - t0, t2 - t1, t3 - t2]
     };
     // Fill to steady state: two windows, so sweeps and expiry are running.
@@ -110,9 +118,8 @@ fn sample_cache_series(report: &mut Report, cycles_per_sample: u64, samples: usi
     assert_eq!(misjudged, 0, "the loop must feed each timer what it names");
     assert_eq!(
         cache.len(),
-        retention as usize * NEW_PER_CYCLE + SEEN_PER_CYCLE,
-        "steady state: one window of first sightings, plus the re-sighted \
-         few of the cycle just behind it"
+        retention as usize * NEW_PER_CYCLE,
+        "steady state: the first sightings of one window"
     );
     let names = ["first_sighting", "resighting", "expiry"];
     for (name, mut series) in names.into_iter().zip(per_sample) {

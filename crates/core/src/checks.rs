@@ -11,10 +11,15 @@
 //!   prefix of the other); divergence proves a cloning violation by the
 //!   owner at the fork.
 //!
-//! Descriptors that pass are cached for future cross-checking. The cache
-//! retains samples for a configurable number of cycles — descriptors live
-//! ~ℓ cycles (§VI-A), so a few multiples of ℓ preserves every useful
-//! conflict while bounding memory.
+//! Descriptors that pass are cached for future cross-checking until
+//! [`crate::node::SAMPLE_RETENTION_CYCLES`] after their **creation** —
+//! descriptors live ~ℓ cycles (§VI-A), so a window of a few multiples of ℓ
+//! preserves every useful conflict while bounding memory. The same window
+//! is the intake cap: a descriptor a window old is refused
+//! ([`Observation::Expired`]), checked against nothing and cached nowhere.
+//! Expiry therefore depends on the descriptor alone, not on traffic: every
+//! copy the cache accepts meets every earlier copy of its id it accepted,
+//! however long either was held back.
 //!
 //! # Lazy verification
 //!
@@ -52,15 +57,20 @@ pub enum Observation {
     /// The descriptor conflicts with a cached sample: indisputable proof
     /// of a violation.
     Violation(Box<ViolationProof>),
+    /// The descriptor was created outside the window the cache admits:
+    /// a window or more before the cache's clock, or more than a window
+    /// after the observer's (a stamp no honest creator makes, and one that
+    /// would pin a slot for longer than a window). Neither checked nor
+    /// cached, and no evidence of anything: no honest peer sends one.
+    Expired,
 }
 
-/// One cached sample. Three words: most observations are first sightings,
+/// One cached sample. Two words: most observations are first sightings,
 /// so the bytes written per sighting are what a node-cycle costs.
 struct Slot {
     /// Creation timestamp in ticks; with the map key it is the sample's
-    /// [`DescriptorId`].
+    /// [`DescriptorId`], and it alone decides when the slot expires.
     ts: u64,
-    last_seen: u64,
     desc: SecureDescriptor,
 }
 
@@ -70,19 +80,30 @@ struct Slot {
 /// for the timestamp), the frequency check (range scan around it) and the
 /// insert.
 ///
-/// Expiry is **logical**: [`SampleCache::prune`] only advances a horizon,
-/// and a slot last seen before the horizon is invisible to every read
-/// from then on. The horizon moves nowhere else — a node that serves a
-/// request before its own turn in a cycle must still see what it saw
-/// before.
+/// Expiry is **logical** and goes by creation cycle: [`SampleCache::prune`]
+/// only advances the cache's clock `t`. With a window of `W` cycles, intake
+/// admits a descriptor while it is younger than the window (created after
+/// cycle `t − W`), and its slot stays visible to every read one cycle
+/// longer, through cycle `t − W`: that cycle of grace keeps a slot visible
+/// while a frequency conflict with it — a creation less than a period
+/// later, so at most one cycle later — can still be admitted. A node that
+/// serves a request before its own turn in a cycle must still see what it
+/// saw before, so the clock moves nowhere else but in one catch-up:
+/// `observe` at a cycle more than one past the clock first prunes to the
+/// cycle before it, as the turn the node missed (or, if it is new, has
+/// yet to take) would have. Counting therefore starts near the observer's cycle, and
+/// the per-cycle counters span at most `2W + 2` cycles, however long
+/// after cycle 0 a cache is created.
 ///
-/// What is *stored* follows what is visible closely, because at 24 bytes
+/// What is *stored* follows what is visible closely, because at 16 bytes
 /// a slot plus the chain blocks it pins, storage is what a simulated node
 /// costs:
 ///
 /// * **touch** — every `observe` drops the expired slots of the creator
 ///   it looks up, whatever its verdict, so no expired slot survives a
-///   touch of its creator;
+///   touch of its creator. A creator's slots are sorted by creation, so
+///   its expired ones are a prefix, and one whose first slot is still
+///   visible costs a single comparison;
 /// * **sweep** — `prune` drops every expired slot once the stored-but-
 ///   expired ones outnumber a sixteenth of the visible ones
 ///   (`stored − visible > visible / 16`). Expired slots appear nowhere
@@ -101,13 +122,16 @@ pub struct SampleCache {
     /// so the O(n) insert memmoves stay a few cache lines while lookups
     /// avoid pointer-chasing and per-node allocation entirely.
     by_creator: FxHashMap<NodeId, Vec<Slot>>,
-    /// Slots with `last_seen < horizon` are expired.
-    horizon: u64,
+    /// The cycle of the latest prune.
+    clock: u64,
     live: Live,
     /// Number of slots in memory: the visible ones (`live.len`) plus the
     /// expired ones no touch or sweep has dropped yet.
     stored: usize,
     retention_cycles: u64,
+    /// The gossip period: the frequency check's spacing, and what a
+    /// creation timestamp is divided by to give its cycle.
+    period_ticks: u64,
 }
 
 /// A slot vector's spare room: the step a full one grows by once it holds
@@ -116,11 +140,17 @@ pub struct SampleCache {
 /// expiry reallocates on neither.
 pub const SLACK_SLOTS: usize = 4;
 
-/// Drops the expired slots of one creator and cuts the vector back if
-/// that left it mostly empty; returns how many were dropped.
-fn drop_expired(slots: &mut Vec<Slot>, horizon: u64) -> usize {
+/// Drops the slots created before `floor` (in ticks) and cuts the vector
+/// back if that left it mostly empty; returns how many were dropped. The
+/// expired slots are a prefix, so a vector whose first slot is younger
+/// has none. (One `retain` pass measures faster than finding the prefix
+/// and draining it, for the usual prefix of one.)
+fn drop_expired(slots: &mut Vec<Slot>, floor: u64) -> usize {
+    if slots.first().is_none_or(|s| s.ts >= floor) {
+        return 0;
+    }
     let before = slots.len();
-    slots.retain(|s| s.last_seen >= horizon);
+    slots.retain(|s| s.ts >= floor);
     if slots.capacity() - slots.len() > slots.len().min(SLACK_SLOTS) {
         slots.shrink_to_fit();
     }
@@ -157,32 +187,20 @@ impl core::fmt::Debug for SampleCache {
     }
 }
 
-/// How many slots are visible, in total and by the cycle they were last
-/// seen in — so advancing the horizon settles the total without touching
-/// a slot.
+/// How many slots are visible, in total and by the cycle they were
+/// created in — so advancing the clock settles the total without
+/// touching a slot.
 #[derive(Default)]
 struct Live {
     /// Number of visible slots.
     len: usize,
-    /// `counts[i]` of them were last seen at cycle `base + i`.
+    /// `counts[i]` of them were created in cycle `base + i`.
     counts: VecDeque<u32>,
     /// Meaningless while `counts` is empty.
     base: u64,
 }
 
 impl Live {
-    /// The cycle a sighting at `now_cycle` is recorded under. With the
-    /// protocol's monotonic clock that is `now_cycle` itself; if a caller
-    /// rewinds anyway the sighting counts for the earliest cycle still
-    /// tracked, which at worst retains the slot past its window (never
-    /// expires it early).
-    fn clock(&mut self, now_cycle: u64, horizon: u64) -> u64 {
-        if self.counts.is_empty() {
-            self.base = now_cycle.max(horizon);
-        }
-        now_cycle.max(self.base)
-    }
-
     fn count(&mut self, cycle: u64) -> &mut u32 {
         let idx = (cycle - self.base) as usize;
         if self.counts.len() <= idx {
@@ -191,7 +209,12 @@ impl Live {
         &mut self.counts[idx]
     }
 
-    fn added(&mut self, cycle: u64) {
+    /// Counts a slot created in `cycle`, which is at least `horizon`, the
+    /// earliest visible creation cycle.
+    fn added(&mut self, cycle: u64, horizon: u64) {
+        if self.counts.is_empty() {
+            self.base = horizon;
+        }
         *self.count(cycle) += 1;
         self.len += 1;
     }
@@ -201,14 +224,9 @@ impl Live {
         self.len -= 1;
     }
 
-    fn moved(&mut self, from: u64, to: u64) {
-        *self.count(from) -= 1;
-        *self.count(to) += 1;
-    }
-
-    /// Forgets the slots last seen before `horizon`.
-    fn expire_before(&mut self, horizon: u64) {
-        while self.base < horizon {
+    /// Forgets the slots created before `floor`.
+    fn expire_before(&mut self, floor: u64) {
+        while self.base < floor {
             let Some(expired) = self.counts.pop_front() else {
                 break;
             };
@@ -220,15 +238,31 @@ impl Live {
 
 impl SampleCache {
     /// Creates an empty cache retaining samples for `retention_cycles`
-    /// cycles after their last sighting.
-    pub fn new(retention_cycles: u64) -> Self {
+    /// cycles after their creation, on a gossip period of `period_ticks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period_ticks` is zero.
+    pub fn new(retention_cycles: u64, period_ticks: u64) -> Self {
+        assert!(period_ticks > 0, "the gossip period must be positive");
         SampleCache {
             by_creator: FxHashMap::default(),
-            horizon: 0,
+            clock: 0,
             live: Live::default(),
             stored: 0,
             retention_cycles,
+            period_ticks,
         }
+    }
+
+    /// The earliest visible creation cycle: a window before the clock.
+    fn horizon(&self) -> u64 {
+        self.clock.saturating_sub(self.retention_cycles)
+    }
+
+    /// The horizon in ticks.
+    fn floor(&self) -> u64 {
+        self.horizon() * self.period_ticks
     }
 
     /// Number of cached samples.
@@ -246,18 +280,18 @@ impl SampleCache {
         let slots = self.by_creator.get(&id.creator)?;
         let ts = id.created_at.ticks();
         let slot = slots.get(slots.partition_point(|s| s.ts < ts))?;
-        (slot.ts == ts && slot.last_seen >= self.horizon).then_some(&slot.desc)
+        (slot.ts == ts && ts >= self.floor()).then_some(&slot.desc)
     }
 
     /// Iterates over the cached descriptors, in no particular order. Used
     /// by the §V-A rejoin trigger: a starved node mines its sample cache
     /// for the creator addresses it most recently heard from.
     pub fn descriptors(&self) -> impl Iterator<Item = &SecureDescriptor> {
-        let horizon = self.horizon;
+        let floor = self.floor();
         self.by_creator
             .values()
             .flatten()
-            .filter(move |s| s.last_seen >= horizon)
+            .filter(move |s| s.ts >= floor)
             .map(|s| &s.desc)
     }
 
@@ -282,38 +316,42 @@ impl SampleCache {
         }
     }
 
-    /// Runs both §IV-B checks on `desc` and caches it if it passes.
+    /// Runs both §IV-B checks on `desc` and caches it if it passes — or
+    /// refuses it unchecked ([`Observation::Expired`]) if it was created
+    /// outside the window: a window or more before the latest prune, or
+    /// more than a window after `now_cycle`. A clock more than a cycle
+    /// behind `now_cycle` is first pruned up to `now_cycle − 1`.
     ///
     /// Signature verification is lazy (see module docs): it runs only
     /// when `desc` conflicts with a cached copy, as part of proof
     /// construction.
-    pub fn observe(
-        &mut self,
-        desc: &SecureDescriptor,
-        now_cycle: u64,
-        period_ticks: u64,
-    ) -> Observation {
+    pub fn observe(&mut self, desc: &SecureDescriptor, now_cycle: u64) -> Observation {
+        if self.clock + 1 < now_cycle {
+            self.prune(now_cycle - 1);
+        }
         let id = desc.id();
         let ts = id.created_at.ticks();
-        let horizon = self.horizon;
+        let (period, window) = (self.period_ticks, self.retention_cycles);
+        let created = ts / period;
+        if created.saturating_add(window) <= self.clock
+            || created > now_cycle.saturating_add(window)
+        {
+            return Observation::Expired;
+        }
+        let (horizon, floor) = (self.horizon(), self.floor());
         let live = &mut self.live;
-        let now = live.clock(now_cycle, horizon);
         // The one lookup. A creator's entry is never left empty: every
         // path below that does not insert found a conflicting slot.
         let slots = self.by_creator.entry(id.creator).or_default();
-        // The touch rule: the creator's expired slots (possibly one with
-        // this very timestamp) go while its vector is in cache anyway.
+        // The touch rule: the creator's expired slots go while its vector
+        // is in cache anyway.
         if self.stored > live.len {
-            self.stored -= drop_expired(slots, horizon);
+            self.stored -= drop_expired(slots, floor);
         }
         let pos = slots.partition_point(|s| s.ts < ts);
 
         // Ownership check against a cached copy of the same token.
         if let Some(cached) = slots.get_mut(pos).filter(|s| s.ts == ts) {
-            if cached.last_seen != now {
-                live.moved(cached.last_seen, now);
-                cached.last_seen = now;
-            }
             return match compare_chains(&cached.desc, desc) {
                 Ok(ChainRelation::Identical) | Ok(ChainRelation::LeftExtendsRight) => {
                     Observation::AlreadyKnown
@@ -354,8 +392,7 @@ impl SampleCache {
                 // Two distinct creations with the same timestamp: a
                 // frequency violation with Δt = 0.
                 Err(CompareError::GenesisMismatch) => {
-                    match ViolationProof::frequency(cached.desc.clone(), desc.clone(), period_ticks)
-                    {
+                    match ViolationProof::frequency(cached.desc.clone(), desc.clone(), period) {
                         Ok(proof) => Observation::Violation(Box::new(proof)),
                         Err(_) => {
                             if cached.desc.verify().is_err() && desc.verify().is_ok() {
@@ -373,18 +410,18 @@ impl SampleCache {
         // the same creator strictly closer than one period. No slot
         // carries `ts` itself here, and the scan runs upwards, so the
         // lowest-timestamp conflict wins.
-        let lo = ts.saturating_sub(period_ticks - 1);
-        let hi = ts.saturating_add(period_ticks - 1);
+        let lo = ts.saturating_sub(period - 1);
+        let hi = ts.saturating_add(period - 1);
         let start = slots.partition_point(|s| s.ts < lo);
         if let Some(conflict) = slots.get(start).filter(|s| s.ts <= hi) {
             let other = conflict.desc.clone();
-            return match ViolationProof::frequency(other, desc.clone(), period_ticks) {
+            return match ViolationProof::frequency(other, desc.clone(), period) {
                 Ok(proof) => Observation::Violation(Box::new(proof)),
                 Err(_) => {
                     // One of the two creations is forged; evict it if it
                     // is the cached one and the incoming verifies.
                     if desc.verify().is_ok() && slots[start].desc.verify().is_err() {
-                        live.removed(slots.remove(start).last_seen);
+                        live.removed(slots.remove(start).ts / period);
                         self.stored -= 1;
                         if slots.is_empty() {
                             self.by_creator.remove(&id.creator);
@@ -402,32 +439,30 @@ impl SampleCache {
             pos,
             Slot {
                 ts,
-                last_seen: now,
                 desc: desc.clone(),
             },
         );
-        live.added(now);
+        live.added(created, horizon);
         self.stored += 1;
         Observation::New
     }
 
-    /// Expires samples not seen for longer than the retention window.
+    /// Moves the clock to `now_cycle`: samples created `retention_cycles`
+    /// before it are admitted no more, and those created earlier expire.
     ///
-    /// O(cycles the horizon advances): the per-cycle counters settle
+    /// O(cycles the clock advances): the per-cycle counters settle
     /// [`SampleCache::len`]; no slot is visited — unless the expired
     /// slots no touch has dropped now outnumber a sixteenth of the
     /// visible ones, and are swept out.
     pub fn prune(&mut self, now_cycle: u64) {
-        let horizon = self
-            .horizon
-            .max(now_cycle.saturating_sub(self.retention_cycles));
-        if horizon > self.horizon {
-            self.horizon = horizon;
-            self.live.expire_before(horizon);
+        if now_cycle > self.clock {
+            self.clock = now_cycle;
+            self.live.expire_before(self.horizon());
         }
         if self.stored - self.live.len > self.live.len / 16 {
+            let floor = self.floor();
             self.by_creator.retain(|_, slots| {
-                drop_expired(slots, horizon);
+                drop_expired(slots, floor);
                 !slots.is_empty()
             });
             self.stored = self.live.len;
@@ -440,8 +475,9 @@ impl SampleCache {
             return;
         };
         self.stored -= slots.len();
-        for slot in slots.iter().filter(|s| s.last_seen >= self.horizon) {
-            self.live.removed(slot.last_seen);
+        let floor = self.floor();
+        for slot in slots.iter().filter(|s| s.ts >= floor) {
+            self.live.removed(slot.ts / self.period_ticks);
         }
     }
 }
@@ -461,37 +497,37 @@ mod tests {
 
     #[test]
     fn new_then_known() {
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let d = SecureDescriptor::create(&kp(1), 0, Timestamp(0));
-        assert_eq!(cache.observe(&d, 0, PERIOD), Observation::New);
-        assert_eq!(cache.observe(&d, 1, PERIOD), Observation::AlreadyKnown);
+        assert_eq!(cache.observe(&d, 0), Observation::New);
+        assert_eq!(cache.observe(&d, 1), Observation::AlreadyKnown);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn longer_chain_extends() {
         let (a, b) = (kp(1), kp(2));
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let d = SecureDescriptor::create(&a, 0, Timestamp(0));
         let handed = d.transfer(&a, b.public()).unwrap();
-        assert_eq!(cache.observe(&d, 0, PERIOD), Observation::New);
-        assert_eq!(cache.observe(&handed, 1, PERIOD), Observation::Extended);
+        assert_eq!(cache.observe(&d, 0), Observation::New);
+        assert_eq!(cache.observe(&handed, 1), Observation::Extended);
         // The shorter copy is now strictly older information.
-        assert_eq!(cache.observe(&d, 2, PERIOD), Observation::AlreadyKnown);
+        assert_eq!(cache.observe(&d, 2), Observation::AlreadyKnown);
         assert_eq!(cache.get(&d.id()).unwrap().transfer_count(), 1);
     }
 
     #[test]
     fn cloning_detected_with_correct_culprit() {
         let (a, b, c, d) = (kp(1), kp(2), kp(3), kp(4));
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let base = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
         let left = base.transfer(&b, c.public()).unwrap();
         let right = base.transfer(&b, d.public()).unwrap();
-        assert_eq!(cache.observe(&left, 0, PERIOD), Observation::New);
-        match cache.observe(&right, 1, PERIOD) {
+        assert_eq!(cache.observe(&left, 0), Observation::New);
+        match cache.observe(&right, 1) {
             Observation::Violation(proof) => {
                 assert_eq!(proof.kind(), ProofKind::Cloning);
                 assert_eq!(proof.culprit(), b.public());
@@ -504,11 +540,11 @@ mod tests {
     #[test]
     fn frequency_detected_across_distinct_ids() {
         let a = kp(1);
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let d1 = SecureDescriptor::create(&a, 0, Timestamp(5000));
         let d2 = SecureDescriptor::create(&a, 0, Timestamp(5999));
-        assert_eq!(cache.observe(&d1, 0, PERIOD), Observation::New);
-        match cache.observe(&d2, 0, PERIOD) {
+        assert_eq!(cache.observe(&d1, 0), Observation::New);
+        match cache.observe(&d2, 0) {
             Observation::Violation(proof) => {
                 assert_eq!(proof.kind(), ProofKind::Frequency);
                 assert_eq!(proof.culprit(), a.public());
@@ -521,21 +557,21 @@ mod tests {
     #[test]
     fn exact_period_spacing_is_legal() {
         let a = kp(1);
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         for i in 0..5u64 {
             let d = SecureDescriptor::create(&a, 0, Timestamp(i * PERIOD + 137));
-            assert_eq!(cache.observe(&d, i, PERIOD), Observation::New, "cycle {i}");
+            assert_eq!(cache.observe(&d, i), Observation::New, "cycle {i}");
         }
     }
 
     #[test]
     fn same_timestamp_different_genesis_is_frequency() {
         let a = kp(1);
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let d1 = SecureDescriptor::create(&a, 0, Timestamp(5000));
         let d2 = SecureDescriptor::create(&a, 9, Timestamp(5000));
-        cache.observe(&d1, 0, PERIOD);
-        match cache.observe(&d2, 0, PERIOD) {
+        cache.observe(&d1, 0);
+        match cache.observe(&d2, 0) {
             Observation::Violation(proof) => {
                 assert_eq!(proof.kind(), ProofKind::Frequency);
             }
@@ -546,30 +582,24 @@ mod tests {
     #[test]
     fn ns_exception_keeps_circulating_copy() {
         let (a, b, c) = (kp(1), kp(2), kp(3));
-        let mut cache = SampleCache::new(60);
+        let mut cache = SampleCache::new(60, PERIOD);
         let owned = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
         let ns_copy = owned.redeem(&b, LinkKind::RedeemNonSwappable).unwrap();
         let circulating = owned.transfer(&b, c.public()).unwrap();
         // NS copy arrives first, then the circulating one.
-        assert_eq!(cache.observe(&ns_copy, 0, PERIOD), Observation::New);
-        assert_eq!(
-            cache.observe(&circulating, 0, PERIOD),
-            Observation::NsException
-        );
+        assert_eq!(cache.observe(&ns_copy, 0), Observation::New);
+        assert_eq!(cache.observe(&circulating, 0), Observation::NsException);
         assert_eq!(
             cache.get(&owned.id()).unwrap().chain().last().unwrap().kind,
             LinkKind::Transfer,
             "transfer side retained"
         );
         // Other order: circulating cached, NS observed later.
-        let mut cache2 = SampleCache::new(60);
-        assert_eq!(cache2.observe(&circulating, 0, PERIOD), Observation::New);
-        assert_eq!(
-            cache2.observe(&ns_copy, 0, PERIOD),
-            Observation::NsException
-        );
+        let mut cache2 = SampleCache::new(60, PERIOD);
+        assert_eq!(cache2.observe(&circulating, 0), Observation::New);
+        assert_eq!(cache2.observe(&ns_copy, 0), Observation::NsException);
         assert_eq!(
             cache2
                 .get(&owned.id())
@@ -583,17 +613,48 @@ mod tests {
     }
 
     #[test]
-    fn prune_forgets_old_samples() {
+    fn a_sample_lives_its_window_from_creation_plus_one_cycle() {
         let a = kp(1);
-        let mut cache = SampleCache::new(10);
-        let d = SecureDescriptor::create(&a, 0, Timestamp(0));
-        cache.observe(&d, 0, PERIOD);
-        cache.prune(5);
-        assert_eq!(cache.len(), 1, "within retention");
+        let mut cache = SampleCache::new(10, PERIOD);
+        // Created in cycle 2, first seen in cycle 5 and again in cycle 11:
+        // sightings do not move its expiry.
+        let d = SecureDescriptor::create(&a, 0, Timestamp(2 * PERIOD + 300));
+        cache.observe(&d, 5);
         cache.prune(11);
+        assert_eq!(cache.observe(&d, 11), Observation::AlreadyKnown, "age 9");
+        // A window old: no longer admitted, still visible for a cycle of
+        // grace, so a creation of cycle 3 less than a period after it is
+        // still caught.
+        cache.prune(12);
+        assert_eq!(cache.observe(&d, 12), Observation::Expired);
+        assert_eq!(cache.len(), 1);
+        let close = SecureDescriptor::create(&a, 0, Timestamp(3 * PERIOD + 100));
+        assert!(matches!(
+            cache.observe(&close, 12),
+            Observation::Violation(_)
+        ));
+        cache.prune(13);
         assert_eq!(cache.len(), 0, "expired");
-        // After pruning, re-observing is New again (index cleaned too).
-        assert_eq!(cache.observe(&d, 12, PERIOD), Observation::New);
+        assert!(cache.get(&d.id()).is_none());
+    }
+
+    #[test]
+    fn intake_refuses_what_the_window_does_not_cover() {
+        let (a, b) = (kp(1), kp(2));
+        let mut cache = SampleCache::new(10, PERIOD);
+        cache.prune(20);
+        // Created in cycle 10 is a window old, in cycle 11 is not.
+        let old = SecureDescriptor::create(&a, 0, Timestamp(10 * PERIOD + 999));
+        let oldest_admitted = SecureDescriptor::create(&b, 0, Timestamp(11 * PERIOD));
+        assert_eq!(cache.observe(&old, 20), Observation::Expired);
+        assert_eq!(cache.observe(&oldest_admitted, 20), Observation::New);
+        // Ahead of the clock by up to a window is admitted; further is not.
+        let ahead = SecureDescriptor::create(&a, 0, Timestamp(30 * PERIOD + 999));
+        let too_far = SecureDescriptor::create(&b, 0, Timestamp(31 * PERIOD));
+        assert_eq!(cache.observe(&ahead, 20), Observation::New);
+        assert_eq!(cache.observe(&too_far, 20), Observation::Expired);
+        assert_eq!(cache.len(), 2, "a refused descriptor is not cached");
+        assert_eq!(cache.footprint().stored_slots, 2);
     }
 
     fn stored(cache: &SampleCache, k: &Keypair) -> Option<(usize, usize)> {
@@ -602,28 +663,29 @@ mod tests {
     }
 
     /// Shows `cache` one descriptor each of 160 creators nobody else
-    /// uses, at `cycle`: enough visible slots that ten expired ones stay
-    /// under the sweep trigger.
+    /// uses, created in `cycle`: enough visible slots that ten expired
+    /// ones stay under the sweep trigger.
     fn fill(cache: &mut SampleCache, cycle: u64) {
         for tag in 0..160u8 {
             let creator = Keypair::from_seed(Scheme::KeyedHash, [tag; 32]);
-            let d = SecureDescriptor::create(&creator, 0, Timestamp(0));
-            cache.observe(&d, cycle, PERIOD);
+            let d = SecureDescriptor::create(&creator, 0, Timestamp(cycle * PERIOD));
+            cache.observe(&d, cycle);
         }
     }
 
     #[test]
     fn expired_slot_is_invisible_before_it_is_dropped() {
         let (a, b) = (kp(1), kp(2));
-        let mut cache = SampleCache::new(10);
-        let da = SecureDescriptor::create(&a, 0, Timestamp(5000));
-        let db = SecureDescriptor::create(&b, 0, Timestamp(5000));
-        assert_eq!(cache.observe(&da, 1, PERIOD), Observation::New);
-        assert_eq!(cache.observe(&db, 1, PERIOD), Observation::New);
+        let mut cache = SampleCache::new(10, PERIOD);
+        let da = SecureDescriptor::create(&a, 0, Timestamp(1000));
+        let db = SecureDescriptor::create(&b, 0, Timestamp(1000));
+        assert_eq!(cache.observe(&da, 1), Observation::New);
+        assert_eq!(cache.observe(&db, 1), Observation::New);
         fill(&mut cache, 5);
-        // Horizon 2 expires both samples; 2 expired slots against 160
-        // visible ones is not more than a sixteenth: no sweep.
-        cache.prune(12);
+        // Horizon 3 expires both samples (created in cycle 1); 2 expired
+        // slots against 160 visible ones is not more than a sixteenth: no
+        // sweep.
+        cache.prune(13);
         assert_eq!(stored(&cache, &a), Some((1, 1)), "still in memory");
         assert_eq!(stored(&cache, &b), Some((1, 1)), "still in memory");
         assert_eq!(cache.len(), 160);
@@ -631,41 +693,46 @@ mod tests {
         assert!(cache.get(&da.id()).is_none());
         assert_eq!(cache.descriptors().count(), 160);
         assert_eq!(cache.stored_descriptors().count(), 162);
-        // Neither check sees an expired slot: a creation half a period
-        // from `da` is a first sighting, not a frequency violation, and
-        // the expired copy of `db` does not make `db` known.
-        let da_close = SecureDescriptor::create(&a, 0, Timestamp(5500));
-        assert_eq!(cache.observe(&da_close, 12, PERIOD), Observation::New);
-        assert_eq!(cache.observe(&db, 12, PERIOD), Observation::New);
+        // A later creation of `a` is a first sighting (no check could
+        // meet an expired slot: whatever intake admits was created more
+        // than a period after it), and its touch drops `da`. A refusal
+        // touches nothing.
+        let da_late = SecureDescriptor::create(&a, 0, Timestamp(13_000));
+        assert_eq!(cache.observe(&da_late, 13), Observation::New);
+        assert_eq!(cache.observe(&db, 13), Observation::Expired);
         assert_eq!(stored(&cache, &a), Some((1, 1)), "the touch dropped it");
-        assert_eq!(stored(&cache, &b), Some((1, 1)));
-        assert_eq!(cache.len(), 162);
+        assert_eq!(
+            stored(&cache, &b),
+            Some((1, 1)),
+            "a refusal touches nothing"
+        );
+        assert_eq!(cache.len(), 161);
         assert_eq!(cache.footprint().stored_slots, 162);
         assert!(cache.get(&da.id()).is_none());
-        assert_eq!(cache.get(&da_close.id()), Some(&da_close));
+        assert_eq!(cache.get(&da_late.id()), Some(&da_late));
         // Creators nobody touches again are swept out as soon as they
         // are more than a sixteenth of what is visible: the 160 of cycle
-        // 5 expire at horizon 6, against 2 visible slots.
+        // 5 expire at horizon 6, against 1 visible slot.
         cache.prune(16);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 1);
         let footprint = cache.footprint();
-        assert_eq!((footprint.stored_slots, footprint.creators), (2, 2));
+        assert_eq!((footprint.stored_slots, footprint.creators), (1, 1));
     }
 
     #[test]
     fn any_touch_of_a_creator_drops_its_expired_slots() {
         let a = kp(1);
-        let mut cache = SampleCache::new(10);
+        let mut cache = SampleCache::new(10, PERIOD);
         let old = SecureDescriptor::create(&a, 0, Timestamp(0));
         let new = SecureDescriptor::create(&a, 0, Timestamp(5000));
-        cache.observe(&old, 1, PERIOD);
-        cache.observe(&new, 5, PERIOD);
+        cache.observe(&old, 1);
+        cache.observe(&new, 5);
         fill(&mut cache, 5);
         cache.prune(12);
         assert_eq!(stored(&cache, &a), Some((2, 2)), "expired, not swept");
         // A re-sighting inserts nothing and shifts nothing; the expired
         // slot goes all the same.
-        assert_eq!(cache.observe(&new, 12, PERIOD), Observation::AlreadyKnown);
+        assert_eq!(cache.observe(&new, 12), Observation::AlreadyKnown);
         assert_eq!(stored(&cache, &a), Some((1, 2)), "half empty: kept");
         assert_eq!(cache.footprint().stored_slots, cache.len());
     }
@@ -673,39 +740,33 @@ mod tests {
     #[test]
     fn slot_vectors_fit_what_they_hold() {
         let a = kp(1);
-        let mut cache = SampleCache::new(10);
+        let mut cache = SampleCache::new(10, PERIOD);
         let at = |i: u64| SecureDescriptor::create(&a, 0, Timestamp(i * PERIOD));
-        // Growth: 1, 2, 4, then by `SLACK_SLOTS`. The first eight are last
-        // seen at cycle 1, the last four at cycle 5.
+        // Growth: 1, 2, 4, then by `SLACK_SLOTS`. The first eight are
+        // created in cycles 0..8, the last four in 8..12.
         let mut capacities = Vec::new();
         for i in 0..12 {
-            cache.observe(&at(i), if i < 8 { 1 } else { 5 }, PERIOD);
+            cache.observe(&at(i), i);
             capacities.push(stored(&cache, &a).unwrap().1);
         }
         assert_eq!(capacities, [1, 2, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12]);
-        // Shrink: eight of twelve expire; the touch that drops them
-        // leaves more spare room than `SLACK_SLOTS`, so the vector is cut
-        // back to fit. (`fill` keeps the sweep out of it.)
-        fill(&mut cache, 5);
-        cache.prune(12);
+        // Shrink: at horizon 8 the eight of cycles 0..8 expire; the touch
+        // that drops them leaves more spare room than `SLACK_SLOTS`, so
+        // the vector is cut back to fit. (`fill` keeps the sweep out of
+        // it.)
+        fill(&mut cache, 11);
+        cache.prune(18);
         assert_eq!(stored(&cache, &a), Some((12, 12)));
-        assert_eq!(
-            cache.observe(&at(11), 12, PERIOD),
-            Observation::AlreadyKnown
-        );
+        assert_eq!(cache.observe(&at(11), 18), Observation::AlreadyKnown);
         assert_eq!(stored(&cache, &a), Some((4, 4)));
         // Dropping fewer than that keeps the room: the next sighting
         // needs it.
         for i in 12..16 {
-            cache.observe(&at(i), 13, PERIOD);
+            cache.observe(&at(i), 18);
         }
-        fill(&mut cache, 13);
-        cache.prune(16);
+        cache.prune(21);
         assert_eq!(stored(&cache, &a), Some((8, 8)), "three of them expired");
-        assert_eq!(
-            cache.observe(&at(15), 16, PERIOD),
-            Observation::AlreadyKnown
-        );
+        assert_eq!(cache.observe(&at(15), 21), Observation::AlreadyKnown);
         assert_eq!(stored(&cache, &a), Some((5, 8)));
     }
 
@@ -714,24 +775,60 @@ mod tests {
         // A node serving a request before its own turn in a cycle has not
         // pruned for that cycle yet: it must still see what it saw before.
         let a = kp(1);
-        let mut cache = SampleCache::new(10);
+        let mut cache = SampleCache::new(10, PERIOD);
         let d = SecureDescriptor::create(&a, 0, Timestamp(0));
-        cache.observe(&d, 0, PERIOD);
-        cache.prune(10);
-        assert_eq!(cache.observe(&d, 50, PERIOD), Observation::AlreadyKnown);
+        cache.observe(&d, 0);
+        cache.prune(9);
+        assert_eq!(cache.observe(&d, 10), Observation::AlreadyKnown);
         assert_eq!(cache.len(), 1);
-        cache.prune(50);
-        assert_eq!(cache.len(), 1, "re-sighted at 50");
-        cache.prune(61);
+        cache.prune(10);
+        assert_eq!(cache.observe(&d, 10), Observation::Expired);
+        assert_eq!(cache.len(), 1, "one cycle of grace");
+        cache.prune(11);
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn a_lagging_clock_catches_up_to_the_cycle_before_the_observer() {
+        // Turns missed since cycle 0: an observation in cycle 11 first
+        // prunes to cycle 10, where `d` is a window old.
+        let a = kp(1);
+        let mut cache = SampleCache::new(10, PERIOD);
+        let d = SecureDescriptor::create(&a, 0, Timestamp(0));
+        cache.observe(&d, 0);
+        assert_eq!(cache.observe(&d, 11), Observation::Expired);
+        assert_eq!(cache.len(), 1, "one cycle of grace");
+        let later = SecureDescriptor::create(&a, 0, Timestamp(12 * PERIOD));
+        assert_eq!(cache.observe(&later, 12), Observation::New);
+        assert!(cache.get(&d.id()).is_none());
+        assert_eq!(cache.footprint().stored_slots, 1);
+    }
+
+    #[test]
+    fn a_cache_created_late_counts_from_the_observers_cycle() {
+        // A node created ten million cycles after the shared epoch whose
+        // first intake precedes its first turn. The oldest and the
+        // youngest creation intake admits there cost 2W + 2 counters, not
+        // one per cycle since the epoch.
+        const LATE: u64 = 10_000_000;
+        let window = 10;
+        let mut cache = SampleCache::new(window, PERIOD);
+        let oldest = SecureDescriptor::create(&kp(1), 0, Timestamp((LATE - window) * PERIOD));
+        let youngest =
+            SecureDescriptor::create(&kp(2), 0, Timestamp((LATE + window + 1) * PERIOD - 1));
+        assert_eq!(cache.observe(&oldest, LATE), Observation::New);
+        assert_eq!(cache.observe(&youngest, LATE), Observation::New);
+        let span = 2 * window as usize + 2;
+        assert_eq!(cache.live.counts.len(), span);
+        assert!(cache.live.counts.capacity() <= 2 * span);
     }
 
     #[test]
     fn purge_creator_removes_their_samples() {
         let (a, b) = (kp(1), kp(2));
-        let mut cache = SampleCache::new(60);
-        cache.observe(&SecureDescriptor::create(&a, 0, Timestamp(0)), 0, PERIOD);
-        cache.observe(&SecureDescriptor::create(&b, 0, Timestamp(0)), 0, PERIOD);
+        let mut cache = SampleCache::new(60, PERIOD);
+        cache.observe(&SecureDescriptor::create(&a, 0, Timestamp(0)), 0);
+        cache.observe(&SecureDescriptor::create(&b, 0, Timestamp(0)), 0);
         cache.purge_creator(&a.public());
         assert_eq!(cache.len(), 1);
         assert!(cache
@@ -743,7 +840,12 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_two_words() {
+        assert_eq!(CacheFootprint::SLOT_BYTES, 16);
+    }
+
+    #[test]
     fn debug_nonempty() {
-        assert!(!format!("{:?}", SampleCache::new(3)).is_empty());
+        assert!(!format!("{:?}", SampleCache::new(3, PERIOD)).is_empty());
     }
 }

@@ -324,11 +324,13 @@ impl SecureCyclonNode {
     /// Fills empty view slots: first with fully owned descriptors parked
     /// in the reserve (swappable), then — at most once per cycle — with a
     /// non-swappable copy of a recently transferred descriptor (§V-A).
+    /// What is too old to redeem or offer is dropped on the way.
     fn backfill(&mut self, cycle: u64) {
+        let oldest = self.oldest_owned(cycle);
         if self.view.free_slots() > 0 && !self.reserve.is_empty() {
             let mut keep = VecDeque::with_capacity(self.reserve.len());
             while let Some(d) = self.reserve.pop_front() {
-                if self.blacklist.contains(&d.creator()) {
+                if self.blacklist.contains(&d.creator()) || d.created_at().ticks() < oldest {
                     continue;
                 }
                 // An adversary can deliver the same state twice in one
@@ -369,7 +371,7 @@ impl SecureCyclonNode {
                     }
                 }
             };
-            if self.blacklist.contains(&cand.creator()) {
+            if self.blacklist.contains(&cand.creator()) || cand.created_at().ticks() < oldest {
                 continue;
             }
             if self.view.insert(cand, true) {

@@ -91,13 +91,17 @@ impl SecureCyclonNode {
 
     fn check_only(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
         self.stats.samples_processed += 1;
-        match self.samples.observe(desc, cycle, self.cfg.ticks_per_cycle) {
+        match self.samples.observe(desc, cycle) {
             Observation::Violation(proof) => {
                 self.discover_violation(*proof, cycle);
                 false
             }
             Observation::Forged => {
                 self.stats.invalid_descriptors += 1;
+                false
+            }
+            Observation::Expired => {
+                self.expired_refused += 1;
                 false
             }
             _ => true,

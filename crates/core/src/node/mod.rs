@@ -66,9 +66,13 @@ use std::collections::VecDeque;
 /// behaviour instead of growing without bound.
 pub const REDEMPTION_CACHE_MAX_ENTRIES: usize = 64;
 
-/// Sample-cache retention, in cycles (§IV-B "cache all descriptors seen",
-/// bounded in practice by descriptor lifetime ≈ ℓ). Replay refusals and
-/// spent-state markers expire on the same horizon.
+/// The sample window W, in cycles, counted from a descriptor's
+/// **creation** (§IV-B "cache all descriptors seen", bounded in practice
+/// by descriptor lifetime ≈ ℓ). It is both how long a sample stays cached
+/// (W cycles, plus one of grace) and the intake cap: a descriptor W or
+/// more cycles old is refused unchecked, so no honest node redeems or
+/// offers one. Replay refusals and spent-state markers expire on the same
+/// horizon.
 pub const SAMPLE_RETENTION_CYCLES: u64 = 60;
 
 /// How many recently transferred descriptors each back-fill pool
@@ -172,6 +176,9 @@ pub struct SecureCyclonNode {
     phase: u64,
     view: SecureView,
     samples: SampleCache,
+    /// Descriptors the sample cache refused for their age. Kept beside
+    /// [`SecureStats`], whose rendering pins recorded end states.
+    expired_refused: u64,
     /// Working vectors of the verification walk, kept so that verifying
     /// a message allocates nothing. They carry no verdict from one call
     /// to the next: every descriptor the node relies on has all its
@@ -287,7 +294,8 @@ impl SecureCyclonNode {
             addr,
             phase,
             view: SecureView::new(id, cfg.view_len),
-            samples: SampleCache::new(SAMPLE_RETENTION_CYCLES),
+            samples: SampleCache::new(SAMPLE_RETENTION_CYCLES, cfg.ticks_per_cycle),
+            expired_refused: 0,
             verify_scratch: WalkScratch::default(),
             redemptions: RedemptionCache::bounded(
                 cfg.redemption_cache_cycles,
@@ -350,6 +358,13 @@ impl SecureCyclonNode {
     /// Number of cached samples.
     pub fn sample_count(&self) -> usize {
         self.samples.len()
+    }
+
+    /// Descriptors refused at intake for having been created outside the
+    /// sample window ([`crate::Observation::Expired`]). No honest peer
+    /// sends one, so in an all-honest network this stays 0.
+    pub fn expired_refused(&self) -> u64 {
+        self.expired_refused
     }
 
     /// Read-only view of the reserve: owned descriptors waiting for a view
@@ -521,6 +536,19 @@ impl SecureCyclonNode {
         let horizon = cycle.saturating_sub(SAMPLE_RETENTION_CYCLES);
         self.redeemed_regular.expire(horizon);
         self.spent.expire(horizon);
+        // The reserve and the back-fill pools are checked where `backfill`
+        // takes from them.
+        let oldest = self.oldest_owned(cycle);
+        self.view.retain(|d| d.created_at().ticks() >= oldest);
+    }
+
+    /// The creation timestamp below which an owned descriptor is worth
+    /// nothing at `cycle`: the creator it would be redeemed at, or the
+    /// peer it would be offered to, refuses it once it is a window old —
+    /// and before this node's next turn, a peer that took its own is a
+    /// cycle further on.
+    fn oldest_owned(&self, cycle: u64) -> u64 {
+        (cycle + 2).saturating_sub(SAMPLE_RETENTION_CYCLES) * self.cfg.ticks_per_cycle
     }
 
     /// Total ownership transfers each side performs in one exchange,

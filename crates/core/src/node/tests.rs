@@ -622,3 +622,186 @@ fn forged_inputs_move_exactly_these_counters() {
     assert!(node.step(round(handed)).reply.is_none());
     assert_eq!(node.stats().transfers_received, 1);
 }
+
+#[test]
+fn a_clone_held_back_past_the_window_is_refused() {
+    // B hands a descriptor on to C, and the node sees C's copy as a
+    // sample. B keeps a second continuation back until the window has
+    // passed, then hands it to the node: a cache that has forgotten the
+    // first copy must refuse the second, not take it unchecked.
+    let kps = keypairs(4);
+    let (me, a, b, c) = (&kps[0], &kps[1], &kps[2], &kps[3]);
+    let cfg = small_cfg().validated();
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [6u8; 32], 0);
+    let held = SecureDescriptor::create(a, 1, Timestamp(0))
+        .transfer(a, b.public())
+        .unwrap();
+    assert!(node.absorb_sample(&held.transfer(b, c.public()).unwrap(), 1));
+    let late = SAMPLE_RETENTION_CYCLES + 2;
+    for cycle in 2..=late {
+        node.housekeeping(cycle);
+    }
+    node.accept_transfer(held.transfer(b, me.public()).unwrap(), b.public(), late);
+    assert_eq!(node.view().len(), 0, "the clone reached the view");
+    assert_eq!(node.stats().transfers_received, 0);
+    assert_eq!(node.expired_refused(), 1);
+}
+
+#[test]
+fn a_turn_sends_nothing_a_peer_a_cycle_ahead_would_refuse() {
+    // The node holds, in its view, its reserve and both back-fill pools,
+    // descriptors W − 1 cycles old at its turn — which a peer that took
+    // its own turn of the next cycle refuses — and W − 2 cycles old, which
+    // that peer still admits. The turn must drop the first kind wherever
+    // it sits and trade the second.
+    use crate::checks::Observation;
+    use crate::msg::{AcceptBody, RoundReplyBody};
+    let kps = keypairs(9);
+    let me = &kps[0];
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let turn = SAMPLE_RETENTION_CYCLES + 10;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [3u8; 32], 0);
+    let owned = |i: usize, age: u64| {
+        let stamp = Timestamp((turn - age) * tpc + i as u64);
+        SecureDescriptor::create(&kps[i], i as Addr, stamp)
+            .transfer(&kps[i], me.public())
+            .unwrap()
+    };
+    let fresh = [1, 3, 6].map(|i| owned(i, SAMPLE_RETENTION_CYCLES - 2));
+    let stale = [2, 4, 5, 7].map(|i| owned(i, SAMPLE_RETENTION_CYCLES - 1));
+    let [view, reserve, history] = fresh.clone();
+    let [stale_view, stale_reserve, stale_pending, stale_history] = stale.clone();
+    assert!(node.accept_bootstrap(view));
+    assert!(node.accept_bootstrap(stale_view));
+    node.reserve.extend([reserve, stale_reserve]);
+    node.pending_ns.push_back(stale_pending);
+    node.transfer_history.extend([history, stale_history]);
+
+    // The turn: the partner (the creator of the oldest view entry, which
+    // it redeems) accepts with its fresh descriptor and answers the first
+    // tit-for-tat round with one it holds; the second round times out.
+    let partner = &kps[1];
+    let paid = SecureDescriptor::create(partner, 1, Timestamp(turn * tpc + 1))
+        .transfer(partner, me.public())
+        .unwrap();
+    let returned = SecureDescriptor::create(&kps[8], 8, Timestamp(turn * tpc))
+        .transfer(&kps[8], partner.public())
+        .unwrap()
+        .transfer(partner, me.public())
+        .unwrap();
+    let mut replies = [
+        SecureMsg::Accept(Box::new(AcceptBody {
+            transfers: vec![paid],
+            samples: Vec::new(),
+            proofs: Vec::new(),
+        })),
+        SecureMsg::RoundReply(Box::new(RoundReplyBody {
+            transfer: Some(returned),
+        })),
+    ]
+    .into_iter();
+    let mut sent = Vec::new();
+    let mut fx = node.step(Input::Tick {
+        cycle: turn,
+        now: turn * tpc,
+    });
+    while let Some((_, msg)) = fx.rpc.take() {
+        match msg {
+            SecureMsg::Request(r) => {
+                let RequestBody {
+                    redeemed,
+                    fresh,
+                    offered,
+                    samples,
+                    ..
+                } = *r;
+                sent.extend([redeemed, fresh]);
+                sent.extend(offered.into_iter().chain(samples));
+            }
+            SecureMsg::Round(r) => sent.push(r.transfer),
+            other => panic!("unexpected rpc {other:?}"),
+        }
+        fx = node.step(replies.next().map_or(Input::Timeout, Input::Reply));
+    }
+    assert_eq!(node.stats().completed, 1, "the exchange went through");
+
+    let sent_ids: Vec<DescriptorId> = sent.iter().map(|d| d.id()).collect();
+    for d in &fresh {
+        assert!(sent_ids.contains(&d.id()), "{:?} was not traded", d.id());
+    }
+    let held: Vec<DescriptorId> = node
+        .view
+        .iter()
+        .map(|e| &e.desc)
+        .chain(&node.reserve)
+        .chain(&node.pending_ns)
+        .chain(&node.transfer_history)
+        .map(|d| d.id())
+        .chain(sent_ids)
+        .collect();
+    for d in &stale {
+        assert!(!held.contains(&d.id()), "{:?} was kept or sent", d.id());
+    }
+
+    // A peer that took its turn of the next cycle admits all that was
+    // sent, and would have refused what was dropped.
+    let mut peer = SampleCache::new(SAMPLE_RETENTION_CYCLES, tpc);
+    peer.prune(turn + 1);
+    for d in &sent {
+        assert_ne!(
+            peer.observe(d, turn + 1),
+            Observation::Expired,
+            "{:?}",
+            d.id()
+        );
+    }
+    for d in &stale {
+        assert_eq!(
+            peer.observe(d, turn + 1),
+            Observation::Expired,
+            "{:?}",
+            d.id()
+        );
+    }
+}
+
+#[test]
+fn a_redemption_certificate_replayed_past_the_window_is_refused() {
+    // A peer redeems the node's descriptor once, regularly, and replays
+    // the same certificate after the window — when the replay guard
+    // (`redeemed_regular`) has let the first redemption go, and the
+    // sample cache the first copy: the certificate is refused for its
+    // age, or the replay buys a second exchange.
+    let kps = keypairs(2);
+    let (me, peer) = (&kps[0], &kps[1]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [8u8; 32], 0);
+    let certificate = SecureDescriptor::create(me, 0, Timestamp(0))
+        .transfer(me, peer.public())
+        .unwrap()
+        .redeem(peer, LinkKind::Redeem)
+        .unwrap();
+    let request = |cycle: u64| RequestBody {
+        redeemed: certificate.clone(),
+        fresh: SecureDescriptor::create(peer, 1, Timestamp(cycle * tpc))
+            .transfer(peer, me.public())
+            .unwrap(),
+        offered: Vec::new(),
+        samples: Vec::new(),
+        proofs: Vec::new(),
+    };
+    assert!(node.handle_request(1, request(1), 1, tpc).is_some());
+    let late = SAMPLE_RETENTION_CYCLES + 2;
+    for cycle in 2..=late {
+        node.housekeeping(cycle);
+    }
+    assert!(
+        node.handle_request(1, request(late), late, late * tpc)
+            .is_none(),
+        "the replayed certificate bought a second exchange"
+    );
+    assert_eq!(node.stats().answered, 1);
+    assert_eq!(node.expired_refused(), 1);
+}

@@ -338,6 +338,59 @@ mod tests {
         );
     }
 
+    /// `sig` with one byte past what either scheme's verification reads
+    /// set: a signature verification used to accept, with bytes that
+    /// digests and equality tell apart from the honest one.
+    fn padded(sig: &sc_crypto::Signature) -> sc_crypto::Signature {
+        let mut bytes = *sig.as_bytes();
+        bytes[40] ^= 0x01;
+        sc_crypto::Signature::from_bytes(bytes)
+    }
+
+    #[test]
+    fn signature_padding_cannot_frame_an_honest_transfer() {
+        // B honestly hands a descriptor on to C, once. Re-padding B's
+        // link signature makes a second copy whose chain differs from
+        // the honest one at B's link: were it accepted, a valid cloning
+        // proof against B.
+        for scheme in [Scheme::Schnorr61, Scheme::KeyedHash] {
+            let key = |tag: u8| Keypair::from_seed(scheme, [tag; 32]);
+            let (a, b, c) = (key(1), key(2), key(3));
+            let honest = SecureDescriptor::create(&a, 0, Timestamp(0))
+                .transfer(&a, b.public())
+                .unwrap()
+                .transfer(&b, c.public())
+                .unwrap();
+            let mut links = honest.chain();
+            links[1].sig = padded(&links[1].sig);
+            let framed = SecureDescriptor::from_parts(*honest.genesis(), links);
+            assert!(
+                ViolationProof::cloning(honest, framed.clone()).is_err(),
+                "{scheme:?}: a cloning proof against an honest signer"
+            );
+            assert!(framed.verify().is_err(), "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn signature_padding_cannot_frame_an_honest_creator() {
+        // Re-padding A's genesis signature makes a second genesis with
+        // A's timestamp: were it accepted, a Δt = 0 frequency proof
+        // against A.
+        for scheme in [Scheme::Schnorr61, Scheme::KeyedHash] {
+            let a = Keypair::from_seed(scheme, [1; 32]);
+            let honest = SecureDescriptor::create(&a, 0, Timestamp(5000));
+            let mut genesis = *honest.genesis();
+            genesis.sig = padded(&genesis.sig);
+            let framed = SecureDescriptor::from_parts(genesis, Vec::new());
+            assert!(
+                ViolationProof::frequency(honest, framed.clone(), PERIOD).is_err(),
+                "{scheme:?}: a frequency proof against an honest creator"
+            );
+            assert!(framed.verify().is_err(), "{scheme:?}");
+        }
+    }
+
     #[test]
     fn tampered_evidence_fails_validation() {
         let (left, right, _) = cloning_pair();

@@ -242,8 +242,14 @@ impl SecureView {
     /// Removes all entries created by `creator`; returns how many were
     /// dropped (post-blacklist purge).
     pub fn purge_creator(&mut self, creator: &NodeId) -> usize {
+        self.retain(|d| d.creator() != *creator)
+    }
+
+    /// Keeps only the entries whose descriptor satisfies `keep`; returns
+    /// how many were dropped.
+    pub fn retain(&mut self, keep: impl Fn(&SecureDescriptor) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.desc.creator() != *creator);
+        self.entries.retain(|e| keep(&e.desc));
         before - self.entries.len()
     }
 }

@@ -1,20 +1,36 @@
-//! Model test for [`SampleCache`]: the single-index, logically-expiring
-//! cache must be observationally identical to the naive two-map cache it
-//! replaced.
+//! Model tests for [`SampleCache`]: the single-index, logically-expiring
+//! cache against two naive references kept only here.
 //!
-//! The reference model below *is* the old logic — an id-keyed map of
-//! cached copies plus a per-creator timestamp index kept in lockstep,
-//! with expiry that physically removes entries inside `prune` — and lives
-//! on only here. Random streams of new, re-sighted, extended, forked,
-//! NS-pair, forged and same-timestamp descriptors, interleaved with
-//! `prune` at arbitrary cycles and `purge_creator`, must produce the same
-//! [`Observation`] sequence, and after every step the same `len()`, the
-//! same `get()` for every id in play and the same `descriptors()` set.
+//! * **The window model** states the cache's contract directly: an
+//!   id-keyed map of cached copies plus a per-creator timestamp index
+//!   kept in lockstep; intake first prunes to the cycle before the
+//!   observer's if the latest `prune` lies further back, then refuses a
+//!   descriptor a window or more older than the clock, or more than a
+//!   window younger than the observer's; `prune` physically removes every
+//!   entry older than the window and its one cycle of grace. Random
+//!   streams of new, re-sighted, extended, forked, NS-pair,
+//!   forged, same-timestamp, too-old and too-young descriptors,
+//!   interleaved with `prune` at arbitrary cycles and `purge_creator`,
+//!   must produce the same [`Observation`] sequence, and after every step
+//!   the same `len()`, the same `get()` for every id in play and the same
+//!   `descriptors()` set.
+//! * **The last-sighting model** is the same map with the cache's
+//!   previous expiry: an entry lives for the window after it was last
+//!   seen, and nothing is refused. It is the reference the previous
+//!   single-index cache was proven observationally identical to. On
+//!   streams whose arrivals are all younger than the window, the cache
+//!   must return this model's verdict on every arrival — every violation
+//!   it reports, with the same proof, and no other: measuring the window
+//!   from creation loses no conflict a sighting-based window would have
+//!   caught. (What the two hold differs: a sighting-based window keeps a
+//!   copy still re-sighted past its creation window, and no arrival
+//!   inside the window can conflict with it.)
 //!
-//! Beside what the cache *shows*, the same streams check what it *stores*
-//! (through the footprint accessor): no expired slot survives a touch of
-//! its creator, expired slots appear nowhere but in `prune` and never
-//! outlast the sweep trigger there, spare capacity stays within
+//! Beside what the cache *shows*, the first streams check what it
+//! *stores* (through the footprint accessor): no expired slot survives a
+//! touch of its creator, expired slots appear nowhere but in `prune` (an
+//! observation's catch-up included) and never outlast the sweep trigger
+//! there, spare capacity stays within
 //! `SLACK_SLOTS` a creator, and no creator's entry is left empty.
 
 use proptest::prelude::*;
@@ -25,25 +41,59 @@ use sc_core::{
 };
 use sc_crypto::{Keypair, NodeId, Scheme, Signature};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 const PERIOD: u64 = 1000;
-const RETENTION: u64 = 6;
+/// The window W, in cycles.
+const RETENTION: u64 = 4;
 
 fn kp(tag: u8) -> Keypair {
     Keypair::from_seed(Scheme::Schnorr61, [tag; 32])
 }
 
-// -- the reference model ---------------------------------------------------
+fn created(d: &SecureDescriptor) -> u64 {
+    d.created_at().ticks() / PERIOD
+}
 
-#[derive(Default)]
-struct ModelCache {
+// -- the references --------------------------------------------------------
+
+/// When a reference entry expires.
+#[derive(Clone, Copy, PartialEq)]
+enum Expiry {
+    /// W after creation, plus a cycle of grace; intake refuses what lies
+    /// outside the window.
+    Creation,
+    /// W after the last sighting; intake refuses nothing.
+    LastSighting,
+}
+
+struct Model {
+    expiry: Expiry,
+    /// The cycle of the latest prune.
+    clock: u64,
     by_id: HashMap<DescriptorId, (SecureDescriptor, u64)>,
     by_creator: HashMap<NodeId, Vec<u64>>,
 }
 
-impl ModelCache {
+impl Model {
+    fn new(expiry: Expiry) -> Self {
+        Model {
+            expiry,
+            clock: 0,
+            by_id: HashMap::new(),
+            by_creator: HashMap::new(),
+        }
+    }
+
     fn observe(&mut self, desc: &SecureDescriptor, now: u64) -> Observation {
+        if self.expiry == Expiry::Creation && self.clock + 1 < now {
+            self.prune(now - 1);
+        }
         let id = desc.id();
+        let c = created(desc);
+        if self.expiry == Expiry::Creation && (c + RETENTION <= self.clock || c > now + RETENTION) {
+            return Observation::Expired;
+        }
         if let Some((cached, last_seen)) = self.by_id.get_mut(&id) {
             *last_seen = now;
             let forged = |cached: &mut SecureDescriptor| {
@@ -124,11 +174,15 @@ impl ModelCache {
     }
 
     fn prune(&mut self, now: u64) {
-        let horizon = now.saturating_sub(RETENTION);
+        self.clock = self.clock.max(now);
+        let (expiry, clock) = (self.expiry, self.clock);
         let expired: Vec<DescriptorId> = self
             .by_id
             .iter()
-            .filter(|(_, (_, last_seen))| *last_seen < horizon)
+            .filter(|(_, (d, last_seen))| match expiry {
+                Expiry::Creation => created(d) + RETENTION < clock,
+                Expiry::LastSighting => last_seen + RETENTION < clock,
+            })
             .map(|(id, _)| *id)
             .collect();
         for id in expired {
@@ -146,10 +200,15 @@ impl ModelCache {
 
 /// Every variant of every token the streams draw from: `CREATORS`
 /// creators × `STAMPS` creation times (some closer than a period, so
-/// frequency conflicts arise) × `VARIANTS` copies.
+/// frequency conflicts arise) × `VARIANTS` copies. The stamps span more
+/// than two windows, so a stream meets descriptors too young, in the
+/// window and too old.
 const CREATORS: u8 = 3;
-const STAMPS: [u64; 5] = [0, 400, 1000, 1999, 3000];
+const STAMPS: [u64; 9] = [0, 400, 1000, 1999, 3000, 5500, 6000, 8999, 9500];
 const VARIANTS: usize = 8;
+const POOL_LEN: usize = CREATORS as usize * STAMPS.len() * VARIANTS;
+/// The streams' clock stops here: past it every stamp is too old.
+const LAST_CYCLE: u64 = 9 + RETENTION + 2;
 
 fn flip_sig(sig: &Signature) -> Signature {
     let mut bytes = *sig.as_bytes();
@@ -157,60 +216,63 @@ fn flip_sig(sig: &Signature) -> Signature {
     Signature::from_bytes(bytes)
 }
 
-fn pool() -> Vec<SecureDescriptor> {
-    let (x, y, z) = (kp(101), kp(102), kp(103));
-    let mut out = Vec::new();
-    for c in 0..CREATORS {
-        let creator = kp(c + 1);
-        for ts in STAMPS {
-            let base = SecureDescriptor::create(&creator, c as u32, Timestamp(ts));
-            let held = base.transfer(&creator, x.public()).unwrap();
-            let extended = held.transfer(&x, y.public()).unwrap();
-            let fork = held.transfer(&x, z.public()).unwrap();
-            let ns = held.redeem(&x, LinkKind::RedeemNonSwappable).unwrap();
-            // A second creation with the very same timestamp.
-            let twin = SecureDescriptor::create(&creator, 77, Timestamp(ts));
-            // Forgeries: a divergent link nobody signed, and a genesis
-            // the creator never signed (conflicts with `base` at Δt = 0).
-            let mut links = extended.chain().to_vec();
-            links[1].to = z.public();
-            links[1].sig = flip_sig(&links[1].sig);
-            let forged_link = SecureDescriptor::from_parts(*base.genesis(), links);
-            let mut genesis = *base.genesis();
-            genesis.addr = 99;
-            let forged_genesis = SecureDescriptor::from_parts(genesis, Vec::new());
-            out.extend([
-                base,
-                held,
-                extended,
-                fork,
-                ns,
-                twin,
-                forged_link,
-                forged_genesis,
-            ]);
+fn pool() -> &'static [SecureDescriptor] {
+    static POOL: OnceLock<Vec<SecureDescriptor>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let (x, y, z) = (kp(101), kp(102), kp(103));
+        let mut out = Vec::new();
+        for c in 0..CREATORS {
+            let creator = kp(c + 1);
+            for ts in STAMPS {
+                let base = SecureDescriptor::create(&creator, c as u32, Timestamp(ts));
+                let held = base.transfer(&creator, x.public()).unwrap();
+                let extended = held.transfer(&x, y.public()).unwrap();
+                let fork = held.transfer(&x, z.public()).unwrap();
+                let ns = held.redeem(&x, LinkKind::RedeemNonSwappable).unwrap();
+                // A second creation with the very same timestamp.
+                let twin = SecureDescriptor::create(&creator, 77, Timestamp(ts));
+                // Forgeries: a divergent link nobody signed, and a genesis
+                // the creator never signed (conflicts with `base` at Δt = 0).
+                let mut links = extended.chain().to_vec();
+                links[1].to = z.public();
+                links[1].sig = flip_sig(&links[1].sig);
+                let forged_link = SecureDescriptor::from_parts(*base.genesis(), links);
+                let mut genesis = *base.genesis();
+                genesis.addr = 99;
+                let forged_genesis = SecureDescriptor::from_parts(genesis, Vec::new());
+                out.extend([
+                    base,
+                    held,
+                    extended,
+                    fork,
+                    ns,
+                    twin,
+                    forged_link,
+                    forged_genesis,
+                ]);
+            }
         }
-    }
-    assert_eq!(
-        out.len(),
-        CREATORS as usize * STAMPS.len() * VARIANTS,
-        "pool layout"
-    );
-    out
+        assert_eq!(out.len(), POOL_LEN, "pool layout");
+        out
+    })
 }
 
-/// One plain descriptor each of `BALLAST` further creators, shown to the
-/// cache all at once: with that many slots visible a few expired ones
-/// stay under the sweep trigger, so the streams reach the state the
-/// verdicts must not depend on — slots expired but still stored.
+/// `BALLAST` further creators, each creating one plain descriptor at the
+/// current cycle, shown to the cache all at once: with that many slots
+/// visible a few expired ones stay under the sweep trigger, so the
+/// streams reach the state the verdicts must not depend on — slots
+/// expired but still stored.
 const BALLAST: u8 = 64;
 
-fn ballast() -> Vec<SecureDescriptor> {
-    (0..BALLAST)
-        .map(|tag| {
-            let creator = Keypair::from_seed(Scheme::KeyedHash, [tag; 32]);
-            SecureDescriptor::create(&creator, 0, Timestamp(0))
-        })
+fn ballast(cycle: u64) -> Vec<SecureDescriptor> {
+    static KEYS: OnceLock<Vec<Keypair>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        (0..BALLAST)
+            .map(|tag| Keypair::from_seed(Scheme::KeyedHash, [tag; 32]))
+            .collect()
+    });
+    keys.iter()
+        .map(|k| SecureDescriptor::create(k, 0, Timestamp(cycle * PERIOD)))
         .collect()
 }
 
@@ -233,12 +295,11 @@ enum Op {
 /// Decodes a generated `(selector, argument)` pair: four steps in nine
 /// are observations, two prunes (short and window-sized gaps).
 fn op((selector, arg): (u8, u64)) -> Op {
-    let pool_len = (CREATORS as usize * STAMPS.len() * VARIANTS) as u64;
     match selector {
-        0..=3 => Op::Observe((arg % pool_len) as usize),
-        4 => Op::Prune(arg % 4),
+        0..=3 => Op::Observe((arg % POOL_LEN as u64) as usize),
+        4 => Op::Prune(arg % 3),
         5 => Op::Prune(arg % (2 * RETENTION)),
-        6 => Op::Idle(arg % 3),
+        6 => Op::Idle(arg % 2),
         7 => Op::Purge((arg % CREATORS as u64) as u8),
         _ => Op::Ballast,
     }
@@ -254,40 +315,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn single_index_cache_matches_the_two_map_model(
+    fn single_index_cache_matches_the_window_model(
         raw in proptest::collection::vec((0u8..9, any::<u64>()), 1..120)
     ) {
         let ops: Vec<Op> = raw.into_iter().map(op).collect();
-        let (pool, ballast) = (pool(), ballast());
-        let mut ids: Vec<DescriptorId> = pool.iter().chain(&ballast).map(|d| d.id()).collect();
+        let pool = pool();
+        let mut ids: Vec<DescriptorId> = pool.iter().map(|d| d.id()).collect();
         ids.sort_unstable();
         ids.dedup();
-        let mut cache = SampleCache::new(RETENTION);
-        let mut model = ModelCache::default();
+        let mut cache = SampleCache::new(RETENTION, PERIOD);
+        let mut model = Model::new(Expiry::Creation);
         let mut cycle = 0u64;
         for (step, op) in ops.iter().enumerate() {
             let before = cache.footprint();
             let expired_before = before.stored_slots - before.visible_slots;
+            // An observation more than a cycle past the latest prune
+            // prunes first.
+            let catches_up = matches!(op, Op::Observe(_) | Op::Ballast) && model.clock + 1 < cycle;
+            let mut refused = false;
             match *op {
                 Op::Observe(i) => {
-                    let got = cache.observe(&pool[i], cycle, PERIOD);
+                    let got = cache.observe(&pool[i], cycle);
                     let want = model.observe(&pool[i], cycle);
+                    refused = got == Observation::Expired;
                     prop_assert_eq!(got, want, "step {} ({:?}) at cycle {}", step, op, cycle);
                 }
                 Op::Prune(dt) => {
-                    cycle += dt;
+                    cycle = (cycle + dt).min(LAST_CYCLE);
                     cache.prune(cycle);
                     model.prune(cycle);
                 }
-                Op::Idle(dt) => cycle += dt,
+                Op::Idle(dt) => cycle = (cycle + dt).min(LAST_CYCLE),
                 Op::Purge(c) => {
                     let creator = kp(c + 1).public();
                     cache.purge_creator(&creator);
                     model.purge_creator(&creator);
                 }
                 Op::Ballast => {
-                    for d in &ballast {
-                        let got = cache.observe(d, cycle, PERIOD);
+                    for d in &ballast(cycle) {
+                        let got = cache.observe(d, cycle);
                         prop_assert_eq!(got, model.observe(d, cycle), "step {}", step);
                     }
                 }
@@ -317,13 +383,20 @@ proptest! {
                     "step {}: {} expired slots left beside {} visible", step, expired,
                     held.visible_slots
                 ),
+                // The observation after the catch-up drops expired slots
+                // only, and evicts at most one visible slot.
+                _ if catches_up => prop_assert!(
+                    expired <= (held.visible_slots + 1) / 16,
+                    "step {}: {} expired slots left beside {} visible", step, expired,
+                    held.visible_slots
+                ),
                 _ => prop_assert!(
                     expired <= expired_before,
                     "step {}: slots expired outside prune ({} -> {})", step, expired_before,
                     expired
                 ),
             }
-            if let Op::Observe(i) = *op {
+            if let (Op::Observe(i), false) = (*op, refused) {
                 let by = |d: &&SecureDescriptor| d.creator() == pool[i].creator();
                 prop_assert_eq!(
                     cache.stored_descriptors().filter(by).count(),
@@ -341,21 +414,59 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn inside_the_window_the_cache_judges_as_the_last_sighting_model(
+        raw in proptest::collection::vec((0u8..9, any::<u64>()), 1..120)
+    ) {
+        let ops: Vec<Op> = raw.into_iter().map(op).collect();
+        let pool = pool();
+        let mut cache = SampleCache::new(RETENTION, PERIOD);
+        let mut model = Model::new(Expiry::LastSighting);
+        let mut cycle = 0u64;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                // Only arrivals younger than the window: created at most
+                // W − 1 cycles ago, and not after the clock.
+                Op::Observe(i) if (cycle.saturating_sub(RETENTION - 1)..=cycle)
+                    .contains(&created(&pool[i])) =>
+                {
+                    let got = cache.observe(&pool[i], cycle);
+                    let want = model.observe(&pool[i], cycle);
+                    prop_assert_eq!(got, want, "step {} ({:?}) at cycle {}", step, op, cycle);
+                }
+                Op::Observe(_) | Op::Ballast => {}
+                Op::Prune(dt) => {
+                    cycle = (cycle + dt).min(LAST_CYCLE);
+                    cache.prune(cycle);
+                    model.prune(cycle);
+                }
+                Op::Idle(dt) => cycle = (cycle + dt).min(LAST_CYCLE),
+                Op::Purge(c) => {
+                    let creator = kp(c + 1).public();
+                    cache.purge_creator(&creator);
+                    model.purge_creator(&creator);
+                }
+            }
+        }
+    }
 }
 
-/// The model test would be vacuous if the streams never reached the
-/// interesting verdicts; pin that a fixed stream reaches all six.
+/// The model tests would be vacuous if the streams never reached the
+/// interesting verdicts; pin that a fixed stream reaches all seven.
 #[test]
 fn pool_reaches_every_observation_class() {
     let pool = pool();
-    let mut cache = SampleCache::new(RETENTION);
-    let mut model = ModelCache::default();
+    let mut cache = SampleCache::new(RETENTION, PERIOD);
+    let mut model = Model::new(Expiry::Creation);
     // base, held, extended, held (known), ns vs extended, fork (cloning),
-    // forged link (forged), twin (Δt=0 frequency), forged genesis.
-    let stream = [0usize, 1, 2, 1, 4, 3, 6, 5, 7, VARIANTS];
+    // forged link (forged), twin (Δt=0 frequency), forged genesis, the
+    // second timestamp of the first creator, 400 ticks away (frequency),
+    // and the first creator's stamp of cycle 5, a window ahead of 0.
+    let stream = [0usize, 1, 2, 1, 4, 3, 6, 5, 7, VARIANTS, 5 * VARIANTS];
     let mut seen = Vec::new();
     for i in stream {
-        let got = cache.observe(&pool[i], 0, PERIOD);
+        let got = cache.observe(&pool[i], 0);
         assert_eq!(got, model.observe(&pool[i], 0));
         seen.push(got);
     }
@@ -376,10 +487,13 @@ fn pool_reaches_every_observation_class() {
         seen[7]
     );
     assert_eq!(seen[8], Observation::Forged);
-    // Second timestamp of the first creator, 400 ticks away: frequency.
     assert!(
         matches!(seen[9], Observation::Violation(_)),
         "{:?}",
         seen[9]
     );
+    assert_eq!(seen[10], Observation::Expired, "too young");
+    // And too old, once it is a window old.
+    cache.prune(RETENTION);
+    assert_eq!(cache.observe(&pool[0], RETENTION), Observation::Expired);
 }

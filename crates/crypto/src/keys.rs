@@ -54,6 +54,15 @@ impl Scheme {
             _ => None,
         }
     }
+
+    /// How many leading bytes of a [`Signature`] the scheme uses: the tag
+    /// and the signature proper. The rest is zero padding.
+    fn signature_len(self) -> usize {
+        match self {
+            Scheme::Schnorr61 => 17,
+            Scheme::KeyedHash => 33,
+        }
+    }
 }
 
 /// A node's public key. Doubles as the node's unique identifier ([`NodeId`]).
@@ -85,13 +94,14 @@ impl PublicKey {
     /// Verifies `sig` over `msg` under this key.
     ///
     /// Returns `false` for any mismatch: wrong key, tampered message,
-    /// malformed or cross-scheme signature.
+    /// malformed or cross-scheme signature, non-zero padding.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        match self.scheme() {
+        let scheme = self.scheme();
+        if !sig.is_encoded_for(scheme) {
+            return false;
+        }
+        match scheme {
             Scheme::Schnorr61 => {
-                if sig.0[0] != TAG_SCHNORR {
-                    return false;
-                }
                 let pk = u64::from_be_bytes(self.0[1..9].try_into().expect("slice len 8"));
                 let r = u64::from_be_bytes(sig.0[1..9].try_into().expect("slice len 8"));
                 let s = u64::from_be_bytes(sig.0[9..17].try_into().expect("slice len 8"));
@@ -100,9 +110,6 @@ impl PublicKey {
                 schnorr61::verify_fast(pk, msg, r, s)
             }
             Scheme::KeyedHash => {
-                if sig.0[0] != TAG_KEYED {
-                    return false;
-                }
                 let expect = sha256_concat(&[b"sc/keyed-sig", &self.0, msg]);
                 sig.0[1..33] == expect[..]
             }
@@ -146,7 +153,7 @@ pub fn verify_batch_by<'a>(
         for i in start..n.min(start + CHUNK) {
             let (pk, msg, sig) = check(i);
             match pk.scheme() {
-                Scheme::Schnorr61 if sig.0[0] == TAG_SCHNORR => {
+                Scheme::Schnorr61 if sig.is_encoded_for(Scheme::Schnorr61) => {
                     items[schnorr] = schnorr61::BatchItem {
                         pk: u64::from_be_bytes(pk.0[1..9].try_into().expect("slice len 8")),
                         msg,
@@ -197,6 +204,17 @@ impl Signature {
     /// Reconstructs a signature from raw bytes (no validation beyond size).
     pub fn from_bytes(bytes: [u8; SIGNATURE_LEN]) -> Self {
         Signature(bytes)
+    }
+
+    /// Whether the bytes are `scheme`'s one encoding of a signature: its
+    /// tag, the signature, then zeros. Verification reads only the first
+    /// two parts, while equality and every digest over a signature read
+    /// all 64 bytes — so a signature with its padding changed would be a
+    /// second valid signature by the same signer over the same message,
+    /// and a descriptor carrying it a fork its signer never made.
+    fn is_encoded_for(&self, scheme: Scheme) -> bool {
+        let (used, padding) = self.0.split_at(scheme.signature_len());
+        used[0] == scheme.tag() && padding.iter().all(|&b| b == 0)
     }
 }
 
@@ -394,6 +412,22 @@ mod tests {
         assert!(!format!("{:?}", kp.public()).is_empty());
         assert!(!format!("{:?}", kp.sign(b"x")).is_empty());
         assert!(!format!("{kp:?}").contains("seed"));
+    }
+
+    #[test]
+    fn a_nonzero_padding_byte_fails_both_verify_paths() {
+        for scheme in both_schemes() {
+            let kp = Keypair::from_seed(scheme, [3u8; 32]);
+            let sig = kp.sign(b"msg");
+            for i in scheme.signature_len()..SIGNATURE_LEN {
+                let mut bytes = *sig.as_bytes();
+                bytes[i] = 1;
+                let padded = Signature::from_bytes(bytes);
+                let pk = kp.public();
+                assert!(!pk.verify(b"msg", &padded), "{scheme:?} byte {i}");
+                assert_eq!(verify_batch(&[(&pk, b"msg", &padded)]), Err(0));
+            }
+        }
     }
 
     #[test]

@@ -153,7 +153,35 @@ impl OracleSuite {
         if !step.is_multiple_of(self.cfg.stride.max(1)) {
             return Ok(());
         }
+        self.check_age_cap(net)?;
         self.check_snapshot(&NetSnapshot::from_network(net), step)
+    }
+
+    /// Nothing honest is refused for its age: an honest node drops what
+    /// it owns before it leaves the sample window, so in a network of
+    /// honest nodes only a refusal means the window is shorter than the
+    /// run's descriptor lifetimes. With an adversary present it checks
+    /// nothing: an adversary may hold a descriptor back as long as it
+    /// likes.
+    fn check_age_cap(&self, net: &SecureNetwork) -> Result<(), Violation> {
+        let mut first_refusal = None;
+        for (addr, node) in net.engine.nodes() {
+            let Some(honest) = node.honest() else {
+                return Ok(());
+            };
+            let refused = honest.expired_refused();
+            if refused > 0 && first_refusal.is_none() {
+                first_refusal = Some((addr, refused));
+            }
+        }
+        match first_refusal {
+            None => Ok(()),
+            Some((addr, refused)) => Err(self.violation(
+                net.engine.cycle(),
+                "age-cap",
+                format!("node {addr} refused {refused} descriptors created outside the window"),
+            )),
+        }
     }
 
     /// Runs every enabled per-cycle oracle against a snapshot (simulated
@@ -572,6 +600,72 @@ mod tests {
         let v = mk().check_snapshot(&over_wire, 0).unwrap_err();
         assert_eq!(v.oracle, "byte-budget");
         assert!(v.to_string().contains("received"));
+    }
+
+    /// Runs a window of cycles of a network with `n_malicious` adversaries
+    /// under the default oracles, then shows its first honest node a grant
+    /// of a descriptor created in cycle 0, long out of the window: the
+    /// next check's verdict, and that node's address.
+    fn check_after_a_stale_grant(n_malicious: usize) -> (Result<(), Violation>, Addr) {
+        use sc_core::{Input, JoinGrantBody, Machine, SecureDescriptor, SecureMsg, Timestamp};
+        use sc_crypto::{Keypair, Scheme};
+        let mut params = small_params(10);
+        params.n_malicious = n_malicious;
+        let mut net = build_secure_network(params);
+        let cfg = OracleConfig::default();
+        let mut suite = OracleSuite::with_replay("age", 4, cfg, 6, "cmd".into());
+        let window = sc_core::node::SAMPLE_RETENTION_CYCLES;
+        for step in 0..window {
+            net.engine.run_cycle();
+            suite
+                .check_cycle(&net, step)
+                .expect("gossip refuses nothing for its age");
+        }
+        let addr = net
+            .engine
+            .nodes()
+            .find(|(_, n)| n.honest().is_some())
+            .map(|(addr, _)| addr)
+            .unwrap();
+        let node = net.engine.node_mut(addr).unwrap();
+        let me = node.honest().unwrap().id();
+        let sponsor = Keypair::from_seed(Scheme::KeyedHash, [77; 32]);
+        let stale = SecureDescriptor::create(&sponsor, 99, Timestamp(0))
+            .transfer(&sponsor, me)
+            .unwrap();
+        node.step(Input::Oneway {
+            from: 99,
+            msg: SecureMsg::JoinGrant(Box::new(JoinGrantBody {
+                descriptor: stale,
+                proofs: Vec::new(),
+            })),
+            cycle: window + 6,
+            now: (window + 6) * 1000,
+        });
+        assert_eq!(
+            net.engine
+                .node(addr)
+                .unwrap()
+                .honest()
+                .unwrap()
+                .expired_refused(),
+            1
+        );
+        (suite.check_cycle(&net, window), addr)
+    }
+
+    #[test]
+    fn age_cap_trips_on_a_descriptor_refused_for_its_age() {
+        let (verdict, addr) = check_after_a_stale_grant(0);
+        let v = verdict.unwrap_err();
+        assert_eq!(v.oracle, "age-cap");
+        assert!(v.to_string().contains(&format!("node {addr} refused 1")));
+    }
+
+    #[test]
+    fn age_cap_is_silent_beside_an_adversary() {
+        let (verdict, _) = check_after_a_stale_grant(1);
+        verdict.expect("an adversary may hold a descriptor back");
     }
 
     #[test]

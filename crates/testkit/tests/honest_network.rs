@@ -6,8 +6,8 @@
 use sc_attacks::SecureAttack;
 use sc_core::checks::SLACK_SLOTS;
 use sc_core::node::{REDEMPTION_CACHE_MAX_ENTRIES, SAMPLE_RETENTION_CYCLES};
-use sc_core::{SecureConfig, Timestamp};
-use sc_crypto::NodeId;
+use sc_core::{DescriptorId, SecureConfig, Timestamp};
+use sc_crypto::{FxHashSet, NodeId};
 use sc_sim::NetworkModel;
 use sc_testkit::{build_secure_network, SecureNetParams, SecureNetwork};
 use std::collections::{HashMap, HashSet};
@@ -221,11 +221,13 @@ fn paper_network(n: usize) -> SecureNetwork {
 }
 
 /// Holds every cache of `node` to a bound that follows from the
-/// configuration alone: what it shows, and what it occupies.
-fn assert_within_caps(node: &sc_core::SecureCyclonNode, cycle: usize) {
+/// configuration alone: what it shows, and what it occupies. `last_turn`
+/// is the cycle of the node's latest turn.
+fn assert_within_caps(node: &sc_core::SecureCyclonNode, cycle: usize, last_turn: u64) {
     let cfg = SecureConfig::default();
-    // A sample stays visible for the retention window plus the current
-    // cycle. In that time a node takes part in about two exchanges a
+    // A sample stays visible until the window and its cycle of grace
+    // have passed since its creation, so it was first seen in the last
+    // W + 1 cycles. In that time a node takes part in about two exchanges a
     // cycle — its own and, on average, one it answers — and an exchange
     // shows it at most a view of samples, a redemption cache, the
     // certificate, the fresh descriptor and s transfers.
@@ -254,6 +256,23 @@ fn assert_within_caps(node: &sc_core::SecureCyclonNode, cycle: usize) {
         stored <= visible + visible / 16,
         "cycle {cycle}: {stored} slots stored for {visible} visible"
     );
+    // And what it shows is what arrived inside the window, counted from
+    // creation: one slot an id created in the last W + 1 cycles (the
+    // window and its cycle of grace), none for an older one however
+    // recently it was seen. Every such id is among what the node stores,
+    // so together with the bound above, slots stored are bounded by the
+    // arrivals inside the creation window.
+    let floor = last_turn.saturating_sub(SAMPLE_RETENTION_CYCLES) * cfg.ticks_per_cycle;
+    let inside: FxHashSet<DescriptorId> = node
+        .stored_descriptors()
+        .filter(|d| d.created_at().ticks() >= floor)
+        .map(|d| d.id())
+        .collect();
+    assert!(
+        visible <= inside.len(),
+        "cycle {cycle}: {visible} samples shown, {} ids created inside the window",
+        inside.len()
+    );
     assert!(
         held.samples.slot_capacity - stored <= SLACK_SLOTS * held.samples.creators,
         "cycle {cycle}: capacity {} for {stored} slots of {} creators",
@@ -271,13 +290,15 @@ fn assert_within_caps(node: &sc_core::SecureCyclonNode, cycle: usize) {
 fn per_node_caches_stay_within_their_caps() {
     // The first slice of a memory-bound oracle: on the paper's
     // configuration every per-node cache stays inside its bound, at every
-    // cycle. The window fills by cycle 60; from there every cycle expires
-    // samples, drops slots and replaces cached versions by longer ones.
+    // cycle. From cycle 62 on, when the bootstrap's first descriptors
+    // leave the window, every cycle expires samples, drops slots and
+    // replaces cached versions by longer ones.
     let mut net = paper_network(60);
     for cycle in 0..150 {
         net.engine.run_cycle();
+        let last_turn = net.engine.cycle() - 1;
         for node in honest(&net) {
-            assert_within_caps(node, cycle);
+            assert_within_caps(node, cycle, last_turn);
         }
         // What all of it costs to store. A chain is made of fixed-size
         // blocks, one per link plus the genesis (`descriptor.rs` pins the
@@ -316,12 +337,14 @@ fn what_a_cache_occupies_follows_what_it_shows() {
     // cycle or two, and an insert has always dropped its creator's
     // expired slots; with 300 they wait for the touch and the sweep, and
     // a vector that once held a burst is cut back by the shrink rule or
-    // not at all. Long enough for forty cycles of expiry.
+    // not at all. Long enough for almost sixty cycles of expiry (the
+    // run's engine cycles are 20..120).
     let mut net = paper_network(300);
     for cycle in 0..100 {
         net.engine.run_cycle();
+        let last_turn = net.engine.cycle() - 1;
         for node in honest(&net) {
-            assert_within_caps(node, cycle);
+            assert_within_caps(node, cycle, last_turn);
         }
     }
 }

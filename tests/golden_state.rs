@@ -14,6 +14,12 @@
 //!
 //! A change that *intends* to alter behaviour re-records the table: on a
 //! mismatch the test prints every row of its seed in source form.
+//!
+//! The quick matrix ends before any sample is 60 cycles old, so no row
+//! above sees a sample expire. [`GOLDEN_FULL`] runs the full sizing (80
+//! cycles), whose runs cross that window, and hashes the protocol state
+//! alone — views, blacklists and counters, not cache sizes — so a change
+//! to *when* a cached sample expires moves it only if a verdict moves.
 
 use securecyclon::crypto::hex::to_hex;
 use securecyclon::crypto::Sha256;
@@ -72,7 +78,27 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("lossy-churn-hub", 3, "505483339df4bd7ddb42971d5fb21a484291e39b0e45e284239ce4f25eb1e9a9"),
 ];
 
-fn end_state_hash(net: &SecureNetwork) -> String {
+/// `(scenario, seed, sha256 of the protocol state)` at full sizing, seed
+/// 1: [`GOLDEN`]'s hash without the two cache sizes.
+#[rustfmt::skip]
+const GOLDEN_FULL: &[(&str, u64, &str)] = &[
+    ("honest-reliable", 1, "40ec28f25694f2d2d2c48363fcd60f3643a7dbbe50a8099e0621f520d32aebc4"),
+    ("honest-lossy-10", 1, "333a28153d9bc02994bdaddd8202d767e10824affdf4dfd7df3ded008502b915"),
+    ("honest-asymmetric-loss", 1, "5753e2701763e46409f763a7c3ad7f14fb13935618294142d5b505899c40380f"),
+    ("honest-partition-heal", 1, "ac93ec54903dbd43774bb4eb93973203c4cb3346e6351d9532eadb89b404aa64"),
+    ("honest-island-rejoin", 1, "672739d9a8938f76dff2b24eb5932372d56c79a626d42b22bd2eaa981803d547"),
+    ("honest-crash-restart", 1, "f47cd9320f02d78c524be1f5024232e364bbc6bdb7bd52134bdfd8e1d9ed3a65"),
+    ("honest-churn", 1, "e43fab7ccb89fc6c955548da3bdf909e85e6076b2b1f800b0bc46f6969176d5d"),
+    ("honest-mass-failure", 1, "ac2f2a4c2a66dbebddfb75d30a3c93f9427c662dd9e7f1730031603e01d0b4a0"),
+    ("hub-attack", 1, "93b9686bf27f2286ebf18f00941401ef7a33381b00cc3d69ebc8b432f4136e84"),
+    ("cloning-attack", 1, "efec498e1477c6448dcbd2022bb48ef1d40098e1b0a891b5fe46defb2d653161"),
+    ("frequency-attack", 1, "2263a35cf71ecc37f3c73512a5b595d3f677886efa8c6f5a40d6ca911aba36ff"),
+    ("depletion-attack", 1, "d3ac0c4be1596c6a8f1d7bc15fb51d7bc97f4423d7ab29713538eae2cae1fd34"),
+    ("partition-cloning", 1, "fc461f86a2bd78a343b14bce4aa4bd0a869f7a81fdd052de7c940adb52587042"),
+    ("lossy-churn-hub", 1, "ddeb0ccea1817b001070039f3219bd5a6ca50df7cefb2e360c7d53881ffcf35b"),
+];
+
+fn end_state_hash(net: &SecureNetwork, with_cache_sizes: bool) -> String {
     let mut h = Sha256::new();
     for (addr, node) in net.engine.nodes() {
         let Some(n) = node.honest() else { continue };
@@ -89,21 +115,27 @@ fn end_state_hash(net: &SecureNetwork) -> String {
             h.update(c.as_bytes());
         }
         h.update(format!("{:?}", n.stats()).as_bytes());
-        h.update(&(n.sample_count() as u64).to_be_bytes());
-        h.update(&(n.redemption_count() as u64).to_be_bytes());
+        if with_cache_sizes {
+            h.update(&(n.sample_count() as u64).to_be_bytes());
+            h.update(&(n.redemption_count() as u64).to_be_bytes());
+        }
     }
     to_hex(&h.finalize())
 }
 
 fn check_seed(seed: u64) {
+    check(MatrixSize::quick(), seed, GOLDEN, true);
+}
+
+fn check(size: MatrixSize, seed: u64, golden: &[(&str, u64, &str)], with_cache_sizes: bool) {
     assert!(MATRIX_SEEDS.contains(&seed));
     let mut rows = Vec::new();
     let mut mismatches = Vec::new();
-    for scenario in standard_matrix(MatrixSize::quick()) {
+    for scenario in standard_matrix(size) {
         let (_, net) = run_scenario_with_net(&scenario, seed)
             .unwrap_or_else(|v| panic!("oracle violation: {v}"));
-        let got = end_state_hash(&net);
-        let want = GOLDEN
+        let got = end_state_hash(&net, with_cache_sizes);
+        let want = golden
             .iter()
             .find(|(name, s, _)| *name == scenario.name && *s == seed)
             .map(|(_, _, hash)| *hash);
@@ -136,4 +168,9 @@ fn golden_end_state_seed_2() {
 #[test]
 fn golden_end_state_seed_3() {
     check_seed(3);
+}
+
+#[test]
+fn golden_full_size_protocol_state_seed_1() {
+    check(MatrixSize::full(), 1, GOLDEN_FULL, false);
 }

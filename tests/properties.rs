@@ -118,7 +118,7 @@ proptest! {
         // Several independent descriptors (distinct creators or distinct
         // timestamps a full period apart), all snapshots observed in a
         // scrambled order: a correct node must never "discover" anything.
-        let mut cache = SampleCache::new(1000);
+        let mut cache = SampleCache::new(1000, PERIOD);
         let mut all = Vec::new();
         for (k, (creator, path)) in paths.iter().enumerate() {
             let ts = 5000 + (k as u64) * PERIOD; // frequency-legal spacing
@@ -128,7 +128,7 @@ proptest! {
         let mut idx: Vec<usize> = (0..all.len()).collect();
         idx.sort_by_key(|&i| (i as u64).wrapping_mul(order_seed | 1) % 7919);
         for i in idx {
-            let obs = cache.observe(&all[i], 0, PERIOD);
+            let obs = cache.observe(&all[i], 0);
             prop_assert!(
                 !matches!(obs, Observation::Violation(_)),
                 "false accusation on honest history"
@@ -160,9 +160,9 @@ proptest! {
             b_ext = b_ext.transfer(&cur_owner, next.public()).unwrap();
             cur_owner = next;
         }
-        let mut cache = SampleCache::new(1000);
-        assert_eq!(cache.observe(&a, 0, PERIOD), Observation::New);
-        match cache.observe(&b_ext, 0, PERIOD) {
+        let mut cache = SampleCache::new(1000, PERIOD);
+        assert_eq!(cache.observe(&a, 0), Observation::New);
+        match cache.observe(&b_ext, 0) {
             Observation::Violation(p) => {
                 prop_assert_eq!(p.culprit(), base.owner());
             }
@@ -178,9 +178,9 @@ proptest! {
         let creator = kp(0);
         let d1 = SecureDescriptor::create(&creator, 0, Timestamp(t1));
         let d2 = SecureDescriptor::create(&creator, 0, Timestamp(t1 + dt));
-        let mut cache = SampleCache::new(1000);
-        cache.observe(&d1, 0, PERIOD);
-        let obs = cache.observe(&d2, 0, PERIOD);
+        let mut cache = SampleCache::new(1000, PERIOD);
+        cache.observe(&d1, 0);
+        let obs = cache.observe(&d2, 0);
         if dt == 0 {
             // Same timestamp + same address ⇒ the very same descriptor.
             prop_assert_eq!(obs, Observation::AlreadyKnown);
