@@ -148,6 +148,7 @@ impl SecureCyclonNode {
         };
         let partner_id = entry.desc.creator();
         let partner_addr = entry.desc.addr();
+        self.remember_partner(partner_id, partner_addr);
         let kind = if entry.non_swappable {
             LinkKind::RedeemNonSwappable
         } else {
@@ -392,11 +393,23 @@ impl SecureCyclonNode {
         }
     }
 
+    /// Moves `id` to the newest end of the partner memory, evicting the
+    /// oldest partner when it is full.
+    fn remember_partner(&mut self, id: NodeId, addr: Addr) {
+        self.recent_partners.retain(|&(known, _)| known != id);
+        if self.recent_partners.len() == super::RECENT_PARTNERS_LEN {
+            self.recent_partners.pop_front();
+        }
+        self.recent_partners.push_back((id, addr));
+    }
+
     /// §V-A re-sponsorship initiated by the starved node itself: a node
     /// that *was* connected but whose view, reserve, and back-fill pools
     /// have all drained (e.g. a partition outlasted every descriptor)
     /// pings a few recently sampled creator addresses asking to be
-    /// sponsored back in. Receivers answer with a [`SecureMsg::JoinGrant`].
+    /// sponsored back in — or, once every sample has expired (a cut at
+    /// least a window long), its latest exchange partners. Receivers
+    /// answer with a [`SecureMsg::JoinGrant`].
     fn maybe_rejoin_ping(&mut self, cycle: u64, sends: &mut Vec<(Addr, SecureMsg)>) {
         if !self.was_connected || !self.starved() {
             return;
@@ -417,6 +430,14 @@ impl SecureCyclonNode {
             .map(|d| d.addr())
             .filter(|a| *a != self.addr)
             .collect();
+        if candidates.is_empty() {
+            candidates.extend(
+                self.recent_partners
+                    .iter()
+                    .filter(|(id, _)| !self.blacklist.contains(id))
+                    .map(|&(_, addr)| addr),
+            );
+        }
         candidates.sort_unstable();
         candidates.dedup();
         if candidates.is_empty() {

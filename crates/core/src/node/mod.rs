@@ -79,6 +79,10 @@ pub const SAMPLE_RETENTION_CYCLES: u64 = 60;
 /// remembers as candidates for non-swappable repair (§V-A).
 const TRANSFER_HISTORY_LEN: usize = 8;
 
+/// How many of its latest exchange partners a node remembers as rejoin
+/// sponsors of last resort.
+const RECENT_PARTNERS_LEN: usize = 8;
+
 /// Per-node protocol counters, exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SecureStats {
@@ -242,6 +246,11 @@ pub struct SecureCyclonNode {
     was_connected: bool,
     /// Cycle of the last rejoin ping volley (retry throttle).
     last_rejoin_ping: Option<u64>,
+    /// The latest distinct partners this node initiated exchanges with,
+    /// oldest first. Unlike the samples and the redemption cache it does
+    /// not expire with the window, so a node cut off for longer than that
+    /// still knows whom to ask to be sponsored back in.
+    recent_partners: VecDeque<(NodeId, Addr)>,
     /// Cycle of the last sponsorship granted to a starved peer's ping —
     /// grants are throttled so ping floods cannot starve this node's own
     /// exchange budget.
@@ -315,6 +324,7 @@ impl SecureCyclonNode {
             backend: None,
             was_connected: false,
             last_rejoin_ping: None,
+            recent_partners: VecDeque::with_capacity(RECENT_PARTNERS_LEN),
             last_join_grant: None,
             outbox: Vec::new(),
             rng: SmallRng::from_seed(rng_seed),

@@ -460,6 +460,61 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
 }
 
 #[test]
+fn a_node_cut_off_past_the_window_still_pings_for_rejoin() {
+    // A partition longer than the sample window expires every sample and
+    // every redeemed copy the node holds: the addresses §V-A's rejoin ping
+    // draws its sponsors from. The node must still ask someone — its
+    // latest exchange partners — or it stays out after the heal.
+    let kps = keypairs(3);
+    let (me, a, b) = (&kps[0], &kps[1], &kps[2]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 10, cfg, [1u8; 32], 0);
+    for (kp, addr) in [(a, 11), (b, 12)] {
+        let d = SecureDescriptor::create(kp, addr, Timestamp(addr as u64))
+            .transfer(kp, me.public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    let horizon = 3 * SAMPLE_RETENTION_CYCLES;
+    let mut pings = Vec::new();
+    for cycle in 1..=horizon {
+        // Nobody answers: every exchange times out.
+        let mut fx = node.step(Input::Tick {
+            cycle,
+            now: cycle * tpc,
+        });
+        if fx.rpc.is_some() {
+            fx = node.step(Input::Timeout);
+        }
+        for (to, msg) in fx.sends {
+            if matches!(msg, SecureMsg::JoinPing(_)) {
+                pings.push((cycle, to));
+            }
+        }
+    }
+    assert_eq!(node.sample_count(), 0, "every sample has expired");
+    assert_eq!(
+        node.redemption_count(),
+        0,
+        "every redeemed copy has expired"
+    );
+    assert!(
+        pings.iter().all(|&(_, to)| to == 11 || to == 12),
+        "{pings:?}"
+    );
+    let late = pings
+        .iter()
+        .filter(|&&(cycle, _)| cycle > horizon - SAMPLE_RETENTION_CYCLES)
+        .count();
+    assert!(
+        late > 0,
+        "no rejoin ping in the last window; the last left at cycle {:?}",
+        pings.last().map(|&(cycle, _)| cycle)
+    );
+}
+
+#[test]
 fn a_join_ping_is_granted_every_proof_however_old() {
     // §IV-C: a joiner learns the culprits already proven. The grant used
     // to carry only the proofs of the last `proof_piggyback_cycles` — a

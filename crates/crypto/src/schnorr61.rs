@@ -14,6 +14,12 @@
 //!
 //! Exponent arithmetic is performed modulo `p - 1`; since the order of the
 //! generator divides `p - 1`, the verification identity holds exactly.
+//!
+//! Every exponentiation chain multiplies *lazily* (`mul_lazy`): a product
+//! is folded once, to a value congruent mod `p` and below 2^63, and the
+//! chain's result is brought into `[0, p)` once, before it is compared or
+//! encoded. Scalars mod `p − 1` fold `2^61 ≡ 2` (`reduce_pm1`) instead of
+//! dividing.
 
 use crate::sha256::sha256_concat;
 
@@ -24,22 +30,49 @@ pub const P_MINUS_1: u64 = P - 1;
 /// Generator of a large subgroup of `Z_p^*`.
 pub const G: u64 = 3;
 
-/// Modular multiplication in `Z_p`.
-///
-/// Uses the Mersenne structure of `p`: with `t = a·b` split at bits 61 and
-/// 122, `2^61 ≡ 1 (mod p)` makes `t ≡ lo + mid + hi`, so the product
-/// reduces with two folds and one conditional subtraction — no 128-bit
-/// division. Equal to `(a·b) mod p` for **all** `u64` inputs (tested
-/// against the wide-division reference below).
+/// Modular multiplication in `Z_p`: `mul_lazy`, then `canonical`.
+/// Equal to `(a·b) mod p` for **all** `u64` inputs (tested against the
+/// wide-division reference below).
 #[inline]
 pub const fn mulmod(a: u64, b: u64) -> u64 {
+    canonical(mul_lazy(a, b))
+}
+
+/// A value `≡ a·b (mod p)` below `2^62 + 2^6`, for **any** `u64` inputs —
+/// so lazy products chain without ever being reduced.
+///
+/// Uses the Mersenne structure of `p`: with `t = a·b` split at bits 61 and
+/// 122, `2^61 ≡ 1 (mod p)` makes `t ≡ lo + mid + hi` with `lo, mid < 2^61`
+/// and `hi < 2^6`. One fold, no 128-bit division, and no second fold or
+/// conditional subtraction on the chain's critical path.
+#[inline(always)]
+const fn mul_lazy(a: u64, b: u64) -> u64 {
     let t = a as u128 * b as u128;
-    // lo + mid ≤ 2·(2^61 − 1), hi < 2^6 ⇒ sum < 2^63: no overflow.
-    let sum = ((t as u64) & P) + (((t >> 61) as u64) & P) + ((t >> 122) as u64);
-    // Second fold leaves a value < 2^61 + 3 < 2p; one subtraction suffices.
-    let s = (sum & P) + (sum >> 61);
+    ((t as u64) & P) + (((t >> 61) as u64) & P) + ((t >> 122) as u64)
+}
+
+/// The representative in `[0, p)` of any `u64`: a second fold leaves a
+/// value below `2^61 + 8 < 2p`, so one subtraction suffices.
+#[inline(always)]
+const fn canonical(x: u64) -> u64 {
+    let s = (x & P) + (x >> 61);
     if s >= P {
         s - P
+    } else {
+        s
+    }
+}
+
+/// `t mod (p − 1)` for any `u128`, without the software division
+/// intrinsic (`__umodti3`): `2^61 ≡ 2 (mod p − 1)`, so with `t` split at
+/// bits 61 and 122, `t ≡ lo + 2·mid + 4·hi < 2^63`; a second fold leaves a
+/// value below `2^61 + 6 < 2(p − 1)`, and one subtraction finishes.
+#[inline]
+const fn reduce_pm1(t: u128) -> u64 {
+    let x = ((t as u64) & P) + 2 * (((t >> 61) as u64) & P) + 4 * ((t >> 122) as u64);
+    let s = (x & P) + 2 * (x >> 61);
+    if s >= P_MINUS_1 {
+        s - P_MINUS_1
     } else {
         s
     }
@@ -83,12 +116,12 @@ pub fn g_powmod(exp: u64) -> u64 {
     while e > 0 {
         let d = (e & 0xf) as usize;
         if d != 0 {
-            acc = mulmod(acc, G_TABLE[w][d]);
+            acc = mul_lazy(acc, G_TABLE[w][d]);
         }
         e >>= WINDOW_BITS;
         w += 1;
     }
-    acc
+    canonical(acc)
 }
 
 /// Shamir's trick: simultaneous double exponentiation `a^x · b^y (mod p)`.
@@ -99,40 +132,27 @@ pub fn g_powmod(exp: u64) -> u64 {
 /// exponent is set (by `a`, `b`, or the precomputed `a·b`). Roughly 1.7×
 /// cheaper than two independent square-and-multiply exponentiations.
 pub fn shamir_powmod(a: u64, x: u64, b: u64, y: u64) -> u64 {
-    let a = a % P;
-    let b = b % P;
-    let ab = mulmod(a, b);
+    let ab = mul_lazy(a, b);
     let bits = u64::BITS - (x | y).leading_zeros();
     let mut acc = 1u64;
     for i in (0..bits).rev() {
-        acc = mulmod(acc, acc);
+        acc = mul_lazy(acc, acc);
         match ((x >> i) & 1, (y >> i) & 1) {
-            (1, 1) => acc = mulmod(acc, ab),
-            (1, 0) => acc = mulmod(acc, a),
-            (0, 1) => acc = mulmod(acc, b),
+            (1, 1) => acc = mul_lazy(acc, ab),
+            (1, 0) => acc = mul_lazy(acc, a),
+            (0, 1) => acc = mul_lazy(acc, b),
             _ => {}
         }
     }
-    acc
+    canonical(acc)
 }
 
-/// Reduces a 16-byte big-endian value modulo `m` (used to derive nonces and
-/// challenges from hash output with negligible bias).
-fn reduce16(bytes: &[u8], m: u64) -> u64 {
+/// The first 16 bytes of `bytes` as a big-endian integer (nonces and
+/// challenges are drawn from hash output this way, with negligible bias).
+fn wide16(bytes: &[u8]) -> u128 {
     let mut wide = [0u8; 16];
     wide.copy_from_slice(&bytes[..16]);
-    (u128::from_be_bytes(wide) % m as u128) as u64
-}
-
-/// [`reduce16`] specialised to the compile-time constant `p − 1`, so the
-/// 128-bit remainder lowers to multiply-high code instead of a call to the
-/// software division intrinsic (`__umodti3`) — this runs once per challenge
-/// on every verify.
-#[inline]
-fn reduce16_pm1(bytes: &[u8]) -> u64 {
-    let mut wide = [0u8; 16];
-    wide.copy_from_slice(&bytes[..16]);
-    (u128::from_be_bytes(wide) % P_MINUS_1 as u128) as u64
+    u128::from_be_bytes(wide)
 }
 
 /// A Schnorr secret exponent together with its public element.
@@ -155,7 +175,7 @@ impl SchnorrKey {
     /// Derives a keypair deterministically from a 32-byte seed.
     pub fn from_seed(seed: &[u8; 32]) -> Self {
         let h = sha256_concat(&[b"sc/schnorr-keygen", seed]);
-        let x = 1 + reduce16(&h, P_MINUS_1 - 1);
+        let x = 1 + (wide16(&h) % (P_MINUS_1 - 1) as u128) as u64;
         SchnorrKey { x, pk: g_powmod(x) }
     }
 
@@ -166,15 +186,11 @@ impl SchnorrKey {
     /// repeated signatures of the same message are identical.
     pub fn sign(&self, seed: &[u8; 32], msg: &[u8]) -> (u64, u64) {
         let nh = sha256_concat(&[b"sc/schnorr-nonce", seed, msg]);
-        let mut k = reduce16_pm1(&nh);
-        if k == 0 {
-            k = 1;
-        }
+        let k = reduce_pm1(wide16(&nh)).max(1);
         let r = g_powmod(k);
         let e = challenge(r, self.pk, msg);
         // s = k + e·x (mod p-1)
-        let ex = (e as u128 * self.x as u128) % P_MINUS_1 as u128;
-        let s = ((k as u128 + ex) % P_MINUS_1 as u128) as u64;
+        let s = reduce_pm1(k as u128 + e as u128 * self.x as u128);
         (r, s)
     }
 }
@@ -187,17 +203,21 @@ impl SchnorrKey {
 /// cost on every sign and verify.
 fn challenge(r: u64, pk: u64, msg: &[u8]) -> u64 {
     let h = sha256_concat(&[b"sc/chal", &r.to_be_bytes(), &pk.to_be_bytes(), msg]);
-    reduce16_pm1(&h)
+    reduce_pm1(wide16(&h))
 }
 
 /// Reference implementations, compiled for this module's tests only.
 ///
 /// The protocol layers call [`verify_fast`] / [`batch_verify`] exclusively;
-/// this module preserves the textbook forms so the equivalence tests can
-/// pin the optimized paths against them.
+/// this module preserves the textbook forms — square-and-multiply, every
+/// product fully reduced by [`mulmod`] — and the earlier forms of the batch
+/// kernels (the divisibility-walk unit search, the eight-lane check with
+/// `u128 %` scalars and streaming hashes), so the equivalence tests can pin
+/// the optimized paths against them.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::sha256::Sha256;
 
     /// Modular exponentiation `base^exp (mod p)` by square-and-multiply.
     pub fn powmod(mut base: u64, mut exp: u64) -> u64 {
@@ -224,6 +244,114 @@ mod reference {
         let e = challenge(r, pk, msg);
         powmod(G, s) == mulmod(r, powmod(pk, e))
     }
+
+    /// The pair table with every entry reduced.
+    pub fn pair_table(r: u64, pk: u64) -> [u64; 16] {
+        let mut t = [1u64; 16];
+        t[1] = r;
+        t[2] = mulmod(r, r);
+        t[3] = mulmod(t[2], r);
+        t[4] = pk;
+        t[8] = mulmod(pk, pk);
+        t[12] = mulmod(t[8], pk);
+        for b in [4usize, 8, 12] {
+            t[b + 1] = mulmod(t[b], r);
+            t[b + 2] = mulmod(t[b], t[2]);
+            t[b + 3] = mulmod(t[b], t[3]);
+        }
+        t
+    }
+
+    /// The unit walk that divides again at every step.
+    pub fn coprime_pm1(mut z: u64) -> u64 {
+        z |= 1;
+        const fn is_odd_unit(z: u64) -> bool {
+            !z.is_multiple_of(3)
+                && !z.is_multiple_of(5)
+                && !z.is_multiple_of(7)
+                && !z.is_multiple_of(11)
+                && !z.is_multiple_of(13)
+                && !z.is_multiple_of(31)
+                && !z.is_multiple_of(41)
+                && !z.is_multiple_of(61)
+                && !z.is_multiple_of(151)
+                && !z.is_multiple_of(331)
+                && !z.is_multiple_of(1321)
+        }
+        while !is_odd_unit(z) {
+            z += 2;
+            if z >= P_MINUS_1 {
+                z = 1;
+            }
+        }
+        z
+    }
+
+    /// The two sides of the combined check, `(Σ z_i·s_i mod (p−1), rhs)`,
+    /// as the eight-lane form computed them: 64-entry stack arrays, a
+    /// streaming commit hash, `u128 %` scalars, and eight accumulators that
+    /// each walk the whole squaring chain.
+    pub fn batch_sides(items: &[BatchItem<'_>], challenges: &[u64]) -> (u64, u64) {
+        const TAG: &[u8] = b"sc/batch-blind";
+        let n = items.len();
+        let mut commit = Sha256::new();
+        commit.update(TAG);
+        for (it, &e) in items.iter().zip(challenges) {
+            commit.update(&it.s.to_be_bytes()).update(&e.to_be_bytes());
+        }
+        let digest = commit.finalize();
+        let mut z = [1u64; BATCH_CHUNK];
+        for (block, quad) in z[1..n].chunks_mut(4).enumerate() {
+            let mut h = Sha256::new();
+            h.update(b"sc/bb/z")
+                .update(&digest)
+                .update(&(block as u64).to_be_bytes());
+            for (zi, chunk) in quad.iter_mut().zip(h.finalize().chunks_exact(8)) {
+                let w = u64::from_be_bytes(chunk.try_into().expect("chunk len 8"));
+                *zi = coprime_pm1(1 + w % (P_MINUS_1 - 1));
+            }
+        }
+        let mut s_sum: u64 = 0;
+        let mut tables = [[0u64; 16]; BATCH_CHUNK];
+        let mut exps = [(0u64, 0u64); BATCH_CHUNK];
+        for (i, ((it, &e), &zi)) in items.iter().zip(challenges).zip(&z).enumerate() {
+            s_sum = ((s_sum as u128 + zi as u128 * it.s as u128) % P_MINUS_1 as u128) as u64;
+            let y = ((zi as u128 * e as u128) % P_MINUS_1 as u128) as u64;
+            tables[i] = pair_table(it.r, it.pk);
+            exps[i] = (zi, y);
+        }
+        let (tables, exps) = (&tables[..n], &exps[..n]);
+        let mut accs = [1u64; 8];
+        for w in (0..31u32).rev() {
+            for a in accs.iter_mut() {
+                let sq = mulmod(*a, *a);
+                *a = mulmod(sq, sq);
+            }
+            let shift = 2 * w;
+            for (i, (&(x, y), table)) in exps.iter().zip(tables).enumerate() {
+                let d = (((x >> shift) & 3) | (((y >> shift) & 3) << 2)) as usize;
+                let lane = &mut accs[i & 7];
+                *lane = mulmod(*lane, table[d]);
+            }
+        }
+        (s_sum, accs.iter().fold(1u64, |p, &a| mulmod(p, a)))
+    }
+
+    /// The combined check over [`batch_sides`], as `batch_holds` was.
+    pub fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
+        if items.len() == 1 {
+            let it = &items[0];
+            return verify(it.pk, it.msg, it.r, it.s);
+        }
+        if items
+            .iter()
+            .any(|it| it.r == 0 || it.r >= P || it.s >= P_MINUS_1 || it.pk == 0 || it.pk >= P)
+        {
+            return false;
+        }
+        let (s_sum, rhs) = batch_sides(items, challenges);
+        powmod(G, s_sum) == rhs
+    }
 }
 
 /// Fast verification path: same predicate as the textbook
@@ -248,7 +376,8 @@ pub fn verify_fast(pk: u64, msg: &[u8], r: u64, s: u64) -> bool {
     shamir_powmod(G, s, pk, P_MINUS_1 - e) == r
 }
 
-/// Most items one combined check takes (the size of its stack arrays).
+/// Most items one combined check takes (the size of its largest stack
+/// arrays).
 pub const BATCH_CHUNK: usize = 64;
 
 /// One signature in a [`batch_verify`] call.
@@ -276,9 +405,9 @@ pub struct BatchItem<'a> {
 /// ```
 ///
 /// whose right-hand side is evaluated as one interleaved multi-
-/// exponentiation: every item shares the same 61 squarings, so the
-/// per-signature cost collapses to the multiplications for its own set
-/// bits (~46) plus `1/n`-th of the shared work — compared with ~61
+/// exponentiation over two-bit windows: the batch shares one chain of 62
+/// squarings, so an item costs the 12 products of its window table and one
+/// product per window (31), plus `1/n`-th of the chain — compared with ~61
 /// squarings *and* ~46 multiplications for an independent [`verify_fast`].
 ///
 /// The blinding scalars are **deterministic but unpredictable to a forger**:
@@ -306,21 +435,20 @@ pub struct BatchItem<'a> {
 /// is never blamed and a forged one is never admitted. A batch of one
 /// degenerates to plain [`verify_fast`].
 ///
-/// Allocation-free: the combined check works in stack arrays of
-/// [`BATCH_CHUNK`] entries; a longer batch is verified chunk by chunk, in
-/// order (same first invalid index; the shared squarings are amortized to
-/// noise at 64 items anyway).
+/// Allocation-free: the combined check works in stack arrays sized to the
+/// batch's power-of-two class (4 up to [`BATCH_CHUNK`] entries); a longer
+/// batch is verified chunk by chunk, in order (same first invalid index;
+/// the shared squarings are amortized to noise at 64 items anyway).
 pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), usize> {
     if items.len() > BATCH_CHUNK {
         let (head, tail) = items.split_at(BATCH_CHUNK);
         batch_verify(head)?;
         return batch_verify(tail).map_err(|i| BATCH_CHUNK + i);
     }
-    // Below ~4 items the combined check's fixed costs (blinding commit,
-    // scalar expansion, final fixed-base exponentiation) outweigh the
-    // shared-squaring savings; a sequential scan is both faster and
-    // trivially exact.
-    if items.len() < 4 {
+    // From two items on, the combined check's fixed costs (blinding
+    // commit, scalar expansion, final fixed-base exponentiation) cost less
+    // than the squaring chain it shares.
+    if items.len() < 2 {
         return items
             .iter()
             .position(|it| !verify_fast(it.pk, it.msg, it.r, it.s))
@@ -387,25 +515,40 @@ fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
     {
         return false;
     }
+    let (s_sum, rhs) = batch_sides(items, challenges);
+    g_powmod(s_sum) == rhs
+}
 
+/// The two sides of the combined check for `n ≥ 2` items:
+/// `(Σ z_i·s_i mod (p − 1), Π r_i^{z_i} · pk_i^{z_i·e_i} mod p)`, worked
+/// out in stack arrays of the batch's power-of-two class.
+fn batch_sides(items: &[BatchItem<'_>], challenges: &[u64]) -> (u64, u64) {
+    match items.len() {
+        0..=4 => batch_sides_in::<4>(items, challenges),
+        5..=8 => batch_sides_in::<8>(items, challenges),
+        9..=16 => batch_sides_in::<16>(items, challenges),
+        17..=32 => batch_sides_in::<32>(items, challenges),
+        _ => batch_sides_in::<BATCH_CHUNK>(items, challenges),
+    }
+}
+
+/// [`batch_sides`] in arrays of `N ≥ items.len()` entries.
+fn batch_sides_in<const N: usize>(items: &[BatchItem<'_>], challenges: &[u64]) -> (u64, u64) {
     // Deterministic per-batch blinding: commit to every check, then expand
     // scalars in counter mode (four 64-bit draws per digest, so the hash
     // cost is ~¼ compression per item). Committing `(s_i, e_i)` binds the
     // whole tuple because `e_i = H(r_i ‖ pk_i ‖ msg_i)` already commits to
-    // the remaining fields. The input is assembled contiguously so the
-    // hasher compresses straight from the slice. `z_0 = 1` is sound — only
-    // the *relative* blinding between items matters.
+    // the remaining fields. `z_0 = 1` is sound — only the *relative*
+    // blinding between items matters.
     const TAG: &[u8] = b"sc/batch-blind";
     let n = items.len();
-    let mut commit = [0u8; TAG.len() + 16 * BATCH_CHUNK];
-    commit[..TAG.len()].copy_from_slice(TAG);
-    let pairs = commit[TAG.len()..].chunks_exact_mut(16);
-    for ((it, &e), pair) in items.iter().zip(challenges).zip(pairs) {
+    let mut pairs = [[0u8; 16]; N];
+    for ((it, &e), pair) in items.iter().zip(challenges).zip(&mut pairs) {
         pair[..8].copy_from_slice(&it.s.to_be_bytes());
         pair[8..].copy_from_slice(&e.to_be_bytes());
     }
-    let digest = crate::sha256::sha256(&commit[..TAG.len() + 16 * n]);
-    let mut z = [1u64; BATCH_CHUNK];
+    let digest = sha256_concat(&[TAG, pairs[..n].as_flattened()]);
+    let mut z = [1u64; N];
     // Four scalars per digest; `z[0]` stays 1.
     for (block, quad) in z[1..n].chunks_mut(4).enumerate() {
         // Tag kept short so the 47-byte input fits one compression block.
@@ -423,87 +566,88 @@ fn batch_holds(items: &[BatchItem<'_>], challenges: &[u64]) -> bool {
     // multiply per window keeps the inner loop free of data-dependent
     // branches and halves the multiply count versus bit-at-a-time.
     let mut s_sum: u64 = 0;
-    let mut tables = [[0u64; 16]; BATCH_CHUNK];
-    let mut exps = [(0u64, 0u64); BATCH_CHUNK];
+    let mut tables = [[0u64; 16]; N];
+    let mut exps = [(0u64, 0u64); N];
     for (i, ((it, &e), &zi)) in items.iter().zip(challenges).zip(&z).enumerate() {
-        s_sum = ((s_sum as u128 + zi as u128 * it.s as u128) % P_MINUS_1 as u128) as u64;
-        let y = ((zi as u128 * e as u128) % P_MINUS_1 as u128) as u64;
+        s_sum = reduce_pm1(s_sum as u128 + zi as u128 * it.s as u128);
         tables[i] = pair_table(it.r, it.pk);
-        exps[i] = (zi, y);
+        exps[i] = (zi, reduce_pm1(zi as u128 * e as u128));
     }
-    let (tables, exps) = (&tables[..n], &exps[..n]);
-
-    // Interleaved multi-exponentiation over eight independent
-    // accumulators: each walks the 31 two-bit windows once (squarings
-    // shared by all the items in its lane), and splitting the items across
-    // eight chains breaks the serial acc→acc multiply dependency so the
-    // CPU can overlap the modular reductions.
-    let mut accs = [1u64; 8];
-    for w in (0..31u32).rev() {
-        for a in accs.iter_mut() {
-            let sq = mulmod(*a, *a);
-            *a = mulmod(sq, sq);
-        }
-        let shift = 2 * w;
-        for (i, (&(x, y), table)) in exps.iter().zip(tables).enumerate() {
-            let d = (((x >> shift) & 3) | (((y >> shift) & 3) << 2)) as usize;
-            let lane = &mut accs[i & 7];
-            *lane = mulmod(*lane, table[d]);
-        }
-    }
-    let rhs = accs.iter().fold(1u64, |p, &a| mulmod(p, a));
-    g_powmod(s_sum) == rhs
+    (s_sum, multi_exp(&tables[..n], &exps[..n]))
 }
+
+/// `Π t_i[digit] (mod p)` over the 31 two-bit windows of every `(x_i, y_i)`
+/// (exponents below `2^62`).
+///
+/// One squaring chain serves the whole batch. Each window's product of
+/// table entries is formed off that chain, in two lanes — independent of
+/// the accumulator and of the other windows, so the CPU overlaps them with
+/// the squarings — and joins the chain with one product. Everything stays
+/// lazy until the result.
+fn multi_exp(tables: &[[u64; 16]], exps: &[(u64, u64)]) -> u64 {
+    let mut acc = 1u64;
+    for w in (0..31u32).rev() {
+        let shift = 2 * w;
+        let mut entries = tables
+            .iter()
+            .zip(exps)
+            .map(|(t, &(x, y))| t[(((x >> shift) & 3) | (((y >> shift) & 3) << 2)) as usize]);
+        let (mut lane, mut other) = (entries.next().unwrap_or(1), entries.next().unwrap_or(1));
+        for e in entries {
+            lane = mul_lazy(lane, e);
+            core::mem::swap(&mut lane, &mut other);
+        }
+        let sq = mul_lazy(acc, acc);
+        acc = mul_lazy(mul_lazy(sq, sq), mul_lazy(lane, other));
+    }
+    canonical(acc)
+}
+
+/// The odd prime factors of `p − 1 = 2·3²·5²·7·11·13·31·41·61·151·331·1321`.
+const ODD_FACTORS: [u64; 11] = [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321];
 
 /// Walks `z` forward to the first value coprime to `p − 1`.
 ///
-/// The group order's full factorization is
-/// `p − 1 = 2·3²·5²·7·11·13·31·41·61·151·331·1321`, so coprimality is
-/// twelve divisibility tests against *constant* divisors (compiled to
-/// multiply-high sequences, no `div`). Density of units mod `p − 1` is
-/// `φ(p−1)/(p−1) ≈ 0.155`, so the walk averages ~6 cheap steps — noise
-/// next to one modular multiplication. Wraps to 1 (a unit) in the
-/// astronomically unlikely event the walk runs off the top of the range.
-fn coprime_pm1(mut z: u64) -> u64 {
-    // Oddness (the most frequent rejection) is forced once, then the walk
-    // strides by 2 and only the eleven odd prime factors need testing.
-    z |= 1;
-    const fn is_odd_unit(z: u64) -> bool {
-        !z.is_multiple_of(3)
-            && !z.is_multiple_of(5)
-            && !z.is_multiple_of(7)
-            && !z.is_multiple_of(11)
-            && !z.is_multiple_of(13)
-            && !z.is_multiple_of(31)
-            && !z.is_multiple_of(41)
-            && !z.is_multiple_of(61)
-            && !z.is_multiple_of(151)
-            && !z.is_multiple_of(331)
-            && !z.is_multiple_of(1321)
-    }
-    while !is_odd_unit(z) {
+/// Oddness (the most frequent rejection) is forced once; the walk then
+/// strides by 2 and tracks `z`'s residue modulo each odd prime factor,
+/// divided once (against *constant* divisors: multiply-high sequences, no
+/// `div`) and then stepped by 2 with a compare — `z` is a unit once no
+/// residue is 0. Density of units mod `p − 1` is `φ(p−1)/(p−1) ≈ 0.155`, so
+/// the walk averages ~3 steps past the odd start. Wraps to 1 (a unit) in
+/// the astronomically unlikely event the walk runs off the top of the
+/// range.
+fn coprime_pm1(z: u64) -> u64 {
+    let mut z = z | 1;
+    let mut residues = ODD_FACTORS.map(|q| z % q);
+    while residues.contains(&0) {
         z += 2;
         if z >= P_MINUS_1 {
-            z = 1;
+            return 1;
+        }
+        for (r, q) in residues.iter_mut().zip(ODD_FACTORS) {
+            *r += 2;
+            if *r >= q {
+                *r -= q;
+            }
         }
     }
     z
 }
 
-/// Builds the 16-entry table `t[b·4 + a] = r^a · pk^b (mod p)` for the
-/// two-bit windowed multi-exponentiation.
+/// Builds the 16-entry table `t[b·4 + a] ≡ r^a · pk^b (mod p)` (entries
+/// lazy) for the two-bit windowed multi-exponentiation.
 fn pair_table(r: u64, pk: u64) -> [u64; 16] {
     let mut t = [1u64; 16];
     t[1] = r;
-    t[2] = mulmod(r, r);
-    t[3] = mulmod(t[2], r);
+    t[2] = mul_lazy(r, r);
+    t[3] = mul_lazy(t[2], r);
     t[4] = pk;
-    t[8] = mulmod(pk, pk);
-    t[12] = mulmod(t[8], pk);
+    t[8] = mul_lazy(pk, pk);
+    t[12] = mul_lazy(t[8], pk);
     for b in [4usize, 8, 12] {
-        t[b + 1] = mulmod(t[b], r);
-        t[b + 2] = mulmod(t[b], t[2]);
-        t[b + 3] = mulmod(t[b], t[3]);
+        t[b + 1] = mul_lazy(t[b], r);
+        t[b + 2] = mul_lazy(t[b], t[2]);
+        t[b + 3] = mul_lazy(t[b], t[3]);
     }
     t
 }
@@ -854,7 +998,7 @@ mod tests {
     /// attribution too (they fail the range screen, not the group check).
     #[test]
     fn out_of_range_items_are_attributed() {
-        for n in [2usize, 7, 16] {
+        for n in [2usize, 3, 7, 16] {
             let (msgs, base) = signed_batch(n, 0x21);
             for at in 0..n {
                 for bad in [(0u64, 1u64, 1u64), (P, 1, 1), (1, 0, 1), (1, P, 1)] {
@@ -892,7 +1036,7 @@ mod tests {
     /// at every batch size and position, deterministically.
     #[test]
     fn negated_commitment_forgery_is_always_caught() {
-        for n in [4usize, 5, 8, 16, 33, 64] {
+        for n in [2usize, 3, 4, 5, 8, 16, 33, 64] {
             let (msgs, base) = signed_batch(n, 0x77);
             for forged_at in 0..n {
                 let mut sigs = base.clone();
@@ -905,5 +1049,221 @@ mod tests {
                 );
             }
         }
+    }
+
+    // -- each rewritten kernel against the form it replaced --------------
+
+    /// Values at the edges of the lazy and canonical ranges.
+    fn residue_edge_cases() -> Vec<u64> {
+        let mut cases = vec![0, 1, 2, P - 1, P, P + 1, 2 * P, 2 * P + 1, u64::MAX];
+        for bit in [61, 62, 63] {
+            let v = 1u64 << bit;
+            cases.extend([v - 1, v, v + 1, v + 7]);
+        }
+        cases
+    }
+
+    fn lazy_chains_agree(rounds: usize) {
+        for x in residue_edge_cases() {
+            assert_eq!(canonical(x), x % P, "x={x}");
+        }
+        let mut stream = xorshift_stream(0x1a2b_3c4d);
+        let edges = residue_edge_cases();
+        for round in 0..rounds {
+            let start = stream.next().unwrap();
+            assert_eq!(canonical(start), start % P);
+            let (mut lazy, mut full) = (start, start % P);
+            for step in 0..64 {
+                // Every third factor is an edge value.
+                let f = match stream.next().unwrap() % 3 {
+                    0 => edges[step % edges.len()],
+                    _ => stream.next().unwrap(),
+                };
+                lazy = mul_lazy(lazy, f);
+                full = mulmod(full, f);
+                assert!(lazy < (1 << 62) + 64, "round {round} step {step}");
+                assert_eq!(canonical(lazy), full, "round {round} step {step}");
+            }
+        }
+        for e in exponent_edge_cases()
+            .into_iter()
+            .chain(xorshift_stream(0x77aa).take(rounds))
+        {
+            assert_eq!(g_powmod(e), powmod(G, e), "exponent {e}");
+        }
+        let bases = residue_edge_cases();
+        for i in 0..rounds {
+            let (a, b) = (stream.next().unwrap(), stream.next().unwrap());
+            let (a, b) = match i % 4 {
+                0 => (bases[i % bases.len()], b),
+                1 => (a, bases[(i / 4) % bases.len()]),
+                _ => (a, b),
+            };
+            let (x, y) = (stream.next().unwrap(), stream.next().unwrap() >> (i % 64));
+            assert_eq!(
+                shamir_powmod(a, x, b, y),
+                mulmod(powmod(a, x), powmod(b, y)),
+                "a={a} x={x} b={b} y={y}"
+            );
+            let (r, pk) = (a % P, b % P);
+            assert_eq!(
+                pair_table(r, pk).map(canonical),
+                reference::pair_table(r, pk),
+                "r={r} pk={pk}"
+            );
+        }
+    }
+
+    fn scalar_fold_agrees(rounds: usize) {
+        let m = P_MINUS_1 as u128;
+        let mut cases: Vec<u128> = vec![0, 1, m - 1, m, m + 1, P as u128, u128::MAX, u128::MAX - 1];
+        for bit in [61u32, 62, 63, 64, 122, 123, 127] {
+            let v = 1u128 << bit;
+            cases.extend([v - 1, v, v + 1]);
+        }
+        for k in [2u128, 3, 4, 1 << 20, (1 << 64) - 1, 1 << 66] {
+            cases.extend([k * m - 1, k * m, k * m + 1]);
+        }
+        // The largest inputs the protocol forms: (p−2)·(p−2) + (p−2).
+        cases.push((m - 1) * (m - 1) + (m - 1));
+        let mut stream = xorshift_stream(0xd00d_f00d);
+        for i in 0..rounds {
+            let (hi, lo) = (stream.next().unwrap(), stream.next().unwrap());
+            cases.push(((hi as u128) << 64 | lo as u128) >> (i % 128));
+        }
+        for t in cases {
+            assert_eq!(reduce_pm1(t) as u128, t % m, "t={t}");
+        }
+    }
+
+    fn coprime_walks_agree(rounds: usize) {
+        let near_top = (P_MINUS_1 - 4000)..=(P_MINUS_1 + 2);
+        for z in (0..4000).chain(near_top) {
+            assert_eq!(coprime_pm1(z), reference::coprime_pm1(z), "z={z}");
+        }
+        for z in xorshift_stream(0xc0ff_ee00).take(rounds) {
+            let z = 1 + z % (P_MINUS_1 - 1);
+            assert_eq!(coprime_pm1(z), reference::coprime_pm1(z), "z={z}");
+        }
+    }
+
+    /// Random in-range `(pk, r, s)` batches with random challenges: the
+    /// combined check's two sides depend on nothing else.
+    fn batch_sides_agree(rounds: usize) {
+        let mut stream = xorshift_stream(0x0ba7_c4e5);
+        for n in 2..=BATCH_CHUNK {
+            for _ in 0..rounds {
+                let items: Vec<BatchItem<'_>> = (0..n)
+                    .map(|_| BatchItem {
+                        pk: 1 + stream.next().unwrap() % (P - 1),
+                        msg: b"",
+                        r: 1 + stream.next().unwrap() % (P - 1),
+                        s: stream.next().unwrap() % P_MINUS_1,
+                    })
+                    .collect();
+                let challenges: Vec<u64> =
+                    (0..n).map(|_| stream.next().unwrap() % P_MINUS_1).collect();
+                assert_eq!(
+                    batch_sides(&items, &challenges),
+                    reference::batch_sides(&items, &challenges),
+                    "n={n}"
+                );
+            }
+        }
+    }
+
+    /// Real batches of every size with forgeries sprinkled in: every
+    /// sub-batch the bisection could visit gets the eight-lane verdict,
+    /// and the call reports the textbook sequential first failure.
+    fn batch_verdicts_agree(rounds: usize) {
+        let mut stream = xorshift_stream(0x5eed_ba7c);
+        for n in 1..=BATCH_CHUNK {
+            let (msgs, base) = signed_batch(n, n as u8 ^ 0x3c);
+            for round in 0..rounds {
+                let mut sigs = base.clone();
+                for _ in 0..round {
+                    let at = (stream.next().unwrap() % n as u64) as usize;
+                    match stream.next().unwrap() % 3 {
+                        0 => sigs[at].1 = P - sigs[at].1,
+                        1 => sigs[at].2 ^= 1 + stream.next().unwrap() % 255,
+                        _ => sigs[at].0 ^= 0x8,
+                    }
+                }
+                let batch = items(&msgs, &sigs);
+                let challenges: Vec<u64> = batch
+                    .iter()
+                    .map(|it| challenge(it.r, it.pk, it.msg))
+                    .collect();
+                for start in 0..n {
+                    let end = (start + 1 + round * 7).min(n);
+                    let (sub, ch) = (&batch[start..end], &challenges[start..end]);
+                    assert_eq!(
+                        batch_holds(sub, ch),
+                        reference::batch_holds(sub, ch),
+                        "n={n} round={round} sub={start}..{end}"
+                    );
+                }
+                let sequential = batch
+                    .iter()
+                    .position(|it| !verify(it.pk, it.msg, it.r, it.s));
+                assert_eq!(
+                    batch_verify(&batch),
+                    sequential.map_or(Ok(()), Err),
+                    "n={n} round={round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_chains_canonicalize_to_the_mulmod_chain() {
+        lazy_chains_agree(300);
+    }
+
+    #[test]
+    fn scalar_fold_matches_the_u128_remainder() {
+        scalar_fold_agrees(20_000);
+    }
+
+    #[test]
+    fn coprime_walk_matches_the_divisibility_walk() {
+        coprime_walks_agree(5_000);
+    }
+
+    #[test]
+    fn batch_sides_match_the_eight_lane_form() {
+        batch_sides_agree(1);
+    }
+
+    #[test]
+    fn every_batch_size_keeps_its_verdict_and_first_invalid_index() {
+        batch_verdicts_agree(3);
+    }
+
+    #[test]
+    fn signatures_match_the_u128_remainder_form() {
+        for tag in 0..64u8 {
+            let (k, seed) = key(tag);
+            let msg = [tag ^ 0x55; 32];
+            let nh = sha256_concat(&[b"sc/schnorr-nonce", &seed, &msg]);
+            let m = P_MINUS_1 as u128;
+            let nonce = ((wide16(&nh) % m) as u64).max(1);
+            let r = powmod(G, nonce);
+            let e = challenge(r, k.pk, &msg) as u128;
+            let s = ((nonce as u128 + e * k.x as u128 % m) % m) as u64;
+            assert_eq!(k.sign(&seed, &msg), (r, s), "key {tag}");
+        }
+    }
+
+    /// The sweeps above at sizes worth a release build:
+    /// `cargo test --release -p sc-crypto -- --include-ignored`.
+    #[test]
+    #[ignore = "exhaustive: run in release with --include-ignored"]
+    fn kernels_match_their_references_exhaustively() {
+        lazy_chains_agree(1_000_000);
+        scalar_fold_agrees(20_000_000);
+        coprime_walks_agree(10_000_000);
+        batch_sides_agree(400);
+        batch_verdicts_agree(24);
     }
 }

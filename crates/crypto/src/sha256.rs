@@ -433,25 +433,30 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// Longest message that fits one block together with the mandatory padding
-/// byte and 8-byte length trailer.
-const SHORT_MAX: usize = BLOCK_LEN - 9;
+/// Most blocks a message hashed in one shot spans, padding included.
+const SHORT_BLOCKS: usize = 3;
 
-/// One-block fast path: messages of ≤ 55 bytes (the protocol's dominant
-/// shape — domain tag + a few fixed-width fields) are padded on the stack
-/// and compressed once, skipping the streaming buffer round-trips.
+/// Longest message hashed in one shot: [`SHORT_BLOCKS`] blocks less the
+/// mandatory padding byte and 8-byte length trailer.
+const SHORT_MAX: usize = SHORT_BLOCKS * BLOCK_LEN - 9;
+
+/// One-shot path: messages of ≤ 183 bytes — every message the protocol
+/// signs or digests, from a 55-byte challenge to a 137-byte next-state —
+/// are padded in one stack buffer and compressed in one call, skipping the
+/// streaming buffer round-trips.
 fn short_digest(parts: &[&[u8]], total: usize) -> Digest {
     debug_assert!(total <= SHORT_MAX);
-    let mut block = [0u8; BLOCK_LEN];
+    let mut buf = [0u8; SHORT_BLOCKS * BLOCK_LEN];
     let mut off = 0;
     for p in parts {
-        block[off..off + p.len()].copy_from_slice(p);
+        buf[off..off + p.len()].copy_from_slice(p);
         off += p.len();
     }
-    block[off] = 0x80;
-    block[56..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
+    buf[off] = 0x80;
+    let end = (total + 9).div_ceil(BLOCK_LEN) * BLOCK_LEN;
+    buf[end - 8..end].copy_from_slice(&(total as u64 * 8).to_be_bytes());
     let mut state = H0;
-    compress_blocks(&mut state, &block);
+    compress_blocks(&mut state, &buf[..end]);
     let mut out = [0u8; DIGEST_LEN];
     for (chunk, word) in out.chunks_exact_mut(4).zip(state.iter()) {
         chunk.copy_from_slice(&word.to_be_bytes());
@@ -520,6 +525,30 @@ mod tests {
                 h.update(core::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    /// The streaming hasher alone: the reference the one-shot path is
+    /// pinned to.
+    fn streaming(parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.update(p);
+        }
+        h.finalize()
+    }
+
+    #[test]
+    fn one_shot_matches_streaming_at_every_length_and_split() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let want = streaming(&[msg]);
+            assert_eq!(sha256(msg), want, "len {len}");
+            for split in 0..=len {
+                let (a, b) = msg.split_at(split);
+                assert_eq!(sha256_concat(&[a, b]), want, "len {len} split {split}");
+            }
         }
     }
 

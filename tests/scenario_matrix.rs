@@ -101,6 +101,28 @@ fn scenario_matrix_holds_all_oracles() {
     );
 }
 
+/// `honest-island-rejoin` with its lone islander cut off for 70 cycles,
+/// longer than the 60-cycle sample window: every sample and redeemed copy
+/// the islander holds expires before the heal, and it must still find a
+/// sponsor. The quick and full sizings sever it for 10 and 20 cycles.
+#[test]
+fn an_island_outlasting_the_sample_window_rejoins() {
+    let size = MatrixSize {
+        cycles: 280,
+        ..MatrixSize::quick()
+    };
+    let scenarios = standard_matrix(size);
+    let island = scenarios
+        .iter()
+        .find(|s| s.name == "honest-island-rejoin")
+        .expect("catalog names are stable");
+    for seed in MATRIX_SEEDS {
+        if let Err(violation) = run_scenario(island, seed) {
+            panic!("{violation}");
+        }
+    }
+}
+
 #[test]
 fn replayed_runs_are_bit_identical() {
     // The contract behind the replay workflow: the same (scenario, seed)
