@@ -35,6 +35,7 @@
 use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
 use crate::proof::ViolationProof;
+use crate::time::Timestamp;
 use sc_crypto::{FxHashMap, NodeId};
 use std::collections::VecDeque;
 
@@ -316,6 +317,13 @@ impl SampleCache {
         }
     }
 
+    /// Whether a descriptor created at `created_at` was created a window
+    /// or more before the clock: [`SampleCache::observe`] refuses it as
+    /// [`Observation::Expired`], now and at every later cycle.
+    pub(crate) fn outlived(&self, created_at: Timestamp) -> bool {
+        (created_at.ticks() / self.period_ticks).saturating_add(self.retention_cycles) <= self.clock
+    }
+
     /// Runs both §IV-B checks on `desc` and caches it if it passes — or
     /// refuses it unchecked ([`Observation::Expired`]) if it was created
     /// outside the window: a window or more before the latest prune, or
@@ -333,9 +341,7 @@ impl SampleCache {
         let ts = id.created_at.ticks();
         let (period, window) = (self.period_ticks, self.retention_cycles);
         let created = ts / period;
-        if created.saturating_add(window) <= self.clock
-            || created > now_cycle.saturating_add(window)
-        {
+        if self.outlived(id.created_at) || created > now_cycle.saturating_add(window) {
             return Observation::Expired;
         }
         let (horizon, floor) = (self.horizon(), self.floor());
@@ -842,6 +848,15 @@ mod tests {
     #[test]
     fn a_slot_is_two_words() {
         assert_eq!(CacheFootprint::SLOT_BYTES, 16);
+    }
+
+    #[test]
+    fn a_chain_block_holds_signatures_at_their_stored_size() {
+        // The other thing a cached sample pins: a chain block per link,
+        // whose signature is held as the 33 bytes a scheme signs with,
+        // not its 64-byte wire form.
+        assert_eq!(core::mem::size_of::<sc_crypto::Signature>(), 33);
+        assert_eq!(SecureDescriptor::BLOCK_BYTES, 120);
     }
 
     #[test]

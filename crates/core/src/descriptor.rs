@@ -43,7 +43,7 @@
 use crate::memo::VerifyMemo;
 use crate::time::Timestamp;
 use crate::Addr;
-use sc_crypto::{sha256_concat, Digest, Keypair, NodeId, PublicKey, Signature};
+use sc_crypto::{sha256_concat, Digest, Keypair, NodeId, PublicKey, Signature, SIGNATURE_PADDING};
 use std::sync::Arc;
 
 /// The globally unique identity of a descriptor: who created it and when.
@@ -174,6 +174,11 @@ pub struct SecureDescriptor(Arc<Block>);
 /// One version of a descriptor: the chain up to and including one link
 /// (or, for the root, the bare genesis). Immutable once built, and shared
 /// by every copy of this version and every version extending it.
+///
+/// The largest thing a node holds in number, so its size is pinned:
+/// 120 bytes ([`SecureDescriptor::BLOCK_BYTES`]), 136 with the two
+/// reference counts, in glibc's 144-byte chunk. A signature in it is its
+/// 33 stored bytes, not its 64-byte wire form.
 struct Block {
     /// Running digest over the genesis and every link up to this block's:
     /// the state digest of the version ending here. A pure function of
@@ -324,11 +329,15 @@ fn genesis_message(creator: &NodeId, addr: Addr, created_at: Timestamp) -> Diges
     ])
 }
 
+/// The state digest of the root version. It and [`next_state`] hash a
+/// signature's 64-byte wire form: the stored bytes and the zeros that pad
+/// them, fed as two slices, with no copy made.
 fn genesis_state(genesis: &Genesis) -> Digest {
     sha256_concat(&[
         b"sc/state0",
         &genesis_message(&genesis.creator, genesis.addr, genesis.created_at),
-        genesis.sig.as_bytes(),
+        genesis.sig.stored_bytes(),
+        SIGNATURE_PADDING,
     ])
 }
 
@@ -342,7 +351,8 @@ fn next_state(state: &Digest, link: &ChainLink) -> Digest {
         state,
         link.to.as_bytes(),
         &[link.kind.tag()],
-        link.sig.as_bytes(),
+        link.sig.stored_bytes(),
+        SIGNATURE_PADDING,
     ])
 }
 
@@ -1203,9 +1213,9 @@ mod tests {
         // `from_parts` so the state digest is consistent, exactly as a
         // wire decode would.
         let mut links = good.chain();
-        let mut sig = *links[0].sig.as_bytes();
+        let mut sig = links[0].sig.to_bytes();
         sig[8] ^= 0x40;
-        links[0].sig = Signature::from_bytes(sig);
+        links[0].sig = Signature::from_bytes(sig).unwrap();
         let tampered = SecureDescriptor::from_parts(*good.genesis(), links);
         assert_eq!(tampered.verify_with(&mut memo), tampered.verify());
         assert_eq!(
@@ -1344,9 +1354,9 @@ mod tests {
     fn block_is_one_small_allocation() {
         // What a transfer allocates, and what every cached version costs
         // beyond the blocks it shares. With the two reference counts in
-        // front it is 168 bytes, the most that fits the 176-byte class
-        // of the allocators this runs on; a word more costs 16.
-        assert!(core::mem::size_of::<Block>() <= 152);
+        // front it is 136 bytes, the most that fits glibc's 144-byte
+        // chunk; a word more costs 16.
+        assert!(core::mem::size_of::<Block>() <= 120);
     }
 
     /// A chain as long as the wire lets a peer make it, decoded (never
@@ -1359,7 +1369,11 @@ mod tests {
             .map(|i| ChainLink {
                 to: [b.public(), a.public()][i % 2],
                 kind: LinkKind::Transfer,
-                sig: Signature::from_bytes([i as u8; 64]),
+                sig: {
+                    let mut garbage = [0; sc_crypto::SIGNATURE_LEN];
+                    garbage[..sc_crypto::SIGNATURE_STORED_LEN].fill(i as u8);
+                    Signature::from_bytes(garbage).unwrap()
+                },
             })
             .collect();
         let mut bytes = Vec::new();
@@ -1504,9 +1518,9 @@ mod tests {
                     }
                     Some(li) => {
                         let mut links = batch[victim].chain();
-                        let mut sig = *links[li].sig.as_bytes();
+                        let mut sig = links[li].sig.to_bytes();
                         sig[8] ^= 0x40;
-                        links[li].sig = Signature::from_bytes(sig);
+                        links[li].sig = Signature::from_bytes(sig).unwrap();
                         batch[victim] =
                             SecureDescriptor::from_parts(*batch[victim].genesis(), links);
                     }
@@ -1573,9 +1587,9 @@ mod tests {
         // Same batch but with the shared prefix carrying a forged link:
         // every chain built on it must be blamed identically.
         let mut links = extended.chain();
-        let mut sig = *links[0].sig.as_bytes();
+        let mut sig = links[0].sig.to_bytes();
         sig[3] ^= 2;
-        links[0].sig = Signature::from_bytes(sig);
+        links[0].sig = Signature::from_bytes(sig).unwrap();
         let bad_ext = SecureDescriptor::from_parts(*extended.genesis(), links);
         let refs: Vec<&SecureDescriptor> = vec![&bad_ext, &base, &bad_ext, &fork];
         assert_batch_matches_sequential(&refs, 64);
@@ -1662,7 +1676,7 @@ mod tests {
             path in proptest::collection::vec(0u8..8, 0..10),
             fork in (0usize..10, 0u8..8),
             redeem in prop_oneof![Just(LinkKind::Redeem), Just(LinkKind::RedeemNonSwappable)],
-            tamper in (0usize..10, 0usize..64),
+            tamper in (0usize..10, 0usize..sc_crypto::SIGNATURE_STORED_LEN),
         ) {
             let keys: Vec<Keypair> = (0..8u8)
                 .map(|t| Keypair::from_seed(Scheme::KeyedHash, [t + 1; 32]))
@@ -1688,9 +1702,9 @@ mod tests {
             if tip.transfer_count() > 0 {
                 let mut links = tip.chain();
                 let at = tamper.0 % links.len();
-                let mut sig = *links[at].sig.as_bytes();
+                let mut sig = links[at].sig.to_bytes();
                 sig[tamper.1] ^= 0x20;
-                links[at].sig = Signature::from_bytes(sig);
+                links[at].sig = Signature::from_bytes(sig).unwrap();
                 let tampered = SecureDescriptor::from_parts(*tip.genesis(), links);
                 set.extend(tampered.redeem(key_of(tampered.owner()), redeem));
                 set.push(tampered);

@@ -218,7 +218,9 @@ pub struct SecureCyclonNode {
     /// Expires on the sample-retention horizon, like the caches the
     /// proofs feed on.
     spent: ExpiryRing<Digest>,
-    /// Descriptors of ours ever redeemed non-swappably (§V-A rule 1).
+    /// Descriptors of ours redeemed non-swappably (§V-A rule 1: at most
+    /// once each), held while the sample cache still admits them: past
+    /// that, intake refuses any certificate of theirs for its age.
     ns_redeemed_ids: FxHashSet<DescriptorId>,
     /// (cycle, count) of NS redemptions accepted this cycle (§V-A rule 2).
     ns_accepted: (u64, u32),
@@ -546,6 +548,9 @@ impl SecureCyclonNode {
         let horizon = cycle.saturating_sub(SAMPLE_RETENTION_CYCLES);
         self.redeemed_regular.expire(horizon);
         self.spent.expire(horizon);
+        // By each id's own creation, on the boundary intake refuses at.
+        self.ns_redeemed_ids
+            .retain(|id| !self.samples.outlived(id.created_at));
         // The reserve and the back-fill pools are checked where `backfill`
         // takes from them.
         let oldest = self.oldest_owned(cycle);

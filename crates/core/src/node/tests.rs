@@ -181,12 +181,12 @@ fn forged_sample_cannot_preverify_a_transfer() {
         creator: c.public(),
         addr: 2,
         created_at: Timestamp(0),
-        sig: Signature::from_bytes([0u8; 64]),
+        sig: Signature::from_bytes([0u8; 64]).unwrap(),
     };
     let link = ChainLink {
         to: a.public(),
         kind: LinkKind::Transfer,
-        sig: Signature::from_bytes([0u8; 64]),
+        sig: Signature::from_bytes([0u8; 64]).unwrap(),
     };
     let forged = SecureDescriptor::from_parts(genesis, vec![link]);
     // First shown as a sample: cached lazily, without verification.
@@ -575,9 +575,9 @@ fn forged_inputs_move_exactly_these_counters() {
     // unlinked one) flipped, reassembled as a wire decode would.
     let forge = |d: &SecureDescriptor, genesis: bool| {
         let flip = |sig: &Signature| {
-            let mut bytes = *sig.as_bytes();
+            let mut bytes = sig.to_bytes();
             bytes[8] ^= 0x40;
-            Signature::from_bytes(bytes)
+            Signature::from_bytes(bytes).unwrap()
         };
         let (mut g, mut links) = (*d.genesis(), d.chain());
         if genesis {
@@ -859,4 +859,64 @@ fn a_redemption_certificate_replayed_past_the_window_is_refused() {
     );
     assert_eq!(node.stats().answered, 1);
     assert_eq!(node.expired_refused(), 1);
+}
+
+#[test]
+fn the_ns_replay_guard_holds_only_what_intake_still_admits() {
+    // A peer redeems one of the node's descriptors non-swappably every
+    // cycle, for longer than the window. The guard of §V-A rule 1 holds
+    // the ids still young enough to be admitted, no more — it used to
+    // grow forever, past what a checkpoint can list — and a certificate
+    // replayed after its id was let go is refused for its age, as one
+    // still held is refused by the guard.
+    let kps = keypairs(2);
+    let (me, peer) = (&kps[0], &kps[1]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [9u8; 32], 0);
+    let certificate = |cycle: u64| {
+        SecureDescriptor::create(me, 0, Timestamp(cycle * tpc))
+            .transfer(me, peer.public())
+            .unwrap()
+            .redeem(peer, LinkKind::RedeemNonSwappable)
+            .unwrap()
+    };
+    let request = |redeemed: SecureDescriptor, cycle: u64| RequestBody {
+        redeemed,
+        fresh: SecureDescriptor::create(peer, 1, Timestamp(cycle * tpc))
+            .transfer(peer, me.public())
+            .unwrap(),
+        offered: Vec::new(),
+        samples: Vec::new(),
+        proofs: Vec::new(),
+    };
+    let last = SAMPLE_RETENTION_CYCLES + 20;
+    for cycle in 1..=last {
+        node.housekeeping(cycle);
+        let accepted =
+            node.handle_request(1, request(certificate(cycle), cycle), cycle, cycle * tpc);
+        assert!(accepted.is_some(), "cycle {cycle}");
+    }
+    assert_eq!(node.stats().ns_redemptions_accepted, last);
+    let mut held: Vec<u64> = node
+        .ns_redeemed_ids
+        .iter()
+        .map(|id| id.created_at.ticks() / tpc)
+        .collect();
+    held.sort_unstable();
+    let young: Vec<u64> = (last + 1 - SAMPLE_RETENTION_CYCLES..=last).collect();
+    assert_eq!(held, young, "exactly the ids the window still admits");
+
+    let replay = last + 1;
+    node.housekeeping(replay);
+    for (old, why) in [
+        (1, "let go, refused for its age"),
+        (last, "held by the guard"),
+    ] {
+        let refused =
+            node.handle_request(1, request(certificate(old), replay), replay, replay * tpc);
+        assert!(refused.is_none(), "certificate of cycle {old}: {why}");
+    }
+    assert_eq!(node.expired_refused(), 1);
+    assert_eq!(node.stats().answered, last);
 }

@@ -328,9 +328,9 @@ mod tests {
     fn cloning_rejects_forged_evidence() {
         let (left, right, _) = cloning_pair();
         let mut links = right.chain();
-        let mut sig = *links[1].sig.as_bytes();
+        let mut sig = links[1].sig.to_bytes();
         sig[9] ^= 0x01;
-        links[1].sig = sc_crypto::Signature::from_bytes(sig);
+        links[1].sig = sc_crypto::Signature::from_bytes(sig).unwrap();
         let forged = SecureDescriptor::from_parts(*right.genesis(), links);
         assert_eq!(
             ViolationProof::cloning(left, forged).unwrap_err(),
@@ -338,14 +338,18 @@ mod tests {
         );
     }
 
-    /// `sig` with one byte past what either scheme's verification reads
-    /// set: a signature verification used to accept, with bytes that
+    /// `sig` with byte `i` set, if that is still a signature: past the
+    /// stored bytes it is not, and short of them, past what the scheme's
+    /// verification reads (Schnorr61's bytes 17..33), it is one that
     /// digests and equality tell apart from the honest one.
-    fn padded(sig: &sc_crypto::Signature) -> sc_crypto::Signature {
-        let mut bytes = *sig.as_bytes();
-        bytes[40] ^= 0x01;
+    fn padded(sig: &sc_crypto::Signature, i: usize) -> Option<sc_crypto::Signature> {
+        let mut bytes = sig.to_bytes();
+        bytes[i] ^= 0x01;
         sc_crypto::Signature::from_bytes(bytes)
     }
+
+    /// Schnorr61's padding bytes inside what is stored, and one past it.
+    const PADDING_BYTES: [usize; 3] = [17, 32, 40];
 
     #[test]
     fn signature_padding_cannot_frame_an_honest_transfer() {
@@ -361,14 +365,20 @@ mod tests {
                 .unwrap()
                 .transfer(&b, c.public())
                 .unwrap();
-            let mut links = honest.chain();
-            links[1].sig = padded(&links[1].sig);
-            let framed = SecureDescriptor::from_parts(*honest.genesis(), links);
-            assert!(
-                ViolationProof::cloning(honest, framed.clone()).is_err(),
-                "{scheme:?}: a cloning proof against an honest signer"
-            );
-            assert!(framed.verify().is_err(), "{scheme:?}");
+            for i in PADDING_BYTES {
+                let mut links = honest.chain();
+                let sig = padded(&links[1].sig, i);
+                let stored = i < sc_crypto::SIGNATURE_STORED_LEN;
+                assert_eq!(sig.is_some(), stored, "{scheme:?} byte {i}");
+                let Some(sig) = sig else { continue };
+                links[1].sig = sig;
+                let framed = SecureDescriptor::from_parts(*honest.genesis(), links);
+                assert!(
+                    ViolationProof::cloning(honest.clone(), framed.clone()).is_err(),
+                    "{scheme:?} byte {i}: a cloning proof against an honest signer"
+                );
+                assert!(framed.verify().is_err(), "{scheme:?} byte {i}");
+            }
         }
     }
 
@@ -380,14 +390,20 @@ mod tests {
         for scheme in [Scheme::Schnorr61, Scheme::KeyedHash] {
             let a = Keypair::from_seed(scheme, [1; 32]);
             let honest = SecureDescriptor::create(&a, 0, Timestamp(5000));
-            let mut genesis = *honest.genesis();
-            genesis.sig = padded(&genesis.sig);
-            let framed = SecureDescriptor::from_parts(genesis, Vec::new());
-            assert!(
-                ViolationProof::frequency(honest, framed.clone(), PERIOD).is_err(),
-                "{scheme:?}: a frequency proof against an honest creator"
-            );
-            assert!(framed.verify().is_err(), "{scheme:?}");
+            for i in PADDING_BYTES {
+                let mut genesis = *honest.genesis();
+                let sig = padded(&genesis.sig, i);
+                let stored = i < sc_crypto::SIGNATURE_STORED_LEN;
+                assert_eq!(sig.is_some(), stored, "{scheme:?} byte {i}");
+                let Some(sig) = sig else { continue };
+                genesis.sig = sig;
+                let framed = SecureDescriptor::from_parts(genesis, Vec::new());
+                assert!(
+                    ViolationProof::frequency(honest.clone(), framed.clone(), PERIOD).is_err(),
+                    "{scheme:?} byte {i}: a frequency proof against an honest creator"
+                );
+                assert!(framed.verify().is_err(), "{scheme:?} byte {i}");
+            }
         }
     }
 

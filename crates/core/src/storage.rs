@@ -552,8 +552,11 @@ fn decode_state(mut c: Reader<'_>, period_ticks: u64) -> Result<PersistentState,
         state.redemptions.push((cycle, c.descriptor()?));
     }
 
+    // The blacklist is unbounded by design, so a checkpoint lists as
+    // many proofs as its `u16` count says, not one message's
+    // `max_proofs`; the remaining bytes still bound what is read.
     let n = c.u16()? as usize;
-    c.proof_count(n, 8)?;
+    c.fits(n, 8)?;
     for _ in 0..n {
         let cycle = c.u64()?;
         state.proofs.push((cycle, c.proof(period_ticks)?));
@@ -801,6 +804,65 @@ mod tests {
         let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
         assert_states_equal(&state, &got);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_nonzero_signature_padding_byte_ends_the_fold() {
+        // Every signature in a checkpoint record or a proof record, with
+        // a byte past its stored ones set: the record decodes to
+        // `BadSignature`, and the fold keeps only what came before it.
+        let state = sample_state();
+        let proof = freq_proof(8);
+        fn sigs_of(d: &SecureDescriptor) -> impl Iterator<Item = [u8; 64]> {
+            let links = d.chain().into_iter().map(|l| l.sig);
+            std::iter::once(d.genesis().sig)
+                .chain(links)
+                .map(|s| s.to_bytes())
+        }
+        fn evidence(p: &ViolationProof) -> [&SecureDescriptor; 2] {
+            [p.evidence().0, p.evidence().1]
+        }
+        let state_descs = (state.view.iter().map(|(d, _)| d))
+            .chain(&state.reserve)
+            .chain(state.redemptions.iter().map(|(_, d)| d))
+            .chain(state.proofs.iter().flat_map(|(_, p)| evidence(p)));
+        let mut proof_record = Vec::new();
+        let mut w = Writer::new(&mut proof_record);
+        w.u64(43);
+        w.proof(&proof);
+        let records = [
+            (REC_CHECKPOINT, encode_state(&state), state_descs.collect()),
+            (REC_PROOF, proof_record, evidence(&proof).to_vec()),
+        ];
+        for (kind, payload, descs) in records {
+            let sigs: Vec<[u8; 64]> = descs.into_iter().flat_map(sigs_of).collect();
+            let offsets: Vec<usize> = (0..payload.len() - 63)
+                .filter(|&at| sigs.iter().any(|s| s[..] == payload[at..at + 64]))
+                .collect();
+            assert_eq!(
+                offsets.len(),
+                sigs.len(),
+                "kind {kind}: every signature found"
+            );
+            for at in offsets {
+                let mut padded = payload.clone();
+                padded[at + 40] = 1;
+                let decoded = match kind {
+                    REC_CHECKPOINT => decode_state(Reader::new(&padded), PERIOD).err(),
+                    _ => Reader::new(&padded[8..]).proof(PERIOD).err(),
+                };
+                assert_eq!(
+                    decoded,
+                    Some(WireError::BadSignature),
+                    "kind {kind}, at {at}"
+                );
+                let mut log = record_frame(REC_EMIT, &5u64.to_be_bytes());
+                log.extend(record_frame(kind, &padded));
+                let folded = fold_log(&log, PERIOD, &WireLimits::DEFAULT).unwrap();
+                assert_eq!(folded.emitted_cycle, Some(5));
+                assert!(folded.view.is_empty() && folded.proofs.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@ use crate::msg::{
 };
 use crate::proof::{ProofKind, ViolationProof};
 use crate::time::Timestamp;
-use sc_crypto::{PublicKey, Signature, PUBLIC_KEY_LEN, SIGNATURE_LEN};
+use sc_crypto::{
+    PublicKey, Signature, PUBLIC_KEY_LEN, SIGNATURE_LEN, SIGNATURE_PADDING, SIGNATURE_STORED_LEN,
+};
 
 /// Errors raised while decoding wire bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,6 +29,8 @@ pub enum WireError {
     UnexpectedEnd,
     /// A public key carried an unknown scheme tag.
     BadPublicKey,
+    /// A signature's padding, the bytes no scheme signs with, is not zero.
+    BadSignature,
     /// An unknown link-kind tag.
     BadLinkKind(u8),
     /// An unknown message-type tag.
@@ -58,6 +62,7 @@ impl core::fmt::Display for WireError {
         match self {
             WireError::UnexpectedEnd => write!(f, "unexpected end of input"),
             WireError::BadPublicKey => write!(f, "invalid public key encoding"),
+            WireError::BadSignature => write!(f, "non-zero signature padding"),
             WireError::BadLinkKind(t) => write!(f, "unknown link kind tag {t}"),
             WireError::BadMessageTag(t) => write!(f, "unknown message tag {t}"),
             WireError::BadProofKind(t) => write!(f, "unknown proof kind tag {t}"),
@@ -232,7 +237,7 @@ impl<'a> Reader<'a> {
     }
 
     fn sig(&mut self) -> Result<Signature, WireError> {
-        self.array().map(Signature::from_bytes)
+        Signature::from_bytes(self.array()?).ok_or(WireError::BadSignature)
     }
 
     /// Rejects a count `n` over its cap `max` (with `over`), or whose
@@ -253,6 +258,17 @@ impl<'a> Reader<'a> {
         if n > max {
             return Err(over);
         }
+        self.fits(n, min_elem)
+    }
+
+    /// Rejects a count `n` of elements, at least `min_elem` bytes each,
+    /// that cannot fit in the remaining input: the check that bounds
+    /// allocation for a count no cap applies to.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEnd`].
+    pub(crate) fn fits(&self, n: usize, min_elem: usize) -> Result<(), WireError> {
         if n.saturating_mul(min_elem) > self.remaining() {
             return Err(WireError::UnexpectedEnd);
         }
@@ -426,9 +442,11 @@ impl<'a> Writer<'a> {
         self.bytes(g.creator.as_bytes());
         self.u32(g.addr);
         self.u64(g.created_at.ticks());
-        self.bytes(g.sig.as_bytes());
+        self.bytes(g.sig.stored_bytes());
+        self.bytes(SIGNATURE_PADDING);
         // A chain is reachable last link first only. Links are fixed-size,
-        // so each goes straight into its slot, from the back. Like
+        // so each goes straight into its slot, from the back; the slot is
+        // zeroed, so a signature's padding is already there. Like
         // `Writer::list`, a chain longer than the count can express is cut
         // to its first `u16::MAX` links.
         let n = desc.transfer_count().min(usize::from(u16::MAX));
@@ -440,7 +458,7 @@ impl<'a> Writer<'a> {
             let (to, rest) = slot.split_at_mut(PUBLIC_KEY_LEN);
             to.copy_from_slice(link.to.as_bytes());
             rest[0] = kind_tag(link.kind);
-            rest[1..].copy_from_slice(link.sig.as_bytes());
+            rest[1..=SIGNATURE_STORED_LEN].copy_from_slice(link.sig.stored_bytes());
         }
     }
 
@@ -670,6 +688,31 @@ mod tests {
             decode_descriptor(&buf).unwrap_err(),
             WireError::BadLinkKind(9)
         );
+    }
+
+    #[test]
+    fn nonzero_signature_padding_is_a_bad_signature() {
+        // The genesis signature sits at 44, the first link's after the
+        // genesis (108), the count (2) and the link's key and kind (33).
+        let d = chained(1);
+        let mut buf = Vec::new();
+        encode_descriptor(&d, &mut buf);
+        for sig_at in [44, 108 + 2 + 33] {
+            for i in SIGNATURE_STORED_LEN..SIGNATURE_LEN {
+                let mut padded = buf.clone();
+                padded[sig_at + i] = 0x80;
+                assert_eq!(
+                    decode_descriptor(&padded).unwrap_err(),
+                    WireError::BadSignature,
+                    "signature at {sig_at}, byte {i}"
+                );
+            }
+            // The last stored byte decodes: what it signs is for
+            // verification to say.
+            let mut flipped = buf.clone();
+            flipped[sig_at + SIGNATURE_STORED_LEN - 1] ^= 0x80;
+            assert!(decode_descriptor(&flipped).is_ok());
+        }
     }
 
     #[test]

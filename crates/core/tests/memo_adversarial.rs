@@ -42,10 +42,17 @@ fn assert_same_verdict(d: &SecureDescriptor, memo: &mut VerifyMemo) {
     assert_eq!(d.verify_with(memo), d.verify(), "second sighting");
 }
 
+/// A signature of `fill` bytes, zero-padded, that verifies under no key.
+fn garbage_sig(fill: u8) -> Signature {
+    let mut bytes = [0; sc_crypto::SIGNATURE_LEN];
+    bytes[..sc_crypto::SIGNATURE_STORED_LEN].fill(fill);
+    Signature::from_bytes(bytes).unwrap()
+}
+
 fn flip_sig(sig: &Signature, byte: usize) -> Signature {
-    let mut bytes = *sig.as_bytes();
+    let mut bytes = sig.to_bytes();
     bytes[byte] ^= 0x01;
-    Signature::from_bytes(bytes)
+    Signature::from_bytes(bytes).unwrap()
 }
 
 #[test]
@@ -108,7 +115,7 @@ fn wholly_forged_genesis_signature_is_rejected() {
         creator: c.public(),
         addr: 1,
         created_at: Timestamp(0),
-        sig: Signature::from_bytes([0xa5; 64]),
+        sig: garbage_sig(0xa5),
     };
     let forged = SecureDescriptor::from_parts(genesis, Vec::new());
     assert_eq!(
@@ -135,7 +142,7 @@ fn post_redemption_extension_rejected_despite_memoized_tip() {
     links.push(ChainLink {
         to: c.public(),
         kind: LinkKind::Transfer,
-        sig: Signature::from_bytes([0x11; 64]),
+        sig: garbage_sig(0x11),
     });
     let bad = SecureDescriptor::from_parts(*redeemed.genesis(), links);
     assert_eq!(

@@ -211,9 +211,9 @@ const POOL_LEN: usize = CREATORS as usize * STAMPS.len() * VARIANTS;
 const LAST_CYCLE: u64 = 9 + RETENTION + 2;
 
 fn flip_sig(sig: &Signature) -> Signature {
-    let mut bytes = *sig.as_bytes();
+    let mut bytes = sig.to_bytes();
     bytes[8] ^= 0x40;
-    Signature::from_bytes(bytes)
+    Signature::from_bytes(bytes).unwrap()
 }
 
 fn pool() -> &'static [SecureDescriptor] {

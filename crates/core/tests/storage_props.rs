@@ -191,6 +191,54 @@ fn a_state_spent_twice_is_restored_twice_and_in_cycle_order() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The blacklist is unbounded by design, and a checkpoint lists every
+/// proof it holds: one with more proofs than a message may carry
+/// (`max_proofs`) recovers all of them, into the log and into the node.
+#[test]
+fn a_checkpoint_with_more_proofs_than_a_message_carries_recovers_them_all() {
+    let dir = scratch_dir("proofs");
+    let path = dir.join("node.log");
+    let _ = fs::remove_file(&path);
+    let n = WireLimits::DEFAULT.max_proofs + 1;
+    let proofs = (0..n as u16).map(|i| {
+        let mut seed = [0xc0; 32];
+        seed[..2].copy_from_slice(&i.to_be_bytes());
+        let culprit = Keypair::from_seed(Scheme::KeyedHash, seed);
+        let d1 = SecureDescriptor::create(&culprit, 1, Timestamp(0));
+        let d2 = SecureDescriptor::create(&culprit, 1, Timestamp(PERIOD / 2));
+        (
+            1,
+            ViolationProof::frequency(d1, d2, PERIOD).expect("genuine violation"),
+        )
+    });
+    let state = PersistentState {
+        cycle: 3,
+        emitted_cycle: Some(3),
+        proofs: proofs.collect(),
+        ..Default::default()
+    };
+    let mut backend = FileBackend::open(&path).expect("open");
+    backend.save_checkpoint(&state).expect("checkpoint");
+    drop(backend);
+
+    let recovered = FileBackend::open(&path)
+        .expect("reopen")
+        .load(PERIOD, &WireLimits::DEFAULT)
+        .expect("load")
+        .expect("the checkpoint folds");
+    let culprits: std::collections::HashSet<_> =
+        recovered.proofs.iter().map(|(_, p)| p.culprit()).collect();
+    assert_eq!((recovered.proofs.len(), culprits.len()), (n, n));
+
+    let backend = Box::new(FileBackend::open(&path).expect("reopen"));
+    let cfg = SecureConfig::default();
+    let node =
+        SecureCyclonNode::with_backend(kp(200), 0, cfg, [1u8; 32], 0, backend).expect("recover");
+    assert_eq!(node.blacklist().len(), n);
+    assert_eq!(node.last_emission(), Some(3));
+    let _ = fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

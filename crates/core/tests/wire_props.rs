@@ -13,7 +13,8 @@ use sc_core::{
     AcceptBody, JoinGrantBody, JoinPingBody, LinkKind, RequestBody, RoundBody, RoundReplyBody,
     SecureDescriptor, SecureMsg, Timestamp, ViolationProof,
 };
-use sc_crypto::{Keypair, Scheme};
+use sc_crypto::{Keypair, Scheme, SIGNATURE_LEN, SIGNATURE_STORED_LEN};
+use std::cell::RefCell;
 
 const PERIOD: u64 = 1000;
 
@@ -142,6 +143,26 @@ fn encode(msg: &SecureMsg) -> Vec<u8> {
     buf
 }
 
+/// Where in `buf`, the encoding of `msg`, a signature starts: every
+/// genesis and link signature of every descriptor `msg` carries, proof
+/// evidence included, found by its 64-byte wire form.
+fn signature_offsets(msg: &SecureMsg, buf: &[u8]) -> Vec<usize> {
+    let sigs = RefCell::new(Vec::new());
+    wire::message_descriptor_bytes(msg, |d| {
+        let links = d.chain().into_iter().map(|l| l.sig);
+        sigs.borrow_mut()
+            .extend(std::iter::once(d.genesis().sig).chain(links));
+        0
+    });
+    let sigs = sigs.into_inner();
+    (0..buf.len().saturating_sub(SIGNATURE_LEN - 1))
+        .filter(|&at| {
+            let window = &buf[at..at + SIGNATURE_LEN];
+            sigs.iter().any(|s| s.to_bytes() == window)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -214,6 +235,38 @@ proptest! {
         if let Ok(back) = wire::decode_message(&buf, PERIOD) {
             prop_assert_eq!(encode(&back), buf);
         }
+    }
+
+    /// A non-zero byte past a signature's stored ones — of a genesis, a
+    /// link or a proof's evidence, in any message — decodes to
+    /// `BadSignature`: a re-padded signature cannot be represented. Short
+    /// of them the codec has no opinion (verification does).
+    #[test]
+    fn nonzero_signature_padding_is_refused_on_every_path(
+        variant in 0u8..7,
+        creator_tag in 0u8..16,
+        ts in 0u64..1_000_000,
+        path in proptest::collection::vec(0u8..16, 0..5),
+        proof_kind in proptest::any::<bool>(),
+        pick in proptest::any::<u64>(),
+        byte in SIGNATURE_STORED_LEN..SIGNATURE_LEN,
+        value in 1u8..=255,
+    ) {
+        let msg = build_message(
+            variant, creator_tag, 9, ts, path, vec![1, 2], proof_kind, true,
+        );
+        let buf = encode(&msg);
+        let offsets = signature_offsets(&msg, &buf);
+        // A join ping carries no signature.
+        prop_assume!(!offsets.is_empty());
+        let at = offsets[(pick % offsets.len() as u64) as usize];
+        let mut bad = buf.clone();
+        bad[at + byte] = value;
+        prop_assert_eq!(
+            wire::decode_message(&bad, PERIOD).err(),
+            Some(WireError::BadSignature),
+            "signature at {}, byte {}", at, byte
+        );
     }
 
     #[test]

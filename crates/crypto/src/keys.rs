@@ -14,7 +14,13 @@
 //!   cannot impersonate legitimate ones".
 //!
 //! Both schemes share fixed-size wire types: 32-byte [`PublicKey`], 64-byte
-//! [`Signature`], matching the paper's size model (§VI-A).
+//! [`Signature`], matching the paper's size model (§VI-A). A signature is
+//! 64 bytes on the wire, in the state log and in every digest over it, but
+//! only its first [`SIGNATURE_STORED_LEN`] bytes are held in memory: the
+//! tag and the longer scheme's signature. The other 31 are zero in the one
+//! encoding of any signature, so they are not stored:
+//! [`Signature::from_bytes`] refuses a non-zero one, and writers append
+//! [`SIGNATURE_PADDING`] to [`Signature::stored_bytes`].
 
 use crate::hex::to_hex;
 use crate::schnorr61::{self, SchnorrKey};
@@ -25,6 +31,12 @@ use rand::RngCore;
 pub const PUBLIC_KEY_LEN: usize = 32;
 /// Length of a serialized signature in bytes.
 pub const SIGNATURE_LEN: usize = 64;
+/// Bytes of a signature held in memory: the tag and the longer scheme's
+/// signature (KeyedHash's 32 bytes; Schnorr61 uses 16 and zeros the rest).
+pub const SIGNATURE_STORED_LEN: usize = 33;
+/// What follows [`Signature::stored_bytes`] in a signature's
+/// [`SIGNATURE_LEN`]-byte form: zeros, the same for every signature.
+pub const SIGNATURE_PADDING: &[u8] = &[0; SIGNATURE_LEN - SIGNATURE_STORED_LEN];
 
 const TAG_SCHNORR: u8 = 1;
 const TAG_KEYED: u8 = 2;
@@ -191,27 +203,43 @@ impl core::fmt::Display for PublicKey {
     }
 }
 
-/// A detached signature.
+/// A detached signature, held as its first [`SIGNATURE_STORED_LEN`]
+/// bytes (see the module docs): its wire form is those and
+/// [`SIGNATURE_PADDING`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Signature([u8; SIGNATURE_LEN]);
+pub struct Signature([u8; SIGNATURE_STORED_LEN]);
 
 impl Signature {
-    /// Returns the raw signature bytes.
-    pub fn as_bytes(&self) -> &[u8; SIGNATURE_LEN] {
+    /// The bytes held in memory: the wire form less its zero padding.
+    pub fn stored_bytes(&self) -> &[u8; SIGNATURE_STORED_LEN] {
         &self.0
     }
 
-    /// Reconstructs a signature from raw bytes (no validation beyond size).
-    pub fn from_bytes(bytes: [u8; SIGNATURE_LEN]) -> Self {
-        Signature(bytes)
+    /// The [`SIGNATURE_LEN`]-byte wire form.
+    pub fn to_bytes(&self) -> [u8; SIGNATURE_LEN] {
+        let mut bytes = [0u8; SIGNATURE_LEN];
+        bytes[..SIGNATURE_STORED_LEN].copy_from_slice(&self.0);
+        bytes
+    }
+
+    /// Reconstructs a signature from its wire form.
+    ///
+    /// Returns `None` if a byte past the first [`SIGNATURE_STORED_LEN`]
+    /// is not zero: no scheme signs with those bytes, and a signature is
+    /// read, compared and digested as all 64 of them, so one with its
+    /// padding changed would be a second valid signature by the same
+    /// signer over the same message — and a descriptor carrying it a fork
+    /// its signer never made.
+    pub fn from_bytes(bytes: [u8; SIGNATURE_LEN]) -> Option<Self> {
+        let (stored, padding) = bytes.split_at(SIGNATURE_STORED_LEN);
+        (padding == SIGNATURE_PADDING)
+            .then(|| Signature(stored.try_into().expect("split at the stored length")))
     }
 
     /// Whether the bytes are `scheme`'s one encoding of a signature: its
-    /// tag, the signature, then zeros. Verification reads only the first
-    /// two parts, while equality and every digest over a signature read
-    /// all 64 bytes — so a signature with its padding changed would be a
-    /// second valid signature by the same signer over the same message,
-    /// and a descriptor carrying it a fork its signer never made.
+    /// tag, the signature, then zeros. Past [`SIGNATURE_STORED_LEN`] every
+    /// signature is zero; this checks the zeros before that, which
+    /// Schnorr61's shorter signature leaves.
     fn is_encoded_for(&self, scheme: Scheme) -> bool {
         let (used, padding) = self.0.split_at(scheme.signature_len());
         // One OR over the padding, no early exit: it vectorizes.
@@ -300,7 +328,7 @@ impl Keypair {
 
     /// Signs `msg` with the secret key.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let mut out = [0u8; SIGNATURE_LEN];
+        let mut out = [0u8; SIGNATURE_STORED_LEN];
         out[0] = self.scheme.tag();
         match self.scheme {
             Scheme::Schnorr61 => {
@@ -399,11 +427,19 @@ mod tests {
 
     #[test]
     fn signature_bytes_roundtrip() {
-        let kp = Keypair::from_seed(Scheme::Schnorr61, [5u8; 32]);
-        let sig = kp.sign(b"x");
-        let back = Signature::from_bytes(*sig.as_bytes());
-        assert_eq!(back, sig);
-        assert!(kp.public().verify(b"x", &back));
+        for scheme in both_schemes() {
+            let kp = Keypair::from_seed(scheme, [5u8; 32]);
+            let sig = kp.sign(b"x");
+            let bytes = sig.to_bytes();
+            assert_eq!(bytes[..SIGNATURE_STORED_LEN], sig.stored_bytes()[..]);
+            assert_eq!(&bytes[SIGNATURE_STORED_LEN..], SIGNATURE_PADDING);
+            let back = Signature::from_bytes(bytes).expect("zero padding");
+            assert_eq!(back, sig);
+            assert!(kp.public().verify(b"x", &back));
+        }
+        // The longer scheme's signature fills exactly what is stored.
+        assert_eq!(Scheme::KeyedHash.signature_len(), SIGNATURE_STORED_LEN);
+        assert!(Scheme::Schnorr61.signature_len() < SIGNATURE_STORED_LEN);
     }
 
     #[test]
@@ -417,13 +453,20 @@ mod tests {
 
     #[test]
     fn a_nonzero_padding_byte_fails_both_verify_paths() {
+        // Past what is stored, a signature with a padding byte set cannot
+        // even be made; short of it (Schnorr61's bytes 17..33) it is made
+        // and fails verification.
         for scheme in both_schemes() {
             let kp = Keypair::from_seed(scheme, [3u8; 32]);
             let sig = kp.sign(b"msg");
             for i in scheme.signature_len()..SIGNATURE_LEN {
-                let mut bytes = *sig.as_bytes();
+                let mut bytes = sig.to_bytes();
                 bytes[i] = 1;
-                let padded = Signature::from_bytes(bytes);
+                let Some(padded) = Signature::from_bytes(bytes) else {
+                    assert!(i >= SIGNATURE_STORED_LEN, "{scheme:?} byte {i}");
+                    continue;
+                };
+                assert!(i < SIGNATURE_STORED_LEN, "{scheme:?} byte {i}");
                 let pk = kp.public();
                 assert!(!pk.verify(b"msg", &padded), "{scheme:?} byte {i}");
                 assert_eq!(verify_batch(&[(&pk, b"msg", &padded)]), Err(0));
@@ -464,9 +507,9 @@ mod tests {
         ] {
             let mut sigs = good.clone();
             for &i in &bad {
-                let mut bytes = *sigs[i].as_bytes();
+                let mut bytes = sigs[i].to_bytes();
                 bytes[12] ^= 1;
-                sigs[i] = Signature::from_bytes(bytes);
+                sigs[i] = Signature::from_bytes(bytes).expect("zero padding");
             }
             assert_eq!(run(&sigs), Err(*bad.iter().min().unwrap()));
         }

@@ -7,9 +7,10 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (NIST-vector tested), used for
 //!   descriptor digests and signature messages.
 //! * [`keys`] — node identities ([`PublicKey`] = [`NodeId`]), keypairs and
-//!   64-byte [`Signature`]s under two schemes: a real Schnorr construction
-//!   over a toy group ([`schnorr61`]) and a fast keyed-hash scheme for
-//!   large-scale simulations.
+//!   64-byte [`Signature`]s (33 of them held in memory) under two
+//!   schemes: a real Schnorr construction over a toy group
+//!   ([`schnorr61`]) and a fast keyed-hash scheme for large-scale
+//!   simulations.
 //! * [`hex`] — tiny hex codec for display purposes.
 //! * [`fxhash`] — a one-multiply-per-word hasher for the protocol's hot
 //!   digest-keyed lookup tables (not flooding-resistant; see module docs).
@@ -40,6 +41,6 @@ pub mod sha256;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use keys::{
     verify_batch, verify_batch_by, Keypair, NodeId, PublicKey, Scheme, Signature, PUBLIC_KEY_LEN,
-    SIGNATURE_LEN,
+    SIGNATURE_LEN, SIGNATURE_PADDING, SIGNATURE_STORED_LEN,
 };
 pub use sha256::{sha256, sha256_concat, Digest, Sha256, DIGEST_LEN};

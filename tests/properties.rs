@@ -233,9 +233,9 @@ proptest! {
         if !victim.chain().is_empty() {
             let mut links = victim.chain().to_vec();
             let i = tamper_link % links.len();
-            let mut sig = *links[i].sig.as_bytes();
+            let mut sig = links[i].sig.to_bytes();
             sig[tamper_byte] ^= 0x01;
-            links[i].sig = Signature::from_bytes(sig);
+            links[i].sig = Signature::from_bytes(sig).unwrap();
             let tampered = SecureDescriptor::from_parts(*victim.genesis(), links);
             prop_assert_eq!(tampered.verify_with(&mut memo), tampered.verify());
             prop_assert!(tampered.verify_with(&mut memo).is_err());
@@ -318,9 +318,9 @@ proptest! {
                     match links.len() {
                         0 => genesis.addr ^= 1,
                         n => {
-                            let mut sig = *links[j % n].sig.as_bytes();
+                            let mut sig = links[j % n].sig.to_bytes();
                             sig[1 + j % 32] ^= 0x10;
-                            links[j % n].sig = Signature::from_bytes(sig);
+                            links[j % n].sig = Signature::from_bytes(sig).unwrap();
                         }
                     }
                     SecureDescriptor::from_parts(genesis, links)
