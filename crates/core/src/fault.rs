@@ -1,14 +1,17 @@
-//! Deterministic fault-injection specifications.
+//! Deterministic fault injection: the one loss model of both tiers.
 //!
 //! A [`FaultSpec`] describes everything a fault-injecting transport may
-//! do to gossip frames — per-direction drop, bounded delay/reorder,
-//! duplication and partition severing — plus the seed every decision
-//! derives from. The spec itself makes the decisions:
+//! do to gossip frames — per-kind drop ([`Loss`]), bounded
+//! delay/reorder, duplication and partition severing — plus the seed
+//! every decision derives from. The spec itself makes the decisions:
 //! [`FaultSpec::decide`] is a pure counter-mode PRNG keyed by
-//! `(seed, direction, src, dst, frame_index)`,
-//! the same replay discipline as the simulator's `NetworkModel`, so a
-//! failing live run reproduces exactly from the printed seed and two
-//! transports holding the same spec agree on every frame's fate.
+//! `(seed, direction, src, dst, frame_index)`, so a failing live run
+//! reproduces exactly from the printed seed and two transports holding
+//! the same spec agree on every frame's fate.
+//!
+//! A frame is lost, if at all, on its receiving side: by the inbound
+//! roll, held to the rate of its [`MsgKind`]. The simulator's engine
+//! decides its messages by the same roll ([`Loss::drops`]).
 //!
 //! A spec has one serialization, the textual grammar of
 //! [`FaultSpec::parse`] / `Display`: the daemon parses it from
@@ -21,12 +24,12 @@
 //! the no-fault spec):
 //!
 //! ```text
-//! seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:4,dup=0.02,sever=41007+41008
+//! seed=7,drop=0.15:0.05:0.1,delay=0.2:4,dup=0.02,sever=41007+41008
 //! ```
 //!
 //! * `seed` — decision seed (default 0)
-//! * `drop_in` / `drop_out` / `drop` — per-direction (or both) frame
-//!   drop probability
+//! * `drop=p` — drop probability of every received frame; `drop=r:s:o`
+//!   — of a received request, response and oneway
 //! * `delay=p:w` — with probability `p`, hold an inbound frame for
 //!   1..=`w` polls of 500 µs each (bounded reorder)
 //! * `dup` — outbound duplication probability
@@ -46,10 +49,75 @@ pub enum FaultDir {
     Outbound,
 }
 
+/// What a gossip frame carries, as far as loss is concerned: the rate a
+/// [`Loss`] holds it to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MsgKind {
+    /// An exchange request: lost, the target never processes it.
+    Request,
+    /// The answer to a request: lost, the target *did* process it.
+    Response,
+    /// A fire-and-forget message (proof floods, §V-A join pings, grants).
+    Oneway,
+}
+
+/// Per-kind drop probabilities: the paper's §V-A repair is argued under
+/// loss that differs by message kind. Every tier carries this one type —
+/// a scenario's loss, the simulator's engine and a socket's [`FaultSpec`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Loss {
+    /// Probability a request is lost.
+    pub request: f64,
+    /// Probability a response is lost.
+    pub response: f64,
+    /// Probability a oneway message is lost.
+    pub oneway: f64,
+}
+
+impl Loss {
+    /// Independent per-kind probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any probability is outside `[0, 1]`.
+    pub fn new(request: f64, response: f64, oneway: f64) -> Loss {
+        for p in [request, response, oneway] {
+            assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
+        }
+        Loss {
+            request,
+            response,
+            oneway,
+        }
+    }
+
+    /// The same probability `p` for every kind (panics as [`Loss::new`]).
+    pub fn uniform(p: f64) -> Loss {
+        Loss::new(p, p, p)
+    }
+
+    /// Whether nothing is ever lost.
+    pub fn is_none(&self) -> bool {
+        self.request == 0.0 && self.response == 0.0 && self.oneway == 0.0
+    }
+
+    /// Whether the `index`-th frame `dst` received from `src`, of `kind`,
+    /// is lost under `seed`: the inbound roll of [`FaultSpec::decide`],
+    /// held to the kind's rate. Pure, like every decision.
+    pub fn drops(&self, seed: u64, kind: MsgKind, src: Addr, dst: Addr, index: u64) -> bool {
+        let p = match kind {
+            MsgKind::Request => self.request,
+            MsgKind::Response => self.response,
+            MsgKind::Oneway => self.oneway,
+        };
+        p > 0.0 && unit(seed, SALT_DROP, DIR_IN, src, dst, index) < p
+    }
+}
+
 /// The fate [`FaultSpec::decide`] assigns one frame.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultDecision {
-    /// Drop the frame silently.
+    /// Drop the frame silently (inbound only).
     pub drop: bool,
     /// Send the frame twice (outbound only; ignored inbound).
     pub duplicate: bool,
@@ -64,10 +132,8 @@ pub struct FaultDecision {
 pub struct FaultSpec {
     /// Seed all per-frame decisions derive from.
     pub seed: u64,
-    /// Probability an inbound frame is dropped.
-    pub drop_in: f64,
-    /// Probability an outbound frame is dropped (after being "sent").
-    pub drop_out: f64,
+    /// Per-kind probabilities a received frame is dropped.
+    pub loss: Loss,
     /// Probability an inbound frame is delayed.
     pub delay_prob: f64,
     /// Maximum delay in polls of 500 µs (the reorder bound).
@@ -82,8 +148,7 @@ impl Default for FaultSpec {
     fn default() -> Self {
         FaultSpec {
             seed: 0,
-            drop_in: 0.0,
-            drop_out: 0.0,
+            loss: Loss::default(),
             delay_prob: 0.0,
             delay_max_polls: DEFAULT_DELAY_WINDOW,
             dup_prob: 0.0,
@@ -112,12 +177,13 @@ const SALT_DROP: u64 = 1;
 const SALT_DELAY: u64 = 2;
 const SALT_DELAY_LEN: u64 = 3;
 const SALT_DUP: u64 = 4;
+const DIR_IN: u64 = 0;
+const DIR_OUT: u64 = 1;
 
 impl FaultSpec {
     /// Whether the spec injects nothing at all (exact pass-through).
     pub fn is_noop(&self) -> bool {
-        self.drop_in == 0.0
-            && self.drop_out == 0.0
+        self.loss.is_none()
             && self.delay_prob == 0.0
             && self.dup_prob == 0.0
             && self.severed.is_empty()
@@ -128,21 +194,25 @@ impl FaultSpec {
         self.severed.binary_search(&peer).is_ok()
     }
 
-    /// The fate of the `index`-th frame between `src` and `dst` in
-    /// direction `dir`. Pure counter-mode PRNG: identical
-    /// `(spec, dir, src, dst, index)` always yields the identical
-    /// decision, independent of call order or wall clock.
-    pub fn decide(&self, dir: FaultDir, src: Addr, dst: Addr, index: u64) -> FaultDecision {
+    /// The fate of the `index`-th frame of `kind` between `src` and
+    /// `dst` in direction `dir`: inbound it may be dropped (by
+    /// [`Loss::drops`]) or held, outbound duplicated. Pure counter-mode
+    /// PRNG: identical `(spec, dir, kind, src, dst, index)` always yields
+    /// the identical decision, independent of call order or wall clock.
+    pub fn decide(
+        &self,
+        dir: FaultDir,
+        kind: MsgKind,
+        src: Addr,
+        dst: Addr,
+        index: u64,
+    ) -> FaultDecision {
         let d = match dir {
-            FaultDir::Inbound => 0u64,
-            FaultDir::Outbound => 1u64,
-        };
-        let drop_p = match dir {
-            FaultDir::Inbound => self.drop_in,
-            FaultDir::Outbound => self.drop_out,
+            FaultDir::Inbound => DIR_IN,
+            FaultDir::Outbound => DIR_OUT,
         };
         let roll = |salt| unit(self.seed, salt, d, src, dst, index);
-        let drop = drop_p > 0.0 && roll(SALT_DROP) < drop_p;
+        let drop = dir == FaultDir::Inbound && self.loss.drops(self.seed, kind, src, dst, index);
         let delay_polls = if !drop && self.delay_prob > 0.0 && roll(SALT_DELAY) < self.delay_prob {
             let w = self.delay_max_polls.max(1);
             1 + (roll(SALT_DELAY_LEN) * w as f64) as u32
@@ -167,8 +237,11 @@ impl FaultSpec {
                 0.0
             }
         };
-        self.drop_in = clamp(self.drop_in);
-        self.drop_out = clamp(self.drop_out);
+        self.loss = Loss {
+            request: clamp(self.loss.request),
+            response: clamp(self.loss.response),
+            oneway: clamp(self.loss.oneway),
+        };
         self.delay_prob = clamp(self.delay_prob);
         self.dup_prob = clamp(self.dup_prob);
         self.delay_max_polls = self.delay_max_polls.clamp(1, 1 << 16);
@@ -202,11 +275,13 @@ impl FaultSpec {
                         .map_err(|_| format!("fault-spec seed: '{val}' is not a u64"))?;
                 }
                 "drop" => {
-                    spec.drop_in = prob(val)?;
-                    spec.drop_out = spec.drop_in;
+                    let rates: Vec<f64> = val.split(':').map(prob).collect::<Result<_, _>>()?;
+                    spec.loss = match rates[..] {
+                        [p] => Loss::uniform(p),
+                        [request, response, oneway] => Loss::new(request, response, oneway),
+                        _ => return Err(format!("fault-spec drop: '{val}' is not p or r:s:o")),
+                    };
                 }
-                "drop_in" => spec.drop_in = prob(val)?,
-                "drop_out" => spec.drop_out = prob(val)?,
                 "delay" => {
                     let (p, w) = match val.split_once(':') {
                         Some((p, w)) => (
@@ -243,15 +318,17 @@ impl core::fmt::Display for FaultSpec {
         if self.seed != 0 {
             parts.push(format!("seed={}", self.seed));
         }
-        if self.drop_in > 0.0 && self.drop_in == self.drop_out {
-            parts.push(format!("drop={}", self.drop_in));
+        let Loss {
+            request,
+            response,
+            oneway,
+        } = self.loss;
+        if request == response && response == oneway {
+            if request > 0.0 {
+                parts.push(format!("drop={request}"));
+            }
         } else {
-            if self.drop_in > 0.0 {
-                parts.push(format!("drop_in={}", self.drop_in));
-            }
-            if self.drop_out > 0.0 {
-                parts.push(format!("drop_out={}", self.drop_out));
-            }
+            parts.push(format!("drop={request}:{response}:{oneway}"));
         }
         if self.delay_prob > 0.0 {
             parts.push(format!(
@@ -276,12 +353,11 @@ mod tests {
 
     #[test]
     fn parse_grammar_roundtrips_through_display() {
-        let spec = FaultSpec::parse(
-            "seed=7,drop_in=0.1,drop_out=0.05,delay=0.2:3,dup=0.02,sever=41008+41007",
-        )
-        .unwrap();
+        let spec =
+            FaultSpec::parse("seed=7,drop=0.1:0.05:0.2,delay=0.2:3,dup=0.02,sever=41008+41007")
+                .unwrap();
         assert_eq!(spec.seed, 7);
-        assert_eq!(spec.drop_in, 0.1);
+        assert_eq!(spec.loss, Loss::new(0.1, 0.05, 0.2));
         assert_eq!(spec.delay_max_polls, 3);
         assert_eq!(spec.severed, vec![41007, 41008], "severed set sorted");
         let again = FaultSpec::parse(&spec.to_string()).unwrap();
@@ -289,7 +365,14 @@ mod tests {
 
         assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::default());
         assert!(FaultSpec::default().is_noop());
-        assert!(FaultSpec::parse("drop=0.5").unwrap().drop_out == 0.5);
+        let uniform = FaultSpec::parse("drop=0.5").unwrap();
+        assert_eq!(uniform.loss, Loss::uniform(0.5));
+        assert_eq!(uniform.to_string(), "drop=0.5");
+        assert_eq!(FaultSpec::parse("drop=0.5:0.5:0.5").unwrap(), uniform);
+        assert_eq!(
+            FaultSpec::parse("drop=0:0.3:0").unwrap().to_string(),
+            "drop=0:0.3:0"
+        );
         assert_eq!(
             FaultSpec::parse("delay=0.5").unwrap().delay_max_polls,
             DEFAULT_DELAY_WINDOW
@@ -300,6 +383,14 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(FaultSpec::parse("drop=1.5").is_err());
         assert!(FaultSpec::parse("drop=nan").is_err());
+        assert!(FaultSpec::parse("drop=0.1:0.2").is_err(), "two rates");
+        assert!(
+            FaultSpec::parse("drop=0.1:0.2:0.3:0.4").is_err(),
+            "four rates"
+        );
+        assert!(FaultSpec::parse("drop=0.1:x:0.3").is_err());
+        assert!(FaultSpec::parse("drop=0.1:1.5:0.3").is_err());
+        assert!(FaultSpec::parse("drop=0.1::0.3").is_err());
         assert!(FaultSpec::parse("nonsense").is_err());
         assert!(FaultSpec::parse("unknown=1").is_err());
         assert_eq!(
@@ -319,29 +410,32 @@ mod tests {
     #[test]
     fn decisions_are_pure_counter_mode() {
         let spec = FaultSpec::parse("seed=3,drop=0.3,delay=0.4:6,dup=0.2").unwrap();
-        let a: Vec<FaultDecision> = (0..500)
-            .map(|i| spec.decide(FaultDir::Inbound, 10, 20, i))
-            .collect();
-        let b: Vec<FaultDecision> = (0..500)
-            .map(|i| spec.decide(FaultDir::Inbound, 10, 20, i))
-            .collect();
-        assert_eq!(a, b, "same counter, same decisions");
+        let decide = |spec: &FaultSpec, dir| -> Vec<FaultDecision> {
+            (0..500)
+                .map(|i| spec.decide(dir, MsgKind::Oneway, 10, 20, i))
+                .collect()
+        };
+        let a = decide(&spec, FaultDir::Inbound);
+        assert_eq!(
+            a,
+            decide(&spec, FaultDir::Inbound),
+            "same counter, same decisions"
+        );
 
         // The streams actually vary across indices, directions, pairs,
         // and seeds (a constant PRNG would also be "deterministic").
         assert!(a.iter().any(|d| d.drop) && a.iter().any(|d| !d.drop));
-        let flip_dir: Vec<FaultDecision> = (0..500)
-            .map(|i| spec.decide(FaultDir::Outbound, 10, 20, i))
-            .collect();
-        assert_ne!(a, flip_dir);
+        let out = decide(&spec, FaultDir::Outbound);
+        assert_ne!(a, out);
+        assert!(
+            out.iter().all(|d| !d.drop),
+            "loss is decided on the receiving side"
+        );
         let other_seed = FaultSpec {
             seed: 4,
             ..spec.clone()
         };
-        let c: Vec<FaultDecision> = (0..500)
-            .map(|i| other_seed.decide(FaultDir::Inbound, 10, 20, i))
-            .collect();
-        assert_ne!(a, c);
+        assert_ne!(a, decide(&other_seed, FaultDir::Inbound));
 
         // Delays respect the reorder bound.
         assert!(a.iter().all(|d| d.delay_polls <= 6));
@@ -349,13 +443,48 @@ mod tests {
     }
 
     #[test]
+    fn the_kind_picks_the_threshold_not_the_roll() {
+        let loss = Loss::new(0.1, 0.5, 0.3);
+        let spec = FaultSpec {
+            seed: 9,
+            loss,
+            ..FaultSpec::default()
+        };
+        let kinds = [MsgKind::Request, MsgKind::Response, MsgKind::Oneway];
+        let mut dropped = [0u32; 3];
+        for i in 0..2_000 {
+            let drops = kinds.map(|k| loss.drops(9, k, 10, 20, i));
+            // One roll per frame: whatever a lower rate drops, every
+            // higher rate drops too.
+            assert!(!drops[0] || drops[2], "frame {i}");
+            assert!(!drops[2] || drops[1], "frame {i}");
+            for (k, &kind) in kinds.iter().enumerate() {
+                let decided = spec.decide(FaultDir::Inbound, kind, 10, 20, i).drop;
+                assert_eq!(decided, drops[k], "decide is Loss::drops inbound");
+                dropped[k] += u32::from(drops[k]);
+            }
+        }
+        // Each kind is held to its own rate (±4σ at n = 2 000).
+        for (got, rate) in dropped.into_iter().zip([0.1f64, 0.5, 0.3]) {
+            let expected = 2_000.0 * rate;
+            let sigma = (2_000.0 * rate * (1.0 - rate)).sqrt();
+            assert!(
+                (f64::from(got) - expected).abs() < 4.0 * sigma,
+                "{got} at {rate}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_rates_decide_nothing() {
         let spec = FaultSpec::default();
         for i in 0..100 {
-            assert_eq!(
-                spec.decide(FaultDir::Outbound, 1, 2, i),
-                FaultDecision::default()
-            );
+            for dir in [FaultDir::Inbound, FaultDir::Outbound] {
+                assert_eq!(
+                    spec.decide(dir, MsgKind::Request, 1, 2, i),
+                    FaultDecision::default()
+                );
+            }
         }
         assert!(!spec.severs(7));
         assert!(FaultSpec::parse("sever=7").unwrap().severs(7));

@@ -84,7 +84,7 @@ pub use config::SecureConfig;
 pub use descriptor::{
     ChainLink, DescriptorError, DescriptorId, Genesis, LinkKind, SecureDescriptor,
 };
-pub use fault::{FaultDecision, FaultDir, FaultSpec};
+pub use fault::{FaultDecision, FaultDir, FaultSpec, Loss, MsgKind};
 pub use machine::{Effects, Input, Machine};
 pub use memo::VerifyMemo;
 pub use msg::{

@@ -55,8 +55,16 @@ impl SecureCyclonNode {
 
     /// Rebuilds protocol state from a recovered checkpoint fold.
     pub(super) fn restore(&mut self, mut state: PersistentState) {
+        // A log that holds more than proofs was written by a node that had
+        // joined — even when every checkpointed descriptor has been spent
+        // since and the view comes back empty: then the §V-A rejoin ping
+        // is its only way back. Proofs alone are what a joiner logs from
+        // its grant before its first checkpoint: it never signed anything
+        // away, so it boots as new and asks its sponsor again.
+        let proofs = std::mem::take(&mut state.proofs);
+        self.was_connected = !state.is_trivial();
         self.emitted_cycle = state.emitted_cycle;
-        for (learned, proof) in state.proofs {
+        for (learned, proof) in proofs {
             if proof.validate(self.cfg.ticks_per_cycle).is_ok() {
                 self.blacklist.register(proof, learned);
             }
@@ -98,12 +106,6 @@ impl SecureCyclonNode {
                 self.redemptions.push(desc, cycle);
             }
         }
-        // A log that holds anything was written by a node that had
-        // joined — even when every checkpointed descriptor has been spent
-        // since (passive exchanges after the last checkpoint) and the
-        // view comes back empty. Then the §V-A rejoin ping to the
-        // creators in the restored redemption cache is the only way back.
-        self.was_connected = true;
     }
 
     /// Whether a persisted owned descriptor may safely re-enter the view

@@ -460,6 +460,64 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
 }
 
 #[test]
+fn a_joiner_killed_before_its_first_checkpoint_boots_as_new() {
+    // A grant's proofs are logged the moment they are imported; its
+    // descriptor reaches the log only with the first checkpoint. A
+    // joiner killed in between recovers a log of proofs alone: it never
+    // signed anything away, so it must come back unjoined — and ask its
+    // sponsor again — not `joined()` with an empty view and nobody to
+    // ping.
+    use crate::storage::MemoryBackend;
+    let kps = keypairs(3);
+    let (joiner, sponsor, culprit) = (&kps[0], &kps[1], &kps[2]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::with_backend(
+        joiner.clone(),
+        10,
+        cfg,
+        [1u8; 32],
+        0,
+        Box::new(MemoryBackend::new()),
+    )
+    .unwrap();
+    assert!(!node.joined());
+    let proof = ViolationProof::frequency(
+        SecureDescriptor::create(culprit, 12, Timestamp(0)),
+        SecureDescriptor::create(culprit, 12, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .unwrap();
+    let descriptor = SecureDescriptor::create(sponsor, 11, Timestamp(tpc))
+        .transfer(sponsor, joiner.public())
+        .unwrap();
+    node.step(Input::Oneway {
+        from: 11,
+        msg: SecureMsg::JoinGrant(Box::new(crate::msg::JoinGrantBody {
+            descriptor,
+            proofs: vec![proof],
+        })),
+        cycle: 1,
+        now: tpc + 1,
+    });
+    assert!(node.joined() && node.blacklist().contains(&culprit.public()));
+
+    // kill -9 before the joiner's first turn.
+    let disk = node.take_backend().unwrap();
+    let revived =
+        SecureCyclonNode::with_backend(joiner.clone(), 10, cfg, [2u8; 32], 0, disk).unwrap();
+    assert!(
+        revived.blacklist().contains(&culprit.public()),
+        "the logged proof is recovered"
+    );
+    assert!(revived.view().is_empty());
+    assert!(
+        !revived.joined(),
+        "a log of proofs alone is no membership: the daemon must ping its sponsor again"
+    );
+}
+
+#[test]
 fn a_node_cut_off_past_the_window_still_pings_for_rejoin() {
     // A partition longer than the sample window expires every sample and
     // every redeemed copy the node holds: the addresses §V-A's rejoin ping

@@ -32,14 +32,8 @@ pub fn detection_by_age(
     cycles: u64,
     seed: u64,
 ) -> HashMap<u64, (usize, usize)> {
-    // One ledger per attacker age-class, all feeding the same sim. The
-    // builder assigns one strategy to every malicious node, so instead we
-    // run one sub-population per age... — cheaper: one ledger, one
-    // target age per *run*, merged by the caller. To keep a single
-    // simulation per cell, attackers cycle through ages via their
-    // deterministic seeds: we emulate this by running one network per age
-    // group but sharing the (cache, malicious%) cell. For tractability the
-    // builder supports one age per run; we loop over ages here.
+    // One network per target age (every attacker clones at that age),
+    // each with its own ledger and a seed derived from the age.
     let mut out: HashMap<u64, (usize, usize)> = HashMap::new();
     for (k, &age) in ages.iter().enumerate() {
         let ledger = Arc::new(Mutex::new(CloneLedger::new()));

@@ -224,11 +224,11 @@ mod tests {
     #[test]
     fn parses_a_fault_spec() {
         let cfg = NodeConfig::parse(&args(
-            "--addr 41000 --scheme keyed --fault-spec seed=5,drop=0.1,sever=41003",
+            "--addr 41000 --scheme keyed --fault-spec seed=5,drop=0.2:0.05:0.1,sever=41003",
         ))
         .unwrap();
         assert_eq!(cfg.fault_spec.seed, 5);
-        assert_eq!(cfg.fault_spec.drop_out, 0.1);
+        assert_eq!(cfg.fault_spec.loss, sc_core::Loss::new(0.2, 0.05, 0.1));
         assert!(cfg.fault_spec.severs(41003));
         assert!(NodeConfig::parse(&args("--addr 41000 --fault-spec drop=2")).is_err());
         // The default spec injects nothing.

@@ -2,28 +2,30 @@
 //!
 //! [`FaultTransport`] wraps an inner transport and applies a
 //! [`FaultSpec`] to every *gossip* frame crossing it: seeded per-frame
-//! drop (each direction), bounded delay/reorder via a release queue,
-//! outbound duplication, and partition severing by peer address. It
-//! never sleeps and has no wait loop of its own: a delayed frame is held
-//! until an [`Instant`], and `recv` hands the inner transport a wait of
-//! `min(caller's timeout, earliest release)` — the process sleeps in the
-//! inner transport's `poll(2)` either way. Control frames (`Ctrl*`) are
-//! exempt in both directions so a harness can always scrape, reconfigure,
-//! and shut down a daemon no matter how hostile the injected network is.
+//! drop by message kind on the receiving side, bounded delay/reorder via
+//! a release queue, outbound duplication, and partition severing by peer
+//! address. It never sleeps and has no wait loop of its own: a delayed
+//! frame is held until an [`Instant`], and `recv` hands the inner
+//! transport a wait of `min(caller's timeout, earliest release)` — the
+//! process sleeps in the inner transport's `poll(2)` either way. Control
+//! frames (`Ctrl*`) are exempt in both directions so a harness can always
+//! scrape, reconfigure, and shut down a daemon no matter how hostile the
+//! injected network is.
 //!
 //! Every decision comes from [`FaultSpec::decide`], a pure counter-mode
 //! PRNG keyed by `(seed, direction, src, dst, frame_index)` with the
 //! frame index counted per peer per direction. The same spec applied to
 //! the same frame sequence therefore makes byte-identical decisions —
 //! the whole point: a failing live-cluster run replays exactly from the
-//! printed seed. One thing meters real elapsed time and so only shapes
-//! pacing, never which frames survive: how long a delayed frame is held
-//! (500 µs per decided poll).
+//! printed seed — and the simulator's engine loses the same frames of a
+//! link's sequence. One thing meters real elapsed time and so only
+//! shapes pacing, never which frames survive: how long a delayed frame is
+//! held (500 µs per decided poll).
 
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, Transport, TransportStats};
 use sc_core::Addr;
-use sc_core::{FaultDir, FaultSpec};
+use sc_core::{FaultDir, FaultSpec, MsgKind};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -45,24 +47,24 @@ struct Injected {
 pub struct FaultTransport<T: Transport> {
     inner: T,
     spec: FaultSpec,
-    /// Outbound faultable-frame counters, per destination.
+    /// Outbound gossip-frame counters, per destination.
     out_index: HashMap<Addr, u64>,
-    /// Inbound faultable-frame counters, per source.
+    /// Inbound gossip-frame counters, per source.
     in_index: HashMap<Addr, u64>,
     /// Delayed frames in arrival order, each with its release time.
     held: VecDeque<(Instant, Inbound)>,
     injected: Injected,
 }
 
-fn is_control(kind: FrameKind) -> bool {
-    matches!(
-        kind,
-        FrameKind::CtrlStatus
-            | FrameKind::CtrlStatusReply
-            | FrameKind::CtrlShutdown
-            | FrameKind::CtrlFault
-            | FrameKind::CtrlFaultReply
-    )
+/// The message kind a gossip frame carries; `None` for a control frame,
+/// which faults never touch.
+fn gossip_kind(kind: FrameKind) -> Option<MsgKind> {
+    match kind {
+        FrameKind::Request => Some(MsgKind::Request),
+        FrameKind::Reply => Some(MsgKind::Response),
+        FrameKind::Oneway => Some(MsgKind::Oneway),
+        _ => None,
+    }
 }
 
 impl<T: Transport> FaultTransport<T> {
@@ -99,9 +101,9 @@ impl<T: Transport> FaultTransport<T> {
     /// Applies inbound faults to one frame: `None` if dropped or held
     /// for later release.
     fn admit(&mut self, ib: Inbound) -> Option<Inbound> {
-        if is_control(ib.frame.kind) {
+        let Some(kind) = gossip_kind(ib.frame.kind) else {
             return Some(ib);
-        }
+        };
         let from = ib.frame.from;
         if self.spec.severs(from) {
             self.injected.dropped += 1;
@@ -112,7 +114,7 @@ impl<T: Transport> FaultTransport<T> {
         *idx += 1;
         let d = self
             .spec
-            .decide(FaultDir::Inbound, from, self.inner.local_addr(), i);
+            .decide(FaultDir::Inbound, kind, from, self.inner.local_addr(), i);
         if d.drop {
             self.injected.dropped += 1;
             return None;
@@ -140,9 +142,10 @@ impl<T: Transport> Transport for FaultTransport<T> {
     }
 
     fn send_to(&mut self, to: Addr, frame: &Frame) -> bool {
-        if self.spec.is_noop() || is_control(frame.kind) {
-            return self.inner.send_to(to, frame);
-        }
+        let kind = match gossip_kind(frame.kind) {
+            Some(kind) if !self.spec.is_noop() => kind,
+            _ => return self.inner.send_to(to, frame),
+        };
         if self.spec.severs(to) {
             // Severed peers swallow frames silently: the sender sees a
             // healthy write, exactly like a mid-path partition.
@@ -154,11 +157,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
         *idx += 1;
         let d = self
             .spec
-            .decide(FaultDir::Outbound, self.inner.local_addr(), to, i);
-        if d.drop {
-            self.injected.dropped += 1;
-            return true;
-        }
+            .decide(FaultDir::Outbound, kind, self.inner.local_addr(), to, i);
         let sent = self.inner.send_to(to, frame);
         if sent && d.duplicate {
             self.injected.duplicated += 1;
@@ -250,7 +249,8 @@ mod tests {
         let f = oneway(a.local_addr(), b"doomed");
         assert!(a.send_to(b.local_addr(), &f), "drop is silent");
         assert!(b.recv(Duration::from_millis(100)).is_none());
-        assert_eq!(a.stats().frames_dropped_injected, 1);
+        assert_eq!(a.stats().frames_dropped_injected, 0, "sent whole");
+        assert_eq!(b.stats().frames_dropped_injected, 1, "lost on arrival");
         // Control frames are exempt even at drop=1.
         let c = Frame::new(FrameKind::CtrlStatus, 0, vec![]);
         assert!(a.send_to(b.local_addr(), &c));
@@ -363,12 +363,14 @@ mod tests {
 
     #[test]
     fn decisions_over_a_fixed_frame_sequence_match_the_recorded_ones() {
-        // Recorded on the commit before the receive path stopped being a
-        // sleep-poll loop: what is dropped, duplicated and held is a
-        // function of the spec and the frame sequence alone, and the wait
-        // mechanism must not show in it.
+        // What is dropped, duplicated and held is a function of the spec
+        // and the frame sequence alone, and the wait mechanism must not
+        // show in it. The inbound half was recorded before the receive
+        // path stopped being a sleep-poll loop; the outbound half when
+        // loss moved to the receiving side.
         const SPEC: &str = "seed=11,drop=0.25,delay=0.3:6,dup=0.2";
-        // Outbound: which frames reach the wire, and which go twice.
+        // Outbound: every frame reaches the wire (loss is decided on the
+        // receiving side), and these go twice.
         let mut tx = scripted(SPEC, []);
         for i in 0..48u8 {
             assert!(tx.send_to(PEER, &oneway(ME, &[i])));
@@ -376,11 +378,11 @@ mod tests {
         let log: Vec<String> = tx.inner().log.iter().map(u8::to_string).collect();
         assert_eq!(
             log.join(" "),
-            "1 2 3 4 6 8 9 10 10 11 11 13 14 16 17 18 19 20 21 29 31 32 33 34 35 37 \
-             38 39 40 41 41 42 45 46 47"
+            "0 1 2 3 4 5 6 7 8 9 10 10 11 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 26 \
+             27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 41 42 43 43 44 45 46 47"
         );
         let s = tx.stats();
-        assert_eq!((s.frames_dropped_injected, s.frames_duplicated), (16, 3));
+        assert_eq!((s.frames_dropped_injected, s.frames_duplicated), (0, 5));
 
         // Inbound: which frames survive, and how many of them were held.
         let mut rx = scripted(SPEC, 0..48u8);
@@ -400,13 +402,134 @@ mod tests {
         assert_eq!((s.frames_dropped_injected, s.frames_delayed), (13, 12));
     }
 
+    /// Two nodes on the simulator's engine: every turn a node asks the
+    /// other once and sends it a oneway, and answers what it is asked.
+    /// Every message carries its kind and the sender's count of messages
+    /// to the other; `got` logs what arrived.
+    struct Pair {
+        other: Addr,
+        cycle: u64,
+        /// `(cycle sent, kind, stamp)` of every message sent.
+        sent: Vec<(u64, MsgKind, u32)>,
+        got: Vec<u32>,
+    }
+
+    impl Pair {
+        fn stamp(&mut self, kind: MsgKind) -> (MsgKind, u32) {
+            let n = self.sent.len() as u32;
+            self.sent.push((self.cycle, kind, n));
+            (kind, n)
+        }
+    }
+
+    impl sc_core::Machine for Pair {
+        type Msg = (MsgKind, u32);
+
+        fn step(&mut self, input: sc_core::Input<Self::Msg>) -> sc_core::Effects<Self::Msg> {
+            use sc_core::Input;
+            let mut fx = sc_core::Effects::default();
+            match input {
+                Input::Tick { cycle, .. } => {
+                    self.cycle = cycle;
+                    fx.rpc = Some((self.other, self.stamp(MsgKind::Request)));
+                    fx.sends.push((self.other, self.stamp(MsgKind::Oneway)));
+                }
+                Input::Request { msg, cycle, .. } => {
+                    self.cycle = cycle;
+                    self.got.push(msg.1);
+                    fx.reply = Some(self.stamp(MsgKind::Response));
+                }
+                Input::Reply(msg) | Input::Oneway { msg, .. } => self.got.push(msg.1),
+                Input::Timeout => {}
+            }
+            fx
+        }
+    }
+
+    #[test]
+    fn the_engine_and_a_receiving_transport_drop_the_same_frames() {
+        // One link, 0 → 1, carrying requests, replies and oneways under
+        // three different rates: the frames the engine loses are the
+        // frames node 1's fault filter loses when it receives the same
+        // sequence.
+        const SEED: u64 = 21;
+        let loss = sc_core::Loss::new(0.3, 0.15, 0.45);
+        let mut eng = sc_sim::Engine::new(sc_sim::SimConfig {
+            seed: SEED,
+            loss,
+            ..Default::default()
+        });
+        for other in [1, 0] {
+            eng.spawn_with(|_| Pair {
+                other,
+                cycle: 0,
+                sent: Vec::new(),
+                got: Vec::new(),
+            });
+        }
+        eng.run_cycles(60);
+        let (sender, receiver) = (eng.node(0).unwrap(), eng.node(1).unwrap());
+        // The order the engine decides node 0's messages in: a oneway at
+        // the start of the cycle after its sending, the rest as sent.
+        let mut link = sender.sent.clone();
+        link.retain(|&(cycle, kind, _)| kind != MsgKind::Oneway || cycle + 1 < eng.cycle());
+        link.sort_by_key(|&(cycle, kind, n)| match kind {
+            MsgKind::Oneway => (cycle + 1, 0, n),
+            _ => (cycle, 1, n),
+        });
+        let lost_on_engine: Vec<u32> = link
+            .iter()
+            .map(|&(_, _, n)| n)
+            .filter(|n| !receiver.got.contains(n))
+            .collect();
+
+        let spec = FaultSpec {
+            seed: SEED,
+            loss,
+            ..FaultSpec::default()
+        };
+        let frames = link.iter().map(|&(_, kind, n)| {
+            let kind = match kind {
+                MsgKind::Request => FrameKind::Request,
+                MsgKind::Response => FrameKind::Reply,
+                MsgKind::Oneway => FrameKind::Oneway,
+            };
+            Frame::new(kind, 0, n.to_le_bytes().to_vec())
+        });
+        let inner = Script {
+            addr: 1,
+            inbound: frames.collect(),
+            log: Vec::new(),
+        };
+        let mut rx = FaultTransport::new(inner, spec);
+        let mut got = Vec::new();
+        while let Some(ib) = rx.recv(Duration::from_millis(20)) {
+            got.push(u32::from_le_bytes(
+                ib.frame.payload[..4].try_into().unwrap(),
+            ));
+        }
+        let lost_on_sockets: Vec<u32> = link
+            .iter()
+            .map(|&(_, _, n)| n)
+            .filter(|n| !got.contains(n))
+            .collect();
+
+        assert_eq!(lost_on_sockets, lost_on_engine);
+        for kind in [MsgKind::Request, MsgKind::Response, MsgKind::Oneway] {
+            let of_kind = link.iter().filter(|f| f.1 == kind);
+            let lost = of_kind.clone().filter(|f| lost_on_engine.contains(&f.2));
+            let (sent, lost) = (of_kind.count(), lost.count());
+            assert!(0 < lost && lost < sent, "{kind:?}: {lost} of {sent} lost");
+        }
+    }
+
     #[test]
     fn a_delayed_frame_is_held_for_its_polls_and_released_before_the_deadline() {
         // Every frame delayed, by 1..=200 polls of 500 µs as decided.
         let spec = "seed=5,delay=1.0:200";
         let polls = FaultSpec::parse(spec)
             .unwrap()
-            .decide(FaultDir::Inbound, PEER, ME, 0)
+            .decide(FaultDir::Inbound, MsgKind::Oneway, PEER, ME, 0)
             .delay_polls;
         assert!(polls >= 20, "a hold long enough to time: {polls} polls");
         let hold = DELAY_UNIT * polls;

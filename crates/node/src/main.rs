@@ -99,9 +99,10 @@ Durability:
 Fault injection (deterministic; every decision replays from the seed):
   --fault-spec <spec>    comma-separated key=value entries:
                            seed=<u64>        decision seed
-                           drop=<p>          drop probability, both ways
-                           drop_in=<p>       inbound drop probability
-                           drop_out=<p>      outbound drop probability
+                           drop=<p>          drop probability of a received
+                                             frame, any kind
+                           drop=<r>:<s>:<o>  of a received request, reply,
+                                             oneway
                            delay=<p>:<w>     delay probability : max held
                                              receive polls (reorder bound)
                            dup=<p>           outbound duplication

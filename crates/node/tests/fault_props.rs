@@ -3,7 +3,7 @@
 //! Two guarantees back the live matrix tier's replayability claim:
 //!
 //! 1. **Determinism** — [`FaultSpec::decide`] is a pure counter-mode
-//!    function of `(spec, direction, src, dst, frame_index)`: the same
+//!    function of `(spec, direction, kind, src, dst, frame_index)`: the same
 //!    spec over the same frame sequence makes byte-identical decisions,
 //!    in any evaluation order. This is what lets a failing live run
 //!    replay exactly from the printed seed.
@@ -14,12 +14,13 @@
 //!    injected faults.
 //!
 //! The textual grammar also round-trips (`Display` → `parse`) for
-//! arbitrary sanitized specs, so a spec printed in a failure message is
+//! arbitrary sanitized specs, uniform (`drop=p`) or per-kind
+//! (`drop=r:s:o`) loss alike, so a spec printed in a failure message is
 //! always a valid replay input.
 
 use proptest::prelude::*;
 use sc_core::Addr;
-use sc_core::{FaultDir, FaultSpec};
+use sc_core::{FaultDir, FaultSpec, Loss, MsgKind};
 use sc_node::{FaultTransport, Frame, FrameKind, TcpTransport, Transport};
 use std::net::TcpListener;
 use std::time::Duration;
@@ -27,8 +28,7 @@ use std::time::Duration;
 /// A spec from raw knobs, sanitized the way parse/decode would.
 fn spec(
     seed: u64,
-    drop_in: f64,
-    drop_out: f64,
+    (request, response, oneway): (f64, f64, f64),
     delay_prob: f64,
     delay_max_polls: u32,
     dup_prob: f64,
@@ -36,8 +36,11 @@ fn spec(
 ) -> FaultSpec {
     FaultSpec {
         seed,
-        drop_in,
-        drop_out,
+        loss: Loss {
+            request,
+            response,
+            oneway,
+        },
         delay_prob,
         delay_max_polls,
         dup_prob,
@@ -46,21 +49,40 @@ fn spec(
     .sanitized()
 }
 
-/// One frame's fault-relevant coordinates.
-type FrameCoord = (bool, Addr, Addr, u64);
+/// One frame's fault-relevant coordinates: inbound or not, its kind
+/// (request, response, oneway), the link and the frame's index on it.
+type FrameCoord = (bool, usize, Addr, Addr, u64);
+
+const KINDS: [MsgKind; 3] = [MsgKind::Request, MsgKind::Response, MsgKind::Oneway];
+
+fn dir(inbound: bool) -> FaultDir {
+    if inbound {
+        FaultDir::Inbound
+    } else {
+        FaultDir::Outbound
+    }
+}
 
 fn decide_all(s: &FaultSpec, frames: &[FrameCoord]) -> Vec<String> {
     frames
         .iter()
-        .map(|&(inbound, src, dst, index)| {
-            let dir = if inbound {
-                FaultDir::Inbound
-            } else {
-                FaultDir::Outbound
-            };
-            format!("{:?}", s.decide(dir, src, dst, index))
+        .map(|&(inbound, kind, src, dst, index)| {
+            format!("{:?}", s.decide(dir(inbound), KINDS[kind], src, dst, index))
         })
         .collect()
+}
+
+fn frame_coords() -> impl Strategy<Value = Vec<FrameCoord>> {
+    proptest::collection::vec(
+        (
+            proptest::any::<bool>(),
+            0usize..3,
+            1u32..1000,
+            1u32..1000,
+            0u64..10_000,
+        ),
+        1..64,
+    )
 }
 
 proptest! {
@@ -69,20 +91,13 @@ proptest! {
     #[test]
     fn decisions_replay_byte_identically(
         seed in proptest::any::<u64>(),
-        drop_in in 0.0f64..1.0,
-        drop_out in 0.0f64..1.0,
+        loss in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
         delay_prob in 0.0f64..1.0,
         delay_max_polls in 1u32..64,
         dup_prob in 0.0f64..1.0,
-        frames in proptest::collection::vec(
-            (proptest::any::<bool>(), 1u32..1000, 1u32..1000, 0u64..10_000),
-            1..64,
-        ),
+        frames in frame_coords(),
     ) {
-        let s = spec(
-            seed, drop_in, drop_out, delay_prob, delay_max_polls,
-            dup_prob, Vec::new(),
-        );
+        let s = spec(seed, loss, delay_prob, delay_max_polls, dup_prob, Vec::new());
         // Same spec, same frames → byte-identical decision sequence.
         let first = decide_all(&s, &frames);
         prop_assert_eq!(&first, &decide_all(&s.clone(), &frames));
@@ -95,7 +110,7 @@ proptest! {
         // The seed is load-bearing: some long-enough sequence under a
         // different seed diverges unless every rate rounds to inert.
         let other = FaultSpec { seed: seed.wrapping_add(1), ..s.clone() };
-        if frames.len() >= 32 && (drop_in > 0.05 || drop_out > 0.05 || delay_prob > 0.05) {
+        if frames.len() >= 32 && (loss.0.min(loss.1).min(loss.2) > 0.05 || delay_prob > 0.05) {
             prop_assert_ne!(&first, &decide_all(&other, &frames));
         }
     }
@@ -103,16 +118,12 @@ proptest! {
     #[test]
     fn zero_rates_decide_nothing_anywhere(
         seed in proptest::any::<u64>(),
-        frames in proptest::collection::vec(
-            (proptest::any::<bool>(), 1u32..1000, 1u32..1000, 0u64..10_000),
-            1..64,
-        ),
+        frames in frame_coords(),
     ) {
-        let s = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, Vec::new());
+        let s = spec(seed, (0.0, 0.0, 0.0), 0.0, 4, 0.0, Vec::new());
         prop_assert!(s.is_noop());
-        for &(inbound, src, dst, index) in &frames {
-            let dir = if inbound { FaultDir::Inbound } else { FaultDir::Outbound };
-            let d = s.decide(dir, src, dst, index);
+        for &(inbound, kind, src, dst, index) in &frames {
+            let d = s.decide(dir(inbound), KINDS[kind], src, dst, index);
             prop_assert!(!d.drop && !d.duplicate && d.delay_polls == 0);
         }
     }
@@ -120,21 +131,31 @@ proptest! {
     #[test]
     fn grammar_roundtrips_for_arbitrary_specs(
         seed in proptest::any::<u64>(),
-        drop_in in 0.0f64..1.0,
-        drop_out in 0.0f64..1.0,
+        loss in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        uniform in proptest::any::<bool>(),
         delay_prob in 0.0f64..1.0,
         delay_max_polls in 1u32..512,
         dup_prob in 0.0f64..1.0,
         severed in proptest::collection::vec(1u32..100_000, 0..8),
     ) {
-        let s = spec(
-            seed, drop_in, drop_out, delay_prob, delay_max_polls,
-            dup_prob, severed,
-        );
+        let loss = if uniform { (loss.0, loss.0, loss.0) } else { loss };
+        let s = spec(seed, loss, delay_prob, delay_max_polls, dup_prob, severed);
         let text = s.to_string();
         let back = FaultSpec::parse(&text);
         prop_assert!(back.is_ok(), "{text:?} failed to re-parse: {:?}", back.err());
         prop_assert_eq!(back.unwrap(), s);
+        // A uniform rate prints as one probability, any other as three.
+        let (r, q, o) = loss;
+        let drop = text.split(',').find(|e| e.starts_with("drop="));
+        if r == q && q == o {
+            prop_assert_eq!(drop.map(String::from), (r > 0.0).then(|| format!("drop={r}")));
+        } else {
+            prop_assert_eq!(drop.map(String::from), Some(format!("drop={r}:{q}:{o}")));
+        }
+        // The same rates as two or four fields are refused.
+        for bad in [format!("drop={r}:{q}"), format!("drop={r}:{q}:{o}:{o}")] {
+            prop_assert!(FaultSpec::parse(&bad).is_err(), "{bad:?} parsed");
+        }
     }
 }
 
@@ -162,7 +183,7 @@ proptest! {
         // One faulted sender/receiver pair, one bare pair, fed the same
         // frame sequence: deliveries must match byte for byte and the
         // injected-fault counters must stay at zero.
-        let noop = spec(seed, 0.0, 0.0, 0.0, 4, 0.0, Vec::new());
+        let noop = spec(seed, (0.0, 0.0, 0.0), 0.0, 4, 0.0, Vec::new());
         let mut faulted_tx = FaultTransport::new(bind_any(), noop.clone());
         let mut faulted_rx = FaultTransport::new(bind_any(), noop);
         let mut bare_tx = bind_any();

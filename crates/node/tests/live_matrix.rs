@@ -2,7 +2,7 @@
 //! (`tests/scenario_matrix.rs`), executed on real `sc-node` processes.
 //!
 //! One loop over `standard_matrix(MatrixSize::live())` — 12 processes a
-//! cluster, ℓ = 6, 40 cycles — hands every scenario that fits the socket
+//! cluster, ℓ = 6, 96 cycles — hands every scenario that fits the socket
 //! tier to `sc_testkit::live::run_scenario_live`: the same schedule and
 //! the same seeded draws as the simulated runner, carried out with
 //! `kill`, `restart`, sponsored joiners and `FaultSpec`s, audited by the
@@ -19,7 +19,7 @@
 //! What no `Scenario` can state — inbound delay and reorder, outbound
 //! duplication — keeps one hand-written test below.
 
-use sc_core::FaultSpec;
+use sc_core::{FaultSpec, Loss};
 use sc_testkit::live::{check_final, drive, env_seed, replay_line, run_scenario_live};
 use sc_testkit::{standard_matrix, ClusterConfig, MatrixSize, ProcessCluster};
 use std::time::Duration;
@@ -98,7 +98,10 @@ fn live_cluster_rides_out_delay_and_duplication() {
     // The grammar is stricter than the fields: a spec that does not parse
     // is never acknowledged, and never installed.
     let out_of_range = FaultSpec {
-        drop_in: 2.0,
+        loss: Loss {
+            request: 2.0,
+            ..Loss::default()
+        },
         ..FaultSpec::default()
     };
     assert!(

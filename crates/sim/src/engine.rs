@@ -17,8 +17,7 @@
 //!   the *next* cycle, giving flooding a realistic one-hop-per-cycle
 //!   propagation speed. The queue is drained in ascending
 //!   destination-address order (stable within a destination), so delivery
-//!   cost is a single pass over a sorted batch and the loss-roll stream is
-//!   a deterministic function of the batch alone.
+//!   cost is a single pass over a sorted batch.
 //! * `rpc` effects are honoured from `Tick` / `Reply` / `Timeout` steps
 //!   only: a server handler never blocks on another node in the paper's
 //!   protocol, so a machine that returns one from a `Request` or `Oneway`
@@ -41,18 +40,19 @@
 //! messages, shuffles the live addresses with the engine RNG, and runs
 //! one turn at a time in that order — the paper's cycle-driven model. A
 //! node that is mid-turn is checked out of the arena, so an RPC aimed at
-//! it (or at the caller itself) times out as unreachable. Shuffles and
-//! loss rolls are the only consumers of the engine RNG, in program
-//! order, so a run is bit-for-bit reproducible per seed.
+//! it (or at the caller itself) times out as unreachable; one crossing
+//! a partition is severed, and any other may be lost ([`crate::net`]).
+//! The shuffle is the only consumer of the engine RNG, so a run is
+//! bit-for-bit reproducible per seed, and loss never moves its turns.
 
 use crate::arena::Arena;
 use crate::clock::Clock;
-use crate::net::NetworkModel;
+use crate::net::{Network, Partition};
 use crate::stats::TrafficStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use sc_core::{Addr, Input, Machine};
+use rand::SeedableRng;
+use sc_core::{Addr, Input, Loss, Machine, MsgKind};
 
 /// An in-flight one-way message.
 #[derive(Debug, Clone)]
@@ -67,8 +67,8 @@ struct Envelope<M> {
 pub struct SimConfig {
     /// Master seed for shuffle order and network loss rolls.
     pub seed: u64,
-    /// Message-loss model.
-    pub net: NetworkModel,
+    /// Per-kind message loss.
+    pub loss: Loss,
     /// Tick resolution of one cycle.
     pub ticks_per_cycle: u64,
     /// Cycle number the clock starts at (see [`crate::clock::Clock::starting_at`]).
@@ -79,7 +79,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 0,
-            net: NetworkModel::reliable(),
+            loss: Loss::default(),
             ticks_per_cycle: crate::clock::DEFAULT_TICKS_PER_CYCLE,
             start_cycle: 0,
         }
@@ -100,7 +100,7 @@ impl SimConfig {
 pub struct Engine<N: Machine> {
     arena: Arena<N>,
     clock: Clock,
-    net: NetworkModel,
+    net: Network,
     rng: StdRng,
     /// One-way messages to deliver at the start of the next cycle.
     pending: Vec<Envelope<N::Msg>>,
@@ -113,7 +113,7 @@ impl<N: Machine> Engine<N> {
         Engine {
             arena: Arena::new(),
             clock: Clock::new(cfg.ticks_per_cycle).starting_at(cfg.start_cycle),
-            net: cfg.net,
+            net: Network::new(cfg.seed, cfg.loss),
             rng: StdRng::seed_from_u64(cfg.seed),
             pending: Vec::new(),
             stats: TrafficStats::default(),
@@ -178,15 +178,16 @@ impl<N: Machine> Engine<N> {
         &self.stats
     }
 
-    /// The active network model.
-    pub fn net(&self) -> &NetworkModel {
-        &self.net
+    /// Replaces the loss rates (any partition stays). Links keep counting
+    /// from where they were.
+    pub fn set_loss(&mut self, loss: Loss) {
+        self.net.loss = loss;
     }
 
-    /// Replaces the network model (e.g. to start injecting losses, install
-    /// a partition, or heal one at a given cycle).
-    pub fn set_net(&mut self, net: NetworkModel) {
-        self.net = net;
+    /// Installs a partition, or heals one with `None` (the loss stays);
+    /// returns the one it replaces.
+    pub fn set_partition(&mut self, partition: Option<Partition>) -> Option<Partition> {
+        std::mem::replace(&mut self.net.partition, partition)
     }
 
     /// Runs one full cycle: delivers queued one-way messages in address
@@ -284,22 +285,19 @@ impl<N: Machine> Engine<N> {
         batch.sort_by_key(|env| env.to);
         for env in batch {
             self.stats.oneways_sent += 1;
-            // Partition check first: severing is deterministic and consumes
-            // no randomness (a severed message skips its loss roll, so the
-            // roll stream differs from a partition-free run — but any two
-            // runs of the same seed and schedule stay bit-identical).
             if self.net.severs(env.from, env.to) {
                 self.stats.oneways_severed += 1;
-                continue;
-            }
-            if self.net.drop_oneway > 0.0 && self.rng.gen::<f64>() < self.net.drop_oneway {
-                self.stats.oneways_dropped += 1;
                 continue;
             }
             let Some(mut node) = self.arena.take(env.to) else {
                 self.stats.oneways_to_dead += 1;
                 continue;
             };
+            if self.net.drops(MsgKind::Oneway, env.from, env.to) {
+                self.arena.put_back(env.to, node);
+                self.stats.oneways_dropped += 1;
+                continue;
+            }
             let input = Input::Oneway {
                 from: env.from,
                 msg: env.msg,
@@ -326,13 +324,9 @@ impl<N: Machine> Engine<N> {
         }
         // A partition severs the round trip outright: the request never
         // reaches the target (symmetric, so the response could not return
-        // either). Checked before any loss roll — see `deliver_pending`.
+        // either).
         if self.net.severs(from, to) {
             self.stats.rpcs_severed += 1;
-            return None;
-        }
-        if self.net.drop_request > 0.0 && self.rng.gen::<f64>() < self.net.drop_request {
-            self.stats.rpcs_request_dropped += 1;
             return None;
         }
         let Some(mut node) = self.arena.take(to) else {
@@ -340,6 +334,11 @@ impl<N: Machine> Engine<N> {
             self.stats.rpcs_unreachable += 1;
             return None;
         };
+        if self.net.drops(MsgKind::Request, from, to) {
+            self.arena.put_back(to, node);
+            self.stats.rpcs_request_dropped += 1;
+            return None;
+        }
         let input = Input::Request {
             from,
             msg,
@@ -350,7 +349,7 @@ impl<N: Machine> Engine<N> {
         self.arena.put_back(to, node);
         if reply.is_none() {
             self.stats.rpcs_refused += 1;
-        } else if self.net.drop_response > 0.0 && self.rng.gen::<f64>() < self.net.drop_response {
+        } else if self.net.drops(MsgKind::Response, to, from) {
             self.stats.rpcs_response_dropped += 1;
             return None;
         } else {
@@ -413,18 +412,30 @@ mod tests {
         build_with(n, SimConfig::seeded(seed))
     }
 
+    fn toy(addr: Addr, n: u32) -> Toy {
+        Toy {
+            addr,
+            n,
+            pings_answered: 0,
+            oneways_got: 0,
+            replies_got: 0,
+        }
+    }
+
     fn build_with(n: u32, cfg: SimConfig) -> Engine<Toy> {
         let mut eng = Engine::new(cfg);
         for _ in 0..n {
-            eng.spawn_with(|addr| Toy {
-                addr,
-                n,
-                pings_answered: 0,
-                oneways_got: 0,
-                replies_got: 0,
-            });
+            eng.spawn_with(|addr| toy(addr, n));
         }
         eng
+    }
+
+    fn lossy(seed: u64, loss: Loss) -> SimConfig {
+        SimConfig {
+            seed,
+            loss,
+            ..Default::default()
+        }
     }
 
     fn toy_state(eng: &Engine<Toy>) -> Vec<(Addr, u32, u32, u32)> {
@@ -485,14 +496,7 @@ mod tests {
 
     #[test]
     fn lossy_network_drops_messages() {
-        let mut eng = build_with(
-            4,
-            SimConfig {
-                seed: 7,
-                net: NetworkModel::lossy(1.0),
-                ..Default::default()
-            },
-        );
+        let mut eng = build_with(4, lossy(7, Loss::uniform(1.0)));
         eng.run_cycles(3);
         assert_eq!(eng.stats().rpcs_completed, 0);
         let total: u32 = eng.nodes().map(|(_, n)| n.replies_got).sum();
@@ -502,15 +506,12 @@ mod tests {
     #[test]
     fn zero_loss_is_exact() {
         // p = 0.0 must never drop anything, not merely "rarely".
-        let mut eng = build_with(
-            8,
-            SimConfig {
-                seed: 11,
-                net: NetworkModel::lossy(0.0),
-                ..Default::default()
-            },
-        );
+        let mut eng = build_with(8, lossy(11, Loss::uniform(0.0)));
         eng.run_cycles(10);
+        assert!(
+            eng.net.link_frames.is_empty(),
+            "a loss-free run counts no frame"
+        );
         assert_eq!(eng.stats().rpcs_request_dropped, 0);
         assert_eq!(eng.stats().rpcs_response_dropped, 0);
         assert_eq!(eng.stats().oneways_dropped, 0);
@@ -519,15 +520,8 @@ mod tests {
 
     #[test]
     fn total_loss_is_exact() {
-        // p = 1.0 must drop every request (rng.gen::<f64>() ∈ [0, 1)).
-        let mut eng = build_with(
-            8,
-            SimConfig {
-                seed: 11,
-                net: NetworkModel::lossy(1.0),
-                ..Default::default()
-            },
-        );
+        // p = 1.0 must drop every request (a roll is in [0, 1)).
+        let mut eng = build_with(8, lossy(11, Loss::uniform(1.0)));
         eng.run_cycles(10);
         assert_eq!(eng.stats().rpcs_completed, 0);
         assert_eq!(eng.stats().rpcs_request_dropped, 8 * 10);
@@ -539,14 +533,7 @@ mod tests {
         // Two identical runs under partial loss make bit-identical drop
         // decisions: same per-message outcomes, same counters.
         let run = |seed: u64| {
-            let mut eng = build_with(
-                12,
-                SimConfig {
-                    seed,
-                    net: NetworkModel::lossy(0.37),
-                    ..Default::default()
-                },
-            );
+            let mut eng = build_with(12, lossy(seed, Loss::uniform(0.37)));
             eng.run_cycles(25);
             (*eng.stats(), toy_state(&eng))
         };
@@ -560,7 +547,7 @@ mod tests {
         // Ring of 4; isolate {1, 2}. Node 0 pings 1 (cross), 1 pings 2
         // (intra), 2 pings 3 (cross), 3 pings 0 (intra).
         let mut eng = build(4, 5);
-        eng.set_net(NetworkModel::reliable().with_partition(Partition::isolate([1, 2])));
+        eng.set_partition(Some(Partition::isolate([1, 2])));
         eng.run_cycle();
         assert_eq!(eng.stats().rpcs_severed, 2, "both cross-side RPCs cut");
         assert_eq!(eng.stats().rpcs_completed, 2, "intra-side RPCs unharmed");
@@ -568,36 +555,71 @@ mod tests {
         eng.run_cycle();
         assert_eq!(eng.stats().oneways_severed, 1, "notice from island cut");
         // Heal: traffic resumes without reseeding or respawning anything.
-        let healed = eng.net().clone().healed();
-        eng.set_net(healed);
+        eng.set_partition(None);
         let before = eng.stats().rpcs_completed;
         eng.run_cycle();
         assert_eq!(eng.stats().rpcs_completed, before + 4);
     }
 
+    /// A [`Toy`] that logs, into a log its peers share, the order turns
+    /// are taken in.
+    struct Logged(Toy, std::rc::Rc<std::cell::RefCell<Vec<Addr>>>);
+
+    impl Machine for Logged {
+        type Msg = ToyMsg;
+
+        fn step(&mut self, input: Input<ToyMsg>) -> Effects<ToyMsg> {
+            if let Input::Tick { .. } = input {
+                self.1.borrow_mut().push(self.0.addr);
+            }
+            self.0.step(input)
+        }
+    }
+
     #[test]
-    fn partition_consumes_no_randomness() {
-        // Severed messages skip their loss roll entirely; the observable
-        // contract is reproducibility — two runs with the same seed and
-        // the same partition schedule agree exactly, even with loss
-        // rolls and severs interleaving.
+    fn loss_and_partitions_consume_no_randomness() {
+        // Drops are keyed by link and frame index, severing is a lookup:
+        // neither draws from the RNG the turn order is shuffled with, so a
+        // lossy, partitioned run takes its turns in the reliable order.
         use crate::net::Partition;
-        let run = || {
-            let mut eng = build_with(
-                6,
-                SimConfig {
-                    seed: 3,
-                    net: NetworkModel::lossy(0.5).with_partition(Partition::isolate([0, 1])),
-                    ..Default::default()
-                },
-            );
+        let run = |loss: Loss, partition: Option<Partition>| {
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let mut eng = Engine::new(lossy(3, loss));
+            for _ in 0..6 {
+                let log = std::rc::Rc::clone(&log);
+                eng.spawn_with(|addr| Logged(toy(addr, 6), log));
+            }
+            eng.set_partition(partition);
             eng.run_cycles(20);
-            *eng.stats()
+            (*eng.stats(), log.take())
         };
-        let s = run();
-        assert_eq!(s, run());
-        assert!(s.rpcs_severed > 0);
-        assert!(s.rpcs_request_dropped > 0);
+        let (reliable, order) = run(Loss::default(), None);
+        assert_eq!(reliable.rpcs_completed, 6 * 20);
+        let faulted = || run(Loss::new(0.5, 0.3, 0.4), Some(Partition::isolate([0, 1])));
+        let (s, lossy_order) = faulted();
+        assert_eq!(
+            lossy_order, order,
+            "loss or a partition moved the turn order"
+        );
+        assert!(s.rpcs_severed > 0 && s.oneways_severed > 0);
+        assert!(s.rpcs_request_dropped > 0 && s.rpcs_response_dropped > 0);
+        assert!(s.oneways_dropped > 0);
+        assert_eq!(faulted(), (s, lossy_order), "a lossy run replays");
+    }
+
+    #[test]
+    fn severed_and_unreachable_frames_take_no_index() {
+        // Ring of 5: 0 → 1 is dead, 3 → 4 and 4 → 0 cross the partition.
+        // Only 2 → 3 (pings), 3 → 2 (pongs) and 3 → 0 (the notice node 3
+        // sends node 0 for each ping it answers) carry frames.
+        use crate::net::Partition;
+        let mut eng = build_with(5, lossy(8, Loss::uniform(0.01)));
+        eng.kill(1);
+        eng.set_partition(Some(Partition::isolate([4])));
+        eng.run_cycles(10);
+        let mut links: Vec<(Addr, Addr)> = eng.net.link_frames.keys().copied().collect();
+        links.sort_unstable();
+        assert_eq!(links, [(2, 3), (3, 0), (3, 2)]);
     }
 
     #[test]

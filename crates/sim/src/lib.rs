@@ -19,8 +19,9 @@
 //!   `sc-core` with its [`Input`] and [`Effects`]: a sans-IO `step`. The
 //!   engine is the driver that routes the effects; the same machine runs
 //!   unchanged behind a socket.
-//! * [`NetworkModel`] — per-direction message-loss probabilities, plus
-//!   deterministic [`Partition`]s with heal support.
+//! * Per-kind message [`Loss`], decided per link and frame exactly as a
+//!   socket's fault filter decides it, plus deterministic [`Partition`]s
+//!   with heal support.
 //! * [`rng`] — deterministic seed derivation so whole experiments replay
 //!   from one `u64`.
 //!
@@ -59,6 +60,6 @@ pub mod stats;
 pub use arena::Arena;
 pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
 pub use engine::{Engine, SimConfig};
-pub use net::{NetworkModel, Partition};
-pub use sc_core::{Addr, Effects, Input, Machine};
+pub use net::Partition;
+pub use sc_core::{Addr, Effects, Input, Loss, Machine};
 pub use stats::TrafficStats;

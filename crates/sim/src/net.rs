@@ -1,36 +1,26 @@
-//! The network fault model.
-//!
-//! The paper's system model allows messages to be "delayed or dropped"
-//! (§II-A). In a cycle-driven simulation, delay within a cycle is
-//! immaterial; what matters for protocol correctness is *loss*, which this
-//! model injects independently per message direction. Loss of a gossip
-//! request, loss of a response, and loss of a one-way (flooded) message are
-//! controlled separately so experiments can reproduce the §V-A repair
-//! scenarios precisely.
-//!
-//! On top of probabilistic loss, the model supports **partitions**: a
-//! deterministic assignment of addresses to sides such that any message
-//! crossing sides is dropped with certainty. Partitions are installed and
-//! healed through [`Engine::set_net`](crate::Engine::set_net) (typically
-//! by a scenario driver at scheduled cycles). Severing is checked before
-//! any loss roll and consumes no randomness — a severed message costs
-//! nothing from the engine's random stream, so runs stay bit-identical
-//! per seed no matter how partitions come and go mid-run.
+//! What the simulated network does to a message (§II-A: any message
+//! may be dropped): the engine's `Network` severs what crosses a
+//! [`Partition`] and loses what its per-kind [`Loss`] — `sc_core`'s one
+//! loss model — decides to, as a socket's receiver would
+//! ([`sc_core::FaultSpec::decide`]). A frame's loss is keyed by the run
+//! seed, its directed link and its index there, counted while any loss
+//! is in force; a loss-free network counts and rolls nothing. Neither
+//! draws from the engine's RNG, so runs stay bit-identical per seed
+//! however partitions and loss regimes come and go mid-run.
 
-use sc_core::Addr;
+use sc_core::{Addr, Loss, MsgKind};
 use std::collections::HashMap;
 
 /// A deterministic split of the address space into sides.
 ///
 /// Messages between addresses on different sides are severed (dropped
 /// with probability 1, before any loss roll). Addresses not explicitly
-/// assigned — e.g. nodes that join while the partition is active — belong
-/// to [`Partition::default_side`], modelling joiners reaching whichever
-/// segment their bootstrap sponsor lives in.
+/// assigned — e.g. nodes that join while the partition is active — are
+/// on side 0, the mainland, modelling joiners reaching whichever segment
+/// their bootstrap sponsor lives in.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Partition {
     side_of: HashMap<Addr, u32>,
-    default_side: u32,
 }
 
 impl Partition {
@@ -48,10 +38,7 @@ impl Partition {
                 assert!(prev.is_none(), "address {a} assigned to two sides");
             }
         }
-        Partition {
-            side_of,
-            default_side: 0,
-        }
+        Partition { side_of }
     }
 
     /// Builds a two-sided partition isolating `island` from everyone else
@@ -59,113 +46,58 @@ impl Partition {
     /// the mainland side).
     pub fn isolate(island: impl IntoIterator<Item = Addr>) -> Self {
         let side_of = island.into_iter().map(|a| (a, 1)).collect();
-        Partition {
-            side_of,
-            default_side: 0,
-        }
+        Partition { side_of }
     }
 
     /// The side an address belongs to.
     pub fn side(&self, addr: Addr) -> u32 {
-        self.side_of
-            .get(&addr)
-            .copied()
-            .unwrap_or(self.default_side)
+        self.side_of.get(&addr).copied().unwrap_or(0)
     }
 
     /// Whether a message between `a` and `b` is severed (symmetric).
     pub fn severs(&self, a: Addr, b: Addr) -> bool {
         self.side(a) != self.side(b)
     }
-
-    /// Number of explicitly assigned addresses.
-    pub fn assigned(&self) -> usize {
-        self.side_of.len()
-    }
-
-    /// Iterates over the explicit `(address, side)` assignments (addresses
-    /// on the default side by omission are not listed).
-    pub fn assignments(&self) -> impl Iterator<Item = (Addr, u32)> + '_ {
-        self.side_of.iter().map(|(&a, &s)| (a, s))
-    }
-
-    /// The side unlisted addresses belong to.
-    pub fn default_side(&self) -> u32 {
-        self.default_side
-    }
 }
 
-/// Probabilities of message loss per direction, plus an optional
-/// deterministic partition.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct NetworkModel {
-    /// Probability that an RPC request is lost before reaching the target
-    /// (the target never processes it).
-    pub drop_request: f64,
-    /// Probability that an RPC response is lost on the way back (the target
-    /// *did* process the request).
-    pub drop_response: f64,
-    /// Probability that a one-way message (e.g. a flooded proof) is lost.
-    pub drop_oneway: f64,
-    /// Active partition, if any: cross-side messages are severed.
-    pub partition: Option<Partition>,
+/// The engine's network: the loss in force, an optional partition, and
+/// each link's frame count.
+#[derive(Debug)]
+pub(crate) struct Network {
+    /// The run seed the loss rolls are keyed by.
+    seed: u64,
+    pub(crate) loss: Loss,
+    pub(crate) partition: Option<Partition>,
+    /// Frames each directed `(src, dst)` link has carried while loss was
+    /// in force: the index of its next roll.
+    pub(crate) link_frames: HashMap<(Addr, Addr), u64>,
 }
 
-impl NetworkModel {
-    /// A perfectly reliable network (no losses, no partition).
-    pub fn reliable() -> Self {
-        NetworkModel::default()
-    }
-
-    /// A uniformly lossy network dropping every message independently with
-    /// probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn lossy(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        NetworkModel {
-            drop_request: p,
-            drop_response: p,
-            drop_oneway: p,
+impl Network {
+    pub(crate) fn new(seed: u64, loss: Loss) -> Network {
+        Network {
+            seed,
+            loss,
             partition: None,
+            link_frames: HashMap::new(),
         }
     }
 
-    /// A network with independent per-direction loss probabilities (the
-    /// asymmetric-loss scenarios of §V-A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]`.
-    pub fn asymmetric(drop_request: f64, drop_response: f64, drop_oneway: f64) -> Self {
-        for p in [drop_request, drop_response, drop_oneway] {
-            assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        }
-        NetworkModel {
-            drop_request,
-            drop_response,
-            drop_oneway,
-            partition: None,
-        }
-    }
-
-    /// Returns this model with `partition` installed.
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partition = Some(partition);
-        self
-    }
-
-    /// Returns this model with any partition healed (loss rates kept).
-    pub fn healed(mut self) -> Self {
-        self.partition = None;
-        self
-    }
-
-    /// Whether a message between `a` and `b` is severed by the partition.
-    pub fn severs(&self, a: Addr, b: Addr) -> bool {
+    /// Whether a message between `a` and `b` crosses the partition.
+    pub(crate) fn severs(&self, a: Addr, b: Addr) -> bool {
         self.partition.as_ref().is_some_and(|p| p.severs(a, b))
+    }
+
+    /// Whether the next frame of `kind` on the link `src → dst` — neither
+    /// severed nor unreachable — is lost. See the module docs.
+    pub(crate) fn drops(&mut self, kind: MsgKind, src: Addr, dst: Addr) -> bool {
+        if self.loss.is_none() {
+            return false;
+        }
+        let next = self.link_frames.entry((src, dst)).or_insert(0);
+        let index = *next;
+        *next += 1;
+        self.loss.drops(self.seed, kind, src, dst, index)
     }
 }
 
@@ -173,44 +105,79 @@ impl NetworkModel {
 mod tests {
     use super::*;
 
+    const KINDS: [MsgKind; 3] = [MsgKind::Request, MsgKind::Response, MsgKind::Oneway];
+
+    fn counted_links(net: &Network) -> Vec<(Addr, Addr)> {
+        let mut links: Vec<(Addr, Addr)> = net.link_frames.keys().copied().collect();
+        links.sort_unstable();
+        links
+    }
+
+    /// How many of 200 frames of each kind, on one link, `net` drops.
+    fn dropped(net: &mut Network) -> [u32; 3] {
+        KINDS.map(|kind| (0..200).map(|_| u32::from(net.drops(kind, 1, 2))).sum())
+    }
+
     #[test]
     fn reliable_is_default() {
-        assert_eq!(NetworkModel::default(), NetworkModel::reliable());
-        assert!(NetworkModel::default().partition.is_none());
+        let mut net = Network::new(7, Loss::default());
+        assert!(net.partition.is_none());
+        assert_eq!(dropped(&mut net), [0, 0, 0]);
+        assert!(
+            counted_links(&net).is_empty(),
+            "nothing counted, nothing hashed"
+        );
     }
 
     #[test]
     fn lossy_sets_all_directions() {
-        let m = NetworkModel::lossy(0.25);
-        assert_eq!(m.drop_request, 0.25);
-        assert_eq!(m.drop_response, 0.25);
-        assert_eq!(m.drop_oneway, 0.25);
+        let mut net = Network::new(7, Loss::uniform(1.0));
+        assert_eq!(dropped(&mut net), [200, 200, 200]);
+        assert_eq!(counted_links(&net), [(1, 2)]);
     }
 
     #[test]
     fn asymmetric_sets_each_direction() {
-        let m = NetworkModel::asymmetric(0.1, 0.2, 0.3);
-        assert_eq!(m.drop_request, 0.1);
-        assert_eq!(m.drop_response, 0.2);
-        assert_eq!(m.drop_oneway, 0.3);
+        // Each kind is held to its own rate; the other kinds' frames
+        // still advance the link's index.
+        let mut net = Network::new(7, Loss::new(1.0, 0.0, 0.0));
+        assert_eq!(dropped(&mut net), [200, 0, 0]);
+        let mut net = Network::new(7, Loss::new(0.0, 0.0, 1.0));
+        assert_eq!(dropped(&mut net), [0, 0, 200]);
+        // The same frames the inbound roll of a socket's spec drops.
+        let loss = Loss::new(0.2, 0.5, 0.8);
+        let mut net = Network::new(7, loss);
+        for index in 0..300 {
+            let kind = KINDS[index as usize % 3];
+            assert_eq!(net.drops(kind, 4, 5), loss.drops(7, kind, 4, 5, index));
+        }
     }
 
     #[test]
     #[should_panic(expected = "probability")]
     fn lossy_rejects_out_of_range() {
-        NetworkModel::lossy(1.5);
+        Network::new(0, Loss::uniform(1.5));
     }
 
     #[test]
     #[should_panic(expected = "probability")]
     fn asymmetric_rejects_out_of_range() {
-        NetworkModel::asymmetric(0.0, -0.1, 0.0);
+        Network::new(0, Loss::new(0.0, -0.1, 0.0));
+    }
+
+    #[test]
+    fn healed_drops_partition_keeps_loss() {
+        let mut net = Network::new(7, Loss::uniform(0.5));
+        net.partition = Some(Partition::isolate([1]));
+        assert!(net.severs(0, 1));
+        net.partition = None;
+        assert!(!net.severs(0, 1));
+        assert_eq!(net.loss, Loss::uniform(0.5));
     }
 
     #[test]
     fn partition_sides_and_symmetry() {
         let p = Partition::split(&[vec![0, 1, 2], vec![3, 4]]);
-        assert_eq!(p.assigned(), 5);
         for a in 0..5u32 {
             for b in 0..5u32 {
                 assert_eq!(p.severs(a, b), p.severs(b, a), "severing is symmetric");
@@ -238,14 +205,5 @@ mod tests {
     #[should_panic(expected = "two sides")]
     fn split_rejects_overlap() {
         Partition::split(&[vec![0, 1], vec![1, 2]]);
-    }
-
-    #[test]
-    fn healed_drops_partition_keeps_loss() {
-        let m = NetworkModel::lossy(0.5).with_partition(Partition::isolate([1]));
-        assert!(m.severs(0, 1));
-        let h = m.healed();
-        assert!(!h.severs(0, 1));
-        assert_eq!(h.drop_request, 0.5);
     }
 }

@@ -10,7 +10,7 @@
 //! * where a cycle is interrupted changes nothing by itself.
 
 use proptest::prelude::*;
-use sc_sim::{Addr, Arena, Effects, Engine, Input, Machine, NetworkModel, Partition, SimConfig};
+use sc_sim::{Addr, Arena, Effects, Engine, Input, Loss, Machine, Partition, SimConfig};
 use std::collections::HashSet;
 
 // ---------------------------------------------------------------------
@@ -283,11 +283,12 @@ proptest! {
         salts in proptest::collection::vec(0u64..1_000_000, 1..6),
         cuts in proptest::collection::vec(0usize..20, 8),
     ) {
-        let net = NetworkModel::lossy(0.3).with_partition(Partition::isolate([0, 1]));
         let mut plain = build_couriers(n, seed, salts.clone());
         let mut cut = build_couriers(n, seed, salts);
-        plain.set_net(net.clone());
-        cut.set_net(net);
+        for eng in [&mut plain, &mut cut] {
+            eng.set_loss(Loss::uniform(0.3));
+            eng.set_partition(Some(Partition::isolate([0, 1])));
+        }
         for &k in &cuts {
             plain.run_cycle();
             cut.run_cycle_interrupted(k, |_| {});

@@ -10,7 +10,7 @@
 //! and every oracle in play.
 
 use crate::scenario::{AdversaryKind, OracleConfig, Scenario};
-use sc_core::SecureConfig;
+use sc_core::{Loss, SecureConfig};
 
 /// Seeds every scenario is swept under.
 pub const MATRIX_SEEDS: [u64; 3] = [1, 2, 3];
@@ -79,7 +79,7 @@ impl MatrixSize {
         }
     }
 
-    /// Scale-tier sizing: the same twelve scenarios at 5k nodes (20k for
+    /// Scale-tier sizing: the same fourteen scenarios at 5k nodes (20k for
     /// the headline honest scenario), with per-cycle oracles sampled
     /// every few cycles. Run it in release mode — debug builds are an
     /// order of magnitude slower at these populations:
@@ -159,15 +159,15 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         Scenario::new("honest-lossy-10", n)
             .cycles(cycles)
             .config(cfg)
-            .lossy(0.10)
+            .loss(Loss::uniform(0.10))
             .oracles(honest_oracles(size, Some(0.6))),
         Scenario::new("honest-asymmetric-loss", n)
             .cycles(cycles)
             .config(cfg)
-            .asymmetric_loss(0.15, 0.05, 0.10)
+            .loss(Loss::new(0.15, 0.05, 0.10))
             // The congestion clears late in the run: the loss-regime
             // change exercises `set_loss_at`, and recovery must follow.
-            .set_loss_at(heal, (0.0, 0.0, 0.0))
+            .set_loss_at(heal, Loss::default())
             .oracles(honest_oracles(size, Some(0.6))),
         Scenario::new("honest-partition-heal", n)
             .cycles(cycles)
@@ -260,7 +260,7 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
             .cycles(cycles)
             .config(cfg)
             .adversary(byz, AdversaryKind::Hub, attack_start)
-            .lossy(0.05)
+            .loss(Loss::uniform(0.05))
             .churn(mid / 2, heal, 0.01, n as f64 / 96.0)
             // Loss, churn, and an active adversary composed can strand the
             // odd orphan whose every link died; tolerate a small residue.
@@ -316,12 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn six_scenarios_fit_the_socket_tier_and_eight_say_why_not() {
+    fn seven_scenarios_fit_the_socket_tier_and_seven_say_why_not() {
         const NO_ADVERSARY: &str =
             "no adversary binary: sc-node runs the honest machine only (ROADMAP 3(a))";
         const NO_RESPONSOR: &str = "heal_fallback: the control socket has no re-sponsor verb";
-        const NO_PER_KIND: &str =
-            "per-kind loss: a FaultSpec drops by direction, not by message kind";
         let fits: Vec<(String, Result<(), &str>)> = standard_matrix(MatrixSize::live())
             .iter()
             .map(|s| (s.name.clone(), s.live_fit()))
@@ -329,7 +327,7 @@ mod tests {
         let expected = [
             ("honest-reliable", Ok(())),
             ("honest-lossy-10", Ok(())),
-            ("honest-asymmetric-loss", Err(NO_PER_KIND)),
+            ("honest-asymmetric-loss", Ok(())),
             ("honest-partition-heal", Err(NO_RESPONSOR)),
             ("honest-island-rejoin", Ok(())),
             ("honest-crash-restart", Ok(())),

@@ -266,13 +266,13 @@ pub fn run_scenario_live(bin: impl Into<PathBuf>, scenario: &Scenario, seed: u64
         cfg.cycle_ms = 200;
     }
     let mut ledger = LiveLedger {
-        loss: scenario.loss.0,
+        loss: scenario.loss,
         ..LiveLedger::default()
     };
-    if ledger.loss > 0.0 {
+    if !ledger.loss.is_none() {
         cfg.fault_spec = Some(FaultSpec {
             seed,
-            drop_in: ledger.loss,
+            loss: ledger.loss,
             ..FaultSpec::default()
         });
     }

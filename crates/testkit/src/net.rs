@@ -17,7 +17,7 @@ use sc_core::{
     SecureCyclonNode, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
-use sc_sim::{Addr, Engine, NetworkModel, SimConfig};
+use sc_sim::{Addr, Engine, Loss, SimConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -75,8 +75,8 @@ pub struct SecureNetParams {
     pub seed: u64,
     /// Signature scheme for all identities.
     pub scheme: Scheme,
-    /// Message-loss model.
-    pub net: NetworkModel,
+    /// Per-kind message loss.
+    pub loss: Loss,
     /// Attach an in-memory durable [`sc_core::StateBackend`] to every
     /// honest node, enabling [`SecureNetwork::crash_restart`].
     pub durable: bool,
@@ -93,7 +93,7 @@ impl SecureNetParams {
             attack_start: 50,
             seed: 0,
             scheme: Scheme::KeyedHash,
-            net: NetworkModel::reliable(),
+            loss: Loss::default(),
             durable: false,
         }
     }
@@ -320,7 +320,7 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
         attack_start,
         seed,
         scheme,
-        net,
+        loss,
         durable,
     } = params;
     let cfg = cfg.validated();
@@ -357,7 +357,7 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
     );
     let mut engine = Engine::new(SimConfig {
         seed,
-        net,
+        loss,
         ticks_per_cycle: cfg.ticks_per_cycle,
         start_cycle: plan.start_cycle,
     });

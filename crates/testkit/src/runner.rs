@@ -29,10 +29,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use sc_attacks::CloneLedger;
-use sc_core::FaultSpec;
+use sc_core::{FaultSpec, Loss};
 use sc_crypto::hex::to_hex;
 use sc_crypto::NodeId;
-use sc_sim::{Addr, NetworkModel, Partition};
+use sc_sim::{Addr, Partition};
 use std::sync::{Arc, Mutex};
 
 /// What a completed (violation-free) run looked like.
@@ -177,9 +177,8 @@ pub(crate) trait Tier {
     fn sever(&mut self, island: Vec<Addr>);
     /// Lifts the partition.
     fn heal(&mut self, faults: &mut StdRng);
-    /// Replaces the drop probabilities `(request, response, oneway)`,
-    /// keeping any partition.
-    fn set_loss(&mut self, rates: (f64, f64, f64));
+    /// Replaces the per-kind drop probabilities, keeping any partition.
+    fn set_loss(&mut self, loss: Loss);
     /// Crashes one member for good.
     fn kill(&mut self, addr: Addr);
     /// `kill -9`s `victims` and restarts each from its durable state —
@@ -235,7 +234,7 @@ impl<'a> Schedule<'a> {
                     tier.sever(island);
                 }
                 Event::Heal { .. } => tier.heal(&mut self.faults),
-                Event::SetLoss { rates, .. } => tier.set_loss(rates),
+                Event::SetLoss { loss, .. } => tier.set_loss(loss),
                 Event::Kill { frac, .. } => {
                     for addr in self.fraction(tier.alive(), frac, MIN_ALIVE) {
                         tier.kill(addr);
@@ -314,7 +313,7 @@ impl SimTier {
             attack_start: start_cycle + scenario.attack_start,
             seed,
             scheme: sc_crypto::Scheme::KeyedHash,
-            net: NetworkModel::asymmetric(scenario.loss.0, scenario.loss.1, scenario.loss.2),
+            loss: scenario.loss,
             durable: scenario.durable,
         };
         let tier = SimTier {
@@ -353,17 +352,14 @@ impl Tier for SimTier {
     }
 
     fn sever(&mut self, island: Vec<Addr>) {
-        let model = self.net.engine.net().clone();
         self.net
             .engine
-            .set_net(model.with_partition(Partition::isolate(island)));
+            .set_partition(Some(Partition::isolate(island)));
     }
 
     fn heal(&mut self, faults: &mut StdRng) {
         let net = &mut self.net;
-        let partition = net.engine.net().partition.clone();
-        let model = net.engine.net().clone().healed();
-        net.engine.set_net(model);
+        let partition = net.engine.set_partition(None);
         // A partition outlasting the descriptor lifetime consumes
         // every cross-side link (redeeming toward an unreachable
         // creator spends the descriptor). Fully starved nodes now
@@ -375,14 +371,13 @@ impl Tier for SimTier {
         // re-sponsored by mainland nodes, and ordinary gossip
         // re-knits the rest.
         if let Some(p) = partition.filter(|_| self.heal_fallback) {
-            let mainland_side = p.default_side();
             let mut island: Vec<Addr> = Vec::new();
             let mut mainland: Vec<Addr> = Vec::new();
             for (addr, node) in net.engine.nodes() {
                 if node.is_malicious() {
                     continue;
                 }
-                if p.side(addr) == mainland_side {
+                if p.side(addr) == 0 {
                     mainland.push(addr);
                 } else {
                     island.push(addr);
@@ -401,10 +396,8 @@ impl Tier for SimTier {
         }
     }
 
-    fn set_loss(&mut self, rates: (f64, f64, f64)) {
-        let mut model = NetworkModel::asymmetric(rates.0, rates.1, rates.2);
-        model.partition = self.net.engine.net().partition.clone();
-        self.net.engine.set_net(model);
+    fn set_loss(&mut self, loss: Loss) {
+        self.net.engine.set_loss(loss);
     }
 
     fn kill(&mut self, addr: Addr) {
@@ -432,8 +425,8 @@ impl Tier for SimTier {
 /// [`crate::live::run_scenario_live`] to demand evidence about.
 #[derive(Default)]
 pub(crate) struct LiveLedger {
-    /// The uniform drop probability in force.
-    pub(crate) loss: f64,
+    /// The per-kind drop probabilities in force.
+    pub(crate) loss: Loss,
     /// Members currently severed from everybody else.
     pub(crate) island: Vec<Addr>,
     /// Members a heal let back in.
@@ -445,11 +438,11 @@ pub(crate) struct LiveLedger {
 }
 
 /// The socket tier: a [`ProcessCluster`] at one instant of the wall
-/// clock. Loss is uniform (see [`Scenario::live_fit`]) and filtered on
-/// the way in: every frame crosses exactly one inbound filter, so
-/// `drop_in = p` on every member is link loss `p` in both directions. A
-/// partition is the islanders' own transports severing the other side —
-/// control frames are exempt, so the harness reaches through it.
+/// clock. Loss is filtered on the way in: every frame crosses exactly one
+/// inbound filter, held to its kind's rate, so the scenario's [`Loss`] on
+/// every member is its loss on every link. A partition is the islanders'
+/// own transports severing the other side — control frames are exempt,
+/// so the harness reaches through it.
 pub(crate) struct LiveTier<'a> {
     pub(crate) cluster: &'a mut ProcessCluster,
     pub(crate) ledger: &'a mut LiveLedger,
@@ -470,7 +463,7 @@ impl LiveTier<'_> {
             }
             let spec = FaultSpec {
                 seed: self.seed,
-                drop_in: self.ledger.loss,
+                loss: self.ledger.loss,
                 severed,
                 ..FaultSpec::default()
             };
@@ -503,8 +496,8 @@ impl Tier for LiveTier<'_> {
         self.ledger.rejoiners.extend(island);
     }
 
-    fn set_loss(&mut self, rates: (f64, f64, f64)) {
-        self.ledger.loss = rates.0;
+    fn set_loss(&mut self, loss: Loss) {
+        self.ledger.loss = loss;
         self.install(&self.cluster.addrs());
     }
 
@@ -555,7 +548,7 @@ mod tests {
     fn runs_replay_bit_for_bit() {
         let sc = Scenario::new("replay", 32)
             .cycles(20)
-            .lossy(0.05)
+            .loss(Loss::uniform(0.05))
             .partition_at(5, 0.3)
             .heal_at(12)
             .heal_fallback()
@@ -650,9 +643,9 @@ mod one_schedule_two_tiers {
             self.note("heal", &[]);
             self.tier.heal(faults);
         }
-        fn set_loss(&mut self, rates: (f64, f64, f64)) {
+        fn set_loss(&mut self, loss: Loss) {
             self.note("set-loss", &[]);
-            self.tier.set_loss(rates);
+            self.tier.set_loss(loss);
         }
         fn kill(&mut self, addr: Addr) {
             self.note("kill", &[addr]);
@@ -688,7 +681,7 @@ mod one_schedule_two_tiers {
         }
         fn sever(&mut self, _: Vec<Addr>) {}
         fn heal(&mut self, _: &mut StdRng) {}
-        fn set_loss(&mut self, _: (f64, f64, f64)) {}
+        fn set_loss(&mut self, _: Loss) {}
         fn kill(&mut self, addr: Addr) {
             self.alive.retain(|a| *a != addr);
         }

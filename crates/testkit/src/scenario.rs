@@ -1,7 +1,7 @@
 //! Declarative adversarial scenarios.
 //!
 //! A [`Scenario`] composes everything the paper's evaluation (§VI) and
-//! security argument (§IV–V) assume can go wrong at once: per-direction
+//! security argument (§IV–V) assume can go wrong at once: per-kind
 //! message loss, network partitions with scheduled heal events, membership
 //! churn, catastrophic failures, and a Byzantine fraction running one of
 //! the `sc-attacks` strategies. Scenarios are pure descriptions — a
@@ -10,7 +10,7 @@
 //! one-command reproduction.
 
 use sc_attacks::SecureAttack;
-use sc_core::SecureConfig;
+use sc_core::{Loss, SecureConfig};
 use std::sync::{Arc, Mutex};
 
 /// Which adversary the Byzantine fraction runs.
@@ -78,13 +78,12 @@ pub enum Event {
         /// Step at which the partition is removed.
         step: u64,
     },
-    /// Replace the loss model (partition state is preserved).
+    /// Replace the loss rates (partition state is preserved).
     SetLoss {
         /// Step at which the new rates apply.
         step: u64,
-        /// New per-direction drop probabilities
-        /// `(request, response, oneway)`.
-        rates: (f64, f64, f64),
+        /// New per-kind drop probabilities.
+        loss: Loss,
     },
     /// Kill a random batch of alive nodes at once (mass failure).
     Kill {
@@ -231,8 +230,8 @@ pub struct Scenario {
     pub attack_start: u64,
     /// Protocol configuration.
     pub cfg: SecureConfig,
-    /// Base loss rates `(request, response, oneway)` active from step 0.
-    pub loss: (f64, f64, f64),
+    /// Base per-kind loss rates, active from step 0.
+    pub loss: Loss,
     /// Scheduled fault events.
     pub events: Vec<Event>,
     /// Optional churn window.
@@ -266,7 +265,7 @@ impl Scenario {
             adversary: AdversaryKind::None,
             attack_start: 0,
             cfg: SecureConfig::default().with_view_len(8).with_swap_len(3),
-            loss: (0.0, 0.0, 0.0),
+            loss: Loss::default(),
             events: Vec::new(),
             churn: None,
             cycles: 60,
@@ -296,15 +295,10 @@ impl Scenario {
         self
     }
 
-    /// Uniform message loss with probability `p` in every direction.
-    pub fn lossy(mut self, p: f64) -> Self {
-        self.loss = (p, p, p);
-        self
-    }
-
-    /// Per-direction loss probabilities (asymmetric-loss scenarios, §V-A).
-    pub fn asymmetric_loss(mut self, request: f64, response: f64, oneway: f64) -> Self {
-        self.loss = (request, response, oneway);
+    /// Message loss from step 0: uniform, or per kind (the asymmetric-loss
+    /// scenarios of §V-A).
+    pub fn loss(mut self, loss: Loss) -> Self {
+        self.loss = loss;
         self
     }
 
@@ -363,11 +357,11 @@ impl Scenario {
         self
     }
 
-    /// Replaces the per-direction loss rates `(request, response, oneway)`
-    /// at `step`, keeping any active partition (loss regimes that change
-    /// mid-run, e.g. a congestion burst that later clears).
-    pub fn set_loss_at(mut self, step: u64, rates: (f64, f64, f64)) -> Self {
-        self.events.push(Event::SetLoss { step, rates });
+    /// Replaces the per-kind loss rates at `step`, keeping any active
+    /// partition (loss regimes that change mid-run, e.g. a congestion
+    /// burst that later clears).
+    pub fn set_loss_at(mut self, step: u64, loss: Loss) -> Self {
+        self.events.push(Event::SetLoss { step, loss });
         self
     }
 
@@ -405,16 +399,13 @@ impl Scenario {
     /// Whether any message is ever dropped: a base rate or a scheduled
     /// loss regime above zero.
     pub fn has_loss(&self) -> bool {
-        self.loss_regimes().any(|(a, b, c)| a + b + c > 0.0)
-    }
-
-    /// The base loss rates and every scheduled replacement.
-    fn loss_regimes(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         let scheduled = self.events.iter().filter_map(|e| match e {
-            Event::SetLoss { rates, .. } => Some(*rates),
+            Event::SetLoss { loss, .. } => Some(*loss),
             _ => None,
         });
-        std::iter::once(self.loss).chain(scheduled)
+        std::iter::once(self.loss)
+            .chain(scheduled)
+            .any(|l| !l.is_none())
     }
 
     /// Whether the socket tier ([`crate::live::run_scenario_live`]) can
@@ -427,9 +418,6 @@ impl Scenario {
         }
         if self.runner_heal_fallback {
             return Err("heal_fallback: the control socket has no re-sponsor verb");
-        }
-        if self.loss_regimes().any(|(a, b, c)| a != b || b != c) {
-            return Err("per-kind loss: a FaultSpec drops by direction, not by message kind");
         }
         Ok(())
     }
@@ -444,13 +432,15 @@ mod tests {
         let sc = Scenario::new("t", 64)
             .cycles(80)
             .adversary(6, AdversaryKind::Hub, 20)
-            .lossy(0.05)
+            .loss(Loss::uniform(0.05))
             .partition_at(30, 0.3)
             .heal_at(50)
-            .set_loss_at(60, (0.0, 0.0, 0.0))
+            .set_loss_at(60, Loss::default())
             .churn(10, 40, 0.01, 0.5);
         assert_eq!(sc.n_malicious, 6);
-        assert_eq!(sc.loss, (0.05, 0.05, 0.05));
+        assert_eq!(sc.loss, Loss::uniform(0.05));
+        assert!(sc.has_loss());
+        assert!(!Scenario::new("t", 8).has_loss());
         assert!(sc.has_partition());
         assert_eq!(sc.events.len(), 3);
         assert!(sc.churn.is_some());

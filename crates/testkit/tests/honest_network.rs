@@ -8,7 +8,7 @@ use sc_core::checks::SLACK_SLOTS;
 use sc_core::node::{REDEMPTION_CACHE_MAX_ENTRIES, SAMPLE_RETENTION_CYCLES};
 use sc_core::{DescriptorId, SecureConfig, Timestamp};
 use sc_crypto::{FxHashSet, NodeId};
-use sc_sim::NetworkModel;
+use sc_sim::Loss;
 use sc_testkit::{build_secure_network, SecureNetParams, SecureNetwork};
 use std::collections::{HashMap, HashSet};
 
@@ -16,16 +16,16 @@ fn small_cfg() -> SecureConfig {
     SecureConfig::default().with_view_len(8).with_swap_len(3)
 }
 
-fn build_net(n: usize, seed: u64, net: NetworkModel) -> SecureNetwork {
+fn build_net(n: usize, seed: u64, loss: Loss) -> SecureNetwork {
     let mut params = SecureNetParams::new(n, 0, SecureAttack::None);
     params.cfg = small_cfg();
     params.seed = seed;
-    params.net = net;
+    params.loss = loss;
     build_secure_network(params)
 }
 
 fn build(n: usize, seed: u64) -> SecureNetwork {
-    build_net(n, seed, NetworkModel::reliable())
+    build_net(n, seed, Loss::default())
 }
 
 /// The honest nodes of `net`, in address order.
@@ -141,7 +141,7 @@ fn descriptor_ages_bounded_in_equilibrium() {
 #[test]
 fn lossy_network_heals_with_ns_descriptors() {
     let cfg = small_cfg();
-    let mut net = build_net(48, 7, NetworkModel::lossy(0.10));
+    let mut net = build_net(48, 7, Loss::uniform(0.10));
     net.engine.run_cycles(80);
     // Despite 10% loss in every direction, no false proofs and views
     // recover through NS back-fill.

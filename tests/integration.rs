@@ -5,7 +5,7 @@ use securecyclon::attacks::SecureAttack;
 use securecyclon::core::{SecureConfig, SecureCyclonNode};
 use securecyclon::crypto::{Keypair, Scheme};
 use securecyclon::metrics::{rises_after, spike_then_decay, TimeSeries};
-use securecyclon::sim::NetworkModel;
+use securecyclon::sim::Loss;
 use securecyclon::testkit::{
     blacklist_coverage, build_secure_network, malicious_link_fraction, SecureNet, SecureNetParams,
 };
@@ -147,7 +147,7 @@ fn lossy_network_under_attack_still_converges_on_eviction() {
     params.cfg = cfg();
     params.attack_start = 15;
     params.seed = 4;
-    params.net = NetworkModel::lossy(0.05);
+    params.loss = Loss::uniform(0.05);
     let mut net = build_secure_network(params);
     net.engine.run_cycles(90);
     let coverage = blacklist_coverage(&net.engine, &net.malicious_ids);
