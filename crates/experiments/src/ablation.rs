@@ -1,6 +1,6 @@
 //! **Ablations** — how much each design choice contributes to the
-//! defense. Not a paper figure; DESIGN.md calls these out as the
-//! load-bearing mechanisms worth isolating:
+//! defense. Not a paper figure: it isolates, one at a time, the three
+//! mechanisms the §IV–V defense rests on besides the proofs themselves:
 //!
 //! * **proof piggyback** (§IV-C): proofs ride on gossip in addition to
 //!   flooding, catching nodes the flood missed;
@@ -12,14 +12,10 @@
 //! Each variant runs the same hub attack; reported are the final
 //! malicious-link share, blacklist coverage, and honest-side proof count.
 
-use crate::common::{banner, results_dir, Scale};
-use sc_attacks::SecureAttack;
+use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
 use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{
-    blacklist_coverage, build_secure_network, malicious_link_fraction, proofs_generated,
-    SecureNetParams,
-};
+use sc_testkit::{malicious_link_fraction, step_of, AdversaryKind, Scenario};
 
 struct Variant {
     name: &'static str,
@@ -47,6 +43,18 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
+/// The ablation cell: `n` nodes at the paper's defaults bar `v`'s tweak,
+/// `k` of them hub attackers from engine cycle 50, `cycles` cycles after
+/// the bootstrap.
+fn scenario(v: &Variant, n: usize, k: usize, cycles: u64) -> Scenario {
+    let mut cfg = SecureConfig::default();
+    (v.tweak)(&mut cfg);
+    Scenario::new(&format!("ablation {}", v.name), n)
+        .config(cfg)
+        .adversary(k, AdversaryKind::Hub, step_of(ATTACK_CYCLE, &cfg))
+        .cycles(cycles)
+}
+
 /// Runs the ablation matrix at the given scale.
 pub fn run(scale: Scale) {
     banner("Ablation: contribution of each defense mechanism (hub attack)");
@@ -57,27 +65,22 @@ pub fn run(scale: Scale) {
     println!("nodes:{n}, malicious:{n_malicious}, view:20, swap:3, attack at cycle 50");
     let mut all = Vec::new();
     for v in variants() {
-        let mut params = SecureNetParams::new(n, n_malicious, SecureAttack::Hub);
-        (v.tweak)(&mut params.cfg);
-        params.attack_start = 50;
-        params.seed = 42;
-        let mut net = build_secure_network(params);
         let mut series = TimeSeries::new(v.name);
-        for _ in 0..cycles {
-            net.engine.run_cycle();
+        let cell = scenario(&v, n, n_malicious, cycles);
+        let (summary, _) = run_cell(&cell, 42, |net| {
+            let malicious = &net.malicious_ids;
             series.push(
                 net.engine.cycle(),
-                100.0 * malicious_link_fraction(&net.engine, &net.malicious_ids),
+                100.0 * malicious_link_fraction(&net.engine, malicious),
             );
-        }
-        let coverage = blacklist_coverage(&net.engine, &net.malicious_ids);
-        let (cloning, freq) = proofs_generated(&net.engine);
+        });
+        let (cloning, freq) = summary.proofs;
         println!(
             "  {:<30} final mal links {:>5.1}%  peak {:>5.1}%  blacklist coverage {:>5.1}%  proofs {}+{}",
             v.name,
             series.last().unwrap_or(0.0),
             series.max().unwrap_or(0.0),
-            100.0 * coverage,
+            100.0 * summary.coverage,
             cloning,
             freq
         );

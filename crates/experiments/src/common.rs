@@ -1,13 +1,8 @@
-//! Shared experiment machinery: scales, secure-network run loops, and
+//! Shared experiment machinery: scales, the one way a SecureCyclon
+//! figure cell runs (a [`Scenario`] through the testkit runner), and
 //! result emission.
 
-use sc_attacks::SecureAttack;
-use sc_core::SecureConfig;
-use sc_metrics::TimeSeries;
-use sc_testkit::{
-    blacklist_coverage, build_secure_network, eclipsed_fraction, malicious_link_fraction,
-    ns_link_fraction, SecureNetParams, SecureNetwork,
-};
+use sc_testkit::{run_scenario_observed, RunSummary, Scenario, SecureNetwork};
 use std::path::PathBuf;
 
 /// How big the experiments run.
@@ -40,93 +35,25 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// One secure-network run description.
-#[derive(Clone, Debug)]
-pub struct SecureRun {
-    /// Network and attack parameters.
-    pub params: SecureNetParams,
-    /// Cycles to simulate after the bootstrap point.
-    pub cycles: u64,
-    /// Sampling interval for the recorded series.
-    pub record_every: u64,
-}
+/// The engine cycle at which every SecureCyclon figure's attack starts
+/// (§VI: "attack at cycle 50").
+pub const ATTACK_CYCLE: u64 = 50;
 
-/// Time series recorded over one secure-network run.
-///
-/// Not every experiment reads every series; the unused ones are still
-/// recorded so ad-hoc analyses can reuse `run_secure` unchanged.
-#[allow(dead_code)]
-pub struct SecureRunSeries {
-    /// Fraction of honest links pointing at malicious nodes.
-    pub malicious_frac: TimeSeries,
-    /// Fraction of honest links that are non-swappable.
-    pub ns_frac: TimeSeries,
-    /// Average fraction of attackers blacklisted by honest nodes.
-    pub coverage: TimeSeries,
-    /// Fraction of honest nodes fully surrounded by malicious links.
-    pub eclipsed: TimeSeries,
-    /// The network after the run (for final inspection).
-    pub network: SecureNetwork,
-}
-
-/// Runs a secure network, recording the standard metrics each
-/// `record_every` cycles. Series are labelled with `label`.
-pub fn run_secure(run: SecureRun, label: &str) -> SecureRunSeries {
-    let SecureRun {
-        params,
-        cycles,
-        record_every,
-    } = run;
-    let mut net = build_secure_network(params);
-    let mut malicious_frac = TimeSeries::new(label.to_string());
-    let mut ns_frac = TimeSeries::new(label.to_string());
-    let mut coverage = TimeSeries::new(label.to_string());
-    let mut eclipsed = TimeSeries::new(label.to_string());
-    for _ in 0..cycles {
-        net.engine.run_cycle();
-        let c = net.engine.cycle();
-        if c.is_multiple_of(record_every) {
-            malicious_frac.push(
-                c,
-                100.0 * malicious_link_fraction(&net.engine, &net.malicious_ids),
-            );
-            ns_frac.push(c, 100.0 * ns_link_fraction(&net.engine));
-            coverage.push(
-                c,
-                100.0 * blacklist_coverage(&net.engine, &net.malicious_ids),
-            );
-            eclipsed.push(
-                c,
-                100.0 * eclipsed_fraction(&net.engine, &net.malicious_ids),
-            );
-        }
-    }
-    SecureRunSeries {
-        malicious_frac,
-        ns_frac,
-        coverage,
-        eclipsed,
-        network: net,
-    }
-}
-
-/// Convenience constructor for the paper's standard secure parameters.
-pub fn secure_params(
-    n: usize,
-    n_malicious: usize,
-    view_len: usize,
-    swap_len: usize,
-    attack: SecureAttack,
-    attack_start: u64,
+/// Runs one figure cell through the scenario runner, handing the network
+/// to `observe` after every cycle. A figure cell is audited by its
+/// scenario's oracles like any catalog run, so one that trips is a
+/// protocol bug: it panics naming the cell, the seed and the violation.
+pub fn run_cell(
+    scenario: &Scenario,
     seed: u64,
-) -> SecureNetParams {
-    let mut p = SecureNetParams::new(n, n_malicious, attack);
-    p.cfg = SecureConfig::default()
-        .with_view_len(view_len)
-        .with_swap_len(swap_len);
-    p.attack_start = attack_start;
-    p.seed = seed;
-    p
+    observe: impl FnMut(&SecureNetwork),
+) -> (RunSummary, SecureNetwork) {
+    run_scenario_observed(scenario, seed, observe).unwrap_or_else(|v| {
+        panic!(
+            "figure cell '{}' (seed {}) tripped oracle '{}' at cycle {}: {}",
+            v.scenario, v.seed, v.oracle, v.cycle, v.detail
+        )
+    })
 }
 
 /// Prints a section header for terminal output.

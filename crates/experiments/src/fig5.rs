@@ -11,46 +11,39 @@
 //! retains malicious links. Bottom-right (10k): full recovery for the
 //! same swap lengths because s ≪ ℓ.
 
-use crate::common::{banner, results_dir, run_secure, secure_params, Scale, SecureRun};
-use sc_attacks::SecureAttack;
+use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
+use sc_testkit::{eclipsed_fraction, malicious_link_fraction, step_of, AdversaryKind, Scenario};
 
-/// One defended-hub-attack run; returns (malicious-link %, eclipsed %).
-#[allow(clippy::too_many_arguments)]
-pub fn defense_series(
-    n: usize,
-    n_malicious: usize,
-    view_len: usize,
-    swap_len: usize,
-    attack_start: u64,
-    cycles: u64,
-    seed: u64,
-) -> (TimeSeries, TimeSeries) {
-    let params = secure_params(
-        n,
-        n_malicious,
-        view_len,
-        swap_len,
-        SecureAttack::Hub,
-        attack_start,
-        seed,
-    );
-    let out = run_secure(
-        SecureRun {
-            params,
-            cycles,
-            record_every: 2,
-        },
-        &format!("swap length {swap_len}"),
-    );
-    (out.malicious_frac, out.eclipsed)
+/// The Figure 5 cell: `n` nodes, `k` of them hub attackers from engine
+/// cycle 50, view length ℓ, swap length `s`, `cycles` cycles after the
+/// bootstrap.
+pub fn scenario(n: usize, k: usize, view_len: usize, swap_len: usize, cycles: u64) -> Scenario {
+    let cfg = SecureConfig::default()
+        .with_view_len(view_len)
+        .with_swap_len(swap_len);
+    Scenario::new(&format!("fig5 n={n} k={k} s={swap_len}"), n)
+        .config(cfg)
+        .adversary(k, AdversaryKind::Hub, step_of(ATTACK_CYCLE, &cfg))
+        .cycles(cycles)
 }
 
 fn run_panel(title: &str, n: usize, n_malicious: usize, view_len: usize, cycles: u64, file: &str) {
     println!("{title}: nodes:{n}, view:{view_len}, malicious nodes:{n_malicious}");
     let mut mal_series = Vec::new();
     for swap_len in [3usize, 5, 8, 10] {
-        let (mal, ecl) = defense_series(n, n_malicious, view_len, swap_len, 50, cycles, 42);
+        let label = format!("swap length {swap_len}");
+        let (mut mal, mut ecl) = (TimeSeries::new(&label), TimeSeries::new(&label));
+        let cell = scenario(n, n_malicious, view_len, swap_len, cycles);
+        run_cell(&cell, 42, |net| {
+            let c = net.engine.cycle();
+            if c.is_multiple_of(2) {
+                let malicious = &net.malicious_ids;
+                mal.push(c, 100.0 * malicious_link_fraction(&net.engine, malicious));
+                ecl.push(c, 100.0 * eclipsed_fraction(&net.engine, malicious));
+            }
+        });
         println!(
             "  swap length {swap_len}: peak {:.1}%, final {:.1}%, eclipsed {:.1}%",
             mal.max().unwrap_or(0.0),

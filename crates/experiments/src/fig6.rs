@@ -11,41 +11,31 @@
 //! (top-right) and is bounded far below saturation at 50% (bottom-right,
 //! ≈27% in the paper).
 
-use crate::common::{banner, results_dir, run_secure, secure_params, Scale, SecureRun};
-use sc_attacks::SecureAttack;
+use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
+use sc_testkit::{ns_link_fraction, step_of, AdversaryKind, Scenario};
 
-/// One depletion run; returns the non-swappable link percentage series.
-#[allow(clippy::too_many_arguments)]
-pub fn depletion_series(
+/// The Figure 6 cell: `n` nodes, `k` of them depleting responders from
+/// engine cycle 50, view length ℓ, swap length `s`, tit-for-tat on or
+/// off, `cycles` cycles after the bootstrap.
+pub fn scenario(
     n: usize,
-    n_malicious: usize,
+    k: usize,
     view_len: usize,
     swap_len: usize,
     tit_for_tat: bool,
-    attack_start: u64,
     cycles: u64,
-    seed: u64,
-) -> TimeSeries {
-    let mut params = secure_params(
-        n,
-        n_malicious,
-        view_len,
-        swap_len,
-        SecureAttack::Depletion,
-        attack_start,
-        seed,
-    );
-    params.cfg.tit_for_tat = tit_for_tat;
-    let out = run_secure(
-        SecureRun {
-            params,
-            cycles,
-            record_every: 2,
-        },
-        &format!("swap length {swap_len}"),
-    );
-    out.ns_frac
+) -> Scenario {
+    let mut cfg = SecureConfig::default()
+        .with_view_len(view_len)
+        .with_swap_len(swap_len);
+    cfg.tit_for_tat = tit_for_tat;
+    let name = format!("fig6 n={n} k={k} s={swap_len} tft={tit_for_tat}");
+    Scenario::new(&name, n)
+        .config(cfg)
+        .adversary(k, AdversaryKind::Depletion, step_of(ATTACK_CYCLE, &cfg))
+        .cycles(cycles)
 }
 
 fn run_panel(n: usize, n_malicious: usize, view_len: usize, tft: bool, cycles: u64, file: &str) {
@@ -56,7 +46,14 @@ fn run_panel(n: usize, n_malicious: usize, view_len: usize, tft: bool, cycles: u
     );
     let mut all = Vec::new();
     for swap_len in [3usize, 5, 8, 10] {
-        let s = depletion_series(n, n_malicious, view_len, swap_len, tft, 50, cycles, 42);
+        let mut s = TimeSeries::new(format!("swap length {swap_len}"));
+        let cell = scenario(n, n_malicious, view_len, swap_len, tft, cycles);
+        run_cell(&cell, 42, |net| {
+            let c = net.engine.cycle();
+            if c.is_multiple_of(2) {
+                s.push(c, 100.0 * ns_link_fraction(&net.engine));
+            }
+        });
         println!(
             "  swap length {swap_len}: final non-swappable links {:.1}%",
             s.last().unwrap_or(0.0)

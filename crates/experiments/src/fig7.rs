@@ -7,80 +7,51 @@
 //! redemption cache is what keeps the spent copy circulating long enough
 //! to be cross-checked.
 //!
-//! Measurement protocol (also recorded in EXPERIMENTS.md): eviction is
-//! disabled so attackers survive their first proof and keep producing
-//! duplication events across the whole run; each attacker is assigned a
-//! target age from the sweep (round-robin), so one simulation per
-//! (cache size, malicious share) covers every age bucket.
+//! Measurement protocol: eviction is disabled so attackers survive
+//! their first proof and keep producing duplication events across the
+//! whole run, and every attacker of a run clones at the same target age,
+//! so one run per (cache size, malicious share, age) fills one point. A
+//! point is the share of duplicated descriptors some honest node holds a
+//! cloning proof against, over the duplications performed.
 
-use crate::common::{banner, results_dir, Scale};
-use sc_attacks::{CloneLedger, SecureAttack};
-use sc_core::{ProofKind, SecureConfig};
+use crate::common::{banner, results_dir, run_cell, Scale};
+use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{build_secure_network, SecureNetParams};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use sc_testkit::{step_of, AdversaryKind, Scenario};
 
-/// Detection ratio per age bucket for one (cache, malicious%) cell.
-#[allow(clippy::too_many_arguments)]
-pub fn detection_by_age(
+/// The engine cycle from which the cloners are active.
+const CLONE_CYCLE: u64 = 30;
+
+/// The Figure 7 cell for one target age: `n` nodes, `k` of them cloners
+/// that double-spend each descriptor they hold once it is `age` cycles
+/// old, view length ℓ, a redemption cache of `cache_cycles`, eviction
+/// off, `cycles` cycles after the bootstrap.
+pub fn scenario(
     n: usize,
-    n_malicious: usize,
+    k: usize,
     view_len: usize,
     cache_cycles: u64,
-    ages: &[u64],
+    age: u64,
     cycles: u64,
-    seed: u64,
-) -> HashMap<u64, (usize, usize)> {
-    // One network per target age (every attacker clones at that age),
-    // each with its own ledger and a seed derived from the age.
-    let mut out: HashMap<u64, (usize, usize)> = HashMap::new();
-    for (k, &age) in ages.iter().enumerate() {
-        let ledger = Arc::new(Mutex::new(CloneLedger::new()));
-        let mut params = SecureNetParams::new(
-            n,
-            n_malicious,
-            SecureAttack::Cloner {
-                target_age: age,
-                ledger: Arc::clone(&ledger),
-            },
-        );
-        params.cfg = SecureConfig::default()
-            .with_view_len(view_len)
-            .with_redemption_cache(cache_cycles);
-        params.cfg.eviction_enabled = false;
-        params.attack_start = 30;
-        params.seed = seed ^ ((age << 8) ^ k as u64);
-        let mut net = build_secure_network(params);
-        net.engine.run_cycles(cycles);
-
-        let events = &ledger.lock().unwrap().events;
-        let ids: HashSet<_> = events.iter().map(|e| e.desc).collect();
-        let mut detected: HashSet<_> = HashSet::new();
-        for (_, node) in net.engine.nodes() {
-            let Some(h) = node.honest() else { continue };
-            for rec in h.proof_log() {
-                if rec.kind == ProofKind::Cloning {
-                    if let Some(id) = rec.descriptor {
-                        if ids.contains(&id) {
-                            detected.insert(id);
-                        }
-                    }
-                }
-            }
-        }
-        let entry = out.entry(age).or_default();
-        entry.0 += detected.len();
-        entry.1 += events.len();
-    }
-    out
+) -> Scenario {
+    let mut cfg = SecureConfig::default()
+        .with_view_len(view_len)
+        .with_redemption_cache(cache_cycles);
+    cfg.eviction_enabled = false;
+    let name = format!("fig7 n={n} k={k} cache={cache_cycles} age={age}");
+    let cloner = AdversaryKind::Cloner { target_age: age };
+    Scenario::new(&name, n)
+        .config(cfg)
+        .adversary(k, cloner, step_of(CLONE_CYCLE, &cfg))
+        .cycles(cycles)
 }
 
 /// Runs the Figure 7 experiment at the given scale.
 pub fn run(scale: Scale) {
     banner("Figure 7: detection ratio vs descriptor age at duplication");
-    // Quick scale trades population for sweep time (120 separate runs);
-    // full scale is the paper's 1k nodes across the whole age sweep.
+    // Quick scale trades population for sweep time (60 separate runs);
+    // full scale is the paper's 1k nodes across the whole age sweep
+    // (120 runs).
     let (n, view_len, cycles, ages): (usize, usize, u64, Vec<u64>) = match scale {
         Scale::Smoke => (300, 20, 70, vec![2, 8, 14, 20]),
         Scale::Quick => (500, 20, 80, vec![2, 6, 10, 14, 18]),
@@ -91,17 +62,18 @@ pub fn run(scale: Scale) {
         println!("nodes:{n}, view:{view_len}, malicious nodes:{mal_pct}%");
         let mut all_series = Vec::new();
         for cache in [0u64, 2, 5, 10] {
-            let per_age = detection_by_age(n, n_malicious, view_len, cache, &ages, cycles, 42);
             let label = if cache == 0 {
                 "no redemption cache".to_string()
             } else {
                 format!("cache {cache} cycles")
             };
             let mut series = TimeSeries::new(label.clone());
-            let mut sorted: Vec<_> = per_age.iter().collect();
-            sorted.sort_by_key(|(&age, _)| age);
             let mut cells = Vec::new();
-            for (&age, &(det, tot)) in sorted {
+            for (k, &age) in ages.iter().enumerate() {
+                // One run per age, under a seed derived from the age.
+                let cell = scenario(n, n_malicious, view_len, cache, age, cycles);
+                let (summary, _) = run_cell(&cell, 42 ^ ((age << 8) ^ k as u64), |_| {});
+                let (det, tot) = summary.clones;
                 let ratio = if tot == 0 {
                     0.0
                 } else {

@@ -9,6 +9,7 @@
 //!   fig3        hub attack takeover of legacy Cyclon
 //!   fig5-top    SecureCyclon vs the minimal hub attack
 //!   fig5-bottom SecureCyclon vs a 40% hub attack
+//!   fig5        both Figure 5 rows
 //!   fig6        link-depletion attack, tit-for-tat off/on
 //!   fig7        clone-detection ratio vs age at duplication
 //!   netcost     §VI-A message-size table
@@ -18,6 +19,10 @@
 //!
 //! `--scale quick` (default) runs the paper's 1k-node configurations;
 //! `full` adds the 10k ones; `smoke` is a minutes-scale sanity pass.
+//!
+//! Every SecureCyclon cell (Figures 5–7, netcost, the ablation) is a
+//! `sc_testkit::Scenario` run through the testkit runner, audited by the
+//! scenario's oracles; Figures 2 and 3 run the legacy Cyclon engine.
 
 mod ablation;
 mod common;
@@ -32,7 +37,7 @@ use common::Scale;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig2|fig3|fig5-top|fig5-bottom|fig6|fig7|netcost|ablation|all> \
+        "usage: experiments <fig2|fig3|fig5-top|fig5-bottom|fig5|fig6|fig7|netcost|ablation|all> \
          [--scale smoke|quick|full] [--out DIR]"
     );
     std::process::exit(2);

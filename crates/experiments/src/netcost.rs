@@ -11,11 +11,10 @@
 //! under both the paper's size model and this crate's wire codec, and
 //! prints them against the paper's estimates.
 
-use crate::common::{banner, results_dir, Scale};
-use sc_attacks::SecureAttack;
+use crate::common::{banner, results_dir, run_cell, Scale};
 use sc_core::{wire, SecureConfig};
 use sc_metrics::{save_histogram_csv, summarize, Histogram};
-use sc_testkit::{build_secure_network, SecureNetParams};
+use sc_testkit::Scenario;
 
 /// Measured network-cost summary.
 #[derive(Debug)]
@@ -31,14 +30,20 @@ pub struct NetCost {
     pub per_direction_paper: f64,
 }
 
+/// The §VI-A cell: `n` honest nodes at view length ℓ, `cycles` cycles
+/// after the bootstrap.
+pub fn scenario(n: usize, view_len: usize, cycles: u64) -> Scenario {
+    let cfg = SecureConfig::default().with_view_len(view_len);
+    Scenario::new(&format!("netcost n={n}"), n)
+        .config(cfg)
+        .cycles(cycles)
+}
+
 /// Measures descriptor sizes on a converged overlay.
 pub fn measure(n: usize, view_len: usize, cycles: u64, seed: u64) -> (NetCost, Histogram) {
-    let mut params = SecureNetParams::new(n, 0, SecureAttack::None);
-    params.cfg = SecureConfig::default().with_view_len(view_len);
-    params.seed = seed;
-    let redemption = params.cfg.redemption_cache_cycles as f64;
-    let mut net = build_secure_network(params);
-    net.engine.run_cycles(cycles);
+    let cell = scenario(n, view_len, cycles);
+    let redemption = cell.cfg.redemption_cache_cycles as f64;
+    let (_, net) = run_cell(&cell, seed, |_| {});
 
     let mut transfers = Histogram::new();
     let mut paper_sizes = Vec::new();

@@ -1,6 +1,6 @@
-//! Small statistics helpers and the "shape assertions" used by tests and
-//! EXPERIMENTS.md to state what *reproducing a figure* means: rises,
-//! decays, crossovers — the qualitative structure of each plot.
+//! Small statistics helpers and the "shape assertions" tests use to
+//! state what *reproducing a figure* means: rises, decays, crossovers —
+//! the qualitative structure of each plot, not its exact values.
 
 use crate::series::TimeSeries;
 

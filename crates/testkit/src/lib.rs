@@ -29,7 +29,9 @@
 //!   shares.
 //! * [`runner`] — deterministic execution of a `(Scenario, seed)` pair,
 //!   including `kill -9`-style crash-restarts of durably backed nodes;
-//!   the one schedule both tiers carry out.
+//!   the one schedule both tiers carry out. [`run_scenario_observed`] is
+//!   the simulated run loop, and the paper's figures record their series
+//!   through its per-cycle observer.
 //! * [`catalog`] — the standard 42-combination scenario matrix swept by
 //!   `tests/scenario_matrix.rs`, with a `quick` sizing for CI. Every
 //!   scenario carries the redemption-cache bound and §VI-A byte-budget
@@ -74,6 +76,9 @@ pub use net::{
     ns_link_fraction, proofs_generated, SecureNet, SecureNetParams, SecureNetwork,
 };
 pub use oracles::{largest_component, largest_honest_component, OracleSuite, Violation};
-pub use runner::{run_scenario, run_scenario_with_net, state_fingerprint, RunSummary};
+pub use runner::{
+    run_scenario, run_scenario_observed, run_scenario_with_net, state_fingerprint, step_of,
+    RunSummary,
+};
 pub use scenario::{AdversaryKind, ChurnWindow, Event, OracleConfig, Scenario};
 pub use snapshot::{NetSnapshot, NodeSnapshot};

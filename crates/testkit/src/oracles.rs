@@ -16,7 +16,7 @@ use crate::net::SecureNetwork;
 use crate::scenario::{OracleConfig, Scenario};
 use crate::snapshot::NetSnapshot;
 use sc_core::DescriptorId;
-use sc_crypto::NodeId;
+use sc_crypto::{FxHashMap, FxHashSet, NodeId};
 use sc_sim::Addr;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -89,12 +89,17 @@ pub struct OracleSuite {
     replay: String,
     /// See [`detection_allowance`]; zero for a run with no scenario.
     detection_allowance: u64,
-    /// Previous cycle's blacklist per address (addresses are never
-    /// reused, so churn cannot alias entries).
-    prev_blacklists: HashMap<Addr, HashSet<NodeId>>,
+    /// Every identity an honest blacklist has held, numbered in the
+    /// order first seen.
+    culprit_index: FxHashMap<NodeId, usize>,
+    /// Previous checked cycle's blacklist per address, as a bitset over
+    /// `culprit_index` (addresses are never reused, so churn cannot alias
+    /// entries). A bit per culprit, not its 32-byte identity: 6 000
+    /// nodes blacklisting 4 000 culprits each keep 3 MB here, not a GB.
+    prev_blacklists: HashMap<Addr, Vec<u64>>,
     /// Every honest identity ever observed alive — so accusing an honest
     /// node is caught even after churn removed the victim.
-    honest_ever: HashSet<NodeId>,
+    honest_ever: FxHashSet<NodeId>,
 }
 
 impl OracleSuite {
@@ -130,8 +135,9 @@ impl OracleSuite {
             view_len,
             replay,
             detection_allowance: 0,
+            culprit_index: FxHashMap::default(),
             prev_blacklists: HashMap::new(),
-            honest_ever: HashSet::new(),
+            honest_ever: FxHashSet::default(),
         }
     }
 
@@ -295,27 +301,38 @@ impl OracleSuite {
     /// violations, §V-A).
     fn check_blacklists(&mut self, snap: &NetSnapshot, cycle: u64) -> Result<(), Violation> {
         self.honest_ever.extend(snap.nodes.iter().map(|n| n.id));
+        // Every id of every blacklist is looked up here each cycle; Fx
+        // keeps that cheap where blacklists run to thousands.
+        let malicious: FxHashSet<NodeId> = snap.malicious_ids.iter().copied().collect();
         for node in &snap.nodes {
             let addr = node.addr;
-            let current: HashSet<NodeId> = node.blacklist.iter().copied().collect();
-            for id in &current {
-                if self.honest_ever.contains(id) && !snap.malicious_ids.contains(id) {
+            let mut current = Vec::new();
+            for id in &node.blacklist {
+                if !malicious.contains(id) && self.honest_ever.contains(id) {
                     return Err(self.violation(
                         cycle,
                         "blacklist-monotone",
                         format!("node {addr} blacklisted an honest node"),
                     ));
                 }
+                let next = self.culprit_index.len();
+                let bit = *self.culprit_index.entry(*id).or_insert(next);
+                if current.len() <= bit / 64 {
+                    current.resize(bit / 64 + 1, 0u64);
+                }
+                current[bit / 64] |= 1 << (bit % 64);
             }
             if let Some(prev) = self.prev_blacklists.get(&addr) {
-                if !prev.is_subset(&current) {
+                let word = |i: usize| current.get(i).copied().unwrap_or(0);
+                if prev.iter().enumerate().any(|(i, p)| p & !word(i) != 0) {
+                    let count = |set: &[u64]| set.iter().map(|w| w.count_ones()).sum::<u32>();
                     return Err(self.violation(
                         cycle,
                         "blacklist-monotone",
                         format!(
                             "node {addr}: blacklist shrank from {} to {} entries",
-                            prev.len(),
-                            current.len()
+                            count(prev),
+                            count(&current)
                         ),
                     ));
                 }
@@ -666,6 +683,39 @@ mod tests {
     fn age_cap_is_silent_beside_an_adversary() {
         let (verdict, _) = check_after_a_stale_grant(1);
         verdict.expect("an adversary may hold a descriptor back");
+    }
+
+    #[test]
+    fn blacklist_monotone_trips_on_a_forged_loss_past_the_first_word() {
+        use sc_crypto::{Keypair, Scheme};
+        let net = build_secure_network(small_params(8));
+        let mut snap = NetSnapshot::from_network(&net);
+        // 70 culprits: the bitsets span two words.
+        let culprits: Vec<NodeId> = (0..70u8)
+            .map(|i| Keypair::from_seed(Scheme::KeyedHash, [i; 32]).public())
+            .collect();
+        snap.malicious_ids = culprits.iter().copied().collect();
+        let check = |blacklists: [&[NodeId]; 2]| {
+            let cfg = OracleConfig::default();
+            let mut suite = OracleSuite::with_replay("monotone", 5, cfg, 6, "cmd".into());
+            let mut snap = snap.clone();
+            for (step, blacklist) in blacklists.into_iter().enumerate() {
+                snap.nodes[0].blacklist = blacklist.to_vec();
+                suite.check_snapshot(&snap, step as u64)?;
+            }
+            Ok::<(), Violation>(())
+        };
+        let mut reordered = culprits[..69].to_vec();
+        reordered.reverse();
+        check([&culprits[..69], &reordered]).expect("order is not membership");
+        check([&culprits[..65], &culprits]).expect("growth is monotone");
+        let v = check([&culprits, &culprits[..65]]).unwrap_err();
+        assert_eq!(v.oracle, "blacklist-monotone");
+        assert!(v.to_string().contains("shrank from 70 to 65"), "{v}");
+        // Same length, one culprit swapped for another past bit 64.
+        let swapped = [&culprits[..64], &culprits[65..]].concat();
+        let v = check([&culprits[..69], &swapped]).unwrap_err();
+        assert!(v.to_string().contains("shrank from 69 to 69"), "{v}");
     }
 
     #[test]

@@ -29,10 +29,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use sc_attacks::CloneLedger;
-use sc_core::{FaultSpec, Loss};
+use sc_core::{DescriptorId, FaultSpec, Loss, ProofKind, SecureConfig};
 use sc_crypto::hex::to_hex;
 use sc_crypto::NodeId;
 use sc_sim::{Addr, Partition};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// What a completed (violation-free) run looked like.
@@ -64,8 +65,10 @@ pub struct RunSummary {
     pub malicious_links: f64,
     /// Final fraction of honest links that are non-swappable.
     pub ns_links: f64,
-    /// Deliberate duplications performed by cloner adversaries.
-    pub clone_events: usize,
+    /// Cloner adversaries' duplications, `(detected, performed)`: the
+    /// distinct duplicated descriptors some honest node holds a cloning
+    /// proof against, and every duplication performed (Figure 7's ratio).
+    pub clones: (usize, usize),
 }
 
 /// Runs one scenario under one seed; returns the summary, or the first
@@ -81,6 +84,18 @@ pub fn run_scenario_with_net(
     scenario: &Scenario,
     seed: u64,
 ) -> Result<(RunSummary, SecureNetwork), Violation> {
+    run_scenario_observed(scenario, seed, |_| {})
+}
+
+/// [`run_scenario_with_net`], handing the network to `observe` after
+/// every step's cycle has run and passed the oracles — how the paper's
+/// figures record their series. Observing reads state only, so it
+/// cannot move the run.
+pub fn run_scenario_observed(
+    scenario: &Scenario,
+    seed: u64,
+    mut observe: impl FnMut(&SecureNetwork),
+) -> Result<(RunSummary, SecureNetwork), Violation> {
     let (mut tier, ledger) = SimTier::boot(scenario, seed);
     let mut oracles = OracleSuite::new(scenario, seed);
     let mut schedule = Schedule::new(scenario, seed);
@@ -89,6 +104,7 @@ pub fn run_scenario_with_net(
         schedule.step(&mut tier, step);
         tier.run_cycle();
         oracles.check_cycle(&tier.net, step)?;
+        observe(&tier.net);
     }
     oracles.check_final(&tier.net)?;
     let SimTier {
@@ -119,9 +135,33 @@ pub fn run_scenario_with_net(
         coverage: crate::net::blacklist_coverage(&net.engine, &net.malicious_ids),
         malicious_links: malicious_link_fraction(&net.engine, &net.malicious_ids),
         ns_links: ns_link_fraction(&net.engine),
-        clone_events: ledger.map_or(0, |l| l.lock().unwrap().events.len()),
+        clones: ledger.map_or((0, 0), |l| clones(&net, &l.lock().unwrap())),
     };
     Ok((summary, net))
+}
+
+/// `(detected, performed)` over a cloner ledger: the distinct duplicated
+/// descriptors named by some honest node's cloning proof, and the
+/// duplications the ledger holds.
+fn clones(net: &SecureNetwork, ledger: &CloneLedger) -> (usize, usize) {
+    let cloned: HashSet<DescriptorId> = ledger.events.iter().map(|e| e.desc).collect();
+    let detected: HashSet<DescriptorId> = net
+        .engine
+        .nodes()
+        .filter_map(|(_, node)| node.honest())
+        .flat_map(|h| h.proof_log())
+        .filter(|rec| rec.kind == ProofKind::Cloning)
+        .filter_map(|rec| rec.descriptor)
+        .filter(|id| cloned.contains(id))
+        .collect();
+    (detected.len(), ledger.events.len())
+}
+
+/// The scenario step that runs engine cycle `cycle` under `cfg`. Steps
+/// count from the end of the ring bootstrap, which leaves the engine at
+/// cycle ℓ: an attack "at cycle 50" starts at step 50 − ℓ.
+pub fn step_of(cycle: u64, cfg: &SecureConfig) -> u64 {
+    cycle - cfg.view_len as u64
 }
 
 /// Canonical rendering of every honest node's protocol-visible end state:
@@ -301,16 +341,13 @@ impl SimTier {
     /// ledger when the adversary keeps one.
     fn boot(scenario: &Scenario, seed: u64) -> (SimTier, Option<Arc<Mutex<CloneLedger>>>) {
         let (attack, ledger) = scenario.adversary.materialize();
-        // Scenario steps are relative to the end of bootstrap; the engine
-        // clock starts at ℓ (ring-bootstrap contract), so shift the attack
-        // trigger accordingly.
-        let start_cycle = scenario.cfg.view_len as u64;
+        // The engine counts cycles, the scenario steps (see `step_of`).
         let params = SecureNetParams {
             n: scenario.n,
             n_malicious: scenario.n_malicious,
             cfg: scenario.cfg,
             attack,
-            attack_start: start_cycle + scenario.attack_start,
+            attack_start: scenario.cfg.view_len as u64 + scenario.attack_start,
             seed,
             scheme: sc_crypto::Scheme::KeyedHash,
             loss: scenario.loss,
@@ -587,6 +624,37 @@ mod tests {
         let summary = run_scenario(&sc, 3).expect("clean run");
         assert!(summary.joined >= 10, "joins happened: {}", summary.joined);
         assert_eq!(summary.final_alive, 24 + summary.joined as usize);
+    }
+
+    #[test]
+    fn an_observed_run_sees_every_step_and_ends_where_the_plain_one_does() {
+        let sc = Scenario::new("observed", 32)
+            .cycles(20)
+            .adversary(3, AdversaryKind::Hub, 5)
+            .churn(3, 15, 0.02, 0.5);
+        let mut cycles = Vec::new();
+        let (_, observed) = run_scenario_observed(&sc, 7, |net| cycles.push(net.engine.cycle()))
+            .expect("clean run");
+        assert_eq!(cycles.len() as u64, sc.cycles, "once per step");
+        assert!(cycles.windows(2).all(|w| w[0] < w[1]), "{cycles:?}");
+        let (_, plain) = run_scenario_with_net(&sc, 7).expect("clean run");
+        assert_eq!(state_fingerprint(&observed), state_fingerprint(&plain));
+    }
+
+    #[test]
+    fn a_cloner_run_counts_detected_and_performed_clones() {
+        let cloner = AdversaryKind::Cloner { target_age: 4 };
+        let sc = Scenario::new("clones", 32)
+            .cycles(30)
+            .adversary(4, cloner, 5);
+        let (detected, performed) = run_scenario(&sc, 1).expect("clean run").clones;
+        assert!(
+            0 < detected && detected <= performed,
+            "{detected}/{performed}"
+        );
+        // The cloners' ledger length, which `clone_events` reported
+        // before `clones` replaced it.
+        assert_eq!(performed, 45);
     }
 
     #[test]

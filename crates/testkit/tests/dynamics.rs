@@ -185,7 +185,7 @@ fn age_targeted_clones_are_detected_and_logged() {
     );
     params.cfg = small_secure_cfg();
     // Detection-ratio measurements keep eviction off so attackers survive
-    // to produce many events (see EXPERIMENTS.md).
+    // their first proof and keep producing events, as Figure 7's cells do.
     params.cfg.eviction_enabled = false;
     params.attack_start = 15;
     params.seed = 23;

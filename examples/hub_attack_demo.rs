@@ -6,11 +6,14 @@
 //! ```
 
 use securecyclon::attacks::{
-    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams, SecureAttack,
+    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams,
 };
+use securecyclon::core::SecureConfig;
 use securecyclon::cyclon::CyclonConfig;
 use securecyclon::metrics::{ascii_chart, TimeSeries};
-use securecyclon::testkit::{build_secure_network, malicious_link_fraction, SecureNetParams};
+use securecyclon::testkit::{
+    malicious_link_fraction, run_scenario_observed, step_of, AdversaryKind, Scenario,
+};
 
 const N: usize = 400;
 const MALICIOUS: usize = 12;
@@ -37,20 +40,24 @@ fn legacy_run() -> TimeSeries {
     series
 }
 
+/// The Figure 5 scenario shape: hub attackers from engine cycle
+/// `ATTACK_AT`.
 fn secure_run() -> TimeSeries {
-    let mut params = SecureNetParams::new(N, MALICIOUS, SecureAttack::Hub);
-    params.cfg = params.cfg.with_view_len(VIEW).with_swap_len(3);
-    params.attack_start = ATTACK_AT;
-    params.seed = 9;
-    let mut net = build_secure_network(params);
+    let cfg = SecureConfig::default().with_view_len(VIEW).with_swap_len(3);
+    let scenario = Scenario::new("hub-attack-demo", N)
+        .config(cfg)
+        .adversary(MALICIOUS, AdversaryKind::Hub, step_of(ATTACK_AT, &cfg))
+        .cycles(CYCLES);
     let mut series = TimeSeries::new("SecureCyclon");
-    for c in 0..CYCLES {
-        net.engine.run_cycle();
+    let mut c = 0;
+    run_scenario_observed(&scenario, 9, |net| {
         series.push(
             c,
             100.0 * malicious_link_fraction(&net.engine, &net.malicious_ids),
         );
-    }
+        c += 1;
+    })
+    .unwrap_or_else(|v| panic!("{v}"));
     series
 }
 
