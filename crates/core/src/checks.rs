@@ -57,7 +57,7 @@ pub enum Observation {
     Forged,
     /// The descriptor conflicts with a cached sample: indisputable proof
     /// of a violation.
-    Violation(Box<ViolationProof>),
+    Violation(ViolationProof),
     /// The descriptor was created outside the window the cache admits:
     /// a window or more before the cache's clock, or more than a window
     /// after the observer's (a stamp no honest creator makes, and one that
@@ -386,7 +386,7 @@ impl SampleCache {
                     ns_exception: false,
                     ..
                 }) => match ViolationProof::cloning(cached.desc.clone(), desc.clone()) {
-                    Ok(proof) => Observation::Violation(Box::new(proof)),
+                    Ok(proof) => Observation::Violation(proof),
                     Err(_) => {
                         // One side is forged: keep whichever verifies.
                         if cached.desc.verify().is_err() && desc.verify().is_ok() {
@@ -399,7 +399,7 @@ impl SampleCache {
                 // frequency violation with Δt = 0.
                 Err(CompareError::GenesisMismatch) => {
                     match ViolationProof::frequency(cached.desc.clone(), desc.clone(), period) {
-                        Ok(proof) => Observation::Violation(Box::new(proof)),
+                        Ok(proof) => Observation::Violation(proof),
                         Err(_) => {
                             if cached.desc.verify().is_err() && desc.verify().is_ok() {
                                 cached.desc = desc.clone();
@@ -422,7 +422,7 @@ impl SampleCache {
         if let Some(conflict) = slots.get(start).filter(|s| s.ts <= hi) {
             let other = conflict.desc.clone();
             return match ViolationProof::frequency(other, desc.clone(), period) {
-                Ok(proof) => Observation::Violation(Box::new(proof)),
+                Ok(proof) => Observation::Violation(proof),
                 Err(_) => {
                     // One of the two creations is forged; evict it if it
                     // is the cached one and the incoming verifies.

@@ -18,12 +18,12 @@
 //!
 //! Signatures cover a running digest of everything before them, so a link
 //! signature commits to the full history up to that point while signing
-//! and verifying stay O(chain length). [`SecureDescriptor::verify`] is the
-//! plain walk. One batch walker serves everything else, verdict-identical:
-//! `verify_batch` — what the protocol node calls — pools every signature
-//! check of several descriptors into one batched pass and consults no
-//! cache; `verify_with` / `verify_batch_with` are the same walk skipping
-//! what a [`VerifyMemo`] of verified tips covers.
+//! and verifying stay O(chain length). One walker verifies every chain:
+//! `verify_batch` — what the protocol node and proof validation call —
+//! pools every signature check of several descriptors into one batched
+//! pass and consults no cache; [`SecureDescriptor::verify`] is that walk
+//! on one chain; `verify_with` / `verify_batch_with` are the same walk
+//! skipping what a [`VerifyMemo`] of verified tips covers.
 //!
 //! **Storage.** The chain is persistent: a descriptor is one pointer to
 //! the block of its *last* link, and every block points at the block of
@@ -654,35 +654,15 @@ impl SecureDescriptor {
     /// Fully verifies the descriptor: genesis signature, every link
     /// signature against the correct signer, and structural rules
     /// (redemptions are terminal and point at the creator; no transfer to
-    /// the current owner). Every digest is recomputed from the signed
-    /// fields; none is taken from a block.
+    /// the current owner). The batch walker on one chain: each link's
+    /// signed message is built from the running digest its parent block
+    /// holds, computed from the signed fields when that block was built.
     ///
     /// # Errors
     ///
     /// Returns the first failure encountered, in chain order.
     pub fn verify(&self) -> Result<(), DescriptorError> {
-        let genesis = self.genesis();
-        let msg = genesis_message(&genesis.creator, genesis.addr, genesis.created_at);
-        if !genesis.creator.verify(&msg, &genesis.sig) {
-            return Err(DescriptorError::BadGenesisSignature);
-        }
-        // Blocks lead tip to root only; chain order is that list reversed.
-        let links: Vec<&ChainLink> = self.links_rev().collect();
-        let mut state = genesis_state(genesis);
-        let mut owner: PublicKey = genesis.creator;
-        for (i, link) in links.into_iter().rev().enumerate() {
-            if let Some(broken) = link_rule_broken(link, i, self.0.len(), &owner, &genesis.creator)
-            {
-                return Err(broken);
-            }
-            let msg = link_message(&state, &link.to, link.kind);
-            if !owner.verify(&msg, &link.sig) {
-                return Err(DescriptorError::BadLinkSignature { index: i });
-            }
-            state = next_state(&state, link);
-            owner = link.to;
-        }
-        Ok(())
+        Self::verify_batch(&[self], &mut WalkScratch::default())[0]
     }
 
     /// Verification against a memo of chains this node already verified.
@@ -727,7 +707,8 @@ impl SecureDescriptor {
     /// * Per descriptor, checks are collected in chain order and
     ///   collection stops at the first structural error; the verdict is
     ///   the first failing collected check, else the structural error,
-    ///   else `Ok` — the precedence of [`SecureDescriptor::verify`].
+    ///   else `Ok` — the precedence of a straight-line walk from the
+    ///   genesis that stops at the first failure.
     /// * Signature validity is a pure function of `(key, message,
     ///   signature)` and the batch attributes failures exactly, so pooling
     ///   checks across descriptors changes no verdict.
@@ -750,8 +731,8 @@ impl SecureDescriptor {
     /// signature of each chain is checked and no verdict is remembered.
     /// The checks of the whole batch are pooled into a single
     /// [`sc_crypto::verify_batch_by`] call — one crypto bill for a whole
-    /// received message — and a failing descriptor is blamed for exactly
-    /// the check [`SecureDescriptor::verify`] blames it for. Returns one
+    /// received message — and a failing descriptor is blamed for the
+    /// first check, in chain order, that fails. Returns one
     /// verdict per descriptor, in input order, borrowed from `scratch`
     /// (the walk's working vectors, which the caller keeps so that a walk
     /// allocates nothing once they have grown to a message's size).
@@ -913,8 +894,43 @@ pub(crate) struct WalkScratch {
     verdicts: Vec<Result<(), DescriptorError>>,
 }
 
+/// The straight-line verifier the walker replaced, compiled for tests
+/// only: genesis first, then each link in chain order, every digest
+/// recomputed from the signed fields and none taken from a block. The
+/// walker's tests pin its verdicts — and which check a failure is blamed
+/// on — to this one.
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
+    use super::*;
+
+    /// Verifies `d` from scratch; see [`SecureDescriptor::verify`].
+    pub(crate) fn verify(d: &SecureDescriptor) -> Result<(), DescriptorError> {
+        let genesis = d.genesis();
+        let msg = genesis_message(&genesis.creator, genesis.addr, genesis.created_at);
+        if !genesis.creator.verify(&msg, &genesis.sig) {
+            return Err(DescriptorError::BadGenesisSignature);
+        }
+        // Blocks lead tip to root only; chain order is that list reversed.
+        let links: Vec<&ChainLink> = d.links_rev().collect();
+        let mut state = genesis_state(genesis);
+        let mut owner: PublicKey = genesis.creator;
+        for (i, link) in links.into_iter().rev().enumerate() {
+            if let Some(broken) = link_rule_broken(link, i, d.0.len(), &owner, &genesis.creator) {
+                return Err(broken);
+            }
+            let msg = link_message(&state, &link.to, link.kind);
+            if !owner.verify(&msg, &link.sig) {
+                return Err(DescriptorError::BadLinkSignature { index: i });
+            }
+            state = next_state(&state, link);
+            owner = link.to;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use crate::chain::{compare_chains, ChainRelation};
     use proptest::prelude::*;
@@ -927,7 +943,7 @@ mod tests {
     thread_local! {
         /// Signature checks the walker has collected on this
         /// thread (each test runs on its own).
-        pub(super) static SIGNATURE_CHECKS: std::cell::Cell<usize> =
+        pub(crate) static SIGNATURE_CHECKS: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
     }
 
@@ -1192,10 +1208,16 @@ mod tests {
         // A fork *below* every verified tip finds nothing — `base` was
         // never a tip here — and is verified in full, like `verify()`.
         let fork_below = base.transfer(&b, kp(5).public()).unwrap();
-        assert_eq!(cost(&fork_below, &mut memo), (fork_below.verify(), 3, 3));
+        assert_eq!(
+            cost(&fork_below, &mut memo),
+            (reference::verify(&fork_below), 3, 3)
+        );
         // So is a shorter copy of a verified chain.
         let shorter = SecureDescriptor::from_parts(*base.genesis(), base.chain());
-        assert_eq!(cost(&shorter, &mut memo), (shorter.verify(), 2, 2));
+        assert_eq!(
+            cost(&shorter, &mut memo),
+            (reference::verify(&shorter), 2, 2)
+        );
         assert_eq!(memo.len(), 5, "one entry per verified version");
     }
 
@@ -1217,7 +1239,10 @@ mod tests {
         sig[8] ^= 0x40;
         links[0].sig = Signature::from_bytes(sig).unwrap();
         let tampered = SecureDescriptor::from_parts(*good.genesis(), links);
-        assert_eq!(tampered.verify_with(&mut memo), tampered.verify());
+        assert_eq!(
+            tampered.verify_with(&mut memo),
+            reference::verify(&tampered)
+        );
         assert_eq!(
             tampered.verify_with(&mut memo).unwrap_err(),
             DescriptorError::BadLinkSignature { index: 0 }
@@ -1249,7 +1274,7 @@ mod tests {
             cost(&bad, &mut memo),
             (Err(DescriptorError::RedemptionNotTerminal), 2, 0)
         );
-        assert_eq!(bad.verify_with(&mut memo), bad.verify());
+        assert_eq!(bad.verify_with(&mut memo), reference::verify(&bad));
     }
 
     #[test]
@@ -1392,13 +1417,12 @@ mod tests {
                 let n = d.transfer_count();
                 assert_eq!(n, crate::wire::WireLimits::DEFAULT.max_chain_links);
                 assert!(d == twin && !d.same_block(&twin));
-                assert_eq!(
-                    d.verify(),
-                    Err(DescriptorError::BadLinkSignature { index: 0 })
-                );
+                let expected = Err(DescriptorError::BadLinkSignature { index: 0 });
+                assert_eq!(reference::verify(&d), expected);
+                assert_eq!(d.verify(), expected);
                 let mut scratch = WalkScratch::default();
                 let verdicts = SecureDescriptor::verify_batch(&[&d, &twin], &mut scratch);
-                assert_eq!(verdicts, [d.verify(), d.verify()]);
+                assert_eq!(verdicts, [expected, reference::verify(&twin)]);
                 assert_eq!(compare_chains(&d, &twin), Ok(ChainRelation::Identical));
                 let mut bytes = Vec::new();
                 crate::wire::encode_descriptor(&d, &mut bytes);
@@ -1426,22 +1450,25 @@ mod tests {
     }
 
     /// Oracle: batched verification must equal one-by-one `verify_with`
-    /// (and both, plain `verify`) — same verdicts in order, same final
-    /// memo contents — and so must the memo-less batch the node uses.
+    /// (and both, the straight-line reference) — same verdicts in order,
+    /// same final memo contents — and so must the memo-less batch the
+    /// node uses and `verify`, the walk on one chain.
     fn assert_batch_matches_sequential(descs: &[&SecureDescriptor], capacity: usize) {
         let mut seq_memo = VerifyMemo::new(capacity);
         let expected: Vec<_> = descs.iter().map(|d| d.verify_with(&mut seq_memo)).collect();
         let mut batch_memo = VerifyMemo::new(capacity);
         let got = SecureDescriptor::verify_batch_with(descs, &mut batch_memo);
         assert_eq!(got, expected, "verdicts diverge from sequential");
-        let plain: Vec<_> = descs.iter().map(|d| d.verify()).collect();
-        assert_eq!(got, plain, "verdicts diverge from memo-less verify");
+        let plain: Vec<_> = descs.iter().map(|d| reference::verify(d)).collect();
+        assert_eq!(got, plain, "verdicts diverge from the reference");
         let mut scratch = WalkScratch::default();
         assert_eq!(
             SecureDescriptor::verify_batch(descs, &mut scratch),
             plain,
-            "memo-less batch diverges from verify"
+            "memo-less batch diverges from the reference"
         );
+        let one_by_one: Vec<_> = descs.iter().map(|d| d.verify()).collect();
+        assert_eq!(one_by_one, plain, "verify diverges from the reference");
         assert!(batch_memo.len() <= capacity);
         assert_eq!(
             batch_memo.len(),
@@ -1728,12 +1755,13 @@ mod tests {
                     prop_assert_eq!(d.owner_at(i), r.owner_at(i));
                     prop_assert_eq!(d.link(i), r.link(i));
                 }
-                prop_assert_eq!(d.verify(), r.verify());
+                prop_assert_eq!(d.verify(), reference::verify(d));
+                prop_assert_eq!(r.verify(), reference::verify(d));
                 prop_assert_eq!(encoded(d), encoded(r));
             }
             // One pooled pass over each side: same verdicts, same blame,
-            // and both what the plain walk says.
-            let plain: Vec<_> = set.iter().map(|d| d.verify()).collect();
+            // and both what the straight-line reference says.
+            let plain: Vec<_> = set.iter().map(reference::verify).collect();
             let (mut grown_scratch, mut rebuilt_scratch) = Default::default();
             let grown: Vec<&SecureDescriptor> = set.iter().collect();
             let flat: Vec<&SecureDescriptor> = rebuilt.iter().collect();

@@ -109,7 +109,7 @@ pub enum SecureMsg {
     /// Tit-for-tat round reply (RPC reply).
     RoundReply(Box<RoundReplyBody>),
     /// Flooded violation proof (one-way, §IV-C).
-    Proof(Box<ViolationProof>),
+    Proof(ViolationProof),
     /// A joiner's or a starved node's sponsorship plea (one-way, §V-A).
     JoinPing(Box<JoinPingBody>),
     /// Sponsorship grant answering a ping (one-way, §V-A).

@@ -93,7 +93,7 @@ impl SecureCyclonNode {
         self.stats.samples_processed += 1;
         match self.samples.observe(desc, cycle) {
             Observation::Violation(proof) => {
-                self.discover_violation(*proof, cycle);
+                self.discover_violation(proof, cycle);
                 false
             }
             Observation::Forged => {
@@ -428,7 +428,7 @@ impl SecureCyclonNode {
     ) {
         match msg {
             SecureMsg::Proof(proof) => {
-                self.accept_remote_proof(*proof, cycle);
+                self.accept_remote_proof(proof, cycle);
             }
             SecureMsg::JoinPing(body) => {
                 if let Some(grant) = self.answer_join_ping(body.joiner, cycle, now) {

@@ -50,7 +50,8 @@ impl SecureCyclonNode {
             self.stats.proofs_duplicate += 1;
             return false;
         }
-        if proof.validate(self.cfg.ticks_per_cycle).is_err() {
+        let valid = proof.validate_with(self.cfg.ticks_per_cycle, &mut self.verify_scratch);
+        if valid.is_err() {
             self.stats.proofs_invalid += 1;
             return false;
         }
@@ -91,7 +92,7 @@ impl SecureCyclonNode {
         let targets: Vec<Addr> = self.view.iter().map(|e| e.desc.addr()).collect();
         for proof in self.outbox.drain(..) {
             for &t in &targets {
-                sends.push((t, SecureMsg::Proof(Box::new(proof.clone()))));
+                sends.push((t, SecureMsg::Proof(proof.clone())));
             }
         }
     }

@@ -610,6 +610,59 @@ fn a_join_ping_is_granted_every_proof_however_old() {
 }
 
 #[test]
+fn a_flooded_proof_is_one_body_for_every_holder() {
+    // §IV-C: a node that blacklists a culprit floods the proof to each of
+    // its ℓ neighbours. The blacklist entry and every flood are handles
+    // on one body; a copy that crossed the wire is another body, equal
+    // by value.
+    let kps = keypairs(12);
+    let (me, culprit) = (&kps[0], &kps[1]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [6u8; 32], 0);
+    for (i, kp) in kps[2..2 + cfg.view_len].iter().enumerate() {
+        let d = SecureDescriptor::create(kp, 2 + i as Addr, Timestamp(i as u64))
+            .transfer(kp, me.public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    let proof = ViolationProof::frequency(
+        SecureDescriptor::create(culprit, 1, Timestamp(0)),
+        SecureDescriptor::create(culprit, 1, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .unwrap();
+    let mut bytes = Vec::new();
+    wire::encode_message(&SecureMsg::Proof(proof.clone()), &mut bytes);
+    let Ok(SecureMsg::Proof(received)) = wire::decode_message(&bytes, tpc) else {
+        panic!("a proof decodes");
+    };
+    assert!(received == proof && !received.ptr_eq(&proof));
+
+    let fx = node.step(Input::Oneway {
+        from: 1,
+        msg: SecureMsg::Proof(received),
+        cycle: 2,
+        now: 2 * tpc,
+    });
+    let [stored] = node.blacklist().proofs() else {
+        panic!("one culprit listed");
+    };
+    assert_eq!(stored.proof, proof);
+    let floods: Vec<&ViolationProof> = fx
+        .sends
+        .iter()
+        .filter_map(|(_, msg)| match msg {
+            SecureMsg::Proof(p) => Some(p),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(floods.len(), cfg.view_len, "one flood per neighbour");
+    assert!(floods.iter().all(|p| p.ptr_eq(&stored.proof)));
+    assert!(node.export_proofs()[0].ptr_eq(&stored.proof));
+}
+
+#[test]
 fn forged_inputs_move_exactly_these_counters() {
     // One node, one stream of inputs, the four intake counters after
     // each: where verification sits relative to the structural gates

@@ -8,8 +8,9 @@
 //! in the accuser.
 
 use crate::chain::{compare_chains, ChainRelation, CompareError};
-use crate::descriptor::{DescriptorError, SecureDescriptor};
-use sc_crypto::{sha256_concat, Digest, NodeId};
+use crate::descriptor::{DescriptorError, SecureDescriptor, WalkScratch};
+use sc_crypto::NodeId;
+use std::sync::Arc;
 
 /// The two classes of provable violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,12 +59,33 @@ impl From<DescriptorError> for ProofError {
 
 /// Indisputable evidence of a protocol violation: two conflicting signed
 /// descriptors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ViolationProof {
+///
+/// One pointer to an immutable shared body: the blacklist entry, every
+/// flood, piggyback list and grant holding a proof (§IV-C) hold a handle,
+/// so the evidence exists once, not once per holder. Equality compares
+/// the bodies by value.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ViolationProof(Arc<Body>);
+
+#[derive(PartialEq, Eq)]
+struct Body {
     kind: ProofKind,
     culprit: NodeId,
     left: SecureDescriptor,
     right: SecureDescriptor,
+}
+
+/// The body's fields under the proof's name, as if there were no pointer.
+impl core::fmt::Debug for ViolationProof {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let body = &*self.0;
+        f.debug_struct("ViolationProof")
+            .field("kind", &body.kind)
+            .field("culprit", &body.culprit)
+            .field("left", &body.left)
+            .field("right", &body.right)
+            .finish()
+    }
 }
 
 impl ViolationProof {
@@ -75,13 +97,7 @@ impl ViolationProof {
     /// (wrong ids, compatible chains, bad signatures, or the sanctioned
     /// non-swappable exception).
     pub fn cloning(left: SecureDescriptor, right: SecureDescriptor) -> Result<Self, ProofError> {
-        let culprit = validate_cloning(&left, &right)?;
-        Ok(ViolationProof {
-            kind: ProofKind::Cloning,
-            culprit,
-            left,
-            right,
-        })
+        Self::checked(ProofKind::Cloning, left, right, 0)
     }
 
     /// Builds a frequency proof from two distinct descriptors created by
@@ -95,28 +111,44 @@ impl ViolationProof {
         right: SecureDescriptor,
         period_ticks: u64,
     ) -> Result<Self, ProofError> {
-        let culprit = validate_frequency(&left, &right, period_ticks)?;
-        Ok(ViolationProof {
-            kind: ProofKind::Frequency,
+        Self::checked(ProofKind::Frequency, left, right, period_ticks)
+    }
+
+    fn checked(
+        kind: ProofKind,
+        left: SecureDescriptor,
+        right: SecureDescriptor,
+        period_ticks: u64,
+    ) -> Result<Self, ProofError> {
+        let scratch = &mut WalkScratch::default();
+        let culprit = guilty(kind, &left, &right, period_ticks, scratch)?;
+        Ok(ViolationProof(Arc::new(Body {
+            kind,
             culprit,
             left,
             right,
-        })
+        })))
     }
 
     /// The violation class.
     pub fn kind(&self) -> ProofKind {
-        self.kind
+        self.0.kind
     }
 
     /// The provably guilty node.
     pub fn culprit(&self) -> NodeId {
-        self.culprit
+        self.0.culprit
     }
 
     /// The two conflicting descriptors.
     pub fn evidence(&self) -> (&SecureDescriptor, &SecureDescriptor) {
-        (&self.left, &self.right)
+        (&self.0.left, &self.0.right)
+    }
+
+    /// Whether `self` and `other` are handles on one body.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Re-validates the proof from scratch, as a third party receiving it
@@ -129,76 +161,66 @@ impl ViolationProof {
     /// Returns the reason the evidence fails to prove the claimed
     /// violation.
     pub fn validate(&self, period_ticks: u64) -> Result<NodeId, ProofError> {
-        let culprit = match self.kind {
-            ProofKind::Cloning => validate_cloning(&self.left, &self.right)?,
-            ProofKind::Frequency => validate_frequency(&self.left, &self.right, period_ticks)?,
-        };
-        if culprit != self.culprit {
-            return Err(ProofError::NoConflict);
+        self.validate_with(period_ticks, &mut WalkScratch::default())
+    }
+
+    /// [`validate`](Self::validate) on the caller's walk scratch, which a
+    /// node keeps so that validating a flooded proof allocates nothing.
+    pub(crate) fn validate_with(
+        &self,
+        period_ticks: u64,
+        scratch: &mut WalkScratch,
+    ) -> Result<NodeId, ProofError> {
+        let b = &*self.0;
+        match guilty(b.kind, &b.left, &b.right, period_ticks, scratch)? {
+            c if c == b.culprit => Ok(c),
+            _ => Err(ProofError::NoConflict),
         }
-        Ok(culprit)
-    }
-
-    /// A digest identifying this proof's evidence (used for de-duplication
-    /// during flooding).
-    pub fn digest(&self) -> Digest {
-        sha256_concat(&[
-            b"sc/proof",
-            &[match self.kind {
-                ProofKind::Cloning => 0u8,
-                ProofKind::Frequency => 1u8,
-            }],
-            &self.left.state_digest(),
-            &self.right.state_digest(),
-        ])
     }
 }
 
-fn validate_cloning(
-    left: &SecureDescriptor,
-    right: &SecureDescriptor,
-) -> Result<NodeId, ProofError> {
-    left.verify()?;
-    right.verify()?;
-    match compare_chains(left, right) {
-        Ok(ChainRelation::Divergent {
-            signer,
-            ns_exception: false,
-            ..
-        }) => Ok(signer),
-        Ok(ChainRelation::Divergent {
-            ns_exception: true, ..
-        }) => Err(ProofError::SanctionedNsException),
-        Ok(_) => Err(ProofError::NoConflict),
-        Err(CompareError::DifferentIds) => Err(ProofError::NoConflict),
-        // Same id, different genesis: that *is* a conflict, but of the
-        // frequency class (two creations with one timestamp).
-        Err(CompareError::GenesisMismatch) => Err(ProofError::NoConflict),
-    }
-}
-
-fn validate_frequency(
+/// The node `left` and `right` prove guilty of a `kind` violation. Every
+/// signature of both chains is checked in one walk (one crypto bill); a
+/// failure is `left`'s if both fail, as if each were verified in turn.
+fn guilty(
+    kind: ProofKind,
     left: &SecureDescriptor,
     right: &SecureDescriptor,
     period_ticks: u64,
+    scratch: &mut WalkScratch,
 ) -> Result<NodeId, ProofError> {
-    left.verify()?;
-    right.verify()?;
-    if left.creator() != right.creator() {
-        return Err(ProofError::DifferentCreators);
+    let verdicts = SecureDescriptor::verify_batch(&[left, right], scratch);
+    verdicts.iter().copied().collect::<Result<(), _>>()?;
+    match kind {
+        ProofKind::Cloning => match compare_chains(left, right) {
+            Ok(ChainRelation::Divergent {
+                signer,
+                ns_exception: false,
+                ..
+            }) => Ok(signer),
+            Ok(ChainRelation::Divergent {
+                ns_exception: true, ..
+            }) => Err(ProofError::SanctionedNsException),
+            Ok(_) => Err(ProofError::NoConflict),
+            Err(CompareError::DifferentIds) => Err(ProofError::NoConflict),
+            // Same id, different genesis: that *is* a conflict, but of the
+            // frequency class (two creations with one timestamp).
+            Err(CompareError::GenesisMismatch) => Err(ProofError::NoConflict),
+        },
+        ProofKind::Frequency if left.creator() != right.creator() => {
+            Err(ProofError::DifferentCreators)
+        }
+        // The evidence must show two *distinct* creations. Same timestamp
+        // is allowed only when the genesis records differ (two tokens
+        // minted on one timestamp); otherwise it is the same descriptor.
+        ProofKind::Frequency => {
+            let distinct = left.genesis() != right.genesis();
+            if !distinct || left.created_at().distance(right.created_at()) >= period_ticks {
+                return Err(ProofError::NoConflict);
+            }
+            Ok(left.creator())
+        }
     }
-    // The evidence must show two *distinct* creations. Same timestamp is
-    // allowed only when the genesis records differ (two tokens minted on
-    // one timestamp); otherwise it is the same descriptor.
-    let distinct = left.genesis() != right.genesis();
-    if !distinct {
-        return Err(ProofError::NoConflict);
-    }
-    let dt = left.created_at().distance(right.created_at());
-    if dt >= period_ticks {
-        return Err(ProofError::NoConflict);
-    }
-    Ok(left.creator())
 }
 
 #[cfg(test)]
@@ -209,6 +231,16 @@ mod tests {
     use sc_crypto::{Keypair, Scheme};
 
     const PERIOD: u64 = 1000;
+
+    /// A cloning claim, built without the checks the constructors make.
+    fn claim(culprit: NodeId, left: SecureDescriptor, right: SecureDescriptor) -> ViolationProof {
+        ViolationProof(Arc::new(Body {
+            kind: ProofKind::Cloning,
+            culprit,
+            left,
+            right,
+        }))
+    }
 
     fn kp(tag: u8) -> Keypair {
         Keypair::from_seed(Scheme::Schnorr61, [tag; 32])
@@ -410,19 +442,114 @@ mod tests {
     #[test]
     fn tampered_evidence_fails_validation() {
         let (left, right, _) = cloning_pair();
-        let proof = ViolationProof::cloning(left, right.clone()).unwrap();
         // Forge a proof claiming a different culprit.
-        let mut forged = proof.clone();
-        forged.culprit = kp(9).public();
+        let forged = claim(kp(9).public(), left, right);
         assert!(forged.validate(PERIOD).is_err());
     }
 
+    /// `d` with byte `byte` of one signature flipped — `at` 0 is the
+    /// genesis's, `i + 1` link `i`'s — rebuilt as a decode would.
+    fn flipped(d: &SecureDescriptor, at: usize, byte: usize) -> SecureDescriptor {
+        let (mut genesis, mut links) = (*d.genesis(), d.chain());
+        let sig = match at {
+            0 => &mut genesis.sig,
+            i => &mut links[i - 1].sig,
+        };
+        *sig = padded(sig, byte).expect("a stored byte");
+        SecureDescriptor::from_parts(genesis, links)
+    }
+
     #[test]
-    fn digests_distinguish_proofs() {
+    fn validation_blames_what_the_reference_verifier_blames() {
+        // Every stored byte of every signature of either side, flipped:
+        // validation fails for `left`'s reason if `left` fails the
+        // straight-line verifier, else for `right`'s, as if the two were
+        // verified in turn. A walk scratch reused across every proof, as a
+        // node reuses its own, carries no verdict from one to the next.
+        use crate::descriptor::reference;
+        let mut scratch = WalkScratch::default();
+        for scheme in [Scheme::Schnorr61, Scheme::KeyedHash] {
+            let key = |tag: u8| Keypair::from_seed(scheme, [tag; 32]);
+            let (a, b) = (key(1), key(2));
+            let ab = SecureDescriptor::create(&a, 0, Timestamp(0))
+                .transfer(&a, b.public())
+                .unwrap();
+            let left = ab.transfer(&b, key(3).public()).unwrap();
+            let right = ab.transfer(&b, key(4).public()).unwrap();
+            let sigs = left.transfer_count() + 1;
+            for at in 0..sigs {
+                for byte in 0..sc_crypto::SIGNATURE_STORED_LEN {
+                    // Different signatures on either side, so that when
+                    // both fail, their reasons differ.
+                    let bad_left = flipped(&left, at, byte);
+                    let bad_right = flipped(&right, (at + 1) % sigs, byte);
+                    for (l, r) in [
+                        (&bad_left, &right),
+                        (&left, &bad_right),
+                        (&bad_left, &bad_right),
+                    ] {
+                        let proof = claim(b.public(), l.clone(), r.clone());
+                        let got = proof.validate(PERIOD);
+                        assert_eq!(proof.validate_with(PERIOD, &mut scratch), got);
+                        match reference::verify(l).and_then(|()| reference::verify(r)) {
+                            Err(e) => assert_eq!(
+                                got,
+                                Err(ProofError::BadDescriptor(e)),
+                                "{scheme:?} signature {at} byte {byte}"
+                            ),
+                            Ok(()) => assert!(
+                                !matches!(got, Err(ProofError::BadDescriptor(_))),
+                                "{scheme:?} signature {at} byte {byte}: {got:?}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validation_checks_every_signature_of_both_chains_once() {
+        use crate::descriptor::tests::SIGNATURE_CHECKS;
         let (left, right, _) = cloning_pair();
-        let p1 = ViolationProof::cloning(left.clone(), right.clone()).unwrap();
-        let p2 = ViolationProof::cloning(right, left).unwrap();
-        assert_ne!(p1.digest(), p2.digest());
-        assert_eq!(p1.digest(), p1.clone().digest());
+        let longer = right.transfer(&kp(4), kp(5).public()).unwrap();
+        let a = kp(1);
+        let proofs = [
+            ViolationProof::cloning(left.clone(), longer.clone()).unwrap(),
+            ViolationProof::cloning(longer, left).unwrap(),
+            ViolationProof::frequency(
+                SecureDescriptor::create(&a, 0, Timestamp(5000)),
+                SecureDescriptor::create(&a, 0, Timestamp(5400)),
+                PERIOD,
+            )
+            .unwrap(),
+        ];
+        for proof in proofs {
+            let (l, r) = proof.evidence();
+            let before = SIGNATURE_CHECKS.get();
+            proof.validate(PERIOD).unwrap();
+            assert_eq!(
+                SIGNATURE_CHECKS.get() - before,
+                (l.transfer_count() + 1) + (r.transfer_count() + 1)
+            );
+        }
+    }
+
+    #[test]
+    fn debug_names_the_fields_not_the_pointer() {
+        let (left, right, culprit) = cloning_pair();
+        let proof = ViolationProof::cloning(left.clone(), right.clone()).unwrap();
+        assert_eq!(
+            format!("{proof:?}"),
+            format!(
+                "ViolationProof {{ kind: Cloning, culprit: {culprit:?}, left: {left:?}, right: {right:?} }}"
+            )
+        );
+    }
+
+    #[test]
+    fn a_proof_is_one_pointer() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<ViolationProof>(), size_of::<usize>());
     }
 }

@@ -198,7 +198,7 @@ pub struct MemoryBackend {
 #[derive(Debug)]
 enum TailRecord {
     Emit(u64),
-    Proof(Box<ViolationProof>, u64),
+    Proof(ViolationProof, u64),
     Spent(Digest, u64),
 }
 
@@ -206,7 +206,7 @@ impl TailRecord {
     fn merge_into(&self, state: &mut PersistentState) {
         match self {
             TailRecord::Emit(c) => state.merge_emission(*c),
-            TailRecord::Proof(p, c) => state.merge_proof((**p).clone(), *c),
+            TailRecord::Proof(p, c) => state.merge_proof(p.clone(), *c),
             TailRecord::Spent(d, c) => state.merge_spent(*d, *c),
         }
     }
@@ -227,7 +227,7 @@ impl StateBackend for MemoryBackend {
 
     fn record_proof(&mut self, proof: &ViolationProof, learned_cycle: u64) -> io::Result<()> {
         self.tail
-            .push(TailRecord::Proof(Box::new(proof.clone()), learned_cycle));
+            .push(TailRecord::Proof(proof.clone(), learned_cycle));
         Ok(())
     }
 
@@ -452,7 +452,7 @@ fn fold_record(
         REC_EMIT => TailRecord::Emit(r.u64()?),
         REC_PROOF => {
             let cycle = r.u64()?;
-            TailRecord::Proof(Box::new(r.proof(period_ticks)?), cycle)
+            TailRecord::Proof(r.proof(period_ticks)?, cycle)
         }
         REC_SPENT => {
             let digest = r.digest()?;

@@ -857,7 +857,7 @@ pub fn decode_message_with(
             };
             SecureMsg::RoundReply(Box::new(RoundReplyBody { transfer }))
         }
-        MSG_PROOF => SecureMsg::Proof(Box::new(r.proof(period_ticks)?)),
+        MSG_PROOF => SecureMsg::Proof(r.proof(period_ticks)?),
         MSG_JOIN_PING => SecureMsg::JoinPing(Box::new(JoinPingBody { joiner: r.key()? })),
         MSG_JOIN_GRANT => SecureMsg::JoinGrant(Box::new(JoinGrantBody {
             descriptor: r.descriptor()?,

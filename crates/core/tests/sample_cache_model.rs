@@ -122,13 +122,13 @@ impl Model {
                 }
                 Ok(ChainRelation::Divergent { .. }) => {
                     match ViolationProof::cloning(cached.clone(), desc.clone()) {
-                        Ok(proof) => Observation::Violation(Box::new(proof)),
+                        Ok(proof) => Observation::Violation(proof),
                         Err(_) => forged(cached),
                     }
                 }
                 Err(CompareError::GenesisMismatch) => {
                     match ViolationProof::frequency(cached.clone(), desc.clone(), PERIOD) {
-                        Ok(proof) => Observation::Violation(Box::new(proof)),
+                        Ok(proof) => Observation::Violation(proof),
                         Err(_) => forged(cached),
                     }
                 }
@@ -150,7 +150,7 @@ impl Model {
             };
             let cached = self.by_id[&other].0.clone();
             return match ViolationProof::frequency(cached.clone(), desc.clone(), PERIOD) {
-                Ok(proof) => Observation::Violation(Box::new(proof)),
+                Ok(proof) => Observation::Violation(proof),
                 Err(_) => {
                     if desc.verify().is_ok() && cached.verify().is_err() {
                         self.remove(&other);

@@ -88,14 +88,14 @@ fn build_message(
     // (100..) so proofs stay self-consistent.
     let d = |p: &[u8]| descriptor(creator_tag % 16, addr, ts, p, None);
     let proof = if proof_kind {
-        SecureMsg::Proof(Box::new(frequency_proof(100 + (creator_tag % 16), ts)))
+        SecureMsg::Proof(frequency_proof(100 + (creator_tag % 16), ts))
     } else {
-        SecureMsg::Proof(Box::new(cloning_proof(
+        SecureMsg::Proof(cloning_proof(
             100 + (creator_tag % 16),
             ts,
             extra.first().copied().unwrap_or(3) % 16,
             extra.get(1).copied().unwrap_or(7) % 16,
-        )))
+        ))
     };
     match variant % 7 {
         0 => {
@@ -106,7 +106,7 @@ fn build_message(
                 offered: extra.iter().map(|&t| d(&[t % 16])).collect(),
                 samples: path.iter().map(|&t| d(&[t % 16])).collect(),
                 proofs: match proof {
-                    SecureMsg::Proof(p) => vec![*p],
+                    SecureMsg::Proof(p) => vec![p],
                     _ => unreachable!(),
                 },
             }))
@@ -115,7 +115,7 @@ fn build_message(
             transfers: path.iter().map(|&t| d(&[t % 16])).collect(),
             samples: extra.iter().map(|&t| d(&[t % 16])).collect(),
             proofs: match proof {
-                SecureMsg::Proof(p) => vec![*p],
+                SecureMsg::Proof(p) => vec![p],
                 _ => unreachable!(),
             },
         })),
@@ -129,7 +129,7 @@ fn build_message(
         5 => SecureMsg::JoinGrant(Box::new(JoinGrantBody {
             descriptor: d(&path),
             proofs: match proof {
-                SecureMsg::Proof(p) => vec![*p],
+                SecureMsg::Proof(p) => vec![p],
                 _ => unreachable!(),
             },
         })),

@@ -584,7 +584,7 @@ fn join_ping_under_a_blacklisted_key_is_never_held() {
         )
         .expect("two creations inside one period");
         let mut payload = Vec::new();
-        wire::encode_message(&SecureMsg::Proof(Box::new(proof)), &mut payload);
+        wire::encode_message(&SecureMsg::Proof(proof), &mut payload);
         frames.extend(Frame::new(FrameKind::Oneway, base + 1, payload).encode());
     }
     for joiner in culprits.iter().chain([&stranger]) {
