@@ -181,7 +181,9 @@ impl SecureCyclonNode {
                 .iter()
                 .map(|p| (p.learned_cycle, p.proof.clone()))
                 .collect(),
-            spent: self.spent.iter().map(|(c, d)| (*d, c)).collect(),
+            // The ledger's durable copy is the records `note_spent` wrote;
+            // `checkpoint` names them.
+            spent: Vec::new(),
             redeemed_regular: self
                 .redeemed_regular
                 .iter()
@@ -192,14 +194,18 @@ impl SecureCyclonNode {
         }
     }
 
-    /// End-of-cycle checkpoint (no-op without a backend).
+    /// End-of-cycle checkpoint (no-op without a backend). It names the
+    /// oldest spent record the ring still holds: the backend keeps its
+    /// records from there on, a late one waiting behind a younger one
+    /// included, and lets the expired ones go.
     pub(super) fn checkpoint(&mut self, cycle: u64) {
         if self.backend.is_none() {
             return;
         }
         let state = self.persistent_state(cycle);
+        let spent_from = self.spent.iter().next().map(|(stamp, _)| stamp);
         if let Some(b) = self.backend.as_mut() {
-            let _ = b.save_checkpoint(&state);
+            let _ = b.save_checkpoint_naming(&state, spent_from);
         }
     }
 }

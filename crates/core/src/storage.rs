@@ -23,11 +23,18 @@
 //! either self-incriminating or monotone protocol knowledge: the view and
 //! reserve (owned descriptor tokens — losing one permanently destroys a
 //! link), the redemption cache (§V-C), the blacklist's proofs (§IV-C),
-//! the spent-state digests (re-signing an already-continued state is
-//! self-made *cloning* evidence), the regular/NS redemption replay
-//! guards, and the per-cycle emission marker (the frequency bugfix).
-//! Purely ephemeral machinery — open sessions, the sample cache,
-//! pending floods — is deliberately rebuilt from gossip.
+//! the regular/NS redemption replay guards, and the per-cycle emission
+//! marker (the frequency bugfix). Purely ephemeral machinery — open
+//! sessions, the sample cache, pending floods — is deliberately rebuilt
+//! from gossip.
+//!
+//! The spent-state ledger (re-signing an already-continued state is
+//! self-made *cloning* evidence) is written once: each digest is its own
+//! `spent` record, durable before the transfer that spends it leaves. A
+//! node's checkpoint does not copy the ledger. It names the oldest stamp
+//! the node still holds ([`StateBackend::save_checkpoint_naming`]): the
+//! backend keeps its records from the first one stamped that or later,
+//! and the records in front of it go, as the node's ring forgets them.
 //!
 //! # Log format
 //!
@@ -36,13 +43,23 @@
 //! where the checksum is the first four bytes of
 //! `SHA-256(kind || payload)`. Small incremental records (`emit`,
 //! `proof`, `spent`) are appended synchronously at the protocol points
-//! where losing them would be incriminating; a full checkpoint record is
+//! where losing them would be incriminating; a checkpoint record is
 //! appended once per cycle. Recovery replays the log in order — a
 //! checkpoint *replaces* the folded state, incremental records *merge*
 //! into it — and stops at the first torn or corrupt record, so a partial
 //! final record (the normal shape of a `kill -9` mid-append) is never
 //! resurrected. When the log outgrows a threshold it is compacted to a
 //! single checkpoint record via write-to-temp + rename.
+//!
+//! A checkpoint's payload starts with its format version. Version 2
+//! writes, where version 1 listed the ledger, the stamp it names (`u8`
+//! 0 for none, or 1 and a `u64`) and then the records it adds. The fold
+//! keeps the `spent` records before the checkpoint from the first one
+//! stamped the named stamp or later (none when it names none) and appends
+//! the checkpoint's list after them. A node's checkpoint names its ring's
+//! front and lists nothing; the one checkpoint a compaction leaves names
+//! none and lists every live record. A version-1 checkpoint still folds
+//! as it was written: its list is the whole ledger.
 //!
 //! Durability target: surviving process death (`kill -9`) requires only
 //! that the `write` syscall returned — the page cache outlives the
@@ -54,7 +71,8 @@ use crate::descriptor::{DescriptorId, SecureDescriptor};
 use crate::proof::ViolationProof;
 use crate::time::Timestamp;
 use crate::wire::{Reader, WireError, WireLimits, Writer};
-use sc_crypto::{sha256, Digest, PUBLIC_KEY_LEN};
+use sc_crypto::{sha256_concat, Digest, PUBLIC_KEY_LEN};
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -71,8 +89,11 @@ const REC_SPENT: u8 = 4;
 /// Bytes of record framing before the payload.
 const RECORD_HEADER_BYTES: usize = 4 + 1 + 4;
 
-/// Serialized-state format version (first payload byte of a checkpoint).
-const STATE_VERSION: u8 = 1;
+/// Serialized-state format version (first payload byte of a checkpoint):
+/// the checkpoint names the spent records it keeps.
+const STATE_VERSION: u8 = 2;
+/// The version before it, still folded: the checkpoint lists the ledger.
+const STATE_VERSION_LISTED: u8 = 1;
 
 /// Everything a node persists across a crash.
 ///
@@ -96,15 +117,16 @@ pub struct PersistentState {
     pub redemptions: Vec<(u64, SecureDescriptor)>,
     /// Blacklist evidence as `(learned_cycle, proof)` (§IV-C).
     pub proofs: Vec<(u64, ViolationProof)>,
-    /// State digests already signed away, with the signing cycle. A
-    /// checkpoint lists the node's ledger as it stands: in signing order,
-    /// and a state spent twice within the window twice. Recovery
+    /// State digests already signed away, with the signing cycle. As
+    /// [`StateBackend::load`] returns it, the whole ledger, in the order
+    /// its records were written: a state spent twice is two records. As
+    /// saved, the records a checkpoint adds after the ones it names (a
+    /// node's checkpoint adds none). Recovery
     /// (`SecureCyclonNode::with_backend`) keeps every record and sorts
-    /// them by cycle, so neither the order nor a repeat matters here.
+    /// them by cycle, so neither the order nor a repeat matters there.
     /// Every record refuses its state until it expires: a state spent
     /// again under an older stamp (an exchange that resolved late) is
-    /// refused for as long as either record is held, where the map this
-    /// list used to be written from had forgotten the younger stamp.
+    /// refused for as long as either record is held.
     pub spent: Vec<(Digest, u64)>,
     /// Regular-redemption replay guard: redeemed own-descriptor identities
     /// with the acceptance cycle.
@@ -142,22 +164,14 @@ impl PersistentState {
         }
         self.proofs.push((learned_cycle, proof));
     }
-
-    /// Merges an incremental spent-digest record.
-    fn merge_spent(&mut self, digest: Digest, cycle: u64) {
-        if self.spent.iter().any(|(d, _)| *d == digest) {
-            return;
-        }
-        self.spent.push((digest, cycle));
-    }
 }
 
 /// A durable home for the incriminating-if-lost parts of a node's state.
 ///
 /// All `record_*` methods are called synchronously at the protocol point
 /// where the information becomes dangerous to forget — *before* the
-/// corresponding artifact leaves the node. `save_checkpoint` runs once
-/// per cycle and may compact. `load` is called once at construction.
+/// corresponding artifact leaves the node. A checkpoint is saved once per
+/// cycle and may compact. `load` is called once at construction.
 pub trait StateBackend: Send {
     /// Records that `cycle`'s fresh-descriptor budget is spent. Must be
     /// durable before the descriptor (or sponsorship grant) is sent.
@@ -169,8 +183,25 @@ pub trait StateBackend: Send {
     /// Records a state digest this node signed a continuation for.
     fn record_spent(&mut self, digest: &Digest, cycle: u64) -> io::Result<()>;
 
-    /// Appends a full checkpoint (and may compact the log behind it).
-    fn save_checkpoint(&mut self, state: &PersistentState) -> io::Result<()>;
+    /// Appends a full checkpoint whose spent ledger is `state.spent`
+    /// alone: every spent record written before it goes. May compact the
+    /// log behind it.
+    fn save_checkpoint(&mut self, state: &PersistentState) -> io::Result<()> {
+        self.save_checkpoint_naming(state, None)
+    }
+
+    /// Appends a full checkpoint that names the spent ledger instead of
+    /// listing it. The spent records written before it stay the ledger
+    /// from the first one stamped `spent_from` or later; those in front of
+    /// it go, as a node's ring forgets them, so a late record waiting
+    /// behind a younger one stays as long as the ring holds it. `None`
+    /// names none. `state.spent` joins the ledger after the named records.
+    /// May compact the log behind it.
+    fn save_checkpoint_naming(
+        &mut self,
+        state: &PersistentState,
+        spent_from: Option<u64>,
+    ) -> io::Result<()>;
 
     /// Folds the stored records into the state to restore, or `None` when
     /// nothing was ever recorded. `period_ticks` re-validates recovered
@@ -182,6 +213,25 @@ pub trait StateBackend: Send {
     ) -> io::Result<Option<PersistentState>>;
 }
 
+/// The spent records a backend holds, in the order they were written.
+type Ledger = VecDeque<(Digest, u64)>;
+
+/// The spent ledger as a checkpoint leaves it: the records in front of
+/// the first one stamped `from` or later go, as a node's ring forgets
+/// them (every record when it names none), then the checkpoint's own
+/// list joins.
+fn checkpoint_ledger(spent: &mut Ledger, from: Option<u64>, listed: &[(Digest, u64)]) {
+    match from {
+        Some(from) => {
+            while spent.front().is_some_and(|&(_, stamp)| stamp < from) {
+                spent.pop_front();
+            }
+        }
+        None => spent.clear(),
+    }
+    spent.extend(listed);
+}
+
 /// In-RAM backend: state survives the node *object*, not the process.
 ///
 /// This is what the simulator's crash-restart scenarios use — the engine
@@ -189,17 +239,22 @@ pub trait StateBackend: Send {
 /// predecessor, modelling a daemon restarting from disk without any I/O.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
+    /// The last checkpoint, updated in place; its `spent` stays empty.
     checkpoint: Option<PersistentState>,
+    /// The spent ledger: every record the last checkpoint kept or added,
+    /// then every one written since.
+    spent: Ledger,
+    /// Emission and proof records since the last checkpoint.
     tail: Vec<TailRecord>,
 }
 
-/// One incremental record between checkpoints — what [`MemoryBackend`]
-/// keeps in its tail and what [`FileBackend`]'s log decodes to.
+/// One incremental emission or proof record between checkpoints — what
+/// [`MemoryBackend`] keeps in its tail and what [`FileBackend`]'s log
+/// decodes to. Spent records go to the ledger instead.
 #[derive(Debug)]
 enum TailRecord {
     Emit(u64),
     Proof(ViolationProof, u64),
-    Spent(Digest, u64),
 }
 
 impl TailRecord {
@@ -207,7 +262,6 @@ impl TailRecord {
         match self {
             TailRecord::Emit(c) => state.merge_emission(*c),
             TailRecord::Proof(p, c) => state.merge_proof(p.clone(), *c),
-            TailRecord::Spent(d, c) => state.merge_spent(*d, *c),
         }
     }
 }
@@ -232,13 +286,40 @@ impl StateBackend for MemoryBackend {
     }
 
     fn record_spent(&mut self, digest: &Digest, cycle: u64) -> io::Result<()> {
-        self.tail.push(TailRecord::Spent(*digest, cycle));
+        self.spent.push_back((*digest, cycle));
         Ok(())
     }
 
-    fn save_checkpoint(&mut self, state: &PersistentState) -> io::Result<()> {
-        // A checkpoint subsumes every record before it: compact eagerly.
-        self.checkpoint = Some(state.clone());
+    fn save_checkpoint_naming(
+        &mut self,
+        state: &PersistentState,
+        spent_from: Option<u64>,
+    ) -> io::Result<()> {
+        checkpoint_ledger(&mut self.spent, spent_from, &state.spent);
+        // A checkpoint subsumes every record before it: compact eagerly,
+        // into the buffers the previous checkpoint left.
+        let kept = self.checkpoint.get_or_insert_with(PersistentState::default);
+        let PersistentState {
+            cycle,
+            emitted_cycle,
+            view,
+            reserve,
+            redemptions,
+            proofs,
+            spent: _,
+            redeemed_regular,
+            ns_redeemed,
+            ns_accepted,
+        } = state;
+        kept.cycle = *cycle;
+        kept.emitted_cycle = *emitted_cycle;
+        kept.view.clone_from(view);
+        kept.reserve.clone_from(reserve);
+        kept.redemptions.clone_from(redemptions);
+        kept.proofs.clone_from(proofs);
+        kept.redeemed_regular.clone_from(redeemed_regular);
+        kept.ns_redeemed.clone_from(ns_redeemed);
+        kept.ns_accepted = *ns_accepted;
         self.tail.clear();
         Ok(())
     }
@@ -248,10 +329,11 @@ impl StateBackend for MemoryBackend {
         _period_ticks: u64,
         _limits: &WireLimits,
     ) -> io::Result<Option<PersistentState>> {
-        if self.checkpoint.is_none() && self.tail.is_empty() {
+        if self.checkpoint.is_none() && self.tail.is_empty() && self.spent.is_empty() {
             return Ok(None);
         }
         let mut state = self.checkpoint.clone().unwrap_or_default();
+        state.spent = self.spent.iter().copied().collect();
         for rec in &self.tail {
             rec.merge_into(&mut state);
         }
@@ -269,6 +351,15 @@ pub struct FileBackend {
     written: u64,
     /// Compact when the log exceeds this many bytes.
     compact_threshold: u64,
+    /// The spent ledger the log folds to, kept so that compaction can
+    /// write it into the one checkpoint it leaves.
+    spent: Ledger,
+    /// Whether `spent` holds every record of the log: not from opening a
+    /// log that has records until [`StateBackend::load`] reads them.
+    /// Compaction waits until it does.
+    spent_read: bool,
+    /// The frame being written, reused from record to record.
+    frame: Vec<u8>,
 }
 
 /// Default compaction threshold: a checkpoint of a full ℓ=20 view with
@@ -296,6 +387,9 @@ impl FileBackend {
             file: Some(file),
             written,
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
+            spent: Ledger::new(),
+            spent_read: written == 0,
+            frame: Vec::new(),
         })
     }
 
@@ -315,32 +409,34 @@ impl FileBackend {
         self.written
     }
 
-    fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let frame = record_frame(kind, payload);
+    /// Appends one record whose payload `encode` writes.
+    fn append(&mut self, kind: u8, encode: impl FnOnce(&mut Writer<'_>)) -> io::Result<()> {
+        build_frame(&mut self.frame, kind, encode);
         let file = match self.file.as_mut() {
             Some(f) => f,
-            None => {
-                self.file = Some(
-                    OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(&self.path)?,
-                );
-                self.file.as_mut().expect("just opened")
-            }
+            None => self.file.insert(
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?,
+            ),
         };
-        file.write_all(&frame)?;
-        self.written += frame.len() as u64;
+        file.write_all(&self.frame)?;
+        self.written += self.frame.len() as u64;
         Ok(())
     }
 
-    /// Rewrites the log as a single checkpoint record (temp + rename).
+    /// Rewrites the log as a single checkpoint record (temp + rename)
+    /// that names no earlier record and lists the whole spent ledger.
     fn compact(&mut self, state: &PersistentState) -> io::Result<()> {
-        let frame = record_frame(REC_CHECKPOINT, &encode_state(state));
+        let spent = &self.spent;
+        build_frame(&mut self.frame, REC_CHECKPOINT, |w| {
+            encode_checkpoint(w, state, None, spent.iter());
+        });
         let tmp = self.path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&frame)?;
+            f.write_all(&self.frame)?;
         }
         std::fs::rename(&tmp, &self.path)?;
         // Reopen the append handle on the new inode.
@@ -350,37 +446,44 @@ impl FileBackend {
                 .append(true)
                 .open(&self.path)?,
         );
-        self.written = frame.len() as u64;
+        self.written = self.frame.len() as u64;
         Ok(())
     }
 }
 
 impl StateBackend for FileBackend {
     fn record_emission(&mut self, cycle: u64) -> io::Result<()> {
-        self.append(REC_EMIT, &cycle.to_be_bytes())
+        self.append(REC_EMIT, |w| w.u64(cycle))
     }
 
     fn record_proof(&mut self, proof: &ViolationProof, learned_cycle: u64) -> io::Result<()> {
-        let mut payload = Vec::new();
-        let mut w = Writer::new(&mut payload);
-        w.u64(learned_cycle);
-        w.proof(proof);
-        self.append(REC_PROOF, &payload)
+        self.append(REC_PROOF, |w| {
+            w.u64(learned_cycle);
+            w.proof(proof);
+        })
     }
 
     fn record_spent(&mut self, digest: &Digest, cycle: u64) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(40);
-        let mut w = Writer::new(&mut payload);
-        w.bytes(digest);
-        w.u64(cycle);
-        self.append(REC_SPENT, &payload)
+        self.append(REC_SPENT, |w| {
+            w.bytes(digest);
+            w.u64(cycle);
+        })?;
+        self.spent.push_back((*digest, cycle));
+        Ok(())
     }
 
-    fn save_checkpoint(&mut self, state: &PersistentState) -> io::Result<()> {
-        if self.written >= self.compact_threshold {
+    fn save_checkpoint_naming(
+        &mut self,
+        state: &PersistentState,
+        spent_from: Option<u64>,
+    ) -> io::Result<()> {
+        checkpoint_ledger(&mut self.spent, spent_from, &state.spent);
+        if self.written >= self.compact_threshold && self.spent_read {
             return self.compact(state);
         }
-        self.append(REC_CHECKPOINT, &encode_state(state))
+        self.append(REC_CHECKPOINT, |w| {
+            encode_checkpoint(w, state, spent_from, state.spent.iter());
+        })
     }
 
     fn load(
@@ -393,28 +496,36 @@ impl StateBackend for FileBackend {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        Ok(fold_log(&bytes, period_ticks, limits))
+        let state = fold_log(&bytes, period_ticks, limits);
+        self.spent = state.iter().flat_map(|s| s.spent.iter().copied()).collect();
+        self.spent_read = true;
+        Ok(state)
     }
 }
 
-/// One log record: `len (4) | kind (1) | checksum (4) | payload`.
+/// Builds one log record in `frame`: `len (4) | kind (1) | checksum (4) |
+/// payload`. The header is reserved, `encode` writes the payload after
+/// it, and the length and checksum are patched in.
+fn build_frame(frame: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Writer<'_>)) {
+    frame.clear();
+    frame.resize(RECORD_HEADER_BYTES, 0);
+    encode(&mut Writer::new(frame));
+    let (header, payload) = frame.split_at_mut(RECORD_HEADER_BYTES);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4] = kind;
+    header[5..].copy_from_slice(&record_checksum(kind, payload));
+}
+
+/// One log record around `payload`.
+#[cfg(test)]
 fn record_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    let mut w = Writer::new(&mut frame);
-    w.u32(payload.len() as u32);
-    w.u8(kind);
-    w.bytes(&record_checksum(kind, payload));
-    w.bytes(payload);
+    let mut frame = Vec::new();
+    build_frame(&mut frame, kind, |w| w.bytes(payload));
     frame
 }
 
 fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
-    let digest = sha256(&{
-        let mut msg = Vec::with_capacity(1 + payload.len());
-        msg.push(kind);
-        msg.extend_from_slice(payload);
-        msg
-    });
+    let digest = sha256_concat(&[&[kind], payload]);
     [digest[0], digest[1], digest[2], digest[3]]
 }
 
@@ -423,17 +534,21 @@ fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
 /// or undecodable — everything before that prefix is kept, nothing after
 /// it is trusted. Returns `None` when not even one record survived.
 fn fold_log(bytes: &[u8], period_ticks: u64, limits: &WireLimits) -> Option<PersistentState> {
-    let mut state: Option<PersistentState> = None;
+    let (mut state, mut spent) = (None, Ledger::new());
     let mut log = Reader::with_limits(bytes, limits);
-    while fold_record(&mut log, &mut state, period_ticks).is_ok() {}
-    state
+    while fold_record(&mut log, &mut state, &mut spent, period_ticks).is_ok() {}
+    let mut state: PersistentState = state?;
+    state.spent = spent.into();
+    Some(state)
 }
 
-/// Folds the next record of `log` into `state`; any error ends the scan
-/// with `state` as the records before it left it.
+/// Folds the next record of `log` into `state` and the spent ledger
+/// beside it; any error ends the scan with both as the records before it
+/// left them.
 fn fold_record(
     log: &mut Reader<'_>,
     state: &mut Option<PersistentState>,
+    spent: &mut Ledger,
     period_ticks: u64,
 ) -> Result<(), WireError> {
     let len = log.u32()? as usize;
@@ -445,7 +560,20 @@ fn fold_record(
         return Err(WireError::UnexpectedEnd);
     }
     if kind == REC_CHECKPOINT {
-        *state = Some(decode_state(r, period_ticks)?);
+        let (mut checkpoint, spent_from) = decode_checkpoint(r, period_ticks)?;
+        let listed = std::mem::take(&mut checkpoint.spent);
+        checkpoint_ledger(spent, spent_from, &listed);
+        *state = Some(checkpoint);
+        return Ok(());
+    }
+    if kind == REC_SPENT {
+        let digest = r.digest()?;
+        let cycle = r.u64()?;
+        if r.remaining() != 0 {
+            return Err(WireError::TrailingBytes);
+        }
+        spent.push_back((digest, cycle));
+        state.get_or_insert_with(PersistentState::default);
         return Ok(());
     }
     let record = match kind {
@@ -453,10 +581,6 @@ fn fold_record(
         REC_PROOF => {
             let cycle = r.u64()?;
             TailRecord::Proof(r.proof(period_ticks)?, cycle)
-        }
-        REC_SPENT => {
-            let digest = r.digest()?;
-            TailRecord::Spent(digest, r.u64()?)
         }
         // Unknown kind: future format or corruption.
         t => return Err(WireError::BadMessageTag(t)),
@@ -475,9 +599,24 @@ fn fold_record(
 // has. Counts are `u16`/`u32` big-endian; every length is re-checked
 // against the remaining input before any buffer is reserved.
 
+/// A checkpoint of `state` that names no earlier spent record and lists
+/// `state.spent`.
+#[cfg(test)]
 fn encode_state(state: &PersistentState) -> Vec<u8> {
     let mut out = Vec::with_capacity(512);
-    let mut w = Writer::new(&mut out);
+    encode_checkpoint(&mut Writer::new(&mut out), state, None, state.spent.iter());
+    out
+}
+
+/// A checkpoint of `state` that names the spent records from stamp
+/// `spent_from` on and adds the records of `listed` after them;
+/// `state.spent` itself is not written.
+fn encode_checkpoint<'a>(
+    w: &mut Writer<'_>,
+    state: &PersistentState,
+    spent_from: Option<u64>,
+    listed: impl ExactSizeIterator<Item = &'a (Digest, u64)>,
+) {
     w.u8(STATE_VERSION);
     w.u64(state.cycle);
     match state.emitted_cycle {
@@ -500,10 +639,20 @@ fn encode_state(state: &PersistentState) -> Vec<u8> {
         w.u64(*cycle);
         w.proof(proof);
     });
-    w.list(4, &state.spent, |w, (digest, cycle)| {
+    match spent_from {
+        Some(from) => {
+            w.u8(1);
+            w.u64(from);
+        }
+        None => w.u8(0),
+    }
+    // Cut to what the `u32` count can say, as `Writer::list` cuts.
+    let count = listed.len().min(u32::MAX as usize);
+    w.u32(count as u32);
+    for (digest, cycle) in listed.take(count) {
         w.bytes(digest);
         w.u64(*cycle);
-    });
+    }
     w.list(4, &state.redeemed_regular, |w, (id, cycle)| {
         w.bytes(id.creator.as_bytes());
         w.u64(id.created_at.0);
@@ -515,13 +664,24 @@ fn encode_state(state: &PersistentState) -> Vec<u8> {
     });
     w.u64(state.ns_accepted.0);
     w.u32(state.ns_accepted.1);
-    out
 }
 
-/// Decodes the checkpoint `c` holds, under the limits `c` carries.
-fn decode_state(mut c: Reader<'_>, period_ticks: u64) -> Result<PersistentState, WireError> {
+/// Decodes the checkpoint `c` holds, under the limits `c` carries: the
+/// spent records it names are not part of what it returns.
+#[cfg(test)]
+fn decode_state(c: Reader<'_>, period_ticks: u64) -> Result<PersistentState, WireError> {
+    decode_checkpoint(c, period_ticks).map(|(state, _)| state)
+}
+
+/// Decodes the checkpoint `c` holds, under the limits `c` carries, with
+/// the stamp it names the spent records from (`None`: none, as every
+/// version-1 checkpoint).
+fn decode_checkpoint(
+    mut c: Reader<'_>,
+    period_ticks: u64,
+) -> Result<(PersistentState, Option<u64>), WireError> {
     let version = c.u8()?;
-    if version != STATE_VERSION {
+    if version != STATE_VERSION && version != STATE_VERSION_LISTED {
         return Err(WireError::BadMessageTag(version));
     }
     let mut state = PersistentState {
@@ -562,6 +722,11 @@ fn decode_state(mut c: Reader<'_>, period_ticks: u64) -> Result<PersistentState,
         state.proofs.push((cycle, c.proof(period_ticks)?));
     }
 
+    let spent_from = if version == STATE_VERSION && c.u8()? != 0 {
+        Some(c.u64()?)
+    } else {
+        None
+    };
     let n = c.u32()? as usize;
     c.list_count(n, 40)?;
     for _ in 0..n {
@@ -599,7 +764,7 @@ fn decode_state(mut c: Reader<'_>, period_ticks: u64) -> Result<PersistentState,
     if c.remaining() != 0 {
         return Err(WireError::TrailingBytes);
     }
-    Ok(state)
+    Ok((state, spent_from))
 }
 
 #[cfg(test)]
@@ -883,6 +1048,147 @@ mod tests {
         let got = be.load(1, &WireLimits::DEFAULT).unwrap().unwrap();
         assert_eq!(got.emitted_cycle, Some(1), "prefix before bad proof kept");
         assert!(got.proofs.is_empty(), "invalid proof evidence dropped");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One fixed record of each kind, pinned to the bytes the writer of
+    /// version-1 checkpoints framed: a frame built in place is the same
+    /// bytes, and a log that writer left still verifies and folds, its
+    /// checkpoint's list the whole ledger.
+    #[test]
+    fn frames_are_pinned_and_a_version_1_checkpoint_folds_as_its_list() {
+        use sc_crypto::hex::{from_hex, to_hex};
+        // cycle 42, emitted 41, spent [(0x11…, 40), (0x22…, 41)], NS (42, 1).
+        const V1_CHECKPOINT: &str = concat!(
+            "0000008201e298dc7801000000000000002a0100000000000000290000000000",
+            "0000000000000211111111111111111111111111111111111111111111111111",
+            "1111111111111100000000000000282222222222222222222222222222222222",
+            "2222222222222222222222222222220000000000000029000000000000000000",
+            "0000000000002a00000001",
+        );
+        const EMIT: &str = "000000080267957dd7000000000000002b";
+        const SPENT: &str = concat!(
+            "0000002804a14f98615a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a",
+            "5a5a5a5a5a5a5a5a5a000000000000002b",
+        );
+        const PROOF: &str = concat!(
+            "000000e50358c3f7c2000000000000002b01020339fe7f9d2b79f362ca64e1ed",
+            "3083b71d85684192fb4538eeec56af40ad3200000009000000000000006402eb",
+            "cf51026ff862da72d398554e324e951fa5bce1df3543ee98ca7088dc0e07ee00",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "020339fe7f9d2b79f362ca64e1ed3083b71d85684192fb4538eeec56af40ad32",
+            "000000090000000000000065022df1356385a721845ccaf1d6a48fc2e449b66f",
+            "0f1917ec5ae8e7de59484a785200000000000000000000000000000000000000",
+            "0000000000000000000000000000",
+        );
+        let culprit = Keypair::from_seed(Scheme::KeyedHash, [7; 32]);
+        let proof = ViolationProof::frequency(
+            SecureDescriptor::create(&culprit, 9, Timestamp(100)),
+            SecureDescriptor::create(&culprit, 9, Timestamp(101)),
+            PERIOD,
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("sc-storage-pin-{}", std::process::id()));
+        let path = dir.join("node.log");
+        let _ = std::fs::remove_file(&path);
+        let mut be = FileBackend::open(&path).unwrap();
+        be.record_emission(43).unwrap();
+        be.record_spent(&[0x5a; 32], 43).unwrap();
+        be.record_proof(&proof, 43).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(to_hex(&written), [EMIT, SPENT, PROOF].concat());
+
+        let v1 = from_hex(V1_CHECKPOINT).unwrap();
+        assert_eq!(record_frame(REC_CHECKPOINT, &v1[RECORD_HEADER_BYTES..]), v1);
+        let mut log = v1;
+        log.extend(written);
+        let got = fold_log(&log, PERIOD, &WireLimits::DEFAULT).unwrap();
+        assert_eq!((got.cycle, got.emitted_cycle), (42, Some(43)));
+        assert_eq!(got.ns_accepted, (42, 1));
+        assert_eq!(
+            got.spent,
+            [([0x11; 32], 40), ([0x22; 32], 41), ([0x5a; 32], 43)]
+        );
+        assert_eq!(got.proofs.len(), 1);
+        // A version-2 checkpoint after it names the records from 41 on.
+        std::fs::write(&path, &log).unwrap();
+        let mut be = FileBackend::open(&path).unwrap();
+        be.save_checkpoint_naming(&PersistentState::default(), Some(41))
+            .unwrap();
+        let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
+        assert_eq!(got.spent, [([0x22; 32], 41), ([0x5a; 32], 43)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint that names a stamp keeps the records from the first
+    /// one stamped that or later — a late record waiting behind a younger
+    /// one included — and lets those in front of it go; one that names
+    /// none keeps none. Both backends, the file one across a reopen.
+    #[test]
+    fn a_named_checkpoint_keeps_the_records_from_its_stamp_on() {
+        let dir = std::env::temp_dir().join(format!("sc-storage-named-{}", std::process::id()));
+        let path = dir.join("node.log");
+        let _ = std::fs::remove_file(&path);
+        let (a, b, late, c) = ([1u8; 32], [2u8; 32], [3u8; 32], [4u8; 32]);
+        let backends: [Box<dyn StateBackend>; 2] = [
+            Box::new(MemoryBackend::new()),
+            Box::new(FileBackend::open(&path).unwrap()),
+        ];
+        for mut be in backends {
+            for (digest, stamp) in [(a, 9), (b, 10), (late, 9), (c, 11)] {
+                be.record_spent(&digest, stamp).unwrap();
+            }
+            let state = PersistentState {
+                cycle: 11,
+                ..Default::default()
+            };
+            be.save_checkpoint_naming(&state, Some(10)).unwrap();
+            let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
+            assert_eq!(got.spent, [(b, 10), (late, 9), (c, 11)]);
+            be.save_checkpoint_naming(&state, Some(11)).unwrap();
+            let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
+            assert_eq!(got.spent, [(c, 11)]);
+            be.save_checkpoint(&state).unwrap();
+            let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
+            assert!(got.spent.is_empty());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log reopened by a new handle keeps its spent records through the
+    /// handle's first compaction: before `load` has read them the handle
+    /// does not compact, after it the one checkpoint lists them.
+    #[test]
+    fn a_reopened_log_keeps_its_spent_records_through_compaction() {
+        let dir = std::env::temp_dir().join(format!("sc-storage-reopen-{}", std::process::id()));
+        let path = dir.join("node.log");
+        let _ = std::fs::remove_file(&path);
+        let state = PersistentState {
+            spent: Vec::new(),
+            ..sample_state()
+        };
+        let ledger = [([7u8; 32], 40), ([8u8; 32], 43)];
+        {
+            let mut be = FileBackend::open(&path).unwrap();
+            be.record_spent(&ledger[0].0, 40).unwrap();
+            be.save_checkpoint_naming(&state, Some(40)).unwrap();
+        }
+        let mut be = FileBackend::open(&path).unwrap().with_compact_threshold(1);
+        be.record_spent(&ledger[1].0, 43).unwrap();
+        let before = be.log_bytes();
+        be.save_checkpoint_naming(&state, Some(40)).unwrap();
+        assert!(be.log_bytes() > before, "appended, not compacted");
+        let got = be.load(PERIOD, &WireLimits::DEFAULT).unwrap().unwrap();
+        assert_eq!(got.spent, ledger);
+        let before = be.log_bytes();
+        be.save_checkpoint_naming(&state, Some(40)).unwrap();
+        assert!(be.log_bytes() < before, "compacted once the log was read");
+        let got = FileBackend::open(&path)
+            .unwrap()
+            .load(PERIOD, &WireLimits::DEFAULT)
+            .unwrap()
+            .unwrap();
+        assert_eq!(got.spent, ledger);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,11 +10,13 @@
 
 use proptest::prelude::*;
 use sc_core::wire::WireLimits;
+use sc_core::MemoryBackend;
 use sc_core::{
     FileBackend, Input, PersistentState, SecureConfig, SecureCyclonNode, SecureDescriptor,
     StateBackend, Timestamp, ViolationProof,
 };
 use sc_crypto::{sha256, Keypair, Scheme};
+use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -292,5 +294,118 @@ proptest! {
         let dir = scratch_dir("random");
         let case = dir.join("case.log");
         let _ = recover(&case, &bytes);
+    }
+}
+
+/// Window of the differential test's model ring: the stamps a node-style
+/// checkpoint names are its front after expiring records this old.
+const MODEL_WINDOW: u64 = 4;
+
+/// Runs one differential case: each `(op, arg)` is applied to a
+/// `MemoryBackend` and a `FileBackend`, whose loads must agree.
+fn backends_agree(ops: Vec<(u8, u8)>) -> Result<(), TestCaseError> {
+    let dir = scratch_dir("diff");
+    let path = dir.join("node.log");
+    let _ = fs::remove_file(&path);
+    let open = || {
+        FileBackend::open(&path)
+            .expect("open")
+            .with_compact_threshold(300)
+    };
+    let load =
+        |b: &mut dyn StateBackend| summarize(&b.load(PERIOD, &WireLimits::DEFAULT).expect("load"));
+    let mut file = open();
+    let mut mem = MemoryBackend::new();
+    let held = [owned(1, 100), owned(2, 200), owned(3, 300)];
+    let mut model: VecDeque<u64> = VecDeque::new();
+    let (mut cycle, mut spent) = (1u64, Vec::new());
+    for (op, arg) in ops {
+        let both: [&mut dyn StateBackend; 2] = [&mut mem, &mut file];
+        match op {
+            0 | 1 => cycle += u64::from(arg % 3),
+            2 => both
+                .into_iter()
+                .for_each(|b| b.record_emission(cycle).expect("emit")),
+            3..=6 => {
+                // A fresh state, or one of the last few spent again; one
+                // in five stamped a cycle or two back.
+                let digest = match spent.len() {
+                    n if n > 0 && op == 6 => spent[n - 1 - usize::from(arg) % n.min(4)],
+                    n => sha256(&(n as u64).to_be_bytes()),
+                };
+                spent.push(digest);
+                let late = if arg % 5 == 0 { u64::from(arg % 3) } else { 0 };
+                let stamp = cycle.saturating_sub(late);
+                model.push_back(stamp);
+                both.into_iter()
+                    .for_each(|b| b.record_spent(&digest, stamp).expect("spent"));
+            }
+            7 => {
+                let proof = frequency_proof(100 + arg % 3, 0);
+                both.into_iter()
+                    .for_each(|b| b.record_proof(&proof, cycle).expect("proof"));
+            }
+            8..=10 => {
+                let view = held[..usize::from(arg) % 4].iter();
+                let mut state = PersistentState {
+                    cycle,
+                    emitted_cycle: Some(cycle),
+                    view: view.map(|d| (d.clone(), false)).collect(),
+                    ..Default::default()
+                };
+                let named = match arg % 8 {
+                    // As a node names it: the front of its ring.
+                    0..=5 => {
+                        let horizon = cycle.saturating_sub(MODEL_WINDOW);
+                        while model.front().is_some_and(|&s| s < horizon) {
+                            model.pop_front();
+                        }
+                        model.front().copied()
+                    }
+                    // Naming none, listing what it restores.
+                    6 => {
+                        let last = spent.iter().rev().take(2);
+                        state.spent = last.map(|d| (*d, cycle)).collect();
+                        model = state.spent.iter().map(|&(_, s)| s).collect();
+                        None
+                    }
+                    // A stamp past every record.
+                    _ => {
+                        model.clear();
+                        Some(cycle + 1)
+                    }
+                };
+                for b in both {
+                    b.save_checkpoint_naming(&state, named).expect("checkpoint");
+                }
+            }
+            _ => {
+                drop(file);
+                file = open();
+                if arg % 2 == 0 {
+                    prop_assert_eq!(load(&mut mem), load(&mut file));
+                }
+            }
+        }
+    }
+    prop_assert_eq!(load(&mut mem), load(&mut file));
+    let _ = fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The two backends are one contract: the same sequence of records and
+    /// checkpoints — monotone cycles, now and then a spent record stamped
+    /// late, checkpoints naming the front of a node-style ring, naming
+    /// none or listing records — loads to the same state from a
+    /// `MemoryBackend` and from a `FileBackend` that compacts at a few
+    /// hundred bytes and is reopened mid-sequence, read back or not.
+    #[test]
+    fn memory_and_file_backends_load_the_same_state(
+        ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..80),
+    ) {
+        backends_agree(ops)?;
     }
 }
