@@ -1,8 +1,9 @@
 //! The active side: one gossip turn per cycle (§IV-A, §V-B), as an
 //! explicit in-flight exchange between round trips.
 //!
-//! A turn is `housekeeping → backfill → begin the exchange → (one round
-//! trip per `rpc` effect) → backfill → rejoin ping → floods → checkpoint`.
+//! A turn is `held join pings → housekeeping → backfill → begin the
+//! exchange → (one round trip per `rpc` effect) → backfill → rejoin ping
+//! → floods → checkpoint`.
 //! Everything an exchange offers leaves the view *before* the effect that
 //! carries it is returned, so a request served while the exchange is in
 //! flight can never transfer the same descriptor a second time.
@@ -44,20 +45,14 @@ enum Awaiting {
 }
 
 impl SecureCyclonNode {
-    /// Sponsors a joining node (§V-A bootstrap): spends this cycle's
-    /// fresh-descriptor budget on a descriptor transferred to `joiner`
-    /// instead of initiating a gossip exchange, so the frequency rule is
-    /// never violated. Returns `None` if this cycle's budget is already
-    /// spent.
-    ///
-    /// `cycle` and `now` must come from the driver's clock (the values an
-    /// [`super::Input::Tick`] would carry).
-    pub fn sponsor_join(
-        &mut self,
-        joiner: NodeId,
-        cycle: u64,
-        now: u64,
-    ) -> Option<SecureDescriptor> {
+    /// Everything a sponsorship hands a joiner (§V-A, §IV-C), to be
+    /// stepped into it as a [`SecureMsg::JoinGrant`]: a descriptor this
+    /// cycle's fresh-descriptor budget is spent on instead of a gossip
+    /// exchange, transferred to `joiner`, and every proof this node holds
+    /// — a newcomer knows no culprit yet, and a node starved through a
+    /// partition missed the floods of that time. `None` if this cycle's
+    /// budget is already spent. `cycle` and `now` are the driver's clock.
+    pub fn sponsor(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<JoinGrantBody> {
         if !self.may_emit(cycle) || joiner == self.id {
             return None;
         }
@@ -65,27 +60,26 @@ impl SecureCyclonNode {
         // the next checkpoint must not let a restarted self re-mint.
         self.note_emission(cycle);
         let fresh = SecureDescriptor::create(&self.keypair, self.addr, Timestamp(now + self.phase));
-        let handed = fresh.transfer(&self.keypair, joiner).ok()?;
+        let descriptor = fresh.transfer(&self.keypair, joiner).ok()?;
         self.stats.transfers_sent += 1;
-        Some(handed)
-    }
-
-    /// Everything a sponsorship hands a joiner (§V-A, §IV-C): this
-    /// cycle's fresh descriptor, transferred to `joiner`
-    /// ([`SecureCyclonNode::sponsor_join`]), and every proof this node
-    /// holds ([`SecureCyclonNode::export_proofs`]) — a newcomer knows no
-    /// culprit yet, and a node starved through a partition missed the
-    /// floods of that time. `None` if this cycle's budget is already spent.
-    pub fn sponsor(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<JoinGrantBody> {
-        let descriptor = self.sponsor_join(joiner, cycle, now)?;
-        let proofs = self.export_proofs();
-        Some(JoinGrantBody { descriptor, proofs })
+        Some(JoinGrantBody {
+            descriptor,
+            proofs: self.export_proofs(),
+        })
     }
 
     /// [`super::Input::Tick`]: the turn up to its first round trip.
     pub(super) fn on_tick(&mut self, cycle: u64, now: u64, fx: &mut Effects) {
         if self.exchange.is_some() {
             return;
+        }
+        // The pings held since the budget ran out: the first one granted
+        // spends this turn's budget, and the rest go unanswered, as a
+        // ping always may — its sender pings again.
+        for (from, joiner) in std::mem::take(&mut self.held_pings) {
+            if self.may_emit(cycle) {
+                self.answer_join_ping(from, joiner, cycle, now, &mut fx.sends);
+            }
         }
         self.housekeeping(cycle);
         self.backfill(cycle);

@@ -15,6 +15,9 @@ use sc_crypto::{FxHashSet, NodeId};
 /// must not permanently consume a node's per-cycle descriptor budget.
 const JOIN_GRANT_GAP_CYCLES: u64 = 4;
 
+/// Cap on held join pings: they come from peers nobody has authenticated.
+const HELD_PING_CAP: usize = 8;
+
 /// Maximum accepted deviation between a *fresh* descriptor's timestamp and
 /// the receiver's clock, in ticks, on top of one gossip period (§IV-A
 /// clock-skew review).
@@ -32,17 +35,15 @@ impl SecureCyclonNode {
         self.view.insert(desc, false)
     }
 
-    /// Accepts a sponsorship descriptor mid-run (§V-A bootstrap applied to
-    /// *rejoin*): after a long disconnection — e.g. a partition outlasting
-    /// the descriptor lifetime, which consumes every cross-side link — an
-    /// isolated node is reintroduced by redeeming a fresh descriptor some
-    /// reachable node sponsored for it (see
-    /// [`SecureCyclonNode::sponsor_join`]). Unlike
+    /// Takes in the descriptor of a [`SecureMsg::JoinGrant`] (§V-A
+    /// bootstrap, applied to a first join and to a rejoin alike): a fresh
+    /// descriptor some reachable node spent its cycle's budget on for
+    /// this one ([`SecureCyclonNode::sponsor`]). Unlike
     /// [`SecureCyclonNode::accept_bootstrap`], the descriptor goes through
     /// the full §IV-B intake checks and is parked in the reserve when the
     /// view is full, so an established node never discards the lifeline.
     /// Returns whether the descriptor was kept.
-    pub fn accept_sponsorship(&mut self, desc: SecureDescriptor, cycle: u64) -> bool {
+    fn accept_sponsorship(&mut self, desc: SecureDescriptor, cycle: u64) -> bool {
         if desc.owner() != self.id || desc.creator() == self.id || desc.is_redeemed() {
             return false;
         }
@@ -431,9 +432,7 @@ impl SecureCyclonNode {
                 self.accept_remote_proof(proof, cycle);
             }
             SecureMsg::JoinPing(body) => {
-                if let Some(grant) = self.answer_join_ping(body.joiner, cycle, now) {
-                    sends.push((from, grant));
-                }
+                self.answer_join_ping(from, body.joiner, cycle, now, sends)
             }
             SecureMsg::JoinGrant(body) => {
                 let JoinGrantBody { descriptor, proofs } = *body;
@@ -448,20 +447,37 @@ impl SecureCyclonNode {
     }
 
     /// Answers a joiner's or a starved peer's ping with a sponsorship,
-    /// throttled and frequency-legal (the grant spends this cycle's
-    /// budget through [`SecureCyclonNode::sponsor`]).
-    fn answer_join_ping(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<SecureMsg> {
+    /// throttled and frequency-legal. A ping that finds this cycle's
+    /// budget spent is held for the next turn — otherwise only nodes whose
+    /// turn is still ahead in the cycle would ever sponsor anyone.
+    pub(super) fn answer_join_ping(
+        &mut self,
+        from: Addr,
+        joiner: NodeId,
+        cycle: u64,
+        now: u64,
+        sends: &mut Vec<(Addr, SecureMsg)>,
+    ) {
         if joiner == self.id || self.blacklist.contains(&joiner) {
-            return None;
+            return;
+        }
+        if !self.may_emit(cycle) {
+            let known = self.held_pings.iter().any(|&(_, k)| k == joiner);
+            if !known && self.held_pings.len() < HELD_PING_CAP {
+                self.held_pings.push((from, joiner));
+            }
+            return;
         }
         if let Some(last) = self.last_join_grant {
             if cycle < last.saturating_add(JOIN_GRANT_GAP_CYCLES) {
-                return None;
+                return;
             }
         }
-        let grant = self.sponsor(joiner, cycle, now)?;
+        let Some(grant) = self.sponsor(joiner, cycle, now) else {
+            return;
+        };
         self.last_join_grant = Some(cycle);
         self.stats.rejoin_grants += 1;
-        Some(SecureMsg::JoinGrant(Box::new(grant)))
+        sends.push((from, SecureMsg::JoinGrant(Box::new(grant))));
     }
 }

@@ -257,6 +257,9 @@ pub struct SecureCyclonNode {
     /// grants are throttled so ping floods cannot starve this node's own
     /// exchange budget.
     last_join_grant: Option<u64>,
+    /// Join pings `(from, joiner)` that found this cycle's budget spent,
+    /// answered at the top of the next turn.
+    held_pings: Vec<(Addr, NodeId)>,
     /// Proofs awaiting flood dispatch.
     outbox: Vec<ViolationProof>,
     rng: SmallRng,
@@ -328,6 +331,7 @@ impl SecureCyclonNode {
             last_rejoin_ping: None,
             recent_partners: VecDeque::with_capacity(RECENT_PARTNERS_LEN),
             last_join_grant: None,
+            held_pings: Vec::new(),
             outbox: Vec::new(),
             rng: SmallRng::from_seed(rng_seed),
             stats: SecureStats::default(),
@@ -452,8 +456,9 @@ impl SecureCyclonNode {
     ///
     /// * [`Input::Tick`] runs the active turn up to its first round trip:
     ///   the effects carry an `rpc`, or — when the node has nothing to
-    ///   exchange — the end-of-turn `sends`. A tick while an exchange is
-    ///   in flight does nothing.
+    ///   exchange, or its budget went to a held join ping's grant — the
+    ///   end-of-turn `sends`. A tick while an exchange is in flight does
+    ///   nothing, and the held pings wait with it.
     /// * [`Input::Reply`] / [`Input::Timeout`] resolve the outstanding
     ///   `rpc`, under the cycle its tick carried; the effects carry the
     ///   next round's `rpc` or the end-of-turn `sends`. With no exchange

@@ -18,11 +18,6 @@ impl SecureCyclonNode {
             .collect()
     }
 
-    /// Validates and absorbs a batch of proofs (bootstrap synchronization).
-    pub fn import_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
-        self.process_proofs(proofs, cycle);
-    }
-
     /// Handles a locally discovered violation: log it, and (when eviction
     /// is enabled) blacklist, purge, and queue the proof for flooding.
     pub(super) fn discover_violation(&mut self, proof: ViolationProof, cycle: u64) {

@@ -218,7 +218,7 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
         Box::new(MemoryBackend::new()),
     )
     .unwrap();
-    let grant = node.sponsor_join(kps[1].public(), 5, 5_000);
+    let grant = node.sponsor(kps[1].public(), 5, 5_000);
     assert!(grant.is_some(), "budget available before the crash");
     assert!(!node.may_emit(5));
 
@@ -229,7 +229,7 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
     assert_eq!(revived.last_emission(), Some(5), "marker recovered");
     assert!(!revived.may_emit(5), "budget stays spent across restart");
     assert!(
-        revived.sponsor_join(kps[2].public(), 5, 5_100).is_none(),
+        revived.sponsor(kps[2].public(), 5, 5_100).is_none(),
         "a second emission in cycle 5 would be self-incriminating"
     );
     assert!(revived.may_emit(6), "next cycle's budget is untouched");
@@ -607,6 +607,127 @@ fn a_join_ping_is_granted_every_proof_however_old() {
     assert_eq!(grant.descriptor.owner(), joiner.public());
     let culprits: Vec<NodeId> = grant.proofs.iter().map(|p| p.culprit()).collect();
     assert_eq!(culprits, vec![culprit.public()]);
+}
+
+/// A node holding `kps[1..4]`'s descriptors, so that each turn begins
+/// an exchange.
+fn gossiping_node(kps: &[Keypair]) -> SecureCyclonNode {
+    let mut node = SecureCyclonNode::new(kps[0].clone(), 0, small_cfg(), [7u8; 32], 0);
+    for (i, kp) in kps[1..4].iter().enumerate() {
+        let d = SecureDescriptor::create(kp, 1 + i as Addr, Timestamp(i as u64))
+            .transfer(kp, kps[0].public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    node
+}
+
+fn tick(node: &mut SecureCyclonNode, cycle: u64) -> Effects {
+    let now = cycle * node.config().ticks_per_cycle;
+    node.step(Input::Tick { cycle, now })
+}
+
+/// `joiner`'s join ping, arriving from `from` halfway through `cycle`.
+fn join_ping(node: &mut SecureCyclonNode, from: Addr, joiner: NodeId, cycle: u64) -> Effects {
+    let tpc = node.config().ticks_per_cycle;
+    node.step(Input::Oneway {
+        from,
+        msg: SecureMsg::JoinPing(Box::new(crate::msg::JoinPingBody { joiner })),
+        cycle,
+        now: cycle * tpc + tpc / 2,
+    })
+}
+
+/// The `(to, joiner)` of every grant among `fx`'s sends.
+fn grants(fx: &Effects) -> Vec<(Addr, NodeId)> {
+    let grant = |(to, msg): &(Addr, SecureMsg)| match msg {
+        SecureMsg::JoinGrant(g) => Some((*to, g.descriptor.owner())),
+        _ => None,
+    };
+    fx.sends.iter().filter_map(grant).collect()
+}
+
+#[test]
+fn a_join_ping_after_the_turn_is_granted_at_the_next_turn() {
+    // §V-A: a grant costs the sponsor its cycle's fresh-descriptor budget.
+    // A ping that finds it spent waits for the next turn, which spends
+    // that turn's budget on one grant instead of on an exchange.
+    let kps = keypairs(8);
+    let mut node = gossiping_node(&kps);
+    assert!(
+        tick(&mut node, 5).rpc.is_some(),
+        "turn 5 begins an exchange"
+    );
+    node.step(Input::Timeout);
+    let (a, b) = (kps[5].public(), kps[6].public());
+    assert_eq!(grants(&join_ping(&mut node, 20, a, 5)), [], "budget spent");
+    assert_eq!(grants(&join_ping(&mut node, 21, b, 5)), []);
+
+    let initiated = node.stats().initiated;
+    let fx = tick(&mut node, 6);
+    assert_eq!(grants(&fx), [(20, a)], "one grant a turn, the first held");
+    assert!(fx.rpc.is_none(), "no exchange starts in the granting turn");
+    assert_eq!(node.stats().initiated, initiated);
+    assert_eq!(node.last_emission(), Some(6));
+    assert!(node.held_pings.is_empty(), "the other ping goes unanswered");
+}
+
+#[test]
+fn held_join_pings_are_capped_one_a_key_and_never_a_culprits() {
+    let kps = keypairs(16);
+    let mut node = gossiping_node(&kps);
+    let tpc = node.config().ticks_per_cycle;
+    let culprit = &kps[4];
+    let proof = ViolationProof::frequency(
+        SecureDescriptor::create(culprit, 4, Timestamp(0)),
+        SecureDescriptor::create(culprit, 4, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .unwrap();
+    node.step(Input::Oneway {
+        from: 9,
+        msg: SecureMsg::Proof(proof),
+        cycle: 5,
+        now: 5 * tpc,
+    });
+    tick(&mut node, 5);
+    node.step(Input::Timeout);
+
+    join_ping(&mut node, 20, culprit.public(), 5);
+    assert!(node.held_pings.is_empty(), "a convicted key takes no slot");
+    for (i, kp) in kps[5..].iter().enumerate() {
+        join_ping(&mut node, 20 + i as Addr, kp.public(), 5);
+        join_ping(&mut node, 40 + i as Addr, kp.public(), 5);
+    }
+    let held: Vec<(Addr, NodeId)> = (0..8)
+        .map(|i| (20 + i, kps[5 + i as usize].public()))
+        .collect();
+    assert_eq!(
+        node.held_pings, held,
+        "eight at most, the first ping of each key"
+    );
+}
+
+#[test]
+fn a_held_join_ping_waits_while_an_exchange_is_in_flight() {
+    let kps = keypairs(8);
+    let mut node = gossiping_node(&kps);
+    let joiner = kps[5].public();
+    assert!(tick(&mut node, 5).rpc.is_some());
+    assert_eq!(grants(&join_ping(&mut node, 20, joiner, 5)), []);
+
+    let fx = tick(&mut node, 6);
+    assert!(
+        fx.sends.is_empty() && fx.rpc.is_none(),
+        "turn 5 is still out"
+    );
+    assert_eq!(node.held_pings.len(), 1, "the ping waits with the turn");
+    assert_eq!(
+        grants(&node.step(Input::Timeout)),
+        [],
+        "a turn's tail grants nothing"
+    );
+    assert_eq!(grants(&tick(&mut node, 7)), [(20, joiner)]);
 }
 
 #[test]

@@ -48,8 +48,10 @@
 //! checkpoint *replaces* the folded state, incremental records *merge*
 //! into it — and stops at the first torn or corrupt record, so a partial
 //! final record (the normal shape of a `kill -9` mid-append) is never
-//! resurrected. When the log outgrows a threshold it is compacted to a
-//! single checkpoint record via write-to-temp + rename.
+//! resurrected. The load that finds one cuts the file back to the intact
+//! prefix, so the records a restarted node appends are folded again.
+//! When the log outgrows a threshold it is compacted to a single
+//! checkpoint record via write-to-temp + rename.
 //!
 //! A checkpoint's payload starts with its format version. Version 2
 //! writes, where version 1 listed the ledger, the stamp it names (`u8`
@@ -346,7 +348,7 @@ impl StateBackend for MemoryBackend {
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
-    file: Option<File>,
+    file: File,
     /// Bytes currently in the log (drives compaction).
     written: u64,
     /// Compact when the log exceeds this many bytes.
@@ -384,7 +386,7 @@ impl FileBackend {
         let written = file.metadata()?.len();
         Ok(FileBackend {
             path,
-            file: Some(file),
+            file,
             written,
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             spent: Ledger::new(),
@@ -412,16 +414,7 @@ impl FileBackend {
     /// Appends one record whose payload `encode` writes.
     fn append(&mut self, kind: u8, encode: impl FnOnce(&mut Writer<'_>)) -> io::Result<()> {
         build_frame(&mut self.frame, kind, encode);
-        let file = match self.file.as_mut() {
-            Some(f) => f,
-            None => self.file.insert(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ),
-        };
-        file.write_all(&self.frame)?;
+        self.file.write_all(&self.frame)?;
         self.written += self.frame.len() as u64;
         Ok(())
     }
@@ -440,12 +433,10 @@ impl FileBackend {
         }
         std::fs::rename(&tmp, &self.path)?;
         // Reopen the append handle on the new inode.
-        self.file = Some(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?,
-        );
+        self.file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
         self.written = self.frame.len() as u64;
         Ok(())
     }
@@ -496,7 +487,13 @@ impl StateBackend for FileBackend {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let state = fold_log(&bytes, period_ticks, limits);
+        let (state, intact) = fold_log(&bytes, period_ticks, limits);
+        if intact < bytes.len() {
+            // Records appended behind a torn or corrupt one would never
+            // be folded again: cut the log back to what it can trust.
+            self.file.set_len(intact as u64)?;
+            self.written = intact as u64;
+        }
         self.spent = state.iter().flat_map(|s| s.spent.iter().copied()).collect();
         self.spent_read = true;
         Ok(state)
@@ -529,17 +526,26 @@ fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 4] {
     [digest[0], digest[1], digest[2], digest[3]]
 }
 
-/// Folds a raw log into the recovered state. Scanning stops at the first
+/// Folds a raw log into the recovered state, and returns it with the
+/// length of the prefix it was folded from. Scanning stops at the first
 /// record that is torn (frame extends past the buffer), checksum-corrupt,
 /// or undecodable — everything before that prefix is kept, nothing after
-/// it is trusted. Returns `None` when not even one record survived.
-fn fold_log(bytes: &[u8], period_ticks: u64, limits: &WireLimits) -> Option<PersistentState> {
+/// it is trusted. The state is `None` when not even one record survived.
+fn fold_log(
+    bytes: &[u8],
+    period_ticks: u64,
+    limits: &WireLimits,
+) -> (Option<PersistentState>, usize) {
     let (mut state, mut spent) = (None, Ledger::new());
     let mut log = Reader::with_limits(bytes, limits);
-    while fold_record(&mut log, &mut state, &mut spent, period_ticks).is_ok() {}
-    let mut state: PersistentState = state?;
-    state.spent = spent.into();
-    Some(state)
+    let mut intact = 0;
+    while fold_record(&mut log, &mut state, &mut spent, period_ticks).is_ok() {
+        intact = log.position();
+    }
+    if let Some(state) = state.as_mut() {
+        state.spent = spent.into();
+    }
+    (state, intact)
 }
 
 /// Folds the next record of `log` into `state` and the spent ledger
@@ -1023,7 +1029,7 @@ mod tests {
                 );
                 let mut log = record_frame(REC_EMIT, &5u64.to_be_bytes());
                 log.extend(record_frame(kind, &padded));
-                let folded = fold_log(&log, PERIOD, &WireLimits::DEFAULT).unwrap();
+                let folded = fold_log(&log, PERIOD, &WireLimits::DEFAULT).0.unwrap();
                 assert_eq!(folded.emitted_cycle, Some(5));
                 assert!(folded.view.is_empty() && folded.proofs.is_empty());
             }
@@ -1102,7 +1108,7 @@ mod tests {
         assert_eq!(record_frame(REC_CHECKPOINT, &v1[RECORD_HEADER_BYTES..]), v1);
         let mut log = v1;
         log.extend(written);
-        let got = fold_log(&log, PERIOD, &WireLimits::DEFAULT).unwrap();
+        let got = fold_log(&log, PERIOD, &WireLimits::DEFAULT).0.unwrap();
         assert_eq!((got.cycle, got.emitted_cycle), (42, Some(43)));
         assert_eq!(got.ns_accepted, (42, 1));
         assert_eq!(

@@ -383,7 +383,13 @@ fn blacklisted_requester_stays_refused() {
     let d1 = SecureDescriptor::create(&bob, 2, Timestamp(7000));
     let d2 = SecureDescriptor::create(&bob, 2, Timestamp(7300));
     let proof = ViolationProof::frequency(d1, d2, TPC).unwrap();
-    h.carol.import_proofs(vec![proof], h.cycle);
+    // The proof reaches Carol as a peer's flood.
+    h.carol.step(Input::Oneway {
+        from: 3,
+        msg: SecureMsg::Proof(proof),
+        cycle: h.cycle,
+        now: h.now(),
+    });
 
     let token = h.carol_token(&bob, 1000);
     let reply = h.deliver(2, h.request(&bob, &token, LinkKind::Redeem));
@@ -395,19 +401,19 @@ fn blacklisted_requester_stays_refused() {
 }
 
 #[test]
-fn sponsor_join_respects_the_frequency_budget() {
+fn a_sponsorship_respects_the_frequency_budget() {
     let mut h = Harness::new();
     let joiner = kp(7).public();
     let other = kp(8).public();
-    let d1 = h.carol.sponsor_join(joiner, h.cycle, h.now());
+    let d1 = h.carol.sponsor(joiner, h.cycle, h.now());
     assert!(d1.is_some());
-    let d1 = d1.unwrap();
+    let d1 = d1.unwrap().descriptor;
     assert_eq!(d1.owner(), joiner);
     d1.verify().unwrap();
     assert!(
-        h.carol.sponsor_join(other, h.cycle, h.now()).is_none(),
+        h.carol.sponsor(other, h.cycle, h.now()).is_none(),
         "one creation per cycle, spent"
     );
     h.next_cycle();
-    assert!(h.carol.sponsor_join(other, h.cycle, h.now()).is_some());
+    assert!(h.carol.sponsor(other, h.cycle, h.now()).is_some());
 }

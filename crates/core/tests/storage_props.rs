@@ -193,6 +193,59 @@ fn a_state_spent_twice_is_restored_twice_and_in_cycle_order() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A `kill -9` mid-append leaves a torn record at the end of the log,
+/// and the reborn process appends behind it. The first load must cut the
+/// log back to its intact prefix: otherwise the fold stops at the torn
+/// bytes on every later load, and a second restart forgets every record
+/// written since the first — its emission markers included, so it would
+/// mint again in a cycle it already emitted in.
+#[test]
+fn records_appended_after_a_torn_tail_are_recovered() {
+    let dir = scratch_dir("torn-append");
+    let path = dir.join("node.log");
+    let _ = fs::remove_file(&path);
+    let load = |path: &Path| {
+        let mut backend = FileBackend::open(path).expect("reopen");
+        let state = backend.load(PERIOD, &WireLimits::DEFAULT).expect("load");
+        (backend, state.expect("the log folds"))
+    };
+    let mut backend = FileBackend::open(&path).expect("open");
+    backend.record_emission(3).expect("emit");
+    let state = PersistentState {
+        cycle: 3,
+        emitted_cycle: Some(3),
+        ..Default::default()
+    };
+    backend.save_checkpoint(&state).expect("checkpoint");
+    backend.record_emission(4).expect("emit");
+    drop(backend);
+    let intact = fs::read(&path).expect("read back");
+
+    // Tear: five bytes of a record that never finished.
+    let mut torn = intact.clone();
+    torn.extend_from_slice(&[0, 0, 0, 9, 1]);
+    fs::write(&path, &torn).expect("tear");
+    let (mut backend, state) = load(&path);
+    assert_eq!(state.emitted_cycle, Some(4), "the torn bytes are ignored");
+    assert_eq!(backend.log_bytes(), intact.len() as u64);
+    assert_eq!(fs::read(&path).expect("read back"), intact, "cut back");
+
+    // Append behind where the tear was, restart again.
+    backend.record_emission(7).expect("emit");
+    backend
+        .record_spent(&sha256(b"spent after the tear"), 7)
+        .expect("spent");
+    drop(backend);
+    let (_, state) = load(&path);
+    assert_eq!(
+        state.emitted_cycle,
+        Some(7),
+        "the later marker is recovered"
+    );
+    assert_eq!(state.spent, vec![(sha256(b"spent after the tear"), 7)]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The blacklist is unbounded by design, and a checkpoint lists every
 /// proof it holds: one with more proofs than a message may carry
 /// (`max_proofs`) recovers all of them, into the log and into the node.

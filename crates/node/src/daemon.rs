@@ -23,10 +23,11 @@
 //!    What its exchange offered has already left the view, so serving a
 //!    request mid-exchange cannot spend a descriptor twice.
 //! 3. `sends` effects become one-way frames; passive RPCs, proof floods,
-//!    §V-A join pings and grants, and control-socket scrapes are served
-//!    as they arrive — except a join ping once this cycle's
-//!    fresh-descriptor budget is spent: that is held and stepped in right
-//!    before the next turn fires.
+//!    §V-A join pings and grants, and control-socket scrapes are stepped
+//!    in as they arrive, joined or not. What to make of them is the
+//!    node's: it refuses a request whose certificate it never minted, and
+//!    holds a join ping that finds this cycle's budget spent for its next
+//!    turn.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
 //! cluster seed — a zero-message legal bootstrap. A `--sponsor` joiner
@@ -44,7 +45,6 @@ use sc_core::wire::{self, WireLimits};
 use sc_core::{
     ring_bootstrap, Addr, Effects, FaultSpec, Input, JoinPingBody, SecureCyclonNode, SecureMsg,
 };
-use sc_crypto::PublicKey;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -63,11 +63,6 @@ pub struct RunSummary {
 
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
-
-/// Cap on §V-A join pings held for the next turn: they come from peers
-/// nobody has authenticated, and each one granted costs a cycle's
-/// fresh-descriptor budget.
-const HELD_PING_CAP: usize = 8;
 
 /// Decode-side wire limits. Their `max_frame_bytes` is the cap the
 /// transport frames at, so a frame the transport admits is one the
@@ -117,12 +112,6 @@ pub struct Daemon {
     /// joined, in which it pinged its sponsor: the first turn after the
     /// grant is then the next cycle's.
     last_fired: Option<u64>,
-    /// §V-A join pings `(from, joiner)` that arrived after this cycle's
-    /// budget was spent, one per joiner key, never a key the node holds a
-    /// proof against: a grant needs a budget, so they are stepped into the
-    /// node right before the next turn — otherwise only members whose turn
-    /// is still ahead in the cycle would ever sponsor anyone.
-    held_pings: VecDeque<(Addr, PublicKey)>,
     next_req_id: u32,
     pending: Option<PendingRpc>,
     cycles_run: u64,
@@ -204,7 +193,6 @@ impl Daemon {
             start_cycle,
             epoch_ms,
             last_fired: None,
-            held_pings: VecDeque::new(),
             next_req_id: 1,
             pending: None,
             cycles_run: 0,
@@ -321,7 +309,6 @@ impl Daemon {
                         // it just counts them.
                         self.turns_skipped += due - last - 1;
                     }
-                    self.answer_held_pings(due);
                     let now = self.now_ticks(due);
                     let fx = self.node.step(Input::Tick { cycle: due, now });
                     self.apply(fx);
@@ -471,23 +458,6 @@ impl Daemon {
         self.transport.send_to(sponsor, &frame);
     }
 
-    /// Steps the held join pings into the node, called right before the
-    /// turn for `cycle` fires. The core grants at most one; the others go
-    /// unanswered, as a ping always may — its sender pings again.
-    fn answer_held_pings(&mut self, cycle: u64) {
-        let now = self.now_ticks(cycle);
-        for (from, joiner) in std::mem::take(&mut self.held_pings) {
-            let msg = SecureMsg::JoinPing(Box::new(JoinPingBody { joiner }));
-            let fx = self.node.step(Input::Oneway {
-                from,
-                msg,
-                cycle,
-                now,
-            });
-            self.apply(fx);
-        }
-    }
-
     /// Dispatches one inbound frame, whether or not an RPC is pending.
     fn handle(&mut self, ib: Inbound) {
         let cycle = self.current_cycle();
@@ -513,19 +483,14 @@ impl Daemon {
                 else {
                     return;
                 };
-                let reply = if self.node.joined() {
-                    let mut fx = self.node.step(Input::Request {
-                        from,
-                        msg,
-                        cycle,
-                        now,
-                    });
-                    let reply = fx.reply.take();
-                    self.apply(fx);
-                    reply
-                } else {
-                    None
-                };
+                let mut fx = self.node.step(Input::Request {
+                    from,
+                    msg,
+                    cycle,
+                    now,
+                });
+                let reply = fx.reply.take();
+                self.apply(fx);
                 // An explicit empty reply lets the initiator observe
                 // "no answer" without waiting out its RPC timeout.
                 let payload = reply.as_ref().map_or_else(Vec::new, encode);
@@ -549,22 +514,6 @@ impl Daemon {
                 else {
                     return;
                 };
-                if let SecureMsg::JoinPing(body) = &msg {
-                    // This cycle's budget is gone: hold the ping for the
-                    // next turn instead of answering it with nothing —
-                    // unless the node would refuse it then anyway.
-                    if self.node.last_emission().is_some_and(|c| c >= cycle) {
-                        let joiner = body.joiner;
-                        let known = self.held_pings.iter().any(|(_, k)| *k == joiner);
-                        if !known
-                            && self.held_pings.len() < HELD_PING_CAP
-                            && !self.node.blacklist().contains(&joiner)
-                        {
-                            self.held_pings.push_back((ib.frame.from, joiner));
-                        }
-                        return;
-                    }
-                }
                 let fx = self.node.step(Input::Oneway {
                     from: ib.frame.from,
                     msg,

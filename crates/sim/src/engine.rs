@@ -17,7 +17,8 @@
 //!   the *next* cycle, giving flooding a realistic one-hop-per-cycle
 //!   propagation speed. The queue is drained in ascending
 //!   destination-address order (stable within a destination), so delivery
-//!   cost is a single pass over a sorted batch.
+//!   cost is a single pass over a sorted batch. A driver hands a node a
+//!   one-way at once with [`Engine::deliver`].
 //! * `rpc` effects are honoured from `Tick` / `Reply` / `Timeout` steps
 //!   only: a server handler never blocks on another node in the paper's
 //!   protocol, so a machine that returns one from a `Request` or `Oneway`
@@ -190,6 +191,27 @@ impl<N: Machine> Engine<N> {
         std::mem::replace(&mut self.net.partition, partition)
     }
 
+    /// Hands `msg` from `from` to the node at `to` now: the node is
+    /// stepped with an [`Input::Oneway`] under the current cycle, and what
+    /// it sends in answer is queued for the next cycle. Every queued
+    /// one-way that survives loss and partitions ends here; called
+    /// directly, nothing is rolled or counted and the engine RNG is not
+    /// touched. Returns `false` when `to` is not alive.
+    pub fn deliver(&mut self, from: Addr, to: Addr, msg: N::Msg) -> bool {
+        let Some(mut node) = self.arena.take(to) else {
+            return false;
+        };
+        let input = Input::Oneway {
+            from,
+            msg,
+            cycle: self.clock.cycle(),
+            now: self.clock.now(),
+        };
+        self.serve(to, &mut node, input);
+        self.arena.put_back(to, node);
+        true
+    }
+
     /// Runs one full cycle: delivers queued one-way messages in address
     /// order, then gives every alive node its turn in shuffled order.
     pub fn run_cycle(&mut self) {
@@ -289,23 +311,15 @@ impl<N: Machine> Engine<N> {
                 self.stats.oneways_severed += 1;
                 continue;
             }
-            let Some(mut node) = self.arena.take(env.to) else {
+            if !self.arena.is_alive(env.to) {
                 self.stats.oneways_to_dead += 1;
                 continue;
-            };
+            }
             if self.net.drops(MsgKind::Oneway, env.from, env.to) {
-                self.arena.put_back(env.to, node);
                 self.stats.oneways_dropped += 1;
                 continue;
             }
-            let input = Input::Oneway {
-                from: env.from,
-                msg: env.msg,
-                cycle: self.clock.cycle(),
-                now: self.clock.now(),
-            };
-            self.serve(env.to, &mut node, input);
-            self.arena.put_back(env.to, node);
+            self.deliver(env.from, env.to, env.msg);
             self.stats.oneways_delivered += 1;
         }
     }
@@ -365,7 +379,8 @@ mod tests {
     use sc_core::Effects;
 
     /// A toy protocol: every cycle, ping the next node; it replies with a
-    /// counter and floods a one-way "seen" notice to node 0.
+    /// counter and floods a one-way "seen" notice to node 0. A ping that
+    /// arrives as a one-way is answered with a notice to node 0 too.
     struct Toy {
         addr: Addr,
         n: u32,
@@ -402,6 +417,9 @@ mod tests {
                     msg: ToyMsg::Notice,
                     ..
                 } => self.oneways_got += 1,
+                Input::Oneway {
+                    msg: ToyMsg::Ping, ..
+                } => fx.sends.push((0, ToyMsg::Notice)),
                 _ => {}
             }
             fx
@@ -605,6 +623,40 @@ mod tests {
         assert!(s.rpcs_request_dropped > 0 && s.rpcs_response_dropped > 0);
         assert!(s.oneways_dropped > 0);
         assert_eq!(faulted(), (s, lossy_order), "a lossy run replays");
+    }
+
+    #[test]
+    fn deliver_steps_the_target_now_and_queues_its_answer() {
+        let logged = |deliveries: bool| {
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let mut eng = Engine::new(SimConfig::seeded(4));
+            for _ in 0..4 {
+                let log = std::rc::Rc::clone(&log);
+                eng.spawn_with(|addr| Logged(toy(addr, 4), log));
+            }
+            if deliveries {
+                assert!(eng.deliver(3, 1, ToyMsg::Notice));
+                assert_eq!(eng.node(1).unwrap().0.oneways_got, 1, "stepped now");
+                assert!(eng.deliver(3, 2, ToyMsg::Ping));
+                assert_eq!(eng.node(0).unwrap().0.oneways_got, 0, "the answer waits");
+            }
+            eng.run_cycle();
+            let notices = eng.node(0).unwrap().0.oneways_got;
+            eng.run_cycles(4);
+            (eng, notices, log.take())
+        };
+        let (mut eng, notices, order) = logged(true);
+        assert_eq!(notices, 1, "the answer lands at the next cycle's start");
+        assert_eq!(
+            eng.stats().oneways_sent,
+            1 + 4 * 4,
+            "only the answer is traffic"
+        );
+        let (_, _, plain) = logged(false);
+        assert_eq!(order, plain, "a delivery drew from the engine RNG");
+        eng.kill(1);
+        assert!(!eng.deliver(0, 1, ToyMsg::Notice), "dead target");
+        assert!(!eng.deliver(0, 99, ToyMsg::Notice), "never allocated");
     }
 
     #[test]

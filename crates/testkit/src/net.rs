@@ -13,8 +13,8 @@
 use rand::seq::SliceRandom;
 use sc_attacks::{MaliciousSecureNode, SecureAttack, SecureParty};
 use sc_core::{
-    default_phase, ring_bootstrap, Effects, Input, Machine, MemoryBackend, SecureConfig,
-    SecureCyclonNode, SecureMsg,
+    default_phase, ring_bootstrap, Effects, Input, JoinGrantBody, Machine, MemoryBackend,
+    SecureConfig, SecureCyclonNode, SecureDescriptor, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
 use sc_sim::{Addr, Engine, Loss, SimConfig};
@@ -131,38 +131,29 @@ pub struct SecureNetwork {
 
 impl SecureNetwork {
     /// Spawns a fresh honest node and bootstraps it through a legal
-    /// sponsorship (§V-A): `sponsor` — an alive honest node — hands over
-    /// what [`SecureCyclonNode::sponsor`] grants, the same as it answers a
-    /// join ping with: its current cycle's fresh descriptor, transferred to
-    /// the joiner, and its stored violation proofs. Returns the new
-    /// address, or `None` if the sponsor is unavailable or already spent
-    /// this cycle's budget.
+    /// sponsorship (§V-A): `sponsor` — an alive honest node — grants it
+    /// what [`SecureCyclonNode::sponsor`] grants a join ping, delivered as
+    /// the [`SecureMsg::JoinGrant`] a socket joiner receives. Returns the
+    /// new address, or `None` if the sponsor is unavailable or already
+    /// spent this cycle's budget.
     pub fn join_via(&mut self, sponsor: Addr) -> Option<Addr> {
-        let cycle = self.engine.cycle();
-        let now = self.engine.clock().now();
         let keypair = Keypair::from_seed(
             self.scheme,
             sc_sim::rng::derive_seed(self.seed, "joiner", self.joiners),
         );
         let rng_seed = sc_sim::rng::derive_seed(self.seed, "joiner-rng", self.joiners);
-        let joiner_id = keypair.public();
-
-        let Some(SecureNet::Honest(sponsor_node)) = self.engine.node_mut(sponsor) else {
-            return None;
-        };
-        let grant = sponsor_node.sponsor(joiner_id, cycle, now)?;
+        let grant = self.sponsor(sponsor, keypair.public())?;
 
         self.joiners += 1;
         let phase = default_phase(self.joiners as usize, self.cfg.ticks_per_cycle);
-        let cfg = self.cfg;
-        let durable = self.durable;
+        let (cfg, durable) = (self.cfg, self.durable);
         let addr = self.engine.spawn_with(|addr| {
-            let mut node = new_honest_node(keypair.clone(), addr, cfg, rng_seed, phase, durable);
-            node.accept_bootstrap(grant.descriptor);
-            node.import_proofs(grant.proofs, cycle);
+            let node = new_honest_node(keypair.clone(), addr, cfg, rng_seed, phase, durable);
             SecureNet::Honest(Box::new(node))
         });
         self.honest_keys.insert(addr, (keypair, phase));
+        self.engine
+            .deliver(sponsor, addr, SecureMsg::JoinGrant(Box::new(grant)));
         Some(addr)
     }
 
@@ -178,33 +169,39 @@ impl SecureNetwork {
     }
 
     /// Reintroduces an *existing* honest node through a sponsorship
-    /// (§V-A bootstrap applied to rejoin): `sponsor` spends its cycle's
-    /// fresh-descriptor budget on a descriptor transferred to `node`,
+    /// (§V-A bootstrap applied to rejoin): `sponsor` grants it what it
+    /// grants a join ping — a fresh descriptor and every proof it holds —
     /// giving the pair a live link again. This is the protocol-level
     /// equivalent of a bootstrap-server reconnect after a partition that
     /// outlived the descriptor lifetime — once a few such links exist,
     /// ordinary gossip re-knits the segments. Returns whether the
-    /// descriptor was minted *and* kept.
+    /// descriptor was minted *and* kept, in `node`'s view or reserve.
     pub fn reintroduce(&mut self, node: Addr, sponsor: Addr) -> bool {
-        if node == sponsor {
-            return false;
-        }
-        let cycle = self.engine.cycle();
-        let now = self.engine.clock().now();
         let Some(SecureNet::Honest(target)) = self.engine.node(node) else {
             return false;
         };
-        let target_id = target.id();
-        let Some(SecureNet::Honest(sponsor_node)) = self.engine.node_mut(sponsor) else {
+        let Some(grant) = self.sponsor(sponsor, target.id()) else {
             return false;
         };
-        let Some(desc) = sponsor_node.sponsor_join(target_id, cycle, now) else {
+        let digest = grant.descriptor.state_digest();
+        self.engine
+            .deliver(sponsor, node, SecureMsg::JoinGrant(Box::new(grant)));
+        let Some(SecureNet::Honest(target)) = self.engine.node(node) else {
             return false;
         };
-        let Some(SecureNet::Honest(target)) = self.engine.node_mut(node) else {
-            return false;
-        };
-        target.accept_sponsorship(desc, cycle)
+        let kept = |d: &SecureDescriptor| d.state_digest() == digest;
+        target.view().iter().any(|e| kept(&e.desc)) || target.reserve().any(kept)
+    }
+
+    /// The grant the honest node at `sponsor` hands `joiner` this cycle,
+    /// if it has the budget.
+    fn sponsor(&mut self, sponsor: Addr, joiner: NodeId) -> Option<JoinGrantBody> {
+        let cycle = self.engine.cycle();
+        let now = self.engine.clock().now();
+        match self.engine.node_mut(sponsor) {
+            Some(SecureNet::Honest(node)) => node.sponsor(joiner, cycle, now),
+            _ => None,
+        }
     }
 
     /// `kill -9` + restart in one engine instant: discards `addr`'s
@@ -591,6 +588,130 @@ mod tests {
             (0, 0),
             "a mid-cycle crash must not make a durable node accuse itself"
         );
+    }
+
+    /// A network whose honest nodes hold proofs: three frequency
+    /// attackers among thirty nodes, convicted within a few cycles.
+    fn convicting_network() -> SecureNetwork {
+        let mut p = SecureNetParams::new(30, 3, SecureAttack::Frequency { extra: 2 });
+        p.cfg = p.cfg.with_view_len(6).with_swap_len(3);
+        p.attack_start = 8;
+        p.seed = 7;
+        let mut net = build_secure_network(p);
+        net.engine.run_cycles(12);
+        net
+    }
+
+    fn honest(net: &SecureNetwork, addr: Addr) -> &SecureCyclonNode {
+        net.engine.node(addr).unwrap().honest().unwrap()
+    }
+
+    fn culprits(node: &SecureCyclonNode) -> Vec<NodeId> {
+        let mut culprits: Vec<NodeId> = node.blacklist().culprits().copied().collect();
+        culprits.sort_unstable();
+        culprits
+    }
+
+    /// The lowest honest address whose node has convicted someone.
+    fn convicted_sponsor(net: &SecureNetwork) -> Addr {
+        let (addr, _) = net
+            .engine
+            .nodes()
+            .find(|(_, n)| n.honest().is_some_and(|h| !h.blacklist().is_empty()))
+            .expect("an honest node holds a proof");
+        addr
+    }
+
+    #[test]
+    fn a_joiner_ends_where_its_grant_stepped_into_a_fresh_node_leaves_it() {
+        let mut net = convicting_network();
+        let sponsor = convicted_sponsor(&net);
+
+        // The same grant on a twin network, stepped by hand into a fresh
+        // node with the identity `join_via` derives for its first joiner.
+        let mut twin = convicting_network();
+        let (cycle, now) = (twin.engine.cycle(), twin.engine.clock().now());
+        let keypair = Keypair::from_seed(
+            twin.scheme,
+            sc_sim::rng::derive_seed(twin.seed, "joiner", 0),
+        );
+        let grant = twin.sponsor(sponsor, keypair.public()).unwrap();
+        let descriptor = grant.descriptor.state_digest();
+        let mut fresh = SecureCyclonNode::new(
+            keypair,
+            twin.engine.capacity() as Addr,
+            twin.cfg,
+            sc_sim::rng::derive_seed(twin.seed, "joiner-rng", 0),
+            default_phase(1, twin.cfg.ticks_per_cycle),
+        );
+        fresh.step(Input::Oneway {
+            from: sponsor,
+            msg: SecureMsg::JoinGrant(Box::new(grant)),
+            cycle,
+            now,
+        });
+
+        let joiner = net.join_via(sponsor).expect("the sponsor has its budget");
+        let joiner = honest(&net, joiner);
+        let view = |n: &SecureCyclonNode| -> Vec<_> {
+            n.view().iter().map(|e| e.desc.state_digest()).collect()
+        };
+        assert_eq!(view(joiner), [descriptor], "the grant's descriptor");
+        assert_eq!(view(joiner), view(&fresh));
+        assert_eq!(culprits(joiner), culprits(honest(&net, sponsor)));
+        assert_eq!(culprits(joiner), culprits(&fresh));
+        assert!(joiner.joined() && fresh.joined());
+        assert_eq!(joiner.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn a_reintroduced_node_learns_every_proof_its_sponsor_holds() {
+        let mut net = convicting_network();
+        let sponsor = convicted_sponsor(&net);
+        let sponsor_id = honest(&net, sponsor).id();
+        // A node cut off before any conviction: an honest node that knows
+        // no one.
+        let (keypair, cfg) = (Keypair::from_seed(net.scheme, [0x42; 32]), net.cfg);
+        let target = net.engine.spawn_with(|addr| {
+            let node = SecureCyclonNode::new(keypair, addr, cfg, [1; 32], 0);
+            SecureNet::Honest(Box::new(node))
+        });
+        assert!(net.reintroduce(target, sponsor), "kept in the view");
+        let t = honest(&net, target);
+        assert_eq!(culprits(t), culprits(honest(&net, sponsor)));
+        assert!(t.view().iter().any(|e| e.desc.creator() == sponsor_id));
+        assert!(
+            !net.reintroduce(target, sponsor),
+            "the sponsor's budget for this cycle is spent"
+        );
+    }
+
+    #[test]
+    fn a_reintroduction_into_a_full_view_is_kept_in_the_reserve() {
+        let mut net = convicting_network();
+        let full = |n: &SecureCyclonNode| n.view().len() == n.view().capacity();
+        let (target, _) = net
+            .engine
+            .nodes()
+            .find(|(_, n)| {
+                n.honest()
+                    .is_some_and(|h| full(h) && h.view().ns_count() == 0)
+            })
+            .expect("an honest node with a full, all-swappable view");
+        let sponsor = net
+            .engine
+            .nodes()
+            .find(|&(a, n)| a != target && n.honest().is_some())
+            .map(|(a, _)| a)
+            .unwrap();
+        let sponsor_id = honest(&net, sponsor).id();
+        let reserved = |net: &SecureNetwork| {
+            let t = honest(net, target);
+            t.reserve().filter(|d| d.creator() == sponsor_id).count()
+        };
+        let before = reserved(&net);
+        assert!(net.reintroduce(target, sponsor));
+        assert_eq!(reserved(&net), before + 1, "parked, not dropped");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the umbrella crate's public API.
 
 use securecyclon::attacks::SecureAttack;
-use securecyclon::core::{SecureConfig, SecureCyclonNode};
+use securecyclon::core::{Input, SecureConfig, SecureCyclonNode, SecureMsg};
 use securecyclon::crypto::{Keypair, Scheme};
 use securecyclon::metrics::{rises_after, spike_then_decay, TimeSeries};
 use securecyclon::sim::Loss;
@@ -98,14 +98,12 @@ fn late_joiner_is_sponsored_and_learns_the_blacklist() {
         .take(3)
         .collect();
     let mut grants = Vec::new();
-    let mut proofs = Vec::new();
     for s in &seeds {
         let node = net.engine.node_mut(*s).unwrap();
         if let SecureNet::Honest(h) = node {
-            if let Some(d) = h.sponsor_join(joiner_id, cycle, now) {
-                grants.push(d);
+            if let Some(grant) = h.sponsor(joiner_id, cycle, now) {
+                grants.push((*s, grant));
             }
-            proofs = h.export_proofs();
         }
     }
     assert!(!grants.is_empty(), "sponsors granted descriptors");
@@ -117,10 +115,22 @@ fn late_joiner_is_sponsored_and_learns_the_blacklist() {
         [0x11; 32],
         7,
     );
-    for d in grants {
-        assert!(joiner.accept_bootstrap(d));
+    for (from, grant) in grants {
+        let digest = grant.descriptor.state_digest();
+        joiner.step(Input::Oneway {
+            from,
+            msg: SecureMsg::JoinGrant(Box::new(grant)),
+            cycle,
+            now,
+        });
+        assert!(
+            joiner
+                .view()
+                .iter()
+                .any(|e| e.desc.state_digest() == digest),
+            "the grant's descriptor is in the joiner's view"
+        );
     }
-    joiner.import_proofs(proofs, cycle);
     let known: usize = net
         .malicious_ids
         .iter()
