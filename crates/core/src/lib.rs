@@ -90,7 +90,7 @@ pub use memo::VerifyMemo;
 pub use msg::{
     AcceptBody, JoinGrantBody, JoinPingBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg,
 };
-pub use node::{ProofRecord, SecureCyclonNode, SecureStats};
+pub use node::{Causes, Discard, ProofRecord, Refusal, Rejection, SecureCyclonNode, SecureStats};
 pub use proof::{ProofError, ProofKind, ViolationProof};
 pub use redemption::RedemptionCache;
 pub use storage::{FileBackend, MemoryBackend, PersistentState, StateBackend};

@@ -227,7 +227,7 @@ impl SecureCyclonNode {
         } = *body;
         self.process_proofs(proofs, cycle);
         for s in &samples {
-            self.absorb_sample(s, cycle);
+            let _ = self.absorb(s, None, cycle);
         }
         if self.blacklist.contains(&partner_id) {
             return false;

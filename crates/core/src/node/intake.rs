@@ -3,7 +3,7 @@
 //! (§IV-A redemption validation, the §V-A non-swappable restrictions,
 //! tit-for-tat rounds, join pings).
 
-use super::{SecureCyclonNode, Session};
+use super::{Discard, Refusal, Rejection, SecureCyclonNode, Session};
 use crate::checks::Observation;
 use crate::descriptor::{LinkKind, SecureDescriptor};
 use crate::msg::{AcceptBody, JoinGrantBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg};
@@ -48,7 +48,7 @@ impl SecureCyclonNode {
             return false;
         }
         let verified = self.verifies(&desc);
-        if !self.absorb_descriptor(&desc, verified, cycle) {
+        if self.absorb(&desc, Some(verified), cycle).is_err() {
             return false;
         }
         if let Some(desc) = self.view.try_insert(desc, false) {
@@ -59,60 +59,55 @@ impl SecureCyclonNode {
         true
     }
 
-    /// Takes in a descriptor whose validity the node is about to rely on
-    /// — an incoming ownership transfer, a fresh descriptor, a redemption
-    /// certificate: counts a forgery, else runs the §IV-B checks.
+    /// Takes in a descriptor: runs the §IV-B checks on it, or says why
+    /// not. Every discard is counted here, by its cause.
     ///
+    /// For a descriptor the node is about to rely on — an incoming
+    /// ownership transfer, a fresh descriptor, a redemption certificate —
     /// `verified` is the verdict of this step's **one** verification pass
     /// (`SecureDescriptor::verify_batch` over everything the message makes
     /// the node rely on): every signature of the chain, checked now. No
     /// verdict outlives the step, so nothing seen earlier — a forged
     /// sample with the same bytes, say — can pre-clear a transfer.
-    /// Samples are not verified at intake, only on §IV-B conflict.
-    fn absorb_descriptor(&mut self, desc: &SecureDescriptor, verified: bool, cycle: u64) -> bool {
-        if self.blacklist.contains(&desc.creator()) {
-            return false;
-        }
-        if !verified {
-            self.stats.invalid_descriptors += 1;
-            return false;
-        }
-        self.check_only(desc, cycle)
-    }
-
-    /// Runs the §IV-B checks without up-front signature verification —
-    /// the lazy-verification path for samples (see `sc_core::checks`
+    ///
+    /// A sample passes `None`: samples are not verified at intake, only on
+    /// §IV-B conflict (the lazy-verification path, see `sc_core::checks`
     /// module docs: proofs re-verify, so forgeries cannot frame anyone).
-    pub(super) fn absorb_sample(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
-        if self.blacklist.contains(&desc.creator()) {
-            return false;
-        }
-        self.check_only(desc, cycle)
-    }
-
-    fn check_only(&mut self, desc: &SecureDescriptor, cycle: u64) -> bool {
-        self.stats.samples_processed += 1;
-        match self.samples.observe(desc, cycle) {
-            Observation::Violation(proof) => {
-                self.discover_violation(proof, cycle);
-                false
+    pub(super) fn absorb(
+        &mut self,
+        desc: &SecureDescriptor,
+        verified: Option<bool>,
+        cycle: u64,
+    ) -> Result<(), Discard> {
+        let outcome = if self.blacklist.contains(&desc.creator()) {
+            Err(Discard::Blacklisted)
+        } else if verified == Some(false) {
+            Err(Discard::Unverified)
+        } else {
+            self.stats.samples_processed += 1;
+            match self.samples.observe(desc, cycle) {
+                Observation::Violation(proof) => {
+                    self.discover_violation(proof, cycle);
+                    Err(Discard::Violation)
+                }
+                Observation::Forged => Err(Discard::Forged),
+                Observation::Expired => Err(Discard::Expired),
+                _ => Ok(()),
             }
-            Observation::Forged => {
+        };
+        if let Err(cause) = outcome {
+            self.causes.discarded[cause as usize] += 1;
+            if matches!(cause, Discard::Unverified | Discard::Forged) {
                 self.stats.invalid_descriptors += 1;
-                false
             }
-            Observation::Expired => {
-                self.expired_refused += 1;
-                false
-            }
-            _ => true,
         }
+        outcome
     }
 
     /// Validates an incoming ownership transfer handed over by `from`.
-    fn validate_transfer(&self, d: &SecureDescriptor, from: NodeId) -> bool {
+    fn validate_transfer(&self, d: &SecureDescriptor, from: NodeId) -> Result<(), Rejection> {
         if d.is_redeemed() || d.owner() != self.id || d.creator() == self.id {
-            return false;
+            return Err(Rejection::NotOurs);
         }
         // Replay guard: a state this node already continued must never be
         // accepted again — re-spending it would make this node the
@@ -120,9 +115,12 @@ impl SecureCyclonNode {
         // the same descriptor carries the extra links and hashes
         // differently.
         if self.spent.contains(&d.state_digest()) {
-            return false;
+            return Err(Rejection::Spent);
         }
-        d.last_signer() == Some(from)
+        if d.last_signer() != Some(from) {
+            return Err(Rejection::WrongSender);
+        }
+        Ok(())
     }
 
     /// Whether a lone descriptor the node is about to rely on verifies.
@@ -138,7 +136,8 @@ impl SecureCyclonNode {
     }
 
     /// [`SecureCyclonNode::accept_transfer`] for a transfer this step's
-    /// verification pass already covered.
+    /// verification pass already covered. Every rejection is counted
+    /// here, by its cause.
     pub(super) fn accept_verified_transfer(
         &mut self,
         d: SecureDescriptor,
@@ -146,11 +145,12 @@ impl SecureCyclonNode {
         from: NodeId,
         cycle: u64,
     ) {
-        if !self.validate_transfer(&d, from) {
+        if let Err(cause) = self.validate_transfer(&d, from) {
             self.stats.transfers_rejected += 1;
+            self.causes.rejected[cause as usize] += 1;
             return;
         }
-        if !self.absorb_descriptor(&d, verified, cycle) {
+        if self.absorb(&d, Some(verified), cycle).is_err() {
             return;
         }
         self.stats.transfers_received += 1;
@@ -179,130 +179,38 @@ impl SecureCyclonNode {
     pub(super) fn handle_request(
         &mut self,
         from: Addr,
-        body: RequestBody,
+        mut body: RequestBody,
         cycle: u64,
         now: u64,
     ) -> Option<SecureMsg> {
-        let RequestBody {
-            redeemed,
-            fresh,
-            offered,
-            samples,
-            proofs,
-        } = body;
-
         // -- one batched crypto bill for the whole request --------------
         // Certificate, fresh descriptor and the acceptable eager offers
-        // verify in this step's one combined pass; the gates below go by
-        // its verdicts. (Samples are lazily verified and add no checks.)
+        // verify in this step's one combined pass; the gates go by its
+        // verdicts. (Samples are lazily verified and add no checks.)
         let eager = if self.cfg.tit_for_tat {
             0
         } else {
             self.cfg.swap_len - 1
         };
         let mut to_verify: Vec<&SecureDescriptor> = Vec::with_capacity(2 + eager);
-        to_verify.push(&redeemed);
-        to_verify.push(&fresh);
-        to_verify.extend(offered.iter().take(eager));
+        to_verify.push(&body.redeemed);
+        to_verify.push(&body.fresh);
+        to_verify.extend(body.offered.iter().take(eager));
         let verdicts = SecureDescriptor::verify_batch(&to_verify, &mut self.verify_scratch);
-        let (red_verified, fresh_verified) = (verdicts[0].is_ok(), verdicts[1].is_ok());
+        let verified = [verdicts[0].is_ok(), verdicts[1].is_ok()];
         let offered_verified: Vec<bool> = verdicts[2..].iter().map(Result::is_ok).collect();
 
-        // -- validate the redemption certificate -----------------------
-        if !red_verified || redeemed.creator() != self.id {
-            self.stats.refused += 1;
-            return None;
-        }
-        let Some(kind) = redeemed.redemption_kind() else {
-            self.stats.refused += 1;
-            return None;
+        let (kind, redeemer) = match self.admit(&mut body, verified, cycle, now) {
+            Ok(admitted) => admitted,
+            Err(cause) => {
+                self.stats.refused += 1;
+                self.causes.refused[cause as usize] += 1;
+                return None;
+            }
         };
-        let Some(redeemer) = redeemed.redeemer() else {
-            self.stats.refused += 1;
-            return None;
-        };
-
-        // -- validate the initiator's fresh descriptor -----------------
-        let fresh_ok = fresh_verified
-            && fresh.creator() == redeemer
-            && fresh.owner() == self.id
-            && fresh.transfer_count() == 1
-            && !fresh.is_redeemed()
-            && fresh.created_at().distance(Timestamp(now))
-                <= MAX_SKEW_TICKS + self.cfg.ticks_per_cycle;
-        if !fresh_ok {
-            self.stats.refused += 1;
-            return None;
-        }
-
-        // -- learn from piggybacked proofs before trusting the peer ----
-        self.process_proofs(proofs, cycle);
-        if self.blacklist.contains(&redeemer) {
-            self.stats.refused += 1;
-            return None;
-        }
-
-        // -- replay and §V-A non-swappable restrictions -----------------
-        // A descriptor may legally be spent twice in total: once by its
-        // final owner (regular redemption) and once by a past owner that
-        // kept a non-swappable copy (§V-A). Each kind at most once.
-        let id = redeemed.id();
-        match kind {
-            LinkKind::Redeem => {
-                if self.redeemed_regular.contains(&id) {
-                    self.stats.refused += 1;
-                    return None;
-                }
-            }
-            LinkKind::RedeemNonSwappable => {
-                // Rule 1: at most one NS redemption per descriptor, ever.
-                if self.ns_redeemed_ids.contains(&id) {
-                    self.stats.refused += 1;
-                    return None;
-                }
-                // Rule 2: at most one NS redemption accepted per cycle.
-                if self.ns_accepted.0 == cycle && self.ns_accepted.1 >= MAX_NS_REDEMPTIONS_PER_CYCLE
-                {
-                    self.stats.refused += 1;
-                    return None;
-                }
-            }
-            LinkKind::Transfer => unreachable!("redemption_kind is terminal"),
-        }
-
-        // -- §IV-B checks on everything received ------------------------
-        // Observe each distinct descriptor exactly once: the honest
-        // initiator's sample set legitimately repeats the redeemed
-        // certificate (it enters the redemption cache before samples are
-        // collected), and attackers pad their sample lists with arbitrary
-        // byte-identical repeats. A repeat carries no new §IV-B
-        // information, so skipping it changes no verdict — it only keeps
-        // `samples_processed` honest and saves redundant cache walks.
-        #[cfg(debug_assertions)]
-        let samples_processed_before = self.stats.samples_processed;
-        let mut observed: FxHashSet<sc_crypto::Digest> =
-            FxHashSet::with_capacity_and_hasher(samples.len() + 2, Default::default());
-        observed.insert(redeemed.state_digest());
-        observed.insert(fresh.state_digest());
-        let red_ok = self.absorb_descriptor(&redeemed, red_verified, cycle);
-        let fresh_clean = self.absorb_descriptor(&fresh, fresh_verified, cycle);
-        for s in &samples {
-            if !observed.insert(s.state_digest()) {
-                continue;
-            }
-            self.absorb_sample(s, cycle);
-        }
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.stats.samples_processed - samples_processed_before <= observed.len() as u64,
-            "samples_processed must increment at most once per observed descriptor"
-        );
-        if !red_ok || !fresh_clean || self.blacklist.contains(&redeemer) {
-            self.stats.refused += 1;
-            return None;
-        }
 
         // -- commit the redemption --------------------------------------
+        let id = body.redeemed.id();
         if kind == LinkKind::RedeemNonSwappable {
             if self.ns_accepted.0 != cycle {
                 self.ns_accepted = (cycle, 0);
@@ -332,6 +240,7 @@ impl SecureCyclonNode {
         }
 
         // -- store what we received -------------------------------------
+        let RequestBody { fresh, offered, .. } = body;
         self.stats.transfers_received += 1;
         if let Some(fresh) = self.view.try_insert(fresh, false) {
             if let Some(fresh) = self.view.try_replace_ns_with(fresh) {
@@ -367,6 +276,102 @@ impl SecureCyclonNode {
             samples: self.collect_samples(),
             proofs: self.recent_proofs(cycle),
         })))
+    }
+
+    /// The gates of the passive side, in order: the §IV-A redemption
+    /// certificate, the initiator's fresh descriptor, the redeemer's
+    /// standing, replay and the §V-A non-swappable restrictions, then the
+    /// §IV-B checks on everything received. Yields the redemption's kind
+    /// and its redeemer, or why the request is refused. It learns from the
+    /// request's proofs and samples on the way, and commits nothing.
+    fn admit(
+        &mut self,
+        body: &mut RequestBody,
+        [red_verified, fresh_verified]: [bool; 2],
+        cycle: u64,
+        now: u64,
+    ) -> Result<(LinkKind, NodeId), Refusal> {
+        let (redeemed, fresh) = (&body.redeemed, &body.fresh);
+        if !red_verified || redeemed.creator() != self.id {
+            return Err(Refusal::Certificate);
+        }
+        let (Some(kind), Some(redeemer)) = (redeemed.redemption_kind(), redeemed.redeemer()) else {
+            return Err(Refusal::NotRedeemed);
+        };
+        let fresh_ok = fresh_verified
+            && fresh.creator() == redeemer
+            && fresh.owner() == self.id
+            && fresh.transfer_count() == 1
+            && !fresh.is_redeemed()
+            && fresh.created_at().distance(Timestamp(now))
+                <= MAX_SKEW_TICKS + self.cfg.ticks_per_cycle;
+        if !fresh_ok {
+            return Err(Refusal::Fresh);
+        }
+
+        // -- learn from piggybacked proofs before trusting the peer ----
+        self.process_proofs(std::mem::take(&mut body.proofs), cycle);
+        if self.blacklist.contains(&redeemer) {
+            return Err(Refusal::Blacklisted);
+        }
+
+        // -- replay and §V-A non-swappable restrictions -----------------
+        // A descriptor may legally be spent twice in total: once by its
+        // final owner (regular redemption) and once by a past owner that
+        // kept a non-swappable copy (§V-A). Each kind at most once.
+        let id = redeemed.id();
+        match kind {
+            LinkKind::Redeem if self.redeemed_regular.contains(&id) => {
+                return Err(Refusal::Replayed);
+            }
+            // Rule 1: at most one NS redemption per descriptor, ever.
+            LinkKind::RedeemNonSwappable if self.ns_redeemed_ids.contains(&id) => {
+                return Err(Refusal::NsReplayed);
+            }
+            // Rule 2: at most one NS redemption accepted per cycle.
+            LinkKind::RedeemNonSwappable
+                if self.ns_accepted.0 == cycle
+                    && self.ns_accepted.1 >= MAX_NS_REDEMPTIONS_PER_CYCLE =>
+            {
+                return Err(Refusal::NsBudget);
+            }
+            LinkKind::Transfer => unreachable!("redemption_kind is terminal"),
+            _ => {}
+        }
+
+        // -- §IV-B checks on everything received ------------------------
+        // Observe each distinct descriptor exactly once: the honest
+        // initiator's sample set legitimately repeats the redeemed
+        // certificate (it enters the redemption cache before samples are
+        // collected), and attackers pad their sample lists with arbitrary
+        // byte-identical repeats. A repeat carries no new §IV-B
+        // information, so skipping it changes no verdict — it only keeps
+        // `samples_processed` honest and saves redundant cache walks.
+        #[cfg(debug_assertions)]
+        let samples_processed_before = self.stats.samples_processed;
+        let mut observed: FxHashSet<sc_crypto::Digest> =
+            FxHashSet::with_capacity_and_hasher(body.samples.len() + 2, Default::default());
+        observed.insert(redeemed.state_digest());
+        observed.insert(fresh.state_digest());
+        let red = self.absorb(redeemed, Some(red_verified), cycle);
+        let fresh = self.absorb(fresh, Some(fresh_verified), cycle);
+        for s in &body.samples {
+            if observed.insert(s.state_digest()) {
+                let _ = self.absorb(s, None, cycle);
+            }
+        }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.stats.samples_processed - samples_processed_before <= observed.len() as u64,
+            "samples_processed must increment at most once per observed descriptor"
+        );
+        if self.blacklist.contains(&redeemer) {
+            return Err(Refusal::Blacklisted);
+        }
+        if red.is_err() || fresh.is_err() {
+            return Err(Refusal::Discarded);
+        }
+        Ok((kind, redeemer))
     }
 
     /// Forgets the tit-for-tat session `from` has open, if any.

@@ -30,8 +30,9 @@
 //! The node is split along its four concerns: `exchange` (the active
 //! turn), `intake` (verification, transfers, the passive side),
 //! `proofs` (violations and floods) and `persistence` (the durable
-//! backend).
+//! backend); `causes` names why intake said no.
 
+mod causes;
 mod exchange;
 mod intake;
 mod persistence;
@@ -52,6 +53,7 @@ use crate::storage::StateBackend;
 use crate::view::SecureView;
 use crate::wire;
 use crate::Addr;
+pub use causes::{Causes, Discard, Refusal, Rejection};
 use exchange::Exchange;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -94,7 +96,7 @@ pub struct SecureStats {
     pub timeouts: u64,
     /// Exchanges answered as the passive party.
     pub answered: u64,
-    /// Requests refused (invalid certificate, replay, NS limits, …).
+    /// Requests refused, each for one [`Refusal`].
     pub refused: u64,
     /// Cycles skipped because the view was empty.
     pub idle_cycles: u64,
@@ -102,14 +104,15 @@ pub struct SecureStats {
     pub transfers_sent: u64,
     /// Ownership transfers accepted into the view pipeline.
     pub transfers_received: u64,
-    /// Transfers rejected by validation.
+    /// Transfers rejected by validation, each for one [`Rejection`].
     pub transfers_rejected: u64,
     /// Owned descriptors dropped because their creator was already in the
     /// view or the view was full.
     pub dup_drops: u64,
     /// Samples processed through the §IV-B checks.
     pub samples_processed: u64,
-    /// Descriptors that failed signature/structure verification.
+    /// Descriptors discarded as [`Discard::Unverified`] or
+    /// [`Discard::Forged`].
     pub invalid_descriptors: u64,
     /// Cloning proofs generated locally.
     pub proofs_generated_cloning: u64,
@@ -180,9 +183,6 @@ pub struct SecureCyclonNode {
     phase: u64,
     view: SecureView,
     samples: SampleCache,
-    /// Descriptors the sample cache refused for their age. Kept beside
-    /// [`SecureStats`], whose rendering pins recorded end states.
-    expired_refused: u64,
     /// Working vectors of the verification walk, kept so that verifying
     /// a message allocates nothing. They carry no verdict from one call
     /// to the next: every descriptor the node relies on has all its
@@ -264,6 +264,7 @@ pub struct SecureCyclonNode {
     outbox: Vec<ViolationProof>,
     rng: SmallRng,
     stats: SecureStats,
+    causes: Causes,
     proof_log: Vec<ProofRecord>,
     /// The exchange this node initiated and still awaits an answer to.
     exchange: Option<Exchange>,
@@ -309,7 +310,6 @@ impl SecureCyclonNode {
             phase,
             view: SecureView::new(id, cfg.view_len),
             samples: SampleCache::new(SAMPLE_RETENTION_CYCLES, cfg.ticks_per_cycle),
-            expired_refused: 0,
             verify_scratch: WalkScratch::default(),
             redemptions: RedemptionCache::bounded(
                 cfg.redemption_cache_cycles,
@@ -335,6 +335,7 @@ impl SecureCyclonNode {
             outbox: Vec::new(),
             rng: SmallRng::from_seed(rng_seed),
             stats: SecureStats::default(),
+            causes: Causes::default(),
             proof_log: Vec::new(),
             exchange: None,
             cfg,
@@ -374,13 +375,6 @@ impl SecureCyclonNode {
     /// Number of cached samples.
     pub fn sample_count(&self) -> usize {
         self.samples.len()
-    }
-
-    /// Descriptors refused at intake for having been created outside the
-    /// sample window ([`crate::Observation::Expired`]). No honest peer
-    /// sends one, so in an all-honest network this stays 0.
-    pub fn expired_refused(&self) -> u64 {
-        self.expired_refused
     }
 
     /// Read-only view of the reserve: owned descriptors waiting for a view
@@ -430,6 +424,11 @@ impl SecureCyclonNode {
     /// Protocol counters.
     pub fn stats(&self) -> SecureStats {
         self.stats
+    }
+
+    /// What intake refused, rejected and discarded, by cause.
+    pub fn causes(&self) -> Causes {
+        self.causes
     }
 
     /// Locally generated violation proofs, in discovery order.
@@ -560,13 +559,15 @@ impl SecureCyclonNode {
         // takes from them.
         let oldest = self.oldest_owned(cycle);
         self.view.retain(|d| d.created_at().ticks() >= oldest);
+        self.redemptions
+            .retain(|d| d.created_at().ticks() >= oldest);
     }
 
-    /// The creation timestamp below which an owned descriptor is worth
-    /// nothing at `cycle`: the creator it would be redeemed at, or the
-    /// peer it would be offered to, refuses it once it is a window old —
-    /// and before this node's next turn, a peer that took its own is a
-    /// cycle further on.
+    /// The creation timestamp below which an owned descriptor, or a
+    /// redeemed copy shipped as a sample, is worth nothing at `cycle`: the
+    /// creator it would be redeemed at, or the peer it would be offered
+    /// or shown to, refuses it once it is a window old — and before this
+    /// node's next turn, a peer that took its own is a cycle further on.
     fn oldest_owned(&self, cycle: u64) -> u64 {
         (cycle + 2).saturating_sub(SAMPLE_RETENTION_CYCLES) * self.cfg.ticks_per_cycle
     }

@@ -70,7 +70,7 @@ impl SecureCyclonNode {
         }
         self.view.purge_creator(&culprit);
         self.samples.purge_creator(&culprit);
-        self.redemptions.purge_creator(&culprit);
+        self.redemptions.retain(|d| d.creator() != culprit);
         self.pending_ns.retain(|d| d.creator() != culprit);
         self.transfer_history.retain(|d| d.creator() != culprit);
         self.reserve.retain(|d| d.creator() != culprit);

@@ -122,6 +122,7 @@ fn respent_state_is_refused_but_legitimate_return_is_not() {
     let rejected_before = node.stats.transfers_rejected;
     node.accept_transfer(handed, creator.public(), 1);
     assert_eq!(node.stats.transfers_rejected, rejected_before + 1);
+    assert_eq!(node.causes[Rejection::Spent], 1);
     assert_eq!(node.view.len(), 0, "replay must not re-enter the view");
 
     // The descriptor returning home through the next owner is legal:
@@ -190,14 +191,20 @@ fn forged_sample_cannot_preverify_a_transfer() {
     };
     let forged = SecureDescriptor::from_parts(genesis, vec![link]);
     // First shown as a sample: cached lazily, without verification.
-    assert!(node.absorb_sample(&forged, 0));
+    assert_eq!(node.absorb(&forged, None, 0), Ok(()));
     // Then replayed byte-identically as an ownership transfer: the
     // intake gate must still verify — and reject — it. (The old
     // byte-identical-sample shortcut skipped verification here.)
     node.accept_transfer(forged, c.public(), 0);
     assert_eq!(node.stats().invalid_descriptors, 1);
+    assert_eq!(node.causes()[Discard::Unverified], 1);
     assert_eq!(node.stats().transfers_received, 0);
     assert_eq!(node.view().len(), 0, "forgery never reaches the view");
+    // The genuine descriptor of the forgery's identity conflicts with the
+    // cached forgery: no violation is provable, one side is forged.
+    let genuine = SecureDescriptor::create(&c, 2, Timestamp(0));
+    assert_eq!(node.absorb(&genuine, None, 0), Err(Discard::Forged));
+    assert_eq!(node.stats().invalid_descriptors, 2);
 }
 
 #[test]
@@ -293,6 +300,7 @@ fn restart_restores_view_blacklist_and_spent_guard() {
         rejected_before + 1,
         "spent-state guard survived the restart"
     );
+    assert_eq!(revived.causes()[Rejection::Spent], 1);
 }
 
 #[test]
@@ -791,13 +799,13 @@ fn forged_inputs_move_exactly_these_counters() {
     // return shows here directly.
     use crate::msg::RoundBody;
     use sc_crypto::Signature;
-    let kps = keypairs(6);
+    let kps = keypairs(8);
     let (me, peer) = (&kps[0], &kps[1]);
     let cfg = small_cfg().validated();
     let tpc = cfg.ticks_per_cycle;
     let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [5u8; 32], 0);
-    // Something to trade away: three descriptors of third parties.
-    for (i, kp) in kps[2..5].iter().enumerate() {
+    // Something to trade away: five descriptors of third parties.
+    for (i, kp) in kps[2..5].iter().chain(&kps[6..]).enumerate() {
         let d = SecureDescriptor::create(kp, 2 + i as Addr, Timestamp(i as u64))
             .transfer(kp, me.public())
             .unwrap();
@@ -828,13 +836,15 @@ fn forged_inputs_move_exactly_these_counters() {
     let fresh = SecureDescriptor::create(peer, 1, Timestamp(tpc))
         .transfer(peer, me.public())
         .unwrap();
-    let request = |redeemed: &SecureDescriptor, fresh: &SecureDescriptor| Input::Request {
+    let request = |redeemed: &SecureDescriptor,
+                   fresh: &SecureDescriptor,
+                   samples: &[SecureDescriptor]| Input::Request {
         from: 1,
         msg: SecureMsg::Request(Box::new(RequestBody {
             redeemed: redeemed.clone(),
             fresh: fresh.clone(),
             offered: Vec::new(),
-            samples: Vec::new(),
+            samples: samples.to_vec(),
             proofs: Vec::new(),
         })),
         cycle: 1,
@@ -853,45 +863,119 @@ fn forged_inputs_move_exactly_these_counters() {
         .unwrap();
     let handed = owned_by_peer.transfer(peer, me.public()).unwrap();
     let to_a_stranger = owned_by_peer.transfer(peer, kps[4].public()).unwrap();
+    // A second certificate, and a second fresh descriptor of the peer's
+    // inside the cycle of its first: a frequency violation.
+    let minted = |at: u64, holder: &Keypair| {
+        SecureDescriptor::create(me, 0, Timestamp(at))
+            .transfer(me, holder.public())
+            .unwrap()
+            .redeem(holder, LinkKind::Redeem)
+            .unwrap()
+    };
+    let second_fresh = SecureDescriptor::create(peer, 1, Timestamp(tpc + 1))
+        .transfer(peer, me.public())
+        .unwrap();
+    // A third party's request, after the violation.
+    let third = &kps[2];
+    let third_fresh = SecureDescriptor::create(third, 2, Timestamp(tpc))
+        .transfer(third, me.public())
+        .unwrap();
 
     // (input, answered?, [refused, invalid_descriptors,
-    // transfers_rejected, transfers_received]) — recorded on the commit
-    // before the single verification pass, identical after it.
-    let table = [
+    // transfers_rejected, transfers_received], the causes it counts) —
+    // the counters recorded on the commit before the single verification
+    // pass, identical after it; each cause moves by one, no other does.
+    type Cause = fn(&Causes) -> u64;
+    type Row<'a> = (&'a str, Input, bool, [u64; 4], &'a [Cause]);
+    let table: [Row; 10] = [
         (
             "forged certificate",
-            request(&forge(&certificate, false), &fresh),
+            request(&forge(&certificate, false), &fresh, &[]),
             false,
             [1, 0, 0, 0],
+            &[|c| c[Refusal::Certificate]],
         ),
         (
             "forged fresh descriptor",
-            request(&certificate, &forge(&fresh, true)),
+            request(&certificate, &forge(&fresh, true), &[]),
             false,
             [2, 0, 0, 0],
+            &[|c| c[Refusal::Fresh]],
         ),
         (
             "valid request",
-            request(&certificate, &fresh),
+            request(&certificate, &fresh, &[]),
             true,
             [2, 0, 0, 1],
+            &[],
         ),
         (
             "forged round transfer",
             round(forge(&handed, false)),
             true,
             [2, 1, 0, 1],
+            &[|c| c[Discard::Unverified]],
         ),
         (
             "round transfer owned by somebody else",
             round(to_a_stranger),
             true,
             [2, 1, 1, 1],
+            &[|c| c[Rejection::NotOurs]],
+        ),
+        (
+            // The session's quota (s = 3: two rounds) is used up: a valid
+            // transfer after it is not even looked at.
+            "round after the session's quota",
+            round(handed.clone()),
+            false,
+            [2, 1, 1, 1],
+            &[],
+        ),
+        (
+            "replayed certificate",
+            request(&certificate, &fresh, &[]),
+            false,
+            [3, 1, 1, 1],
+            &[|c| c[Refusal::Replayed]],
+        ),
+        (
+            "second fresh descriptor in a cycle",
+            request(&minted(2 * tpc, peer), &second_fresh, &[]),
+            false,
+            [4, 1, 1, 1],
+            &[|c| c[Discard::Violation], |c| c[Refusal::Blacklisted]],
+        ),
+        (
+            "third party's request sampling the culprit",
+            request(
+                &minted(4 * tpc, third),
+                &third_fresh,
+                std::slice::from_ref(&fresh),
+            ),
+            true,
+            [4, 1, 1, 2],
+            &[|c| c[Discard::Blacklisted]],
+        ),
+        (
+            "round transfer not signed by the session's partner",
+            round(handed),
+            true,
+            [4, 1, 2, 2],
+            &[|c| c[Rejection::WrongSender]],
         ),
     ];
-    for (what, input, answered, expect) in table {
+    let total = |c: &Causes| -> u64 {
+        c.refused
+            .iter()
+            .chain(&c.rejected)
+            .chain(&c.discarded)
+            .sum()
+    };
+    for (what, input, answered, expect, causes) in table {
+        let before = node.causes();
         let fx = node.step(input);
-        let s = node.stats();
+        let (s, after) = (node.stats(), node.causes());
         assert_eq!(fx.reply.is_some(), answered, "{what}");
         assert_eq!(
             [
@@ -903,11 +987,15 @@ fn forged_inputs_move_exactly_these_counters() {
             expect,
             "{what}"
         );
+        for cause in causes {
+            assert_eq!(cause(&after), cause(&before) + 1, "{what}: {after}");
+        }
+        assert_eq!(
+            total(&after),
+            total(&before) + causes.len() as u64,
+            "{what}: {after}"
+        );
     }
-    // The session's quota (s = 3: two rounds) is used up; a valid
-    // transfer after it is not even looked at.
-    assert!(node.step(round(handed)).reply.is_none());
-    assert_eq!(node.stats().transfers_received, 1);
 }
 
 #[test]
@@ -923,7 +1011,8 @@ fn a_clone_held_back_past_the_window_is_refused() {
     let held = SecureDescriptor::create(a, 1, Timestamp(0))
         .transfer(a, b.public())
         .unwrap();
-    assert!(node.absorb_sample(&held.transfer(b, c.public()).unwrap(), 1));
+    let sample = held.transfer(b, c.public()).unwrap();
+    assert_eq!(node.absorb(&sample, None, 1), Ok(()));
     let late = SAMPLE_RETENTION_CYCLES + 2;
     for cycle in 2..=late {
         node.housekeeping(cycle);
@@ -931,19 +1020,19 @@ fn a_clone_held_back_past_the_window_is_refused() {
     node.accept_transfer(held.transfer(b, me.public()).unwrap(), b.public(), late);
     assert_eq!(node.view().len(), 0, "the clone reached the view");
     assert_eq!(node.stats().transfers_received, 0);
-    assert_eq!(node.expired_refused(), 1);
+    assert_eq!(node.causes()[Discard::Expired], 1);
 }
 
 #[test]
 fn a_turn_sends_nothing_a_peer_a_cycle_ahead_would_refuse() {
-    // The node holds, in its view, its reserve and both back-fill pools,
-    // descriptors W − 1 cycles old at its turn — which a peer that took
-    // its own turn of the next cycle refuses — and W − 2 cycles old, which
-    // that peer still admits. The turn must drop the first kind wherever
-    // it sits and trade the second.
+    // The node holds, in its view, its reserve, both back-fill pools and
+    // its redemption cache, descriptors W − 1 cycles old at its turn —
+    // which a peer that took its own turn of the next cycle refuses — and
+    // W − 2 cycles old, which that peer still admits. The turn must drop
+    // the first kind wherever it sits and trade or show the second.
     use crate::checks::Observation;
     use crate::msg::{AcceptBody, RoundReplyBody};
-    let kps = keypairs(9);
+    let kps = keypairs(11);
     let me = &kps[0];
     let cfg = small_cfg().validated();
     let tpc = cfg.ticks_per_cycle;
@@ -964,6 +1053,15 @@ fn a_turn_sends_nothing_a_peer_a_cycle_ahead_would_refuse() {
     node.reserve.extend([reserve, stale_reserve]);
     node.pending_ns.push_back(stale_pending);
     node.transfer_history.extend([history, stale_history]);
+    // Redeemed at the previous turn, inside the redemption cache's
+    // retention, when both were young enough to redeem.
+    let redeemed = |i: usize, age: u64| owned(i, age).redeem(me, LinkKind::Redeem).unwrap();
+    let cached = redeemed(9, SAMPLE_RETENTION_CYCLES - 2);
+    let stale_cached = redeemed(10, SAMPLE_RETENTION_CYCLES - 1);
+    node.redemptions.push(cached.clone(), turn - 1);
+    node.redemptions.push(stale_cached.clone(), turn - 1);
+    let fresh: Vec<SecureDescriptor> = fresh.into_iter().chain([cached]).collect();
+    let stale: Vec<SecureDescriptor> = stale.into_iter().chain([stale_cached]).collect();
 
     // The turn: the partner (the creator of the oldest view entry, which
     // it redeems) accepts with its fresh descriptor and answers the first
@@ -1024,6 +1122,7 @@ fn a_turn_sends_nothing_a_peer_a_cycle_ahead_would_refuse() {
         .chain(&node.reserve)
         .chain(&node.pending_ns)
         .chain(&node.transfer_history)
+        .chain(node.redemptions.iter())
         .map(|d| d.id())
         .chain(sent_ids)
         .collect();
@@ -1090,7 +1189,8 @@ fn a_redemption_certificate_replayed_past_the_window_is_refused() {
         "the replayed certificate bought a second exchange"
     );
     assert_eq!(node.stats().answered, 1);
-    assert_eq!(node.expired_refused(), 1);
+    assert_eq!(node.causes()[Discard::Expired], 1);
+    assert_eq!(node.causes()[Refusal::Discarded], 1);
 }
 
 #[test]
@@ -1149,7 +1249,14 @@ fn the_ns_replay_guard_holds_only_what_intake_still_admits() {
             node.handle_request(1, request(certificate(old), replay), replay, replay * tpc);
         assert!(refused.is_none(), "certificate of cycle {old}: {why}");
     }
-    assert_eq!(node.expired_refused(), 1);
+    let causes = node.causes();
+    assert_eq!(causes[Discard::Expired], 1);
+    assert_eq!(causes[Refusal::Discarded], 1, "the certificate of cycle 1");
+    assert_eq!(
+        causes[Refusal::NsReplayed],
+        1,
+        "the certificate of cycle {last}"
+    );
     assert_eq!(node.stats().answered, last);
 }
 

@@ -9,7 +9,6 @@
 
 use crate::descriptor::SecureDescriptor;
 use crate::ring::ExpiryRing;
-use sc_crypto::NodeId;
 
 /// FIFO cache of recently redeemed descriptors.
 ///
@@ -18,7 +17,9 @@ use sc_crypto::NodeId;
 /// `max_entries` is reached). The age bound alone is not enough — under
 /// heavy churn one retention window can see arbitrarily many redemptions,
 /// and every entry is shipped as a sample in every gossip message, so an
-/// unbounded cache inflates both memory and §VI-A traffic.
+/// unbounded cache inflates both memory and §VI-A traffic. The node also
+/// drops an entry by its descriptor's creation, as it drops view entries
+/// (`retain`), so that no peer refuses a sample of it for its age.
 #[derive(Debug, Default)]
 pub struct RedemptionCache {
     entries: ExpiryRing<SecureDescriptor>,
@@ -88,9 +89,11 @@ impl RedemptionCache {
             .expire(now_cycle.saturating_sub(self.retention_cycles));
     }
 
-    /// Removes entries created by `creator` (post-blacklist purge).
-    pub fn purge_creator(&mut self, creator: &NodeId) {
-        self.entries.retain(|d| d.creator() != *creator);
+    /// Keeps only the entries `keep` holds to: a culprit's go when it is
+    /// blacklisted, and every entry as old as the node's view drops, since
+    /// a peer would refuse the sample.
+    pub fn retain(&mut self, keep: impl FnMut(&SecureDescriptor) -> bool) {
+        self.entries.retain(keep);
     }
 }
 
@@ -154,7 +157,7 @@ mod tests {
         let victim = d1.creator();
         cache.push(d1, 10);
         cache.push(redeemed(2, 0), 10);
-        cache.purge_creator(&victim);
+        cache.retain(|d| d.creator() != victim);
         assert_eq!(cache.len(), 1);
         assert!(cache.iter().all(|d| d.creator() != victim));
     }

@@ -4,7 +4,7 @@
 //! restrictions).
 
 use sc_core::{
-    Addr, Input, LinkKind, RequestBody, SecureConfig, SecureCyclonNode, SecureDescriptor,
+    Addr, Input, LinkKind, Refusal, RequestBody, SecureConfig, SecureCyclonNode, SecureDescriptor,
     SecureMsg, Timestamp, ViolationProof,
 };
 use sc_crypto::{Keypair, Scheme};
@@ -89,6 +89,11 @@ impl Harness {
     fn next_cycle(&mut self) {
         self.cycle += 1;
     }
+
+    /// Requests Carol refused for `cause`.
+    fn refused(&self, cause: Refusal) -> u64 {
+        self.carol.causes()[cause]
+    }
 }
 
 /// Steps one RPC into `node` as its server side; returns the reply.
@@ -100,6 +105,8 @@ fn serve(node: &mut SecureCyclonNode, from: Addr, msg: SecureMsg, cycle: u64) ->
         now: cycle * TPC,
     });
     assert!(fx.rpc.is_none(), "serving a request never starts an RPC");
+    let by_cause: u64 = node.causes().refused.iter().sum();
+    assert_eq!(by_cause, node.stats().refused, "each refusal has one cause");
     fx.reply
 }
 
@@ -144,6 +151,7 @@ fn foreign_certificate_is_refused() {
         },
     );
     assert!(reply.is_none(), "wrong creator refused");
+    assert_eq!(h.refused(Refusal::Certificate), 1);
 }
 
 #[test]
@@ -166,6 +174,7 @@ fn unredeemed_certificate_is_refused() {
         },
     );
     assert!(reply.is_none());
+    assert_eq!(h.refused(Refusal::NotRedeemed), 1);
 }
 
 #[test]
@@ -180,6 +189,7 @@ fn regular_replay_is_refused() {
         h.deliver(2, body).is_none(),
         "same certificate cannot be spent twice"
     );
+    assert_eq!(h.refused(Refusal::Replayed), 1);
 }
 
 #[test]
@@ -225,6 +235,7 @@ fn ns_rule_1_one_ns_redemption_per_descriptor() {
         reply.is_none(),
         "second NS redemption of the same id refused"
     );
+    assert_eq!(h.refused(Refusal::NsReplayed), 1);
 }
 
 #[test]
@@ -245,6 +256,7 @@ fn ns_rule_2_one_ns_redemption_per_cycle() {
         h.deliver(3, again.clone()).is_none(),
         "second NS redemption in the same cycle refused"
     );
+    assert_eq!(h.refused(Refusal::NsBudget), 1);
     h.next_cycle();
     assert!(
         accepted(&h.deliver(3, again)),
@@ -320,6 +332,7 @@ fn stale_fresh_descriptor_is_refused() {
         reply.is_none(),
         "cycle-50 exchange with a cycle-5 fresh refused"
     );
+    assert_eq!(h.refused(Refusal::Fresh), 1);
 }
 
 #[test]
@@ -344,6 +357,7 @@ fn fresh_from_third_party_is_refused() {
         },
     );
     assert!(reply.is_none());
+    assert_eq!(h.refused(Refusal::Fresh), 1);
 }
 
 #[test]
@@ -373,6 +387,7 @@ fn piggybacked_proof_blacklists_the_requester() {
     body.proofs = vec![proof];
     let reply = h.deliver(2, body);
     assert!(reply.is_none(), "self-incriminating request refused");
+    assert_eq!(h.refused(Refusal::Blacklisted), 1);
     assert!(h.carol.blacklist().contains(&bob.public()));
 }
 
@@ -398,6 +413,7 @@ fn blacklisted_requester_stays_refused() {
     let token2 = h.carol_token(&bob, 2000);
     let reply = h.deliver(2, h.request(&bob, &token2, LinkKind::Redeem));
     assert!(reply.is_none(), "eviction is permanent");
+    assert_eq!(h.refused(Refusal::Blacklisted), 2);
 }
 
 #[test]

@@ -11,7 +11,7 @@ use crate::frame::{Frame, FrameKind, FrameReader};
 use crate::transport::TransportStats;
 use sc_core::wire::{Reader, WireError, WireLimits, Writer};
 use sc_core::Addr;
-use sc_core::{SecureDescriptor, SecureStats};
+use sc_core::{Causes, SecureDescriptor, SecureStats};
 use sc_crypto::PublicKey;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpStream};
@@ -41,6 +41,8 @@ pub struct StatusReport {
     pub redemptions: usize,
     /// Protocol counters.
     pub stats: SecureStats,
+    /// What intake refused, rejected and discarded, by cause.
+    pub causes: Causes,
     /// Transport counters.
     pub transport: TransportStats,
     /// RPC request frames retransmitted inside their deadline (the same
@@ -74,6 +76,23 @@ counter_codec!(SecureStats, put_stats, get_stats:
     proofs_invalid, ns_backfills, ns_redemptions_accepted, bytes_sent,
     bytes_received, rejoin_pings, rejoin_grants,
 );
+
+/// Writes and reads [`Causes`] as its counts: refusals, rejections, then
+/// discards, each in its cause's declaration order.
+fn put_causes(w: &mut Writer<'_>, c: &Causes) {
+    for n in c.refused.iter().chain(&c.rejected).chain(&c.discarded) {
+        w.u64(*n);
+    }
+}
+
+fn get_causes(r: &mut Reader<'_>) -> Result<Causes, WireError> {
+    let mut c = Causes::default();
+    let counts = c.refused.iter_mut().chain(&mut c.rejected);
+    for n in counts.chain(&mut c.discarded) {
+        *n = r.u64()?;
+    }
+    Ok(c)
+}
 
 counter_codec!(TransportStats, put_transport, get_transport:
     frames_in, frames_out, bytes_in, bytes_out, active_conns, peak_conns,
@@ -112,6 +131,7 @@ impl StatusReport {
         w.list(2, &self.blacklist, |w, id| w.bytes(id.as_bytes()));
         w.u16(u16::try_from(self.redemptions).unwrap_or(u16::MAX));
         put_stats(&mut w, &self.stats);
+        put_causes(&mut w, &self.causes);
         put_transport(&mut w, &self.transport);
         w.u64(self.retransmits);
         w.u64(self.turns_skipped);
@@ -141,6 +161,7 @@ impl StatusReport {
             blacklist: list(&mut c, Reader::key)?,
             redemptions: usize::from(c.u16()?),
             stats: get_stats(&mut c)?,
+            causes: get_causes(&mut c)?,
             transport: get_transport(&mut c)?,
             retransmits: c.u64()?,
             turns_skipped: c.u64()?,
@@ -287,6 +308,13 @@ mod tests {
                 bytes_sent: 123_456,
                 ..SecureStats::default()
             },
+            // A distinct count for every cause: a codec that swapped two
+            // would not round-trip.
+            causes: Causes {
+                refused: [1, 2, 3, 4, 5, 6, 7, 8],
+                rejected: [9, 10, 11],
+                discarded: [12, 13, 14, 15, 16],
+            },
             transport: TransportStats {
                 frames_in: 9000,
                 peak_conns: 37,
@@ -316,6 +344,7 @@ mod tests {
         assert_eq!(back.blacklist, report.blacklist);
         assert_eq!(back.redemptions, 5);
         assert_eq!(back.stats, report.stats);
+        assert_eq!(back.causes, report.causes);
         assert_eq!(back.transport, report.transport);
         assert_eq!(back.retransmits, 17);
         assert_eq!(back.turns_skipped, 3);
@@ -333,6 +362,7 @@ mod tests {
             blacklist: vec![],
             redemptions: 0,
             stats: SecureStats::default(),
+            causes: Causes::default(),
             transport: TransportStats::default(),
             retransmits: 9,
             turns_skipped: 9,
@@ -371,6 +401,10 @@ mod tests {
     #[test]
     fn truncated_reports_error_cleanly() {
         let bytes = full_report().encode();
+        // Every cut, those inside the 16 counts of the causes section
+        // included: it lies before the 11 transport and 2 daemon counters.
+        let causes = bytes.len() - (16 + 13) * 8;
+        assert_eq!(bytes[causes..][..8], 1u64.to_be_bytes());
         for cut in 0..bytes.len() {
             assert_eq!(
                 StatusReport::decode(&bytes[..cut], &WireLimits::DEFAULT).unwrap_err(),

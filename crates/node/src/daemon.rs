@@ -577,6 +577,7 @@ impl Daemon {
             blacklist: self.node.blacklist().culprits().copied().collect(),
             redemptions: self.node.redemption_count(),
             stats: self.stats(),
+            causes: self.node.causes(),
             transport: self.transport.stats(),
             retransmits: self.retransmits,
             turns_skipped: self.turns_skipped,

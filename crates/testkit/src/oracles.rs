@@ -15,7 +15,7 @@
 use crate::net::SecureNetwork;
 use crate::scenario::{OracleConfig, Scenario};
 use crate::snapshot::NetSnapshot;
-use sc_core::DescriptorId;
+use sc_core::{Causes, DescriptorId, Discard};
 use sc_crypto::{FxHashMap, FxHashSet, NodeId};
 use sc_sim::Addr;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -34,6 +34,9 @@ pub struct Violation {
     pub oracle: &'static str,
     /// Human-readable specifics.
     pub detail: String,
+    /// The failing snapshot's network-wide totals by cause (boxed: they
+    /// would double the size of every oracle's `Result`).
+    pub causes: Box<Causes>,
     /// The one-command reproduction for this run.
     pub replay: String,
 }
@@ -42,8 +45,14 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "oracle '{}' violated in scenario '{}' (seed {}, cycle {}): {}\n  replay: {}",
-            self.oracle, self.scenario, self.seed, self.cycle, self.detail, self.replay,
+            "oracle '{}' violated in scenario '{}' (seed {}, cycle {}): {}\n  causes: {}\n  replay: {}",
+            self.oracle,
+            self.scenario,
+            self.seed,
+            self.cycle,
+            self.detail,
+            self.causes,
+            self.replay,
         )
     }
 }
@@ -141,13 +150,14 @@ impl OracleSuite {
         }
     }
 
-    fn violation(&self, cycle: u64, oracle: &'static str, detail: String) -> Violation {
+    fn violation(&self, snap: &NetSnapshot, oracle: &'static str, detail: String) -> Violation {
         Violation {
             scenario: self.scenario.clone(),
             seed: self.seed,
-            cycle,
+            cycle: snap.cycle,
             oracle,
             detail,
+            causes: Box::new(snap.causes()),
             replay: self.replay.clone(),
         }
     }
@@ -159,35 +169,7 @@ impl OracleSuite {
         if !step.is_multiple_of(self.cfg.stride.max(1)) {
             return Ok(());
         }
-        self.check_age_cap(net)?;
         self.check_snapshot(&NetSnapshot::from_network(net), step)
-    }
-
-    /// Nothing honest is refused for its age: an honest node drops what
-    /// it owns before it leaves the sample window, so in a network of
-    /// honest nodes only a refusal means the window is shorter than the
-    /// run's descriptor lifetimes. With an adversary present it checks
-    /// nothing: an adversary may hold a descriptor back as long as it
-    /// likes.
-    fn check_age_cap(&self, net: &SecureNetwork) -> Result<(), Violation> {
-        let mut first_refusal = None;
-        for (addr, node) in net.engine.nodes() {
-            let Some(honest) = node.honest() else {
-                return Ok(());
-            };
-            let refused = honest.expired_refused();
-            if refused > 0 && first_refusal.is_none() {
-                first_refusal = Some((addr, refused));
-            }
-        }
-        match first_refusal {
-            None => Ok(()),
-            Some((addr, refused)) => Err(self.violation(
-                net.engine.cycle(),
-                "age-cap",
-                format!("node {addr} refused {refused} descriptors created outside the window"),
-            )),
-        }
     }
 
     /// Runs every enabled per-cycle oracle against a snapshot (simulated
@@ -196,38 +178,64 @@ impl OracleSuite {
         if !step.is_multiple_of(self.cfg.stride.max(1)) {
             return Ok(());
         }
-        let cycle = snap.cycle;
+        self.check_expired(snap)?;
         if self.cfg.view_invariants {
-            self.check_view_invariants(snap, cycle)?;
+            self.check_view_invariants(snap)?;
         }
         if self.cfg.unique_ownership {
-            self.check_unique_ownership(snap, cycle)?;
+            self.check_unique_ownership(snap)?;
         }
         if self.cfg.blacklist_monotone {
-            self.check_blacklists(snap, cycle)?;
+            self.check_blacklists(snap)?;
         }
         if let Some(bound) = self.cfg.max_indegree {
             if step >= self.cfg.warmup {
-                self.check_indegree(snap, cycle, bound)?;
+                self.check_indegree(snap, bound)?;
             }
         }
         if let Some(bound) = self.cfg.redemption_bound {
-            self.check_redemption_bound(snap, cycle, bound)?;
+            self.check_redemption_bound(snap, bound)?;
         }
         if let Some(ceiling) = self.cfg.byte_budget_per_cycle {
-            self.check_byte_budget(snap, cycle, ceiling)?;
+            self.check_byte_budget(snap, ceiling)?;
+        }
+        Ok(())
+    }
+
+    /// Nothing honest is refused for its age: an honest node drops what
+    /// it owns, and the redeemed copies it shows as samples, before they
+    /// leave the sample window, so in a network of honest nodes a
+    /// [`Discard::Expired`] means one of them sent a descriptor a window
+    /// old. With an adversary present it checks nothing: an adversary may
+    /// hold a descriptor back as long as it likes.
+    fn check_expired(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+        if !snap.malicious_ids.is_empty() {
+            return Ok(());
+        }
+        for node in &snap.nodes {
+            let refused = node.causes[Discard::Expired];
+            if refused > 0 {
+                return Err(self.violation(
+                    snap,
+                    "age-cap",
+                    format!(
+                        "node {} refused {refused} descriptors created outside the window",
+                        node.addr
+                    ),
+                ));
+            }
         }
         Ok(())
     }
 
     /// Per-view structural invariants: capacity, ownership, no duplicate
     /// identities, non-swappable accounting.
-    fn check_view_invariants(&self, snap: &NetSnapshot, cycle: u64) -> Result<(), Violation> {
+    fn check_view_invariants(&self, snap: &NetSnapshot) -> Result<(), Violation> {
         for node in &snap.nodes {
             let addr = node.addr;
             if node.view.len() > self.view_len {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "view-conservation",
                     format!(
                         "node {addr}: view holds {} > ℓ={}",
@@ -240,28 +248,28 @@ impl OracleSuite {
             for (desc, _) in &node.view {
                 if desc.creator() == node.id {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "view-conservation",
                         format!("node {addr}: self-link in view"),
                     ));
                 }
                 if desc.owner() != node.id {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "view-conservation",
                         format!("node {addr}: view entry not owned by the node"),
                     ));
                 }
                 if desc.is_redeemed() {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "view-conservation",
                         format!("node {addr}: redeemed descriptor in view"),
                     ));
                 }
                 if !ids.insert(desc.id()) {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "view-conservation",
                         format!("node {addr}: duplicate descriptor identity in view"),
                     ));
@@ -275,14 +283,14 @@ impl OracleSuite {
     /// "Live-owned" counts swappable view entries and reserve entries;
     /// non-swappable entries are §V-A retained copies and legitimately
     /// coexist with the real owner's copy.
-    fn check_unique_ownership(&self, snap: &NetSnapshot, cycle: u64) -> Result<(), Violation> {
+    fn check_unique_ownership(&self, snap: &NetSnapshot) -> Result<(), Violation> {
         let mut owners: HashMap<DescriptorId, Addr> = HashMap::new();
         for node in &snap.nodes {
             let swappable = node.view.iter().filter(|(_, ns)| !ns).map(|(desc, _)| desc);
             for d in swappable.chain(node.reserve.iter()) {
                 if let Some(prev) = owners.insert(d.id(), node.addr) {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "unique-ownership",
                         format!(
                             "descriptor {:?} live-owned by nodes {prev} and {}",
@@ -299,7 +307,7 @@ impl OracleSuite {
     /// Honest blacklists only grow, and never contain honest identities
     /// (no false accusations — message loss and partitions are not
     /// violations, §V-A).
-    fn check_blacklists(&mut self, snap: &NetSnapshot, cycle: u64) -> Result<(), Violation> {
+    fn check_blacklists(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
         self.honest_ever.extend(snap.nodes.iter().map(|n| n.id));
         // Every id of every blacklist is looked up here each cycle; Fx
         // keeps that cheap where blacklists run to thousands.
@@ -310,7 +318,7 @@ impl OracleSuite {
             for id in &node.blacklist {
                 if !malicious.contains(id) && self.honest_ever.contains(id) {
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "blacklist-monotone",
                         format!("node {addr} blacklisted an honest node"),
                     ));
@@ -327,7 +335,7 @@ impl OracleSuite {
                 if prev.iter().enumerate().any(|(i, p)| p & !word(i) != 0) {
                     let count = |set: &[u64]| set.iter().map(|w| w.count_ones()).sum::<u32>();
                     return Err(self.violation(
-                        cycle,
+                        snap,
                         "blacklist-monotone",
                         format!(
                             "node {addr}: blacklist shrank from {} to {} entries",
@@ -345,12 +353,7 @@ impl OracleSuite {
     /// In-degree of honest creators across honest views stays within the
     /// paper's bounds (descriptors are conserved tokens, so no honest node
     /// can be over-represented).
-    fn check_indegree(
-        &self,
-        snap: &NetSnapshot,
-        cycle: u64,
-        bound: usize,
-    ) -> Result<(), Violation> {
+    fn check_indegree(&self, snap: &NetSnapshot, bound: usize) -> Result<(), Violation> {
         let mut indegree: HashMap<NodeId, usize> = HashMap::new();
         for node in &snap.nodes {
             for (desc, _) in &node.view {
@@ -363,7 +366,7 @@ impl OracleSuite {
         if let Some((_, &max)) = indegree.iter().max_by_key(|(_, &c)| c) {
             if max > bound {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "indegree-bounded",
                     format!("honest in-degree {max} exceeds bound {bound}"),
                 ));
@@ -376,16 +379,11 @@ impl OracleSuite {
     /// age: under churn a single retention window can see arbitrarily
     /// many redemptions, and an unbounded cache is a memory-exhaustion
     /// vector on long-lived daemons.
-    fn check_redemption_bound(
-        &self,
-        snap: &NetSnapshot,
-        cycle: u64,
-        bound: usize,
-    ) -> Result<(), Violation> {
+    fn check_redemption_bound(&self, snap: &NetSnapshot, bound: usize) -> Result<(), Violation> {
         for node in &snap.nodes {
             if node.redemptions > bound {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "redemption-bound",
                     format!(
                         "node {}: redemption cache holds {} > cap {bound}",
@@ -403,19 +401,14 @@ impl OracleSuite {
     /// back by quiet cycles, and so the check stays sound across
     /// crash-restarts, which reset a node's counters to zero. Convicting
     /// the adversaries is paid for once, by [`detection_allowance`].
-    fn check_byte_budget(
-        &self,
-        snap: &NetSnapshot,
-        cycle: u64,
-        ceiling: u64,
-    ) -> Result<(), Violation> {
-        let allowance = self.detection_allowance;
+    fn check_byte_budget(&self, snap: &NetSnapshot, ceiling: u64) -> Result<(), Violation> {
+        let (cycle, allowance) = (snap.cycle, self.detection_allowance);
         let budget = ceiling.saturating_mul(cycle + 1).saturating_add(allowance);
         for node in &snap.nodes {
             let (sent, received) = (node.stats.bytes_sent, node.stats.bytes_received);
             if sent > budget || received > budget {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "byte-budget",
                     format!(
                         "node {}: {sent} bytes sent / {received} received exceed \
@@ -438,12 +431,11 @@ impl OracleSuite {
     /// should scrape it quiescent (`--stop-cycle` linger), since
     /// connectivity and ownership are cross-node properties.
     pub fn check_snapshot_final(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let cycle = snap.cycle;
         if let Some(floor) = self.cfg.final_connectivity {
             let (component, honest_alive) = largest_component(snap);
             if (component as f64) < floor * honest_alive as f64 {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "convergence",
                     format!(
                         "honest overlay fragmented: largest component {component} of \
@@ -464,7 +456,7 @@ impl OracleSuite {
             };
             if avg < floor * self.view_len as f64 {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "convergence",
                     format!(
                         "average honest view fill {avg:.2} below floor {:.2}",
@@ -477,7 +469,7 @@ impl OracleSuite {
             let (cloning, frequency) = snap.proofs_generated();
             if cloning + frequency == 0 {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "eventual-detection",
                     "adversary active but no violation was ever proven".to_string(),
                 ));
@@ -485,7 +477,7 @@ impl OracleSuite {
             let coverage = snap.blacklist_coverage();
             if coverage < coverage_floor {
                 return Err(self.violation(
-                    cycle,
+                    snap,
                     "eventual-detection",
                     format!("blacklist coverage {coverage:.3} below floor {coverage_floor}"),
                 ));
@@ -543,6 +535,7 @@ mod tests {
     use super::*;
     use crate::net::{build_secure_network, SecureNetParams};
     use sc_attacks::SecureAttack;
+    use sc_core::Refusal;
 
     #[test]
     fn violation_display_carries_replay_command() {
@@ -552,6 +545,7 @@ mod tests {
             cycle: 37,
             oracle: "convergence",
             detail: "fragmented".into(),
+            causes: Box::default(),
             replay: matrix_replay("honest-partition-heal", 42),
         };
         let msg = v.to_string();
@@ -609,8 +603,20 @@ mod tests {
 
         let mut over_cache = clean.clone();
         over_cache.nodes[0].redemptions = 65;
+        for node in &mut over_cache.nodes {
+            node.causes = Causes::default();
+        }
+        over_cache.nodes[0].causes.refused[Refusal::Fresh as usize] = 2;
+        over_cache.nodes[1].causes.refused[Refusal::Fresh as usize] = 1;
+        over_cache.nodes[1].causes.discarded[Discard::Blacklisted as usize] = 4;
         let v = mk().check_snapshot(&over_cache, 0).unwrap_err();
         assert_eq!(v.oracle, "redemption-bound");
+        assert!(
+            v.to_string().contains(
+                "\n  causes: refused 3 (Fresh 3); rejected 0; discarded 4 (Blacklisted 4)\n  replay: cmd"
+            ),
+            "{v}"
+        );
 
         let mut over_wire = clean.clone();
         over_wire.nodes[0].stats.bytes_received = (1 << 20) * (over_wire.cycle + 1) + 1;
@@ -635,7 +641,7 @@ mod tests {
         for step in 0..window {
             net.engine.run_cycle();
             suite
-                .check_cycle(&net, step)
+                .check_snapshot(&NetSnapshot::from_network(&net), step)
                 .expect("gossip refuses nothing for its age");
         }
         let addr = net
@@ -659,16 +665,10 @@ mod tests {
             cycle: window + 6,
             now: (window + 6) * 1000,
         });
-        assert_eq!(
-            net.engine
-                .node(addr)
-                .unwrap()
-                .honest()
-                .unwrap()
-                .expired_refused(),
-            1
-        );
-        (suite.check_cycle(&net, window), addr)
+        let honest = net.engine.node(addr).unwrap().honest().unwrap();
+        assert_eq!(honest.causes()[Discard::Expired], 1);
+        let snap = NetSnapshot::from_network(&net);
+        (suite.check_snapshot(&snap, window), addr)
     }
 
     #[test]

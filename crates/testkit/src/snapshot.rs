@@ -20,7 +20,7 @@
 //! what the daemon's `--stop-cycle` linger mode provides.
 
 use crate::net::SecureNetwork;
-use sc_core::{SecureDescriptor, SecureStats};
+use sc_core::{Causes, SecureDescriptor, SecureStats};
 use sc_crypto::NodeId;
 use sc_node::StatusReport;
 use sc_sim::Addr;
@@ -44,6 +44,8 @@ pub struct NodeSnapshot {
     pub redemptions: usize,
     /// Protocol counters.
     pub stats: SecureStats,
+    /// What intake refused, rejected and discarded, by cause.
+    pub causes: Causes,
 }
 
 impl From<StatusReport> for NodeSnapshot {
@@ -56,6 +58,7 @@ impl From<StatusReport> for NodeSnapshot {
             blacklist: r.blacklist,
             redemptions: r.redemptions,
             stats: r.stats,
+            causes: r.causes,
         }
     }
 }
@@ -92,6 +95,7 @@ impl NetSnapshot {
                     blacklist: h.blacklist().culprits().copied().collect(),
                     redemptions: h.redemption_count(),
                     stats: h.stats(),
+                    causes: h.causes(),
                 })
             })
             .collect();
@@ -112,6 +116,16 @@ impl NetSnapshot {
             nodes: reports.into_iter().map(NodeSnapshot::from).collect(),
             malicious_ids: HashSet::new(),
         }
+    }
+
+    /// What honest nodes refused, rejected and discarded, by cause,
+    /// summed over the network.
+    pub fn causes(&self) -> Causes {
+        let mut total = Causes::default();
+        for n in &self.nodes {
+            total += &n.causes;
+        }
+        total
     }
 
     /// Total violation proofs honest nodes generated `(cloning, frequency)`.
@@ -173,6 +187,7 @@ mod tests {
             assert_eq!(node.id, h.id());
             assert_eq!(node.view.len(), h.view().len());
             assert_eq!(node.stats, h.stats());
+            assert_eq!(node.causes, h.causes());
         }
     }
 }

@@ -19,6 +19,9 @@
 //! * `SC_SCENARIO=<name>` — run only the named scenario.
 //! * `SC_SEED=<seed>` — run only the given seed.
 //!
+//! Each clean run prints its `ok` summary line and, under it, the honest
+//! nodes' refusals, rejections and discards summed by cause.
+//!
 //! Replaying a reported violation:
 //!
 //! ```text
@@ -26,7 +29,10 @@
 //!     cargo test --test scenario_matrix -- --nocapture
 //! ```
 
-use securecyclon::testkit::{run_scenario, standard_matrix, MatrixSize, MATRIX_SEEDS};
+use securecyclon::core::Discard;
+use securecyclon::testkit::{
+    run_scenario, run_scenario_with_net, standard_matrix, MatrixSize, NetSnapshot, MATRIX_SEEDS,
+};
 
 fn env_filter(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
@@ -70,8 +76,19 @@ fn scenario_matrix_holds_all_oracles() {
 
     let mut failures = Vec::new();
     for (scenario, seed) in combos {
-        match run_scenario(scenario, seed) {
-            Ok(summary) => {
+        match run_scenario_with_net(scenario, seed) {
+            Ok((summary, net)) => {
+                // Every count of a refusal, a rejection or an invalid
+                // descriptor is one of a cause.
+                let end = NetSnapshot::from_network(&net);
+                for node in &end.nodes {
+                    let (s, c) = (node.stats, node.causes);
+                    let at = format!("{} seed {seed} node {}: {c}", scenario.name, node.addr);
+                    assert_eq!(c.refused.iter().sum::<u64>(), s.refused, "{at}");
+                    assert_eq!(c.rejected.iter().sum::<u64>(), s.transfers_rejected, "{at}");
+                    let invalid = c[Discard::Unverified] + c[Discard::Forged];
+                    assert_eq!(invalid, s.invalid_descriptors, "{at}");
+                }
                 println!(
                     "ok   {:<24} seed {seed}: {} cycles, {} alive ({} honest, +{} joined, \
                      -{} departed), proofs {:?}, coverage {:.2}, mal-links {:.3}, ns {:.3}",
@@ -86,6 +103,7 @@ fn scenario_matrix_holds_all_oracles() {
                     summary.malicious_links,
                     summary.ns_links,
                 );
+                println!("     causes {}", end.causes());
             }
             Err(violation) => {
                 println!("FAIL {violation}");
