@@ -44,5 +44,5 @@ pub use hub_legacy::{
     build_legacy_network, legacy_malicious_link_fraction, LegacyHubAttacker, LegacyNet,
     LegacyNetParams, LegacyParty,
 };
-pub use malicious::{CloneEvent, CloneLedger, MaliciousSecureNode, SecureAttack};
+pub use malicious::{CloneEvent, MaliciousSecureNode, SecureAttack};
 pub use party::SecureParty;

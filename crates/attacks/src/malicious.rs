@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// What a malicious node does once the attack starts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SecureAttack {
     /// Never deviates (control group).
     None,
@@ -43,12 +43,11 @@ pub enum SecureAttack {
     Hub,
     /// Link-depletion: empty responses (Figure 6).
     Depletion,
-    /// Age-targeted double-spend (Figure 7). Ages are in cycles.
+    /// Age-targeted double-spend (Figure 7), each one recorded in the
+    /// party's [`SecureParty::clone_events`]. Ages are in cycles.
     Cloner {
         /// Clone a held descriptor when its age reaches this value.
         target_age: u64,
-        /// Shared ledger recording clone events for measurement.
-        ledger: Arc<Mutex<CloneLedger>>,
     },
     /// Frequency violation: `extra` additional creations per cycle.
     Frequency {
@@ -66,30 +65,6 @@ pub struct CloneEvent {
     pub age_cycles: u64,
     /// Cycle the duplication happened.
     pub cycle: u64,
-}
-
-/// Shared ledger of clone events, filled by attackers and read by the
-/// experiment harness to compute detection ratios.
-#[derive(Debug, Default)]
-pub struct CloneLedger {
-    /// All duplication events in order.
-    pub events: Vec<CloneEvent>,
-}
-
-impl CloneLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a duplication.
-    pub fn register(&mut self, desc: DescriptorId, age_cycles: u64, cycle: u64) {
-        self.events.push(CloneEvent {
-            desc,
-            age_cycles,
-            cycle,
-        });
-    }
 }
 
 struct MalSession {
@@ -272,9 +247,7 @@ impl MaliciousSecureNode {
     /// the cloner twist: descriptors that reached the target age are
     /// double-spent across two different partners.
     fn next_transfer(&mut self, partner: NodeId, cycle: u64, now: u64) -> Option<SecureDescriptor> {
-        if let SecureAttack::Cloner { target_age, ledger } = &self.attack {
-            let target_age = *target_age;
-            let ledger = Arc::clone(ledger);
+        if let SecureAttack::Cloner { target_age } = self.attack {
             if cycle >= self.attack_start {
                 // Second copy of a pending clone, to a *different* partner.
                 if let Some((pre, first)) = self.pending_clone.take() {
@@ -293,9 +266,14 @@ impl MaliciousSecureNode {
                     });
                     if let Some(pos) = pos {
                         let pre = self.owned.swap_remove(pos);
-                        let age = pre.age_cycles(Timestamp(now), self.ticks_per_cycle);
+                        let event = CloneEvent {
+                            desc: pre.id(),
+                            age_cycles: pre.age_cycles(Timestamp(now), self.ticks_per_cycle),
+                            cycle,
+                        };
                         self.cloned_ids.insert(pre.id());
-                        ledger.lock().unwrap().register(pre.id(), age, cycle);
+                        // The search above has released its party lock.
+                        self.party.lock().unwrap().register_clone(event);
                         let out = pre.transfer(&self.keypair, partner).ok();
                         self.pending_clone = Some((pre, partner));
                         return out;

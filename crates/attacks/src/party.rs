@@ -13,7 +13,11 @@
 //! * **victim tokens** — descriptors created by honest nodes and harvested
 //!   through exchanges; these are the redemption certificates that let
 //!   members initiate gossip with chosen victims.
+//!
+//! It also keeps the party's own record of every deliberate duplication
+//! its cloners perform, which Figure 7 measures detection against.
 
+use crate::malicious::CloneEvent;
 use rand::Rng;
 use sc_core::Addr;
 use sc_core::{DescriptorId, SecureDescriptor, Timestamp};
@@ -34,6 +38,8 @@ pub struct SecureParty {
     spent_tokens: HashSet<DescriptorId>,
     pool_retention_cycles: u64,
     ticks_per_cycle: u64,
+    /// Every duplication the party's cloners performed, in order.
+    clone_events: Vec<CloneEvent>,
 }
 
 impl core::fmt::Debug for SecureParty {
@@ -64,6 +70,7 @@ impl SecureParty {
             spent_tokens: HashSet::new(),
             pool_retention_cycles: 10,
             ticks_per_cycle,
+            clone_events: Vec::new(),
         }
     }
 
@@ -176,6 +183,16 @@ impl SecureParty {
         };
         let kp_me = self.keypair_of(me)?;
         owned_by_me.transfer(kp_me, *victim).ok()
+    }
+
+    /// Records one deliberate duplication (Figure 7 bookkeeping).
+    pub fn register_clone(&mut self, event: CloneEvent) {
+        self.clone_events.push(event);
+    }
+
+    /// Every duplication the party's cloners performed, in order.
+    pub fn clone_events(&self) -> &[CloneEvent] {
+        &self.clone_events
     }
 
     /// Drops pool descriptors older than the retention window (the paper's

@@ -97,9 +97,6 @@ impl SecureCyclonNode {
         };
         if let Err(cause) = outcome {
             self.causes.discarded[cause as usize] += 1;
-            if matches!(cause, Discard::Unverified | Discard::Forged) {
-                self.stats.invalid_descriptors += 1;
-            }
         }
         outcome
     }
@@ -146,7 +143,6 @@ impl SecureCyclonNode {
         cycle: u64,
     ) {
         if let Err(cause) = self.validate_transfer(&d, from) {
-            self.stats.transfers_rejected += 1;
             self.causes.rejected[cause as usize] += 1;
             return;
         }
@@ -203,7 +199,6 @@ impl SecureCyclonNode {
         let (kind, redeemer) = match self.admit(&mut body, verified, cycle, now) {
             Ok(admitted) => admitted,
             Err(cause) => {
-                self.stats.refused += 1;
                 self.causes.refused[cause as usize] += 1;
                 return None;
             }

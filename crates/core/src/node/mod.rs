@@ -96,7 +96,8 @@ pub struct SecureStats {
     pub timeouts: u64,
     /// Exchanges answered as the passive party.
     pub answered: u64,
-    /// Requests refused, each for one [`Refusal`].
+    /// Requests refused: the sum of [`Causes::refused`], one per
+    /// [`Refusal`].
     pub refused: u64,
     /// Cycles skipped because the view was empty.
     pub idle_cycles: u64,
@@ -104,7 +105,8 @@ pub struct SecureStats {
     pub transfers_sent: u64,
     /// Ownership transfers accepted into the view pipeline.
     pub transfers_received: u64,
-    /// Transfers rejected by validation, each for one [`Rejection`].
+    /// Transfers rejected by validation: the sum of
+    /// [`Causes::rejected`], one per [`Rejection`].
     pub transfers_rejected: u64,
     /// Owned descriptors dropped because their creator was already in the
     /// view or the view was full.
@@ -112,7 +114,7 @@ pub struct SecureStats {
     /// Samples processed through the §IV-B checks.
     pub samples_processed: u64,
     /// Descriptors discarded as [`Discard::Unverified`] or
-    /// [`Discard::Forged`].
+    /// [`Discard::Forged`]: the sum of those two [`Causes`] counts.
     pub invalid_descriptors: u64,
     /// Cloning proofs generated locally.
     pub proofs_generated_cloning: u64,
@@ -421,9 +423,17 @@ impl SecureCyclonNode {
         self.redemptions.len()
     }
 
-    /// Protocol counters.
+    /// Protocol counters. `refused`, `transfers_rejected` and
+    /// `invalid_descriptors` are totals of [`SecureCyclonNode::causes`],
+    /// not counters of their own.
     pub fn stats(&self) -> SecureStats {
-        self.stats
+        let c = &self.causes;
+        SecureStats {
+            refused: c.refused.iter().sum(),
+            transfers_rejected: c.rejected.iter().sum(),
+            invalid_descriptors: c[Discard::Unverified] + c[Discard::Forged],
+            ..self.stats
+        }
     }
 
     /// What intake refused, rejected and discarded, by cause.

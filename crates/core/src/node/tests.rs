@@ -119,9 +119,9 @@ fn respent_state_is_refused_but_legitimate_return_is_not() {
     let onward = node.hand_over(&pre, next.public(), 0).unwrap();
 
     // A byte-identical replay of the spent state is refused.
-    let rejected_before = node.stats.transfers_rejected;
+    let rejected_before = node.stats().transfers_rejected;
     node.accept_transfer(handed, creator.public(), 1);
-    assert_eq!(node.stats.transfers_rejected, rejected_before + 1);
+    assert_eq!(node.stats().transfers_rejected, rejected_before + 1);
     assert_eq!(node.causes[Rejection::Spent], 1);
     assert_eq!(node.view.len(), 0, "replay must not re-enter the view");
 

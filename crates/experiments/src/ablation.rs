@@ -13,9 +13,10 @@
 //! malicious-link share, blacklist coverage, and honest-side proof count.
 
 use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{malicious_link_fraction, step_of, AdversaryKind, Scenario};
+use sc_testkit::{malicious_link_fraction, step_of, Scenario};
 
 struct Variant {
     name: &'static str,
@@ -51,7 +52,7 @@ fn scenario(v: &Variant, n: usize, k: usize, cycles: u64) -> Scenario {
     (v.tweak)(&mut cfg);
     Scenario::new(&format!("ablation {}", v.name), n)
         .config(cfg)
-        .adversary(k, AdversaryKind::Hub, step_of(ATTACK_CYCLE, &cfg))
+        .adversary(k, SecureAttack::Hub, step_of(ATTACK_CYCLE, &cfg))
         .cycles(cycles)
 }
 

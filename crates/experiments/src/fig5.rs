@@ -12,9 +12,10 @@
 //! same swap lengths because s ≪ ℓ.
 
 use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
-use sc_testkit::{eclipsed_fraction, malicious_link_fraction, step_of, AdversaryKind, Scenario};
+use sc_testkit::{eclipsed_fraction, malicious_link_fraction, step_of, Scenario};
 
 /// The Figure 5 cell: `n` nodes, `k` of them hub attackers from engine
 /// cycle 50, view length ℓ, swap length `s`, `cycles` cycles after the
@@ -25,7 +26,7 @@ pub fn scenario(n: usize, k: usize, view_len: usize, swap_len: usize, cycles: u6
         .with_swap_len(swap_len);
     Scenario::new(&format!("fig5 n={n} k={k} s={swap_len}"), n)
         .config(cfg)
-        .adversary(k, AdversaryKind::Hub, step_of(ATTACK_CYCLE, &cfg))
+        .adversary(k, SecureAttack::Hub, step_of(ATTACK_CYCLE, &cfg))
         .cycles(cycles)
 }
 

@@ -12,9 +12,10 @@
 //! ≈27% in the paper).
 
 use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
-use sc_testkit::{ns_link_fraction, step_of, AdversaryKind, Scenario};
+use sc_testkit::{ns_link_fraction, step_of, Scenario};
 
 /// The Figure 6 cell: `n` nodes, `k` of them depleting responders from
 /// engine cycle 50, view length ℓ, swap length `s`, tit-for-tat on or
@@ -34,7 +35,7 @@ pub fn scenario(
     let name = format!("fig6 n={n} k={k} s={swap_len} tft={tit_for_tat}");
     Scenario::new(&name, n)
         .config(cfg)
-        .adversary(k, AdversaryKind::Depletion, step_of(ATTACK_CYCLE, &cfg))
+        .adversary(k, SecureAttack::Depletion, step_of(ATTACK_CYCLE, &cfg))
         .cycles(cycles)
 }
 

@@ -15,9 +15,10 @@
 //! cloning proof against, over the duplications performed.
 
 use crate::common::{banner, results_dir, run_cell, Scale};
+use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{step_of, AdversaryKind, Scenario};
+use sc_testkit::{step_of, Scenario};
 
 /// The engine cycle from which the cloners are active.
 const CLONE_CYCLE: u64 = 30;
@@ -39,7 +40,7 @@ pub fn scenario(
         .with_redemption_cache(cache_cycles);
     cfg.eviction_enabled = false;
     let name = format!("fig7 n={n} k={k} cache={cache_cycles} age={age}");
-    let cloner = AdversaryKind::Cloner { target_age: age };
+    let cloner = SecureAttack::Cloner { target_age: age };
     Scenario::new(&name, n)
         .config(cfg)
         .adversary(k, cloner, step_of(CLONE_CYCLE, &cfg))

@@ -5,20 +5,23 @@
 //! frames. The reply payload is a [`StatusReport`]: enough of the node's
 //! protocol state (view descriptors with NS flags, reserve, blacklist,
 //! counters) for the invariant oracles in `sc-testkit` to run against
-//! live processes exactly as they run against simulated ones.
+//! live processes exactly as they run against simulated ones. One
+//! constructor, [`StatusReport::of`], reads every protocol field off a
+//! node; the daemon and the simulator's snapshot both call it.
 
 use crate::frame::{Frame, FrameKind, FrameReader};
 use crate::transport::TransportStats;
 use sc_core::wire::{Reader, WireError, WireLimits, Writer};
 use sc_core::Addr;
-use sc_core::{Causes, SecureDescriptor, SecureStats};
+use sc_core::{Causes, SecureCyclonNode, SecureDescriptor, SecureStats};
 use sc_crypto::PublicKey;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpStream};
 use std::time::{Duration, Instant};
 
-/// A live daemon's scraped state.
-#[derive(Clone, Debug)]
+/// A node's scraped state: what a live daemon serves, and what the
+/// simulator reads off each honest node for the same oracles.
+#[derive(Clone, Debug, PartialEq)]
 pub struct StatusReport {
     /// Protocol address.
     pub addr: Addr,
@@ -29,7 +32,8 @@ pub struct StatusReport {
     /// Whether the node has joined: it holds a view, or held one in this
     /// life or a recovered one ([`sc_core::SecureCyclonNode::joined`]).
     pub joined: bool,
-    /// Gossip cycles the daemon has fired.
+    /// Gossip cycles the daemon has fired (0 off a daemon, as are the
+    /// transport, retransmit and skipped-turn counters).
     pub cycles_run: u64,
     /// View entries with their non-swappable flags.
     pub view: Vec<(SecureDescriptor, bool)>,
@@ -113,6 +117,33 @@ fn list<'a, T>(
 }
 
 impl StatusReport {
+    /// Every field a scrape reads off `node` at `cycle`. The daemon-only
+    /// counters (`cycles_run`, `transport`, `retransmits`,
+    /// `turns_skipped`) are zero: the daemon fills them in, a simulated
+    /// node has none.
+    pub fn of(node: &SecureCyclonNode, cycle: u64) -> StatusReport {
+        StatusReport {
+            addr: node.addr(),
+            id: node.id(),
+            cycle,
+            joined: node.joined(),
+            cycles_run: 0,
+            view: node
+                .view()
+                .iter()
+                .map(|e| (e.desc.clone(), e.non_swappable))
+                .collect(),
+            reserve: node.reserve().cloned().collect(),
+            blacklist: node.blacklist().culprits().copied().collect(),
+            redemptions: node.redemption_count(),
+            stats: node.stats(),
+            causes: node.causes(),
+            transport: TransportStats::default(),
+            retransmits: 0,
+            turns_skipped: 0,
+        }
+    }
+
     /// Serializes the report for a `CtrlStatusReply` payload: every
     /// field in declaration order.
     pub fn encode(&self) -> Vec<u8> {

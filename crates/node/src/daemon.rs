@@ -324,7 +324,7 @@ impl Daemon {
         RunSummary {
             cycles_run: self.cycles_run,
             elapsed_secs: started.elapsed().as_secs_f64(),
-            stats: self.stats(),
+            stats: self.node.stats(),
             transport: self.transport.stats(),
         }
     }
@@ -559,36 +559,15 @@ impl Daemon {
         }
     }
 
-    /// Snapshot of the node's oracle-relevant state.
+    /// What a scrape reads: the node's own fields, and the daemon's.
     fn status_report(&self, cycle: u64) -> StatusReport {
         StatusReport {
-            addr: self.cfg.addr,
-            id: self.node.id(),
-            cycle,
-            joined: self.node.joined(),
             cycles_run: self.cycles_run,
-            view: self
-                .node
-                .view()
-                .iter()
-                .map(|e| (e.desc.clone(), e.non_swappable))
-                .collect(),
-            reserve: self.node.reserve().cloned().collect(),
-            blacklist: self.node.blacklist().culprits().copied().collect(),
-            redemptions: self.node.redemption_count(),
-            stats: self.stats(),
-            causes: self.node.causes(),
             transport: self.transport.stats(),
             retransmits: self.retransmits,
             turns_skipped: self.turns_skipped,
+            ..StatusReport::of(&self.node, cycle)
         }
-    }
-
-    /// Protocol counters. §VI-A byte accounting now lives in the node
-    /// itself ([`sc_core::SecureStats::bytes_sent`]), metered at every
-    /// message site, so daemon and simulator report identically.
-    fn stats(&self) -> sc_core::SecureStats {
-        self.node.stats()
     }
 }
 

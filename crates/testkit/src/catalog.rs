@@ -9,7 +9,8 @@
 //! shrinks populations and horizons for CI while keeping every scenario
 //! and every oracle in play.
 
-use crate::scenario::{AdversaryKind, OracleConfig, Scenario};
+use crate::scenario::{OracleConfig, Scenario};
+use sc_attacks::SecureAttack;
 use sc_core::{Loss, SecureConfig};
 
 /// Seeds every scenario is swept under.
@@ -218,26 +219,26 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         Scenario::new("hub-attack", n)
             .cycles(cycles)
             .config(cfg)
-            .adversary(byz, AdversaryKind::Hub, attack_start)
+            .adversary(byz, SecureAttack::Hub, attack_start)
             .oracles(attack_oracles(size, 0.9)),
         Scenario::new("cloning-attack", n)
             .cycles(cycles)
             .config(cfg)
-            .adversary(byz, AdversaryKind::Cloner { target_age: 3 }, attack_start)
+            .adversary(byz, SecureAttack::Cloner { target_age: 3 }, attack_start)
             .oracles(attack_oracles(size, 0.2)),
         Scenario::new("frequency-attack", n)
             .cycles(cycles)
             .config(cfg)
             .adversary(
                 byz.min(4),
-                AdversaryKind::Frequency { extra: 2 },
+                SecureAttack::Frequency { extra: 2 },
                 attack_start,
             )
             .oracles(attack_oracles(size, 0.8)),
         Scenario::new("depletion-attack", n)
             .cycles(cycles)
             .config(cfg)
-            .adversary(byz, AdversaryKind::Depletion, attack_start)
+            .adversary(byz, SecureAttack::Depletion, attack_start)
             // Depletion never clones, so nothing is provable; the oracle
             // load here is structural: views stay legal, nobody honest is
             // accused, and the overlay survives connected.
@@ -251,7 +252,7 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         Scenario::new("partition-cloning", n)
             .cycles(cycles)
             .config(cfg)
-            .adversary(byz, AdversaryKind::Cloner { target_age: 3 }, attack_start)
+            .adversary(byz, SecureAttack::Cloner { target_age: 3 }, attack_start)
             .partition_at(mid, 0.25)
             .heal_at(heal)
             .heal_fallback()
@@ -259,7 +260,7 @@ pub fn standard_matrix(size: MatrixSize) -> Vec<Scenario> {
         Scenario::new("lossy-churn-hub", n)
             .cycles(cycles)
             .config(cfg)
-            .adversary(byz, AdversaryKind::Hub, attack_start)
+            .adversary(byz, SecureAttack::Hub, attack_start)
             .loss(Loss::uniform(0.05))
             .churn(mid / 2, heal, 0.01, n as f64 / 96.0)
             // Loss, churn, and an active adversary composed can strand the
@@ -358,7 +359,7 @@ mod tests {
             .any(|s| s.has_partition() && s.n_malicious == 0));
         assert!(scenarios
             .iter()
-            .any(|s| matches!(s.adversary, AdversaryKind::Cloner { .. })));
+            .any(|s| matches!(s.adversary, SecureAttack::Cloner { .. })));
         assert!(scenarios.iter().any(|s| s.churn.is_some()));
         assert!(scenarios
             .iter()

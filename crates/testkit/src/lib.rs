@@ -18,9 +18,10 @@
 //!   convergence, eventual adversary detection). The first violation
 //!   reports scenario, seed, and cycle, and prints the one-command
 //!   replay.
-//! * [`snapshot`] — the uniform state shape the oracles check, producible
-//!   from a simulated engine *or* from live `sc-node` control-socket
-//!   scrapes, so real processes are held to the same invariants.
+//! * [`snapshot`] — the uniform state shape the oracles check: one
+//!   `sc_node::StatusReport` an honest node, built by the same
+//!   constructor off a simulated engine as a live `sc-node` builds the
+//!   scrape it serves, so real processes are held to the same invariants.
 //! * [`harness`] — spawns, scrapes, churns, and stops fleets of real
 //!   `sc-node` processes on 127.0.0.1 for the loopback test tier.
 //! * [`live`] — the socket tier: [`run_scenario_live`] executes a
@@ -40,11 +41,12 @@
 //! # Example
 //!
 //! ```
-//! use sc_testkit::{run_scenario, AdversaryKind, Scenario};
+//! use sc_attacks::SecureAttack;
+//! use sc_testkit::{run_scenario, Scenario};
 //!
 //! let scenario = Scenario::new("doc-hub", 48)
 //!     .cycles(40)
-//!     .adversary(4, AdversaryKind::Hub, 5)
+//!     .adversary(4, SecureAttack::Hub, 5)
 //!     .oracles(sc_testkit::OracleConfig {
 //!         expect_detection: Some(0.9),
 //!         final_connectivity: Some(1.0),
@@ -73,12 +75,12 @@ pub use live::{
 };
 pub use net::{
     blacklist_coverage, build_secure_network, eclipsed_fraction, malicious_link_fraction,
-    ns_link_fraction, proofs_generated, SecureNet, SecureNetParams, SecureNetwork,
+    ns_link_fraction, SecureNet, SecureNetParams, SecureNetwork,
 };
-pub use oracles::{largest_component, largest_honest_component, OracleSuite, Violation};
+pub use oracles::{largest_component, OracleSuite, Violation};
 pub use runner::{
     run_scenario, run_scenario_observed, run_scenario_with_net, state_fingerprint, step_of,
     RunSummary,
 };
-pub use scenario::{AdversaryKind, ChurnWindow, Event, OracleConfig, Scenario};
-pub use snapshot::{NetSnapshot, NodeSnapshot};
+pub use scenario::{ChurnWindow, Event, OracleConfig, Scenario};
+pub use snapshot::NetSnapshot;

@@ -10,6 +10,7 @@
 //! sans-IO machines; the engine routes their effects, and [`SecureNet`]
 //! only says which of the two a slot holds.
 
+use crate::snapshot::NetSnapshot;
 use rand::seq::SliceRandom;
 use sc_attacks::{MaliciousSecureNode, SecureAttack, SecureParty};
 use sc_core::{
@@ -375,7 +376,7 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
                 rng_seed,
                 phases[i],
             )
-            .with_attack(attack.clone(), attack_start);
+            .with_attack(attack, attack_start);
             for d in descs {
                 node.accept_bootstrap(d);
             }
@@ -455,27 +456,10 @@ pub fn ns_link_fraction(engine: &Engine<SecureNet>) -> f64 {
 }
 
 /// Average fraction of the malicious population each honest node has
-/// blacklisted (1.0 = every honest node knows every attacker).
+/// blacklisted (1.0 = every honest node knows every attacker):
+/// [`NetSnapshot::blacklist_coverage`] of the engine's honest nodes.
 pub fn blacklist_coverage(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId>) -> f64 {
-    if malicious.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    let mut honest = 0usize;
-    for (_, node) in engine.nodes() {
-        let Some(h) = node.honest() else { continue };
-        honest += 1;
-        let known = malicious
-            .iter()
-            .filter(|m| h.blacklist().contains(m))
-            .count();
-        sum += known as f64 / malicious.len() as f64;
-    }
-    if honest == 0 {
-        0.0
-    } else {
-        sum / honest as f64
-    }
+    NetSnapshot::from_engine(engine, malicious).blacklist_coverage()
 }
 
 /// Fraction of honest nodes whose entire (non-empty) view points at
@@ -504,19 +488,6 @@ pub fn eclipsed_fraction(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId>
     } else {
         eclipsed as f64 / honest as f64
     }
-}
-
-/// Total violation proofs generated by honest nodes, by kind
-/// `(cloning, frequency)`.
-pub fn proofs_generated(engine: &Engine<SecureNet>) -> (u64, u64) {
-    let mut cloning = 0;
-    let mut frequency = 0;
-    for (_, node) in engine.nodes() {
-        let Some(h) = node.honest() else { continue };
-        cloning += h.stats().proofs_generated_cloning;
-        frequency += h.stats().proofs_generated_frequency;
-    }
-    (cloning, frequency)
 }
 
 #[cfg(test)]
@@ -556,7 +527,7 @@ mod tests {
             net.engine.run_cycle();
         }
         assert_eq!(
-            proofs_generated(&net.engine),
+            NetSnapshot::from_network(&net).proofs_generated(),
             (0, 0),
             "no self-incrimination"
         );
@@ -584,7 +555,7 @@ mod tests {
             assert!(!h.view().is_empty(), "view recovered");
         }
         assert_eq!(
-            proofs_generated(&net.engine),
+            NetSnapshot::from_network(&net).proofs_generated(),
             (0, 0),
             "a mid-cycle crash must not make a durable node accuse itself"
         );

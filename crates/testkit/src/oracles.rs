@@ -8,11 +8,11 @@
 //! posture: verifiability as an invariant checked continuously, not a
 //! property asserted once at the end.
 //!
-//! Every check runs over a [`NetSnapshot`], so the same oracle code
-//! audits a simulated [`SecureNetwork`] and a cluster of live `sc-node`
-//! processes scraped over their control sockets.
+//! Every check has one entry point, and it takes a [`NetSnapshot`], so
+//! the same oracle code audits a simulated
+//! [`SecureNetwork`](crate::SecureNetwork) and a cluster of live
+//! `sc-node` processes scraped over their control sockets.
 
-use crate::net::SecureNetwork;
 use crate::scenario::{OracleConfig, Scenario};
 use crate::snapshot::NetSnapshot;
 use sc_core::{Causes, DescriptorId, Discard};
@@ -162,20 +162,17 @@ impl OracleSuite {
         }
     }
 
-    /// Runs every enabled per-cycle oracle against a simulated network.
-    /// `step` is the 0-based run step; the reported cycle is the absolute
-    /// engine cycle.
-    pub fn check_cycle(&mut self, net: &SecureNetwork, step: u64) -> Result<(), Violation> {
-        if !step.is_multiple_of(self.cfg.stride.max(1)) {
-            return Ok(());
-        }
-        self.check_snapshot(&NetSnapshot::from_network(net), step)
+    /// Whether the per-cycle oracles look at step `step` (0-based): every
+    /// `stride`-th step. A caller that builds a snapshot to check asks
+    /// first, so a step nobody checks builds none.
+    pub fn checks(&self, step: u64) -> bool {
+        step.is_multiple_of(self.cfg.stride.max(1))
     }
 
     /// Runs every enabled per-cycle oracle against a snapshot (simulated
     /// or scraped from live daemons).
     pub fn check_snapshot(&mut self, snap: &NetSnapshot, step: u64) -> Result<(), Violation> {
-        if !step.is_multiple_of(self.cfg.stride.max(1)) {
+        if !self.checks(step) {
             return Ok(());
         }
         self.check_expired(snap)?;
@@ -422,11 +419,6 @@ impl OracleSuite {
         Ok(())
     }
 
-    /// Runs the end-of-run oracles against a simulated network.
-    pub fn check_final(&self, net: &SecureNetwork) -> Result<(), Violation> {
-        self.check_snapshot_final(&NetSnapshot::from_network(net))
-    }
-
     /// Runs the end-of-run oracles against a snapshot. Live clusters
     /// should scrape it quiescent (`--stop-cycle` linger), since
     /// connectivity and ownership are cross-node properties.
@@ -485,12 +477,6 @@ impl OracleSuite {
         }
         Ok(())
     }
-}
-
-/// `(largest weakly-connected component, alive honest count)` over the
-/// honest overlay of a simulated network.
-pub fn largest_honest_component(net: &SecureNetwork) -> (usize, usize) {
-    largest_component(&NetSnapshot::from_network(net))
 }
 
 /// `(largest weakly-connected component, honest count)` over a snapshot:
@@ -559,30 +545,6 @@ mod tests {
         let mut p = SecureNetParams::new(n, 0, SecureAttack::None);
         p.cfg = p.cfg.with_view_len(6).with_swap_len(3);
         p
-    }
-
-    #[test]
-    fn snapshot_checks_match_network_checks() {
-        let mut net = build_secure_network(small_params(16));
-        for _ in 0..6 {
-            net.engine.run_cycle();
-        }
-        let cfg = OracleConfig {
-            unique_ownership: true,
-            max_indegree: Some(64),
-            warmup: 0,
-            final_connectivity: Some(1.0),
-            final_min_fill: Some(0.5),
-            ..OracleConfig::default()
-        };
-        let mk = || OracleSuite::with_replay("snap-eq", 1, cfg, 8, "replay-me".into());
-        // Same state, two entry points: both must pass identically.
-        let snap = NetSnapshot::from_network(&net);
-        mk().check_cycle(&net, 0).unwrap();
-        mk().check_snapshot(&snap, 0).unwrap();
-        mk().check_final(&net).unwrap();
-        mk().check_snapshot_final(&snap).unwrap();
-        assert_eq!(largest_honest_component(&net), largest_component(&snap));
     }
 
     #[test]

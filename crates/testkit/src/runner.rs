@@ -20,21 +20,19 @@
 
 use crate::harness::ProcessCluster;
 use crate::net::{
-    build_secure_network, malicious_link_fraction, ns_link_fraction, proofs_generated,
-    SecureNetParams, SecureNetwork,
+    build_secure_network, malicious_link_fraction, ns_link_fraction, SecureNetParams, SecureNetwork,
 };
 use crate::oracles::{OracleSuite, Violation};
 use crate::scenario::{Event, Scenario};
+use crate::snapshot::NetSnapshot;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sc_attacks::CloneLedger;
 use sc_core::{DescriptorId, FaultSpec, Loss, ProofKind, SecureConfig};
 use sc_crypto::hex::to_hex;
 use sc_crypto::NodeId;
 use sc_sim::{Addr, Partition};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 /// What a completed (violation-free) run looked like.
 #[derive(Clone, Debug)]
@@ -96,17 +94,20 @@ pub fn run_scenario_observed(
     seed: u64,
     mut observe: impl FnMut(&SecureNetwork),
 ) -> Result<(RunSummary, SecureNetwork), Violation> {
-    let (mut tier, ledger) = SimTier::boot(scenario, seed);
+    let mut tier = SimTier::boot(scenario, seed);
     let mut oracles = OracleSuite::new(scenario, seed);
     let mut schedule = Schedule::new(scenario, seed);
 
     for step in 0..scenario.cycles {
         schedule.step(&mut tier, step);
         tier.run_cycle();
-        oracles.check_cycle(&tier.net, step)?;
+        if oracles.checks(step) {
+            oracles.check_snapshot(&NetSnapshot::from_network(&tier.net), step)?;
+        }
         observe(&tier.net);
     }
-    oracles.check_final(&tier.net)?;
+    let last = NetSnapshot::from_network(&tier.net);
+    oracles.check_snapshot_final(&last)?;
     let SimTier {
         net,
         joined,
@@ -115,36 +116,32 @@ pub fn run_scenario_observed(
         restarted,
         ..
     } = tier;
-
-    let final_honest = net
-        .engine
-        .nodes()
-        .filter(|(_, n)| !n.is_malicious())
-        .count();
     let summary = RunSummary {
         scenario: scenario.name.clone(),
         seed,
         steps: scenario.cycles,
         final_alive: net.engine.alive_count(),
-        final_honest,
+        final_honest: last.nodes.len(),
         joined,
         departed,
         reintroduced,
         restarted,
-        proofs: proofs_generated(&net.engine),
-        coverage: crate::net::blacklist_coverage(&net.engine, &net.malicious_ids),
+        proofs: last.proofs_generated(),
+        coverage: last.blacklist_coverage(),
         malicious_links: malicious_link_fraction(&net.engine, &net.malicious_ids),
         ns_links: ns_link_fraction(&net.engine),
-        clones: ledger.map_or((0, 0), |l| clones(&net, &l.lock().unwrap())),
+        clones: clones(&net),
     };
     Ok((summary, net))
 }
 
-/// `(detected, performed)` over a cloner ledger: the distinct duplicated
-/// descriptors named by some honest node's cloning proof, and the
-/// duplications the ledger holds.
-fn clones(net: &SecureNetwork, ledger: &CloneLedger) -> (usize, usize) {
-    let cloned: HashSet<DescriptorId> = ledger.events.iter().map(|e| e.desc).collect();
+/// `(detected, performed)` over the party's clone events: the distinct
+/// duplicated descriptors named by some honest node's cloning proof, and
+/// every duplication the cloners performed.
+fn clones(net: &SecureNetwork) -> (usize, usize) {
+    let party = net.party.lock().unwrap();
+    let events = party.clone_events();
+    let cloned: HashSet<DescriptorId> = events.iter().map(|e| e.desc).collect();
     let detected: HashSet<DescriptorId> = net
         .engine
         .nodes()
@@ -154,7 +151,7 @@ fn clones(net: &SecureNetwork, ledger: &CloneLedger) -> (usize, usize) {
         .filter_map(|rec| rec.descriptor)
         .filter(|id| cloned.contains(id))
         .collect();
-    (detected.len(), ledger.events.len())
+    (detected.len(), events.len())
 }
 
 /// The scenario step that runs engine cycle `cycle` under `cfg`. Steps
@@ -337,23 +334,21 @@ struct SimTier {
 }
 
 impl SimTier {
-    /// The scenario's population after bootstrap, and the cloners' event
-    /// ledger when the adversary keeps one.
-    fn boot(scenario: &Scenario, seed: u64) -> (SimTier, Option<Arc<Mutex<CloneLedger>>>) {
-        let (attack, ledger) = scenario.adversary.materialize();
+    /// The scenario's population after bootstrap.
+    fn boot(scenario: &Scenario, seed: u64) -> SimTier {
         // The engine counts cycles, the scenario steps (see `step_of`).
         let params = SecureNetParams {
             n: scenario.n,
             n_malicious: scenario.n_malicious,
             cfg: scenario.cfg,
-            attack,
+            attack: scenario.adversary,
             attack_start: scenario.cfg.view_len as u64 + scenario.attack_start,
             seed,
             scheme: sc_crypto::Scheme::KeyedHash,
             loss: scenario.loss,
             durable: scenario.durable,
         };
-        let tier = SimTier {
+        SimTier {
             net: build_secure_network(params),
             heal_fallback: scenario.runner_heal_fallback,
             mid_restart: None,
@@ -361,8 +356,7 @@ impl SimTier {
             departed: 0,
             reintroduced: 0,
             restarted: 0,
-        };
-        (tier, ledger)
+        }
     }
 
     /// Runs the cycle the schedule just prepared, interrupted by the
@@ -579,7 +573,8 @@ impl Tier for LiveTier<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AdversaryKind, OracleConfig};
+    use crate::scenario::OracleConfig;
+    use sc_attacks::SecureAttack;
 
     #[test]
     fn runs_replay_bit_for_bit() {
@@ -630,7 +625,7 @@ mod tests {
     fn an_observed_run_sees_every_step_and_ends_where_the_plain_one_does() {
         let sc = Scenario::new("observed", 32)
             .cycles(20)
-            .adversary(3, AdversaryKind::Hub, 5)
+            .adversary(3, SecureAttack::Hub, 5)
             .churn(3, 15, 0.02, 0.5);
         let mut cycles = Vec::new();
         let (_, observed) = run_scenario_observed(&sc, 7, |net| cycles.push(net.engine.cycle()))
@@ -643,7 +638,7 @@ mod tests {
 
     #[test]
     fn a_cloner_run_counts_detected_and_performed_clones() {
-        let cloner = AdversaryKind::Cloner { target_age: 4 };
+        let cloner = SecureAttack::Cloner { target_age: 4 };
         let sc = Scenario::new("clones", 32)
             .cycles(30)
             .adversary(4, cloner, 5);
@@ -652,8 +647,7 @@ mod tests {
             0 < detected && detected <= performed,
             "{detected}/{performed}"
         );
-        // The cloners' ledger length, which `clone_events` reported
-        // before `clones` replaced it.
+        // Every duplication the cloners performed at seed 1.
         assert_eq!(performed, 45);
     }
 
@@ -664,7 +658,7 @@ mod tests {
         // the replay coordinates filled in.
         let sc = Scenario::new("ctrl", 24)
             .cycles(12)
-            .adversary(4, AdversaryKind::None, 0)
+            .adversary(4, SecureAttack::None, 0)
             .oracles(OracleConfig {
                 expect_detection: Some(0.5),
                 ..OracleConfig::default()
@@ -775,7 +769,7 @@ mod one_schedule_two_tiers {
                 continue;
             }
             let mut sim = Logged {
-                tier: SimTier::boot(&sc, seed).0,
+                tier: SimTier::boot(&sc, seed),
                 base: 0,
                 log: Vec::new(),
             };

@@ -11,55 +11,6 @@
 
 use sc_attacks::SecureAttack;
 use sc_core::{Loss, SecureConfig};
-use std::sync::{Arc, Mutex};
-
-/// Which adversary the Byzantine fraction runs.
-///
-/// Mirrors [`SecureAttack`] minus run-scoped state (the cloner's shared
-/// ledger is created per run by the runner), so scenario catalogs stay
-/// plain data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdversaryKind {
-    /// No deviation (control group / honest-only scenarios).
-    None,
-    /// Hub attack: all-malicious views via pool cloning (Figure 5).
-    Hub,
-    /// Link depletion: empty exchange responses (Figure 6).
-    Depletion,
-    /// Age-targeted double-spend at the given age in cycles (Figure 7).
-    Cloner {
-        /// Clone a held descriptor once it reaches this age.
-        target_age: u64,
-    },
-    /// Frequency violation: extra descriptor creations per cycle.
-    Frequency {
-        /// Additional creations beyond the legal one.
-        extra: u32,
-    },
-}
-
-impl AdversaryKind {
-    /// Materializes the run-time attack strategy, returning the cloner's
-    /// event ledger when one is involved.
-    pub fn materialize(self) -> (SecureAttack, Option<Arc<Mutex<sc_attacks::CloneLedger>>>) {
-        match self {
-            AdversaryKind::None => (SecureAttack::None, None),
-            AdversaryKind::Hub => (SecureAttack::Hub, None),
-            AdversaryKind::Depletion => (SecureAttack::Depletion, None),
-            AdversaryKind::Cloner { target_age } => {
-                let ledger = Arc::new(Mutex::new(sc_attacks::CloneLedger::new()));
-                (
-                    SecureAttack::Cloner {
-                        target_age,
-                        ledger: Arc::clone(&ledger),
-                    },
-                    Some(ledger),
-                )
-            }
-            AdversaryKind::Frequency { extra } => (SecureAttack::Frequency { extra }, None),
-        }
-    }
-}
 
 /// A scheduled fault injection, keyed by run step (0-based cycle index
 /// relative to the start of the run, *not* the absolute engine cycle).
@@ -225,7 +176,7 @@ pub struct Scenario {
     /// Byzantine nodes among them.
     pub n_malicious: usize,
     /// Adversary strategy.
-    pub adversary: AdversaryKind,
+    pub adversary: SecureAttack,
     /// Run step at which the adversary starts deviating.
     pub attack_start: u64,
     /// Protocol configuration.
@@ -262,7 +213,7 @@ impl Scenario {
             name: name.to_string(),
             n,
             n_malicious: 0,
-            adversary: AdversaryKind::None,
+            adversary: SecureAttack::None,
             attack_start: 0,
             cfg: SecureConfig::default().with_view_len(8).with_swap_len(3),
             loss: Loss::default(),
@@ -288,7 +239,7 @@ impl Scenario {
     }
 
     /// Makes `k` nodes Byzantine, running `adversary` from `attack_start`.
-    pub fn adversary(mut self, k: usize, adversary: AdversaryKind, attack_start: u64) -> Self {
+    pub fn adversary(mut self, k: usize, adversary: SecureAttack, attack_start: u64) -> Self {
         self.n_malicious = k;
         self.adversary = adversary;
         self.attack_start = attack_start;
@@ -431,7 +382,7 @@ mod tests {
     fn builder_composes() {
         let sc = Scenario::new("t", 64)
             .cycles(80)
-            .adversary(6, AdversaryKind::Hub, 20)
+            .adversary(6, SecureAttack::Hub, 20)
             .loss(Loss::uniform(0.05))
             .partition_at(30, 0.3)
             .heal_at(50)
@@ -460,13 +411,5 @@ mod tests {
         assert_eq!(mid.events[0].step(), 12);
         assert!(Scenario::new("d", 32).durable().durable);
         assert!(Scenario::new("f", 32).heal_fallback().runner_heal_fallback);
-    }
-
-    #[test]
-    fn cloner_materializes_with_ledger() {
-        let (attack, ledger) = AdversaryKind::Cloner { target_age: 3 }.materialize();
-        assert!(matches!(attack, SecureAttack::Cloner { .. }));
-        assert!(ledger.is_some());
-        assert!(AdversaryKind::Hub.materialize().1.is_none());
     }
 }

@@ -2,13 +2,14 @@
 //! live daemon clusters.
 //!
 //! The invariant oracles in [`crate::oracles`] are predicates over
-//! "every honest node's protocol-visible state". That state exists in two
-//! places: inside an [`Engine`](sc_sim::Engine) during a simulated run,
-//! and behind the control sockets of real `sc-node` processes during a
-//! loopback run. A [`NetSnapshot`] is the common denominator — the
-//! oracles check snapshots, and both worlds know how to produce one
-//! ([`NetSnapshot::from_network`] and [`NetSnapshot::from_reports`]), so
-//! a live cluster is held to *exactly* the invariants the simulator is.
+//! "every honest node's protocol-visible state". A [`NetSnapshot`] is
+//! that state as n scrapes, whichever tier answers them: each node's is
+//! a [`StatusReport`], which a live `sc-node` serves over its control
+//! socket ([`NetSnapshot::from_reports`]) and the simulator reads off
+//! each honest node in its engine ([`NetSnapshot::from_network`]) with
+//! the same constructor, [`StatusReport::of`]. So the oracles, and every
+//! measure taken from a snapshot, hold a live cluster to *exactly* what
+//! they hold the simulator to, and audit nothing a socket cannot carry.
 //!
 //! One caveat is inherent to live clusters: scraping n processes is not
 //! atomic, so a descriptor in flight between two scrape instants can
@@ -19,49 +20,12 @@
 //! in-degree, connectivity) should run on quiescent snapshots, which is
 //! what the daemon's `--stop-cycle` linger mode provides.
 
-use crate::net::SecureNetwork;
-use sc_core::{Causes, SecureDescriptor, SecureStats};
+use crate::net::{SecureNet, SecureNetwork};
+use sc_core::Causes;
 use sc_crypto::NodeId;
 use sc_node::StatusReport;
-use sc_sim::Addr;
+use sc_sim::Engine;
 use std::collections::HashSet;
-
-/// One honest node's protocol-visible state at a point in time.
-#[derive(Clone, Debug)]
-pub struct NodeSnapshot {
-    /// Protocol address.
-    pub addr: Addr,
-    /// Node identity.
-    pub id: NodeId,
-    /// View entries with their non-swappable flags.
-    pub view: Vec<(SecureDescriptor, bool)>,
-    /// Owned descriptors parked in the reserve.
-    pub reserve: Vec<SecureDescriptor>,
-    /// Blacklisted culprits.
-    pub blacklist: Vec<NodeId>,
-    /// Redemption-cache entry count (the §V-C cache the bound oracle
-    /// audits).
-    pub redemptions: usize,
-    /// Protocol counters.
-    pub stats: SecureStats,
-    /// What intake refused, rejected and discarded, by cause.
-    pub causes: Causes,
-}
-
-impl From<StatusReport> for NodeSnapshot {
-    fn from(r: StatusReport) -> NodeSnapshot {
-        NodeSnapshot {
-            addr: r.addr,
-            id: r.id,
-            view: r.view,
-            reserve: r.reserve,
-            blacklist: r.blacklist,
-            redemptions: r.redemptions,
-            stats: r.stats,
-            causes: r.causes,
-        }
-    }
-}
 
 /// The honest population's state at one instant, plus who the known
 /// adversaries are (empty for all-honest live clusters).
@@ -69,8 +33,9 @@ impl From<StatusReport> for NodeSnapshot {
 pub struct NetSnapshot {
     /// Cycle the snapshot describes.
     pub cycle: u64,
-    /// Honest nodes only — malicious nodes expose no trustworthy state.
-    pub nodes: Vec<NodeSnapshot>,
+    /// One scrape per honest node — malicious nodes expose no
+    /// trustworthy state.
+    pub nodes: Vec<StatusReport>,
     /// Identities of the malicious population.
     pub malicious_ids: HashSet<NodeId>,
 }
@@ -78,42 +43,31 @@ pub struct NetSnapshot {
 impl NetSnapshot {
     /// Snapshots a simulated network's honest population.
     pub fn from_network(net: &SecureNetwork) -> NetSnapshot {
-        let nodes = net
-            .engine
+        NetSnapshot::from_engine(&net.engine, &net.malicious_ids)
+    }
+
+    /// Scrapes every honest node of `engine` with
+    /// [`StatusReport::of`], as a daemon answers a scrape.
+    pub fn from_engine(engine: &Engine<SecureNet>, malicious_ids: &HashSet<NodeId>) -> NetSnapshot {
+        let cycle = engine.cycle();
+        let nodes = engine
             .nodes()
-            .filter_map(|(addr, node)| {
-                let h = node.honest()?;
-                Some(NodeSnapshot {
-                    addr,
-                    id: h.id(),
-                    view: h
-                        .view()
-                        .iter()
-                        .map(|e| (e.desc.clone(), e.non_swappable))
-                        .collect(),
-                    reserve: h.reserve().cloned().collect(),
-                    blacklist: h.blacklist().culprits().copied().collect(),
-                    redemptions: h.redemption_count(),
-                    stats: h.stats(),
-                    causes: h.causes(),
-                })
-            })
+            .filter_map(|(_, node)| Some(StatusReport::of(node.honest()?, cycle)))
             .collect();
         NetSnapshot {
-            cycle: net.engine.cycle(),
+            cycle,
             nodes,
-            malicious_ids: net.malicious_ids.clone(),
+            malicious_ids: malicious_ids.clone(),
         }
     }
 
     /// Assembles a snapshot from live daemons' control-socket reports.
     /// The snapshot's cycle is the newest cycle any daemon reported.
     pub fn from_reports(reports: impl IntoIterator<Item = StatusReport>) -> NetSnapshot {
-        let reports: Vec<StatusReport> = reports.into_iter().collect();
-        let cycle = reports.iter().map(|r| r.cycle).max().unwrap_or(0);
+        let nodes: Vec<StatusReport> = reports.into_iter().collect();
         NetSnapshot {
-            cycle,
-            nodes: reports.into_iter().map(NodeSnapshot::from).collect(),
+            cycle: nodes.iter().map(|r| r.cycle).max().unwrap_or(0),
+            nodes,
             malicious_ids: HashSet::new(),
         }
     }
@@ -165,29 +119,43 @@ mod tests {
     use super::*;
     use crate::net::{build_secure_network, SecureNetParams};
     use sc_attacks::SecureAttack;
-
-    fn small_params(n: usize, n_malicious: usize) -> SecureNetParams {
-        let mut p = SecureNetParams::new(n, n_malicious, SecureAttack::None);
-        p.cfg = p.cfg.with_view_len(6).with_swap_len(3);
-        p
-    }
+    use sc_core::wire::WireLimits;
 
     #[test]
     fn engine_snapshot_mirrors_node_state() {
-        let mut net = build_secure_network(small_params(12, 3));
-        for _ in 0..5 {
+        // A hub attack, run until honest scrapes carry blacklists,
+        // non-swappable entries and a reserve: every field a socket
+        // carries has something in it.
+        let mut p = SecureNetParams::new(40, 8, SecureAttack::Hub);
+        p.cfg = p.cfg.with_view_len(6).with_swap_len(3);
+        p.attack_start = 12;
+        let mut net = build_secure_network(p);
+        let mut snap = NetSnapshot::from_network(&net);
+        let full = |snap: &NetSnapshot| {
+            let any = |f: fn(&StatusReport) -> bool| snap.nodes.iter().any(f);
+            any(|r| !r.blacklist.is_empty())
+                && any(|r| r.view.iter().any(|(_, ns)| *ns))
+                && any(|r| !r.reserve.is_empty())
+        };
+        while !full(&snap) {
+            assert!(net.engine.cycle() < 80, "no cycle filled every field");
             net.engine.run_cycle();
+            snap = NetSnapshot::from_network(&net);
         }
-        let snap = NetSnapshot::from_network(&net);
         assert_eq!(snap.cycle, net.engine.cycle());
-        assert_eq!(snap.nodes.len(), 9, "honest nodes only");
-        assert_eq!(snap.malicious_ids.len(), 3);
-        for node in &snap.nodes {
-            let h = net.engine.node(node.addr).unwrap().honest().unwrap();
-            assert_eq!(node.id, h.id());
-            assert_eq!(node.view.len(), h.view().len());
-            assert_eq!(node.stats, h.stats());
-            assert_eq!(node.causes, h.causes());
+        assert_eq!(snap.nodes.len(), 32, "honest nodes only");
+        assert_eq!(snap.malicious_ids, net.malicious_ids);
+        let honest = net
+            .engine
+            .nodes()
+            .filter_map(|(a, n)| Some((a, n.honest()?)));
+        for ((addr, h), r) in honest.zip(&snap.nodes) {
+            assert_eq!((r.addr, r.id), (addr, h.id()));
+            assert_eq!(r.view.len(), h.view().len());
+            assert_eq!((r.stats, r.causes), (h.stats(), h.causes()));
+            // The simulator audits nothing a socket cannot carry.
+            let back = StatusReport::decode(&r.encode(), &WireLimits::DEFAULT).unwrap();
+            assert_eq!(&back, r, "node {addr}");
         }
     }
 }

@@ -2,16 +2,14 @@
 //! paper makes about one attack/defense pairing, at reduced scale.
 
 use sc_attacks::{
-    build_legacy_network, legacy_malicious_link_fraction, CloneLedger, LegacyNetParams,
-    SecureAttack,
+    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams, SecureAttack,
 };
 use sc_core::{ProofKind, SecureConfig};
 use sc_testkit::{
     blacklist_coverage, build_secure_network, malicious_link_fraction, ns_link_fraction,
-    proofs_generated, SecureNetParams,
+    NetSnapshot, SecureNetParams,
 };
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 // ----------------------------------------------------------------------
 // Legacy Cyclon: the Figure 3 takeover
@@ -91,9 +89,10 @@ fn secure_cyclon_detects_and_evicts_hub_attackers() {
     assert!(before < 0.2, "pre-attack pollution small: {before}");
 
     net.engine.run_cycles(60);
-    let coverage = blacklist_coverage(&net.engine, &net.malicious_ids);
+    let snap = NetSnapshot::from_network(&net);
+    let coverage = snap.blacklist_coverage();
     let after = malicious_link_fraction(&net.engine, &net.malicious_ids);
-    let (cloning, _freq) = proofs_generated(&net.engine);
+    let (cloning, _freq) = snap.proofs_generated();
     assert!(cloning > 0, "cloning violations were proven");
     assert!(
         coverage > 0.95,
@@ -174,15 +173,7 @@ fn healthy_network_has_no_ns_links() {
 
 #[test]
 fn age_targeted_clones_are_detected_and_logged() {
-    let ledger = Arc::new(Mutex::new(CloneLedger::new()));
-    let mut params = SecureNetParams::new(
-        120,
-        6,
-        SecureAttack::Cloner {
-            target_age: 3,
-            ledger: Arc::clone(&ledger),
-        },
-    );
+    let mut params = SecureNetParams::new(120, 6, SecureAttack::Cloner { target_age: 3 });
     params.cfg = small_secure_cfg();
     // Detection-ratio measurements keep eviction off so attackers survive
     // their first proof and keep producing events, as Figure 7's cells do.
@@ -192,7 +183,7 @@ fn age_targeted_clones_are_detected_and_logged() {
     let mut net = build_secure_network(params);
     net.engine.run_cycles(80);
 
-    let events = ledger.lock().unwrap().events.clone();
+    let events = net.party.lock().unwrap().clone_events().to_vec();
     assert!(
         events.len() >= 10,
         "attackers performed duplications: {}",
@@ -238,9 +229,10 @@ fn frequency_violators_are_proven_and_blacklisted() {
     params.seed = 29;
     let mut net = build_secure_network(params);
     net.engine.run_cycles(60);
-    let (_cloning, freq) = proofs_generated(&net.engine);
+    let snap = NetSnapshot::from_network(&net);
+    let (_cloning, freq) = snap.proofs_generated();
     assert!(freq > 0, "frequency proofs generated");
-    let coverage = blacklist_coverage(&net.engine, &net.malicious_ids);
+    let coverage = snap.blacklist_coverage();
     assert!(
         coverage > 0.9,
         "frequency violators blacklisted: {coverage}"
@@ -255,8 +247,12 @@ fn no_false_positives_with_malicious_control_group() {
     params.seed = 31;
     let mut net = build_secure_network(params);
     net.engine.run_cycles(60);
-    let coverage = blacklist_coverage(&net.engine, &net.malicious_ids);
-    assert_eq!(coverage, 0.0, "no accusations without violations");
-    let (cloning, freq) = proofs_generated(&net.engine);
+    let snap = NetSnapshot::from_network(&net);
+    assert_eq!(
+        snap.blacklist_coverage(),
+        0.0,
+        "no accusations without violations"
+    );
+    let (cloning, freq) = snap.proofs_generated();
     assert_eq!((cloning, freq), (0, 0));
 }

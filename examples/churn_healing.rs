@@ -8,7 +8,7 @@
 
 use securecyclon::core::SecureConfig;
 use securecyclon::testkit::{
-    largest_honest_component, run_scenario_observed, OracleConfig, Scenario,
+    largest_component, run_scenario_observed, NetSnapshot, OracleConfig, Scenario,
 };
 
 const CONVERGE: u64 = 40;
@@ -34,7 +34,7 @@ fn main() {
     let (summary, net) = run_scenario_observed(&scenario, 4, |net| {
         step += 1;
         if step == CONVERGE || step == CONVERGE + 1 {
-            let (component, alive) = largest_honest_component(net);
+            let (component, alive) = largest_component(&NetSnapshot::from_network(net));
             if step == CONVERGE {
                 println!("  alive {alive}, largest connected component {component}");
                 println!("\ncatastrophe: killing a third of the nodes at once");
@@ -49,7 +49,7 @@ fn main() {
         summary.joined, summary.departed
     );
 
-    let (component, alive) = largest_honest_component(&net);
+    let (component, alive) = largest_component(&NetSnapshot::from_network(&net));
     println!("\nafter {HEAL} healing cycles: alive {alive}, largest component {component}");
 
     let mut dead_links = 0usize;

@@ -6,14 +6,12 @@
 //! ```
 
 use securecyclon::attacks::{
-    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams,
+    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams, SecureAttack,
 };
 use securecyclon::core::SecureConfig;
 use securecyclon::cyclon::CyclonConfig;
 use securecyclon::metrics::{ascii_chart, TimeSeries};
-use securecyclon::testkit::{
-    malicious_link_fraction, run_scenario_observed, step_of, AdversaryKind, Scenario,
-};
+use securecyclon::testkit::{malicious_link_fraction, run_scenario_observed, step_of, Scenario};
 
 const N: usize = 400;
 const MALICIOUS: usize = 12;
@@ -46,7 +44,7 @@ fn secure_run() -> TimeSeries {
     let cfg = SecureConfig::default().with_view_len(VIEW).with_swap_len(3);
     let scenario = Scenario::new("hub-attack-demo", N)
         .config(cfg)
-        .adversary(MALICIOUS, AdversaryKind::Hub, step_of(ATTACK_AT, &cfg))
+        .adversary(MALICIOUS, SecureAttack::Hub, step_of(ATTACK_AT, &cfg))
         .cycles(CYCLES);
     let mut series = TimeSeries::new("SecureCyclon");
     let mut c = 0;
