@@ -37,6 +37,8 @@ pub struct SecureParty {
     /// Identities of descriptors already used (avoid re-spending tokens).
     spent_tokens: HashSet<DescriptorId>,
     pool_retention_cycles: u64,
+    /// The `now` of the latest [`SecureParty::prune_pool`].
+    pruned_at: Option<Timestamp>,
     ticks_per_cycle: u64,
     /// Every duplication the party's cloners performed, in order.
     clone_events: Vec<CloneEvent>,
@@ -69,6 +71,7 @@ impl SecureParty {
             tokens: Vec::new(),
             spent_tokens: HashSet::new(),
             pool_retention_cycles: 10,
+            pruned_at: None,
             ticks_per_cycle,
             clone_events: Vec::new(),
         }
@@ -197,8 +200,15 @@ impl SecureParty {
 
     /// Drops pool descriptors older than the retention window (the paper's
     /// pool holds descriptors "generated by malicious nodes in recent
-    /// cycles").
+    /// cycles"). Every member prunes on its turn, all at the same `now`
+    /// in a cycle: a second prune at the latest one's `now` is skipped, as
+    /// it would find nothing — whether a descriptor is kept depends on
+    /// `now` alone, and what members contributed since is stamped at or
+    /// after it.
     pub fn prune_pool(&mut self, now: Timestamp) {
+        if self.pruned_at.replace(now) == Some(now) {
+            return;
+        }
         let horizon = self.pool_retention_cycles;
         let tpc = self.ticks_per_cycle;
         self.pool.retain(|d| d.age_cycles(now, tpc) <= horizon);
@@ -283,5 +293,26 @@ mod tests {
         p.contribute_pool(SecureDescriptor::create(&kp(1), 1, Timestamp(20_000)));
         p.prune_pool(Timestamp(25_000));
         assert_eq!(p.pool_len(), 1, "old base evicted");
+    }
+
+    #[test]
+    fn a_second_prune_at_the_same_now_is_a_no_op() {
+        let mut p = party();
+        p.contribute_pool(SecureDescriptor::create(&kp(1), 1, Timestamp(0)));
+        p.contribute_pool(SecureDescriptor::create(&kp(2), 1, Timestamp(14_000)));
+        p.prune_pool(Timestamp(15_000));
+        assert_eq!(p.pool_len(), 1, "old base evicted");
+        // A member's turn in the same cycle: its contribution is stamped
+        // after `now`, so the skipped prune would have kept it anyway.
+        p.contribute_pool(SecureDescriptor::create(&kp(3), 1, Timestamp(15_300)));
+        p.prune_pool(Timestamp(15_000));
+        assert_eq!(p.pool_len(), 2);
+        // Even a base a prune would evict stays until the clock moves: the
+        // skip is taken on `now` alone.
+        p.contribute_pool(SecureDescriptor::create(&kp(1), 1, Timestamp(0)));
+        p.prune_pool(Timestamp(15_000));
+        assert_eq!(p.pool_len(), 3, "skipped");
+        p.prune_pool(Timestamp(16_000));
+        assert_eq!(p.pool_len(), 2, "the next cycle's prune evicts it");
     }
 }

@@ -36,8 +36,9 @@ use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor};
 use crate::proof::ViolationProof;
 use crate::time::Timestamp;
-use sc_crypto::{FxHashMap, NodeId};
+use sc_crypto::{FxBuildHasher, NodeId};
 use std::collections::VecDeque;
+use std::hash::BuildHasher;
 
 /// Result of observing one descriptor against the cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,7 +123,7 @@ pub struct SampleCache {
     /// tree here: per-creator counts are bounded by the retention window,
     /// so the O(n) insert memmoves stay a few cache lines while lookups
     /// avoid pointer-chasing and per-node allocation entirely.
-    by_creator: FxHashMap<NodeId, Vec<Slot>>,
+    by_creator: CreatorIndex<Vec<Slot>>,
     /// The cycle of the latest prune.
     clock: u64,
     live: Live,
@@ -158,6 +159,227 @@ fn drop_expired(slots: &mut Vec<Slot>, floor: u64) -> usize {
     before - slots.len()
 }
 
+/// A [`SampleCache`]'s map from creator to that creator's slots.
+///
+/// The `(creator, value)` runs sit in one dense vector, in no particular
+/// order, and a power-of-two open-addressing table of 4-byte entries finds
+/// them. An entry is 0 in an empty bucket; otherwise its bits under the
+/// table's mask hold the run's position plus one (a table holds fewer runs
+/// than buckets, so they fit), and its bits above the mask hold the
+/// creator's hash there, a tag that spares a probe the key comparison.
+/// Probing is linear from the bucket the hash's low bits name; a removal
+/// shifts the entries behind it back, so no tombstone is left, and moves
+/// the last run into the hole. An empty bucket costs its 4 bytes where a
+/// std map's held a key and a vector header.
+///
+/// Sizes follow the number of runs: the table is the smallest power of
+/// two (at least 4) under a load of 7/8, doubled when an insert would pass
+/// that and cut back once it is more than twice the size its runs need;
+/// the run vector grows by an eighth of its length at a time (at least
+/// [`MIN_RUN_STEP`] runs), and keeps no more spare room than one step.
+struct CreatorIndex<V> {
+    runs: Vec<(NodeId, V)>,
+    table: Vec<u32>,
+}
+
+/// The least number of runs a full run vector grows by.
+const MIN_RUN_STEP: usize = 4;
+
+/// How many runs a full vector of `runs` grows by, and the most spare
+/// room it keeps.
+fn run_step(runs: usize) -> usize {
+    (runs / 8).max(MIN_RUN_STEP)
+}
+
+/// The table size for `runs` runs: a load of at most 7/8, so some bucket
+/// is always empty and every probe ends.
+fn buckets_for(runs: usize) -> usize {
+    match runs {
+        0 => 0,
+        n => (8 * n).div_ceil(7).next_power_of_two().max(4),
+    }
+}
+
+impl<V: Default> CreatorIndex<V> {
+    fn new() -> Self {
+        CreatorIndex {
+            runs: Vec::new(),
+            table: Vec::new(),
+        }
+    }
+
+    fn hash(creator: &NodeId) -> usize {
+        (FxBuildHasher::default().hash_one(creator) >> 32) as usize
+    }
+
+    fn mask(&self) -> usize {
+        self.table.len() - 1
+    }
+
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// The bucket holding `creator`'s entry and its run, or the empty
+    /// bucket that ends its probe. The table must not be empty.
+    fn probe(&self, creator: &NodeId, hash: usize) -> (usize, Option<usize>) {
+        let mask = self.mask();
+        let mut bucket = hash & mask;
+        loop {
+            let entry = self.table[bucket] as usize;
+            if entry == 0 {
+                return (bucket, None);
+            }
+            let run = (entry & mask) - 1;
+            if entry & !mask == hash & !mask && self.runs[run].0 == *creator {
+                return (bucket, Some(run));
+            }
+            bucket = (bucket + 1) & mask;
+        }
+    }
+
+    /// The first empty bucket from `hash`'s own.
+    fn vacancy(&self, hash: usize) -> usize {
+        let mask = self.mask();
+        let mut bucket = hash & mask;
+        while self.table[bucket] != 0 {
+            bucket = (bucket + 1) & mask;
+        }
+        bucket
+    }
+
+    /// The bucket holding the entry of run `run`.
+    fn bucket_of(&self, run: usize) -> usize {
+        let mask = self.mask();
+        let mut bucket = Self::hash(&self.runs[run].0) & mask;
+        while self.table[bucket] as usize & mask != run + 1 {
+            bucket = (bucket + 1) & mask;
+        }
+        bucket
+    }
+
+    /// Enters run `run`, whose creator hashes to `hash`, in `bucket`.
+    fn enter(&mut self, bucket: usize, hash: usize, run: usize) {
+        let mask = self.mask();
+        self.table[bucket] = ((hash & !mask) | (run + 1)) as u32;
+    }
+
+    /// A fresh table of `buckets` buckets holding every run.
+    fn rebuild(&mut self, buckets: usize) {
+        self.table = vec![0; buckets];
+        for run in 0..self.runs.len() {
+            let hash = Self::hash(&self.runs[run].0);
+            let bucket = self.vacancy(hash);
+            self.enter(bucket, hash, run);
+        }
+    }
+
+    /// The run of `creator`, if it has one.
+    fn find(&self, creator: &NodeId) -> Option<usize> {
+        if self.table.is_empty() {
+            return None;
+        }
+        self.probe(creator, Self::hash(creator)).1
+    }
+
+    fn get(&self, creator: &NodeId) -> Option<&V> {
+        self.find(creator).map(|run| &self.runs[run].1)
+    }
+
+    /// The run of `creator`, with a default value if it had none.
+    fn run_of(&mut self, creator: &NodeId) -> usize {
+        let hash = Self::hash(creator);
+        let mut free = None;
+        if !self.table.is_empty() {
+            match self.probe(creator, hash) {
+                (_, Some(run)) => return run,
+                (bucket, None) => free = Some(bucket),
+            }
+        }
+        let run = self.runs.len();
+        if 8 * (run + 1) > 7 * self.table.len() {
+            self.rebuild(buckets_for(run + 1));
+            free = None;
+        }
+        let bucket = free.unwrap_or_else(|| self.vacancy(hash));
+        self.enter(bucket, hash, run);
+        if self.runs.len() == self.runs.capacity() {
+            self.runs.reserve_exact(run_step(run));
+        }
+        self.runs.push((*creator, V::default()));
+        run
+    }
+
+    /// Removes run `run` and shifts back the entries behind its own, then
+    /// moves the last run into its place; the sizes are left as they are.
+    fn take(&mut self, run: usize) -> V {
+        let mask = self.mask();
+        let mut hole = self.bucket_of(run);
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let entry = self.table[next] as usize;
+            if entry == 0 {
+                break;
+            }
+            // An entry may fill the hole if its probe passes it: if its
+            // own bucket is no nearer to it than the hole.
+            let home = Self::hash(&self.runs[(entry & mask) - 1].0) & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.table[hole] = entry as u32;
+                hole = next;
+            }
+        }
+        self.table[hole] = 0;
+        let last = self.runs.len() - 1;
+        if run != last {
+            let moved = self.bucket_of(last);
+            self.table[moved] = ((self.table[moved] as usize & !mask) | (run + 1)) as u32;
+        }
+        self.runs.swap_remove(run).1
+    }
+
+    /// Cuts both vectors back to what the runs left need. The run vector
+    /// keeps a step of room, so removals one at a time (a purge per
+    /// proof) shrink it a run at a time, in place. (Keeping half a step,
+    /// or none, reallocates less often but read up to 3 MB more peak RSS
+    /// on some `sim-hub40` seeds.)
+    fn fit(&mut self) {
+        let runs = self.runs.len();
+        if self.runs.capacity() - runs > run_step(runs) {
+            self.runs.shrink_to(runs + run_step(runs));
+        }
+        if self.table.len() > 2 * (8 * runs).div_ceil(7) {
+            self.rebuild(buckets_for(runs));
+        }
+    }
+
+    /// Removes run `run`, returning its value.
+    fn remove(&mut self, run: usize) -> V {
+        let value = self.take(run);
+        self.fit();
+        value
+    }
+
+    /// Keeps the runs whose value `keep` (which may change it) returns
+    /// true for. The table is rebuilt only if it must shrink.
+    fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
+        let mut run = 0;
+        while run < self.runs.len() {
+            if keep(&mut self.runs[run].1) {
+                run += 1;
+            } else {
+                self.take(run);
+            }
+        }
+        self.fit();
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> + Clone {
+        self.runs.iter().map(|(_, value)| value)
+    }
+}
+
 /// What a [`SampleCache`] occupies, beside what it shows. Not protocol
 /// surface: memory oracles and sizing tools read it.
 #[doc(hidden)]
@@ -171,11 +393,23 @@ pub struct CacheFootprint {
     pub slot_capacity: usize,
     /// Creators with a slot vector.
     pub creators: usize,
+    /// Capacity of the creator index's run vector, in runs.
+    pub run_capacity: usize,
+    /// Buckets in the creator index's table.
+    pub buckets: usize,
+    /// What the creator index occupies beside the slot vectors: its runs'
+    /// capacity and its table.
+    pub index_bytes: usize,
 }
 
 impl CacheFootprint {
     /// Bytes of one slot.
     pub const SLOT_BYTES: usize = core::mem::size_of::<Slot>();
+    /// Bytes of one run of the creator index: a creator and the header of
+    /// its slot vector.
+    pub const RUN_BYTES: usize = core::mem::size_of::<(NodeId, Vec<Slot>)>();
+    /// Bytes of one bucket of the creator index's table.
+    pub const ENTRY_BYTES: usize = core::mem::size_of::<u32>();
 }
 
 impl core::fmt::Debug for SampleCache {
@@ -247,7 +481,7 @@ impl SampleCache {
     pub fn new(retention_cycles: u64, period_ticks: u64) -> Self {
         assert!(period_ticks > 0, "the gossip period must be positive");
         SampleCache {
-            by_creator: FxHashMap::default(),
+            by_creator: CreatorIndex::new(),
             clock: 0,
             live: Live::default(),
             stored: 0,
@@ -309,11 +543,17 @@ impl SampleCache {
     pub fn footprint(&self) -> CacheFootprint {
         let vectors = self.by_creator.values();
         debug_assert_eq!(vectors.clone().map(Vec::len).sum::<usize>(), self.stored);
+        let index = &self.by_creator;
+        let (run_capacity, buckets) = (index.runs.capacity(), index.table.len());
         CacheFootprint {
             visible_slots: self.live.len,
             stored_slots: self.stored,
             slot_capacity: vectors.map(Vec::capacity).sum(),
             creators: self.by_creator.len(),
+            run_capacity,
+            buckets,
+            index_bytes: run_capacity * CacheFootprint::RUN_BYTES
+                + buckets * CacheFootprint::ENTRY_BYTES,
         }
     }
 
@@ -346,9 +586,10 @@ impl SampleCache {
         }
         let (horizon, floor) = (self.horizon(), self.floor());
         let live = &mut self.live;
-        // The one lookup. A creator's entry is never left empty: every
-        // path below that does not insert found a conflicting slot.
-        let slots = self.by_creator.entry(id.creator).or_default();
+        // The one lookup. A creator's run is never left empty: every path
+        // below that does not insert found a conflicting slot.
+        let run = self.by_creator.run_of(&id.creator);
+        let slots = &mut self.by_creator.runs[run].1;
         // The touch rule: the creator's expired slots go while its vector
         // is in cache anyway.
         if self.stored > live.len {
@@ -430,7 +671,7 @@ impl SampleCache {
                         live.removed(slots.remove(start).ts / period);
                         self.stored -= 1;
                         if slots.is_empty() {
-                            self.by_creator.remove(&id.creator);
+                            self.by_creator.remove(run);
                         }
                     }
                     Observation::Forged
@@ -467,7 +708,7 @@ impl SampleCache {
         }
         if self.stored - self.live.len > self.live.len / 16 {
             let floor = self.floor();
-            self.by_creator.retain(|_, slots| {
+            self.by_creator.retain(|slots| {
                 drop_expired(slots, floor);
                 !slots.is_empty()
             });
@@ -477,9 +718,10 @@ impl SampleCache {
 
     /// Removes every sample created by `creator` (post-blacklist purge).
     pub fn purge_creator(&mut self, creator: &NodeId) {
-        let Some(slots) = self.by_creator.remove(creator) else {
+        let Some(run) = self.by_creator.find(creator) else {
             return;
         };
+        let slots = self.by_creator.remove(run);
         self.stored -= slots.len();
         let floor = self.floor();
         for slot in slots.iter().filter(|s| s.ts >= floor) {
@@ -494,6 +736,7 @@ mod tests {
     use crate::proof::ProofKind;
     use crate::time::Timestamp;
     use sc_crypto::{Keypair, Scheme};
+    use std::collections::BTreeMap;
 
     const PERIOD: u64 = 1000;
 
@@ -848,6 +1091,167 @@ mod tests {
     #[test]
     fn a_slot_is_two_words() {
         assert_eq!(CacheFootprint::SLOT_BYTES, 16);
+    }
+
+    #[test]
+    fn a_creator_costs_a_run_and_a_bucket_four_bytes() {
+        assert_eq!(CacheFootprint::RUN_BYTES, 56);
+        assert_eq!(CacheFootprint::ENTRY_BYTES, 4);
+    }
+
+    // -- the creator index ----------------------------------------------
+
+    type Index = CreatorIndex<u64>;
+
+    /// `n` distinct creators whose hashes leave `low` in their five lowest
+    /// bits: in every table of up to 32 buckets they share one bucket.
+    fn homed(low: usize, n: usize) -> Vec<NodeId> {
+        let base = *kp(1).public().as_bytes();
+        (0u64..)
+            .map(|i| {
+                let mut bytes = base;
+                bytes[1..9].copy_from_slice(&i.to_le_bytes());
+                NodeId::from_bytes(bytes).expect("a scheme's tag")
+            })
+            .filter(|k| Index::hash(k) & 31 == low)
+            .take(n)
+            .collect()
+    }
+
+    /// The index's own invariants, beside what it maps: every run has one
+    /// entry, tagged with its creator's hash; no empty bucket lies between
+    /// an entry and its creator's own bucket, so every probe reaches it;
+    /// and the sizes are those the type's docs state.
+    fn well_formed(index: &Index) -> Result<(), String> {
+        let (runs, buckets) = (index.runs.len(), index.table.len());
+        let sized = buckets == 0 || (buckets >= 4 && buckets.is_power_of_two());
+        if !sized || 8 * runs > 7 * buckets || buckets > 2 * (8 * runs).div_ceil(7) {
+            return Err(format!("{buckets} buckets for {runs} runs"));
+        }
+        if index.runs.capacity() - runs > run_step(runs) {
+            return Err(format!("room for {} runs", index.runs.capacity()));
+        }
+        let mut seen = vec![false; runs];
+        for (bucket, &entry) in index.table.iter().enumerate() {
+            if entry == 0 {
+                continue;
+            }
+            let mask = buckets - 1;
+            let run = (entry as usize & mask) - 1;
+            let hash = Index::hash(&index.runs[run].0);
+            if entry as usize & !mask != hash & !mask || std::mem::replace(&mut seen[run], true) {
+                return Err(format!("bucket {bucket}: entry {entry:#x}"));
+            }
+            let mut on_path = hash & mask;
+            while on_path != bucket {
+                if index.table[on_path] == 0 {
+                    return Err(format!("bucket {bucket}: a gap at {on_path}"));
+                }
+                on_path = (on_path + 1) & mask;
+            }
+        }
+        match seen.iter().position(|s| !s) {
+            Some(run) => Err(format!("run {run} has no entry")),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn a_chain_across_the_table_end_shifts_back_on_removal() {
+        // Three creators of the last bucket of a 4-bucket table fill it
+        // from there, round the end; a fourth, of bucket 1, waits behind.
+        let last = homed(31, 3);
+        let one = homed(1, 1)[0];
+        let mut index = Index::new();
+        for k in &last {
+            index.run_of(k);
+        }
+        let at =
+            |index: &Index| -> Vec<usize> { index.table.iter().map(|&e| e as usize & 3).collect() };
+        assert_eq!(at(&index), [2, 3, 0, 1], "runs 0..3 from bucket 3 on");
+        // Removing the head shifts the two behind it back round the end,
+        // the last run moves into its place, and bucket 1 is free again.
+        assert_eq!(index.remove(0), 0);
+        assert_eq!(at(&index), [1, 0, 0, 2]);
+        assert_eq!(index.find(&last[1]), Some(1));
+        assert_eq!(index.find(&last[2]), Some(0));
+        // A creator of bucket 1 takes it; removing the head again shifts
+        // the wrapped entry back to bucket 3 but leaves the new one in its
+        // own bucket.
+        index.run_of(&one);
+        assert_eq!(at(&index), [1, 3, 0, 2]);
+        assert_eq!(index.remove(1), 0);
+        assert_eq!(at(&index), [0, 2, 0, 1]);
+        assert_eq!(index.find(&last[2]), Some(0));
+        assert_eq!(index.find(&one), Some(1));
+        assert_eq!(index.find(&last[1]), None);
+        well_formed(&index).unwrap();
+        // The last removal leaves nothing allocated but a step of runs.
+        index.retain(|_| false);
+        assert_eq!((index.table.len(), index.runs.capacity()), (0, 4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The index against a `BTreeMap`, on creators crowded into the
+        /// first and last buckets of every table up to 32 buckets, so that
+        /// probes wrap round the end and removals shift chains back.
+        #[test]
+        fn the_creator_index_maps_as_a_btree_does(
+            ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u64>()), 1..300)
+        ) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            static POOL: std::sync::OnceLock<Vec<NodeId>> = std::sync::OnceLock::new();
+            let pool = POOL.get_or_init(|| {
+                let mut pool = homed(31, 12);
+                pool.extend(homed(0, 6));
+                pool.extend((10..24).map(|tag| kp(tag).public()));
+                pool
+            });
+            let mut index = Index::new();
+            let mut reference: BTreeMap<NodeId, u64> = BTreeMap::new();
+            for (step, (selector, arg)) in ops.into_iter().enumerate() {
+                let key = pool[arg as usize % pool.len()];
+                match selector {
+                    // Insert, or overwrite.
+                    0..=2 => {
+                        let run = index.run_of(&key);
+                        index.runs[run].1 = arg;
+                        reference.insert(key, arg);
+                    }
+                    3 => prop_assert_eq!(index.get(&key), reference.get(&key)),
+                    // Purge a creator, present or not.
+                    4 => {
+                        let got = index.find(&key).map(|run| index.remove(run));
+                        prop_assert_eq!(got, reference.remove(&key));
+                    }
+                    // Evict a run by its position.
+                    5 if !index.runs.is_empty() => {
+                        let run = arg as usize % index.len();
+                        let key = index.runs[run].0;
+                        prop_assert_eq!(Some(index.remove(run)), reference.remove(&key));
+                    }
+                    // A sweep: change every value, drop some.
+                    _ => {
+                        let keep = |v: &mut u64| {
+                            *v = v.wrapping_add(1);
+                            *v % 4 != arg % 4
+                        };
+                        index.retain(keep);
+                        reference.retain(|_, v| keep(v));
+                    }
+                }
+                prop_assert_eq!(index.len(), reference.len(), "step {}", step);
+                for k in pool {
+                    prop_assert_eq!(index.get(k), reference.get(k), "step {}", step);
+                }
+                let runs: BTreeMap<NodeId, u64> = index.runs.iter().copied().collect();
+                prop_assert_eq!(&runs, &reference, "step {}", step);
+                let formed = well_formed(&index);
+                prop_assert!(formed.is_ok(), "step {}: {:?}", step, formed);
+            }
+        }
     }
 
     #[test]

@@ -31,10 +31,13 @@
 //! touch of its creator, expired slots appear nowhere but in `prune` (an
 //! observation's catch-up included) and never outlast the sweep trigger
 //! there, spare capacity stays within
-//! `SLACK_SLOTS` a creator, and no creator's entry is left empty.
+//! `SLACK_SLOTS` a creator, no creator's entry is left empty, and the
+//! creator index holds one run a creator, at most an eighth more (or 4) of
+//! spare room, and a table of one entry a bucket at most twice the size a
+//! load of 7/8 needs.
 
 use proptest::prelude::*;
-use sc_core::checks::SLACK_SLOTS;
+use sc_core::checks::{CacheFootprint, SLACK_SLOTS};
 use sc_core::{
     compare_chains, ChainRelation, CompareError, DescriptorId, LinkKind, Observation, SampleCache,
     SecureDescriptor, Timestamp, ViolationProof,
@@ -411,6 +414,22 @@ proptest! {
                 held.slot_capacity - held.stored_slots <= SLACK_SLOTS * held.creators,
                 "step {}: capacity {} for {} slots of {} creators", step, held.slot_capacity,
                 held.stored_slots, held.creators
+            );
+            let c = held.creators;
+            prop_assert!(
+                held.run_capacity - c <= (c / 8).max(4),
+                "step {}: room for {} runs of {} creators", step, held.run_capacity, c
+            );
+            prop_assert!(
+                held.buckets <= 2 * (8 * c).div_ceil(7),
+                "step {}: {} buckets for {} creators", step, held.buckets, c
+            );
+            // Together: a run and at most 4 bytes a bucket.
+            let runs = c + (c / 8).max(4);
+            let most = runs * CacheFootprint::RUN_BYTES + 2 * (8 * c).div_ceil(7) * 4;
+            prop_assert!(
+                held.index_bytes <= most,
+                "step {}: {} bytes of index for {} creators", step, held.index_bytes, c
             );
         }
     }

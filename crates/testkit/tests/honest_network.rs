@@ -4,7 +4,7 @@
 //! failure), at reduced scale.
 
 use sc_attacks::SecureAttack;
-use sc_core::checks::SLACK_SLOTS;
+use sc_core::checks::{CacheFootprint, SLACK_SLOTS};
 use sc_core::node::{REDEMPTION_CACHE_MAX_ENTRIES, SAMPLE_RETENTION_CYCLES};
 use sc_core::{DescriptorId, SecureConfig, Timestamp};
 use sc_crypto::{FxHashSet, NodeId};
@@ -278,6 +278,27 @@ fn assert_within_caps(node: &sc_core::SecureCyclonNode, cycle: usize, last_turn:
         "cycle {cycle}: capacity {} for {stored} slots of {} creators",
         held.samples.slot_capacity,
         held.samples.creators
+    );
+    // The creator index that finds those vectors: one run a creator and
+    // at most an eighth more (or 4) of spare room, and a table of one
+    // entry a bucket at most twice the size a load of 7/8 needs.
+    let c = held.samples.creators;
+    assert!(
+        held.samples.run_capacity - c <= (c / 8).max(4),
+        "cycle {cycle}: room for {} runs of {c} creators",
+        held.samples.run_capacity
+    );
+    assert!(
+        held.samples.buckets <= 2 * (8 * c).div_ceil(7),
+        "cycle {cycle}: {} buckets for {c} creators",
+        held.samples.buckets
+    );
+    // Together: a run and at most 4 bytes a bucket.
+    let most = (c + (c / 8).max(4)) * CacheFootprint::RUN_BYTES + 2 * (8 * c).div_ceil(7) * 4;
+    assert!(
+        held.samples.index_bytes <= most,
+        "cycle {cycle}: {} bytes of creator index for {c} creators",
+        held.samples.index_bytes
     );
     assert!(
         held.spent_records <= spent_bound,

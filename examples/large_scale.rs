@@ -62,9 +62,10 @@ fn main() {
     let mut slots = 0usize;
     // What a node's bookkeeping occupies (README, "Where a node's memory
     // goes"): sample-cache slots shown and stored, the capacity behind
-    // them, spent-state records, and the chain blocks everything stored
-    // pins — each block once, whoever holds it.
-    let (mut visible, mut stored, mut capacity, mut spent) = (0, 0, 0, 0);
+    // them, the creator index that finds them, spent-state records, and
+    // the chain blocks everything stored pins — each block once, whoever
+    // holds it.
+    let (mut visible, mut stored, mut capacity, mut index, mut spent) = (0, 0, 0, 0, 0);
     let mut blocks = HashSet::new();
     for (_, node) in net.engine.nodes() {
         let h = node.honest().expect("all nodes honest");
@@ -75,6 +76,7 @@ fn main() {
         visible += held.samples.visible_slots;
         stored += held.samples.stored_slots;
         capacity += held.samples.slot_capacity;
+        index += held.samples.index_bytes;
         spent += held.spent_records;
         for d in h.stored_descriptors() {
             for block in d.block_addrs() {
@@ -92,10 +94,12 @@ fn main() {
     let per_node = |total: usize| total as f64 / n as f64;
     println!(
         "footprint per node after {cycles} cycles: {:.0} sample slots visible, {:.0} stored, \
-         {:.1} kB of slot capacity, {:.0} spent records, {:.0} chain blocks = {:.1} kB",
+         {:.1} kB of slot capacity, {:.1} kB of creator index, {:.0} spent records, \
+         {:.0} chain blocks = {:.1} kB",
         per_node(visible),
         per_node(stored),
         per_node(capacity * CacheFootprint::SLOT_BYTES) / 1e3,
+        per_node(index) / 1e3,
         per_node(spent),
         per_node(blocks.len()),
         per_node(blocks.len() * SecureDescriptor::BLOCK_BYTES) / 1e3

@@ -64,6 +64,7 @@ fn large_scale_runs() {
         "visible",
         "stored",
         "slot capacity",
+        "creator index",
         "spent records",
         "chain blocks",
     ] {

@@ -29,7 +29,6 @@
 //!     cargo test --test scenario_matrix -- --nocapture
 //! ```
 
-use securecyclon::core::Discard;
 use securecyclon::testkit::{
     run_scenario, run_scenario_with_net, standard_matrix, MatrixSize, NetSnapshot, MATRIX_SEEDS,
 };
@@ -78,17 +77,7 @@ fn scenario_matrix_holds_all_oracles() {
     for (scenario, seed) in combos {
         match run_scenario_with_net(scenario, seed) {
             Ok((summary, net)) => {
-                // Every count of a refusal, a rejection or an invalid
-                // descriptor is one of a cause.
                 let end = NetSnapshot::from_network(&net);
-                for node in &end.nodes {
-                    let (s, c) = (node.stats, node.causes);
-                    let at = format!("{} seed {seed} node {}: {c}", scenario.name, node.addr);
-                    assert_eq!(c.refused.iter().sum::<u64>(), s.refused, "{at}");
-                    assert_eq!(c.rejected.iter().sum::<u64>(), s.transfers_rejected, "{at}");
-                    let invalid = c[Discard::Unverified] + c[Discard::Forged];
-                    assert_eq!(invalid, s.invalid_descriptors, "{at}");
-                }
                 println!(
                     "ok   {:<24} seed {seed}: {} cycles, {} alive ({} honest, +{} joined, \
                      -{} departed), proofs {:?}, coverage {:.2}, mal-links {:.3}, ns {:.3}",
