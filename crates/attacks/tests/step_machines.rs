@@ -23,7 +23,7 @@ fn keypair(i: usize) -> Keypair {
 }
 
 fn quiet<M>(fx: &Effects<M>) -> bool {
-    fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty()
+    fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty() && fx.flood.is_none()
 }
 
 // ----------------------------------------------------------------------

@@ -85,7 +85,7 @@ pub use descriptor::{
     ChainLink, DescriptorError, DescriptorId, Genesis, LinkKind, SecureDescriptor,
 };
 pub use fault::{FaultDecision, FaultDir, FaultSpec, Loss, MsgKind};
-pub use machine::{Effects, Input, Machine};
+pub use machine::{Effects, Flood, Input, Machine};
 pub use memo::VerifyMemo;
 pub use msg::{
     AcceptBody, JoinGrantBody, JoinPingBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg,

@@ -19,7 +19,10 @@
 //! * a tick while an exchange is in flight is a no-op, a reply nobody
 //!   awaits is dropped, and a reply of the wrong kind counts as a timeout;
 //! * requests and one-way messages are served in any state, also between
-//!   the round trips of the machine's own exchange.
+//!   the round trips of the machine's own exchange;
+//! * a step's one-way messages leave in one order: its `sends`, then its
+//!   `flood` message by message — each message to every address of the
+//!   flood before the next message.
 
 use crate::msg::SecureMsg;
 use crate::Addr;
@@ -86,6 +89,8 @@ pub struct Effects<M = SecureMsg> {
     pub reply: Option<M>,
     /// One-way messages, in sending order.
     pub sends: Vec<(Addr, M)>,
+    /// One-way messages for a list of addresses, sent after `sends`.
+    pub flood: Option<Flood<M>>,
 }
 
 impl<M> Default for Effects<M> {
@@ -94,7 +99,29 @@ impl<M> Default for Effects<M> {
             rpc: None,
             reply: None,
             sends: Vec::new(),
+            flood: None,
         }
+    }
+}
+
+/// The same messages for every address of a list (§IV-C's proof flood),
+/// sent message by message: `msgs[0]` to each of `to` in order, then
+/// `msgs[1]`, and so on. A driver queues or encodes each message once,
+/// not once per address.
+#[derive(Debug)]
+pub struct Flood<M = SecureMsg> {
+    /// The addresses, in sending order.
+    pub to: Vec<Addr>,
+    /// The messages, in sending order.
+    pub msgs: Vec<M>,
+}
+
+impl<M> Flood<M> {
+    /// The one-way sends the flood stands for, in sending order.
+    pub fn sends(&self) -> impl Iterator<Item = (Addr, &M)> {
+        self.msgs
+            .iter()
+            .flat_map(|msg| self.to.iter().map(move |&to| (to, msg)))
     }
 }
 

@@ -128,7 +128,7 @@ impl SecureCyclonNode {
     fn finish_turn(&mut self, cycle: u64, fx: &mut Effects) {
         self.backfill(cycle);
         self.maybe_rejoin_ping(cycle, &mut fx.sends);
-        self.drain_floods(&mut fx.sends);
+        fx.flood = self.drain_floods();
         self.checkpoint(cycle);
     }
 

@@ -3,7 +3,7 @@
 //! (§IV-A redemption validation, the §V-A non-swappable restrictions,
 //! tit-for-tat rounds, join pings).
 
-use super::{Discard, Refusal, Rejection, SecureCyclonNode, Session};
+use super::{Discard, Effects, Refusal, Rejection, SecureCyclonNode, Session};
 use crate::checks::Observation;
 use crate::descriptor::{LinkKind, SecureDescriptor};
 use crate::msg::{AcceptBody, JoinGrantBody, RequestBody, RoundBody, RoundReplyBody, SecureMsg};
@@ -425,14 +425,14 @@ impl SecureCyclonNode {
         msg: SecureMsg,
         cycle: u64,
         now: u64,
-        sends: &mut Vec<(Addr, SecureMsg)>,
+        fx: &mut Effects,
     ) {
         match msg {
             SecureMsg::Proof(proof) => {
                 self.accept_remote_proof(proof, cycle);
             }
             SecureMsg::JoinPing(body) => {
-                self.answer_join_ping(from, body.joiner, cycle, now, sends)
+                self.answer_join_ping(from, body.joiner, cycle, now, &mut fx.sends)
             }
             SecureMsg::JoinGrant(body) => {
                 let JoinGrantBody { descriptor, proofs } = *body;
@@ -443,7 +443,7 @@ impl SecureCyclonNode {
             }
             _ => return,
         }
-        self.drain_floods(sends);
+        fx.flood = self.drain_floods();
     }
 
     /// Answers a joiner's or a starved peer's ping with a sponsorship,

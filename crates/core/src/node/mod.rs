@@ -18,8 +18,9 @@
 //!    [`Input::Timeout`]; the exchange in between is explicit state;
 //! 4. runs the frequency and ownership checks (§IV-B) on **every**
 //!    descriptor it sees — owned transfers and samples alike; a conflict
-//!    yields a [`ViolationProof`], the culprit is blacklisted, its
-//!    descriptors purged, and the proof flooded one hop per cycle (§IV-C).
+//!    yields a [`ViolationProof`](crate::ViolationProof), the culprit is
+//!    blacklisted, its descriptors purged, and the proof flooded one hop
+//!    per cycle (§IV-C).
 //!
 //! As the passive party ([`Input::Request`]) it validates redemption
 //! certificates (including the §V-A non-swappable restrictions), mirrors
@@ -46,7 +47,7 @@ use crate::config::SecureConfig;
 use crate::descriptor::{DescriptorId, LinkKind, SecureDescriptor, WalkScratch};
 use crate::machine::{Effects, Input, Machine};
 use crate::msg::SecureMsg;
-use crate::proof::{ProofKind, ViolationProof};
+use crate::proof::ProofKind;
 use crate::redemption::RedemptionCache;
 use crate::ring::ExpiryRing;
 use crate::storage::StateBackend;
@@ -262,8 +263,8 @@ pub struct SecureCyclonNode {
     /// Join pings `(from, joiner)` that found this cycle's budget spent,
     /// answered at the top of the next turn.
     held_pings: Vec<(Addr, NodeId)>,
-    /// Proofs awaiting flood dispatch.
-    outbox: Vec<ViolationProof>,
+    /// Proof messages awaiting the step's flood.
+    outbox: Vec<SecureMsg>,
     rng: SmallRng,
     stats: SecureStats,
     causes: Causes,
@@ -466,18 +467,20 @@ impl SecureCyclonNode {
     /// * [`Input::Tick`] runs the active turn up to its first round trip:
     ///   the effects carry an `rpc`, or — when the node has nothing to
     ///   exchange, or its budget went to a held join ping's grant — the
-    ///   end-of-turn `sends`. A tick while an exchange is in flight does
-    ///   nothing, and the held pings wait with it.
+    ///   end-of-turn `sends` and `flood`. A tick while an exchange is in
+    ///   flight does nothing, and the held pings wait with it.
     /// * [`Input::Reply`] / [`Input::Timeout`] resolve the outstanding
     ///   `rpc`, under the cycle its tick carried; the effects carry the
-    ///   next round's `rpc` or the end-of-turn `sends`. With no exchange
-    ///   in flight they are dropped; a reply of the wrong type counts as
-    ///   a timeout.
+    ///   next round's `rpc` or the end-of-turn `sends` and `flood`. With
+    ///   no exchange in flight they are dropped; a reply of the wrong
+    ///   type counts as a timeout.
     /// * [`Input::Request`] yields the `reply`; [`Input::Oneway`] at most
-    ///   `sends`.
+    ///   `sends`; both may carry a `flood` of the proofs they taught the
+    ///   node, to its view as the step leaves it.
     ///
     /// §VI-A byte accounting happens here and nowhere else: the input's
-    /// message is metered on the way in, every effect on the way out.
+    /// message is metered on the way in, every effect on the way out — a
+    /// flood once per address it names.
     pub fn step(&mut self, input: Input) -> Effects {
         if let Some(msg) = input.msg() {
             self.stats.bytes_received += wire::message_paper_bytes(msg) as u64;
@@ -498,20 +501,22 @@ impl SecureCyclonNode {
                     SecureMsg::Round(body) => self.handle_round(from, *body, cycle),
                     _ => None,
                 };
-                self.drain_floods(&mut fx.sends);
+                fx.flood = self.drain_floods();
             }
             Input::Oneway {
                 from,
                 msg,
                 cycle,
                 now,
-            } => self.handle_oneway(from, msg, cycle, now, &mut fx.sends),
+            } => self.handle_oneway(from, msg, cycle, now, &mut fx),
         }
+        let bytes = |msg| wire::message_paper_bytes(msg) as u64;
         let out = fx.rpc.iter().chain(&fx.sends).map(|(_, msg)| msg);
-        self.stats.bytes_sent += out
-            .chain(&fx.reply)
-            .map(|msg| wire::message_paper_bytes(msg) as u64)
-            .sum::<u64>();
+        self.stats.bytes_sent += out.chain(&fx.reply).map(bytes).sum::<u64>();
+        if let Some(flood) = &fx.flood {
+            self.stats.bytes_sent +=
+                flood.to.len() as u64 * flood.msgs.iter().map(bytes).sum::<u64>();
+        }
         fx
     }
 

@@ -2,9 +2,9 @@
 //! blacklisting with its purge, and the flood queue.
 
 use super::{ProofRecord, SecureCyclonNode};
+use crate::machine::Flood;
 use crate::msg::SecureMsg;
 use crate::proof::{ProofKind, ViolationProof};
-use crate::Addr;
 
 impl SecureCyclonNode {
     /// Exports every stored violation proof (for bootstrap synchronization
@@ -74,22 +74,19 @@ impl SecureCyclonNode {
         self.pending_ns.retain(|d| d.creator() != culprit);
         self.transfer_history.retain(|d| d.creator() != culprit);
         self.reserve.retain(|d| d.creator() != culprit);
-        self.outbox.push(proof);
+        self.outbox.push(SecureMsg::Proof(proof));
         true
     }
 
-    /// Queues every pending proof for every current neighbor (§IV-C
-    /// flooding).
-    pub(super) fn drain_floods(&mut self, sends: &mut Vec<(Addr, SecureMsg)>) {
-        if self.outbox.is_empty() {
-            return;
+    /// Every pending proof for every current neighbor, in learning order
+    /// (§IV-C flooding); `None` when there is no proof or no neighbor.
+    pub(super) fn drain_floods(&mut self) -> Option<Flood> {
+        let msgs = std::mem::take(&mut self.outbox);
+        if msgs.is_empty() || self.view.is_empty() {
+            return None;
         }
-        let targets: Vec<Addr> = self.view.iter().map(|e| e.desc.addr()).collect();
-        for proof in self.outbox.drain(..) {
-            for &t in &targets {
-                sends.push((t, SecureMsg::Proof(proof.clone())));
-            }
-        }
+        let to = self.view.iter().map(|e| e.desc.addr()).collect();
+        Some(Flood { to, msgs })
     }
 
     pub(super) fn process_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {

@@ -3,7 +3,8 @@
 //! the step machine's reachable states in `crates/core/tests/step_machine.rs`.
 
 use super::*;
-use crate::msg::RequestBody;
+use crate::msg::{JoinGrantBody, RequestBody};
+use crate::proof::ViolationProof;
 use crate::storage::PersistentState;
 use crate::time::Timestamp;
 use sc_crypto::Scheme;
@@ -726,7 +727,7 @@ fn a_held_join_ping_waits_while_an_exchange_is_in_flight() {
 
     let fx = tick(&mut node, 6);
     assert!(
-        fx.sends.is_empty() && fx.rpc.is_none(),
+        fx.sends.is_empty() && fx.flood.is_none() && fx.rpc.is_none(),
         "turn 5 is still out"
     );
     assert_eq!(node.held_pings.len(), 1, "the ping waits with the turn");
@@ -741,9 +742,9 @@ fn a_held_join_ping_waits_while_an_exchange_is_in_flight() {
 #[test]
 fn a_flooded_proof_is_one_body_for_every_holder() {
     // §IV-C: a node that blacklists a culprit floods the proof to each of
-    // its ℓ neighbours. The blacklist entry and every flood are handles
-    // on one body; a copy that crossed the wire is another body, equal
-    // by value.
+    // its ℓ neighbours. The blacklist entry and the flood's one message
+    // for all of them are handles on one body; a copy that crossed the
+    // wire is another body, equal by value.
     let kps = keypairs(12);
     let (me, culprit) = (&kps[0], &kps[1]);
     let cfg = small_cfg().validated();
@@ -778,17 +779,119 @@ fn a_flooded_proof_is_one_body_for_every_holder() {
         panic!("one culprit listed");
     };
     assert_eq!(stored.proof, proof);
-    let floods: Vec<&ViolationProof> = fx
-        .sends
+    let flood = fx.flood.expect("the proof is flooded");
+    assert_eq!(flood.to.len(), cfg.view_len, "every neighbour is named");
+    let [SecureMsg::Proof(flooded)] = &flood.msgs[..] else {
+        panic!("one message for all of them: {:?}", flood.msgs);
+    };
+    assert!(flooded.ptr_eq(&stored.proof));
+    assert!(node.export_proofs()[0].ptr_eq(&stored.proof));
+}
+
+/// A frequency proof against `culprit`, who lives at `addr`.
+fn frequency_proof(culprit: &Keypair, addr: Addr, tpc: u64) -> ViolationProof {
+    ViolationProof::frequency(
+        SecureDescriptor::create(culprit, addr, Timestamp(0)),
+        SecureDescriptor::create(culprit, addr, Timestamp(tpc / 2)),
+        tpc,
+    )
+    .unwrap()
+}
+
+#[test]
+fn proofs_learned_in_one_step_leave_as_one_flood() {
+    // A grant piggybacks three proofs. Two convict creators the node
+    // holds in its view; the step purges them, takes the sponsorship, and
+    // floods the three proofs, in the grant's order, to the view as it
+    // then stands — metered as one copy of each proof per neighbour.
+    let kps = keypairs(14);
+    let me = &kps[0];
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [5u8; 32], 0);
+    for (i, kp) in kps[2..2 + cfg.view_len].iter().enumerate() {
+        let d = SecureDescriptor::create(kp, 2 + i as Addr, Timestamp(i as u64))
+            .transfer(kp, me.public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    let proofs = vec![
+        frequency_proof(&kps[3], 3, tpc),
+        frequency_proof(&kps[13], 13, tpc),
+        frequency_proof(&kps[6], 6, tpc),
+    ];
+    let sponsor = &kps[12];
+    let descriptor = SecureDescriptor::create(sponsor, 12, Timestamp(tpc))
+        .transfer(sponsor, me.public())
+        .unwrap();
+    let sent = node.stats().bytes_sent;
+    let fx = node.step(Input::Oneway {
+        from: 12,
+        msg: SecureMsg::JoinGrant(Box::new(JoinGrantBody {
+            descriptor,
+            proofs: proofs.clone(),
+        })),
+        cycle: 2,
+        now: 2 * tpc,
+    });
+
+    assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty());
+    let flood = fx.flood.expect("the learned proofs are flooded");
+    let view: Vec<Addr> = node.view().iter().map(|e| e.desc.addr()).collect();
+    assert_eq!(flood.to, view, "the view after the purges");
+    assert_eq!(view.len(), cfg.view_len - 2 + 1, "two purged, one granted");
+    assert!(!view.contains(&3) && !view.contains(&6) && view.contains(&12));
+    let flooded: Vec<&ViolationProof> = flood
+        .msgs
         .iter()
-        .filter_map(|(_, msg)| match msg {
-            SecureMsg::Proof(p) => Some(p),
-            _ => None,
+        .map(|msg| match msg {
+            SecureMsg::Proof(p) => p,
+            other => panic!("a flood carries proofs only: {other:?}"),
         })
         .collect();
-    assert_eq!(floods.len(), cfg.view_len, "one flood per neighbour");
-    assert!(floods.iter().all(|p| p.ptr_eq(&stored.proof)));
-    assert!(node.export_proofs()[0].ptr_eq(&stored.proof));
+    assert_eq!(flooded, proofs.iter().collect::<Vec<_>>(), "learning order");
+    let proof_bytes: u64 = flood
+        .msgs
+        .iter()
+        .map(|msg| wire::message_paper_bytes(msg) as u64)
+        .sum();
+    assert_eq!(
+        node.stats().bytes_sent - sent,
+        view.len() as u64 * proof_bytes
+    );
+    assert_eq!(flood.sends().count(), 3 * view.len());
+}
+
+#[test]
+fn a_node_with_an_empty_view_floods_nothing() {
+    let kps = keypairs(4);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(kps[0].clone(), 0, cfg, [5u8; 32], 0);
+    let fx = node.step(Input::Oneway {
+        from: 9,
+        msg: SecureMsg::Proof(frequency_proof(&kps[1], 1, tpc)),
+        cycle: 2,
+        now: 2 * tpc,
+    });
+    assert!(node.blacklist().contains(&kps[1].public()), "learned");
+    assert!(fx.flood.is_none(), "nobody to flood it to");
+    assert_eq!(node.stats().bytes_sent, 0);
+
+    // The proof was not kept back for a later neighbour.
+    let d = SecureDescriptor::create(&kps[2], 2, Timestamp(0))
+        .transfer(&kps[2], kps[0].public())
+        .unwrap();
+    assert!(node.accept_bootstrap(d));
+    let fx = node.step(Input::Oneway {
+        from: 9,
+        msg: SecureMsg::Proof(frequency_proof(&kps[3], 3, tpc)),
+        cycle: 2,
+        now: 2 * tpc,
+    });
+    let flood = fx.flood.expect("a neighbour now");
+    assert_eq!(flood.to, [2]);
+    assert_eq!(flood.msgs.len(), 1, "only the proof this step learned");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use sc_core::{
-    default_phase, ring_bootstrap, Addr, DescriptorId, Effects, Input, SecureConfig,
+    default_phase, ring_bootstrap, Addr, DescriptorId, Effects, Flood, Input, SecureConfig,
     SecureCyclonNode, SecureDescriptor, SecureMsg,
 };
 use sc_crypto::{Keypair, Scheme};
@@ -84,6 +84,9 @@ impl Net {
         for (to, msg) in fx.sends {
             self.oneways.push_back((node as Addr, to, msg));
         }
+        for (to, msg) in fx.flood.iter().flat_map(Flood::sends) {
+            self.oneways.push_back((node as Addr, to, msg.clone()));
+        }
         if let Some((to, msg)) = fx.rpc {
             assert!(
                 self.rpcs[node].is_none(),
@@ -102,7 +105,7 @@ impl Net {
             now: cycle * TPC,
         });
         if in_flight {
-            assert!(fx.rpc.is_none() && fx.sends.is_empty());
+            assert!(fx.rpc.is_none() && fx.sends.is_empty() && fx.flood.is_none());
             assert_eq!(
                 self.nodes[node].stats(),
                 before,
@@ -355,9 +358,9 @@ fn unsolicited_and_mistyped_replies_are_harmless() {
     let before = net.nodes[0].stats();
     let stray = SecureMsg::RoundReply(Box::new(sc_core::RoundReplyBody { transfer: None }));
     let fx = net.nodes[0].step(Input::Reply(stray.clone()));
-    assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty());
+    assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty() && fx.flood.is_none());
     let fx = net.nodes[0].step(Input::Timeout);
-    assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty());
+    assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty() && fx.flood.is_none());
     assert_eq!(net.nodes[0].stats().timeouts, before.timeouts);
     // Awaiting an Accept: a reply of the wrong type takes the timeout arm.
     net.tick(0, net.cycle);

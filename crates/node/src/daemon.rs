@@ -22,12 +22,13 @@
 //!    a daemon waiting for its partner is not deaf to its own callers.
 //!    What its exchange offered has already left the view, so serving a
 //!    request mid-exchange cannot spend a descriptor twice.
-//! 3. `sends` effects become one-way frames; passive RPCs, proof floods,
-//!    §V-A join pings and grants, and control-socket scrapes are stepped
-//!    in as they arrive, joined or not. What to make of them is the
-//!    node's: it refuses a request whose certificate it never minted, and
-//!    holds a join ping that finds this cycle's budget spent for its next
-//!    turn.
+//! 3. `sends` effects become one-way frames, and so does a `flood`: each
+//!    of its messages is encoded once and that frame written to every
+//!    address it names. Passive RPCs, proof floods, §V-A join pings and
+//!    grants, and control-socket scrapes are stepped in as they arrive,
+//!    joined or not. What to make of them is the node's: it refuses a
+//!    request whose certificate it never minted, and holds a join ping
+//!    that finds this cycle's budget spent for its next turn.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
 //! cluster seed — a zero-message legal bootstrap. A `--sponsor` joiner
@@ -329,14 +330,23 @@ impl Daemon {
         }
     }
 
-    /// Routes one step's effects: one-way sends go out as frames, an
-    /// `rpc` becomes the pending request. A request that cannot even be
-    /// handed to the transport times out on the spot.
+    /// Routes one step's effects: one-way sends go out as frames, then
+    /// the flood, each of its messages encoded once and that frame written
+    /// to every address; an `rpc` becomes the pending request. A request
+    /// that cannot even be handed to the transport times out on the spot.
     fn apply(&mut self, mut fx: Effects) {
         loop {
             for (to, msg) in fx.sends {
                 let f = Frame::new(FrameKind::Oneway, self.cfg.addr, encode(&msg));
                 self.transport.send_to(to, &f);
+            }
+            if let Some(flood) = fx.flood {
+                for msg in &flood.msgs {
+                    let f = Frame::new(FrameKind::Oneway, self.cfg.addr, encode(msg));
+                    for &to in &flood.to {
+                        self.transport.send_to(to, &f);
+                    }
+                }
             }
             let Some((to, msg)) = fx.rpc else { return };
             let mut frame = Frame::new(FrameKind::Request, self.cfg.addr, encode(&msg));
@@ -571,9 +581,14 @@ impl Daemon {
     }
 }
 
-/// A message's wire encoding.
+/// Room an encoding takes beyond its descriptors (the tag, up to three
+/// `u16` list counts, one kind byte a proof, a join ping's key), with
+/// some to spare.
+const ENCODE_SLACK_BYTES: usize = 64;
+
+/// A message's wire encoding, in a buffer sized for it up front.
 fn encode(msg: &SecureMsg) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(wire::message_wire_bytes(msg) + ENCODE_SLACK_BYTES);
     wire::encode_message(msg, &mut out);
     out
 }

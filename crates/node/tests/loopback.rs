@@ -635,6 +635,52 @@ fn join_ping_under_a_blacklisted_key_is_never_held() {
         .expect("status scrape");
     assert_eq!(status.blacklist.len(), culprits.len());
     assert_eq!(status.stats.rejoin_grants, 1);
+
+    // Each proof was flooded to the node's neighbours as it was learned:
+    // a black hole it named got eight proof frames, one a proof, in the
+    // order the proofs came in.
+    let flooded: Vec<Vec<PublicKey>> = held
+        .iter()
+        .map(|hole| proofs_written_to(hole, tpc))
+        .filter(|proofs| !proofs.is_empty())
+        .collect();
+    assert!(!flooded.is_empty(), "no neighbour was sent a proof");
+    let learned: Vec<PublicKey> = culprits.iter().map(Keypair::public).collect();
+    for proofs in flooded {
+        assert_eq!(proofs, learned, "eight proofs, in learning order");
+    }
+}
+
+/// The culprits of the proofs the daemon wrote, one-way, on every
+/// connection it opened to the peer `hole` plays, in writing order. Every
+/// one-way frame must decode.
+fn proofs_written_to(hole: &TcpListener, tpc: u64) -> Vec<PublicKey> {
+    hole.set_nonblocking(true).unwrap();
+    let mut culprits = Vec::new();
+    while let Ok((mut stream, _)) = hole.accept() {
+        stream.set_nonblocking(false).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut reader = FrameReader::new(1 << 20);
+        let mut chunk = [0u8; 4096];
+        loop {
+            while let Some(f) = reader.next_frame().expect("a well-framed stream") {
+                if f.kind != FrameKind::Oneway {
+                    continue;
+                }
+                let msg = wire::decode_message(&f.payload, tpc).expect("a decodable one-way");
+                if let SecureMsg::Proof(proof) = msg {
+                    culprits.push(proof.culprit());
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(n) if n > 0 => reader.feed(&chunk[..n]),
+                _ => break,
+            }
+        }
+    }
+    culprits
 }
 
 #[test]

@@ -12,13 +12,18 @@
 //!   until a step returns no `rpc`. The request/response round trips of a
 //!   Cyclon gossip exchange, including the `s` tit-for-tat rounds of
 //!   SecureCyclon (§V-B), thus complete within the initiator's turn.
-//! * `sends` effects are **one-way messages** (proof floods, §IV-C); they
-//!   are queued per cycle and delivered ([`Input::Oneway`]) at the start of
-//!   the *next* cycle, giving flooding a realistic one-hop-per-cycle
-//!   propagation speed. The queue is drained in ascending
-//!   destination-address order (stable within a destination), so delivery
-//!   cost is a single pass over a sorted batch. A driver hands a node a
-//!   one-way at once with [`Engine::deliver`].
+//! * `sends` and `flood` effects are **one-way messages** (join pings and
+//!   grants, proof floods, §IV-C); they are queued per cycle and delivered
+//!   ([`Input::Oneway`]) at the start of the *next* cycle, giving flooding
+//!   a realistic one-hop-per-cycle propagation speed. A step's flood is
+//!   queued as one record, however many addresses it names, and each of
+//!   its sends as a flood of one message to one address. The queue is
+//!   delivered in ascending destination-address order; within a
+//!   destination, in queue order, and a flood's messages in their order —
+//!   exactly as if every flood had been queued as one send per address
+//!   and message, and the queue stably sorted by destination. A counting
+//!   pass over the records finds each destination's share. A driver hands
+//!   a node a one-way at once with [`Engine::deliver`].
 //! * `rpc` effects are honoured from `Tick` / `Reply` / `Timeout` steps
 //!   only: a server handler never blocks on another node in the paper's
 //!   protocol, so a machine that returns one from a `Request` or `Oneway`
@@ -53,15 +58,7 @@ use crate::stats::TrafficStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sc_core::{Addr, Input, Loss, Machine, MsgKind};
-
-/// An in-flight one-way message.
-#[derive(Debug, Clone)]
-struct Envelope<M> {
-    from: Addr,
-    to: Addr,
-    msg: M,
-}
+use sc_core::{Addr, Flood, Input, Loss, Machine, MsgKind};
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
@@ -103,12 +100,17 @@ pub struct Engine<N: Machine> {
     clock: Clock,
     net: Network,
     rng: StdRng,
-    /// One-way messages to deliver at the start of the next cycle.
-    pending: Vec<Envelope<N::Msg>>,
+    /// One-way messages to deliver at the start of the next cycle, by
+    /// sender: each step's flood, and each of its sends as a flood of one
+    /// message to one address.
+    pending: Vec<(Addr, Flood<N::Msg>)>,
     stats: TrafficStats,
 }
 
-impl<N: Machine> Engine<N> {
+impl<N: Machine> Engine<N>
+where
+    N::Msg: Clone,
+{
     /// Creates an empty engine.
     pub fn new(cfg: SimConfig) -> Self {
         Engine {
@@ -267,7 +269,7 @@ impl<N: Machine> Engine<N> {
                 now: self.clock.now(),
             });
             loop {
-                self.queue(addr, fx.sends);
+                self.queue(addr, fx.sends, fx.flood);
                 let Some((to, msg)) = fx.rpc else { break };
                 fx = node.step(match self.rpc(addr, to, msg) {
                     Some(reply) => Input::Reply(reply),
@@ -279,11 +281,14 @@ impl<N: Machine> Engine<N> {
     }
 
     /// Queues `from`'s one-way messages for delivery at the start of the
-    /// next cycle.
-    fn queue(&mut self, from: Addr, sends: Vec<(Addr, N::Msg)>) {
-        for (to, msg) in sends {
-            self.pending.push(Envelope { from, to, msg });
-        }
+    /// next cycle: its sends, then its flood.
+    fn queue(&mut self, from: Addr, sends: Vec<(Addr, N::Msg)>, flood: Option<Flood<N::Msg>>) {
+        let sends = sends.into_iter().map(|(to, msg)| Flood {
+            to: vec![to],
+            msgs: vec![msg],
+        });
+        self.pending
+            .extend(sends.chain(flood).map(|flood| (from, flood)));
     }
 
     /// Steps a checked-out node as the server side of a `Request` or
@@ -294,32 +299,75 @@ impl<N: Machine> Engine<N> {
             fx.rpc.is_none(),
             "node {addr} returned an rpc effect from a Request/Oneway step"
         );
-        self.queue(addr, fx.sends);
+        self.queue(addr, fx.sends, fx.flood);
         fx.reply
     }
 
     /// Delivers all one-way messages queued during the previous cycle,
-    /// in ascending destination-address order (stable per destination).
+    /// in ascending destination-address order (see the module docs).
     /// Messages sent *while delivering* (cascading re-floods) are queued
     /// for the next cycle, giving one-hop-per-cycle flood propagation.
     fn deliver_pending(&mut self) {
-        let mut batch = std::mem::take(&mut self.pending);
-        batch.sort_by_key(|env| env.to);
-        for env in batch {
-            self.stats.oneways_sent += 1;
-            if self.net.severs(env.from, env.to) {
-                self.stats.oneways_severed += 1;
-                continue;
+        let batch = std::mem::take(&mut self.pending);
+        if batch.is_empty() {
+            return;
+        }
+        // The counting pass. A message to an address that is not alive is
+        // only counted: nothing is rolled for it or delivered, so it may
+        // be counted first. Destination `d`'s share of `order` is
+        // `starts[d]..starts[d + 1]`: the index of each record that names
+        // `d`, once a naming, in queue order.
+        let mut starts = vec![0usize; self.arena.capacity() + 1];
+        for (from, flood) in &batch {
+            for &to in &flood.to {
+                if self.arena.is_alive(to) {
+                    starts[to as usize + 1] += 1;
+                } else {
+                    for msg in &flood.msgs {
+                        self.pass(*from, to, msg);
+                    }
+                }
             }
-            if !self.arena.is_alive(env.to) {
-                self.stats.oneways_to_dead += 1;
-                continue;
+        }
+        for d in 1..starts.len() {
+            starts[d] += starts[d - 1];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; starts[starts.len() - 1]];
+        for (i, (_, flood)) in batch.iter().enumerate() {
+            for &to in &flood.to {
+                if self.arena.is_alive(to) {
+                    order[next[to as usize]] = i as u32;
+                    next[to as usize] += 1;
+                }
             }
-            if self.net.drops(MsgKind::Oneway, env.from, env.to) {
-                self.stats.oneways_dropped += 1;
-                continue;
+        }
+        for (to, share) in starts.windows(2).enumerate() {
+            // A record that names `to` k times sends it each message k
+            // times before the next message.
+            for naming in order[share[0]..share[1]].chunk_by(|a, b| a == b) {
+                let (from, flood) = &batch[naming[0] as usize];
+                for msg in &flood.msgs {
+                    for _ in naming {
+                        self.pass(*from, to as Addr, msg);
+                    }
+                }
             }
-            self.deliver(env.from, env.to, env.msg);
+        }
+    }
+
+    /// Counts one queued one-way and delivers it, unless a partition, a
+    /// dead destination or loss stops it.
+    fn pass(&mut self, from: Addr, to: Addr, msg: &N::Msg) {
+        self.stats.oneways_sent += 1;
+        if self.net.severs(from, to) {
+            self.stats.oneways_severed += 1;
+        } else if !self.arena.is_alive(to) {
+            self.stats.oneways_to_dead += 1;
+        } else if self.net.drops(MsgKind::Oneway, from, to) {
+            self.stats.oneways_dropped += 1;
+        } else {
+            self.deliver(from, to, msg.clone());
             self.stats.oneways_delivered += 1;
         }
     }
@@ -389,6 +437,7 @@ mod tests {
         replies_got: u32,
     }
 
+    #[derive(Clone)]
     enum ToyMsg {
         Ping,
         Pong(u32),
@@ -852,5 +901,234 @@ mod tests {
         // reply); node 1's are self-addressed. Nothing nested was sent.
         assert_eq!(eng.stats().rpcs_sent, 6);
         assert_eq!(eng.stats().rpcs_refused, 3);
+    }
+
+    /// A toy whose script, shared by the whole network, names what each
+    /// node floods when its turn's round trip resolves and when it serves
+    /// a request; a note is relayed once, by the same script. Targets may
+    /// repeat, name the sender, or name an address nobody holds.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Spread {
+        Ping,
+        Pong,
+        Note {
+            origin: Addr,
+            cycle: u64,
+            seq: u32,
+            hop: u8,
+        },
+    }
+
+    /// Per slot: plain sends' targets, then a flood's targets and how
+    /// many notes it carries.
+    type Plan = Vec<(Vec<Addr>, Vec<Addr>, u32)>;
+
+    /// `(cycle, from, to, msg)`: every one-way as its sender stepped it
+    /// out, floods spelled out by [`Flood::sends`], and as it was stepped
+    /// in, across the whole network.
+    #[derive(Default)]
+    struct Log {
+        sent: Vec<(u64, Addr, Addr, Spread)>,
+        got: Vec<(u64, Addr, Addr, Spread)>,
+    }
+
+    struct Spreader {
+        addr: Addr,
+        n: u32,
+        plan: std::rc::Rc<Plan>,
+        log: std::rc::Rc<std::cell::RefCell<Log>>,
+        /// The cycle of the latest turn.
+        turn: u64,
+        got: Vec<(Addr, Spread)>,
+    }
+
+    impl Spreader {
+        /// Plain sends, then a flood of fresh notes (`hop` 0) — or, for a
+        /// relay, of `relayed` alone.
+        fn spread(&self, cycle: u64, salt: u64, relayed: Option<Spread>) -> Effects<Spread> {
+            let slot = (u64::from(self.addr) * 7 + cycle * 3 + salt) as usize;
+            let (sends, to, count) = &self.plan[slot % self.plan.len()];
+            let note = |seq| Spread::Note {
+                origin: self.addr,
+                cycle,
+                seq,
+                hop: 0,
+            };
+            let mut fx = Effects::default();
+            if relayed.is_none() {
+                fx.sends = sends.iter().map(|&t| (t, note(u32::MAX))).collect();
+            }
+            let msgs: Vec<Spread> = match relayed {
+                Some(msg) => vec![msg],
+                None => (0..*count).map(note).collect(),
+            };
+            fx.flood = Some(Flood {
+                to: to.clone(),
+                msgs,
+            });
+            fx
+        }
+
+        /// What the script makes of `input`.
+        fn react(&mut self, input: Input<Spread>) -> Effects<Spread> {
+            match input {
+                Input::Tick { cycle, .. } => {
+                    self.turn = cycle;
+                    Effects {
+                        rpc: Some(((self.addr + 1) % self.n, Spread::Ping)),
+                        ..Effects::default()
+                    }
+                }
+                Input::Reply(_) | Input::Timeout => self.spread(self.turn, 0, None),
+                Input::Request { cycle, .. } => Effects {
+                    reply: Some(Spread::Pong),
+                    ..self.spread(cycle, 1, None)
+                },
+                Input::Oneway {
+                    from, msg, cycle, ..
+                } => {
+                    self.got.push((from, msg.clone()));
+                    let got = (cycle, from, self.addr, msg.clone());
+                    self.log.borrow_mut().got.push(got);
+                    match msg {
+                        Spread::Note {
+                            hop: 0,
+                            seq,
+                            origin,
+                            cycle: sent,
+                        } if seq % 2 == 0 => {
+                            let relay = Spread::Note {
+                                origin,
+                                cycle: sent,
+                                seq,
+                                hop: 1,
+                            };
+                            self.spread(cycle, 2, Some(relay))
+                        }
+                        _ => Effects::default(),
+                    }
+                }
+            }
+        }
+    }
+
+    impl Machine for Spreader {
+        type Msg = Spread;
+
+        fn step(&mut self, input: Input<Spread>) -> Effects<Spread> {
+            let cycle = match input {
+                Input::Tick { cycle, .. }
+                | Input::Request { cycle, .. }
+                | Input::Oneway { cycle, .. } => cycle,
+                Input::Reply(_) | Input::Timeout => self.turn,
+            };
+            let fx = self.react(input);
+            let mut log = self.log.borrow_mut();
+            let flood = fx.flood.iter().flat_map(Flood::sends);
+            for (to, msg) in fx.sends.iter().map(|(to, msg)| (*to, msg)).chain(flood) {
+                log.sent.push((cycle, self.addr, to, msg.clone()));
+            }
+            fx
+        }
+    }
+
+    /// Steps a machine and hands its flood over as one send per address
+    /// and message, in the flood's order, after its sends.
+    struct PerTarget<N>(N);
+
+    impl<N: Machine> Machine for PerTarget<N>
+    where
+        N::Msg: Clone,
+    {
+        type Msg = N::Msg;
+
+        fn step(&mut self, input: Input<N::Msg>) -> Effects<N::Msg> {
+            let mut fx = self.0.step(input);
+            if let Some(flood) = fx.flood.take() {
+                fx.sends
+                    .extend(flood.sends().map(|(to, msg)| (to, msg.clone())));
+            }
+            fx
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A flood is delivered exactly as its sends would be: every
+        /// destination gets the same `(from, msg)` sequence, every
+        /// counter agrees, and every link rolled the same frames. What a
+        /// cycle delivers is, in order, drawn from what the cycle before
+        /// sent, stably sorted by destination.
+        #[test]
+        fn a_flood_is_delivered_as_its_sends_would_be(
+            n in 2u32..8,
+            plan in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..10, 0..3),
+                    proptest::collection::vec(0u32..10, 0..7),
+                    0u32..4,
+                ),
+                1..12,
+            ),
+            loss in (0u8..4, 0u8..4, 0u8..6),
+            island in proptest::collection::vec(0u32..8, 0..3),
+            dead in 0u32..10,
+            seed in 0u64..1000,
+        ) {
+            let plan = std::rc::Rc::new(plan);
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Log::default()));
+            let spreader = |addr| Spreader {
+                addr,
+                n,
+                plan: std::rc::Rc::clone(&plan),
+                log: std::rc::Rc::clone(&log),
+                turn: 0,
+                got: Vec::new(),
+            };
+            let (request, response, oneway) = loss;
+            let cfg = lossy(
+                seed,
+                Loss::new(
+                    f64::from(request) / 8.0,
+                    f64::from(response) / 8.0,
+                    f64::from(oneway) / 8.0,
+                ),
+            );
+            let partition = Some(Partition::isolate(island.iter().copied()));
+            let mut floods: Engine<Spreader> = Engine::new(cfg.clone());
+            let mut sends: Engine<PerTarget<Spreader>> = Engine::new(cfg);
+            for _ in 0..n {
+                floods.spawn_with(spreader);
+                sends.spawn_with(|addr| PerTarget(spreader(addr)));
+            }
+            floods.set_partition(partition.clone());
+            sends.set_partition(partition);
+            floods.kill(dead);
+            sends.kill(dead);
+            floods.run_cycles(6);
+            let (sent, delivered) = {
+                let log = log.borrow();
+                (log.sent.clone(), log.got.clone())
+            };
+            sends.run_cycles(6);
+
+            proptest::prop_assert_eq!(floods.stats(), sends.stats());
+            proptest::prop_assert_eq!(&floods.net.link_frames, &sends.net.link_frames);
+            let got = |(addr, node): (Addr, &Spreader)| (addr, node.got.clone());
+            let per_flood: Vec<_> = floods.nodes().map(got).collect();
+            let per_send: Vec<_> = sends.nodes().map(|(a, node)| got((a, &node.0))).collect();
+            proptest::prop_assert_eq!(per_flood, per_send);
+
+            for cycle in 1..6u64 {
+                let mut due: Vec<_> = sent.iter().filter(|e| e.0 == cycle - 1).collect();
+                due.sort_by_key(|e| e.2);
+                let mut due = due.into_iter();
+                for g in delivered.iter().filter(|e| e.0 == cycle) {
+                    let drawn = due.any(|d| (d.1, d.2, &d.3) == (g.1, g.2, &g.3));
+                    proptest::prop_assert!(drawn, "cycle {} delivered {:?} out of order", cycle, g);
+                }
+            }
+        }
     }
 }

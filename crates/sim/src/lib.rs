@@ -61,5 +61,5 @@ pub use arena::Arena;
 pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
 pub use engine::{Engine, SimConfig};
 pub use net::Partition;
-pub use sc_core::{Addr, Effects, Input, Loss, Machine};
+pub use sc_core::{Addr, Effects, Flood, Input, Loss, Machine};
 pub use stats::TrafficStats;
