@@ -76,9 +76,8 @@ struct MalSession {
 struct Exchange {
     partner_id: NodeId,
     partner_addr: Addr,
-    /// The cycle and tick of the turn; the whole exchange runs under them.
+    /// The cycle of the turn; the whole exchange runs under it.
     cycle: u64,
-    now: u64,
     /// The round trip outstanding: 0 is the request, `1..s` the
     /// tit-for-tat rounds.
     round: usize,
@@ -237,8 +236,9 @@ impl MaliciousSecureNode {
     /// its genesis form to the party pool (§VI-B: "a central pool of
     /// descriptors, comprising copies of all the descriptors generated by
     /// malicious nodes in recent cycles").
-    fn mint_fresh(&mut self, now: u64) -> SecureDescriptor {
-        let fresh = SecureDescriptor::create(&self.keypair, self.addr, Timestamp(now + self.phase));
+    fn mint_fresh(&mut self, cycle: u64) -> SecureDescriptor {
+        let created = cycle * self.ticks_per_cycle + self.phase;
+        let fresh = SecureDescriptor::create(&self.keypair, self.addr, Timestamp(created));
         self.party.lock().unwrap().contribute_pool(fresh.clone());
         fresh
     }
@@ -246,9 +246,10 @@ impl MaliciousSecureNode {
     /// The next descriptor to hand a partner. Honest-mode behavior, with
     /// the cloner twist: descriptors that reached the target age are
     /// double-spent across two different partners.
-    fn next_transfer(&mut self, partner: NodeId, cycle: u64, now: u64) -> Option<SecureDescriptor> {
+    fn next_transfer(&mut self, partner: NodeId, cycle: u64) -> Option<SecureDescriptor> {
         if let SecureAttack::Cloner { target_age } = self.attack {
             if cycle >= self.attack_start {
+                let now = Timestamp(cycle * self.ticks_per_cycle);
                 // Second copy of a pending clone, to a *different* partner.
                 if let Some((pre, first)) = self.pending_clone.take() {
                     if first != partner && pre.creator() != partner {
@@ -259,7 +260,7 @@ impl MaliciousSecureNode {
                 // First copy of a descriptor that just reached target age.
                 if self.pending_clone.is_none() {
                     let pos = self.owned.iter().position(|d| {
-                        d.age_cycles(Timestamp(now), self.ticks_per_cycle) >= target_age
+                        d.age_cycles(now, self.ticks_per_cycle) >= target_age
                             && d.creator() != partner
                             && !self.cloned_ids.contains(&d.id())
                             && !self.party.lock().unwrap().is_member(&d.creator())
@@ -268,7 +269,7 @@ impl MaliciousSecureNode {
                         let pre = self.owned.swap_remove(pos);
                         let event = CloneEvent {
                             desc: pre.id(),
-                            age_cycles: pre.age_cycles(Timestamp(now), self.ticks_per_cycle),
+                            age_cycles: pre.age_cycles(now, self.ticks_per_cycle),
                             cycle,
                         };
                         self.cloned_ids.insert(pre.id());
@@ -308,11 +309,12 @@ impl MaliciousSecureNode {
     /// mode the node redeems a harvested victim token and floods the
     /// victim with clones. The two differ in where the certificate, the
     /// transfers ([`Self::transfer_to`]) and the samples come from.
-    fn on_tick(&mut self, cycle: u64, now: u64) -> Option<(Addr, SecureMsg)> {
+    fn on_tick(&mut self, cycle: u64) -> Option<(Addr, SecureMsg)> {
         if self.exchange.is_some() {
             return None;
         }
         self.sessions.clear();
+        let now = cycle * self.ticks_per_cycle;
         self.party.lock().unwrap().prune_pool(Timestamp(now));
 
         // `None`: no certificate toward any (honest) node this cycle.
@@ -325,14 +327,14 @@ impl MaliciousSecureNode {
         let partner_addr = certificate.addr();
         let redeemed = certificate.redeem(&self.keypair, LinkKind::Redeem).ok()?;
         let fresh = self
-            .mint_fresh(now)
+            .mint_fresh(cycle)
             .transfer(&self.keypair, partner_id)
             .ok()?;
 
         let mut offered = Vec::new();
         if !self.tit_for_tat {
             for _ in 1..self.swap_len {
-                offered.extend(self.transfer_to(partner_id, cycle, now));
+                offered.extend(self.transfer_to(partner_id, cycle));
             }
         }
         let mut samples = self.samples(cycle);
@@ -349,7 +351,6 @@ impl MaliciousSecureNode {
             partner_id,
             partner_addr,
             cycle,
-            now,
             round: 0,
         });
         let request = SecureMsg::Request(Box::new(RequestBody {
@@ -378,12 +379,12 @@ impl MaliciousSecureNode {
     /// The next descriptor to hand `partner`, on either side of an
     /// exchange: in hub mode a clone out of the party pool, otherwise one
     /// of the node's own.
-    fn transfer_to(&mut self, partner: NodeId, cycle: u64, now: u64) -> Option<SecureDescriptor> {
+    fn transfer_to(&mut self, partner: NodeId, cycle: u64) -> Option<SecureDescriptor> {
         if self.hub_attacking(cycle) {
             let mut party = self.party.lock().unwrap();
             party.clone_for_victim(&self.id, &partner, &mut self.rng)
         } else {
-            self.next_transfer(partner, cycle, now)
+            self.next_transfer(partner, cycle)
         }
     }
 
@@ -405,7 +406,7 @@ impl MaliciousSecureNode {
         if !(self.tit_for_tat && got_any) || exchange.round >= self.swap_len {
             return None;
         }
-        let transfer = self.transfer_to(exchange.partner_id, exchange.cycle, exchange.now)?;
+        let transfer = self.transfer_to(exchange.partner_id, exchange.cycle)?;
         let round = SecureMsg::Round(Box::new(RoundBody { transfer }));
         let rpc = (exchange.partner_addr, round);
         self.exchange = Some(exchange);
@@ -429,13 +430,7 @@ impl MaliciousSecureNode {
     // Passive side
     // ------------------------------------------------------------------
 
-    fn answer_request(
-        &mut self,
-        from: Addr,
-        body: RequestBody,
-        cycle: u64,
-        now: u64,
-    ) -> Option<SecureMsg> {
+    fn answer_request(&mut self, from: Addr, body: RequestBody, cycle: u64) -> Option<SecureMsg> {
         // Malicious nodes validate nothing; they just harvest.
         let requester = body.fresh.creator();
         self.harvest_or_store(body.fresh, cycle);
@@ -457,7 +452,7 @@ impl MaliciousSecureNode {
         let immediate = if self.tit_for_tat { 1 } else { self.swap_len };
         let mut transfers = Vec::new();
         for _ in 0..immediate {
-            transfers.extend(self.transfer_to(requester, cycle, now));
+            transfers.extend(self.transfer_to(requester, cycle));
         }
         if self.tit_for_tat
             && self.swap_len > 1
@@ -478,13 +473,7 @@ impl MaliciousSecureNode {
         })))
     }
 
-    fn answer_round(
-        &mut self,
-        from: Addr,
-        body: RoundBody,
-        cycle: u64,
-        now: u64,
-    ) -> Option<SecureMsg> {
+    fn answer_round(&mut self, from: Addr, body: RoundBody, cycle: u64) -> Option<SecureMsg> {
         let partner = {
             let s = self.sessions.get_mut(&from)?;
             if s.remaining == 0 {
@@ -494,7 +483,7 @@ impl MaliciousSecureNode {
             s.partner
         };
         self.harvest_or_store(body.transfer, cycle);
-        let transfer = self.transfer_to(partner, cycle, now);
+        let transfer = self.transfer_to(partner, cycle);
         Some(SecureMsg::RoundReply(Box::new(RoundReplyBody { transfer })))
     }
 }
@@ -505,18 +494,13 @@ impl Machine for MaliciousSecureNode {
     fn step(&mut self, input: Input) -> Effects {
         let mut fx = Effects::default();
         match input {
-            Input::Tick { cycle, now } => fx.rpc = self.on_tick(cycle, now),
+            Input::Tick { cycle } => fx.rpc = self.on_tick(cycle),
             Input::Reply(msg) => fx.rpc = self.on_outcome(Some(msg)),
             Input::Timeout => fx.rpc = self.on_outcome(None),
-            Input::Request {
-                from,
-                msg,
-                cycle,
-                now,
-            } => {
+            Input::Request { from, msg, cycle } => {
                 fx.reply = match msg {
-                    SecureMsg::Request(body) => self.answer_request(from, *body, cycle, now),
-                    SecureMsg::Round(body) => self.answer_round(from, *body, cycle, now),
+                    SecureMsg::Request(body) => self.answer_request(from, *body, cycle),
+                    SecureMsg::Round(body) => self.answer_round(from, *body, cycle),
                     _ => None,
                 }
             }

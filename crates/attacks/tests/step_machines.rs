@@ -72,10 +72,7 @@ fn foursome(attack: SecureAttack) -> (MaliciousSecureNode, Vec<SecureCyclonNode>
 }
 
 fn tick(cycle: u64) -> Input {
-    Input::Tick {
-        cycle,
-        now: cycle * TPC,
-    }
+    Input::Tick { cycle }
 }
 
 /// A descriptor some honest stranger legitimately hands to node 0.
@@ -177,7 +174,6 @@ fn malicious_serves_a_request_and_a_round_while_its_own_exchange_is_in_flight() 
             from: 1,
             msg: request,
             cycle: start,
-            now: start * TPC,
         });
         assert!(fx.rpc.is_none(), "a served request never nests an rpc");
         let reply = fx.reply.expect("the request is answered mid-exchange");
@@ -190,7 +186,6 @@ fn malicious_serves_a_request_and_a_round_while_its_own_exchange_is_in_flight() 
             from: 1,
             msg: round,
             cycle: start,
-            now: start * TPC,
         });
         assert!(fx.rpc.is_none());
         assert!(matches!(fx.reply, Some(SecureMsg::RoundReply(_))));
@@ -223,10 +218,7 @@ fn legacy_attacker() -> LegacyHubAttacker {
 }
 
 fn legacy_tick(cycle: u64) -> Input<CyclonMsg> {
-    Input::Tick {
-        cycle,
-        now: cycle * TPC,
-    }
+    Input::Tick { cycle }
 }
 
 #[test]
@@ -276,7 +268,6 @@ fn legacy_attacker_drops_unawaited_replies_and_serves_requests_in_flight() {
             descriptors: Vec::new(),
         },
         cycle: ATTACK_START,
-        now: ATTACK_START * TPC,
     });
     assert!(fx.rpc.is_none());
     let Some(CyclonMsg::ShuffleResponse { descriptors }) = fx.reply else {
@@ -290,7 +281,6 @@ fn legacy_attacker_drops_unawaited_replies_and_serves_requests_in_flight() {
             descriptors: Vec::new(),
         },
         cycle: ATTACK_START,
-        now: ATTACK_START * TPC,
     });
     assert!(quiet(&fx));
 }

@@ -8,6 +8,12 @@
 //! legacy Cyclon baseline are all machines; they differ in their message
 //! type, which defaults to the SecureCyclon wire message.
 //!
+//! A machine is handed the *cycle*, never a tick. Whatever it stamps or
+//! compares in ticks it computes itself, as `cycle · ticks_per_cycle`
+//! from its own configuration (plus its phase, for what it mints), so no
+//! driver can hand it a tick that makes two of its own descriptors a
+//! frequency violation (§IV-B).
+//!
 //! The contract every machine keeps, and every driver may rely on:
 //!
 //! * at most one `rpc` effect is outstanding; it is answered by exactly
@@ -27,16 +33,16 @@
 use crate::msg::SecureMsg;
 use crate::Addr;
 
-/// One thing that happens to a machine. Cycle numbers and ticks come from
-/// the driver's clock (the engine's, or the daemon's shared wall clock).
+/// One thing that happens to a machine. Cycle numbers come from the
+/// driver's clock (the engine's cycle counter, or the daemon's shared
+/// wall clock); a machine that needs ticks derives them from the cycle
+/// with its own tick resolution.
 #[derive(Debug)]
 pub enum Input<M = SecureMsg> {
     /// The node's gossip period came round: run the active turn.
     Tick {
         /// The cycle whose turn this is.
         cycle: u64,
-        /// The tick that cycle starts at.
-        now: u64,
     },
     /// A peer's RPC arrived (the server side): the effects carry the
     /// `reply`, if the node gives one.
@@ -47,8 +53,6 @@ pub enum Input<M = SecureMsg> {
         msg: M,
         /// The current cycle.
         cycle: u64,
-        /// The tick the current cycle starts at.
-        now: u64,
     },
     /// A one-way message arrived (a proof flood, a rejoin ping or grant).
     Oneway {
@@ -58,8 +62,6 @@ pub enum Input<M = SecureMsg> {
         msg: M,
         /// The current cycle.
         cycle: u64,
-        /// The tick the current cycle starts at.
-        now: u64,
     },
     /// The answer to the node's outstanding `rpc` effect.
     Reply(M),

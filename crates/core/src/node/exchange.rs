@@ -51,16 +51,15 @@ impl SecureCyclonNode {
     /// exchange, transferred to `joiner`, and every proof this node holds
     /// — a newcomer knows no culprit yet, and a node starved through a
     /// partition missed the floods of that time. `None` if this cycle's
-    /// budget is already spent. `cycle` and `now` are the driver's clock.
-    pub fn sponsor(&mut self, joiner: NodeId, cycle: u64, now: u64) -> Option<JoinGrantBody> {
+    /// budget is already spent.
+    pub fn sponsor(&mut self, joiner: NodeId, cycle: u64) -> Option<JoinGrantBody> {
         if !self.may_emit(cycle) || joiner == self.id {
             return None;
         }
         // Durable before the grant leaves: a crash between the send and
         // the next checkpoint must not let a restarted self re-mint.
         self.note_emission(cycle);
-        let fresh = SecureDescriptor::create(&self.keypair, self.addr, Timestamp(now + self.phase));
-        let descriptor = fresh.transfer(&self.keypair, joiner).ok()?;
+        let descriptor = self.mint(cycle).transfer(&self.keypair, joiner).ok()?;
         self.stats.transfers_sent += 1;
         Some(JoinGrantBody {
             descriptor,
@@ -68,8 +67,17 @@ impl SecureCyclonNode {
         })
     }
 
+    /// This node's one descriptor of `cycle`, stamped at the node's phase
+    /// into the cycle: `cycle · ticks_per_cycle + phase`. Every mint goes
+    /// through here, so two of them lie whole periods apart and never
+    /// make a frequency proof (§IV-B).
+    fn mint(&self, cycle: u64) -> SecureDescriptor {
+        let created = cycle * self.cfg.ticks_per_cycle + self.phase;
+        SecureDescriptor::create(&self.keypair, self.addr, Timestamp(created))
+    }
+
     /// [`super::Input::Tick`]: the turn up to its first round trip.
-    pub(super) fn on_tick(&mut self, cycle: u64, now: u64, fx: &mut Effects) {
+    pub(super) fn on_tick(&mut self, cycle: u64, fx: &mut Effects) {
         if self.exchange.is_some() {
             return;
         }
@@ -78,7 +86,7 @@ impl SecureCyclonNode {
         // ping always may — its sender pings again.
         for (from, joiner) in std::mem::take(&mut self.held_pings) {
             if self.may_emit(cycle) {
-                self.answer_join_ping(from, joiner, cycle, now, &mut fx.sends);
+                self.answer_join_ping(from, joiner, cycle, &mut fx.sends);
             }
         }
         self.housekeeping(cycle);
@@ -87,7 +95,7 @@ impl SecureCyclonNode {
             self.was_connected = true;
         }
         if self.may_emit(cycle) {
-            fx.rpc = self.begin_exchange(cycle, now);
+            fx.rpc = self.begin_exchange(cycle);
         }
         if fx.rpc.is_none() {
             self.finish_turn(cycle, fx);
@@ -135,7 +143,7 @@ impl SecureCyclonNode {
     /// Redeems the oldest descriptor and mints this cycle's fresh one;
     /// returns the request for the redeemed descriptor's creator. `None`:
     /// nothing to exchange this cycle.
-    fn begin_exchange(&mut self, cycle: u64, now: u64) -> Option<(Addr, SecureMsg)> {
+    fn begin_exchange(&mut self, cycle: u64) -> Option<(Addr, SecureMsg)> {
         let Some(entry) = self.pick_oldest() else {
             self.stats.idle_cycles += 1;
             return None;
@@ -158,9 +166,7 @@ impl SecureCyclonNode {
         // anywhere past this line cannot make the restarted self mint a
         // second descriptor inside this gossip period.
         self.note_emission(cycle);
-        let fresh_ts = Timestamp(now + self.phase);
-        let fresh = SecureDescriptor::create(&self.keypair, self.addr, fresh_ts);
-        let fresh_out = fresh.transfer(&self.keypair, partner_id).ok()?;
+        let fresh_out = self.mint(cycle).transfer(&self.keypair, partner_id).ok()?;
         self.stats.transfers_sent += 1;
 
         let quota = self.exchange_quota(kind);

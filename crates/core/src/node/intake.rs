@@ -19,8 +19,8 @@ const JOIN_GRANT_GAP_CYCLES: u64 = 4;
 const HELD_PING_CAP: usize = 8;
 
 /// Maximum accepted deviation between a *fresh* descriptor's timestamp and
-/// the receiver's clock, in ticks, on top of one gossip period (§IV-A
-/// clock-skew review).
+/// the tick the receiver's current cycle starts at, in ticks, on top of
+/// one gossip period (§IV-A clock-skew review).
 const MAX_SKEW_TICKS: u64 = 1000;
 
 /// Maximum non-swappable redemptions a creator accepts per cycle (§V-A,
@@ -177,7 +177,6 @@ impl SecureCyclonNode {
         from: Addr,
         mut body: RequestBody,
         cycle: u64,
-        now: u64,
     ) -> Option<SecureMsg> {
         // -- one batched crypto bill for the whole request --------------
         // Certificate, fresh descriptor and the acceptable eager offers
@@ -196,7 +195,7 @@ impl SecureCyclonNode {
         let verified = [verdicts[0].is_ok(), verdicts[1].is_ok()];
         let offered_verified: Vec<bool> = verdicts[2..].iter().map(Result::is_ok).collect();
 
-        let (kind, redeemer) = match self.admit(&mut body, verified, cycle, now) {
+        let (kind, redeemer) = match self.admit(&mut body, verified, cycle) {
             Ok(admitted) => admitted,
             Err(cause) => {
                 self.causes.refused[cause as usize] += 1;
@@ -284,7 +283,6 @@ impl SecureCyclonNode {
         body: &mut RequestBody,
         [red_verified, fresh_verified]: [bool; 2],
         cycle: u64,
-        now: u64,
     ) -> Result<(LinkKind, NodeId), Refusal> {
         let (redeemed, fresh) = (&body.redeemed, &body.fresh);
         if !red_verified || redeemed.creator() != self.id {
@@ -293,13 +291,13 @@ impl SecureCyclonNode {
         let (Some(kind), Some(redeemer)) = (redeemed.redemption_kind(), redeemed.redeemer()) else {
             return Err(Refusal::NotRedeemed);
         };
+        let tpc = self.cfg.ticks_per_cycle;
         let fresh_ok = fresh_verified
             && fresh.creator() == redeemer
             && fresh.owner() == self.id
             && fresh.transfer_count() == 1
             && !fresh.is_redeemed()
-            && fresh.created_at().distance(Timestamp(now))
-                <= MAX_SKEW_TICKS + self.cfg.ticks_per_cycle;
+            && fresh.created_at().distance(Timestamp(cycle * tpc)) <= MAX_SKEW_TICKS + tpc;
         if !fresh_ok {
             return Err(Refusal::Fresh);
         }
@@ -424,7 +422,6 @@ impl SecureCyclonNode {
         from: Addr,
         msg: SecureMsg,
         cycle: u64,
-        now: u64,
         fx: &mut Effects,
     ) {
         match msg {
@@ -432,7 +429,7 @@ impl SecureCyclonNode {
                 self.accept_remote_proof(proof, cycle);
             }
             SecureMsg::JoinPing(body) => {
-                self.answer_join_ping(from, body.joiner, cycle, now, &mut fx.sends)
+                self.answer_join_ping(from, body.joiner, cycle, &mut fx.sends)
             }
             SecureMsg::JoinGrant(body) => {
                 let JoinGrantBody { descriptor, proofs } = *body;
@@ -455,7 +452,6 @@ impl SecureCyclonNode {
         from: Addr,
         joiner: NodeId,
         cycle: u64,
-        now: u64,
         sends: &mut Vec<(Addr, SecureMsg)>,
     ) {
         if joiner == self.id || self.blacklist.contains(&joiner) {
@@ -473,7 +469,7 @@ impl SecureCyclonNode {
                 return;
             }
         }
-        let Some(grant) = self.sponsor(joiner, cycle, now) else {
+        let Some(grant) = self.sponsor(joiner, cycle) else {
             return;
         };
         self.last_join_grant = Some(cycle);

@@ -412,12 +412,6 @@ impl SecureCyclonNode {
         }
     }
 
-    /// Number of pre-transfer copies remembered from successful exchanges
-    /// (the last-resort non-swappable back-fill pool).
-    pub fn transfer_history_len(&self) -> usize {
-        self.transfer_history.len()
-    }
-
     /// Number of redeemed copies circulating in the redemption cache
     /// (§V-C).
     pub fn redemption_count(&self) -> usize {
@@ -487,28 +481,18 @@ impl SecureCyclonNode {
         }
         let mut fx = Effects::default();
         match input {
-            Input::Tick { cycle, now } => self.on_tick(cycle, now, &mut fx),
+            Input::Tick { cycle } => self.on_tick(cycle, &mut fx),
             Input::Reply(msg) => self.on_outcome(Some(msg), &mut fx),
             Input::Timeout => self.on_outcome(None, &mut fx),
-            Input::Request {
-                from,
-                msg,
-                cycle,
-                now,
-            } => {
+            Input::Request { from, msg, cycle } => {
                 fx.reply = match msg {
-                    SecureMsg::Request(body) => self.handle_request(from, *body, cycle, now),
+                    SecureMsg::Request(body) => self.handle_request(from, *body, cycle),
                     SecureMsg::Round(body) => self.handle_round(from, *body, cycle),
                     _ => None,
                 };
                 fx.flood = self.drain_floods();
             }
-            Input::Oneway {
-                from,
-                msg,
-                cycle,
-                now,
-            } => self.handle_oneway(from, msg, cycle, now, &mut fx),
+            Input::Oneway { from, msg, cycle } => self.handle_oneway(from, msg, cycle, &mut fx),
         }
         let bytes = |msg| wire::message_paper_bytes(msg) as u64;
         let out = fx.rpc.iter().chain(&fx.sends).map(|(_, msg)| msg);

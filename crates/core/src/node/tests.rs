@@ -161,7 +161,7 @@ fn samples_processed_counts_each_descriptor_once() {
         samples: vec![redeemed, sample],
         proofs: Vec::new(),
     };
-    let reply = node.handle_request(7, body, 1, now);
+    let reply = node.handle_request(7, body, 1);
     assert!(reply.is_some(), "exchange accepted");
     assert_eq!(
         node.stats().samples_processed,
@@ -226,7 +226,7 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
         Box::new(MemoryBackend::new()),
     )
     .unwrap();
-    let grant = node.sponsor(kps[1].public(), 5, 5_000);
+    let grant = node.sponsor(kps[1].public(), 5);
     assert!(grant.is_some(), "budget available before the crash");
     assert!(!node.may_emit(5));
 
@@ -237,7 +237,7 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
     assert_eq!(revived.last_emission(), Some(5), "marker recovered");
     assert!(!revived.may_emit(5), "budget stays spent across restart");
     assert!(
-        revived.sponsor(kps[2].public(), 5, 5_100).is_none(),
+        revived.sponsor(kps[2].public(), 5).is_none(),
         "a second emission in cycle 5 would be self-incriminating"
     );
     assert!(revived.may_emit(6), "next cycle's budget is untouched");
@@ -337,15 +337,12 @@ fn kill_between_a_round_and_its_reply_cannot_resurrect_the_transfer() {
     }
     // A turn with nobody answering leaves a checkpoint that lists the
     // two descriptors still held.
-    node.step(Input::Tick { cycle: 1, now: tpc });
+    node.step(Input::Tick { cycle: 1 });
     node.step(Input::Timeout);
     assert_eq!(node.view().len(), 2);
 
     // Next turn: the request is accepted, so a round goes out.
-    let fx = node.step(Input::Tick {
-        cycle: 2,
-        now: 2 * tpc,
-    });
+    let fx = node.step(Input::Tick { cycle: 2 });
     let Some((_, SecureMsg::Request(_))) = fx.rpc else {
         panic!("the turn did not open an exchange");
     };
@@ -404,7 +401,7 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
 
     // The turn: redeems the older descriptor at its creator (which never
     // answers) and checkpoints a view of one.
-    let fx = node.step(Input::Tick { cycle: 1, now: tpc });
+    let fx = node.step(Input::Tick { cycle: 1 });
     let Some((11, SecureMsg::Request(sent))) = fx.rpc else {
         panic!("the turn did not open an exchange with the partner");
     };
@@ -429,7 +426,6 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
             proofs: Vec::new(),
         })),
         cycle: 1,
-        now: tpc + tpc / 2,
     });
     let Some(SecureMsg::Accept(accept)) = fx.reply.take() else {
         panic!("the passive exchange was refused");
@@ -449,10 +445,7 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
     assert_eq!(revived.last_emission(), Some(1));
     assert_eq!(revived.redemption_count(), 1);
 
-    let fx = revived.step(Input::Tick {
-        cycle: 2,
-        now: 2 * tpc,
-    });
+    let fx = revived.step(Input::Tick { cycle: 2 });
     assert!(fx.rpc.is_none(), "nothing to redeem");
     let pinged: Vec<Addr> = fx
         .sends
@@ -507,7 +500,6 @@ fn a_joiner_killed_before_its_first_checkpoint_boots_as_new() {
             proofs: vec![proof],
         })),
         cycle: 1,
-        now: tpc + 1,
     });
     assert!(node.joined() && node.blacklist().contains(&culprit.public()));
 
@@ -535,7 +527,6 @@ fn a_node_cut_off_past_the_window_still_pings_for_rejoin() {
     let kps = keypairs(3);
     let (me, a, b) = (&kps[0], &kps[1], &kps[2]);
     let cfg = small_cfg().validated();
-    let tpc = cfg.ticks_per_cycle;
     let mut node = SecureCyclonNode::new(me.clone(), 10, cfg, [1u8; 32], 0);
     for (kp, addr) in [(a, 11), (b, 12)] {
         let d = SecureDescriptor::create(kp, addr, Timestamp(addr as u64))
@@ -547,10 +538,7 @@ fn a_node_cut_off_past_the_window_still_pings_for_rejoin() {
     let mut pings = Vec::new();
     for cycle in 1..=horizon {
         // Nobody answers: every exchange times out.
-        let mut fx = node.step(Input::Tick {
-            cycle,
-            now: cycle * tpc,
-        });
+        let mut fx = node.step(Input::Tick { cycle });
         if fx.rpc.is_some() {
             fx = node.step(Input::Timeout);
         }
@@ -608,7 +596,6 @@ fn a_join_ping_is_granted_every_proof_however_old() {
             joiner: joiner.public(),
         })),
         cycle,
-        now: cycle * tpc,
     });
     let [(2, SecureMsg::JoinGrant(grant))] = &fx.sends[..] else {
         panic!("the ping was not granted: {:?}", fx.sends);
@@ -632,18 +619,15 @@ fn gossiping_node(kps: &[Keypair]) -> SecureCyclonNode {
 }
 
 fn tick(node: &mut SecureCyclonNode, cycle: u64) -> Effects {
-    let now = cycle * node.config().ticks_per_cycle;
-    node.step(Input::Tick { cycle, now })
+    node.step(Input::Tick { cycle })
 }
 
-/// `joiner`'s join ping, arriving from `from` halfway through `cycle`.
+/// `joiner`'s join ping, arriving from `from` during `cycle`.
 fn join_ping(node: &mut SecureCyclonNode, from: Addr, joiner: NodeId, cycle: u64) -> Effects {
-    let tpc = node.config().ticks_per_cycle;
     node.step(Input::Oneway {
         from,
         msg: SecureMsg::JoinPing(Box::new(crate::msg::JoinPingBody { joiner })),
         cycle,
-        now: cycle * tpc + tpc / 2,
     })
 }
 
@@ -682,6 +666,34 @@ fn a_join_ping_after_the_turn_is_granted_at_the_next_turn() {
 }
 
 #[test]
+fn a_grant_before_the_turn_is_minted_one_period_before_the_next_fresh_descriptor() {
+    // §IV-B convicts a creator of any two descriptors minted less than a
+    // period apart. A grant spends its cycle's budget, so the next mint
+    // is the next turn's fresh descriptor — and both are stamped from the
+    // cycle alone, however early in the cycle the ping arrived.
+    let kps = keypairs(8);
+    let mut node = gossiping_node(&kps);
+    let tpc = node.config().ticks_per_cycle;
+    let fx = join_ping(&mut node, 20, kps[5].public(), 5);
+    let [(20, SecureMsg::JoinGrant(grant))] = &fx.sends[..] else {
+        panic!("the ping was not granted: {:?}", fx.sends);
+    };
+    assert!(tick(&mut node, 5).rpc.is_none(), "the grant spent turn 5");
+    let Some((_, SecureMsg::Request(request))) = tick(&mut node, 6).rpc else {
+        panic!("turn 6 did not open an exchange");
+    };
+    let (granted, fresh) = (grant.descriptor.created_at(), request.fresh.created_at());
+    assert_eq!(granted, Timestamp(5 * tpc));
+    assert_eq!(
+        fresh,
+        Timestamp(granted.0 + tpc),
+        "exactly one period apart"
+    );
+    let proof = ViolationProof::frequency(grant.descriptor.clone(), request.fresh.clone(), tpc);
+    assert!(proof.is_err(), "the honest sponsor is not provably guilty");
+}
+
+#[test]
 fn held_join_pings_are_capped_one_a_key_and_never_a_culprits() {
     let kps = keypairs(16);
     let mut node = gossiping_node(&kps);
@@ -697,7 +709,6 @@ fn held_join_pings_are_capped_one_a_key_and_never_a_culprits() {
         from: 9,
         msg: SecureMsg::Proof(proof),
         cycle: 5,
-        now: 5 * tpc,
     });
     tick(&mut node, 5);
     node.step(Input::Timeout);
@@ -773,7 +784,6 @@ fn a_flooded_proof_is_one_body_for_every_holder() {
         from: 1,
         msg: SecureMsg::Proof(received),
         cycle: 2,
-        now: 2 * tpc,
     });
     let [stored] = node.blacklist().proofs() else {
         panic!("one culprit listed");
@@ -832,7 +842,6 @@ fn proofs_learned_in_one_step_leave_as_one_flood() {
             proofs: proofs.clone(),
         })),
         cycle: 2,
-        now: 2 * tpc,
     });
 
     assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty());
@@ -872,7 +881,6 @@ fn a_node_with_an_empty_view_floods_nothing() {
         from: 9,
         msg: SecureMsg::Proof(frequency_proof(&kps[1], 1, tpc)),
         cycle: 2,
-        now: 2 * tpc,
     });
     assert!(node.blacklist().contains(&kps[1].public()), "learned");
     assert!(fx.flood.is_none(), "nobody to flood it to");
@@ -887,7 +895,6 @@ fn a_node_with_an_empty_view_floods_nothing() {
         from: 9,
         msg: SecureMsg::Proof(frequency_proof(&kps[3], 3, tpc)),
         cycle: 2,
-        now: 2 * tpc,
     });
     let flood = fx.flood.expect("a neighbour now");
     assert_eq!(flood.to, [2]);
@@ -951,13 +958,11 @@ fn forged_inputs_move_exactly_these_counters() {
             proofs: Vec::new(),
         })),
         cycle: 1,
-        now: tpc,
     };
     let round = |transfer: SecureDescriptor| Input::Request {
         from: 1,
         msg: SecureMsg::Round(Box::new(RoundBody { transfer })),
         cycle: 1,
-        now: tpc,
     };
     // What the peer hands over in tit-for-tat rounds: a third party's
     // descriptor it owns, signed on to this node.
@@ -1190,10 +1195,7 @@ fn a_turn_sends_nothing_a_peer_a_cycle_ahead_would_refuse() {
     ]
     .into_iter();
     let mut sent = Vec::new();
-    let mut fx = node.step(Input::Tick {
-        cycle: turn,
-        now: turn * tpc,
-    });
+    let mut fx = node.step(Input::Tick { cycle: turn });
     while let Some((_, msg)) = fx.rpc.take() {
         match msg {
             SecureMsg::Request(r) => {
@@ -1281,14 +1283,13 @@ fn a_redemption_certificate_replayed_past_the_window_is_refused() {
         samples: Vec::new(),
         proofs: Vec::new(),
     };
-    assert!(node.handle_request(1, request(1), 1, tpc).is_some());
+    assert!(node.handle_request(1, request(1), 1).is_some());
     let late = SAMPLE_RETENTION_CYCLES + 2;
     for cycle in 2..=late {
         node.housekeeping(cycle);
     }
     assert!(
-        node.handle_request(1, request(late), late, late * tpc)
-            .is_none(),
+        node.handle_request(1, request(late), late).is_none(),
         "the replayed certificate bought a second exchange"
     );
     assert_eq!(node.stats().answered, 1);
@@ -1328,8 +1329,7 @@ fn the_ns_replay_guard_holds_only_what_intake_still_admits() {
     let last = SAMPLE_RETENTION_CYCLES + 20;
     for cycle in 1..=last {
         node.housekeeping(cycle);
-        let accepted =
-            node.handle_request(1, request(certificate(cycle), cycle), cycle, cycle * tpc);
+        let accepted = node.handle_request(1, request(certificate(cycle), cycle), cycle);
         assert!(accepted.is_some(), "cycle {cycle}");
     }
     assert_eq!(node.stats().ns_redemptions_accepted, last);
@@ -1348,8 +1348,7 @@ fn the_ns_replay_guard_holds_only_what_intake_still_admits() {
         (1, "let go, refused for its age"),
         (last, "held by the guard"),
     ] {
-        let refused =
-            node.handle_request(1, request(certificate(old), replay), replay, replay * tpc);
+        let refused = node.handle_request(1, request(certificate(old), replay), replay);
         assert!(refused.is_none(), "certificate of cycle {old}: {why}");
     }
     let causes = node.causes();
@@ -1379,15 +1378,9 @@ fn resolve(
     mut rpc: Option<(Addr, SecureMsg)>,
     cycle: u64,
 ) {
-    let now = cycle * nodes[i].cfg.ticks_per_cycle;
     while let Some((to, msg)) = rpc.take() {
         let from = i as Addr;
-        let mut served = nodes[to as usize].step(Input::Request {
-            from,
-            msg,
-            cycle,
-            now,
-        });
+        let mut served = nodes[to as usize].step(Input::Request { from, msg, cycle });
         let input = served.reply.take().map_or(Input::Timeout, Input::Reply);
         rpc = nodes[i].step(input).rpc;
     }
@@ -1450,10 +1443,7 @@ fn restart_at_every_turn_boundary(
                     }
                 }
             }
-            let fx = nodes[i].step(Input::Tick {
-                cycle,
-                now: cycle * tpc,
-            });
+            let fx = nodes[i].step(Input::Tick { cycle });
             if i == 0 && late && cycle % 3 == 0 && fx.rpc.is_some() {
                 pending = Some((cycle, fx.rpc));
                 continue;

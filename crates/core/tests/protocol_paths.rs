@@ -98,12 +98,7 @@ impl Harness {
 
 /// Steps one RPC into `node` as its server side; returns the reply.
 fn serve(node: &mut SecureCyclonNode, from: Addr, msg: SecureMsg, cycle: u64) -> Option<SecureMsg> {
-    let fx = node.step(Input::Request {
-        from,
-        msg,
-        cycle,
-        now: cycle * TPC,
-    });
+    let fx = node.step(Input::Request { from, msg, cycle });
     assert!(fx.rpc.is_none(), "serving a request never starts an RPC");
     let by_cause: u64 = node.causes().refused.iter().sum();
     assert_eq!(by_cause, node.stats().refused, "each refusal has one cause");
@@ -403,7 +398,6 @@ fn blacklisted_requester_stays_refused() {
         from: 3,
         msg: SecureMsg::Proof(proof),
         cycle: h.cycle,
-        now: h.now(),
     });
 
     let token = h.carol_token(&bob, 1000);
@@ -421,15 +415,15 @@ fn a_sponsorship_respects_the_frequency_budget() {
     let mut h = Harness::new();
     let joiner = kp(7).public();
     let other = kp(8).public();
-    let d1 = h.carol.sponsor(joiner, h.cycle, h.now());
+    let d1 = h.carol.sponsor(joiner, h.cycle);
     assert!(d1.is_some());
     let d1 = d1.unwrap().descriptor;
     assert_eq!(d1.owner(), joiner);
     d1.verify().unwrap();
     assert!(
-        h.carol.sponsor(other, h.cycle, h.now()).is_none(),
+        h.carol.sponsor(other, h.cycle).is_none(),
         "one creation per cycle, spent"
     );
     h.next_cycle();
-    assert!(h.carol.sponsor(other, h.cycle, h.now()).is_some());
+    assert!(h.carol.sponsor(other, h.cycle).is_some());
 }

@@ -6,8 +6,10 @@
 //!
 //! After every step: no descriptor identity is live in two places (the
 //! swappable view entries and reserves of all nodes, plus every
-//! transfer still in flight), no view exceeds ℓ, and every blacklist is
-//! empty — an honest node is never provably guilty, whatever the
+//! transfer still in flight), no view exceeds ℓ, every blacklist is
+//! empty, and every two descriptors one node minted (each `Request`'s
+//! fresh descriptor and each `JoinGrant`'s) were created at least a
+//! period apart — an honest node is never provably guilty, whatever the
 //! schedule.
 
 use proptest::prelude::*;
@@ -43,6 +45,8 @@ struct Net {
     ghosts: VecDeque<(Addr, Addr, SecureMsg)>,
     /// One-way messages in flight, `(from, to, msg)`.
     oneways: VecDeque<(Addr, Addr, SecureMsg)>,
+    /// The creation tick of every descriptor each node minted.
+    mints: Vec<Vec<u64>>,
     cycle: u64,
 }
 
@@ -73,6 +77,7 @@ impl Net {
             rpcs: (0..N).map(|_| None).collect(),
             ghosts: VecDeque::new(),
             oneways: VecDeque::new(),
+            mints: vec![Vec::new(); N],
             // One past the bootstrap's pre-cycles, so that a clock stepping
             // back by one never re-enters them.
             cycle: plan.start_cycle + 1,
@@ -81,6 +86,13 @@ impl Net {
 
     /// Routes the effects of a step `node` just took.
     fn route(&mut self, node: usize, fx: Effects) {
+        let out = fx.rpc.iter().chain(&fx.sends).map(|(_, msg)| msg);
+        let minted = out.filter_map(|msg| match msg {
+            SecureMsg::Request(b) => Some(&b.fresh),
+            SecureMsg::JoinGrant(b) => Some(&b.descriptor),
+            _ => None,
+        });
+        self.mints[node].extend(minted.map(|d| d.created_at().0));
         for (to, msg) in fx.sends {
             self.oneways.push_back((node as Addr, to, msg));
         }
@@ -100,10 +112,7 @@ impl Net {
         let in_flight = self.nodes[node].exchange_in_flight();
         assert_eq!(in_flight, self.rpcs[node].is_some());
         let before = self.nodes[node].stats();
-        let fx = self.nodes[node].step(Input::Tick {
-            cycle,
-            now: cycle * TPC,
-        });
+        let fx = self.nodes[node].step(Input::Tick { cycle });
         if in_flight {
             assert!(fx.rpc.is_none() && fx.sends.is_empty() && fx.flood.is_none());
             assert_eq!(
@@ -121,7 +130,6 @@ impl Net {
             from,
             msg,
             cycle: self.cycle,
-            now: self.cycle * TPC,
         });
         let reply = fx.reply.take();
         self.route(to as usize, fx);
@@ -180,7 +188,6 @@ impl Net {
                 from,
                 msg,
                 cycle: self.cycle,
-                now: self.cycle * TPC,
             });
             self.route(to as usize, fx);
         }
@@ -198,6 +205,13 @@ impl Net {
                 ))
             }
         };
+        for (i, mints) in self.mints.iter().enumerate() {
+            let mut mints = mints.clone();
+            mints.sort_unstable();
+            if let Some(w) = mints.windows(2).find(|w| w[1] - w[0] < TPC) {
+                return Err(format!("node {i}: minted at ticks {} and {}", w[0], w[1]));
+            }
+        }
         for (i, node) in self.nodes.iter().enumerate() {
             if node.view().len() > node.view().capacity() {
                 return Err(format!("node {i}: view over ℓ"));

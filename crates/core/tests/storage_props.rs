@@ -186,8 +186,7 @@ fn a_state_spent_twice_is_restored_twice_and_in_cycle_order() {
     // each, which they only do from a ledger in cycle order.
     let window = sc_core::node::SAMPLE_RETENTION_CYCLES;
     for (cycle, left) in [(window + 3, 2), (window + 6, 1), (window + 10, 0)] {
-        let now = cycle * cfg.ticks_per_cycle;
-        node.step(Input::Tick { cycle, now });
+        node.step(Input::Tick { cycle });
         assert_eq!(node.footprint().spent_records, left, "cycle {cycle}");
     }
     let _ = fs::remove_dir_all(&dir);

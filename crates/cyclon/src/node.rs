@@ -420,7 +420,7 @@ mod tests {
     fn ticked() -> (CyclonNode, Addr, Vec<LegacyDescriptor>) {
         let mut node = CyclonNode::new(keypair(0).public(), 0, CFG, [7; 32]);
         node.bootstrap((1..=3).map(|i| (keypair(i).public(), i as Addr)));
-        let fx = node.step(Input::Tick { cycle: 0, now: 0 });
+        let fx = node.step(Input::Tick { cycle: 0 });
         let Some((to, CyclonMsg::Shuffle { descriptors })) = fx.rpc else {
             panic!("a connected node opens a shuffle");
         };
@@ -440,10 +440,7 @@ mod tests {
     fn tick_while_a_shuffle_is_in_flight_is_a_noop() {
         let (mut node, _, _) = ticked();
         let (view, stats) = (view_of(&node), node.stats());
-        let fx = node.step(Input::Tick {
-            cycle: 1,
-            now: 1000,
-        });
+        let fx = node.step(Input::Tick { cycle: 1 });
         assert!(fx.rpc.is_none() && fx.reply.is_none() && fx.sends.is_empty());
         assert_eq!(view_of(&node), view, "not even the ages move");
         assert_eq!(node.stats(), stats);
@@ -494,7 +491,6 @@ mod tests {
                 descriptors: vec![stranger()],
             },
             cycle: 0,
-            now: 0,
         });
         assert!(matches!(fx.reply, Some(CyclonMsg::ShuffleResponse { .. })));
         assert!(fx.rpc.is_none());

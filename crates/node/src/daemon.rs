@@ -261,11 +261,6 @@ impl Daemon {
         Some(self.start_cycle + since_first / self.cfg.cycle_ms)
     }
 
-    /// Engine-convention tick for a cycle (the tick the cycle starts at).
-    fn now_ticks(&self, cycle: u64) -> u64 {
-        cycle * self.cfg.secure.ticks_per_cycle
-    }
-
     /// Read access for tests and the status report.
     pub fn node(&self) -> &SecureCyclonNode {
         &self.node
@@ -310,8 +305,7 @@ impl Daemon {
                         // it just counts them.
                         self.turns_skipped += due - last - 1;
                     }
-                    let now = self.now_ticks(due);
-                    let fx = self.node.step(Input::Tick { cycle: due, now });
+                    let fx = self.node.step(Input::Tick { cycle: due });
                     self.apply(fx);
                     self.last_fired = Some(due);
                     self.cycles_run += 1;
@@ -471,7 +465,6 @@ impl Daemon {
     /// Dispatches one inbound frame, whether or not an RPC is pending.
     fn handle(&mut self, ib: Inbound) {
         let cycle = self.current_cycle();
-        let now = self.now_ticks(cycle);
         let period = self.cfg.secure.ticks_per_cycle;
         match ib.frame.kind {
             FrameKind::Request => {
@@ -493,12 +486,7 @@ impl Daemon {
                 else {
                     return;
                 };
-                let mut fx = self.node.step(Input::Request {
-                    from,
-                    msg,
-                    cycle,
-                    now,
-                });
+                let mut fx = self.node.step(Input::Request { from, msg, cycle });
                 let reply = fx.reply.take();
                 self.apply(fx);
                 // An explicit empty reply lets the initiator observe
@@ -528,7 +516,6 @@ impl Daemon {
                     from: ib.frame.from,
                     msg,
                     cycle,
-                    now,
                 });
                 self.apply(fx);
             }

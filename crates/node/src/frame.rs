@@ -102,15 +102,22 @@ impl Frame {
 
     /// Serializes the frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
-        let mut w = Writer::new(&mut out);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the serialized frame to `out`, so a caller that keeps one
+    /// buffer allocates only when a frame outgrows it.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(FRAME_HEADER_BYTES + self.payload.len());
+        let mut w = Writer::new(out);
         w.u32(FRAME_MAGIC);
         w.u8(self.kind.tag());
         w.u32(self.req_id);
         w.u32(self.from);
         w.u32(self.payload.len() as u32);
         w.bytes(&self.payload);
-        out
     }
 }
 

@@ -112,6 +112,8 @@ pub struct TcpTransport {
     /// reuse their allocations.
     fds: Vec<PollFd>,
     fd_conns: Vec<ConnId>,
+    /// The bytes of the frame being sent, kept to reuse its allocation.
+    out: Vec<u8>,
     /// Passes made, for the test that an idle `recv` does not spin.
     #[cfg(test)]
     passes: u64,
@@ -151,6 +153,7 @@ impl TcpTransport {
             stats: TransportStats::default(),
             fds: Vec::new(),
             fd_conns: Vec::new(),
+            out: Vec::new(),
             #[cfg(test)]
             passes: 0,
         })
@@ -277,6 +280,15 @@ impl TcpTransport {
         }
     }
 
+    /// `frame`'s bytes in the kept send buffer, taken out of `self` for
+    /// the write; the caller puts the buffer back.
+    fn encode(&mut self, frame: &Frame) -> Vec<u8> {
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        frame.encode_into(&mut out);
+        out
+    }
+
     /// Number of peers currently tracked by the backoff schedule
     /// (bounded by the eviction policy; exposed for regression tests).
     pub fn backoff_len(&self) -> usize {
@@ -370,21 +382,22 @@ impl Transport for TcpTransport {
         let Some(id) = self.conn_to(to) else {
             return false;
         };
-        let bytes = frame.encode();
-        if self.write_all(id, &bytes) {
-            true
-        } else {
-            // One immediate redial: the cached connection may have been
-            // closed by the peer since its last use.
-            let Some(id) = self.conn_to(to) else {
-                return false;
-            };
-            self.write_all(id, &bytes)
-        }
+        let bytes = self.encode(frame);
+        // One immediate redial on failure: the cached connection may have
+        // been closed by the peer since its last use.
+        let sent = self.write_all(id, &bytes)
+            || self
+                .conn_to(to)
+                .is_some_and(|id| self.write_all(id, &bytes));
+        self.out = bytes;
+        sent
     }
 
     fn respond(&mut self, conn: ConnId, frame: &Frame) -> bool {
-        self.write_all(conn, &frame.encode())
+        let bytes = self.encode(frame);
+        let sent = self.write_all(conn, &bytes);
+        self.out = bytes;
+        sent
     }
 
     fn recv(&mut self, timeout: Duration) -> Option<Inbound> {

@@ -1090,10 +1090,7 @@ fn restart_with_a_wholly_spent_view_pings_its_way_back_in() {
                 .unwrap();
             assert!(node.accept_bootstrap(d));
         }
-        let fx = node.step(sc_core::Input::Tick {
-            cycle: 19,
-            now: 19 * tpc,
-        });
+        let fx = node.step(sc_core::Input::Tick { cycle: 19 });
         let Some((_, SecureMsg::Request(sent))) = fx.rpc else {
             panic!("the turn opened no exchange");
         };
@@ -1111,7 +1108,6 @@ fn restart_with_a_wholly_spent_view_pings_its_way_back_in() {
                 proofs: Vec::new(),
             })),
             cycle: 19,
-            now: at,
         });
         assert!(
             matches!(fx.reply.take(), Some(SecureMsg::Accept(a)) if a.transfers.len() == 1),

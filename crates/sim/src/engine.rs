@@ -52,7 +52,6 @@
 //! bit-for-bit reproducible per seed, and loss never moves its turns.
 
 use crate::arena::Arena;
-use crate::clock::Clock;
 use crate::net::{Network, Partition};
 use crate::stats::TrafficStats;
 use rand::rngs::StdRng;
@@ -61,27 +60,16 @@ use rand::SeedableRng;
 use sc_core::{Addr, Flood, Input, Loss, Machine, MsgKind};
 
 /// Engine construction parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimConfig {
     /// Master seed for shuffle order and network loss rolls.
     pub seed: u64,
     /// Per-kind message loss.
     pub loss: Loss,
-    /// Tick resolution of one cycle.
-    pub ticks_per_cycle: u64,
-    /// Cycle number the clock starts at (see [`crate::clock::Clock::starting_at`]).
+    /// The cycle the engine starts counting at: a bootstrap that hands
+    /// out descriptors created in cycles `0..start_cycle` starts the run
+    /// there, so live creations never collide with bootstrap ones.
     pub start_cycle: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0,
-            loss: Loss::default(),
-            ticks_per_cycle: crate::clock::DEFAULT_TICKS_PER_CYCLE,
-            start_cycle: 0,
-        }
-    }
 }
 
 impl SimConfig {
@@ -97,7 +85,7 @@ impl SimConfig {
 /// The cycle-driven simulator.
 pub struct Engine<N: Machine> {
     arena: Arena<N>,
-    clock: Clock,
+    cycle: u64,
     net: Network,
     rng: StdRng,
     /// One-way messages to deliver at the start of the next cycle, by
@@ -115,7 +103,7 @@ where
     pub fn new(cfg: SimConfig) -> Self {
         Engine {
             arena: Arena::new(),
-            clock: Clock::new(cfg.ticks_per_cycle).starting_at(cfg.start_cycle),
+            cycle: cfg.start_cycle,
             net: Network::new(cfg.seed, cfg.loss),
             rng: StdRng::seed_from_u64(cfg.seed),
             pending: Vec::new(),
@@ -166,14 +154,9 @@ where
         self.arena.iter()
     }
 
-    /// The simulation clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
     /// The current cycle number.
     pub fn cycle(&self) -> u64 {
-        self.clock.cycle()
+        self.cycle
     }
 
     /// Accumulated traffic statistics.
@@ -206,8 +189,7 @@ where
         let input = Input::Oneway {
             from,
             msg,
-            cycle: self.clock.cycle(),
-            now: self.clock.now(),
+            cycle: self.cycle,
         };
         self.serve(to, &mut node, input);
         self.arena.put_back(to, node);
@@ -223,7 +205,7 @@ where
     /// Runs one cycle with an interruption: the first `after_turns`
     /// turns of the shuffled order run, then `mid` gets mutable access
     /// to the engine (kill or restart nodes, inject messages), then the
-    /// remaining turns run and the clock advances. This models faults
+    /// remaining turns run and the cycle count advances. This models faults
     /// landing *inside* a gossip cycle — e.g. a crash after a node
     /// already answered some exchanges but before its checkpoint — which
     /// boundary-aligned fault hooks structurally cannot express.
@@ -245,7 +227,7 @@ where
         mid(self);
         self.run_turns(&order[cut..]);
 
-        self.clock.advance();
+        self.cycle += 1;
     }
 
     /// Runs `n` cycles back to back.
@@ -264,10 +246,7 @@ where
             let Some(mut node) = self.arena.take(addr) else {
                 continue;
             };
-            let mut fx = node.step(Input::Tick {
-                cycle: self.clock.cycle(),
-                now: self.clock.now(),
-            });
+            let mut fx = node.step(Input::Tick { cycle: self.cycle });
             loop {
                 self.queue(addr, fx.sends, fx.flood);
                 let Some((to, msg)) = fx.rpc else { break };
@@ -404,8 +383,7 @@ where
         let input = Input::Request {
             from,
             msg,
-            cycle: self.clock.cycle(),
-            now: self.clock.now(),
+            cycle: self.cycle,
         };
         let reply = self.serve(to, &mut node, input);
         self.arena.put_back(to, node);

@@ -12,7 +12,10 @@
 //!   turn order (one turn at a time — the only schedule), one round trip
 //!   per `rpc` effect within the initiator's turn (for tit-for-tat gossip
 //!   exchanges), and batched one-way delivery (for proof flooding) at one
-//!   hop per cycle, drained in address order.
+//!   hop per cycle, drained in address order. Its clock is a cycle
+//!   counter and nothing finer: the paper measures in cycles (§II-A),
+//!   and a machine handed a cycle derives any tick it stamps from its
+//!   own configuration.
 //! * [`Arena`] — index-based node storage: pointer-sized node moves,
 //!   O(alive) cycle setup, addresses never reused.
 //! * [`Machine`] — the trait protocol nodes implement, re-exported from
@@ -51,14 +54,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod clock;
 pub mod engine;
 pub mod net;
 pub mod rng;
 pub mod stats;
 
 pub use arena::Arena;
-pub use clock::{Clock, DEFAULT_TICKS_PER_CYCLE};
 pub use engine::{Engine, SimConfig};
 pub use net::Partition;
 pub use sc_core::{Addr, Effects, Flood, Input, Loss, Machine};

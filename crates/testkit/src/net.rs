@@ -198,9 +198,8 @@ impl SecureNetwork {
     /// if it has the budget.
     fn sponsor(&mut self, sponsor: Addr, joiner: NodeId) -> Option<JoinGrantBody> {
         let cycle = self.engine.cycle();
-        let now = self.engine.clock().now();
         match self.engine.node_mut(sponsor) {
-            Some(SecureNet::Honest(node)) => node.sponsor(joiner, cycle, now),
+            Some(SecureNet::Honest(node)) => node.sponsor(joiner, cycle),
             _ => None,
         }
     }
@@ -356,7 +355,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
     let mut engine = Engine::new(SimConfig {
         seed,
         loss,
-        ticks_per_cycle: cfg.ticks_per_cycle,
         start_cycle: plan.start_cycle,
     });
 
@@ -601,7 +599,7 @@ mod tests {
         // The same grant on a twin network, stepped by hand into a fresh
         // node with the identity `join_via` derives for its first joiner.
         let mut twin = convicting_network();
-        let (cycle, now) = (twin.engine.cycle(), twin.engine.clock().now());
+        let cycle = twin.engine.cycle();
         let keypair = Keypair::from_seed(
             twin.scheme,
             sc_sim::rng::derive_seed(twin.seed, "joiner", 0),
@@ -619,7 +617,6 @@ mod tests {
             from: sponsor,
             msg: SecureMsg::JoinGrant(Box::new(grant)),
             cycle,
-            now,
         });
 
         let joiner = net.join_via(sponsor).expect("the sponsor has its budget");

@@ -625,7 +625,6 @@ mod tests {
                 proofs: Vec::new(),
             })),
             cycle: window + 6,
-            now: (window + 6) * 1000,
         });
         let honest = net.engine.node(addr).unwrap().honest().unwrap();
         assert_eq!(honest.causes()[Discard::Expired], 1);

@@ -127,7 +127,7 @@ fn descriptor_ages_bounded_in_equilibrium() {
     let mut net = build(48, 6);
     net.engine.run_cycles(120);
     let tpc = cfg.ticks_per_cycle;
-    let now = Timestamp(net.engine.clock().now());
+    let now = Timestamp(net.engine.cycle() * tpc);
     let max_age = honest(&net)
         .flat_map(|n| n.view().iter().map(|e| e.desc.age_cycles(now, tpc)))
         .max()

@@ -89,7 +89,6 @@ fn late_joiner_is_sponsored_and_learns_the_blacklist() {
     let joiner_kp = Keypair::from_seed(Scheme::KeyedHash, [0xAB; 32]);
     let joiner_id = joiner_kp.public();
     let cycle = net.engine.cycle();
-    let now = net.engine.clock().now();
     let seeds: Vec<u32> = net
         .engine
         .nodes()
@@ -101,7 +100,7 @@ fn late_joiner_is_sponsored_and_learns_the_blacklist() {
     for s in &seeds {
         let node = net.engine.node_mut(*s).unwrap();
         if let SecureNet::Honest(h) = node {
-            if let Some(grant) = h.sponsor(joiner_id, cycle, now) {
+            if let Some(grant) = h.sponsor(joiner_id, cycle) {
                 grants.push((*s, grant));
             }
         }
@@ -121,7 +120,6 @@ fn late_joiner_is_sponsored_and_learns_the_blacklist() {
             from,
             msg: SecureMsg::JoinGrant(Box::new(grant)),
             cycle,
-            now,
         });
         assert!(
             joiner
