@@ -8,7 +8,7 @@
 //! lookups as there are checks and ≈ 40 kB per node, and left the node.
 //! The type stays
 //! exported, with its tests, for the two layer probes of `perfbench/`
-//! that still time it, and goes when they do (ROADMAP item 1).
+//! that still time it, and goes when they do (ROADMAP: the benchmark PR).
 //!
 //! Every descriptor carries a running state digest that commits to its
 //! genesis record and every chain link (including signatures). Once a

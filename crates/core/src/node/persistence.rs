@@ -119,10 +119,23 @@ impl SecureCyclonNode {
             && desc.verify().is_ok()
     }
 
-    /// Detaches the backend (the simulator's crash-restart path: the
-    /// "disk" survives into the replacement node object).
-    pub fn take_backend(&mut self) -> Option<Box<dyn StateBackend>> {
-        self.backend.take()
+    /// `kill -9` and restart: this node's identity, address, phase and
+    /// configuration, rebuilt around its own backend with fresh protocol
+    /// randomness from `rng_seed`.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` without a backend (nothing survives the crash), else as
+    /// [`SecureCyclonNode::with_backend`].
+    pub fn restarted(mut self, rng_seed: [u8; 32]) -> std::io::Result<Self> {
+        let backend = self.backend.take().ok_or(std::io::ErrorKind::NotFound)?;
+        let (keypair, addr, cfg, phase) = (self.keypair, self.addr, self.cfg, self.phase);
+        Self::with_backend(keypair, addr, cfg, rng_seed, phase, backend)
+    }
+
+    /// Whether a durable backend is attached.
+    pub fn is_durable(&self) -> bool {
+        self.backend.is_some()
     }
 
     /// Latest cycle whose fresh-descriptor budget is spent (recovered

@@ -231,9 +231,7 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
     assert!(!node.may_emit(5));
 
     // kill -9: the node object dies, only the "disk" survives.
-    let disk = node.take_backend().unwrap();
-    let mut revived =
-        SecureCyclonNode::with_backend(kps[0].clone(), 0, cfg, [2u8; 32], 0, disk).unwrap();
+    let mut revived = node.restarted([2u8; 32]).unwrap();
     assert_eq!(revived.last_emission(), Some(5), "marker recovered");
     assert!(!revived.may_emit(5), "budget stays spent across restart");
     assert!(
@@ -248,6 +246,12 @@ fn restart_cannot_reopen_a_spent_emission_budget() {
     assert!(
         amnesiac.may_emit(5),
         "without durable state the bug is live"
+    );
+    let lost = amnesiac.restarted([4u8; 32]).unwrap_err();
+    assert_eq!(
+        lost.kind(),
+        std::io::ErrorKind::NotFound,
+        "nothing to restart from"
     );
 }
 
@@ -287,7 +291,7 @@ fn restart_restores_view_blacklist_and_spent_guard() {
     node.note_spent(spent.state_digest(), 2);
     node.checkpoint(2);
 
-    let disk = node.take_backend().unwrap();
+    let disk = node.backend.take().unwrap();
     let mut revived =
         SecureCyclonNode::with_backend(me.clone(), 0, cfg, [2u8; 32], 0, disk).unwrap();
     assert_eq!(revived.view().len(), 1, "held descriptor recovered");
@@ -362,7 +366,7 @@ fn kill_between_a_round_and_its_reply_cannot_resurrect_the_transfer() {
     let shipped = round.transfer.id();
 
     // kill -9 with the round on the wire.
-    let disk = node.take_backend().unwrap();
+    let disk = node.backend.take().unwrap();
     let revived = SecureCyclonNode::with_backend(me.clone(), 10, cfg, [2u8; 32], 0, disk).unwrap();
     assert!(
         revived.view().iter().all(|e| e.desc.id() != shipped),
@@ -435,7 +439,7 @@ fn restart_with_a_wholly_spent_checkpoint_still_pings_for_rejoin() {
     assert_eq!(node.view().len(), 1, "alive, it holds what it was paid");
 
     // kill -9.
-    let disk = node.take_backend().unwrap();
+    let disk = node.backend.take().unwrap();
     let mut revived =
         SecureCyclonNode::with_backend(me.clone(), 10, cfg, [2u8; 32], 0, disk).unwrap();
     assert!(
@@ -504,7 +508,7 @@ fn a_joiner_killed_before_its_first_checkpoint_boots_as_new() {
     assert!(node.joined() && node.blacklist().contains(&culprit.public()));
 
     // kill -9 before the joiner's first turn.
-    let disk = node.take_backend().unwrap();
+    let disk = node.backend.take().unwrap();
     let revived =
         SecureCyclonNode::with_backend(joiner.clone(), 10, cfg, [2u8; 32], 0, disk).unwrap();
     assert!(
@@ -1455,7 +1459,7 @@ fn restart_at_every_turn_boundary(
             // kill -9 between two turns: only the backend survives.
             let before = ring_records(&nodes[0]);
             first_stamp = first_stamp.or(before.first().map(|r| r.0));
-            let disk = reopen(nodes[0].take_backend().unwrap());
+            let disk = reopen(nodes[0].backend.take().unwrap());
             let seed = [restarts as u8; 32];
             let mut revived =
                 SecureCyclonNode::with_backend(kps[0].clone(), 0, cfg, seed, phases[0], disk)
@@ -1474,7 +1478,7 @@ fn restart_at_every_turn_boundary(
             if i == 0 && !late {
                 nodes[0] = revived;
             } else {
-                nodes[0].backend = revived.take_backend();
+                nodes[0].backend = revived.backend.take();
             }
         }
     }

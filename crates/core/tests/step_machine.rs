@@ -349,8 +349,9 @@ fn requests_and_rounds_are_served_while_an_exchange_is_in_flight() {
 
 #[test]
 fn a_stepped_back_clock_buys_no_second_descriptor() {
-    // ROADMAP 5b: the daemon's cycle number derives from `SystemTime`; a
-    // backwards step must not mint twice in one period.
+    // ROADMAP, the daemon's injected clock source: the daemon's cycle
+    // number derives from `SystemTime`; a backwards step must not mint
+    // twice in one period.
     let mut net = Net::new();
     let c = net.cycle + 1;
     for cycle in [c, c - 1, c] {

@@ -1,18 +1,14 @@
 //! Arena-style node storage for the engine.
 //!
 //! The engine hosts up to hundreds of thousands of protocol nodes and
-//! moves them in and out of storage constantly — once per turn, plus once
-//! per RPC served and once per one-way delivered. [`Arena`] is laid out so
-//! all of those moves are pointer-sized, and so per-cycle setup costs
-//! O(alive) rather than O(every address ever allocated):
+//! steps them where they lie: no node ever leaves its slot. [`Arena`] is
+//! laid out so that per-cycle setup costs O(alive) rather than O(every
+//! address ever allocated):
 //!
-//! * **Struct-of-arrays layout.** Node payloads (`Vec<Option<Box<N>>>`)
-//!   and liveness flags (`Vec<bool>`) live in separate parallel arrays,
-//!   both indexed by [`Addr`]. Liveness checks — the hot path of every
-//!   RPC admission — touch only the densely packed flag array.
-//! * **Boxed payloads.** Each node is boxed once at spawn; taking a node
-//!   out for its turn (or to serve an RPC) moves 8 bytes, not the node
-//!   body, and nothing is reallocated over a node's lifetime.
+//! * **Boxed payloads.** Each node is boxed once at spawn, so the slot
+//!   array holds one pointer per address ever allocated, dead ones
+//!   included, however large a node is; a node's body is never moved or
+//!   reallocated while it lives. An empty slot is a dead address.
 //! * **Maintained live list.** The set of alive addresses is kept as a
 //!   sorted `Vec<Addr>`, compacted lazily after kills, so building a
 //!   cycle's turn order is a copy of the live list instead of a scan of
@@ -25,16 +21,12 @@
 use sc_core::Addr;
 
 /// Index-based node storage: monotonically allocated addresses, O(1)
-/// liveness checks, pointer-sized node moves. See the module docs for the
+/// liveness checks, nodes boxed in place. See the module docs for the
 /// layout rationale.
 #[derive(Debug)]
 pub struct Arena<N> {
-    /// Node payloads by address. `None` means departed *or* temporarily
-    /// checked out (mid-turn / serving a handler).
+    /// Node payloads by address; `None` means departed.
     nodes: Vec<Option<Box<N>>>,
-    /// Liveness flags by address. A checked-out node stays `true`; only
-    /// [`Arena::kill`] clears the flag.
-    alive: Vec<bool>,
     /// Alive addresses in ascending order; may contain stale (killed)
     /// entries until the next [`Arena::live_addrs`] compaction.
     live: Vec<Addr>,
@@ -48,7 +40,6 @@ impl<N> Default for Arena<N> {
     fn default() -> Self {
         Arena {
             nodes: Vec::new(),
-            alive: Vec::new(),
             live: Vec::new(),
             live_dirty: false,
             n_alive: 0,
@@ -68,7 +59,6 @@ impl<N> Arena<N> {
         let addr = self.nodes.len() as Addr;
         let node = Box::new(make(addr));
         self.nodes.push(Some(node));
-        self.alive.push(true);
         self.live.push(addr);
         self.n_alive += 1;
         addr
@@ -78,22 +68,16 @@ impl<N> Arena<N> {
     /// retired permanently; later messages to it dangle. Killing a dead
     /// or never-allocated address is a no-op.
     pub fn kill(&mut self, addr: Addr) {
-        let i = addr as usize;
-        if let Some(flag) = self.alive.get_mut(i) {
-            if *flag {
-                *flag = false;
-                self.nodes[i] = None;
-                self.n_alive -= 1;
-                self.live_dirty = true;
-            }
+        if let Some(Some(_)) = self.nodes.get_mut(addr as usize).map(Option::take) {
+            self.n_alive -= 1;
+            self.live_dirty = true;
         }
     }
 
     /// Whether `addr` is alive (killed and never-allocated addresses are
-    /// both dead). A node temporarily checked out for its turn is still
-    /// alive.
+    /// both dead).
     pub fn is_alive(&self, addr: Addr) -> bool {
-        self.alive.get(addr as usize).copied().unwrap_or(false)
+        self.get(addr).is_some()
     }
 
     /// Number of alive nodes. O(1).
@@ -106,49 +90,25 @@ impl<N> Arena<N> {
         self.nodes.len()
     }
 
-    /// Borrows the node at `addr`, if alive and not checked out.
+    /// Borrows the node at `addr`, if alive.
     pub fn get(&self, addr: Addr) -> Option<&N> {
-        let i = addr as usize;
-        if self.alive.get(i).copied().unwrap_or(false) {
-            self.nodes[i].as_deref()
-        } else {
-            None
-        }
+        self.nodes.get(addr as usize)?.as_deref()
     }
 
-    /// Mutably borrows the node at `addr`, if alive and not checked out.
+    /// Mutably borrows the node at `addr`, if alive.
     pub fn get_mut(&mut self, addr: Addr) -> Option<&mut N> {
-        let i = addr as usize;
-        if self.alive.get(i).copied().unwrap_or(false) {
-            self.nodes[i].as_deref_mut()
-        } else {
-            None
-        }
+        self.nodes.get_mut(addr as usize)?.as_deref_mut()
     }
 
-    /// Checks the node at `addr` out of the arena (for its turn, or to run
-    /// a handler). Returns `None` if the address is dead or the node is
-    /// already checked out. The address stays alive; pair with
-    /// [`Arena::put_back`].
-    pub fn take(&mut self, addr: Addr) -> Option<Box<N>> {
-        let i = addr as usize;
-        if self.alive.get(i).copied().unwrap_or(false) {
-            self.nodes[i].take()
-        } else {
-            None
-        }
-    }
-
-    /// Returns a checked-out node to its slot.
-    ///
-    /// If the address was killed while the node was out, the returned node
-    /// is dropped (the kill wins — the address stays dead).
-    pub fn put_back(&mut self, addr: Addr, node: Box<N>) {
-        let i = addr as usize;
-        if self.alive.get(i).copied().unwrap_or(false) {
-            debug_assert!(self.nodes[i].is_none(), "slot re-filled while node out");
-            self.nodes[i] = Some(node);
-        }
+    /// Replaces the node at `addr` with what `f` makes of it, at the same
+    /// address. Returns `false`, calling nothing, when `addr` is not
+    /// alive.
+    pub fn replace_with(&mut self, addr: Addr, f: impl FnOnce(N) -> N) -> bool {
+        let Some(node) = self.nodes.get_mut(addr as usize).and_then(Option::take) else {
+            return false;
+        };
+        self.nodes[addr as usize] = Some(Box::new(f(*node)));
+        true
     }
 
     /// The alive addresses in ascending order. Compacts the maintained
@@ -156,23 +116,18 @@ impl<N> Arena<N> {
     /// O(1) otherwise.
     pub fn live_addrs(&mut self) -> &[Addr] {
         if self.live_dirty {
-            let alive = &self.alive;
-            self.live.retain(|&a| alive[a as usize]);
+            let nodes = &self.nodes;
+            self.live.retain(|&a| nodes[a as usize].is_some());
             self.live_dirty = false;
         }
         &self.live
     }
 
-    /// Iterates over `(addr, node)` for all alive, checked-in nodes in
-    /// ascending address order.
+    /// Iterates over `(addr, node)` for all alive nodes in ascending
+    /// address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &N)> {
-        self.nodes.iter().enumerate().filter_map(move |(i, slot)| {
-            if self.alive[i] {
-                slot.as_deref().map(|n| (i as Addr, n))
-            } else {
-                None
-            }
-        })
+        let nodes = self.nodes.iter().enumerate();
+        nodes.filter_map(|(i, slot)| slot.as_deref().map(|n| (i as Addr, n)))
     }
 }
 
@@ -210,27 +165,16 @@ mod tests {
     }
 
     #[test]
-    fn take_put_back_round_trips() {
+    fn replace_with_keeps_the_address_alive() {
         let mut a: Arena<String> = Arena::new();
         let addr = a.insert_with(|ad| format!("node-{ad}"));
-        let node = a.take(addr).expect("alive node can be taken");
-        assert!(a.get(addr).is_none(), "checked out");
-        assert!(a.is_alive(addr), "still alive while out");
-        assert!(a.take(addr).is_none(), "double take fails");
-        a.put_back(addr, node);
-        assert_eq!(a.get(addr).unwrap(), "node-0");
-    }
-
-    #[test]
-    fn kill_while_checked_out_wins() {
-        let mut a: Arena<u32> = Arena::new();
-        let addr = a.insert_with(|_| 7);
-        let node = a.take(addr).unwrap();
+        assert!(a.replace_with(addr, |old| old + "'"));
+        assert_eq!(a.get(addr).unwrap(), "node-0'");
+        assert!(a.is_alive(addr));
+        assert_eq!(a.live_addrs(), &[addr]);
         a.kill(addr);
-        a.put_back(addr, node);
-        assert!(!a.is_alive(addr));
+        assert!(!a.replace_with(addr, |_| unreachable!("dead")));
         assert!(a.get(addr).is_none());
-        assert_eq!(a.alive_count(), 0);
     }
 
     #[test]
@@ -243,18 +187,18 @@ mod tests {
         assert_eq!(a.alive_count(), 0);
         assert!(a.get(99).is_none());
         assert!(a.get_mut(99).is_none());
-        assert!(a.take(99).is_none());
+        assert!(!a.replace_with(99, |n| n));
         assert!(!a.is_alive(99));
     }
 
     #[test]
-    fn iter_skips_dead_and_checked_out() {
+    fn iter_skips_dead() {
         let mut a: Arena<u32> = Arena::new();
         for i in 0..4 {
             a.insert_with(|_| i * 10);
         }
         a.kill(1);
-        let _out = a.take(2).unwrap();
+        a.kill(2);
         let seen: Vec<_> = a.iter().map(|(ad, v)| (ad, *v)).collect();
         assert_eq!(seen, vec![(0, 0), (3, 30)]);
     }

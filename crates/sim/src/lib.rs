@@ -12,11 +12,11 @@
 //!   turn order (one turn at a time — the only schedule), one round trip
 //!   per `rpc` effect within the initiator's turn (for tit-for-tat gossip
 //!   exchanges), and batched one-way delivery (for proof flooding) at one
-//!   hop per cycle, drained in address order. Its clock is a cycle
-//!   counter and nothing finer: the paper measures in cycles (§II-A),
-//!   and a machine handed a cycle derives any tick it stamps from its
-//!   own configuration.
-//! * [`Arena`] — index-based node storage: pointer-sized node moves,
+//!   hop per cycle, drained in address order; a hook asked at every step
+//!   may crash nodes mid-turn. Its clock is a cycle counter and nothing
+//!   finer: the paper measures in cycles (§II-A), and a machine handed a
+//!   cycle derives any tick it stamps from its own configuration.
+//! * [`Arena`] — index-based node storage: nodes stepped in place,
 //!   O(alive) cycle setup, addresses never reused.
 //! * [`Machine`] — the trait protocol nodes implement, re-exported from
 //!   `sc-core` with its [`Input`] and [`Effects`]: a sans-IO `step`. The
@@ -60,7 +60,7 @@ pub mod rng;
 pub mod stats;
 
 pub use arena::Arena;
-pub use engine::{Engine, SimConfig};
+pub use engine::{Engine, Point, SimConfig, Step};
 pub use net::Partition;
 pub use sc_core::{Addr, Effects, Flood, Input, Loss, Machine};
 pub use stats::TrafficStats;

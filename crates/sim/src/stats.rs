@@ -10,12 +10,12 @@ pub struct TrafficStats {
     pub rpcs_sent: u64,
     /// RPCs that returned a reply to the initiator.
     pub rpcs_completed: u64,
-    /// RPCs whose target was dead, never allocated, or the caller itself
-    /// (the only node that is mid-turn when an RPC runs).
+    /// RPCs whose target was dead, never allocated, or the caller itself.
     pub rpcs_unreachable: u64,
     /// RPC requests lost by the network.
     pub rpcs_request_dropped: u64,
-    /// RPC responses lost by the network (the target processed the request).
+    /// RPC responses lost, though the target processed the request: by the
+    /// network, or to a hook's crash of either side.
     pub rpcs_response_dropped: u64,
     /// RPCs the target processed but declined to answer.
     pub rpcs_refused: u64,

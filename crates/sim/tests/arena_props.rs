@@ -7,10 +7,10 @@
 //! * batched one-way delivery is exactly "next cycle, one hop": a
 //!   datagram sent in cycle `c` arrives in cycle `c + 1` iff its target
 //!   is alive then, and never arrives twice;
-//! * where a cycle is interrupted changes nothing by itself.
+//! * a hook asked at every point of a cycle changes nothing by itself.
 
 use proptest::prelude::*;
-use sc_sim::{Addr, Arena, Effects, Engine, Input, Loss, Machine, Partition, SimConfig};
+use sc_sim::{Addr, Arena, Effects, Engine, Input, Loss, Machine, Partition, Point, SimConfig};
 use std::collections::HashSet;
 
 // ---------------------------------------------------------------------
@@ -80,6 +80,8 @@ struct Courier {
     got: Vec<(Addr, u64, u64)>,
     /// The outstanding RPC: (target, cycle of the turn it belongs to).
     rpc_out: Option<(Addr, u64)>,
+    /// Steps taken, of every kind.
+    steps: u64,
 }
 
 #[derive(Clone)]
@@ -106,6 +108,7 @@ impl Machine for Courier {
     type Msg = CourierMsg;
 
     fn step(&mut self, input: Input<CourierMsg>) -> Effects<CourierMsg> {
+        self.steps += 1;
         let mut fx = Effects::default();
         match input {
             Input::Tick { cycle, .. } => {
@@ -155,6 +158,7 @@ fn build_couriers(n: u64, seed: u64, salts: Vec<u64>) -> Engine<Courier> {
             rpc_replies: Vec::new(),
             got: Vec::new(),
             rpc_out: None,
+            steps: 0,
         });
     }
     eng
@@ -272,32 +276,48 @@ proptest! {
         prop_assert_eq!(received, expected);
     }
 
-    /// An interruption that does nothing is no interruption: wherever
-    /// the cut falls, the cycle matches `run_cycle` bit for bit — every
-    /// traffic counter and every node's log — under loss rolls and a
-    /// partition.
+    /// A hook that crashes nothing is no interruption: one that reads
+    /// the engine at every point of every cycle leaves each cycle equal
+    /// to `run_cycle`'s bit for bit — every traffic counter and every
+    /// node's log — under loss rolls and a partition. It is asked once
+    /// before each turn, once after the last, and once per step taken.
     #[test]
     fn idle_interruption_is_bit_identical_to_run_cycle(
         n in 4u64..16,
         seed in 0u64..1_000,
         salts in proptest::collection::vec(0u64..1_000_000, 1..6),
-        cuts in proptest::collection::vec(0usize..20, 8),
+        cycles in 1usize..9,
     ) {
         let mut plain = build_couriers(n, seed, salts.clone());
-        let mut cut = build_couriers(n, seed, salts);
-        for eng in [&mut plain, &mut cut] {
+        let mut hooked = build_couriers(n, seed, salts);
+        for eng in [&mut plain, &mut hooked] {
             eng.set_loss(Loss::uniform(0.3));
             eng.set_partition(Some(Partition::isolate([0, 1])));
         }
-        for &k in &cuts {
+        let (mut turns, mut steps, mut read) = (0u64, 0u64, 0u64);
+        for _ in 0..cycles {
             plain.run_cycle();
-            cut.run_cycle_interrupted(k, |_| {});
-            prop_assert_eq!(plain.stats(), cut.stats());
+            hooked.run_cycle_with(|eng, at| {
+                read += eng.stats().rpcs_sent + eng.nodes().map(|(_, c)| c.steps).sum::<u64>();
+                match at {
+                    Point::Turn(_) => turns += 1,
+                    Point::Step(addr, _) => {
+                        assert!(eng.is_alive(addr));
+                        steps += 1;
+                    }
+                }
+            });
+            prop_assert_eq!(plain.stats(), hooked.stats());
         }
-        for ((_, a), (_, b)) in plain.nodes().zip(cut.nodes()) {
+        prop_assert!(read > 0);
+        prop_assert_eq!(turns, (n + 1) * cycles as u64, "a point before each turn, one after the last");
+        let taken: u64 = hooked.nodes().map(|(_, c)| c.steps).sum();
+        prop_assert_eq!(steps, taken, "one point per step taken");
+        for ((_, a), (_, b)) in plain.nodes().zip(hooked.nodes()) {
             prop_assert_eq!(&a.rpc_timeouts, &b.rpc_timeouts);
             prop_assert_eq!(&a.rpc_replies, &b.rpc_replies);
             prop_assert_eq!(&a.got, &b.got);
+            prop_assert_eq!(a.steps, b.steps);
         }
     }
 }

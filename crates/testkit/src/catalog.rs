@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn seven_scenarios_fit_the_socket_tier_and_seven_say_why_not() {
         const NO_ADVERSARY: &str =
-            "no adversary binary: sc-node runs the honest machine only (ROADMAP 3(a))";
+            "no adversary binary: sc-node runs the honest machine only (ROADMAP: the adversary binary)";
         const NO_RESPONSOR: &str = "heal_fallback: the control socket has no re-sponsor verb";
         let fits: Vec<(String, Result<(), &str>)> = standard_matrix(MatrixSize::live())
             .iter()

@@ -19,7 +19,7 @@ use sc_core::{
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
 use sc_sim::{Addr, Engine, Loss, SimConfig};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// A node in a mixed SecureCyclon network.
@@ -121,13 +121,9 @@ pub struct SecureNetwork {
     joiners: u64,
     /// Whether honest nodes carry durable backends.
     durable: bool,
-    /// Keypair and timestamp phase of every honest node, kept so a
-    /// crash-restart can rebuild the same identity around the survived
-    /// backend.
-    honest_keys: HashMap<Addr, (Keypair, u64)>,
     /// Crash-restarts performed so far (replacement-RNG derivation
     /// counter).
-    restarts: u64,
+    pub(crate) restarts: u64,
 }
 
 impl SecureNetwork {
@@ -149,10 +145,9 @@ impl SecureNetwork {
         let phase = default_phase(self.joiners as usize, self.cfg.ticks_per_cycle);
         let (cfg, durable) = (self.cfg, self.durable);
         let addr = self.engine.spawn_with(|addr| {
-            let node = new_honest_node(keypair.clone(), addr, cfg, rng_seed, phase, durable);
+            let node = new_honest_node(keypair, addr, cfg, rng_seed, phase, durable);
             SecureNet::Honest(Box::new(node))
         });
-        self.honest_keys.insert(addr, (keypair, phase));
         self.engine
             .deliver(sponsor, addr, SecureMsg::JoinGrant(Box::new(grant)));
         Some(addr)
@@ -211,71 +206,32 @@ impl SecureNetwork {
     /// randomness (a rebooted process has a new RNG). Returns `false`
     /// when the address is not an alive honest node with a backend.
     pub fn crash_restart(&mut self, addr: Addr) -> bool {
-        crash_restart_in(
-            &mut self.engine,
-            &self.honest_keys,
-            self.cfg,
-            self.seed,
-            &mut self.restarts,
-            addr,
-        )
-    }
-
-    /// Runs one cycle but crash-restarts `victims` *inside* it, after
-    /// the first `after_turns` of the cycle's shuffled turns — the case
-    /// boundary-aligned restarts structurally miss: a node dies having
-    /// already answered (or initiated) some of the cycle's exchanges,
-    /// with its durable log mid-cycle rather than at a checkpoint.
-    /// Victims whose own turn already ran restart with this cycle's
-    /// emission spent; the rest restart before emitting. Returns how
-    /// many victims actually restarted.
-    pub fn run_cycle_with_mid_restart(&mut self, after_turns: usize, victims: &[Addr]) -> usize {
-        let honest_keys = &self.honest_keys;
-        let cfg = self.cfg;
-        let seed = self.seed;
-        let restarts = &mut self.restarts;
-        let mut done = 0usize;
-        self.engine.run_cycle_interrupted(after_turns, |engine| {
-            for &addr in victims {
-                if crash_restart_in(engine, honest_keys, cfg, seed, restarts, addr) {
-                    done += 1;
-                }
-            }
-        });
-        done
+        crash_restart_in(&mut self.engine, self.seed, &mut self.restarts, addr)
     }
 }
 
-/// [`SecureNetwork::crash_restart`]'s body as a free function over
-/// disjoint borrows, so mid-cycle interruption closures (which hold the
-/// engine mutably) can restart nodes too.
-fn crash_restart_in(
+/// [`SecureNetwork::crash_restart`]'s body over disjoint borrows, so an
+/// engine hook (which holds the engine mutably) can restart nodes too:
+/// the `restarts`-th restart of a network built from `seed`.
+pub(crate) fn crash_restart_in(
     engine: &mut Engine<SecureNet>,
-    honest_keys: &HashMap<Addr, (Keypair, u64)>,
-    cfg: SecureConfig,
     seed: u64,
     restarts: &mut u64,
     addr: Addr,
 ) -> bool {
-    let Some((keypair, phase)) = honest_keys.get(&addr).cloned() else {
+    let honest = engine.node(addr).and_then(SecureNet::honest);
+    if !honest.is_some_and(SecureCyclonNode::is_durable) {
         return false;
-    };
-    let backend = match engine.node_mut(addr) {
-        Some(SecureNet::Honest(node)) => match node.take_backend() {
-            Some(b) => b,
-            None => return false,
-        },
-        _ => return false,
-    };
+    }
     let rng_seed = sc_sim::rng::derive_seed(seed, "restart", *restarts);
     *restarts += 1;
-    let reborn = SecureCyclonNode::with_backend(keypair, addr, cfg, rng_seed, phase, backend)
-        .expect("in-memory backends cannot fail to load");
-    let Some(slot) = engine.node_mut(addr) else {
-        return false;
-    };
-    *slot = SecureNet::Honest(Box::new(reborn));
-    true
+    engine.restart(addr, |node| match node {
+        SecureNet::Honest(node) => SecureNet::Honest(Box::new(
+            node.restarted(rng_seed)
+                .expect("in-memory backends cannot fail to load"),
+        )),
+        malicious => malicious,
+    })
 }
 
 /// Builds one honest node, durably backed when asked. The simulated tier
@@ -360,7 +316,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
 
     let mut malicious_ids = HashSet::new();
     let mut malicious_addrs = HashSet::new();
-    let mut honest_keys = HashMap::new();
     for (i, descs) in plan.per_node.into_iter().enumerate() {
         let rng_seed = sc_sim::rng::derive_seed(seed, "node", i as u64);
         if malicious_set.contains(&i) {
@@ -391,7 +346,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
             for d in descs {
                 node.accept_bootstrap(d);
             }
-            honest_keys.insert(i as Addr, (keypairs[i].clone(), phases[i]));
             engine.spawn_with(|_| SecureNet::Honest(Box::new(node)));
         }
     }
@@ -406,7 +360,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
         seed,
         joiners: 0,
         durable,
-        honest_keys,
         restarts: 0,
     }
 }
@@ -491,6 +444,7 @@ pub fn eclipsed_fraction(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_sim::{Point, Step};
 
     fn durable_params(n: usize) -> SecureNetParams {
         let mut p = SecureNetParams::new(n, 0, SecureAttack::None);
@@ -543,7 +497,16 @@ mod tests {
             .collect();
         // Kill both victims halfway through the cycle's turns: some
         // exchanges (possibly their own emission) already happened.
-        assert_eq!(net.run_cycle_with_mid_restart(12, &[3, 7]), 2);
+        let (seed, restarts) = (net.seed, &mut net.restarts);
+        let mut done = 0;
+        net.engine.run_cycle_with(|engine, at| {
+            if at == Point::Turn(12) {
+                for addr in [3, 7] {
+                    done += u32::from(crash_restart_in(engine, seed, restarts, addr));
+                }
+            }
+        });
+        assert_eq!(done, 2);
         for _ in 0..5 {
             net.engine.run_cycle();
         }
@@ -556,6 +519,35 @@ mod tests {
             NetSnapshot::from_network(&net).proofs_generated(),
             (0, 0),
             "a mid-cycle crash must not make a durable node accuse itself"
+        );
+
+        // Inside a turn: every initiator dies right after its partner
+        // served the turn's second request, its first tit-for-tat round.
+        // The round's descriptor is signed away, and its answer never
+        // arrives: the `kill -9` that once made a cloning proof on sockets.
+        let mut struck = 0;
+        for _ in 0..6 {
+            let (seed, restarts) = (net.seed, &mut net.restarts);
+            let mut served = 0;
+            net.engine.run_cycle_with(|engine, at| match at {
+                Point::Step(_, Step::Tick) => served = 0,
+                Point::Step(_, Step::Request(from)) => {
+                    served += 1;
+                    if served == 2 {
+                        struck += u32::from(crash_restart_in(engine, seed, restarts, from));
+                    }
+                }
+                _ => {}
+            });
+        }
+        assert!(struck > 24, "most turns reach a round: {struck} restarts");
+        for _ in 0..5 {
+            net.engine.run_cycle();
+        }
+        assert_eq!(
+            NetSnapshot::from_network(&net).proofs_generated(),
+            (0, 0),
+            "a crash between a round and its answer must not convict its initiator"
         );
     }
 

@@ -20,7 +20,8 @@
 
 use crate::harness::ProcessCluster;
 use crate::net::{
-    build_secure_network, malicious_link_fraction, ns_link_fraction, SecureNetParams, SecureNetwork,
+    build_secure_network, crash_restart_in, malicious_link_fraction, ns_link_fraction,
+    SecureNetParams, SecureNetwork,
 };
 use crate::oracles::{OracleSuite, Violation};
 use crate::scenario::{Event, Scenario};
@@ -31,7 +32,7 @@ use rand::Rng;
 use sc_core::{DescriptorId, FaultSpec, Loss, ProofKind, SecureConfig};
 use sc_crypto::hex::to_hex;
 use sc_crypto::NodeId;
-use sc_sim::{Addr, Partition};
+use sc_sim::{Addr, Partition, Point};
 use std::collections::HashSet;
 
 /// What a completed (violation-free) run looked like.
@@ -324,8 +325,7 @@ struct SimTier {
     net: SecureNetwork,
     heal_fallback: bool,
     /// Victims of a mid-cycle restart and the fraction of the cycle's
-    /// turns that run before it: the cycle has not started when the
-    /// schedule draws them, so the run loop interrupts it.
+    /// turns that run before it, kept until the cycle runs.
     mid_restart: Option<(Vec<Addr>, f64)>,
     joined: u64,
     departed: u64,
@@ -359,16 +359,22 @@ impl SimTier {
         }
     }
 
-    /// Runs the cycle the schedule just prepared, interrupted by the
-    /// mid-cycle restart if it drew one.
+    /// Runs the cycle the schedule just prepared, with the mid-cycle
+    /// restart it drew, if any, before the `k`-th turn.
     fn run_cycle(&mut self) {
-        match self.mid_restart.take() {
-            Some((victims, turn_frac)) => {
-                let after = (self.net.engine.alive_count() as f64 * turn_frac) as usize;
-                self.restarted += self.net.run_cycle_with_mid_restart(after, &victims) as u64;
+        let Some((victims, turn_frac)) = self.mid_restart.take() else {
+            return self.net.engine.run_cycle();
+        };
+        let k = (self.net.engine.alive_count() as f64 * turn_frac) as usize;
+        let (seed, restarts, restarted) =
+            (self.net.seed, &mut self.net.restarts, &mut self.restarted);
+        self.net.engine.run_cycle_with(|engine, at| {
+            if at == Point::Turn(k) {
+                for &addr in &victims {
+                    *restarted += u64::from(crash_restart_in(engine, seed, restarts, addr));
+                }
             }
-            None => self.net.engine.run_cycle(),
-        }
+        });
     }
 }
 

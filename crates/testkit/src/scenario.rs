@@ -365,7 +365,7 @@ impl Scenario {
     /// socket and their `FaultSpec`s.
     pub fn live_fit(&self) -> Result<(), &'static str> {
         if self.n_malicious > 0 {
-            return Err("no adversary binary: sc-node runs the honest machine only (ROADMAP 3(a))");
+            return Err("no adversary binary: sc-node runs the honest machine only (ROADMAP: the adversary binary)");
         }
         if self.runner_heal_fallback {
             return Err("heal_fallback: the control socket has no re-sponsor verb");
