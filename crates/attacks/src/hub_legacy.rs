@@ -1,14 +1,10 @@
 //! The hub attack against **legacy** Cyclon (paper §II-B, Figure 3).
 //!
-//! **Legacy harness.** This module bundles its own tiny network builder
-//! ([`build_legacy_network`]) and metric instead of the `sc-testkit`
-//! scenario machinery: the unprotected baseline exists only to reproduce
-//! the Figure 3 takeover, speaks `CyclonMsg` rather than `SecureMsg`, and
-//! shares no protocol state with the SecureCyclon stack. The interface is
-//! shared, though: attacker and victim are sans-IO [`Machine`]s driven by
-//! the same engine loop as everything else. New adversarial scenarios
-//! should target SecureCyclon through `sc_testkit` rather than extending
-//! this builder.
+//! The attacker is a sans-IO [`Machine`], like every adversary here, and
+//! speaks `CyclonMsg` rather than `SecureMsg`. Its network is built like
+//! any other: `sc-testkit`'s `CyclonNetwork` boots a scenario's hub
+//! attackers as [`LegacyHubAttacker`]s sharing one [`LegacyParty`], and
+//! the one scenario runner steps it, as it steps SecureCyclon's.
 //!
 //! Malicious nodes behave perfectly until an agreed start cycle, then keep
 //! gossiping at the correct rate but present views consisting exclusively
@@ -70,11 +66,6 @@ impl LegacyHubAttacker {
             rng: SmallRng::from_seed(rng_seed),
             awaiting: false,
         }
-    }
-
-    /// The attacker's node id.
-    pub fn id(&self) -> NodeId {
-        self.inner.id()
     }
 
     fn attacking(&self, cycle: u64) -> bool {
@@ -146,142 +137,5 @@ impl Machine for LegacyHubAttacker {
             input => return self.inner.step(input),
         }
         fx
-    }
-}
-
-/// A node in a mixed legacy network: honest or hub attacker.
-#[derive(Debug)]
-pub enum LegacyNet {
-    /// A correct Cyclon node.
-    Honest(Box<CyclonNode>),
-    /// A colluding hub attacker.
-    Malicious(Box<LegacyHubAttacker>),
-}
-
-impl LegacyNet {
-    /// Whether this node is malicious.
-    pub fn is_malicious(&self) -> bool {
-        matches!(self, LegacyNet::Malicious(_))
-    }
-
-    /// The honest node's view, if honest.
-    pub fn honest_view(&self) -> Option<&sc_cyclon::View> {
-        match self {
-            LegacyNet::Honest(n) => Some(n.view()),
-            LegacyNet::Malicious(_) => None,
-        }
-    }
-}
-
-impl Machine for LegacyNet {
-    type Msg = CyclonMsg;
-
-    fn step(&mut self, input: Input<CyclonMsg>) -> Effects<CyclonMsg> {
-        match self {
-            LegacyNet::Honest(n) => n.step(input),
-            LegacyNet::Malicious(n) => n.step(input),
-        }
-    }
-}
-
-/// Parameters for a mixed legacy-Cyclon network.
-#[derive(Clone, Copy, Debug)]
-pub struct LegacyNetParams {
-    /// Total nodes.
-    pub n: usize,
-    /// Malicious nodes among them (addresses `0..n_malicious`).
-    pub n_malicious: usize,
-    /// Protocol configuration.
-    pub cfg: sc_cyclon::CyclonConfig,
-    /// Cycle at which the attack starts.
-    pub attack_start: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-/// Builds a ring-bootstrapped mixed legacy network. Returns the engine and
-/// the set of malicious addresses (the hub attack is measured by where
-/// links *route*, since sybil IDs defeat ID-based counting).
-pub fn build_legacy_network(
-    params: LegacyNetParams,
-) -> (sc_sim::Engine<LegacyNet>, std::collections::HashSet<Addr>) {
-    use sc_crypto::{Keypair, Scheme};
-    let LegacyNetParams {
-        n,
-        n_malicious,
-        cfg,
-        attack_start,
-        seed,
-    } = params;
-    assert!(n_malicious < n, "need at least one honest node");
-    let keypairs: Vec<Keypair> = (0..n)
-        .map(|i| {
-            Keypair::from_seed(
-                Scheme::KeyedHash,
-                sc_sim::rng::derive_seed(seed, "identity", i as u64),
-            )
-        })
-        .collect();
-    let members: Vec<(NodeId, Addr)> = (0..n_malicious)
-        .map(|i| (keypairs[i].public(), i as Addr))
-        .collect();
-    let party = Arc::new(LegacyParty {
-        members,
-        all_addrs: (0..n as Addr).collect(),
-    });
-    let mut engine = sc_sim::Engine::new(sc_sim::SimConfig::seeded(seed));
-    for (i, kp) in keypairs.iter().enumerate() {
-        let mut inner = CyclonNode::new(
-            kp.public(),
-            i as Addr,
-            cfg,
-            sc_sim::rng::derive_seed(seed, "node", i as u64),
-        );
-        let boots: Vec<(NodeId, Addr)> = (1..=4)
-            .map(|k| {
-                let j = (i + k) % n;
-                (keypairs[j].public(), j as Addr)
-            })
-            .collect();
-        inner.bootstrap(boots);
-        let node = if i < n_malicious {
-            LegacyNet::Malicious(Box::new(LegacyHubAttacker::new(
-                inner,
-                Arc::clone(&party),
-                attack_start,
-                cfg.swap_len,
-                sc_sim::rng::derive_seed(seed, "attacker", i as u64),
-            )))
-        } else {
-            LegacyNet::Honest(Box::new(inner))
-        };
-        engine.spawn_with(|_| node);
-    }
-    (engine, (0..n_malicious as Addr).collect())
-}
-
-/// Fraction of honest links routing to malicious addresses (the y-axis of
-/// Figure 3).
-pub fn legacy_malicious_link_fraction(
-    engine: &sc_sim::Engine<LegacyNet>,
-    malicious_addrs: &std::collections::HashSet<Addr>,
-) -> f64 {
-    let mut mal = 0usize;
-    let mut total = 0usize;
-    for (_, node) in engine.nodes() {
-        let Some(view) = node.honest_view() else {
-            continue;
-        };
-        for d in view.iter() {
-            total += 1;
-            if malicious_addrs.contains(&d.addr) {
-                mal += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        mal as f64 / total as f64
     }
 }

@@ -3,12 +3,9 @@
 //! Implements every attack the paper (ICDCS 2023) evaluates, against both
 //! the legacy Cyclon baseline and SecureCyclon itself:
 //!
-//! * [`hub_legacy`] — **legacy harness**: the hub attack on unprotected
-//!   Cyclon (Figure 3), where a handful of colluding nodes take over 100%
-//!   of the overlay's links. This module keeps its own network builder
-//!   and metric because the unprotected baseline speaks a different
-//!   message type and shares no state with the SecureCyclon stack;
-//!   everything SecureCyclon-related runs through `sc-testkit` instead.
+//! * [`hub_legacy`] — the hub attack on unprotected legacy Cyclon
+//!   (Figure 3), where a handful of colluding nodes take over 100% of the
+//!   overlay's links: the attacker and its party's shared roster.
 //! * [`party`] — the colluding party's shared state: member keypairs
 //!   (forge-on-demand), the descriptor pool, and harvested victim tokens.
 //! * [`malicious`] — the malicious SecureCyclon participant with the
@@ -24,10 +21,10 @@
 //! attackers too (`tests/step_machines.rs` steps them by hand, with no
 //! engine at all).
 //!
-//! The mixed honest/malicious network builder and the figure metrics
-//! formerly in this crate's `net` module now live in `sc_testkit::net`,
-//! where they share one engine path with fault scenarios and invariant
-//! oracles — this crate contains only the adversaries themselves.
+//! The mixed honest/malicious networks of both protocols and the figure
+//! metrics live in `sc_testkit::net`, where they share one engine path
+//! with fault scenarios and invariant oracles — this crate contains only
+//! the adversaries themselves.
 //!
 //! The adversary model follows §II-C: members collude, share all keys and
 //! descriptors, choose victims uniformly at random, and do not run any of
@@ -40,9 +37,6 @@ pub mod hub_legacy;
 pub mod malicious;
 pub mod party;
 
-pub use hub_legacy::{
-    build_legacy_network, legacy_malicious_link_fraction, LegacyHubAttacker, LegacyNet,
-    LegacyNetParams, LegacyParty,
-};
+pub use hub_legacy::{LegacyHubAttacker, LegacyParty};
 pub use malicious::{CloneEvent, MaliciousSecureNode, SecureAttack};
 pub use party::SecureParty;

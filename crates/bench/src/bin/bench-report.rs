@@ -19,13 +19,14 @@
 //! measured code path without burning minutes; committed baselines should
 //! come from a full run on an idle machine.
 
-use sc_attacks::{build_legacy_network, LegacyNetParams, SecureAttack};
+use sc_attacks::SecureAttack;
 use sc_bench::report::{BenchResult, Report};
 use sc_bench::{baselines, chained, pool};
 use sc_core::{Observation, SampleCache, SecureConfig, SecureDescriptor, Timestamp};
 use sc_crypto::Scheme;
-use sc_cyclon::CyclonConfig;
-use sc_testkit::{build_secure_network, SecureNetParams};
+use sc_testkit::{
+    build_secure_network, run_scenario_observed, CyclonNetwork, Scenario, SecureNetParams,
+};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -203,23 +204,17 @@ fn main() {
         (&[200, 2_000, 20_000, 100_000], &[200, 1_000, 2_000, 10_000])
     };
     for &n in cyclon_series {
-        let (mut engine, _) = build_legacy_network(LegacyNetParams {
-            n,
-            n_malicious: 0,
-            cfg: CyclonConfig {
-                view_len: 10,
-                swap_len: 3,
-            },
-            attack_start: u64::MAX,
-            seed: 1,
-        });
-        engine.run_cycles(5); // settle past the bootstrap topology
+        // Five cycles settle past the bootstrap topology.
+        let cfg = SecureConfig::default().with_view_len(10).with_swap_len(3);
+        let settle = Scenario::new("cyclon-cycle", n).config(cfg).cycles(5);
+        let (_, mut net) = run_scenario_observed(&settle, 1, |_: &CyclonNetwork| {})
+            .expect("a Cyclon run is not audited");
         report.bench(
             &format!("simulation/cyclon_cycle_{n}"),
             sim_budget,
             samples.min(7),
             || {
-                engine.run_cycle();
+                net.engine.run_cycle();
             },
         );
     }

@@ -16,7 +16,7 @@ use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
 use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{malicious_link_fraction, step_of, Scenario};
+use sc_testkit::{malicious_link_fraction, step_of, Scenario, SecureNetwork};
 
 struct Variant {
     name: &'static str,
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) {
     for v in variants() {
         let mut series = TimeSeries::new(v.name);
         let cell = scenario(&v, n, n_malicious, cycles);
-        let (summary, _) = run_cell(&cell, 42, |net| {
+        let (summary, _) = run_cell(&cell, 42, |net: &SecureNetwork| {
             let malicious = &net.malicious_ids;
             series.push(
                 net.engine.cycle(),

@@ -1,8 +1,8 @@
-//! Shared experiment machinery: scales, the one way a SecureCyclon
-//! figure cell runs (a [`Scenario`] through the testkit runner), and
-//! result emission.
+//! Shared experiment machinery: scales, the one way a figure cell runs
+//! (a [`Scenario`] through the testkit runner, on the network of the
+//! protocol it measures), and result emission.
 
-use sc_testkit::{run_scenario_observed, RunSummary, Scenario, SecureNetwork};
+use sc_testkit::{run_scenario_observed, RunSummary, Scenario, SimNetwork};
 use std::path::PathBuf;
 
 /// How big the experiments run.
@@ -35,19 +35,20 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// The engine cycle at which every SecureCyclon figure's attack starts
+/// The engine cycle at which every attack figure's attack starts
 /// (§VI: "attack at cycle 50").
 pub const ATTACK_CYCLE: u64 = 50;
 
-/// Runs one figure cell through the scenario runner, handing the network
-/// to `observe` after every cycle. A figure cell is audited by its
-/// scenario's oracles like any catalog run, so one that trips is a
-/// protocol bug: it panics naming the cell, the seed and the violation.
-pub fn run_cell(
+/// Runs one figure cell through the scenario runner on network `N`,
+/// handing the network to `observe` after every cycle. A SecureCyclon
+/// cell is audited by its scenario's oracles like any catalog run, so one
+/// that trips is a protocol bug: it panics naming the cell, the seed and
+/// the violation.
+pub fn run_cell<N: SimNetwork>(
     scenario: &Scenario,
     seed: u64,
-    observe: impl FnMut(&SecureNetwork),
-) -> (RunSummary, SecureNetwork) {
+    observe: impl FnMut(&N),
+) -> (RunSummary, N) {
     run_scenario_observed(scenario, seed, observe).unwrap_or_else(|v| {
         panic!(
             "figure cell '{}' (seed {}) tripped oracle '{}' at cycle {}: {}",

@@ -5,31 +5,27 @@
 //! each node's indegree is tightly concentrated around the configured
 //! outdegree ℓ, with no starved nodes and no hubs.
 
-use crate::common::{banner, results_dir, Scale};
-use sc_attacks::{build_legacy_network, LegacyNetParams};
-use sc_crypto::NodeId;
-use sc_cyclon::CyclonConfig;
+use crate::common::{banner, results_dir, run_cell, Scale};
+use sc_core::{Addr, SecureConfig};
 use sc_metrics::{save_histogram_csv, Histogram};
+
+use sc_testkit::{CyclonNetwork, Member, Scenario};
 use std::collections::HashMap;
 
-/// Computes the indegree histogram of a converged overlay.
+/// Computes the indegree histogram of a converged overlay. Each node has
+/// its own address, so a node's indegree is the links routing to it.
 pub fn indegree_histogram(n: usize, view_len: usize, cycles: u64, seed: u64) -> Histogram {
-    let (mut engine, _) = build_legacy_network(LegacyNetParams {
-        n,
-        n_malicious: 0,
-        cfg: CyclonConfig {
-            view_len,
-            swap_len: 3,
-        },
-        attack_start: u64::MAX,
-        seed,
-    });
-    engine.run_cycles(cycles);
-    let mut indeg: HashMap<NodeId, u64> = HashMap::new();
-    for (_, node) in engine.nodes() {
-        let view = node.honest_view().expect("no attacker was built");
-        for d in view.iter() {
-            *indeg.entry(d.id).or_default() += 1;
+    let cfg = SecureConfig::default()
+        .with_view_len(view_len)
+        .with_swap_len(3);
+    let cell = Scenario::new(&format!("fig2 n={n} l={view_len}"), n)
+        .config(cfg)
+        .cycles(cycles);
+    let (_, net) = run_cell(&cell, seed, |_: &CyclonNetwork| {});
+    let mut indeg: HashMap<Addr, u64> = HashMap::new();
+    for (_, node) in net.engine.nodes() {
+        for addr in node.links().expect("no attacker was built") {
+            *indeg.entry(addr).or_default() += 1;
         }
     }
     // Nodes nobody points at have indegree zero.

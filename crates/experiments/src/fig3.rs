@@ -6,38 +6,36 @@
 //! Expected shape: links to malicious nodes rise from the malicious
 //! population share to 100%, faster for larger swap lengths.
 
-use crate::common::{banner, results_dir, Scale};
-use sc_attacks::{build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams};
-use sc_cyclon::CyclonConfig;
+use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
+use sc_attacks::SecureAttack;
+use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
+use sc_testkit::{malicious_link_fraction, CyclonNetwork, Scenario};
 
-/// One takeover run; returns the malicious-link percentage over time.
+/// One takeover run, hub attackers from cycle 50 (a Cyclon step is its
+/// engine cycle); returns the malicious-link percentage over time.
 pub fn takeover_series(
     n: usize,
-    n_malicious: usize,
+    k: usize,
     view_len: usize,
     swap_len: usize,
-    attack_start: u64,
     cycles: u64,
-    seed: u64,
 ) -> TimeSeries {
-    let (mut engine, malicious) = build_legacy_network(LegacyNetParams {
-        n,
-        n_malicious,
-        cfg: CyclonConfig { view_len, swap_len },
-        attack_start,
-        seed,
-    });
+    let cfg = SecureConfig::default()
+        .with_view_len(view_len)
+        .with_swap_len(swap_len);
+    let cell = Scenario::new(&format!("fig3 n={n} k={k} s={swap_len}"), n)
+        .config(cfg)
+        .adversary(k, SecureAttack::Hub, ATTACK_CYCLE)
+        .cycles(cycles);
     let mut series = TimeSeries::new(format!("swap length {swap_len}"));
-    for c in 0..cycles {
-        engine.run_cycle();
-        if c % 5 == 0 {
-            series.push(
-                c,
-                100.0 * legacy_malicious_link_fraction(&engine, &malicious),
-            );
+    run_cell(&cell, 42, |net: &CyclonNetwork| {
+        let c = net.engine.cycle() - 1; // the step that just ran
+        if c.is_multiple_of(5) {
+            let malicious = &net.malicious_addrs;
+            series.push(c, 100.0 * malicious_link_fraction(&net.engine, malicious));
         }
-    }
+    });
     series
 }
 
@@ -56,7 +54,7 @@ pub fn run(scale: Scale) {
         println!("nodes:{n}, view:{view_len}, malicious nodes:{n_malicious}, attack at cycle 50");
         let mut all = Vec::new();
         for swap_len in [3usize, 5, 8, 10] {
-            let s = takeover_series(n, n_malicious, view_len, swap_len, 50, cycles, 42);
+            let s = takeover_series(n, n_malicious, view_len, swap_len, cycles);
             println!(
                 "  swap length {swap_len}: 50% crossed at cycle {:?}, final {:.1}%",
                 s.points()

@@ -15,7 +15,7 @@ use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
 use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
-use sc_testkit::{eclipsed_fraction, malicious_link_fraction, step_of, Scenario};
+use sc_testkit::{eclipsed_fraction, malicious_link_fraction, step_of, Scenario, SecureNetwork};
 
 /// The Figure 5 cell: `n` nodes, `k` of them hub attackers from engine
 /// cycle 50, view length ℓ, swap length `s`, `cycles` cycles after the
@@ -37,7 +37,7 @@ fn run_panel(title: &str, n: usize, n_malicious: usize, view_len: usize, cycles:
         let label = format!("swap length {swap_len}");
         let (mut mal, mut ecl) = (TimeSeries::new(&label), TimeSeries::new(&label));
         let cell = scenario(n, n_malicious, view_len, swap_len, cycles);
-        run_cell(&cell, 42, |net| {
+        run_cell(&cell, 42, |net: &SecureNetwork| {
             let c = net.engine.cycle();
             if c.is_multiple_of(2) {
                 let malicious = &net.malicious_ids;

@@ -15,7 +15,7 @@ use crate::common::{banner, results_dir, run_cell, Scale, ATTACK_CYCLE};
 use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{ascii_chart, save_series_csv, TimeSeries};
-use sc_testkit::{ns_link_fraction, step_of, Scenario};
+use sc_testkit::{ns_link_fraction, step_of, Scenario, SecureNetwork};
 
 /// The Figure 6 cell: `n` nodes, `k` of them depleting responders from
 /// engine cycle 50, view length ℓ, swap length `s`, tit-for-tat on or
@@ -49,7 +49,7 @@ fn run_panel(n: usize, n_malicious: usize, view_len: usize, tft: bool, cycles: u
     for swap_len in [3usize, 5, 8, 10] {
         let mut s = TimeSeries::new(format!("swap length {swap_len}"));
         let cell = scenario(n, n_malicious, view_len, swap_len, tft, cycles);
-        run_cell(&cell, 42, |net| {
+        run_cell(&cell, 42, |net: &SecureNetwork| {
             let c = net.engine.cycle();
             if c.is_multiple_of(2) {
                 s.push(c, 100.0 * ns_link_fraction(&net.engine));

@@ -18,7 +18,7 @@ use crate::common::{banner, results_dir, run_cell, Scale};
 use sc_attacks::SecureAttack;
 use sc_core::SecureConfig;
 use sc_metrics::{save_series_csv, TimeSeries};
-use sc_testkit::{step_of, Scenario};
+use sc_testkit::{step_of, Scenario, SecureNetwork};
 
 /// The engine cycle from which the cloners are active.
 const CLONE_CYCLE: u64 = 30;
@@ -73,7 +73,8 @@ pub fn run(scale: Scale) {
             for (k, &age) in ages.iter().enumerate() {
                 // One run per age, under a seed derived from the age.
                 let cell = scenario(n, n_malicious, view_len, cache, age, cycles);
-                let (summary, _) = run_cell(&cell, 42 ^ ((age << 8) ^ k as u64), |_| {});
+                let (summary, _) =
+                    run_cell(&cell, 42 ^ ((age << 8) ^ k as u64), |_: &SecureNetwork| {});
                 let (det, tot) = summary.clones;
                 let ratio = if tot == 0 {
                     0.0

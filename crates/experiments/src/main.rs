@@ -20,9 +20,10 @@
 //! `--scale quick` (default) runs the paper's 1k-node configurations;
 //! `full` adds the 10k ones; `smoke` is a minutes-scale sanity pass.
 //!
-//! Every SecureCyclon cell (Figures 5–7, netcost, the ablation) is a
-//! `sc_testkit::Scenario` run through the testkit runner, audited by the
-//! scenario's oracles; Figures 2 and 3 run the legacy Cyclon engine.
+//! Every cell is a `sc_testkit::Scenario` run through the testkit runner:
+//! Figures 2 and 3 on a legacy `CyclonNetwork`, everything else (Figures
+//! 5–7, netcost, the ablation) on a `SecureNetwork`, audited by the
+//! scenario's oracles.
 
 mod ablation;
 mod common;

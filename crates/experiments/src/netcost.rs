@@ -14,7 +14,7 @@
 use crate::common::{banner, results_dir, run_cell, Scale};
 use sc_core::{wire, SecureConfig};
 use sc_metrics::{save_histogram_csv, summarize, Histogram};
-use sc_testkit::Scenario;
+use sc_testkit::{Scenario, SecureNetwork};
 
 /// Measured network-cost summary.
 #[derive(Debug)]
@@ -43,7 +43,7 @@ pub fn scenario(n: usize, view_len: usize, cycles: u64) -> Scenario {
 pub fn measure(n: usize, view_len: usize, cycles: u64, seed: u64) -> (NetCost, Histogram) {
     let cell = scenario(n, view_len, cycles);
     let redemption = cell.cfg.redemption_cache_cycles as f64;
-    let (_, net) = run_cell(&cell, seed, |_| {});
+    let (_, net) = run_cell(&cell, seed, |_: &SecureNetwork| {});
 
     let mut transfers = Histogram::new();
     let mut paper_sizes = Vec::new();

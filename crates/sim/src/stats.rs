@@ -32,33 +32,3 @@ pub struct TrafficStats {
     /// One-way messages severed by an active partition.
     pub oneways_severed: u64,
 }
-
-impl TrafficStats {
-    /// Fraction of initiated RPCs that completed with a reply.
-    pub fn rpc_success_rate(&self) -> f64 {
-        if self.rpcs_sent == 0 {
-            return 0.0;
-        }
-        self.rpcs_completed as f64 / self.rpcs_sent as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn success_rate_handles_zero() {
-        assert_eq!(TrafficStats::default().rpc_success_rate(), 0.0);
-    }
-
-    #[test]
-    fn success_rate_ratio() {
-        let s = TrafficStats {
-            rpcs_sent: 8,
-            rpcs_completed: 2,
-            ..Default::default()
-        };
-        assert!((s.rpc_success_rate() - 0.25).abs() < 1e-12);
-    }
-}

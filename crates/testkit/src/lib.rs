@@ -5,10 +5,12 @@
 //! and Byzantine fractions. This crate turns each of those claims into a
 //! reproducible, seed-replayable test, FoundationDB-style:
 //!
-//! * [`net`] — the mixed honest/malicious network builder (moved here
-//!   from `sc-attacks` so adversaries, experiments, and scenarios all run
-//!   on the one real `sc-sim` engine), plus sponsored joins for churn and
-//!   the metric helpers behind the paper's figures.
+//! * [`net`] — the mixed honest/malicious networks of both protocols
+//!   (moved here from `sc-attacks` so adversaries, experiments, and
+//!   scenarios all run on the one real `sc-sim` engine): SecureCyclon's,
+//!   with sponsored joins for churn, and legacy Cyclon's, the baseline of
+//!   Figures 2–3; plus the link measures both share and the other metric
+//!   helpers behind the paper's figures.
 //! * [`scenario`] — the declarative [`Scenario`] builder composing loss,
 //!   [partitions and heal events](sc_sim::Partition), churn windows,
 //!   catastrophic failures, and `sc-attacks` adversaries.
@@ -31,8 +33,9 @@
 //! * [`runner`] — deterministic execution of a `(Scenario, seed)` pair,
 //!   including `kill -9`-style crash-restarts of durably backed nodes;
 //!   the one schedule both tiers carry out. [`run_scenario_observed`] is
-//!   the simulated run loop, and the paper's figures record their series
-//!   through its per-cycle observer.
+//!   the simulated run loop, generic over the [`SimNetwork`] it runs, and
+//!   the paper's figures record their series through its per-cycle
+//!   observer.
 //! * [`catalog`] — the standard 42-combination scenario matrix swept by
 //!   `tests/scenario_matrix.rs`, with a `quick` sizing for CI. Every
 //!   scenario carries the redemption-cache bound and §VI-A byte-budget
@@ -75,12 +78,13 @@ pub use live::{
 };
 pub use net::{
     blacklist_coverage, build_secure_network, eclipsed_fraction, malicious_link_fraction,
-    ns_link_fraction, SecureNet, SecureNetParams, SecureNetwork,
+    ns_link_fraction, CyclonNet, CyclonNetwork, Member, Mixed, SecureNet, SecureNetParams,
+    SecureNetwork,
 };
 pub use oracles::{largest_component, OracleSuite, Violation};
 pub use runner::{
     run_scenario, run_scenario_observed, run_scenario_with_net, state_fingerprint, step_of,
-    RunSummary,
+    RunSummary, SimNetwork,
 };
 pub use scenario::{ChurnWindow, Event, OracleConfig, Scenario};
 pub use snapshot::NetSnapshot;

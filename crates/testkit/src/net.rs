@@ -1,5 +1,6 @@
-//! Mixed honest/malicious SecureCyclon networks on the real simulation
-//! engine: node enum, builder, sponsored joins, and the measurement
+//! Mixed honest/malicious networks on the real simulation engine — the
+//! SecureCyclon one with its sponsored joins and crash-restarts, and the
+//! legacy Cyclon baseline of Figures 2 and 3 — plus the measurement
 //! helpers behind every attack figure.
 //!
 //! This module used to live in `sc-attacks` (as its `net` module, easily
@@ -7,54 +8,101 @@
 //! so that attack strategies, fault scenarios, and invariant oracles all
 //! drive one engine path — `sc-attacks` now contains only the adversary
 //! implementations themselves. Honest and malicious nodes alike are
-//! sans-IO machines; the engine routes their effects, and [`SecureNet`]
-//! only says which of the two a slot holds.
+//! sans-IO machines; the engine routes their effects, and [`Mixed`] only
+//! says which of the two a slot holds. One [`Member`] trait gives both
+//! protocols the same link measures.
 
+use crate::runner::SimNetwork;
+use crate::scenario::Scenario;
 use crate::snapshot::NetSnapshot;
 use rand::seq::SliceRandom;
-use sc_attacks::{MaliciousSecureNode, SecureAttack, SecureParty};
+use sc_attacks::{LegacyHubAttacker, LegacyParty, MaliciousSecureNode, SecureAttack, SecureParty};
 use sc_core::{
     default_phase, ring_bootstrap, Effects, Input, JoinGrantBody, Machine, MemoryBackend,
     SecureConfig, SecureCyclonNode, SecureDescriptor, SecureMsg,
 };
 use sc_crypto::{Keypair, NodeId, Scheme};
+use sc_cyclon::{CyclonConfig, CyclonNode};
 use sc_sim::{Addr, Engine, Loss, SimConfig};
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-/// A node in a mixed SecureCyclon network.
-#[derive(Debug)]
-pub enum SecureNet {
-    /// A correct node running the full protocol.
-    Honest(Box<SecureCyclonNode>),
-    /// A colluding malicious node.
-    Malicious(Box<MaliciousSecureNode>),
+/// A node of a mixed network as the link measures see it: malicious, or
+/// honest with links pointing somewhere.
+pub trait Member: Machine<Msg: Clone> {
+    /// What a link is counted by.
+    type Target: Eq + Hash;
+
+    /// Where an honest node's links point, in view order; `None` for a
+    /// malicious node.
+    fn links(&self) -> Option<impl Iterator<Item = Self::Target> + '_>;
+
+    /// Whether the node is malicious.
+    fn is_malicious(&self) -> bool {
+        self.links().is_none()
+    }
 }
 
-impl SecureNet {
+/// A node in a mixed network: honest, or one of the colluding party.
+#[derive(Debug)]
+pub enum Mixed<H, M> {
+    /// A correct node running the full protocol.
+    Honest(Box<H>),
+    /// A colluding malicious node.
+    Malicious(Box<M>),
+}
+
+/// A node in a mixed SecureCyclon network.
+pub type SecureNet = Mixed<SecureCyclonNode, MaliciousSecureNode>;
+
+/// A node in a legacy Cyclon network: honest, or a hub attacker.
+pub type CyclonNet = Mixed<CyclonNode, LegacyHubAttacker>;
+
+impl<H, M> Mixed<H, M> {
     /// Whether the node is malicious.
     pub fn is_malicious(&self) -> bool {
-        matches!(self, SecureNet::Malicious(_))
+        matches!(self, Mixed::Malicious(_))
     }
 
     /// The honest node, if honest.
-    pub fn honest(&self) -> Option<&SecureCyclonNode> {
+    pub fn honest(&self) -> Option<&H> {
         match self {
-            SecureNet::Honest(n) => Some(n),
-            SecureNet::Malicious(_) => None,
+            Mixed::Honest(n) => Some(n),
+            Mixed::Malicious(_) => None,
         }
     }
 }
 
 /// Both kinds are sans-IO machines; the engine routes their effects.
-impl Machine for SecureNet {
-    type Msg = SecureMsg;
+impl<H: Machine, M: Machine<Msg = H::Msg>> Machine for Mixed<H, M> {
+    type Msg = H::Msg;
 
-    fn step(&mut self, input: Input) -> Effects {
+    fn step(&mut self, input: Input<H::Msg>) -> Effects<H::Msg> {
         match self {
-            SecureNet::Honest(n) => n.step(input),
-            SecureNet::Malicious(n) => n.step(input),
+            Mixed::Honest(n) => n.step(input),
+            Mixed::Malicious(n) => n.step(input),
         }
+    }
+}
+
+/// A SecureCyclon link counts by its descriptor's creator, whose key
+/// signed it: an attacker has no identities to spare.
+impl Member for SecureNet {
+    type Target = NodeId;
+
+    fn links(&self) -> Option<impl Iterator<Item = NodeId> + '_> {
+        Some(self.honest()?.view().iter().map(|e| e.desc.creator()))
+    }
+}
+
+/// A Cyclon link counts where it routes: the hub attacker mints a fresh
+/// sybil id for every descriptor it fabricates, so no id repeats.
+impl Member for CyclonNet {
+    type Target = Addr;
+
+    fn links(&self) -> Option<impl Iterator<Item = Addr> + '_> {
+        Some(self.honest()?.view().iter().map(|d| d.addr))
     }
 }
 
@@ -106,8 +154,6 @@ pub struct SecureNetwork {
     pub engine: Engine<SecureNet>,
     /// IDs of malicious nodes.
     pub malicious_ids: HashSet<NodeId>,
-    /// Addresses of malicious nodes.
-    pub malicious_addrs: HashSet<Addr>,
     /// The shared party state.
     pub party: Arc<Mutex<SecureParty>>,
     /// Protocol configuration honest nodes were built with (joiners reuse
@@ -315,12 +361,10 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
     });
 
     let mut malicious_ids = HashSet::new();
-    let mut malicious_addrs = HashSet::new();
     for (i, descs) in plan.per_node.into_iter().enumerate() {
         let rng_seed = sc_sim::rng::derive_seed(seed, "node", i as u64);
         if malicious_set.contains(&i) {
             malicious_ids.insert(keypairs[i].public());
-            malicious_addrs.insert(i as Addr);
             let mut node = MaliciousSecureNode::new(
                 keypairs[i].clone(),
                 i as Addr,
@@ -353,7 +397,6 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
     SecureNetwork {
         engine,
         malicious_ids,
-        malicious_addrs,
         party,
         cfg,
         scheme,
@@ -364,29 +407,160 @@ pub fn build_secure_network(params: SecureNetParams) -> SecureNetwork {
     }
 }
 
+/// SecureCyclon boots with a random `k` of the scenario's `n` nodes
+/// malicious, every node ring-bootstrapped, and the engine at cycle ℓ
+/// (see [`crate::step_of`]).
+impl SimNetwork for SecureNetwork {
+    type Node = SecureNet;
+
+    fn boot(scenario: &Scenario, seed: u64) -> Self {
+        build_secure_network(SecureNetParams {
+            cfg: scenario.cfg,
+            attack_start: scenario.cfg.view_len as u64 + scenario.attack_start,
+            seed,
+            loss: scenario.loss,
+            durable: scenario.durable,
+            ..SecureNetParams::new(scenario.n, scenario.n_malicious, scenario.adversary)
+        })
+    }
+
+    fn engine(&self) -> &Engine<SecureNet> {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine<SecureNet> {
+        &mut self.engine
+    }
+
+    fn malicious(&self) -> &HashSet<NodeId> {
+        &self.malicious_ids
+    }
+
+    fn secure(&mut self) -> Option<&mut SecureNetwork> {
+        Some(self)
+    }
+}
+
+/// A legacy Cyclon network: the unprotected baseline of Figures 2 and 3.
+pub struct CyclonNetwork {
+    /// The simulation engine.
+    pub engine: Engine<CyclonNet>,
+    /// Addresses of the hub attackers.
+    pub malicious_addrs: HashSet<Addr>,
+}
+
+/// Legacy Cyclon boots with ℓ and s from the scenario's config, its `k`
+/// hub attackers at addresses `0..k`, every node bootstrapped with its
+/// four ring successors, and the engine at cycle 0: a step is an engine
+/// cycle. Cyclon keeps no durable state and sponsors no one, so a
+/// scenario that schedules a crash-restart, a sponsored join or the heal
+/// re-sponsorship panics here, named; nor is a Cyclon run audited, since
+/// the oracles read SecureCyclon state.
+impl SimNetwork for CyclonNetwork {
+    type Node = CyclonNet;
+
+    fn boot(scenario: &Scenario, seed: u64) -> Self {
+        let (n, k) = (scenario.n, scenario.n_malicious);
+        let joins = scenario.churn.is_some_and(|w| w.join_per_cycle > 0.0);
+        let other_attack = k > 0 && scenario.adversary != SecureAttack::Hub;
+        for (asks, what) in [
+            (scenario.has_restart(), "a crash-restart"),
+            (joins, "a sponsored join"),
+            (scenario.runner_heal_fallback, "the heal re-sponsorship"),
+            (other_attack, "an attack but the hub"),
+        ] {
+            let name = &scenario.name;
+            assert!(
+                !asks,
+                "scenario '{name}' schedules {what}, which legacy Cyclon cannot run"
+            );
+        }
+        assert!(k < n, "need at least one honest node");
+        let cfg = CyclonConfig {
+            view_len: scenario.cfg.view_len,
+            swap_len: scenario.cfg.swap_len,
+        };
+        let seed_of = |label, i: usize| sc_sim::rng::derive_seed(seed, label, i as u64);
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| Keypair::from_seed(Scheme::KeyedHash, seed_of("identity", i)).public())
+            .collect();
+        let party = Arc::new(LegacyParty {
+            members: (0..k).map(|i| (ids[i], i as Addr)).collect(),
+            all_addrs: (0..n as Addr).collect(),
+        });
+        let mut engine = Engine::new(SimConfig {
+            seed,
+            loss: scenario.loss,
+            start_cycle: 0,
+        });
+        for (i, &id) in ids.iter().enumerate() {
+            let mut node = CyclonNode::new(id, i as Addr, cfg, seed_of("node", i));
+            node.bootstrap((1..=4).map(|j| (i + j) % n).map(|j| (ids[j], j as Addr)));
+            let node = if i < k {
+                CyclonNet::Malicious(Box::new(LegacyHubAttacker::new(
+                    node,
+                    Arc::clone(&party),
+                    scenario.attack_start,
+                    cfg.swap_len,
+                    seed_of("attacker", i),
+                )))
+            } else {
+                CyclonNet::Honest(Box::new(node))
+            };
+            engine.spawn_with(|_| node);
+        }
+        CyclonNetwork {
+            engine,
+            malicious_addrs: (0..k as Addr).collect(),
+        }
+    }
+
+    fn engine(&self) -> &Engine<CyclonNet> {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine<CyclonNet> {
+        &mut self.engine
+    }
+
+    fn malicious(&self) -> &HashSet<Addr> {
+        &self.malicious_addrs
+    }
+}
+
 // ----------------------------------------------------------------------
 // Metrics (the y-axes of Figures 3, 5, 6)
 // ----------------------------------------------------------------------
 
-/// Fraction of links in honest views that point at malicious nodes —
-/// the y-axis of Figures 3 and 5.
-pub fn malicious_link_fraction(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId>) -> f64 {
-    let mut mal = 0usize;
-    let mut total = 0usize;
-    for (_, node) in engine.nodes() {
-        let Some(h) = node.honest() else { continue };
-        for e in h.view().iter() {
-            total += 1;
-            if malicious.contains(&e.desc.creator()) {
-                mal += 1;
-            }
-        }
-    }
-    if total == 0 {
+/// `part / whole`, and 0 for an empty whole.
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
         0.0
     } else {
-        mal as f64 / total as f64
+        part as f64 / whole as f64
     }
+}
+
+/// Each honest node's `(malicious, all)` links, in address order.
+fn link_counts<'a, N: Member>(
+    engine: &'a Engine<N>,
+    malicious: &'a HashSet<N::Target>,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    engine.nodes().filter_map(|(_, node)| {
+        let count = |(mal, all), t| (mal + usize::from(malicious.contains(&t)), all + 1);
+        Some(node.links()?.fold((0, 0), count))
+    })
+}
+
+/// Fraction of links in honest views that point at malicious nodes —
+/// the y-axis of Figures 3 and 5.
+pub fn malicious_link_fraction<N: Member>(
+    engine: &Engine<N>,
+    malicious: &HashSet<N::Target>,
+) -> f64 {
+    let (mal, all) =
+        link_counts(engine, malicious).fold((0, 0), |(m, a), (mal, all)| (m + mal, a + all));
+    share(mal, all)
 }
 
 /// Fraction of links in honest views that are non-swappable — the y-axis
@@ -399,11 +573,7 @@ pub fn ns_link_fraction(engine: &Engine<SecureNet>) -> f64 {
         total += h.view().len();
         ns += h.view().ns_count();
     }
-    if total == 0 {
-        0.0
-    } else {
-        ns as f64 / total as f64
-    }
+    share(ns, total)
 }
 
 /// Average fraction of the malicious population each honest node has
@@ -415,30 +585,13 @@ pub fn blacklist_coverage(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId
 
 /// Fraction of honest nodes whose entire (non-empty) view points at
 /// malicious nodes — the eclipsed residue of Figure 5 (bottom).
-pub fn eclipsed_fraction(engine: &Engine<SecureNet>, malicious: &HashSet<NodeId>) -> f64 {
-    let mut eclipsed = 0usize;
-    let mut honest = 0usize;
-    for (_, node) in engine.nodes() {
-        let Some(h) = node.honest() else { continue };
+pub fn eclipsed_fraction<N: Member>(engine: &Engine<N>, malicious: &HashSet<N::Target>) -> f64 {
+    let (mut eclipsed, mut honest) = (0, 0);
+    for (mal, all) in link_counts(engine, malicious) {
         honest += 1;
-        let total = h.view().len();
-        if total == 0 {
-            continue;
-        }
-        let mal = h
-            .view()
-            .iter()
-            .filter(|e| malicious.contains(&e.desc.creator()))
-            .count();
-        if mal == total {
-            eclipsed += 1;
-        }
+        eclipsed += usize::from(all > 0 && mal == all);
     }
-    if honest == 0 {
-        0.0
-    } else {
-        eclipsed as f64 / honest as f64
-    }
+    share(eclipsed, honest)
 }
 
 #[cfg(test)]

@@ -12,16 +12,16 @@
 //! members, kill and restart victims, leave rolls, sponsor order — from
 //! the seed's `"faults"` and `"churn"` streams, and the tier only carries
 //! the verbs out. The two tiers stand side by side below: `SimTier`, a
-//! [`SecureNetwork`] inside the engine, and `LiveTier`, a
+//! [`SimNetwork`] inside the engine, and `LiveTier`, a
 //! [`ProcessCluster`] of `sc-node` processes
 //! ([`crate::live::run_scenario_live`] drives it against the wall
 //! clock). What the socket tier cannot express yet is named by
-//! [`Scenario::live_fit`].
+//! [`Scenario::live_fit`]. The simulated tier runs either protocol: a
+//! [`SecureNetwork`] or the legacy [`crate::CyclonNetwork`].
 
 use crate::harness::ProcessCluster;
 use crate::net::{
-    build_secure_network, crash_restart_in, malicious_link_fraction, ns_link_fraction,
-    SecureNetParams, SecureNetwork,
+    crash_restart_in, malicious_link_fraction, ns_link_fraction, Member, SecureNetwork,
 };
 use crate::oracles::{OracleSuite, Violation};
 use crate::scenario::{Event, Scenario};
@@ -32,11 +32,12 @@ use rand::Rng;
 use sc_core::{DescriptorId, FaultSpec, Loss, ProofKind, SecureConfig};
 use sc_crypto::hex::to_hex;
 use sc_crypto::NodeId;
-use sc_sim::{Addr, Partition, Point};
+use sc_sim::{Addr, Engine, Partition, Point};
 use std::collections::HashSet;
 
-/// What a completed (violation-free) run looked like.
-#[derive(Clone, Debug)]
+/// What a completed (violation-free) run looked like; a legacy Cyclon
+/// run reports no proofs, blacklists or non-swappable links.
+#[derive(Clone, Debug, Default)]
 pub struct RunSummary {
     /// Scenario name.
     pub scenario: String,
@@ -86,54 +87,90 @@ pub fn run_scenario_with_net(
     run_scenario_observed(scenario, seed, |_| {})
 }
 
-/// [`run_scenario_with_net`], handing the network to `observe` after
-/// every step's cycle has run and passed the oracles — how the paper's
-/// figures record their series. Observing reads state only, so it
-/// cannot move the run.
-pub fn run_scenario_observed(
+/// The one run loop: [`run_scenario_with_net`] on any [`SimNetwork`],
+/// handing the network to `observe` after every step's cycle has run and
+/// passed the oracles — how the paper's figures record their series.
+/// Observing reads state only, so it cannot move the run.
+pub fn run_scenario_observed<N: SimNetwork>(
     scenario: &Scenario,
     seed: u64,
-    mut observe: impl FnMut(&SecureNetwork),
-) -> Result<(RunSummary, SecureNetwork), Violation> {
-    let mut tier = SimTier::boot(scenario, seed);
+    mut observe: impl FnMut(&N),
+) -> Result<(RunSummary, N), Violation> {
+    let mut tier = SimTier::<N>::boot(scenario, seed);
     let mut oracles = OracleSuite::new(scenario, seed);
     let mut schedule = Schedule::new(scenario, seed);
 
     for step in 0..scenario.cycles {
         schedule.step(&mut tier, step);
         tier.run_cycle();
-        if oracles.checks(step) {
-            oracles.check_snapshot(&NetSnapshot::from_network(&tier.net), step)?;
+        if let Some(net) = tier.net.secure().filter(|_| oracles.checks(step)) {
+            oracles.check_snapshot(&NetSnapshot::from_network(net), step)?;
         }
         observe(&tier.net);
     }
-    let last = NetSnapshot::from_network(&tier.net);
-    oracles.check_snapshot_final(&last)?;
     let SimTier {
-        net,
+        mut net,
         joined,
         departed,
         reintroduced,
         restarted,
         ..
     } = tier;
-    let summary = RunSummary {
+    let engine = net.engine();
+    let mut summary = RunSummary {
         scenario: scenario.name.clone(),
         seed,
         steps: scenario.cycles,
-        final_alive: net.engine.alive_count(),
-        final_honest: last.nodes.len(),
+        final_alive: engine.alive_count(),
+        final_honest: engine.nodes().filter(|(_, n)| !n.is_malicious()).count(),
         joined,
         departed,
         reintroduced,
         restarted,
-        proofs: last.proofs_generated(),
-        coverage: last.blacklist_coverage(),
-        malicious_links: malicious_link_fraction(&net.engine, &net.malicious_ids),
-        ns_links: ns_link_fraction(&net.engine),
-        clones: clones(&net),
+        malicious_links: malicious_link_fraction(engine, net.malicious()),
+        ..RunSummary::default()
     };
+    if let Some(net) = net.secure() {
+        let last = NetSnapshot::from_network(net);
+        oracles.check_snapshot_final(&last)?;
+        summary.proofs = last.proofs_generated();
+        summary.coverage = last.blacklist_coverage();
+        summary.ns_links = ns_link_fraction(&net.engine);
+        summary.clones = clones(net);
+    }
     Ok((summary, net))
+}
+
+/// A simulated network the run loop carries a scenario out on: the
+/// caller picks the protocol by the network type it runs.
+pub trait SimNetwork: Sized {
+    /// The node enum its engine steps.
+    type Node: Member;
+
+    /// The scenario's population after bootstrap, derived from `seed`.
+    fn boot(scenario: &Scenario, seed: u64) -> Self;
+
+    /// The engine.
+    fn engine(&self) -> &Engine<Self::Node>;
+
+    /// The engine, mutably.
+    fn engine_mut(&mut self) -> &mut Engine<Self::Node>;
+
+    /// Where malicious links point, as [`malicious_link_fraction`] counts.
+    fn malicious(&self) -> &HashSet<<Self::Node as Member>::Target>;
+
+    /// The network itself if it runs SecureCyclon, which alone sponsors
+    /// joins, crash-restarts, re-sponsors an island at a heal and is
+    /// audited by the oracles; any other boot refuses the first three.
+    fn secure(&mut self) -> Option<&mut SecureNetwork> {
+        None
+    }
+}
+
+/// The network a scenario scheduling SecureCyclon's verbs booted.
+fn secure<N: SimNetwork>(net: &mut N) -> &mut SecureNetwork {
+    net.secure()
+        .expect("the boot refuses a scenario it cannot run")
 }
 
 /// `(detected, performed)` over the party's clone events: the distinct
@@ -319,10 +356,10 @@ impl<'a> Schedule<'a> {
     }
 }
 
-/// The simulated tier: a [`SecureNetwork`] between two engine cycles,
-/// and the counts the [`RunSummary`] reports.
-struct SimTier {
-    net: SecureNetwork,
+/// The simulated tier: a [`SimNetwork`] between two engine cycles, and
+/// the counts the [`RunSummary`] reports.
+struct SimTier<N> {
+    net: N,
     heal_fallback: bool,
     /// Victims of a mid-cycle restart and the fraction of the cycle's
     /// turns that run before it, kept until the cycle runs.
@@ -333,23 +370,11 @@ struct SimTier {
     restarted: u64,
 }
 
-impl SimTier {
+impl<N: SimNetwork> SimTier<N> {
     /// The scenario's population after bootstrap.
-    fn boot(scenario: &Scenario, seed: u64) -> SimTier {
-        // The engine counts cycles, the scenario steps (see `step_of`).
-        let params = SecureNetParams {
-            n: scenario.n,
-            n_malicious: scenario.n_malicious,
-            cfg: scenario.cfg,
-            attack: scenario.adversary,
-            attack_start: scenario.cfg.view_len as u64 + scenario.attack_start,
-            seed,
-            scheme: sc_crypto::Scheme::KeyedHash,
-            loss: scenario.loss,
-            durable: scenario.durable,
-        };
+    fn boot(scenario: &Scenario, seed: u64) -> Self {
         SimTier {
-            net: build_secure_network(params),
+            net: N::boot(scenario, seed),
             heal_fallback: scenario.runner_heal_fallback,
             mid_restart: None,
             joined: 0,
@@ -363,12 +388,12 @@ impl SimTier {
     /// restart it drew, if any, before the `k`-th turn.
     fn run_cycle(&mut self) {
         let Some((victims, turn_frac)) = self.mid_restart.take() else {
-            return self.net.engine.run_cycle();
+            return self.net.engine_mut().run_cycle();
         };
-        let k = (self.net.engine.alive_count() as f64 * turn_frac) as usize;
-        let (seed, restarts, restarted) =
-            (self.net.seed, &mut self.net.restarts, &mut self.restarted);
-        self.net.engine.run_cycle_with(|engine, at| {
+        let net = secure(&mut self.net);
+        let k = (net.engine.alive_count() as f64 * turn_frac) as usize;
+        let (seed, restarts, restarted) = (net.seed, &mut net.restarts, &mut self.restarted);
+        net.engine.run_cycle_with(|engine, at| {
             if at == Point::Turn(k) {
                 for &addr in &victims {
                     *restarted += u64::from(crash_restart_in(engine, seed, restarts, addr));
@@ -378,25 +403,24 @@ impl SimTier {
     }
 }
 
-impl Tier for SimTier {
+impl<N: SimNetwork> Tier for SimTier<N> {
     fn alive(&self) -> Vec<Addr> {
-        self.net.engine.nodes().map(|(a, _)| a).collect()
+        self.net.engine().nodes().map(|(a, _)| a).collect()
     }
 
     fn honest(&self) -> Vec<Addr> {
-        let honest = self.net.engine.nodes().filter(|(_, n)| !n.is_malicious());
+        let honest = self.net.engine().nodes().filter(|(_, n)| !n.is_malicious());
         honest.map(|(a, _)| a).collect()
     }
 
     fn sever(&mut self, island: Vec<Addr>) {
         self.net
-            .engine
+            .engine_mut()
             .set_partition(Some(Partition::isolate(island)));
     }
 
     fn heal(&mut self, faults: &mut StdRng) {
-        let net = &mut self.net;
-        let partition = net.engine.set_partition(None);
+        let partition = self.net.engine_mut().set_partition(None);
         // A partition outlasting the descriptor lifetime consumes
         // every cross-side link (redeeming toward an unreachable
         // creator spends the descriptor). Fully starved nodes now
@@ -408,37 +432,24 @@ impl Tier for SimTier {
         // re-sponsored by mainland nodes, and ordinary gossip
         // re-knits the rest.
         if let Some(p) = partition.filter(|_| self.heal_fallback) {
-            let mut island: Vec<Addr> = Vec::new();
-            let mut mainland: Vec<Addr> = Vec::new();
-            for (addr, node) in net.engine.nodes() {
-                if node.is_malicious() {
-                    continue;
-                }
-                if p.side(addr) == 0 {
-                    mainland.push(addr);
-                } else {
-                    island.push(addr);
-                }
-            }
-            island.sort_unstable();
-            mainland.sort_unstable();
+            let (mut mainland, mut island): (Vec<Addr>, Vec<Addr>) =
+                self.honest().into_iter().partition(|&a| p.side(a) == 0);
             island.shuffle(faults);
             mainland.shuffle(faults);
             let k = (island.len() / 8).max(2).min(mainland.len());
+            let net = secure(&mut self.net);
             for (&node, &sponsor) in island.iter().zip(mainland.iter()).take(k) {
-                if net.reintroduce(node, sponsor) {
-                    self.reintroduced += 1;
-                }
+                self.reintroduced += u64::from(net.reintroduce(node, sponsor));
             }
         }
     }
 
     fn set_loss(&mut self, loss: Loss) {
-        self.net.engine.set_loss(loss);
+        self.net.engine_mut().set_loss(loss);
     }
 
     fn kill(&mut self, addr: Addr) {
-        self.net.engine.kill(addr);
+        self.net.engine_mut().kill(addr);
         self.departed += 1;
     }
 
@@ -446,15 +457,16 @@ impl Tier for SimTier {
         match turn_frac {
             Some(turn_frac) => self.mid_restart = Some((victims, turn_frac)),
             None => {
+                let net = secure(&mut self.net);
                 for addr in victims {
-                    self.restarted += u64::from(self.net.crash_restart(addr));
+                    self.restarted += u64::from(net.crash_restart(addr));
                 }
             }
         }
     }
 
     fn join(&mut self, sponsors: Vec<Addr>) {
-        self.joined += u64::from(self.net.join_via_any(sponsors).is_some());
+        self.joined += u64::from(secure(&mut self.net).join_via_any(sponsors).is_some());
     }
 }
 
@@ -634,12 +646,34 @@ mod tests {
             .adversary(3, SecureAttack::Hub, 5)
             .churn(3, 15, 0.02, 0.5);
         let mut cycles = Vec::new();
-        let (_, observed) = run_scenario_observed(&sc, 7, |net| cycles.push(net.engine.cycle()))
-            .expect("clean run");
+        let (_, observed) = run_scenario_observed(&sc, 7, |net: &SecureNetwork| {
+            cycles.push(net.engine.cycle())
+        })
+        .expect("clean run");
         assert_eq!(cycles.len() as u64, sc.cycles, "once per step");
         assert!(cycles.windows(2).all(|w| w[0] < w[1]), "{cycles:?}");
         let (_, plain) = run_scenario_with_net(&sc, 7).expect("clean run");
         assert_eq!(state_fingerprint(&observed), state_fingerprint(&plain));
+    }
+
+    #[test]
+    fn a_cyclon_run_refuses_what_only_securecyclon_can_do() {
+        use crate::net::CyclonNetwork;
+        for sc in [
+            Scenario::new("cyclon-restart", 16).restart_at(3, 0.25),
+            Scenario::new("cyclon-mid-cycle", 16).restart_mid_cycle_at(3, 0.25, 0.5),
+            Scenario::new("cyclon-join", 16).churn(2, 6, 0.0, 1.0),
+            Scenario::new("cyclon-heal", 16)
+                .partition_at(2, 0.5)
+                .heal_at(4)
+                .heal_fallback(),
+        ] {
+            let run =
+                std::panic::catch_unwind(|| run_scenario_observed(&sc, 1, |_: &CyclonNetwork| {}));
+            let refusal = run.map(drop).expect_err("a Cyclon boot refuses it");
+            let refusal = refusal.downcast_ref::<String>().expect("a formatted panic");
+            assert!(refusal.contains(&format!("'{}'", sc.name)), "{refusal}");
+        }
     }
 
     #[test]
@@ -775,7 +809,7 @@ mod one_schedule_two_tiers {
                 continue;
             }
             let mut sim = Logged {
-                tier: SimTier::boot(&sc, seed),
+                tier: SimTier::<SecureNetwork>::boot(&sc, seed),
                 base: 0,
                 log: Vec::new(),
             };

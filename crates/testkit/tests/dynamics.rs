@@ -1,13 +1,11 @@
 //! End-to-end attack dynamics: each test checks the qualitative claim the
 //! paper makes about one attack/defense pairing, at reduced scale.
 
-use sc_attacks::{
-    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams, SecureAttack,
-};
+use sc_attacks::SecureAttack;
 use sc_core::{ProofKind, SecureConfig};
 use sc_testkit::{
     blacklist_coverage, build_secure_network, malicious_link_fraction, ns_link_fraction,
-    NetSnapshot, SecureNetParams,
+    run_scenario_observed, CyclonNetwork, NetSnapshot, Scenario, SecureNetParams,
 };
 use std::collections::HashSet;
 
@@ -15,28 +13,35 @@ use std::collections::HashSet;
 // Legacy Cyclon: the Figure 3 takeover
 // ----------------------------------------------------------------------
 
+/// `k` hub attackers from step 20 among 150 Cyclon nodes (ℓ = 8, swap
+/// length `swap_len`), run for `cycles`.
+fn legacy_takeover(k: usize, swap_len: usize, cycles: u64) -> Scenario {
+    let cfg = SecureConfig::default()
+        .with_view_len(8)
+        .with_swap_len(swap_len);
+    Scenario::new("legacy-takeover", 150)
+        .config(cfg)
+        .adversary(k, SecureAttack::Hub, 20)
+        .cycles(cycles)
+}
+
 #[test]
 fn legacy_cyclon_is_taken_over_by_view_len_attackers() {
     // Figure 3 in miniature: ℓ malicious nodes suffice for takeover.
-    let cfg = sc_cyclon::CyclonConfig {
-        view_len: 8,
-        swap_len: 3,
-    };
-    let (mut engine, malicious) = build_legacy_network(LegacyNetParams {
-        n: 150,
-        n_malicious: 8,
-        cfg,
-        attack_start: 20,
-        seed: 7,
-    });
-    engine.run_cycles(20);
-    let before = legacy_malicious_link_fraction(&engine, &malicious);
+    let mut before = None;
+    let (summary, _) =
+        run_scenario_observed(&legacy_takeover(8, 3, 500), 7, |net: &CyclonNetwork| {
+            if net.engine.cycle() == 20 {
+                before = Some(malicious_link_fraction(&net.engine, &net.malicious_addrs));
+            }
+        })
+        .expect("a Cyclon run is not audited");
+    let before = before.expect("step 20 was observed");
     assert!(
         before < 0.20,
         "pre-attack pollution proportional to population: {before}"
     );
-    engine.run_cycles(480);
-    let after = legacy_malicious_link_fraction(&engine, &malicious);
+    let after = summary.malicious_links;
     assert!(
         after > 0.85,
         "legacy Cyclon succumbs to the hub attack: {after}"
@@ -46,19 +51,12 @@ fn legacy_cyclon_is_taken_over_by_view_len_attackers() {
 #[test]
 fn legacy_takeover_is_faster_with_larger_swap_length() {
     let frac_at = |swap_len: usize| {
-        let cfg = sc_cyclon::CyclonConfig {
-            view_len: 8,
-            swap_len,
-        };
-        let (mut engine, malicious) = build_legacy_network(LegacyNetParams {
-            n: 150,
-            n_malicious: 8,
-            cfg,
-            attack_start: 20,
-            seed: 11,
-        });
-        engine.run_cycles(60);
-        legacy_malicious_link_fraction(&engine, &malicious)
+        let run = run_scenario_observed(
+            &legacy_takeover(8, swap_len, 60),
+            11,
+            |_: &CyclonNetwork| {},
+        );
+        run.expect("a Cyclon run is not audited").0.malicious_links
     };
     let slow = frac_at(2);
     let fast = frac_at(6);

@@ -5,13 +5,13 @@
 //! cargo run --release --example hub_attack_demo
 //! ```
 
-use securecyclon::attacks::{
-    build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams, SecureAttack,
-};
+use securecyclon::attacks::SecureAttack;
 use securecyclon::core::SecureConfig;
-use securecyclon::cyclon::CyclonConfig;
 use securecyclon::metrics::{ascii_chart, TimeSeries};
-use securecyclon::testkit::{malicious_link_fraction, run_scenario_observed, step_of, Scenario};
+use securecyclon::testkit::{
+    malicious_link_fraction, run_scenario_observed, CyclonNetwork, Scenario, SecureNetwork,
+    SimNetwork,
+};
 
 const N: usize = 400;
 const MALICIOUS: usize = 12;
@@ -19,40 +19,14 @@ const VIEW: usize = 12;
 const ATTACK_AT: u64 = 30;
 const CYCLES: u64 = 160;
 
-fn legacy_run() -> TimeSeries {
-    let (mut engine, mal) = build_legacy_network(LegacyNetParams {
-        n: N,
-        n_malicious: MALICIOUS,
-        cfg: CyclonConfig {
-            view_len: VIEW,
-            swap_len: 3,
-        },
-        attack_start: ATTACK_AT,
-        seed: 9,
-    });
-    let mut series = TimeSeries::new("legacy Cyclon");
-    for c in 0..CYCLES {
-        engine.run_cycle();
-        series.push(c, 100.0 * legacy_malicious_link_fraction(&engine, &mal));
-    }
-    series
-}
-
-/// The Figure 5 scenario shape: hub attackers from engine cycle
-/// `ATTACK_AT`.
-fn secure_run() -> TimeSeries {
-    let cfg = SecureConfig::default().with_view_len(VIEW).with_swap_len(3);
-    let scenario = Scenario::new("hub-attack-demo", N)
-        .config(cfg)
-        .adversary(MALICIOUS, SecureAttack::Hub, step_of(ATTACK_AT, &cfg))
-        .cycles(CYCLES);
-    let mut series = TimeSeries::new("SecureCyclon");
+/// The attack on protocol `P`'s network: links routing to the attacker
+/// after every step.
+fn run<P: SimNetwork>(name: &str, scenario: &Scenario) -> TimeSeries {
+    let mut series = TimeSeries::new(name);
     let mut c = 0;
-    run_scenario_observed(&scenario, 9, |net| {
-        series.push(
-            c,
-            100.0 * malicious_link_fraction(&net.engine, &net.malicious_ids),
-        );
+    run_scenario_observed(scenario, 9, |net: &P| {
+        let malicious = net.malicious();
+        series.push(c, 100.0 * malicious_link_fraction(net.engine(), malicious));
         c += 1;
     })
     .unwrap_or_else(|v| panic!("{v}"));
@@ -63,8 +37,13 @@ fn main() {
     println!(
         "hub attack: {MALICIOUS} colluding nodes among {N}, attack starts at cycle {ATTACK_AT}\n"
     );
-    let legacy = legacy_run();
-    let secure = secure_run();
+    let cfg = SecureConfig::default().with_view_len(VIEW).with_swap_len(3);
+    let scenario = Scenario::new("hub-attack-demo", N)
+        .config(cfg)
+        .adversary(MALICIOUS, SecureAttack::Hub, ATTACK_AT)
+        .cycles(CYCLES);
+    let legacy = run::<CyclonNetwork>("legacy Cyclon", &scenario);
+    let secure = run::<SecureNetwork>("SecureCyclon", &scenario);
 
     println!("links routing to the attacker (% of honest views):\n");
     print!("{}", ascii_chart(&[legacy.clone(), secure.clone()], 64));

@@ -3,22 +3,26 @@
 //! `golden_state.rs` pins the SecureCyclon stack; this file pins the
 //! baseline it is compared against: `CyclonNode` on a bare engine (the
 //! Figure 2 setup) and `CyclonNode` + `LegacyHubAttacker` in the Figure 3
-//! takeover. Each run is hashed at its end: every honest node's view as
-//! `(id, addr, age)` in view order, its `CyclonStats`, and the engine's
-//! `TrafficStats`. The hashes were recorded on the commit *before* the
-//! legacy nodes became `step` machines (PR 17) and must not move under a
-//! change that claims to keep behaviour — they pin the RNG draw order of
-//! both node types and the order the engine performs round trips in.
+//! takeover, run through the scenario runner as the figures run it (the
+//! Figure 2 overlay through the runner hashes as on the bare engine: the
+//! runner adds no draw). Each run is hashed at its end: every honest
+//! node's view as `(id, addr, age)` in view order, its `CyclonStats`, and
+//! the engine's `TrafficStats`. The hashes were recorded before the
+//! legacy nodes became `step` machines and must not move under a change
+//! that claims to keep behaviour — they pin the RNG draw order of both
+//! node types and the order the engine performs round trips in.
 //!
 //! A change that *intends* to alter behaviour re-records the table: on a
 //! mismatch the test prints its rows in source form.
 
-use securecyclon::attacks::{build_legacy_network, LegacyNet, LegacyNetParams};
+use securecyclon::attacks::SecureAttack;
+use securecyclon::core::SecureConfig;
 use securecyclon::crypto::hex::to_hex;
 use securecyclon::crypto::{Keypair, NodeId, Scheme, Sha256};
 use securecyclon::cyclon::{CyclonConfig, CyclonNode};
 use securecyclon::sim::rng::derive_seed;
 use securecyclon::sim::{Engine, SimConfig, TrafficStats};
+use securecyclon::testkit::{run_scenario_observed, CyclonNet, CyclonNetwork, Scenario};
 
 /// `(run, seed, sha256 of the end state)`, one row per line — the shape
 /// the test prints on a mismatch.
@@ -75,26 +79,30 @@ fn honest_run(seed: u64) -> String {
     finish(h, engine.stats())
 }
 
-/// The Figure 3 takeover: n = 300, 20 attackers from cycle 50, 120 cycles.
-fn takeover_run(swap_len: usize, seed: u64) -> String {
-    let (mut engine, _) = build_legacy_network(LegacyNetParams {
-        n: 300,
-        n_malicious: 20,
-        cfg: CyclonConfig {
-            view_len: 8,
-            swap_len,
-        },
-        attack_start: 50,
-        seed,
-    });
-    engine.run_cycles(120);
+/// `scenario` run through the runner on legacy Cyclon, hashed over its
+/// honest nodes.
+fn scenario_run(scenario: &Scenario, seed: u64) -> String {
+    let (_, net) = run_scenario_observed(scenario, seed, |_: &CyclonNetwork| {})
+        .expect("a Cyclon run is not audited");
     let mut h = Sha256::new();
-    for (addr, node) in engine.nodes() {
-        if let LegacyNet::Honest(node) = node {
+    for (addr, node) in net.engine.nodes() {
+        if let CyclonNet::Honest(node) = node {
             hash_node(&mut h, addr, node);
         }
     }
-    finish(h, engine.stats())
+    finish(h, net.engine.stats())
+}
+
+/// The Figure 3 takeover: n = 300, 20 attackers from cycle 50, 120 cycles.
+fn takeover_run(swap_len: usize, seed: u64) -> String {
+    let cfg = SecureConfig::default()
+        .with_view_len(8)
+        .with_swap_len(swap_len);
+    let scenario = Scenario::new("fig3-takeover", 300)
+        .config(cfg)
+        .adversary(20, SecureAttack::Hub, 50)
+        .cycles(120);
+    scenario_run(&scenario, seed)
 }
 
 #[test]
@@ -124,4 +132,22 @@ fn golden_legacy_end_states() {
         mismatches.join("\n"),
         rows.join("\n")
     );
+}
+
+/// The Figure 2 shape through the runner — n = 200, ℓ = 8, s = 3, 60
+/// cycles — ends where the bare engine does: the runner adds no draw.
+#[test]
+fn the_runner_steps_cyclon_as_the_bare_engine_does() {
+    let scenario = Scenario::new("cyclon-honest", 200).cycles(60);
+    for seed in [1u64, 2] {
+        let want = GOLDEN
+            .iter()
+            .find(|(run, s, _)| *run == "cyclon-honest" && *s == seed)
+            .map(|(_, _, hash)| *hash);
+        assert_eq!(
+            Some(scenario_run(&scenario, seed).as_str()),
+            want,
+            "seed {seed}"
+        );
+    }
 }

@@ -167,24 +167,20 @@ fn lossy_network_under_attack_still_converges_on_eviction() {
 
 #[test]
 fn legacy_takeover_has_the_figure3_shape() {
-    use securecyclon::attacks::{
-        build_legacy_network, legacy_malicious_link_fraction, LegacyNetParams,
-    };
-    let (mut engine, mal) = build_legacy_network(LegacyNetParams {
-        n: 200,
-        n_malicious: 10,
-        cfg: securecyclon::cyclon::CyclonConfig {
-            view_len: 10,
-            swap_len: 5,
-        },
-        attack_start: 20,
-        seed: 5,
-    });
+    use securecyclon::testkit::{run_scenario_observed, CyclonNetwork, Scenario};
+    let scenario = Scenario::new("legacy-takeover", 200)
+        .config(cfg().with_swap_len(5))
+        .adversary(10, SecureAttack::Hub, 20)
+        .cycles(250);
     let mut series = TimeSeries::new("legacy malicious links %");
-    for c in 0..250 {
-        engine.run_cycle();
-        series.push(c, 100.0 * legacy_malicious_link_fraction(&engine, &mal));
-    }
+    run_scenario_observed(&scenario, 5, |net: &CyclonNetwork| {
+        let c = net.engine.cycle() - 1;
+        series.push(
+            c,
+            100.0 * malicious_link_fraction(&net.engine, &net.malicious_addrs),
+        );
+    })
+    .expect("a Cyclon run is not audited");
     let shape = rises_after(&series, 20, 95.0);
     assert!(shape.holds(), "{shape:?}");
 }
