@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use sc_core::{Addr, Effects, Input, Machine};
-use sc_crypto::{NodeId, PublicKey};
+use sc_crypto::PublicKey;
 use sc_cyclon::{CyclonMsg, CyclonNode, LegacyDescriptor};
 use std::sync::Arc;
 
@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// same pool of node descriptors").
 #[derive(Debug)]
 pub struct LegacyParty {
-    /// All malicious members as (id, address).
-    pub members: Vec<(NodeId, Addr)>,
+    /// The addresses of all malicious members.
+    pub members: Vec<Addr>,
     /// Addresses of every node in the network (mutual knowledge), used
     /// for uniformly random victim selection.
     pub all_addrs: Vec<Addr>,
@@ -84,7 +84,7 @@ impl LegacyHubAttacker {
     fn fabricate(&mut self, k: usize) -> Vec<LegacyDescriptor> {
         let mut out = Vec::with_capacity(k);
         for _ in 0..k {
-            let &(_, addr) = self
+            let &addr = self
                 .party
                 .members
                 .choose(&mut self.rng)

@@ -211,7 +211,7 @@ fn legacy_attacker() -> LegacyHubAttacker {
     let mut inner = CyclonNode::new(keypair(0).public(), 0, cfg, [1; 32]);
     inner.bootstrap((1..=3).map(|i| (keypair(i).public(), i as Addr)));
     let party = LegacyParty {
-        members: vec![(keypair(0).public(), 0)],
+        members: vec![0],
         all_addrs: (0..4).collect(),
     };
     LegacyHubAttacker::new(inner, Arc::new(party), ATTACK_START, cfg.swap_len, [2; 32])

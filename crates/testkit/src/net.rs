@@ -485,7 +485,7 @@ impl SimNetwork for CyclonNetwork {
             .map(|i| Keypair::from_seed(Scheme::KeyedHash, seed_of("identity", i)).public())
             .collect();
         let party = Arc::new(LegacyParty {
-            members: (0..k).map(|i| (ids[i], i as Addr)).collect(),
+            members: (0..k as Addr).collect(),
             all_addrs: (0..n as Addr).collect(),
         });
         let mut engine = Engine::new(SimConfig {

@@ -334,7 +334,8 @@ impl Scenario {
     }
 
     /// Whether any scheduled event partitions the network.
-    pub fn has_partition(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_partition(&self) -> bool {
         self.events
             .iter()
             .any(|e| matches!(e, Event::Partition { .. }))
