@@ -186,12 +186,16 @@ impl SecureCyclonNode {
             }
         }
 
+        // The certificate's copy sits in the redemption cache by now, but
+        // the request carries it already, as `redeemed`.
+        let mut samples = self.collect_samples();
+        samples.retain(|d| d.state_digest() != redeemed.state_digest());
         let request = SecureMsg::Request(Box::new(RequestBody {
             redeemed,
             fresh: fresh_out,
             offered,
-            samples: self.collect_samples(),
-            proofs: self.recent_proofs(cycle),
+            samples,
+            proofs: self.recent_proofs(cycle, &[]),
         }));
         self.stats.initiated += 1;
         self.exchange = Some(Exchange {
@@ -231,7 +235,7 @@ impl SecureCyclonNode {
             samples,
             proofs,
         } = *body;
-        self.process_proofs(proofs, cycle);
+        self.process_proofs(&proofs, cycle);
         for s in &samples {
             let _ = self.absorb(s, None, cycle);
         }

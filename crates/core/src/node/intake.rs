@@ -234,7 +234,12 @@ impl SecureCyclonNode {
         }
 
         // -- store what we received -------------------------------------
-        let RequestBody { fresh, offered, .. } = body;
+        let RequestBody {
+            fresh,
+            offered,
+            mut proofs,
+            ..
+        } = body;
         self.stats.transfers_received += 1;
         if let Some(fresh) = self.view.try_insert(fresh, false) {
             if let Some(fresh) = self.view.try_replace_ns_with(fresh) {
@@ -264,11 +269,16 @@ impl SecureCyclonNode {
             );
         }
 
+        // The answer leaves out every proof whose culprit the request
+        // named: an honest initiator took its proofs from its blacklist,
+        // which never shrinks, and an invalid one can only keep a proof
+        // from its own sender. Sorted for `recent_proofs` to search.
+        proofs.sort_unstable_by_key(|p| p.culprit());
         self.stats.answered += 1;
         Some(SecureMsg::Accept(Box::new(AcceptBody {
             transfers,
             samples: self.collect_samples(),
-            proofs: self.recent_proofs(cycle),
+            proofs: self.recent_proofs(cycle, &proofs),
         })))
     }
 
@@ -303,7 +313,7 @@ impl SecureCyclonNode {
         }
 
         // -- learn from piggybacked proofs before trusting the peer ----
-        self.process_proofs(std::mem::take(&mut body.proofs), cycle);
+        self.process_proofs(&body.proofs, cycle);
         if self.blacklist.contains(&redeemer) {
             return Err(Refusal::Blacklisted);
         }
@@ -333,13 +343,12 @@ impl SecureCyclonNode {
         }
 
         // -- §IV-B checks on everything received ------------------------
-        // Observe each distinct descriptor exactly once: the honest
-        // initiator's sample set legitimately repeats the redeemed
-        // certificate (it enters the redemption cache before samples are
-        // collected), and attackers pad their sample lists with arbitrary
-        // byte-identical repeats. A repeat carries no new §IV-B
-        // information, so skipping it changes no verdict — it only keeps
-        // `samples_processed` honest and saves redundant cache walks.
+        // Observe each distinct descriptor exactly once: attackers pad
+        // their sample lists with arbitrary byte-identical repeats, of
+        // each other or of the certificate and the fresh descriptor. A
+        // repeat carries no new §IV-B information, so skipping it changes
+        // no verdict — it only keeps `samples_processed` honest and saves
+        // redundant cache walks.
         #[cfg(debug_assertions)]
         let samples_processed_before = self.stats.samples_processed;
         let mut observed: FxHashSet<sc_crypto::Digest> =
@@ -426,14 +435,14 @@ impl SecureCyclonNode {
     ) {
         match msg {
             SecureMsg::Proof(proof) => {
-                self.accept_remote_proof(proof, cycle);
+                self.accept_remote_proof(&proof, cycle);
             }
             SecureMsg::JoinPing(body) => {
                 self.answer_join_ping(from, body.joiner, cycle, &mut fx.sends)
             }
             SecureMsg::JoinGrant(body) => {
                 let JoinGrantBody { descriptor, proofs } = *body;
-                self.process_proofs(proofs, cycle);
+                self.process_proofs(&proofs, cycle);
                 if self.accept_sponsorship(descriptor, cycle) {
                     self.was_connected = true;
                 }

@@ -40,7 +40,7 @@ impl SecureCyclonNode {
 
     /// Validates and absorbs a proof learned from a peer. Returns whether
     /// it was novel (and should be re-flooded).
-    pub(super) fn accept_remote_proof(&mut self, proof: ViolationProof, cycle: u64) -> bool {
+    pub(super) fn accept_remote_proof(&mut self, proof: &ViolationProof, cycle: u64) -> bool {
         if self.blacklist.contains(&proof.culprit()) {
             self.stats.proofs_duplicate += 1;
             return false;
@@ -51,7 +51,7 @@ impl SecureCyclonNode {
             return false;
         }
         self.stats.proofs_received += 1;
-        self.apply_proof(proof, cycle)
+        self.apply_proof(proof.clone(), cycle)
     }
 
     /// Registers a validated proof: blacklist, purge every trace of the
@@ -89,17 +89,27 @@ impl SecureCyclonNode {
         Some(Flood { to, msgs })
     }
 
-    pub(super) fn process_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
+    pub(super) fn process_proofs(&mut self, proofs: &[ViolationProof], cycle: u64) {
         for p in proofs {
             self.accept_remote_proof(p, cycle);
         }
     }
 
-    pub(super) fn recent_proofs(&self, cycle: u64) -> Vec<ViolationProof> {
+    /// The proofs to piggyback on an exchange message (§IV-C): those
+    /// learned within the window, but any against a culprit of `sent`,
+    /// the receiver's own proofs sorted by culprit.
+    pub(super) fn recent_proofs(&self, cycle: u64, sent: &[ViolationProof]) -> Vec<ViolationProof> {
         if !self.cfg.eviction_enabled {
             return Vec::new();
         }
         let since = cycle.saturating_sub(self.cfg.proof_piggyback_cycles);
-        self.blacklist.proofs_since(since).cloned().collect()
+        self.blacklist
+            .proofs_since(since)
+            .filter(|p| {
+                sent.binary_search_by_key(&p.culprit(), ViolationProof::culprit)
+                    .is_err()
+            })
+            .cloned()
+            .collect()
     }
 }

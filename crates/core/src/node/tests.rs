@@ -155,9 +155,7 @@ fn samples_processed_counts_each_descriptor_once() {
         fresh,
         offered: Vec::new(),
         // The initiator's sample set repeats the redemption
-        // certificate, exactly as the real initiator's
-        // `collect_samples` does (the redeemed copy enters its
-        // redemption cache before samples are collected).
+        // certificate, as a padding adversary's may.
         samples: vec![redeemed, sample],
         proofs: Vec::new(),
     };
@@ -283,7 +281,7 @@ fn restart_restores_view_blacklist_and_spent_guard() {
     let d2 = SecureDescriptor::create(culprit_kp, 3, Timestamp(cfg.ticks_per_cycle / 2));
     let proof = ViolationProof::frequency(d1, d2, cfg.ticks_per_cycle).unwrap();
     let culprit = proof.culprit();
-    assert!(node.accept_remote_proof(proof, 2));
+    assert!(node.accept_remote_proof(&proof, 2));
 
     let spent = SecureDescriptor::create(next, 2, Timestamp(10))
         .transfer(next, me.public())
@@ -590,9 +588,9 @@ fn a_join_ping_is_granted_every_proof_however_old() {
         tpc,
     )
     .unwrap();
-    assert!(node.accept_remote_proof(proof, 2));
+    assert!(node.accept_remote_proof(&proof, 2));
     let cycle = 2 + cfg.proof_piggyback_cycles + 1;
-    assert!(node.recent_proofs(cycle).is_empty(), "past the window");
+    assert!(node.recent_proofs(cycle, &[]).is_empty(), "past the window");
 
     let fx = node.step(Input::Oneway {
         from: 2,
@@ -903,6 +901,82 @@ fn a_node_with_an_empty_view_floods_nothing() {
     let flood = fx.flood.expect("a neighbour now");
     assert_eq!(flood.to, [2]);
     assert_eq!(flood.msgs.len(), 1, "only the proof this step learned");
+}
+
+#[test]
+fn an_answer_leaves_out_the_proofs_its_request_brought() {
+    // §IV-C piggybacking: the node knows culprits 2 and 3; the request
+    // brings proofs against 2 and 4. The answer carries 3's alone — the
+    // initiator holds every culprit it named, 4 among them, which the
+    // node learned from this very request.
+    let kps = keypairs(5);
+    let (me, partner) = (&kps[0], &kps[1]);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let mut node = SecureCyclonNode::new(me.clone(), 0, cfg, [5u8; 32], 0);
+    for culprit in 2..4 {
+        let proof = frequency_proof(&kps[culprit], culprit as Addr, tpc);
+        assert!(node.accept_remote_proof(&proof, 1));
+    }
+    let redeemed = SecureDescriptor::create(me, 0, Timestamp(0))
+        .transfer(me, partner.public())
+        .and_then(|d| d.redeem(partner, LinkKind::Redeem))
+        .unwrap();
+    let fresh = SecureDescriptor::create(partner, 1, Timestamp(tpc))
+        .transfer(partner, me.public())
+        .unwrap();
+    let mut fx = node.step(Input::Request {
+        from: 1,
+        msg: SecureMsg::Request(Box::new(RequestBody {
+            redeemed,
+            fresh,
+            offered: Vec::new(),
+            samples: Vec::new(),
+            proofs: vec![
+                frequency_proof(&kps[2], 2, tpc),
+                frequency_proof(&kps[4], 4, tpc),
+            ],
+        })),
+        cycle: 1,
+    });
+    let Some(SecureMsg::Accept(accept)) = fx.reply.take() else {
+        panic!("the request was refused");
+    };
+    assert!(node.blacklist().contains(&kps[4].public()), "learned");
+    let carried: Vec<NodeId> = accept.proofs.iter().map(|p| p.culprit()).collect();
+    assert_eq!(carried, vec![kps[3].public()]);
+    assert_eq!(node.stats().proofs_duplicate, 1, "2's second proof");
+}
+
+#[test]
+fn a_request_shows_its_certificate_once() {
+    // The redeemed copy enters the redemption cache before the request's
+    // samples are collected; the request carries it as `redeemed` and
+    // not again among them. The cache keeps it, so the next request
+    // circulates it as a sample (§V-C).
+    let kps = keypairs(4);
+    let mut node = gossiping_node(&kps);
+    let Some((_, SecureMsg::Request(first))) = tick(&mut node, 5).rpc else {
+        panic!("turn 5 begins an exchange");
+    };
+    let certificate = first.redeemed.state_digest();
+    assert!(first
+        .samples
+        .iter()
+        .all(|s| s.state_digest() != certificate));
+    assert_eq!(node.redemption_count(), 1);
+    node.step(Input::Timeout);
+
+    let Some((_, SecureMsg::Request(second))) = tick(&mut node, 6).rpc else {
+        panic!("turn 6 begins an exchange");
+    };
+    assert!(second
+        .samples
+        .iter()
+        .any(|s| s.state_digest() == certificate));
+    let next = second.redeemed.state_digest();
+    assert!(second.samples.iter().all(|s| s.state_digest() != next));
+    assert_eq!(node.redemption_count(), 2);
 }
 
 #[test]

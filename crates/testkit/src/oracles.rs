@@ -77,8 +77,9 @@ const PROOF_COPY_PAPER_BYTES: u64 = 2 * 1024;
 
 /// One-off §IV-C allowance on top of the per-cycle ceiling: convicting
 /// the scenario's adversaries costs every honest node one copy of each
-/// culprit's proof per neighbour (the flood, ℓ copies) plus one on every
-/// request and answer of the piggyback window (≈ two a cycle). That grows
+/// culprit's proof per neighbour (the flood, ℓ copies) plus at most one
+/// on every request and answer of the piggyback window (≈ two a cycle;
+/// an answer carries a proof only when its request did not). That grows
 /// with the adversary's size, not with time, so no per-cycle ceiling
 /// measured at four attackers can stand in for it at four hundred.
 pub(crate) fn detection_allowance(scenario: &Scenario) -> u64 {
