@@ -22,6 +22,8 @@ pub struct StoredProof {
 #[derive(Debug, Default)]
 pub struct Blacklist {
     culprits: FxHashSet<NodeId>,
+    /// In non-decreasing `learned_cycle`, so the window of
+    /// [`Blacklist::proofs_since`] is a binary search away.
     proofs: Vec<StoredProof>,
 }
 
@@ -51,28 +53,38 @@ impl Blacklist {
     /// re-flood in that case — the paper's DoS guard, §IV-C).
     ///
     /// The proof must already be validated; this type does not re-check.
+    ///
+    /// Proofs arrive in cycle order but for one case: on sockets an
+    /// exchange begun at cycle c may resolve, and register what its answer
+    /// carried at c, after a request of cycle c + 1 registered its own. A
+    /// late proof goes in behind the last one of its cycle.
     pub fn register(&mut self, proof: ViolationProof, learned_cycle: u64) -> bool {
         if !self.culprits.insert(proof.culprit()) {
             return false;
         }
-        self.proofs.push(StoredProof {
-            proof,
-            learned_cycle,
-        });
+        let at = self
+            .proofs
+            .partition_point(|p| p.learned_cycle <= learned_cycle);
+        self.proofs.insert(
+            at,
+            StoredProof {
+                proof,
+                learned_cycle,
+            },
+        );
         true
     }
 
-    /// All stored proofs.
+    /// All stored proofs, in the order they were learned (by cycle).
     pub fn proofs(&self) -> &[StoredProof] {
         &self.proofs
     }
 
-    /// Proofs learned at or after `cycle` (for gossip piggybacking).
+    /// Proofs learned at or after `cycle` (for gossip piggybacking): the
+    /// stored tail from the first such proof on, found without a scan.
     pub fn proofs_since(&self, cycle: u64) -> impl Iterator<Item = &ViolationProof> {
-        self.proofs
-            .iter()
-            .filter(move |p| p.learned_cycle >= cycle)
-            .map(|p| &p.proof)
+        let from = self.proofs.partition_point(|p| p.learned_cycle < cycle);
+        self.proofs[from..].iter().map(|p| &p.proof)
     }
 
     /// Iterates over blacklisted node IDs.
@@ -124,6 +136,28 @@ mod tests {
         assert_eq!(bl.proofs_since(10).count(), 2);
         assert_eq!(bl.proofs_since(16).count(), 0);
         assert_eq!(bl.proofs_since(0).count(), 3);
+    }
+
+    #[test]
+    fn a_late_proof_is_held_in_cycle_order() {
+        // An exchange of cycle 10 resolving after a request of cycle 11:
+        // the window from 11 holds 11's proofs alone, the one from 10
+        // holds 10's too.
+        let mut bl = Blacklist::new();
+        bl.register(proof(1, 0), 9);
+        bl.register(proof(2, 0), 11);
+        bl.register(proof(3, 0), 10);
+        bl.register(proof(4, 0), 11);
+        let culprits = |since| {
+            bl.proofs_since(since)
+                .map(|p| p.culprit())
+                .collect::<Vec<_>>()
+        };
+        let culprit = |tag| proof(tag, 0).culprit();
+        assert_eq!(culprits(11), [culprit(2), culprit(4)]);
+        assert_eq!(culprits(10), [culprit(3), culprit(2), culprit(4)]);
+        let learned: Vec<u64> = bl.proofs().iter().map(|p| p.learned_cycle).collect();
+        assert_eq!(learned, [9, 10, 11, 11]);
     }
 
     #[test]

@@ -571,6 +571,29 @@ impl SecureDescriptor {
         self.0.state
     }
 
+    /// The version `len` links long that this one extends (or is): a
+    /// copy of a block that already exists, so a cut allocates nothing and
+    /// hashes nothing. The root (`len == 0`) is one hop away, any other
+    /// version a walk back from the tip.
+    ///
+    /// # Panics
+    ///
+    /// If `len` exceeds [`transfer_count`](Self::transfer_count).
+    pub(crate) fn prefix(&self, len: usize) -> Self {
+        let block = match &self.0.body {
+            _ if len == self.0.len() => &self.0,
+            Body::Link { root, .. } if len == 0 => root,
+            _ => match &self.0.ancestor(len + 1).body {
+                Body::Link {
+                    parent: Some(parent),
+                    ..
+                } => parent,
+                _ => unreachable!("a block with links has a parent"),
+            },
+        };
+        SecureDescriptor(block.clone())
+    }
+
     /// Running digest after the first `len` links (`len == 0` is the
     /// genesis digest). The digest commits to every field of every link
     /// up to `len`, so two copies with equal prefix digests have
@@ -1323,6 +1346,28 @@ pub(crate) mod tests {
             assert_eq!(d.prefix_state(len), decoded.prefix_state(len));
         }
         assert_eq!(d.state_digest(), decoded.state_digest());
+    }
+
+    #[test]
+    fn a_prefix_is_the_version_it_names() {
+        // Every cut of a chain is the very block of that version: same
+        // pointer, same digest, and no block that the chain lacks.
+        let keys: Vec<Keypair> = (0..4).map(kp).collect();
+        let mut versions = vec![SecureDescriptor::create(&keys[0], 0, Timestamp(0))];
+        for i in 0..6 {
+            let next = versions[i]
+                .transfer(&keys[i % 4], keys[(i + 1) % 4].public())
+                .unwrap();
+            versions.push(next);
+        }
+        let tip = versions.last().unwrap();
+        for (len, version) in versions.iter().enumerate() {
+            let cut = tip.prefix(len);
+            assert!(cut.same_block(version), "length {len}");
+            assert_eq!(cut.transfer_count(), len);
+            assert_eq!(cut.state_digest(), *tip.prefix_state(len));
+            assert!(cut.block_addrs().all(|b| tip.block_addrs().any(|t| t == b)));
+        }
     }
 
     #[test]

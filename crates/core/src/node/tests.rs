@@ -949,6 +949,51 @@ fn an_answer_leaves_out_the_proofs_its_request_brought() {
 }
 
 #[test]
+fn a_restored_node_piggybacks_the_window_of_its_recovered_proofs() {
+    // A log holds a checkpoint with proofs learned at cycles 2 and 9,
+    // then proof records of cycles 14 and 12 (an exchange of cycle 12
+    // that resolved late, on sockets). Restored, the node's request at
+    // cycle 12 + window carries the proofs learned at 12 or later, in
+    // cycle order, and none older.
+    use crate::storage::{MemoryBackend, StateBackend};
+    let kps = keypairs(8);
+    let cfg = small_cfg().validated();
+    let tpc = cfg.ticks_per_cycle;
+    let proof = |tag: usize| frequency_proof(&kps[tag], tag as Addr, tpc);
+    let mut backend = MemoryBackend::new();
+    let checkpoint = PersistentState {
+        cycle: 9,
+        proofs: vec![(2, proof(4)), (9, proof(5))],
+        ..Default::default()
+    };
+    backend.save_checkpoint(&checkpoint).unwrap();
+    backend.record_proof(&proof(6), 14).unwrap();
+    backend.record_proof(&proof(7), 12).unwrap();
+    let mut node =
+        SecureCyclonNode::with_backend(kps[0].clone(), 0, cfg, [7u8; 32], 0, Box::new(backend))
+            .unwrap();
+    for (i, kp) in kps[1..4].iter().enumerate() {
+        let d = SecureDescriptor::create(kp, 1 + i as Addr, Timestamp(i as u64))
+            .transfer(kp, kps[0].public())
+            .unwrap();
+        assert!(node.accept_bootstrap(d));
+    }
+    let learned: Vec<u64> = node
+        .blacklist()
+        .proofs()
+        .iter()
+        .map(|p| p.learned_cycle)
+        .collect();
+    assert_eq!(learned, [2, 9, 12, 14]);
+    let cycle = 12 + cfg.proof_piggyback_cycles;
+    let Some((_, SecureMsg::Request(request))) = tick(&mut node, cycle).rpc else {
+        panic!("turn {cycle} begins an exchange");
+    };
+    let carried: Vec<NodeId> = request.proofs.iter().map(|p| p.culprit()).collect();
+    assert_eq!(carried, [kps[7].public(), kps[6].public()]);
+}
+
+#[test]
 fn a_request_shows_its_certificate_once() {
     // The redeemed copy enters the redemption cache before the request's
     // samples are collected; the request carries it as `redeemed` and

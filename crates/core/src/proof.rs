@@ -1,11 +1,15 @@
 //! Violation proofs: transferable, independently verifiable evidence of
 //! protocol misconduct (§IV-B, §IV-C of the paper).
 //!
-//! A proof is a pair of signed descriptors that cannot legally coexist.
-//! Because both carry the violator's own signatures, "presenting the two
-//! conflicting descriptors to any third node can prove to it the
-//! offender's violation and its identity" — validation requires no trust
-//! in the accuser.
+//! A proof is the shortest versions of two descriptors that conflict:
+//! for a cloning, each side's chain up to and including the link where
+//! the two part ways (the shared prefix and the culprit's two
+//! signatures over one state); for a frequency violation, the two
+//! geneses. Because both carry the violator's own signatures,
+//! "presenting the two conflicting descriptors to any third node can
+//! prove to it the offender's violation and its identity" — validation
+//! requires no trust in the accuser. Nothing past the fork proves
+//! anything more, so no proof carries it.
 
 use crate::chain::{compare_chains, ChainRelation, CompareError};
 use crate::descriptor::{DescriptorError, SecureDescriptor, WalkScratch};
@@ -57,8 +61,10 @@ impl From<DescriptorError> for ProofError {
     }
 }
 
-/// Indisputable evidence of a protocol violation: two conflicting signed
-/// descriptors.
+/// Indisputable evidence of a protocol violation: the shortest versions
+/// of two descriptors that conflict. Whatever pair a constructor is
+/// given, it keeps only these, so a proof learned locally, decoded off
+/// the wire or recovered from storage is the same minimal evidence.
 ///
 /// One pointer to an immutable shared body: the blacklist entry, every
 /// flood, piggyback list and grant holding a proof (§IV-C) hold a handle,
@@ -121,12 +127,12 @@ impl ViolationProof {
         period_ticks: u64,
     ) -> Result<Self, ProofError> {
         let scratch = &mut WalkScratch::default();
-        let culprit = guilty(kind, &left, &right, period_ticks, scratch)?;
+        let (culprit, keep) = guilty(kind, &left, &right, period_ticks, scratch)?;
         Ok(ViolationProof(Arc::new(Body {
             kind,
             culprit,
-            left,
-            right,
+            left: left.prefix(keep),
+            right: right.prefix(keep),
         })))
     }
 
@@ -140,7 +146,8 @@ impl ViolationProof {
         self.0.culprit
     }
 
-    /// The two conflicting descriptors.
+    /// The two conflicting descriptors, each cut back to the shortest
+    /// version that still conflicts with the other.
     pub fn evidence(&self) -> (&SecureDescriptor, &SecureDescriptor) {
         (&self.0.left, &self.0.right)
     }
@@ -173,14 +180,17 @@ impl ViolationProof {
     ) -> Result<NodeId, ProofError> {
         let b = &*self.0;
         match guilty(b.kind, &b.left, &b.right, period_ticks, scratch)? {
-            c if c == b.culprit => Ok(c),
+            (c, _) if c == b.culprit => Ok(c),
             _ => Err(ProofError::NoConflict),
         }
     }
 }
 
-/// The node `left` and `right` prove guilty of a `kind` violation. Every
-/// signature of both chains is checked in one walk (one crypto bill); a
+/// The node `left` and `right` prove guilty of a `kind` violation, and
+/// how many links of each side prove it: a cloning's fork `index + 1`
+/// (the shared prefix and the two conflicting links), none for a
+/// frequency violation (the two geneses). Every signature of both whole
+/// chains is checked in one walk (one crypto bill), past the fork too; a
 /// failure is `left`'s if both fail, as if each were verified in turn.
 fn guilty(
     kind: ProofKind,
@@ -188,16 +198,16 @@ fn guilty(
     right: &SecureDescriptor,
     period_ticks: u64,
     scratch: &mut WalkScratch,
-) -> Result<NodeId, ProofError> {
+) -> Result<(NodeId, usize), ProofError> {
     let verdicts = SecureDescriptor::verify_batch(&[left, right], scratch);
     verdicts.iter().copied().collect::<Result<(), _>>()?;
     match kind {
         ProofKind::Cloning => match compare_chains(left, right) {
             Ok(ChainRelation::Divergent {
+                index,
                 signer,
                 ns_exception: false,
-                ..
-            }) => Ok(signer),
+            }) => Ok((signer, index + 1)),
             Ok(ChainRelation::Divergent {
                 ns_exception: true, ..
             }) => Err(ProofError::SanctionedNsException),
@@ -218,7 +228,7 @@ fn guilty(
             if !distinct || left.created_at().distance(right.created_at()) >= period_ticks {
                 return Err(ProofError::NoConflict);
             }
-            Ok(left.creator())
+            Ok((left.creator(), 0))
         }
     }
 }
@@ -292,16 +302,118 @@ mod tests {
         );
     }
 
+    /// `proof` holds the minimal evidence of a fork at `index`: each
+    /// side `index + 1` links long, cut out of the given pair's own
+    /// blocks, on one shared prefix block, naming the owner who signed
+    /// both links at the fork, and valid.
+    fn assert_minimal(proof: &ViolationProof, index: usize, given: [&SecureDescriptor; 2]) {
+        let (l, r) = proof.evidence();
+        for (kept, given) in [(l, given[0]), (r, given[1])] {
+            assert_eq!(kept.transfer_count(), index + 1);
+            assert!(
+                kept.same_block(&given.prefix(index + 1)),
+                "a cut, not a copy"
+            );
+        }
+        assert!(l.prefix(index).same_block(&r.prefix(index)), "one prefix");
+        let culprit = given[0].owner_at(index);
+        assert_eq!(proof.culprit(), culprit);
+        assert_eq!(proof.validate(PERIOD), Ok(culprit));
+    }
+
+    #[test]
+    fn a_cloning_proof_keeps_the_prefix_and_the_two_conflicting_links() {
+        let keys: Vec<Keypair> = (1..=8).map(kp).collect();
+        let walk = |d: SecureDescriptor, hops: &[usize]| {
+            hops.iter().fold(d, |d, &to| {
+                let owner = keys.iter().find(|k| k.public() == d.owner()).unwrap();
+                d.transfer(owner, keys[to].public()).unwrap()
+            })
+        };
+        let root = SecureDescriptor::create(&keys[0], 0, Timestamp(0));
+        // The creator's first link, as a hub attacker forks it; a
+        // mid-chain owner, as in the paper's A→B→C→D→E vs A→B→F→G.
+        for (shared, left_hops, right_hops) in [
+            (&[][..], &[1, 2, 3][..], &[4, 5][..]),
+            (&[1], &[2, 3, 4], &[5, 6]),
+            (&[1, 2, 3], &[4], &[5, 6, 7, 1]),
+        ] {
+            let fork = walk(root.clone(), shared);
+            let left = walk(fork.clone(), left_hops);
+            let right = walk(fork.clone(), right_hops);
+            for (l, r) in [(&left, &right), (&right, &left)] {
+                let proof = ViolationProof::cloning(l.clone(), r.clone()).unwrap();
+                assert_minimal(&proof, shared.len(), [l, r]);
+            }
+        }
+    }
+
     #[test]
     fn transfer_then_regular_redeem_is_provable() {
         let (a, b) = (kp(1), kp(2));
         let d = SecureDescriptor::create(&a, 0, Timestamp(0))
             .transfer(&a, b.public())
             .unwrap();
-        let circulating = d.transfer(&b, kp(3).public()).unwrap();
+        let circulating = d
+            .transfer(&b, kp(3).public())
+            .unwrap()
+            .transfer(&kp(3), kp(4).public())
+            .unwrap();
         let spent = d.redeem(&b, LinkKind::Redeem).unwrap();
-        let proof = ViolationProof::cloning(circulating, spent).unwrap();
-        assert_eq!(proof.culprit(), b.public());
+        let proof = ViolationProof::cloning(circulating.clone(), spent.clone()).unwrap();
+        assert_minimal(&proof, 1, [&circulating, &spent]);
+        assert_eq!(proof.evidence().1.redemption_kind(), Some(LinkKind::Redeem));
+    }
+
+    #[test]
+    fn a_frequency_proof_keeps_the_two_geneses() {
+        let (a, b, c) = (kp(1), kp(2), kp(3));
+        let d1 = SecureDescriptor::create(&a, 0, Timestamp(5000))
+            .transfer(&a, b.public())
+            .unwrap()
+            .transfer(&b, c.public())
+            .unwrap();
+        let d2 = SecureDescriptor::create(&a, 0, Timestamp(5400))
+            .transfer(&a, c.public())
+            .unwrap();
+        let proof = ViolationProof::frequency(d1.clone(), d2.clone(), PERIOD).unwrap();
+        let (l, r) = proof.evidence();
+        assert_eq!((l.transfer_count(), r.transfer_count()), (0, 0));
+        assert!(l.same_block(&d1.prefix(0)) && r.same_block(&d2.prefix(0)));
+        assert_eq!(proof.culprit(), a.public());
+        assert_eq!(proof.validate(PERIOD), Ok(a.public()));
+    }
+
+    #[test]
+    fn continuations_past_the_fork_do_not_change_a_refusal() {
+        // The sanctioned pair and two compatible copies are refused as
+        // before, however far either side runs on; so is a pair whose
+        // only bad signature lies past the fork, which the kept evidence
+        // alone would not show.
+        let (a, b, c, d) = (kp(1), kp(2), kp(3), kp(4));
+        let held = SecureDescriptor::create(&a, 0, Timestamp(0))
+            .transfer(&a, b.public())
+            .unwrap();
+        let circulating = held
+            .transfer(&b, c.public())
+            .unwrap()
+            .transfer(&c, d.public())
+            .unwrap();
+        let ns = held.redeem(&b, LinkKind::RedeemNonSwappable).unwrap();
+        assert_eq!(
+            ViolationProof::cloning(circulating.clone(), ns).unwrap_err(),
+            ProofError::SanctionedNsException
+        );
+        assert_eq!(
+            ViolationProof::cloning(held.clone(), circulating.clone()).unwrap_err(),
+            ProofError::NoConflict
+        );
+        let other = held.transfer(&b, kp(5).public()).unwrap();
+        let forged_tail = flipped(&circulating, 3, 9);
+        assert_eq!(
+            ViolationProof::cloning(other, forged_tail).unwrap_err(),
+            ProofError::BadDescriptor(DescriptorError::BadLinkSignature { index: 2 })
+        );
     }
 
     #[test]

@@ -343,7 +343,9 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// One violation proof, **re-validated** under `period_ticks`.
+    /// One violation proof, **re-validated** under `period_ticks` and
+    /// kept as its minimal evidence: whatever a peer wrote past the fork
+    /// is verified, then dropped, never re-flooded.
     ///
     /// # Errors
     ///

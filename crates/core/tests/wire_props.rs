@@ -8,7 +8,7 @@
 //! matter what a hostile peer puts in a length prefix.
 
 use proptest::prelude::*;
-use sc_core::wire::{self, WireError, WireLimits};
+use sc_core::wire::{self, Reader, WireError, WireLimits, Writer};
 use sc_core::{
     AcceptBody, JoinGrantBody, JoinPingBody, LinkKind, RequestBody, RoundBody, RoundReplyBody,
     SecureDescriptor, SecureMsg, Timestamp, ViolationProof,
@@ -163,8 +163,104 @@ fn signature_offsets(msg: &SecureMsg, buf: &[u8]) -> Vec<usize> {
         .collect()
 }
 
+/// `d`, owned by `kp(owner)`, handed on along `path` (a hop to the
+/// current owner is skipped), with its last owner's tag.
+fn walk(mut d: SecureDescriptor, mut owner: u8, path: &[u8]) -> (SecureDescriptor, u8) {
+    for &next in path {
+        if next == owner {
+            continue;
+        }
+        d = d
+            .transfer(&kp(owner), kp(next).public())
+            .expect("legal transfer");
+        owner = next;
+    }
+    (d, owner)
+}
+
+/// A cloning proof's kind tag and both descriptors, written by hand: the
+/// bytes a peer may send, whatever it chooses to put in them.
+fn hand_written_cloning(left: &SecureDescriptor, right: &SecureDescriptor) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = Writer::new(&mut buf);
+    w.u8(0);
+    w.descriptor(left);
+    w.descriptor(right);
+    buf
+}
+
+/// One proof as [`Writer::proof`] encodes it.
+fn encoded(proof: &ViolationProof) -> Vec<u8> {
+    let mut buf = Vec::new();
+    Writer::new(&mut buf).proof(proof);
+    buf
+}
+
+#[test]
+fn a_padded_proof_decodes_to_its_minimal_evidence() {
+    // A throwaway sybil (tag 100) hands one fresh descriptor to two
+    // victims; its accomplices then pad both sides with validly signed
+    // links. The decoder keeps the fork alone, so what an honest node
+    // re-floods is the sybil's two signatures, not the padding.
+    let root = SecureDescriptor::create(&kp(100), 5, Timestamp(0));
+    let (left, _) = walk(root.clone(), 100, &[1, 2, 3, 1, 2, 3, 1, 2]);
+    let (right, _) = walk(root, 100, &[4, 5, 6, 4, 5, 6]);
+    let buf = hand_written_cloning(&left, &right);
+    let proof = Reader::new(&buf).proof(PERIOD).expect("a valid proof");
+    assert_eq!(proof.culprit(), kp(100).public());
+    let (l, r) = proof.evidence();
+    assert_eq!((l.transfer_count(), r.transfer_count()), (1, 1));
+    assert_eq!(proof.validate(PERIOD), Ok(kp(100).public()));
+    let again = encoded(&proof);
+    assert!(
+        again.len() < buf.len(),
+        "{} ≥ {} bytes",
+        again.len(),
+        buf.len()
+    );
+    let back = Reader::new(&again).proof(PERIOD).expect("re-decodes");
+    assert_eq!(back, proof);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any fork point, any continuation on either side, a redemption on
+    /// one: the proof keeps each side up to and including its link at the
+    /// fork, and that evidence validates to the culprit the full pair
+    /// names — built locally or decoded from the full pair's bytes alike.
+    #[test]
+    fn a_proof_keeps_only_what_proves_the_fork(
+        shared in proptest::collection::vec(0u8..16, 0..6),
+        left_path in proptest::collection::vec(0u8..16, 1..6),
+        right_path in proptest::collection::vec(0u8..16, 1..6),
+        redeem in proptest::any::<bool>(),
+    ) {
+        let root = SecureDescriptor::create(&kp(100), 7, Timestamp(0));
+        let (fork, owner) = walk(root, 100, &shared);
+        prop_assume!(left_path[0] != right_path[0]);
+        prop_assume!(left_path[0] != owner && right_path[0] != owner);
+        let (left, _) = walk(fork.clone(), owner, &left_path);
+        let (mut right, last) = walk(fork.clone(), owner, &right_path);
+        if redeem {
+            right = right.redeem(&kp(last), LinkKind::Redeem).expect("legal redemption");
+        }
+        let culprit = fork.owner();
+        let index = fork.transfer_count();
+        let built = ViolationProof::cloning(left.clone(), right.clone()).expect("a fork");
+        let decoded = Reader::new(&hand_written_cloning(&left, &right))
+            .proof(PERIOD)
+            .expect("a fork");
+        prop_assert_eq!(&decoded, &built);
+        for proof in [&built, &decoded] {
+            let (l, r) = proof.evidence();
+            prop_assert_eq!((l.transfer_count(), r.transfer_count()), (index + 1, index + 1));
+            prop_assert_eq!(l.chain()[..index].to_vec(), fork.chain());
+            prop_assert_eq!(r.chain()[..index].to_vec(), fork.chain());
+            prop_assert_eq!(proof.culprit(), culprit);
+            prop_assert_eq!(proof.validate(PERIOD), Ok(culprit));
+        }
+    }
 
     #[test]
     fn roundtrip_is_identity_for_all_variants(

@@ -68,9 +68,11 @@ pub fn matrix_replay(scenario: &str, seed: u64) -> String {
 }
 
 /// Paper bytes the byte-budget oracle allows per copy of a violation
-/// proof a node sends. Measured (`message_paper_bytes`, seed 1): a proof
-/// averages 431 B under the scale tier's hub attack and at most 832 B
-/// (cloning adversary, 40 culprits), under half this — the same twofold
+/// proof a node sends. Measured (`message_paper_bytes` over every proof
+/// an honest node holds at the end of the run, seed 1): a proof, kept as
+/// its minimal evidence, averages 221 B under the scale tier's hub attack
+/// (at most 348 B) and 711 B under the cloning adversary with 40 culprits
+/// (at most 1 372 B), under half this on average — the same twofold
 /// headroom as the per-cycle ceiling, pinned by the runner's headroom
 /// tests.
 const PROOF_COPY_PAPER_BYTES: u64 = 2 * 1024;
